@@ -32,6 +32,9 @@ func TestConfigShimEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// AuditTail flushes: AuditPending otherwise races the background
+		// drainer and differs between two otherwise identical runs.
+		dep.AuditTail()
 		st := dep.Stats()
 		if err := dep.Close(); err != nil {
 			t.Fatal(err)

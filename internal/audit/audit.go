@@ -25,7 +25,14 @@
 // behind — a slow disk, a stalled shipper — Record counts the overflowing
 // entry in Stats.Dropped and returns; enforcement never blocks on the
 // audit trail, and the gap is visible both in the stats and as a hole in
-// the entry sequence numbers.
+// the entry sequence numbers. The one concession a producer makes is a
+// yield, never a wait: a call that takes the queue past half of QueueCap,
+// and past each further eighth, wakes the drainer and runtime.Gosched()s
+// before it returns, because a producer that never parks would otherwise
+// keep the woken drainer in the run queue until the scheduler preempts it
+// (~10 ms — a whole QueueCap of packets at a few hundred thousand per
+// second). One yield is not enough: Gosched is a hint the scheduler may
+// answer by resuming the caller or running a collector worker instead.
 //
 // # Delivery guarantees
 //
@@ -40,6 +47,10 @@
 // a record that was dropped under backpressure *or, rarely, one still in
 // flight* (Stats.Dropped is the authoritative drop count). Records racing
 // Close may be dropped (and counted).
+//
+// Entries are stringified for the writer only: the tail and the per-app
+// drop counters stay in captured form until Tail or DropsByApp is called,
+// so a log with no writer never renders an entry nobody reads.
 package audit
 
 import (
@@ -49,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -181,10 +193,12 @@ type Log struct {
 	encBuf bytes.Buffer
 	enc    *json.Encoder
 
-	// mu guards the drainer-published read-side state.
+	// mu guards the drainer-published read-side state. tail is a ring once
+	// it holds tailCap entries: tailHead is then the oldest one.
 	mu         sync.Mutex
-	tail       []Entry
-	dropsByApp map[string]uint64
+	tail       []rawEntry
+	tailHead   int
+	dropsByApp map[dex.TruncatedHash]uint64
 	writeErr   error
 }
 
@@ -234,7 +248,7 @@ func NewWithConfig(cfg Config) *Log {
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		spares:     make([][]rawEntry, p),
-		dropsByApp: make(map[string]uint64),
+		dropsByApp: make(map[dex.TruncatedHash]uint64),
 		batchSizes: metrics.NewHistogram(),
 	}
 	for i := range l.stripes {
@@ -283,7 +297,9 @@ func capture(e *rawEntry, seq uint64, pkt *ipv4.Packet, res enforcer.Result) {
 // encodes: the entry lands on a producer stripe and is JSON-encoded by the
 // background drainer. A full home stripe spills to the next ones, so an
 // entry is only counted in Stats.Dropped and discarded once every stripe
-// is full — i.e. once the whole QueueCap is exhausted.
+// is full — i.e. once the whole QueueCap is exhausted. The most it does
+// besides is yield to the drainer as the queue fills past half (see
+// Backpressure in the package comment).
 //
 // The closed check runs under the stripe lock: Close sets the flag before
 // the drainer's final sweep locks each stripe, so an append that won the
@@ -318,10 +334,10 @@ func (l *Log) Record(pkt *ipv4.Packet, res enforcer.Result) {
 		capture(&s.buf[len(s.buf)-1], seq, pkt, res)
 		n := len(s.buf)
 		s.mu.Unlock()
-		l.pendingCount.Add(1)
 		if n >= l.batchSize {
 			l.wake()
 		}
+		l.landed(1)
 		return
 	}
 	// Every stripe filled while we probed: shed the entry.
@@ -369,12 +385,25 @@ func (l *Log) RecordBatch(pkts []*ipv4.Packet, res []enforcer.Result) {
 			l.wake()
 		}
 	}
-	if kept > 0 {
-		l.pendingCount.Add(int64(kept))
-	}
+	l.landed(kept)
 	if kept < n {
 		l.dropped.Add(uint64(n - kept))
 		l.wake()
+	}
+}
+
+// landed counts n entries just appended as pending and, on each call that
+// fills another eighth of the queue beyond half, wakes the drainer and
+// yields to it (see the package comment on backpressure).
+func (l *Log) landed(n int) {
+	now := l.pendingCount.Add(int64(n))
+	eighth := int64(l.queueCap / 8)
+	if eighth == 0 || now < 4*eighth {
+		return
+	}
+	if now/eighth != (now-int64(n))/eighth {
+		l.wake()
+		runtime.Gosched()
 	}
 }
 
@@ -404,8 +433,9 @@ func (l *Log) run() {
 }
 
 // drain swaps out every stripe buffer, orders the captured entries by
-// sequence number, publishes them to the tail and per-app counters, and
-// writes the whole burst's JSON lines with a single Write call.
+// sequence number, publishes them — still in captured form — to the tail
+// and per-app counters, and, when a writer is configured, encodes the
+// burst and writes its JSON lines with a single Write call.
 func (l *Log) drain() {
 	batch := l.batch[:0]
 	for i := range l.stripes {
@@ -431,37 +461,26 @@ func (l *Log) drain() {
 	l.pendingCount.Add(-int64(len(batch)))
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
 
-	buildEntries := l.w != nil || l.tailCap > 0
 	l.encBuf.Reset()
 	l.mu.Lock()
 	for i := range batch {
 		raw := &batch[i]
-		if raw.verdict == policy.VerdictDrop {
-			var zero dex.TruncatedHash
-			if raw.app != zero {
-				l.dropsByApp[raw.app.String()]++
-			}
-		}
-		if !buildEntries {
-			continue
-		}
-		e := buildEntry(raw)
-		if l.tailCap > 0 {
-			l.tail = append(l.tail, e)
+		if raw.verdict == policy.VerdictDrop && raw.app != (dex.TruncatedHash{}) {
+			l.dropsByApp[raw.app]++
 		}
 		if l.w != nil {
-			if err := l.enc.Encode(e); err != nil && l.writeErr == nil {
+			if err := l.enc.Encode(buildEntry(raw)); err != nil && l.writeErr == nil {
 				l.writeErr = fmt.Errorf("audit: encode: %w", err)
 			}
 		}
 	}
-	// Trim the tail once per burst, not once per entry: compact only when
-	// it has doubled past capacity so the copy is amortized O(1)/entry.
-	if l.tailCap > 0 && len(l.tail) > l.tailCap {
-		if len(l.tail) >= 2*l.tailCap {
-			l.tail = append(l.tail[:0], l.tail[len(l.tail)-l.tailCap:]...)
+	// Only the last tailCap entries of a burst can survive in the tail.
+	for i := max(0, len(batch)-l.tailCap); i < len(batch); i++ {
+		if len(l.tail) < l.tailCap {
+			l.tail = append(l.tail, batch[i])
 		} else {
-			l.tail = l.tail[len(l.tail)-l.tailCap:]
+			l.tail[l.tailHead] = batch[i]
+			l.tailHead = (l.tailHead + 1) % l.tailCap
 		}
 	}
 	l.mu.Unlock()
@@ -549,7 +568,14 @@ func (l *Log) Tail() []Entry {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Entry(nil), l.tail...)
+	if len(l.tail) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(l.tail))
+	for i := range out {
+		out[i] = buildEntry(&l.tail[(l.tailHead+i)%len(l.tail)])
+	}
+	return out
 }
 
 // DropsByApp returns a copy of the per-app drop counters, flushing first.
@@ -562,7 +588,7 @@ func (l *Log) DropsByApp() map[string]uint64 {
 	defer l.mu.Unlock()
 	out := make(map[string]uint64, len(l.dropsByApp))
 	for k, v := range l.dropsByApp {
-		out[k] = v
+		out[k.String()] = v
 	}
 	return out
 }

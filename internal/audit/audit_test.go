@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -519,5 +520,58 @@ func TestNilLogIsNoop(t *testing.T) {
 	}
 	if st := l.Stats(); st.Recorded != 0 {
 		t.Fatal("nil log has stats")
+	}
+}
+
+// TestRecordBatchNoShedSingleP pins the yields past half of QueueCap: on
+// one P a producer that never parks would keep the woken drainer in the
+// run queue until the scheduler preempts it, a whole queue of entries
+// later. With them the drainer runs before the queue fills and nothing is
+// shed.
+func TestRecordBatchNoShedSingleP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l := New(nil, 256)
+	defer l.Close()
+	pkts := make([]*ipv4.Packet, 34)
+	res := make([]enforcer.Result, len(pkts))
+	for i := range pkts {
+		pkts[i] = samplePacket()
+		res[i] = dropResult()
+	}
+	const bursts = 20000
+	for i := 0; i < bursts; i++ {
+		l.RecordBatch(pkts, res)
+		l.Record(pkts[0], res[0])
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Dropped != 0 || st.Recorded != bursts*uint64(len(pkts)+1) {
+		t.Fatalf("tight single-P producer shed entries: %+v", st)
+	}
+}
+
+// TestTailOnlyDrainAllocFree pins that a log with no writer renders
+// nothing: draining costs a fixed few allocations per burst (the sort, the
+// flush handshake), none per entry, whatever the entries carry.
+func TestTailOnlyDrainAllocFree(t *testing.T) {
+	l := New(nil, 256)
+	defer l.Close()
+	pkts := make([]*ipv4.Packet, 1024)
+	res := make([]enforcer.Result, len(pkts))
+	for i := range pkts {
+		pkts[i] = samplePacket()
+		res[i] = dropResult()
+	}
+	perBurst := testing.AllocsPerRun(50, func() {
+		l.RecordBatch(pkts, res)
+		l.Flush()
+	})
+	if perEntry := perBurst / float64(len(pkts)); perEntry >= 0.01 {
+		t.Fatalf("tail-only record+drain: %.0f allocs per %d-entry burst (%.3f per entry), want 0 per entry",
+			perBurst, len(pkts), perEntry)
+	}
+	if st := l.Stats(); st.Dropped != 0 {
+		t.Fatalf("shed %d entries", st.Dropped)
 	}
 }

@@ -152,6 +152,8 @@ func BenchmarkProcessFlowHitAudited(b *testing.B) {
 			b.Fatal("benign packet dropped")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(l.Stats().Dropped)/float64(b.N), "dropped/op")
 }
 
 // BenchmarkProcessBatchKeepAliveAudited: the batched equivalent — 64-pkt
@@ -173,4 +175,6 @@ func BenchmarkProcessBatchKeepAliveAudited(b *testing.B) {
 			b.Fatal("benign packet dropped")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(l.Stats().Dropped)/float64(b.N), "dropped/op")
 }

@@ -7,13 +7,13 @@
 package httpsim
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Request is a parsed HTTP request.
@@ -55,41 +55,24 @@ func (r *Request) Marshal() []byte {
 	return b.Bytes()
 }
 
-// ParseRequest parses a request from wire form.
+// ParseRequest parses a request from wire form. Method, Path and Host are
+// cut from one copy of the start line and headers, and Body aliases data —
+// two allocations per request, whatever the body size. Callers must
+// therefore leave data unmodified for as long as they hold the request,
+// which the network guarantees by never writing an emitted payload (see
+// netsim's egressCopy).
 func ParseRequest(data []byte) (*Request, error) {
-	rd := bufio.NewReader(bytes.NewReader(data))
-	line, err := rd.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: request line: %v", ErrMalformed, err)
-	}
-	parts := strings.Fields(strings.TrimSpace(line))
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
-	}
-	req := &Request{Method: parts[0], Path: parts[1]}
-	clen, keep, err := parseHeaders(rd)
+	h, err := parseHead(data)
 	if err != nil {
 		return nil, err
 	}
-	req.KeepAlive = keep
-	req.Body, err = readBody(rd, clen)
-	if err != nil {
-		return nil, err
+	method, rest := cutField(h.start)
+	path, rest := cutField(rest)
+	proto, rest := cutField(rest)
+	if extra, _ := cutField(rest); extra != "" || !strings.HasPrefix(proto, "HTTP/") {
+		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, h.start)
 	}
-	req.Host = hostFromHeaders(data)
-	return req, nil
-}
-
-func hostFromHeaders(data []byte) string {
-	for _, line := range strings.Split(string(data), "\r\n") {
-		if strings.HasPrefix(strings.ToLower(line), "host:") {
-			return strings.TrimSpace(line[len("host:"):])
-		}
-		if line == "" {
-			break
-		}
-	}
-	return ""
+	return &Request{Method: method, Path: path, Host: h.host, KeepAlive: h.keepAlive, Body: h.body}, nil
 }
 
 // Marshal renders the response in HTTP/1.1 wire form.
@@ -107,74 +90,124 @@ func (r *Response) Marshal() []byte {
 	return b.Bytes()
 }
 
-// ParseResponse parses a response from wire form.
+// ParseResponse parses a response from wire form; Body aliases data as in
+// ParseRequest.
 func ParseResponse(data []byte) (*Response, error) {
-	rd := bufio.NewReader(bytes.NewReader(data))
-	line, err := rd.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: status line: %v", ErrMalformed, err)
-	}
-	parts := strings.Fields(strings.TrimSpace(line))
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("%w: status %q", ErrMalformed, parts[1])
-	}
-	resp := &Response{Status: status}
-	clen, keep, err := parseHeaders(rd)
+	h, err := parseHead(data)
 	if err != nil {
 		return nil, err
 	}
-	resp.KeepAlive = keep
-	resp.Body, err = readBody(rd, clen)
-	if err != nil {
-		return nil, err
+	proto, rest := cutField(h.start)
+	code, _ := cutField(rest)
+	if code == "" || !strings.HasPrefix(proto, "HTTP/") {
+		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, h.start)
 	}
-	return resp, nil
+	status, err := strconv.Atoi(code)
+	if err != nil {
+		return nil, fmt.Errorf("%w: status %q", ErrMalformed, code)
+	}
+	return &Response{Status: status, KeepAlive: h.keepAlive, Body: h.body}, nil
 }
 
-func parseHeaders(rd *bufio.Reader) (contentLen int, keepAlive bool, err error) {
-	contentLen = -1
+// head is what a message's start line and header block yield: the start
+// line for the caller to pick apart, the three headers this wire format
+// reads, and the body they frame.
+type head struct {
+	start     string
+	host      string
+	keepAlive bool
+	body      []byte
+}
+
+// parseHead scans a message front to back: lines end at '\n' (a preceding
+// '\r' is trimmed with the rest of the surrounding whitespace), the first
+// blank line after the start line ends the headers, the last
+// Content-Length and Connection win, the first Host wins, and bytes past
+// the declared body are ignored.
+func parseHead(data []byte) (head, error) {
+	block, err := headerBlock(data)
+	if err != nil {
+		return head{}, err
+	}
+	body := data[len(block):]
+	var h head
+	h.start, block, _ = strings.Cut(block, "\n")
+	contentLen, haveHost := 0, false
 	for {
-		line, err := rd.ReadString('\n')
-		if err != nil {
-			return 0, false, fmt.Errorf("%w: headers: %v", ErrMalformed, err)
+		var line string
+		line, block, _ = strings.Cut(block, "\n")
+		if line = strings.TrimSpace(line); line == "" {
+			break // the terminator headerBlock stopped on
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			break
+		key, val, ok := strings.Cut(line, ":")
+		if !ok {
+			return head{}, fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		colon := strings.IndexByte(line, ':')
-		if colon < 0 {
-			return 0, false, fmt.Errorf("%w: header %q", ErrMalformed, line)
-		}
-		key := strings.ToLower(strings.TrimSpace(line[:colon]))
-		val := strings.TrimSpace(line[colon+1:])
-		switch key {
-		case "content-length":
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		switch {
+		case keyIs(key, "content-length"):
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
-				return 0, false, fmt.Errorf("%w: content-length %q", ErrMalformed, val)
+				return head{}, fmt.Errorf("%w: content-length %q", ErrMalformed, val)
 			}
 			contentLen = n
-		case "connection":
-			keepAlive = strings.EqualFold(val, "keep-alive")
+		case keyIs(key, "connection"):
+			h.keepAlive = strings.EqualFold(val, "keep-alive")
+		case !haveHost && keyIs(key, "host"):
+			h.host, haveHost = val, true
 		}
 	}
-	if contentLen < 0 {
-		contentLen = 0
+	if contentLen > len(body) {
+		return head{}, fmt.Errorf("%w: body: %d of %d bytes", ErrMalformed, len(body), contentLen)
 	}
-	return contentLen, keepAlive, nil
+	h.body = body[:contentLen:contentLen]
+	return h, nil
 }
 
-func readBody(rd *bufio.Reader, n int) ([]byte, error) {
-	body := make([]byte, n)
-	if _, err := io.ReadFull(rd, body); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrMalformed, err)
+// headerBlock returns the start line and header lines of a message, blank
+// terminator included, as one string — the only copy parsing makes.
+func headerBlock(data []byte) (string, error) {
+	end := 0
+	for {
+		nl := bytes.IndexByte(data[end:], '\n')
+		if nl < 0 {
+			return "", fmt.Errorf("%w: headers end at byte %d without a blank line", ErrMalformed, len(data))
+		}
+		blank := end > 0 && len(bytes.TrimSpace(data[end:end+nl])) == 0
+		end += nl + 1
+		if blank {
+			return string(data[:end]), nil
+		}
 	}
-	return body, nil
+}
+
+// cutField returns the first whitespace-delimited field of s and what
+// follows it: strings.Fields one field at a time, without the slice.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+// keyIs reports whether strings.ToLower(key) == lower, lowering ASCII in
+// place so that the headers every producer emits cost no allocation.
+func keyIs(key, lower string) bool {
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if c >= utf8.RuneSelf {
+			// A few non-ASCII runes lower to ASCII letters (U+0130, U+212A).
+			return strings.ToLower(key) == lower
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if i >= len(lower) || c != lower[i] {
+			return false
+		}
+	}
+	return len(key) == len(lower)
 }
 
 func statusText(code int) string {

@@ -405,3 +405,43 @@ func TestUDPSendRejectsOversizedPayload(t *testing.T) {
 		t.Fatalf("max-size datagram does not parse: %v", err)
 	}
 }
+
+// TestCloseFreesSocket pins that a device's socket table follows its open
+// connections: connect/send/close cycles leave nothing behind, and a closed
+// fd answers EBADF on every call.
+func TestCloseFreesSocket(t *testing.T) {
+	k := New(Config{AllowUnprivilegedIPOptions: true})
+	var last int
+	for i := 0; i < 1000; i++ {
+		fd := newConnected(t, k)
+		if _, err := k.Handshake(fd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Send(fd, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Shutdown(fd); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		if fd <= last {
+			t.Fatalf("fd %d reused after %d", fd, last)
+		}
+		last = fd
+	}
+	if n := len(k.sockets); n != 0 {
+		t.Fatalf("%d sockets tracked after every one was closed", n)
+	}
+	for name, err := range map[string]error{
+		"GetSocket":    func() error { _, err := k.GetSocket(last); return err }(),
+		"SetIPOptions": k.SetIPOptions(last, CapNetAdmin, nil),
+		"Handshake":    func() error { _, err := k.Handshake(last); return err }(),
+		"Shutdown":     func() error { _, err := k.Shutdown(last); return err }(),
+	} {
+		if !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s on a closed fd: %v, want ErrBadFD", name, err)
+		}
+	}
+}

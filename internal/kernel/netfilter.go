@@ -480,9 +480,15 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 	return firstErr
 }
 
+// minDrainChunk is the fewest packets worth a goroutine of their own: a
+// spawn and the wait for it cost about what enforcing this many packets
+// on the calling goroutine does.
+const minDrainChunk = 64
+
 // DrainBatch is the per-core queue drain: it splits the batch into
-// contiguous chunks and runs OutputBatch on each from its own goroutine
-// (workers ≤ 0 selects GOMAXPROCS). Queue handlers must be safe for
+// contiguous chunks of at least minDrainChunk packets and runs OutputBatch
+// on each from its own goroutine (workers ≤ 0 selects GOMAXPROCS); a burst
+// too short to split runs inline. Queue handlers must be safe for
 // concurrent use — the Policy Enforcer's Process/ProcessBatch are
 // lock-free precisely so this scales with cores. Packet order within each
 // chunk is preserved; results align with pkts.
@@ -490,8 +496,8 @@ func (nf *Netfilter) DrainBatch(pkts []*ipv4.Packet, workers int) ([]BatchResult
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pkts) {
-		workers = len(pkts)
+	if most := len(pkts) / minDrainChunk; workers > most {
+		workers = most
 	}
 	nf.batchDrains.Add(1)
 	nf.batchPackets.Add(uint64(len(pkts)))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"borderpatrol/internal/ipv4"
@@ -260,5 +261,48 @@ func TestDrainBatchParallelWorkers(t *testing.T) {
 	st := nf.Stats()
 	if st.BatchDrains != 1 || st.BatchPackets != n {
 		t.Fatalf("batch stats = %+v", st)
+	}
+}
+
+// TestDrainBatchShortBurstRunsInline pins the fan-out floor: a burst is
+// split only into chunks of at least minDrainChunk packets, so a
+// connection-sized burst crosses into the queue handler once, on the
+// caller's goroutine.
+func TestDrainBatchShortBurstRunsInline(t *testing.T) {
+	for _, tc := range []struct{ pkts, workers, wantCalls int }{
+		{3, 4, 1},
+		{34, 2, 1},
+		{2*minDrainChunk - 1, 4, 1},
+		{2 * minDrainChunk, 4, 2},
+		{1024, 4, 4},
+		{1024, 1, 1},
+	} {
+		nf := NewNetfilter()
+		nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
+		var calls atomic.Int64
+		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
+			calls.Add(1)
+			out := make([]BatchVerdict, len(pkts))
+			for i := range out {
+				out[i].Verdict = VerdictAccept
+			}
+			return out
+		})
+		pkts := make([]*ipv4.Packet, tc.pkts)
+		for i := range pkts {
+			pkts[i] = batchPkt(i, "p")
+		}
+		res, err := nf.DrainBatch(pkts, tc.workers)
+		if err != nil || len(res) != tc.pkts {
+			t.Fatalf("%d packets: %d results, err %v", tc.pkts, len(res), err)
+		}
+		for i := range res {
+			if res[i].Out != pkts[i] {
+				t.Fatalf("%d packets: result %d misaligned", tc.pkts, i)
+			}
+		}
+		if got := int(calls.Load()); got != tc.wantCalls {
+			t.Errorf("%d packets over %d workers: %d handler calls, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
+		}
 	}
 }

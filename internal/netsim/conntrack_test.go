@@ -15,7 +15,7 @@ import (
 // tcpConn builds the packet train of one TCP connection out of a tagged
 // legacy test packet: SYN, n data segments carrying the original HTTP
 // payload, FIN. Every packet keeps the tag (same socket, same options).
-func tcpConn(t *testing.T, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.Packet, data []*ipv4.Packet, fin *ipv4.Packet) {
+func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.Packet, data []*ipv4.Packet, fin *ipv4.Packet) {
 	t.Helper()
 	mk := func(flags byte, seq uint32, payload []byte) *ipv4.Packet {
 		out := base.Clone()

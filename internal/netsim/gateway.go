@@ -132,14 +132,14 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	if g.sanitizer != nil {
 		g.nf.RegisterQueue(2, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			return kernel.VerdictAccept, g.sanitizer.Process(pkt.Clone())
+			return kernel.VerdictAccept, g.sanitizer.Process(egressCopy(pkt))
 		})
 		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			out := make([]kernel.BatchVerdict, len(pkts))
 			for i, pkt := range pkts {
 				out[i] = kernel.BatchVerdict{
 					Verdict:   kernel.VerdictAccept,
-					Rewritten: g.sanitizer.Process(pkt.Clone()),
+					Rewritten: g.sanitizer.Process(egressCopy(pkt)),
 				}
 			}
 			return out
@@ -149,6 +149,18 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		})
 	}
 	return g
+}
+
+// egressCopy is the packet handed to the sanitizer: a copy of the header
+// with its own options slice, so stripping the tag leaves the original
+// (which conntrack teardown and EndFlow still key on) intact, sharing the
+// option data and the payload. The sharing rests on one invariant: a
+// packet's payload and option data are immutable once emitted. Every
+// stage reads them; the only writer, the fault injector, clones first.
+func egressCopy(pkt *ipv4.Packet) *ipv4.Packet {
+	c := &ipv4.Packet{Header: pkt.Header, Payload: pkt.Payload}
+	c.Header.Options = append([]ipv4.Option(nil), pkt.Header.Options...)
+	return c
 }
 
 // Active reports whether the gateway diverts packets to user space at all

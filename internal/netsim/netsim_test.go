@@ -108,7 +108,7 @@ func TestBorderDropsOptionedPacketWithoutSanitizer(t *testing.T) {
 	}
 }
 
-func buildEnforcerAndDB(t *testing.T) (*enforcer.Enforcer, *dex.APK, *analyzer.Database) {
+func buildEnforcerAndDB(t testing.TB) (*enforcer.Enforcer, *dex.APK, *analyzer.Database) {
 	t.Helper()
 	apk := &dex.APK{
 		PackageName: "com.corp.app",
@@ -143,7 +143,7 @@ func buildEnforcerAndDB(t *testing.T) (*enforcer.Enforcer, *dex.APK, *analyzer.D
 	return enforcer.New(enforcer.Config{}, db, eng), apk, db
 }
 
-func taggedPacket(t *testing.T, apk *dex.APK, db *analyzer.Database, method string) *ipv4.Packet {
+func taggedPacket(t testing.TB, apk *dex.APK, db *analyzer.Database, method string) *ipv4.Packet {
 	t.Helper()
 	entry, _ := db.LookupTruncated(apk.Truncated())
 	var idx uint32

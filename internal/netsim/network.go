@@ -199,6 +199,8 @@ type Network struct {
 	// forward 5-tuple; bounded like the conntrack's open table.
 	respMu  sync.Mutex
 	respSeq map[respKey]uint32
+	// respScratch recycles the packets response segments are rendered into.
+	respScratch sync.Pool
 }
 
 // NewNetwork builds a testbed with the given NIC mode and latency model.
@@ -458,13 +460,18 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
 
 	n.Clock.Advance(n.Model.WireRTT / 2)
 	served := false
-	if info, ok := transport.PeekPacket(cur); ok {
-		switch info.Proto {
+	// PeekPorts is the structural test (first fragment; ports and flags
+	// this model emits) that decides whether the payload is read as a
+	// transport segment at all; the views then validate it in full,
+	// checksum included, before the payload is trusted. A segment that
+	// fails either falls back to the legacy parse below. Request and
+	// datagram alias cur.Payload, which nothing writes once emitted (see
+	// egressCopy).
+	h := &cur.Header
+	if _, _, ok := transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload); ok {
+		switch h.Protocol {
 		case ipv4.ProtoTCP:
-			// Full validation (checksum included) before trusting the
-			// payload; a segment that fails it falls back to the legacy
-			// parse below.
-			if seg, err := transport.ParseTCP(cur.Payload); err == nil {
+			if seg, err := transport.ViewTCP(cur.Payload); err == nil {
 				served = true
 				if len(seg.Payload) > 0 {
 					if req, err := httpsim.ParseRequest(seg.Payload); err == nil {
@@ -472,9 +479,14 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
 					}
 				}
 				// SYN/FIN/RST carry no request: delivered, nothing served.
+				if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
+					n.respMu.Lock()
+					delete(n.respSeq, respKey{src: h.Src, dst: h.Dst, srcPort: seg.SrcPort, dstPort: seg.DstPort})
+					n.respMu.Unlock()
+				}
 			}
 		case ipv4.ProtoUDP:
-			if dg, err := transport.ParseUDP(cur.Payload); err == nil {
+			if dg, err := transport.ViewUDP(cur.Payload); err == nil {
 				served = true
 				n.chargeServer(srv, len(dg.Payload))
 				if srv.UDPHandler != nil {
@@ -711,9 +723,11 @@ type respKey struct {
 }
 
 // maxRespTracked bounds the response-sequence map, matching the
-// conntrack's open-table bound; at the cap an arbitrary entry is
-// evicted (the connection's next response is then re-adopted by the
-// gateway's continuity check, which is the self-healing direction).
+// conntrack's open-table bound. A connection's entry leaves with its
+// FIN/RST (serveOne), so only open connections count against the cap; at
+// the cap an arbitrary entry is evicted (the connection's next response
+// then restarts from its ISN and the gateway's continuity check refuses
+// it — the cap is a memory bound, not a working regime).
 const maxRespTracked = 65536
 
 // respISN derives a deterministic initial sequence number for a
@@ -747,16 +761,22 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, d *Delivery) {
 	if !ok || info.Proto != ipv4.ProtoTCP {
 		return
 	}
-	resp := n.responsePacket(fwd, info, d.Response.Body)
-	if !gw.ProcessResponse(resp) {
+	scratch, _ := n.respScratch.Get().(*ipv4.Packet)
+	if scratch == nil {
+		scratch = new(ipv4.Packet)
+	}
+	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, info, d.Response.Body)) {
 		d.ResponseDropped = true
 		d.Response = nil
 	}
+	n.respScratch.Put(scratch)
 }
 
-// responsePacket builds the server→device segment carrying a response
-// body, advancing the connection's server-side sequence position.
-func (n *Network) responsePacket(fwd *ipv4.Packet, info transport.Info, body []byte) *ipv4.Packet {
+// responsePacket renders the server→device segment carrying a response
+// body into scratch, reusing its payload buffer, and advances the
+// connection's server-side sequence position. The gateway only inspects
+// the segment, so it lives no longer than the check.
+func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, info transport.Info, body []byte) *ipv4.Packet {
 	k := respKey{
 		src: fwd.Header.Src, dst: fwd.Header.Dst,
 		srcPort: info.SrcPort, dstPort: info.DstPort,
@@ -782,15 +802,14 @@ func (n *Network) responsePacket(fwd *ipv4.Packet, info transport.Info, body []b
 		Flags:   transport.FlagPSH | transport.FlagACK,
 		Payload: body,
 	}
-	return &ipv4.Packet{
-		Header: ipv4.Header{
-			TTL:      64,
-			Protocol: ipv4.ProtoTCP,
-			Src:      fwd.Header.Dst,
-			Dst:      fwd.Header.Src,
-		},
-		Payload: seg.Marshal(),
+	scratch.Header = ipv4.Header{
+		TTL:      64,
+		Protocol: ipv4.ProtoTCP,
+		Src:      fwd.Header.Dst,
+		Dst:      fwd.Header.Src,
 	}
+	scratch.Payload = seg.AppendTo(scratch.Payload[:0])
+	return scratch
 }
 
 func (n *Network) captureAt(p CapturePoint, pkt *ipv4.Packet) {

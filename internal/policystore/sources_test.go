@@ -130,9 +130,17 @@ func bumpMtime(t *testing.T, path string) {
 	_ = path
 }
 
+// writeFile replaces the watched file the way the README tells operators
+// to: write a temporary file, rename it over the path. Rewriting in place
+// truncates first, and a poller that looks in between applies the empty
+// file as a version of its own.
 func writeFile(t *testing.T, path, doc string) {
 	t.Helper()
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,9 +10,12 @@
 // Two access paths are provided, matching the two places the gateway
 // touches transport headers:
 //
-//   - ParseTCP/ParseUDP fully validate a header (lengths, checksum) and
-//     materialize the segment — the server side of the simulator uses
-//     these before handing the application payload up the stack.
+//   - ViewTCP/ViewUDP fully validate a header (lengths, checksum) and
+//     return the segment by value with its payload aliasing the input —
+//     the server side of the simulator uses these before handing the
+//     application payload up the stack. ParseTCP/ParseUDP are the same
+//     validators for callers that keep the segment past the input's
+//     lifetime: they copy the payload out.
 //   - Peek/PeekPacket are the zero-allocation per-packet path: a handful
 //     of structural checks (header length, data offset, reserved bits,
 //     flag mask, UDP length consistency) that extract the ports and TCP
@@ -90,21 +93,37 @@ var (
 // field for exact equality — unlike the "whole buffer sums to zero" trick,
 // this cannot alias 0x0000 and 0xffff stored values, so marshal ∘ parse
 // is byte-identical on every accepted input (the fuzz invariant).
+//
+// off must be even and off+2 <= len(b), which every header length above
+// guarantees. The 16-bit words either side of the field are summed eight
+// bytes at a time: 2^16 ≡ 1 (mod 0xffff), so the end-around-carry fold of
+// the sum of 32-bit halves equals the fold of the sum of 16-bit words.
 func checksumIgnoring(b []byte, off int) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		if i == off {
-			continue
-		}
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
+	sum := sumWords(b[:off]) + sumWords(b[off+2:])
+	sum = sum>>32 + sum&0xffffffff
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
+}
+
+// sumWords adds up b's big-endian 16-bit words (an odd last byte padded
+// with zero) without folding; a 64 KiB segment stays below 2^46.
+func sumWords(b []byte) uint64 {
+	var sum uint64
+	for len(b) >= 8 {
+		w := binary.BigEndian.Uint64(b)
+		sum += w>>32 + w&0xffffffff
+		b = b[8:]
+	}
+	for len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
 }
 
 // TCPSegment is a parsed TCP segment. Ack is carried for wire fidelity;
@@ -120,46 +139,65 @@ type TCPSegment struct {
 
 // Marshal renders the segment in wire form with a correct checksum.
 func (s *TCPSegment) Marshal() []byte {
-	buf := make([]byte, TCPHeaderLen+len(s.Payload))
-	binary.BigEndian.PutUint16(buf[0:2], s.SrcPort)
-	binary.BigEndian.PutUint16(buf[2:4], s.DstPort)
-	binary.BigEndian.PutUint32(buf[4:8], s.Seq)
-	binary.BigEndian.PutUint32(buf[8:12], s.Ack)
-	buf[12] = (TCPHeaderLen / 4) << 4
-	buf[13] = s.Flags & flagMask
-	binary.BigEndian.PutUint16(buf[14:16], s.Window)
-	// buf[18:20] (urgent pointer) stays zero; we never emit URG.
-	copy(buf[TCPHeaderLen:], s.Payload)
-	binary.BigEndian.PutUint16(buf[16:18], checksumIgnoring(buf, 16))
-	return buf
+	return s.AppendTo(make([]byte, 0, TCPHeaderLen+len(s.Payload)))
 }
 
-// ParseTCP parses and fully validates a wire-form TCP segment.
-func ParseTCP(b []byte) (*TCPSegment, error) {
+// AppendTo appends the segment's wire form to dst and returns the extended
+// slice, so a caller that builds many segments can reuse one buffer.
+func (s *TCPSegment) AppendTo(dst []byte) []byte {
+	var hdr [TCPHeaderLen]byte
+	binary.BigEndian.PutUint16(hdr[0:2], s.SrcPort)
+	binary.BigEndian.PutUint16(hdr[2:4], s.DstPort)
+	binary.BigEndian.PutUint32(hdr[4:8], s.Seq)
+	binary.BigEndian.PutUint32(hdr[8:12], s.Ack)
+	hdr[12] = (TCPHeaderLen / 4) << 4
+	hdr[13] = s.Flags & flagMask
+	binary.BigEndian.PutUint16(hdr[14:16], s.Window)
+	// hdr[18:20] (urgent pointer) stays zero; we never emit URG.
+	at := len(dst)
+	dst = append(append(dst, hdr[:]...), s.Payload...)
+	binary.BigEndian.PutUint16(dst[at+16:], checksumIgnoring(dst[at:], 16))
+	return dst
+}
+
+// ViewTCP fully validates a wire-form TCP segment and returns it by value
+// with Payload aliasing b: no allocation, and valid only while the caller
+// leaves b unmodified.
+func ViewTCP(b []byte) (TCPSegment, error) {
 	if len(b) < TCPHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortSegment, len(b))
+		return TCPSegment{}, fmt.Errorf("%w: %d bytes", ErrShortSegment, len(b))
 	}
 	if off := int(b[12]>>4) * 4; off != TCPHeaderLen {
-		return nil, fmt.Errorf("%w: %d", ErrBadOffset, off)
+		return TCPSegment{}, fmt.Errorf("%w: %d", ErrBadOffset, off)
 	}
 	if b[12]&0x0f != 0 || b[13]&^flagMask != 0 {
-		return nil, fmt.Errorf("%w: offset byte %#02x flags %#02x", ErrBadFlags, b[12], b[13])
+		return TCPSegment{}, fmt.Errorf("%w: offset byte %#02x flags %#02x", ErrBadFlags, b[12], b[13])
 	}
 	if b[18] != 0 || b[19] != 0 {
-		return nil, fmt.Errorf("%w: urgent pointer set", ErrBadFlags)
+		return TCPSegment{}, fmt.Errorf("%w: urgent pointer set", ErrBadFlags)
 	}
 	if got := binary.BigEndian.Uint16(b[16:18]); got != checksumIgnoring(b, 16) {
-		return nil, ErrBadChecksum
+		return TCPSegment{}, ErrBadChecksum
 	}
-	return &TCPSegment{
+	return TCPSegment{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Seq:     binary.BigEndian.Uint32(b[4:8]),
 		Ack:     binary.BigEndian.Uint32(b[8:12]),
 		Flags:   b[13],
 		Window:  binary.BigEndian.Uint16(b[14:16]),
-		Payload: append([]byte(nil), b[TCPHeaderLen:]...),
+		Payload: b[TCPHeaderLen:len(b):len(b)],
 	}, nil
+}
+
+// ParseTCP is ViewTCP with the payload copied out of b.
+func ParseTCP(b []byte) (*TCPSegment, error) {
+	seg, err := ViewTCP(b)
+	if err != nil {
+		return nil, err
+	}
+	seg.Payload = append([]byte(nil), seg.Payload...)
+	return &seg, nil
 }
 
 // UDPDatagram is a parsed UDP datagram.
@@ -180,23 +218,34 @@ func (d *UDPDatagram) Marshal() []byte {
 	return buf
 }
 
-// ParseUDP parses and fully validates a wire-form UDP datagram.
-func ParseUDP(b []byte) (*UDPDatagram, error) {
+// ViewUDP fully validates a wire-form UDP datagram and returns it by value
+// with Payload aliasing b, as ViewTCP does.
+func ViewUDP(b []byte) (UDPDatagram, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortSegment, len(b))
+		return UDPDatagram{}, fmt.Errorf("%w: %d bytes", ErrShortSegment, len(b))
 	}
 	if int(binary.BigEndian.Uint16(b[4:6])) != len(b) {
-		return nil, fmt.Errorf("%w: field %d, datagram %d",
+		return UDPDatagram{}, fmt.Errorf("%w: field %d, datagram %d",
 			ErrBadLength, binary.BigEndian.Uint16(b[4:6]), len(b))
 	}
 	if got := binary.BigEndian.Uint16(b[6:8]); got != checksumIgnoring(b, 6) {
-		return nil, ErrBadChecksum
+		return UDPDatagram{}, ErrBadChecksum
 	}
-	return &UDPDatagram{
+	return UDPDatagram{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
-		Payload: append([]byte(nil), b[UDPHeaderLen:]...),
+		Payload: b[UDPHeaderLen:len(b):len(b)],
 	}, nil
+}
+
+// ParseUDP is ViewUDP with the payload copied out of b.
+func ParseUDP(b []byte) (*UDPDatagram, error) {
+	dg, err := ViewUDP(b)
+	if err != nil {
+		return nil, err
+	}
+	dg.Payload = append([]byte(nil), dg.Payload...)
+	return &dg, nil
 }
 
 // Info is the zero-allocation transport summary handed down the gateway's

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -256,4 +257,104 @@ func TestPeekPortsMatchesPeek(t *testing.T) {
 
 func httpsimGET() []byte {
 	return []byte("GET / HTTP/1.1\r\nHost: example\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+}
+
+// refChecksumIgnoring is the 16-bit-at-a-time loop checksumIgnoring
+// replaced, kept as the reference for the word-at-a-time sum.
+func refChecksumIgnoring(b []byte, off int) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		if i == off {
+			continue
+		}
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2019))
+	for n := UDPHeaderLen; n < 600; n++ {
+		b := make([]byte, n)
+		for _, fill := range []func(){
+			func() { rng.Read(b) },
+			func() { clear(b) },
+			func() {
+				for i := range b {
+					b[i] = 0xff
+				}
+			},
+		} {
+			fill()
+			for _, off := range []int{6, 16} {
+				if off+2 > n {
+					continue
+				}
+				if got, want := checksumIgnoring(b, off), refChecksumIgnoring(b, off); got != want {
+					t.Fatalf("len %d off %d: checksum %#04x, reference %#04x", n, off, got, want)
+				}
+			}
+		}
+	}
+	big := make([]byte, 0xffff)
+	for i := range big {
+		big[i] = 0xff
+	}
+	if got, want := checksumIgnoring(big, 16), refChecksumIgnoring(big, 16); got != want {
+		t.Fatalf("64 KiB of 0xff: checksum %#04x, reference %#04x", got, want)
+	}
+}
+
+// TestViewAliasesInputAllocFree pins the view contract: full validation,
+// no allocation, the payload a capped window onto the caller's bytes — and
+// the Parse wrappers still hand out a copy.
+func TestViewAliasesInputAllocFree(t *testing.T) {
+	tcp := (&TCPSegment{SrcPort: 40001, DstPort: 443, Seq: 9, Flags: FlagPSH | FlagACK, Payload: []byte("data")}).Marshal()
+	udp := (&UDPDatagram{SrcPort: 40001, DstPort: 53, Payload: []byte("data")}).Marshal()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ViewTCP(tcp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ViewUDP(udp); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("views allocate %.1f/op, want 0", n)
+	}
+	seg, _ := ViewTCP(tcp)
+	dg, _ := ViewUDP(udp)
+	if &seg.Payload[0] != &tcp[TCPHeaderLen] || &dg.Payload[0] != &udp[UDPHeaderLen] {
+		t.Fatal("view payload is a copy, not a window onto the input")
+	}
+	if cap(seg.Payload) != len(seg.Payload) || cap(dg.Payload) != len(dg.Payload) {
+		t.Fatal("view payload can be appended into the caller's buffer")
+	}
+	parsed, err := ParseTCP(tcp)
+	if err != nil || &parsed.Payload[0] == &tcp[TCPHeaderLen] || !bytes.Equal(parsed.Payload, seg.Payload) {
+		t.Fatalf("ParseTCP must copy the payload out (err %v)", err)
+	}
+	tcp[len(tcp)-1] ^= 0xff
+	if _, err := ViewTCP(tcp); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("corrupted payload: err %v, want ErrBadChecksum", err)
+	}
+}
+
+func TestAppendToReusesBuffer(t *testing.T) {
+	seg := &TCPSegment{SrcPort: 443, DstPort: 40001, Seq: 77, Flags: FlagPSH | FlagACK, Payload: []byte("response body")}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = seg.AppendTo(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendTo into a large enough buffer allocates %.1f/op, want 0", n)
+	}
+	if !bytes.Equal(buf, seg.Marshal()) {
+		t.Fatal("AppendTo and Marshal disagree")
+	}
+	if wire := seg.AppendTo([]byte("prefix")); !bytes.Equal(wire[6:], seg.Marshal()) {
+		t.Fatal("AppendTo after a prefix checksums the prefix too")
+	}
 }
