@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"strings"
 	"time"
 
@@ -44,7 +43,6 @@ import (
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/contextmgr"
-	"borderpatrol/internal/dataplane"
 	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
@@ -386,25 +384,11 @@ func build(cfg Config, network *netsim.Network, name string) (*Deployment, error
 	}
 	enf := enforcer.New(enfCfg, db, engine)
 	san := sanitizer.New(sanitizer.Config{})
-	var dp *dataplane.Dataplane
-	if cfg.Flow.Dataplane && enfCfg.Flows != nil {
-		cores := cfg.Flow.Workers
-		if cores <= 0 {
-			cores = runtime.GOMAXPROCS(0)
-		}
-		dp = dataplane.New(dataplane.Config{
-			Cores:   cores,
-			Entries: cfg.Flow.DataplaneEntries,
-			TTL:     cfg.Flow.TTL,
-			Clock:   network.Clock,
-		}, enf)
-	}
 	gw := netsim.NewGateway(netsim.GatewayConfig{
 		Enforcer:  enf,
 		Sanitizer: san,
 		Workers:   cfg.Flow.Workers,
 		Clock:     network.Clock,
-		Dataplane: dp,
 	})
 
 	reg := metrics.NewRegistry()
@@ -533,7 +517,7 @@ func (d *Deployment) RestartGateway() {
 	d.gateway.Restart()
 }
 
-// SweepIdle runs one garbage-collection sweep over the gateway's dataplane
+// SweepIdle runs one garbage-collection sweep over the gateway's per-flow
 // tables: connections idle longer than idle leave the conntrack (their FIN
 // was lost), and TTL-expired flow-cache entries are reclaimed. Returns
 // what each sweep freed.

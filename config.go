@@ -55,8 +55,8 @@ type PolicyConfig struct {
 	InitialContext *DeviceContext
 }
 
-// FlowConfig shapes the gateway dataplane: the per-flow verdict cache and
-// the batch drain.
+// FlowConfig shapes the gateway's packet path: the per-flow verdict cache
+// and the batch drain.
 type FlowConfig struct {
 	// CacheSize bounds the gateway's per-flow verdict cache: 0 selects
 	// the default (65,536 flows), a negative value disables caching so
@@ -68,16 +68,6 @@ type FlowConfig struct {
 	// Workers sizes the gateway's per-core batch drain (0 selects
 	// GOMAXPROCS).
 	Workers int
-	// Dataplane compiles the hot rule subset and established-flow verdicts
-	// into a per-core match-action stage probed at the netfilter layer
-	// before the enforcer queue — the software analogue of a P4 switch
-	// table. Requires the flow pipeline (any CacheSize ≥ 0); entries
-	// self-invalidate on policy/database/context changes through the same
-	// generation contract the verdict cache uses.
-	Dataplane bool
-	// DataplaneEntries sizes each per-core table (rounded up to a power
-	// of two; 0 selects 2048 entries of ~88 bytes).
-	DataplaneEntries int
 }
 
 // AuditConfig shapes the asynchronous enforcement audit pipeline.

@@ -29,7 +29,7 @@ type MetricsAggregate = metrics.Aggregate
 
 // GatewaySpec describes one gateway of a fleet: the subnet it fronts, the
 // policy groups it enforces (always plus the document's global rules),
-// and its dataplane and audit knobs.
+// and its flow and audit knobs.
 type GatewaySpec struct {
 	// Name labels the gateway in metrics and lookups; empty selects
 	// "gw<index>". Names must be unique within a fleet.
@@ -43,7 +43,7 @@ type GatewaySpec struct {
 	// from the current document contributes nothing until a policy push
 	// introduces it.
 	Groups []string
-	// Flow shapes this gateway's dataplane (zero value = defaults).
+	// Flow shapes this gateway's packet path (zero value = defaults).
 	Flow FlowConfig
 	// Audit shapes this gateway's audit pipeline (zero value = in-memory
 	// tail only).

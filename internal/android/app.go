@@ -236,8 +236,8 @@ func (a *App) Invoke(name string) (*InvokeResult, error) {
 		// One TCP connection per socket: the SYN opens it (carrying the
 		// tag the post-connect hook just set), the requests ride it — a
 		// keep-alive train when Requests > 1 — and the FIN closes it,
-		// driving the gateway's conntrack teardown. UDP and legacy
-		// raw-payload kernels emit no lifecycle segments (nil packets).
+		// driving the gateway's conntrack teardown. UDP sockets emit no
+		// lifecycle segments (nil packets).
 		syn, err := sock.Handshake()
 		if err != nil {
 			_ = sock.Close()

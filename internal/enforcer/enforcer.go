@@ -112,17 +112,14 @@ const (
 	DropRisk
 	// DropSeqInjection is a response-direction TCP segment whose sequence
 	// number broke the connection's continuity — the mid-stream injection
-	// signature the gateway's directional verdict state exists to catch.
+	// signature the gateway's conntrack checks for and counts as
+	// bp_conntrack_responses_total{outcome="seq_drop"}.
 	DropSeqInjection
 
 	// dropCauseCount sizes per-cause counters; keep it last so new causes
 	// automatically grow the counter array.
 	dropCauseCount
 )
-
-// NumDropCauses is the number of defined drop causes (DropNone included);
-// external stages sizing per-cause state use it instead of guessing.
-const NumDropCauses = int(dropCauseCount)
 
 // String names the drop cause.
 func (c DropCause) String() string {
@@ -206,8 +203,8 @@ const (
 // two atomic adds, so they exist whether or not a registry ever scrapes
 // them — the gated benchmarks measure the instrumented path.
 type instruments struct {
-	// hitLatency is the sampled flow-cache-hit Process latency (scalar
-	// path; the batched drain reports per-burst figures instead).
+	// hitLatency is the sampled latency of a flow-table probe that hit
+	// (memo hits never probe, so they are not in it).
 	hitLatency *metrics.Histogram
 	// missLatency is the sampled full extract–decode–evaluate pipeline
 	// latency (flow-cache misses and uncached configurations).
@@ -286,21 +283,20 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 // Engine exposes the policy engine (for central reconfiguration).
 func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 
-// Database exposes the signature database (the dataplane's rule-stage
-// compiler validates tag indexes against each app's method-table size).
-func (e *Enforcer) Database() *analyzer.Database { return e.db }
-
 // FlowCacheEnabled reports whether per-flow verdict caching is active.
 func (e *Enforcer) FlowCacheEnabled() bool { return e.flows != nil }
 
 // generation combines the policy engine's, the signature database's and —
 // when configured — the device-context source's mutation counters into the
 // cache generation: a change to any of the three invalidates every cached
-// verdict. The layout is db<<42 | context<<21 | engine; aliasing would
-// need 2²¹ (~2M) engine swaps or context changes without the other
-// counters moving AND a colliding wrap of the lost high bits, which cannot
-// happen in a deployment's lifetime. Reading the context generation is one
-// extra atomic load on the per-packet path (~1 ns).
+// verdict. The layout is db<<42 | engine<<21 | context: the engine and
+// context counters keep their low 21 bits each, the database counter the
+// 22 bits above them. A field aliases only when its counter advances by an
+// exact multiple of its wrap bound — 2²¹ (~2M) policy swaps, 2²¹ context
+// changes or 2²² (~4M) database mutations — between two packets of one
+// cached flow while the other two fields stand still, which cannot happen
+// in a deployment's lifetime. Reading the context generation is one extra
+// atomic load on the per-packet path (~1 ns).
 func (e *Enforcer) generation() uint64 {
 	g := e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21
 	if e.ctxSrc != nil {
@@ -308,12 +304,6 @@ func (e *Enforcer) generation() uint64 {
 	}
 	return g
 }
-
-// CacheGeneration exposes the combined cache generation (see generation)
-// to external verdict stages layered below the enforcer: the dataplane's
-// per-core match tables stamp entries with it and treat any change as
-// invalidation, inheriting the exact contract the flow table uses.
-func (e *Enforcer) CacheGeneration() uint64 { return e.generation() }
 
 // flowContext fills fc with the packet's SYN-time context — the source
 // device's context snapshot plus the virtual wall-clock position — and
@@ -338,8 +328,8 @@ func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext) *policy
 // truncated hash) pinned verbatim plus its digest. Real ports mean two
 // apps talking to the same host pair get distinct flow entries, and every
 // TCP connection is its own flow (so teardown on FIN cannot evict a
-// sibling connection's verdict). Ports stay zero for legacy plain
-// payloads (no transport header) and for non-first fragments — PeekPacket
+// sibling connection's verdict). Ports stay zero for non-first fragments
+// and payloads that are not a TCP/UDP header this model emits — PeekPorts
 // refuses both, so garbage bytes can never be keyed as ports. ok is false
 // for oversized tag payloads, which must bypass the cache. The key is
 // filled through a pointer so the hot path never copies the ~100-byte Key
@@ -356,10 +346,11 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 	return k.SetTag(tagData)
 }
 
-// Process runs the three enforcement stages on one packet, short-circuited
-// by the flow cache when one is configured.
+// Process enforces one packet: the public per-packet entry point, a burst
+// of one without the memo. The verdict is decide's, the same function
+// ProcessBatch runs per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
-	res := e.process(pkt)
+	res := e.decide(pkt, nil)
 	e.count(res)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
@@ -381,7 +372,22 @@ func (e *Enforcer) count(res Result) {
 	}
 }
 
-func (e *Enforcer) process(pkt *ipv4.Packet) Result {
+// flowMemo is ProcessBatch's same-flow memo: the last cacheable packet's
+// key, the generation it was answered under, and its Result. Consecutive
+// packets of one flow (a keep-alive train, an upload burst) are answered
+// from it without probing the flow table.
+type flowMemo struct {
+	key   flowtable.Key
+	gen   uint64
+	res   Result
+	valid bool
+}
+
+// decide runs the three enforcement stages on one packet, short-circuited
+// by the memo (when the caller carries one across a burst) and then by the
+// flow cache (when one is configured). It is the only place a verdict is
+// reached, so Process and ProcessBatch cannot disagree on a packet.
+func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
 	// Stage 1: extraction.
 	opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
 	if !tagged {
@@ -399,6 +405,10 @@ func (e *Enforcer) process(pkt *ipv4.Packet) Result {
 	if !flowKey(&key, pkt, opt.Data) {
 		return e.timedEvaluate(pkt, opt.Data)
 	}
+	if memo != nil && memo.valid && key == memo.key && gen == memo.gen {
+		e.batchMemoHits.Inc()
+		return memo.res
+	}
 	// The sampling decision precedes the probe so the timed subset is an
 	// unbiased slice of lookups; untimed packets pay one fastrand draw.
 	var hitStart time.Time
@@ -406,14 +416,18 @@ func (e *Enforcer) process(pkt *ipv4.Packet) Result {
 	if timed {
 		hitStart = time.Now()
 	}
-	if res, ok := e.flows.Lookup(key, gen); ok {
+	res, ok := e.flows.Lookup(key, gen)
+	if ok {
 		if timed {
 			e.ins.hitLatency.Record(time.Since(hitStart).Nanoseconds())
 		}
-		return res
+	} else {
+		res = e.timedEvaluate(pkt, opt.Data)
+		e.flows.Insert(key, gen, res)
 	}
-	res := e.timedEvaluate(pkt, opt.Data)
-	e.flows.Insert(key, gen, res)
+	if memo != nil {
+		memo.key, memo.gen, memo.res, memo.valid = key, gen, res, true
+	}
 	return res
 }
 
@@ -520,40 +534,9 @@ func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	// Per-burst timing: two clock reads and two histogram records for the
 	// whole batch (~1 ns/packet at the default burst size), not per packet.
 	batchStart := time.Now()
-	var (
-		memoKey   flowtable.Key
-		memoGen   uint64
-		memoRes   Result
-		memoValid bool
-	)
+	var memo flowMemo
 	for _, pkt := range pkts {
-		opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
-		var res Result
-		switch {
-		case !tagged:
-			res = e.untagged()
-		case e.flows == nil:
-			res = e.timedEvaluate(pkt, opt.Data)
-		default:
-			gen := e.generation()
-			var key flowtable.Key
-			cacheable := flowKey(&key, pkt, opt.Data)
-			switch {
-			case !cacheable:
-				res = e.timedEvaluate(pkt, opt.Data)
-			case memoValid && key == memoKey && gen == memoGen:
-				res = memoRes
-				e.batchMemoHits.Inc()
-			default:
-				if cached, ok := e.flows.Lookup(key, gen); ok {
-					res = cached
-				} else {
-					res = e.timedEvaluate(pkt, opt.Data)
-					e.flows.Insert(key, gen, res)
-				}
-				memoKey, memoGen, memoRes, memoValid = key, gen, res, true
-			}
-		}
+		res := e.decide(pkt, &memo)
 		e.count(res)
 		out = append(out, res)
 	}
@@ -601,7 +584,7 @@ func (e *Enforcer) SweepFlows() int {
 }
 
 // PurgeFlows empties the verdict cache — the gateway calls this when it
-// restarts, modelling the total loss of dataplane state: every live flow's
+// restarts, modelling the total loss of its RAM tables: every live flow's
 // next packet re-resolves through the full extract–decode–evaluate
 // pipeline.
 func (e *Enforcer) PurgeFlows() {
@@ -651,7 +634,7 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 		e.batchMemoHits.Value)
 
 	r.RegisterHistogram("bp_enforcer_cache_hit_latency_ns",
-		"Flow-cache-hit Process latency (sampled 1/64).", e.ins.hitLatency)
+		"Flow-table probe latency on a hit (sampled 1/64).", e.ins.hitLatency)
 	r.RegisterHistogram("bp_enforcer_cache_miss_latency_ns",
 		"Full extract-decode-evaluate pipeline latency (sampled 1/16).", e.ins.missLatency)
 	r.RegisterHistogram("bp_enforcer_evaluate_latency_ns",

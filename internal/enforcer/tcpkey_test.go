@@ -8,9 +8,8 @@ import (
 	"borderpatrol/internal/transport"
 )
 
-// withTCP wraps a legacy test packet's payload in a TCP segment with the
-// given source port (destination 443), turning it into the transport-era
-// wire shape.
+// withTCP wraps a test packet's bare HTTP payload in a TCP segment with
+// the given source port (destination 443) — the shape the wire carries.
 func withTCP(pkt *ipv4.Packet, srcPort uint16) *ipv4.Packet {
 	out := pkt.Clone()
 	seg := transport.TCPSegment{
@@ -116,16 +115,17 @@ func TestFragmentsNotKeyedByGarbagePorts(t *testing.T) {
 	}
 }
 
-// TestLegacyPayloadKeysWithZeroPorts: plain-HTTP packets (no transport
-// header) keep the PR 2 keying — ports zero, one flow per (endpoints,
-// proto, tag).
+// TestLegacyPayloadKeysWithZeroPorts: a payload that is not a transport
+// header (bare HTTP bytes, which no device emits any more but an attacker
+// can) is never read as ports — it keys with ports zero, one flow per
+// (endpoints, proto, tag).
 func TestLegacyPayloadKeysWithZeroPorts(t *testing.T) {
 	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
-	legacy := mkPacket(t, apk, db, "download") // raw HTTP payload
-	e.Process(legacy)
-	e.Process(legacy)
+	bare := mkPacket(t, apk, db, "download") // raw HTTP payload
+	e.Process(bare)
+	e.Process(bare)
 	st := e.Stats()
 	if st.Flow.Misses != 1 || st.Flow.Hits != 1 || st.Flow.Live != 1 {
-		t.Fatalf("legacy keying changed: %+v", st.Flow)
+		t.Fatalf("headerless keying changed: %+v", st.Flow)
 	}
 }

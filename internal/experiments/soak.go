@@ -32,7 +32,7 @@ import (
 //     sweep, goroutine count returns to the pre-run level, and heap growth
 //     stays bounded.
 //   - Cold-restart correctness: after a gateway restart discards all
-//     dataplane state, re-resolved verdicts still match the reference.
+//     per-flow state, re-resolved verdicts still match the reference.
 
 // SoakConfig parameterizes the soak run.
 type SoakConfig struct {
@@ -209,7 +209,7 @@ func (r *SoakResult) Check() error {
 	case r.Conntrack.ResponsesChecked == 0:
 		return fmt.Errorf("soak: response-direction continuity check never exercised")
 	case r.Conntrack.ResponseSeqDrops != 0:
-		return fmt.Errorf("soak: %d response seq-injection drops in clean traffic", r.Conntrack.ResponseSeqDrops)
+		return fmt.Errorf("soak: bp_conntrack_responses_total{outcome=\"seq_drop\"} = %d in clean traffic", r.Conntrack.ResponseSeqDrops)
 	case r.ConnsLeaked != 0:
 		return fmt.Errorf("soak: %d conntrack entries leaked", r.ConnsLeaked)
 	case r.FlowsLeaked != 0:
@@ -286,7 +286,7 @@ func heapInUse() int64 {
 // virtual time: device cohorts joining and leaving (epochs rotate which
 // apps' traffic is live), policy swaps and malformed candidates mid-flood,
 // backend outages that trip the staleness deadline, gateway restarts that
-// wipe all dataplane state, and periodic idle-GC sweeps. Every delivered
+// wipe all per-flow state, and periodic idle-GC sweeps. Every delivered
 // packet's verdict is checked against an independently computed reference.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	def := DefaultSoakConfig()
@@ -370,7 +370,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		FlowTTL:           soakFlowTTL,
 		Faults:            &cfg.Faults,
 		DisableCapture:    true,
-		Dataplane:         true,
 	})
 	if err != nil {
 		return nil, err
@@ -557,7 +556,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			}
 		}
 
-		// Gateway crash/restart: all dataplane state gone; the epochs that
+		// Gateway crash/restart: all per-flow state gone; the epochs that
 		// follow re-resolve cold and the verdict checks prove correctness.
 		if restartEvery > 0 && epoch > 0 && epoch%restartEvery == 0 &&
 			gw.Restarts() < uint64(cfg.Restarts) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"runtime"
 	"time"
 
 	"borderpatrol/internal/analyzer"
@@ -18,7 +17,6 @@ import (
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/contextmgr"
-	"borderpatrol/internal/dataplane"
 	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
@@ -91,12 +89,6 @@ type TestbedConfig struct {
 	// PolicyPoll starts background hot reload at this interval when > 0
 	// (manual Testbed.Policy.Reload() otherwise). Requires PolicySource.
 	PolicyPoll time.Duration
-	// LegacyPayloads runs the device on the pre-transport wire format:
-	// payloads ride directly in the IPv4 payload with no TCP/UDP header
-	// and no SYN/FIN lifecycle. Used by the transport-equivalence
-	// regression, which proves both wire formats produce identical
-	// workload verdicts.
-	LegacyPayloads bool
 	// Faults arms the network with a deterministic fault plan at
 	// construction (nil leaves the wire perfect, as before).
 	Faults *netsim.FaultPlan
@@ -115,10 +107,6 @@ type TestbedConfig struct {
 	// DisableCapture turns the network's packet-capture logs off (they
 	// clone every packet — unbounded memory over a soak run).
 	DisableCapture bool
-	// Dataplane compiles hot rules and established-flow verdicts into the
-	// per-core match-action stage probed below the enforcer queue. Requires
-	// EnforcementOn and the flow cache (ignored when either is off).
-	Dataplane bool
 }
 
 // NewTestbed provisions a device, loads the Context Manager, analyzes and
@@ -130,7 +118,6 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 		Kernel: kernel.Config{
 			AllowUnprivilegedIPOptions: true,
 			SetOptionsOncePerSocket:    true,
-			RawPayloads:                cfg.LegacyPayloads,
 		},
 		XposedInstalled: true,
 	})
@@ -217,17 +204,6 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 		}
 		tb.Enforcer = enforcer.New(enfCfg, db, engine)
 		gwCfg.Enforcer = tb.Enforcer
-		if cfg.Dataplane && !cfg.DisableFlowCache {
-			cores := cfg.GatewayWorkers
-			if cores <= 0 {
-				cores = runtime.GOMAXPROCS(0)
-			}
-			gwCfg.Dataplane = dataplane.New(dataplane.Config{
-				Cores: cores,
-				TTL:   cfg.FlowTTL,
-				Clock: tb.Network.Clock,
-			}, tb.Enforcer)
-		}
 	}
 	tb.Network.Gateway = netsim.NewGateway(gwCfg)
 
@@ -285,18 +261,15 @@ func (tb *Testbed) DeliverAll(pkts []*ipv4.Packet) (delivered, dropped int) {
 }
 
 // isDataPacket reports whether a packet carries application data — an
-// HTTP request in a TCP data segment, a UDP datagram, or a legacy plain
-// payload (no transport header at all). TCP control segments (SYN, FIN,
-// RST) return false. Experiments that score workload outcomes count data
-// packets so their numbers are identical whether the testbed speaks the
-// transport wire format or the legacy one — the verdict-equivalence
-// property the transport refactor preserves by construction (every packet
-// of a flow carries the same tag, so control segments share their flow's
-// verdict).
+// HTTP request in a TCP data segment or a UDP datagram. TCP control
+// segments (SYN, FIN, RST) return false. Experiments that score workload
+// outcomes count data packets, so their numbers are per request, not per
+// segment (every packet of a flow carries the same tag, so control
+// segments share their flow's verdict).
 func isDataPacket(pkt *ipv4.Packet) bool {
 	info, ok := transport.PeekPacket(pkt)
 	if !ok {
-		return true // legacy payload (or fragment): all data
+		return true // non-first fragment: all data
 	}
 	if info.Proto == ipv4.ProtoTCP {
 		return len(pkt.Payload) > info.DataOff

@@ -60,11 +60,6 @@ type ValidationConfig struct {
 	SampleSize int
 	// TopLibraries is how many popular libraries the sample must cover.
 	TopLibraries int
-	// LegacyPayloads runs both testbeds on the pre-transport wire format
-	// (plain payloads, no TCP segments). The experiment counts only data
-	// packets, so its results are identical in either mode — the property
-	// TestTransportEquivalence locks in.
-	LegacyPayloads bool
 }
 
 // DefaultValidationConfig mirrors the paper: 60 apps covering the 60 most
@@ -113,14 +108,13 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	covered := map[string]bool{}
 
 	// Run 1 (enforcement off) establishes the baseline; run 2 enforces.
-	tbOff, err := NewTestbed(sample, TestbedConfig{EnforcementOn: false, LegacyPayloads: cfg.LegacyPayloads})
+	tbOff, err := NewTestbed(sample, TestbedConfig{EnforcementOn: false})
 	if err != nil {
 		return nil, err
 	}
 	defer tbOff.Close()
 	tbOn, err := NewTestbed(sample, TestbedConfig{
 		EnforcementOn: true, Rules: rules, DefaultVerdict: policy.VerdictAllow,
-		LegacyPayloads: cfg.LegacyPayloads,
 	})
 	if err != nil {
 		return nil, err

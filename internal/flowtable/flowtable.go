@@ -9,7 +9,7 @@
 //
 // A flow is identified by Key: the full 5-tuple — IPv4 endpoints
 // (src, dst), the transport ports the enforcer peeks out of the TCP/UDP
-// header (zero for legacy plain payloads and non-first fragments), the
+// header (zero for non-first fragments and malformed headers), the
 // protocol — and the raw tag bytes themselves — which begin with the
 // app's truncated hash — pinned verbatim in the key, with a 64-bit digest
 // of them for indexing.
@@ -71,7 +71,7 @@ type Key struct {
 	Src, Dst netip.Addr
 	// SrcPort and DstPort are the transport ports peeked from the packet's
 	// TCP/UDP header; zero when the payload carries no transport header
-	// (legacy plain payloads, non-first fragments).
+	// (non-first fragments, malformed headers).
 	SrcPort, DstPort uint16
 	// Proto is the IPv4 protocol number.
 	Proto byte

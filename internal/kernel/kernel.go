@@ -38,13 +38,6 @@ type Config struct {
 	// tag replay: once IP_OPTIONS is set on a socket, further setsockopt
 	// calls for it fail.
 	SetOptionsOncePerSocket bool
-	// RawPayloads reverts to the pre-transport wire format: Send places
-	// the application payload directly in the IPv4 payload (no TCP/UDP
-	// header) and Handshake/Shutdown emit nothing. Kept for the
-	// equivalence regression against the legacy simulator and for
-	// harnesses whose latency calibration charges per-request, not
-	// per-segment (the Fig. 4 stress test).
-	RawPayloads bool
 }
 
 // Errors mirroring the errno values the real syscalls produce.
@@ -232,11 +225,10 @@ func (k *Kernel) Close(fd int) error {
 
 // Send builds the IPv4 packet for a payload written to a connected socket,
 // wraps it in the socket's transport header (a TCP data segment or a UDP
-// datagram carrying the socket's real ports — unless Config.RawPayloads
-// selects the legacy plain wire format), stamps the socket's IP options
-// into the IPv4 header, and runs it through the netfilter OUTPUT chain.
-// It returns the packet as it should enter the network (nil packet when a
-// netfilter verdict dropped it).
+// datagram carrying the socket's real ports), stamps the socket's IP
+// options into the IPv4 header, and runs it through the netfilter OUTPUT
+// chain. It returns the packet as it should enter the network (nil packet
+// when a netfilter verdict dropped it).
 func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
@@ -249,10 +241,7 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 		return nil, ErrNotConnected
 	}
 	var wire []byte
-	switch {
-	case k.cfg.RawPayloads:
-		wire = append([]byte(nil), payload...)
-	case s.Protocol == ipv4.ProtoUDP:
+	if s.Protocol == ipv4.ProtoUDP {
 		if len(payload) > transport.MaxUDPPayload {
 			// EMSGSIZE: the 16-bit UDP length field cannot represent it,
 			// and Marshal would silently wrap the field.
@@ -266,7 +255,7 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 			Payload: payload,
 		}
 		wire = dg.Marshal()
-	default:
+	} else {
 		seg := transport.TCPSegment{
 			SrcPort: s.Local.Port(),
 			DstPort: s.Remote.Port(),
@@ -312,9 +301,9 @@ func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfi
 // IP options are in place (the Context Manager's post-connect hook has
 // fired), so the SYN carries the flow's tag like every other packet and
 // the gateway's conntrack can key the connection from its first segment.
-// It returns (nil, nil) when the socket speaks UDP, when RawPayloads
-// selects the legacy wire format, or when the SYN was already sent; a nil
-// packet with nil error also means a device-side filter dropped it.
+// It returns (nil, nil) when the socket speaks UDP or when the SYN was
+// already sent; a nil packet with nil error also means a device-side
+// filter dropped it.
 func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
@@ -326,7 +315,7 @@ func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 		k.mu.Unlock()
 		return nil, ErrNotConnected
 	}
-	if k.cfg.RawPayloads || s.Protocol != ipv4.ProtoTCP || s.synSent {
+	if s.Protocol != ipv4.ProtoTCP || s.synSent {
 		k.mu.Unlock()
 		return nil, nil
 	}
@@ -347,9 +336,9 @@ func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 // Shutdown emits the connection-closing FIN segment (FIN|ACK) for a
 // connected TCP socket through the netfilter OUTPUT chain and marks the
 // socket half-closed: further Sends fail. Like Handshake it returns
-// (nil, nil) for UDP sockets, in RawPayloads mode, or when the FIN was
-// already sent. The gateway's conntrack tears the flow's cached verdict
-// down when this segment passes enforcement.
+// (nil, nil) for UDP sockets or when the FIN was already sent. The
+// gateway's conntrack tears the flow's cached verdict down when this
+// segment passes enforcement.
 func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
@@ -361,7 +350,7 @@ func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 		k.mu.Unlock()
 		return nil, ErrNotConnected
 	}
-	if k.cfg.RawPayloads || s.Protocol != ipv4.ProtoTCP || s.finSent {
+	if s.Protocol != ipv4.ProtoTCP || s.finSent {
 		k.mu.Unlock()
 		return nil, nil
 	}

@@ -149,14 +149,12 @@ func TestSendStampsOptions(t *testing.T) {
 }
 
 func TestNetfilterQueueVerdicts(t *testing.T) {
-	// RawPayloads keeps the payload bytes literal so the queue handler can
-	// match on them; netfilter mechanics are identical either way.
-	k := New(Config{AllowUnprivilegedIPOptions: true, RawPayloads: true})
+	k := New(Config{AllowUnprivilegedIPOptions: true})
 	nf := k.Netfilter()
 	var seen int
 	nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
 		seen++
-		if string(pkt.Payload) == "drop-me" {
+		if seg, err := transport.ParseTCP(pkt.Payload); err == nil && string(seg.Payload) == "drop-me" {
 			return VerdictDrop, nil
 		}
 		return VerdictAccept, nil
@@ -223,9 +221,10 @@ func TestNetfilterDeadQueueDrops(t *testing.T) {
 }
 
 func TestNetfilterRuleMatchAndTargets(t *testing.T) {
-	k := New(Config{RawPayloads: true})
+	k := New(Config{})
 	nf := k.Netfilter()
-	onlyBig := func(p *ipv4.Packet) bool { return len(p.Payload) > 10 }
+	// The 20-byte TCP header rides in the IPv4 payload.
+	onlyBig := func(p *ipv4.Packet) bool { return len(p.Payload) > 20+10 }
 	nf.Append(ChainOutput, Rule{Match: onlyBig, Target: TargetDrop, Comment: "drop big"})
 	fd := newConnected(t, k)
 	if pkt, _ := k.Send(fd, []byte("small")); pkt == nil {
@@ -364,24 +363,6 @@ func TestUDPSocketsWrapDatagrams(t *testing.T) {
 	}
 	if pkt, err := k.Shutdown(fd); err != nil || pkt != nil {
 		t.Fatalf("UDP shutdown: pkt=%v err=%v", pkt, err)
-	}
-}
-
-func TestRawPayloadsLegacyMode(t *testing.T) {
-	k := New(Config{AllowUnprivilegedIPOptions: true, RawPayloads: true})
-	fd := newConnected(t, k)
-	if pkt, err := k.Handshake(fd); err != nil || pkt != nil {
-		t.Fatalf("legacy handshake: pkt=%v err=%v", pkt, err)
-	}
-	pkt, err := k.Send(fd, []byte("GET / HTTP/1.1\r\n\r\n"))
-	if err != nil || pkt == nil {
-		t.Fatal("legacy send failed")
-	}
-	if string(pkt.Payload) != "GET / HTTP/1.1\r\n\r\n" {
-		t.Fatalf("legacy payload wrapped: %q", pkt.Payload)
-	}
-	if pkt, err := k.Shutdown(fd); err != nil || pkt != nil {
-		t.Fatalf("legacy shutdown: pkt=%v err=%v", pkt, err)
 	}
 }
 

@@ -82,29 +82,6 @@ type BatchVerdict struct {
 // per-packet recv/verdict round trip hurts most.
 type QueueBatchHandler func(pkts []*ipv4.Packet) []BatchVerdict
 
-// DataplaneCore is one core's leased view of a match-action dataplane: a
-// single-owner verdict table probed before the queue handler. Probe
-// answers a packet from compiled state (ok false = miss; the caller runs
-// the handler and Promotes the outcome). The any value is handler-level
-// auxiliary data for the hit (the dataplane returns the same type the
-// queue handler would attach, so downstream consumers cannot tell the
-// fast and slow paths apart). Promote is called with the handler's
-// verdict and Aux for each miss, letting the dataplane learn the flow.
-// A Core is held for one batch traversal and Released after it.
-type DataplaneCore interface {
-	Probe(pkt *ipv4.Packet) (Verdict, any, bool)
-	Promote(pkt *ipv4.Packet, v Verdict, aux any)
-	Release()
-}
-
-// Dataplane hands out per-core verdict tables to batch traversals.
-// Acquire may return nil (every core busy); the traversal then runs
-// handler-only, which is always correct — the dataplane is a pure
-// accelerator.
-type Dataplane interface {
-	Acquire() DataplaneCore
-}
-
 // RuleTarget is what an iptables rule does on match.
 type RuleTarget int
 
@@ -138,7 +115,6 @@ type Netfilter struct {
 	chains       map[Chain][]Rule
 	queues       map[int]QueueHandler
 	batchQueues  map[int]QueueBatchHandler
-	dataplanes   map[int]Dataplane
 	accepted     atomic.Uint64
 	dropped      atomic.Uint64
 	queuedOK     atomic.Uint64
@@ -156,7 +132,6 @@ func NewNetfilter() *Netfilter {
 		chains:      make(map[Chain][]Rule),
 		queues:      make(map[int]QueueHandler),
 		batchQueues: make(map[int]QueueBatchHandler),
-		dataplanes:  make(map[int]Dataplane),
 	}
 }
 
@@ -191,24 +166,12 @@ func (nf *Netfilter) RegisterBatchQueue(num int, h QueueBatchHandler) {
 	nf.batchQueues[num] = h
 }
 
-// RegisterDataplane installs a match-action stage in front of an
-// NFQUEUE's batch handler: batch traversals probe it per packet before
-// crossing into user space, fall through to the handler on miss, and
-// promote the handler's outcomes back into it. The hardware-offload
-// shape: compiled fast path below, full enforcement above.
-func (nf *Netfilter) RegisterDataplane(num int, dp Dataplane) {
-	nf.mu.Lock()
-	defer nf.mu.Unlock()
-	nf.dataplanes[num] = dp
-}
-
 // UnregisterQueue detaches a queue's handlers (user-space program exited).
 func (nf *Netfilter) UnregisterQueue(num int) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
 	delete(nf.queues, num)
 	delete(nf.batchQueues, num)
-	delete(nf.dataplanes, num)
 }
 
 // Output runs a packet through OUTPUT then POSTROUTING, as the kernel does
@@ -362,78 +325,38 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 			nf.mu.RLock()
 			bh := nf.batchQueues[r.QueueNum]
 			sh := nf.queues[r.QueueNum]
-			dp := nf.dataplanes[r.QueueNum]
 			nf.mu.RUnlock()
 			switch {
 			case bh != nil:
-				// Match-action stage first: lease a core and answer what it
-				// can before paying the user-space transition. Hits receive
-				// the same Aux a handler would attach, so the consumer
-				// cannot tell the paths apart; misses fall through to the
-				// batch handler and their outcomes are promoted.
-				var core DataplaneCore
-				if dp != nil {
-					core = dp.Acquire()
+				batch := make([]*ipv4.Packet, len(matched))
+				for bi, i := range matched {
+					batch[bi] = items[i].pkt
 				}
-				if core != nil {
-					kept := matched[:0]
-					for _, i := range matched {
-						it := &items[i]
-						v, aux, hit := core.Probe(it.pkt)
-						if !hit {
-							kept = append(kept, i)
-							continue
-						}
-						if aux != nil {
-							it.aux = aux
-						}
-						if v == VerdictDrop {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						queued++
+				verdicts := bh(batch)
+				for bi, i := range matched {
+					it := &items[i]
+					// Aux rides along even on drops: the gateway needs the
+					// enforcement result of a denied packet for its audit
+					// trail.
+					if bi < len(verdicts) && verdicts[bi].Aux != nil {
+						it.aux = verdicts[bi].Aux
 					}
-					matched = kept
-				}
-				if len(matched) > 0 {
-					batch := make([]*ipv4.Packet, len(matched))
-					for bi, i := range matched {
-						batch[bi] = items[i].pkt
+					if bi >= len(verdicts) {
+						it.pkt = nil
+						it.done = true
+						dropped++
+						continue
 					}
-					verdicts := bh(batch)
-					for bi, i := range matched {
-						it := &items[i]
-						// Aux rides along even on drops: the gateway needs the
-						// enforcement result of a denied packet for its audit
-						// trail, exactly like the scalar reader's lastResult.
-						if bi < len(verdicts) && verdicts[bi].Aux != nil {
-							it.aux = verdicts[bi].Aux
-						}
-						if bi >= len(verdicts) {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						if core != nil {
-							core.Promote(batch[bi], verdicts[bi].Verdict, verdicts[bi].Aux)
-						}
-						if verdicts[bi].Verdict == VerdictDrop {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						queued++
-						if verdicts[bi].Rewritten != nil {
-							it.pkt = verdicts[bi].Rewritten
-						}
+					if verdicts[bi].Verdict == VerdictDrop {
+						it.pkt = nil
+						it.done = true
+						dropped++
+						continue
 					}
-				}
-				if core != nil {
-					core.Release()
+					queued++
+					if verdicts[bi].Rewritten != nil {
+						it.pkt = verdicts[bi].Rewritten
+					}
 				}
 			case sh != nil:
 				for _, i := range matched {

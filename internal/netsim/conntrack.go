@@ -14,10 +14,7 @@ import (
 // flow lifecycle events. A SYN establishes a connection, a FIN or RST
 // ends it — and ending a connection is what triggers the enforcer's
 // EndFlow, deleting the flow's cached verdict the moment the connection
-// dies instead of leaving it to TTL or eviction pressure. Before the
-// transport layer existed the gateway approximated this by peeking at
-// "Connection: close" inside the HTTP payload; that peek survives only as
-// the fallback for legacy plain payloads (see Network.serveOne).
+// dies instead of leaving it to TTL or eviction pressure.
 //
 // Only connection events touch the table: data segments (no SYN/FIN/RST)
 // return without taking the lock, so the per-packet cost on the hot path
@@ -189,8 +186,8 @@ func (ct *Conntrack) parkLocked(k conntrackKey, now time.Duration) {
 
 // Observe updates connection state for one accepted packet and reports
 // whether the packet ended its connection — the caller's cue to tear the
-// flow's cached verdict down. Packets without a transport header (legacy
-// payloads, non-first fragments) and UDP datagrams are ignored.
+// flow's cached verdict down. Packets without a transport header
+// (non-first fragments, malformed headers) and UDP datagrams are ignored.
 func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 	info, ok := transport.PeekPacket(pkt)
 	if !ok || info.Proto != ipv4.ProtoTCP {

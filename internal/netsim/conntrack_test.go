@@ -5,7 +5,6 @@ import (
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
-	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -13,10 +12,15 @@ import (
 )
 
 // tcpConn builds the packet train of one TCP connection out of a tagged
-// legacy test packet: SYN, n data segments carrying the original HTTP
-// payload, FIN. Every packet keeps the tag (same socket, same options).
+// test packet: SYN, n data segments carrying base's HTTP request, FIN.
+// Every packet keeps the tag (same socket, same options).
 func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.Packet, data []*ipv4.Packet, fin *ipv4.Packet) {
 	t.Helper()
+	baseSeg, err := transport.ParseTCP(base.Payload)
+	if err != nil {
+		t.Fatalf("base packet is not a TCP segment: %v", err)
+	}
+	request := baseSeg.Payload
 	mk := func(flags byte, seq uint32, payload []byte) *ipv4.Packet {
 		out := base.Clone()
 		seg := transport.TCPSegment{
@@ -29,17 +33,15 @@ func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.
 	syn = mk(transport.FlagSYN, 1, nil)
 	seq := uint32(2)
 	for i := 0; i < n; i++ {
-		data = append(data, mk(transport.FlagPSH|transport.FlagACK, seq, base.Payload))
-		seq += uint32(len(base.Payload))
+		data = append(data, mk(transport.FlagPSH|transport.FlagACK, seq, request))
+		seq += uint32(len(request))
 	}
 	fin = mk(transport.FlagFIN|transport.FlagACK, seq, nil)
 	return syn, data, fin
 }
 
-// TestConntrackLifecycleTearsDownFlow is the transport-era teardown test:
-// SYN establishes, data hits the cache, and the FIN deletes the flow's
-// cached verdict — without any "Connection: close" peek (the data
-// segments say keep-alive).
+// TestConntrackLifecycleTearsDownFlow: SYN establishes, data hits the
+// cache, and the FIN deletes the flow's cached verdict.
 func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
@@ -48,8 +50,6 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
-	keep := (&httpsim.Request{Method: "GET", Path: "/", Host: "example", KeepAlive: true}).Marshal()
-	base.Payload = keep // keep-alive header: the legacy peek would NOT close this
 	syn, data, fin := tcpConn(t, base, 40700, 3)
 
 	if d := n.Deliver(syn); !d.Delivered {

@@ -25,7 +25,7 @@ func tailFixture(tb testing.TB, strip sanitizer.Config) (*Network, *Gateway, *en
 	n := newStaticNetwork(ModeTAP, gw)
 	n.SetCapture(false)
 	base := taggedPacket(tb, apk, db, "sync")
-	base.Payload = (&httpsim.Request{Method: "GET", Path: "/static/page.html", Host: "example", KeepAlive: true}).Marshal()
+	base.Payload = plainPacket((&httpsim.Request{Method: "GET", Path: "/static/page.html", Host: "example", KeepAlive: true}).Marshal()).Payload
 	return n, gw, flows, base
 }
 
@@ -79,11 +79,10 @@ func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
 		if st := flows.Stats(); st.Live != 1 {
 			t.Fatalf("%s: mid-connection flow stats %+v", name, st)
 		}
-		// The rest of the path: the scalar handler makes the same copy, and
-		// the FIN's teardown keys on the original's tag.
-		out, _, err := gw.Process(burst[4])
-		if err != nil || out == nil || out.Header.HasOptions() != (name == "security option only") {
-			t.Fatalf("%s: FIN through the scalar path: out %+v err %v", name, out, err)
+		// The rest of the path: the FIN's teardown keys on the original's tag.
+		fin, err := gw.ProcessBatch(burst[4:])
+		if err != nil || fin[0].Out == nil || fin[0].Out.Header.HasOptions() != (name == "security option only") {
+			t.Fatalf("%s: FIN: out %+v err %v", name, fin[0].Out, err)
 		}
 		if st := flows.Stats(); st.Live != 0 {
 			t.Fatalf("%s: FIN did not tear the flow down: %+v", name, st)

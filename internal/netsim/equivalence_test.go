@@ -1,0 +1,177 @@
+package netsim
+
+import (
+	"testing"
+
+	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/dex"
+	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/policy"
+	"borderpatrol/internal/sanitizer"
+	"borderpatrol/internal/tag"
+)
+
+// sweepAPK is the app the equivalence sweep tags its traffic with: two
+// first-party methods (one of them denied by a method rule) and a tracker
+// library frame.
+func sweepAPK() *dex.APK {
+	return &dex.APK{
+		PackageName: "com.corp.files",
+		VersionCode: 1,
+		Dexes: []*dex.File{{Classes: []dex.ClassDef{
+			{
+				Package: "com/corp/files",
+				Name:    "SyncEngine",
+				Methods: []dex.MethodDef{
+					{Name: "download", Proto: "()V", File: "S.java", StartLine: 10, EndLine: 20},
+					{Name: "upload", Proto: "()V", File: "S.java", StartLine: 30, EndLine: 40},
+				},
+			},
+			{
+				Package: "com/flurry/sdk",
+				Name:    "Agent",
+				Methods: []dex.MethodDef{
+					{Name: "beacon", Proto: "()V", File: "A.java", StartLine: 5, EndLine: 15},
+				},
+			},
+		}}},
+	}
+}
+
+// TestEquivalenceMixedTraffic drives a mixed packet corpus — clean and
+// tracker stacks, SYN/data/FIN control segments, duplicated and reordered
+// fault shapes, fragments, bad indexes, malformed tags, unknown apps,
+// untagged packets — through a flow-cached gateway and an uncached
+// reference gateway, as whole bursts (wide enough to split across the
+// drain's workers) and one packet at a time, and requires identical
+// verdicts and causes packet by packet, pass by pass.
+func TestEquivalenceMixedTraffic(t *testing.T) {
+	apk := sweepAPK()
+	rules := []policy.Rule{
+		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
+		{Action: policy.Deny, Level: policy.LevelMethod, Target: "Lcom/corp/files/SyncEngine;->upload()V"},
+	}
+	build := func(flows *enforcer.FlowCache) (*Gateway, *enforcer.Enforcer) {
+		db := analyzer.NewDatabase()
+		if err := db.Add(apk); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := policy.NewEngine(rules, policy.VerdictAllow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enf := enforcer.New(enforcer.Config{Flows: flows}, db, eng)
+		return NewGateway(GatewayConfig{
+			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2,
+		}), enf
+	}
+	fast, fastEnf := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}))
+	ref, refEnf := build(nil)
+
+	db := analyzer.NewDatabase() // for taggedPacket's index lookup only
+	if err := db.Add(apk); err != nil {
+		t.Fatal(err)
+	}
+	var corpus []*ipv4.Packet
+	addConn := func(method string, srcPort uint16) {
+		syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, method), srcPort, 3)
+		corpus = append(append(append(corpus, syn), data...), fin)
+	}
+	for c := uint16(0); c < 10; c++ {
+		addConn("download", 40001+3*c) // clean: allow
+		addConn("beacon", 40002+3*c)   // tracker library: deny
+		addConn("upload", 40003+3*c)   // denied method: deny
+	}
+	// Fault shapes: duplicate the first clean connection's first data
+	// segment, reorder the first tracker connection's tail.
+	corpus = append(corpus, corpus[1].Clone())
+	corpus = append(corpus, corpus[8].Clone(), corpus[7].Clone())
+	// data is one data segment of a fresh connection whose tag is replaced
+	// by raw option bytes (nil strips it).
+	data := func(srcPort uint16, tagData []byte) *ipv4.Packet {
+		_, segs, _ := tcpConn(t, taggedPacket(t, apk, db, "download"), srcPort, 1)
+		if tagData == nil {
+			segs[0].Header.Options = nil
+		} else {
+			segs[0].Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: tagData})
+		}
+		return segs[0]
+	}
+	encode := func(hash dex.TruncatedHash, indexes ...uint32) []byte {
+		tg := tag.Tag{AppHash: hash, Indexes: indexes}
+		b, err := tg.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// A non-first fragment: ports zero out in the flow key.
+	frag := data(41004, encode(apk.Truncated(), 0))
+	frag.Header.FragOff = 185
+	corpus = append(corpus, frag)
+	// Structural negatives.
+	var ghost dex.TruncatedHash
+	ghost[7] = 0x5a
+	corpus = append(corpus,
+		data(41005, encode(apk.Truncated(), 99)),    // bad index
+		data(41006, encode(ghost, 0)),               // unknown app
+		data(41007, []byte{tag.Version << 4, 1, 2}), // truncated tag
+		data(41008, nil),                            // untagged
+	)
+
+	drain := func(gw *Gateway, burst bool) []BatchOutcome {
+		if burst {
+			out, err := gw.ProcessBatch(corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		out := make([]BatchOutcome, 0, len(corpus))
+		for i := range corpus {
+			one, err := gw.ProcessBatch(corpus[i : i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, one[0])
+		}
+		return out
+	}
+	seen := map[enforcer.DropCause]int{}
+	for pass := 0; pass < 4; pass++ {
+		burst := pass%2 == 0
+		got, want := drain(fast, burst), drain(ref, burst)
+		for i := range corpus {
+			g, w := got[i].Result, want[i].Result
+			if g == nil || w == nil {
+				t.Fatalf("pass %d pkt %d: missing enforcement result (fast %v, ref %v)", pass, i, g, w)
+			}
+			if g.Verdict != w.Verdict || g.Cause != w.Cause {
+				t.Fatalf("pass %d pkt %d: flow-cached gateway = %v/%v, uncached = %v/%v",
+					pass, i, g.Verdict, g.Cause, w.Verdict, w.Cause)
+			}
+			if (got[i].Out == nil) != (want[i].Out == nil) || (got[i].Out == nil) != (w.Verdict == policy.VerdictDrop) {
+				t.Fatalf("pass %d pkt %d: survivors disagree with verdict %v (fast out %v, ref out %v)",
+					pass, i, w.Verdict, got[i].Out != nil, want[i].Out != nil)
+			}
+			seen[w.Cause]++
+		}
+	}
+	for _, c := range []enforcer.DropCause{
+		enforcer.DropNone, enforcer.DropPolicy, enforcer.DropBadIndex,
+		enforcer.DropUnknownApp, enforcer.DropMalformedTag, enforcer.DropUntagged,
+	} {
+		if seen[c] == 0 {
+			t.Fatalf("corpus never produced cause %v: %v", c, seen)
+		}
+	}
+	fs, rs := fastEnf.Stats(), refEnf.Stats()
+	if fs.Flow.Hits == 0 || fs.BatchMemoHits == 0 {
+		t.Fatalf("equivalence ran entirely on the miss path: %+v", fs)
+	}
+	if rs.Flow.Hits+rs.Flow.Misses+rs.BatchMemoHits != 0 {
+		t.Fatalf("reference gateway used a cache: %+v", rs)
+	}
+}

@@ -18,8 +18,8 @@ type FaultPlan struct {
 	Drop float64
 	// Duplicate delivers the packet twice.
 	Duplicate float64
-	// Reorder swaps the packet with its neighbour within a DeliverBatch
-	// burst (the scalar Deliver path has no burst to reorder within).
+	// Reorder swaps the packet with its wire neighbour within a burst (a
+	// burst of one has a neighbour only when the packet was duplicated).
 	Reorder float64
 	// Delay charges extra virtual wire time in [DelayMin, DelayMax].
 	Delay float64

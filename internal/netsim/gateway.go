@@ -1,11 +1,9 @@
 package netsim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"borderpatrol/internal/dataplane"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
@@ -18,24 +16,15 @@ import (
 // Enforcer (NFQUEUE 1) and, for surviving packets, the Packet Sanitizer
 // (NFQUEUE 2) — matching the paper's worker-host iptables layout (§VI-A).
 //
-// Two consumption models are wired onto the same queues:
-//
-//   - Process is the paper's original serialized reader (the Python
-//     netfilterqueue consumer handles one packet at a time, and the audit
-//     trail relies on that ordering).
-//   - ProcessBatch drains a burst through the kernel's batch traversal
-//     with a per-core worker pool: the enforcer's ProcessBatch amortizes
-//     resolve+decode across packets of the same flow, and the lock-free
-//     enforcement path lets chunks proceed on every core in parallel.
+// The queues have one reader: ProcessBatch drains a burst (of one packet
+// or of thousands) through the kernel's batch traversal with a per-core
+// worker pool. The enforcer's ProcessBatch amortizes resolve+decode across
+// packets of the same flow, and the lock-free enforcement path lets chunks
+// proceed on every core in parallel.
 type Gateway struct {
 	nf        *kernel.Netfilter
 	enforcer  *enforcer.Enforcer
 	sanitizer *sanitizer.Sanitizer
-	// dp is the optional per-core match-action stage installed below the
-	// enforcer queue: batch drains probe it before crossing into user
-	// space, and the gateway feeds it teardown (Invalidate) and restart
-	// (Flush) events so its compiled state tracks the flow lifecycle.
-	dp *dataplane.Dataplane
 	// ct tracks TCP connection state on accepted packets: SYN establishes,
 	// FIN/RST ends the connection and tears down the flow's cached verdict
 	// through the enforcer.
@@ -47,11 +36,6 @@ type Gateway struct {
 	passthrough bool
 
 	restarts atomic.Uint64
-
-	mu sync.Mutex
-	// lastResult stores the most recent enforcement result for callers
-	// that need the audit trail; valid only under mu across one Process.
-	lastResult *enforcer.Result
 }
 
 // GatewayConfig assembles a gateway.
@@ -68,11 +52,6 @@ type GatewayConfig struct {
 	// Clock supplies virtual time to the connection tracker (TIME_WAIT
 	// expiry, idle sweeps); nil disables time-based conntrack expiry.
 	Clock *Clock
-	// Dataplane installs a compiled per-core match-action stage in front
-	// of the enforcer queue (nil leaves the stage out). It must have been
-	// built over the same Enforcer, and should hold at least as many
-	// cores as Workers so every concurrent drain can lease one.
-	Dataplane *dataplane.Dataplane
 }
 
 // NewGateway wires the pipeline onto a fresh netfilter instance.
@@ -87,14 +66,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	switch {
 	case g.enforcer != nil:
-		g.nf.RegisterQueue(1, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			res := g.enforcer.Process(pkt)
-			g.lastResult = &res
-			if res.Verdict == policy.VerdictDrop {
-				return kernel.VerdictDrop, nil
-			}
-			return kernel.VerdictAccept, nil
-		})
 		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			results := g.enforcer.ProcessBatch(pkts, nil)
 			out := make([]kernel.BatchVerdict, len(pkts))
@@ -108,17 +79,10 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 			}
 			return out
 		})
-		if cfg.Dataplane != nil {
-			g.dp = cfg.Dataplane
-			g.nf.RegisterDataplane(1, g.dp)
-		}
 		g.nf.Append(kernel.ChainOutput, kernel.Rule{
 			Target: kernel.TargetQueue, QueueNum: 1, Comment: "BYOD traffic to Policy Enforcer",
 		})
 	case g.passthrough:
-		g.nf.RegisterQueue(1, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			return kernel.VerdictAccept, nil
-		})
 		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			out := make([]kernel.BatchVerdict, len(pkts))
 			for i := range out {
@@ -131,9 +95,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		})
 	}
 	if g.sanitizer != nil {
-		g.nf.RegisterQueue(2, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			return kernel.VerdictAccept, g.sanitizer.Process(egressCopy(pkt))
-		})
 		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			out := make([]kernel.BatchVerdict, len(pkts))
 			for i, pkt := range pkts {
@@ -175,22 +136,6 @@ func (g *Gateway) HasEnforcer() bool { return g.enforcer != nil }
 // HasSanitizer reports whether the sanitizing stage is present.
 func (g *Gateway) HasSanitizer() bool { return g.sanitizer != nil }
 
-// Process runs one packet through the gateway pipeline. It returns the
-// (possibly rewritten) packet, nil when dropped, and the enforcement result
-// when the enforcer stage ran. Calls are serialized like the single
-// user-space queue reader they model.
-func (g *Gateway) Process(pkt *ipv4.Packet) (*ipv4.Packet, *enforcer.Result, error) {
-	g.mu.Lock()
-	g.lastResult = nil
-	out, err := g.nf.Output(pkt)
-	res := g.lastResult
-	g.mu.Unlock()
-	if out != nil {
-		g.observeConn(pkt)
-	}
-	return out, res, err
-}
-
 // observeConn feeds one accepted packet to the conntrack; a FIN/RST tears
 // the flow's cached verdict down through the enforcer. The original
 // (still-tagged) packet is used, not the sanitized output — teardown keys
@@ -202,9 +147,6 @@ func (g *Gateway) observeConn(pkt *ipv4.Packet) {
 		if g.enforcer != nil {
 			g.enforcer.EndFlow(pkt)
 		}
-		if g.dp != nil {
-			g.dp.Invalidate(pkt)
-		}
 	}
 }
 
@@ -213,8 +155,7 @@ func (g *Gateway) observeConn(pkt *ipv4.Packet) {
 // return path carries no tag, so enforcement there is TCP sequence
 // continuity (see Conntrack.ObserveResponse): a mid-stream injected
 // segment whose sequence number breaks the connection's continuity is
-// dropped with the enforcer's DropSeqInjection cause, surfaced through
-// the bp_dataplane_seq_injection_drops_total metric.
+// dropped and counted as bp_conntrack_responses_total{outcome="seq_drop"}.
 func (g *Gateway) ProcessResponse(pkt *ipv4.Packet) bool {
 	if !g.Active() {
 		return true
@@ -231,11 +172,10 @@ type BatchOutcome struct {
 }
 
 // ProcessBatch drains a burst of packets through the netfilter batch
-// traversal on the per-core worker pool. Outcomes align with pkts. Unlike
-// Process, batch drains are not serialized against each other — the
-// enforcement path is lock-free by design — so callers needing a totally
-// ordered audit trail should order on the returned outcomes, not on
-// side effects.
+// traversal on the per-core worker pool. Outcomes align with pkts. Drains
+// are not serialized against each other — the enforcement path is
+// lock-free by design — so callers needing a totally ordered audit trail
+// should order on the returned outcomes, not on side effects.
 func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	res, err := g.nf.DrainBatch(pkts, g.workers)
 	out := make([]BatchOutcome, len(res))
@@ -257,7 +197,7 @@ func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 // Conntrack snapshots the gateway's connection tracker.
 func (g *Gateway) Conntrack() ConntrackStats { return g.ct.Stats() }
 
-// Restart models a gateway crash and reboot: all dataplane state — the
+// Restart models a gateway crash and reboot: all per-flow state — the
 // enforcer's flow-verdict cache, the connection tracker, the netfilter
 // counters — is discarded, exactly as a real appliance loses its RAM
 // tables. The policy engine and signature database survive (they are
@@ -266,13 +206,8 @@ func (g *Gateway) Conntrack() ConntrackStats { return g.ct.Stats() }
 // pipeline and must reach the same verdict cold — the re-resolution
 // property the soak harness asserts.
 func (g *Gateway) Restart() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.enforcer != nil {
 		g.enforcer.PurgeFlows()
-	}
-	if g.dp != nil {
-		g.dp.Flush()
 	}
 	g.ct.Reset()
 	g.nf.ResetStats()
@@ -295,21 +230,6 @@ func (g *Gateway) GC(idle time.Duration) (conns, flows int) {
 	return conns, flows
 }
 
-// CloseFlow tells the enforcement stage a connection has ended, so its
-// cached verdict is torn down immediately instead of lingering until TTL
-// or eviction. Transport-era flows never need it — the gateway's
-// conntrack calls EndFlow itself when it sees a FIN/RST — so this remains
-// only for the network's legacy-payload fallback ("Connection: close"
-// observed at the server). pkt is any packet of the flow still carrying
-// its tag — teardown keys on the same (5-tuple, tag bytes) the cache
-// does. Reports whether a cached verdict was removed.
-func (g *Gateway) CloseFlow(pkt *ipv4.Packet) bool {
-	if g.enforcer == nil {
-		return false
-	}
-	return g.enforcer.EndFlow(pkt)
-}
-
 // Netfilter exposes the gateway's filter table (stats, extra rules).
 func (g *Gateway) Netfilter() *kernel.Netfilter { return g.nf }
 
@@ -318,6 +238,3 @@ func (g *Gateway) Enforcer() *enforcer.Enforcer { return g.enforcer }
 
 // Sanitizer returns the sanitizing stage, if present.
 func (g *Gateway) Sanitizer() *sanitizer.Sanitizer { return g.sanitizer }
-
-// Dataplane returns the match-action stage, if present.
-func (g *Gateway) Dataplane() *dataplane.Dataplane { return g.dp }

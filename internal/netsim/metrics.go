@@ -29,9 +29,9 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,
 		func() float64 { return float64(ct.Stats().TimeWait) }, metrics.L("state", "time_wait"))
 
-	// Response-direction (server→device) enforcement. The drop counter
-	// lives in the bp_dataplane_* family: the directional verdict state is
-	// the dataplane's, even though the continuity check runs in conntrack.
+	// Response-direction (server→device) enforcement: seq_drop is a
+	// segment refused for breaking TCP sequence continuity (mid-stream
+	// injection).
 	const respHelp = "Response-direction segments checked, by outcome."
 	r.CounterFunc("bp_conntrack_responses_total", respHelp,
 		func() uint64 { return ct.Stats().ResponsesChecked }, metrics.L("outcome", "checked"))
@@ -39,14 +39,10 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return ct.Stats().ResponseAdopts }, metrics.L("outcome", "adopted"))
 	r.CounterFunc("bp_conntrack_responses_total", respHelp,
 		func() uint64 { return ct.Stats().ResponseLate }, metrics.L("outcome", "late"))
-	r.CounterFunc("bp_dataplane_seq_injection_drops_total",
-		"Response segments dropped for breaking TCP sequence continuity (mid-stream injection).",
-		func() uint64 { return ct.Stats().ResponseSeqDrops })
+	r.CounterFunc("bp_conntrack_responses_total", respHelp,
+		func() uint64 { return ct.Stats().ResponseSeqDrops }, metrics.L("outcome", "seq_drop"))
 
 	r.CounterFunc("bp_gateway_restarts_total", "Gateway crash/reboot cycles.", g.Restarts)
-	if dp := g.dp; dp != nil {
-		dp.RegisterMetrics(r)
-	}
 }
 
 // RegisterMetrics attaches the network's fault-injection counters to a

@@ -10,14 +10,23 @@ import (
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
 	"borderpatrol/internal/tag"
+	"borderpatrol/internal/transport"
 )
 
 func serverAddr() netip.Addr { return netip.MustParseAddr("93.184.216.34") }
 
+// plainPacket is an untagged packet carrying payload in one TCP data
+// segment, as the device's kernel emits it.
 func plainPacket(payload []byte) *ipv4.Packet {
+	seg := transport.TCPSegment{
+		SrcPort: 40000, DstPort: 80, Seq: 1,
+		Flags: transport.FlagPSH | transport.FlagACK, Window: 65535,
+		Payload: payload,
+	}
 	return &ipv4.Packet{
 		Header: ipv4.Header{
 			TTL:      64,
@@ -25,8 +34,31 @@ func plainPacket(payload []byte) *ipv4.Packet {
 			Src:      netip.MustParseAddr("10.0.0.5"),
 			Dst:      serverAddr(),
 		},
-		Payload: payload,
+		Payload: seg.Marshal(),
 	}
+}
+
+// sumMetric adds up the samples of one family whose labels include every
+// label in want (no want: the whole family).
+func sumMetric(reg *metrics.Registry, name string, want ...metrics.Label) float64 {
+	var sum float64
+	for _, smp := range reg.Snapshot() {
+		if smp.Name != name {
+			continue
+		}
+		matches := 0
+		for _, w := range want {
+			for _, l := range smp.Labels {
+				if l == w {
+					matches++
+				}
+			}
+		}
+		if matches == len(want) {
+			sum += smp.Value
+		}
+	}
+	return sum
 }
 
 func getRequest() []byte {

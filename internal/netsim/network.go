@@ -79,8 +79,8 @@ func (s DropStage) String() string {
 	}
 }
 
-// Server is a network endpoint handling HTTP requests (over TCP segments
-// or legacy plain payloads) and/or UDP datagrams.
+// Server is a network endpoint handling HTTP requests (over TCP segments)
+// and/or UDP datagrams.
 type Server struct {
 	// Addr is the server's IPv4 address.
 	Addr netip.Addr
@@ -333,113 +333,14 @@ type Delivery struct {
 	Latency time.Duration
 }
 
-// Deliver pushes one device-egress packet through NIC → gateway → border →
-// server, charging virtual time for each stage, and returns what happened.
-func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
-	return n.deliver(pkt, false)
-}
-
-// deliver implements Deliver; skipGateway models paths (like the mobile
-// carrier) that never touch the corporate perimeter.
-func (n *Network) deliver(pkt *ipv4.Packet, skipGateway bool) Delivery {
-	if f := n.faults.Load(); f != nil && !skipGateway {
-		return n.deliverFaulty(f, pkt)
-	}
-	return n.deliverCore(pkt, skipGateway)
-}
-
-// deliverFaulty is the armed-plan scalar path: drop, delay, corruption,
-// truncation, and duplication apply per packet (reordering needs a burst —
-// see DeliverBatch). A duplicate rides the wire in the same damaged form;
-// its own delivery outcome is discarded, but its gateway and server state
-// transitions happen for real — exactly the repeated-control-segment
-// surface the conntrack idempotency guarantees cover.
-func (n *Network) deliverFaulty(f *Faults, pkt *ipv4.Packet) Delivery {
-	if f.rollDrop() {
-		n.captureAt(CaptureDeviceEgress, pkt)
-		return Delivery{Stage: StageFault}
-	}
-	if d := f.rollDelay(); d > 0 {
-		n.Clock.Advance(d)
-	}
-	cur := pkt
-	if m := f.mutate(pkt); m != nil {
-		cur = m
-	}
-	del := n.deliverCore(cur, false)
-	if f.rollDup() {
-		n.deliverCore(cur, false)
-	}
-	return del
-}
-
-// deliverCore is the fault-free delivery pipeline.
-func (n *Network) deliverCore(pkt *ipv4.Packet, skipGateway bool) Delivery {
-	start := n.Clock.Now()
-	n.captureAt(CaptureDeviceEgress, pkt)
-
-	// Emulator NIC cost.
-	switch n.NIC {
-	case ModeSLIRP:
-		n.Clock.Advance(n.Model.SlirpPerPacket)
-	default:
-		n.Clock.Advance(n.Model.TapPerPacket)
-	}
-
-	cur := pkt
-	var d Delivery
-	gw := n.GatewayFor(pkt.Header.Src)
-	if !skipGateway && gw != nil && gw.Active() {
-		// Kernel→user-space→kernel hop for the queue reader.
-		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-		if gw.HasEnforcer() {
-			n.Clock.Advance(n.Model.EnforcerPerPacket)
-		}
-		if gw.HasSanitizer() {
-			n.Clock.Advance(n.Model.SanitizerPerPacket)
-		}
-		out, res, err := gw.Process(cur)
-		d.Enforcement = res
-		if err != nil || out == nil {
-			d.Stage = StageGateway
-			d.Latency = n.Clock.Now() - start
-			return d
-		}
-		cur = out
-	}
-	closed := n.serveOne(cur, &d)
-	// The response traverses the gateway's queue on the way back in
-	// (conntrack reinjection into the same NFQUEUE reader), where the
-	// response half of the connection's verdict state is enforced.
-	if d.Delivered && !skipGateway && gw != nil && gw.Active() {
-		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-		n.checkResponse(gw, pkt, &d)
-		if closed {
-			// Legacy-payload fallback only: a plain-HTTP connection
-			// announced its end via "Connection: close", so tear the
-			// flow's cached verdict down (the sanitized copy lost its
-			// tag, so the teardown keys on the original device-egress
-			// packet). Transport flows never reach here — the gateway's
-			// conntrack already handled their FIN/RST.
-			gw.CloseFlow(pkt)
-		}
-	}
-	d.Latency = n.Clock.Now() - start
-	return d
-}
-
-// serveOne is the post-gateway delivery tail shared by the scalar and
-// batch paths: post-gateway capture, route lookup, RFC 7126 border
-// filtering, wire/server virtual-time charges, and the application
-// response. Packets carrying a transport header are served through it —
-// HTTP requests out of TCP data segments (control segments deliver with
-// no response), UDP datagrams through the server's UDPHandler. Flow
-// lifecycle for those is the gateway conntrack's job, so connClosed is
-// always false for them. Legacy plain payloads keep the pre-transport
-// behaviour: the HTTP request is parsed straight out of the IPv4 payload
-// and connClosed reports its "Connection: close" — the fallback signal
-// the network still uses to tear down legacy flows.
-func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
+// serveOne is the post-gateway delivery tail: post-gateway capture, route
+// lookup, RFC 7126 border filtering, wire/server virtual-time charges, and
+// the application response — HTTP requests out of TCP data segments
+// (control segments deliver with no response), UDP datagrams through the
+// server's UDPHandler. Flow lifecycle is the gateway conntrack's job, not
+// the server's. A payload that is not a valid TCP segment or UDP datagram
+// still reaches the server's address and is delivered, but serves nothing.
+func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) {
 	n.captureAt(CapturePostGateway, cur)
 
 	n.mu.Lock()
@@ -447,32 +348,29 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
 	n.mu.Unlock()
 	if !ok {
 		d.Stage = StageNoRoute
-		return false
+		return
 	}
 
 	// RFC 7126 filtering on the public path.
 	if n.BorderFilterEnabled && !srv.Internal {
 		if ipv4.BorderFilter(cur) == ipv4.BorderDrop {
 			d.Stage = StageBorder
-			return false
+			return
 		}
 	}
 
 	n.Clock.Advance(n.Model.WireRTT / 2)
-	served := false
 	// PeekPorts is the structural test (first fragment; ports and flags
 	// this model emits) that decides whether the payload is read as a
 	// transport segment at all; the views then validate it in full,
 	// checksum included, before the payload is trusted. A segment that
-	// fails either falls back to the legacy parse below. Request and
-	// datagram alias cur.Payload, which nothing writes once emitted (see
-	// egressCopy).
+	// fails either serves nothing. Request and datagram alias cur.Payload,
+	// which nothing writes once emitted (see egressCopy).
 	h := &cur.Header
 	if _, _, ok := transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload); ok {
 		switch h.Protocol {
 		case ipv4.ProtoTCP:
 			if seg, err := transport.ViewTCP(cur.Payload); err == nil {
-				served = true
 				if len(seg.Payload) > 0 {
 					if req, err := httpsim.ParseRequest(seg.Payload); err == nil {
 						n.serveRequest(srv, req, d)
@@ -487,7 +385,6 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
 			}
 		case ipv4.ProtoUDP:
 			if dg, err := transport.ViewUDP(cur.Payload); err == nil {
-				served = true
 				n.chargeServer(srv, len(dg.Payload))
 				if srv.UDPHandler != nil {
 					d.Datagram = srv.UDPHandler(dg.Payload)
@@ -495,17 +392,8 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (connClosed bool) {
 			}
 		}
 	}
-	if !served {
-		// Legacy plain payload: HTTP straight in the IPv4 payload, flow
-		// teardown driven by the application-layer close announcement.
-		if req, err := httpsim.ParseRequest(cur.Payload); err == nil {
-			n.serveRequest(srv, req, d)
-			connClosed = !req.KeepAlive
-		}
-	}
 	n.Clock.Advance(n.Model.WireRTT / 2)
 	d.Delivered = true
-	return connClosed
 }
 
 // chargeServer advances server virtual time and counts one request of
@@ -545,7 +433,7 @@ func (n *Network) serveRequest(srv *Server, req *httpsim.Request, d *Delivery) {
 func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 	f := n.faults.Load()
 	if f == nil || len(pkts) == 0 {
-		return n.deliverBatchCore(pkts)
+		return n.deliverBatchCore(pkts, false)
 	}
 	out := make([]Delivery, len(pkts))
 	// Build the wire view: what the gateway-side of the link actually
@@ -582,7 +470,7 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 		}
 	}
 	n.Clock.Advance(delay)
-	res := n.deliverBatchCore(wire)
+	res := n.deliverBatchCore(wire, false)
 	for j, d := range res {
 		if origIdx[j] >= 0 {
 			out[origIdx[j]] = d
@@ -591,8 +479,17 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 	return out
 }
 
-// deliverBatchCore is the fault-free batch pipeline.
-func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
+// Deliver pushes one device-egress packet through NIC → gateway → border →
+// server, charging virtual time for each stage, and returns what happened.
+// It is a burst of one through DeliverBatch, so a packet's fate and its
+// charges do not depend on which of the two the caller used.
+func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
+	return n.DeliverBatch([]*ipv4.Packet{pkt})[0]
+}
+
+// deliverBatchCore is the fault-free pipeline; skipGateway models paths
+// (like the mobile carrier) that never touch the corporate perimeter.
+func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Delivery {
 	out := make([]Delivery, len(pkts))
 	if len(pkts) == 0 {
 		return out
@@ -617,7 +514,7 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
 	activeGateways := 0
 	for gi := range groups {
 		g := &groups[gi]
-		if g.gw == nil || !g.gw.Active() {
+		if skipGateway || g.gw == nil || !g.gw.Active() {
 			for _, i := range g.idx {
 				outcomes[i] = BatchOutcome{Out: pkts[i]}
 			}
@@ -646,14 +543,11 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
 			out[i].Stage = StageGateway
 			continue
 		}
-		if n.serveOne(o.Out, &out[i]) {
-			// Legacy-payload teardown, as on the scalar path, keyed on the
-			// still-tagged device-egress packet at its own gateway.
-			if gw := n.GatewayFor(pkts[i].Header.Src); gw != nil && gw.Active() {
-				gw.CloseFlow(pkts[i])
-			}
-		}
-		if out[i].Delivered && out[i].Response != nil {
+		n.serveOne(o.Out, &out[i])
+		// The response half of the connection's verdict state is enforced
+		// at the owning gateway, keyed off the still-tagged device-egress
+		// packet.
+		if out[i].Delivered && out[i].Response != nil && !skipGateway {
 			if gw := n.GatewayFor(pkts[i].Header.Src); gw != nil && gw.Active() {
 				n.checkResponse(gw, pkts[i], &out[i])
 			}
@@ -749,10 +643,10 @@ func respISN(k respKey) uint32 {
 
 // checkResponse synthesizes the server's reply as a wire segment on the
 // return path and runs it through the owning gateway's response-direction
-// verdict state. Only transport-era TCP requests have a modelled return
-// path; legacy plain payloads and UDP pass as before. A response the
-// gateway refuses (sequence-continuity violation — in practice only when
-// an injection is simulated) is removed from the delivery.
+// verdict state. Only TCP requests have a modelled return path; UDP
+// replies pass unchecked. A response the gateway refuses
+// (sequence-continuity violation — in practice only when an injection is
+// simulated) is removed from the delivery.
 func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, d *Delivery) {
 	if d.Response == nil {
 		return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/transport"
 )
 
@@ -44,8 +45,8 @@ func respPkt(flags byte, seq uint32, payload []byte) *ipv4.Packet {
 // so what it gets is continuity — the first observed response primes the
 // expected sequence number and a mid-stream segment that breaks it is
 // dropped under its own counted cause (ResponseSeqDrops, exported as
-// bp_dataplane_seq_injection_drops_total). Retransmissions of the next
-// expected segment keep passing.
+// bp_conntrack_responses_total{outcome="seq_drop"}). Retransmissions of
+// the next expected segment keep passing.
 func TestResponseSeqInjectionDropped(t *testing.T) {
 	ct := NewConntrack(nil)
 	ct.Observe(fwdPkt(transport.FlagSYN, 1, nil))
@@ -118,7 +119,8 @@ func TestResponseInTimeWaitAccepted(t *testing.T) {
 
 // TestGatewayProcessResponseDropsInjection exercises the gateway-level
 // wrapper: ProcessResponse reports false for the injected segment and the
-// drop shows up on the gateway's conntrack stats.
+// drop shows up on the gateway's conntrack stats and, in the registry, as
+// the seq_drop outcome of the conntrack's response family.
 func TestGatewayProcessResponseDropsInjection(t *testing.T) {
 	enf, _, _ := buildEnforcerAndDB(t)
 	gw := NewGateway(GatewayConfig{Enforcer: enf})
@@ -133,5 +135,10 @@ func TestGatewayProcessResponseDropsInjection(t *testing.T) {
 	}
 	if ct := gw.Conntrack(); ct.ResponseSeqDrops != 1 {
 		t.Fatalf("gateway seq drops = %d, want 1", ct.ResponseSeqDrops)
+	}
+	reg := metrics.NewRegistry()
+	gw.RegisterMetrics(reg)
+	if got := sumMetric(reg, "bp_conntrack_responses_total", metrics.L("outcome", "seq_drop")); got != 1 {
+		t.Fatalf(`bp_conntrack_responses_total{outcome="seq_drop"} = %v, want 1`, got)
 	}
 }

@@ -61,12 +61,12 @@ func (n *Network) DeliverRoute(pkt *ipv4.Packet, route Route) Delivery {
 	switch route {
 	case RouteVPN:
 		n.Clock.Advance(VPNPerPacket)
-		d = n.deliver(pkt, false)
+		d = n.Deliver(pkt)
 	case RouteMobile:
 		n.Clock.Advance(MobilePerPacket)
-		d = n.deliver(pkt, true)
+		d = n.deliverBatchCore([]*ipv4.Packet{pkt}, true)[0]
 	default:
-		d = n.deliver(pkt, false)
+		d = n.Deliver(pkt)
 	}
 	d.Latency = n.Clock.Now() - start
 	return d

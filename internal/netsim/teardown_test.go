@@ -5,67 +5,14 @@ import (
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
-	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
 )
 
-// keepAliveVariant rebuilds a tagged packet's payload with
-// "Connection: keep-alive", so the connection survives the response.
-func keepAliveVariant(t *testing.T, pkt *ipv4.Packet) *ipv4.Packet {
-	t.Helper()
-	req := &httpsim.Request{Method: "GET", Path: "/", Host: "example", KeepAlive: true}
-	out := pkt.Clone()
-	out.Payload = req.Marshal()
-	return out
-}
-
-// TestConnectionCloseTearsDownFlow is the explicit-teardown satellite: a
-// served "Connection: close" request must delete the flow's cached verdict
-// (flowtable.Delete via Gateway.CloseFlow), and the next packet of the
-// same flow must re-resolve through the full pipeline to the same verdict.
-func TestConnectionCloseTearsDownFlow(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
-	n := newStaticNetwork(ModeTAP, gw)
-
-	pkt := taggedPacket(t, apk, db, "sync") // "Connection: close" payload
-	d := n.Deliver(pkt)
-	if !d.Delivered {
-		t.Fatalf("first delivery failed: %+v", d)
-	}
-	st := flows.Stats()
-	if st.Live != 0 {
-		t.Fatalf("flow still cached after connection close: %+v", st)
-	}
-	if st.Misses != 1 || st.Inserts != 1 {
-		t.Fatalf("first delivery stats: %+v", st)
-	}
-
-	// The evicted flow re-resolves: a second connection on the same tuple
-	// pays the pipeline again and reaches the same verdict.
-	d2 := n.Deliver(pkt)
-	if !d2.Delivered {
-		t.Fatalf("re-resolved delivery failed: %+v", d2)
-	}
-	st = flows.Stats()
-	if st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("second delivery must re-resolve, stats: %+v", st)
-	}
-	if evals := enf.Engine().Stats().Evaluations; evals != 2 {
-		t.Fatalf("policy evaluations = %d, want 2 (one per connection)", evals)
-	}
-	if d2.Enforcement.Verdict != d.Enforcement.Verdict {
-		t.Fatalf("re-resolved verdict %v != original %v", d2.Enforcement.Verdict, d.Enforcement.Verdict)
-	}
-}
-
 // TestKeepAliveFlowSurvivesDelivery: the teardown must key on the
-// connection actually ending — keep-alive traffic stays cached and later
-// packets hit.
+// connection actually ending — data segments stay cached, whatever their
+// HTTP Connection header says, and later packets hit.
 func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
@@ -73,7 +20,7 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
 	n := newStaticNetwork(ModeTAP, gw)
 
-	pkt := keepAliveVariant(t, taggedPacket(t, apk, db, "sync"))
+	pkt := taggedPacket(t, apk, db, "sync") // "Connection: close" in a data segment
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("first delivery failed: %+v", d)
 	}
@@ -89,9 +36,9 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	}
 }
 
-// TestBatchDeliveryTearsDownClosedFlows: the batched path tears down too —
-// a burst of one single-request connection leaves no live flow, and a
-// fresh burst re-resolves.
+// TestBatchDeliveryTearsDownClosedFlows: a burst holding one whole
+// single-request connection (SYN, request, FIN) leaves no live flow, and
+// a fresh connection on the same tuple re-resolves.
 func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
@@ -99,8 +46,8 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2})
 	n := newStaticNetwork(ModeTAP, gw)
 
-	pkt := taggedPacket(t, apk, db, "sync")
-	burst := []*ipv4.Packet{pkt, pkt, pkt, pkt}
+	syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, "sync"), 40900, 1)
+	burst := []*ipv4.Packet{syn, data[0], fin}
 	for i, d := range n.DeliverBatch(burst) {
 		if !d.Delivered {
 			t.Fatalf("burst pkt %d dropped: %+v", i, d)
@@ -116,36 +63,5 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	}
 	if st := flows.Stats(); st.Misses != 2 {
 		t.Fatalf("each burst must re-resolve its flow once: %+v", st)
-	}
-}
-
-// TestCloseFlowGuards: CloseFlow is a safe no-op without an enforcer, a
-// flow cache, or a tag.
-func TestCloseFlowGuards(t *testing.T) {
-	gwNone := NewGateway(GatewayConfig{Passthrough: true})
-	if gwNone.CloseFlow(plainPacket(getRequest())) {
-		t.Fatal("CloseFlow without enforcer reported a removal")
-	}
-
-	enf0, apk, db := buildEnforcerAndDB(t) // no flow cache
-	gwNoCache := NewGateway(GatewayConfig{Enforcer: enf0})
-	if gwNoCache.CloseFlow(taggedPacket(t, apk, db, "sync")) {
-		t.Fatal("CloseFlow without flow cache reported a removal")
-	}
-
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 16})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf})
-	if gw.CloseFlow(plainPacket(getRequest())) {
-		t.Fatal("CloseFlow on an untagged packet reported a removal")
-	}
-	// And a real teardown reports true exactly once.
-	pkt := taggedPacket(t, apk, db, "sync")
-	enf.Process(pkt)
-	if !gw.CloseFlow(pkt) {
-		t.Fatal("CloseFlow missed a cached flow")
-	}
-	if gw.CloseFlow(pkt) {
-		t.Fatal("CloseFlow removed a flow twice")
 	}
 }

@@ -193,8 +193,8 @@ func (s *JavaSocket) Connect(remote netip.AddrPort) error {
 
 // Handshake emits the connection-opening SYN for a connected TCP socket
 // (tagged — the hooks have already run by the time Connect returns). It
-// returns (nil, nil) for UDP sockets and on kernels in legacy RawPayloads
-// mode, so callers can append the result unconditionally when non-nil.
+// returns (nil, nil) for UDP sockets, so callers can append the result
+// unconditionally when non-nil.
 func (s *JavaSocket) Handshake() (*ipv4.Packet, error) {
 	fd, err := s.liveFD()
 	if err != nil {

@@ -59,9 +59,8 @@ const (
 	FlagACK = 0x10
 
 	// flagMask is every flag this model emits. Peek rejects anything
-	// outside it, which is also what keeps legacy plain-HTTP payloads
-	// (ASCII bytes ≥ 0x20 in the flag position) from masquerading as
-	// segments.
+	// outside it, which is also what keeps bare application bytes (ASCII
+	// ≥ 0x20 in the flag position) from masquerading as segments.
 	flagMask = FlagFIN | FlagSYN | FlagRST | FlagPSH | FlagACK
 )
 
@@ -269,10 +268,10 @@ type Info struct {
 // Peek extracts transport Info from an IPv4 payload using structural
 // checks only — no checksum walk, no allocation. It reports false for
 // anything that does not look like a header this model emits, which in
-// particular covers legacy plain-HTTP payloads: their ASCII bytes fail
-// the data-offset/reserved-bits check (TCP) or the length-field check
-// (UDP), so callers fall back to treating the payload as opaque
-// application data. Ports must be nonzero — the kernel never binds port
+// particular covers bare plain-HTTP bytes: they fail the
+// data-offset/reserved-bits check (TCP) or the length-field check (UDP),
+// so callers treat the payload as opaque — never as ports, never as a
+// request. Ports must be nonzero — the kernel never binds port
 // 0, and requiring it rejects further junk.
 func Peek(proto byte, b []byte) (Info, bool) {
 	switch proto {

@@ -120,11 +120,11 @@ func TestPeekExtractsPortsAndFlags(t *testing.T) {
 	}
 }
 
-// TestPeekRejectsLegacyPayloads: plain HTTP riding directly in the IPv4
-// payload (the pre-transport wire format, kept as a fallback) must never
-// be mistaken for a TCP segment — flow keys would pick up garbage ports.
-func TestPeekRejectsLegacyPayloads(t *testing.T) {
-	legacy := [][]byte{
+// TestPeekRejectsBareHTTP: plain HTTP riding directly in the IPv4 payload
+// (no transport header) must never be mistaken for a TCP segment — flow
+// keys would pick up garbage ports.
+func TestPeekRejectsBareHTTP(t *testing.T) {
+	bare := [][]byte{
 		(&httpsim.Request{Method: "GET", Path: "/", Host: "example"}).Marshal(),
 		(&httpsim.Request{Method: "POST", Path: "/api/2.0/files/content", KeepAlive: true, Body: make([]byte, 512)}).Marshal(),
 		(&httpsim.Request{Method: "PUT", Path: "/2/files/upload", Body: make([]byte, 64)}).Marshal(),
@@ -132,12 +132,12 @@ func TestPeekRejectsLegacyPayloads(t *testing.T) {
 		[]byte("short"),
 		nil,
 	}
-	for i, payload := range legacy {
+	for i, payload := range bare {
 		if info, ok := Peek(ipv4.ProtoTCP, payload); ok {
-			t.Fatalf("legacy payload %d peeked as TCP: %+v", i, info)
+			t.Fatalf("bare payload %d peeked as TCP: %+v", i, info)
 		}
 		if info, ok := Peek(ipv4.ProtoUDP, payload); ok {
-			t.Fatalf("legacy payload %d peeked as UDP: %+v", i, info)
+			t.Fatalf("bare payload %d peeked as UDP: %+v", i, info)
 		}
 	}
 }
@@ -223,7 +223,7 @@ func TestPeekAllocFree(t *testing.T) {
 
 // TestPeekPortsMatchesPeek pins the hot-path port extractor to the full
 // structural peek: on every input shape — valid segments/datagrams,
-// legacy payloads, truncations, zero ports, wrong protocols — the two
+// bare HTTP bytes, truncations, zero ports, wrong protocols — the two
 // must agree on acceptance and on the extracted ports.
 func TestPeekPortsMatchesPeek(t *testing.T) {
 	inputs := [][]byte{
@@ -232,7 +232,7 @@ func TestPeekPortsMatchesPeek(t *testing.T) {
 		(&TCPSegment{SrcPort: 0, DstPort: 443, Flags: FlagSYN}).Marshal(),
 		(&UDPDatagram{SrcPort: 40002, DstPort: 53, Payload: []byte("q")}).Marshal(),
 		(&UDPDatagram{SrcPort: 40002, DstPort: 0}).Marshal(),
-		httpsimGET(), // legacy
+		httpsimGET(), // no transport header
 		[]byte("POST /x HTTP/1.1\r\n\r\n"),
 		[]byte("short"),
 		nil,
