@@ -4,16 +4,25 @@
 // reports network attachment, posture and location; here the virtual
 // android devices and netsim device pools feed the same interface.
 //
+// Invalidation is per device: the source keeps a fixed array of Stripes
+// version counters, a device's address hashes to one of them, and a change
+// to that device's context advances only its stripe. The enforcer folds
+// GenerationFor(src) into the generation it caches a verdict under, so a
+// roam invalidates the roaming device's cached verdicts (and those of the
+// few devices sharing its stripe — over-invalidation, never a stale
+// verdict) and leaves every other device's flows cached.
+//
 // Concurrency contract: Lookup runs on the enforcer's SYN/cache-miss path
-// under a read lock (never on the per-packet cache-hit path); the Set*
-// update methods take the write lock, publish the new state, and only then
-// bump the generation counter — mirroring policy.Engine.SetRules, so any
-// reader observing the new generation is guaranteed to see at least the
-// new context, and a verdict cached under the new generation can never
-// reflect the old context.
+// under a read lock (never on the per-packet cache-hit path, which reads
+// one stripe counter and takes no lock); every mutator takes the write
+// lock, publishes the new state, and only then bumps the device's stripe —
+// mirroring policy.Engine.SetRules, so any reader observing the new stripe
+// version is guaranteed to Lookup at least the new context, and a verdict
+// cached under the new version can never reflect the old context.
 package devctx
 
 import (
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"sync"
@@ -77,17 +86,44 @@ type deviceState struct {
 	locAt    time.Duration
 }
 
-// Source holds the current context of every known device and a generation
-// counter the enforcer folds into its flow-cache key: bumping it on any
-// context change invalidates every cached verdict, forcing re-evaluation
-// against the new context on the next packet of each flow.
+// Stripes is the number of version counters device addresses hash onto. It
+// is a constant, not a setting: a stripe shared by several devices only
+// costs those devices a re-evaluation when one of them changes, and 4,096
+// counters (32 KiB) keep that to a handful of devices in a fleet of tens
+// of thousands.
+const Stripes = 1 << stripeBits
+
+const stripeBits = 12
+
+// Stripe returns the index of the version counter addr's context changes
+// advance. Devices with equal Stripe invalidate together.
+func Stripe(addr netip.Addr) int {
+	var h uint64
+	if addr.Is4() { // the per-packet case; As16 costs four times as much
+		a := addr.As4()
+		h = uint64(binary.BigEndian.Uint32(a[:]))
+	} else {
+		b := addr.As16()
+		h = binary.BigEndian.Uint64(b[:8]) ^ binary.BigEndian.Uint64(b[8:])
+	}
+	// Fibonacci hashing: consecutive addresses (a DHCP pool) land on
+	// distinct stripes.
+	return int(h * 0x9e3779b97f4a7c15 >> (64 - stripeBits))
+}
+
+// Source holds the current context of every known device and, per stripe
+// of device addresses, a version counter the enforcer folds into its
+// flow-cache generation: a context change bumps the device's stripe, which
+// invalidates that device's cached verdicts and forces re-evaluation
+// against the new context on the next packet of each of its flows.
 type Source struct {
 	clock Clock
 
 	mu      sync.RWMutex
 	devices map[netip.Addr]*deviceState
 
-	gen           atomic.Uint64
+	gen           atomic.Uint64 // every effective change, for Stats and metrics
+	versions      [Stripes]atomic.Uint64
 	invalidations [causeCount]atomic.Uint64
 }
 
@@ -97,10 +133,17 @@ func NewSource(clock Clock) *Source {
 	return &Source{clock: clock, devices: make(map[netip.Addr]*deviceState)}
 }
 
-// Generation returns the context generation: the number of effective
-// context changes so far. The enforcer folds it into the combined
-// generation the flow table keys verdicts on.
+// Generation returns the number of effective context changes so far,
+// across all devices. Nothing is invalidated on it; see GenerationFor.
 func (s *Source) Generation() uint64 { return s.gen.Load() }
+
+// GenerationFor returns the version of addr's stripe: how many effective
+// context changes the devices on that stripe have had. The enforcer folds
+// it into the generation the flow table keys addr's verdicts on. One atomic
+// load — no lock, no map.
+func (s *Source) GenerationFor(addr netip.Addr) uint64 {
+	return s.versions[Stripe(addr)].Load()
+}
 
 // Lookup returns the device's current context snapshot. Unknown devices
 // report the zero DeviceContext — unknown network, the least trusted
@@ -134,12 +177,14 @@ func (s *Source) state(addr netip.Addr) *deviceState {
 	return st
 }
 
-// bump publishes an effective context change: the caller already wrote the
-// new state under s.mu; the generation bump makes it visible to the
-// enforcer's cache key. Per-cause counters feed the invalidation metrics.
-func (s *Source) bump(c Cause) {
+// bump publishes an effective change of addr's context: the caller already
+// wrote the new state and still holds s.mu; advancing addr's stripe makes
+// the change visible to the enforcer's cache generation. Per-cause counters
+// feed the invalidation metrics.
+func (s *Source) bump(addr netip.Addr, c Cause) {
 	s.invalidations[c].Add(1)
 	s.gen.Add(1)
+	s.versions[Stripe(addr)].Add(1)
 }
 
 // SetNetwork records the device's network trust class (SSID roam,
@@ -152,7 +197,7 @@ func (s *Source) SetNetwork(addr netip.Addr, class policy.NetworkClass) {
 		return
 	}
 	st.ctx.Network = class
-	s.bump(CauseNetwork)
+	s.bump(addr, CauseNetwork)
 }
 
 // SetScreenLocked records the device's screen-lock state.
@@ -164,7 +209,7 @@ func (s *Source) SetScreenLocked(addr netip.Addr, locked bool) {
 		return
 	}
 	st.ctx.ScreenLocked = locked
-	s.bump(CausePosture)
+	s.bump(addr, CausePosture)
 }
 
 // SetPatchAge records the age of the device's security patch level.
@@ -176,7 +221,7 @@ func (s *Source) SetPatchAge(addr netip.Addr, days int32) {
 		return
 	}
 	st.ctx.PatchAgeDays = days
-	s.bump(CausePosture)
+	s.bump(addr, CausePosture)
 }
 
 // ObserveLocation records a location fix and derives the apparent velocity
@@ -206,7 +251,7 @@ func (s *Source) ObserveLocation(addr netip.Addr, lat, lon float64) {
 		return
 	}
 	st.ctx.VelocityKmh = v
-	s.bump(CauseTravel)
+	s.bump(addr, CauseTravel)
 }
 
 // Provision replaces the device's whole context (initial enrollment or an
@@ -220,7 +265,7 @@ func (s *Source) Provision(addr netip.Addr, ctx policy.DeviceContext) {
 		return
 	}
 	st.ctx = ctx
-	s.bump(CauseProvision)
+	s.bump(addr, CauseProvision)
 }
 
 // Forget drops a device's context (un-enrollment). Counts as a provision
@@ -232,7 +277,7 @@ func (s *Source) Forget(addr netip.Addr) {
 		return
 	}
 	delete(s.devices, addr)
-	s.bump(CauseProvision)
+	s.bump(addr, CauseProvision)
 }
 
 // Stats is a snapshot of the source's counters.
@@ -261,7 +306,7 @@ func (s *Source) RegisterMetrics(r *metrics.Registry) {
 		"Devices with known context in the device-context source.",
 		func() float64 { return float64(s.Devices()) })
 	r.CounterFunc("bp_context_generation",
-		"Context generation: effective device-context changes so far.",
+		"Context generation: effective device-context changes so far, all devices.",
 		s.Generation)
 	for c := Cause(0); c < causeCount; c++ {
 		c := c

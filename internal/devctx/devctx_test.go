@@ -2,6 +2,7 @@ package devctx
 
 import (
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -157,4 +158,108 @@ func TestConcurrentUpdatesAndLookups(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// otherStripe returns an address near base whose stripe differs from
+// base's.
+func otherStripe(t *testing.T, base netip.Addr) netip.Addr {
+	t.Helper()
+	for a := base.Next(); a.IsValid(); a = a.Next() {
+		if Stripe(a) != Stripe(base) {
+			return a
+		}
+	}
+	t.Fatal("no address on another stripe")
+	return netip.Addr{}
+}
+
+func TestChangeBumpsOnlyTheDevicesStripe(t *testing.T) {
+	s := NewSource(nil)
+	other := otherStripe(t, dev)
+	s.SetNetwork(dev, policy.NetTrusted)
+	s.SetNetwork(dev, policy.NetTrusted) // no-op
+	s.SetPatchAge(dev, 30)
+	if g := s.GenerationFor(dev); g != 2 {
+		t.Fatalf("device stripe version = %d after two changes, want 2", g)
+	}
+	if g := s.GenerationFor(other); g != 0 {
+		t.Fatalf("bystander stripe version = %d, want 0", g)
+	}
+	s.Provision(other, policy.DeviceContext{Network: policy.NetCellular})
+	s.Forget(other)
+	if g, o := s.GenerationFor(dev), s.GenerationFor(other); g != 2 || o != 2 {
+		t.Fatalf("stripe versions = %d, %d, want 2, 2", g, o)
+	}
+	if g := s.Generation(); g != 4 {
+		t.Fatalf("global change count = %d, want 4", g)
+	}
+}
+
+// TestStripeSpreadsAPool: consecutive pool addresses must not pile onto a
+// few stripes, or one device's roam would re-evaluate a crowd.
+func TestStripeSpreadsAPool(t *testing.T) {
+	const devices = 4 * Stripes
+	var load [Stripes]int
+	a := netip.MustParseAddr("10.70.0.1")
+	for i := 0; i < devices; i++ {
+		load[Stripe(a)]++
+		a = a.Next()
+	}
+	for i, n := range load {
+		if n == 0 || n > 8 {
+			t.Fatalf("stripe %d holds %d of %d consecutive addresses, want about %d", i, n, devices, devices/Stripes)
+		}
+	}
+}
+
+// TestStripeVersionOrdersAfterState pins the ordering contract for every
+// mutator: a reader that sees the device's stripe version move must then
+// Lookup the new state, never the old (a verdict computed from the old
+// state would otherwise be cached under the new version and live on).
+func TestStripeVersionOrdersAfterState(t *testing.T) {
+	provisioned := policy.DeviceContext{Network: policy.NetCellular, PatchAgeDays: 9}
+	cases := []struct {
+		name   string
+		mutate func(s *Source)
+		isNew  func(ctx policy.DeviceContext, known bool) bool
+	}{
+		{"SetNetwork", func(s *Source) { s.SetNetwork(dev, policy.NetTrusted) },
+			func(ctx policy.DeviceContext, _ bool) bool { return ctx.Network == policy.NetTrusted }},
+		{"SetScreenLocked", func(s *Source) { s.SetScreenLocked(dev, true) },
+			func(ctx policy.DeviceContext, _ bool) bool { return ctx.ScreenLocked }},
+		{"SetPatchAge", func(s *Source) { s.SetPatchAge(dev, 77) },
+			func(ctx policy.DeviceContext, _ bool) bool { return ctx.PatchAgeDays == 77 }},
+		{"ObserveLocation", func(s *Source) { s.ObserveLocation(dev, 40.71, -74.01) },
+			func(ctx policy.DeviceContext, _ bool) bool { return ctx.VelocityKmh == MaxVelocityKmh }},
+		{"Provision", func(s *Source) { s.Provision(dev, provisioned) },
+			func(ctx policy.DeviceContext, _ bool) bool { return ctx == provisioned }},
+		{"Forget", func(s *Source) { s.Forget(dev) },
+			func(_ policy.DeviceContext, known bool) bool { return !known }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				s := NewSource(&fakeClock{})
+				s.SetNetwork(dev, policy.NetCellular)
+				s.ObserveLocation(dev, 52.52, 13.40) // a first fix, so the next one has a velocity
+				before := s.GenerationFor(dev)
+				var wg sync.WaitGroup
+				for r := 0; r < 3; r++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for s.GenerationFor(dev) == before {
+							runtime.Gosched()
+						}
+						if ctx, known := s.Lookup(dev); !tc.isNew(ctx, known) {
+							t.Errorf("round %d: stripe version moved but Lookup returned %+v known=%v", round, ctx, known)
+						}
+					}()
+				}
+				tc.mutate(s)
+				wg.Wait()
+			}
+		})
+	}
 }

@@ -8,6 +8,8 @@ import (
 
 	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 )
 
@@ -155,30 +157,132 @@ func TestTimeWindowViaVirtualClock(t *testing.T) {
 	}
 }
 
-// TestRacedContextFlipNoStaleVerdicts is the acceptance-criterion race
-// test: workers hammer Process on one flow while the device's network
-// trust class flips underneath them. The generation-ordering contract
-// (state published before the generation bump) means any evaluation that
-// observed the post-flip generation must reflect the post-flip context —
-// so, per worker, once a drop is observed no later packet may be allowed
-// (an allow after a drop would be a stale-context verdict served under the
-// new generation). Run under -race this also pins the Source's
-// synchronization.
-func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
+// poolPackets returns one packet per device: the "download" flow of the
+// test app from n consecutive source addresses starting at deviceAddr.
+func poolPackets(t *testing.T, e *Enforcer, n int) []*ipv4.Packet {
+	t.Helper()
+	template := mkPacket(t, testAPK(), e.db, "download")
+	pkts := make([]*ipv4.Packet, n)
+	src := deviceAddr
+	for i := range pkts {
+		pkts[i] = template.Clone()
+		pkts[i].Header.Src = src
+		src = src.Next()
+	}
+	return pkts
+}
+
+// flowCounter reads one bp_flowtable_* series off a registry.
+func flowCounter(t *testing.T, reg *metrics.Registry, name string) uint64 {
+	t.Helper()
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == name {
+			return uint64(smp.Value)
+		}
+	}
+	t.Fatalf("metric %s not registered", name)
+	return 0
+}
+
+// TestContextFlipInvalidatesOnlyThatDevice: a device's context change
+// moves its own stripe of the cache generation. Its next packet
+// re-evaluates under the new context; a device on another stripe keeps its
+// cached verdict (a flow-table hit, no stale drop); a device that shares
+// the stripe may be re-evaluated too — over-invalidation is the price of
+// striping — but is never served a verdict it should not get.
+func TestContextFlipInvalidatesOnlyThatDevice(t *testing.T) {
 	src := devctx.NewSource(nil)
-	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	cfg := Config{
 		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
 		Context: src,
 	}
-	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
+	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
 {[risk][network]["unknown"][100]}
 {[threshold][block][100]}
 `), policy.VerdictAllow)
-	pkt := mkPacket(t, apk, db, "download")
+	reg := metrics.NewRegistry()
+	e.RegisterMetrics(reg)
 
-	if res := e.Process(pkt); res.Verdict != policy.VerdictAllow {
-		t.Fatalf("pre-flip flow dropped: %+v", res)
+	// Device A, a bystander B on another stripe, and a neighbour C that
+	// shares A's stripe (4× Stripes consecutive addresses hold several).
+	pkts := poolPackets(t, e, 4*devctx.Stripes)
+	a := pkts[0]
+	stripe := devctx.Stripe(a.Header.Src)
+	var b, c *ipv4.Packet
+	for _, p := range pkts[1:] {
+		same := devctx.Stripe(p.Header.Src) == stripe
+		if same && c == nil {
+			c = p
+		} else if !same && b == nil {
+			b = p
+		}
+	}
+	if b == nil || c == nil {
+		t.Fatal("address pool yields no bystander or no stripe neighbour")
+	}
+	for _, p := range []*ipv4.Packet{a, b, c} {
+		src.SetNetwork(p.Header.Src, policy.NetTrusted)
+		if res := e.Process(p); res.Verdict != policy.VerdictAllow {
+			t.Fatalf("trusted device %v dropped: %+v", p.Header.Src, res)
+		}
+	}
+
+	src.SetNetwork(a.Header.Src, policy.NetUnknown)
+	hits, stale := flowCounter(t, reg, "bp_flowtable_hits_total"), flowCounter(t, reg, "bp_flowtable_stale_drops_total")
+
+	if res := e.Process(b); res.Verdict != policy.VerdictAllow {
+		t.Fatalf("bystander dropped: %+v", res)
+	}
+	if h, s := flowCounter(t, reg, "bp_flowtable_hits_total"), flowCounter(t, reg, "bp_flowtable_stale_drops_total"); h != hits+1 || s != stale {
+		t.Fatalf("bystander's packet: hits %d→%d, stale drops %d→%d; want a hit and no stale drop", hits, h, stale, s)
+	}
+	if res := e.Process(a); res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
+		t.Fatalf("flipped device's packet: %+v", res)
+	}
+	if s := flowCounter(t, reg, "bp_flowtable_stale_drops_total"); s != stale+1 {
+		t.Fatalf("stale drops %d→%d after the flipped device's packet, want one", stale, s)
+	}
+	// The stripe neighbour is still trusted: whether its entry was
+	// invalidated or not, the verdict it gets is its own.
+	if res := e.Process(c); res.Verdict != policy.VerdictAllow {
+		t.Fatalf("stripe neighbour got the flipped device's verdict: %+v", res)
+	}
+	// And the neighbour's own flip is honoured on its next packet.
+	src.SetNetwork(c.Header.Src, policy.NetUnknown)
+	if res := e.Process(c); res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
+		t.Fatalf("stripe neighbour after its own flip: %+v", res)
+	}
+	if res := e.Process(a); res.Verdict != policy.VerdictDrop {
+		t.Fatalf("flipped device re-admitted by its neighbour's change: %+v", res)
+	}
+}
+
+// TestRacedContextFlipNoStaleVerdicts is the acceptance-criterion race
+// test: workers hammer Process on the cached flows of a device population
+// while every device's network trust class flips underneath them, one
+// device after another. The ordering contract (state published before the
+// device's stripe version moves) means any evaluation that observed the
+// post-flip version must reflect the post-flip context — so, per worker
+// and device, once a drop is observed no later packet may be allowed (an
+// allow after a drop would be a stale-context verdict served under the new
+// version). Run under -race this also pins the Source's synchronization.
+func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
+	const devices = 96
+	src := devctx.NewSource(nil)
+	cfg := Config{
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Context: src,
+	}
+	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
+{[risk][network]["unknown"][100]}
+{[threshold][block][100]}
+`), policy.VerdictAllow)
+	pkts := poolPackets(t, e, devices)
+	for _, pkt := range pkts {
+		src.SetNetwork(pkt.Header.Src, policy.NetTrusted)
+		if res := e.Process(pkt); res.Verdict != policy.VerdictAllow {
+			t.Fatalf("pre-flip flow dropped: %+v", res)
+		}
 	}
 
 	const workers = 4
@@ -193,30 +297,38 @@ func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dropped := false
+			var dropped [devices]bool
 			for {
+				for d, pkt := range pkts {
+					switch e.Process(pkt).Verdict {
+					case policy.VerdictDrop:
+						dropped[d] = true
+						drops[w]++
+					case policy.VerdictAllow:
+						if dropped[d] {
+							violations[w]++ // stale allow after a new-version drop
+						}
+					}
+				}
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				res := e.Process(pkt)
-				switch res.Verdict {
-				case policy.VerdictDrop:
-					dropped = true
-					drops[w]++
-				case policy.VerdictAllow:
-					if dropped {
-						violations[w]++ // stale allow after a new-gen drop
-					}
-				}
 			}
 		}()
 	}
 
-	// Let the workers soak the cache-hit path, then flip.
+	// Let the workers soak the cache-hit path, then flip every device
+	// while they keep reading; a pass of reads between two flips spreads
+	// the flips over the workers' run without handing the processor over.
 	time.Sleep(5 * time.Millisecond)
-	src.SetNetwork(deviceAddr, policy.NetUnknown)
+	for _, pkt := range pkts {
+		src.SetNetwork(pkt.Header.Src, policy.NetUnknown)
+		for _, other := range pkts {
+			e.Process(other)
+		}
+	}
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -224,16 +336,18 @@ func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
 	totalDrops := 0
 	for w := 0; w < workers; w++ {
 		if violations[w] != 0 {
-			t.Fatalf("worker %d saw %d stale allows after observing the flip", w, violations[w])
+			t.Fatalf("worker %d saw %d stale allows after observing a flip", w, violations[w])
 		}
 		totalDrops += drops[w]
 	}
 	if totalDrops == 0 {
-		t.Fatal("no worker ever observed the flipped context")
+		t.Fatal("no worker ever observed a flipped context")
 	}
-	// And the settled state must drop.
-	if res := e.Process(pkt); res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
-		t.Fatalf("settled post-flip verdict: %+v", res)
+	// And the settled state must drop, for every device.
+	for _, pkt := range pkts {
+		if res := e.Process(pkt); res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
+			t.Fatalf("settled post-flip verdict for %v: %+v", pkt.Header.Src, res)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@
 // extract–decode–evaluate pipeline, and every later packet is answered by
 // a single flow-table probe keyed on the raw tag bytes — no tag decode,
 // no stack decode, no policy evaluation. Cached verdicts self-invalidate
-// when the policy engine or the signature database changes (generation
-// counters), so the fast path can never serve a pre-reconfiguration
-// decision.
+// when the policy engine, the signature database or the source device's
+// context changes (generation counters), so the fast path can never serve
+// a pre-reconfiguration decision.
 package enforcer
 
 import (
@@ -81,9 +81,10 @@ type Config struct {
 	// (nil disables the contextual dimension). It is consulted only on the
 	// SYN/cache-miss path — and only when the loaded rule set actually
 	// carries risk rules — so the per-packet cache-hit path never touches
-	// it. Its generation is folded into the flow-cache generation, so a
-	// device-context change invalidates cached verdicts the same way a
-	// policy swap does.
+	// it beyond one atomic load: the version of the source device's stripe
+	// is folded into the flow-cache generation, so a device-context change
+	// invalidates that device's cached verdicts — the way a policy swap
+	// invalidates everyone's — and leaves the other devices' flows cached.
 	Context *devctx.Source
 	// Clock supplies virtual time for the risk program's time-of-day and
 	// weekday predicates (nil pins them to Monday 00:00).
@@ -287,20 +288,23 @@ func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 func (e *Enforcer) FlowCacheEnabled() bool { return e.flows != nil }
 
 // generation combines the policy engine's, the signature database's and —
-// when configured — the device-context source's mutation counters into the
-// cache generation: a change to any of the three invalidates every cached
-// verdict. The layout is db<<42 | engine<<21 | context: the engine and
-// context counters keep their low 21 bits each, the database counter the
-// 22 bits above them. A field aliases only when its counter advances by an
+// when configured — the packet's source device's context version into the
+// cache generation. A policy swap or a database mutation invalidates every
+// cached verdict; a device-context change invalidates the verdicts of the
+// devices on that device's stripe (devctx.Stripe) and nobody else's. The
+// layout is db<<42 | engine<<21 | context: the engine counter and the
+// stripe version keep their low 21 bits each, the database counter the 22
+// bits above them. A field aliases only when its counter advances by an
 // exact multiple of its wrap bound — 2²¹ (~2M) policy swaps, 2²¹ context
-// changes or 2²² (~4M) database mutations — between two packets of one
-// cached flow while the other two fields stand still, which cannot happen
-// in a deployment's lifetime. Reading the context generation is one extra
-// atomic load on the per-packet path (~1 ns).
-func (e *Enforcer) generation() uint64 {
+// changes on one stripe or 2²² (~4M) database mutations — between two
+// packets of one cached flow while the other two fields stand still, which
+// cannot happen in a deployment's lifetime. Reading the stripe version is
+// an address hash and one atomic load on the per-packet path — no lock, no
+// map.
+func (e *Enforcer) generation(pkt *ipv4.Packet) uint64 {
 	g := e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21
 	if e.ctxSrc != nil {
-		g |= e.ctxSrc.Generation() & 0x1fffff
+		g |= e.ctxSrc.GenerationFor(pkt.Header.Src) & 0x1fffff
 	}
 	return g
 }
@@ -400,7 +404,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
 	// is read before the probe (and before any evaluation) so that a
 	// concurrent SetRules/AddEntry makes the inserted entry stale rather
 	// than letting a pre-update verdict survive under the new generation.
-	gen := e.generation()
+	gen := e.generation(pkt)
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
 		return e.timedEvaluate(pkt, opt.Data)
@@ -644,23 +648,8 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterHistogram("bp_enforcer_batch_packets",
 		"Packets per ProcessBatch burst.", e.ins.batchPackets)
 
-	if fl := e.flows; fl != nil {
-		r.CounterFunc("bp_flowtable_hits_total", "Flow-cache lookups answered without decoding.",
-			func() uint64 { return fl.Stats().Hits })
-		r.CounterFunc("bp_flowtable_misses_total", "Flow-cache lookups that paid the full pipeline.",
-			func() uint64 { return fl.Stats().Misses })
-		r.CounterFunc("bp_flowtable_inserts_total", "Flow-cache entries inserted.",
-			func() uint64 { return fl.Stats().Inserts })
-		r.CounterFunc("bp_flowtable_evictions_total", "Flows evicted under capacity pressure.",
-			func() uint64 { return fl.Stats().Evictions })
-		r.CounterFunc("bp_flowtable_stale_drops_total", "Cached verdicts invalidated by a generation change.",
-			func() uint64 { return fl.Stats().StaleDrops })
-		r.CounterFunc("bp_flowtable_expired_drops_total", "Cached verdicts expired by TTL.",
-			func() uint64 { return fl.Stats().ExpiredDrops })
-		r.CounterFunc("bp_flowtable_admission_drops_total", "Inserts refused by the negative-cache admission guard.",
-			func() uint64 { return fl.Stats().AdmissionDrops })
-		r.GaugeFunc("bp_flowtable_live", "Flows currently cached.",
-			func() float64 { return float64(fl.Stats().Live) })
+	if e.flows != nil {
+		e.flows.RegisterMetrics(r)
 	}
 
 	eng := e.engine

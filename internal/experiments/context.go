@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/apkgen"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
@@ -18,8 +19,9 @@ import (
 // This file implements the contextual-policy experiment: risk-scored
 // contextual predicates (network trust class, posture, impossible travel)
 // enforced over a pooled device population, a mid-run context flip that
-// must invalidate every affected cached verdict with zero stale allows,
-// and a cache-hit latency measurement proving the contextual dimension
+// must invalidate every affected cached verdict with zero stale allows —
+// and nobody else's, beyond the flipped device's stripe — and a cache-hit
+// latency measurement proving the contextual dimension
 // rides the ~100 ns verdict cache for free. Machine-readable output goes
 // to BENCH_context.json.
 
@@ -79,6 +81,16 @@ type ContextScenarioReport struct {
 	Dropped     int `json:"dropped"`
 }
 
+// ContextFlipReport is one device's mid-run flip, seen from the other
+// devices: how many of them had a cached verdict re-evaluated because of
+// it, against how many share the flipped device's stripe (devctx.Stripe)
+// and so may be.
+type ContextFlipReport struct {
+	Device                 string `json:"device"`
+	StripeMates            int    `json:"stripe_mates"`
+	BystanderReevaluations int    `json:"bystander_reevaluations"`
+}
+
 // ContextBenchResult reports the contextual-policy experiment. Check
 // asserts its invariants.
 type ContextBenchResult struct {
@@ -101,6 +113,11 @@ type ContextBenchResult struct {
 	FlippedDevices int `json:"flipped_devices"`
 	StaleAllows    int `json:"stale_allows"`
 	PostFlipDrops  int `json:"post_flip_drops"`
+	// Flips lists each flip's effect on the other devices' cached flows;
+	// BystanderReevaluations is their sum (zero while no two devices of
+	// the population share a stripe).
+	Flips                  []ContextFlipReport `json:"flips"`
+	BystanderReevaluations int                 `json:"bystander_reevaluations"`
 	// StaleDrops is the flow table's count of generation-mismatch
 	// invalidations observed during the run.
 	StaleDrops uint64 `json:"stale_drops"`
@@ -123,8 +140,8 @@ func (r *ContextBenchResult) Format() string {
 	}
 	fmt.Fprintf(&b, "risk: %d evaluations, %d warns, %d blocks\n", r.RiskEvaluations, r.RiskWarns, r.RiskBlocks)
 	fmt.Fprintf(&b, "context: generation %d, invalidations %v\n", r.ContextGeneration, r.Invalidations)
-	fmt.Fprintf(&b, "flip: %d devices flipped, %d stale allows, %d re-evaluated drops, %d stale invalidations\n",
-		r.FlippedDevices, r.StaleAllows, r.PostFlipDrops, r.StaleDrops)
+	fmt.Fprintf(&b, "flip: %d devices flipped, %d stale allows, %d re-evaluated drops, %d bystander re-evaluations, %d stale invalidations\n",
+		r.FlippedDevices, r.StaleAllows, r.PostFlipDrops, r.BystanderReevaluations, r.StaleDrops)
 	fmt.Fprintf(&b, "cache hit with context: %.1f ns/op over %d packets (%d hits, %d misses)\n",
 		r.CacheHitNsPerOp, r.CacheHitPackets, r.FlowHits, r.FlowMisses)
 	return b.String()
@@ -170,6 +187,12 @@ func (r *ContextBenchResult) Check() error {
 	}
 	if r.PostFlipDrops != r.FlippedDevices {
 		return fmt.Errorf("context: %d/%d flipped devices re-evaluated to drop", r.PostFlipDrops, r.FlippedDevices)
+	}
+	for _, f := range r.Flips {
+		if f.BystanderReevaluations > f.StripeMates {
+			return fmt.Errorf("context: flipping %s re-evaluated %d other devices' flows, %d share its stripe",
+				f.Device, f.BystanderReevaluations, f.StripeMates)
+		}
 	}
 	if r.StaleDrops == 0 {
 		return fmt.Errorf("context: flow table recorded no stale-generation invalidations")
@@ -322,7 +345,10 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 	// Phase 3: the mid-run flip. Every trusted device except the hot one
 	// roams to an unknown network and teleports (60 + 130 ≥ block): its
 	// cached allow must die on the very next packet, with zero stale
-	// allows in between.
+	// allows in between — and every other device's cached verdict must
+	// still be served from the cache, unless it shares the flipped
+	// device's stripe.
+	last := func(i int) *ipv4.Packet { return perDevice[i][len(perDevice[i])-1] }
 	for i := 0; i < cfg.Devices; i++ {
 		if scenarioOf(i) != scenarioTrusted || i == 0 {
 			continue
@@ -331,13 +357,28 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 		pool.ObserveLocation(i, 52.52, 13.40)
 		pool.ObserveLocation(i, 35.68, 139.69) // Tokyo, same instant
 		res.FlippedDevices++
-		out := tb.Enforcer.Process(perDevice[i][len(perDevice[i])-1])
+		out := tb.Enforcer.Process(last(i))
 		switch out.Verdict {
 		case policy.VerdictAllow:
 			res.StaleAllows++
 		case policy.VerdictDrop:
 			res.PostFlipDrops++
 		}
+		flip := ContextFlipReport{Device: pool.Addr(i).String()}
+		stripe := devctx.Stripe(pool.Addr(i))
+		before := tb.Enforcer.Stats().Flow.Misses
+		for j := 0; j < cfg.Devices; j++ {
+			if j == i {
+				continue
+			}
+			if devctx.Stripe(pool.Addr(j)) == stripe {
+				flip.StripeMates++
+			}
+			tb.Enforcer.Process(last(j))
+		}
+		flip.BystanderReevaluations = int(tb.Enforcer.Stats().Flow.Misses - before)
+		res.BystanderReevaluations += flip.BystanderReevaluations
+		res.Flips = append(res.Flips, flip)
 	}
 
 	st := tb.Enforcer.Stats()

@@ -27,6 +27,17 @@ func TestRunContextSmoke(t *testing.T) {
 	if res.FlippedDevices != 3 {
 		t.Fatalf("flipped %d devices, want 3", res.FlippedDevices)
 	}
+	// 16 consecutive pool addresses share no stripe, so no flip may touch
+	// another device's cached flow — and Check must object if one does.
+	if len(res.Flips) != 3 || res.BystanderReevaluations != 0 {
+		t.Fatalf("flips = %+v, bystander re-evaluations = %d, want 3 flips and 0", res.Flips, res.BystanderReevaluations)
+	}
+	over := *res
+	over.Flips = append([]ContextFlipReport(nil), res.Flips...)
+	over.Flips[1].BystanderReevaluations = over.Flips[1].StripeMates + 1
+	if err := over.Check(); err == nil {
+		t.Fatal("Check accepted a flip that re-evaluated more than its stripe")
+	}
 	if res.Format() == "" {
 		t.Fatal("empty Format")
 	}

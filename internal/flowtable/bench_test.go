@@ -68,10 +68,42 @@ func BenchmarkFlowDigest(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowInsertStaleChurn is the invalidation-heavy fill: the table
+// is full, the generation moves before every refill, and a refill is half
+// flows cached under the old generation coming back (stale probe, release,
+// re-insert into the freed slot) and half flows never seen before
+// (eviction). It must stay within 1.5x of BenchmarkFlowMissFlood: released
+// slots are reused at once, so invalidation leaves nothing behind for the
+// eviction sample to step over.
+func BenchmarkFlowInsertStaleChurn(b *testing.B) {
+	tb := New[uint64](Config{Capacity: 1024})
+	old := make([]Key, 1024)
+	for i := range old {
+		old[i] = key(i)
+		tb.Insert(old[i], 1, uint64(i))
+	}
+	gen := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(old) == 0 {
+			gen++
+		}
+		k := old[i%len(old)]
+		if i%2 == 1 {
+			k = floodKey(uint64(1_000_000 + i))
+		}
+		if _, ok := tb.Lookup(k, gen); ok {
+			b.Fatal("verdict served across a generation move")
+		}
+		tb.Insert(k, gen, uint64(i))
+	}
+}
+
 // BenchmarkFlowMissFlood is the unique-flow-flood worst case WITHOUT the
 // negative cache: every insert lands on a full shard and pays the
-// eviction sample + entry allocation (the ~2.6 µs miss path flagged in
-// PERFORMANCE.md PR 2, isolated here to the table's share of it).
+// eviction sample and the slot write (the table's share of the fill path
+// BenchmarkProcessFlowMiss measures end to end).
 func BenchmarkFlowMissFlood(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 1024})
 	for i := 0; i < 1024; i++ {

@@ -13,7 +13,7 @@
 // protocol — and the raw tag bytes themselves — which begin with the
 // app's truncated hash — pinned verbatim in the key, with a 64-bit digest
 // of them for indexing.
-// Internally each shard maps a 64-bit mix of the whole Key to its entry,
+// Internally each shard maps a 64-bit mix of the whole Key to its slot,
 // and every probe verifies the full stored Key — including the exact tag
 // bytes — so a digest or hash collision between different flows can only
 // cause an extra miss or an overwrite (cache churn), never a wrong
@@ -27,20 +27,24 @@
 // Entries never serve stale policy: every entry records the generation
 // number the caller observed when it evaluated the flow, and Lookup
 // requires an exact generation match. The enforcer derives its generation
-// from atomic counters bumped by policy.Engine.SetRules and
-// analyzer.Database mutations, so a central reconfiguration or a newly
-// provisioned app invalidates every cached verdict at the cost of one
+// from atomic counters bumped by policy.Engine.SetRules, analyzer.Database
+// mutations and, per stripe of device addresses, devctx.Source changes: a
+// reconfiguration or a newly provisioned app invalidates every cached
+// verdict, a device's context change that device's, at the cost of one
 // integer comparison per lookup — no callbacks, no sweeps, no locks.
-// Stale entries are deleted on discovery and re-evaluated as misses.
+// Stale entries are released on discovery and re-evaluated as misses.
 //
 // # Eviction
 //
-// The table is bounded: Capacity is split evenly across Shards, and an
-// insert into a full shard reclaims expired entries first, then evicts
-// the least recently used of a small sample (approximate LRU, so insert
-// stays O(1) under sustained flow churn). When a Clock is configured,
-// entries also carry a TTL in virtual time, so dead flows age out even
-// without capacity pressure.
+// The table is bounded: Capacity is split evenly across Shards. A shard
+// keeps its entries by value in one slab with a free list, so a fill
+// allocates nothing and a slot released by invalidation, expiry or
+// teardown is the next one claimed. An insert into a full shard samples
+// evictSamples slots from a rotating hand, reclaims the expired ones, else
+// evicts the least recently used of the sample (approximate LRU: O(1), and
+// deterministic — no random source, no map order). With a Clock, entries
+// also carry a TTL in virtual time counted from insertion, so dead flows
+// age out even without capacity pressure.
 //
 // All counters are atomic; Lookup takes only one shard RLock, so parallel
 // readers on different flows share nothing but their shard stripe.
@@ -48,6 +52,7 @@ package flowtable
 
 import (
 	"encoding/binary"
+	"math"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -169,9 +174,9 @@ type Config struct {
 	// MissRing sizes the per-shard negative cache guarding admission under
 	// capacity pressure (0 disables it). A unique-flow flood — a SYN flood
 	// of crafted tags is the worst case — otherwise turns every insert
-	// into an eviction-sample-plus-insert on a full shard (~2.6 µs per
-	// miss measured under 100% eviction pressure) and churns established
-	// flows out of the cache. With the guard, an insert into a full shard
+	// into an eviction sample plus a slot write on a full shard (~0.25 µs
+	// of table work per miss, BenchmarkFlowMissFlood) and, worse, churns
+	// established flows out of the cache. With the guard, an insert into a full shard
 	// must present a key whose digest was recently rejected once: the
 	// first attempt only notes the digest in a small ring and returns, so
 	// one-packet flood flows never allocate an entry, never evict a live
@@ -205,34 +210,33 @@ type Stats struct {
 	Live int
 }
 
-// entry is one cached flow. lastUsed is atomic so hits under the shard
-// RLock can refresh recency without upgrading to a write lock; h and dead
-// are only touched under the shard's write lock (dead marks entries
-// removed from the map so ring sampling skips them without a probe).
-type entry[V any] struct {
+// slot is one cell of a shard's slab: a cached flow, or a link in the free
+// list. lastUsed is atomic so hits under the shard RLock can refresh recency
+// without a write lock; the other fields change only under the write lock.
+type slot[V any] struct {
 	key      Key
 	val      V
 	h        uint64
 	gen      uint64
 	born     time.Duration
-	dead     bool
 	lastUsed atomic.Int64
+	// live marks a slot that holds a flow. A free slot's next is the rest
+	// of the free list (slot index + 1; 0 ends it).
+	live bool
+	next uint32
 }
 
 type shard[V any] struct {
 	mu sync.RWMutex
-	// entries is keyed by the full 64-bit Key.hash(); entry.key resolves
-	// collisions (verified on every probe).
-	entries map[uint64]*entry[V]
-	// ring holds the most recently inserted entries (bounded by the shard
-	// capacity): the eviction candidate pool. Sampling it instead of
-	// ranging over the map keeps insert-under-pressure O(1) regardless of
-	// shard size, and holding entry pointers (not hashes) makes each
-	// sample a pointer read instead of a map probe.
-	ring    []*entry[V]
-	ringPos int
-	// rng is the shard's xorshift state for picking the sample window.
-	rng uint64
+	// index maps the full 64-bit Key.hash() to the flow's slot; slot.key
+	// resolves collisions (verified on every probe). Pointer-free, so the
+	// garbage collector never scans it.
+	index map[uint64]uint32
+	// slots holds the shard's entries by value; a released slot goes on the
+	// free list and is the next one claimed, so a fill allocates nothing.
+	slots []slot[V]
+	free  uint32 // head of the free list: slot index + 1, 0 = empty
+	hand  uint32 // where the next eviction sample starts
 	// missRing is the shard's negative cache: hashes of keys recently
 	// refused admission under capacity pressure (0 = empty slot). A key
 	// found here on its next insert attempt is admitted — the doorkeeper
@@ -260,15 +264,12 @@ func (s *shard[V]) sawRecentMiss(h uint64) bool {
 // oldest slot. Caller holds the shard's write lock.
 func (s *shard[V]) noteMiss(h uint64) {
 	s.missRing[s.missPos] = h
-	s.missPos++
-	if s.missPos == len(s.missRing) {
-		s.missPos = 0
-	}
+	s.missPos = (s.missPos + 1) % len(s.missRing)
 }
 
 // evictSamples bounds the eviction scan: reclaim expired entries among a
-// sample of live candidates, else evict the least recently used of the
-// sample (approximate LRU).
+// sample of slots, else evict the least recently used of the sample
+// (approximate LRU).
 const evictSamples = 8
 
 // Table is a sharded per-flow cache of V (the enforcer caches its Result).
@@ -281,6 +282,7 @@ type Table[V any] struct {
 	perShardCap int
 
 	tick atomic.Int64 // recency source when clock is nil
+	live atomic.Int64 // slots holding a flow, across all shards
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
@@ -306,10 +308,7 @@ func New[V any](cfg Config) *Table[V] {
 	for p < n {
 		p <<= 1
 	}
-	per := capacity / p
-	if per < 1 {
-		per = 1
-	}
+	per := max(capacity/p, 1)
 	t := &Table[V]{
 		shards:      make([]shard[V], p),
 		mask:        uint64(p - 1),
@@ -321,8 +320,7 @@ func New[V any](cfg Config) *Table[V] {
 		t.ttl = 0 // TTL needs a time source
 	}
 	for i := range t.shards {
-		t.shards[i].entries = make(map[uint64]*entry[V], per)
-		t.shards[i].rng = uint64(i)*0x9e3779b97f4a7c15 + 1
+		t.shards[i].index = make(map[uint64]uint32, per)
 		if cfg.MissRing > 0 {
 			t.shards[i].missRing = make([]uint64, cfg.MissRing)
 		}
@@ -349,38 +347,80 @@ func (t *Table[V]) readNow() time.Duration {
 	return time.Duration(t.tick.Load() + 1)
 }
 
+// claim returns a free slot of s and counts it live: the head of the free
+// list, else the next cell of the slab, which doubles until it spans the
+// shard's capacity. Caller holds s.mu with the shard below capacity.
+func (t *Table[V]) claim(s *shard[V]) uint32 {
+	t.live.Add(1)
+	if s.free != 0 {
+		i := s.free - 1
+		s.free = s.slots[i].next
+		return i
+	}
+	i := len(s.slots)
+	if i == cap(s.slots) {
+		grown := make([]slot[V], i, min(max(2*i, evictSamples), t.perShardCap))
+		copy(grown, s.slots)
+		s.slots = grown
+	}
+	s.slots = s.slots[:i+1]
+	return uint32(i)
+}
+
+// release unmaps slot i of s and puts it on the free list; the value is
+// zeroed so a freed slot pins nothing. Caller holds s.mu.
+func (t *Table[V]) release(s *shard[V], i uint32) {
+	e := &s.slots[i]
+	delete(s.index, e.h)
+	var zero V
+	e.val = zero
+	e.live = false
+	e.next = s.free
+	s.free = i + 1
+	t.live.Add(-1)
+}
+
 // Lookup returns the cached value for k if it exists, carries the caller's
 // current generation, and has not expired. A stale or expired entry is
-// deleted and reported as a miss, so the caller re-evaluates and
+// released and reported as a miss, so the caller re-evaluates and
 // re-inserts under the current generation.
 func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.readNow()
+	var egen uint64
+	var born time.Duration
 	s.mu.RLock()
-	e, ok := s.entries[h]
-	if ok && e.key == k && e.gen == gen && (t.ttl <= 0 || now-e.born <= t.ttl) {
-		// Refresh recency, but skip the store when the timestamp has not
-		// moved: repeated hits on a hot flow then leave the entry's cache
-		// line clean for the other cores.
-		if e.lastUsed.Load() != int64(now) {
-			e.lastUsed.Store(int64(now))
+	i, ok := s.index[h]
+	if ok {
+		e := &s.slots[i]
+		if e.key != k {
+			ok = false
+		} else if egen, born = e.gen, e.born; egen == gen && (t.ttl <= 0 || now-born <= t.ttl) {
+			// Refresh recency, but skip the store when the timestamp has not
+			// moved: repeated hits on a hot flow then leave the entry's cache
+			// line clean for the other cores.
+			if e.lastUsed.Load() != int64(now) {
+				e.lastUsed.Store(int64(now))
+			}
+			val := e.val
+			s.mu.RUnlock()
+			t.hits.Add(1)
+			return val, true
 		}
-		val := e.val
-		s.mu.RUnlock()
-		t.hits.Add(1)
-		return val, true
 	}
 	s.mu.RUnlock()
-	if ok && e.key == k {
-		// Dead entry: remove it so the shard doesn't pin invalidated flows.
+	if ok {
+		// Dead entry: release it so the shard doesn't pin invalidated flows
+		// — unless the slot was rewritten between the two locks.
 		s.mu.Lock()
-		if cur, still := s.entries[h]; still && cur == e {
-			delete(s.entries, h)
-			e.dead = true
+		if j, still := s.index[h]; still && j == i {
+			if e := &s.slots[i]; e.gen == egen && e.born == born && e.key == k {
+				t.release(s, i)
+			}
 		}
 		s.mu.Unlock()
-		if e.gen != gen {
+		if egen != gen {
 			t.stale.Add(1)
 		} else {
 			t.expired.Add(1)
@@ -399,92 +439,62 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	s := &t.shards[h&t.mask]
 	now := t.now()
 	s.mu.Lock()
-	if old, exists := s.entries[h]; exists {
-		// Same-hash overwrite (re-insert after invalidation, or a hash
-		// collision): the old entry leaves the map, so mark it for the
-		// ring sampler; the new entry takes a fresh ring slot.
-		old.dead = true
-	} else if len(s.entries) >= t.perShardCap {
-		// Negative-cache admission guard: a full shard admits only keys
-		// already turned away once. First-seen keys — the unique-flow
-		// flood — cost a ring scan, not an eviction, and bail out before
-		// the entry is even allocated, so the flood path is allocation
-		// free.
-		if len(s.missRing) > 0 && !s.sawRecentMiss(h) {
-			s.noteMiss(h)
-			s.mu.Unlock()
-			t.admissionDrops.Add(1)
-			return
+	// A key whose hash is already mapped (re-insert after invalidation, or
+	// a hash collision) overwrites that slot in place.
+	i, exists := s.index[h]
+	if !exists {
+		if len(s.index) >= t.perShardCap {
+			// Negative-cache admission guard: a full shard admits only keys
+			// already turned away once. First-seen keys — the unique-flow
+			// flood — cost a ring scan, not an eviction.
+			if len(s.missRing) > 0 && !s.sawRecentMiss(h) {
+				s.noteMiss(h)
+				s.mu.Unlock()
+				t.admissionDrops.Add(1)
+				return
+			}
+			t.evictLocked(s, now)
 		}
-		t.evictLocked(s, now)
+		i = t.claim(s)
+		s.index[h] = i
 	}
-	e := &entry[V]{key: k, val: v, h: h, gen: gen, born: now}
+	e := &s.slots[i]
+	e.key, e.val, e.h, e.gen, e.born, e.live = k, v, h, gen, now, true
 	e.lastUsed.Store(int64(now))
-	if len(s.ring) < t.perShardCap {
-		s.ring = append(s.ring, e)
-	} else {
-		s.ring[s.ringPos] = e
-		s.ringPos++
-		if s.ringPos == len(s.ring) {
-			s.ringPos = 0
-		}
-	}
-	s.entries[h] = e
 	s.mu.Unlock()
 	t.inserts.Add(1)
 }
 
-// evictLocked frees room in s: it walks the candidate ring from a random
-// offset, reclaims every expired entry in the sample, and otherwise
-// evicts the least recently used sampled entry. Dead ring slots (entries
-// already removed) are skipped with a pointer read; if the whole ring is
-// dead (pathological) an arbitrary map entry goes, so the shard never
-// exceeds capacity. Caller holds s.mu.
+// evictLocked frees room in a full shard — one with no free slot, so every
+// sampled slot is live: it samples evictSamples slots from the rotating
+// hand, reclaims the expired ones, else evicts the least recently used.
+// Caller holds s.mu.
 func (t *Table[V]) evictLocked(s *shard[V], now time.Duration) {
 	var (
-		lru        *entry[V]
-		lruUsed    int64
-		freed      int
-		candidates int
+		lru     uint32
+		lruUsed int64 = math.MaxInt64
+		freed   int
 	)
-	if n := len(s.ring); n > 0 {
-		s.rng ^= s.rng << 13
-		s.rng ^= s.rng >> 7
-		s.rng ^= s.rng << 17
-		start := int(s.rng % uint64(n))
-		for i := 0; i < n && candidates < evictSamples; i++ {
-			e := s.ring[(start+i)%n]
-			if e == nil || e.dead {
-				continue
-			}
-			candidates++
-			if t.ttl > 0 && now-e.born > t.ttl {
-				delete(s.entries, e.h)
-				e.dead = true
-				freed++
-				continue
-			}
-			if u := e.lastUsed.Load(); lru == nil || u < lruUsed {
-				lru, lruUsed = e, u
-			}
+	n := uint32(len(s.slots))
+	for c := uint32(0); c < min(evictSamples, n); c++ {
+		i := s.hand
+		if s.hand++; s.hand == n {
+			s.hand = 0
+		}
+		e := &s.slots[i]
+		if t.ttl > 0 && now-e.born > t.ttl {
+			t.release(s, i)
+			freed++
+		} else if u := e.lastUsed.Load(); u < lruUsed {
+			lru, lruUsed = i, u
 		}
 	}
 	if freed > 0 {
 		t.expired.Add(uint64(freed))
 		return
 	}
-	if lru != nil {
-		delete(s.entries, lru.h)
-		lru.dead = true
-		t.evictions.Add(1)
-		return
-	}
-	for h, e := range s.entries {
-		delete(s.entries, h)
-		e.dead = true
-		t.evictions.Add(1)
-		break
-	}
+	t.release(s, lru)
+	t.evictions.Add(1)
 }
 
 // Delete removes one flow (e.g. on connection teardown) and reports
@@ -493,18 +503,16 @@ func (t *Table[V]) Delete(k Key) bool {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	s.mu.Lock()
-	e, ok := s.entries[h]
-	if ok && e.key == k {
-		delete(s.entries, h)
-		e.dead = true
-	} else {
-		ok = false
+	i, ok := s.index[h]
+	ok = ok && s.slots[i].key == k
+	if ok {
+		t.release(s, i)
 	}
 	s.mu.Unlock()
 	return ok
 }
 
-// Sweep walks every shard and deletes entries past their TTL, returning
+// Sweep walks every shard and releases entries past their TTL, returning
 // how many it reclaimed. Expiry is otherwise lazy (discovered on lookup or
 // under insert pressure), which lets a flow whose teardown packets were
 // lost pin its entry indefinitely if no traffic ever probes it again; a
@@ -517,13 +525,12 @@ func (t *Table[V]) Sweep() int {
 	}
 	now := t.readNow()
 	freed := 0
-	for i := range t.shards {
-		s := &t.shards[i]
+	for si := range t.shards {
+		s := &t.shards[si]
 		s.mu.Lock()
-		for h, e := range s.entries {
-			if now-e.born > t.ttl {
-				delete(s.entries, h)
-				e.dead = true
+		for i := range s.slots {
+			if e := &s.slots[i]; e.live && now-e.born > t.ttl {
+				t.release(s, uint32(i))
 				freed++
 			}
 		}
@@ -535,32 +542,23 @@ func (t *Table[V]) Sweep() int {
 	return freed
 }
 
-// Purge empties the table (entries are not counted as evictions).
+// Purge empties the table, slab and admission ring both, as a restart that
+// loses the gateway's RAM would (entries are not counted as evictions).
 func (t *Table[V]) Purge() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for h, e := range s.entries {
-			delete(s.entries, h)
-			e.dead = true
-		}
-		s.ring = s.ring[:0]
-		s.ringPos = 0
+		t.live.Add(-int64(len(s.index)))
+		clear(s.index)
+		s.slots, s.free, s.hand = nil, 0, 0
+		clear(s.missRing)
+		s.missPos = 0
 		s.mu.Unlock()
 	}
 }
 
-// Len returns the number of live entries.
-func (t *Table[V]) Len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
+// Len returns the number of live entries: one atomic load, no shard lock.
+func (t *Table[V]) Len() int { return int(t.live.Load()) }
 
 // Stats snapshots the counters.
 func (t *Table[V]) Stats() Stats {
