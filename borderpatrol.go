@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -370,7 +371,7 @@ func build(cfg Config, network *netsim.Network, name string) (*Deployment, error
 	if cfg.Flow.CacheSize >= 0 {
 		ttl := cfg.Flow.TTL
 		if ttl == 0 {
-			ttl = time.Minute // virtual time; keep-alive flows stay warm
+			ttl = time.Minute // virtual idle time; keep-alive flows stay warm
 		}
 		enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{
 			Capacity: cfg.Flow.CacheSize, // 0 = flowtable default
@@ -519,7 +520,7 @@ func (d *Deployment) RestartGateway() {
 
 // SweepIdle runs one garbage-collection sweep over the gateway's per-flow
 // tables: connections idle longer than idle leave the conntrack (their FIN
-// was lost), and TTL-expired flow-cache entries are reclaimed. Returns
+// was lost), and flow-cache entries idle past the TTL are reclaimed. Returns
 // what each sweep freed.
 func (d *Deployment) SweepIdle(idle time.Duration) (conns, flows int) {
 	return d.gateway.GC(idle)
@@ -573,7 +574,10 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 			// The enforcer records each decision on the audit pipeline
 			// itself (per packet on the scalar path, once per burst on the
 			// batched path); here we only surface the outcome.
-			o.Stack = del.Enforcement.Stack
+			// The enforcer's Stack is the slice its caches keep serving —
+			// for this flow and every other one carrying the tag — so the
+			// caller gets a copy of its own to sort or edit.
+			o.Stack = slices.Clone(del.Enforcement.Stack)
 			if del.Enforcement.Decision != nil {
 				o.Reason = del.Enforcement.Decision.Reason
 			} else {

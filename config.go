@@ -62,8 +62,12 @@ type FlowConfig struct {
 	// the default (65,536 flows), a negative value disables caching so
 	// every packet pays the full decode+evaluate pipeline.
 	CacheSize int
-	// TTL expires cached flow verdicts after this much virtual time
-	// (0 selects the default of one minute).
+	// TTL is the verdict cache's idle timeout: a cached flow verdict
+	// expires this much virtual time after the flow's last packet, so a
+	// flow that keeps sending stays cached and one whose FIN was lost ages
+	// out (0 selects the default of one minute). How long a verdict stays
+	// valid is not this knob's business: policy, database and device-context
+	// changes and time-of-day edges invalidate it exactly when they happen.
 	TTL time.Duration
 	// Workers sizes the gateway's per-core batch drain (0 selects
 	// GOMAXPROCS).
@@ -137,7 +141,7 @@ type DeploymentConfig struct {
 	HardenedKernel *bool
 	// FlowCacheSize bounds the per-flow verdict cache.
 	FlowCacheSize int
-	// FlowTTL expires cached flow verdicts.
+	// FlowTTL expires cached flow verdicts idle for this long.
 	FlowTTL time.Duration
 	// GatewayWorkers sizes the gateway's batch drain.
 	GatewayWorkers int

@@ -2,6 +2,7 @@ package borderpatrol
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -110,5 +111,53 @@ func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
 	}
 	if st.AuditRecorded != 7 {
 		t.Fatalf("audit recorded = %d, want 7", st.AuditRecorded)
+	}
+}
+
+// TestOutcomeStackIsTheCallersCopy: an Outcome's Stack is a copy. The
+// enforcer's own slice is what its caches serve to the policy engine and
+// the audit for every later flow carrying the tag, so a caller that edits
+// its Outcome must not change the next verdict, stack or audit entry.
+func TestOutcomeStackIsTheCallersCopy(t *testing.T) {
+	dep, err := NewDeployment(DeploymentConfig{Policy: `{[deny][library]["com/flurry"]}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	app, err := dep.InstallApp(demoAPK(), demoFuncs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := dep.Exercise(app, "analytics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 || first[0].Delivered || len(first[0].Stack) == 0 {
+		t.Fatalf("first analytics outcome = %+v, want a gateway drop with a stack", first)
+	}
+	want := append([]Signature(nil), first[0].Stack...)
+	wantAudit := dep.AuditTail()[0]
+	// Launder the tracker frame into one the policy admits.
+	for _, o := range first {
+		for i := range o.Stack {
+			o.Stack[i] = Signature{Package: "com/corp/files", Class: "SyncEngine", Name: "download", Proto: "()V"}
+		}
+	}
+	again, err := dep.Exercise(app, "analytics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range again {
+		if o.Delivered || o.Reason != first[i].Reason {
+			t.Fatalf("packet %d after the edit: %+v, want the same drop (%q)", i, o, first[i].Reason)
+		}
+		if !slices.Equal(o.Stack, want) {
+			t.Fatalf("packet %d after the edit decoded to %v, want %v", i, o.Stack, want)
+		}
+	}
+	tail := dep.AuditTail()
+	got := tail[len(tail)-1]
+	if got.Verdict != wantAudit.Verdict || got.Cause != wantAudit.Cause || got.Rule != wantAudit.Rule || !slices.Equal(got.Stack, wantAudit.Stack) {
+		t.Fatalf("audit entry after the edit = %+v, want it to read like %+v", got, wantAudit)
 	}
 }

@@ -134,10 +134,40 @@ func BenchmarkProcessFlowHitContextual(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessFlowMiss forces a distinct flow every iteration (the
-// destination address rotates) so each packet pays the full pipeline plus
-// the cache fill — the worst case for the flow table.
+// BenchmarkProcessFlowMiss forces a distinct flow and a cold tag every
+// iteration — the destination address rotates, and two tags that share an
+// intern cell alternate, so each finds the other resident — and so pays the
+// full pipeline plus both fills (3 allocs: the interned record, its Stack
+// and the Decision): the worst case for the caches.
 func BenchmarkProcessFlowMiss(b *testing.B) {
+	e, pkt := benchEnforcer(b, true)
+	gen := genAPK()
+	if err := e.db.Add(gen); err != nil {
+		b.Fatal(err)
+	}
+	tags, _ := conflictingTags(b, e.db, gen)
+	pkts := [2]*ipv4.Packet{pkt.Clone(), pkt.Clone()}
+	for k, p := range pkts {
+		p.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: tags[k]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pkts[i&1]
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], uint32(i))
+		p.Header.Dst = netip.AddrFrom4(a)
+		if res := e.Process(p); res.Verdict != policy.VerdictAllow {
+			b.Fatal("benign packet dropped")
+		}
+	}
+}
+
+// BenchmarkProcessFlowMissInterned is a new flow of a known tag — what a
+// SYN costs once any device has run the functionality (the fleet and
+// connect shape): a table miss, an interned decode, one evaluation and the
+// fill (1 alloc: the Decision).
+func BenchmarkProcessFlowMissInterned(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -127,6 +127,11 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 	}
 }
 
+// TestTimeWindowViaVirtualClock: a verdict a time predicate took part in is
+// served up to that predicate's next edge and not a second longer — by the
+// flow table and by the batch memo, flipping where the uncached path flips —
+// and is re-evaluated exactly once per edge. The table has no clock and no
+// TTL: the enforcer's own clock decides.
 func TestTimeWindowViaVirtualClock(t *testing.T) {
 	src := devctx.NewSource(nil)
 	src.SetNetwork(deviceAddr, policy.NetTrusted)
@@ -136,24 +141,58 @@ func TestTimeWindowViaVirtualClock(t *testing.T) {
 		Context: src,
 		Clock:   clk,
 	}
-	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
+	rules := contextRules(t, `
 {[risk][time]["22:00-06:00"][100]}
 {[threshold][block][100]}
-`), policy.VerdictAllow)
+`)
+	e, db, apk := newEnforcer(t, cfg, rules, policy.VerdictAllow)
+	ref, _, _ := newEnforcer(t, Config{Context: src, Clock: clk}, rules, policy.VerdictAllow)
+	reg := metrics.NewRegistry()
+	e.RegisterMetrics(reg)
 
 	pkt := mkPacket(t, apk, db, "download")
-	clk.set(14 * time.Hour) // Monday 14:00
-	if res := e.Process(pkt); res.Verdict != policy.VerdictAllow {
-		t.Fatalf("afternoon flow dropped: %+v", res)
-	}
-	// 23:00 the same virtual day. The clock is not part of the generation,
-	// so the cached afternoon verdict is still served — end the flow to
-	// force re-evaluation (the documented SYN-time model: a flow keeps the
-	// context it was admitted under).
-	clk.set(23 * time.Hour)
-	e.EndFlow(pkt)
-	if res := e.Process(pkt); res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
-		t.Fatalf("night flow admitted: %+v", res)
+	burst := []*ipv4.Packet{pkt, pkt, pkt}
+	const day = 24 * time.Hour
+	for i, step := range []struct {
+		at              time.Duration
+		allow           bool
+		evals, expiries uint64 // cumulative, after the step
+		why             string
+	}{
+		{14 * time.Hour, true, 1, 0, "Monday afternoon: the flow's first packet"},
+		{22*time.Hour - time.Second, true, 1, 0, "21:59:59: cached allow, edge not reached"},
+		{22 * time.Hour, false, 2, 1, "22:00:00: the block window opens"},
+		{23 * time.Hour, false, 2, 1, "23:00: cached drop"},
+		{day + 6*time.Hour - time.Second, false, 2, 1, "Tuesday 05:59:59: cached drop, midnight is no edge"},
+		{day + 6*time.Hour, true, 3, 2, "Tuesday 06:00: the window closes"},
+		{day + 21*time.Hour, true, 3, 2, "Tuesday 21:00: cached allow"},
+		{2*day + 3*time.Hour, false, 4, 3, "Wednesday 03:00: an edge passed between two packets"},
+	} {
+		clk.set(step.at)
+		// One packet alone, then a burst whose tail the memo answers.
+		got := append([]Result{e.Process(pkt)}, e.ProcessBatch(burst, nil)...)
+		for j, res := range got {
+			want := ref.Process(pkt)
+			if res.Verdict != want.Verdict || res.Cause != want.Cause {
+				t.Fatalf("%s: packet %d = %v/%v, uncached says %v/%v", step.why, j, res.Verdict, res.Cause, want.Verdict, want.Cause)
+			}
+			if allowed := res.Verdict == policy.VerdictAllow; allowed != step.allow || (!allowed && res.Cause != DropRisk) {
+				t.Fatalf("%s: packet %d = %v/%v", step.why, j, res.Verdict, res.Cause)
+			}
+		}
+		if evals := e.Engine().Stats().RiskEvaluations; evals != step.evals {
+			t.Fatalf("%s: %d risk evaluations so far, want %d (one per edge crossed)", step.why, evals, step.evals)
+		}
+		if n := flowCounter(t, reg, "bp_enforcer_verdict_expiries_total"); n != step.expiries {
+			t.Fatalf("%s: %d verdict expiries so far, want %d", step.why, n, step.expiries)
+		}
+		// Only the flow's first packet ever missed the table: a lapsed
+		// verdict is a hit the enforcer declined and overwrote in place.
+		// Per step: Process probes, the burst's head probes, its tail is memo.
+		st := e.Stats()
+		if st.Flow.Misses != 1 || st.Flow.Hits != uint64(2*(i+1)-1) || st.BatchMemoHits != uint64(2*(i+1)) || st.Flow.Live != 1 {
+			t.Fatalf("%s: flow stats %+v, memo hits %d", step.why, st.Flow, st.BatchMemoHits)
+		}
 	}
 }
 

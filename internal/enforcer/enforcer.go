@@ -14,19 +14,23 @@
 //
 // When a flow cache is configured (Config.Flows), the enforcer exploits
 // the paper's §VI-D observation that every packet of a connection carries
-// the same contextual tag: the first packet of a flow pays the full
+// the same contextual tag: the first packet of a flow pays the
 // extract–decode–evaluate pipeline, and every later packet is answered by
 // a single flow-table probe keyed on the raw tag bytes — no tag decode,
-// no stack decode, no policy evaluation. Cached verdicts self-invalidate
-// when the policy engine, the signature database or the source device's
-// context changes (generation counters), so the fast path can never serve
-// a pre-reconfiguration decision.
+// no stack decode, no policy evaluation. Stage 3 runs once per *flow* (the
+// verdict depends on the source device's context); stages 1–2 run once per
+// distinct *tag*, shared by every flow carrying it (see decodedTag). A cached
+// verdict self-invalidates when the policy engine, the signature database or
+// the source device's context changes (generation counters) and, when a
+// time-of-day predicate took part in it, at that predicate's next edge
+// (Result.until): the fast path never serves a stale decision.
 package enforcer
 
 import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"borderpatrol/internal/analyzer"
@@ -41,8 +45,8 @@ import (
 )
 
 // FlowCache caches one enforcement Result per flow. Cached Results share
-// their Stack slice and Decision pointer across every packet of the flow;
-// both are immutable once published and must not be mutated by callers.
+// their Decision pointer across packets of the flow and their Stack slice
+// across flows carrying the same tag; both are immutable once published.
 type FlowCache = flowtable.Table[Result]
 
 // NewFlowCache builds a verdict cache for the enforcer.
@@ -87,12 +91,13 @@ type Config struct {
 	// invalidates everyone's — and leaves the other devices' flows cached.
 	Context *devctx.Source
 	// Clock supplies virtual time for the risk program's time-of-day and
-	// weekday predicates (nil pins them to Monday 00:00).
+	// weekday predicates (nil pins them to Monday 00:00), read once per
+	// Process/ProcessBatch; it alone says when a verdict's time edge is reached.
 	Clock devctx.Clock
 }
 
 // DropCause classifies why the enforcer dropped a packet.
-type DropCause int
+type DropCause int32
 
 // Drop causes.
 const (
@@ -148,17 +153,25 @@ func (c DropCause) String() string {
 
 // Result reports the enforcer's decision for one packet, with the decoded
 // context for auditing and the Policy Extractor. Results served from the
-// flow cache share Stack and Decision across packets of the flow; treat
-// both as read-only.
+// flow cache share Decision across packets of the flow and Stack across
+// flows carrying the same tag; treat both as read-only.
 type Result struct {
 	Verdict policy.Verdict
 	Cause   DropCause
+	// until is the virtual minute of the first time-predicate edge after this
+	// verdict's evaluation: table and memo serve it before, never from then on
+	// (zero: never lapses). It shares Cause's word, so a Result is no larger.
+	until uint32
 	// AppHash is the decoded app identity (zero when untagged).
 	AppHash dex.TruncatedHash
 	// Stack is the decoded stack trace (nil when undecodable).
 	Stack []dex.Signature
 	// Decision carries the policy engine's reasoning when it ran.
 	Decision *policy.Decision
+}
+
+func (r *Result) lapsed(now time.Duration) bool {
+	return r.until != 0 && now/time.Minute >= time.Duration(r.until)
 }
 
 // Stats counts enforcement outcomes.
@@ -172,6 +185,8 @@ type Stats struct {
 	// BatchMemoHits counts packets answered by ProcessBatch's same-flow
 	// memo without even a flow-table probe (keep-alive trains).
 	BatchMemoHits uint64
+	// VerdictExpiries counts cached verdicts re-evaluated at a time edge.
+	VerdictExpiries uint64
 }
 
 // scratch is the pooled per-packet working set: the decoded tag and the
@@ -180,6 +195,31 @@ type Stats struct {
 type scratch struct {
 	tag   tag.Tag
 	stack []dex.Signature
+}
+
+// decodedTag is one interned outcome of stages 1–2: the app and stack a tag
+// decoded to under one database generation, immutable once published, so
+// flows carrying the tag share one Stack. The table (Enforcer.decoded) is a
+// fixed direct-mapped array of internCells cells — its whole bound. A cell
+// answers only for a packet whose tag bytes equal the resident's verbatim,
+// under the database generation the resident was decoded in; any other
+// successful decode mapping to the cell replaces the resident. A flood of
+// crafted tags thus costs an uninterned miss plus one record each and is never
+// served another tag's stack. Failed decodes are not interned.
+type decodedTag struct {
+	tagLen uint8
+	tag    [flowtable.MaxTagBytes]byte
+	dbGen  uint64
+	app    dex.TruncatedHash
+	stack  []dex.Signature
+}
+
+const internBits, internCells = 12, 1 << 12
+
+// internCell picks a tag's cell from the top bits of a multiplicative mix:
+// the digest's low bits depend only on the low bits of each eight tag bytes.
+func internCell(digest uint64) uint64 {
+	return (digest ^ digest>>29) * 0x9e3779b97f4a7c15 >> (64 - internBits)
 }
 
 // Latency sampling masks. The hot paths cannot afford two time.Now calls
@@ -248,6 +288,8 @@ type Enforcer struct {
 	clock  devctx.Clock
 
 	scratches sync.Pool // *scratch, reused across packets
+	// decoded interns stages 1–2 per tag; nil (decode every packet) uncached.
+	decoded *[internCells]atomic.Pointer[decodedTag]
 
 	// Outcome counters are striped metrics counters (one atomic add per
 	// packet, padded shards on multi-core), summed only by Stats/scrapes.
@@ -255,6 +297,8 @@ type Enforcer struct {
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
 	batchMemoHits  *metrics.Counter
+	// Miss path only: interned-decode hits and misses, time-edge re-evaluations.
+	decodedHits, decodedMisses, verdictExpiries *metrics.Counter
 
 	ins instruments
 }
@@ -274,6 +318,13 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 		dropped:       metrics.NewCounter(),
 		batchMemoHits: metrics.NewCounter(),
 		ins:           newInstruments(),
+
+		decodedHits:     metrics.NewCounter(),
+		decodedMisses:   metrics.NewCounter(),
+		verdictExpiries: metrics.NewCounter(),
+	}
+	if e.flows != nil {
+		e.decoded = new([internCells]atomic.Pointer[decodedTag])
 	}
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
@@ -309,19 +360,25 @@ func (e *Enforcer) generation(pkt *ipv4.Packet) uint64 {
 	return g
 }
 
+// now reads the enforcer's virtual clock (Monday 00:00 without one).
+func (e *Enforcer) now() time.Duration {
+	if e.clock == nil {
+		return 0
+	}
+	return e.clock.Now()
+}
+
 // flowContext fills fc with the packet's SYN-time context — the source
 // device's context snapshot plus the virtual wall-clock position — and
 // returns it, or returns nil when the contextual dimension is inactive
 // (no source configured, or no risk rules loaded). Runs only on the
 // cache-miss path.
-func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext) *policy.FlowContext {
+func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext, now time.Duration) *policy.FlowContext {
 	if e.ctxSrc == nil || !e.engine.ContextActive() {
 		return nil
 	}
 	fc.Device, _ = e.ctxSrc.Lookup(pkt.Header.Src)
-	if e.clock != nil {
-		fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(e.clock.Now())
-	}
+	fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(now)
 	return fc
 }
 
@@ -335,12 +392,15 @@ func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext) *policy
 // sibling connection's verdict). Ports stay zero for non-first fragments
 // and payloads that are not a TCP/UDP header this model emits — PeekPorts
 // refuses both, so garbage bytes can never be keyed as ports. ok is false
-// for oversized tag payloads, which must bypass the cache. The key is
-// filled through a pointer so the hot path never copies the ~100-byte Key
-// across call frames.
+// for oversized tag payloads and non-IPv4 endpoints, which must bypass the
+// cache. The key is filled through a pointer so the hot path never copies
+// the 64-byte Key across call frames.
 func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
-	k.Src = pkt.Header.Src
-	k.Dst = pkt.Header.Dst
+	if !pkt.Header.Src.Is4() || !pkt.Header.Dst.Is4() {
+		return false
+	}
+	k.Src = pkt.Header.Src.As4()
+	k.Dst = pkt.Header.Dst.As4()
 	k.Proto = pkt.Header.Protocol
 	k.SrcPort, k.DstPort = 0, 0
 	if sp, dp, hasTransport := transport.PeekPorts(pkt.Header.Protocol, pkt.Header.FragOff, pkt.Payload); hasTransport {
@@ -354,7 +414,7 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 // of one without the memo. The verdict is decide's, the same function
 // ProcessBatch runs per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
-	res := e.decide(pkt, nil)
+	res := e.decide(pkt, nil, e.now())
 	e.count(res)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
@@ -377,9 +437,9 @@ func (e *Enforcer) count(res Result) {
 }
 
 // flowMemo is ProcessBatch's same-flow memo: the last cacheable packet's
-// key, the generation it was answered under, and its Result. Consecutive
-// packets of one flow (a keep-alive train, an upload burst) are answered
-// from it without probing the flow table.
+// key, the generation it was answered under, and its Result (which carries
+// its own time edge). Consecutive packets of one flow (a keep-alive train,
+// an upload burst) are answered from it without probing the flow table.
 type flowMemo struct {
 	key   flowtable.Key
 	gen   uint64
@@ -390,15 +450,16 @@ type flowMemo struct {
 // decide runs the three enforcement stages on one packet, short-circuited
 // by the memo (when the caller carries one across a burst) and then by the
 // flow cache (when one is configured). It is the only place a verdict is
-// reached, so Process and ProcessBatch cannot disagree on a packet.
-func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
+// reached, so Process and ProcessBatch cannot disagree on a packet. now is
+// the caller's one clock reading: memo, table and evaluation share it.
+func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) Result {
 	// Stage 1: extraction.
 	opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
 	if !tagged {
 		return e.untagged()
 	}
 	if e.flows == nil {
-		return e.timedEvaluate(pkt, opt.Data)
+		return e.timedEvaluate(pkt, opt.Data, nil, now)
 	}
 	// Fast path: probe the flow table on the raw tag bytes. The generation
 	// is read before the probe (and before any evaluation) so that a
@@ -407,9 +468,9 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
 	gen := e.generation(pkt)
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
-		return e.timedEvaluate(pkt, opt.Data)
+		return e.timedEvaluate(pkt, opt.Data, nil, now)
 	}
-	if memo != nil && memo.valid && key == memo.key && gen == memo.gen {
+	if memo != nil && memo.valid && key == memo.key && gen == memo.gen && !memo.res.lapsed(now) {
 		e.batchMemoHits.Inc()
 		return memo.res
 	}
@@ -421,12 +482,17 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
 		hitStart = time.Now()
 	}
 	res, ok := e.flows.Lookup(key, gen)
+	if ok && res.lapsed(now) {
+		// Past its time edge: re-evaluate, overwrite the slot in place.
+		ok = false
+		e.verdictExpiries.Inc()
+	}
 	if ok {
 		if timed {
 			e.ins.hitLatency.Record(time.Since(hitStart).Nanoseconds())
 		}
 	} else {
-		res = e.timedEvaluate(pkt, opt.Data)
+		res = e.timedEvaluate(pkt, opt.Data, &key, now)
 		e.flows.Insert(key, gen, res)
 	}
 	if memo != nil {
@@ -437,12 +503,12 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo) Result {
 
 // timedEvaluate runs the full miss pipeline, recording its latency for a
 // sampled subset of calls.
-func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte) Result {
+func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte, key *flowtable.Key, now time.Duration) Result {
 	if rand.Uint32()&missSampleMask != 0 {
-		return e.evaluateTag(pkt, data)
+		return e.evaluateTag(pkt, data, key, now)
 	}
 	start := time.Now()
-	res := e.evaluateTag(pkt, data)
+	res := e.evaluateTag(pkt, data, key, now)
 	e.ins.missLatency.Record(time.Since(start).Nanoseconds())
 	return res
 }
@@ -454,60 +520,83 @@ func (e *Enforcer) untagged() Result {
 	return Result{Verdict: policy.VerdictDrop, Cause: DropUntagged}
 }
 
-// evaluateTag is the full miss path: decode the tag, decode the stack,
-// evaluate policy — including, when configured, the contextual risk
-// program over the source device's context (the paper's "evaluate once at
-// SYN time" point: whatever this returns is what the flow cache serves for
-// the rest of the flow). Scratch buffers are pooled; only the Stack and
-// Decision that escape into the Result are freshly allocated (once per
-// flow when caching is on).
-func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte) Result {
+// decode runs stages 1–2 on a raw tag — through the intern table when key,
+// the packet's cache key, is non-nil. It fills in AppHash and Stack and
+// reports true, or the packet's final Result and false.
+func (e *Enforcer) decode(res *Result, key *flowtable.Key, data []byte) bool {
+	var cell *atomic.Pointer[decodedTag]
+	var dbGen uint64
+	if key != nil {
+		cell = &e.decoded[internCell(key.Digest)]
+		// Read before decoding: a record raced by a mutation is born stale.
+		dbGen = e.db.Generation()
+		if d := cell.Load(); d != nil && d.dbGen == dbGen && d.tagLen == key.TagLen && d.tag == key.Tag {
+			e.decodedHits.Inc()
+			res.AppHash, res.Stack = d.app, d.stack
+			return true
+		}
+		e.decodedMisses.Inc()
+	}
 	sc := e.scratches.Get().(*scratch)
 	defer e.scratches.Put(sc)
 
 	if err := tag.DecodeInto(&sc.tag, data); err != nil {
-		return Result{Verdict: policy.VerdictDrop, Cause: DropMalformedTag}
+		*res = Result{Verdict: policy.VerdictDrop, Cause: DropMalformedTag}
+		return false
 	}
-
-	// Stage 2: decoding via the analyzer database — the app resolves once
-	// and the whole stack decodes through the lock-free handle into the
-	// pooled scratch buffer.
 	resolver, known := e.db.Resolve(sc.tag.AppHash)
 	if !known {
+		*res = Result{Verdict: policy.VerdictDrop, Cause: DropUnknownApp, AppHash: sc.tag.AppHash}
 		if e.cfg.AllowUnknownApps {
-			return Result{Verdict: policy.VerdictAllow, AppHash: sc.tag.AppHash}
+			*res = Result{Verdict: policy.VerdictAllow, AppHash: sc.tag.AppHash}
 		}
-		return Result{Verdict: policy.VerdictDrop, Cause: DropUnknownApp, AppHash: sc.tag.AppHash}
+		return false
 	}
 	stack, err := resolver.DecodeStackInto(sc.stack[:0], sc.tag.Indexes)
 	if err != nil {
-		return Result{Verdict: policy.VerdictDrop, Cause: DropBadIndex, AppHash: sc.tag.AppHash}
+		*res = Result{Verdict: policy.VerdictDrop, Cause: DropBadIndex, AppHash: sc.tag.AppHash}
+		return false
 	}
 	sc.stack = stack // retain grown capacity for the next packet
+	// The scratch buffer goes back to the pool; what escapes needs a copy.
+	res.AppHash, res.Stack = sc.tag.AppHash, append(make([]dex.Signature, 0, len(stack)), stack...)
+	if cell != nil {
+		cell.Store(&decodedTag{tagLen: key.TagLen, tag: key.Tag, dbGen: dbGen, app: res.AppHash, stack: res.Stack})
+	}
+	return true
+}
+
+// evaluateTag is the full miss path: decode the tag and the stack, evaluate
+// policy — including, when configured, the contextual risk program over the
+// source device's context (the paper's "evaluate once at SYN time" point:
+// whatever this returns is what the flow cache serves for the rest of the
+// flow, or until the time edge it reports). Per flow only the Decision is
+// freshly allocated, and the Stack when the tag was not interned.
+func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, key *flowtable.Key, now time.Duration) (res Result) {
+	if !e.decode(&res, key, data) {
+		return res
+	}
 
 	// Stage 3: enforcement (latency sampled; see instruments). The flow
 	// context — device posture, network class, velocity, virtual clock —
 	// is built here, once per flow, and folded into the cached decision.
 	var fcBuf policy.FlowContext
-	fc := e.flowContext(pkt, &fcBuf)
+	fc := e.flowContext(pkt, &fcBuf, now)
 	var decision policy.Decision
 	if rand.Uint32()&evalSampleMask == 0 {
 		evalStart := time.Now()
-		decision = e.engine.EvaluateFlow(sc.tag.AppHash, stack, fc)
+		decision = e.engine.EvaluateFlow(res.AppHash, res.Stack, fc)
 		e.ins.evalLatency.Record(time.Since(evalStart).Nanoseconds())
 	} else {
-		decision = e.engine.EvaluateFlow(sc.tag.AppHash, stack, fc)
+		decision = e.engine.EvaluateFlow(res.AppHash, res.Stack, fc)
 	}
 	if decision.RiskApplied {
 		e.ins.riskScore.Record(int64(decision.RiskScore))
 	}
-	res := Result{
-		Verdict: decision.Verdict,
-		AppHash: sc.tag.AppHash,
-		// The scratch buffer goes back to the pool; the escaping Result
-		// needs its own copy (shared by every cache hit of this flow).
-		Stack:    append(make([]dex.Signature, 0, len(stack)), stack...),
-		Decision: &decision,
+	res.Verdict, res.Decision = decision.Verdict, &decision
+	if decision.TimeEdgeIn > 0 {
+		// Whole minutes, as policy.TimeOfVirtual counts them.
+		res.until = uint32(now/time.Minute) + uint32(decision.TimeEdgeIn)
 	}
 	if decision.Verdict == policy.VerdictDrop {
 		if decision.RiskBlocked {
@@ -538,9 +627,10 @@ func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	// Per-burst timing: two clock reads and two histogram records for the
 	// whole batch (~1 ns/packet at the default burst size), not per packet.
 	batchStart := time.Now()
+	now := e.now()
 	var memo flowMemo
 	for _, pkt := range pkts {
-		res := e.decide(pkt, &memo)
+		res := e.decide(pkt, &memo, now)
 		e.count(res)
 		out = append(out, res)
 	}
@@ -576,7 +666,7 @@ func (e *Enforcer) EndFlow(pkt *ipv4.Packet) bool {
 	return e.flows.Delete(key)
 }
 
-// SweepFlows reclaims TTL-expired verdict-cache entries (half-open flows
+// SweepFlows reclaims verdict-cache entries idle past the TTL (half-open flows
 // whose teardown the gateway never saw — a lost FIN, a silently dead
 // device). Returns how many entries it freed; zero when caching is off or
 // the cache has no TTL.
@@ -607,6 +697,8 @@ func (e *Enforcer) Stats() Stats {
 		Dropped:        dropped,
 		DroppedByCause: make(map[DropCause]uint64),
 		BatchMemoHits:  e.batchMemoHits.Value(),
+
+		VerdictExpiries: e.verdictExpiries.Value(),
 	}
 	for c := range e.droppedByCause {
 		if n := e.droppedByCause[c].Value(); n > 0 {
@@ -636,6 +728,12 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_enforcer_batch_memo_hits_total",
 		"Packets answered by the batch drain's same-flow memo without a flow-table probe.",
 		e.batchMemoHits.Value)
+	r.CounterFunc("bp_enforcer_decoded_tag_hits_total",
+		"Flow misses whose tag and stack decode the per-tag intern table answered.", e.decodedHits.Value)
+	r.CounterFunc("bp_enforcer_decoded_tag_misses_total",
+		"Flow misses that decoded their tag and stack (new tag, replaced cell or database change).", e.decodedMisses.Value)
+	r.CounterFunc("bp_enforcer_verdict_expiries_total",
+		"Cached verdicts re-evaluated because a time-of-day predicate's edge was reached.", e.verdictExpiries.Value)
 
 	r.RegisterHistogram("bp_enforcer_cache_hit_latency_ns",
 		"Flow-table probe latency on a hit (sampled 1/64).", e.ins.hitLatency)

@@ -1,0 +1,317 @@
+package enforcer
+
+import (
+	"fmt"
+	"net/netip"
+	"slices"
+	"sync"
+	"testing"
+
+	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/dex"
+	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/policy"
+	"borderpatrol/internal/tag"
+)
+
+// This file covers the per-tag intern table behind the miss path (see
+// decodedTag): what it shares, what it refuses to share, and what it costs.
+
+// genAPK is a second app with enough methods that two-frame tags collide in
+// the intern table's 4,096 cells.
+func genAPK() *dex.APK {
+	methods := make([]dex.MethodDef, 64)
+	for i := range methods {
+		methods[i] = dex.MethodDef{Name: fmt.Sprintf("m%02d", i), Proto: "()V", File: "G.java", StartLine: 10 * i, EndLine: 10*i + 5}
+	}
+	return &dex.APK{
+		PackageName: "com.corp.gen",
+		VersionCode: 1,
+		Dexes:       []*dex.File{{Classes: []dex.ClassDef{{Package: "com/corp/gen", Name: "Gen", Methods: methods}}}},
+	}
+}
+
+// conflictingTags returns the payloads of two different two-frame tags of
+// apk (already in db) that share an intern cell, and the stack each decodes
+// to.
+func conflictingTags(tb testing.TB, db *analyzer.Database, apk *dex.APK) (tags [2][]byte, stacks [2][]dex.Signature) {
+	tb.Helper()
+	entry, ok := db.LookupTruncated(apk.Truncated())
+	if !ok {
+		tb.Fatal("apk not in db")
+	}
+	type seen struct {
+		payload []byte
+		indexes []uint32
+	}
+	cells := make(map[uint64]seen)
+	for i := range entry.Signatures {
+		for j := range entry.Signatures {
+			tg := tag.Tag{AppHash: apk.Truncated(), Indexes: []uint32{uint32(i), uint32(j)}}
+			payload, err := tg.Encode()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cell := internCell(flowtable.Digest(payload))
+			first, taken := cells[cell]
+			if !taken {
+				cells[cell] = seen{payload, tg.Indexes}
+				continue
+			}
+			for k, indexes := range [][]uint32{first.indexes, tg.Indexes} {
+				if stacks[k], err = db.DecodeStack(apk.Truncated(), indexes); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			return [2][]byte{first.payload, payload}, stacks
+		}
+	}
+	tb.Fatal("no two tags share an intern cell")
+	return
+}
+
+// taggedPacket is a packet from the n-th device of the test pool carrying
+// the raw tag payload: each n is another flow.
+func taggedPacket(payload []byte, n int) *ipv4.Packet {
+	pkt := &ipv4.Packet{
+		Header: ipv4.Header{
+			TTL:      64,
+			Protocol: ipv4.ProtoTCP,
+			Src:      netip.AddrFrom4([4]byte{10, 0, byte(n >> 8), byte(n)}),
+			Dst:      netip.MustParseAddr("93.184.216.34"),
+		},
+		Payload: []byte("POST /x HTTP/1.1\r\n\r\n"),
+	}
+	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: payload})
+	return pkt
+}
+
+// internStats reads the intern table's counters.
+func internStats(e *Enforcer) (hits, misses uint64) {
+	return e.decodedHits.Value(), e.decodedMisses.Value()
+}
+
+// TestInternedDecodeSharedPerTag: flows carrying one tag decode it once and
+// share one immutable Stack; the uncached enforcer has no table at all.
+func TestInternedDecodeSharedPerTag(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	payload := mkPacket(t, apk, db, "beacon", "download").Header.Options[0].Data
+	first := e.Process(taggedPacket(payload, 1))
+	for n := 2; n <= 10; n++ {
+		res := e.Process(taggedPacket(payload, n))
+		if res.Verdict != policy.VerdictAllow || res.AppHash != apk.Truncated() {
+			t.Fatalf("flow %d: %+v", n, res)
+		}
+		if &res.Stack[0] != &first.Stack[0] || len(res.Stack) != 2 {
+			t.Fatalf("flow %d decoded its own stack %v", n, res.Stack)
+		}
+		if res.Decision == first.Decision {
+			t.Fatalf("flow %d was not evaluated on its own", n)
+		}
+	}
+	if hits, misses := internStats(e); hits != 9 || misses != 1 {
+		t.Fatalf("intern hits/misses = %d/%d, want 9/1", hits, misses)
+	}
+	if st := e.Stats(); st.Flow.Misses != 10 || e.Engine().Stats().Evaluations != 10 {
+		t.Fatalf("flow misses %d, evaluations %d, want 10 each", st.Flow.Misses, e.Engine().Stats().Evaluations)
+	}
+
+	ref, _, _ := newEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	a, b := ref.Process(taggedPacket(payload, 1)), ref.Process(taggedPacket(payload, 1))
+	if ref.decoded != nil || &a.Stack[0] == &b.Stack[0] {
+		t.Fatal("the uncached reference shares decodes between packets")
+	}
+}
+
+// TestInternCellConflictNeverBorrowsAStack: two tags forced onto one cell
+// each decode to their own stack, whichever is resident — the cell checks
+// the tag bytes verbatim and a conflicting tag replaces the resident.
+func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
+	e, db, _ := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	gen := genAPK()
+	if err := db.Add(gen); err != nil {
+		t.Fatal(err)
+	}
+	tags, stacks := conflictingTags(t, db, gen)
+	if slices.Equal(stacks[0], stacks[1]) {
+		t.Fatalf("conflicting tags decode alike: %v", stacks[0])
+	}
+	flow := 0
+	process := func(k int) {
+		t.Helper()
+		flow++
+		res := e.Process(taggedPacket(tags[k], flow))
+		if res.Verdict != policy.VerdictAllow || !slices.Equal(res.Stack, stacks[k]) {
+			t.Fatalf("flow %d, tag %d: decoded %v (%v), want %v", flow, k, res.Stack, res.Verdict, stacks[k])
+		}
+	}
+	for i := 0; i < 8; i++ {
+		process(i % 2) // every packet finds the other tag resident
+	}
+	if hits, misses := internStats(e); hits != 0 || misses != 8 {
+		t.Fatalf("alternating conflict: intern hits/misses = %d/%d, want 0/8", hits, misses)
+	}
+	process(1) // tag 1 is resident now
+	process(1)
+	process(0)
+	if hits, misses := internStats(e); hits != 2 || misses != 9 {
+		t.Fatalf("intern hits/misses = %d/%d, want 2/9", hits, misses)
+	}
+}
+
+// TestInternFollowsDatabaseGeneration: a record is used only under the
+// database generation it was decoded in, and only successful decodes are
+// interned — an unknown app, a bad index and a malformed tag decode afresh
+// on every flow, so provisioning the app takes effect on the next packet.
+func TestInternFollowsDatabaseGeneration(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	known := mkPacket(t, apk, db, "download").Header.Options[0].Data
+	gen := genAPK()
+	unknownTag, err := (&tag.Tag{AppHash: gen.Truncated(), Indexes: []uint32{3, 4}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	badIndex, err := (&tag.Tag{AppHash: apk.Truncated(), Indexes: []uint32{9999}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow := 0
+	process := func(payload []byte) Result {
+		flow++
+		return e.Process(taggedPacket(payload, flow))
+	}
+	for i := 0; i < 3; i++ {
+		if res := process(unknownTag); res.Cause != DropUnknownApp {
+			t.Fatalf("unprovisioned app: %+v", res)
+		}
+		if res := process(badIndex); res.Cause != DropBadIndex {
+			t.Fatalf("bad index: %+v", res)
+		}
+		if res := process([]byte{0xff, 0x01}); res.Cause != DropMalformedTag {
+			t.Fatalf("malformed tag: %+v", res)
+		}
+	}
+	if hits, misses := internStats(e); hits != 0 || misses != 9 {
+		t.Fatalf("failed decodes: intern hits/misses = %d/%d, want 0/9", hits, misses)
+	}
+	for i := range e.decoded {
+		if e.decoded[i].Load() != nil {
+			t.Fatal("a failed decode was interned")
+		}
+	}
+
+	process(known)
+	process(known)
+	if hits, misses := internStats(e); hits != 1 || misses != 10 {
+		t.Fatalf("known tag: intern hits/misses = %d/%d, want 1/10", hits, misses)
+	}
+	// Provisioning the second app moves the generation: the resident record
+	// of the known tag is from the old one and is decoded again, and the
+	// tag that was an unknown app a moment ago now decodes.
+	if err := db.Add(gen); err != nil {
+		t.Fatal(err)
+	}
+	if res := process(known); res.Verdict != policy.VerdictAllow || len(res.Stack) != 1 {
+		t.Fatalf("known tag after the mutation: %+v", res)
+	}
+	want, err := db.DecodeStack(gen.Truncated(), []uint32{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := process(unknownTag); res.Verdict != policy.VerdictAllow || !slices.Equal(res.Stack, want) {
+		t.Fatalf("newly provisioned app: %+v, want stack %v", res, want)
+	}
+	if hits, misses := internStats(e); hits != 1 || misses != 12 {
+		t.Fatalf("after the mutation: intern hits/misses = %d/%d, want 1/12", hits, misses)
+	}
+	if d := e.decoded[internCell(flowtable.Digest(known))].Load(); d == nil || d.dbGen != db.Generation() {
+		t.Fatalf("resident record %+v, want one of generation %d", d, db.Generation())
+	}
+}
+
+// TestInternConcurrentMixedTags: 64 goroutines push new flows of a mix of
+// tags — two of them fighting over one cell — through one enforcer; every
+// packet must get its own tag's stack (run under -race).
+func TestInternConcurrentMixedTags(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	gen := genAPK()
+	if err := db.Add(gen); err != nil {
+		t.Fatal(err)
+	}
+	tags, stacks := conflictingTags(t, db, gen)
+	payloads, want := tags[:], stacks[:]
+	for _, names := range [][]string{{"download"}, {"upload"}, {"beacon", "download"}} {
+		pkt := mkPacket(t, apk, db, names...)
+		payloads = append(payloads, pkt.Header.Options[0].Data)
+		want = append(want, e.Process(pkt).Stack)
+	}
+	const goroutines, perG = 64, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				k := (g + i) % len(payloads)
+				res := e.Process(taggedPacket(payloads[k], g*perG+i))
+				if res.Verdict != policy.VerdictAllow || !slices.Equal(res.Stack, want[k]) {
+					t.Errorf("goroutine %d packet %d (tag %d): %v %v, want %v", g, i, k, res.Verdict, res.Stack, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if hits, misses := internStats(e); hits == 0 || hits+misses != goroutines*perG+3 {
+		t.Fatalf("intern hits/misses = %d/%d over %d flows", hits, misses, goroutines*perG+3)
+	}
+}
+
+// TestNonIPv4AddressBypassesTheCache: the flow key holds IPv4 endpoints, so
+// a packet with any other source address is decided by the full pipeline
+// every time and leaves no trace in the table or the intern cells.
+func TestNonIPv4AddressBypassesTheCache(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{},
+		[]policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}}, policy.VerdictAllow)
+	for _, tc := range []struct {
+		names []string
+		want  policy.Verdict
+	}{{[]string{"download"}, policy.VerdictAllow}, {[]string{"beacon"}, policy.VerdictDrop}} {
+		pkt := mkPacket(t, apk, db, tc.names...)
+		pkt.Header.Src = netip.MustParseAddr("2001:db8::5")
+		for i := 0; i < 2; i++ {
+			if res := e.Process(pkt); res.Verdict != tc.want || len(res.Stack) != 1 {
+				t.Fatalf("%v from an IPv6 source: %+v", tc.names, res)
+			}
+		}
+	}
+	hits, misses := internStats(e)
+	if st := e.Stats(); st.Flow != (flowtable.Stats{}) || st.Processed != 4 || hits+misses != 0 {
+		t.Fatalf("bypass left traces: flow %+v, processed %d, intern %d/%d", st.Flow, st.Processed, hits, misses)
+	}
+}
+
+// TestInternedMissAllocatesOnce pins the fill path's allocations: a new
+// flow of a known tag allocates its Decision and nothing else.
+func TestInternedMissAllocatesOnce(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	payload := mkPacket(t, apk, db, "beacon", "download").Header.Options[0].Data
+	const runs = 500
+	pkts := make([]*ipv4.Packet, runs+2)
+	for i := range pkts {
+		pkts[i] = taggedPacket(payload, i)
+	}
+	e.Process(pkts[0]) // interns the tag
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		e.Process(pkts[next])
+		next++
+	})
+	if allocs != 1 {
+		t.Fatalf("an interned miss allocates %v times, want 1", allocs)
+	}
+	if hits, misses := internStats(e); misses != 1 || hits != runs+1 {
+		t.Fatalf("intern hits/misses = %d/%d", hits, misses)
+	}
+}

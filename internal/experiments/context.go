@@ -17,23 +17,28 @@ import (
 )
 
 // This file implements the contextual-policy experiment: risk-scored
-// contextual predicates (network trust class, posture, impossible travel)
-// enforced over a pooled device population, a mid-run context flip that
-// must invalidate every affected cached verdict with zero stale allows —
-// and nobody else's, beyond the flipped device's stripe — and a cache-hit
-// latency measurement proving the contextual dimension
-// rides the ~100 ns verdict cache for free. Machine-readable output goes
-// to BENCH_context.json.
+// contextual predicates (network trust class, posture, impossible travel,
+// time of day) enforced over a pooled device population, a mid-run context
+// flip that must invalidate every affected cached verdict with zero stale
+// allows — and nobody else's, beyond the flipped device's stripe — a
+// time-window cohort whose cached verdicts must lapse exactly at the
+// window's edges, and a cache-hit latency measurement proving the
+// contextual dimension rides the ~100 ns verdict cache for free.
+// Machine-readable output goes to BENCH_context.json.
 
 // contextPolicyDoc is the experiment's contextual policy: no access rules
 // (default allow), risk weights per scenario, warn at 40, block at 100.
 // Scenario scores: trusted −30 (clean), cellular 30 (clean), unknown 60
-// (warn), trusted + impossible travel −30+130 = 100 (block).
+// (warn), trusted + impossible travel −30+130 = 100 (block). The lunch-hour
+// lockdown is far from the run's own virtual time (Monday 00:00 plus
+// milliseconds) until the time-window phase moves the clock into it, where
+// it blocks cellular (160) and unknown (190) devices.
 const contextPolicyDoc = `
 {[risk][network]["unknown"][60]}
 {[risk][network]["cellular"][30]}
 {[risk][network]["trusted"][-30]}
 {[risk][travel]["impossible"][130]}
+{[risk][time]["12:00-13:00"][130]}
 {[threshold][warn][40]}
 {[threshold][block][100]}
 `
@@ -122,6 +127,19 @@ type ContextBenchResult struct {
 	// invalidations observed during the run.
 	StaleDrops uint64 `json:"stale_drops"`
 
+	// Time window: TimeFlows flows (the cellular and unknown devices',
+	// admitted at Monday 00:00 and still cached) keep sending while the
+	// clock crosses TimeEdgesCrossed edges of the 12:00-13:00 lockdown.
+	// StaleTimeAllows counts packets admitted inside the window from a
+	// verdict reached outside it — zero, or a cached verdict outlived its
+	// time edge. TimeReevaluations counts the cached verdicts re-evaluated
+	// because an edge was reached: one per flow per edge, no more (a flow
+	// is not re-scored while its context stands still) and no fewer.
+	TimeFlows         int    `json:"time_flows"`
+	TimeEdgesCrossed  int    `json:"time_edges_crossed"`
+	StaleTimeAllows   int    `json:"stale_time_allows"`
+	TimeReevaluations uint64 `json:"time_reevaluations"`
+
 	// Cache-hit latency with contextual rules loaded and context wired:
 	// the per-packet hit path must stay within the PR 2 envelope (~100 ns)
 	// because context is folded into the cached verdict, not re-evaluated.
@@ -142,6 +160,8 @@ func (r *ContextBenchResult) Format() string {
 	fmt.Fprintf(&b, "context: generation %d, invalidations %v\n", r.ContextGeneration, r.Invalidations)
 	fmt.Fprintf(&b, "flip: %d devices flipped, %d stale allows, %d re-evaluated drops, %d bystander re-evaluations, %d stale invalidations\n",
 		r.FlippedDevices, r.StaleAllows, r.PostFlipDrops, r.BystanderReevaluations, r.StaleDrops)
+	fmt.Fprintf(&b, "time window: %d flows across %d edges, %d stale time allows, %d time re-evaluations\n",
+		r.TimeFlows, r.TimeEdgesCrossed, r.StaleTimeAllows, r.TimeReevaluations)
 	fmt.Fprintf(&b, "cache hit with context: %.1f ns/op over %d packets (%d hits, %d misses)\n",
 		r.CacheHitNsPerOp, r.CacheHitPackets, r.FlowHits, r.FlowMisses)
 	return b.String()
@@ -196,6 +216,13 @@ func (r *ContextBenchResult) Check() error {
 	}
 	if r.StaleDrops == 0 {
 		return fmt.Errorf("context: flow table recorded no stale-generation invalidations")
+	}
+	if r.StaleTimeAllows != 0 {
+		return fmt.Errorf("context: %d allows served inside the time window from verdicts reached outside it", r.StaleTimeAllows)
+	}
+	if want := uint64(r.TimeFlows * r.TimeEdgesCrossed); r.TimeFlows == 0 || r.TimeReevaluations != want {
+		return fmt.Errorf("context: %d time re-evaluations for %d flows across %d edges, want %d",
+			r.TimeReevaluations, r.TimeFlows, r.TimeEdgesCrossed, want)
 	}
 	if r.Invalidations["network"] == 0 || r.Invalidations["travel"] == 0 {
 		return fmt.Errorf("context: invalidation causes incomplete: %v", r.Invalidations)
@@ -380,6 +407,45 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 		res.BystanderReevaluations += flip.BystanderReevaluations
 		res.Flips = append(res.Flips, flip)
 	}
+
+	// Phase 4: the time window. The cellular and unknown devices' flows were
+	// admitted at Monday 00:00 and are still cached; their traffic goes on
+	// while the clock crosses both edges of the lockdown. Up to 11:59:59 the
+	// cached allow is right, from 12:00:00 to 12:59:59 every packet must be
+	// dropped, at 13:00:00 the flows are admitted again — and each flow is
+	// re-evaluated once per edge, not once per packet.
+	before, inLockdown := tb.Enforcer.Stats().VerdictExpiries, false
+	for _, step := range []struct {
+		at       time.Duration
+		lockdown bool
+	}{
+		{12*time.Hour - time.Second, false},
+		{12 * time.Hour, true},
+		{12*time.Hour + 30*time.Minute, true},
+		{13*time.Hour - time.Second, true},
+		{13 * time.Hour, false},
+		{14 * time.Hour, false},
+	} {
+		tb.Network.Clock.Advance(step.at - tb.Network.Clock.Now())
+		if step.lockdown != inLockdown {
+			inLockdown = step.lockdown
+			res.TimeEdgesCrossed++
+		}
+		for i := 0; i < cfg.Devices; i++ {
+			if sc := scenarioOf(i); sc != scenarioCellular && sc != scenarioUnknown {
+				continue
+			}
+			allowed := tb.Enforcer.Process(last(i)).Verdict == policy.VerdictAllow
+			switch {
+			case step.lockdown && allowed:
+				res.StaleTimeAllows++
+			case !step.lockdown && !allowed:
+				return nil, fmt.Errorf("context: %s dropped at %v, outside the time window", pool.Addr(i), step.at)
+			}
+		}
+	}
+	res.TimeFlows = byScenario[scenarioCellular].Devices + byScenario[scenarioUnknown].Devices
+	res.TimeReevaluations = tb.Enforcer.Stats().VerdictExpiries - before
 
 	st := tb.Enforcer.Stats()
 	es := tb.Engine.Stats()

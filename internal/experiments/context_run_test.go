@@ -38,6 +38,24 @@ func TestRunContextSmoke(t *testing.T) {
 	if err := over.Check(); err == nil {
 		t.Fatal("Check accepted a flip that re-evaluated more than its stripe")
 	}
+	// The time-window cohort: 4 cellular + 4 unknown flows across both edges
+	// of the lockdown, one re-evaluation per flow per edge — and Check must
+	// object to a stale allow, and to a flow scored more or less often.
+	if res.TimeFlows != 8 || res.TimeEdgesCrossed != 2 || res.StaleTimeAllows != 0 || res.TimeReevaluations != 16 {
+		t.Fatalf("time window: %d flows, %d edges, %d stale allows, %d re-evaluations",
+			res.TimeFlows, res.TimeEdgesCrossed, res.StaleTimeAllows, res.TimeReevaluations)
+	}
+	for _, bad := range []func(*ContextBenchResult){
+		func(r *ContextBenchResult) { r.StaleTimeAllows = 1 },
+		func(r *ContextBenchResult) { r.TimeReevaluations++ },
+		func(r *ContextBenchResult) { r.TimeReevaluations-- },
+	} {
+		broken := *res
+		bad(&broken)
+		if err := broken.Check(); err == nil {
+			t.Fatalf("Check accepted a broken time window: %+v", broken)
+		}
+	}
 	if res.Format() == "" {
 		t.Fatal("empty Format")
 	}

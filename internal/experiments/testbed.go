@@ -92,8 +92,9 @@ type TestbedConfig struct {
 	// Faults arms the network with a deterministic fault plan at
 	// construction (nil leaves the wire perfect, as before).
 	Faults *netsim.FaultPlan
-	// FlowTTL bounds flow-verdict cache entries in virtual time; zero
-	// keeps the pre-soak behaviour (no TTL, eviction pressure only).
+	// FlowTTL is the flow-verdict cache's idle timeout in virtual time (an
+	// entry expires that long after its flow's last packet); zero keeps
+	// the pre-soak behaviour (no TTL, eviction pressure only).
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Requires

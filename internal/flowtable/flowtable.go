@@ -7,12 +7,11 @@
 //
 // # Keying
 //
-// A flow is identified by Key: the full 5-tuple — IPv4 endpoints
-// (src, dst), the transport ports the enforcer peeks out of the TCP/UDP
-// header (zero for non-first fragments and malformed headers), the
-// protocol — and the raw tag bytes themselves — which begin with the
-// app's truncated hash — pinned verbatim in the key, with a 64-bit digest
-// of them for indexing.
+// A flow is identified by Key: the full 5-tuple — IPv4 endpoints (src, dst),
+// the transport ports the enforcer peeks out of the TCP/UDP header (zero for
+// non-first fragments and malformed headers), the protocol — and the raw tag
+// bytes themselves — which begin with the app's truncated hash — pinned
+// verbatim in the key, with a 64-bit digest of them for indexing.
 // Internally each shard maps a 64-bit mix of the whole Key to its slot,
 // and every probe verifies the full stored Key — including the exact tag
 // bytes — so a digest or hash collision between different flows can only
@@ -42,9 +41,11 @@
 // teardown is the next one claimed. An insert into a full shard samples
 // evictSamples slots from a rotating hand, reclaims the expired ones, else
 // evicts the least recently used of the sample (approximate LRU: O(1), and
-// deterministic — no random source, no map order). With a Clock, entries
-// also carry a TTL in virtual time counted from insertion, so dead flows
-// age out even without capacity pressure.
+// deterministic — no random source, no map order). With a Clock, the TTL is
+// an idle timeout in virtual time counted from the entry's last use: a flow
+// that keeps sending stays cached, one whose teardown was lost ages out
+// without capacity pressure. A value that lapses for the caller's own
+// reasons (the enforcer's time-of-day edges) is the caller's to check.
 //
 // All counters are atomic; Lookup takes only one shard RLock, so parallel
 // readers on different flows share nothing but their shard stripe.
@@ -53,7 +54,6 @@ package flowtable
 import (
 	"encoding/binary"
 	"math"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,10 +70,11 @@ type Clock interface {
 // somehow exceed it are uncacheable (see SetTag).
 const MaxTagBytes = 38
 
-// Key identifies one flow at the enforcement point.
+// Key identifies one flow at the enforcement point. It holds no pointer.
 type Key struct {
-	// Src and Dst are the packet's IPv4 endpoints.
-	Src, Dst netip.Addr
+	// Src and Dst are the packet's IPv4 endpoints (a packet with any other
+	// address family bypasses the cache).
+	Src, Dst [4]byte
 	// SrcPort and DstPort are the transport ports peeked from the packet's
 	// TCP/UDP header; zero when the payload carries no transport header
 	// (non-first fragments, malformed headers).
@@ -142,14 +143,8 @@ func Digest(b []byte) uint64 {
 // endpoints and ports separate flows with identical tags.
 func (k Key) hash() uint64 {
 	h := k.Digest
-	if k.Src.Is4() {
-		a := k.Src.As4()
-		h ^= uint64(binary.BigEndian.Uint32(a[:]))
-	}
-	if k.Dst.Is4() {
-		a := k.Dst.As4()
-		h ^= uint64(binary.BigEndian.Uint32(a[:])) << 32
-	}
+	h ^= uint64(binary.BigEndian.Uint32(k.Src[:]))
+	h ^= uint64(binary.BigEndian.Uint32(k.Dst[:])) << 32
 	h ^= uint64(k.SrcPort)<<16 | uint64(k.DstPort) | uint64(k.Proto)<<32
 	// Final avalanche (splitmix64 tail) so low bits depend on all input.
 	h ^= h >> 30
@@ -165,8 +160,8 @@ type Config struct {
 	// Shards is the number of lock stripes, rounded up to a power of two
 	// (default 64).
 	Shards int
-	// TTL expires entries this much virtual time after insertion; zero (or
-	// a nil Clock) disables expiry.
+	// TTL is the idle timeout: an entry expires this much virtual time after
+	// its last use (insert or hit). Zero (or a nil Clock) disables expiry.
 	TTL time.Duration
 	// Clock supplies virtual time for TTL and recency; nil falls back to a
 	// monotonic tick counter (recency only, no TTL).
@@ -200,7 +195,7 @@ type Stats struct {
 	// StaleDrops counts entries discarded because the generation moved
 	// (policy or database update invalidated them).
 	StaleDrops uint64
-	// ExpiredDrops counts entries discarded past their TTL.
+	// ExpiredDrops counts entries discarded after sitting idle past the TTL.
 	ExpiredDrops uint64
 	// AdmissionDrops counts inserts turned away by the negative-cache
 	// admission guard (first-seen keys hitting a full shard — the
@@ -211,14 +206,14 @@ type Stats struct {
 }
 
 // slot is one cell of a shard's slab: a cached flow, or a link in the free
-// list. lastUsed is atomic so hits under the shard RLock can refresh recency
-// without a write lock; the other fields change only under the write lock.
+// list. lastUsed (LRU recency and idle-TTL origin) is atomic so hits under the
+// shard RLock can refresh it without a write lock; the other fields change
+// only under the write lock.
 type slot[V any] struct {
 	key      Key
 	val      V
 	h        uint64
 	gen      uint64
-	born     time.Duration
 	lastUsed atomic.Int64
 	// live marks a slot that holds a flow. A free slot's next is the rest
 	// of the free list (slot index + 1; 0 ends it).
@@ -380,33 +375,39 @@ func (t *Table[V]) release(s *shard[V], i uint32) {
 	t.live.Add(-1)
 }
 
+// idle reports whether an entry last used at `used` has outlived the TTL.
+func (t *Table[V]) idle(now time.Duration, used int64) bool {
+	return t.ttl > 0 && now-time.Duration(used) > t.ttl
+}
+
 // Lookup returns the cached value for k if it exists, carries the caller's
-// current generation, and has not expired. A stale or expired entry is
-// released and reported as a miss, so the caller re-evaluates and
+// current generation, and has not sat idle past the TTL. A stale or expired
+// entry is released and reported as a miss, so the caller re-evaluates and
 // re-inserts under the current generation.
 func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.readNow()
-	var egen uint64
-	var born time.Duration
+	stale := false
 	s.mu.RLock()
 	i, ok := s.index[h]
 	if ok {
 		e := &s.slots[i]
 		if e.key != k {
 			ok = false
-		} else if egen, born = e.gen, e.born; egen == gen && (t.ttl <= 0 || now-born <= t.ttl) {
+		} else if used := e.lastUsed.Load(); e.gen == gen && !t.idle(now, used) {
 			// Refresh recency, but skip the store when the timestamp has not
 			// moved: repeated hits on a hot flow then leave the entry's cache
 			// line clean for the other cores.
-			if e.lastUsed.Load() != int64(now) {
+			if used != int64(now) {
 				e.lastUsed.Store(int64(now))
 			}
 			val := e.val
 			s.mu.RUnlock()
 			t.hits.Add(1)
 			return val, true
+		} else {
+			stale = e.gen != gen
 		}
 	}
 	s.mu.RUnlock()
@@ -415,12 +416,12 @@ func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 		// — unless the slot was rewritten between the two locks.
 		s.mu.Lock()
 		if j, still := s.index[h]; still && j == i {
-			if e := &s.slots[i]; e.gen == egen && e.born == born && e.key == k {
+			if e := &s.slots[i]; e.key == k && (e.gen != gen || t.idle(now, e.lastUsed.Load())) {
 				t.release(s, i)
 			}
 		}
 		s.mu.Unlock()
-		if egen != gen {
+		if stale {
 			t.stale.Add(1)
 		} else {
 			t.expired.Add(1)
@@ -459,7 +460,7 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 		s.index[h] = i
 	}
 	e := &s.slots[i]
-	e.key, e.val, e.h, e.gen, e.born, e.live = k, v, h, gen, now, true
+	e.key, e.val, e.h, e.gen, e.live = k, v, h, gen, true
 	e.lastUsed.Store(int64(now))
 	s.mu.Unlock()
 	t.inserts.Add(1)
@@ -467,7 +468,7 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 
 // evictLocked frees room in a full shard — one with no free slot, so every
 // sampled slot is live: it samples evictSamples slots from the rotating
-// hand, reclaims the expired ones, else evicts the least recently used.
+// hand, reclaims the idle-expired ones, else evicts the least recently used.
 // Caller holds s.mu.
 func (t *Table[V]) evictLocked(s *shard[V], now time.Duration) {
 	var (
@@ -481,11 +482,10 @@ func (t *Table[V]) evictLocked(s *shard[V], now time.Duration) {
 		if s.hand++; s.hand == n {
 			s.hand = 0
 		}
-		e := &s.slots[i]
-		if t.ttl > 0 && now-e.born > t.ttl {
+		if u := s.slots[i].lastUsed.Load(); t.idle(now, u) {
 			t.release(s, i)
 			freed++
-		} else if u := e.lastUsed.Load(); u < lruUsed {
+		} else if u < lruUsed {
 			lru, lruUsed = i, u
 		}
 	}
@@ -512,7 +512,7 @@ func (t *Table[V]) Delete(k Key) bool {
 	return ok
 }
 
-// Sweep walks every shard and releases entries past their TTL, returning
+// Sweep walks every shard and releases entries idle past the TTL, returning
 // how many it reclaimed. Expiry is otherwise lazy (discovered on lookup or
 // under insert pressure), which lets a flow whose teardown packets were
 // lost pin its entry indefinitely if no traffic ever probes it again; a
@@ -529,7 +529,7 @@ func (t *Table[V]) Sweep() int {
 		s := &t.shards[si]
 		s.mu.Lock()
 		for i := range s.slots {
-			if e := &s.slots[i]; e.live && now-e.born > t.ttl {
+			if e := &s.slots[i]; e.live && t.idle(now, e.lastUsed.Load()) {
 				t.release(s, uint32(i))
 				freed++
 			}

@@ -2,7 +2,6 @@ package flowtable
 
 import (
 	"fmt"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,8 +28,8 @@ func (c *tickClock) advance(d time.Duration) {
 
 func key(i int) Key {
 	return Key{
-		Src:    netip.MustParseAddr("10.66.0.2"),
-		Dst:    netip.AddrFrom4([4]byte{93, 184, byte(i >> 8), byte(i)}),
+		Src:    [4]byte{10, 66, 0, 2},
+		Dst:    [4]byte{93, 184, byte(i >> 8), byte(i)},
 		Proto:  6,
 		Digest: Digest([]byte(fmt.Sprintf("tag-%d", i))),
 	}
@@ -76,21 +75,39 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	}
 }
 
+// TestTTLExpiry: the TTL is an idle timeout. A flow touched every TTL/2 stays
+// a hit for ten TTLs; left alone for longer than the TTL it is an expiry,
+// counted once, and the next packet's insert starts a new idle period.
 func TestTTLExpiry(t *testing.T) {
+	const ttl = 10 * time.Millisecond
 	clk := &tickClock{}
-	tb := New[int](Config{Capacity: 128, TTL: 10 * time.Millisecond, Clock: clk})
+	tb := New[int](Config{Capacity: 128, TTL: ttl, Clock: clk})
 	k := key(3)
 	tb.Insert(k, 1, 42)
-	clk.advance(5 * time.Millisecond)
+	for i := 0; i < 20; i++ {
+		clk.advance(ttl / 2)
+		if _, ok := tb.Lookup(k, 1); !ok {
+			t.Fatalf("flow in use expired %v after insertion", clk.Now())
+		}
+	}
+	clk.advance(ttl)
 	if _, ok := tb.Lookup(k, 1); !ok {
-		t.Fatal("entry expired before TTL")
+		t.Fatal("entry expired at exactly the TTL")
 	}
-	clk.advance(6 * time.Millisecond)
+	clk.advance(ttl + time.Nanosecond)
 	if _, ok := tb.Lookup(k, 1); ok {
-		t.Fatal("entry served past TTL")
+		t.Fatal("entry served after sitting idle past the TTL")
 	}
-	if st := tb.Stats(); st.ExpiredDrops != 1 {
-		t.Fatalf("expired drops = %d, want 1", st.ExpiredDrops)
+	if _, ok := tb.Lookup(k, 1); ok {
+		t.Fatal("expired entry still mapped")
+	}
+	if st := tb.Stats(); st.ExpiredDrops != 1 || st.Hits != 21 || st.Misses != 2 || st.Live != 0 {
+		t.Fatalf("stats = %+v, want 1 expiry, 21 hits, 2 misses, 0 live", st)
+	}
+	tb.Insert(k, 1, 43)
+	clk.advance(ttl)
+	if v, ok := tb.Lookup(k, 1); !ok || v != 43 {
+		t.Fatalf("re-inserted flow = %d, %v", v, ok)
 	}
 }
 

@@ -2,7 +2,6 @@ package flowtable
 
 import (
 	"encoding/binary"
-	"net/netip"
 	"testing"
 )
 
@@ -10,8 +9,8 @@ func floodKey(i uint64) Key {
 	var tag [16]byte
 	binary.LittleEndian.PutUint64(tag[:8], i)
 	var k Key
-	k.Src = netip.MustParseAddr("10.66.0.2")
-	k.Dst = netip.MustParseAddr("203.0.113.9")
+	k.Src = [4]byte{10, 66, 0, 2}
+	k.Dst = [4]byte{203, 0, 113, 9}
 	k.SrcPort = uint16(40000 + i%20000)
 	k.DstPort = 443
 	k.Proto = 6

@@ -5,32 +5,39 @@ import (
 	"time"
 )
 
-// TestSweepReclaimsExpired: the GC sweep removes only TTL-expired entries
-// and counts them as expirations; fresh entries survive.
+// TestSweepReclaimsExpired: the GC sweep removes exactly the entries that
+// sat idle past the TTL and counts them as expirations; entries inserted or
+// hit since survive, however long ago they were inserted.
 func TestSweepReclaimsExpired(t *testing.T) {
 	clk := &tickClock{}
 	tb := New[string](Config{Capacity: 128, Shards: 2, TTL: time.Minute, Clock: clk})
 	for i := 0; i < 8; i++ {
 		tb.Insert(key(i), 1, "allow")
 	}
-	clk.advance(2 * time.Minute)
+	clk.advance(45 * time.Second)
+	for i := 0; i < 3; i++ { // three old flows still sending
+		if _, ok := tb.Lookup(key(i), 1); !ok {
+			t.Fatalf("flow %d missing", i)
+		}
+	}
+	clk.advance(45 * time.Second)
 	for i := 8; i < 12; i++ {
 		tb.Insert(key(i), 1, "allow") // fresh at sweep time
 	}
 
-	if got := tb.Sweep(); got != 8 {
-		t.Fatalf("sweep reclaimed %d, want 8", got)
+	if got := tb.Sweep(); got != 5 {
+		t.Fatalf("sweep reclaimed %d, want the 5 idle flows", got)
 	}
 	st := tb.Stats()
-	if st.Live != 4 {
-		t.Fatalf("live = %d, want 4", st.Live)
+	if st.Live != 7 {
+		t.Fatalf("live = %d, want 7", st.Live)
 	}
-	if st.ExpiredDrops != 8 {
-		t.Fatalf("expired drops = %d, want 8", st.ExpiredDrops)
+	if st.ExpiredDrops != 5 {
+		t.Fatalf("expired drops = %d, want 5", st.ExpiredDrops)
 	}
-	for i := 8; i < 12; i++ {
+	for _, i := range []int{0, 1, 2, 8, 9, 10, 11} {
 		if _, ok := tb.Lookup(key(i), 1); !ok {
-			t.Fatalf("fresh entry %d swept", i)
+			t.Fatalf("entry %d in use was swept", i)
 		}
 	}
 	// Second sweep finds nothing.

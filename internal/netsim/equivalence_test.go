@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
@@ -173,5 +175,123 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 	}
 	if rs.Flow.Hits+rs.Flow.Misses+rs.BatchMemoHits != 0 {
 		t.Fatalf("reference gateway used a cache: %+v", rs)
+	}
+}
+
+// TestEquivalenceAcrossTimeEdges adds the clock to the sweep: under a risk
+// policy with two overlapping time windows, long-lived flows send a packet
+// at every step of a clock that crosses each window edge (the edge falls
+// inside those flows), and a new connection opens and closes at every step
+// (the edge falls between these). The flow-cached gateway — whose table has
+// no TTL, so only the verdicts' own expiry can end a stale one — must
+// decide every packet as the uncached one does: verdict, cause, risk score
+// and the warn flag.
+func TestEquivalenceAcrossTimeEdges(t *testing.T) {
+	apk := sweepAPK()
+	rules, err := policy.ParsePolicyString(`
+{[deny][library]["com/flurry"]}
+{[risk][time]["21:00-23:00"][60]}
+{[risk][time]["22:00-06:00"][50]}
+{[threshold][warn][50]}
+{[threshold][block][100]}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := NewClock()
+	build := func(flows *enforcer.FlowCache) (*Gateway, *enforcer.Enforcer) {
+		db := analyzer.NewDatabase()
+		if err := db.Add(apk); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := policy.NewEngine(rules, policy.VerdictAllow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enf := enforcer.New(enforcer.Config{Flows: flows, Context: devctx.NewSource(clock), Clock: clock}, db, eng)
+		return NewGateway(GatewayConfig{
+			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2, Clock: clock,
+		}), enf
+	}
+	fast, fastEnf := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}))
+	ref, _ := build(nil)
+	db := analyzer.NewDatabase() // for taggedPacket's index lookup only
+	if err := db.Add(apk); err != nil {
+		t.Fatal(err)
+	}
+
+	const hour, day = time.Hour, 24 * time.Hour
+	steps := []time.Duration{
+		20 * hour, 21*hour - time.Second, 21 * hour, 21*hour + time.Second, 21*hour + 59*time.Minute + 59*time.Second,
+		22 * hour, 22*hour + 30*time.Minute, 23*hour - time.Nanosecond, 23 * hour, day - time.Second, day, day + hour,
+		day + 6*hour - time.Second, day + 6*hour, day + 12*hour,
+		day + 22*hour + 30*time.Minute,                                   // two edges since the last packet
+		5*day + 21*hour + 30*time.Minute, 7*day + 5*hour, 7*day + 6*hour, // across the week's wrap
+	}
+	// Long-lived connections, one data segment per step, clean and tracker.
+	var long [][]*ipv4.Packet
+	var burst []*ipv4.Packet
+	for c, method := range []string{"download", "download", "beacon", "upload"} {
+		syn, data, _ := tcpConn(t, taggedPacket(t, apk, db, method), uint16(42001+c), len(steps))
+		long = append(long, data)
+		burst = append(burst, syn)
+	}
+	seen := map[string]int{}
+	compare := func(when time.Duration, pkts []*ipv4.Packet) {
+		t.Helper()
+		got, err := fast.ProcessBatch(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ProcessBatch(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pkts {
+			g, w := got[i].Result, want[i].Result
+			if g.Verdict != w.Verdict || g.Cause != w.Cause || (g.Decision == nil) != (w.Decision == nil) {
+				t.Fatalf("at %v pkt %d: flow-cached gateway = %v/%v, uncached = %v/%v", when, i, g.Verdict, g.Cause, w.Verdict, w.Cause)
+			}
+			if d, r := g.Decision, w.Decision; d != nil && (d.RiskWarn != r.RiskWarn || d.RiskScore != r.RiskScore || d.RiskApplied != r.RiskApplied) {
+				t.Fatalf("at %v pkt %d: flow-cached risk = %+v, uncached = %+v", when, i, *d, *r)
+			}
+			if (got[i].Out == nil) != (want[i].Out == nil) {
+				t.Fatalf("at %v pkt %d: survivors disagree (fast out %v, ref out %v)", when, i, got[i].Out != nil, want[i].Out != nil)
+			}
+			switch {
+			case w.Cause != enforcer.DropNone:
+				seen[w.Cause.String()]++
+			case w.Decision.RiskWarn:
+				seen["warn"]++
+			default:
+				seen["allow"]++
+			}
+		}
+	}
+	compare(0, burst) // the SYNs, Monday 00:00
+	for s, at := range steps {
+		clock.Advance(at - clock.Now())
+		// Inside flows: each long connection's next segment, the first one
+		// twice in a row so the batch memo answers too.
+		burst = append(burst[:0], long[0][s], long[0][s].Clone())
+		for _, data := range long[1:] {
+			burst = append(burst, data[s])
+		}
+		// Between flows: a connection that lives within this step.
+		syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, "download"), uint16(43000+s), 2)
+		burst = append(append(append(burst, syn), data...), fin)
+		compare(at, burst)
+		for _, pkt := range burst { // and one packet at a time
+			compare(at, []*ipv4.Packet{pkt})
+		}
+	}
+	for _, c := range []string{"allow", "warn", "risk", "policy"} {
+		if seen[c] == 0 {
+			t.Fatalf("the sweep never produced %q: %v", c, seen)
+		}
+	}
+	fs := fastEnf.Stats()
+	if fs.Flow.Hits == 0 || fs.BatchMemoHits == 0 || fs.Flow.ExpiredDrops != 0 {
+		t.Fatalf("sweep did not run on cached verdicts alone: %+v", fs)
 	}
 }

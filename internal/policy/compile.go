@@ -243,7 +243,7 @@ func compileRules(rules []Rule) (*compiledRules, error) {
 		}
 	}
 	if len(preds) > 0 {
-		c.ctx = &contextProgram{preds: preds, warnAt: warnAt, blockAt: blockAt}
+		c.ctx = &contextProgram{preds: preds, warnAt: warnAt, blockAt: blockAt, edges: timeEdges(preds)}
 	}
 	return c, nil
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,11 +37,17 @@ import (
 // block threshold is legal — block simply takes precedence and warn is
 // unreachable.
 //
-// Performance contract: context is evaluated exactly once per flow, at
+// Performance contract: context is evaluated once per flow, at
 // SYN/cache-miss time, and the resulting verdict is what the flow table
-// caches. Risk rules only ever tighten an allow (an access deny needs no
-// second opinion), so the compiled context program runs after — and only
-// after — the access rules admit the flow.
+// caches. That verdict is valid for policy generation × database generation
+// × that device's context version × until the next time edge: the first
+// three make the caller's cache generation; the clock moves by itself, so
+// the program knows the minutes of the week at which a time predicate's
+// match can change and every scored Decision says how far off the next one
+// is (TimeEdgeIn; never, without a time predicate). Risk rules only ever
+// tighten an allow (an access deny needs no second opinion), so the compiled
+// context program runs after — and only after — the access rules admit the
+// flow.
 
 // Kind discriminates the rule forms of the extended grammar. The zero
 // value is KindAccess, so every pre-contextual Rule literal keeps its
@@ -229,7 +236,7 @@ type FlowContext struct {
 	Weekday uint8
 }
 
-const minutesPerDay = 24 * 60
+const minutesPerDay, minutesPerWeek = 24 * 60, 7 * 24 * 60
 
 // TimeOfVirtual maps a virtual-clock reading to (minute-of-day, weekday).
 // The virtual epoch (t=0) is defined as Monday 00:00, so weekday 5 and 6
@@ -429,6 +436,44 @@ type contextProgram struct {
 	preds   []compiledPredicate
 	warnAt  int
 	blockAt int
+	// edges are the ascending minutes of the week (0 = Monday 00:00) at which
+	// some time predicate matches differently than the minute before (none
+	// when no match depends on the clock); between two of them a device
+	// context's score is constant.
+	edges []int32
+}
+
+// timeEdges derives a program's edges from matches itself, probing every
+// minute of the week at compile time, so they cannot disagree with what the
+// predicates do (day masks and midnight-wrapping windows included).
+func timeEdges(preds []compiledPredicate) (edges []int32) {
+	preds = slices.DeleteFunc(slices.Clone(preds), func(p compiledPredicate) bool { return p.pred != PredTime })
+	prev := FlowContext{MinuteOfDay: minutesPerDay - 1, Weekday: 6}
+	for m := int32(0); m < minutesPerWeek; m++ {
+		cur := FlowContext{MinuteOfDay: uint16(m % minutesPerDay), Weekday: uint8(m / minutesPerDay)}
+		for i := range preds {
+			if p := &preds[i]; p.matches(&cur) != p.matches(&prev) {
+				edges = append(edges, m)
+				break
+			}
+		}
+		prev = cur
+	}
+	return edges
+}
+
+// nextEdgeIn returns the whole minutes from fc's minute of the week to the
+// next edge after it (1..minutesPerWeek), or 0 when the program has none.
+func (cp *contextProgram) nextEdgeIn(fc *FlowContext) int32 {
+	if len(cp.edges) == 0 {
+		return 0
+	}
+	now := int32(fc.Weekday)*minutesPerDay + int32(fc.MinuteOfDay)
+	i, _ := slices.BinarySearch(cp.edges, now+1)
+	if i == len(cp.edges) {
+		return cp.edges[0] + minutesPerWeek - now
+	}
+	return cp.edges[i] - now
 }
 
 // score sums the weights of the matching predicates and bumps their rule

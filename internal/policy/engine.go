@@ -50,6 +50,11 @@ type Decision struct {
 	// RiskBlocked reports that the drop verdict came from the risk score
 	// reaching the block threshold rather than an access rule.
 	RiskBlocked bool
+	// TimeEdgeIn is, when RiskApplied, the whole minutes from the flow
+	// context's minute to the next one at which a time predicate can match
+	// differently: score and verdict hold for every minute before it. Zero:
+	// no time predicate, the decision does not depend on the clock.
+	TimeEdgeIn int32
 	// RiskScore is the flow's summed risk score when RiskApplied.
 	RiskScore int
 }
@@ -194,9 +199,10 @@ func (e *Engine) Evaluate(appHash dex.TruncatedHash, stack []dex.Signature) Deci
 // non-nil and the rule set carries risk rules, the flow's risk score is
 // computed after — and only when — the access rules admit the flow, and
 // folded into the decision (drop at the block threshold, RiskWarn at the
-// warn threshold). This runs once per flow at SYN/cache-miss time; the
-// resulting decision is what the flow table caches, so the per-packet path
-// never evaluates context.
+// warn threshold). This runs once per flow at SYN/cache-miss time — and
+// again when the flow outlives Decision.TimeEdgeIn; the resulting decision
+// is what the flow table caches, so the per-packet path never evaluates
+// context.
 func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, fc *FlowContext) Decision {
 	// Degraded-mode override: one pointer load on the (cache-miss) path,
 	// nil in normal operation.
@@ -226,6 +232,7 @@ func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, 
 		score := c.ctx.score(fc, c)
 		d.RiskApplied = true
 		d.RiskScore = score
+		d.TimeEdgeIn = c.ctx.nextEdgeIn(fc)
 		e.riskEvaluations.Add(1)
 		switch {
 		case score >= c.ctx.blockAt:
