@@ -166,8 +166,8 @@ func run() error {
 	// fields to fall out of date when a layer grows a counter.
 	printRegistry(tb.Metrics)
 	cm := tb.Manager.Stats()
-	fmt.Printf("context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d\n",
-		cm.SocketsTagged, cm.FramesResolved, cm.FramesDropped)
+	fmt.Printf("context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d, tag table hits=%d misses=%d\n",
+		cm.SocketsTagged, cm.FramesResolved, cm.FramesDropped, cm.TagCacheHits, cm.TagCacheMisses)
 
 	metricsFlags.Wait(os.Stdout)
 	return nil

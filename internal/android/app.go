@@ -177,7 +177,8 @@ func (a *App) Invoke(name string) (*InvokeResult, error) {
 		return nil, fmt.Errorf("%w: %s in %s", ErrUnknownFunctionality, name, a.APK.PackageName)
 	}
 	op := f.Op.normalize()
-	res := &InvokeResult{}
+	// SYN, the requests and FIN per chunk: the most a TCP op emits.
+	res := &InvokeResult{Packets: make([]*ipv4.Packet, 0, op.Chunks*(op.Requests+2))}
 
 	a.thread.PushAll(baseFrames)
 	a.thread.PushAll(f.CallPath)

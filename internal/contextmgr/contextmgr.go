@@ -6,12 +6,29 @@
 // each frame to a method signature, encodes the signature indexes plus the
 // truncated apk hash into the compact tag, and injects the tag into the
 // socket's IP_OPTIONS through the JNI setsockopt shim.
+//
+// The tag is a pure function of the loaded app and the stack trace, so it
+// is built once per call site: resolve runs on a call site's first connect
+// and its result goes into the app's call-site table, tagCells
+// direct-mapped cells indexed by a hash of the whole trace. A cell answers
+// only when its stored trace equals the socket's verbatim; the hash only
+// picks the cell. A trace landing on an occupied cell replaces the
+// resident — the whole overflow policy: a miss costs what every connect
+// once did and never yields another stack's tag. Only successful encodes
+// are stored, and HandleLoadPackage starts an app over with an empty table.
+// Per socket remain the setsockopt (the kernel copies the option bytes at
+// that boundary), the context published on the socket, and Stats updated
+// exactly as a fresh resolve would update them.
 package contextmgr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
@@ -53,6 +70,98 @@ type appState struct {
 	// sigIndex scan with a ParseSignature per key.
 	overloadIndex map[string]uint32
 	stripped      bool
+	// tags is the call-site table (see the package comment).
+	tags [tagCells]atomic.Pointer[stackTag]
+}
+
+// tagCells is the size of each app's call-site table.
+const tagCells = 64
+
+// stackTag is what one call site's connects share: the trace it was built
+// from, the IP_OPTIONS that carry its tag, the resolved signatures the
+// socket is given as context, and the frame counts for the Stats. Built
+// only by resolve and never written once published.
+type stackTag struct {
+	frames        []dex.Frame
+	opts          []ipv4.Option
+	ctx           any // the resolved []dex.Signature, boxed once
+	kept, dropped uint64
+	truncated     bool
+}
+
+// traceSeed keys traceHash per process, so cells are unpredictable outside.
+var traceSeed = maphash.MakeSeed()
+
+// traceHash hashes the class, method, file and line of every frame.
+func traceHash(frames []dex.Frame) uint64 {
+	var h maphash.Hash
+	h.SetSeed(traceSeed)
+	var line [8]byte
+	for i := range frames {
+		f := &frames[i]
+		h.WriteString(f.Class)
+		h.WriteByte(0)
+		h.WriteString(f.Method)
+		h.WriteByte(0)
+		h.WriteString(f.File)
+		h.Write(binary.LittleEndian.AppendUint64(line[:0], uint64(f.Line)))
+	}
+	return h.Sum64()
+}
+
+// tag returns the call site's stackTag: the cell's if it holds exactly this
+// trace (hit), else a fresh resolve, published in the cell.
+func (st *appState) tag(frames []dex.Frame) (t *stackTag, hit bool, err error) {
+	cell := &st.tags[traceHash(frames)%tagCells]
+	if t = cell.Load(); t != nil && slices.Equal(t.frames, frames) {
+		return t, true, nil
+	}
+	if t, err = st.resolve(frames); err != nil {
+		return nil, false, err
+	}
+	cell.Store(t)
+	return t, false, nil
+}
+
+// resolve runs paper Fig. 2's steps 1-3 for one trace — map frames to
+// signature indexes (framework frames drop out), encode them with the apk
+// hash — and is the only builder of a stackTag; frames is kept, not copied.
+func (st *appState) resolve(frames []dex.Frame) (*stackTag, error) {
+	t := &stackTag{frames: frames}
+	indexes := make([]uint32, 0, len(frames))
+	resolved := make([]dex.Signature, 0, len(frames))
+	for _, f := range frames {
+		sig, ok := st.lineTab.Resolve(f)
+		if !ok {
+			t.dropped++
+			continue
+		}
+		idx, found := st.sigIndex[sig.String()]
+		if !found && sig.Merged() {
+			// Merged signatures are not in the index; use the first
+			// overload's slot so the enforcer can still identify the
+			// method name deterministically.
+			idx, found = st.overloadIndex[overloadKey(sig.Package, sig.Class, sig.Name)]
+		}
+		if !found {
+			t.dropped++
+			continue
+		}
+		indexes = append(indexes, idx)
+		resolved = append(resolved, sig)
+		t.kept++
+	}
+	payload, err := (&tag.Tag{AppHash: st.hash, Indexes: indexes, DebugStripped: st.stripped}).Encode()
+	if err != nil {
+		return nil, err
+	}
+	t.opts = []ipv4.Option{{Type: ipv4.OptSecurity, Data: payload}}
+	// The context stays resident with the call site: keep only its length.
+	t.ctx = slices.Clone(resolved)
+	// The encoder's flag is the truth about truncation: it applied the
+	// budget, 14 narrow frames but only 9 wide ones.
+	t.truncated = payload[0]&tag.FlagTruncated != 0
+	return t, nil
 }
 
 // overloadKey is the merged-signature lookup key: overloads share
@@ -73,6 +182,9 @@ type Stats struct {
 	FramesDropped uint64
 	// StacksTruncated counts stacks that exceeded the IP_OPTIONS budget.
 	StacksTruncated uint64
+	// TagCacheHits counts connects whose tag came from the call-site
+	// table; TagCacheMisses those that resolved and encoded it afresh.
+	TagCacheHits, TagCacheMisses uint64
 }
 
 // Manager is the Context Manager module.
@@ -158,66 +270,35 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 		return
 	}
 
-	// Step 1-2: getStackTrace and per-frame signature resolution.
-	frames := app.Thread().GetStackTrace()
-	indexes := make([]uint32, 0, len(frames))
-	resolved := make([]dex.Signature, 0, len(frames))
-	var dropped, kept uint64
-	for _, f := range frames {
-		sig, ok := st.lineTab.Resolve(f)
-		if !ok {
-			dropped++
-			continue
-		}
-		idx, found := st.sigIndex[sig.String()]
-		if !found && sig.Merged() {
-			// Merged signatures are not in the index; use the first
-			// overload's slot so the enforcer can still identify the
-			// method name deterministically.
-			idx, found = st.overloadIndex[overloadKey(sig.Package, sig.Class, sig.Name)]
-		}
-		if !found {
-			dropped++
-			continue
-		}
-		indexes = append(indexes, idx)
-		resolved = append(resolved, sig)
-		kept++
-	}
-
-	// Step 3: encode into the compact representation.
-	t := tag.Tag{
-		AppHash:       st.hash,
-		Indexes:       indexes,
-		DebugStripped: st.stripped,
-	}
-	payload, err := t.Encode()
+	// Steps 1-3 (getStackTrace, per-frame resolution, encoding), once per
+	// call site.
+	t, hit, err := st.tag(app.Thread().GetStackTrace())
 	if err != nil {
 		m.recordErr(fmt.Errorf("contextmgr: encode: %w", err))
 		return
 	}
 
 	// Step 4: inject via the JNI shim (setsockopt IP_OPTIONS).
-	err = m.shim.SetIPOptions(sock.FD(), []ipv4.Option{{Type: ipv4.OptSecurity, Data: payload}})
+	err = m.shim.SetIPOptions(sock.FD(), t.opts)
 
 	// Expose the captured context for tests/extractor. Published through
 	// the socket's own synchronized accessor — the manager's mutex below
 	// guards only the manager's stats, and readers of the socket never
 	// take it.
 	if err == nil {
-		sock.SetContext(resolved)
+		sock.SetContext(t.ctx)
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.FramesResolved += kept
-	m.stats.FramesDropped += dropped
-	// The encoder is the single source of truth for truncation: its flag
-	// byte reflects the budget it actually applied — 14 narrow frames but
-	// only 9 wide ones. Comparing len(indexes) against MaxNarrowFrames
-	// here undercounts wide-index stacks of 10..14 frames, which the
-	// encoder truncated at 9 without exceeding the narrow threshold.
-	if len(payload) > 0 && payload[0]&tag.FlagTruncated != 0 {
+	if hit {
+		m.stats.TagCacheHits++
+	} else {
+		m.stats.TagCacheMisses++
+	}
+	m.stats.FramesResolved += t.kept
+	m.stats.FramesDropped += t.dropped
+	if t.truncated {
 		m.stats.StacksTruncated++
 	}
 	if err != nil {

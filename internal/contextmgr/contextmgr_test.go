@@ -66,7 +66,7 @@ func funcs() []android.Functionality {
 	}
 }
 
-func provision(t *testing.T, kcfg kernel.Config) (*android.Device, *Manager, *android.App) {
+func provision(t testing.TB, kcfg kernel.Config) (*android.Device, *Manager, *android.App) {
 	t.Helper()
 	d := android.NewDevice(android.Config{
 		Addr:            netip.MustParseAddr("10.0.0.5"),
@@ -330,6 +330,20 @@ func TestSocketsTaggedOncePerConnection(t *testing.T) {
 		if !ok || string(opt.Data) != string(first.Data) {
 			t.Fatalf("packet %d tag differs", i)
 		}
+	}
+	// The call site is now in the table: later connections take their tag
+	// from it, and each socket still gets its own setsockopt.
+	for i := 0; i < 2; i++ {
+		if _, err := app2.Invoke("download"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m2.Stats()
+	if st.SocketsTagged != 3 || st.TagCacheHits != 2 || st.TagCacheMisses != 1 {
+		t.Fatalf("three connections from one call site: %+v", st)
+	}
+	if calls := dev.Kernel().Stats().SetoptCalls; calls != 3 {
+		t.Fatalf("%d setsockopt calls for three sockets", calls)
 	}
 	_ = m
 	_ = app

@@ -48,8 +48,16 @@ func TestFig3SmallCorpus(t *testing.T) {
 	if res.MeanCoverage < 0.8 {
 		t.Fatalf("mean coverage = %.2f; monkey not reaching functionality", res.MeanCoverage)
 	}
+	// Every hooked call site misses its first connect; nearly every other
+	// connect is answered from the call-site table.
+	if res.CallSites == 0 || res.TaggedConnects <= res.CallSites {
+		t.Fatalf("%d tagged connects from %d call sites", res.TaggedConnects, res.CallSites)
+	}
+	if ceiling := 1 - float64(res.CallSites)/float64(res.TaggedConnects); res.TagCacheHitRate > ceiling || res.TagCacheHitRate < ceiling-0.05 {
+		t.Fatalf("tag table hit rate %.3f, want just under its ceiling %.3f", res.TagCacheHitRate, ceiling)
+	}
 	out := res.Format()
-	for _, want := range []string{"Figure 3", "apps with >=1 IoI", "75%", "25%"} {
+	for _, want := range []string{"Figure 3", "apps with >=1 IoI", "75%", "25%", "tag table hit rate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q", want)
 		}

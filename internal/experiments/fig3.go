@@ -28,6 +28,12 @@ type Fig3Result struct {
 	PaperAppsWithIoI int
 	// MeanCoverage is the average monkey functionality coverage.
 	MeanCoverage float64
+	// TaggedConnects counts sockets the Context Manager tagged, CallSites
+	// the distinct stack traces they came from, and TagCacheHitRate the
+	// share of connects answered from its call-site table (a result the
+	// paper does not report).
+	TaggedConnects, CallSites int
+	TagCacheHitRate           float64
 }
 
 // Fig3Config parameterizes the corpus experiment.
@@ -71,6 +77,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	defer tb.Close()
 	var all []*ipv4.Packet
 	var coverage float64
+	callSites := 0
 	for i, app := range tb.Apps {
 		rep, err := monkey.Run(app, monkey.Config{
 			Events:             cfg.MonkeyEvents,
@@ -82,11 +89,19 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		}
 		all = append(all, rep.Packets...)
 		coverage += rep.Coverage
+		traces := make(map[string]bool)
+		for name := range rep.InvocationsByName {
+			if f, ok := app.Functionality(name); ok && !f.Op.UseNativeSocket {
+				traces[fmt.Sprint(f.CallPath)] = true
+			}
+		}
+		callSites += len(traces)
 	}
 	analysis, err := ioi.Analyze(all, tb.DB)
 	if err != nil {
 		return nil, err
 	}
+	cm := tb.Manager.Stats()
 	return &Fig3Result{
 		CorpusSize:       len(tb.Apps),
 		Events:           cfg.MonkeyEvents,
@@ -94,6 +109,9 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		PaperHistogram:   []int{152, 53, 8, 3, 2},
 		PaperAppsWithIoI: 218,
 		MeanCoverage:     coverage / float64(len(tb.Apps)),
+		TaggedConnects:   int(cm.SocketsTagged),
+		CallSites:        callSites,
+		TagCacheHitRate:  float64(cm.TagCacheHits) / float64(max(1, cm.TagCacheHits+cm.TagCacheMisses)),
 	}, nil
 }
 
@@ -122,5 +140,7 @@ func (r *Fig3Result) Format() string {
 	fmt.Fprintf(&b, "same-package share of IoI apps: measured %.0f%%, paper 75%%\n", 100*r.Analysis.SamePackageShare())
 	fmt.Fprintf(&b, "cross-package share of IoIs:    measured %.0f%%, paper 25%%\n", 100*r.Analysis.CrossPackageShare())
 	fmt.Fprintf(&b, "mean monkey functionality coverage: %.2f (paper's numbers are a lower bound under partial coverage)\n", r.MeanCoverage)
+	fmt.Fprintf(&b, "context manager: %d tagged connects from %d distinct call sites, tag table hit rate %.1f%% (%.1f%% if each call site missed once)\n",
+		r.TaggedConnects, r.CallSites, 100*r.TagCacheHitRate, 100*(1-float64(r.CallSites)/float64(max(1, r.TaggedConnects))))
 	return b.String()
 }

@@ -37,22 +37,34 @@ var (
 	ErrMalformed = errors.New("httpsim: malformed message")
 )
 
-// MarshalRequest renders the request in HTTP/1.1 wire form.
+// Marshal renders the request in HTTP/1.1 wire form, into one buffer of
+// exactly its size.
 func (r *Request) Marshal() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", r.Method, r.Path)
-	if r.Host != "" {
-		fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
-	}
+	const proto, host, clenKey, end = " HTTP/1.1\r\n", "Host: ", "Content-Length: ", "\r\n\r\n"
+	conn := "Connection: close\r\n"
 	if r.KeepAlive {
-		b.WriteString("Connection: keep-alive\r\n")
-	} else {
-		b.WriteString("Connection: close\r\n")
+		conn = "Connection: keep-alive\r\n"
 	}
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	b.WriteString("\r\n")
-	b.Write(r.Body)
-	return b.Bytes()
+	var digits [20]byte
+	clen := strconv.AppendInt(digits[:0], int64(len(r.Body)), 10)
+	size := len(r.Method) + 1 + len(r.Path) + len(proto) + len(conn) + len(clenKey) + len(clen) + len(end) + len(r.Body)
+	if r.Host != "" {
+		size += len(host) + len(r.Host) + 2
+	}
+	b := append(make([]byte, 0, size), r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.Path...)
+	b = append(b, proto...)
+	if r.Host != "" {
+		b = append(b, host...)
+		b = append(b, r.Host...)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, conn...)
+	b = append(b, clenKey...)
+	b = append(b, clen...)
+	b = append(b, end...)
+	return append(b, r.Body...)
 }
 
 // ParseRequest parses a request from wire form. Method, Path and Host are
@@ -60,7 +72,7 @@ func (r *Request) Marshal() []byte {
 // two allocations per request, whatever the body size. Callers must
 // therefore leave data unmodified for as long as they hold the request,
 // which the network guarantees by never writing an emitted payload (see
-// netsim's egressCopy).
+// ipv4.Packet).
 func ParseRequest(data []byte) (*Request, error) {
 	h, err := parseHead(data)
 	if err != nil {

@@ -9,6 +9,26 @@ import (
 	"strings"
 )
 
+// refMarshalRequest is Request.Marshal as it stood before the exact-size
+// append replaced it, kept verbatim as the reference FuzzRequestMarshal
+// compares against.
+func refMarshalRequest(r *Request) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", r.Method, r.Path)
+	if r.Host != "" {
+		fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
+	}
+	if r.KeepAlive {
+		b.WriteString("Connection: keep-alive\r\n")
+	} else {
+		b.WriteString("Connection: close\r\n")
+	}
+	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
+	b.WriteString("\r\n")
+	b.Write(r.Body)
+	return b.Bytes()
+}
+
 // The parsers as they stood before the forward scan replaced them, kept
 // verbatim as the reference the differential and fuzz tests compare
 // against: a bufio.Reader over the message, headers read line by line, the

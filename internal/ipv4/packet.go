@@ -71,6 +71,12 @@ type Header struct {
 }
 
 // Packet is an IPv4 packet: header plus transport payload.
+//
+// A packet's payload and option data are immutable once emitted: the
+// kernel builds every packet of a socket on the socket's one copy of its
+// option bytes, the gateway's sanitizer copy shares them and the payload,
+// the server parses the payload in place. A stage that needs to change
+// either works on a Clone, which copies both.
 type Packet struct {
 	Header  Header
 	Payload []byte

@@ -188,15 +188,13 @@ func (k *Kernel) SetIPOptions(fd int, caps Capability, opts []ipv4.Option) error
 	if total > ipv4.MaxOptionsLen {
 		return fmt.Errorf("%w: options %d bytes exceed %d", ErrInvalid, total, ipv4.MaxOptionsLen)
 	}
-	s.Options = make([]ipv4.Option, len(opts))
-	for i, o := range opts {
-		s.Options[i] = ipv4.Option{Type: o.Type, Data: append([]byte(nil), o.Data...)}
-	}
+	s.Options = cloneOptions(opts)
 	s.optSealed = true
 	return nil
 }
 
-// GetSocket returns a snapshot of the socket's kernel state.
+// GetSocket returns a snapshot of the socket's kernel state, option bytes
+// copied: the socket's own are what its every later packet carries.
 func (k *Kernel) GetSocket(fd int) (Socket, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -205,8 +203,17 @@ func (k *Kernel) GetSocket(fd int) (Socket, error) {
 		return Socket{}, ErrBadFD
 	}
 	cp := *s
-	cp.Options = append([]ipv4.Option(nil), s.Options...)
+	cp.Options = cloneOptions(s.Options)
 	return cp, nil
+}
+
+// cloneOptions deep-copies an option list, data included.
+func cloneOptions(opts []ipv4.Option) []ipv4.Option {
+	out := make([]ipv4.Option, len(opts))
+	for i, o := range opts {
+		out[i] = ipv4.Option{Type: o.Type, Data: append([]byte(nil), o.Data...)}
+	}
+	return out
 }
 
 // Close implements close(2) for sockets: the socket leaves the table, so a
@@ -276,8 +283,10 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 }
 
 // buildPacketLocked assembles the IPv4 packet for a socket's wire payload
-// (transport header included) and stamps the socket's IP options. Caller
-// holds k.mu.
+// (transport header included) and stamps the socket's IP options. The
+// packet gets its own option list but shares the option bytes, which
+// SetIPOptions copied in and nothing writes after (the invariant on
+// ipv4.Packet). Caller holds k.mu.
 func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfilter) {
 	k.ipidCounter++
 	pkt := &ipv4.Packet{
@@ -290,8 +299,11 @@ func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfi
 		},
 		Payload: wire,
 	}
-	for _, o := range s.Options {
-		pkt.Header.SetOption(ipv4.Option{Type: o.Type, Data: append([]byte(nil), o.Data...)})
+	if len(s.Options) > 0 {
+		pkt.Header.Options = make([]ipv4.Option, 0, len(s.Options))
+		for _, o := range s.Options {
+			pkt.Header.SetOption(o)
+		}
 	}
 	return pkt, k.filter
 }

@@ -426,3 +426,33 @@ func TestCloseFreesSocket(t *testing.T) {
 		}
 	}
 }
+
+// TestGetSocketSnapshotOwnsOptionBytes: every packet of a socket carries
+// the socket's one copy of its option bytes, so a snapshot that aliased
+// them would let its holder rewrite the tag of every later packet.
+// Scribbling on the snapshot must leave the next packet's tag as set.
+func TestGetSocketSnapshotOwnsOptionBytes(t *testing.T) {
+	k := New(Config{AllowUnprivilegedIPOptions: true})
+	fd := newConnected(t, k)
+	tag := []byte{0x10, 1, 2, 3, 4, 5, 6, 7, 8, 0, 7}
+	if err := k.SetIPOptions(fd, 0, []ipv4.Option{{Type: ipv4.OptSecurity, Data: tag}}); err != nil {
+		t.Fatal(err)
+	}
+	tag[0] = 0xee // the caller's bytes were copied at setsockopt
+	snap, err := k.GetSocket(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Options[0].Data {
+		snap.Options[0].Data[i] = 0xff
+	}
+	snap.Options[0].Type = ipv4.OptTimestamp
+	pkt, err := k.Send(fd, []byte("GET"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, ok := pkt.Header.FindOption(ipv4.OptSecurity)
+	if !ok || opt.Data[0] != 0x10 || opt.Data[len(opt.Data)-1] != 7 {
+		t.Fatalf("packet tag after scribbling the snapshot: %x (found %v)", opt.Data, ok)
+	}
+}

@@ -63,7 +63,7 @@ type QueueHandler func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet)
 
 // BatchVerdict is one packet's outcome from a QueueBatchHandler.
 type BatchVerdict struct {
-	// Verdict accepts or drops the packet.
+	// Verdict accepts or drops the packet; only VerdictAccept accepts.
 	Verdict Verdict
 	// Rewritten replaces the packet for the rest of the traversal when
 	// non-nil.
@@ -75,12 +75,14 @@ type BatchVerdict struct {
 }
 
 // QueueBatchHandler consumes a whole batch of packets diverted to one
-// NFQUEUE in a single user-space transition and returns one BatchVerdict
-// per packet (verdicts[i] answers pkts[i]). Batch handlers let the
-// consumer amortize per-flow work — resolve, decode, policy — across the
-// packets of a burst, which is where the real netfilter_queue's
-// per-packet recv/verdict round trip hurts most.
-type QueueBatchHandler func(pkts []*ipv4.Packet) []BatchVerdict
+// NFQUEUE in a single user-space transition and writes one BatchVerdict
+// per packet into out (out[i] answers pkts[i]; out arrives zeroed). Batch
+// handlers let the consumer amortize per-flow work — resolve, decode,
+// policy — across the packets of a burst, which is where the real
+// netfilter_queue's per-packet recv/verdict round trip hurts most. Both
+// slices are kernel scratch, reused after the call: a handler keeps
+// neither, and what it attaches as Aux or Rewritten lives elsewhere.
+type QueueBatchHandler func(pkts []*ipv4.Packet, out []BatchVerdict)
 
 // RuleTarget is what an iptables rule does on match.
 type RuleTarget int
@@ -243,6 +245,25 @@ type batchItem struct {
 	aux  any
 }
 
+// batchScratch is one batch traversal's working memory, pooled. It is
+// cleared before it goes back, so nothing outlives the traversal that put
+// it there.
+type batchScratch struct {
+	items    []batchItem
+	matched  []int
+	batch    []*ipv4.Packet
+	verdicts []BatchVerdict
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release clears the items (batch and verdicts are cleared after each call).
+func (sc *batchScratch) release() {
+	clear(sc.items)
+	sc.items = sc.items[:0]
+	scratchPool.Put(sc)
+}
+
 // OutputBatch runs a batch through OUTPUT then POSTROUTING in one
 // traversal per chain: for each rule, the matching live packets are
 // partitioned out and — for NFQUEUE targets — handed to the queue's batch
@@ -252,39 +273,38 @@ type batchItem struct {
 // scalar handler drops its packets and reports ErrNoQueueHandler (first
 // error wins), like the real kernel's dead-NFQUEUE behaviour.
 func (nf *Netfilter) OutputBatch(pkts []*ipv4.Packet) ([]BatchResult, error) {
-	items := make([]batchItem, len(pkts))
-	for i, p := range pkts {
-		items[i] = batchItem{pkt: p}
+	sc := scratchPool.Get().(*batchScratch)
+	defer sc.release()
+	for _, p := range pkts {
+		sc.items = append(sc.items, batchItem{pkt: p})
 	}
-	err := nf.traverseBatch(ChainOutput, items)
+	err := nf.traverseBatch(ChainOutput, sc)
 	// Reset chain-scoped accept marks; drops keep pkt == nil.
-	for i := range items {
-		items[i].done = items[i].pkt == nil
+	for i := range sc.items {
+		sc.items[i].done = sc.items[i].pkt == nil
 	}
-	if err2 := nf.traverseBatch(ChainPostrouting, items); err == nil {
+	if err2 := nf.traverseBatch(ChainPostrouting, sc); err == nil {
 		err = err2
 	}
-	out := make([]BatchResult, len(items))
-	for i := range items {
-		out[i] = BatchResult{Out: items[i].pkt, Aux: items[i].aux}
+	out := make([]BatchResult, len(sc.items))
+	for i, it := range sc.items {
+		out[i] = BatchResult{Out: it.pkt, Aux: it.aux}
 	}
 	return out, err
 }
 
-// traverseBatch walks one chain over every not-yet-decided item.
+// traverseBatch walks one chain over every not-yet-decided item of sc.
 // Verdict counters accumulate in locals and flush once per traversal —
 // at batch sizes the per-packet atomic adds were a measurable slice of
 // the fast-path budget.
-func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
+func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 	nf.mu.RLock()
 	rules := nf.chains[chain]
 	nf.mu.RUnlock()
 
+	items := sc.items
 	var firstErr error
 	var accepted, dropped, queued uint64
-	// matched carries the item indexes a queue rule diverts this round,
-	// sized once at full batch width so append never regrows it.
-	var matched []int
 	for ri := range rules {
 		r := &rules[ri]
 		switch r.Target {
@@ -308,10 +328,7 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 				dropped++
 			}
 		case TargetQueue:
-			if matched == nil {
-				matched = make([]int, 0, len(items))
-			}
-			matched = matched[:0]
+			matched := sc.matched[:0]
 			for i := range items {
 				it := &items[i]
 				if it.done || (r.Match != nil && !r.Match(it.pkt)) {
@@ -319,6 +336,7 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 				}
 				matched = append(matched, i)
 			}
+			sc.matched = matched
 			if len(matched) == 0 {
 				continue
 			}
@@ -328,36 +346,35 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 			nf.mu.RUnlock()
 			switch {
 			case bh != nil:
-				batch := make([]*ipv4.Packet, len(matched))
-				for bi, i := range matched {
-					batch[bi] = items[i].pkt
+				batch := sc.batch[:0]
+				for _, i := range matched {
+					batch = append(batch, items[i].pkt)
 				}
-				verdicts := bh(batch)
+				verdicts := append(sc.verdicts[:0], make([]BatchVerdict, len(matched))...)
+				sc.batch, sc.verdicts = batch[:0], verdicts[:0]
+				bh(batch, verdicts)
 				for bi, i := range matched {
 					it := &items[i]
+					v := &verdicts[bi]
 					// Aux rides along even on drops: the gateway needs the
 					// enforcement result of a denied packet for its audit
 					// trail.
-					if bi < len(verdicts) && verdicts[bi].Aux != nil {
-						it.aux = verdicts[bi].Aux
+					if v.Aux != nil {
+						it.aux = v.Aux
 					}
-					if bi >= len(verdicts) {
-						it.pkt = nil
-						it.done = true
-						dropped++
-						continue
-					}
-					if verdicts[bi].Verdict == VerdictDrop {
+					if v.Verdict != VerdictAccept {
 						it.pkt = nil
 						it.done = true
 						dropped++
 						continue
 					}
 					queued++
-					if verdicts[bi].Rewritten != nil {
-						it.pkt = verdicts[bi].Rewritten
+					if v.Rewritten != nil {
+						it.pkt = v.Rewritten
 					}
 				}
+				clear(batch)
+				clear(verdicts)
 			case sh != nil:
 				for _, i := range matched {
 					it := &items[i]

@@ -37,8 +37,7 @@ func TestOutputBatchMatchesScalar(t *testing.T) {
 			}
 			return VerdictAccept, nil
 		})
-		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
-			out := make([]BatchVerdict, len(pkts))
+		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 			for i, pkt := range pkts {
 				if drop(pkt) {
 					out[i] = BatchVerdict{Verdict: VerdictDrop}
@@ -46,7 +45,6 @@ func TestOutputBatchMatchesScalar(t *testing.T) {
 					out[i] = BatchVerdict{Verdict: VerdictAccept, Aux: i}
 				}
 			}
-			return out
 		})
 		return nf
 	}
@@ -94,23 +92,19 @@ func TestOutputBatchRewriteFlowsDownstream(t *testing.T) {
 	nf := NewNetfilter()
 	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 	nf.Append(ChainPostrouting, Rule{Target: TargetQueue, QueueNum: 2})
-	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
-		out := make([]BatchVerdict, len(pkts))
+	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 		for i, pkt := range pkts {
 			rw := pkt.Clone()
 			rw.Payload = append(rw.Payload, []byte("+q1")...)
 			out[i] = BatchVerdict{Verdict: VerdictAccept, Rewritten: rw}
 		}
-		return out
 	})
 	var seen []string
-	nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet) []BatchVerdict {
-		out := make([]BatchVerdict, len(pkts))
+	nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 		for i, pkt := range pkts {
 			seen = append(seen, string(pkt.Payload))
 			out[i] = BatchVerdict{Verdict: VerdictAccept}
 		}
-		return out
 	})
 	res, err := nf.OutputBatch([]*ipv4.Packet{batchPkt(0, "a"), batchPkt(1, "b")})
 	if err != nil {
@@ -178,13 +172,11 @@ func TestOutputBatchRuleTargets(t *testing.T) {
 	})
 	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 	var batchSizes []int
-	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
+	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 		batchSizes = append(batchSizes, len(pkts))
-		out := make([]BatchVerdict, len(pkts))
 		for i := range out {
 			out[i] = BatchVerdict{Verdict: VerdictAccept}
 		}
-		return out
 	})
 	pkts := []*ipv4.Packet{
 		batchPkt(0, "drop-me"),
@@ -216,8 +208,7 @@ func TestDrainBatchParallelWorkers(t *testing.T) {
 	nf := NewNetfilter()
 	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 	var handled sync.Map
-	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
-		out := make([]BatchVerdict, len(pkts))
+	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 		for i, pkt := range pkts {
 			if _, dup := handled.LoadOrStore(pkt, true); dup {
 				panic("packet handled twice")
@@ -228,7 +219,6 @@ func TestDrainBatchParallelWorkers(t *testing.T) {
 				out[i] = BatchVerdict{Verdict: VerdictAccept, Aux: string(pkt.Payload)}
 			}
 		}
-		return out
 	})
 
 	const n = 1000
@@ -280,13 +270,11 @@ func TestDrainBatchShortBurstRunsInline(t *testing.T) {
 		nf := NewNetfilter()
 		nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 		var calls atomic.Int64
-		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
+		nf.RegisterBatchQueue(1, func(_ []*ipv4.Packet, out []BatchVerdict) {
 			calls.Add(1)
-			out := make([]BatchVerdict, len(pkts))
 			for i := range out {
 				out[i].Verdict = VerdictAccept
 			}
-			return out
 		})
 		pkts := make([]*ipv4.Packet, tc.pkts)
 		for i := range pkts {
@@ -304,5 +292,73 @@ func TestDrainBatchShortBurstRunsInline(t *testing.T) {
 		if got := int(calls.Load()); got != tc.wantCalls {
 			t.Errorf("%d packets over %d workers: %d handler calls, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
 		}
+	}
+}
+
+// TestOutputBatchRetainsNoScratch pins that nothing a traversal returns
+// lives in its pooled scratch: a handler that (against its contract) keeps
+// the packet and verdict slices it was handed, and scribbles on them — and
+// on whatever scratch the pool gives out next — after OutputBatch
+// returned, changes no result; and the next traversal, on a scratch left
+// longer by a bigger batch, sees no stale packet.
+func TestOutputBatchRetainsNoScratch(t *testing.T) {
+	nf := NewNetfilter()
+	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
+	nf.Append(ChainPostrouting, Rule{Target: TargetQueue, QueueNum: 2})
+	var kept [][]*ipv4.Packet
+	var keptOut [][]BatchVerdict
+	var seen []string
+	for q := 1; q <= 2; q++ {
+		nf.RegisterBatchQueue(q, func(pkts []*ipv4.Packet, out []BatchVerdict) {
+			kept, keptOut = append(kept, pkts), append(keptOut, out)
+			for i, pkt := range pkts {
+				seen = append(seen, string(pkt.Payload))
+				if string(pkt.Payload) == "evil" {
+					out[i] = BatchVerdict{Verdict: VerdictDrop, Aux: "denied"}
+					continue
+				}
+				out[i] = BatchVerdict{Verdict: VerdictAccept, Aux: string(pkt.Payload)}
+			}
+		})
+	}
+	pkts := []*ipv4.Packet{batchPkt(0, "a"), batchPkt(1, "evil"), batchPkt(2, "b"), batchPkt(3, "c")}
+	res, err := nf.OutputBatch(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]BatchResult(nil), res...)
+
+	junk := batchPkt(9, "junk")
+	for i := range kept {
+		for j := range kept[i] {
+			kept[i][j] = junk
+			keptOut[i][j] = BatchVerdict{Verdict: VerdictDrop, Rewritten: junk, Aux: "junk"}
+		}
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	for range 8 {
+		sc.items = append(sc.items, batchItem{pkt: junk, aux: "junk"})
+		sc.batch = append(sc.batch, junk)
+		sc.verdicts = append(sc.verdicts, BatchVerdict{Rewritten: junk, Aux: "junk"})
+	}
+	sc.items, sc.batch, sc.verdicts = sc.items[:0], sc.batch[:0], sc.verdicts[:0]
+	scratchPool.Put(sc)
+
+	for i := range res {
+		if res[i] != want[i] {
+			t.Fatalf("result %d changed after the scratch was scribbled: %+v, was %+v", i, res[i], want[i])
+		}
+	}
+	if res[0].Out != pkts[0] || res[1].Out != nil || res[1].Aux != "denied" || res[3].Aux != "c" {
+		t.Fatalf("results %+v", res)
+	}
+
+	seen = seen[:0]
+	res, err = nf.OutputBatch(pkts[2:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Out != pkts[2] || res[0].Aux != "b" || len(seen) != 2 || seen[0] != "b" || seen[1] != "b" {
+		t.Fatalf("traversal after a longer one: results %+v, queues saw %v", res, seen)
 	}
 }

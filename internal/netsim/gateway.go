@@ -66,44 +66,38 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	switch {
 	case g.enforcer != nil:
-		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
+		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
+			// The results are the burst's own allocation, not scratch: Aux
+			// points into them, and Delivery.Enforcement after that.
 			results := g.enforcer.ProcessBatch(pkts, nil)
-			out := make([]kernel.BatchVerdict, len(pkts))
 			for i := range results {
-				// Aux points into the results slice (one allocation per
-				// batch, not per packet); it stays alive with the outcomes.
 				out[i] = kernel.BatchVerdict{Verdict: kernel.VerdictAccept, Aux: &results[i]}
 				if results[i].Verdict == policy.VerdictDrop {
 					out[i].Verdict = kernel.VerdictDrop
 				}
 			}
-			return out
 		})
 		g.nf.Append(kernel.ChainOutput, kernel.Rule{
 			Target: kernel.TargetQueue, QueueNum: 1, Comment: "BYOD traffic to Policy Enforcer",
 		})
 	case g.passthrough:
-		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
-			out := make([]kernel.BatchVerdict, len(pkts))
+		g.nf.RegisterBatchQueue(1, func(_ []*ipv4.Packet, out []kernel.BatchVerdict) {
 			for i := range out {
-				out[i] = kernel.BatchVerdict{Verdict: kernel.VerdictAccept}
+				out[i].Verdict = kernel.VerdictAccept
 			}
-			return out
 		})
 		g.nf.Append(kernel.ChainOutput, kernel.Rule{
 			Target: kernel.TargetQueue, QueueNum: 1, Comment: "passthrough reader",
 		})
 	}
 	if g.sanitizer != nil {
-		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
-			out := make([]kernel.BatchVerdict, len(pkts))
+		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
 			for i, pkt := range pkts {
 				out[i] = kernel.BatchVerdict{
 					Verdict:   kernel.VerdictAccept,
 					Rewritten: g.sanitizer.Process(egressCopy(pkt)),
 				}
 			}
-			return out
 		})
 		g.nf.Append(kernel.ChainPostrouting, kernel.Rule{
 			Target: kernel.TargetQueue, QueueNum: 2, Comment: "outbound to Packet Sanitizer",
@@ -115,9 +109,8 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // egressCopy is the packet handed to the sanitizer: a copy of the header
 // with its own options slice, so stripping the tag leaves the original
 // (which conntrack teardown and EndFlow still key on) intact, sharing the
-// option data and the payload. The sharing rests on one invariant: a
-// packet's payload and option data are immutable once emitted. Every
-// stage reads them; the only writer, the fault injector, clones first.
+// option data and the payload under ipv4.Packet's immutability invariant
+// (the only writer, the fault injector, clones first).
 func egressCopy(pkt *ipv4.Packet) *ipv4.Packet {
 	c := &ipv4.Packet{Header: pkt.Header, Payload: pkt.Payload}
 	c.Header.Options = append([]ipv4.Option(nil), pkt.Header.Options...)

@@ -365,7 +365,7 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) {
 	// transport segment at all; the views then validate it in full,
 	// checksum included, before the payload is trusted. A segment that
 	// fails either serves nothing. Request and datagram alias cur.Payload,
-	// which nothing writes once emitted (see egressCopy).
+	// which nothing writes once emitted (see ipv4.Packet).
 	h := &cur.Header
 	if _, _, ok := transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload); ok {
 		switch h.Protocol {
@@ -504,35 +504,21 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	}
 	n.Clock.Advance(perNIC * time.Duration(len(pkts)))
 
-	// Partition the burst per owning gateway (subnet routing); the
-	// zero-route topology is one group on the legacy Gateway field. Each
-	// gateway's queue reader crosses into user space once per burst, then
-	// charges its per-packet enforcement/sanitizing costs and drains its
-	// slice through its own per-core worker pool.
-	outcomes := make([]BatchOutcome, len(pkts))
-	groups := n.partitionByGateway(pkts)
+	// Partition the burst per owning gateway (subnet routing); each drains
+	// its slice through its own queue reader and worker pool. With no
+	// routes the whole burst goes to the Gateway field unpartitioned.
+	var outcomes []BatchOutcome
 	activeGateways := 0
-	for gi := range groups {
-		g := &groups[gi]
-		if skipGateway || g.gw == nil || !g.gw.Active() {
-			for _, i := range g.idx {
-				outcomes[i] = BatchOutcome{Out: pkts[i]}
+	if n.gwRoutes.Load() == nil {
+		outcomes, activeGateways = n.enforceGroup(n.Gateway, pkts, skipGateway)
+	} else {
+		outcomes = make([]BatchOutcome, len(pkts))
+		for _, g := range n.partitionByGateway(pkts) {
+			res, active := n.enforceGroup(g.gw, g.pkts, skipGateway)
+			activeGateways += active
+			for j, o := range res {
+				outcomes[g.idx[j]] = o
 			}
-			continue
-		}
-		activeGateways++
-		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-		per := time.Duration(0)
-		if g.gw.HasEnforcer() {
-			per += n.Model.EnforcerPerPacket
-		}
-		if g.gw.HasSanitizer() {
-			per += n.Model.SanitizerPerPacket
-		}
-		n.Clock.Advance(per * time.Duration(len(g.pkts)))
-		res, _ := g.gw.ProcessBatch(g.pkts)
-		for j, i := range g.idx {
-			outcomes[i] = res[j]
 		}
 	}
 
@@ -563,6 +549,30 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	return out
 }
 
+// enforceGroup drains pkts through gw, charging its virtual time, and counts
+// the active gateways crossed: a skipped, absent or inactive one (0) passes
+// them as they came.
+func (n *Network) enforceGroup(gw *Gateway, pkts []*ipv4.Packet, skip bool) ([]BatchOutcome, int) {
+	if skip || gw == nil || !gw.Active() {
+		outcomes := make([]BatchOutcome, len(pkts))
+		for i, pkt := range pkts {
+			outcomes[i].Out = pkt
+		}
+		return outcomes, 0
+	}
+	n.Clock.Advance(n.Model.NFQueueHopPerPacket)
+	per := time.Duration(0)
+	if gw.HasEnforcer() {
+		per += n.Model.EnforcerPerPacket
+	}
+	if gw.HasSanitizer() {
+		per += n.Model.SanitizerPerPacket
+	}
+	n.Clock.Advance(per * time.Duration(len(pkts)))
+	outcomes, _ := gw.ProcessBatch(pkts)
+	return outcomes, 1
+}
+
 // gwGroup is one gateway's slice of a burst: the packets it fronts and
 // their indices in the original order.
 type gwGroup struct {
@@ -571,18 +581,9 @@ type gwGroup struct {
 	pkts []*ipv4.Packet
 }
 
-// partitionByGateway splits a burst by owning gateway, preserving each
-// packet's burst index so outcomes land back in order. Without installed
-// routes the whole burst is one group on the legacy Gateway field, with
-// the input slice reused as-is.
+// partitionByGateway splits a burst by owning gateway (GatewayFor),
+// preserving each packet's burst index so outcomes land back in order.
 func (n *Network) partitionByGateway(pkts []*ipv4.Packet) []gwGroup {
-	if n.gwRoutes.Load() == nil {
-		idx := make([]int, len(pkts))
-		for i := range idx {
-			idx[i] = i
-		}
-		return []gwGroup{{gw: n.Gateway, idx: idx, pkts: pkts}}
-	}
 	var groups []gwGroup
 	last := -1 // bursts are usually runs of same-subnet packets
 	for i, pkt := range pkts {

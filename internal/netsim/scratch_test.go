@@ -1,0 +1,101 @@
+package netsim
+
+import (
+	"reflect"
+	"testing"
+
+	"borderpatrol/internal/audit"
+	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/policy"
+	"borderpatrol/internal/sanitizer"
+)
+
+// TestDeliveryOutlivesKernelScratch: the kernel hands queue handlers
+// pooled packet and verdict slices. A third queue that keeps the slices it
+// was handed and scribbles on them after the burst — and the next bursts,
+// which reuse the same scratch — must change neither the deliveries'
+// enforcement results nor the audit trail of the first burst.
+func TestDeliveryOutlivesKernelScratch(t *testing.T) {
+	enf0, apk, db := buildEnforcerAndDB(t)
+	log := audit.New(nil, 64)
+	defer log.Close()
+	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 64}), Audit: log}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	n := newStaticNetwork(ModeTAP, gw)
+	var keptPkts [][]*ipv4.Packet
+	var keptOut [][]kernel.BatchVerdict
+	gw.Netfilter().RegisterBatchQueue(3, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
+		keptPkts, keptOut = append(keptPkts, pkts), append(keptOut, out)
+		for i := range out {
+			out[i].Verdict = kernel.VerdictAccept
+		}
+	})
+	gw.Netfilter().Append(kernel.ChainPostrouting, kernel.Rule{Target: kernel.TargetQueue, QueueNum: 3})
+
+	allowed := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 1)
+	denied := keepAliveBurst(t, taggedPacket(t, apk, db, "beacon"), 41001, 1)
+	burst := append(append([]*ipv4.Packet(nil), allowed...), denied...)
+	dels := n.DeliverBatch(burst)
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	trail := log.Tail()
+	results := make([]enforcer.Result, len(dels))
+	for i, d := range dels {
+		if d.Enforcement == nil || d.Delivered != (i < len(allowed)) {
+			t.Fatalf("packet %d: %+v", i, d)
+		}
+		results[i] = *d.Enforcement
+	}
+	if len(trail) != len(burst) || len(keptPkts) == 0 {
+		t.Fatalf("%d audit entries for %d packets, %d scratch slices kept", len(trail), len(burst), len(keptPkts))
+	}
+
+	junk := plainPacket(getRequest())
+	for i := range keptPkts {
+		for j := range keptPkts[i] {
+			keptPkts[i][j] = junk
+			keptOut[i][j] = kernel.BatchVerdict{Verdict: kernel.VerdictDrop, Rewritten: junk, Aux: &enforcer.Result{Verdict: policy.VerdictAllow}}
+		}
+	}
+	for port := uint16(42000); port < 42008; port++ {
+		n.DeliverBatch(keepAliveBurst(t, taggedPacket(t, apk, db, "beacon"), port, 3))
+	}
+
+	for i, d := range dels {
+		if !reflect.DeepEqual(*d.Enforcement, results[i]) {
+			t.Fatalf("packet %d: enforcement result changed after its burst: %+v, was %+v", i, *d.Enforcement, results[i])
+		}
+	}
+	if err := log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Tail()[:len(trail)]; !reflect.DeepEqual(got, trail) {
+		t.Fatalf("audit trail changed after its burst:\n%+v\nwas\n%+v", got, trail)
+	}
+}
+
+// BenchmarkDeliverBatchConnect is one connection as the connect workload
+// sends it — SYN, one request, FIN in one burst — through DeliverBatch:
+// enforcer (a flow miss, then the memo), sanitizer, conntrack, server and
+// response check. One op is one burst. Source ports cycle as in
+// BenchmarkServeKeepAlive.
+func BenchmarkDeliverBatchConnect(b *testing.B) {
+	n, _, _, base := tailFixture(b, sanitizer.Config{})
+	bursts := make([][]*ipv4.Packet, 1024)
+	for i := range bursts {
+		bursts[i] = keepAliveBurst(b, base, uint16(20000+i), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range n.DeliverBatch(bursts[i%len(bursts)]) {
+			if !d.Delivered || d.ResponseDropped {
+				b.Fatalf("delivery: %+v", d)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"borderpatrol/internal/ipv4"
@@ -53,11 +54,13 @@ func (st *Stack) Kernel() *kernel.Kernel { return st.kern }
 func (st *Stack) LocalAddr() netip.Addr { return st.localAddr }
 
 // RegisterConnectHook installs a post-connect hook (the Xposed framework
-// calls this when the Context Manager module loads).
+// calls this when the Context Manager module loads). The hook list is
+// copy-on-write: a new list replaces the old, so Connect can run the one
+// it read without copying it.
 func (st *Stack) RegisterConnectHook(h ConnectHook) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.hooks = append(st.hooks, h)
+	st.hooks = append(slices.Clip(st.hooks), h)
 }
 
 func (st *Stack) allocPort() uint16 {
@@ -71,10 +74,10 @@ func (st *Stack) allocPort() uint16 {
 	return p
 }
 
-func (st *Stack) snapshotHooks() []ConnectHook {
+func (st *Stack) connectHooks() []ConnectHook {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return append([]ConnectHook(nil), st.hooks...)
+	return st.hooks
 }
 
 // JavaSocket mirrors java.net.Socket: constructing it does NOT create an
@@ -185,7 +188,7 @@ func (s *JavaSocket) Connect(remote netip.AddrPort) error {
 	s.connected = true
 	s.mu.Unlock()
 
-	for _, h := range s.stack.snapshotHooks() {
+	for _, h := range s.stack.connectHooks() {
 		h(s)
 	}
 	return nil

@@ -181,3 +181,25 @@ func TestSocketReuseKeepsOneContext(t *testing.T) {
 		t.Fatalf("hook ran %d times for one socket, want 1", calls)
 	}
 }
+
+// TestHookRegisteredDuringConnect: the hook list is copy-on-write, so a
+// hook registered while a Connect runs its hooks joins from the next
+// Connect on, and the running one is not disturbed.
+func TestHookRegisteredDuringConnect(t *testing.T) {
+	st := newStack()
+	var first, late int
+	st.RegisterConnectHook(func(*JavaSocket) {
+		first++
+		if first == 1 {
+			st.RegisterConnectHook(func(*JavaSocket) { late++ })
+		}
+	})
+	for i := 0; i < 2; i++ {
+		if err := st.NewJavaSocket(10001).Connect(remoteAP()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first != 2 || late != 1 {
+		t.Fatalf("first hook ran %d times, late hook %d; want 2 and 1", first, late)
+	}
+}
