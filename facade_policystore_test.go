@@ -166,9 +166,16 @@ func assertOutcome(t *testing.T, dep *Deployment, app *App, fn string, wantDeliv
 	}
 }
 
+// writePolicy replaces the policy file atomically (temp file + rename): a
+// background poll must never read it half written, which parses as an
+// empty policy.
 func writePolicy(t *testing.T, path, doc string) {
 	t.Helper()
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 }

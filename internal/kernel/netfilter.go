@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -109,19 +108,18 @@ type Rule struct {
 	Comment string
 }
 
-// Netfilter models the kernel's packet-filter hooks. Verdict counters are
-// atomic so concurrent chain traversals (the gateway's per-core batch
-// drain) never serialize on a stats lock.
+// Netfilter models the kernel's packet-filter hooks. A traversal runs on
+// its caller's goroutine; verdict counters are atomic so concurrent
+// traversals (the gateway's flow-affine workers) never serialize on a
+// stats lock.
 type Netfilter struct {
-	mu           sync.RWMutex
-	chains       map[Chain][]Rule
-	queues       map[int]QueueHandler
-	batchQueues  map[int]QueueBatchHandler
-	accepted     atomic.Uint64
-	dropped      atomic.Uint64
-	queuedOK     atomic.Uint64
-	batchDrains  atomic.Uint64
-	batchPackets atomic.Uint64
+	mu          sync.RWMutex
+	chains      map[Chain][]Rule
+	queues      map[int]QueueHandler
+	batchQueues map[int]QueueBatchHandler
+	accepted    atomic.Uint64
+	dropped     atomic.Uint64
+	queuedOK    atomic.Uint64
 }
 
 // ErrNoQueueHandler reports a rule diverting to an unregistered queue; the
@@ -159,7 +157,7 @@ func (nf *Netfilter) RegisterQueue(num int, h QueueHandler) {
 }
 
 // RegisterBatchQueue binds a batch-capable user-space handler to an
-// NFQUEUE number. Batch traversals (OutputBatch/DrainBatch) prefer it;
+// NFQUEUE number. Batch traversals (OutputBatch) prefer it;
 // scalar traversals fall back to the QueueHandler registered under the
 // same number, so a queue that wants both paths registers both.
 func (nf *Netfilter) RegisterBatchQueue(num int, h QueueBatchHandler) {
@@ -420,70 +418,11 @@ func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 	return firstErr
 }
 
-// minDrainChunk is the fewest packets worth a goroutine of their own: a
-// spawn and the wait for it cost about what enforcing this many packets
-// on the calling goroutine does.
-const minDrainChunk = 64
-
-// DrainBatch is the per-core queue drain: it splits the batch into
-// contiguous chunks of at least minDrainChunk packets and runs OutputBatch
-// on each from its own goroutine (workers ≤ 0 selects GOMAXPROCS); a burst
-// too short to split runs inline. Queue handlers must be safe for
-// concurrent use — the Policy Enforcer's Process/ProcessBatch are
-// lock-free precisely so this scales with cores. Packet order within each
-// chunk is preserved; results align with pkts.
-func (nf *Netfilter) DrainBatch(pkts []*ipv4.Packet, workers int) ([]BatchResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if most := len(pkts) / minDrainChunk; workers > most {
-		workers = most
-	}
-	nf.batchDrains.Add(1)
-	nf.batchPackets.Add(uint64(len(pkts)))
-	if workers <= 1 {
-		return nf.OutputBatch(pkts)
-	}
-
-	out := make([]BatchResult, len(pkts))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pkts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pkts) {
-			hi = len(pkts)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			res, err := nf.OutputBatch(pkts[lo:hi])
-			copy(out[lo:hi], res)
-			errs[w] = err
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 // FilterStats reports packet-verdict counters.
 type FilterStats struct {
 	Accepted uint64
 	Dropped  uint64
 	Queued   uint64
-	// BatchDrains counts DrainBatch invocations; BatchPackets the packets
-	// they carried.
-	BatchDrains  uint64
-	BatchPackets uint64
 }
 
 // ResetStats zeroes the verdict counters — the kernel analogue of a
@@ -494,17 +433,13 @@ func (nf *Netfilter) ResetStats() {
 	nf.accepted.Store(0)
 	nf.dropped.Store(0)
 	nf.queuedOK.Store(0)
-	nf.batchDrains.Store(0)
-	nf.batchPackets.Store(0)
 }
 
 // Stats returns a snapshot of verdict counters.
 func (nf *Netfilter) Stats() FilterStats {
 	return FilterStats{
-		Accepted:     nf.accepted.Load(),
-		Dropped:      nf.dropped.Load(),
-		Queued:       nf.queuedOK.Load(),
-		BatchDrains:  nf.batchDrains.Load(),
-		BatchPackets: nf.batchPackets.Load(),
+		Accepted: nf.accepted.Load(),
+		Dropped:  nf.dropped.Load(),
+		Queued:   nf.queuedOK.Load(),
 	}
 }

@@ -2,10 +2,7 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"borderpatrol/internal/ipv4"
@@ -198,100 +195,6 @@ func TestOutputBatchRuleTargets(t *testing.T) {
 	}
 	if len(batchSizes) != 1 || batchSizes[0] != 2 {
 		t.Fatalf("queue saw batches %v, want one batch of 2", batchSizes)
-	}
-}
-
-// TestDrainBatchParallelWorkers pushes a large batch through DrainBatch
-// with several workers under -race: results must align with inputs and
-// every packet must get exactly one verdict.
-func TestDrainBatchParallelWorkers(t *testing.T) {
-	nf := NewNetfilter()
-	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
-	var handled sync.Map
-	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
-		for i, pkt := range pkts {
-			if _, dup := handled.LoadOrStore(pkt, true); dup {
-				panic("packet handled twice")
-			}
-			if string(pkt.Payload) == "evil" {
-				out[i] = BatchVerdict{Verdict: VerdictDrop}
-			} else {
-				out[i] = BatchVerdict{Verdict: VerdictAccept, Aux: string(pkt.Payload)}
-			}
-		}
-	})
-
-	const n = 1000
-	pkts := make([]*ipv4.Packet, n)
-	for i := range pkts {
-		payload := fmt.Sprintf("pkt-%d", i)
-		if i%7 == 0 {
-			payload = "evil"
-		}
-		pkts[i] = batchPkt(i, payload)
-	}
-	res, err := nf.DrainBatch(pkts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if i%7 == 0 {
-			if res[i].Out != nil {
-				t.Fatalf("pkt %d: evil packet survived", i)
-			}
-			continue
-		}
-		if res[i].Out == nil {
-			t.Fatalf("pkt %d dropped", i)
-		}
-		if aux, _ := res[i].Aux.(string); aux != fmt.Sprintf("pkt-%d", i) {
-			t.Fatalf("pkt %d: aux %v misaligned", i, res[i].Aux)
-		}
-	}
-	st := nf.Stats()
-	if st.BatchDrains != 1 || st.BatchPackets != n {
-		t.Fatalf("batch stats = %+v", st)
-	}
-}
-
-// TestDrainBatchShortBurstRunsInline pins the fan-out floor: a burst is
-// split only into chunks of at least minDrainChunk packets, so a
-// connection-sized burst crosses into the queue handler once, on the
-// caller's goroutine.
-func TestDrainBatchShortBurstRunsInline(t *testing.T) {
-	for _, tc := range []struct{ pkts, workers, wantCalls int }{
-		{3, 4, 1},
-		{34, 2, 1},
-		{2*minDrainChunk - 1, 4, 1},
-		{2 * minDrainChunk, 4, 2},
-		{1024, 4, 4},
-		{1024, 1, 1},
-	} {
-		nf := NewNetfilter()
-		nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
-		var calls atomic.Int64
-		nf.RegisterBatchQueue(1, func(_ []*ipv4.Packet, out []BatchVerdict) {
-			calls.Add(1)
-			for i := range out {
-				out[i].Verdict = VerdictAccept
-			}
-		})
-		pkts := make([]*ipv4.Packet, tc.pkts)
-		for i := range pkts {
-			pkts[i] = batchPkt(i, "p")
-		}
-		res, err := nf.DrainBatch(pkts, tc.workers)
-		if err != nil || len(res) != tc.pkts {
-			t.Fatalf("%d packets: %d results, err %v", tc.pkts, len(res), err)
-		}
-		for i := range res {
-			if res[i].Out != pkts[i] {
-				t.Fatalf("%d packets: result %d misaligned", tc.pkts, i)
-			}
-		}
-		if got := int(calls.Load()); got != tc.wantCalls {
-			t.Errorf("%d packets over %d workers: %d handler calls, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
-		}
 	}
 }
 

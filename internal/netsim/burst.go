@@ -1,0 +1,221 @@
+package netsim
+
+import (
+	"encoding/binary"
+	"runtime"
+	"sync"
+	"time"
+
+	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/ipv4"
+)
+
+// minWorkerBurst is the fewest packets worth a worker of their own: a
+// goroutine spawn and the wait for it cost about what delivering this many
+// packets on the calling goroutine does.
+const minWorkerBurst = 64
+
+// burst is the working memory of one DeliverBatch or Gateway.ProcessBatch,
+// pooled: each packet's owning gateway and outcome, and the flow-affine
+// split of the burst over workers with each worker's scratch. It is
+// cleared before it goes back, so nothing outlives the burst that put it
+// there.
+type burst struct {
+	// n serves the survivors; nil for Gateway.ProcessBatch, which stops
+	// before serving.
+	n    *Network
+	pkts []*ipv4.Packet
+	// gws is each packet's owning gateway; nil passes the packet through
+	// unenforced and untracked.
+	gws      []*Gateway
+	outcomes []BatchOutcome
+	out      []Delivery // DeliverBatch's deliveries, aligned with pkts
+	workers  []burstWorker
+	wg       sync.WaitGroup
+
+	// own backs outcomes for DeliverBatch (ProcessBatch returns its own);
+	// active lists the distinct active gateways DeliverBatch's burst
+	// crosses.
+	own    []BatchOutcome
+	active []*Gateway
+}
+
+// burstWorker is one worker's share of a burst.
+type burstWorker struct {
+	// idx holds the burst indices of the packets this worker owns, in
+	// burst order.
+	idx []int
+	// charge sums the virtual time this worker's serves cost.
+	charge time.Duration
+	err    error
+	// Traversal scratch: indices not yet traversed, one gateway's group
+	// and its packets.
+	todo, group []int
+	sub         []*ipv4.Packet
+}
+
+var burstPool = sync.Pool{New: func() any { return new(burst) }}
+
+// getBurst takes a burst from the pool, sized for pkts.
+func getBurst(pkts []*ipv4.Packet) *burst {
+	b := burstPool.Get().(*burst)
+	b.pkts = pkts
+	b.gws = resize(b.gws, len(pkts))
+	return b
+}
+
+// resize returns s with length n, reallocated only when too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// release clears the burst's references and returns it to the pool.
+func (b *burst) release() {
+	clear(b.gws)
+	clear(b.own)
+	clear(b.active)
+	b.n, b.pkts, b.outcomes, b.out, b.active = nil, nil, nil, nil, b.active[:0]
+	burstPool.Put(b)
+}
+
+// split partitions the burst over at most workers workers (≤ 0 =
+// GOMAXPROCS) by a hash of each packet's IPv4 source and destination, so
+// every packet of a flow — all of one device's traffic to one server —
+// lands on one worker, in burst order, the way NFQUEUE --queue-balance
+// hashes flows to readers. Workers get minWorkerBurst packets each on
+// average: a burst shorter than twice that is one part, which run executes
+// inline on the caller.
+func (b *burst) split(workers int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(b.pkts)/minWorkerBurst))
+	if cap(b.workers) < workers {
+		b.workers = append(b.workers[:cap(b.workers)], make([]burstWorker, workers-cap(b.workers))...)
+	}
+	b.workers = b.workers[:workers]
+	for w := range b.workers {
+		bw := &b.workers[w]
+		bw.idx, bw.charge, bw.err = bw.idx[:0], 0, nil
+	}
+	for i, p := range b.pkts {
+		w := 0
+		if workers > 1 {
+			w = int(affinity(&p.Header) * uint64(workers) >> 32)
+		}
+		b.workers[w].idx = append(b.workers[w].idx, i)
+	}
+}
+
+// affinity is a 32-bit hash of a packet's IPv4 source and destination
+// (zero for other address families).
+func affinity(h *ipv4.Header) uint64 {
+	if !h.Src.Is4() || !h.Dst.Is4() {
+		return 0
+	}
+	s, d := h.Src.As4(), h.Dst.As4()
+	x := uint64(binary.BigEndian.Uint32(s[:]))<<32 | uint64(binary.BigEndian.Uint32(d[:]))
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return x >> 32
+}
+
+// run executes every worker's share and returns when all are done: worker
+// 0 on the calling goroutine, the others on goroutines of their own.
+func (b *burst) run() {
+	b.wg.Add(len(b.workers) - 1)
+	for w := 1; w < len(b.workers); w++ {
+		go b.spawned(w)
+	}
+	b.work(0)
+	b.wg.Wait()
+}
+
+func (b *burst) spawned(w int) {
+	defer b.wg.Done()
+	b.work(w)
+}
+
+// err is the first traversal error any worker met.
+func (b *burst) err() error {
+	for w := range b.workers {
+		if err := b.workers[w].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// work is one worker's whole path over its packets: one netfilter
+// traversal per owning gateway (enforcer, sanitizer), then per accepted
+// packet in burst order its connection event and — on DeliverBatch — its
+// serve and response check. A flow's FIN is therefore observed after its
+// data segments were answered.
+func (b *burst) work(w int) {
+	bw := &b.workers[w]
+	b.traverse(bw)
+	for _, i := range bw.idx {
+		o, gw := b.outcomes[i], b.gws[i]
+		if o.Out != nil && gw != nil {
+			gw.observeConn(b.pkts[i])
+		}
+		if b.n == nil {
+			continue
+		}
+		d := &b.out[i]
+		d.Enforcement = o.Result
+		if o.Out == nil {
+			d.Stage = StageGateway
+			continue
+		}
+		charge, sp, dp := b.n.serveOne(o.Out, d)
+		bw.charge += charge
+		// The response half of the connection's verdict state is enforced
+		// at the owning gateway, keyed off the still-tagged device-egress
+		// packet.
+		if gw != nil && d.Response != nil {
+			b.n.checkResponse(gw, b.pkts[i], sp, dp, d)
+		}
+	}
+}
+
+// traverse runs the worker's packets through their gateways, one
+// OutputBatch per gateway, and records each packet's outcome; a packet
+// with no gateway passes as it came.
+func (b *burst) traverse(bw *burstWorker) {
+	todo := append(bw.todo[:0], bw.idx...)
+	for len(todo) > 0 {
+		gw := b.gws[todo[0]]
+		group, sub, rest := bw.group[:0], bw.sub[:0], todo[:0]
+		for _, i := range todo {
+			if b.gws[i] != gw {
+				rest = append(rest, i)
+				continue
+			}
+			group = append(group, i)
+			sub = append(sub, b.pkts[i])
+		}
+		todo = rest
+		if gw == nil {
+			for _, i := range group {
+				b.outcomes[i] = BatchOutcome{Out: b.pkts[i]}
+			}
+		} else {
+			res, err := gw.nf.OutputBatch(sub)
+			if err != nil && bw.err == nil {
+				bw.err = err
+			}
+			for k, i := range group {
+				r, _ := res[k].Aux.(*enforcer.Result)
+				b.outcomes[i] = BatchOutcome{Out: res[k].Out, Result: r}
+			}
+		}
+		clear(sub)
+		bw.group, bw.sub = group[:0], sub[:0]
+	}
+	bw.todo = todo
+}

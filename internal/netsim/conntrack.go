@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sync"
 	"time"
@@ -17,10 +18,31 @@ import (
 // dies instead of leaving it to TTL or eviction pressure.
 //
 // Only connection events touch the table: data segments (no SYN/FIN/RST)
-// return without taking the lock, so the per-packet cost on the hot path
+// return without taking a lock, so the per-packet cost on the hot path
 // is one transport peek. UDP is connectionless and deliberately
 // untracked — its flow-cache entries age out via TTL, matching how real
-// conntrack expires UDP by timeout.
+// conntrack expires UDP by timeout. So are endpoints that are not IPv4:
+// their FIN/RST still reports connClosed, so teardown fires.
+//
+// # Shards
+//
+// The table is ctShards shards, picked by a hash of the 5-tuple. Each has
+// its own lock, open map, TIME_WAIT map and ring, and bounds: maxTracked
+// and maxTimeWait divided evenly among the shards. Both directions of a
+// connection land on one shard, so there is no global lock; Stats sums
+// the shards.
+//
+// # A full shard
+//
+// Following nf_conntrack's early_drop, a new connection (a SYN, or a
+// response adopted mid-stream) that finds its shard at the bound evicts
+// an unreplied entry — one whose response direction has not been primed —
+// found among the first evictSample entries it looks at. If it finds
+// none, the newcomer is not tracked and counts as a table_full
+// transition; a response for a connection that could not be adopted
+// passes unchecked and counts as ResponseUnchecked. A connection whose
+// response stream is primed is therefore never evicted by a flood: a
+// SYN flood cannot disarm the injection check of a live connection.
 //
 // # Idempotency under faults
 //
@@ -35,28 +57,22 @@ import (
 // 5-tuple is legitimately reusable and a SYN establishes a fresh
 // connection, as on a real host.
 type Conntrack struct {
-	clock *Clock
+	clock  *Clock
+	shards [ctShards]ctShard
+}
 
+// ctShard is one lock domain of the tracker. Its counters share the lock.
+type ctShard struct {
 	mu   sync.Mutex
-	open map[conntrackKey]connState
+	open map[connKey]connState
 
 	// timeWait parks recently closed connections; ring bounds it FIFO.
-	timeWait map[conntrackKey]time.Duration // key → close time (virtual)
+	timeWait map[connKey]time.Duration // key → close time (virtual)
 	ring     []timeWaitRecord
 	ringPos  int
 	ringLen  int
 
-	established     uint64
-	closed          uint64
-	dupCloses       uint64
-	lateSYNs        uint64
-	untrackedCloses uint64
-	idleReclaimed   uint64
-
-	responsesChecked uint64
-	responseSeqDrops uint64
-	responseAdopts   uint64
-	responseLate     uint64
+	st ConntrackStats // counters only; Open and TimeWait are read off the maps
 }
 
 // connState is one open connection's directional verdict state: last
@@ -71,18 +87,43 @@ type connState struct {
 	revSeen bool
 }
 
-// conntrackKey identifies a TCP connection at the gateway. The protocol
-// is implicitly TCP — nothing else is tracked.
-type conntrackKey struct {
-	src, dst         netip.Addr
+// connKey identifies a TCP connection by its forward (device→server)
+// 5-tuple; the protocol is implicitly TCP. Twelve bytes and no pointers:
+// a map probe hashes and compares it without chasing netip.Addr's zone.
+type connKey struct {
+	src, dst         [4]byte
 	srcPort, dstPort uint16
+}
+
+// makeConnKey builds the key of a device→server segment; ok is false when
+// either endpoint is not IPv4 (such a connection is not tracked).
+func makeConnKey(src, dst netip.Addr, srcPort, dstPort uint16) (k connKey, ok bool) {
+	if !src.Is4() || !dst.Is4() {
+		return connKey{}, false
+	}
+	return connKey{src: src.As4(), dst: dst.As4(), srcPort: srcPort, dstPort: dstPort}, true
+}
+
+// ctShardBits sizes the conntrack and response-sequence tables: 64 shards.
+const ctShardBits = 6
+
+const ctShards = 1 << ctShardBits
+
+// shard picks the key's shard from the top bits of a mixed 5-tuple hash.
+func (k connKey) shard() int {
+	h := uint64(binary.BigEndian.Uint32(k.src[:]))<<32 | uint64(binary.BigEndian.Uint32(k.dst[:]))
+	h ^= (uint64(k.srcPort)<<16 | uint64(k.dstPort)) * 0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h >> (64 - ctShardBits))
 }
 
 // timeWaitRecord is one ring slot: the parked key and the close time it
 // was parked with, so a slot overwritten by churn only deletes the map
 // entry it actually corresponds to.
 type timeWaitRecord struct {
-	key conntrackKey
+	key connKey
 	at  time.Duration
 }
 
@@ -106,6 +147,9 @@ type ConntrackStats struct {
 	// IdleReclaimed counts open entries swept after exceeding the idle
 	// deadline (half-open connections whose teardown was lost).
 	IdleReclaimed uint64
+	// TableFull counts SYNs left untracked because their shard was full of
+	// replied connections (see Conntrack, "A full shard").
+	TableFull uint64
 	// ResponsesChecked counts server→device TCP segments run through the
 	// response-direction continuity check.
 	ResponsesChecked uint64
@@ -119,25 +163,51 @@ type ConntrackStats struct {
 	// TIME_WAIT (the server's reply raced the close); accepted, since the
 	// teardown already fired.
 	ResponseLate uint64
+	// ResponseUnchecked counts responses for unknown connections that
+	// passed unchecked because their shard was full and could not adopt
+	// them.
+	ResponseUnchecked uint64
 	// Open is the number of connections currently tracked; TimeWait the
 	// number parked awaiting 5-tuple reuse.
 	Open     int
 	TimeWait int
 }
 
-// maxTracked bounds the open-connection map. Teardown does not depend on
-// an entry being present (a FIN/RST always fires EndFlow), so the table
-// exists for stats and double-SYN dedup only — but without a bound, any
-// connection whose SYN was accepted and whose FIN is later dropped (a
-// policy swap mid-connection, an app error path that never calls Finish)
-// would leak its entry forever. At the cap an arbitrary entry is evicted,
-// mirroring real nf_conntrack's table-full behaviour.
+// add accumulates another shard's snapshot.
+func (s *ConntrackStats) add(o ConntrackStats) {
+	s.Established += o.Established
+	s.Closed += o.Closed
+	s.DupCloses += o.DupCloses
+	s.LateSYNs += o.LateSYNs
+	s.UntrackedCloses += o.UntrackedCloses
+	s.IdleReclaimed += o.IdleReclaimed
+	s.TableFull += o.TableFull
+	s.ResponsesChecked += o.ResponsesChecked
+	s.ResponseSeqDrops += o.ResponseSeqDrops
+	s.ResponseAdopts += o.ResponseAdopts
+	s.ResponseLate += o.ResponseLate
+	s.ResponseUnchecked += o.ResponseUnchecked
+	s.Open += o.Open
+	s.TimeWait += o.TimeWait
+}
+
+// maxTracked bounds the open connections, maxTracked/ctShards per shard.
+// Teardown does not depend on an entry being present (a FIN/RST always
+// fires EndFlow), but without a bound any connection whose SYN was
+// accepted and whose FIN is later dropped (a policy swap mid-connection,
+// an app error path that never calls Finish) would leak its entry
+// forever. What a full shard does is stated on Conntrack.
 const maxTracked = 65536
 
-// maxTimeWait bounds the TIME_WAIT table; at the cap the oldest parked
-// connection is released early (its 5-tuple becomes reusable), trading a
-// sliver of late-segment protection for a hard memory bound — real
-// nf_conntrack does the same under table pressure.
+// evictSample is how many entries a full shard looks at for an unreplied
+// one to evict before it refuses the newcomer.
+const evictSample = 16
+
+// maxTimeWait bounds the TIME_WAIT tables, maxTimeWait/ctShards per
+// shard; at the bound the shard's oldest parked connection is released
+// early (its 5-tuple becomes reusable), trading a sliver of late-segment
+// protection for a hard memory bound — real nf_conntrack does the same
+// under table pressure.
 const maxTimeWait = 16384
 
 // timeWaitTTL is how long a closed connection's 5-tuple stays parked in
@@ -147,14 +217,16 @@ const timeWaitTTL = 30 * time.Second
 
 // NewConntrack builds an empty tracker. clock supplies virtual time for
 // TIME_WAIT expiry and idle sweeps; nil disables time-based expiry (the
-// TIME_WAIT table is then bounded only by maxTimeWait).
+// TIME_WAIT tables are then bounded only by maxTimeWait).
 func NewConntrack(clock *Clock) *Conntrack {
-	return &Conntrack{
-		clock:    clock,
-		open:     make(map[conntrackKey]connState),
-		timeWait: make(map[conntrackKey]time.Duration),
-		ring:     make([]timeWaitRecord, maxTimeWait),
+	ct := &Conntrack{clock: clock}
+	for i := range ct.shards {
+		s := &ct.shards[i]
+		s.open = make(map[connKey]connState)
+		s.timeWait = make(map[connKey]time.Duration)
+		s.ring = make([]timeWaitRecord, maxTimeWait/ctShards)
 	}
+	return ct
 }
 
 // now reads virtual time (zero without a clock).
@@ -165,23 +237,49 @@ func (ct *Conntrack) now() time.Duration {
 	return ct.clock.Now()
 }
 
-// parkLocked moves a key into TIME_WAIT, evicting the oldest parked entry
-// at capacity. Caller holds ct.mu.
-func (ct *Conntrack) parkLocked(k conntrackKey, now time.Duration) {
-	if ct.ringLen == len(ct.ring) {
-		old := ct.ring[ct.ringPos]
+// waiting reports whether a connection parked at virtual time at is
+// still in TIME_WAIT at now.
+func (ct *Conntrack) waiting(at, now time.Duration) bool {
+	return ct.clock == nil || now-at <= timeWaitTTL
+}
+
+// parkLocked moves a key into TIME_WAIT, evicting the shard's oldest
+// parked entry at capacity. Caller holds s.mu.
+func (s *ctShard) parkLocked(k connKey, now time.Duration) {
+	if s.ringLen == len(s.ring) {
+		old := s.ring[s.ringPos]
 		// Only delete the map entry this slot still owns: the key may have
 		// been re-parked since, with a newer close time in a newer slot.
-		if at, ok := ct.timeWait[old.key]; ok && at == old.at {
-			delete(ct.timeWait, old.key)
+		if at, ok := s.timeWait[old.key]; ok && at == old.at {
+			delete(s.timeWait, old.key)
 		}
-		ct.ringPos = (ct.ringPos + 1) % len(ct.ring)
-		ct.ringLen--
+		s.ringPos = (s.ringPos + 1) % len(s.ring)
+		s.ringLen--
 	}
-	slot := (ct.ringPos + ct.ringLen) % len(ct.ring)
-	ct.ring[slot] = timeWaitRecord{key: k, at: now}
-	ct.ringLen++
-	ct.timeWait[k] = now
+	slot := (s.ringPos + s.ringLen) % len(s.ring)
+	s.ring[slot] = timeWaitRecord{key: k, at: now}
+	s.ringLen++
+	s.timeWait[k] = now
+}
+
+// admitLocked makes room for one more open entry: below the bound there
+// is room; at it, an unreplied entry among the first evictSample looked
+// at is evicted. It reports false when none was found. Caller holds s.mu.
+func (s *ctShard) admitLocked() bool {
+	if len(s.open) < maxTracked/ctShards {
+		return true
+	}
+	looked := 0
+	for k, st := range s.open {
+		if !st.revSeen {
+			delete(s.open, k)
+			return true
+		}
+		if looked++; looked == evictSample {
+			break
+		}
+	}
+	return false
 }
 
 // Observe updates connection state for one accepted packet and reports
@@ -196,65 +294,59 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 	if info.Flags&(transport.FlagSYN|transport.FlagFIN|transport.FlagRST) == 0 {
 		return false // data segment: no lifecycle event, no lock
 	}
-	k := conntrackKey{
-		src: pkt.Header.Src, dst: pkt.Header.Dst,
-		srcPort: info.SrcPort, dstPort: info.DstPort,
+	closing := info.Flags&(transport.FlagFIN|transport.FlagRST) != 0
+	k, ok := makeConnKey(pkt.Header.Src, pkt.Header.Dst, info.SrcPort, info.DstPort)
+	if !ok {
+		return closing
 	}
 	now := ct.now()
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if info.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
-		if _, wasOpen := ct.open[k]; wasOpen {
+	s := &ct.shards[k.shard()]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if closing {
+		if _, wasOpen := s.open[k]; wasOpen {
 			// First close of a tracked connection.
-			delete(ct.open, k)
-			ct.closed++
-			ct.parkLocked(k, now)
+			delete(s.open, k)
+			s.st.Closed++
+			s.parkLocked(k, now)
 			return true
 		}
-		if at, parked := ct.timeWait[k]; parked && (ct.clock == nil || now-at <= timeWaitTTL) {
+		if at, parked := s.timeWait[k]; parked && ct.waiting(at, now) {
 			// Retransmitted FIN or RST-after-FIN: the connection is already
 			// down. Teardown still fires — EndFlow is idempotent and closing
 			// is the fail-safe direction — but it is not a second close.
-			ct.dupCloses++
+			s.st.DupCloses++
 			return true
 		}
 		// Connection picked up mid-stream (gateway restart, or the SYN
 		// predates the tracker): still counts as closed so teardown fires.
-		ct.untrackedCloses++
-		ct.closed++
-		ct.parkLocked(k, now)
+		s.st.UntrackedCloses++
+		s.st.Closed++
+		s.parkLocked(k, now)
 		return true
 	}
 	// SYN path.
-	if at, parked := ct.timeWait[k]; parked {
-		if ct.clock == nil || now-at <= timeWaitTTL {
+	if at, parked := s.timeWait[k]; parked {
+		if ct.waiting(at, now) {
 			// A delayed handshake retransmission for a dead connection must
 			// not resurrect it.
-			ct.lateSYNs++
+			s.st.LateSYNs++
 			return false
 		}
-		delete(ct.timeWait, k) // TIME_WAIT expired: the tuple is reusable
+		delete(s.timeWait, k) // TIME_WAIT expired: the tuple is reusable
 	}
-	if st, dup := ct.open[k]; dup {
+	if st, dup := s.open[k]; dup {
 		st.last = now // SYN retransmission: refresh activity only
-		ct.open[k] = st
+		s.open[k] = st
 		return false
 	}
-	ct.evictAtCapLocked()
-	ct.open[k] = connState{last: now}
-	ct.established++
-	return false
-}
-
-// evictAtCapLocked frees one arbitrary open slot when the table is full,
-// mirroring real nf_conntrack's table-full behaviour. Caller holds ct.mu.
-func (ct *Conntrack) evictAtCapLocked() {
-	if len(ct.open) >= maxTracked {
-		for victim := range ct.open {
-			delete(ct.open, victim)
-			break
-		}
+	if !s.admitLocked() {
+		s.st.TableFull++
+		return false
 	}
+	s.open[k] = connState{last: now}
+	s.st.Established++
+	return false
 }
 
 // ObserveResponse runs one server→device segment through the response
@@ -268,8 +360,9 @@ func (ct *Conntrack) evictAtCapLocked() {
 //
 // Unknown connections are adopted mid-stream (a restarted gateway must
 // not go fail-open on established traffic, and adoption re-primes the
-// check); responses landing in TIME_WAIT are accepted as the server's
-// reply racing the close. Non-TCP and headerless packets pass untouched.
+// check) unless their shard is full (see Conntrack); responses landing in
+// TIME_WAIT are accepted as the server's reply racing the close.
+// Non-TCP, non-IPv4 and headerless packets pass untouched.
 func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 	info, ok := transport.PeekPacket(pkt)
 	if !ok || info.Proto != ipv4.ProtoTCP {
@@ -277,34 +370,38 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 	}
 	// The response's key is the forward connection's: swap the endpoints
 	// back so it lands on the entry the SYN established.
-	k := conntrackKey{
-		src: pkt.Header.Dst, dst: pkt.Header.Src,
-		srcPort: info.DstPort, dstPort: info.SrcPort,
+	k, ok := makeConnKey(pkt.Header.Dst, pkt.Header.Src, info.DstPort, info.SrcPort)
+	if !ok {
+		return false
 	}
 	dataLen := uint32(len(pkt.Payload) - info.DataOff)
 	now := ct.now()
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if st, open := ct.open[k]; open {
-		ct.responsesChecked++
+	s := &ct.shards[k.shard()]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, open := s.open[k]; open {
+		s.st.ResponsesChecked++
 		if st.revSeen && info.Seq != st.revNext {
-			ct.responseSeqDrops++
+			s.st.ResponseSeqDrops++
 			return true
 		}
 		st.revNext = info.Seq + dataLen
 		st.revSeen = true
 		st.last = now
-		ct.open[k] = st
+		s.open[k] = st
 		return false
 	}
-	if at, parked := ct.timeWait[k]; parked && (ct.clock == nil || now-at <= timeWaitTTL) {
-		ct.responseLate++
+	if at, parked := s.timeWait[k]; parked && ct.waiting(at, now) {
+		s.st.ResponseLate++
 		return false
 	}
-	ct.responsesChecked++
-	ct.responseAdopts++
-	ct.evictAtCapLocked()
-	ct.open[k] = connState{last: now, revNext: info.Seq + dataLen, revSeen: true}
+	if !s.admitLocked() {
+		s.st.ResponseUnchecked++
+		return false
+	}
+	s.st.ResponsesChecked++
+	s.st.ResponseAdopts++
+	s.open[k] = connState{last: now, revNext: info.Seq + dataLen, revSeen: true}
 	return false
 }
 
@@ -317,20 +414,25 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 		return 0
 	}
 	now := ct.now()
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
 	reclaimed := 0
-	for k, st := range ct.open {
-		if now-st.last > idle {
-			delete(ct.open, k)
-			reclaimed++
+	for i := range ct.shards {
+		s := &ct.shards[i]
+		s.mu.Lock()
+		n := 0
+		for k, st := range s.open {
+			if now-st.last > idle {
+				delete(s.open, k)
+				n++
+			}
 		}
-	}
-	ct.idleReclaimed += uint64(reclaimed)
-	for k, at := range ct.timeWait {
-		if now-at > timeWaitTTL {
-			delete(ct.timeWait, k)
+		s.st.IdleReclaimed += uint64(n)
+		for k, at := range s.timeWait {
+			if now-at > timeWaitTTL {
+				delete(s.timeWait, k)
+			}
 		}
+		s.mu.Unlock()
+		reclaimed += n
 	}
 	return reclaimed
 }
@@ -339,32 +441,28 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 // tracker's share of a gateway restart. The next packet of every live
 // connection is picked up mid-stream (see UntrackedCloses).
 func (ct *Conntrack) Reset() {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	clear(ct.open)
-	clear(ct.timeWait)
-	ct.ringPos, ct.ringLen = 0, 0
-	ct.established, ct.closed = 0, 0
-	ct.dupCloses, ct.lateSYNs, ct.untrackedCloses, ct.idleReclaimed = 0, 0, 0, 0
-	ct.responsesChecked, ct.responseSeqDrops, ct.responseAdopts, ct.responseLate = 0, 0, 0, 0
+	for i := range ct.shards {
+		s := &ct.shards[i]
+		s.mu.Lock()
+		clear(s.open)
+		clear(s.timeWait)
+		s.ringPos, s.ringLen = 0, 0
+		s.st = ConntrackStats{}
+		s.mu.Unlock()
+	}
 }
 
-// Stats snapshots the tracker's counters.
+// Stats snapshots the tracker's counters, summed over the shards (each
+// shard is read under its own lock, so the sum is not one instant).
 func (ct *Conntrack) Stats() ConntrackStats {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return ConntrackStats{
-		Established:      ct.established,
-		Closed:           ct.closed,
-		DupCloses:        ct.dupCloses,
-		LateSYNs:         ct.lateSYNs,
-		UntrackedCloses:  ct.untrackedCloses,
-		IdleReclaimed:    ct.idleReclaimed,
-		ResponsesChecked: ct.responsesChecked,
-		ResponseSeqDrops: ct.responseSeqDrops,
-		ResponseAdopts:   ct.responseAdopts,
-		ResponseLate:     ct.responseLate,
-		Open:             len(ct.open),
-		TimeWait:         len(ct.timeWait),
+	var sum ConntrackStats
+	for i := range ct.shards {
+		s := &ct.shards[i]
+		s.mu.Lock()
+		st := s.st
+		st.Open, st.TimeWait = len(s.open), len(s.timeWait)
+		s.mu.Unlock()
+		sum.add(st)
 	}
+	return sum
 }

@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/transport"
 )
 
@@ -184,5 +186,147 @@ func TestConntrackTimeWaitBound(t *testing.T) {
 	}
 	if st := ct.Stats(); st.TimeWait > maxTimeWait {
 		t.Fatalf("TIME_WAIT table unbounded: %d > %d", st.TimeWait, maxTimeWait)
+	}
+}
+
+// sameShardSYNs returns n SYNs of distinct connections from 10.200.0.0/16
+// to the canonical test server (fwdPkt's), every one hashing to shard.
+func sameShardSYNs(shard, n int) []*ipv4.Packet {
+	dst := fwdPkt(transport.FlagSYN, 1, nil).Header.Dst
+	var out []*ipv4.Packet
+	for i := 0; len(out) < n; i++ {
+		src := netip.AddrFrom4([4]byte{10, 200, byte(i >> 8), byte(i)})
+		port := uint16(1024 + i>>16)
+		if k, _ := makeConnKey(src, dst, port, 443); k.shard() != shard {
+			continue
+		}
+		seg := transport.TCPSegment{SrcPort: port, DstPort: 443, Seq: 1, Flags: transport.FlagSYN, Window: 65535}
+		out = append(out, &ipv4.Packet{
+			Header:  ipv4.Header{TTL: 64, Protocol: ipv4.ProtoTCP, Src: src, Dst: dst},
+			Payload: seg.Marshal(),
+		})
+	}
+	return out
+}
+
+// replyTo is the server's segment answering a device→server segment.
+func replyTo(fwd *ipv4.Packet, seq uint32, body []byte) *ipv4.Packet {
+	info, _ := transport.PeekPacket(fwd)
+	seg := transport.TCPSegment{
+		SrcPort: info.DstPort, DstPort: info.SrcPort, Seq: seq,
+		Flags: transport.FlagPSH | transport.FlagACK, Window: 65535, Payload: body,
+	}
+	return &ipv4.Packet{
+		Header:  ipv4.Header{TTL: 64, Protocol: ipv4.ProtoTCP, Src: fwd.Header.Dst, Dst: fwd.Header.Src},
+		Payload: seg.Marshal(),
+	}
+}
+
+// TestSYNFloodCannotDisarmInjectionCheck: a SYN flood into a full shard
+// evicts only unreplied connections, so a live connection whose response
+// stream is primed keeps its continuity check — an injected
+// out-of-sequence response is still dropped, and its in-sequence one still
+// passes. (Evicting an arbitrary entry, the victim's next response would
+// be adopted and re-prime the check: flood-then-inject.)
+func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
+	ct := NewConntrack(nil)
+	victim := fwdPkt(transport.FlagSYN, 1, nil)
+	ct.Observe(victim)
+	body := []byte("HTTP/1.1 200 OK\r\n\r\n")
+	if ct.ObserveResponse(replyTo(victim, 5000, body)) {
+		t.Fatal("priming response dropped")
+	}
+	next := 5000 + uint32(len(body))
+
+	vk, _ := makeConnKey(victim.Header.Src, victim.Header.Dst, 40900, 443)
+	perShard := maxTracked / ctShards
+	for _, syn := range sameShardSYNs(vk.shard(), perShard-1+8*perShard) {
+		ct.Observe(syn)
+	}
+	if st := ct.Stats(); st.Open != perShard || st.TableFull != 0 || st.Established != uint64(9*perShard) {
+		t.Fatalf("after the flood: %+v, want a full shard and every SYN admitted", st)
+	}
+	if !ct.ObserveResponse(replyTo(victim, 99999, []byte("evil"))) {
+		t.Fatal("injected response accepted after a SYN flood")
+	}
+	if ct.ObserveResponse(replyTo(victim, next, body)) {
+		t.Fatal("the victim's in-sequence response dropped after the flood")
+	}
+	if st := ct.Stats(); st.ResponseSeqDrops != 1 || st.ResponseAdopts != 0 {
+		t.Fatalf("response stats after the flood: %+v", st)
+	}
+}
+
+// TestFullShardRefusesNewcomers: a shard full of replied connections
+// evicts none of them. A new SYN goes untracked (kind="table_full"), and a
+// response for a connection the shard cannot adopt passes unchecked
+// (outcome="unchecked"); the tracked connections keep their checks.
+func TestFullShardRefusesNewcomers(t *testing.T) {
+	gw := NewGateway(GatewayConfig{})
+	ct := gw.ct
+	perShard := maxTracked / ctShards
+	syns := sameShardSYNs(0, perShard+1)
+	body := []byte("ok")
+	for _, syn := range syns[:perShard] {
+		ct.Observe(syn)
+		if ct.ObserveResponse(replyTo(syn, 100, body)) {
+			t.Fatal("priming response dropped")
+		}
+	}
+	late := syns[perShard]
+	ct.Observe(late)
+	if ct.ObserveResponse(replyTo(late, 7, body)) || ct.ObserveResponse(replyTo(late, 12345, body)) {
+		t.Fatal("a response the full shard could not adopt was dropped")
+	}
+	st := ct.Stats()
+	if st.Open != perShard || st.Established != uint64(perShard) || st.TableFull != 1 || st.ResponseUnchecked != 2 {
+		t.Fatalf("full shard: %+v", st)
+	}
+	if !ct.ObserveResponse(replyTo(syns[0], 99999, body)) {
+		t.Fatal("a tracked connection lost its continuity check to the newcomer")
+	}
+	reg := metrics.NewRegistry()
+	gw.RegisterMetrics(reg)
+	if got := sumMetric(reg, "bp_conntrack_transitions_total", metrics.L("kind", "table_full")); got != 1 {
+		t.Fatalf(`bp_conntrack_transitions_total{kind="table_full"} = %v, want 1`, got)
+	}
+	if got := sumMetric(reg, "bp_conntrack_responses_total", metrics.L("outcome", "unchecked")); got != 2 {
+		t.Fatalf(`bp_conntrack_responses_total{outcome="unchecked"} = %v, want 2`, got)
+	}
+}
+
+// TestNonIPv4ConnectionUntracked: a connection whose endpoints are not
+// IPv4 is not tracked, but its FIN still reports closed so teardown fires.
+func TestNonIPv4ConnectionUntracked(t *testing.T) {
+	ct := NewConntrack(NewClock())
+	syn, fin := ctSeg(40010, transport.FlagSYN), ctSeg(40010, transport.FlagFIN|transport.FlagACK)
+	for _, p := range []*ipv4.Packet{syn, fin} {
+		p.Header.Src = netip.MustParseAddr("2001:db8::2")
+	}
+	if ct.Observe(syn) || !ct.Observe(fin) {
+		t.Fatal("non-IPv4 SYN closed, or its FIN did not")
+	}
+	if st := ct.Stats(); st != (ConntrackStats{}) {
+		t.Fatalf("non-IPv4 connection tracked: %+v", st)
+	}
+}
+
+// BenchmarkConntrackObserveResponse is the response-direction check on an
+// established connection, every segment in sequence.
+func BenchmarkConntrackObserveResponse(b *testing.B) {
+	ct := NewConntrack(NewClock())
+	syn := fwdPkt(transport.FlagSYN, 1, nil)
+	ct.Observe(syn)
+	body := make([]byte, 512)
+	resp := replyTo(syn, 1000, body)
+	seq := uint32(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint32(resp.Payload[4:8], seq)
+		if ct.ObserveResponse(resp) {
+			b.Fatal("in-sequence response dropped")
+		}
+		seq += uint32(len(body))
 	}
 }

@@ -106,10 +106,14 @@ func TestResponseSegmentRenderedInScratch(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture does not peek")
 	}
+	k, ok := makeConnKey(fwd.Header.Src, fwd.Header.Dst, info.SrcPort, info.DstPort)
+	if !ok {
+		t.Fatal("fixture is not IPv4")
+	}
 	scratch := new(ipv4.Packet)
 	var next uint32
 	for i, body := range [][]byte{httpsim.StaticPage(), []byte("short"), nil, httpsim.StaticPage()} {
-		resp := n.responsePacket(scratch, fwd, info, body)
+		resp := n.responsePacket(scratch, fwd, k, body)
 		if resp != scratch || resp.Header.Src != fwd.Header.Dst || resp.Header.Dst != fwd.Header.Src {
 			t.Fatalf("response %d: header %+v", i, resp.Header)
 		}
@@ -126,7 +130,7 @@ func TestResponseSegmentRenderedInScratch(t *testing.T) {
 		next = seg.Seq + uint32(len(body))
 	}
 	body := httpsim.StaticPage()
-	if allocs := testing.AllocsPerRun(100, func() { n.responsePacket(scratch, fwd, info, body) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { n.responsePacket(scratch, fwd, k, body) }); allocs != 0 {
 		t.Fatalf("steady-state response render: %.0f allocs, want 0", allocs)
 	}
 }
@@ -163,10 +167,7 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 			}
 		}
 	}
-	n.respMu.Lock()
-	tracked := len(n.respSeq)
-	n.respMu.Unlock()
-	if tracked != longLived {
+	if tracked := respTracked(n); tracked != longLived {
 		t.Fatalf("%d response-sequence entries tracked, want the %d open connections", tracked, longLived)
 	}
 
@@ -180,11 +181,21 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 	if st := gw.Conntrack(); st.ResponseSeqDrops != 0 || st.Open != 0 {
 		t.Fatalf("conntrack after every connection closed: %+v", st)
 	}
-	n.respMu.Lock()
-	defer n.respMu.Unlock()
-	if len(n.respSeq) != 0 {
-		t.Fatalf("%d response-sequence entries outlive their connections", len(n.respSeq))
+	if tracked := respTracked(n); tracked != 0 {
+		t.Fatalf("%d response-sequence entries outlive their connections", tracked)
 	}
+}
+
+// respTracked counts the response-sequence entries over every shard.
+func respTracked(n *Network) int {
+	total := 0
+	for i := range n.respSeq {
+		s := &n.respSeq[i]
+		s.mu.Lock()
+		total += len(s.next)
+		s.mu.Unlock()
+	}
+	return total
 }
 
 // BenchmarkServeKeepAlive is the delivery tail per packet: DeliverBatch of

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -45,10 +46,10 @@ func sweepAPK() *dex.APK {
 // TestEquivalenceMixedTraffic drives a mixed packet corpus — clean and
 // tracker stacks, SYN/data/FIN control segments, duplicated and reordered
 // fault shapes, fragments, bad indexes, malformed tags, unknown apps,
-// untagged packets — through a flow-cached gateway and an uncached
-// reference gateway, as whole bursts (wide enough to split across the
-// drain's workers) and one packet at a time, and requires identical
-// verdicts and causes packet by packet, pass by pass.
+// untagged packets — from several devices through a flow-cached gateway
+// and an uncached reference gateway, as whole bursts (wide enough to split
+// across the gateway's flow-affine workers) and one packet at a time, and
+// requires identical verdicts and causes packet by packet, pass by pass.
 func TestEquivalenceMixedTraffic(t *testing.T) {
 	apk := sweepAPK()
 	rules := []policy.Rule{
@@ -78,7 +79,9 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 	}
 	var corpus []*ipv4.Packet
 	addConn := func(method string, srcPort uint16) {
-		syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, method), srcPort, 3)
+		base := taggedPacket(t, apk, db, method)
+		base.Header.Src = netip.AddrFrom4([4]byte{10, 0, byte(srcPort % 16), 5}) // one of 16 devices
+		syn, data, fin := tcpConn(t, base, srcPort, 3)
 		corpus = append(append(append(corpus, syn), data...), fin)
 	}
 	for c := uint16(0); c < 10; c++ {
@@ -122,6 +125,16 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		data(41007, []byte{tag.Version << 4, 1, 2}), // truncated tag
 		data(41008, nil),                            // untagged
 	)
+
+	// The burst must really split: every worker owns part of it.
+	b := getBurst(corpus)
+	b.split(2)
+	for w := range b.workers {
+		if len(b.workers) != 2 || len(b.workers[w].idx) == 0 {
+			t.Fatalf("the corpus does not split across both workers: %d workers, worker %d owns %d packets", len(b.workers), w, len(b.workers[w].idx))
+		}
+	}
+	b.release()
 
 	drain := func(gw *Gateway, burst bool) []BatchOutcome {
 		if burst {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -16,11 +17,13 @@ import (
 // Enforcer (NFQUEUE 1) and, for surviving packets, the Packet Sanitizer
 // (NFQUEUE 2) — matching the paper's worker-host iptables layout (§VI-A).
 //
-// The queues have one reader: ProcessBatch drains a burst (of one packet
-// or of thousands) through the kernel's batch traversal with a per-core
-// worker pool. The enforcer's ProcessBatch amortizes resolve+decode across
-// packets of the same flow, and the lock-free enforcement path lets chunks
-// proceed on every core in parallel.
+// A burst (of one packet or of thousands) is split by flow over the
+// gateway's workers, the way NFQUEUE --queue-balance hashes flows to
+// readers: each worker runs its share through the kernel's batch
+// traversal and then the connection tracker, in burst order. The
+// enforcer's ProcessBatch amortizes resolve+decode across packets of the
+// same flow, and the lock-free enforcement path and the sharded tracker
+// let the workers proceed on every core without waiting on each other.
 type Gateway struct {
 	nf        *kernel.Netfilter
 	enforcer  *enforcer.Enforcer
@@ -29,7 +32,7 @@ type Gateway struct {
 	// FIN/RST ends the connection and tears down the flow's cached verdict
 	// through the enforcer.
 	ct *Conntrack
-	// workers sizes the ProcessBatch worker pool (≤0 = GOMAXPROCS).
+	// workers caps the flow-affine fan-out (≤0 = GOMAXPROCS).
 	workers int
 	// passthrough models config (iii) of Fig. 4: a reader that consumes
 	// the queue and reinjects packets unmodified.
@@ -47,7 +50,11 @@ type GatewayConfig struct {
 	// Passthrough installs a read-and-reinject queue consumer even with no
 	// enforcer/sanitizer, to measure the bare NFQUEUE cost.
 	Passthrough bool
-	// Workers sizes the per-core batch drain (≤0 = GOMAXPROCS).
+	// Workers caps how many workers a burst is split over, by flow, for
+	// its whole delivery path: enforcer, sanitizer, conntrack, serve and
+	// response check (≤0 = GOMAXPROCS). Each worker takes at least 64
+	// packets on average, so a shorter burst runs on the caller alone.
+	// Where a burst crosses several gateways, the widest one sizes it.
 	Workers int
 	// Clock supplies virtual time to the connection tracker (TIME_WAIT
 	// expiry, idle sweeps); nil disables time-based conntrack expiry.
@@ -129,6 +136,14 @@ func (g *Gateway) HasEnforcer() bool { return g.enforcer != nil }
 // HasSanitizer reports whether the sanitizing stage is present.
 func (g *Gateway) HasSanitizer() bool { return g.sanitizer != nil }
 
+// width resolves the worker cap (GatewayConfig.Workers).
+func (g *Gateway) width() int {
+	if g.workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return g.workers
+}
+
 // observeConn feeds one accepted packet to the conntrack; a FIN/RST tears
 // the flow's cached verdict down through the enforcer. The original
 // (still-tagged) packet is used, not the sanitized output — teardown keys
@@ -164,26 +179,28 @@ type BatchOutcome struct {
 	Result *enforcer.Result
 }
 
-// ProcessBatch drains a burst of packets through the netfilter batch
-// traversal on the per-core worker pool. Outcomes align with pkts. Drains
-// are not serialized against each other — the enforcement path is
-// lock-free by design — so callers needing a totally ordered audit trail
-// should order on the returned outcomes, not on side effects.
+// ProcessBatch runs a burst through this gateway alone: the first half of
+// DeliverBatch's path, on the same flow-affine workers (see
+// GatewayConfig.Workers), stopping before the serve. Each worker
+// traverses its packets (enforcer, sanitizer), then observes the accepted
+// ones' connection events in burst order, so a FIN at the end of a
+// keep-alive train tears the flow down only after its data packets were
+// answered from the cache. Outcomes align with pkts; the error is the
+// first a traversal met. It charges no virtual time. Calls are not
+// serialized against each other — the enforcement path is lock-free by
+// design — so callers needing a totally ordered audit trail should order
+// on the returned outcomes, not on side effects.
 func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
-	res, err := g.nf.DrainBatch(pkts, g.workers)
-	out := make([]BatchOutcome, len(res))
-	for i := range res {
-		out[i] = BatchOutcome{Out: res[i].Out}
-		if r, ok := res[i].Aux.(*enforcer.Result); ok {
-			out[i].Result = r
-		}
-		// Connection lifecycle after the drain, in burst order: a FIN at
-		// the end of a keep-alive train tears the flow down only after
-		// its data packets were answered from the cache.
-		if res[i].Out != nil {
-			g.observeConn(pkts[i])
-		}
+	out := make([]BatchOutcome, len(pkts))
+	b := getBurst(pkts)
+	b.outcomes = out
+	for i := range b.gws {
+		b.gws[i] = g
 	}
+	b.split(g.workers)
+	b.run()
+	err := b.err()
+	b.release()
 	return out, err
 }
 

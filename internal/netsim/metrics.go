@@ -22,6 +22,8 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return ct.Stats().UntrackedCloses }, metrics.L("kind", "untracked_close"))
 	r.CounterFunc("bp_conntrack_transitions_total", transHelp,
 		func() uint64 { return ct.Stats().IdleReclaimed }, metrics.L("kind", "idle_reclaimed"))
+	r.CounterFunc("bp_conntrack_transitions_total", transHelp,
+		func() uint64 { return ct.Stats().TableFull }, metrics.L("kind", "table_full"))
 
 	const stateHelp = "Connections currently tracked, by state."
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,
@@ -31,7 +33,8 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 
 	// Response-direction (server→device) enforcement: seq_drop is a
 	// segment refused for breaking TCP sequence continuity (mid-stream
-	// injection).
+	// injection); unchecked is one passed because its full shard could not
+	// adopt its connection.
 	const respHelp = "Response-direction segments checked, by outcome."
 	r.CounterFunc("bp_conntrack_responses_total", respHelp,
 		func() uint64 { return ct.Stats().ResponsesChecked }, metrics.L("outcome", "checked"))
@@ -41,6 +44,8 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 		func() uint64 { return ct.Stats().ResponseLate }, metrics.L("outcome", "late"))
 	r.CounterFunc("bp_conntrack_responses_total", respHelp,
 		func() uint64 { return ct.Stats().ResponseSeqDrops }, metrics.L("outcome", "seq_drop"))
+	r.CounterFunc("bp_conntrack_responses_total", respHelp,
+		func() uint64 { return ct.Stats().ResponseUnchecked }, metrics.L("outcome", "unchecked"))
 
 	r.CounterFunc("bp_gateway_restarts_total", "Gateway crash/reboot cycles.", g.Restarts)
 }

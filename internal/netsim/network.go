@@ -9,7 +9,9 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,24 +97,15 @@ type Server struct {
 	// passes the gateway but not the RFC 7126 border router.
 	Internal bool
 
-	mu       sync.Mutex
-	requests uint64
-	rxBytes  uint64
+	requests atomic.Uint64
+	rxBytes  atomic.Uint64
 }
 
 // Requests returns the number of requests the server handled.
-func (s *Server) Requests() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
-}
+func (s *Server) Requests() uint64 { return s.requests.Load() }
 
 // RxBytes returns the total request-body bytes received.
-func (s *Server) RxBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rxBytes
-}
+func (s *Server) RxBytes() uint64 { return s.rxBytes.Load() }
 
 // CapturePoint identifies where a capture was taken.
 type CapturePoint int
@@ -190,33 +183,45 @@ type Network struct {
 	// defeats.
 	captureOff atomic.Bool
 
+	// mu serializes AddServer and AddGatewayRoute and guards captures.
 	mu       sync.Mutex
-	servers  map[netip.Addr]*Server
 	captures map[CapturePoint]*Capture
+	// servers is copy-on-write: AddServer is rare, and every delivery
+	// worker reads the table with one atomic load.
+	servers atomic.Pointer[map[netip.Addr]*Server]
 
 	// respSeq is the server-side TCP sequence position per connection:
 	// what the next synthesized response segment starts at. Keyed on the
-	// forward 5-tuple; bounded like the conntrack's open table.
-	respMu  sync.Mutex
-	respSeq map[respKey]uint32
+	// forward 5-tuple and sharded like the conntrack, each shard bounded at
+	// maxRespTracked/ctShards open connections.
+	respSeq [ctShards]respShard
 	// respScratch recycles the packets response segments are rendered into.
 	respScratch sync.Pool
 }
 
+// respShard is one lock domain of Network.respSeq.
+type respShard struct {
+	mu   sync.Mutex
+	next map[connKey]uint32
+}
+
 // NewNetwork builds a testbed with the given NIC mode and latency model.
 func NewNetwork(nic NICMode, model LatencyModel) *Network {
-	return &Network{
+	n := &Network{
 		Clock:               NewClock(),
 		Model:               model,
 		NIC:                 nic,
 		BorderFilterEnabled: true,
-		servers:             make(map[netip.Addr]*Server),
 		captures: map[CapturePoint]*Capture{
 			CaptureDeviceEgress: {},
 			CapturePostGateway:  {},
 		},
-		respSeq: make(map[respKey]uint32),
 	}
+	n.servers.Store(&map[netip.Addr]*Server{})
+	for i := range n.respSeq {
+		n.respSeq[i].next = make(map[connKey]uint32)
+	}
+	return n
 }
 
 // gatewayRoute binds a device source subnet to its enforcement point.
@@ -258,18 +263,19 @@ func (n *Network) GatewayFor(src netip.Addr) *Gateway {
 	return n.Gateway
 }
 
-// AddServer registers an endpoint.
+// AddServer registers an endpoint. The table is copied on write, so
+// registering is safe against concurrent deliveries.
 func (n *Network) AddServer(s *Server) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.servers[s.Addr] = s
+	servers := maps.Clone(*n.servers.Load())
+	servers[s.Addr] = s
+	n.servers.Store(&servers)
 }
 
 // ServerAt returns the server at an address.
 func (n *Network) ServerAt(addr netip.Addr) (*Server, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.servers[addr]
+	s, ok := (*n.servers.Load())[addr]
 	return s, ok
 }
 
@@ -333,33 +339,31 @@ type Delivery struct {
 	Latency time.Duration
 }
 
-// serveOne is the post-gateway delivery tail: post-gateway capture, route
-// lookup, RFC 7126 border filtering, wire/server virtual-time charges, and
-// the application response — HTTP requests out of TCP data segments
-// (control segments deliver with no response), UDP datagrams through the
-// server's UDPHandler. Flow lifecycle is the gateway conntrack's job, not
-// the server's. A payload that is not a valid TCP segment or UDP datagram
-// still reaches the server's address and is delivered, but serves nothing.
-func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) {
-	n.captureAt(CapturePostGateway, cur)
-
-	n.mu.Lock()
-	srv, ok := n.servers[cur.Header.Dst]
-	n.mu.Unlock()
+// serveOne is the post-gateway delivery tail of one packet: route
+// lookup, RFC 7126 border filtering, and the application response — HTTP
+// requests out of TCP data segments (control segments deliver with no
+// response), UDP datagrams through the server's UDPHandler. Flow
+// lifecycle is the gateway conntrack's job, not the server's. A payload
+// that is not a valid TCP segment or UDP datagram still reaches the
+// server's address and is delivered, but serves nothing. It returns the
+// virtual time the wire and the server cost, for the caller to charge, and
+// the transport ports it parsed, for the response check.
+func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (charge time.Duration, sp, dp uint16) {
+	srv, ok := (*n.servers.Load())[cur.Header.Dst]
 	if !ok {
 		d.Stage = StageNoRoute
-		return
+		return 0, 0, 0
 	}
 
 	// RFC 7126 filtering on the public path.
 	if n.BorderFilterEnabled && !srv.Internal {
 		if ipv4.BorderFilter(cur) == ipv4.BorderDrop {
 			d.Stage = StageBorder
-			return
+			return 0, 0, 0
 		}
 	}
 
-	n.Clock.Advance(n.Model.WireRTT / 2)
+	charge = n.Model.WireRTT
 	// PeekPorts is the structural test (first fragment; ports and flags
 	// this model emits) that decides whether the payload is read as a
 	// transport segment at all; the views then validate it in full,
@@ -367,61 +371,61 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) {
 	// fails either serves nothing. Request and datagram alias cur.Payload,
 	// which nothing writes once emitted (see ipv4.Packet).
 	h := &cur.Header
-	if _, _, ok := transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload); ok {
+	sp, dp, ok = transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload)
+	if ok {
 		switch h.Protocol {
 		case ipv4.ProtoTCP:
 			if seg, err := transport.ViewTCP(cur.Payload); err == nil {
 				if len(seg.Payload) > 0 {
 					if req, err := httpsim.ParseRequest(seg.Payload); err == nil {
-						n.serveRequest(srv, req, d)
+						charge += n.serveRequest(srv, req, d)
 					}
 				}
 				// SYN/FIN/RST carry no request: delivered, nothing served.
 				if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
-					n.respMu.Lock()
-					delete(n.respSeq, respKey{src: h.Src, dst: h.Dst, srcPort: seg.SrcPort, dstPort: seg.DstPort})
-					n.respMu.Unlock()
+					n.forgetResp(h, sp, dp)
 				}
 			}
 		case ipv4.ProtoUDP:
 			if dg, err := transport.ViewUDP(cur.Payload); err == nil {
-				n.chargeServer(srv, len(dg.Payload))
+				charge += n.chargeServer(srv, len(dg.Payload))
 				if srv.UDPHandler != nil {
 					d.Datagram = srv.UDPHandler(dg.Payload)
 				}
 			}
 		}
 	}
-	n.Clock.Advance(n.Model.WireRTT / 2)
 	d.Delivered = true
+	return charge, sp, dp
 }
 
-// chargeServer advances server virtual time and counts one request of
-// rxBytes received body bytes — shared by the HTTP and UDP serve paths.
-func (n *Network) chargeServer(srv *Server, rxBytes int) {
-	n.Clock.Advance(n.Model.ServerProcessing)
-	srv.mu.Lock()
-	srv.requests++
-	srv.rxBytes += uint64(rxBytes)
-	srv.mu.Unlock()
+// chargeServer counts one request of rxBytes received body bytes and
+// returns the server time it costs — shared by the HTTP and UDP serve
+// paths.
+func (n *Network) chargeServer(srv *Server, rxBytes int) time.Duration {
+	srv.requests.Add(1)
+	srv.rxBytes.Add(uint64(rxBytes))
+	return n.Model.ServerProcessing
 }
 
-// serveRequest charges server time, counts the request, and produces the
-// HTTP response.
-func (n *Network) serveRequest(srv *Server, req *httpsim.Request, d *Delivery) {
-	n.chargeServer(srv, len(req.Body))
+// serveRequest counts the request, produces the HTTP response, and returns
+// the server time it costs.
+func (n *Network) serveRequest(srv *Server, req *httpsim.Request, d *Delivery) time.Duration {
 	if srv.Handler != nil {
 		d.Response = srv.Handler(req)
 	}
+	return n.chargeServer(srv, len(req.Body))
 }
 
 // DeliverBatch pushes a burst of device-egress packets through the
-// network in one gateway drain: the per-packet NIC and queue-hop costs
-// are charged for the whole burst up front (the batch crosses into user
-// space once), the gateway's per-core worker pool enforces the burst, and
-// the survivors are then served in order. Deliveries align with pkts;
-// each Latency spans the whole burst window, matching how a batched queue
-// reader delays individual packets until its drain completes.
+// network in one gateway drain: the per-packet NIC, queue-hop and stage
+// costs are charged for the whole burst up front (the batch crosses into
+// user space once), then the burst is split by flow over the gateway's
+// workers (GatewayConfig.Workers), each of which runs its packets' whole
+// path — enforcer, sanitizer, conntrack, serve, response check — in burst
+// order. Deliveries align with pkts; each Latency spans the whole burst
+// window, matching how a batched queue reader delays individual packets
+// until its drain completes.
 //
 // With a fault plan armed, faults apply per packet on the wire view of the
 // burst before the gateway drain: drops remove packets (StageFault),
@@ -489,6 +493,13 @@ func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
 
 // deliverBatchCore is the fault-free pipeline; skipGateway models paths
 // (like the mobile carrier) that never touch the corporate perimeter.
+//
+// Virtual time does not depend on how the burst splits: the NIC, one
+// queue hop per active gateway crossed and each packet's enforcer and
+// sanitizer costs are charged before the fan-out, so every clock read
+// inside the burst (conntrack activity, TIME_WAIT age, flow TTL) sees the
+// same post-gateway instant; the workers' wire and server charges are
+// summed and advanced after the join, then the return hop.
 func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Delivery {
 	out := make([]Delivery, len(pkts))
 	if len(pkts) == 0 {
@@ -504,44 +515,57 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	}
 	n.Clock.Advance(perNIC * time.Duration(len(pkts)))
 
-	// Partition the burst per owning gateway (subnet routing); each drains
-	// its slice through its own queue reader and worker pool. With no
-	// routes the whole burst goes to the Gateway field unpartitioned.
-	var outcomes []BatchOutcome
-	activeGateways := 0
-	if n.gwRoutes.Load() == nil {
-		outcomes, activeGateways = n.enforceGroup(n.Gateway, pkts, skipGateway)
-	} else {
-		outcomes = make([]BatchOutcome, len(pkts))
-		for _, g := range n.partitionByGateway(pkts) {
-			res, active := n.enforceGroup(g.gw, g.pkts, skipGateway)
-			activeGateways += active
-			for j, o := range res {
-				outcomes[g.idx[j]] = o
-			}
+	b := getBurst(pkts)
+	b.n, b.out = n, out
+	b.own = resize(b.own, len(pkts))
+	b.outcomes = b.own
+	var stages time.Duration
+	workers := 0
+	for i, pkt := range pkts {
+		var gw *Gateway
+		if !skipGateway {
+			gw = n.GatewayFor(pkt.Header.Src)
 		}
-	}
-
-	for i := range pkts {
-		o := outcomes[i]
-		out[i].Enforcement = o.Result
-		if o.Out == nil {
-			out[i].Stage = StageGateway
+		if gw != nil && !gw.Active() {
+			gw = nil
+		}
+		b.gws[i] = gw
+		if gw == nil {
 			continue
 		}
-		n.serveOne(o.Out, &out[i])
-		// The response half of the connection's verdict state is enforced
-		// at the owning gateway, keyed off the still-tagged device-egress
-		// packet.
-		if out[i].Delivered && out[i].Response != nil && !skipGateway {
-			if gw := n.GatewayFor(pkts[i].Header.Src); gw != nil && gw.Active() {
-				n.checkResponse(gw, pkts[i], &out[i])
+		if gw.HasEnforcer() {
+			stages += n.Model.EnforcerPerPacket
+		}
+		if gw.HasSanitizer() {
+			stages += n.Model.SanitizerPerPacket
+		}
+		if !slices.Contains(b.active, gw) {
+			b.active = append(b.active, gw)
+			workers = max(workers, gw.width())
+		}
+	}
+	hops := n.Model.NFQueueHopPerPacket * time.Duration(len(b.active))
+	n.Clock.Advance(hops + stages)
+
+	b.split(workers)
+	b.run()
+
+	var served time.Duration
+	for w := range b.workers {
+		served += b.workers[w].charge
+	}
+	n.Clock.Advance(served)
+	if !n.captureOff.Load() {
+		for i := range pkts {
+			if o := b.outcomes[i].Out; o != nil {
+				n.captureAt(CapturePostGateway, o)
 			}
 		}
 	}
+	b.release()
 	// The responses traverse each involved gateway's queue on the way back
 	// in — one reinjection hop per gateway touched by the burst.
-	n.Clock.Advance(n.Model.NFQueueHopPerPacket * time.Duration(activeGateways))
+	n.Clock.Advance(hops)
 	total := n.Clock.Now() - start
 	for i := range out {
 		out[i].Latency = total
@@ -549,93 +573,24 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	return out
 }
 
-// enforceGroup drains pkts through gw, charging its virtual time, and counts
-// the active gateways crossed: a skipped, absent or inactive one (0) passes
-// them as they came.
-func (n *Network) enforceGroup(gw *Gateway, pkts []*ipv4.Packet, skip bool) ([]BatchOutcome, int) {
-	if skip || gw == nil || !gw.Active() {
-		outcomes := make([]BatchOutcome, len(pkts))
-		for i, pkt := range pkts {
-			outcomes[i].Out = pkt
-		}
-		return outcomes, 0
-	}
-	n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-	per := time.Duration(0)
-	if gw.HasEnforcer() {
-		per += n.Model.EnforcerPerPacket
-	}
-	if gw.HasSanitizer() {
-		per += n.Model.SanitizerPerPacket
-	}
-	n.Clock.Advance(per * time.Duration(len(pkts)))
-	outcomes, _ := gw.ProcessBatch(pkts)
-	return outcomes, 1
-}
-
-// gwGroup is one gateway's slice of a burst: the packets it fronts and
-// their indices in the original order.
-type gwGroup struct {
-	gw   *Gateway
-	idx  []int
-	pkts []*ipv4.Packet
-}
-
-// partitionByGateway splits a burst by owning gateway (GatewayFor),
-// preserving each packet's burst index so outcomes land back in order.
-func (n *Network) partitionByGateway(pkts []*ipv4.Packet) []gwGroup {
-	var groups []gwGroup
-	last := -1 // bursts are usually runs of same-subnet packets
-	for i, pkt := range pkts {
-		gw := n.GatewayFor(pkt.Header.Src)
-		at := -1
-		if last >= 0 && groups[last].gw == gw {
-			at = last
-		} else {
-			for gi := range groups {
-				if groups[gi].gw == gw {
-					at = gi
-					break
-				}
-			}
-			if at < 0 {
-				groups = append(groups, gwGroup{gw: gw})
-				at = len(groups) - 1
-			}
-		}
-		groups[at].idx = append(groups[at].idx, i)
-		groups[at].pkts = append(groups[at].pkts, pkt)
-		last = at
-	}
-	return groups
-}
-
-// respKey identifies a connection's server-side sequence state: the
-// forward 5-tuple as the gateway observed it.
-type respKey struct {
-	src, dst         netip.Addr
-	srcPort, dstPort uint16
-}
-
-// maxRespTracked bounds the response-sequence map, matching the
-// conntrack's open-table bound. A connection's entry leaves with its
-// FIN/RST (serveOne), so only open connections count against the cap; at
-// the cap an arbitrary entry is evicted (the connection's next response
-// then restarts from its ISN and the gateway's continuity check refuses
-// it — the cap is a memory bound, not a working regime).
+// maxRespTracked bounds the response-sequence table, matching the
+// conntrack's open-table bound: maxRespTracked/ctShards per shard. A
+// connection's entry leaves with its FIN/RST (serveOne), so only open
+// connections count against the bound; at a shard's bound an arbitrary
+// entry of that shard is evicted (the connection's next response then
+// restarts from its ISN and the gateway's continuity check refuses it —
+// the bound is a memory bound, not a working regime).
 const maxRespTracked = 65536
 
 // respISN derives a deterministic initial sequence number for a
 // connection from its forward key — stable across the simulation run so
 // retransmissions of the first response carry the same number.
-func respISN(k respKey) uint32 {
-	s4 := k.src.As4()
-	d4 := k.dst.As4()
+func respISN(k connKey) uint32 {
 	h := uint64(0x243f6a8885a308d3)
-	for _, b := range s4 {
+	for _, b := range k.src {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}
-	for _, b := range d4 {
+	for _, b := range k.dst {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}
 	h = (h ^ uint64(k.srcPort)<<16 ^ uint64(k.dstPort)) * 0x100000001b3
@@ -644,23 +599,25 @@ func respISN(k respKey) uint32 {
 
 // checkResponse synthesizes the server's reply as a wire segment on the
 // return path and runs it through the owning gateway's response-direction
-// verdict state. Only TCP requests have a modelled return path; UDP
-// replies pass unchecked. A response the gateway refuses
+// verdict state. sp and dp are the forward segment's ports, as serveOne
+// parsed them. Only TCP requests have a modelled return path (only they
+// produce a Response); UDP replies pass unchecked, and so does a
+// connection whose endpoints are not IPv4. A response the gateway refuses
 // (sequence-continuity violation — in practice only when an injection is
 // simulated) is removed from the delivery.
-func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, d *Delivery) {
+func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d *Delivery) {
 	if d.Response == nil {
 		return
 	}
-	info, ok := transport.PeekPacket(fwd)
-	if !ok || info.Proto != ipv4.ProtoTCP {
+	k, ok := makeConnKey(fwd.Header.Src, fwd.Header.Dst, sp, dp)
+	if !ok {
 		return
 	}
 	scratch, _ := n.respScratch.Get().(*ipv4.Packet)
 	if scratch == nil {
 		scratch = new(ipv4.Packet)
 	}
-	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, info, d.Response.Body)) {
+	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, k, d.Response.Body)) {
 		d.ResponseDropped = true
 		d.Response = nil
 	}
@@ -671,28 +628,25 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, d *Delivery) {
 // body into scratch, reusing its payload buffer, and advances the
 // connection's server-side sequence position. The gateway only inspects
 // the segment, so it lives no longer than the check.
-func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, info transport.Info, body []byte) *ipv4.Packet {
-	k := respKey{
-		src: fwd.Header.Src, dst: fwd.Header.Dst,
-		srcPort: info.SrcPort, dstPort: info.DstPort,
-	}
-	n.respMu.Lock()
-	seq, tracked := n.respSeq[k]
+func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, k connKey, body []byte) *ipv4.Packet {
+	s := &n.respSeq[k.shard()]
+	s.mu.Lock()
+	seq, tracked := s.next[k]
 	if !tracked {
-		if len(n.respSeq) >= maxRespTracked {
-			for victim := range n.respSeq {
-				delete(n.respSeq, victim)
+		if len(s.next) >= maxRespTracked/ctShards {
+			for victim := range s.next {
+				delete(s.next, victim)
 				break
 			}
 		}
 		seq = respISN(k)
 	}
-	n.respSeq[k] = seq + uint32(len(body))
-	n.respMu.Unlock()
+	s.next[k] = seq + uint32(len(body))
+	s.mu.Unlock()
 
 	seg := transport.TCPSegment{
-		SrcPort: info.DstPort,
-		DstPort: info.SrcPort,
+		SrcPort: k.dstPort,
+		DstPort: k.srcPort,
 		Seq:     seq,
 		Flags:   transport.FlagPSH | transport.FlagACK,
 		Payload: body,
@@ -705,6 +659,18 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, info transport.Info,
 	}
 	scratch.Payload = seg.AppendTo(scratch.Payload[:0])
 	return scratch
+}
+
+// forgetResp drops a closing connection's server-side sequence position.
+func (n *Network) forgetResp(h *ipv4.Header, sp, dp uint16) {
+	k, ok := makeConnKey(h.Src, h.Dst, sp, dp)
+	if !ok {
+		return
+	}
+	s := &n.respSeq[k.shard()]
+	s.mu.Lock()
+	delete(s.next, k)
+	s.mu.Unlock()
 }
 
 func (n *Network) captureAt(p CapturePoint, pkt *ipv4.Packet) {

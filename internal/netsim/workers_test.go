@@ -1,0 +1,380 @@
+package netsim
+
+import (
+	"bytes"
+	"net/netip"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"borderpatrol/internal/dns"
+	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/policy"
+	"borderpatrol/internal/sanitizer"
+	"borderpatrol/internal/transport"
+)
+
+// deviceBurst is one plain packet from each of n distinct devices.
+func deviceBurst(t testing.TB, n int) []*ipv4.Packet {
+	t.Helper()
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := []*ipv4.Packet{plainPacket(getRequest())}
+	pkts := make([]*ipv4.Packet, n)
+	for i := range pkts {
+		pkts[i] = pool.Rewrite(i, tmpl)[0]
+	}
+	return pkts
+}
+
+// countTraversals adds a POSTROUTING queue to gw that accepts everything,
+// hands each batch it sees to seen (under a lock), and counts its calls:
+// one per worker traversal.
+func countTraversals(gw *Gateway, seen func(pkts []*ipv4.Packet)) *atomic.Int64 {
+	var calls atomic.Int64
+	var mu sync.Mutex
+	gw.Netfilter().RegisterBatchQueue(3, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
+		calls.Add(1)
+		mu.Lock()
+		seen(pkts)
+		mu.Unlock()
+		for i := range out {
+			out[i].Verdict = kernel.VerdictAccept
+		}
+	})
+	gw.Netfilter().Append(kernel.ChainPostrouting, kernel.Rule{Target: kernel.TargetQueue, QueueNum: 3})
+	return &calls
+}
+
+// TestFlowAffineShortBurstRunsInline pins the fan-out floor: a burst is
+// split only into parts of minWorkerBurst packets each on average, so a
+// connection-sized burst crosses into the queue once, on the caller's
+// goroutine.
+func TestFlowAffineShortBurstRunsInline(t *testing.T) {
+	for _, tc := range []struct{ pkts, workers, wantCalls int }{
+		{3, 4, 1},
+		{34, 2, 1},
+		{2*minWorkerBurst - 1, 4, 1},
+		{2 * minWorkerBurst, 4, 2},
+		{1024, 4, 4},
+		{1024, 1, 1},
+	} {
+		gw := NewGateway(GatewayConfig{Passthrough: true, Workers: tc.workers})
+		calls := countTraversals(gw, func([]*ipv4.Packet) {})
+		pkts := deviceBurst(t, tc.pkts)
+		res, err := gw.ProcessBatch(pkts)
+		if err != nil || len(res) != tc.pkts {
+			t.Fatalf("%d packets: %d results, err %v", tc.pkts, len(res), err)
+		}
+		for i := range res {
+			if res[i].Out != pkts[i] {
+				t.Fatalf("%d packets: result %d misaligned", tc.pkts, i)
+			}
+		}
+		if got := int(calls.Load()); got != tc.wantCalls {
+			t.Errorf("%d packets over %d workers: %d traversals, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
+		}
+	}
+}
+
+// TestFlowAffineParallelWorkers pushes a burst from 1,024 devices through
+// four workers under -race: every worker takes a share, every packet gets
+// exactly one verdict, and outcomes align with the input.
+func TestFlowAffineParallelWorkers(t *testing.T) {
+	gw := NewGateway(GatewayConfig{Passthrough: true, Workers: 4})
+	evil := func(p *ipv4.Packet) bool { return p.Header.Src.As4()[3]%7 == 0 }
+	handled := map[*ipv4.Packet]bool{}
+	gw.Netfilter().RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
+		for i, p := range pkts {
+			out[i].Verdict = kernel.VerdictAccept
+			if evil(p) {
+				out[i].Verdict = kernel.VerdictDrop
+			}
+		}
+	})
+	calls := countTraversals(gw, func(pkts []*ipv4.Packet) {
+		for _, p := range pkts {
+			if handled[p] {
+				panic("packet handled twice")
+			}
+			handled[p] = true
+		}
+	})
+	pkts := deviceBurst(t, 1024)
+	res, err := gw.ProcessBatch(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("%d workers traversed, want all 4", got)
+	}
+	for i := range res {
+		if evil(pkts[i]) != (res[i].Out == nil) || (res[i].Out != nil && res[i].Out != pkts[i]) {
+			t.Fatalf("packet %d: outcome %+v misaligned", i, res[i])
+		}
+		if !evil(pkts[i]) && !handled[pkts[i]] {
+			t.Fatalf("packet %d accepted without reaching POSTROUTING", i)
+		}
+	}
+}
+
+// TestFlowAffineOneDeviceOneWorker: a 200-packet connection from one
+// device stays on one worker, in burst order, however many workers the
+// gateway has — so its FIN is observed only after each data segment was
+// served and its response checked on the open connection.
+func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
+	enf0, apk, db := buildEnforcerAndDB(t)
+	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 4})
+	var order []*ipv4.Packet
+	calls := countTraversals(gw, func(pkts []*ipv4.Packet) { order = append(order, pkts...) })
+	n := newStaticNetwork(ModeTAP, gw)
+	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)
+
+	for i, d := range n.DeliverBatch(burst) {
+		if !d.Delivered || d.ResponseDropped || (d.Response == nil) != (i == 0 || i == len(burst)-1) {
+			t.Fatalf("packet %d: %+v", i, d)
+		}
+	}
+	if calls.Load() != 1 || len(order) != len(burst) {
+		t.Fatalf("%d traversals saw %d packets, want one of %d", calls.Load(), len(order), len(burst))
+	}
+	for i, p := range order {
+		if !bytes.Equal(p.Payload, burst[i].Payload) {
+			t.Fatalf("traversal order differs from burst order at %d", i)
+		}
+	}
+	st := gw.Conntrack()
+	if st.Established != 1 || st.Closed != 1 || st.ResponsesChecked != 198 || st.ResponseLate != 0 || st.ResponseSeqDrops != 0 {
+		t.Fatalf("conntrack: %+v, want every response checked before the FIN", st)
+	}
+}
+
+// TestSplitIsFlowAffine: the split puts every packet between one pair of
+// addresses on one worker, keeps burst order within each worker, and
+// covers the burst exactly once.
+func TestSplitIsFlowAffine(t *testing.T) {
+	pkts := deviceBurst(t, 512)
+	pkts = append(pkts, deviceBurst(t, 512)...) // every device twice
+	b := getBurst(pkts)
+	defer b.release()
+	b.split(4)
+	owner := map[netip.Addr]int{}
+	covered := 0
+	for w := range b.workers {
+		idx := b.workers[w].idx
+		for k, i := range idx {
+			if k > 0 && idx[k-1] >= i {
+				t.Fatalf("worker %d out of burst order", w)
+			}
+			src := pkts[i].Header.Src
+			if o, ok := owner[src]; ok && o != w {
+				t.Fatalf("device %v on workers %d and %d", src, o, w)
+			}
+			owner[src] = w
+		}
+		covered += len(idx)
+	}
+	if covered != len(pkts) {
+		t.Fatalf("split covers %d of %d packets", covered, len(pkts))
+	}
+}
+
+// diffRun is everything a run of the differential workload exposes.
+type diffRun struct {
+	dels    [][]Delivery
+	clocks  []int64
+	ct      ConntrackStats
+	verdict enforcer.Stats
+	capture []*ipv4.Packet
+}
+
+// TestWorkerCountChangesNothing is the differential check on the fan-out:
+// the same bursts from 256 pooled devices — SYN, data and FIN phases of
+// allowed and denied TCP connections and tagged DNS queries over UDP,
+// with a policy swap and a swap back between bursts — through gateways
+// of 1, 2 and 4 workers must be indistinguishable: every delivery's fate,
+// stage, response and latency, the clock after each burst, the
+// connection tracker's counters, the enforcer's verdict counters and the
+// post-gateway capture, packet by packet.
+func TestWorkerCountChangesNothing(t *testing.T) {
+	_, apk, db := buildEnforcerAndDB(t)
+	const devices = 256
+	dnsAddr := netip.MustParseAddr("10.53.0.53")
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() *ipv4.Packet {
+		p := taggedPacket(t, apk, db, "sync")
+		q := dns.Query{ID: 7, Name: "files.corp.example"}
+		payload, err := q.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg := transport.UDPDatagram{SrcPort: 5353, DstPort: 53, Payload: payload}
+		p.Header.Protocol, p.Header.Dst, p.Payload = ipv4.ProtoUDP, dnsAddr, dg.Marshal()
+		return p
+	}
+	// Four phases per device; a DNS device queries in every phase.
+	phases := make([][]*ipv4.Packet, 4)
+	for i := 0; i < devices; i++ {
+		var conn []*ipv4.Packet
+		switch i % 4 {
+		case 0, 1:
+			conn = keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), uint16(41000+i), 2)
+		case 2:
+			conn = keepAliveBurst(t, taggedPacket(t, apk, db, "beacon"), uint16(41000+i), 2)
+		default:
+			q := query()
+			conn = []*ipv4.Packet{q, q, q, q}
+		}
+		for ph, p := range pool.Rewrite(i, conn) {
+			phases[ph] = append(phases[ph], p)
+		}
+	}
+	strict := []policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}}
+
+	run := func(workers int) diffRun {
+		eng, err := policy.NewEngine(strict, policy.VerdictAllow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := NewClock()
+		enf := enforcer.New(enforcer.Config{
+			Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}), Clock: clock,
+		}, db, eng)
+		gw := NewGateway(GatewayConfig{
+			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: workers, Clock: clock,
+		})
+		n := newStaticNetwork(ModeTAP, gw)
+		n.Clock = clock
+		zone := dns.NewZone()
+		if err := zone.AddRecord("files.corp.example", serverAddr()); err != nil {
+			t.Fatal(err)
+		}
+		n.AddServer(&Server{Addr: dnsAddr, UDPHandler: dns.ZoneHandler(zone), Internal: true})
+
+		var r diffRun
+		for ph, burst := range phases {
+			switch ph {
+			case 2: // allow everything: denied flows' data now passes, mid-stream
+				if err := eng.SetRules(nil); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				if err := eng.SetRules(strict); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if workers > 1 {
+				b := getBurst(burst)
+				b.split(workers)
+				for w := range b.workers {
+					if len(b.workers[w].idx) == 0 {
+						t.Fatalf("%d workers: worker %d got none of a %d-packet burst", workers, w, len(burst))
+					}
+				}
+				b.release()
+			}
+			r.dels = append(r.dels, n.DeliverBatch(burst))
+			r.clocks = append(r.clocks, int64(n.Clock.Now()))
+		}
+		r.ct = gw.Conntrack()
+		st := enf.Stats()
+		r.verdict = enforcer.Stats{Processed: st.Processed, Accepted: st.Accepted, Dropped: st.Dropped, DroppedByCause: st.DroppedByCause}
+		r.capture = n.CaptureAt(CapturePostGateway).Packets()
+		return r
+	}
+
+	want := run(1)
+	var checked, dropped, answered int
+	for _, d := range want.dels {
+		for _, del := range d {
+			if del.Response != nil || del.Datagram != nil {
+				answered++
+			}
+			if !del.Delivered {
+				dropped++
+			}
+		}
+	}
+	if answered == 0 || dropped == 0 || want.ct.ResponseAdopts == 0 || want.ct.Closed == 0 || want.verdict.Dropped == 0 {
+		t.Fatalf("workload too narrow: answered %d, dropped %d, conntrack %+v, verdicts %+v", answered, dropped, want.ct, want.verdict)
+	}
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		for ph := range want.dels {
+			for i, w := range want.dels[ph] {
+				g := got.dels[ph][i]
+				checked++
+				if g.Delivered != w.Delivered || g.Stage != w.Stage || g.ResponseDropped != w.ResponseDropped ||
+					g.Latency != w.Latency || (g.Response == nil) != (w.Response == nil) || !bytes.Equal(g.Datagram, w.Datagram) {
+					t.Fatalf("%d workers, phase %d, packet %d: %+v, with one worker %+v", workers, ph, i, g, w)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got.clocks, want.clocks) {
+			t.Fatalf("%d workers: clock after each burst %v, with one worker %v", workers, got.clocks, want.clocks)
+		}
+		if got.ct != want.ct {
+			t.Fatalf("%d workers: conntrack %+v, with one worker %+v", workers, got.ct, want.ct)
+		}
+		if !reflect.DeepEqual(got.verdict, want.verdict) {
+			t.Fatalf("%d workers: verdicts %+v, with one worker %+v", workers, got.verdict, want.verdict)
+		}
+		if len(got.capture) != len(want.capture) {
+			t.Fatalf("%d workers: %d packets captured, with one worker %d", workers, len(got.capture), len(want.capture))
+		}
+		for i := range want.capture {
+			g, w := got.capture[i], want.capture[i]
+			if g.Header.Src != w.Header.Src || g.Header.Dst != w.Header.Dst || !bytes.Equal(g.Payload, w.Payload) {
+				t.Fatalf("%d workers: capture %d is %v→%v, with one worker %v→%v", workers, i, g.Header.Src, g.Header.Dst, w.Header.Src, w.Header.Dst)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("nothing compared")
+	}
+}
+
+// BenchmarkDeliverBatchFleet is the fleet workload's burst shape through
+// DeliverBatch: 1,024 packets from 1,024 pooled devices, phase-major (a
+// burst of SYNs, one of requests, one of FINs), every packet of a burst
+// another flow. Reported ns/op and allocs/op are per packet. Source ports
+// cycle so every connection's predecessor on its tuple has left
+// TIME_WAIT.
+func BenchmarkDeliverBatchFleet(b *testing.B) {
+	n, _, _, base := tailFixture(b, sanitizer.Config{})
+	const devices, rounds = 1024, 16
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), devices)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bursts [][]*ipv4.Packet
+	for r := 0; r < rounds; r++ {
+		conn := keepAliveBurst(b, base, uint16(20000+r), 1)
+		phases := make([][]*ipv4.Packet, len(conn))
+		for i := 0; i < devices; i++ {
+			for ph, p := range pool.Rewrite(i, conn) {
+				phases[ph] = append(phases[ph], p)
+			}
+		}
+		bursts = append(bursts, phases...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i, k = i+devices, k+1 {
+		for _, d := range n.DeliverBatch(bursts[k%len(bursts)]) {
+			if !d.Delivered || d.ResponseDropped {
+				b.Fatalf("delivery: %+v", d)
+			}
+		}
+	}
+}
