@@ -213,7 +213,7 @@ func BenchmarkTagEncodeDecode(b *testing.B) {
 // BenchmarkEnforcerThroughput measures sustained packets/second through the
 // full deployment pipeline ("seeking to thousands of connections" §VI-D).
 func BenchmarkEnforcerThroughput(b *testing.B) {
-	dep, err := NewDeployment(DeploymentConfig{Policy: `{[deny][library]["com/flurry"]}`})
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`}})
 	if err != nil {
 		b.Fatal(err)
 	}

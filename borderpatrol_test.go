@@ -2,9 +2,28 @@ package borderpatrol
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
+
+	"borderpatrol/internal/metrics"
 )
+
+// metric sums a family's series on a registry over those carrying every
+// given label (0 when the family is not registered).
+func metric(reg *MetricsRegistry, name string, labels ...metrics.Label) float64 {
+	var v float64
+	for _, s := range reg.Snapshot() {
+		if s.Name != name || s.Hist != nil {
+			continue
+		}
+		if slices.ContainsFunc(labels, func(l metrics.Label) bool { return !slices.Contains(s.Labels, l) }) {
+			continue
+		}
+		v += s.Value
+	}
+	return v
+}
 
 func demoAPK() *APK {
 	return &APK{
@@ -57,13 +76,11 @@ func demoFuncs() []Functionality {
 }
 
 func TestDeploymentEndToEnd(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{
-		Policy: `
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `
 // block the tracker library and the upload method
 {[deny][library]["com/flurry"]}
 {[deny][method]["Lcom/corp/files/SyncEngine;->upload()V"]}
-`,
-	})
+`}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +134,23 @@ func TestDeploymentEndToEnd(t *testing.T) {
 		t.Fatal("analytics not blocked")
 	}
 
-	st := dep.Stats()
-	if st.SocketsTagged != 3 || st.PacketsDropped != 6 || st.PacketsAccepted != 3 {
-		t.Fatalf("stats = %+v", st)
+	tagged := metric(dep.Metrics(), "bp_contextmgr_sockets_tagged_total")
+	dropped := metric(dep.Metrics(), "bp_enforcer_verdicts_total", metrics.L("decision", "drop"))
+	accepted := metric(dep.Metrics(), "bp_enforcer_verdicts_total", metrics.L("decision", "allow"))
+	if tagged != 3 || dropped != 6 || accepted != 3 {
+		t.Fatalf("sockets tagged %v, packets dropped %v accepted %v; want 3, 6, 3", tagged, dropped, accepted)
 	}
-	if st.PacketsCleansed != 3 {
-		t.Fatalf("sanitizer cleansed %d packets, want 3 (the delivered connection)", st.PacketsCleansed)
+	if c := metric(dep.Metrics(), "bp_sanitizer_cleansed_total"); c != 3 {
+		t.Fatalf("sanitizer cleansed %v packets, want 3 (the delivered connection)", c)
 	}
 	// The download connection's FIN tore its flow down via conntrack.
-	if st.ConnsEstablished != 1 || st.ConnsClosed != 1 {
-		t.Fatalf("conntrack stats = est %d closed %d, want 1/1", st.ConnsEstablished, st.ConnsClosed)
+	if est, closed := conns(dep); est != 1 || closed != 1 {
+		t.Fatalf("conntrack = est %v closed %v, want 1/1", est, closed)
 	}
 }
 
 func TestDeploymentReconfiguration(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +178,10 @@ func TestDeploymentReconfiguration(t *testing.T) {
 }
 
 func TestDeploymentErrors(t *testing.T) {
-	if _, err := NewDeployment(DeploymentConfig{Policy: "{[bogus]}"}); err == nil {
+	if _, err := New(Config{Policy: PolicyConfig{Doc: "{[bogus]}"}}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +223,7 @@ func TestGenerateCorpusFacade(t *testing.T) {
 	if len(corpus) != 10 {
 		t.Fatalf("corpus = %d", len(corpus))
 	}
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +242,7 @@ func TestGenerateCorpusFacade(t *testing.T) {
 
 func TestUntaggedDefaultDrop(t *testing.T) {
 	// An app using native sockets bypasses tagging; the gateway drops it.
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,9 @@ func main() {
 }
 
 func run() error {
-	which := flag.String("run", "all", "experiment: fig3|validation|cloud|facebook|fig4|keepalive|flowsize|replay|whitelist|dns|soak|pipeline|fleet|context|all")
+	which := flag.String("run", "all", "experiment: fig3|validation|cloud|facebook|fig4|keepalive|flowsize|replay|whitelist|dns|soak|fleet|context|all")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's full workload sizes")
 	seed := flag.Int64("seed", 2019, "corpus seed")
-	benchJSON := flag.String("bench-json", "BENCH_pipeline.json", "machine-readable output path for the pipeline benchmark")
 	fleetGateways := flag.Int("fleet-gateways", 0, "fleet experiment: gateway count (0 = 8, or 4 without -paper-scale)")
 	fleetDevices := flag.Int("fleet-devices", 0, "fleet experiment: pooled devices per gateway (0 = 1250, or 150 without -paper-scale)")
 	fleetBatch := flag.Int("fleet-batch", 0, "fleet experiment: gateway drain burst size (0 = 1024)")
@@ -207,26 +206,6 @@ func run() error {
 			return err
 		}
 		fmt.Println("all soak invariants held")
-	}
-
-	if all || want["pipeline"] {
-		section("E14 — Instrumented pipeline benchmark")
-		cfg := experiments.DefaultPipelineBenchConfig()
-		cfg.Seed = *seed
-		if !*paperScale {
-			cfg.Iterations = 100_000
-		}
-		res, err := experiments.RunPipelineBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Format())
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchJSON)
-		}
 	}
 
 	if all || want["fleet"] {

@@ -46,22 +46,12 @@ type PolicyConfig struct {
 	// AllowUntagged admits packets without a BorderPatrol tag (default
 	// false: the paper drops them inside the perimeter).
 	AllowUntagged bool
-	// InitialContext provisions the device's context (network trust class,
-	// posture) into the deployment's device-context source at construction,
-	// so contextual risk rules in Doc score the very first flow against
-	// known context instead of the unknown-device default. nil leaves the
-	// device unprovisioned (the least-trusted posture) until it reports or
-	// the source is updated via Deployment.Context().
-	InitialContext *DeviceContext
 }
 
 // FlowConfig shapes the gateway's packet path: the per-flow verdict cache
-// and the batch drain.
+// (65,536 flows, with an admission guard against unique-flow floods) and
+// the batch drain.
 type FlowConfig struct {
-	// CacheSize bounds the gateway's per-flow verdict cache: 0 selects
-	// the default (65,536 flows), a negative value disables caching so
-	// every packet pays the full decode+evaluate pipeline.
-	CacheSize int
 	// TTL is the verdict cache's idle timeout: a cached flow verdict
 	// expires this much virtual time after the flow's last packet, so a
 	// flow that keeps sending stays cached and one whose FIN was lost ages
@@ -83,13 +73,11 @@ type AuditConfig struct {
 	// lines reach the writer after the next flush (AuditTail and Close
 	// both flush).
 	Writer io.Writer
-	// QueueCap bounds the pending (recorded but not yet encoded) audit
-	// entries; beyond it entries are counted as dropped rather than
-	// stalling enforcement (0 selects the audit package default).
-	QueueCap int
 }
 
-// NetConfig shapes the simulated network and the provisioned device.
+// NetConfig shapes the simulated network and the provisioned device, whose
+// kernel always carries the set-once IP_OPTIONS hardening against tag
+// replay (§VII).
 type NetConfig struct {
 	// Faults arms the network with a deterministic wire-fault plan at
 	// construction; nil leaves the wire perfect. SetFaults installs or
@@ -97,9 +85,6 @@ type NetConfig struct {
 	Faults *FaultPlan
 	// DeviceAddr overrides the device network address.
 	DeviceAddr netip.Addr
-	// HardenedKernel enables the set-once IP_OPTIONS protection against
-	// tag replay (§VII). Defaults to true.
-	HardenedKernel *bool
 }
 
 // Config assembles a BorderPatrol deployment from its four concerns. The
@@ -111,82 +96,4 @@ type Config struct {
 	Flow   FlowConfig
 	Audit  AuditConfig
 	Net    NetConfig
-}
-
-// DeploymentConfig is the original flat configuration.
-//
-// Deprecated: use Config, which groups the same knobs into
-// PolicyConfig/FlowConfig/AuditConfig/NetConfig (reused per-gateway by
-// FleetConfig). DeploymentConfig remains a converting shim — NewDeployment
-// forwards to New — and every field keeps its exact old meaning.
-type DeploymentConfig struct {
-	// Policy is a policy document in the paper's grammar; empty means no
-	// rules. Mutually exclusive with PolicySource.
-	Policy string
-	// PolicySource feeds the policy engine from an external backend.
-	PolicySource PolicySource
-	// PolicyPoll is the hot-reload poll interval when PolicySource is set.
-	PolicyPoll time.Duration
-	// PolicyMaxStale is the staleness deadline (0 disables it).
-	PolicyMaxStale time.Duration
-	// PolicyFailMode selects the degraded posture past PolicyMaxStale.
-	PolicyFailMode FailMode
-	// Faults arms the network with a wire-fault plan at construction.
-	Faults *FaultPlan
-	// DefaultVerdict applies when no rule is decisive.
-	DefaultVerdict Verdict
-	// AllowUntagged admits packets without a BorderPatrol tag.
-	AllowUntagged bool
-	// HardenedKernel enables the set-once IP_OPTIONS protection.
-	HardenedKernel *bool
-	// FlowCacheSize bounds the per-flow verdict cache.
-	FlowCacheSize int
-	// FlowTTL expires cached flow verdicts idle for this long.
-	FlowTTL time.Duration
-	// GatewayWorkers sizes the gateway's batch drain.
-	GatewayWorkers int
-	// DeviceAddr overrides the device network address.
-	DeviceAddr netip.Addr
-	// AuditWriter receives one JSON line per enforcement decision.
-	AuditWriter io.Writer
-	// AuditQueueCap bounds the pending audit entries.
-	AuditQueueCap int
-}
-
-// Config converts the flat legacy form into the grouped Config. The
-// mapping is total: every DeploymentConfig field lands in exactly one
-// sub-config, so NewDeployment(old) ≡ New(old.Config()).
-func (c DeploymentConfig) Config() Config {
-	return Config{
-		Policy: PolicyConfig{
-			Doc:            c.Policy,
-			Source:         c.PolicySource,
-			Poll:           c.PolicyPoll,
-			MaxStale:       c.PolicyMaxStale,
-			FailMode:       c.PolicyFailMode,
-			DefaultVerdict: c.DefaultVerdict,
-			AllowUntagged:  c.AllowUntagged,
-		},
-		Flow: FlowConfig{
-			CacheSize: c.FlowCacheSize,
-			TTL:       c.FlowTTL,
-			Workers:   c.GatewayWorkers,
-		},
-		Audit: AuditConfig{
-			Writer:   c.AuditWriter,
-			QueueCap: c.AuditQueueCap,
-		},
-		Net: NetConfig{
-			Faults:         c.Faults,
-			DeviceAddr:     c.DeviceAddr,
-			HardenedKernel: c.HardenedKernel,
-		},
-	}
-}
-
-// NewDeployment provisions a deployment from the legacy flat config.
-//
-// Deprecated: use New with the grouped Config.
-func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
-	return New(cfg.Config())
 }

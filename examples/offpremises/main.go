@@ -17,9 +17,9 @@ import (
 )
 
 func main() {
-	dep, err := borderpatrol.NewDeployment(borderpatrol.DeploymentConfig{
-		Policy:      `{[deny][library]["com/flurry"]}`,
-		AuditWriter: os.Stdout, // JSON lines, one per enforcement decision
+	dep, err := borderpatrol.New(borderpatrol.Config{
+		Policy: borderpatrol.PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`},
+		Audit:  borderpatrol.AuditConfig{Writer: os.Stdout}, // JSON lines, one per enforcement decision
 	})
 	if err != nil {
 		log.Fatal(err)

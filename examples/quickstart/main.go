@@ -19,13 +19,13 @@ func main() {
 	// 1. Stand up a deployment: provisioned device (patched kernel + Context
 	//    Manager) plus the enterprise gateway (Policy Enforcer + Packet
 	//    Sanitizer) in front of a simulated network.
-	dep, err := borderpatrol.NewDeployment(borderpatrol.DeploymentConfig{
-		Policy: `
+	dep, err := borderpatrol.New(borderpatrol.Config{
+		Policy: borderpatrol.PolicyConfig{Doc: `
 // Example 1 from the paper: prevent ad/analytics library connections.
 {[deny][library]["com/flurry"]}
 // Example 3 style: prevent a single method - the upload task.
 {[deny][method]["Lcom/corp/files/SyncEngine;->upload([B)V"]}
-`,
+`},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -122,7 +122,17 @@ func main() {
 		fmt.Println()
 	}
 
-	st := dep.Stats()
-	fmt.Printf("summary: %d sockets tagged, %d packets enforced (%d accepted, %d dropped), %d cleansed at the border\n",
-		st.SocketsTagged, st.PacketsProcessed, st.PacketsAccepted, st.PacketsDropped, st.PacketsCleansed)
+	// 5. Every counter lives on the deployment's metrics registry (the same
+	//    series a Prometheus scrape of Metrics() would show).
+	total := map[string]float64{}
+	for _, s := range dep.Metrics().Snapshot() {
+		key := s.Name
+		for _, l := range s.Labels {
+			key += "," + l.Key + "=" + l.Value
+		}
+		total[key] += s.Value
+	}
+	accepted, dropped := total["bp_enforcer_verdicts_total,decision=allow"], total["bp_enforcer_verdicts_total,decision=drop"]
+	fmt.Printf("summary: %.0f sockets tagged, %.0f packets enforced (%.0f accepted, %.0f dropped), %.0f cleansed at the border\n",
+		total["bp_contextmgr_sockets_tagged_total"], accepted+dropped, accepted, dropped, total["bp_sanitizer_cleansed_total"])
 }

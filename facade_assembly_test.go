@@ -1,0 +1,103 @@
+package borderpatrol
+
+import (
+	"net/netip"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"borderpatrol/internal/experiments"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
+	"borderpatrol/internal/netsim"
+)
+
+// TestShippedGatewayIsBenchmarkedGateway builds the gateway the three ways
+// it is built — New, a NewFleet member, and NewTestbed with the
+// benchmark's configuration — and checks that they are one gateway: the
+// same metric families (the network's own series, and a fleet member's
+// policy store, aside) and the same flow-table admission guard, which
+// turns a unique-flow flood away at full shards.
+func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
+	dep, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	bench, err := experiments.NewTestbed(nil, experiments.TestbedConfig{
+		EnforcementOn:  true,
+		DisableCapture: true,
+		FlowTTL:        time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bench.Close()
+	gateways := []struct {
+		name string
+		tb   *experiments.Testbed
+	}{
+		{"New", dep.tb},
+		{"NewFleet member", newTestFleet(t).Deployment("gwA").tb},
+		{"NewTestbed", bench},
+	}
+
+	want := gatewayFamilies(gateways[0].tb)
+	for _, g := range gateways[1:] {
+		if got := gatewayFamilies(g.tb); !slices.Equal(got, want) {
+			t.Errorf("%s registers %v,\nwant %v (as %s)", g.name, got, want, gateways[0].name)
+		}
+	}
+
+	for _, g := range gateways {
+		app, err := g.tb.InstallApp(demoAPK(), demoFuncs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := app.Invoke("download")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 72k first-seen flows over 64 shards of 1,024: most shards fill.
+		syn := res.Packets[:1]
+		pool, err := netsim.NewDevicePool(netip.MustParsePrefix("10.128.0.0/15"), 72_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst := make([]*ipv4.Packet, 0, 1024)
+		for dev := 0; dev < pool.Len(); dev++ {
+			burst = append(burst, pool.Rewrite(dev, syn)...)
+			if len(burst) == cap(burst) || dev == pool.Len()-1 {
+				if _, err := g.tb.Gateway.ProcessBatch(burst); err != nil {
+					t.Fatal(err)
+				}
+				burst = burst[:0]
+			}
+		}
+		if drops := metric(g.tb.Metrics, "bp_flowtable_admission_drops_total"); drops == 0 {
+			t.Errorf("%s: a unique-flow flood into full shards made no admission drop", g.name)
+		}
+	}
+}
+
+// gatewayFamilies lists the metric families a gateway registers, leaving
+// out the network-wide bp_netsim_* series and its policy store's families.
+func gatewayFamilies(tb *experiments.Testbed) []string {
+	skip := map[string]bool{}
+	if tb.Policy != nil {
+		store := metrics.NewRegistry()
+		tb.Policy.RegisterMetrics(store)
+		for _, s := range store.Snapshot() {
+			skip[s.Name] = true
+		}
+	}
+	var names []string
+	for _, s := range tb.Metrics.Snapshot() {
+		if !skip[s.Name] && !strings.HasPrefix(s.Name, "bp_netsim_") {
+			names = append(names, s.Name)
+		}
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"borderpatrol/internal/metrics"
 )
 
 // TestAuditPipelineEndToEnd drives the facade and checks the asynchronous
@@ -11,9 +13,9 @@ import (
 // this scale, entries reach the writer on flush, and Close is clean.
 func TestAuditPipelineEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	dep, err := NewDeployment(DeploymentConfig{
-		Policy:      `{[deny][library]["com/flurry"]}`,
-		AuditWriter: &buf,
+	dep, err := New(Config{
+		Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`},
+		Audit:  AuditConfig{Writer: &buf},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,12 +40,11 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	if len(tail) != 12 {
 		t.Fatalf("audit tail has %d entries, want 12", len(tail))
 	}
-	st := dep.Stats()
-	if st.AuditRecorded != 12 || st.AuditDropped != 0 {
-		t.Fatalf("audit stats = recorded %d dropped %d", st.AuditRecorded, st.AuditDropped)
+	if rec, drop := metric(dep.Metrics(), "bp_audit_recorded_total"), metric(dep.Metrics(), "bp_audit_dropped_total"); rec != 12 || drop != 0 {
+		t.Fatalf("audit = recorded %v dropped %v", rec, drop)
 	}
-	if st.AuditPending != 0 {
-		t.Fatalf("audit pending = %d after flush", st.AuditPending)
+	if pending := metric(dep.Metrics(), "bp_audit_queue_depth"); pending != 0 {
+		t.Fatalf("audit pending = %v after flush", pending)
 	}
 	drop := tail[len(tail)-1]
 	if drop.Verdict != "drop" || drop.Cause != "policy" {
@@ -54,17 +55,17 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	// The analytics flow was dropped — its FIN died with the rest of the
 	// connection — so its drop verdict deliberately stays cached, keeping
 	// repeat offenders cheap to block.
-	if st.FlowsLive != 1 {
-		t.Fatalf("flows live = %d, want 1 (only the dropped analytics flow)", st.FlowsLive)
+	if live := metric(dep.Metrics(), "bp_flowtable_live"); live != 1 {
+		t.Fatalf("flows live = %v, want 1 (only the dropped analytics flow)", live)
 	}
-	if st.ConnsEstablished != 3 || st.ConnsClosed != 3 {
-		t.Fatalf("conntrack = est %d closed %d, want 3/3", st.ConnsEstablished, st.ConnsClosed)
+	if est, closed := conns(dep); est != 3 || closed != 3 {
+		t.Fatalf("conntrack = est %v closed %v, want 3/3", est, closed)
 	}
 	// Per download connection: the SYN misses, request + FIN hit; ports
 	// separate the connections so none shares an entry. Analytics: SYN
 	// misses, request + FIN hit the cached drop. 4 misses, 8 hits.
-	if st.FlowCacheMisses != 4 || st.FlowCacheHits != 8 {
-		t.Fatalf("flow stats = hits %d misses %d, want 8/4", st.FlowCacheHits, st.FlowCacheMisses)
+	if hits, misses := flowHits(dep), metric(dep.Metrics(), "bp_flowtable_misses_total"); misses != 4 || hits != 8 {
+		t.Fatalf("flow cache = hits %v misses %v, want 8/4", hits, misses)
 	}
 
 	if err := dep.Close(); err != nil {
@@ -81,7 +82,7 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 // keep-alive train hits the cache, and the FIN (not any application-layer
 // header) tears the flow down at the end of the connection.
 func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +100,30 @@ func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
 	if len(out) != 7 {
 		t.Fatalf("outcomes = %d, want 7 (SYN + 5 requests + FIN)", len(out))
 	}
-	st := dep.Stats()
-	if st.FlowCacheMisses != 1 || st.FlowCacheHits != 6 {
-		t.Fatalf("flow stats = hits %d misses %d, want 6/1", st.FlowCacheHits, st.FlowCacheMisses)
+	if hits, misses := flowHits(dep), metric(dep.Metrics(), "bp_flowtable_misses_total"); misses != 1 || hits != 6 {
+		t.Fatalf("flow cache = hits %v misses %v, want 6/1", hits, misses)
 	}
-	if st.FlowsLive != 0 {
-		t.Fatalf("flows live = %d, want 0 (FIN tore the connection down)", st.FlowsLive)
+	if live := metric(dep.Metrics(), "bp_flowtable_live"); live != 0 {
+		t.Fatalf("flows live = %v, want 0 (FIN tore the connection down)", live)
 	}
-	if st.ConnsEstablished != 1 || st.ConnsClosed != 1 {
-		t.Fatalf("conntrack = est %d closed %d, want 1/1", st.ConnsEstablished, st.ConnsClosed)
+	if est, closed := conns(dep); est != 1 || closed != 1 {
+		t.Fatalf("conntrack = est %v closed %v, want 1/1", est, closed)
 	}
-	if st.AuditRecorded != 7 {
-		t.Fatalf("audit recorded = %d, want 7", st.AuditRecorded)
+	if rec := metric(dep.Metrics(), "bp_audit_recorded_total"); rec != 7 {
+		t.Fatalf("audit recorded = %v, want 7", rec)
 	}
+}
+
+// flowHits counts packets answered without the pipeline: flow-table hits
+// plus the batch drain's same-flow memo.
+func flowHits(dep *Deployment) float64 {
+	return metric(dep.Metrics(), "bp_flowtable_hits_total") + metric(dep.Metrics(), "bp_enforcer_batch_memo_hits_total")
+}
+
+// conns reads the connections the gateway's conntrack saw open and close.
+func conns(dep *Deployment) (established, closed float64) {
+	return metric(dep.Metrics(), "bp_conntrack_transitions_total", metrics.L("kind", "established")),
+		metric(dep.Metrics(), "bp_conntrack_transitions_total", metrics.L("kind", "closed"))
 }
 
 // TestOutcomeStackIsTheCallersCopy: an Outcome's Stack is a copy. The
@@ -119,7 +131,7 @@ func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
 // the audit for every later flow carrying the tag, so a caller that edits
 // its Outcome must not change the next verdict, stack or audit entry.
 func TestOutcomeStackIsTheCallersCopy(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{Policy: `{[deny][library]["com/flurry"]}`})
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // TestDeploymentContextualPolicy drives the contextual dimension through
-// the public facade: risk rules in Config.Policy.Doc, an initial device
-// context, Exercise outcomes flipping with the device's reported context,
+// the public facade: risk rules in Config.Policy.Doc, a device context
+// provisioned before the first flow, Exercise outcomes flipping with the
+// device's reported context,
 // and the bp_context_* metric families on the deployment registry.
 func TestDeploymentContextualPolicy(t *testing.T) {
 	dep, err := New(Config{
@@ -18,13 +19,13 @@ func TestDeploymentContextualPolicy(t *testing.T) {
 {[risk][network]["trusted"][-50]}
 {[threshold][block][100]}
 `,
-			InitialContext: &DeviceContext{Network: NetTrusted},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
+	dep.Context().Provision(dep.Device().Config().Addr, DeviceContext{Network: NetTrusted})
 	app, err := dep.InstallApp(demoAPK(), demoFuncs())
 	if err != nil {
 		t.Fatal(err)

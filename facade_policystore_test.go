@@ -6,21 +6,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"borderpatrol/internal/metrics"
 )
 
 // TestDeploymentFilePolicyHotReload drives the multi-backend policy store
 // through the facade: a deployment built over a FilePolicySource hot-swaps
 // an edited policy file without restart, keeps the last-good rules when the
-// edit is malformed, and surfaces the reload counters in DeploymentStats.
+// edit is malformed, and surfaces the reload counters on its registry.
 func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "policy.bp")
 	writePolicy(t, path, `{[deny][library]["com/flurry"]}`)
 
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: FilePolicySource(path),
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: FilePolicySource(path),
 		// No background poll: the test drives ReloadPolicy explicitly for
-		// determinism (bp-gateway uses PolicyPoll).
-	})
+		// determinism (bp-gateway uses Poll).
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +57,14 @@ func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	assertOutcome(t, dep, app, "analytics", false)
 	assertOutcome(t, dep, app, "download", true)
 
-	st := dep.Stats()
-	if st.PolicyReloads != 2 || st.PolicyReloadFailures != 1 {
-		t.Fatalf("reload stats = %+v", st)
+	if applied, failed := reloads(dep, "applied"), reloads(dep, "failed"); applied != 2 || failed != 1 {
+		t.Fatalf("reloads = applied %v failed %v, want 2/1", applied, failed)
 	}
-	if st.PolicyVersion == "" || !strings.Contains(st.PolicyLastError, "line 1") {
-		t.Fatalf("version/error stats = %q / %q", st.PolicyVersion, st.PolicyLastError)
+	ps := dep.PolicyStoreStats()
+	if ps.Version == "" || !strings.Contains(ps.LastError, "line 1") {
+		t.Fatalf("version/error = %q / %q", ps.Version, ps.LastError)
 	}
-	if ps := dep.PolicyStoreStats(); ps.Applied != 2 || ps.Rules != 2 {
+	if ps.Applied != 2 || ps.Rules != 2 {
 		t.Fatalf("store stats = %+v", ps)
 	}
 }
@@ -73,10 +75,10 @@ func TestDeploymentPolicyPollBackground(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "policy.bp")
 	writePolicy(t, path, `{[deny][library]["com/flurry"]}`)
 
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: FilePolicySource(path),
-		PolicyPoll:   2 * time.Millisecond,
-	})
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: FilePolicySource(path),
+		Poll:   2 * time.Millisecond,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,20 +92,20 @@ func TestDeploymentPolicyPollBackground(t *testing.T) {
 	time.Sleep(3 * time.Millisecond) // ensure a distinct mtime
 	writePolicy(t, path, `{[deny][method]["Lcom/corp/files/SyncEngine;->upload()V"]}`)
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && dep.Stats().PolicyReloads < 2 {
+	for time.Now().Before(deadline) && reloads(dep, "applied") < 2 {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if st := dep.Stats(); st.PolicyReloads < 2 {
-		t.Fatalf("background poll never applied the edit: %+v", st)
+	if applied := reloads(dep, "applied"); applied < 2 {
+		t.Fatalf("background poll never applied the edit: %v reloads applied", applied)
 	}
 	assertOutcome(t, dep, app, "upload", false)
 	assertOutcome(t, dep, app, "analytics", true) // tracker rule replaced
 }
 
 func TestDeploymentStaticPolicySource(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: StaticPolicySource(`{[deny][library]["com/flurry"]}`),
-	})
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: StaticPolicySource(`{[deny][library]["com/flurry"]}`),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,29 +115,29 @@ func TestDeploymentStaticPolicySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOutcome(t, dep, app, "analytics", false)
-	if st := dep.Stats(); st.PolicyReloads != 1 || st.PolicyVersion == "" {
-		t.Fatalf("stats = %+v", st)
+	if applied, version := reloads(dep, "applied"), dep.PolicyStoreStats().Version; applied != 1 || version == "" {
+		t.Fatalf("reloads applied %v, version %q", applied, version)
 	}
 }
 
 func TestDeploymentPolicySourceExclusions(t *testing.T) {
-	_, err := NewDeployment(DeploymentConfig{
-		Policy:       `{[deny][library]["com/flurry"]}`,
-		PolicySource: StaticPolicySource(""),
-	})
+	_, err := New(Config{Policy: PolicyConfig{
+		Doc:    `{[deny][library]["com/flurry"]}`,
+		Source: StaticPolicySource(""),
+	}})
 	if err == nil {
 		t.Fatal("Policy + PolicySource accepted")
 	}
 
 	// A broken initial policy is fatal: no last-good exists yet.
-	if _, err := NewDeployment(DeploymentConfig{
-		PolicySource: StaticPolicySource(`{[broken`),
-	}); err == nil {
+	if _, err := New(Config{Policy: PolicyConfig{
+		Source: StaticPolicySource(`{[broken`),
+	}}); err == nil {
 		t.Fatal("broken initial policy accepted")
 	}
 
 	// Without a source, ReloadPolicy reports misuse.
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +145,14 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 	if _, err := dep.ReloadPolicy(); err == nil {
 		t.Fatal("ReloadPolicy without a source succeeded")
 	}
-	if st := dep.Stats(); st.PolicyReloads != 0 || st.PolicyVersion != "" {
-		t.Fatalf("sourceless stats = %+v", st)
+	if applied, version := reloads(dep, "applied"), dep.PolicyStoreStats().Version; applied != 0 || version != "" {
+		t.Fatalf("sourceless: reloads applied %v, version %q", applied, version)
 	}
+}
+
+// reloads reads the policy store's reload cycles with one outcome.
+func reloads(dep *Deployment, outcome string) float64 {
+	return metric(dep.Metrics(), "bp_policy_reloads_total", metrics.L("outcome", outcome))
 }
 
 // assertOutcome exercises one functionality and asserts delivery.

@@ -8,9 +8,9 @@ import (
 
 func TestExerciseViaRoutes(t *testing.T) {
 	var auditBuf bytes.Buffer
-	dep, err := NewDeployment(DeploymentConfig{
-		Policy:      `{[deny][library]["com/flurry"]}`,
-		AuditWriter: &auditBuf,
+	dep, err := New(Config{
+		Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`},
+		Audit:  AuditConfig{Writer: &auditBuf},
 	})
 	if err != nil {
 		t.Fatal(err)

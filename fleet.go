@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"time"
 
+	"borderpatrol/internal/experiments"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
@@ -75,8 +76,6 @@ type FleetConfig struct {
 	AllowUntagged bool
 	// Faults arms the shared network with a wire-fault plan.
 	Faults *FaultPlan
-	// HardenedKernel enables set-once IP_OPTIONS on every device.
-	HardenedKernel *bool
 }
 
 // Fleet is a multi-gateway BorderPatrol deployment. Every gateway is a
@@ -136,7 +135,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			closeBuilt()
 			return nil, fmt.Errorf("borderpatrol: gateway %q needs an IPv4 subnet, got %v", name, spec.Subnet)
 		}
-		d, err := build(Config{
+		tcfg, err := testbedConfig(Config{
 			Policy: PolicyConfig{
 				Source:         policystore.NewGroupScopedSource(hub.Source(), spec.Groups...),
 				Poll:           cfg.Poll,
@@ -148,20 +147,23 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			},
 			Flow:  spec.Flow,
 			Audit: spec.Audit,
-			Net: NetConfig{
-				DeviceAddr:     spec.Subnet.Masked().Addr().Next(),
-				HardenedKernel: cfg.HardenedKernel,
-			},
-		}, network, name)
+			Net:   NetConfig{DeviceAddr: spec.Subnet.Masked().Addr().Next()},
+		})
+		if err != nil {
+			closeBuilt()
+			return nil, err
+		}
+		tb, err := experiments.Assemble(network, tcfg)
 		if err != nil {
 			closeBuilt()
 			return nil, fmt.Errorf("borderpatrol: gateway %q: %w", name, err)
 		}
-		network.AddGatewayRoute(spec.Subnet, d.gateway)
+		d := &Deployment{name: name, tb: tb}
+		network.AddGatewayRoute(spec.Subnet, tb.Gateway)
 		f.deployments = append(f.deployments, d)
 		f.groups = append(f.groups, spec.Groups)
 		f.byName[name] = d
-		f.agg.Attach(name, d.metrics)
+		f.agg.Attach(name, tb.Metrics)
 	}
 	// Network-wide series (wire faults) belong to the fleet, not to any
 	// one gateway; they join the aggregate under their own label value.
@@ -171,7 +173,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 	// Stores start only once the whole fleet can no longer fail to build.
 	for _, d := range f.deployments {
-		d.policy.Start()
+		d.tb.Policy.Start()
 	}
 	return f, nil
 }
@@ -228,7 +230,7 @@ func (f *Fleet) PushPolicy(doc string) error {
 	applies, rounds := make([]uint64, len(f.deployments)), make([]uint64, len(f.deployments))
 	for i, d := range f.deployments {
 		changed[i] = oldGS.DocFor(f.groups[i]...) != newGS.DocFor(f.groups[i]...)
-		s := d.policy.Stats()
+		s := d.tb.Policy.Stats()
 		applies[i], rounds[i] = s.Applied, s.WatchRounds
 	}
 	rev := f.hub.Rev()
@@ -239,7 +241,7 @@ func (f *Fleet) PushPolicy(doc string) error {
 	deadline := time.Now().Add(pushTimeout)
 	for i, d := range f.deployments {
 		done := func() bool {
-			s := d.policy.Stats()
+			s := d.tb.Policy.Stats()
 			if changed[i] {
 				return s.Applied > applies[i]
 			}

@@ -2,62 +2,10 @@ package borderpatrol
 
 import (
 	"net/netip"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestConfigShimEquivalence pins the deprecated flat DeploymentConfig to
-// the grouped Config: the same knobs through either constructor must
-// produce byte-identical stats after identical traffic.
-func TestConfigShimEquivalence(t *testing.T) {
-	flat := DeploymentConfig{
-		Policy:         `{[deny][library]["com/flurry"]}`,
-		DefaultVerdict: VerdictAllow,
-		FlowCacheSize:  128,
-		FlowTTL:        2 * time.Minute,
-		GatewayWorkers: 2,
-		DeviceAddr:     netip.MustParseAddr("10.9.0.2"),
-		AuditQueueCap:  64,
-	}
-	exercise := func(dep *Deployment) DeploymentStats {
-		t.Helper()
-		app, err := dep.InstallApp(demoAPK(), demoFuncs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fn := range []string{"download", "upload", "analytics"} {
-			if _, err := dep.Exercise(app, fn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// AuditTail flushes: AuditPending otherwise races the background
-		// drainer and differs between two otherwise identical runs.
-		dep.AuditTail()
-		st := dep.Stats()
-		if err := dep.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	old, err := NewDeployment(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grouped, err := New(flat.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldStats, newStats := exercise(old), exercise(grouped)
-	if !reflect.DeepEqual(oldStats, newStats) {
-		t.Fatalf("shim diverged:\nold %+v\nnew %+v", oldStats, newStats)
-	}
-	if oldStats.PacketsDropped == 0 || oldStats.PacketsAccepted == 0 {
-		t.Fatalf("degenerate run proves nothing: %+v", oldStats)
-	}
-}
 
 const fleetPolicyV1 = `
 // fleet-wide rules

@@ -9,21 +9,13 @@ import (
 	"strings"
 	"time"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
-	"borderpatrol/internal/audit"
-	"borderpatrol/internal/contextmgr"
 	"borderpatrol/internal/dns"
-	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
-	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
-	"borderpatrol/internal/sanitizer"
 )
 
 // This file implements the fleet-scale experiment: N gateways on one
@@ -49,8 +41,9 @@ type FleetRunConfig struct {
 	// scrape the fleet live (bp-experiments -run fleet -metrics-addr).
 	Metrics *metrics.Aggregate
 	// AuditWriter receives the fleet-wide enforcement audit as JSON
-	// lines through one shared bounded-async pipeline (nil disables
-	// auditing).
+	// lines: every gateway's own audit log writes to it, concurrently, so
+	// it must take concurrent writes (*os.File and audit.RotatingWriter
+	// do). Nil keeps each gateway's in-memory tail only.
 	AuditWriter io.Writer
 }
 
@@ -156,14 +149,12 @@ func (r *FleetBenchResult) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// fleetMember is one assembled gateway: engine, sharded store, enforcer,
-// template device, device pool, and the invocation template bursts.
+// fleetMember is one assembled gateway (its template device included),
+// its device pool, and the invocation template bursts.
 type fleetMember struct {
-	name   string
-	prefix netip.Prefix
-	engine *policy.Engine
-	store  *policystore.Store
-	pool   *netsim.DevicePool
+	name string
+	tb   *Testbed
+	pool *netsim.DevicePool
 	// bursts maps workload kind to the template device's packet burst,
 	// cloned and source-rewritten per virtual device.
 	bursts map[string][]*ipv4.Packet
@@ -196,9 +187,10 @@ func fleetPolicyDoc(gateways int, quarantine bool) string {
 	return b.String()
 }
 
-// buildFleetMember assembles gateway i on the shared network. auditLog
-// may be nil (auditing off); the fleet shares one pipeline.
-func buildFleetMember(i, gateways, devices int, network *netsim.Network, db *analyzer.Database, hub *policystore.Hub, agg *metrics.Aggregate, auditLog *audit.Log) (*fleetMember, error) {
+// buildFleetMember assembles gateway i on the shared network, routes its
+// subnet to it, and records its template bursts. auditW may be nil (tail
+// only); every member writes its own audit log to it.
+func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *policystore.Hub, auditW io.Writer) (m *fleetMember, err error) {
 	name := fmt.Sprintf("gw%d", i)
 	if gateways > 200 {
 		return nil, fmt.Errorf("fleet sized for at most 200 gateways, got %d", gateways)
@@ -206,51 +198,25 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, db *ana
 	// One /16 per gateway: room for 65k pooled devices each.
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16).Masked()
 
-	engine, err := policy.NewEngine(nil, policy.VerdictAllow)
-	if err != nil {
-		return nil, err
-	}
-	store, err := policystore.New(policystore.Config{
-		Source:       policystore.NewGroupScopedSource(hub.Source(), fmt.Sprintf("g%d", i)),
-		Engine:       engine,
-		Poll:         time.Hour, // propagation must come from the watch
-		WatchTimeout: time.Hour,
+	tb, err := Assemble(network, TestbedConfig{
+		EnforcementOn:      true,
+		AuditWriter:        auditW,
+		PolicySource:       policystore.NewGroupScopedSource(hub.Source(), fmt.Sprintf("g%d", i)),
+		PolicyPoll:         time.Hour, // propagation must come from the watch
+		PolicyWatchTimeout: time.Hour,
+		// The template device takes the subnet's first host address; the
+		// pool numbers virtual devices from the second onward.
+		DeviceAddr: prefix.Addr().Next(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := store.Load(); err != nil {
-		return nil, err
-	}
-
-	enf := enforcer.New(enforcer.Config{
-		Flows: enforcer.NewFlowCache(flowtable.Config{Clock: network.Clock}),
-		Audit: auditLog,
-	}, db, engine)
-	gw := netsim.NewGateway(netsim.GatewayConfig{
-		Enforcer:  enf,
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
-		Clock:     network.Clock,
-	})
-	network.AddGatewayRoute(prefix, gw)
-
-	reg := metrics.NewRegistry()
-	enf.RegisterMetrics(reg)
-	gw.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-	agg.Attach(name, reg)
-
-	// The template device takes the subnet's first host address; the pool
-	// numbers virtual devices from the second onward.
-	device := android.NewDevice(android.Config{
-		Addr:            prefix.Addr().Next(),
-		Kernel:          kernel.Config{AllowUnprivilegedIPOptions: true, SetOptionsOncePerSocket: true},
-		XposedInstalled: true,
-	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
-		return nil, err
-	}
+	defer func() {
+		if err != nil {
+			tb.Close()
+		}
+	}()
+	network.AddGatewayRoute(prefix, tb.Gateway)
 
 	qResolve, err := dnsQuery(1, "files.corp.example")
 	if err != nil {
@@ -278,21 +244,12 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, db *ana
 		{name: kindProbeOther, desirable: true, class: fmt.Sprintf("Exfil%d", other), method: "exfil",
 			op: android.NetOp{Endpoint: dnsServerAddr, Proto: ipv4.ProtoUDP, Datagram: qOther}},
 	})
-	if err := db.Add(ga.APK); err != nil {
-		return nil, err
-	}
-	app, err := device.InstallApp(ga.APK, ga.Functionalities, android.ProfileWork)
+	app, err := tb.InstallApp(ga.APK, ga.Functionalities)
 	if err != nil {
 		return nil, err
 	}
 
-	m := &fleetMember{
-		name:   name,
-		prefix: prefix,
-		engine: engine,
-		store:  store,
-		bursts: make(map[string][]*ipv4.Packet, 5),
-	}
+	m = &fleetMember{name: name, tb: tb, bursts: make(map[string][]*ipv4.Packet, 5)}
 	for _, kind := range []string{kindSync, kindBeacon, kindResolve, kindProbeOwn, kindProbeOther} {
 		res, err := app.Invoke(kind)
 		if err != nil {
@@ -344,30 +301,26 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	})
 
 	hub := policystore.NewHub(fleetPolicyDoc(cfg.Gateways, false))
-	db := analyzer.NewDatabase()
 	agg := cfg.Metrics
 	if agg == nil {
 		agg = metrics.NewAggregate("gateway")
 	}
-	var auditLog *audit.Log
-	if cfg.AuditWriter != nil {
-		auditLog = audit.New(cfg.AuditWriter, 256)
-		auditReg := metrics.NewRegistry()
-		auditLog.RegisterMetrics(auditReg)
-		agg.Attach("fleet", auditReg)
-	}
-	defer auditLog.Close()
 	members := make([]*fleetMember, cfg.Gateways)
 	for i := range members {
-		m, err := buildFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, network, db, hub, agg, auditLog)
+		m, err := buildFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, network, hub, cfg.AuditWriter)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: gateway %d: %w", i, err)
 		}
-		defer m.store.Close()
+		defer m.tb.Close()
 		members[i] = m
+		agg.Attach(m.name, m.tb.Metrics)
 	}
+	// Network-wide series belong to the fleet, not to any one gateway.
+	fleetReg := metrics.NewRegistry()
+	network.RegisterMetrics(fleetReg)
+	agg.Attach("fleet", fleetReg)
 	for _, m := range members {
-		m.store.Start()
+		m.tb.Policy.Start()
 	}
 
 	res := &FleetBenchResult{
@@ -453,25 +406,25 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	type before struct{ rounds, applied, gen uint64 }
 	b4 := make([]before, len(members))
 	for i, m := range members {
-		s := m.store.Stats()
-		b4[i] = before{s.WatchRounds, s.Applied, m.engine.Generation()}
+		s := m.tb.Policy.Stats()
+		b4[i] = before{s.WatchRounds, s.Applied, m.tb.Engine.Generation()}
 	}
 	hub.Set(fleetPolicyDoc(cfg.Gateways, true))
 	deadline := time.Now().Add(30 * time.Second)
 	for i, m := range members {
-		for m.store.Stats().WatchRounds == b4[i].rounds {
+		for m.tb.Policy.Stats().WatchRounds == b4[i].rounds {
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("fleet: %s: policy push did not complete a watch round", m.name)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
-		s := m.store.Stats()
+		s := m.tb.Policy.Stats()
 		rep := &res.PerGateway[i]
 		rep.Name = m.name
 		rep.Devices = cfg.DevicesPerGateway
 		rep.PushWatchRounds = s.WatchRounds - b4[i].rounds
 		rep.PushApplied = s.Applied - b4[i].applied
-		rep.PushGenerations = m.engine.Generation() - b4[i].gen
+		rep.PushGenerations = m.tb.Engine.Generation() - b4[i].gen
 	}
 
 	if err := deliver(half, cfg.DevicesPerGateway); err != nil {
@@ -495,9 +448,11 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	res.P99Ns = snap.Quantile(0.99)
 	res.P999Ns = snap.Quantile(0.999)
 	// Flush-on-close so every decision reaches cfg.AuditWriter before the
-	// result is reported (idempotent with the safety-net defer above).
-	if err := auditLog.Close(); err != nil {
-		return nil, fmt.Errorf("fleet: audit: %w", err)
+	// result is reported (idempotent with the safety-net defers above).
+	for _, m := range members {
+		if err := m.tb.Close(); err != nil {
+			return nil, fmt.Errorf("fleet: %s: audit: %w", m.name, err)
+		}
 	}
 	return res, nil
 }

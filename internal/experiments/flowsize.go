@@ -6,19 +6,12 @@ import (
 	"sort"
 	"strings"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/baseline"
-	"borderpatrol/internal/contextmgr"
 	"borderpatrol/internal/dex"
-	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
-	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
-	"borderpatrol/internal/sanitizer"
 )
 
 // FlowSizeResult reproduces the §VII empirical flow-size analysis: the
@@ -213,20 +206,16 @@ func replayOnce(hardened bool) (replayOutcome, error) {
 		{name: "malicious", desirable: false, class: "Evil", method: "exfil", op: android.NetOp{Endpoint: ep, Method: "PUT", PayloadBytes: 512}},
 	})
 	rules := []policy.Rule{{Action: policy.Deny, Level: policy.LevelClass, Target: "com/replay/app/Evil"}}
-	tb, err := NewTestbed([]*apkgen.App{app}, TestbedConfig{EnforcementOn: true, Rules: rules, DefaultVerdict: policy.VerdictAllow})
+	tb, err := NewTestbed([]*apkgen.App{app}, TestbedConfig{
+		EnforcementOn:    true,
+		Rules:            rules,
+		DefaultVerdict:   policy.VerdictAllow,
+		UnhardenedKernel: !hardened,
+	})
 	if err != nil {
 		return replayOutcome{}, err
 	}
-	// NewTestbed always hardens; for the prototype case rebuild the device
-	// kernel behaviour by toggling through a fresh unhardened testbed.
-	if !hardened {
-		tb.Close()
-		tb, err = newUnhardenedTestbed(app, rules)
-		if err != nil {
-			return replayOutcome{}, err
-		}
-	}
-	defer func() { tb.Close() }()
+	defer tb.Close()
 
 	// Run the benign functionality and steal its tag.
 	benign, err := tb.Apps[0].Invoke("benign")
@@ -267,51 +256,6 @@ func replayOnce(hardened bool) (replayOutcome, error) {
 	}
 	_ = sock.Close()
 	return out, nil
-}
-
-// newUnhardenedTestbed rebuilds the replay testbed on a prototype kernel
-// (IP options patch without the set-once hardening).
-func newUnhardenedTestbed(app *apkgen.App, rules []policy.Rule) (*Testbed, error) {
-	device := android.NewDevice(android.Config{
-		Addr:            netip.MustParseAddr("10.66.0.2"),
-		Kernel:          kernel.Config{AllowUnprivilegedIPOptions: true, SetOptionsOncePerSocket: false},
-		XposedInstalled: true,
-	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
-		return nil, err
-	}
-	db := analyzer.NewDatabase()
-	if err := db.Add(app.APK); err != nil {
-		return nil, err
-	}
-	engine, err := policy.NewEngine(rules, policy.VerdictAllow)
-	if err != nil {
-		return nil, err
-	}
-	enf := enforcer.New(enforcer.Config{}, db, engine)
-	tb := &Testbed{
-		Device: device, Manager: manager, DB: db, Engine: engine, Enforcer: enf,
-		Corpus: []*apkgen.App{app},
-	}
-	tb.Network = netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
-	tb.Network.Gateway = netsim.NewGateway(netsim.GatewayConfig{
-		Enforcer:  enf,
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
-	})
-	installed, err := device.InstallApp(app.APK, app.Functionalities, android.ProfileWork)
-	if err != nil {
-		return nil, err
-	}
-	tb.Apps = []*android.App{installed}
-	for _, f := range app.Functionalities {
-		tb.Network.AddServer(&netsim.Server{
-			Addr:    f.Op.Endpoint.Addr(),
-			Name:    f.Op.Host,
-			Handler: httpsim.StaticHandler(httpsim.StaticPage()),
-		})
-	}
-	return tb, nil
 }
 
 // Format renders the replay outcome.

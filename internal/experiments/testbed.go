@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -18,6 +19,7 @@ import (
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/contextmgr"
 	"borderpatrol/internal/devctx"
+	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
@@ -39,6 +41,10 @@ type Testbed struct {
 	Engine   *policy.Engine
 	Enforcer *enforcer.Enforcer
 	Network  *netsim.Network
+	// Gateway is this deployment's enforcement point. NewTestbed also makes
+	// it Network.Gateway; on a shared fleet network it is reached through a
+	// subnet route instead.
+	Gateway *netsim.Gateway
 	// Context is the gateway's device-context source (always built, wired
 	// into the enforcer when enforcement is on). The provisioned device
 	// reports into it; device pools can bind to it too.
@@ -49,9 +55,9 @@ type Testbed struct {
 	// Policy is the hot-reload policy store (nil unless the testbed was
 	// built with a PolicySource).
 	Policy *policystore.Store
-	// Apps are the installed corpus apps in install order.
+	// Apps are the installed apps in install order.
 	Apps []*android.App
-	// Corpus preserves the generator metadata per installed app.
+	// Corpus preserves the generator metadata per installed corpus app.
 	Corpus []*apkgen.App
 	// Metrics is the registry every assembled component registered its
 	// instruments on; render it with WritePrometheus or walk Snapshot.
@@ -71,6 +77,7 @@ type TestbedConfig struct {
 	// AllowUntagged admits untagged packets at the enforcer.
 	AllowUntagged bool
 	// NIC selects the emulator network mode (TAP for the paper's testbed).
+	// NewTestbed only: Assemble builds on the network it is given.
 	NIC netsim.NICMode
 	// DisableFlowCache turns off per-flow verdict caching (on by default
 	// when enforcement is on; baselines that measure the uncached pipeline
@@ -79,22 +86,28 @@ type TestbedConfig struct {
 	// GatewayWorkers sizes the batched per-core queue drain (0 = GOMAXPROCS).
 	GatewayWorkers int
 	// AuditWriter receives the enforcement audit as JSON lines (nil keeps
-	// only counters and the in-memory tail).
+	// only counters and the in-memory tail). Gateways sharing one writer
+	// write to it concurrently.
 	AuditWriter io.Writer
 	// PolicySource feeds the engine from an external policy backend (file,
 	// HTTP, static) instead of Rules. The initial document loads
-	// synchronously — a broken initial policy fails NewTestbed — and later
+	// synchronously — a broken initial policy fails the assembly — and later
 	// changes hot-swap atomically with last-good fallback.
 	PolicySource policystore.Source
 	// PolicyPoll starts background hot reload at this interval when > 0
-	// (manual Testbed.Policy.Reload() otherwise). Requires PolicySource.
+	// (manual Testbed.Policy.Reload() otherwise); for a watch-capable
+	// source it is the fallback interval while the watch is down. Requires
+	// PolicySource.
 	PolicyPoll time.Duration
+	// PolicyWatchTimeout bounds one long-poll park of a watch-capable
+	// PolicySource (0 selects the store default).
+	PolicyWatchTimeout time.Duration
 	// Faults arms the network with a deterministic fault plan at
-	// construction (nil leaves the wire perfect, as before).
+	// construction (nil leaves the wire perfect). NewTestbed only.
 	Faults *netsim.FaultPlan
 	// FlowTTL is the flow-verdict cache's idle timeout in virtual time (an
-	// entry expires that long after its flow's last packet); zero keeps
-	// the pre-soak behaviour (no TTL, eviction pressure only).
+	// entry expires that long after its flow's last packet); zero selects
+	// one minute.
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Requires
@@ -106,28 +119,61 @@ type TestbedConfig struct {
 	// by hours in microseconds.
 	PolicyVirtualTime bool
 	// DisableCapture turns the network's packet-capture logs off (they
-	// clone every packet — unbounded memory over a soak run).
+	// clone every packet — unbounded memory over a soak run). NewTestbed
+	// only.
 	DisableCapture bool
+	// DeviceAddr is the provisioned device's address (zero selects
+	// 10.66.0.2).
+	DeviceAddr netip.Addr
+	// UnhardenedKernel provisions the device with the prototype kernel:
+	// IP_OPTIONS may be set more than once per socket, so an app can replay
+	// another socket's tag (§VII).
+	UnhardenedKernel bool
 }
 
-// NewTestbed provisions a device, loads the Context Manager, analyzes and
-// installs every corpus app, and stands up the gateway and network with one
-// server per endpoint the corpus references.
+// NewTestbed builds a network, assembles a gateway on it as the network's
+// enforcement point, installs every corpus app (with one server per
+// endpoint the corpus references), and starts the policy store.
 func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
-	device := android.NewDevice(android.Config{
-		Addr: netip.MustParseAddr("10.66.0.2"),
-		Kernel: kernel.Config{
-			AllowUnprivilegedIPOptions: true,
-			SetOptionsOncePerSocket:    true,
-		},
-		XposedInstalled: true,
-	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+	nic := cfg.NIC
+	if nic == 0 {
+		nic = netsim.ModeTAP
 	}
+	network := netsim.NewNetwork(nic, netsim.DefaultLatencyModel())
+	if cfg.DisableCapture {
+		network.SetCapture(false)
+	}
+	if cfg.Faults != nil {
+		network.InstallFaults(*cfg.Faults)
+	}
+	tb, err := Assemble(network, cfg)
+	if err != nil {
+		return nil, err
+	}
+	network.Gateway = tb.Gateway
+	network.RegisterMetrics(tb.Metrics)
+	tb.Corpus = corpus
+	for _, ga := range corpus {
+		if _, err := tb.InstallApp(ga.APK, ga.Functionalities); err != nil {
+			tb.Close()
+			return nil, err
+		}
+	}
+	if tb.Policy != nil {
+		tb.Policy.Start()
+	}
+	return tb, nil
+}
 
-	db := analyzer.NewDatabase()
+// Assemble is the one place the gateway pipeline is wired: policy engine
+// (and store, loaded but not started), provisioned device with the Context
+// Manager, device-context source, audit log, flow table, enforcer,
+// sanitizer, gateway, and a registry holding every component's series.
+// It builds on the network it is given and leaves three things to the
+// caller: routing traffic to tb.Gateway (Network.Gateway or a subnet
+// route), registering the network-wide series where they belong, and
+// starting tb.Policy once construction can no longer fail.
+func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	defV := cfg.DefaultVerdict
 	if defV == 0 {
 		defV = policy.VerdictAllow
@@ -136,94 +182,124 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-
-	tb := &Testbed{
-		Device: device, Manager: manager, DB: db, Engine: engine,
-		Corpus: corpus,
-	}
-
-	// The network comes up before the policy store so the store's
-	// staleness clock can read virtual time.
-	nic := cfg.NIC
-	if nic == 0 {
-		nic = netsim.ModeTAP
-	}
-	tb.Network = netsim.NewNetwork(nic, netsim.DefaultLatencyModel())
-	if cfg.DisableCapture {
-		tb.Network.SetCapture(false)
-	}
-	if cfg.Faults != nil {
-		tb.Network.InstallFaults(*cfg.Faults)
-	}
+	tb := &Testbed{Network: network, Engine: engine, DB: analyzer.NewDatabase()}
 
 	if cfg.PolicySource != nil {
 		if len(cfg.Rules) > 0 {
 			return nil, fmt.Errorf("experiments: TestbedConfig.Rules and PolicySource are mutually exclusive")
 		}
 		storeCfg := policystore.Config{
-			Source:   cfg.PolicySource,
-			Engine:   engine,
-			Poll:     cfg.PolicyPoll,
-			MaxStale: cfg.PolicyMaxStale,
-			FailMode: cfg.PolicyFailMode,
+			Source:       cfg.PolicySource,
+			Engine:       engine,
+			Poll:         cfg.PolicyPoll,
+			WatchTimeout: cfg.PolicyWatchTimeout,
+			MaxStale:     cfg.PolicyMaxStale,
+			FailMode:     cfg.PolicyFailMode,
 		}
 		if cfg.PolicyVirtualTime {
-			storeCfg.Now = tb.Network.Clock.Now
+			storeCfg.Now = network.Clock.Now
 		}
 		store, err := policystore.New(storeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
+		// The initial load is fatal: there is no last-good rule set to fall
+		// back to yet, and enforcing an empty policy would fail open.
 		if err := store.Load(); err != nil {
 			return nil, fmt.Errorf("experiments: initial policy: %w", err)
 		}
-		// Started at the very end of construction: no goroutine to leak on
-		// the error paths below.
 		tb.Policy = store
 	}
 
-	gwCfg := netsim.GatewayConfig{
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
-		Workers:   cfg.GatewayWorkers,
-		Clock:     tb.Network.Clock,
+	addr := cfg.DeviceAddr
+	if !addr.IsValid() {
+		addr = netip.MustParseAddr("10.66.0.2")
 	}
-	tb.Context = devctx.NewSource(tb.Network.Clock)
-	device.BindContext(tb.Context)
+	tb.Device = android.NewDevice(android.Config{
+		Addr: addr,
+		Kernel: kernel.Config{
+			AllowUnprivilegedIPOptions: true,
+			SetOptionsOncePerSocket:    !cfg.UnhardenedKernel,
+		},
+		XposedInstalled: true,
+	})
+	tb.Manager = contextmgr.New(tb.Device)
+	if err := tb.Device.LoadModule(tb.Manager); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	// Risk rules read the context source on the miss path, and its stripe
+	// versions key cached verdicts; without risk rules it is inert.
+	tb.Context = devctx.NewSource(network.Clock)
+	tb.Device.BindContext(tb.Context)
+
+	san := sanitizer.New(sanitizer.Config{})
+	gwCfg := netsim.GatewayConfig{
+		Sanitizer: san,
+		Workers:   cfg.GatewayWorkers,
+		Clock:     network.Clock,
+	}
 	if cfg.EnforcementOn {
 		tb.Audit = audit.New(cfg.AuditWriter, 256)
 		enfCfg := enforcer.Config{
 			AllowUntagged: cfg.AllowUntagged,
 			Audit:         tb.Audit,
 			Context:       tb.Context,
-			Clock:         tb.Network.Clock,
+			Clock:         network.Clock,
 		}
 		if !cfg.DisableFlowCache {
+			ttl := cfg.FlowTTL
+			if ttl == 0 {
+				ttl = time.Minute // virtual idle time; keep-alive flows stay warm
+			}
 			enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{
-				Clock: tb.Network.Clock,
-				TTL:   cfg.FlowTTL,
+				Clock: network.Clock,
+				TTL:   ttl,
+				// Admission guard: a unique-flow flood into a full shard of
+				// live flows is refused at a ring of recent misses instead
+				// of evicting live flows.
+				MissRing: 64,
 			})
 		}
-		tb.Enforcer = enforcer.New(enfCfg, db, engine)
+		tb.Enforcer = enforcer.New(enfCfg, tb.DB, engine)
 		gwCfg.Enforcer = tb.Enforcer
 	}
-	tb.Network.Gateway = netsim.NewGateway(gwCfg)
+	tb.Gateway = netsim.NewGateway(gwCfg)
 
-	seenEndpoints := make(map[netip.Addr]struct{})
-	for _, ga := range corpus {
-		if err := db.Add(ga.APK); err != nil {
-			return nil, fmt.Errorf("experiments: analyze %s: %w", ga.APK.PackageName, err)
-		}
-		app, err := device.InstallApp(ga.APK, ga.Functionalities, android.ProfileWork)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: install %s: %w", ga.APK.PackageName, err)
-		}
-		tb.Apps = append(tb.Apps, app)
-		for _, f := range ga.Functionalities {
-			addr := f.Op.Endpoint.Addr()
-			if _, ok := seenEndpoints[addr]; ok {
-				continue
-			}
-			seenEndpoints[addr] = struct{}{}
+	// Registration before Start: no poller goroutine races the registry.
+	tb.Metrics = metrics.NewRegistry()
+	if tb.Enforcer != nil {
+		tb.Enforcer.RegisterMetrics(tb.Metrics)
+	}
+	tb.Gateway.RegisterMetrics(tb.Metrics)
+	tb.Audit.RegisterMetrics(tb.Metrics)
+	if tb.Policy != nil {
+		tb.Policy.RegisterMetrics(tb.Metrics)
+	}
+	tb.Metrics.CounterFunc("bp_contextmgr_sockets_tagged_total", "Sockets the Context Manager tagged.",
+		func() uint64 { return tb.Manager.Stats().SocketsTagged })
+	tb.Metrics.CounterFunc("bp_contextmgr_tag_failures_total", "Sockets the Context Manager failed to tag (setsockopt errors).",
+		func() uint64 { return tb.Manager.Stats().TagFailures })
+	tb.Metrics.CounterFunc("bp_sanitizer_cleansed_total", "Packets the sanitizer stripped options from.",
+		func() uint64 { return san.Stats().Cleansed })
+	return tb, nil
+}
+
+// InstallApp analyzes apk into the signature database (the Offline
+// Analyzer step; an app already there keeps its entry), installs it in the
+// device's work profile, and stands up a static HTTP server at every
+// endpoint its functionalities reach that has no server yet.
+func (tb *Testbed) InstallApp(apk *dex.APK, funcs []android.Functionality) (*android.App, error) {
+	if err := tb.DB.Add(apk); err != nil && !errors.Is(err, analyzer.ErrDuplicateEntry) {
+		return nil, fmt.Errorf("experiments: analyze %s: %w", apk.PackageName, err)
+	}
+	app, err := tb.Device.InstallApp(apk, funcs, android.ProfileWork)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: install %s: %w", apk.PackageName, err)
+	}
+	tb.Apps = append(tb.Apps, app)
+	for _, f := range funcs {
+		addr := f.Op.Endpoint.Addr()
+		if _, ok := tb.Network.ServerAt(addr); !ok {
 			tb.Network.AddServer(&netsim.Server{
 				Addr:    addr,
 				Name:    f.Op.Host,
@@ -231,21 +307,7 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 			})
 		}
 	}
-	// Registration before Start: no poller goroutine races the registry.
-	tb.Metrics = metrics.NewRegistry()
-	if tb.Enforcer != nil {
-		tb.Enforcer.RegisterMetrics(tb.Metrics)
-	}
-	tb.Network.Gateway.RegisterMetrics(tb.Metrics)
-	tb.Network.RegisterMetrics(tb.Metrics)
-	tb.Audit.RegisterMetrics(tb.Metrics)
-	if tb.Policy != nil {
-		tb.Policy.RegisterMetrics(tb.Metrics)
-	}
-	if tb.Policy != nil {
-		tb.Policy.Start()
-	}
-	return tb, nil
+	return app, nil
 }
 
 // DeliverAll pushes a batch of packets through the network's batched

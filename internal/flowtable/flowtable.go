@@ -40,7 +40,8 @@
 // allocates nothing and a slot released by invalidation, expiry or
 // teardown is the next one claimed. An insert into a full shard samples
 // evictSamples slots from a rotating hand, reclaims the expired ones, else
-// evicts the least recently used of the sample (approximate LRU: O(1), and
+// (when the admission guard lets the key in, see Config.MissRing) evicts the
+// least recently used of the sample (approximate LRU: O(1), and
 // deterministic — no random source, no map order). With a Clock, the TTL is
 // an idle timeout in virtual time counted from the entry's last use: a flow
 // that keeps sending stays cached, one whose teardown was lost ages out
@@ -171,13 +172,17 @@ type Config struct {
 	// of crafted tags is the worst case — otherwise turns every insert
 	// into an eviction sample plus a slot write on a full shard (~0.25 µs
 	// of table work per miss, BenchmarkFlowMissFlood) and, worse, churns
-	// established flows out of the cache. With the guard, an insert into a full shard
-	// must present a key whose digest was recently rejected once: the
-	// first attempt only notes the digest in a small ring and returns, so
-	// one-packet flood flows never allocate an entry, never evict a live
-	// flow, and pay a ring scan instead of the eviction path. Real flows
-	// pay the full pipeline for one extra packet and are admitted on
-	// their second miss. Shards below capacity admit immediately.
+	// established flows out of the cache. The guard only decides when a
+	// full shard would have to evict a live flow: an insert that finds an
+	// idle-expired slot in its eviction sample reclaims it and is admitted
+	// (a table without a TTL has nothing to reclaim and consults the guard
+	// first, before paying for a sample). Otherwise the key must be one
+	// recently refused once: the first attempt only notes its hash in a
+	// small ring and returns, evicting nothing, so one-packet flood flows
+	// never allocate an entry, never evict a live flow, and pay a ring
+	// scan instead of the eviction path. Real flows pay the full pipeline
+	// for one extra packet and are admitted on their second miss. Shards
+	// below capacity admit immediately.
 	MissRing int
 }
 
@@ -242,24 +247,24 @@ type shard[V any] struct {
 	_ [40]byte
 }
 
-// sawRecentMiss reports whether h was refused admission recently, and
-// consumes the slot so each noted miss admits at most one insert. Caller
-// holds the shard's write lock.
-func (s *shard[V]) sawRecentMiss(h uint64) bool {
+// refuse is the admission guard at a full shard. A key refused recently is
+// admitted — its ring slot is consumed, so each noted miss admits at most
+// one insert; a first-seen key is noted in the ring, overwriting the oldest
+// slot, and refused. A shard without a ring refuses nothing. Caller holds
+// the shard's write lock.
+func (s *shard[V]) refuse(h uint64) bool {
+	if len(s.missRing) == 0 {
+		return false
+	}
 	for i, v := range s.missRing {
 		if v == h {
 			s.missRing[i] = 0
-			return true
+			return false
 		}
 	}
-	return false
-}
-
-// noteMiss records a refused key's hash in the ring, overwriting the
-// oldest slot. Caller holds the shard's write lock.
-func (s *shard[V]) noteMiss(h uint64) {
 	s.missRing[s.missPos] = h
 	s.missPos = (s.missPos + 1) % len(s.missRing)
+	return true
 }
 
 // evictSamples bounds the eviction scan: reclaim expired entries among a
@@ -433,8 +438,9 @@ func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 }
 
 // Insert caches v for k under the given generation. When the stripe is
-// full, expired entries are reclaimed first and otherwise the least
-// recently used of a small sample is evicted.
+// full, expired entries are reclaimed first; otherwise the admission guard
+// may refuse the key (see Config.MissRing), and else the least recently
+// used of a small sample is evicted.
 func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
@@ -444,17 +450,10 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	// a hash collision) overwrites that slot in place.
 	i, exists := s.index[h]
 	if !exists {
-		if len(s.index) >= t.perShardCap {
-			// Negative-cache admission guard: a full shard admits only keys
-			// already turned away once. First-seen keys — the unique-flow
-			// flood — cost a ring scan, not an eviction.
-			if len(s.missRing) > 0 && !s.sawRecentMiss(h) {
-				s.noteMiss(h)
-				s.mu.Unlock()
-				t.admissionDrops.Add(1)
-				return
-			}
-			t.evictLocked(s, now)
+		if len(s.index) >= t.perShardCap && !t.makeRoom(s, h, now) {
+			s.mu.Unlock()
+			t.admissionDrops.Add(1)
+			return
 		}
 		i = t.claim(s)
 		s.index[h] = i
@@ -466,11 +465,19 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	t.inserts.Add(1)
 }
 
-// evictLocked frees room in a full shard — one with no free slot, so every
-// sampled slot is live: it samples evictSamples slots from the rotating
-// hand, reclaims the idle-expired ones, else evicts the least recently used.
-// Caller holds s.mu.
-func (t *Table[V]) evictLocked(s *shard[V], now time.Duration) {
+// makeRoom frees a slot in a full shard — one with no free slot, so every
+// sampled slot is live — for the key hashed h, or reports false when the
+// admission guard refuses the key. It samples evictSamples slots from the
+// rotating hand and reclaims the idle-expired ones; a reclaimed slot admits
+// the key without consulting the guard. Only when the whole sample is live
+// does the guard decide, and a refusal evicts nothing; else the least
+// recently used of the sample is evicted. Without a TTL nothing can have
+// expired, so the guard decides before the sample is paid for. Caller
+// holds s.mu.
+func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration) bool {
+	if t.ttl == 0 && s.refuse(h) {
+		return false
+	}
 	var (
 		lru     uint32
 		lruUsed int64 = math.MaxInt64
@@ -491,10 +498,14 @@ func (t *Table[V]) evictLocked(s *shard[V], now time.Duration) {
 	}
 	if freed > 0 {
 		t.expired.Add(uint64(freed))
-		return
+		return true
+	}
+	if t.ttl > 0 && s.refuse(h) {
+		return false
 	}
 	t.release(s, lru)
 	t.evictions.Add(1)
+	return true
 }
 
 // Delete removes one flow (e.g. on connection teardown) and reports

@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
+	"time"
 )
 
 func floodKey(i uint64) Key {
@@ -124,5 +126,92 @@ func TestAdmissionGuardReinsertAfterInvalidation(t *testing.T) {
 	}
 	if st := tab.Stats(); st.AdmissionDrops != 0 {
 		t.Fatalf("invalidation path tripped the guard: %+v", st)
+	}
+}
+
+// TestAdmissionGuardReclaimsExpiredFirst: a full shard whose eviction
+// sample holds an idle-expired slot reclaims it for a first-seen key. No
+// live flow is at stake, so the guard is not consulted: no admission drop,
+// no eviction, and the ring is left as it was.
+func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
+	clock := &tickClock{}
+	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32, TTL: time.Second, Clock: clock})
+	for i := uint64(0); i < 8; i++ {
+		tab.Insert(floodKey(i), 1, int(i))
+	}
+	// Every flow but 0 keeps sending; flow 0 goes idle past the TTL.
+	clock.advance(500 * time.Millisecond)
+	for i := uint64(1); i < 8; i++ {
+		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
+			t.Fatalf("flow %d lost before the flood", i)
+		}
+	}
+	clock.advance(700 * time.Millisecond)
+
+	newcomer := floodKey(77)
+	tab.Insert(newcomer, 1, 77)
+	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
+		t.Fatal("first-seen key refused although its sample held an expired slot")
+	}
+	st := tab.Stats()
+	if st.AdmissionDrops != 0 || st.Evictions != 0 || st.ExpiredDrops != 1 {
+		t.Fatalf("stats = %+v, want the expired slot reclaimed and nothing refused or evicted", st)
+	}
+	if s := &tab.shards[0]; s.missPos != 0 || slices.ContainsFunc(s.missRing, func(h uint64) bool { return h != 0 }) {
+		t.Fatalf("admission ring touched: pos %d, ring %v", s.missPos, s.missRing)
+	}
+	for i := uint64(1); i < 8; i++ {
+		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
+			t.Fatalf("live flow %d lost to the newcomer", i)
+		}
+	}
+}
+
+// TestAdmissionGuardWithTTLRefusesWhenAllLive: with a TTL, a full shard of
+// live flows still refuses a first-seen key — evicting nothing — and
+// admits it on its second attempt.
+func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
+	clock := &tickClock{}
+	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32, TTL: time.Minute, Clock: clock})
+	for i := uint64(0); i < 8; i++ {
+		tab.Insert(floodKey(i), 1, int(i))
+	}
+	clock.advance(time.Second)
+	newcomer := floodKey(77)
+	tab.Insert(newcomer, 1, 77)
+	if _, ok := tab.Lookup(newcomer, 1); ok {
+		t.Fatal("first-seen key admitted into a full shard of live flows")
+	}
+	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 0 || tab.Len() != 8 {
+		t.Fatalf("after the refusal: stats %+v, live %d; want 1 drop, 0 evictions, 8 live", st, tab.Len())
+	}
+	tab.Insert(newcomer, 1, 77)
+	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
+		t.Fatal("second-attempt insert not admitted")
+	}
+	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 1 {
+		t.Fatalf("after the admission: stats %+v, want 1 drop + 1 eviction", st)
+	}
+}
+
+// TestAdmissionGuardWithoutTTLAsksRingFirst: a table without a TTL has
+// nothing to reclaim, so the guard decides before the eviction sample:
+// a refusal leaves the eviction hand where it was.
+func TestAdmissionGuardWithoutTTLAsksRingFirst(t *testing.T) {
+	tab := New[int](Config{Capacity: 16, Shards: 1, MissRing: 32})
+	for i := uint64(0); i < 16; i++ {
+		tab.Insert(floodKey(i), 1, int(i))
+	}
+	newcomer := floodKey(77)
+	tab.Insert(newcomer, 1, 77)
+	if hand := tab.shards[0].hand; hand != 0 {
+		t.Fatalf("refused insert sampled the slab: hand moved to %d", hand)
+	}
+	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 1 admission drop, no eviction", st)
+	}
+	tab.Insert(newcomer, 1, 77)
+	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 1 || tab.shards[0].hand == 0 {
+		t.Fatalf("second attempt: stats %+v, hand %d; want it admitted over the sample's LRU", st, tab.shards[0].hand)
 	}
 }

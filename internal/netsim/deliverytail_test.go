@@ -186,6 +186,63 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 	}
 }
 
+// TestRespSeqFloodKeepsLiveConnection pins respSeq's overflow policy: a
+// full shard keeps the connections it recorded and leaves newcomers
+// unrecorded. A victim connection opens, then eight times the shard's bound
+// of new connections land in the same shard and stay open; the victim's
+// next response must still continue its sequence and pass the gateway.
+func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
+	n, _, _, base := tailFixture(t, sanitizer.Config{})
+	victim := keepAliveBurst(t, base, 50000, 2)
+	for i, d := range n.DeliverBatch(victim[:2]) {
+		if !d.Delivered || (i == 1 && d.Response == nil) {
+			t.Fatalf("victim packet %d: %+v", i, d)
+		}
+	}
+	vk, _ := makeConnKey(victim[0].Header.Src, victim[0].Header.Dst, 50000, 443)
+
+	// Flood connections: pooled sources × a few source ports, kept when they
+	// hash to the victim's shard; SYN and one request each, never closed.
+	var templates [][]*ipv4.Packet
+	for p := uint16(0); p < 16; p++ {
+		templates = append(templates, keepAliveBurst(t, base, 40000+p, 1)[:2])
+	}
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/12"), 1<<20-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := maxRespTracked / ctShards
+	var burst []*ipv4.Packet
+	flood := func() {
+		for _, d := range n.DeliverBatch(burst) {
+			if !d.Delivered {
+				t.Fatalf("flood packet dropped: %+v", d)
+			}
+		}
+		burst = burst[:0]
+	}
+	for dev, flooded := 0, 0; flooded < 8*perShard; dev++ {
+		for p, tmpl := range templates {
+			if k, _ := makeConnKey(pool.Addr(dev), victim[0].Header.Dst, 40000+uint16(p), 443); k.shard() == vk.shard() {
+				burst = append(burst, pool.Rewrite(dev, tmpl)...)
+				flooded++
+			}
+		}
+		if len(burst) >= 1024 {
+			flood()
+		}
+	}
+	flood()
+	if got, want := n.respUntracked.Load(), uint64(8*perShard-(perShard-1)); got != want {
+		t.Fatalf("%d flood responses went unrecorded, want %d (all but the shard's free slots)", got, want)
+	}
+
+	d := n.DeliverBatch(victim[2:3])[0]
+	if !d.Delivered || d.ResponseDropped || d.Response == nil {
+		t.Fatalf("victim's response after the flood: %+v", d)
+	}
+}
+
 // respTracked counts the response-sequence entries over every shard.
 func respTracked(n *Network) int {
 	total := 0

@@ -50,9 +50,10 @@ func (g *Gateway) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_gateway_restarts_total", "Gateway crash/reboot cycles.", g.Restarts)
 }
 
-// RegisterMetrics attaches the network's fault-injection counters to a
-// registry. The closures read FaultStats, which is zero while no fault
-// plan is armed, so the series exist (at zero) even on a clean network.
+// RegisterMetrics attaches the network's fault-injection counters and the
+// response-sequence table's overflow count to a registry. The fault
+// closures read FaultStats, which is zero while no fault plan is armed, so
+// the series exist (at zero) even on a clean network.
 func (n *Network) RegisterMetrics(r *metrics.Registry) {
 	const faultHelp = "Wire faults injected on the device-to-gateway path, by stage."
 	r.CounterFunc("bp_netsim_faults_total", faultHelp,
@@ -70,4 +71,7 @@ func (n *Network) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_netsim_fault_delay_virtual_ns_total",
 		"Total virtual wire time charged by the delay fault.",
 		func() uint64 { return uint64(n.FaultStats().DelayVirtual.Nanoseconds()) })
+	r.CounterFunc("bp_netsim_response_seq_untracked_total",
+		"Server responses of connections a full response-sequence shard could not record.",
+		n.respUntracked.Load)
 }

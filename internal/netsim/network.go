@@ -195,6 +195,9 @@ type Network struct {
 	// forward 5-tuple and sharded like the conntrack, each shard bounded at
 	// maxRespTracked/ctShards open connections.
 	respSeq [ctShards]respShard
+	// respUntracked counts responses rendered for a connection its full
+	// respSeq shard could not record (see maxRespTracked).
+	respUntracked atomic.Uint64
 	// respScratch recycles the packets response segments are rendered into.
 	respScratch sync.Pool
 }
@@ -576,10 +579,12 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 // maxRespTracked bounds the response-sequence table, matching the
 // conntrack's open-table bound: maxRespTracked/ctShards per shard. A
 // connection's entry leaves with its FIN/RST (serveOne), so only open
-// connections count against the bound; at a shard's bound an arbitrary
-// entry of that shard is evicted (the connection's next response then
-// restarts from its ISN and the gateway's continuity check refuses it —
-// the bound is a memory bound, not a working regime).
+// connections count against the bound. Overflow follows the conntrack's
+// policy: a full shard keeps every recorded connection and does not record
+// the newcomer, whose responses then all start at its ISN (counted in
+// bp_netsim_response_seq_untracked_total). Evicting instead would let a
+// connection flood restart a live connection's sequence, and the gateway's
+// continuity check would drop that connection's next response.
 const maxRespTracked = 65536
 
 // respISN derives a deterministic initial sequence number for a
@@ -633,15 +638,13 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, k connKey, body []by
 	s.mu.Lock()
 	seq, tracked := s.next[k]
 	if !tracked {
-		if len(s.next) >= maxRespTracked/ctShards {
-			for victim := range s.next {
-				delete(s.next, victim)
-				break
-			}
-		}
 		seq = respISN(k)
 	}
-	s.next[k] = seq + uint32(len(body))
+	if tracked || len(s.next) < maxRespTracked/ctShards {
+		s.next[k] = seq + uint32(len(body))
+	} else {
+		n.respUntracked.Add(1)
+	}
 	s.mu.Unlock()
 
 	seg := transport.TCPSegment{
