@@ -136,9 +136,6 @@ func ParsePolicy(doc string) ([]Rule, error) {
 // static inline document. See PolicyConfig.Source.
 type PolicySource = policystore.Source
 
-// PolicyStoreStats snapshots a deployment's hot-reload policy store.
-type PolicyStoreStats = policystore.Stats
-
 // FailMode selects the degraded posture when the policy store cannot reach
 // a fresh policy past its staleness deadline: keep serving the last-good
 // rules (FailStatic), admit everything (FailOpen), or deny everything
@@ -164,9 +161,6 @@ func ParseFailMode(s string) (FailMode, error) {
 // (or NetConfig.Faults) to subject the network to chaos; the
 // zero-probability plan leaves the wire perfect.
 type FaultPlan = netsim.FaultPlan
-
-// FaultStats counts injected wire faults.
-type FaultStats = netsim.FaultStats
 
 // FilePolicySource watches a policy file: edits hot-swap atomically, a
 // malformed edit keeps the last-good rules serving.
@@ -316,9 +310,9 @@ func (d *Deployment) SetPolicy(doc string) error {
 // ReloadPolicy runs one synchronous policy-store reload cycle: fetch the
 // backend, and — when the document changed — compile and atomically swap
 // the rules. Reports whether a new rule set was applied. On error the
-// last-good rules keep serving (the failure is visible in PolicyStoreStats
-// and the bp_policy_reloads_total{outcome="failed"} series). Returns
-// an error when no PolicySource is configured.
+// last-good rules keep serving (the failure is visible in PolicyStatus and
+// the bp_policy_reloads_total{outcome="failed"} series). Returns an error
+// when no PolicySource is configured.
 func (d *Deployment) ReloadPolicy() (applied bool, err error) {
 	if d.tb.Policy == nil {
 		return false, errors.New("borderpatrol: no PolicySource configured")
@@ -326,10 +320,15 @@ func (d *Deployment) ReloadPolicy() (applied bool, err error) {
 	return d.tb.Policy.Reload()
 }
 
-// PolicyStoreStats snapshots the hot-reload policy store (zero value when
-// no PolicySource is configured).
-func (d *Deployment) PolicyStoreStats() PolicyStoreStats {
-	return d.tb.Policy.Stats()
+// PolicyStatus reports the hot-reload policy store's active revision ("" before
+// the first load) and the error that rejected the last candidate ("" after a
+// clean cycle). Both are empty when no PolicySource is configured; the
+// store's counts are in Metrics.
+func (d *Deployment) PolicyStatus() (version, lastError string) {
+	if d.tb.Policy == nil {
+		return "", ""
+	}
+	return d.tb.Policy.Version(), d.tb.Policy.LastError()
 }
 
 // SetFaults installs (or replaces) a deterministic wire-fault plan on the
@@ -344,16 +343,11 @@ func (d *Deployment) ClearFaults() {
 	d.tb.Network.ClearFaults()
 }
 
-// FaultStats counts the faults injected so far (zero value when no plan
-// was ever installed).
-func (d *Deployment) FaultStats() FaultStats {
-	return d.tb.Network.FaultStats()
-}
-
 // RestartGateway models a gateway crash and reboot: the flow-verdict
-// cache, connection tracker and netfilter counters are discarded, so the
-// next packet of every live flow re-resolves through the full pipeline.
-// Control-plane state (policy engine, signature database) survives.
+// cache and connection tracker are discarded, so the next packet of every
+// live flow re-resolves through the full pipeline. Control-plane state
+// (policy engine, signature database) survives, and so do the counts in
+// Metrics (bp_gateway_restarts_total marks the reboot).
 func (d *Deployment) RestartGateway() {
 	d.tb.Gateway.Restart()
 }

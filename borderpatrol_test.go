@@ -2,28 +2,11 @@ package borderpatrol
 
 import (
 	"net/netip"
-	"slices"
 	"strings"
 	"testing"
 
 	"borderpatrol/internal/metrics"
 )
-
-// metric sums a family's series on a registry over those carrying every
-// given label (0 when the family is not registered).
-func metric(reg *MetricsRegistry, name string, labels ...metrics.Label) float64 {
-	var v float64
-	for _, s := range reg.Snapshot() {
-		if s.Name != name || s.Hist != nil {
-			continue
-		}
-		if slices.ContainsFunc(labels, func(l metrics.Label) bool { return !slices.Contains(s.Labels, l) }) {
-			continue
-		}
-		v += s.Value
-	}
-	return v
-}
 
 func demoAPK() *APK {
 	return &APK{
@@ -134,13 +117,14 @@ func TestDeploymentEndToEnd(t *testing.T) {
 		t.Fatal("analytics not blocked")
 	}
 
-	tagged := metric(dep.Metrics(), "bp_contextmgr_sockets_tagged_total")
-	dropped := metric(dep.Metrics(), "bp_enforcer_verdicts_total", metrics.L("decision", "drop"))
-	accepted := metric(dep.Metrics(), "bp_enforcer_verdicts_total", metrics.L("decision", "allow"))
+	reg := dep.Metrics()
+	tagged, _ := reg.Value("bp_contextmgr_sockets_tagged_total")
+	dropped, _ := reg.Value("bp_enforcer_verdicts_total", metrics.L("decision", "drop"))
+	accepted, _ := reg.Value("bp_enforcer_verdicts_total", metrics.L("decision", "allow"))
 	if tagged != 3 || dropped != 6 || accepted != 3 {
 		t.Fatalf("sockets tagged %v, packets dropped %v accepted %v; want 3, 6, 3", tagged, dropped, accepted)
 	}
-	if c := metric(dep.Metrics(), "bp_sanitizer_cleansed_total"); c != 3 {
+	if c, _ := reg.Value("bp_sanitizer_cleansed_total"); c != 3 {
 		t.Fatalf("sanitizer cleansed %v packets, want 3 (the delivered connection)", c)
 	}
 	// The download connection's FIN tore its flow down via conntrack.

@@ -116,10 +116,13 @@ func run() error {
 		tb.Context.Provision(tb.Device.Config().Addr, *deviceCtx)
 		fmt.Printf("device context: network %s, patch age %dd\n", deviceCtx.Network, deviceCtx.PatchAgeDays)
 	}
+	count := func(family string) uint64 {
+		v, _ := tb.Metrics.Value(family)
+		return uint64(v)
+	}
 	if tb.Policy != nil {
-		ps := tb.Policy.Stats()
 		fmt.Printf("policy store: %d rules from %s (revision %s, hot reload every %s)\n",
-			ps.Rules, ps.Source, ps.Version, policyFlags.Poll)
+			count("bp_policy_rules"), policySource, tb.Policy.Version(), policyFlags.Poll)
 		if policyFlags.MaxStale > 0 {
 			fmt.Printf("  staleness deadline %s, fail mode %s\n", policyFlags.MaxStale, failMode)
 		}
@@ -153,8 +156,8 @@ func run() error {
 
 	fmt.Printf("\ngateway session: %d apps, %d monkey events each\n", len(tb.Apps), *events)
 	fmt.Printf("packets seen: %d, delivered: %d, dropped: %d\n", totalPackets, delivered, totalPackets-delivered)
-	if ps := tb.Policy.Stats(); ps.LastError != "" {
-		fmt.Printf("last rejected policy candidate: %s\n", ps.LastError)
+	if tb.Policy != nil && tb.Policy.LastError() != "" {
+		fmt.Printf("last rejected policy candidate: %s\n", tb.Policy.LastError())
 	}
 	// Flush-on-close so every decision reaches the -audit file before the
 	// stats are printed.
@@ -165,9 +168,10 @@ func run() error {
 	// component registered shows up here automatically — no hand-listed
 	// fields to fall out of date when a layer grows a counter.
 	printRegistry(tb.Metrics)
-	cm := tb.Manager.Stats()
 	fmt.Printf("context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d, tag table hits=%d misses=%d\n",
-		cm.SocketsTagged, cm.FramesResolved, cm.FramesDropped, cm.TagCacheHits, cm.TagCacheMisses)
+		count("bp_contextmgr_sockets_tagged_total"), count("bp_contextmgr_frames_resolved_total"),
+		count("bp_contextmgr_frames_dropped_total"), count("bp_contextmgr_tag_table_hits_total"),
+		count("bp_contextmgr_tag_table_misses_total"))
 
 	metricsFlags.Wait(os.Stdout)
 	return nil

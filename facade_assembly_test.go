@@ -75,7 +75,7 @@ func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
 				burst = burst[:0]
 			}
 		}
-		if drops := metric(g.tb.Metrics, "bp_flowtable_admission_drops_total"); drops == 0 {
+		if drops, _ := g.tb.Metrics.Value("bp_flowtable_admission_drops_total"); drops == 0 {
 			t.Errorf("%s: a unique-flow flood into full shards made no admission drop", g.name)
 		}
 	}

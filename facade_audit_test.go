@@ -40,10 +40,12 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	if len(tail) != 12 {
 		t.Fatalf("audit tail has %d entries, want 12", len(tail))
 	}
-	if rec, drop := metric(dep.Metrics(), "bp_audit_recorded_total"), metric(dep.Metrics(), "bp_audit_dropped_total"); rec != 12 || drop != 0 {
+	reg := dep.Metrics()
+	rec, _ := reg.Value("bp_audit_recorded_total")
+	if drop, _ := reg.Value("bp_audit_dropped_total"); rec != 12 || drop != 0 {
 		t.Fatalf("audit = recorded %v dropped %v", rec, drop)
 	}
-	if pending := metric(dep.Metrics(), "bp_audit_queue_depth"); pending != 0 {
+	if pending, _ := reg.Value("bp_audit_queue_depth"); pending != 0 {
 		t.Fatalf("audit pending = %v after flush", pending)
 	}
 	drop := tail[len(tail)-1]
@@ -55,7 +57,7 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	// The analytics flow was dropped — its FIN died with the rest of the
 	// connection — so its drop verdict deliberately stays cached, keeping
 	// repeat offenders cheap to block.
-	if live := metric(dep.Metrics(), "bp_flowtable_live"); live != 1 {
+	if live, _ := reg.Value("bp_flowtable_live"); live != 1 {
 		t.Fatalf("flows live = %v, want 1 (only the dropped analytics flow)", live)
 	}
 	if est, closed := conns(dep); est != 3 || closed != 3 {
@@ -64,7 +66,7 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	// Per download connection: the SYN misses, request + FIN hit; ports
 	// separate the connections so none shares an entry. Analytics: SYN
 	// misses, request + FIN hit the cached drop. 4 misses, 8 hits.
-	if hits, misses := flowHits(dep), metric(dep.Metrics(), "bp_flowtable_misses_total"); misses != 4 || hits != 8 {
+	if hits, misses := flowCounts(dep); misses != 4 || hits != 8 {
 		t.Fatalf("flow cache = hits %v misses %v, want 8/4", hits, misses)
 	}
 
@@ -100,30 +102,35 @@ func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
 	if len(out) != 7 {
 		t.Fatalf("outcomes = %d, want 7 (SYN + 5 requests + FIN)", len(out))
 	}
-	if hits, misses := flowHits(dep), metric(dep.Metrics(), "bp_flowtable_misses_total"); misses != 1 || hits != 6 {
+	if hits, misses := flowCounts(dep); misses != 1 || hits != 6 {
 		t.Fatalf("flow cache = hits %v misses %v, want 6/1", hits, misses)
 	}
-	if live := metric(dep.Metrics(), "bp_flowtable_live"); live != 0 {
+	if live, _ := dep.Metrics().Value("bp_flowtable_live"); live != 0 {
 		t.Fatalf("flows live = %v, want 0 (FIN tore the connection down)", live)
 	}
 	if est, closed := conns(dep); est != 1 || closed != 1 {
 		t.Fatalf("conntrack = est %v closed %v, want 1/1", est, closed)
 	}
-	if rec := metric(dep.Metrics(), "bp_audit_recorded_total"); rec != 7 {
+	if rec, _ := dep.Metrics().Value("bp_audit_recorded_total"); rec != 7 {
 		t.Fatalf("audit recorded = %v, want 7", rec)
 	}
 }
 
-// flowHits counts packets answered without the pipeline: flow-table hits
-// plus the batch drain's same-flow memo.
-func flowHits(dep *Deployment) float64 {
-	return metric(dep.Metrics(), "bp_flowtable_hits_total") + metric(dep.Metrics(), "bp_enforcer_batch_memo_hits_total")
+// flowCounts reads the packets answered without the pipeline (flow-table
+// hits plus the batch drain's same-flow memo) and the flow-table misses.
+func flowCounts(dep *Deployment) (hits, misses float64) {
+	reg := dep.Metrics()
+	hits, _ = reg.Value("bp_flowtable_hits_total")
+	memo, _ := reg.Value("bp_enforcer_batch_memo_hits_total")
+	misses, _ = reg.Value("bp_flowtable_misses_total")
+	return hits + memo, misses
 }
 
 // conns reads the connections the gateway's conntrack saw open and close.
 func conns(dep *Deployment) (established, closed float64) {
-	return metric(dep.Metrics(), "bp_conntrack_transitions_total", metrics.L("kind", "established")),
-		metric(dep.Metrics(), "bp_conntrack_transitions_total", metrics.L("kind", "closed"))
+	established, _ = dep.Metrics().Value("bp_conntrack_transitions_total", metrics.L("kind", "established"))
+	closed, _ = dep.Metrics().Value("bp_conntrack_transitions_total", metrics.L("kind", "closed"))
+	return established, closed
 }
 
 // TestOutcomeStackIsTheCallersCopy: an Outcome's Stack is a copy. The

@@ -3,6 +3,8 @@ package borderpatrol
 import (
 	"strings"
 	"testing"
+
+	"borderpatrol/internal/metrics"
 )
 
 // TestDeploymentContextualPolicy drives the contextual dimension through
@@ -76,9 +78,10 @@ func TestDeploymentContextualPolicy(t *testing.T) {
 		}
 	}
 
-	// The context surface is observable: source stats and metric families.
-	if st := dep.Context().Stats(); st.Devices != 1 || st.Invalidations["network"] != 2 {
-		t.Fatalf("context stats = %+v", st)
+	// The context surface is observable through its metric families.
+	devices, _ := dep.Metrics().Value("bp_context_devices")
+	if network, _ := dep.Metrics().Value("bp_context_invalidations_total", metrics.L("cause", "network")); devices != 1 || network != 2 {
+		t.Fatalf("context: %v devices, %v network invalidations; want 1, 2", devices, network)
 	}
 	var prom strings.Builder
 	if err := dep.Metrics().WritePrometheus(&prom); err != nil {

@@ -60,12 +60,12 @@ func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	if applied, failed := reloads(dep, "applied"), reloads(dep, "failed"); applied != 2 || failed != 1 {
 		t.Fatalf("reloads = applied %v failed %v, want 2/1", applied, failed)
 	}
-	ps := dep.PolicyStoreStats()
-	if ps.Version == "" || !strings.Contains(ps.LastError, "line 1") {
-		t.Fatalf("version/error = %q / %q", ps.Version, ps.LastError)
+	version, lastErr := dep.PolicyStatus()
+	if version == "" || !strings.Contains(lastErr, "line 1") {
+		t.Fatalf("version/error = %q / %q", version, lastErr)
 	}
-	if ps.Applied != 2 || ps.Rules != 2 {
-		t.Fatalf("store stats = %+v", ps)
+	if rules, _ := dep.Metrics().Value("bp_policy_rules"); rules != 2 {
+		t.Fatalf("active rules = %v, want 2", rules)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestDeploymentStaticPolicySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOutcome(t, dep, app, "analytics", false)
-	if applied, version := reloads(dep, "applied"), dep.PolicyStoreStats().Version; applied != 1 || version == "" {
+	if applied, version := reloads(dep, "applied"), policyVersion(dep); applied != 1 || version == "" {
 		t.Fatalf("reloads applied %v, version %q", applied, version)
 	}
 }
@@ -145,14 +145,21 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 	if _, err := dep.ReloadPolicy(); err == nil {
 		t.Fatal("ReloadPolicy without a source succeeded")
 	}
-	if applied, version := reloads(dep, "applied"), dep.PolicyStoreStats().Version; applied != 0 || version != "" {
+	if applied, version := reloads(dep, "applied"), policyVersion(dep); applied != 0 || version != "" {
 		t.Fatalf("sourceless: reloads applied %v, version %q", applied, version)
 	}
 }
 
+// policyVersion is the deployment's active policy revision.
+func policyVersion(dep *Deployment) string {
+	version, _ := dep.PolicyStatus()
+	return version
+}
+
 // reloads reads the policy store's reload cycles with one outcome.
 func reloads(dep *Deployment, outcome string) float64 {
-	return metric(dep.Metrics(), "bp_policy_reloads_total", metrics.L("outcome", outcome))
+	v, _ := dep.Metrics().Value("bp_policy_reloads_total", metrics.L("outcome", outcome))
+	return v
 }
 
 // assertOutcome exercises one functionality and asserts delivery.

@@ -227,11 +227,12 @@ func (f *Fleet) PushPolicy(doc string) error {
 	// counter keeps the return precise — a coincidental idle-timeout round
 	// can't satisfy it.
 	changed := make([]bool, len(f.deployments))
-	applies, rounds := make([]uint64, len(f.deployments)), make([]uint64, len(f.deployments))
+	applies, rounds := make([]float64, len(f.deployments)), make([]float64, len(f.deployments))
+	applied := metrics.L("outcome", "applied")
 	for i, d := range f.deployments {
 		changed[i] = oldGS.DocFor(f.groups[i]...) != newGS.DocFor(f.groups[i]...)
-		s := d.tb.Policy.Stats()
-		applies[i], rounds[i] = s.Applied, s.WatchRounds
+		applies[i], _ = d.tb.Metrics.Value("bp_policy_reloads_total", applied)
+		rounds[i], _ = d.tb.Metrics.Value("bp_policy_watch_rounds_total")
 	}
 	rev := f.hub.Rev()
 	f.hub.Set(doc)
@@ -241,11 +242,12 @@ func (f *Fleet) PushPolicy(doc string) error {
 	deadline := time.Now().Add(pushTimeout)
 	for i, d := range f.deployments {
 		done := func() bool {
-			s := d.tb.Policy.Stats()
 			if changed[i] {
-				return s.Applied > applies[i]
+				n, _ := d.tb.Metrics.Value("bp_policy_reloads_total", applied)
+				return n > applies[i]
 			}
-			return s.WatchRounds > rounds[i]
+			n, _ := d.tb.Metrics.Value("bp_policy_watch_rounds_total")
+			return n > rounds[i]
 		}
 		for !done() {
 			if time.Now().After(deadline) {

@@ -91,9 +91,9 @@ func TestFleetPushPolicyOneWatchRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dep := range f.Deployments() {
-		s := dep.PolicyStoreStats()
-		if s.Applied != 2 || s.WatchRounds != 1 || s.Unchanged != 0 || s.Failures != 0 {
-			t.Fatalf("%s after global push: %+v", dep.Name(), s)
+		applied, rounds, unchanged, failed := reloads(dep, "applied"), watchRounds(dep), reloads(dep, "unchanged"), reloads(dep, "failed")
+		if applied != 2 || rounds != 1 || unchanged != 0 || failed != 0 {
+			t.Fatalf("%s after global push: applied/rounds/unchanged/failed = %v/%v/%v/%v", dep.Name(), applied, rounds, unchanged, failed)
 		}
 	}
 
@@ -103,11 +103,11 @@ func TestFleetPushPolicyOneWatchRound(t *testing.T) {
 	if err := f.PushPolicy(v3); err != nil {
 		t.Fatal(err)
 	}
-	if s := depB.PolicyStoreStats(); s.Applied != 3 || s.WatchRounds != 2 {
-		t.Fatalf("gwB after sales push: %+v", s)
+	if applied, rounds := reloads(depB, "applied"), watchRounds(depB); applied != 3 || rounds != 2 {
+		t.Fatalf("gwB after sales push: %v applied in %v rounds", applied, rounds)
 	}
-	if s := depA.PolicyStoreStats(); s.Applied != 2 || s.Unchanged != 1 || s.WatchRounds != 2 {
-		t.Fatalf("gwA after sales push: %+v", s)
+	if applied, unchanged, rounds := reloads(depA, "applied"), reloads(depA, "unchanged"), watchRounds(depA); applied != 2 || unchanged != 1 || rounds != 2 {
+		t.Fatalf("gwA after sales push: %v applied, %v unchanged in %v rounds", applied, unchanged, rounds)
 	}
 
 	// Identical document: revision and counters stand still.
@@ -126,6 +126,12 @@ func TestFleetPushPolicyOneWatchRound(t *testing.T) {
 	if f.PolicyRev() != rev {
 		t.Fatal("malformed push revisioned the hub")
 	}
+}
+
+// watchRounds reads the policy store's completed watch rounds.
+func watchRounds(dep *Deployment) float64 {
+	v, _ := dep.Metrics().Value("bp_policy_watch_rounds_total")
+	return v
 }
 
 // TestFleetAggregatedMetrics: one scrape covers every gateway, each

@@ -23,8 +23,8 @@
 //
 // The producer buffers are bounded (Config.QueueCap). If the drainer falls
 // behind — a slow disk, a stalled shipper — Record counts the overflowing
-// entry in Stats.Dropped and returns; enforcement never blocks on the
-// audit trail, and the gap is visible both in the stats and as a hole in
+// entry in bp_audit_dropped_total and returns; enforcement never blocks on the
+// audit trail, and the gap is visible both in that count and as a hole in
 // the entry sequence numbers. The one concession a producer makes is a
 // yield, never a wait: a call that takes the queue past half of QueueCap,
 // and past each further eighth, wakes the drainer and runtime.Gosched()s
@@ -45,7 +45,7 @@
 // producer preempted between taking its sequence number and landing the
 // entry can surface one burst late, so a sequence gap in the stream means
 // a record that was dropped under backpressure *or, rarely, one still in
-// flight* (Stats.Dropped is the authoritative drop count). Records racing
+// flight* (bp_audit_dropped_total is the authoritative drop count). Records racing
 // Close may be dropped (and counted).
 //
 // Entries are stringified for the writer only: the tail and the per-app
@@ -75,8 +75,8 @@ import (
 // Entry is one enforcement decision record.
 type Entry struct {
 	// Seq is the record number assigned at Record time. A gap usually
-	// means a record dropped under backpressure (Stats.Dropped is the
-	// authoritative count); rarely it is a record that surfaced in a later
+	// means a record dropped under backpressure (bp_audit_dropped_total is
+	// the authoritative count); rarely it is a record that surfaced in a later
 	// drain burst (see the package comment on ordering).
 	Seq uint64 `json:"seq"`
 	// Src and Dst identify the flow.
@@ -138,21 +138,6 @@ type Config struct {
 	Stripes int
 }
 
-// Stats snapshots the audit pipeline's counters.
-type Stats struct {
-	// Recorded counts entries accepted onto producer stripes.
-	Recorded uint64
-	// Dropped counts entries discarded because the bounded queue was full
-	// (or the log was closed).
-	Dropped uint64
-	// Drained counts entries the background drainer has processed.
-	Drained uint64
-	// Flushes counts drain bursts that did work.
-	Flushes uint64
-	// Pending is the approximate number of entries awaiting a drain.
-	Pending uint64
-}
-
 // Log records enforcement decisions asynchronously. A nil *Log is a valid
 // no-op sink. It implements enforcer.AuditSink.
 type Log struct {
@@ -177,9 +162,9 @@ type Log struct {
 	closed   atomic.Bool
 
 	seq     atomic.Uint64 // entries that received a sequence number
-	dropped atomic.Uint64
-	drained atomic.Uint64
-	flushes atomic.Uint64
+	dropped atomic.Uint64 // entries discarded: the queue was full or the log closed
+	drained atomic.Uint64 // entries the background drainer has processed
+	flushes atomic.Uint64 // drain bursts that did work
 
 	// batchSizes distributes drain-burst sizes: a healthy pipeline drains
 	// near BatchSize; a starved one drains dribbles, a backlogged one
@@ -296,7 +281,7 @@ func capture(e *rawEntry, seq uint64, pkt *ipv4.Packet, res enforcer.Result) {
 // Record captures one enforcement decision. It never blocks and never
 // encodes: the entry lands on a producer stripe and is JSON-encoded by the
 // background drainer. A full home stripe spills to the next ones, so an
-// entry is only counted in Stats.Dropped and discarded once every stripe
+// entry is only counted as dropped and discarded once every stripe
 // is full — i.e. once the whole QueueCap is exhausted. The most it does
 // besides is yield to the drainer as the queue fills past half (see
 // Backpressure in the package comment).
@@ -604,32 +589,21 @@ func (l *Log) Err() error {
 	return l.writeErr
 }
 
-// Stats snapshots the pipeline counters.
-func (l *Log) Stats() Stats {
-	if l == nil {
-		return Stats{}
-	}
-	// Load dropped before seq: every drop takes its seq first, so a seq
-	// snapshot taken after the dropped snapshot can only over-count
-	// recorded entries, never underflow it. Clamp anyway for safety.
+// recorded counts the entries accepted onto producer stripes. dropped is
+// loaded before seq: every drop takes its seq first, so a seq read after
+// the dropped read can only over-count recorded entries, never underflow.
+func (l *Log) recorded() uint64 {
 	dropped := l.dropped.Load()
-	seq := l.seq.Load()
-	drained := l.drained.Load()
-	var recorded uint64
-	if seq > dropped {
-		recorded = seq - dropped
+	return l.seq.Load() - dropped
+}
+
+// pending approximates the entries awaiting a drain.
+func (l *Log) pending() uint64 {
+	recorded, drained := l.recorded(), l.drained.Load()
+	if recorded < drained {
+		return 0
 	}
-	var pending uint64
-	if recorded > drained {
-		pending = recorded - drained
-	}
-	return Stats{
-		Recorded: recorded,
-		Dropped:  dropped,
-		Drained:  drained,
-		Flushes:  l.flushes.Load(),
-		Pending:  pending,
-	}
+	return recorded - drained
 }
 
 // RegisterMetrics attaches the audit pipeline's counters — recorded and
@@ -641,15 +615,15 @@ func (l *Log) RegisterMetrics(r *metrics.Registry) {
 		return
 	}
 	r.CounterFunc("bp_audit_recorded_total", "Decisions accepted onto producer stripes.",
-		func() uint64 { return l.Stats().Recorded })
+		l.recorded)
 	r.CounterFunc("bp_audit_dropped_total", "Decisions shed because the bounded queue was full.",
 		l.dropped.Load)
 	r.CounterFunc("bp_audit_drained_total", "Entries the background drainer has written out.",
 		l.drained.Load)
 	r.CounterFunc("bp_audit_flushes_total", "Drain bursts that did work.", l.flushes.Load)
 	r.GaugeFunc("bp_audit_queue_depth", "Entries recorded but not yet drained.",
-		func() float64 { return float64(l.Stats().Pending) })
-	r.RegisterHistogram("bp_audit_batch_size", "Entries per drain burst.", l.batchSizes)
+		func() float64 { return float64(l.pending()) })
+	r.RegisterHistogram("bp_audit_batch_entries", "Entries per drain burst.", l.batchSizes)
 	if rw, ok := l.w.(*RotatingWriter); ok {
 		rw.RegisterMetrics(r)
 	}

@@ -12,8 +12,18 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 )
+
+// count reads one of the log's bp_audit_* series by its name suffix
+// ("recorded_total", "queue_depth").
+func count(l *Log, series string) uint64 {
+	r := metrics.NewRegistry()
+	l.RegisterMetrics(r)
+	v, _ := r.Value("bp_audit_" + series)
+	return uint64(v)
+}
 
 func samplePacket() *ipv4.Packet {
 	return &ipv4.Packet{
@@ -222,9 +232,8 @@ func TestConcurrentRecord(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := l.Stats()
-	if st.Recorded != workers*perWorker || st.Dropped != 0 {
-		t.Fatalf("stats = %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != workers*perWorker || drop != 0 {
+		t.Fatalf("recorded/dropped = %d/%d, want %d/0", rec, drop, workers*perWorker)
 	}
 	entries, err := ReadEntries(&buf)
 	if err != nil {
@@ -302,17 +311,16 @@ func TestBackpressureCountsDrops(t *testing.T) {
 	for i := 0; i < 74; i++ {
 		l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	}
-	st := l.Stats()
-	if st.Recorded != 65 || st.Dropped != 10 {
-		t.Fatalf("stats = %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 65 || drop != 10 {
+		t.Fatalf("recorded/dropped = %d/%d, want 65/10", rec, drop)
 	}
 	w.Release()
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
-	if st = l.Stats(); st.Recorded != 66 {
-		t.Fatalf("queue did not recover after drain: %+v", st)
+	if rec := count(l, "recorded_total"); rec != 66 {
+		t.Fatalf("queue did not recover after drain: %d recorded", rec)
 	}
 }
 
@@ -330,20 +338,20 @@ func TestRecordSpillsAcrossStripes(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	}
-	if st := l.Stats(); st.Recorded != 65 || st.Dropped != 0 {
-		t.Fatalf("single-flow fill shed early: %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 65 || drop != 0 {
+		t.Fatalf("single-flow fill shed early: recorded/dropped = %d/%d", rec, drop)
 	}
 	l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
-	if st := l.Stats(); st.Dropped != 1 {
-		t.Fatalf("overflow past QueueCap not counted: %+v", st)
+	if drop := count(l, "dropped_total"); drop != 1 {
+		t.Fatalf("overflow past QueueCap not counted: %d dropped", drop)
 	}
 	// Resume the drainer: every accepted entry surfaces.
 	w.Release()
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Drained != 65 || st.Pending != 0 {
-		t.Fatalf("post-release stats = %+v", st)
+	if drained, pending := count(l, "drained_total"), count(l, "queue_depth"); drained != 65 || pending != 0 {
+		t.Fatalf("post-release drained/pending = %d/%d, want 65/0", drained, pending)
 	}
 }
 
@@ -359,8 +367,8 @@ func TestRecordBatchSpillsAcrossStripes(t *testing.T) {
 		res[i] = enforcer.Result{Verdict: policy.VerdictAllow}
 	}
 	l.RecordBatch(pkts, res)
-	if st := l.Stats(); st.Recorded != 40 || st.Dropped != 0 {
-		t.Fatalf("burst shed despite free capacity: %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 40 || drop != 0 {
+		t.Fatalf("burst shed despite free capacity: recorded/dropped = %d/%d", rec, drop)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -396,12 +404,12 @@ func TestRecordRacingCloseNeverStrands(t *testing.T) {
 		close(start)
 		l.Close()
 		<-done
-		st := l.Stats()
-		if st.Recorded+st.Dropped != 200 {
-			t.Fatalf("round %d: recorded %d + dropped %d != 200", round, st.Recorded, st.Dropped)
+		rec, drop := count(l, "recorded_total"), count(l, "dropped_total")
+		if rec+drop != 200 {
+			t.Fatalf("round %d: recorded %d + dropped %d != 200", round, rec, drop)
 		}
-		if st.Pending != 0 {
-			t.Fatalf("round %d: %d entries stranded after Close: %+v", round, st.Pending, st)
+		if pending := count(l, "queue_depth"); pending != 0 {
+			t.Fatalf("round %d: %d entries stranded after Close", round, pending)
 		}
 	}
 }
@@ -465,8 +473,8 @@ func TestFlushOnClose(t *testing.T) {
 	}
 	// Records after close are counted as drops, not silently lost.
 	l.Record(samplePacket(), enforcer.Result{Verdict: policy.VerdictAllow})
-	if st := l.Stats(); st.Dropped != 1 {
-		t.Fatalf("post-close record not counted: %+v", st)
+	if drop := count(l, "dropped_total"); drop != 1 {
+		t.Fatalf("post-close record not counted: %d dropped", drop)
 	}
 	// Close is idempotent, Flush after close does not hang.
 	if err := l.Close(); err != nil {
@@ -518,8 +526,10 @@ func TestNilLogIsNoop(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Recorded != 0 {
-		t.Fatal("nil log has stats")
+	r := metrics.NewRegistry()
+	l.RegisterMetrics(r)
+	if len(r.Snapshot()) != 0 {
+		t.Fatal("nil log registered series")
 	}
 }
 
@@ -546,8 +556,8 @@ func TestRecordBatchNoShedSingleP(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Dropped != 0 || st.Recorded != bursts*uint64(len(pkts)+1) {
-		t.Fatalf("tight single-P producer shed entries: %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); drop != 0 || rec != bursts*uint64(len(pkts)+1) {
+		t.Fatalf("tight single-P producer shed entries: recorded/dropped = %d/%d", rec, drop)
 	}
 }
 
@@ -571,7 +581,7 @@ func TestTailOnlyDrainAllocFree(t *testing.T) {
 		t.Fatalf("tail-only record+drain: %.0f allocs per %d-entry burst (%.3f per entry), want 0 per entry",
 			perBurst, len(pkts), perEntry)
 	}
-	if st := l.Stats(); st.Dropped != 0 {
-		t.Fatalf("shed %d entries", st.Dropped)
+	if drop := count(l, "dropped_total"); drop != 0 {
+		t.Fatalf("shed %d entries", drop)
 	}
 }

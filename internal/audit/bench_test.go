@@ -24,8 +24,7 @@ func BenchmarkRecord(b *testing.B) {
 		l.Record(pkt, res)
 	}
 	b.StopTimer()
-	st := l.Stats()
-	b.ReportMetric(float64(st.Dropped)/float64(b.N), "dropped/op")
+	b.ReportMetric(float64(count(l, "dropped_total"))/float64(b.N), "dropped/op")
 }
 
 // BenchmarkRecordBatch is the per-packet cost when the batched gateway
@@ -45,8 +44,7 @@ func BenchmarkRecordBatch(b *testing.B) {
 		l.RecordBatch(pkts, res)
 	}
 	b.StopTimer()
-	st := l.Stats()
-	b.ReportMetric(float64(st.Dropped)/float64(b.N), "dropped/op")
+	b.ReportMetric(float64(count(l, "dropped_total"))/float64(b.N), "dropped/op")
 }
 
 // BenchmarkRecordDrainJSON is the full sustained pipeline — stripe append
@@ -69,8 +67,7 @@ func BenchmarkRecordDrainJSON(b *testing.B) {
 	}
 	// Under saturation the bounded queue sheds load by design; surface how
 	// much of it this run kept.
-	st := l.Stats()
-	b.ReportMetric(float64(st.Dropped)/float64(b.N), "dropped/op")
+	b.ReportMetric(float64(count(l, "dropped_total"))/float64(b.N), "dropped/op")
 }
 
 // BenchmarkRecordParallel drives Record from every core against one log —

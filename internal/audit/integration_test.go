@@ -100,8 +100,8 @@ func TestEnforcerRecordsThroughSink(t *testing.T) {
 			t.Fatalf("entry %d = %+v", i, entry)
 		}
 	}
-	if st := l.Stats(); st.Recorded != 3 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v", st)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 3 || drop != 0 {
+		t.Fatalf("recorded/dropped = %d/%d, want 3/0", rec, drop)
 	}
 }
 
@@ -153,7 +153,7 @@ func BenchmarkProcessFlowHitAudited(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(l.Stats().Dropped)/float64(b.N), "dropped/op")
+	b.ReportMetric(float64(count(l, "dropped_total"))/float64(b.N), "dropped/op")
 }
 
 // BenchmarkProcessBatchKeepAliveAudited: the batched equivalent — 64-pkt
@@ -176,5 +176,5 @@ func BenchmarkProcessBatchKeepAliveAudited(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(l.Stats().Dropped)/float64(b.N), "dropped/op")
+	b.ReportMetric(float64(count(l, "dropped_total"))/float64(b.N), "dropped/op")
 }

@@ -83,7 +83,7 @@ func TestLogRegistersRotatingSinkMetrics(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bp_audit_file_writes_total", "bp_audit_file_rotations_total", "bp_audit_batch_size_bucket"} {
+	for _, want := range []string{"bp_audit_file_writes_total", "bp_audit_file_rotations_total", "bp_audit_batch_entries_bucket"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("registry output missing %s", want)
 		}

@@ -17,8 +17,8 @@
 // once did and never yields another stack's tag. Only successful encodes
 // are stored, and HandleLoadPackage starts an app over with an empty table.
 // Per socket remain the setsockopt (the kernel copies the option bytes at
-// that boundary), the context published on the socket, and Stats updated
-// exactly as a fresh resolve would update them.
+// that boundary), the context published on the socket, and the counters
+// updated exactly as a fresh resolve would update them.
 package contextmgr
 
 import (
@@ -35,6 +35,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netstack"
 	"borderpatrol/internal/tag"
 )
@@ -79,7 +80,7 @@ const tagCells = 64
 
 // stackTag is what one call site's connects share: the trace it was built
 // from, the IP_OPTIONS that carry its tag, the resolved signatures the
-// socket is given as context, and the frame counts for the Stats. Built
+// socket is given as context, and the frame counts for the counters. Built
 // only by resolve and never written once published.
 type stackTag struct {
 	frames        []dex.Frame
@@ -170,30 +171,28 @@ func overloadKey(pkg, class, name string) string {
 	return pkg + ";" + class + ";" + name
 }
 
-// Stats counts Context Manager activity for the performance evaluation.
-type Stats struct {
-	// SocketsTagged counts sockets that received a tag.
-	SocketsTagged uint64
-	// TagFailures counts setsockopt errors (e.g. unpatched kernel).
-	TagFailures uint64
-	// FramesResolved counts stack frames mapped to signatures.
-	FramesResolved uint64
-	// FramesDropped counts framework frames not present in app dex files.
-	FramesDropped uint64
-	// StacksTruncated counts stacks that exceeded the IP_OPTIONS budget.
-	StacksTruncated uint64
-	// TagCacheHits counts connects whose tag came from the call-site
-	// table; TagCacheMisses those that resolved and encoded it afresh.
-	TagCacheHits, TagCacheMisses uint64
+// counts is the Manager's activity, for the performance evaluation.
+type counts struct {
+	// tagged counts sockets that received a tag; failures the sockets that
+	// did not (setsockopt errors, e.g. an unpatched kernel).
+	tagged, failures uint64
+	// resolved counts stack frames mapped to signatures; dropped the
+	// framework frames not present in app dex files.
+	resolved, dropped uint64
+	// truncated counts stacks that exceeded the IP_OPTIONS budget.
+	truncated uint64
+	// hits counts connects whose tag came from the call-site table; misses
+	// those that resolved and encoded it afresh.
+	hits, misses uint64
 }
 
 // Manager is the Context Manager module.
 type Manager struct {
 	shim *JNIShim
 
-	mu    sync.Mutex
-	apps  map[int]*appState // by uid
-	stats Stats
+	mu   sync.Mutex
+	apps map[int]*appState // by uid
+	n    counts
 	// lastErr remembers the most recent tagging failure for diagnostics.
 	lastErr error
 }
@@ -283,7 +282,7 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 
 	// Expose the captured context for tests/extractor. Published through
 	// the socket's own synchronized accessor — the manager's mutex below
-	// guards only the manager's stats, and readers of the socket never
+	// guards only the manager's counters, and readers of the socket never
 	// take it.
 	if err == nil {
 		sock.SetContext(t.ctx)
@@ -292,35 +291,52 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if hit {
-		m.stats.TagCacheHits++
+		m.n.hits++
 	} else {
-		m.stats.TagCacheMisses++
+		m.n.misses++
 	}
-	m.stats.FramesResolved += t.kept
-	m.stats.FramesDropped += t.dropped
+	m.n.resolved += t.kept
+	m.n.dropped += t.dropped
 	if t.truncated {
-		m.stats.StacksTruncated++
+		m.n.truncated++
 	}
 	if err != nil {
-		m.stats.TagFailures++
+		m.n.failures++
 		m.lastErr = err
 		return
 	}
-	m.stats.SocketsTagged++
+	m.n.tagged++
 }
 
 func (m *Manager) recordErr(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.TagFailures++
+	m.n.failures++
 	m.lastErr = err
 }
 
-// Stats returns a snapshot of the manager's counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+// RegisterMetrics attaches the manager's counters to a registry as the
+// bp_contextmgr_* families; each scrape reads its counter under the
+// manager's lock.
+func (m *Manager) RegisterMetrics(r *metrics.Registry) {
+	for _, c := range []struct {
+		name, help string
+		v          *uint64
+	}{
+		{"bp_contextmgr_sockets_tagged_total", "Sockets the Context Manager tagged.", &m.n.tagged},
+		{"bp_contextmgr_tag_failures_total", "Sockets the Context Manager failed to tag (setsockopt errors).", &m.n.failures},
+		{"bp_contextmgr_frames_resolved_total", "Stack frames mapped to app signatures.", &m.n.resolved},
+		{"bp_contextmgr_frames_dropped_total", "Framework frames not present in the app's dex files.", &m.n.dropped},
+		{"bp_contextmgr_stacks_truncated_total", "Stacks cut to fit the IP_OPTIONS budget.", &m.n.truncated},
+		{"bp_contextmgr_tag_table_hits_total", "Connects whose tag came from the call-site table.", &m.n.hits},
+		{"bp_contextmgr_tag_table_misses_total", "Connects that resolved and encoded their tag afresh.", &m.n.misses},
+	} {
+		r.CounterFunc(c.name, c.help, func() uint64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return *c.v
+		})
+	}
 }
 
 // LastError returns the most recent tagging failure, if any.

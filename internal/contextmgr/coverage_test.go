@@ -49,9 +49,8 @@ func TestUntrackedUIDHookIsNoop(t *testing.T) {
 	if err := sock.Connect(netip.AddrPortFrom(netip.MustParseAddr("1.2.3.4"), 80)); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.SocketsTagged != 0 || st.TagFailures != 0 {
-		t.Fatalf("untracked socket affected stats: %+v", st)
+	if c := counters(m); c["sockets_tagged"] != 0 || c["tag_failures"] != 0 {
+		t.Fatalf("untracked socket affected counters: %v", c)
 	}
 	if m.LastError() != nil {
 		t.Fatalf("untracked socket recorded error: %v", m.LastError())
@@ -85,8 +84,8 @@ func TestUntrackedAppRecordsError(t *testing.T) {
 	if m.LastError() == nil {
 		t.Fatal("desynced uid not recorded as error")
 	}
-	if st := m.Stats(); st.TagFailures != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := counters(m)["tag_failures"]; n != 1 {
+		t.Fatalf("tag failures = %d, want 1", n)
 	}
 }
 
@@ -141,7 +140,7 @@ func TestDeepStackTruncationFlag(t *testing.T) {
 	if !res.Tagged {
 		t.Fatal("deep stack not tagged")
 	}
-	if st := m.Stats(); st.StacksTruncated != 1 {
-		t.Fatalf("truncation not counted: %+v", st)
+	if n := counters(m)["stacks_truncated"]; n != 1 {
+		t.Fatalf("truncation not counted: %d", n)
 	}
 }

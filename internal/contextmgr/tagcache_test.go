@@ -117,7 +117,7 @@ func randomStack(rng *rand.Rand) []dex.Frame {
 
 // TestTagCacheMatchesResolve is the call-site table's differential test:
 // over random stacks drawn with repeats from a pool larger than the table,
-// every connect's tag bytes, socket context and Stats delta must be what a
+// every connect's tag bytes, socket context and counter deltas must be what a
 // fresh resolve of its trace yields — on narrow, wide, mixed-width and
 // debug-stripped apps, through hits, misses and evictions alike.
 func TestTagCacheMatchesResolve(t *testing.T) {
@@ -164,9 +164,9 @@ func TestTagCacheMatchesResolve(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				// Skewed draws: a hot head that hits, a tail that evicts.
 				frames := pool[rng.Intn(1+rng.Intn(len(pool)))]
-				before := m.Stats()
+				before := counters(m)
 				sock := connectWith(t, d, app, frames)
-				after := m.Stats()
+				after := counters(m)
 				want, err := st.resolve(frames)
 				if err != nil {
 					t.Fatal(err)
@@ -177,31 +177,26 @@ func TestTagCacheMatchesResolve(t *testing.T) {
 				if !reflect.DeepEqual(sock.Context(), want.ctx) {
 					t.Fatalf("connect %d: context %v, resolve builds %v", i, sock.Context(), want.ctx)
 				}
-				wantDelta := Stats{SocketsTagged: 1, FramesResolved: want.kept, FramesDropped: want.dropped}
+				wantDelta := map[string]uint64{"sockets_tagged": 1, "tag_failures": 0,
+					"frames_resolved": want.kept, "frames_dropped": want.dropped, "stacks_truncated": 0}
 				if want.truncated {
-					wantDelta.StacksTruncated = 1
+					wantDelta["stacks_truncated"] = 1
 					truncated++
 				}
-				gotDelta := Stats{
-					SocketsTagged:   after.SocketsTagged - before.SocketsTagged,
-					TagFailures:     after.TagFailures - before.TagFailures,
-					FramesResolved:  after.FramesResolved - before.FramesResolved,
-					FramesDropped:   after.FramesDropped - before.FramesDropped,
-					StacksTruncated: after.StacksTruncated - before.StacksTruncated,
+				for k, v := range wantDelta {
+					if got := after[k] - before[k]; got != v {
+						t.Fatalf("connect %d: %s moved by %d, resolve implies %d", i, k, got, v)
+					}
 				}
-				if gotDelta != wantDelta {
-					t.Fatalf("connect %d: stats moved by %+v, resolve implies %+v", i, gotDelta, wantDelta)
-				}
-				if lookups := after.TagCacheHits + after.TagCacheMisses - before.TagCacheHits - before.TagCacheMisses; lookups != 1 {
+				if lookups := after["tag_table_hits"] + after["tag_table_misses"] - before["tag_table_hits"] - before["tag_table_misses"]; lookups != 1 {
 					t.Fatalf("connect %d: %d table lookups", i, lookups)
 				}
 				if err := sock.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			st1 := m.Stats()
-			if st1.TagCacheHits == 0 || st1.TagCacheMisses <= uint64(tagCells) || truncated == 0 {
-				t.Fatalf("the draw did not exercise hits, evictions and truncation: %+v, %d truncated", st1, truncated)
+			if c := counters(m); c["tag_table_hits"] == 0 || c["tag_table_misses"] <= uint64(tagCells) || truncated == 0 {
+				t.Fatalf("the draw did not exercise hits, evictions and truncation: %v, %d truncated", c, truncated)
 			}
 		})
 	}
@@ -231,8 +226,8 @@ func TestTagCacheDroppedOnReload(t *testing.T) {
 	if reflect.DeepEqual(fresh.Indexes, old.Indexes) {
 		t.Fatalf("after reload the tag kept the old indexes %v", old.Indexes)
 	}
-	if st := m.Stats(); st.TagCacheHits != 0 || st.TagCacheMisses != 2 {
-		t.Fatalf("stats %+v: the reloaded app answered from the old table", st)
+	if c := counters(m); c["tag_table_hits"] != 0 || c["tag_table_misses"] != 2 {
+		t.Fatalf("counters %v: the reloaded app answered from the old table", c)
 	}
 }
 
@@ -279,13 +274,13 @@ func TestTagCacheCollisionNeverCrossesStacks(t *testing.T) {
 		}
 		_ = sock.Close()
 	}
-	if st := m.Stats(); st.TagCacheHits != 0 || st.TagCacheMisses != 6 {
-		t.Fatalf("stats %+v: alternating colliding stacks must miss every time", st)
+	if c := counters(m); c["tag_table_hits"] != 0 || c["tag_table_misses"] != 6 {
+		t.Fatalf("counters %v: alternating colliding stacks must miss every time", c)
 	}
 	// Repeating one of them now hits.
 	_ = connectWith(t, d, app, b).Close()
-	if st := m.Stats(); st.TagCacheHits != 1 {
-		t.Fatalf("stats %+v: a resident stack missed", st)
+	if c := counters(m); c["tag_table_hits"] != 1 {
+		t.Fatalf("counters %v: a resident stack missed", c)
 	}
 }
 

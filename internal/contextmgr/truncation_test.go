@@ -132,7 +132,7 @@ func TestTruncationNarrowBoundary(t *testing.T) {
 	if len(fits.Indexes) != tag.MaxNarrowFrames {
 		t.Fatalf("got %d indexes, want %d", len(fits.Indexes), tag.MaxNarrowFrames)
 	}
-	if got := m.Stats().StacksTruncated; got != 0 {
+	if got := counters(m)["stacks_truncated"]; got != 0 {
 		t.Fatalf("StacksTruncated = %d after untruncated stack", got)
 	}
 
@@ -143,7 +143,7 @@ func TestTruncationNarrowBoundary(t *testing.T) {
 	if len(over.Indexes) != tag.MaxNarrowFrames {
 		t.Fatalf("got %d indexes, want %d", len(over.Indexes), tag.MaxNarrowFrames)
 	}
-	if got := m.Stats().StacksTruncated; got != 1 {
+	if got := counters(m)["stacks_truncated"]; got != 1 {
 		t.Fatalf("StacksTruncated = %d, want 1", got)
 	}
 }
@@ -168,7 +168,7 @@ func TestTruncationWideBoundary(t *testing.T) {
 			t.Fatalf("index %d round-tripped narrow, want wide", idx)
 		}
 	}
-	if got := m.Stats().StacksTruncated; got != 0 {
+	if got := counters(m)["stacks_truncated"]; got != 0 {
 		t.Fatalf("StacksTruncated = %d after untruncated wide stack", got)
 	}
 
@@ -180,7 +180,7 @@ func TestTruncationWideBoundary(t *testing.T) {
 		if len(over.Indexes) != tag.MaxWideFrames {
 			t.Fatalf("%s: got %d indexes, want %d", name, len(over.Indexes), tag.MaxWideFrames)
 		}
-		if got, want := m.Stats().StacksTruncated, uint64(i+1); got != want {
+		if got, want := counters(m)["stacks_truncated"], uint64(i+1); got != want {
 			t.Fatalf("%s: StacksTruncated = %d, want %d", name, got, want)
 		}
 	}
@@ -220,7 +220,7 @@ func TestTruncationMixedWidths(t *testing.T) {
 	if !sawWide {
 		t.Fatal("widened index missing from kept frames")
 	}
-	if got := m.Stats().StacksTruncated; got != 1 {
+	if got := counters(m)["stacks_truncated"]; got != 1 {
 		t.Fatalf("StacksTruncated = %d, want 1", got)
 	}
 }

@@ -122,7 +122,7 @@ type Source struct {
 	mu      sync.RWMutex
 	devices map[netip.Addr]*deviceState
 
-	gen           atomic.Uint64 // every effective change, for Stats and metrics
+	gen           atomic.Uint64 // every effective change, for Generation and metrics
 	versions      [Stripes]atomic.Uint64
 	invalidations [causeCount]atomic.Uint64
 }
@@ -280,24 +280,6 @@ func (s *Source) Forget(addr netip.Addr) {
 	s.bump(addr, CauseProvision)
 }
 
-// Stats is a snapshot of the source's counters.
-type Stats struct {
-	Devices       int
-	Generation    uint64
-	Invalidations map[string]uint64
-}
-
-// Stats returns a snapshot of the source's counters.
-func (s *Source) Stats() Stats {
-	inv := make(map[string]uint64, int(causeCount))
-	for c := Cause(0); c < causeCount; c++ {
-		if n := s.invalidations[c].Load(); n > 0 {
-			inv[c.String()] = n
-		}
-	}
-	return Stats{Devices: s.Devices(), Generation: s.Generation(), Invalidations: inv}
-}
-
 // RegisterMetrics exposes the source's counters on a registry as the
 // bp_context_* device-side families — scrape-time closures over the
 // existing atomics, nothing added to any update path.
@@ -305,8 +287,8 @@ func (s *Source) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("bp_context_devices",
 		"Devices with known context in the device-context source.",
 		func() float64 { return float64(s.Devices()) })
-	r.CounterFunc("bp_context_generation",
-		"Context generation: effective device-context changes so far, all devices.",
+	r.CounterFunc("bp_context_changes_total",
+		"Effective device-context changes so far, all devices (the context generation).",
 		s.Generation)
 	for c := Cause(0); c < causeCount; c++ {
 		c := c

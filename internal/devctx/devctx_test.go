@@ -43,9 +43,8 @@ func TestGenerationBumpsOnlyOnChange(t *testing.T) {
 	if g := s.Generation(); g != 3 {
 		t.Fatalf("generation = %d, want 3", g)
 	}
-	st := s.Stats()
-	if st.Invalidations["network"] != 1 || st.Invalidations["posture"] != 2 {
-		t.Fatalf("invalidations = %v", st.Invalidations)
+	if net, posture := invalidations(s, "network"), invalidations(s, "posture"); net != 1 || posture != 2 {
+		t.Fatalf("invalidations network/posture = %d/%d, want 1/2", net, posture)
 	}
 	ctx, ok := s.Lookup(dev)
 	if !ok || ctx.Network != policy.NetTrusted || !ctx.ScreenLocked || ctx.PatchAgeDays != 120 {
@@ -88,9 +87,17 @@ func TestVelocityFromLocationObservations(t *testing.T) {
 	if ctx.VelocityKmh != MaxVelocityKmh {
 		t.Fatalf("same-instant jump velocity = %d, want cap %d", ctx.VelocityKmh, MaxVelocityKmh)
 	}
-	if st := s.Stats(); st.Invalidations["travel"] == 0 {
-		t.Fatalf("no travel invalidations: %v", st.Invalidations)
+	if invalidations(s, "travel") == 0 {
+		t.Fatal("no travel invalidations")
 	}
+}
+
+// invalidations reads bp_context_invalidations_total{cause}.
+func invalidations(s *Source, cause string) uint64 {
+	r := metrics.NewRegistry()
+	s.RegisterMetrics(r)
+	v, _ := r.Value("bp_context_invalidations_total", metrics.L("cause", cause))
+	return uint64(v)
 }
 
 func TestProvisionAndForget(t *testing.T) {
@@ -123,7 +130,7 @@ func TestRegisterMetrics(t *testing.T) {
 	for _, sm := range reg.Snapshot() {
 		found[sm.Name] = true
 	}
-	for _, name := range []string{"bp_context_devices", "bp_context_generation", "bp_context_invalidations_total"} {
+	for _, name := range []string{"bp_context_devices", "bp_context_changes_total", "bp_context_invalidations_total"} {
 		if !found[name] {
 			t.Fatalf("metric family %s missing (have %v)", name, found)
 		}

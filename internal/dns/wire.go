@@ -59,7 +59,9 @@ func (q *Query) Marshal() ([]byte, error) {
 	return append(buf, name...), nil
 }
 
-// ParseQuery parses a query payload.
+// ParseQuery parses a query payload. The name must be in the canonical
+// form Marshal writes (lower case, no trailing dot), so a parsed query
+// marshals back to itself.
 func ParseQuery(b []byte) (*Query, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrWireMalformed, len(b))
@@ -71,7 +73,11 @@ func ParseQuery(b []byte) (*Query, error) {
 	if n == 0 || len(b) != 4+n {
 		return nil, fmt.Errorf("%w: name length %d in %d bytes", ErrWireMalformed, n, len(b))
 	}
-	return &Query{ID: uint16(b[0])<<8 | uint16(b[1]), Name: string(b[4:])}, nil
+	name := string(b[4:])
+	if canonical(name) != name {
+		return nil, fmt.Errorf("%w: name %q not canonical", ErrWireMalformed, name)
+	}
+	return &Query{ID: uint16(b[0])<<8 | uint16(b[1]), Name: name}, nil
 }
 
 // Answer is the response to a Query.

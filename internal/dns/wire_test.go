@@ -25,7 +25,7 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := (&Query{ID: 1}).Marshal(); !errors.Is(err, ErrWireMalformed) {
 		t.Fatalf("empty name: %v", err)
 	}
-	for _, raw := range [][]byte{nil, {1}, {0, 1, 0x80, 1, 'x'}, {0, 1, 0, 5, 'x'}} {
+	for _, raw := range [][]byte{nil, {1}, {0, 1, 0x80, 1, 'x'}, {0, 1, 0, 5, 'x'}, {0, 1, 0, 1, 'X'}, {0, 1, 0, 2, 'x', '.'}} {
 		if _, err := ParseQuery(raw); !errors.Is(err, ErrWireMalformed) {
 			t.Fatalf("ParseQuery(%v): %v", raw, err)
 		}

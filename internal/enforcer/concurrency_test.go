@@ -61,14 +61,13 @@ func TestConcurrentProcess(t *testing.T) {
 	close(stop)
 	<-writerDone
 
-	st := e.Stats()
-	if st.Processed != goroutines*perG*2 {
-		t.Fatalf("processed = %d, want %d", st.Processed, goroutines*perG*2)
+	if n := count(e, "bp_enforcer_verdicts_total"); n != goroutines*perG*2 {
+		t.Fatalf("processed = %d, want %d", n, goroutines*perG*2)
 	}
-	if st.Accepted != goroutines*perG || st.Dropped != goroutines*perG {
-		t.Fatalf("accepted/dropped = %d/%d, want %d each", st.Accepted, st.Dropped, goroutines*perG)
+	if acc, drop := verdicts(e); acc != goroutines*perG || drop != goroutines*perG {
+		t.Fatalf("accepted/dropped = %d/%d, want %d each", acc, drop, goroutines*perG)
 	}
-	if st.DroppedByCause[DropPolicy] != goroutines*perG {
-		t.Fatalf("policy drops = %d, want %d", st.DroppedByCause[DropPolicy], goroutines*perG)
+	if n := drops(e, DropPolicy); n != goroutines*perG {
+		t.Fatalf("policy drops = %d, want %d", n, goroutines*perG)
 	}
 }

@@ -73,11 +73,10 @@ func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
 	if res2.Decision != res.Decision {
 		t.Fatal("cache hit rebuilt the decision (context re-evaluated)")
 	}
-	st := e.Stats()
-	if st.Flow.Hits != 1 || st.Flow.Misses != 1 {
-		t.Fatalf("flow stats = %+v", st.Flow)
+	if hits, misses := count(e, "bp_flowtable_hits_total"), count(e, "bp_flowtable_misses_total"); hits != 1 || misses != 1 {
+		t.Fatalf("flow hits/misses = %d/%d, want 1/1", hits, misses)
 	}
-	if got := e.Engine().Stats().RiskEvaluations; got != 1 {
+	if got := count(e, "bp_context_evaluations_total"); got != 1 {
 		t.Fatalf("risk evaluations = %d, want 1 (once per flow)", got)
 	}
 }
@@ -113,11 +112,11 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 	if !res.Decision.RiskBlocked || res.Decision.RiskScore != 100 {
 		t.Fatalf("post-flip decision: %+v", res.Decision)
 	}
-	if st := e.Stats(); st.Flow.StaleDrops == 0 {
-		t.Fatalf("no stale drops after context flip: %+v", st.Flow)
+	if count(e, "bp_flowtable_stale_drops_total") == 0 {
+		t.Fatal("no stale drops after context flip")
 	}
-	if st := e.Stats(); st.DroppedByCause[DropRisk] != 1 {
-		t.Fatalf("drop causes = %+v", st.DroppedByCause)
+	if n := drops(e, DropRisk); n != 1 {
+		t.Fatalf("risk drops = %d, want 1", n)
 	}
 
 	// Roaming back re-admits the flow.
@@ -180,7 +179,7 @@ func TestTimeWindowViaVirtualClock(t *testing.T) {
 				t.Fatalf("%s: packet %d = %v/%v", step.why, j, res.Verdict, res.Cause)
 			}
 		}
-		if evals := e.Engine().Stats().RiskEvaluations; evals != step.evals {
+		if evals := count(e, "bp_context_evaluations_total"); evals != step.evals {
 			t.Fatalf("%s: %d risk evaluations so far, want %d (one per edge crossed)", step.why, evals, step.evals)
 		}
 		if n := flowCounter(t, reg, "bp_enforcer_verdict_expiries_total"); n != step.expiries {
@@ -189,9 +188,10 @@ func TestTimeWindowViaVirtualClock(t *testing.T) {
 		// Only the flow's first packet ever missed the table: a lapsed
 		// verdict is a hit the enforcer declined and overwrote in place.
 		// Per step: Process probes, the burst's head probes, its tail is memo.
-		st := e.Stats()
-		if st.Flow.Misses != 1 || st.Flow.Hits != uint64(2*(i+1)-1) || st.BatchMemoHits != uint64(2*(i+1)) || st.Flow.Live != 1 {
-			t.Fatalf("%s: flow stats %+v, memo hits %d", step.why, st.Flow, st.BatchMemoHits)
+		misses, hits, live := count(e, "bp_flowtable_misses_total"), count(e, "bp_flowtable_hits_total"), count(e, "bp_flowtable_live")
+		memo := count(e, "bp_enforcer_batch_memo_hits_total")
+		if misses != 1 || hits != uint64(2*(i+1)-1) || memo != uint64(2*(i+1)) || live != 1 {
+			t.Fatalf("%s: flow misses/hits/live %d/%d/%d, memo hits %d", step.why, misses, hits, live, memo)
 		}
 	}
 }
@@ -214,13 +214,11 @@ func poolPackets(t *testing.T, e *Enforcer, n int) []*ipv4.Packet {
 // flowCounter reads one bp_flowtable_* series off a registry.
 func flowCounter(t *testing.T, reg *metrics.Registry, name string) uint64 {
 	t.Helper()
-	for _, smp := range reg.Snapshot() {
-		if smp.Name == name {
-			return uint64(smp.Value)
-		}
+	v, ok := reg.Value(name)
+	if !ok {
+		t.Fatalf("metric %s not registered", name)
 	}
-	t.Fatalf("metric %s not registered", name)
-	return 0
+	return uint64(v)
 }
 
 // TestContextFlipInvalidatesOnlyThatDevice: a device's context change
@@ -404,7 +402,7 @@ func TestContextInactiveWithoutRiskRules(t *testing.T) {
 	if res.Verdict != policy.VerdictAllow || (res.Decision != nil && res.Decision.RiskApplied) {
 		t.Fatalf("risk applied without risk rules: %+v", res)
 	}
-	if got := e.Engine().Stats().RiskEvaluations; got != 0 {
+	if got := count(e, "bp_context_evaluations_total"); got != 0 {
 		t.Fatalf("risk evaluations = %d", got)
 	}
 }

@@ -174,21 +174,6 @@ func (r *Result) lapsed(now time.Duration) bool {
 	return r.until != 0 && now/time.Minute >= time.Duration(r.until)
 }
 
-// Stats counts enforcement outcomes.
-type Stats struct {
-	Processed      uint64
-	Accepted       uint64
-	Dropped        uint64
-	DroppedByCause map[DropCause]uint64
-	// Flow snapshots the verdict cache (zero value when caching is off).
-	Flow flowtable.Stats
-	// BatchMemoHits counts packets answered by ProcessBatch's same-flow
-	// memo without even a flow-table probe (keep-alive trains).
-	BatchMemoHits uint64
-	// VerdictExpiries counts cached verdicts re-evaluated at a time edge.
-	VerdictExpiries uint64
-}
-
 // scratch is the pooled per-packet working set: the decoded tag and the
 // stack-decode buffer. Pooling both keeps the miss path free of scratch
 // allocations; only data that escapes into a Result is copied out.
@@ -292,7 +277,7 @@ type Enforcer struct {
 	decoded *[internCells]atomic.Pointer[decodedTag]
 
 	// Outcome counters are striped metrics counters (one atomic add per
-	// packet, padded shards on multi-core), summed only by Stats/scrapes.
+	// packet, padded shards on multi-core), summed only at scrape time.
 	accepted       *metrics.Counter
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
@@ -687,30 +672,6 @@ func (e *Enforcer) PurgeFlows() {
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (e *Enforcer) Stats() Stats {
-	accepted := e.accepted.Value()
-	dropped := e.dropped.Value()
-	out := Stats{
-		Processed:      accepted + dropped,
-		Accepted:       accepted,
-		Dropped:        dropped,
-		DroppedByCause: make(map[DropCause]uint64),
-		BatchMemoHits:  e.batchMemoHits.Value(),
-
-		VerdictExpiries: e.verdictExpiries.Value(),
-	}
-	for c := range e.droppedByCause {
-		if n := e.droppedByCause[c].Value(); n > 0 {
-			out.DroppedByCause[DropCause(c)] = n
-		}
-	}
-	if e.flows != nil {
-		out.Flow = e.flows.Stats()
-	}
-	return out
-}
-
 // RegisterMetrics attaches the enforcer's instruments — verdict and
 // drop-cause counters, the sampled latency histograms, the flow-cache
 // counters, and the policy engine's evaluation counters — to a registry.
@@ -750,26 +711,9 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 		e.flows.RegisterMetrics(r)
 	}
 
-	eng := e.engine
-	r.CounterFunc("bp_policy_evaluations_total", "Packets that reached the compiled policy engine.",
-		func() uint64 { return eng.Stats().Evaluations })
-	r.CounterFunc("bp_policy_default_hits_total", "Evaluations decided by the default verdict.",
-		func() uint64 { return eng.Stats().DefaultHits })
-	r.CounterFunc("bp_policy_degraded_hits_total", "Packets decided by a degraded-posture override.",
-		func() uint64 { return eng.Stats().DegradedHits })
-
-	// Contextual-risk families: SYN-time evaluations, their outcomes, the
-	// score distribution, and (when a source is wired) the device-side
-	// generation and per-cause invalidation counters.
-	r.CounterFunc("bp_context_evaluations_total",
-		"Flows scored by the contextual risk program (once per flow, at SYN time).",
-		func() uint64 { return eng.Stats().RiskEvaluations })
-	r.CounterFunc("bp_context_warns_total",
-		"Risk evaluations that reached the warn threshold (admitted, flagged).",
-		func() uint64 { return eng.Stats().RiskWarns })
-	r.CounterFunc("bp_context_blocks_total",
-		"Risk evaluations that reached the block threshold (flow dropped).",
-		func() uint64 { return eng.Stats().RiskBlocks })
+	// The policy engine's counters, the contextual-risk families among them,
+	// and (when a source is wired) the device-side context series.
+	e.engine.RegisterMetrics(r)
 	r.RegisterHistogram("bp_context_risk_score",
 		"Per-flow contextual risk score at SYN-time evaluation.", e.ins.riskScore)
 	if e.ctxSrc != nil {

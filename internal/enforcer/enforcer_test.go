@@ -7,9 +7,34 @@ import (
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/tag"
 )
+
+// registry registers everything the enforcer exports on a fresh registry.
+func registry(e *Enforcer) *metrics.Registry {
+	r := metrics.NewRegistry()
+	e.RegisterMetrics(r)
+	return r
+}
+
+// count reads one of the enforcer's series; labels narrow a family.
+func count(e *Enforcer, family string, labels ...metrics.Label) uint64 {
+	v, _ := registry(e).Value(family, labels...)
+	return uint64(v)
+}
+
+// verdicts reads the allow and drop verdict counts.
+func verdicts(e *Enforcer) (accepted, dropped uint64) {
+	return count(e, "bp_enforcer_verdicts_total", metrics.L("decision", "allow")),
+		count(e, "bp_enforcer_verdicts_total", metrics.L("decision", "drop"))
+}
+
+// drops reads the drop count of one cause.
+func drops(e *Enforcer, c DropCause) uint64 {
+	return count(e, "bp_enforcer_drops_total", metrics.L("cause", c.String()))
+}
 
 func testAPK() *dex.APK {
 	return &dex.APK{
@@ -111,9 +136,8 @@ func TestPolicyDenyDropsTrackerStack(t *testing.T) {
 	if len(res.Stack) != 1 || res.Stack[0].Name != "download" {
 		t.Fatalf("decoded stack = %v", res.Stack)
 	}
-	st := e.Stats()
-	if st.Processed != 2 || st.Accepted != 1 || st.Dropped != 1 || st.DroppedByCause[DropPolicy] != 1 {
-		t.Fatalf("stats = %+v", st)
+	if acc, drop := verdicts(e); acc != 1 || drop != 1 || drops(e, DropPolicy) != 1 {
+		t.Fatalf("accepted/dropped = %d/%d, policy drops %d; want 1/1, 1", acc, drop, drops(e, DropPolicy))
 	}
 }
 

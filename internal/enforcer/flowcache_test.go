@@ -28,7 +28,7 @@ func TestFlowCacheHitSkipsPipeline(t *testing.T) {
 	if first.Verdict != policy.VerdictAllow {
 		t.Fatalf("first packet dropped: %+v", first)
 	}
-	evalsAfterFirst := e.Engine().Stats().Evaluations
+	evalsAfterFirst := count(e, "bp_policy_evaluations_total")
 
 	// Ten more packets of the same flow: all hits, zero extra evaluations.
 	for i := 0; i < 10; i++ {
@@ -43,15 +43,14 @@ func TestFlowCacheHitSkipsPipeline(t *testing.T) {
 			t.Fatal("cached decision missing")
 		}
 	}
-	if got := e.Engine().Stats().Evaluations; got != evalsAfterFirst {
+	if got := count(e, "bp_policy_evaluations_total"); got != evalsAfterFirst {
 		t.Fatalf("cache hits re-evaluated policy: %d evaluations, want %d", got, evalsAfterFirst)
 	}
-	st := e.Stats()
-	if st.Flow.Hits != 10 || st.Flow.Misses != 1 {
-		t.Fatalf("flow stats = %+v", st.Flow)
+	if hits, misses := count(e, "bp_flowtable_hits_total"), count(e, "bp_flowtable_misses_total"); hits != 10 || misses != 1 {
+		t.Fatalf("flow hits/misses = %d/%d, want 10/1", hits, misses)
 	}
-	if st.Processed != 11 || st.Accepted != 11 {
-		t.Fatalf("stats = %+v", st)
+	if acc, drop := verdicts(e); acc != 11 || drop != 0 {
+		t.Fatalf("accepted/dropped = %d/%d, want 11/0", acc, drop)
 	}
 }
 
@@ -79,8 +78,8 @@ func TestSetRulesFlipsCachedVerdict(t *testing.T) {
 	if res.Verdict != policy.VerdictDrop || res.Cause != DropPolicy {
 		t.Fatalf("cached allow survived SetRules: %+v", res)
 	}
-	if st := e.Stats(); st.Flow.StaleDrops == 0 {
-		t.Fatalf("no stale drop recorded: %+v", st.Flow)
+	if count(e, "bp_flowtable_stale_drops_total") == 0 {
+		t.Fatal("no stale drop recorded")
 	}
 
 	// And back: removing the rule re-admits the flow.
@@ -191,8 +190,8 @@ func TestCachedMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if st := cached.Stats(); st.Flow.Hits == 0 {
-		t.Fatalf("equivalence matrix never hit the cache: %+v", st.Flow)
+	if count(cached, "bp_flowtable_hits_total") == 0 {
+		t.Fatal("equivalence matrix never hit the cache")
 	}
 }
 
@@ -225,12 +224,11 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 				i, results[i].Verdict, results[i].Cause, want.Verdict, want.Cause)
 		}
 	}
-	st := e.Stats()
-	if st.Processed != uint64(len(batch)) {
-		t.Fatalf("processed = %d, want %d", st.Processed, len(batch))
+	if n := count(e, "bp_enforcer_verdicts_total"); n != uint64(len(batch)) {
+		t.Fatalf("processed = %d, want %d", n, len(batch))
 	}
-	if st.BatchMemoHits == 0 {
-		t.Fatalf("same-flow runs never used the batch memo: %+v", st)
+	if count(e, "bp_enforcer_batch_memo_hits_total") == 0 {
+		t.Fatal("same-flow runs never used the batch memo")
 	}
 	// Reusing the out slice must not allocate a new one.
 	again := e.ProcessBatch(batch, results)
@@ -247,18 +245,18 @@ func TestProcessBatchWithoutCache(t *testing.T) {
 		[]policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}},
 		policy.VerdictAllow)
 	clean := mkPacket(t, apk, db, "download")
-	evBefore := e.Engine().Stats().Evaluations
+	evBefore := count(e, "bp_policy_evaluations_total")
 	res := e.ProcessBatch([]*ipv4.Packet{clean, clean, clean, clean}, nil)
 	for i, r := range res {
 		if r.Verdict != policy.VerdictAllow {
 			t.Fatalf("pkt %d dropped: %+v", i, r)
 		}
 	}
-	if got := e.Engine().Stats().Evaluations - evBefore; got != 4 {
+	if got := count(e, "bp_policy_evaluations_total") - evBefore; got != 4 {
 		t.Fatalf("evaluations = %d, want 4 (no caching of any kind)", got)
 	}
-	if st := e.Stats(); st.BatchMemoHits != 0 {
-		t.Fatalf("batch memo active without a flow cache: %+v", st)
+	if n := count(e, "bp_enforcer_batch_memo_hits_total"); n != 0 {
+		t.Fatalf("batch memo active without a flow cache: %d memo hits", n)
 	}
 }
 
@@ -324,11 +322,10 @@ func TestConcurrentFlowCacheReadersVsRuleUpdates(t *testing.T) {
 	close(stop)
 	<-writerDone
 
-	st := e.Stats()
-	if st.Processed != goroutines*perG*2 {
-		t.Fatalf("processed = %d, want %d", st.Processed, goroutines*perG*2)
+	if n := count(e, "bp_enforcer_verdicts_total"); n != goroutines*perG*2 {
+		t.Fatalf("processed = %d, want %d", n, goroutines*perG*2)
 	}
-	if st.Accepted != goroutines*perG || st.Dropped != goroutines*perG {
-		t.Fatalf("accepted/dropped = %d/%d, want %d each", st.Accepted, st.Dropped, goroutines*perG)
+	if acc, drop := verdicts(e); acc != goroutines*perG || drop != goroutines*perG {
+		t.Fatalf("accepted/dropped = %d/%d, want %d each", acc, drop, goroutines*perG)
 	}
 }

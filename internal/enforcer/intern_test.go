@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,8 +114,8 @@ func TestInternedDecodeSharedPerTag(t *testing.T) {
 	if hits, misses := internStats(e); hits != 9 || misses != 1 {
 		t.Fatalf("intern hits/misses = %d/%d, want 9/1", hits, misses)
 	}
-	if st := e.Stats(); st.Flow.Misses != 10 || e.Engine().Stats().Evaluations != 10 {
-		t.Fatalf("flow misses %d, evaluations %d, want 10 each", st.Flow.Misses, e.Engine().Stats().Evaluations)
+	if misses, evals := count(e, "bp_flowtable_misses_total"), count(e, "bp_policy_evaluations_total"); misses != 10 || evals != 10 {
+		t.Fatalf("flow misses %d, evaluations %d, want 10 each", misses, evals)
 	}
 
 	ref, _, _ := newEnforcer(t, Config{}, nil, policy.VerdictAllow)
@@ -287,8 +288,14 @@ func TestNonIPv4AddressBypassesTheCache(t *testing.T) {
 		}
 	}
 	hits, misses := internStats(e)
-	if st := e.Stats(); st.Flow != (flowtable.Stats{}) || st.Processed != 4 || hits+misses != 0 {
-		t.Fatalf("bypass left traces: flow %+v, processed %d, intern %d/%d", st.Flow, st.Processed, hits, misses)
+	var flow float64
+	for _, smp := range registry(e).Snapshot() {
+		if strings.HasPrefix(smp.Name, "bp_flowtable_") {
+			flow += smp.Value
+		}
+	}
+	if processed := count(e, "bp_enforcer_verdicts_total"); flow != 0 || processed != 4 || hits+misses != 0 {
+		t.Fatalf("bypass left traces: flow-table counts %v, processed %d, intern %d/%d", flow, processed, hits, misses)
 	}
 }
 

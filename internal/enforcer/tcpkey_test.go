@@ -37,15 +37,14 @@ func TestTCPPortsSeparateFlows(t *testing.T) {
 	if res := e.Process(connB); res.Verdict != policy.VerdictAllow {
 		t.Fatalf("connB: %+v", res)
 	}
-	st := e.Stats()
-	if st.Flow.Misses != 2 || st.Flow.Live != 2 {
-		t.Fatalf("same-endpoint connections shared a flow entry: %+v", st.Flow)
+	if misses, live := count(e, "bp_flowtable_misses_total"), count(e, "bp_flowtable_live"); misses != 2 || live != 2 {
+		t.Fatalf("same-endpoint connections shared a flow entry: misses %d, live %d", misses, live)
 	}
 	// Repeats on each connection hit their own entry.
 	e.Process(connA)
 	e.Process(connB)
-	if st := e.Stats(); st.Flow.Hits != 2 {
-		t.Fatalf("flow hits = %d, want 2", st.Flow.Hits)
+	if n := count(e, "bp_flowtable_hits_total"); n != 2 {
+		t.Fatalf("flow hits = %d, want 2", n)
 	}
 }
 
@@ -62,14 +61,13 @@ func TestEndFlowTearsDownOnlyItsConnection(t *testing.T) {
 	if !e.EndFlow(connA) {
 		t.Fatal("EndFlow missed connA")
 	}
-	st := e.Stats()
-	if st.Flow.Live != 1 {
-		t.Fatalf("live flows = %d after one teardown, want 1", st.Flow.Live)
+	if n := count(e, "bp_flowtable_live"); n != 1 {
+		t.Fatalf("live flows = %d after one teardown, want 1", n)
 	}
 	// connB still hits; connA re-resolves.
 	e.Process(connB)
-	if st := e.Stats(); st.Flow.Hits != 1 {
-		t.Fatalf("sibling connection lost its entry: %+v", st.Flow)
+	if n := count(e, "bp_flowtable_hits_total"); n != 1 {
+		t.Fatalf("sibling connection lost its entry: %d hits", n)
 	}
 }
 
@@ -105,13 +103,12 @@ func TestFragmentsNotKeyedByGarbagePorts(t *testing.T) {
 	// Two flow entries: the first fragment's ported key, and one shared
 	// port-less key for every non-first fragment (they must all collapse
 	// onto the same zero-port key — garbage ports would scatter them).
-	st := e.Stats()
-	if st.Flow.Live != 2 {
-		t.Fatalf("live flows = %d, want 2 (ported + port-less)", st.Flow.Live)
+	if n := count(e, "bp_flowtable_live"); n != 2 {
+		t.Fatalf("live flows = %d, want 2 (ported + port-less)", n)
 	}
 	wantHits := uint64(len(frags) - 2) // non-first fragments after the first miss
-	if st.Flow.Hits != wantHits {
-		t.Fatalf("hits = %d, want %d (non-first fragments share one key)", st.Flow.Hits, wantHits)
+	if n := count(e, "bp_flowtable_hits_total"); n != wantHits {
+		t.Fatalf("hits = %d, want %d (non-first fragments share one key)", n, wantHits)
 	}
 }
 
@@ -124,8 +121,8 @@ func TestLegacyPayloadKeysWithZeroPorts(t *testing.T) {
 	bare := mkPacket(t, apk, db, "download") // raw HTTP payload
 	e.Process(bare)
 	e.Process(bare)
-	st := e.Stats()
-	if st.Flow.Misses != 1 || st.Flow.Hits != 1 || st.Flow.Live != 1 {
-		t.Fatalf("headerless keying changed: %+v", st.Flow)
+	misses, hits, live := count(e, "bp_flowtable_misses_total"), count(e, "bp_flowtable_hits_total"), count(e, "bp_flowtable_live")
+	if misses != 1 || hits != 1 || live != 1 {
+		t.Fatalf("headerless keying changed: misses/hits/live %d/%d/%d", misses, hits, live)
 	}
 }

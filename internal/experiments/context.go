@@ -393,7 +393,7 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 		}
 		flip := ContextFlipReport{Device: pool.Addr(i).String()}
 		stripe := devctx.Stripe(pool.Addr(i))
-		before := tb.Enforcer.Stats().Flow.Misses
+		before := tb.count("bp_flowtable_misses_total")
 		for j := 0; j < cfg.Devices; j++ {
 			if j == i {
 				continue
@@ -403,7 +403,7 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 			}
 			tb.Enforcer.Process(last(j))
 		}
-		flip.BystanderReevaluations = int(tb.Enforcer.Stats().Flow.Misses - before)
+		flip.BystanderReevaluations = int(tb.count("bp_flowtable_misses_total") - before)
 		res.BystanderReevaluations += flip.BystanderReevaluations
 		res.Flips = append(res.Flips, flip)
 	}
@@ -414,7 +414,7 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 	// cached allow is right, from 12:00:00 to 12:59:59 every packet must be
 	// dropped, at 13:00:00 the flows are admitted again — and each flow is
 	// re-evaluated once per edge, not once per packet.
-	before, inLockdown := tb.Enforcer.Stats().VerdictExpiries, false
+	before, inLockdown := tb.count("bp_enforcer_verdict_expiries_total"), false
 	for _, step := range []struct {
 		at       time.Duration
 		lockdown bool
@@ -445,18 +445,15 @@ func RunContext(cfg ContextRunConfig) (*ContextBenchResult, error) {
 		}
 	}
 	res.TimeFlows = byScenario[scenarioCellular].Devices + byScenario[scenarioUnknown].Devices
-	res.TimeReevaluations = tb.Enforcer.Stats().VerdictExpiries - before
+	res.TimeReevaluations = tb.count("bp_enforcer_verdict_expiries_total") - before
 
-	st := tb.Enforcer.Stats()
-	es := tb.Engine.Stats()
-	cs := tb.Context.Stats()
-	res.RiskEvaluations = es.RiskEvaluations
-	res.RiskWarns = es.RiskWarns
-	res.RiskBlocks = es.RiskBlocks
-	res.ContextGeneration = cs.Generation
-	res.Invalidations = cs.Invalidations
-	res.StaleDrops = st.Flow.StaleDrops
-	res.FlowHits = st.Flow.Hits
-	res.FlowMisses = st.Flow.Misses
+	res.RiskEvaluations = tb.count("bp_context_evaluations_total")
+	res.RiskWarns = tb.count("bp_context_warns_total")
+	res.RiskBlocks = tb.count("bp_context_blocks_total")
+	res.ContextGeneration = tb.count("bp_context_changes_total")
+	res.Invalidations = tb.byLabel("bp_context_invalidations_total")
+	res.StaleDrops = tb.count("bp_flowtable_stale_drops_total")
+	res.FlowHits = tb.count("bp_flowtable_hits_total")
+	res.FlowMisses = tb.count("bp_flowtable_misses_total")
 	return res, nil
 }

@@ -9,8 +9,8 @@ import (
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/dns"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 )
@@ -37,15 +37,15 @@ type DNSResolutionResult struct {
 	// ZoneQueries is how many queries actually reached the zone — blocked
 	// ones must not.
 	ZoneQueries uint64
-	// FlowStats snapshots the verdict cache: repeat queries on one socket
-	// are answered by UDP-5-tuple cache hits.
-	FlowStats flowtable.Stats
+	// FlowHits and FlowMisses read the verdict cache: repeat queries on one
+	// socket are answered by UDP-5-tuple cache hits.
+	FlowHits, FlowMisses uint64
 	// MemoHits counts repeats answered by the batch drain's same-flow
 	// memo (adjacent packets of one burst skip even the table probe).
 	MemoHits uint64
-	// Conntrack snapshots the gateway tracker: UDP is connectionless, so
-	// this workload must not register connections.
-	Conntrack netsim.ConntrackStats
+	// ConnsEstablished and ConnsOpen read the gateway tracker: UDP is
+	// connectionless, so this workload must not register connections.
+	ConnsEstablished, ConnsOpen uint64
 }
 
 // dnsServerAddr is the corporate resolver behind the gateway.
@@ -140,10 +140,10 @@ func RunDNSResolution() (*DNSResolutionResult, error) {
 		}
 	}
 	res.ZoneQueries = zone.Queries()
-	est := tb.Enforcer.Stats()
-	res.FlowStats = est.Flow
-	res.MemoHits = est.BatchMemoHits
-	res.Conntrack = tb.Network.Gateway.Conntrack()
+	res.FlowHits, res.FlowMisses = tb.count("bp_flowtable_hits_total"), tb.count("bp_flowtable_misses_total")
+	res.MemoHits = tb.count("bp_enforcer_batch_memo_hits_total")
+	res.ConnsEstablished = tb.count("bp_conntrack_transitions_total", metrics.L("kind", "established"))
+	res.ConnsOpen = tb.count("bp_conntrack_connections", metrics.L("state", "open"))
 	return res, nil
 }
 
@@ -177,7 +177,7 @@ func (r *DNSResolutionResult) Format() string {
 		fmt.Fprintf(&b, "  %-24s -> %v\n", n, r.Resolved[n])
 	}
 	fmt.Fprintf(&b, "zone served %d queries (blocked ones never arrived)\n", r.ZoneQueries)
-	fmt.Fprintf(&b, "flow cache: %d hits (+%d memo), %d misses on UDP 5-tuples; conntrack open: %d (UDP untracked)\n",
-		r.FlowStats.Hits, r.MemoHits, r.FlowStats.Misses, r.Conntrack.Open)
+	fmt.Fprintf(&b, "flow cache: %d hits (+%d memo), %d misses on UDP 5-tuples; conntrack: %d established, %d open (UDP untracked)\n",
+		r.FlowHits, r.MemoHits, r.FlowMisses, r.ConnsEstablished, r.ConnsOpen)
 	return b.String()
 }

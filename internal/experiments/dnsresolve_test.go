@@ -38,16 +38,16 @@ func TestDNSResolutionEndToEnd(t *testing.T) {
 	// UDP flows are cached on the 5-tuple: per functionality one miss,
 	// repeats hit (3 sockets → 3 misses; files repeats 2×, c2 repeats 1×
 	// against its cached drop).
-	if res.FlowStats.Misses != 3 {
-		t.Fatalf("flow misses = %d, want 3 (one per UDP socket)", res.FlowStats.Misses)
+	if res.FlowMisses != 3 {
+		t.Fatalf("flow misses = %d, want 3 (one per UDP socket)", res.FlowMisses)
 	}
-	if res.FlowStats.Hits+res.MemoHits != 3 {
+	if res.FlowHits+res.MemoHits != 3 {
 		t.Fatalf("flow hits = %d + memo %d, want 3 (repeat queries cached)",
-			res.FlowStats.Hits, res.MemoHits)
+			res.FlowHits, res.MemoHits)
 	}
 	// Connectionless: nothing tracked, nothing closed.
-	if res.Conntrack.Established != 0 || res.Conntrack.Open != 0 {
-		t.Fatalf("conntrack tracked UDP: %+v", res.Conntrack)
+	if res.ConnsEstablished != 0 || res.ConnsOpen != 0 {
+		t.Fatalf("conntrack tracked UDP: %d established, %d open", res.ConnsEstablished, res.ConnsOpen)
 	}
 	out := res.Format()
 	for _, want := range []string{"DNS over UDP", "files.corp.example", "blocked at gateway: 2"} {

@@ -101,7 +101,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := tb.Manager.Stats()
+	hits, misses := tb.count("bp_contextmgr_tag_table_hits_total"), tb.count("bp_contextmgr_tag_table_misses_total")
 	return &Fig3Result{
 		CorpusSize:       len(tb.Apps),
 		Events:           cfg.MonkeyEvents,
@@ -109,9 +109,9 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		PaperHistogram:   []int{152, 53, 8, 3, 2},
 		PaperAppsWithIoI: 218,
 		MeanCoverage:     coverage / float64(len(tb.Apps)),
-		TaggedConnects:   int(cm.SocketsTagged),
+		TaggedConnects:   int(tb.count("bp_contextmgr_sockets_tagged_total")),
 		CallSites:        callSites,
-		TagCacheHitRate:  float64(cm.TagCacheHits) / float64(max(1, cm.TagCacheHits+cm.TagCacheMisses)),
+		TagCacheHitRate:  float64(hits) / float64(max(1, hits+misses)),
 	}, nil
 }
 

@@ -404,26 +404,25 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	// gateway in exactly one watch round — counters and generations, not
 	// sleeps.
 	type before struct{ rounds, applied, gen uint64 }
+	applied := metrics.L("outcome", "applied")
 	b4 := make([]before, len(members))
 	for i, m := range members {
-		s := m.tb.Policy.Stats()
-		b4[i] = before{s.WatchRounds, s.Applied, m.tb.Engine.Generation()}
+		b4[i] = before{m.tb.count("bp_policy_watch_rounds_total"), m.tb.count("bp_policy_reloads_total", applied), m.tb.Engine.Generation()}
 	}
 	hub.Set(fleetPolicyDoc(cfg.Gateways, true))
 	deadline := time.Now().Add(30 * time.Second)
 	for i, m := range members {
-		for m.tb.Policy.Stats().WatchRounds == b4[i].rounds {
+		for m.tb.count("bp_policy_watch_rounds_total") == b4[i].rounds {
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("fleet: %s: policy push did not complete a watch round", m.name)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
-		s := m.tb.Policy.Stats()
 		rep := &res.PerGateway[i]
 		rep.Name = m.name
 		rep.Devices = cfg.DevicesPerGateway
-		rep.PushWatchRounds = s.WatchRounds - b4[i].rounds
-		rep.PushApplied = s.Applied - b4[i].applied
+		rep.PushWatchRounds = m.tb.count("bp_policy_watch_rounds_total") - b4[i].rounds
+		rep.PushApplied = m.tb.count("bp_policy_reloads_total", applied) - b4[i].applied
 		rep.PushGenerations = m.tb.Engine.Generation() - b4[i].gen
 	}
 

@@ -19,6 +19,7 @@ import (
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -142,9 +143,12 @@ func TestFleetSharedGatewayEnforcement(t *testing.T) {
 		}
 	}
 
-	st := enf.Stats()
-	if st.Processed != devices*2 || st.Dropped != devices {
-		t.Fatalf("shared enforcer stats = %+v", st)
+	reg := metrics.NewRegistry()
+	enf.RegisterMetrics(reg)
+	processed, _ := reg.Value("bp_enforcer_verdicts_total")
+	dropped, _ := reg.Value("bp_enforcer_verdicts_total", metrics.L("decision", "drop"))
+	if processed != devices*2 || dropped != devices {
+		t.Fatalf("shared enforcer: %v processed, %v dropped; want %d, %d", processed, dropped, devices*2, devices)
 	}
 }
 

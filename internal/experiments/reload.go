@@ -9,8 +9,8 @@ import (
 
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
 	"borderpatrol/internal/trackers"
@@ -75,11 +75,12 @@ type ReloadResult struct {
 	// the flow cache invalidates on every step, so this must equal Swaps
 	// (exactly one bump per applied swap).
 	GenerationDelta uint64
-	// StoreStats snapshots the policy store; FlowStats the verdict cache.
-	StoreStats policystore.Stats
-	// FlowStats snapshots the flow cache (StaleDrops are entries discarded
-	// because their generation predated a swap).
-	FlowStats flowtable.Stats
+	// Version and Rules are the store's last-good policy after the run.
+	Version string
+	Rules   uint64
+	// FlowHits and FlowStaleDrops read the flow cache; stale drops are
+	// entries discarded because their generation predated a swap.
+	FlowHits, FlowStaleDrops uint64
 }
 
 // String renders a paper-style summary.
@@ -87,10 +88,10 @@ func (r *ReloadResult) String() string {
 	return fmt.Sprintf(
 		"reload under load: %d pool packets (%d divergent), %d processed; "+
 			"%d swaps + %d rejected; torn verdicts: %d; old/new split %d/%d; "+
-			"generation Δ%d; flow cache %d hits / %d stale",
+			"generation Δ%d; flow cache %d hits / %d stale; policy %s (%d rules)",
 		r.Packets, r.DivergentPool, r.Processed, r.Swaps, r.RejectedSwaps,
 		r.TornVerdicts, r.VerdictsOld, r.VerdictsNew, r.GenerationDelta,
-		r.FlowStats.Hits, r.FlowStats.StaleDrops)
+		r.FlowHits, r.FlowStaleDrops, r.Version, r.Rules)
 }
 
 // RunReloadUnderLoad builds a testbed whose engine is fed by a file-backed
@@ -205,7 +206,8 @@ func RunReloadUnderLoad(cfg ReloadConfig) (*ReloadResult, error) {
 	}
 
 	genStart := tb.Engine.Generation()
-	appliedStart := tb.Policy.Stats().Applied
+	applied := metrics.L("outcome", "applied")
+	appliedStart := tb.count("bp_policy_reloads_total", applied)
 
 	var processed, torn, oldHits, newHits atomic.Uint64
 	stop := make(chan struct{})
@@ -224,7 +226,7 @@ func RunReloadUnderLoad(cfg ReloadConfig) (*ReloadResult, error) {
 				return
 			}
 			// Malformed candidates must fail here; that failure (and the
-			// last-good keep) is asserted via StoreStats after the run.
+			// last-good keep) is asserted from the counts after the run.
 			_, _ = tb.Policy.Reload()
 		}
 	}()
@@ -268,10 +270,10 @@ func RunReloadUnderLoad(cfg ReloadConfig) (*ReloadResult, error) {
 	res.TornVerdicts = torn.Load()
 	res.VerdictsOld = oldHits.Load()
 	res.VerdictsNew = newHits.Load()
-	res.StoreStats = tb.Policy.Stats()
-	res.Swaps = res.StoreStats.Applied - appliedStart
-	res.RejectedSwaps = res.StoreStats.Failures
+	res.Swaps = tb.count("bp_policy_reloads_total", applied) - appliedStart
+	res.RejectedSwaps = tb.count("bp_policy_reloads_total", metrics.L("outcome", "failed"))
 	res.GenerationDelta = tb.Engine.Generation() - genStart
-	res.FlowStats = tb.Enforcer.Stats().Flow
+	res.Version, res.Rules = tb.Policy.Version(), tb.count("bp_policy_rules")
+	res.FlowHits, res.FlowStaleDrops = tb.count("bp_flowtable_hits_total"), tb.count("bp_flowtable_stale_drops_total")
 	return res, nil
 }

@@ -25,17 +25,17 @@ func TestRunReloadUnderLoad(t *testing.T) {
 		t.Fatal("rule sets A and B agree on every pool packet; the experiment proves nothing")
 	}
 	if res.Swaps == 0 {
-		t.Fatalf("no swaps applied: %+v", res.StoreStats)
+		t.Fatalf("no swaps applied: %s", res)
 	}
 	if res.GenerationDelta != res.Swaps {
 		t.Fatalf("generation moved %d for %d swaps (must be exactly one bump per swap)",
 			res.GenerationDelta, res.Swaps)
 	}
 	if res.RejectedSwaps == 0 {
-		t.Fatalf("no malformed candidate was injected/rejected: %+v", res.StoreStats)
+		t.Fatalf("no malformed candidate was injected/rejected: %s", res)
 	}
-	if res.StoreStats.Version == "" || res.StoreStats.Rules == 0 {
-		t.Fatalf("store lost its last-good state: %+v", res.StoreStats)
+	if res.Version == "" || res.Rules == 0 {
+		t.Fatalf("store lost its last-good state: %s", res)
 	}
 	// Traffic must have observed both sides of swaps (otherwise the run
 	// did not actually race reloads against enforcement).
@@ -48,7 +48,7 @@ func TestRunReloadUnderLoad(t *testing.T) {
 	}
 	// Every swap invalidates cached verdicts; the cache must have observed
 	// stale entries (generation mismatches) during the churn.
-	if res.FlowStats.StaleDrops == 0 {
-		t.Fatalf("flow cache never invalidated on swap: %+v", res.FlowStats)
+	if res.FlowStaleDrops == 0 {
+		t.Fatalf("flow cache never invalidated on swap: %s", res)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
@@ -172,13 +172,15 @@ type SoakResult struct {
 	// leak-trend detection over them.
 	Snapshots []SoakSnapshot
 
-	// Faults snapshots the injected-fault counters.
-	Faults netsim.FaultStats
-	// Conntrack and FlowStats snapshot the final tracker/cache state.
-	Conntrack netsim.ConntrackStats
-	FlowStats flowtable.Stats
-	// StoreStats snapshots the policy store.
-	StoreStats policystore.Stats
+	// Faults counts the injected wire faults by stage, as labelled on
+	// bp_netsim_faults_total ("drop", "duplicate", "reorder", "delay",
+	// "corrupt", "truncate").
+	Faults map[string]uint64
+	// ResponsesChecked, ResponseAdopts and ResponseSeqDrops are the
+	// response-direction check's checked, adopted and seq_drop outcomes over
+	// the whole run, restarts included; DupCloses the tracker's redundant
+	// teardowns (duplicated FINs).
+	ResponsesChecked, ResponseAdopts, ResponseSeqDrops, DupCloses uint64
 }
 
 // String renders a paper-style summary.
@@ -186,12 +188,14 @@ func (r *SoakResult) String() string {
 	return fmt.Sprintf(
 		"soak: %d packets over %v virtual (%d epochs): %d delivered / %d dropped; "+
 			"faults %d drop %d dup %d reorder %d corrupt %d truncate; "+
+			"responses %d checked (%d adopted); %d duplicate closes; "+
 			"%d swaps + %d rejected, %d restarts, %d outages (%d degraded enters); "+
 			"fail-safe violations: %d; verdict mismatches: %d; "+
 			"leaks: %d conns, %d flows, %d goroutines; heap Δ%d KiB",
 		r.Packets, r.VirtualTime.Round(time.Second), r.Epochs, r.Delivered, r.Dropped,
-		r.Faults.Drops, r.Faults.Duplicates, r.Faults.Reorders,
-		r.Faults.Corruptions, r.Faults.Truncations,
+		r.Faults["drop"], r.Faults["duplicate"], r.Faults["reorder"],
+		r.Faults["corrupt"], r.Faults["truncate"],
+		r.ResponsesChecked, r.ResponseAdopts, r.DupCloses,
 		r.Swaps, r.RejectedSwaps, r.Restarts, r.Outages, r.DegradedEnters,
 		r.FailSafeViolations, r.VerdictMismatches,
 		r.ConnsLeaked, r.FlowsLeaked, r.GoroutinesLeaked, r.HeapGrowth/1024)
@@ -206,10 +210,10 @@ func (r *SoakResult) Check() error {
 		return fmt.Errorf("soak: %d verdicts diverged from reference", r.VerdictMismatches)
 	case r.SpuriousResponseDrops != 0:
 		return fmt.Errorf("soak: %d clean responses dropped as seq injections", r.SpuriousResponseDrops)
-	case r.Conntrack.ResponsesChecked == 0:
+	case r.ResponsesChecked == 0:
 		return fmt.Errorf("soak: response-direction continuity check never exercised")
-	case r.Conntrack.ResponseSeqDrops != 0:
-		return fmt.Errorf("soak: bp_conntrack_responses_total{outcome=\"seq_drop\"} = %d in clean traffic", r.Conntrack.ResponseSeqDrops)
+	case r.ResponseSeqDrops != 0:
+		return fmt.Errorf("soak: bp_conntrack_responses_total{outcome=\"seq_drop\"} = %d in clean traffic", r.ResponseSeqDrops)
 	case r.ConnsLeaked != 0:
 		return fmt.Errorf("soak: %d conntrack entries leaked", r.ConnsLeaked)
 	case r.FlowsLeaked != 0:
@@ -417,7 +421,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	gw := tb.Network.Gateway
 	res := &SoakResult{Outages: cfg.Outages}
 	clockStart := tb.Network.Clock.Now()
-	appliedStart := tb.Policy.Stats().Applied
+	applied := metrics.L("outcome", "applied")
+	appliedStart := tb.count("bp_policy_reloads_total", applied)
 
 	// Epoch plan: enough epochs to push cfg.Packets, with swaps, restarts,
 	// and outages spread across them.
@@ -612,10 +617,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				Epoch:        res.Epochs,
 				VirtualTime:  tb.Network.Clock.Now() - clockStart,
 				Packets:      res.Packets,
-				ConnsOpen:    gw.Conntrack().Open,
-				FlowsLive:    tb.Enforcer.Stats().Flow.Live,
+				ConnsOpen:    int(tb.count("bp_conntrack_connections", metrics.L("state", "open"))),
+				FlowsLive:    int(tb.count("bp_flowtable_live")),
 				HeapBytes:    heapInUse(),
-				AuditPending: tb.Audit.Stats().Pending,
+				AuditPending: tb.count("bp_audit_queue_depth"),
 			})
 		}
 	}
@@ -626,16 +631,16 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	conns, flows := gw.GC(soakConnIdle)
 	res.GCConnsReclaimed += conns
 	res.GCFlowsReclaimed += flows
-	res.Conntrack = gw.Conntrack()
-	res.FlowStats = tb.Enforcer.Stats().Flow
-	res.ConnsLeaked = res.Conntrack.Open
-	res.FlowsLeaked = res.FlowStats.Live
-	res.StoreStats = tb.Policy.Stats()
-	res.Swaps = res.StoreStats.Applied - appliedStart
+	res.ConnsLeaked = int(tb.count("bp_conntrack_connections", metrics.L("state", "open")))
+	res.FlowsLeaked = int(tb.count("bp_flowtable_live"))
+	res.Swaps = tb.count("bp_policy_reloads_total", applied) - appliedStart
 	// Failures = malformed candidates + one failed fetch per outage.
-	res.RejectedSwaps = res.StoreStats.Failures - res.DegradedEnters
+	res.RejectedSwaps = tb.count("bp_policy_reloads_total", metrics.L("outcome", "failed")) - res.DegradedEnters
 	res.Restarts = gw.Restarts()
-	res.Faults = tb.Network.FaultStats()
+	res.Faults = tb.byLabel("bp_netsim_faults_total")
+	outcome := func(o string) uint64 { return tb.count("bp_conntrack_responses_total", metrics.L("outcome", o)) }
+	res.ResponsesChecked, res.ResponseAdopts, res.ResponseSeqDrops = outcome("checked"), outcome("adopted"), outcome("seq_drop")
+	res.DupCloses = tb.count("bp_conntrack_transitions_total", metrics.L("kind", "dup_close"))
 	res.VirtualTime = tb.Network.Clock.Now() - clockStart
 
 	// Shutdown, then the hand-rolled goroutine-leak check: the audit

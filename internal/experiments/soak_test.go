@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policystore"
 )
 
@@ -75,10 +74,10 @@ func assertSoakShape(t *testing.T, res *SoakResult, cfg SoakConfig) {
 	if res.Swaps == 0 || res.RejectedSwaps == 0 {
 		t.Errorf("swaps = %d applied / %d rejected, want both > 0", res.Swaps, res.RejectedSwaps)
 	}
-	f := res.Faults
-	if f.Drops == 0 || f.Duplicates == 0 || f.Reorders == 0 ||
-		f.Corruptions == 0 || f.Truncations == 0 || f.Delays == 0 {
-		t.Errorf("fault plan under-exercised: %+v", f)
+	for _, stage := range []string{"drop", "duplicate", "reorder", "corrupt", "truncate", "delay"} {
+		if res.Faults[stage] == 0 {
+			t.Errorf("fault plan under-exercised: no %s in %v", stage, res.Faults)
+		}
 	}
 	if res.GCConnsReclaimed == 0 {
 		t.Error("idle GC never reclaimed a half-open connection (lost FINs should produce them)")
@@ -86,14 +85,13 @@ func assertSoakShape(t *testing.T, res *SoakResult, cfg SoakConfig) {
 	if res.Delivered == 0 {
 		t.Error("nothing was delivered")
 	}
-	ct := res.Conntrack
-	if ct.DupCloses == 0 {
+	if res.DupCloses == 0 {
 		t.Error("no duplicate closes observed (duplicated FINs should produce them)")
 	}
-	if ct.ResponsesChecked == 0 {
+	if res.ResponsesChecked == 0 {
 		t.Error("response-direction continuity check never ran")
 	}
-	if ct.ResponseAdopts == 0 {
+	if res.ResponseAdopts == 0 {
 		t.Error("no mid-stream adoptions (restarts wipe the tracker; their responses should re-prime)")
 	}
 	if len(res.Snapshots) < 10 {
@@ -110,7 +108,7 @@ func assertSoakShape(t *testing.T, res *SoakResult, cfg SoakConfig) {
 // into Check: a steadily climbing conntrack (the half-open-leak signature)
 // must fail the run even though every end-state field is clean.
 func TestLeakTrendDetectsMonotoneGrowth(t *testing.T) {
-	res := &SoakResult{Conntrack: netsim.ConntrackStats{ResponsesChecked: 1}}
+	res := &SoakResult{ResponsesChecked: 1}
 	for i := 0; i < 16; i++ {
 		res.Snapshots = append(res.Snapshots, SoakSnapshot{
 			Epoch:     i + 1,
@@ -125,7 +123,7 @@ func TestLeakTrendDetectsMonotoneGrowth(t *testing.T) {
 }
 
 func TestLeakTrendIgnoresHealthyChurn(t *testing.T) {
-	res := &SoakResult{Conntrack: netsim.ConntrackStats{ResponsesChecked: 1}}
+	res := &SoakResult{ResponsesChecked: 1}
 	for i := 0; i < 16; i++ {
 		res.Snapshots = append(res.Snapshots, SoakSnapshot{
 			Epoch:     i + 1,

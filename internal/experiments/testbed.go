@@ -275,13 +275,28 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	if tb.Policy != nil {
 		tb.Policy.RegisterMetrics(tb.Metrics)
 	}
-	tb.Metrics.CounterFunc("bp_contextmgr_sockets_tagged_total", "Sockets the Context Manager tagged.",
-		func() uint64 { return tb.Manager.Stats().SocketsTagged })
-	tb.Metrics.CounterFunc("bp_contextmgr_tag_failures_total", "Sockets the Context Manager failed to tag (setsockopt errors).",
-		func() uint64 { return tb.Manager.Stats().TagFailures })
-	tb.Metrics.CounterFunc("bp_sanitizer_cleansed_total", "Packets the sanitizer stripped options from.",
-		func() uint64 { return san.Stats().Cleansed })
+	tb.Manager.RegisterMetrics(tb.Metrics)
+	san.RegisterMetrics(tb.Metrics)
 	return tb, nil
+}
+
+// count reads one series of the deployment's registry; labels narrow a
+// family (no labels sums it).
+func (tb *Testbed) count(family string, labels ...metrics.Label) uint64 {
+	v, _ := tb.Metrics.Value(family, labels...)
+	return uint64(v)
+}
+
+// byLabel reads a family whose series carry one label: the nonzero series,
+// keyed by that label's value.
+func (tb *Testbed) byLabel(family string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, smp := range tb.Metrics.Snapshot() {
+		if smp.Name == family && smp.Value != 0 {
+			out[smp.Labels[0].Value] = uint64(smp.Value)
+		}
+	}
+	return out
 }
 
 // InstallApp analyzes apk into the signature database (the Offline

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"borderpatrol/internal/apkgen"
-	"borderpatrol/internal/audit"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/trackers"
@@ -38,16 +36,14 @@ type ValidationResult struct {
 	BrokenApps int
 	// PerLibrary summarizes drops per deny-listed library observed.
 	PerLibrary map[string]int
-	// EngineStats snapshots the compiled policy engine's counters after the
-	// enforced run: every packet paid only indexed probes against the
-	// 1,050-rule set, never a linear scan.
-	EngineStats policy.Stats
-	// FlowStats snapshots the enforced run's per-flow verdict cache:
-	// repeat packets of a functionality's flow skip the pipeline entirely.
-	FlowStats flowtable.Stats
-	// AuditStats snapshots the enforced run's async audit pipeline: every
-	// enforcement decision must be recorded and none shed.
-	AuditStats audit.Stats
+	// FlowHits, FlowMisses and FlowsLive read the enforced run's per-flow
+	// verdict cache: repeat packets of a functionality's flow skip the
+	// pipeline entirely.
+	FlowHits, FlowMisses, FlowsLive uint64
+	// AuditRecorded, AuditDropped and AuditFlushes read the enforced run's
+	// async audit pipeline: every enforcement decision must be recorded and
+	// none shed.
+	AuditRecorded, AuditDropped, AuditFlushes uint64
 }
 
 // ValidationConfig parameterizes the experiment.
@@ -182,15 +178,16 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 		}
 	}
 	res.LibrariesCovered = len(covered)
-	res.EngineStats = tbOn.Engine.Stats()
-	res.FlowStats = tbOn.Enforcer.Stats().Flow
-	// Flush the async audit pipeline so the snapshot covers every decision
-	// of the run (the deferred Closes release both drainers; Close is
+	res.FlowHits, res.FlowMisses = tbOn.count("bp_flowtable_hits_total"), tbOn.count("bp_flowtable_misses_total")
+	res.FlowsLive = tbOn.count("bp_flowtable_live")
+	// Flush the async audit pipeline so the counts cover every decision of
+	// the run (the deferred Closes release both drainers; Close is
 	// idempotent).
 	if err := tbOn.Close(); err != nil {
 		return nil, fmt.Errorf("validation: audit: %w", err)
 	}
-	res.AuditStats = tbOn.Audit.Stats()
+	res.AuditRecorded, res.AuditDropped = tbOn.count("bp_audit_recorded_total"), tbOn.count("bp_audit_dropped_total")
+	res.AuditFlushes = tbOn.count("bp_audit_flushes_total")
 	return res, nil
 }
 
@@ -256,8 +253,8 @@ func (r *ValidationResult) Format() string {
 		fmt.Fprintf(&b, "  %-40s %d packets dropped\n", l, r.PerLibrary[l])
 	}
 	fmt.Fprintf(&b, "flow cache: %d hits, %d misses, %d live flows\n",
-		r.FlowStats.Hits, r.FlowStats.Misses, r.FlowStats.Live)
+		r.FlowHits, r.FlowMisses, r.FlowsLive)
 	fmt.Fprintf(&b, "audit: %d decisions recorded, %d dropped, %d flush bursts\n",
-		r.AuditStats.Recorded, r.AuditStats.Dropped, r.AuditStats.Flushes)
+		r.AuditRecorded, r.AuditDropped, r.AuditFlushes)
 	return b.String()
 }

@@ -186,30 +186,6 @@ type Config struct {
 	MissRing int
 }
 
-// Stats snapshots the table's counters.
-type Stats struct {
-	// Hits are lookups served from cache.
-	Hits uint64
-	// Misses are lookups that found nothing usable (includes stale and
-	// expired entries).
-	Misses uint64
-	// Inserts counts entries written.
-	Inserts uint64
-	// Evictions counts entries removed under capacity pressure.
-	Evictions uint64
-	// StaleDrops counts entries discarded because the generation moved
-	// (policy or database update invalidated them).
-	StaleDrops uint64
-	// ExpiredDrops counts entries discarded after sitting idle past the TTL.
-	ExpiredDrops uint64
-	// AdmissionDrops counts inserts turned away by the negative-cache
-	// admission guard (first-seen keys hitting a full shard — the
-	// unique-flow-flood signature).
-	AdmissionDrops uint64
-	// Live is the number of entries currently in the table.
-	Live int
-}
-
 // slot is one cell of a shard's slab: a cached flow, or a link in the free
 // list. lastUsed (LRU recency and idle-TTL origin) is atomic so hits under the
 // shard RLock can refresh it without a write lock; the other fields change
@@ -570,17 +546,3 @@ func (t *Table[V]) Purge() {
 
 // Len returns the number of live entries: one atomic load, no shard lock.
 func (t *Table[V]) Len() int { return int(t.live.Load()) }
-
-// Stats snapshots the counters.
-func (t *Table[V]) Stats() Stats {
-	return Stats{
-		Hits:           t.hits.Load(),
-		Misses:         t.misses.Load(),
-		Inserts:        t.inserts.Load(),
-		Evictions:      t.evictions.Load(),
-		StaleDrops:     t.stale.Load(),
-		ExpiredDrops:   t.expired.Load(),
-		AdmissionDrops: t.admissionDrops.Load(),
-		Live:           t.Len(),
-	}
-}

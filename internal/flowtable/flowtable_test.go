@@ -6,7 +6,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"borderpatrol/internal/metrics"
 )
+
+// count reads one of the table's bp_flowtable_* series by its name suffix
+// ("hits_total", "live").
+func count[V any](tb *Table[V], series string) uint64 {
+	r := metrics.NewRegistry()
+	tb.RegisterMetrics(r)
+	v, _ := r.Value("bp_flowtable_" + series)
+	return uint64(v)
+}
 
 // tickClock is a hand-cranked virtual clock for TTL tests.
 type tickClock struct {
@@ -46,9 +57,9 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 	if !ok || v != "allow" {
 		t.Fatalf("lookup = %q, %v", v, ok)
 	}
-	st := tb.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 || st.Live != 1 {
-		t.Fatalf("stats = %+v", st)
+	hits, misses, inserts, live := count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "inserts_total"), count(tb, "live")
+	if hits != 1 || misses != 1 || inserts != 1 || live != 1 {
+		t.Fatalf("hits/misses/inserts/live = %d/%d/%d/%d", hits, misses, inserts, live)
 	}
 }
 
@@ -64,9 +75,8 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Fatalf("stale entry retained, live=%d", tb.Len())
 	}
-	st := tb.Stats()
-	if st.StaleDrops != 1 {
-		t.Fatalf("stale drops = %d, want 1", st.StaleDrops)
+	if n := count(tb, "stale_drops_total"); n != 1 {
+		t.Fatalf("stale drops = %d, want 1", n)
 	}
 	// Re-inserting under the new generation works.
 	tb.Insert(k, 2, "drop")
@@ -101,8 +111,9 @@ func TestTTLExpiry(t *testing.T) {
 	if _, ok := tb.Lookup(k, 1); ok {
 		t.Fatal("expired entry still mapped")
 	}
-	if st := tb.Stats(); st.ExpiredDrops != 1 || st.Hits != 21 || st.Misses != 2 || st.Live != 0 {
-		t.Fatalf("stats = %+v, want 1 expiry, 21 hits, 2 misses, 0 live", st)
+	expired, hits, misses, live := count(tb, "expired_drops_total"), count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live")
+	if expired != 1 || hits != 21 || misses != 2 || live != 0 {
+		t.Fatalf("expired/hits/misses/live = %d/%d/%d/%d, want 1 expiry, 21 hits, 2 misses, 0 live", expired, hits, misses, live)
 	}
 	tb.Insert(k, 1, 43)
 	clk.advance(ttl)
@@ -144,8 +155,8 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 			t.Fatalf("recently used flow %d evicted", i)
 		}
 	}
-	if st := tb.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if n := count(tb, "evictions_total"); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
 }
 
@@ -164,8 +175,8 @@ func TestEvictionPrefersExpired(t *testing.T) {
 			t.Fatalf("fresh flow %d reclaimed instead of the expired one", i)
 		}
 	}
-	if st := tb.Stats(); st.Evictions != 0 || st.ExpiredDrops == 0 {
-		t.Fatalf("stats = %+v, want expired reclaim and no LRU eviction", st)
+	if ev, ex := count(tb, "evictions_total"), count(tb, "expired_drops_total"); ev != 0 || ex == 0 {
+		t.Fatalf("evictions/expired = %d/%d, want expired reclaim and no LRU eviction", ev, ex)
 	}
 }
 
@@ -289,11 +300,10 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	st := tb.Stats()
-	if st.Hits == 0 || st.Inserts == 0 {
-		t.Fatalf("no traffic recorded: %+v", st)
+	if hits, inserts := count(tb, "hits_total"), count(tb, "inserts_total"); hits == 0 || inserts == 0 {
+		t.Fatalf("no traffic recorded: hits=%d inserts=%d", hits, inserts)
 	}
-	if st.Live > 256 {
-		t.Fatalf("capacity exceeded: live=%d", st.Live)
+	if live := count(tb, "live"); live > 256 {
+		t.Fatalf("capacity exceeded: live=%d", live)
 	}
 }

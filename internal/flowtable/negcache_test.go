@@ -37,12 +37,11 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	for i := uint64(1000); i < 2000; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 	}
-	st := tab.Stats()
-	if st.AdmissionDrops != 1000 {
-		t.Fatalf("admission drops = %d, want 1000", st.AdmissionDrops)
+	if n := count(tab, "admission_drops_total"); n != 1000 {
+		t.Fatalf("admission drops = %d, want 1000", n)
 	}
-	if st.Evictions != 0 {
-		t.Fatalf("flood evicted %d live flows", st.Evictions)
+	if n := count(tab, "evictions_total"); n != 0 {
+		t.Fatalf("flood evicted %d live flows", n)
 	}
 	// Every established flow still serves hits.
 	for i := uint64(0); i < 64; i++ {
@@ -69,9 +68,8 @@ func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
 	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
-	st := tab.Stats()
-	if st.AdmissionDrops != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 1 admission drop + 1 eviction", st)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
+		t.Fatalf("admission drops/evictions = %d/%d, want 1 admission drop + 1 eviction", ad, ev)
 	}
 }
 
@@ -85,8 +83,8 @@ func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
 			t.Fatalf("insert %d not admitted below capacity", i)
 		}
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 0 {
-		t.Fatalf("admission drops below capacity: %+v", st)
+	if n := count(tab, "admission_drops_total"); n != 0 {
+		t.Fatalf("admission drops below capacity: %d", n)
 	}
 }
 
@@ -97,12 +95,11 @@ func TestAdmissionGuardDisabledByDefault(t *testing.T) {
 	for i := uint64(0); i < 16; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 	}
-	st := tab.Stats()
-	if st.AdmissionDrops != 0 {
-		t.Fatalf("guard engaged while disabled: %+v", st)
+	if n := count(tab, "admission_drops_total"); n != 0 {
+		t.Fatalf("guard engaged while disabled: %d admission drops", n)
 	}
-	if st.Evictions != 8 {
-		t.Fatalf("evictions = %d, want 8", st.Evictions)
+	if n := count(tab, "evictions_total"); n != 8 {
+		t.Fatalf("evictions = %d, want 8", n)
 	}
 }
 
@@ -124,8 +121,8 @@ func TestAdmissionGuardReinsertAfterInvalidation(t *testing.T) {
 	if v, ok := tab.Lookup(hot, 2); !ok || v != 3 {
 		t.Fatal("re-insert after invalidation rejected")
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 0 {
-		t.Fatalf("invalidation path tripped the guard: %+v", st)
+	if n := count(tab, "admission_drops_total"); n != 0 {
+		t.Fatalf("invalidation path tripped the guard: %d admission drops", n)
 	}
 }
 
@@ -153,9 +150,9 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
 		t.Fatal("first-seen key refused although its sample held an expired slot")
 	}
-	st := tab.Stats()
-	if st.AdmissionDrops != 0 || st.Evictions != 0 || st.ExpiredDrops != 1 {
-		t.Fatalf("stats = %+v, want the expired slot reclaimed and nothing refused or evicted", st)
+	ad, ev, ex := count(tab, "admission_drops_total"), count(tab, "evictions_total"), count(tab, "expired_drops_total")
+	if ad != 0 || ev != 0 || ex != 1 {
+		t.Fatalf("admission drops/evictions/expired = %d/%d/%d, want the expired slot reclaimed and nothing refused or evicted", ad, ev, ex)
 	}
 	if s := &tab.shards[0]; s.missPos != 0 || slices.ContainsFunc(s.missRing, func(h uint64) bool { return h != 0 }) {
 		t.Fatalf("admission ring touched: pos %d, ring %v", s.missPos, s.missRing)
@@ -182,15 +179,15 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 	if _, ok := tab.Lookup(newcomer, 1); ok {
 		t.Fatal("first-seen key admitted into a full shard of live flows")
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 0 || tab.Len() != 8 {
-		t.Fatalf("after the refusal: stats %+v, live %d; want 1 drop, 0 evictions, 8 live", st, tab.Len())
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || tab.Len() != 8 {
+		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, 8 live", ad, ev, tab.Len())
 	}
 	tab.Insert(newcomer, 1, 77)
 	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 1 {
-		t.Fatalf("after the admission: stats %+v, want 1 drop + 1 eviction", st)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
+		t.Fatalf("after the admission: %d drops, %d evictions, want 1 drop + 1 eviction", ad, ev)
 	}
 }
 
@@ -207,11 +204,11 @@ func TestAdmissionGuardWithoutTTLAsksRingFirst(t *testing.T) {
 	if hand := tab.shards[0].hand; hand != 0 {
 		t.Fatalf("refused insert sampled the slab: hand moved to %d", hand)
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 1 admission drop, no eviction", st)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 {
+		t.Fatalf("admission drops/evictions = %d/%d, want 1 admission drop, no eviction", ad, ev)
 	}
 	tab.Insert(newcomer, 1, 77)
-	if st := tab.Stats(); st.AdmissionDrops != 1 || st.Evictions != 1 || tab.shards[0].hand == 0 {
-		t.Fatalf("second attempt: stats %+v, hand %d; want it admitted over the sample's LRU", st, tab.shards[0].hand)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 || tab.shards[0].hand == 0 {
+		t.Fatalf("second attempt: %d drops, %d evictions, hand %d; want it admitted over the sample's LRU", ad, ev, tab.shards[0].hand)
 	}
 }

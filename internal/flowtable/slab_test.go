@@ -1,6 +1,8 @@
 package flowtable
 
 import (
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,8 +31,8 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 	if _, ok := tab.Lookup(newcomer, 1); ok {
 		t.Fatal("key noted before the purge was admitted on its first attempt after it")
 	}
-	if st := tab.Stats(); st.AdmissionDrops != 2 || st.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 2 admission drops and no eviction", st)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 2 || ev != 0 {
+		t.Fatalf("admission drops/evictions = %d/%d, want 2 admission drops and no eviction", ad, ev)
 	}
 }
 
@@ -70,8 +72,8 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 	if n := tab.Len(); n != capacity {
 		t.Fatalf("live = %d, want the shard full (%d)", n, capacity)
 	}
-	if st := tab.Stats(); st.StaleDrops == 0 || st.Evictions == 0 {
-		t.Fatalf("stats = %+v, want both stale drops and evictions", st)
+	if sd, ev := count(tab, "stale_drops_total"), count(tab, "evictions_total"); sd == 0 || ev == 0 {
+		t.Fatalf("stale drops/evictions = %d/%d, want both", sd, ev)
 	}
 	next := fresh
 	allocs := testing.AllocsPerRun(100, func() {
@@ -85,8 +87,9 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 
 // mixedScript drives one goroutine's worth of every table operation —
 // fills past capacity, hits, stale and expired probes, refused and
-// admitted inserts, deletes, a sweep — and returns the closing Stats.
-func mixedScript(tab *Table[int], clk *tickClock) Stats {
+// admitted inserts, deletes, a sweep — and returns the closing value of
+// every bp_flowtable_* series.
+func mixedScript(tab *Table[int], clk *tickClock) map[string]float64 {
 	gen := uint64(1)
 	for i := 0; i < 4000; i++ {
 		n := i % 50 // a hot set that fits the table...
@@ -108,29 +111,37 @@ func mixedScript(tab *Table[int], clk *tickClock) Stats {
 			tab.Sweep()
 		}
 	}
-	return tab.Stats()
+	reg := metrics.NewRegistry()
+	tab.RegisterMetrics(reg)
+	out := make(map[string]float64)
+	for _, smp := range reg.Snapshot() {
+		out[strings.TrimPrefix(smp.Name, "bp_flowtable_")] = smp.Value
+	}
+	return out
 }
 
 // TestIdenticalRunsIdenticalStats: eviction draws on no random source and
 // no map order, so one script run twice ends in the same counters (the
 // repository benchmark's repeatability check leans on this).
 func TestIdenticalRunsIdenticalStats(t *testing.T) {
-	run := func() Stats {
+	run := func() map[string]float64 {
 		clk := &tickClock{}
 		return mixedScript(New[int](Config{Capacity: 256, Shards: 4, TTL: 10 * time.Millisecond, Clock: clk, MissRing: 16}), clk)
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
+	if !maps.Equal(a, b) {
+		t.Fatalf("two identical runs diverged:\n%v\n%v", a, b)
 	}
-	if a.Evictions == 0 || a.ExpiredDrops == 0 || a.StaleDrops == 0 || a.AdmissionDrops == 0 || a.Hits == 0 {
-		t.Fatalf("script left a path unexercised: %+v", a)
+	for _, s := range []string{"evictions_total", "expired_drops_total", "stale_drops_total", "admission_drops_total", "hits_total"} {
+		if a[s] == 0 {
+			t.Fatalf("script left %s unexercised: %v", s, a)
+		}
 	}
 }
 
-// TestScrapeMatchesStats: every bp_flowtable_* series reads the same value
-// Stats reports, the live gauge included, across inserts, evictions,
-// deletes and a purge.
+// TestScrapeMatchesStats: every bp_flowtable_* series reads the counter it
+// names, the live gauge included, across inserts, evictions, deletes and a
+// purge.
 func TestScrapeMatchesStats(t *testing.T) {
 	clk := &tickClock{}
 	tab := New[int](Config{Capacity: 256, Shards: 4, TTL: 10 * time.Millisecond, Clock: clk, MissRing: 16})
@@ -138,22 +149,21 @@ func TestScrapeMatchesStats(t *testing.T) {
 	tab.RegisterMetrics(reg)
 	check := func(when string) {
 		t.Helper()
-		st := tab.Stats()
 		want := map[string]float64{
-			"bp_flowtable_hits_total":            float64(st.Hits),
-			"bp_flowtable_misses_total":          float64(st.Misses),
-			"bp_flowtable_inserts_total":         float64(st.Inserts),
-			"bp_flowtable_evictions_total":       float64(st.Evictions),
-			"bp_flowtable_stale_drops_total":     float64(st.StaleDrops),
-			"bp_flowtable_expired_drops_total":   float64(st.ExpiredDrops),
-			"bp_flowtable_admission_drops_total": float64(st.AdmissionDrops),
-			"bp_flowtable_live":                  float64(st.Live),
+			"bp_flowtable_hits_total":            float64(tab.hits.Load()),
+			"bp_flowtable_misses_total":          float64(tab.misses.Load()),
+			"bp_flowtable_inserts_total":         float64(tab.inserts.Load()),
+			"bp_flowtable_evictions_total":       float64(tab.evictions.Load()),
+			"bp_flowtable_stale_drops_total":     float64(tab.stale.Load()),
+			"bp_flowtable_expired_drops_total":   float64(tab.expired.Load()),
+			"bp_flowtable_admission_drops_total": float64(tab.admissionDrops.Load()),
+			"bp_flowtable_live":                  float64(tab.Len()),
 		}
 		for _, smp := range reg.Snapshot() {
 			if v, ok := want[smp.Name]; !ok {
 				t.Fatalf("%s: unexpected family %s", when, smp.Name)
 			} else if v != smp.Value {
-				t.Fatalf("%s: %s scraped %v, Stats says %v", when, smp.Name, smp.Value, v)
+				t.Fatalf("%s: %s scraped %v, the table holds %v", when, smp.Name, smp.Value, v)
 			}
 			delete(want, smp.Name)
 		}
@@ -162,9 +172,8 @@ func TestScrapeMatchesStats(t *testing.T) {
 		}
 	}
 	check("empty")
-	st := mixedScript(tab, clk)
-	if st.Live == 0 || st.Live > 256 {
-		t.Fatalf("live = %d after the script", st.Live)
+	if live := mixedScript(tab, clk)["live"]; live == 0 || live > 256 {
+		t.Fatalf("live = %v after the script", live)
 	}
 	check("after the script")
 	tab.Purge()

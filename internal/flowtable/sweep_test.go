@@ -28,12 +28,11 @@ func TestSweepReclaimsExpired(t *testing.T) {
 	if got := tb.Sweep(); got != 5 {
 		t.Fatalf("sweep reclaimed %d, want the 5 idle flows", got)
 	}
-	st := tb.Stats()
-	if st.Live != 7 {
-		t.Fatalf("live = %d, want 7", st.Live)
+	if n := count(tb, "live"); n != 7 {
+		t.Fatalf("live = %d, want 7", n)
 	}
-	if st.ExpiredDrops != 5 {
-		t.Fatalf("expired drops = %d, want 5", st.ExpiredDrops)
+	if n := count(tb, "expired_drops_total"); n != 5 {
+		t.Fatalf("expired drops = %d, want 5", n)
 	}
 	for _, i := range []int{0, 1, 2, 8, 9, 10, 11} {
 		if _, ok := tb.Lookup(key(i), 1); !ok {
@@ -53,7 +52,7 @@ func TestSweepNoTTLNoOp(t *testing.T) {
 	if got := tb.Sweep(); got != 0 {
 		t.Fatalf("TTL-less sweep reclaimed %d", got)
 	}
-	if st := tb.Stats(); st.Live != 1 {
-		t.Fatalf("live = %d", st.Live)
+	if n := count(tb, "live"); n != 1 {
+		t.Fatalf("live = %d", n)
 	}
 }

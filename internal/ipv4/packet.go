@@ -5,6 +5,7 @@
 package ipv4
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -205,7 +206,10 @@ func (p *Packet) Marshal() ([]byte, error) {
 }
 
 // Unmarshal parses a wire-format packet, verifying version, lengths and the
-// header checksum.
+// header checksum. It accepts only what Marshal would write back byte for
+// byte: the checksum in its RFC 1071 form (never 0xffff, the negative zero
+// a computed checksum cannot take), NOP options kept in place, and zero
+// padding after an End of Option List up to the next 32-bit boundary only.
 func Unmarshal(buf []byte) (*Packet, error) {
 	if len(buf) < MinHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrShortPacket, len(buf))
@@ -221,7 +225,7 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	if total < hlen || total > len(buf) {
 		return nil, fmt.Errorf("%w: total length %d", ErrShortPacket, total)
 	}
-	if Checksum(buf[:hlen]) != 0 {
+	if Checksum(buf[:hlen]) != 0 || buf[10]&buf[11] == 0xff {
 		return nil, ErrBadChecksum
 	}
 	var p Packet
@@ -249,8 +253,13 @@ func parseOptions(buf []byte) ([]Option, error) {
 		typ := buf[i]
 		switch typ {
 		case OptEnd:
+			// The rest is padding: zeros, to the first 32-bit boundary.
+			if len(buf) != (i+3)&^3 || len(bytes.TrimLeft(buf[i:], "\x00")) != 0 {
+				return nil, fmt.Errorf("%w: padding after end of options", ErrBadOption)
+			}
 			return opts, nil
 		case OptNOP:
+			opts = append(opts, Option{Type: OptNOP})
 			i++
 		default:
 			if i+1 >= len(buf) {

@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -308,4 +309,56 @@ func TestChecksumRFC1071Example(t *testing.T) {
 	// Odd-length buffers pad with a zero byte.
 	odd := []byte{0xab, 0xcd, 0xef}
 	_ = Checksum(odd) // must not panic
+}
+
+// TestUnmarshalKeepsWhatMarshalWrites pins the parser to the encodings
+// Marshal writes back unchanged: a NOP stays an option, padding after the
+// End of Option List is zeros up to the next 32-bit boundary, and the
+// checksum is never the negative zero 0xffff.
+func TestUnmarshalKeepsWhatMarshalWrites(t *testing.T) {
+	p := samplePacket()
+	p.Header.Options = []Option{{Type: OptNOP}, {Type: OptSecurity, Data: []byte{1, 2}}}
+	buf, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Header.Options) != 2 || got.Header.Options[0].Type != OptNOP {
+		t.Fatalf("options = %+v, want the NOP kept before the tag", got.Header.Options)
+	}
+
+	p.Header.Options = p.Header.Options[1:] // 4 option bytes, no padding
+	for name, pad := range map[string][]byte{
+		"nonzero padding":    {OptEnd, 0, 7, 0},
+		"extra padding word": {OptEnd, 0, 0, 0},
+	} {
+		bad, _ := p.Marshal()
+		hdr := append(append(append([]byte(nil), bad[:24]...), pad...), bad[24:]...)
+		hdr[0] = 4<<4 | 7
+		hdr[3] += 4
+		fixChecksum(hdr)
+		if _, err := Unmarshal(hdr); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: err = %v, want ErrBadOption", name, err)
+		}
+	}
+
+	// A header whose computed checksum is 0x0000 also sums to zero with
+	// 0xffff in the field; only the computed form is accepted.
+	h := make([]byte, MinHeaderLen)
+	h[0] = 0x45
+	h[3] = MinHeaderLen
+	binary.BigEndian.PutUint16(h[12:14], 0xffff-0x4500-MinHeaderLen)
+	if c := Checksum(h); c != 0 {
+		t.Fatalf("test header checksums to %#x, want 0", c)
+	}
+	if _, err := Unmarshal(h); err != nil {
+		t.Fatalf("computed checksum rejected: %v", err)
+	}
+	h[10], h[11] = 0xff, 0xff
+	if _, err := Unmarshal(h); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("negative-zero checksum: err = %v, want ErrBadChecksum", err)
+	}
 }

@@ -91,11 +91,6 @@ type Kernel struct {
 	filter  *Netfilter
 	// ipidCounter assigns IPv4 identification values.
 	ipidCounter uint16
-	// stats
-	socketCalls  uint64
-	connectCalls uint64
-	setoptCalls  uint64
-	setoptDenied uint64
 }
 
 // New builds a kernel with the given configuration.
@@ -130,7 +125,6 @@ func (k *Kernel) Socket(ownerUID int, protocol byte) int {
 		Protocol: protocol,
 		OwnerUID: ownerUID,
 	}
-	k.socketCalls++
 	return fd
 }
 
@@ -151,7 +145,6 @@ func (k *Kernel) Connect(fd int, local, remote netip.AddrPort) error {
 	// Deterministic ISN: fd and port spread connections apart; the
 	// simulator needs reproducibility, not the RFC 6528 hash.
 	s.seq = uint32(fd)<<16 | uint32(local.Port())
-	k.connectCalls++
 	return nil
 }
 
@@ -164,17 +157,14 @@ func (k *Kernel) Connect(fd int, local, remote netip.AddrPort) error {
 func (k *Kernel) SetIPOptions(fd int, caps Capability, opts []ipv4.Option) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.setoptCalls++
 	s, ok := k.sockets[fd]
 	if !ok {
 		return ErrBadFD
 	}
 	if !k.cfg.AllowUnprivilegedIPOptions && caps&CapNetAdmin == 0 {
-		k.setoptDenied++
 		return fmt.Errorf("%w: IP_OPTIONS requires CAP_NET_ADMIN on unpatched kernel", ErrPermission)
 	}
 	if k.cfg.SetOptionsOncePerSocket && s.optSealed {
-		k.setoptDenied++
 		return ErrOptionSealed
 	}
 	total := 0
@@ -378,24 +368,4 @@ func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	pkt, filter := k.buildPacketLocked(s, seg.Marshal())
 	k.mu.Unlock()
 	return filter.Output(pkt)
-}
-
-// Stats reports syscall counters.
-type Stats struct {
-	SocketCalls  uint64
-	ConnectCalls uint64
-	SetoptCalls  uint64
-	SetoptDenied uint64
-}
-
-// Stats returns a snapshot of kernel counters.
-func (k *Kernel) Stats() Stats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return Stats{
-		SocketCalls:  k.socketCalls,
-		ConnectCalls: k.connectCalls,
-		SetoptCalls:  k.setoptCalls,
-		SetoptDenied: k.setoptDenied,
-	}
 }

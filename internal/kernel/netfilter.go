@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"borderpatrol/internal/ipv4"
 )
@@ -55,11 +54,6 @@ func (c Chain) String() string {
 	}
 }
 
-// QueueHandler is a user-space NFQUEUE consumer: it receives each queued
-// packet and must return a verdict, optionally rewriting the packet (the
-// Policy Enforcer accepts/drops; the Packet Sanitizer mangles).
-type QueueHandler func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet)
-
 // BatchVerdict is one packet's outcome from a QueueBatchHandler.
 type BatchVerdict struct {
 	// Verdict accepts or drops the packet; only VerdictAccept accepts.
@@ -73,8 +67,9 @@ type BatchVerdict struct {
 	Aux any
 }
 
-// QueueBatchHandler consumes a whole batch of packets diverted to one
-// NFQUEUE in a single user-space transition and writes one BatchVerdict
+// QueueBatchHandler is a user-space NFQUEUE consumer (the Policy Enforcer
+// accepts/drops; the Packet Sanitizer mangles). It consumes a whole batch of
+// packets diverted to one NFQUEUE in a single user-space transition and writes one BatchVerdict
 // per packet into out (out[i] answers pkts[i]; out arrives zeroed). Batch
 // handlers let the consumer amortize per-flow work — resolve, decode,
 // policy — across the packets of a burst, which is where the real
@@ -109,17 +104,12 @@ type Rule struct {
 }
 
 // Netfilter models the kernel's packet-filter hooks. A traversal runs on
-// its caller's goroutine; verdict counters are atomic so concurrent
-// traversals (the gateway's flow-affine workers) never serialize on a
-// stats lock.
+// its caller's goroutine and only reads the rule table, so concurrent
+// traversals (the gateway's flow-affine workers) share one read lock.
 type Netfilter struct {
 	mu          sync.RWMutex
 	chains      map[Chain][]Rule
-	queues      map[int]QueueHandler
 	batchQueues map[int]QueueBatchHandler
-	accepted    atomic.Uint64
-	dropped     atomic.Uint64
-	queuedOK    atomic.Uint64
 }
 
 // ErrNoQueueHandler reports a rule diverting to an unregistered queue; the
@@ -130,7 +120,6 @@ var ErrNoQueueHandler = errors.New("kernel: NFQUEUE has no user-space handler")
 func NewNetfilter() *Netfilter {
 	return &Netfilter{
 		chains:      make(map[Chain][]Rule),
-		queues:      make(map[int]QueueHandler),
 		batchQueues: make(map[int]QueueBatchHandler),
 	}
 }
@@ -149,28 +138,19 @@ func (nf *Netfilter) Flush(chain Chain) {
 	delete(nf.chains, chain)
 }
 
-// RegisterQueue binds a user-space handler to an NFQUEUE number.
-func (nf *Netfilter) RegisterQueue(num int, h QueueHandler) {
-	nf.mu.Lock()
-	defer nf.mu.Unlock()
-	nf.queues[num] = h
-}
-
-// RegisterBatchQueue binds a batch-capable user-space handler to an
-// NFQUEUE number. Batch traversals (OutputBatch) prefer it;
-// scalar traversals fall back to the QueueHandler registered under the
-// same number, so a queue that wants both paths registers both.
+// RegisterBatchQueue binds a user-space handler to an NFQUEUE number. A
+// batch traversal (OutputBatch) hands it every matching packet at once; a
+// single-packet traversal (Output) hands it a batch of one.
 func (nf *Netfilter) RegisterBatchQueue(num int, h QueueBatchHandler) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
 	nf.batchQueues[num] = h
 }
 
-// UnregisterQueue detaches a queue's handlers (user-space program exited).
+// UnregisterQueue detaches a queue's handler (user-space program exited).
 func (nf *Netfilter) UnregisterQueue(num int) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
-	delete(nf.queues, num)
 	delete(nf.batchQueues, num)
 }
 
@@ -197,32 +177,27 @@ func (nf *Netfilter) traverse(chain Chain, pkt *ipv4.Packet) (*ipv4.Packet, erro
 		}
 		switch r.Target {
 		case TargetAccept:
-			nf.accepted.Add(1)
 			return cur, nil
 		case TargetDrop:
-			nf.dropped.Add(1)
 			return nil, nil
 		case TargetQueue:
 			nf.mu.RLock()
-			h := nf.queues[r.QueueNum]
+			h := nf.batchQueues[r.QueueNum]
 			nf.mu.RUnlock()
 			if h == nil {
-				nf.dropped.Add(1)
 				return nil, fmt.Errorf("%w: queue %d", ErrNoQueueHandler, r.QueueNum)
 			}
-			verdict, rewritten := h(cur)
-			if verdict == VerdictDrop {
-				nf.dropped.Add(1)
+			var v [1]BatchVerdict
+			h([]*ipv4.Packet{cur}, v[:])
+			if v[0].Verdict != VerdictAccept {
 				return nil, nil
 			}
-			nf.queuedOK.Add(1)
-			if rewritten != nil {
-				cur = rewritten
+			if v[0].Rewritten != nil {
+				cur = v[0].Rewritten
 			}
 		}
 	}
 	// Chain policy is ACCEPT.
-	nf.accepted.Add(1)
 	return cur, nil
 }
 
@@ -267,9 +242,9 @@ func (sc *batchScratch) release() {
 // partitioned out and — for NFQUEUE targets — handed to the queue's batch
 // handler as a single slice, so the user-space consumer crosses the
 // kernel boundary once per burst instead of once per packet. Results
-// align with pkts (Out nil = dropped). A queue with neither a batch nor a
-// scalar handler drops its packets and reports ErrNoQueueHandler (first
-// error wins), like the real kernel's dead-NFQUEUE behaviour.
+// align with pkts (Out nil = dropped). A queue without a handler drops its
+// packets and reports ErrNoQueueHandler (first error wins), like the real
+// kernel's dead-NFQUEUE behaviour.
 func (nf *Netfilter) OutputBatch(pkts []*ipv4.Packet) ([]BatchResult, error) {
 	sc := scratchPool.Get().(*batchScratch)
 	defer sc.release()
@@ -292,9 +267,6 @@ func (nf *Netfilter) OutputBatch(pkts []*ipv4.Packet) ([]BatchResult, error) {
 }
 
 // traverseBatch walks one chain over every not-yet-decided item of sc.
-// Verdict counters accumulate in locals and flush once per traversal —
-// at batch sizes the per-packet atomic adds were a measurable slice of
-// the fast-path budget.
 func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 	nf.mu.RLock()
 	rules := nf.chains[chain]
@@ -302,7 +274,6 @@ func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 
 	items := sc.items
 	var firstErr error
-	var accepted, dropped, queued uint64
 	for ri := range rules {
 		r := &rules[ri]
 		switch r.Target {
@@ -313,7 +284,6 @@ func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 					continue
 				}
 				it.done = true
-				accepted++
 			}
 		case TargetDrop:
 			for i := range items {
@@ -323,7 +293,6 @@ func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 				}
 				it.pkt = nil
 				it.done = true
-				dropped++
 			}
 		case TargetQueue:
 			matched := sc.matched[:0]
@@ -340,106 +309,45 @@ func (nf *Netfilter) traverseBatch(chain Chain, sc *batchScratch) error {
 			}
 			nf.mu.RLock()
 			bh := nf.batchQueues[r.QueueNum]
-			sh := nf.queues[r.QueueNum]
 			nf.mu.RUnlock()
-			switch {
-			case bh != nil:
-				batch := sc.batch[:0]
-				for _, i := range matched {
-					batch = append(batch, items[i].pkt)
-				}
-				verdicts := append(sc.verdicts[:0], make([]BatchVerdict, len(matched))...)
-				sc.batch, sc.verdicts = batch[:0], verdicts[:0]
-				bh(batch, verdicts)
-				for bi, i := range matched {
-					it := &items[i]
-					v := &verdicts[bi]
-					// Aux rides along even on drops: the gateway needs the
-					// enforcement result of a denied packet for its audit
-					// trail.
-					if v.Aux != nil {
-						it.aux = v.Aux
-					}
-					if v.Verdict != VerdictAccept {
-						it.pkt = nil
-						it.done = true
-						dropped++
-						continue
-					}
-					queued++
-					if v.Rewritten != nil {
-						it.pkt = v.Rewritten
-					}
-				}
-				clear(batch)
-				clear(verdicts)
-			case sh != nil:
-				for _, i := range matched {
-					it := &items[i]
-					verdict, rewritten := sh(it.pkt)
-					if verdict == VerdictDrop {
-						it.pkt = nil
-						it.done = true
-						dropped++
-						continue
-					}
-					queued++
-					if rewritten != nil {
-						it.pkt = rewritten
-					}
-				}
-			default:
+			if bh == nil {
 				for _, i := range matched {
 					items[i].pkt = nil
 					items[i].done = true
-					dropped++
 				}
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%w: queue %d", ErrNoQueueHandler, r.QueueNum)
 				}
+				continue
 			}
+			batch := sc.batch[:0]
+			for _, i := range matched {
+				batch = append(batch, items[i].pkt)
+			}
+			verdicts := append(sc.verdicts[:0], make([]BatchVerdict, len(matched))...)
+			sc.batch, sc.verdicts = batch[:0], verdicts[:0]
+			bh(batch, verdicts)
+			for bi, i := range matched {
+				it := &items[i]
+				v := &verdicts[bi]
+				// Aux rides along even on drops: the gateway needs the
+				// enforcement result of a denied packet for its audit trail.
+				if v.Aux != nil {
+					it.aux = v.Aux
+				}
+				if v.Verdict != VerdictAccept {
+					it.pkt = nil
+					it.done = true
+					continue
+				}
+				if v.Rewritten != nil {
+					it.pkt = v.Rewritten
+				}
+			}
+			clear(batch)
+			clear(verdicts)
 		}
 	}
 	// Chain policy is ACCEPT for the survivors.
-	for i := range items {
-		if !items[i].done {
-			accepted++
-		}
-	}
-	if accepted > 0 {
-		nf.accepted.Add(accepted)
-	}
-	if dropped > 0 {
-		nf.dropped.Add(dropped)
-	}
-	if queued > 0 {
-		nf.queuedOK.Add(queued)
-	}
 	return firstErr
-}
-
-// FilterStats reports packet-verdict counters.
-type FilterStats struct {
-	Accepted uint64
-	Dropped  uint64
-	Queued   uint64
-}
-
-// ResetStats zeroes the verdict counters — the kernel analogue of a
-// reboot. The gateway calls it from Restart so post-restart stats describe
-// only the new incarnation; rules and queue registrations survive (they
-// are re-established from persistent config on a real host).
-func (nf *Netfilter) ResetStats() {
-	nf.accepted.Store(0)
-	nf.dropped.Store(0)
-	nf.queuedOK.Store(0)
-}
-
-// Stats returns a snapshot of verdict counters.
-func (nf *Netfilter) Stats() FilterStats {
-	return FilterStats{
-		Accepted: nf.accepted.Load(),
-		Dropped:  nf.dropped.Load(),
-		Queued:   nf.queuedOK.Load(),
-	}
 }

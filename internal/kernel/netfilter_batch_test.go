@@ -28,12 +28,6 @@ func TestOutputBatchMatchesScalar(t *testing.T) {
 		nf := NewNetfilter()
 		nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 		drop := func(pkt *ipv4.Packet) bool { return string(pkt.Payload) == "evil" }
-		nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
-			if drop(pkt) {
-				return VerdictDrop, nil
-			}
-			return VerdictAccept, nil
-		})
 		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []BatchVerdict) {
 			for i, pkt := range pkts {
 				if drop(pkt) {
@@ -109,30 +103,6 @@ func TestOutputBatchRewriteFlowsDownstream(t *testing.T) {
 	}
 	if len(seen) != 2 || seen[0] != "a+q1" || seen[1] != "b+q1" {
 		t.Fatalf("queue 2 saw %v", seen)
-	}
-	for i, r := range res {
-		if r.Out == nil {
-			t.Fatalf("pkt %d dropped", i)
-		}
-	}
-}
-
-// TestOutputBatchScalarFallback: a queue with only a scalar handler still
-// works under batch traversal.
-func TestOutputBatchScalarFallback(t *testing.T) {
-	nf := NewNetfilter()
-	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
-	calls := 0
-	nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
-		calls++
-		return VerdictAccept, nil
-	})
-	res, err := nf.OutputBatch([]*ipv4.Packet{batchPkt(0, "x"), batchPkt(1, "y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("scalar handler called %d times, want 2", calls)
 	}
 	for i, r := range res {
 		if r.Out == nil {

@@ -11,9 +11,10 @@
 // atomic adds into a fixed bucket array and allocate nothing.
 //
 // Components own their instruments and attach them to a *Registry via
-// their RegisterMetrics methods. Counters that already exist as component
-// stats are exported through CounterFunc/GaugeFunc closures, so the hot
-// path pays nothing for exposure — the closure runs at scrape time only.
+// their RegisterMetrics methods. Counters a component already keeps are
+// exported through CounterFunc/GaugeFunc closures, so the hot path pays
+// nothing for exposure — the closure runs at scrape time only. The
+// registry is the one place counts are read: Value reads one family.
 package metrics
 
 import (
@@ -21,6 +22,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,21 +307,54 @@ func (r *Registry) Snapshot() []Sample {
 	for _, fam := range fams {
 		for _, s := range fam.series {
 			smp := Sample{Name: fam.name, Help: fam.help, Kind: fam.kind, Labels: s.labels}
-			switch {
-			case s.counter != nil:
-				smp.Value = float64(s.counter.Value())
-			case s.counterFn != nil:
-				smp.Value = float64(s.counterFn())
-			case s.gauge != nil:
-				smp.Value = s.gauge.Value()
-			case s.gaugeFn != nil:
-				smp.Value = s.gaugeFn()
-			case s.hist != nil:
+			if s.hist != nil {
 				snap := s.hist.Snapshot()
 				smp.Hist = &snap
+			} else {
+				smp.Value = s.value()
 			}
 			out = append(out, smp)
 		}
 	}
 	return out
+}
+
+// value reads a counter or gauge series; a histogram series reads as its
+// observation count.
+func (s *series) value() float64 {
+	switch {
+	case s.counter != nil:
+		return float64(s.counter.Value())
+	case s.counterFn != nil:
+		return float64(s.counterFn())
+	case s.gauge != nil:
+		return s.gauge.Value()
+	case s.gaugeFn != nil:
+		return s.gaugeFn()
+	case s.hist != nil:
+		return float64(s.hist.Snapshot().Count())
+	}
+	return 0
+}
+
+// Value reads one family: the sum of its series whose label sets contain
+// every given label (no labels sums the whole family). A histogram series
+// counts its observations. ok is false when no registered series matches.
+// Only the matching series are read, so a caller polling one count does not
+// pay for a whole scrape.
+func (r *Registry) Value(name string, labels ...Label) (v float64, ok bool) {
+	r.mu.Lock()
+	var series []*series
+	if fam := r.byName[name]; fam != nil {
+		series = slices.Clone(fam.series)
+	}
+	r.mu.Unlock()
+	for _, s := range series {
+		if slices.ContainsFunc(labels, func(l Label) bool { return !slices.Contains(s.labels, l) }) {
+			continue
+		}
+		v += s.value()
+		ok = true
+	}
+	return v, ok
 }

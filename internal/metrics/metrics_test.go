@@ -160,3 +160,29 @@ func TestSnapshotFlattens(t *testing.T) {
 		t.Errorf("histogram sample wrong: %+v", samples[2])
 	}
 }
+
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("bp_x_total", "x", L("kind", "a"), L("side", "in")).Add(2)
+	r.CounterFunc("bp_x_total", "x", func() uint64 { return 5 }, L("kind", "b"), L("side", "in"))
+	r.GaugeFunc("bp_g", "g", func() float64 { return 1.5 })
+	r.Histogram("bp_h_ns", "h").Record(7)
+	for _, tc := range []struct {
+		name   string
+		labels []Label
+		want   float64
+		ok     bool
+	}{
+		{"bp_x_total", nil, 7, true},
+		{"bp_x_total", []Label{L("kind", "b")}, 5, true},
+		{"bp_x_total", []Label{L("side", "in"), L("kind", "a")}, 2, true},
+		{"bp_x_total", []Label{L("kind", "c")}, 0, false},
+		{"bp_g", nil, 1.5, true},
+		{"bp_h_ns", nil, 1, true},
+		{"bp_missing_total", nil, 0, false},
+	} {
+		if v, ok := r.Value(tc.name, tc.labels...); v != tc.want || ok != tc.ok {
+			t.Errorf("Value(%s, %v) = %v, %v; want %v, %v", tc.name, tc.labels, v, ok, tc.want, tc.ok)
+		}
+	}
+}

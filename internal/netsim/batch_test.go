@@ -143,15 +143,15 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 			}
 		}
 	}
-	if evals := enf.Engine().Stats().Evaluations; evals != 1 {
+	if evals := count(enf, "bp_policy_evaluations_total"); evals != 1 {
 		t.Fatalf("policy evaluations = %d, want 1 (flow cache + memo)", evals)
 	}
-	st := enf.Stats()
-	if st.Processed != 128 {
-		t.Fatalf("processed = %d", st.Processed)
+	if n := count(enf, "bp_enforcer_verdicts_total"); n != 128 {
+		t.Fatalf("processed = %d", n)
 	}
-	if st.Flow.Hits+st.BatchMemoHits != 127 {
-		t.Fatalf("hits %d + memo %d != 127", st.Flow.Hits, st.BatchMemoHits)
+	hits, memo := count(enf, "bp_flowtable_hits_total"), count(enf, "bp_enforcer_batch_memo_hits_total")
+	if hits+memo != 127 {
+		t.Fatalf("hits %d + memo %d != 127", hits, memo)
 	}
 }
 

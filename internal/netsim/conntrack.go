@@ -29,7 +29,7 @@ import (
 // The table is ctShards shards, picked by a hash of the 5-tuple. Each has
 // its own lock, open map, TIME_WAIT map and ring, and bounds: maxTracked
 // and maxTimeWait divided evenly among the shards. Both directions of a
-// connection land on one shard, so there is no global lock; Stats sums
+// connection land on one shard, so there is no global lock; a scrape sums
 // the shards.
 //
 // # A full shard
@@ -40,7 +40,7 @@ import (
 // found among the first evictSample entries it looks at. If it finds
 // none, the newcomer is not tracked and counts as a table_full
 // transition; a response for a connection that could not be adopted
-// passes unchecked and counts as ResponseUnchecked. A connection whose
+// passes unchecked and counts as an unchecked response. A connection whose
 // response stream is primed is therefore never evicted by a flood: a
 // SYN flood cannot disarm the injection check of a live connection.
 //
@@ -72,7 +72,7 @@ type ctShard struct {
 	ringPos  int
 	ringLen  int
 
-	st ConntrackStats // counters only; Open and TimeWait are read off the maps
+	n [ctCounts]uint64
 }
 
 // connState is one open connection's directional verdict state: last
@@ -127,69 +127,50 @@ type timeWaitRecord struct {
 	at  time.Duration
 }
 
-// ConntrackStats snapshots the tracker.
-type ConntrackStats struct {
-	// Established counts connections opened (SYN observed on an accepted
+// ctCount indexes a shard's counters. The per-kind registration in
+// RegisterMetrics names each one's series.
+type ctCount int
+
+const (
+	// ctEstablished counts connections opened (SYN observed on an accepted
 	// packet).
-	Established uint64
-	// Closed counts connections ended (first FIN or RST observed).
-	Closed uint64
-	// DupCloses counts redundant teardowns: a retransmitted FIN or an
+	ctEstablished ctCount = iota
+	// ctClosed counts connections ended (first FIN or RST observed).
+	ctClosed
+	// ctDupClose counts redundant teardowns: a retransmitted FIN or an
 	// RST-after-FIN landing on a connection already in TIME_WAIT.
-	DupCloses uint64
-	// LateSYNs counts SYNs refused because their 5-tuple was in TIME_WAIT —
+	ctDupClose
+	// ctLateSYN counts SYNs refused because their 5-tuple was in TIME_WAIT —
 	// a delayed/duplicated handshake that must not resurrect a dead flow.
-	LateSYNs uint64
-	// UntrackedCloses counts FIN/RSTs for connections the tracker never saw
+	ctLateSYN
+	// ctUntrackedClose counts FIN/RSTs for connections the tracker never saw
 	// open (the gateway restarted mid-stream, or the SYN predates it).
 	// Teardown still fires for them.
-	UntrackedCloses uint64
-	// IdleReclaimed counts open entries swept after exceeding the idle
+	ctUntrackedClose
+	// ctIdleReclaimed counts open entries swept after exceeding the idle
 	// deadline (half-open connections whose teardown was lost).
-	IdleReclaimed uint64
-	// TableFull counts SYNs left untracked because their shard was full of
+	ctIdleReclaimed
+	// ctTableFull counts SYNs left untracked because their shard was full of
 	// replied connections (see Conntrack, "A full shard").
-	TableFull uint64
-	// ResponsesChecked counts server→device TCP segments run through the
+	ctTableFull
+	// ctChecked counts server→device TCP segments run through the
 	// response-direction continuity check.
-	ResponsesChecked uint64
-	// ResponseSeqDrops counts response segments dropped for breaking
-	// sequence continuity — the mid-stream injection signature.
-	ResponseSeqDrops uint64
-	// ResponseAdopts counts responses for unknown connections adopted
-	// mid-stream (gateway restarted, or the SYN predates the tracker).
-	ResponseAdopts uint64
-	// ResponseLate counts responses landing on a connection already in
-	// TIME_WAIT (the server's reply raced the close); accepted, since the
-	// teardown already fired.
-	ResponseLate uint64
-	// ResponseUnchecked counts responses for unknown connections that
-	// passed unchecked because their shard was full and could not adopt
-	// them.
-	ResponseUnchecked uint64
-	// Open is the number of connections currently tracked; TimeWait the
-	// number parked awaiting 5-tuple reuse.
-	Open     int
-	TimeWait int
-}
-
-// add accumulates another shard's snapshot.
-func (s *ConntrackStats) add(o ConntrackStats) {
-	s.Established += o.Established
-	s.Closed += o.Closed
-	s.DupCloses += o.DupCloses
-	s.LateSYNs += o.LateSYNs
-	s.UntrackedCloses += o.UntrackedCloses
-	s.IdleReclaimed += o.IdleReclaimed
-	s.TableFull += o.TableFull
-	s.ResponsesChecked += o.ResponsesChecked
-	s.ResponseSeqDrops += o.ResponseSeqDrops
-	s.ResponseAdopts += o.ResponseAdopts
-	s.ResponseLate += o.ResponseLate
-	s.ResponseUnchecked += o.ResponseUnchecked
-	s.Open += o.Open
-	s.TimeWait += o.TimeWait
-}
+	ctChecked
+	// ctAdopted counts responses for unknown connections adopted mid-stream
+	// (gateway restarted, or the SYN predates the tracker).
+	ctAdopted
+	// ctLate counts responses landing on a connection already in TIME_WAIT
+	// (the server's reply raced the close); accepted, since the teardown
+	// already fired.
+	ctLate
+	// ctSeqDrop counts response segments dropped for breaking sequence
+	// continuity — the mid-stream injection signature.
+	ctSeqDrop
+	// ctUnchecked counts responses for unknown connections that passed
+	// unchecked because their shard was full and could not adopt them.
+	ctUnchecked
+	ctCounts
+)
 
 // maxTracked bounds the open connections, maxTracked/ctShards per shard.
 // Teardown does not depend on an entry being present (a FIN/RST always
@@ -307,7 +288,7 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 		if _, wasOpen := s.open[k]; wasOpen {
 			// First close of a tracked connection.
 			delete(s.open, k)
-			s.st.Closed++
+			s.n[ctClosed]++
 			s.parkLocked(k, now)
 			return true
 		}
@@ -315,13 +296,13 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 			// Retransmitted FIN or RST-after-FIN: the connection is already
 			// down. Teardown still fires — EndFlow is idempotent and closing
 			// is the fail-safe direction — but it is not a second close.
-			s.st.DupCloses++
+			s.n[ctDupClose]++
 			return true
 		}
 		// Connection picked up mid-stream (gateway restart, or the SYN
 		// predates the tracker): still counts as closed so teardown fires.
-		s.st.UntrackedCloses++
-		s.st.Closed++
+		s.n[ctUntrackedClose]++
+		s.n[ctClosed]++
 		s.parkLocked(k, now)
 		return true
 	}
@@ -330,7 +311,7 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 		if ct.waiting(at, now) {
 			// A delayed handshake retransmission for a dead connection must
 			// not resurrect it.
-			s.st.LateSYNs++
+			s.n[ctLateSYN]++
 			return false
 		}
 		delete(s.timeWait, k) // TIME_WAIT expired: the tuple is reusable
@@ -341,11 +322,11 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 		return false
 	}
 	if !s.admitLocked() {
-		s.st.TableFull++
+		s.n[ctTableFull]++
 		return false
 	}
 	s.open[k] = connState{last: now}
-	s.st.Established++
+	s.n[ctEstablished]++
 	return false
 }
 
@@ -380,9 +361,9 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, open := s.open[k]; open {
-		s.st.ResponsesChecked++
+		s.n[ctChecked]++
 		if st.revSeen && info.Seq != st.revNext {
-			s.st.ResponseSeqDrops++
+			s.n[ctSeqDrop]++
 			return true
 		}
 		st.revNext = info.Seq + dataLen
@@ -392,15 +373,15 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 		return false
 	}
 	if at, parked := s.timeWait[k]; parked && ct.waiting(at, now) {
-		s.st.ResponseLate++
+		s.n[ctLate]++
 		return false
 	}
 	if !s.admitLocked() {
-		s.st.ResponseUnchecked++
+		s.n[ctUnchecked]++
 		return false
 	}
-	s.st.ResponsesChecked++
-	s.st.ResponseAdopts++
+	s.n[ctChecked]++
+	s.n[ctAdopted]++
 	s.open[k] = connState{last: now, revNext: info.Seq + dataLen, revSeen: true}
 	return false
 }
@@ -425,7 +406,7 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 				n++
 			}
 		}
-		s.st.IdleReclaimed += uint64(n)
+		s.n[ctIdleReclaimed] += uint64(n)
 		for k, at := range s.timeWait {
 			if now-at > timeWaitTTL {
 				delete(s.timeWait, k)
@@ -437,9 +418,10 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 	return reclaimed
 }
 
-// Reset discards all connection state and zeroes the counters — the
-// tracker's share of a gateway restart. The next packet of every live
-// connection is picked up mid-stream (see UntrackedCloses).
+// Reset discards all connection state — the tracker's share of a gateway
+// restart. The counters survive: they count over the tracker's life, and
+// bp_gateway_restarts_total marks the reboot. The next packet of every live
+// connection is picked up mid-stream (an untracked close, an adoption).
 func (ct *Conntrack) Reset() {
 	for i := range ct.shards {
 		s := &ct.shards[i]
@@ -447,22 +429,19 @@ func (ct *Conntrack) Reset() {
 		clear(s.open)
 		clear(s.timeWait)
 		s.ringPos, s.ringLen = 0, 0
-		s.st = ConntrackStats{}
 		s.mu.Unlock()
 	}
 }
 
-// Stats snapshots the tracker's counters, summed over the shards (each
-// shard is read under its own lock, so the sum is not one instant).
-func (ct *Conntrack) Stats() ConntrackStats {
-	var sum ConntrackStats
+// sum adds one reading over the shards, each taken under its shard's lock
+// (so the sum is not one instant).
+func (ct *Conntrack) sum(read func(s *ctShard) uint64) uint64 {
+	var total uint64
 	for i := range ct.shards {
 		s := &ct.shards[i]
 		s.mu.Lock()
-		st := s.st
-		st.Open, st.TimeWait = len(s.open), len(s.timeWait)
+		total += read(s)
 		s.mu.Unlock()
-		sum.add(st)
 	}
-	return sum
+	return total
 }

@@ -41,11 +41,11 @@ func TestConntrackDuplicateFIN(t *testing.T) {
 	if !ct.Observe(ctSeg(40000, transport.FlagFIN|transport.FlagACK)) {
 		t.Fatal("duplicate FIN must still report closed (idempotent teardown)")
 	}
-	st := ct.Stats()
-	if st.Established != 1 || st.Closed != 1 || st.DupCloses != 1 {
+	st := conntrack(ct)
+	if st["established"] != 1 || st["closed"] != 1 || st["dup_close"] != 1 {
 		t.Fatalf("stats = %+v, want 1 established / 1 closed / 1 dup", st)
 	}
-	if st.Open != 0 || st.TimeWait != 1 {
+	if st["open"] != 0 || st["time_wait"] != 1 {
 		t.Fatalf("tables = %+v, want 0 open / 1 time-wait", st)
 	}
 }
@@ -59,8 +59,8 @@ func TestConntrackRSTAfterFIN(t *testing.T) {
 	if !ct.Observe(ctSeg(40001, transport.FlagRST)) {
 		t.Fatal("RST-after-FIN must still report closed")
 	}
-	st := ct.Stats()
-	if st.Closed != 1 || st.DupCloses != 1 {
+	st := conntrack(ct)
+	if st["closed"] != 1 || st["dup_close"] != 1 {
 		t.Fatalf("stats = %+v, want 1 closed / 1 dup", st)
 	}
 }
@@ -75,16 +75,16 @@ func TestConntrackLateSYNNoResurrection(t *testing.T) {
 	ct.Observe(ctSeg(40002, transport.FlagFIN|transport.FlagACK))
 
 	ct.Observe(ctSeg(40002, transport.FlagSYN)) // reordered dup of the original SYN
-	st := ct.Stats()
-	if st.Established != 1 || st.LateSYNs != 1 || st.Open != 0 {
+	st := conntrack(ct)
+	if st["established"] != 1 || st["late_syn"] != 1 || st["open"] != 0 {
 		t.Fatalf("late SYN resurrected the flow: %+v", st)
 	}
 
 	// Past TIME_WAIT the 5-tuple is legitimately reusable.
 	clk.Advance(timeWaitTTL + time.Second)
 	ct.Observe(ctSeg(40002, transport.FlagSYN))
-	st = ct.Stats()
-	if st.Established != 2 || st.Open != 1 || st.TimeWait != 0 {
+	st = conntrack(ct)
+	if st["established"] != 2 || st["open"] != 1 || st["time_wait"] != 0 {
 		t.Fatalf("tuple not reusable after TIME_WAIT expiry: %+v", st)
 	}
 }
@@ -95,8 +95,8 @@ func TestConntrackDuplicateSYN(t *testing.T) {
 	ct := NewConntrack(NewClock())
 	ct.Observe(ctSeg(40003, transport.FlagSYN))
 	ct.Observe(ctSeg(40003, transport.FlagSYN))
-	st := ct.Stats()
-	if st.Established != 1 || st.Open != 1 {
+	st := conntrack(ct)
+	if st["established"] != 1 || st["open"] != 1 {
 		t.Fatalf("dup SYN double-established: %+v", st)
 	}
 }
@@ -108,8 +108,8 @@ func TestConntrackUntrackedClose(t *testing.T) {
 	if !ct.Observe(ctSeg(40004, transport.FlagFIN|transport.FlagACK)) {
 		t.Fatal("untracked FIN must still report closed")
 	}
-	st := ct.Stats()
-	if st.UntrackedCloses != 1 || st.Closed != 1 {
+	st := conntrack(ct)
+	if st["untracked_close"] != 1 || st["closed"] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -129,8 +129,8 @@ func TestConntrackSweep(t *testing.T) {
 	if got := ct.Sweep(time.Minute); got != 1 {
 		t.Fatalf("sweep reclaimed %d, want 1", got)
 	}
-	st := ct.Stats()
-	if st.IdleReclaimed != 1 || st.Open != 1 || st.TimeWait != 0 {
+	st := conntrack(ct)
+	if st["idle_reclaimed"] != 1 || st["open"] != 1 || st["time_wait"] != 0 {
 		t.Fatalf("post-sweep: %+v", st)
 	}
 
@@ -143,22 +143,26 @@ func TestConntrackSweep(t *testing.T) {
 	}
 }
 
-// TestConntrackReset: a gateway restart discards all state and counters;
-// in-flight connections are then picked up mid-stream.
+// TestConntrackReset: a gateway restart discards all connection state but
+// no count; in-flight connections are then picked up mid-stream.
 func TestConntrackReset(t *testing.T) {
 	ct := NewConntrack(NewClock())
 	ct.Observe(ctSeg(40008, transport.FlagSYN))
 	ct.Observe(ctSeg(40009, transport.FlagSYN))
 	ct.Observe(ctSeg(40009, transport.FlagFIN|transport.FlagACK))
+	before := conntrack(ct)
 	ct.Reset()
-	st := ct.Stats()
-	if st != (ConntrackStats{}) {
-		t.Fatalf("reset left state: %+v", st)
+	st := conntrack(ct)
+	if st["open"] != 0 || st["time_wait"] != 0 {
+		t.Fatalf("reset left state: %v", st)
+	}
+	if st["established"] != 2 || st["closed"] != 1 || st["established"] != before["established"] {
+		t.Fatalf("reset lost counts: %v, before %v", st, before)
 	}
 	if !ct.Observe(ctSeg(40008, transport.FlagFIN|transport.FlagACK)) {
 		t.Fatal("post-restart FIN must fire teardown")
 	}
-	if st := ct.Stats(); st.UntrackedCloses != 1 {
+	if st := conntrack(ct); st["untracked_close"] != 1 {
 		t.Fatalf("post-restart close not counted untracked: %+v", st)
 	}
 }
@@ -184,8 +188,8 @@ func TestConntrackTimeWaitBound(t *testing.T) {
 		}
 		ct.Observe(pkt)
 	}
-	if st := ct.Stats(); st.TimeWait > maxTimeWait {
-		t.Fatalf("TIME_WAIT table unbounded: %d > %d", st.TimeWait, maxTimeWait)
+	if st := conntrack(ct); st["time_wait"] > maxTimeWait {
+		t.Fatalf("TIME_WAIT table unbounded: %d > %d", st["time_wait"], maxTimeWait)
 	}
 }
 
@@ -243,7 +247,7 @@ func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
 	for _, syn := range sameShardSYNs(vk.shard(), perShard-1+8*perShard) {
 		ct.Observe(syn)
 	}
-	if st := ct.Stats(); st.Open != perShard || st.TableFull != 0 || st.Established != uint64(9*perShard) {
+	if st := conntrack(ct); st["open"] != uint64(perShard) || st["table_full"] != 0 || st["established"] != uint64(9*perShard) {
 		t.Fatalf("after the flood: %+v, want a full shard and every SYN admitted", st)
 	}
 	if !ct.ObserveResponse(replyTo(victim, 99999, []byte("evil"))) {
@@ -252,7 +256,7 @@ func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
 	if ct.ObserveResponse(replyTo(victim, next, body)) {
 		t.Fatal("the victim's in-sequence response dropped after the flood")
 	}
-	if st := ct.Stats(); st.ResponseSeqDrops != 1 || st.ResponseAdopts != 0 {
+	if st := conntrack(ct); st["seq_drop"] != 1 || st["adopted"] != 0 {
 		t.Fatalf("response stats after the flood: %+v", st)
 	}
 }
@@ -278,8 +282,8 @@ func TestFullShardRefusesNewcomers(t *testing.T) {
 	if ct.ObserveResponse(replyTo(late, 7, body)) || ct.ObserveResponse(replyTo(late, 12345, body)) {
 		t.Fatal("a response the full shard could not adopt was dropped")
 	}
-	st := ct.Stats()
-	if st.Open != perShard || st.Established != uint64(perShard) || st.TableFull != 1 || st.ResponseUnchecked != 2 {
+	st := conntrack(ct)
+	if st["open"] != uint64(perShard) || st["established"] != uint64(perShard) || st["table_full"] != 1 || st["unchecked"] != 2 {
 		t.Fatalf("full shard: %+v", st)
 	}
 	if !ct.ObserveResponse(replyTo(syns[0], 99999, body)) {
@@ -306,8 +310,10 @@ func TestNonIPv4ConnectionUntracked(t *testing.T) {
 	if ct.Observe(syn) || !ct.Observe(fin) {
 		t.Fatal("non-IPv4 SYN closed, or its FIN did not")
 	}
-	if st := ct.Stats(); st != (ConntrackStats{}) {
-		t.Fatalf("non-IPv4 connection tracked: %+v", st)
+	for k, v := range conntrack(ct) {
+		if v != 0 {
+			t.Fatalf("non-IPv4 connection tracked: %s = %d", k, v)
+		}
 	}
 }
 

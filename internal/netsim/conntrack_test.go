@@ -55,8 +55,8 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if d := n.Deliver(syn); !d.Delivered {
 		t.Fatalf("SYN dropped: %+v", d)
 	}
-	ct := gw.Conntrack()
-	if ct.Established != 1 || ct.Open != 1 {
+	ct := conntrack(gw.ct)
+	if ct["established"] != 1 || ct["open"] != 1 {
 		t.Fatalf("conntrack after SYN: %+v", ct)
 	}
 	for i, pkt := range data {
@@ -65,19 +65,19 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 			t.Fatalf("data %d: %+v", i, d)
 		}
 	}
-	st := flows.Stats()
-	if st.Live != 1 || st.Misses != 1 || st.Hits != 3 {
+	st := flowCounts(flows)
+	if st["live"] != 1 || st["misses"] != 1 || st["hits"] != 3 {
 		t.Fatalf("mid-connection flow stats: %+v", st)
 	}
 
 	if d := n.Deliver(fin); !d.Delivered {
 		t.Fatalf("FIN dropped: %+v", d)
 	}
-	ct = gw.Conntrack()
-	if ct.Closed != 1 || ct.Open != 0 {
+	ct = conntrack(gw.ct)
+	if ct["closed"] != 1 || ct["open"] != 0 {
 		t.Fatalf("conntrack after FIN: %+v", ct)
 	}
-	if st := flows.Stats(); st.Live != 0 {
+	if st := flowCounts(flows); st["live"] != 0 {
 		t.Fatalf("FIN did not tear the flow down: %+v", st)
 	}
 
@@ -88,8 +88,8 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if d := n.Deliver(syn2); !d.Delivered {
 		t.Fatalf("second SYN dropped: %+v", d)
 	}
-	st = flows.Stats()
-	if st.Misses != 2 || st.Hits != 4 {
+	st = flowCounts(flows)
+	if st["misses"] != 2 || st["hits"] != 4 {
 		t.Fatalf("re-resolve stats = %+v, want 2 misses / 4 hits", st)
 	}
 }
@@ -110,16 +110,16 @@ func TestRSTAbortsConnection(t *testing.T) {
 
 	n.Deliver(syn)
 	n.Deliver(data[0])
-	if st := flows.Stats(); st.Live != 1 {
+	if st := flowCounts(flows); st["live"] != 1 {
 		t.Fatalf("flow not cached: %+v", st)
 	}
 	if d := n.Deliver(rstPkt); !d.Delivered {
 		t.Fatalf("RST dropped: %+v", d)
 	}
-	if st := flows.Stats(); st.Live != 0 {
+	if st := flowCounts(flows); st["live"] != 0 {
 		t.Fatalf("RST did not tear the flow down: %+v", st)
 	}
-	if ct := gw.Conntrack(); ct.Closed != 1 {
+	if ct := conntrack(gw.ct); ct["closed"] != 1 {
 		t.Fatalf("conntrack: %+v", ct)
 	}
 }
@@ -141,14 +141,14 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 			t.Fatalf("denied flow packet delivered: %+v", d)
 		}
 	}
-	st := flows.Stats()
-	if st.Live != 1 {
+	st := flowCounts(flows)
+	if st["live"] != 1 {
 		t.Fatalf("cached drop verdict evicted by its own FIN: %+v", st)
 	}
-	if st.Hits != 2 { // data + FIN answered from the cached drop
-		t.Fatalf("hits = %d, want 2", st.Hits)
+	if st["hits"] != 2 { // data + FIN answered from the cached drop
+		t.Fatalf("hits = %d, want 2", st["hits"])
 	}
-	if ct := gw.Conntrack(); ct.Established != 0 || ct.Closed != 0 {
+	if ct := conntrack(gw.ct); ct["established"] != 0 || ct["closed"] != 0 {
 		t.Fatalf("conntrack observed dropped packets: %+v", ct)
 	}
 }
@@ -176,15 +176,15 @@ func TestBatchConntrackTeardown(t *testing.T) {
 			t.Fatalf("burst pkt %d enforcement: %+v", i, d.Enforcement)
 		}
 	}
-	st := flows.Stats()
-	if st.Live != 0 {
+	st := flowCounts(flows)
+	if st["live"] != 0 {
 		t.Fatalf("batched FIN did not tear down: %+v", st)
 	}
-	if st.Misses != 1 || st.Hits+enf.Stats().BatchMemoHits != 5 {
-		t.Fatalf("train not amortized: %+v memo=%d", st, enf.Stats().BatchMemoHits)
+	if memo := count(enf, "bp_enforcer_batch_memo_hits_total"); st["misses"] != 1 || st["hits"]+memo != 5 {
+		t.Fatalf("train not amortized: %v memo=%d", st, memo)
 	}
-	ct := gw.Conntrack()
-	if ct.Established != 1 || ct.Closed != 1 || ct.Open != 0 {
+	ct := conntrack(gw.ct)
+	if ct["established"] != 1 || ct["closed"] != 1 || ct["open"] != 0 {
 		t.Fatalf("conntrack: %+v", ct)
 	}
 }

@@ -76,7 +76,7 @@ func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
 				t.Fatalf("%s: packet %d: original's options damaged by the strip: %+v", name, i, got)
 			}
 		}
-		if st := flows.Stats(); st.Live != 1 {
+		if st := flowCounts(flows); st["live"] != 1 {
 			t.Fatalf("%s: mid-connection flow stats %+v", name, st)
 		}
 		// The rest of the path: the FIN's teardown keys on the original's tag.
@@ -84,7 +84,7 @@ func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
 		if err != nil || fin[0].Out == nil || fin[0].Out.Header.HasOptions() != (name == "security option only") {
 			t.Fatalf("%s: FIN: out %+v err %v", name, fin[0].Out, err)
 		}
-		if st := flows.Stats(); st.Live != 0 {
+		if st := flowCounts(flows); st["live"] != 0 {
 			t.Fatalf("%s: FIN did not tear the flow down: %+v", name, st)
 		}
 	}
@@ -178,7 +178,7 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 			}
 		}
 	}
-	if st := gw.Conntrack(); st.ResponseSeqDrops != 0 || st.Open != 0 {
+	if st := conntrack(gw.ct); st["seq_drop"] != 0 || st["open"] != 0 {
 		t.Fatalf("conntrack after every connection closed: %+v", st)
 	}
 	if tracked := respTracked(n); tracked != 0 {

@@ -182,12 +182,13 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 			t.Fatalf("corpus never produced cause %v: %v", c, seen)
 		}
 	}
-	fs, rs := fastEnf.Stats(), refEnf.Stats()
-	if fs.Flow.Hits == 0 || fs.BatchMemoHits == 0 {
-		t.Fatalf("equivalence ran entirely on the miss path: %+v", fs)
+	fastHits, fastMemo := count(fastEnf, "bp_flowtable_hits_total"), count(fastEnf, "bp_enforcer_batch_memo_hits_total")
+	if fastHits == 0 || fastMemo == 0 {
+		t.Fatalf("equivalence ran entirely on the miss path: %d hits, %d memo hits", fastHits, fastMemo)
 	}
-	if rs.Flow.Hits+rs.Flow.Misses+rs.BatchMemoHits != 0 {
-		t.Fatalf("reference gateway used a cache: %+v", rs)
+	refFlows := count(refEnf, "bp_flowtable_hits_total") + count(refEnf, "bp_flowtable_misses_total")
+	if refMemo := count(refEnf, "bp_enforcer_batch_memo_hits_total"); refFlows+refMemo != 0 {
+		t.Fatalf("reference gateway used a cache: %d flow-table lookups, %d memo hits", refFlows, refMemo)
 	}
 }
 
@@ -303,8 +304,8 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 			t.Fatalf("the sweep never produced %q: %v", c, seen)
 		}
 	}
-	fs := fastEnf.Stats()
-	if fs.Flow.Hits == 0 || fs.BatchMemoHits == 0 || fs.Flow.ExpiredDrops != 0 {
-		t.Fatalf("sweep did not run on cached verdicts alone: %+v", fs)
+	hits, memo, expired := count(fastEnf, "bp_flowtable_hits_total"), count(fastEnf, "bp_enforcer_batch_memo_hits_total"), count(fastEnf, "bp_flowtable_expired_drops_total")
+	if hits == 0 || memo == 0 || expired != 0 {
+		t.Fatalf("sweep did not run on cached verdicts alone: %d hits, %d memo hits, %d expired", hits, memo, expired)
 	}
 }

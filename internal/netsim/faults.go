@@ -35,38 +35,42 @@ type FaultPlan struct {
 	DelayMin, DelayMax time.Duration
 }
 
-// FaultStats counts injected faults.
-type FaultStats struct {
-	Drops       uint64
-	Duplicates  uint64
-	Reorders    uint64
-	Delays      uint64
-	Corruptions uint64
-	Truncations uint64
-	// DelayVirtual is the total virtual wire time the Delay fault charged.
-	DelayVirtual time.Duration
+// faultStage indexes the fault counters, one per kind of fault.
+type faultStage int
+
+const (
+	faultDrop faultStage = iota
+	faultDuplicate
+	faultReorder
+	faultDelay
+	faultCorrupt
+	faultTruncate
+	faultStages
+)
+
+// faultStageNames label bp_netsim_faults_total's series.
+var faultStageNames = [faultStages]string{"drop", "duplicate", "reorder", "delay", "corrupt", "truncate"}
+
+// faultCounts counts injected faults. A Network owns one for its whole
+// life, so arming or clearing a plan never resets a count.
+type faultCounts struct {
+	n     [faultStages]atomic.Uint64
+	delay atomic.Int64 // total virtual wire time the delay fault charged, ns
 }
 
-// Faults is a FaultPlan armed with a PRNG and counters. All methods are
-// lock-free (the PRNG state advances with one atomic add), so the parallel
-// batch paths share one instance without serializing.
+// Faults is a FaultPlan armed with a PRNG, counting into its network's
+// counters. All methods are lock-free (the PRNG state advances with one
+// atomic add), so the parallel batch paths share one instance without
+// serializing.
 type Faults struct {
-	plan  FaultPlan
-	state atomic.Uint64
+	state  atomic.Uint64
+	counts *faultCounts
 
 	// Probabilities precomputed to uint32-scaled thresholds: a roll fires
 	// when next()&0xffffffff < threshold, so p==0 can never fire and p==1
 	// always does.
 	drop, dup, reorder, delay, corrupt, truncate uint64
 	delayMin, delaySpan                          int64
-
-	drops       atomic.Uint64
-	dups        atomic.Uint64
-	reorders    atomic.Uint64
-	delays      atomic.Uint64
-	corrupts    atomic.Uint64
-	truncates   atomic.Uint64
-	delayedTime atomic.Int64
 }
 
 // threshold scales a probability to the 32-bit comparison domain.
@@ -80,10 +84,10 @@ func threshold(p float64) uint64 {
 	return uint64(p * (1 << 32))
 }
 
-// NewFaults arms a plan.
-func NewFaults(plan FaultPlan) *Faults {
+// newFaults arms a plan that counts into counts.
+func newFaults(plan FaultPlan, counts *faultCounts) *Faults {
 	f := &Faults{
-		plan:     plan,
+		counts:   counts,
 		drop:     threshold(plan.Drop),
 		dup:      threshold(plan.Duplicate),
 		reorder:  threshold(plan.Reorder),
@@ -120,29 +124,18 @@ func (f *Faults) roll(t uint64) bool {
 	return f.next()&0xffffffff < t
 }
 
-func (f *Faults) rollDrop() bool {
-	if f.roll(f.drop) {
-		f.drops.Add(1)
+// rollCounted rolls t and counts a firing under stage.
+func (f *Faults) rollCounted(t uint64, stage faultStage) bool {
+	if f.roll(t) {
+		f.counts.n[stage].Add(1)
 		return true
 	}
 	return false
 }
 
-func (f *Faults) rollDup() bool {
-	if f.roll(f.dup) {
-		f.dups.Add(1)
-		return true
-	}
-	return false
-}
-
-func (f *Faults) rollReorder() bool {
-	if f.roll(f.reorder) {
-		f.reorders.Add(1)
-		return true
-	}
-	return false
-}
+func (f *Faults) rollDrop() bool    { return f.rollCounted(f.drop, faultDrop) }
+func (f *Faults) rollDup() bool     { return f.rollCounted(f.dup, faultDuplicate) }
+func (f *Faults) rollReorder() bool { return f.rollCounted(f.reorder, faultReorder) }
 
 // rollDelay returns the virtual wire delay to charge (zero = no delay).
 func (f *Faults) rollDelay() time.Duration {
@@ -156,8 +149,8 @@ func (f *Faults) rollDelay() time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	f.delays.Add(1)
-	f.delayedTime.Add(d)
+	f.counts.n[faultDelay].Add(1)
+	f.counts.delay.Add(d)
 	return time.Duration(d)
 }
 
@@ -175,24 +168,11 @@ func (f *Faults) mutate(pkt *ipv4.Packet) *ipv4.Packet {
 		pos := int(f.next() % uint64(len(out.Payload)))
 		// XOR with a non-zero byte so the flip always changes the payload.
 		out.Payload[pos] ^= byte(f.next()%255) + 1
-		f.corrupts.Add(1)
+		f.counts.n[faultCorrupt].Add(1)
 	}
 	if doTrunc && len(out.Payload) > 0 {
 		out.Payload = out.Payload[:int(f.next()%uint64(len(out.Payload)))]
-		f.truncates.Add(1)
+		f.counts.n[faultTruncate].Add(1)
 	}
 	return out
-}
-
-// Stats snapshots the fault counters.
-func (f *Faults) Stats() FaultStats {
-	return FaultStats{
-		Drops:        f.drops.Load(),
-		Duplicates:   f.dups.Load(),
-		Reorders:     f.reorders.Load(),
-		Delays:       f.delays.Load(),
-		Corruptions:  f.corrupts.Load(),
-		Truncations:  f.truncates.Load(),
-		DelayVirtual: time.Duration(f.delayedTime.Load()),
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/sanitizer"
 )
 
@@ -13,16 +14,18 @@ import (
 // the same faults — a failing soak run replays exactly.
 func TestFaultDeterminism(t *testing.T) {
 	plan := FaultPlan{Seed: 42, Drop: 0.3, Corrupt: 0.3, Delay: 0.3, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond}
-	a, b := NewFaults(plan), NewFaults(plan)
+	a, b := newFaults(plan, new(faultCounts)), newFaults(plan, new(faultCounts))
 	for i := 0; i < 10_000; i++ {
 		if a.rollDrop() != b.rollDrop() || a.rollDelay() != b.rollDelay() {
 			t.Fatalf("sequences diverged at roll %d", i)
 		}
 	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
+	for st := range a.counts.n {
+		if a.counts.n[st].Load() != b.counts.n[st].Load() || a.counts.delay.Load() != b.counts.delay.Load() {
+			t.Fatalf("%s counts diverged", faultStageNames[st])
+		}
 	}
-	if NewFaults(FaultPlan{Seed: 43, Drop: 0.3}).next() == NewFaults(FaultPlan{Seed: 42, Drop: 0.3}).next() {
+	if newFaults(FaultPlan{Seed: 43, Drop: 0.3}, new(faultCounts)).next() == newFaults(FaultPlan{Seed: 42, Drop: 0.3}, new(faultCounts)).next() {
 		t.Fatal("different seeds produced the same first draw")
 	}
 }
@@ -30,7 +33,7 @@ func TestFaultDeterminism(t *testing.T) {
 // TestFaultRates: observed fault frequency tracks the configured
 // probability (law of large numbers, generous tolerance).
 func TestFaultRates(t *testing.T) {
-	f := NewFaults(FaultPlan{Seed: 7, Drop: 0.25})
+	f := newFaults(FaultPlan{Seed: 7, Drop: 0.25}, new(faultCounts))
 	const n = 200_000
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -47,7 +50,7 @@ func TestFaultRates(t *testing.T) {
 // TestFaultZeroProbabilityFree: a zero threshold never fires and never
 // burns a PRNG step — the disarmed categories cost nothing.
 func TestFaultZeroProbabilityFree(t *testing.T) {
-	f := NewFaults(FaultPlan{Seed: 9})
+	f := newFaults(FaultPlan{Seed: 9}, new(faultCounts))
 	before := f.state.Load()
 	for i := 0; i < 100; i++ {
 		if f.rollDrop() || f.rollDup() || f.rollReorder() || f.rollDelay() != 0 {
@@ -68,7 +71,7 @@ func TestFaultZeroProbabilityFree(t *testing.T) {
 // foundation: no wire fault can rewrite a tag into one that resolves to an
 // allowed context.
 func TestFaultMutatePreservesHeader(t *testing.T) {
-	f := NewFaults(FaultPlan{Seed: 3, Corrupt: 1, Truncate: 1})
+	f := newFaults(FaultPlan{Seed: 3, Corrupt: 1, Truncate: 1}, new(faultCounts))
 	pkt := &ipv4.Packet{Payload: []byte("GET / HTTP/1.1\r\n\r\n")}
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: []byte{1, 2, 3, 4}})
 	origPayload := append([]byte(nil), pkt.Payload...)
@@ -90,7 +93,8 @@ func TestFaultMutatePreservesHeader(t *testing.T) {
 }
 
 // TestFaultDropScalar: with Drop=1 armed every scalar delivery dies as a
-// wire fault before the gateway; ClearFaults restores perfect delivery.
+// wire fault before the gateway; ClearFaults restores perfect delivery and
+// keeps the count of what was injected.
 func TestFaultDropScalar(t *testing.T) {
 	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(sanitizer.Config{})})
 	n := newStaticNetwork(ModeTAP, gw)
@@ -103,19 +107,20 @@ func TestFaultDropScalar(t *testing.T) {
 			t.Fatalf("delivery %d survived Drop=1: %+v", i, d)
 		}
 	}
-	if st := n.FaultStats(); st.Drops != 3 {
-		t.Fatalf("drops = %d, want 3", st.Drops)
+	drops := func() uint64 { return count(n, "bp_netsim_faults_total", metrics.L("stage", "drop")) }
+	if got := drops(); got != 3 {
+		t.Fatalf("drops = %d, want 3", got)
 	}
-	if st := gw.Netfilter().Stats(); st.Accepted+st.Dropped != 0 {
-		t.Fatalf("gateway saw wire-dropped packets: %+v", st)
+	if got := n.CaptureAt(CapturePostGateway).Len(); got != 0 {
+		t.Fatalf("gateway passed %d wire-dropped packets", got)
 	}
 
 	n.ClearFaults()
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("post-clear delivery failed: %+v", d)
 	}
-	if st := n.FaultStats(); st != (FaultStats{}) {
-		t.Fatalf("cleared network still reports fault stats: %+v", st)
+	if got := drops(); got != 3 {
+		t.Fatalf("drops after ClearFaults = %d, want the 3 injected", got)
 	}
 }
 
@@ -144,9 +149,10 @@ func TestFaultBatchAlignment(t *testing.T) {
 	if got := srv.Requests(); got != uint64(2*len(burst)) {
 		t.Fatalf("server requests = %d, want %d (duplicates must reach it)", got, 2*len(burst))
 	}
-	st := n.FaultStats()
-	if st.Duplicates != uint64(len(burst)) || st.Reorders == 0 {
-		t.Fatalf("fault stats: %+v", st)
+	dups := count(n, "bp_netsim_faults_total", metrics.L("stage", "duplicate"))
+	reorders := count(n, "bp_netsim_faults_total", metrics.L("stage", "reorder"))
+	if dups != uint64(len(burst)) || reorders == 0 {
+		t.Fatalf("duplicates %d, reorders %d", dups, reorders)
 	}
 }
 
@@ -162,8 +168,9 @@ func TestFaultDelayChargesVirtualTime(t *testing.T) {
 	if got := n.Clock.Now() - before; got < 10*time.Millisecond {
 		t.Fatalf("virtual time advanced %v, want >= 10ms", got)
 	}
-	if st := n.FaultStats(); st.Delays != 1 || st.DelayVirtual != 10*time.Millisecond {
-		t.Fatalf("delay stats: %+v", st)
+	delays := count(n, "bp_netsim_faults_total", metrics.L("stage", "delay"))
+	if charged := count(n, "bp_netsim_fault_delay_virtual_ns_total"); delays != 1 || charged != uint64(10*time.Millisecond) {
+		t.Fatalf("delays %d charging %dns, want 1 charging 10ms", delays, charged)
 	}
 }
 

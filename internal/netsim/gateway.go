@@ -204,13 +204,11 @@ func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	return out, err
 }
 
-// Conntrack snapshots the gateway's connection tracker.
-func (g *Gateway) Conntrack() ConntrackStats { return g.ct.Stats() }
-
 // Restart models a gateway crash and reboot: all per-flow state — the
-// enforcer's flow-verdict cache, the connection tracker, the netfilter
-// counters — is discarded, exactly as a real appliance loses its RAM
-// tables. The policy engine and signature database survive (they are
+// enforcer's flow-verdict cache and the connection tracker's tables — is
+// discarded, exactly as a real appliance loses its RAM tables. Counters
+// are not state: they keep counting across the reboot, which
+// bp_gateway_restarts_total marks. The policy engine and signature database survive (they are
 // control-plane state, re-read from persistent config on a real host), so
 // the next packet of every live flow re-resolves through the full
 // pipeline and must reach the same verdict cold — the re-resolution
@@ -220,7 +218,6 @@ func (g *Gateway) Restart() {
 		g.enforcer.PurgeFlows()
 	}
 	g.ct.Reset()
-	g.nf.ResetStats()
 	g.restarts.Add(1)
 }
 
@@ -240,7 +237,7 @@ func (g *Gateway) GC(idle time.Duration) (conns, flows int) {
 	return conns, flows
 }
 
-// Netfilter exposes the gateway's filter table (stats, extra rules).
+// Netfilter exposes the gateway's filter table (extra rules and queues).
 func (g *Gateway) Netfilter() *kernel.Netfilter { return g.nf }
 
 // Enforcer returns the enforcement stage, if present.

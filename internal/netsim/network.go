@@ -176,8 +176,10 @@ type Network struct {
 
 	// faults, when non-nil, injects wire faults on the device→gateway
 	// path. One atomic pointer load per delivery when disarmed — the
-	// fault-free fast path is otherwise untouched.
+	// fault-free fast path is otherwise untouched. Every plan armed counts
+	// into faultN.
 	faults atomic.Pointer[Faults]
+	faultN faultCounts
 	// captureOff disables the packet-capture logs: soak runs push millions
 	// of packets and must stay memory-bounded, which an append-only pcap
 	// defeats.
@@ -296,26 +298,16 @@ func (n *Network) SetCapture(enabled bool) {
 	n.captureOff.Store(!enabled)
 }
 
-// InstallFaults arms a fault plan on the device→gateway wire and returns
-// the armed instance (for its Stats). Replaces any previous plan.
-func (n *Network) InstallFaults(plan FaultPlan) *Faults {
-	f := NewFaults(plan)
-	n.faults.Store(f)
-	return f
+// InstallFaults arms a fault plan on the device→gateway wire, replacing
+// any previous plan. The fault counts carry on from the previous plans'.
+func (n *Network) InstallFaults(plan FaultPlan) {
+	n.faults.Store(newFaults(plan, &n.faultN))
 }
 
 // ClearFaults disarms fault injection (the pre-fault fast path returns to
-// a single nil pointer load).
+// a single nil pointer load). The fault counts keep what was injected.
 func (n *Network) ClearFaults() {
 	n.faults.Store(nil)
-}
-
-// FaultStats snapshots the armed fault plan's counters (zero when none).
-func (n *Network) FaultStats() FaultStats {
-	if f := n.faults.Load(); f != nil {
-		return f.Stats()
-	}
-	return FaultStats{}
 }
 
 // ErrNoRoute reports delivery to an unregistered address.

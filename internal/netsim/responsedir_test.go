@@ -65,12 +65,12 @@ func TestResponseSeqInjectionDropped(t *testing.T) {
 	if !ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 99999, []byte("evil"))) {
 		t.Fatal("injected discontinuous response accepted")
 	}
-	st := ct.Stats()
-	if st.ResponseSeqDrops != 1 {
-		t.Fatalf("seq drops = %d, want 1 (stats %+v)", st.ResponseSeqDrops, st)
+	st := conntrack(ct)
+	if st["seq_drop"] != 1 {
+		t.Fatalf("seq drops = %d, want 1 (stats %+v)", st["seq_drop"], st)
 	}
-	if st.ResponsesChecked != 3 {
-		t.Fatalf("responses checked = %d, want 3", st.ResponsesChecked)
+	if st["checked"] != 3 {
+		t.Fatalf("responses checked = %d, want 3", st["checked"])
 	}
 	// The legitimate stream is not poisoned by the drop: the real next
 	// segment still passes.
@@ -89,15 +89,15 @@ func TestResponseUnknownConnAdopted(t *testing.T) {
 	if ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 700, body)) {
 		t.Fatal("mid-stream adoption dropped the response")
 	}
-	st := ct.Stats()
-	if st.ResponseAdopts != 1 || st.Open != 1 {
+	st := conntrack(ct)
+	if st["adopted"] != 1 || st["open"] != 1 {
 		t.Fatalf("adoption stats: %+v", st)
 	}
 	if !ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 42, body)) {
 		t.Fatal("post-adoption discontinuity accepted")
 	}
-	if st := ct.Stats(); st.ResponseSeqDrops != 1 {
-		t.Fatalf("seq drops after adoption = %d, want 1", st.ResponseSeqDrops)
+	if st := conntrack(ct); st["seq_drop"] != 1 {
+		t.Fatalf("seq drops after adoption = %d, want 1", st["seq_drop"])
 	}
 }
 
@@ -111,8 +111,8 @@ func TestResponseInTimeWaitAccepted(t *testing.T) {
 	if ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 1234, []byte("bye"))) {
 		t.Fatal("late response dropped")
 	}
-	st := ct.Stats()
-	if st.ResponseLate != 1 || st.ResponseSeqDrops != 0 {
+	st := conntrack(ct)
+	if st["late"] != 1 || st["seq_drop"] != 0 {
 		t.Fatalf("late-response stats: %+v", st)
 	}
 }
@@ -133,8 +133,8 @@ func TestGatewayProcessResponseDropsInjection(t *testing.T) {
 	if gw.ProcessResponse(respPkt(transport.FlagPSH|transport.FlagACK, 31337, []byte("evil"))) {
 		t.Fatal("injected response delivered")
 	}
-	if ct := gw.Conntrack(); ct.ResponseSeqDrops != 1 {
-		t.Fatalf("gateway seq drops = %d, want 1", ct.ResponseSeqDrops)
+	if ct := conntrack(gw.ct); ct["seq_drop"] != 1 {
+		t.Fatalf("gateway seq drops = %d, want 1", ct["seq_drop"])
 	}
 	reg := metrics.NewRegistry()
 	gw.RegisterMetrics(reg)

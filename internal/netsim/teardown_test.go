@@ -24,14 +24,14 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("first delivery failed: %+v", d)
 	}
-	if st := flows.Stats(); st.Live != 1 {
+	if st := flowCounts(flows); st["live"] != 1 {
 		t.Fatalf("keep-alive flow not cached: %+v", st)
 	}
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("second delivery failed: %+v", d)
 	}
-	st := flows.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	st := flowCounts(flows)
+	if st["hits"] != 1 || st["misses"] != 1 {
 		t.Fatalf("keep-alive second packet must hit: %+v", st)
 	}
 }
@@ -53,7 +53,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 			t.Fatalf("burst pkt %d dropped: %+v", i, d)
 		}
 	}
-	if st := flows.Stats(); st.Live != 0 {
+	if st := flowCounts(flows); st["live"] != 0 {
 		t.Fatalf("closed flow survived the batch drain: %+v", st)
 	}
 	for i, d := range n.DeliverBatch(burst) {
@@ -61,7 +61,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 			t.Fatalf("re-resolved burst pkt %d: %+v", i, d)
 		}
 	}
-	if st := flows.Stats(); st.Misses != 2 {
+	if st := flowCounts(flows); st["misses"] != 2 {
 		t.Fatalf("each burst must re-resolve its flow once: %+v", st)
 	}
 }

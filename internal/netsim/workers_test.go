@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"maps"
 	"net/netip"
 	"reflect"
 	"sync"
@@ -150,8 +151,8 @@ func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 			t.Fatalf("traversal order differs from burst order at %d", i)
 		}
 	}
-	st := gw.Conntrack()
-	if st.Established != 1 || st.Closed != 1 || st.ResponsesChecked != 198 || st.ResponseLate != 0 || st.ResponseSeqDrops != 0 {
+	st := conntrack(gw.ct)
+	if st["established"] != 1 || st["closed"] != 1 || st["checked"] != 198 || st["late"] != 0 || st["seq_drop"] != 0 {
 		t.Fatalf("conntrack: %+v, want every response checked before the FIN", st)
 	}
 }
@@ -190,8 +191,8 @@ func TestSplitIsFlowAffine(t *testing.T) {
 type diffRun struct {
 	dels    [][]Delivery
 	clocks  []int64
-	ct      ConntrackStats
-	verdict enforcer.Stats
+	ct      map[string]uint64
+	verdict map[string]uint64
 	capture []*ipv4.Packet
 }
 
@@ -286,9 +287,8 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			r.dels = append(r.dels, n.DeliverBatch(burst))
 			r.clocks = append(r.clocks, int64(n.Clock.Now()))
 		}
-		r.ct = gw.Conntrack()
-		st := enf.Stats()
-		r.verdict = enforcer.Stats{Processed: st.Processed, Accepted: st.Accepted, Dropped: st.Dropped, DroppedByCause: st.DroppedByCause}
+		r.ct = conntrack(gw.ct)
+		r.verdict = verdicts(enf)
 		r.capture = n.CaptureAt(CapturePostGateway).Packets()
 		return r
 	}
@@ -305,7 +305,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			}
 		}
 	}
-	if answered == 0 || dropped == 0 || want.ct.ResponseAdopts == 0 || want.ct.Closed == 0 || want.verdict.Dropped == 0 {
+	if answered == 0 || dropped == 0 || want.ct["adopted"] == 0 || want.ct["closed"] == 0 || want.verdict["decision=drop"] == 0 {
 		t.Fatalf("workload too narrow: answered %d, dropped %d, conntrack %+v, verdicts %+v", answered, dropped, want.ct, want.verdict)
 	}
 	for _, workers := range []int{2, 4} {
@@ -323,7 +323,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 		if !reflect.DeepEqual(got.clocks, want.clocks) {
 			t.Fatalf("%d workers: clock after each burst %v, with one worker %v", workers, got.clocks, want.clocks)
 		}
-		if got.ct != want.ct {
+		if !maps.Equal(got.ct, want.ct) {
 			t.Fatalf("%d workers: conntrack %+v, with one worker %+v", workers, got.ct, want.ct)
 		}
 		if !reflect.DeepEqual(got.verdict, want.verdict) {

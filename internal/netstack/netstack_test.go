@@ -18,6 +18,9 @@ func remoteAP() netip.AddrPort {
 	return netip.AddrPortFrom(netip.MustParseAddr("93.184.216.34"), 80)
 }
 
+// firstFD is the first fd a fresh kernel allocates (0-2 are stdio).
+const firstFD = 3
+
 func TestLazySocketCreation(t *testing.T) {
 	st := newStack()
 	s := st.NewJavaSocket(10001)
@@ -25,17 +28,17 @@ func TestLazySocketCreation(t *testing.T) {
 	if s.FD() != -1 {
 		t.Fatalf("fd = %d before connect, want -1 (lazy init)", s.FD())
 	}
-	if got := st.Kernel().Stats().SocketCalls; got != 0 {
-		t.Fatalf("socket(2) called %d times before connect", got)
-	}
 	if err := s.Connect(remoteAP()); err != nil {
 		t.Fatal(err)
 	}
-	if s.FD() < 0 {
-		t.Fatal("fd not allocated on connect")
+	// The kernel hands out fds from 3 up, one per socket(2): the first fd
+	// means connect made the stack's first socket(2) call; the next one
+	// allocated means it made no other.
+	if s.FD() != firstFD {
+		t.Fatalf("fd = %d on connect, want %d (the stack's first socket(2))", s.FD(), firstFD)
 	}
-	if got := st.Kernel().Stats().SocketCalls; got != 1 {
-		t.Fatalf("socket(2) called %d times, want exactly 1", got)
+	if fd := st.Kernel().Socket(10001, ipv4.ProtoTCP); fd != firstFD+1 {
+		t.Fatalf("next socket(2) got fd %d, want %d: connect made more than one call", fd, firstFD+1)
 	}
 	if !s.Connected() {
 		t.Fatal("not connected")
@@ -134,8 +137,8 @@ func TestCloseBeforeConnectIsCheap(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close of never-connected socket: %v", err)
 	}
-	if got := st.Kernel().Stats().SocketCalls; got != 0 {
-		t.Fatalf("closing an unconnected Java socket made %d syscalls", got)
+	if fd := st.Kernel().Socket(10001, ipv4.ProtoTCP); fd != firstFD {
+		t.Fatalf("closing an unconnected Java socket called socket(2): the next fd is %d, want %d", fd, firstFD)
 	}
 }
 

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"borderpatrol/internal/dex"
 )
@@ -127,10 +126,6 @@ type compiledRules struct {
 	// effective thresholds), nil when the document has no risk rules —
 	// call-stack-only policies pay nothing for the contextual dimension.
 	ctx *contextProgram
-
-	// hits[i] counts packets decided by rule i; for risk rules it counts
-	// flows the predicate matched (contributed weight to).
-	hits []atomic.Uint64
 }
 
 // keepMin records idx for key unless a smaller (earlier) rule index is
@@ -152,7 +147,6 @@ func compileRules(rules []Rule) (*compiledRules, error) {
 		classExact:   make(map[string]map[string]int),
 		methodExact:  make(map[dex.Signature]int),
 		methodMerged: make(map[methodKey]int),
-		hits:         make([]atomic.Uint64, len(rules)),
 	}
 	var preds []compiledPredicate
 	warnAt, blockAt := DefaultWarnRisk, DefaultBlockRisk
@@ -168,7 +162,7 @@ func compileRules(rules []Rule) (*compiledRules, error) {
 				// Validate accepted the spec, so this cannot happen.
 				return nil, fmt.Errorf("policy: rule %d: %w", i, err)
 			}
-			p.weight, p.idx = r.Weight, i
+			p.weight = r.Weight
 			c.reasons[i] = fmt.Sprintf("risk rule %s matched", r)
 			preds = append(preds, p)
 			continue

@@ -233,8 +233,8 @@ func TestEvaluateRacesSetRules(t *testing.T) {
 	close(stop)
 	<-writerDone
 
-	if st := eng.Stats(); st.Evaluations != 4*2*2000 {
-		t.Fatalf("evaluations = %d, want %d", st.Evaluations, 4*2*2000)
+	if n := count(eng, "bp_policy_evaluations_total"); n != 4*2*2000 {
+		t.Fatalf("evaluations = %d, want %d", n, 4*2*2000)
 	}
 }
 
@@ -293,9 +293,7 @@ func TestDuplicateTargetsKeepEarliestIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	stack := []dex.Signature{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}}
-	_ = eng.Evaluate(dex.TruncatedHash{}, stack)
-	st := eng.Stats()
-	if st.RuleHits[0] != 1 || st.RuleHits[1] != 0 {
-		t.Fatalf("duplicate target must credit the earliest rule: %+v", st.RuleHits)
+	if d := eng.Evaluate(dex.TruncatedHash{}, stack); d.Rule != &eng.compiled.Load().rules[0] {
+		t.Fatalf("duplicate target must credit the earliest rule: %+v", d.Rule)
 	}
 }

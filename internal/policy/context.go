@@ -277,7 +277,6 @@ type compiledPredicate struct {
 	pred   Predicate
 	mode   uint8
 	weight int
-	idx    int // original rule index, for hit counters
 	// time: window [a, b) in minutes of day (wraps midnight when a > b;
 	// a == b means all day); days is the weekday bitmask (bit 0 = Monday).
 	// posture (modePatchAge): a is the patch-age threshold in days.
@@ -476,16 +475,14 @@ func (cp *contextProgram) nextEdgeIn(fc *FlowContext) int32 {
 	return cp.edges[i] - now
 }
 
-// score sums the weights of the matching predicates and bumps their rule
-// hit counters. Allocation-free: pure field comparisons over pre-parsed
-// specs.
-func (cp *contextProgram) score(fc *FlowContext, c *compiledRules) int {
+// score sums the weights of the matching predicates. Allocation-free: pure
+// field comparisons over pre-parsed specs.
+func (cp *contextProgram) score(fc *FlowContext) int {
 	total := 0
 	for i := range cp.preds {
 		p := &cp.preds[i]
 		if p.matches(fc) {
 			total += p.weight
-			c.hits[p.idx].Add(1)
 		}
 	}
 	return total

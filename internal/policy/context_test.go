@@ -204,9 +204,9 @@ func TestRiskScoringThresholds(t *testing.T) {
 		t.Fatalf("traveling: %+v", d)
 	}
 
-	st := e.Stats()
-	if st.RiskEvaluations != 4 || st.RiskWarns != 1 || st.RiskBlocks != 2 {
-		t.Fatalf("risk stats = %+v", st)
+	evals, warns, blocks := count(e, "bp_context_evaluations_total"), count(e, "bp_context_warns_total"), count(e, "bp_context_blocks_total")
+	if evals != 4 || warns != 1 || blocks != 2 {
+		t.Fatalf("risk evaluations/warns/blocks = %d/%d/%d, want 4/1/2", evals, warns, blocks)
 	}
 }
 
@@ -226,8 +226,8 @@ func TestRiskOnlyTightensAllows(t *testing.T) {
 	if d.Verdict != VerdictAllow || d.RiskApplied {
 		t.Fatalf("nil context must skip risk: %+v", d)
 	}
-	if st := e.Stats(); st.RiskEvaluations != 0 {
-		t.Fatalf("RiskEvaluations = %d, want 0 (deny and nil-context paths skip risk)", st.RiskEvaluations)
+	if n := count(e, "bp_context_evaluations_total"); n != 0 {
+		t.Fatalf("risk evaluations = %d, want 0 (deny and nil-context paths skip risk)", n)
 	}
 }
 
@@ -279,15 +279,17 @@ func TestDegradedOverridesRisk(t *testing.T) {
 	}
 }
 
-func TestRiskRuleHitCounters(t *testing.T) {
+// TestRiskRuleContributesWeight: a flow matching only the trusted-network
+// predicate scores that rule's weight, and the score alone decides.
+func TestRiskRuleContributesWeight(t *testing.T) {
 	e := mustEngine(t, contextDoc)
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
-	e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2})
-	st := e.Stats()
-	// Rule 2 is {[risk][network]["trusted"][-30]} in contextDoc order.
-	if st.RuleHits[2] != 1 {
-		t.Fatalf("trusted-network risk rule hit count = %v", st.RuleHits)
+	d := e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2})
+	// {[risk][network]["trusted"][-30]} is the only contextDoc predicate that
+	// holds on a trusted network on a Wednesday afternoon.
+	if !d.RiskApplied || d.RiskScore != -30 || d.Rule != nil {
+		t.Fatalf("trusted-network risk rule: %+v", d)
 	}
 }
 

@@ -66,8 +66,8 @@ func TestDegradedOverride(t *testing.T) {
 	if d := eng.Evaluate(dex.TruncatedHash{}, cleanStack); d.Verdict != VerdictAllow {
 		t.Fatalf("post-clear verdict = %v", d.Verdict)
 	}
-	if st := eng.Stats(); st.DegradedHits != 1 {
-		t.Fatalf("DegradedHits = %d, want 1", st.DegradedHits)
+	if n := count(eng, "bp_policy_degraded_hits_total"); n != 1 {
+		t.Fatalf("degraded hits = %d, want 1", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/metrics"
 )
 
 // Verdict is the engine's decision for one packet.
@@ -112,8 +113,7 @@ func NewEngine(rules []Rule, defaultVerdict Verdict) (*Engine, error) {
 }
 
 // SetRules atomically replaces the rule set (central reconfiguration).
-// In-flight evaluations finish against the rule set they started with;
-// per-rule hit counters restart for the new set.
+// In-flight evaluations finish against the rule set they started with.
 func (e *Engine) SetRules(rules []Rule) error {
 	c, err := compileRules(rules)
 	if err != nil {
@@ -217,7 +217,6 @@ func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, 
 	e.evaluations.Add(1)
 	var d Decision
 	if decisive < len(c.rules) {
-		c.hits[decisive].Add(1)
 		r := &c.rules[decisive]
 		v := VerdictDrop
 		if r.Action == Allow {
@@ -229,7 +228,7 @@ func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, 
 		d = Decision{Verdict: e.defaultV, Reason: e.defReason}
 	}
 	if fc != nil && c.ctx != nil && d.Verdict == VerdictAllow {
-		score := c.ctx.score(fc, c)
+		score := c.ctx.score(fc)
 		d.RiskApplied = true
 		d.RiskScore = score
 		d.TimeEdgeIn = c.ctx.nextEdgeIn(fc)
@@ -263,39 +262,18 @@ func (e *Engine) Thresholds() (warn, block int) {
 	return DefaultWarnRisk, DefaultBlockRisk
 }
 
-// Stats reports evaluation counters for monitoring.
-type Stats struct {
-	Evaluations uint64
-	DefaultHits uint64
-	// DegradedHits counts evaluations answered by a degraded-mode override
-	// (fail-open/fail-closed posture) instead of the rule set.
-	DegradedHits uint64
-	RuleHits     map[int]uint64
-	// RiskEvaluations counts flows the contextual risk program scored
-	// (once per flow, at SYN time); RiskWarns and RiskBlocks count the
-	// scores that reached the warn and block thresholds.
-	RiskEvaluations uint64
-	RiskWarns       uint64
-	RiskBlocks      uint64
-}
-
-// Stats returns a snapshot of the engine's counters. RuleHits carries the
-// rules of the current compiled set that decided at least one packet.
-func (e *Engine) Stats() Stats {
-	c := e.compiled.Load()
-	hits := make(map[int]uint64, len(c.hits))
-	for i := range c.hits {
-		if n := c.hits[i].Load(); n > 0 {
-			hits[i] = n
-		}
-	}
-	return Stats{
-		Evaluations:     e.evaluations.Load(),
-		DefaultHits:     e.defaultHits.Load(),
-		DegradedHits:    e.degradedHits.Load(),
-		RuleHits:        hits,
-		RiskEvaluations: e.riskEvaluations.Load(),
-		RiskWarns:       e.riskWarns.Load(),
-		RiskBlocks:      e.riskBlocks.Load(),
-	}
+// RegisterMetrics attaches the engine's evaluation counters to a registry:
+// how many packets reached it, how each was decided (default verdict or
+// degraded override; the rest matched a rule), and the contextual risk
+// program's scores and outcomes.
+func (e *Engine) RegisterMetrics(r *metrics.Registry) {
+	r.CounterFunc("bp_policy_evaluations_total", "Packets that reached the compiled policy engine.", e.evaluations.Load)
+	r.CounterFunc("bp_policy_default_hits_total", "Evaluations decided by the default verdict.", e.defaultHits.Load)
+	r.CounterFunc("bp_policy_degraded_hits_total", "Packets decided by a degraded-posture override.", e.degradedHits.Load)
+	r.CounterFunc("bp_context_evaluations_total",
+		"Flows scored by the contextual risk program (once per flow, at SYN time).", e.riskEvaluations.Load)
+	r.CounterFunc("bp_context_warns_total",
+		"Risk evaluations that reached the warn threshold (admitted, flagged).", e.riskWarns.Load)
+	r.CounterFunc("bp_context_blocks_total",
+		"Risk evaluations that reached the block threshold (flow dropped).", e.riskBlocks.Load)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/metrics"
 )
 
 func mustSig(t *testing.T, raw string) dex.Signature {
@@ -179,8 +180,8 @@ func TestEngineOrderingAndDefault(t *testing.T) {
 	// Clean stack in the whitelisted app: hash allow admits.
 	clean := []dex.Signature{mustSig(t, "Lcom/corp/Main;->sync()V")}
 	d = eng.Evaluate(corpHash, clean)
-	if d.Verdict != VerdictAllow {
-		t.Fatalf("whitelisted app dropped: %+v", d)
+	if d.Verdict != VerdictAllow || d.Rule == nil || d.Rule.Level != LevelHash {
+		t.Fatalf("whitelisted app not admitted by its hash rule: %+v", d)
 	}
 
 	// Unknown app: default (drop) applies.
@@ -189,13 +190,17 @@ func TestEngineOrderingAndDefault(t *testing.T) {
 		t.Fatalf("unknown app not dropped by default: %+v", d)
 	}
 
-	st := eng.Stats()
-	if st.Evaluations != 3 || st.DefaultHits != 1 {
-		t.Fatalf("stats = %+v", st)
+	if evals, defaults := count(eng, "bp_policy_evaluations_total"), count(eng, "bp_policy_default_hits_total"); evals != 3 || defaults != 1 {
+		t.Fatalf("evaluations/default hits = %d/%d, want 3/1", evals, defaults)
 	}
-	if st.RuleHits[0] != 1 || st.RuleHits[1] != 1 {
-		t.Fatalf("rule hits = %+v", st.RuleHits)
-	}
+}
+
+// count reads one of the engine's series.
+func count(e *Engine, family string) uint64 {
+	r := metrics.NewRegistry()
+	e.RegisterMetrics(r)
+	v, _ := r.Value(family)
+	return uint64(v)
 }
 
 func TestEngineSetRules(t *testing.T) {

@@ -44,8 +44,8 @@ func TestGroupScopedSourceScopes(t *testing.T) {
 		t.Fatalf("alpha shard compiled %d rules, want 2 (global + alpha)", len(rules))
 	}
 	assertNoForeignRules(t, eng, "beta")
-	if s := st.Stats(); !strings.Contains(s.Source, "[groups:alpha]") {
-		t.Fatalf("source description = %q", s.Source)
+	if s := st.cfg.Source.String(); !strings.Contains(s, "[groups:alpha]") {
+		t.Fatalf("source description = %q", s)
 	}
 	if v := st.Version(); !strings.HasPrefix(v, "group:") {
 		t.Fatalf("scoped version = %q", v)
@@ -83,8 +83,8 @@ func TestGroupScopedSourceNoLeakAfterHotSwap(t *testing.T) {
 	if eng.Generation() != gen {
 		t.Fatalf("beta-only swap bumped generation %d → %d", gen, eng.Generation())
 	}
-	if s := st.Stats(); s.Unchanged != 1 {
-		t.Fatalf("stats after beta-only swap = %+v", s)
+	if n := reloads(st, "unchanged"); n != 1 {
+		t.Fatalf("unchanged cycles after beta-only swap = %d, want 1", n)
 	}
 	assertNoForeignRules(t, eng, "beta")
 
@@ -149,8 +149,8 @@ func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
 	if eng.Generation() != gen {
 		t.Fatal("rejected document changed the engine")
 	}
-	if s := st.Stats(); s.Failures != 1 {
-		t.Fatalf("stats = %+v", s)
+	if n := reloads(st, "failed"); n != 1 {
+		t.Fatalf("failed cycles = %d, want 1", n)
 	}
 }
 

@@ -17,7 +17,7 @@
 //
 // A candidate that fails to fetch, parse, or compile is rejected in its
 // entirety: the engine keeps serving the last successfully applied rule
-// set, the failure is counted, and the error is exposed through Stats.
+// set, the failure is counted, and the error is exposed through LastError.
 // A broken push can therefore never take enforcement down — the paper's
 // fail-safe posture for the enforcement point.
 package policystore
@@ -108,7 +108,7 @@ type Source interface {
 	// use it for conditional fetches and report unchanged=true (with a zero
 	// Candidate) when the document cannot have changed.
 	Fetch(prev string) (c Candidate, unchanged bool, err error)
-	// String describes the backend for logs and stats ("static",
+	// String describes the backend for logs ("static",
 	// "file:/etc/bp/policy.bp", an URL).
 	String() string
 }
@@ -156,48 +156,6 @@ type Config struct {
 	Now func() time.Duration
 }
 
-// Stats snapshots a Store's counters.
-type Stats struct {
-	// Polls counts reload cycles, manual and background.
-	Polls uint64
-	// Applied counts successfully applied rule sets, including the initial
-	// Load. Each applied set bumps the engine generation exactly once.
-	Applied uint64
-	// Unchanged counts cycles where the backend reported no change.
-	Unchanged uint64
-	// Failures counts cycles rejected by a fetch, parse, or compile error;
-	// each one left the last-good rules serving.
-	Failures uint64
-	// Version is the active (last-good) policy revision ("" before the
-	// first successful load).
-	Version string
-	// Rules is the active rule count.
-	Rules int
-	// LastError describes the most recent failure ("" after a clean cycle).
-	LastError string
-	// Source describes the backend.
-	Source string
-	// LastGoodAge is how long ago the last successful cycle (applied or
-	// unchanged) completed — the fleet-health signal a scraper watches to
-	// spot pollers starving before they degrade.
-	LastGoodAge time.Duration
-	// Watching reports whether the store runs the blocking watch loop
-	// (its Source implements Watcher and Start has been called).
-	// WatchRounds counts completed watch rounds (applies, changes for
-	// other shards, and timeouts alike); WatchFallbacks counts watch
-	// errors that dropped the store back to plain polling for a round.
-	Watching       bool
-	WatchRounds    uint64
-	WatchFallbacks uint64
-	// Degraded reports whether the store has tripped its staleness
-	// deadline and put the engine in FailMode; DegradedEnters counts how
-	// many times it has done so over the store's lifetime.
-	Degraded       bool
-	DegradedEnters uint64
-	// FailMode names the configured degraded posture.
-	FailMode string
-}
-
 // Store keeps a policy engine hot from a Source: validation and
 // compilation happen on the store's goroutine (or the Reload caller's),
 // never on the enforcement path, and the swap itself is the engine's
@@ -218,14 +176,17 @@ type Store struct {
 
 	start time.Time // epoch for the default Now
 
-	polls          atomic.Uint64
-	applied        atomic.Uint64
-	unchanged      atomic.Uint64
-	failures       atomic.Uint64
+	// Every reload cycle ends in exactly one of applied (including the
+	// initial Load; each bumps the engine generation once), unchanged or
+	// failures (a rejected fetch, parse or compile: last-good rules keep
+	// serving).
+	applied, unchanged, failures atomic.Uint64
+	// degradedEnters counts trips of the staleness deadline into FailMode.
 	degradedEnters atomic.Uint64
-	watchRounds    atomic.Uint64
-	watchFallbacks atomic.Uint64
-	watching       atomic.Bool
+	// watchRounds counts completed watch rounds (applies, changes for other
+	// shards, and timeouts alike); watchFallbacks the watch errors that
+	// dropped the store back to plain polling for a round.
+	watchRounds, watchFallbacks atomic.Uint64
 
 	// swapLatency times successful applies end to end: fetch through the
 	// engine's atomic swap. All on the reload goroutine, never on traffic.
@@ -297,7 +258,6 @@ func (s *Store) reloadWith(fetch func(prev string) (Candidate, bool, error), par
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 
-	s.polls.Add(1)
 	cycleStart := time.Now()
 	s.mu.Lock()
 	prev := s.version
@@ -423,7 +383,6 @@ func (s *Store) Start() {
 	s.startOne.Do(func() {
 		s.started.Store(true)
 		if w, ok := watchable(s.cfg.Source); ok {
-			s.watching.Store(true)
 			go s.watchLoop(w)
 			return
 		}
@@ -548,7 +507,11 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 			return 0
 		})
 	r.GaugeFunc("bp_policy_rules", "Active compiled rule count.",
-		func() float64 { return float64(s.Stats().Rules) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.ruleCount)
+		})
 	r.RegisterHistogram("bp_policy_swap_latency_ns",
 		"Successful reload latency, fetch through atomic swap.", s.swapLatency)
 }
@@ -560,31 +523,9 @@ func (s *Store) Version() string {
 	return s.version
 }
 
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
+// LastError describes the most recent rejected cycle ("" after a clean one).
+func (s *Store) LastError() string {
 	s.mu.Lock()
-	version, ruleCount, lastErr := s.version, s.ruleCount, s.lastErr
-	age := s.now() - s.lastGoodAt
-	degraded := s.degraded
-	s.mu.Unlock()
-	return Stats{
-		Polls:          s.polls.Load(),
-		Applied:        s.applied.Load(),
-		Unchanged:      s.unchanged.Load(),
-		Failures:       s.failures.Load(),
-		Version:        version,
-		Rules:          ruleCount,
-		LastError:      lastErr,
-		Source:         s.cfg.Source.String(),
-		LastGoodAge:    age,
-		Watching:       s.watching.Load(),
-		WatchRounds:    s.watchRounds.Load(),
-		WatchFallbacks: s.watchFallbacks.Load(),
-		Degraded:       degraded,
-		DegradedEnters: s.degradedEnters.Load(),
-		FailMode:       s.cfg.FailMode.String(),
-	}
+	defer s.mu.Unlock()
+	return s.lastErr
 }

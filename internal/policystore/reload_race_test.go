@@ -11,6 +11,7 @@ import (
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
 	"borderpatrol/internal/tag"
@@ -228,19 +229,28 @@ func TestReloadUnderLoadNoTornVerdicts(t *testing.T) {
 	swapperDone.Wait()
 	wg.Wait()
 
-	st := store.Stats()
-	if st.Applied == 0 || st.Failures == 0 {
-		t.Fatalf("swapper did not exercise both paths: %+v", st)
+	reg := metrics.NewRegistry()
+	store.RegisterMetrics(reg)
+	enf.RegisterMetrics(reg)
+	read := func(family string, labels ...metrics.Label) uint64 {
+		v, _ := reg.Value(family, labels...)
+		return uint64(v)
 	}
-	if st.Polls != swaps+1 { // +1 for the initial Load
-		t.Fatalf("polls = %d, want %d", st.Polls, swaps+1)
+	applied := read("bp_policy_reloads_total", metrics.L("outcome", "applied"))
+	failed := read("bp_policy_reloads_total", metrics.L("outcome", "failed"))
+	if applied == 0 || failed == 0 {
+		t.Fatalf("swapper did not exercise both paths: applied %d, failed %d", applied, failed)
+	}
+	// Every cycle ends in exactly one outcome.
+	if n := read("bp_policy_reloads_total"); n != swaps+1 { // +1 for the initial Load
+		t.Fatalf("reload cycles = %d, want %d", n, swaps+1)
 	}
 	// The flow-cache generation advances exactly once per applied swap:
 	// rejected candidates and unchanged cycles must not move it.
-	if gen := eng.Generation(); gen != st.Applied {
-		t.Fatalf("engine generation = %d, applied swaps = %d (must advance exactly once per swap)", gen, st.Applied)
+	if gen := eng.Generation(); gen != applied {
+		t.Fatalf("engine generation = %d, applied swaps = %d (must advance exactly once per swap)", gen, applied)
 	}
-	if fl := enf.Stats().Flow; fl.Hits == 0 {
-		t.Fatalf("flow cache never hit during the run: %+v", fl)
+	if read("bp_flowtable_hits_total") == 0 {
+		t.Fatal("flow cache never hit during the run")
 	}
 }

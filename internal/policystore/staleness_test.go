@@ -88,9 +88,11 @@ func TestStalenessFailClosed(t *testing.T) {
 	if !ok || d.Verdict != policy.VerdictDrop {
 		t.Fatalf("engine override = %+v, %v (want fail-closed drop)", d, ok)
 	}
-	s := st.Stats()
-	if !s.Degraded || s.DegradedEnters != 1 || s.FailMode != "fail-closed" {
-		t.Fatalf("stats = %+v", s)
+	if n := count(st, "bp_policy_degraded_enters_total"); !st.Degraded() || n != 1 || st.cfg.FailMode.String() != "fail-closed" {
+		t.Fatalf("degraded %v, %d enters, mode %s", st.Degraded(), n, st.cfg.FailMode)
+	}
+	if g := count(st, "bp_policy_degraded"); g != 1 {
+		t.Fatalf("bp_policy_degraded = %d while degraded", g)
 	}
 
 	// Recovery: the backend returns; the unchanged document is enough.
@@ -104,8 +106,8 @@ func TestStalenessFailClosed(t *testing.T) {
 	if _, ok := eng.Degraded(); ok {
 		t.Fatal("engine override survived recovery")
 	}
-	if st.Stats().DegradedEnters != 1 {
-		t.Fatalf("DegradedEnters = %d after recovery", st.Stats().DegradedEnters)
+	if n := count(st, "bp_policy_degraded_enters_total"); n != 1 {
+		t.Fatalf("degraded enters = %d after recovery", n)
 	}
 }
 
@@ -149,8 +151,8 @@ func TestLastGoodAge(t *testing.T) {
 	if got := st.LastGoodAge(); got != 45*time.Second {
 		t.Fatalf("age = %v, want 45s", got)
 	}
-	if got := st.Stats().LastGoodAge; got != 45*time.Second {
-		t.Fatalf("stats age = %v, want 45s", got)
+	if got := count(st, "bp_policy_staleness_age_seconds"); got != 45 {
+		t.Fatalf("bp_policy_staleness_age_seconds = %d, want 45", got)
 	}
 	if _, err := st.Reload(); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,26 @@ import (
 	"testing"
 	"time"
 
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 )
+
+// count reads one of the store's series; labels narrow a family.
+func count(st *Store, family string, labels ...metrics.Label) uint64 {
+	r := metrics.NewRegistry()
+	st.RegisterMetrics(r)
+	v, _ := r.Value(family, labels...)
+	return uint64(v)
+}
+
+// reloads reads bp_policy_reloads_total for one outcome; "" sums every
+// cycle, since each ends in exactly one outcome.
+func reloads(st *Store, outcome string) uint64 {
+	if outcome == "" {
+		return count(st, "bp_policy_reloads_total")
+	}
+	return count(st, "bp_policy_reloads_total", metrics.L("outcome", outcome))
+}
 
 func newEngine(t *testing.T) *policy.Engine {
 	t.Helper()
@@ -37,21 +55,21 @@ func TestStoreLoadApplies(t *testing.T) {
 	if eng.Generation() != 1 {
 		t.Fatalf("generation = %d, want 1", eng.Generation())
 	}
-	s := st.Stats()
-	if s.Applied != 1 || s.Failures != 0 || s.Rules != 1 || s.Version == "" || s.Source != "static" {
-		t.Fatalf("stats = %+v", s)
+	applied, failed, ruleCount := reloads(st, "applied"), reloads(st, "failed"), count(st, "bp_policy_rules")
+	if applied != 1 || failed != 0 || ruleCount != 1 || st.Version() == "" || st.cfg.Source.String() != "static" {
+		t.Fatalf("applied/failed/rules = %d/%d/%d, version %q, source %s", applied, failed, ruleCount, st.Version(), st.cfg.Source)
 	}
 
 	// A second cycle is a no-op: unchanged, no generation bump.
-	applied, err := st.Reload()
-	if err != nil || applied {
-		t.Fatalf("reload of unchanged source: applied=%v err=%v", applied, err)
+	again, err := st.Reload()
+	if err != nil || again {
+		t.Fatalf("reload of unchanged source: applied=%v err=%v", again, err)
 	}
 	if eng.Generation() != 1 {
 		t.Fatalf("unchanged reload bumped generation to %d", eng.Generation())
 	}
-	if s := st.Stats(); s.Unchanged != 1 || s.Polls != 2 {
-		t.Fatalf("stats = %+v", s)
+	if unchanged, cycles := reloads(st, "unchanged"), reloads(st, ""); unchanged != 1 || cycles != 2 {
+		t.Fatalf("unchanged/cycles = %d/%d, want 1/2", unchanged, cycles)
 	}
 }
 
@@ -69,8 +87,8 @@ func TestStoreInitialLoadFailure(t *testing.T) {
 	if !errors.Is(err, policy.ErrBadRule) {
 		t.Fatalf("error %v does not wrap ErrBadRule", err)
 	}
-	if s := st.Stats(); s.Applied != 0 || s.Failures != 1 || s.Version != "" {
-		t.Fatalf("stats = %+v", s)
+	if applied, failed := reloads(st, "applied"), reloads(st, "failed"); applied != 0 || failed != 1 || st.Version() != "" {
+		t.Fatalf("applied/failed = %d/%d, version %q", applied, failed, st.Version())
 	}
 }
 
@@ -103,13 +121,12 @@ func TestStoreLastGoodSurvivesBadCandidate(t *testing.T) {
 	if eng.Generation() != 1 {
 		t.Fatalf("rejected candidate bumped generation to %d", eng.Generation())
 	}
-	s := st.Stats()
-	if s.Failures != 1 || s.Version != goodVersion || s.LastError == "" {
-		t.Fatalf("stats = %+v", s)
+	if failed := reloads(st, "failed"); failed != 1 || st.Version() != goodVersion || st.LastError() == "" {
+		t.Fatalf("failed %d, version %q (want %q), last error %q", failed, st.Version(), goodVersion, st.LastError())
 	}
 	// The error is locatable (line number from the grammar).
-	if want := "line 2"; !strings.Contains(s.LastError, want) {
-		t.Fatalf("LastError %q does not name %q", s.LastError, want)
+	if want := "line 2"; !strings.Contains(st.LastError(), want) {
+		t.Fatalf("LastError %q does not name %q", st.LastError(), want)
 	}
 
 	// Recovery: a good revision applies and clears the error.
@@ -122,8 +139,8 @@ func TestStoreLastGoodSurvivesBadCandidate(t *testing.T) {
 	if rules := eng.Rules(); len(rules) != 2 {
 		t.Fatalf("recovered rules = %+v", rules)
 	}
-	if s := st.Stats(); s.LastError != "" || s.Applied != 2 || s.Rules != 2 {
-		t.Fatalf("stats after recovery = %+v", s)
+	if applied, rules := reloads(st, "applied"), count(st, "bp_policy_rules"); st.LastError() != "" || applied != 2 || rules != 2 {
+		t.Fatalf("after recovery: last error %q, applied %d, rules %d", st.LastError(), applied, rules)
 	}
 	if eng.Generation() != 2 {
 		t.Fatalf("generation = %d, want 2 (one bump per applied swap)", eng.Generation())
@@ -163,8 +180,8 @@ func TestStorePollerHotReload(t *testing.T) {
 	if rules := eng.Rules(); len(rules) != 2 {
 		t.Fatalf("poller never applied the edit: %+v", rules)
 	}
-	if s := st.Stats(); s.Applied != 2 {
-		t.Fatalf("stats = %+v", s)
+	if n := reloads(st, "applied"); n != 2 {
+		t.Fatalf("applied = %d, want 2", n)
 	}
 }
 
@@ -204,8 +221,8 @@ func TestStorePollerBacksOffOnErrors(t *testing.T) {
 	if n == 0 || n > 30 {
 		t.Fatalf("fetches in 120ms = %d, want backoff-limited (1..30)", n)
 	}
-	if s := st.Stats(); s.Failures == 0 || s.LastError == "" {
-		t.Fatalf("stats = %+v", s)
+	if n := reloads(st, "failed"); n == 0 || st.LastError() == "" {
+		t.Fatalf("failed %d, last error %q", n, st.LastError())
 	}
 }
 
@@ -234,7 +251,7 @@ func TestStoreEmptyDocument(t *testing.T) {
 	if rules := eng.Rules(); len(rules) != 0 {
 		t.Fatalf("rules = %+v", rules)
 	}
-	if s := st.Stats(); s.Applied != 1 || s.Rules != 0 {
-		t.Fatalf("stats = %+v", s)
+	if applied, rules := reloads(st, "applied"), count(st, "bp_policy_rules"); applied != 1 || rules != 0 {
+		t.Fatalf("applied/rules = %d/%d, want 1/0", applied, rules)
 	}
 }

@@ -146,19 +146,17 @@ func TestStoreWatchPropagatesInOneRound(t *testing.T) {
 	// must wake both.
 	h.Set(strings.Replace(grouped, "com/global", "com/global/v2", 1))
 	for i, st := range stores {
+		rounds := func() uint64 { return count(st, "bp_policy_watch_rounds_total") }
 		eventually(t, "store apply", func() bool {
-			s := st.Stats()
-			return s.Applied == 2 && s.WatchRounds == 1
+			return reloads(st, "applied") == 2 && rounds() == 1
 		})
-		s := st.Stats()
 		// Exactly one completed watch round carried the change; no cycle
-		// ever came back empty-handed. (Polls may read one higher than
-		// Applied because the next round is already parked.)
-		if s.WatchRounds != 1 || s.Unchanged != 0 || s.Failures != 0 {
-			t.Errorf("store %d: change took more than one watch round: %+v", i, s)
+		// ever came back empty-handed.
+		if n, unchanged, failed := rounds(), reloads(st, "unchanged"), reloads(st, "failed"); n != 1 || unchanged != 0 || failed != 0 {
+			t.Errorf("store %d: change took more than one watch round: rounds/unchanged/failed = %d/%d/%d", i, n, unchanged, failed)
 		}
-		if s.WatchFallbacks != 0 || !s.Watching {
-			t.Errorf("store %d: watch stats = %+v", i, s)
+		if n := count(st, "bp_policy_watch_fallbacks_total"); n != 0 {
+			t.Errorf("store %d: %d watch fallbacks", i, n)
 		}
 		if got := engines[i].Generation(); got != gens[i]+1 {
 			t.Errorf("store %d: generation = %d, want exactly %d+1", i, got, gens[i])
@@ -223,18 +221,17 @@ func TestWatchDisconnectFallsBackToPollingWithoutStaleness(t *testing.T) {
 	// at least one fallback poll land in each step. Every successful poll
 	// re-arms the deadline, so the store must never degrade.
 	for step := 0; step < 10; step++ {
-		polls := st.Stats().Polls
-		eventually(t, "fallback poll", func() bool { return st.Stats().Polls >= polls+2 })
+		polls := reloads(st, "")
+		eventually(t, "fallback poll", func() bool { return reloads(st, "") >= polls+2 })
 		mu.Lock()
 		*now += 30 * time.Second
 		mu.Unlock()
 	}
-	s := st.Stats()
-	if s.WatchFallbacks == 0 {
+	if count(st, "bp_policy_watch_fallbacks_total") == 0 {
 		t.Fatal("watch never fell back to polling")
 	}
-	if s.Degraded || s.DegradedEnters != 0 {
-		t.Fatalf("staleness tripped during watch fallback: %+v", s)
+	if n := count(st, "bp_policy_degraded_enters_total"); st.Degraded() || n != 0 {
+		t.Fatalf("staleness tripped during watch fallback: degraded %v, %d enters", st.Degraded(), n)
 	}
 	if _, degraded := eng.Degraded(); degraded {
 		t.Fatal("engine degraded during watch fallback")
@@ -243,5 +240,5 @@ func TestWatchDisconnectFallsBackToPollingWithoutStaleness(t *testing.T) {
 	src.mu.Lock()
 	src.doc = docB
 	src.mu.Unlock()
-	eventually(t, "fallback apply", func() bool { return st.Stats().Applied == 2 })
+	eventually(t, "fallback apply", func() bool { return reloads(st, "applied") == 2 })
 }

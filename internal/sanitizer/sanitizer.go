@@ -7,9 +7,10 @@
 package sanitizer
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 )
 
 // Config selects sanitizer behaviour.
@@ -20,22 +21,13 @@ type Config struct {
 	StripAllOptions bool
 }
 
-// Stats counts sanitizer activity.
-type Stats struct {
-	// Processed counts packets seen.
-	Processed uint64
-	// Cleansed counts packets that had options removed.
-	Cleansed uint64
-	// AlreadyClean counts packets that needed no work.
-	AlreadyClean uint64
-}
-
-// Sanitizer removes context tags from outbound packets.
+// Sanitizer removes context tags from outbound packets. It is safe for
+// concurrent use: its one counter is an atomic, so the gateway's delivery
+// workers share it without a lock.
 type Sanitizer struct {
 	cfg Config
-
-	mu    sync.Mutex
-	stats Stats
+	// cleansed counts packets that had options removed.
+	cleansed atomic.Uint64
 }
 
 // New builds a sanitizer.
@@ -55,20 +47,13 @@ func (s *Sanitizer) Process(pkt *ipv4.Packet) *ipv4.Packet {
 	} else {
 		removed = pkt.Header.RemoveOption(ipv4.OptSecurity)
 	}
-	s.mu.Lock()
-	s.stats.Processed++
 	if removed {
-		s.stats.Cleansed++
-	} else {
-		s.stats.AlreadyClean++
+		s.cleansed.Add(1)
 	}
-	s.mu.Unlock()
 	return pkt
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Sanitizer) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+// RegisterMetrics attaches the sanitizer's counter to a registry.
+func (s *Sanitizer) RegisterMetrics(r *metrics.Registry) {
+	r.CounterFunc("bp_sanitizer_cleansed_total", "Packets the sanitizer stripped options from.", s.cleansed.Load)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 )
 
 func taggedPacket() *ipv4.Packet {
@@ -31,9 +32,8 @@ func TestStripsBorderPatrolOption(t *testing.T) {
 	if ipv4.BorderFilter(pkt) != ipv4.BorderForward {
 		t.Fatal("cleansed packet still dropped at border")
 	}
-	st := s.Stats()
-	if st.Processed != 1 || st.Cleansed != 1 || st.AlreadyClean != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := cleansed(s); n != 1 {
+		t.Fatalf("cleansed = %d, want 1", n)
 	}
 }
 
@@ -46,9 +46,8 @@ func TestCleanPacketUntouched(t *testing.T) {
 	if string(out.Payload) != payloadBefore {
 		t.Fatal("payload modified")
 	}
-	st := s.Stats()
-	if st.AlreadyClean != 1 || st.Cleansed != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := cleansed(s); n != 0 {
+		t.Fatalf("cleansed = %d, want 0 (the packet was already clean)", n)
 	}
 }
 
@@ -107,8 +106,15 @@ func TestIdempotent(t *testing.T) {
 	if again.Header.HasOptions() {
 		t.Fatal("second pass found options")
 	}
-	st := s.Stats()
-	if st.Cleansed != 1 || st.AlreadyClean != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := cleansed(s); n != 1 {
+		t.Fatalf("cleansed = %d, want 1 (the second pass found nothing)", n)
 	}
+}
+
+// cleansed reads bp_sanitizer_cleansed_total.
+func cleansed(s *Sanitizer) uint64 {
+	r := metrics.NewRegistry()
+	s.RegisterMetrics(r)
+	v, _ := r.Value("bp_sanitizer_cleansed_total")
+	return uint64(v)
 }
