@@ -336,13 +336,13 @@ func BenchmarkEnforcerFlowCacheHitParallel(b *testing.B) {
 }
 
 // BenchmarkGatewayBatchDrain pushes 256-packet keep-alive bursts through
-// the full gateway (netfilter batch traversal, per-core drain, enforcer
-// batch memo, sanitizer). Reported ns/op is per packet.
+// the full gateway (flow-affine split, enforcer batch memo, sanitizer,
+// conntrack). Reported ns/op is per packet.
 func BenchmarkGatewayBatchDrain(b *testing.B) {
 	enf, pkt := benchPipeline(b, true)
 	gw := netsim.NewGateway(netsim.GatewayConfig{
 		Enforcer:  enf,
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
+		Sanitizer: sanitizer.New(),
 	})
 	burst := make([]*ipv4.Packet, 256)
 	for i := range burst {

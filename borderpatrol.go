@@ -13,7 +13,8 @@
 // This package is the public facade over the full system. A Deployment
 // wires together the simulated provisioned device (patched kernel,
 // Xposed-style hooks, Context Manager), the enterprise gateway (enforcer +
-// sanitizer on netfilter queues), and a virtual-time network:
+// sanitizer, with the paper's NFQUEUE hop charged in virtual time), and a
+// virtual-time network:
 //
 //	dep, err := borderpatrol.New(borderpatrol.Config{
 //		Policy: borderpatrol.PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`},

@@ -9,6 +9,7 @@ import (
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/netstack"
+	"borderpatrol/internal/transport"
 )
 
 func testAPK() *dex.APK {
@@ -352,6 +353,35 @@ func TestNativeSocketBypassesHooks(t *testing.T) {
 	for i, pkt := range res.Packets {
 		if _, ok := pkt.Header.FindOption(ipv4.OptSecurity); ok {
 			t.Fatalf("native packet %d carries options", i)
+		}
+	}
+}
+
+// TestFailedInvokeClosesSocket: a datagram too large for UDP fails the
+// send, on the Java path and on the native one alike, and the socket the
+// failed call opened leaves the kernel's table.
+func TestFailedInvokeClosesSocket(t *testing.T) {
+	for _, native := range []bool{false, true} {
+		d := newTestDevice()
+		funcs := []Functionality{{
+			Name:     "oversized",
+			CallPath: []dex.Frame{{Class: "com/flurry/sdk/Agent", Method: "beacon", File: "Agent.java", Line: 10}},
+			Op: NetOp{Endpoint: endpoint(), Proto: ipv4.ProtoUDP, UseNativeSocket: native,
+				Datagram: make([]byte, transport.MaxUDPPayload+1)},
+		}}
+		app, err := d.InstallApp(testAPK(), funcs, ProfileWork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.Invoke("oversized"); !errors.Is(err, kernel.ErrInvalid) {
+			t.Fatalf("native %v: oversized datagram: %v, want EINVAL", native, err)
+		}
+		// Fds are handed out in order and never reused: the failed call's
+		// socket is the one just before the next.
+		k := d.Stack().Kernel()
+		fd := k.Socket(app.UID, ipv4.ProtoUDP) - 1
+		if _, err := k.GetSocket(fd); !errors.Is(err, kernel.ErrBadFD) {
+			t.Fatalf("native %v: socket %d after the failed send: %v, want EBADF", native, fd, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
 )
 
 // NetOp describes the network side effect of one app functionality: where
@@ -159,8 +158,7 @@ var socketFrames = []dex.Frame{
 
 // InvokeResult reports what one functionality execution emitted.
 type InvokeResult struct {
-	// Packets are the wire packets that left the device (post device-side
-	// netfilter), in order.
+	// Packets are the wire packets that left the device, in order.
 	Packets []*ipv4.Packet
 	// Tagged reports whether the first packet carried a BorderPatrol tag.
 	Tagged bool
@@ -170,7 +168,7 @@ type InvokeResult struct {
 
 // Invoke executes a functionality end to end: builds the Java call stack,
 // connects (firing Xposed hooks), sends the HTTP request(s), and closes the
-// socket. It returns every packet that survived device-side filtering.
+// socket. It returns every packet the device emitted.
 func (a *App) Invoke(name string) (*InvokeResult, error) {
 	f, ok := a.funcs[name]
 	if !ok {
@@ -253,9 +251,7 @@ func (a *App) Invoke(name string) (*InvokeResult, error) {
 				_ = sock.Close()
 				return res, fmt.Errorf("android: %s/%s send: %w", a.APK.PackageName, name, err)
 			}
-			if pkt != nil {
-				res.Packets = append(res.Packets, pkt)
-			}
+			res.Packets = append(res.Packets, pkt)
 		}
 		fin, err := sock.Finish()
 		if err != nil {
@@ -279,36 +275,41 @@ func (a *App) Invoke(name string) (*InvokeResult, error) {
 // through libc, bypassing the hookable Java API. The kernel still builds
 // real transport segments for it — the SYN/data/FIN just leave untagged,
 // which is exactly what the enforcer's untagged-drop posture catches.
-func (a *App) invokeNative(op NetOp, payload []byte) ([]*ipv4.Packet, int, error) {
+func (a *App) invokeNative(op NetOp, payload []byte) (pkts []*ipv4.Packet, fd int, err error) {
 	k := a.device.stack.Kernel()
-	fd := k.Socket(a.UID, op.Proto)
+	fd = k.Socket(a.UID, op.Proto)
+	defer func() {
+		// Like the Java path, a failed call still frees its socket; the
+		// call's own error is the one reported.
+		if err != nil {
+			_ = k.Close(fd)
+		}
+	}()
 	local := netip.AddrPortFrom(a.device.stack.LocalAddr(), 39000+uint16(fd%1000))
 	if err := k.Connect(fd, local, op.Endpoint); err != nil {
 		return nil, fd, fmt.Errorf("android: native connect: %w", err)
 	}
-	var pkts []*ipv4.Packet
-	appendOK := func(pkt *ipv4.Packet, err error) error {
-		if err != nil && !errors.Is(err, kernel.ErrNoQueueHandler) {
-			return err
-		}
-		if pkt != nil {
-			pkts = append(pkts, pkt)
-		}
-		return nil
+	// UDP sockets emit no lifecycle segments (nil packets).
+	syn, err := k.Handshake(fd)
+	if err != nil {
+		return nil, fd, fmt.Errorf("android: native handshake: %w", err)
 	}
-	if err := appendOK(k.Handshake(fd)); err != nil {
-		return pkts, fd, fmt.Errorf("android: native handshake: %w", err)
+	if syn != nil {
+		pkts = append(pkts, syn)
 	}
 	for r := 0; r < op.Requests; r++ {
-		if err := appendOK(k.Send(fd, payload)); err != nil {
+		pkt, err := k.Send(fd, payload)
+		if err != nil {
 			return pkts, fd, fmt.Errorf("android: native send: %w", err)
 		}
+		pkts = append(pkts, pkt)
 	}
-	if err := appendOK(k.Shutdown(fd)); err != nil {
+	fin, err := k.Shutdown(fd)
+	if err != nil {
 		return pkts, fd, fmt.Errorf("android: native shutdown: %w", err)
 	}
-	if err := k.Close(fd); err != nil {
-		return pkts, fd, err
+	if fin != nil {
+		pkts = append(pkts, fin)
 	}
-	return pkts, fd, nil
+	return pkts, fd, k.Close(fd)
 }

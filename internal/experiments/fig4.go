@@ -199,7 +199,7 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 		enf := enforcer.New(enforcer.Config{}, db, engine)
 		tb.network.Gateway = netsim.NewGateway(netsim.GatewayConfig{
 			Enforcer:  enf,
-			Sanitizer: sanitizer.New(sanitizer.Config{}),
+			Sanitizer: sanitizer.New(),
 		})
 	}
 

@@ -88,7 +88,7 @@ func TestFleetSharedGatewayEnforcement(t *testing.T) {
 	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
 	network.Gateway = netsim.NewGateway(netsim.GatewayConfig{
 		Enforcer:  enf,
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
+		Sanitizer: sanitizer.New(),
 	})
 	network.AddServer(&netsim.Server{Addr: ep.Addr(), Handler: httpsim.StaticHandler(nil)})
 

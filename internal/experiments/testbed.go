@@ -232,7 +232,7 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	tb.Context = devctx.NewSource(network.Clock)
 	tb.Device.BindContext(tb.Context)
 
-	san := sanitizer.New(sanitizer.Config{})
+	san := sanitizer.New()
 	gwCfg := netsim.GatewayConfig{
 		Sanitizer: san,
 		Workers:   cfg.GatewayWorkers,

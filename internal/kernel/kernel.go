@@ -2,9 +2,11 @@
 // depends on: POSIX-style socket syscalls with capability checks on
 // IP_OPTIONS, the paper's one-line kernel patch that lifts the
 // CAP_NET_RAW requirement for unprivileged apps (§V-B "Instrumented Linux
-// kernel"), the set-once hardening against tag replay (§VII "Tag-replay"),
-// and a netfilter subsystem with OUTPUT/POSTROUTING chains and NFQUEUE
-// verdicts (§V-C).
+// kernel"), and the set-once hardening against tag replay (§VII
+// "Tag-replay"). The device runs no packet filter: every packet a socket
+// call builds leaves the device as built. The gateway's NFQUEUE (§V-C) is
+// modelled in virtual time by the netsim package, which calls its stages
+// directly.
 package kernel
 
 import (
@@ -88,7 +90,6 @@ type Kernel struct {
 	cfg     Config
 	nextFD  int
 	sockets map[int]*Socket
-	filter  *Netfilter
 	// ipidCounter assigns IPv4 identification values.
 	ipidCounter uint16
 }
@@ -99,7 +100,6 @@ func New(cfg Config) *Kernel {
 		cfg:     cfg,
 		nextFD:  3, // 0-2 are stdio, as on a real system
 		sockets: make(map[int]*Socket),
-		filter:  NewNetfilter(),
 	}
 }
 
@@ -109,9 +109,6 @@ func (k *Kernel) Config() Config {
 	defer k.mu.Unlock()
 	return k.cfg
 }
-
-// Netfilter exposes the kernel's netfilter subsystem.
-func (k *Kernel) Netfilter() *Netfilter { return k.filter }
 
 // Socket implements socket(2): allocates a socket and returns its fd.
 func (k *Kernel) Socket(ownerUID int, protocol byte) int {
@@ -220,29 +217,25 @@ func (k *Kernel) Close(fd int) error {
 	return nil
 }
 
-// Send builds the IPv4 packet for a payload written to a connected socket,
-// wraps it in the socket's transport header (a TCP data segment or a UDP
-// datagram carrying the socket's real ports), stamps the socket's IP
-// options into the IPv4 header, and runs it through the netfilter OUTPUT
-// chain. It returns the packet as it should enter the network (nil packet
-// when a netfilter verdict dropped it).
+// Send builds the IPv4 packet for a payload written to a connected socket:
+// it wraps the payload in the socket's transport header (a TCP data segment
+// or a UDP datagram carrying the socket's real ports) and stamps the
+// socket's IP options into the IPv4 header. It returns the packet as it
+// enters the network.
 func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 	k.mu.Lock()
-	s, ok := k.sockets[fd]
-	if !ok {
-		k.mu.Unlock()
-		return nil, ErrBadFD
+	defer k.mu.Unlock()
+	s, err := k.connectedLocked(fd)
+	if err != nil {
+		return nil, err
 	}
-	if s.State != SockConnected || s.finSent {
-		k.mu.Unlock()
+	if s.finSent {
 		return nil, ErrNotConnected
 	}
-	var wire []byte
 	if s.Protocol == ipv4.ProtoUDP {
 		if len(payload) > transport.MaxUDPPayload {
 			// EMSGSIZE: the 16-bit UDP length field cannot represent it,
 			// and Marshal would silently wrap the field.
-			k.mu.Unlock()
 			return nil, fmt.Errorf("%w: UDP payload %d exceeds %d bytes",
 				ErrInvalid, len(payload), transport.MaxUDPPayload)
 		}
@@ -251,25 +244,31 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 			DstPort: s.Remote.Port(),
 			Payload: payload,
 		}
-		wire = dg.Marshal()
-	} else {
-		seg := transport.TCPSegment{
-			SrcPort: s.Local.Port(),
-			DstPort: s.Remote.Port(),
-			Seq:     s.seq,
-			Flags:   transport.FlagPSH | transport.FlagACK,
-			Window:  65535,
-			Payload: payload,
-		}
-		s.seq += uint32(len(payload))
-		wire = seg.Marshal()
+		return k.buildPacketLocked(s, dg.Marshal()), nil
 	}
-	pkt, filter := k.buildPacketLocked(s, wire)
-	k.mu.Unlock()
+	seg := transport.TCPSegment{
+		SrcPort: s.Local.Port(),
+		DstPort: s.Remote.Port(),
+		Seq:     s.seq,
+		Flags:   transport.FlagPSH | transport.FlagACK,
+		Window:  65535,
+		Payload: payload,
+	}
+	s.seq += uint32(len(payload))
+	return k.buildPacketLocked(s, seg.Marshal()), nil
+}
 
-	// Traverse the OUTPUT chain outside the kernel lock: NFQUEUE handlers
-	// are user-space programs and may call back into the kernel.
-	return filter.Output(pkt)
+// connectedLocked returns fd's socket if it is connected. Caller holds
+// k.mu.
+func (k *Kernel) connectedLocked(fd int) (*Socket, error) {
+	s, ok := k.sockets[fd]
+	if !ok {
+		return nil, ErrBadFD
+	}
+	if s.State != SockConnected {
+		return nil, ErrNotConnected
+	}
+	return s, nil
 }
 
 // buildPacketLocked assembles the IPv4 packet for a socket's wire payload
@@ -277,7 +276,7 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 // packet gets its own option list but shares the option bytes, which
 // SetIPOptions copied in and nothing writes after (the invariant on
 // ipv4.Packet). Caller holds k.mu.
-func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfilter) {
+func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) *ipv4.Packet {
 	k.ipidCounter++
 	pkt := &ipv4.Packet{
 		Header: ipv4.Header{
@@ -295,31 +294,21 @@ func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfi
 			pkt.Header.SetOption(o)
 		}
 	}
-	return pkt, k.filter
+	return pkt
 }
 
 // Handshake emits the connection-opening SYN segment for a connected TCP
-// socket through the netfilter OUTPUT chain. It runs after the socket's
-// IP options are in place (the Context Manager's post-connect hook has
-// fired), so the SYN carries the flow's tag like every other packet and
-// the gateway's conntrack can key the connection from its first segment.
-// It returns (nil, nil) when the socket speaks UDP or when the SYN was
-// already sent; a nil packet with nil error also means a device-side
-// filter dropped it.
+// socket. It runs after the socket's IP options are in place (the Context
+// Manager's post-connect hook has fired), so the SYN carries the flow's tag
+// like every other packet and the gateway's conntrack can key the
+// connection from its first segment. It returns (nil, nil) when the socket
+// speaks UDP or when the SYN was already sent.
 func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
-	s, ok := k.sockets[fd]
-	if !ok {
-		k.mu.Unlock()
-		return nil, ErrBadFD
-	}
-	if s.State != SockConnected {
-		k.mu.Unlock()
-		return nil, ErrNotConnected
-	}
-	if s.Protocol != ipv4.ProtoTCP || s.synSent {
-		k.mu.Unlock()
-		return nil, nil
+	defer k.mu.Unlock()
+	s, err := k.connectedLocked(fd)
+	if err != nil || s.Protocol != ipv4.ProtoTCP || s.synSent {
+		return nil, err
 	}
 	seg := transport.TCPSegment{
 		SrcPort: s.Local.Port(),
@@ -330,31 +319,20 @@ func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 	}
 	s.seq++ // the SYN consumes one sequence number
 	s.synSent = true
-	pkt, filter := k.buildPacketLocked(s, seg.Marshal())
-	k.mu.Unlock()
-	return filter.Output(pkt)
+	return k.buildPacketLocked(s, seg.Marshal()), nil
 }
 
 // Shutdown emits the connection-closing FIN segment (FIN|ACK) for a
-// connected TCP socket through the netfilter OUTPUT chain and marks the
-// socket half-closed: further Sends fail. Like Handshake it returns
-// (nil, nil) for UDP sockets or when the FIN was already sent. The
-// gateway's conntrack tears the flow's cached verdict down when this
-// segment passes enforcement.
+// connected TCP socket and marks the socket half-closed: further Sends
+// fail. Like Handshake it returns (nil, nil) for UDP sockets or when the
+// FIN was already sent. The gateway's conntrack tears the flow's cached
+// verdict down when this segment passes enforcement.
 func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
-	s, ok := k.sockets[fd]
-	if !ok {
-		k.mu.Unlock()
-		return nil, ErrBadFD
-	}
-	if s.State != SockConnected {
-		k.mu.Unlock()
-		return nil, ErrNotConnected
-	}
-	if s.Protocol != ipv4.ProtoTCP || s.finSent {
-		k.mu.Unlock()
-		return nil, nil
+	defer k.mu.Unlock()
+	s, err := k.connectedLocked(fd)
+	if err != nil || s.Protocol != ipv4.ProtoTCP || s.finSent {
+		return nil, err
 	}
 	seg := transport.TCPSegment{
 		SrcPort: s.Local.Port(),
@@ -365,7 +343,5 @@ func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	}
 	s.seq++ // the FIN consumes one sequence number
 	s.finSent = true
-	pkt, filter := k.buildPacketLocked(s, seg.Marshal())
-	k.mu.Unlock()
-	return filter.Output(pkt)
+	return k.buildPacketLocked(s, seg.Marshal()), nil
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"testing"
 
 	"borderpatrol/internal/enforcer"
@@ -17,7 +16,7 @@ import (
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	mk := func(workers int) (*Network, *ipv4.Packet, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: workers})
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	}
@@ -75,7 +74,7 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 func TestDeliverBatchAmortizesQueueHop(t *testing.T) {
 	mk := func() (*Network, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync")
 	}
@@ -122,7 +121,7 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
 
 	pkt := taggedPacket(t, apk, db, "sync")
 	burst := make([]*ipv4.Packet, 32)
@@ -155,43 +154,59 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelBatchKeepAlive pushes 64-packet keep-alive trains through
-// the gateway's NFQUEUE 1 traversal alone — kernel batch walk plus the
-// enforcer's batch handler, no sanitizer, conntrack or server — against
-// the §VI-B1 validation-scale rule set (1,050 library deny rules).
-// Reported ns/op is per packet; BenchmarkProcessBatchKeepAlive in the
-// enforcer package is the same train without the kernel walk.
-func BenchmarkKernelBatchKeepAlive(b *testing.B) {
-	_, apk, db := buildEnforcerAndDB(b)
-	rules := make([]policy.Rule, 0, 1050)
-	for i := 0; i < 1050; i++ {
-		rules = append(rules, policy.Rule{
-			Action: policy.Deny,
-			Level:  policy.LevelLibrary,
-			Target: fmt.Sprintf("com/blocked/lib%04d", i),
-		})
-	}
-	eng, err := policy.NewEngine(rules, policy.VerdictAllow)
+// TestDeniedPacketNeverSanitized pins the stage order and the stage-less
+// gateways: a tagged packet the enforcer denies is dropped before the
+// sanitizer, so the sanitizer cleanses exactly the accepted tagged
+// packets; a passthrough gateway returns every packet unmodified, and it
+// and a sanitizer-only gateway report no enforcement result.
+func TestDeniedPacketNeverSanitized(t *testing.T) {
+	enf, apk, db := buildEnforcerAndDB(t)
+	san := sanitizer.New()
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: san})
+	allowed, denied := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
+	burst := []*ipv4.Packet{allowed, denied, denied, allowed, denied}
+	out, err := gw.ProcessBatch(burst)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	enf := enforcer.New(enforcer.Config{
-		Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 65536}),
-	}, db, eng)
-	nf := NewGateway(GatewayConfig{Enforcer: enf}).Netfilter()
-	batch := make([]*ipv4.Packet, 64)
-	for i := range batch {
-		batch[i] = taggedPacket(b, apk, db, "sync")
+	accepted := 0
+	for i, o := range out {
+		if o.Result == nil {
+			t.Fatalf("packet %d: no enforcement result", i)
+		}
+		if burst[i] == denied {
+			if o.Out != nil || o.Result.Verdict != policy.VerdictDrop {
+				t.Fatalf("denied packet %d: %+v", i, o)
+			}
+			continue
+		}
+		accepted++
+		if o.Out == nil || o.Out.Header.HasOptions() || o.Result.Verdict != policy.VerdictAllow {
+			t.Fatalf("allowed packet %d: %+v", i, o)
+		}
 	}
-	if _, err := nf.OutputBatch(batch); err != nil { // fill the flow cache
-		b.Fatal(err)
+	if got := count(san, "bp_sanitizer_cleansed_total"); got != uint64(accepted) {
+		t.Fatalf("sanitizer cleansed %d packets, want the %d accepted ones", got, accepted)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(batch) {
-		res, err := nf.OutputBatch(batch)
-		if err != nil || res[0].Out == nil {
-			b.Fatal("keep-alive packet lost")
+
+	for name, cfg := range map[string]GatewayConfig{
+		"passthrough":    {Passthrough: true},
+		"sanitizer only": {Sanitizer: sanitizer.New()},
+	} {
+		out, err := NewGateway(cfg).ProcessBatch(burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Out == nil || o.Result != nil {
+				t.Fatalf("%s: packet %d: %+v", name, i, o)
+			}
+			if _, tagged := o.Out.Header.FindOption(ipv4.OptSecurity); tagged != (name == "passthrough") {
+				t.Fatalf("%s: packet %d left tagged = %v", name, i, tagged)
+			}
+			if name == "passthrough" && o.Out != burst[i] {
+				t.Fatalf("passthrough: packet %d was replaced", i)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/policy"
 )
 
 // minWorkerBurst is the fewest packets worth a worker of their own: a
@@ -47,9 +48,8 @@ type burstWorker struct {
 	idx []int
 	// charge sums the virtual time this worker's serves cost.
 	charge time.Duration
-	err    error
-	// Traversal scratch: indices not yet traversed, one gateway's group
-	// and its packets.
+	// Stage scratch: indices not yet run, one gateway's group and its
+	// packets.
 	todo, group []int
 	sub         []*ipv4.Packet
 }
@@ -99,7 +99,7 @@ func (b *burst) split(workers int) {
 	b.workers = b.workers[:workers]
 	for w := range b.workers {
 		bw := &b.workers[w]
-		bw.idx, bw.charge, bw.err = bw.idx[:0], 0, nil
+		bw.idx, bw.charge = bw.idx[:0], 0
 	}
 	for i, p := range b.pkts {
 		w := 0
@@ -140,24 +140,14 @@ func (b *burst) spawned(w int) {
 	b.work(w)
 }
 
-// err is the first traversal error any worker met.
-func (b *burst) err() error {
-	for w := range b.workers {
-		if err := b.workers[w].err; err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// work is one worker's whole path over its packets: one netfilter
-// traversal per owning gateway (enforcer, sanitizer), then per accepted
-// packet in burst order its connection event and — on DeliverBatch — its
-// serve and response check. A flow's FIN is therefore observed after its
-// data segments were answered.
+// work is one worker's whole path over its packets: the stages of each
+// owning gateway (enforcer, sanitizer), then per accepted packet in burst
+// order its connection event and — on DeliverBatch — its serve and
+// response check. A flow's FIN is therefore observed after its data
+// segments were answered.
 func (b *burst) work(w int) {
 	bw := &b.workers[w]
-	b.traverse(bw)
+	b.runStages(bw)
 	for _, i := range bw.idx {
 		o, gw := b.outcomes[i], b.gws[i]
 		if o.Out != nil && gw != nil {
@@ -183,10 +173,12 @@ func (b *burst) work(w int) {
 	}
 }
 
-// traverse runs the worker's packets through their gateways, one
-// OutputBatch per gateway, and records each packet's outcome; a packet
-// with no gateway passes as it came.
-func (b *burst) traverse(bw *burstWorker) {
+// runStages runs the worker's packets through their gateways' stages,
+// one enforcer batch per gateway, and records each packet's outcome: a
+// denied packet is dropped before the sanitizer, an accepted one leaves as
+// the sanitizer's egress copy, and a packet with no gateway — or a
+// gateway with neither stage — passes as it came.
+func (b *burst) runStages(bw *burstWorker) {
 	todo := append(bw.todo[:0], bw.idx...)
 	for len(todo) > 0 {
 		gw := b.gws[todo[0]]
@@ -200,19 +192,24 @@ func (b *burst) traverse(bw *burstWorker) {
 			sub = append(sub, b.pkts[i])
 		}
 		todo = rest
-		if gw == nil {
-			for _, i := range group {
-				b.outcomes[i] = BatchOutcome{Out: b.pkts[i]}
+		var results []enforcer.Result
+		if gw != nil && gw.enforcer != nil {
+			// The results are the burst's own allocation, not scratch:
+			// Delivery.Enforcement points into them.
+			results = gw.enforcer.ProcessBatch(sub, nil)
+		}
+		for k, i := range group {
+			o := BatchOutcome{Out: b.pkts[i]}
+			if results != nil {
+				o.Result = &results[k]
+				if results[k].Verdict == policy.VerdictDrop {
+					o.Out = nil
+				}
 			}
-		} else {
-			res, err := gw.nf.OutputBatch(sub)
-			if err != nil && bw.err == nil {
-				bw.err = err
+			if o.Out != nil && gw != nil && gw.sanitizer != nil {
+				o.Out = gw.sanitizer.Process(egressCopy(o.Out))
 			}
-			for k, i := range group {
-				r, _ := res[k].Aux.(*enforcer.Result)
-				b.outcomes[i] = BatchOutcome{Out: res[k].Out, Result: r}
-			}
+			b.outcomes[i] = o
 		}
 		clear(sub)
 		bw.group, bw.sub = group[:0], sub[:0]

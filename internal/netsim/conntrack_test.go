@@ -46,7 +46,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -99,7 +99,7 @@ func TestRSTAbortsConnection(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -131,7 +131,7 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "beacon") // denied by the flurry rule
@@ -160,7 +160,7 @@ func TestBatchConntrackTeardown(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")

@@ -26,7 +26,7 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 		Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024}),
 		Audit: log,
 	}, db, enf0.Engine())
-	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n = newStaticNetwork(ModeTAP, gw)
 	n.SetCapture(false)
 	reg = metrics.NewRegistry()

@@ -16,12 +16,12 @@ import (
 // tailFixture is a gateway (flow-cached enforcer + sanitizer, capture off)
 // in front of the static server, and the tagged keep-alive request its
 // connections carry.
-func tailFixture(tb testing.TB, strip sanitizer.Config) (*Network, *Gateway, *enforcer.FlowCache, *ipv4.Packet) {
+func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.FlowCache, *ipv4.Packet) {
 	tb.Helper()
 	enf0, apk, db := buildEnforcerAndDB(tb)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 4096})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(strip)})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 	n.SetCapture(false)
 	base := taggedPacket(tb, apk, db, "sync")
@@ -43,53 +43,47 @@ func keepAliveBurst(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) []*i
 // cached verdict down; and the copy costs two allocations, not one per
 // option and payload.
 func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
-	for name, strip := range map[string]sanitizer.Config{
-		"security option only": {},
-		"all options":          {StripAllOptions: true},
-	} {
-		_, gw, flows, base := tailFixture(t, strip)
-		base.Header.Options = append([]ipv4.Option{{Type: ipv4.OptNOP}}, base.Header.Options...)
-		base.Header.Options = append(base.Header.Options, ipv4.Option{Type: ipv4.OptNOP})
-		burst := keepAliveBurst(t, base, 41000, 3)
-		tagOf := func(p *ipv4.Packet) []byte {
-			opt, _ := p.Header.FindOption(ipv4.OptSecurity)
-			return opt.Data
-		}
-		wantTag := append([]byte(nil), tagOf(burst[0])...)
+	_, gw, flows, base := tailFixture(t)
+	base.Header.Options = append([]ipv4.Option{{Type: ipv4.OptNOP}}, base.Header.Options...)
+	base.Header.Options = append(base.Header.Options, ipv4.Option{Type: ipv4.OptNOP})
+	burst := keepAliveBurst(t, base, 41000, 3)
+	tagOf := func(p *ipv4.Packet) []byte {
+		opt, _ := p.Header.FindOption(ipv4.OptSecurity)
+		return opt.Data
+	}
+	wantTag := append([]byte(nil), tagOf(burst[0])...)
 
-		outcomes, err := gw.ProcessBatch(burst[:4])
-		if err != nil {
-			t.Fatal(err)
+	outcomes, err := gw.ProcessBatch(burst[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outcomes {
+		if o.Out == nil {
+			t.Fatalf("packet %d dropped", i)
 		}
-		for i, o := range outcomes {
-			if o.Out == nil {
-				t.Fatalf("%s: packet %d dropped", name, i)
-			}
-			if _, tagged := o.Out.Header.FindOption(ipv4.OptSecurity); tagged {
-				t.Fatalf("%s: packet %d left the gateway tagged", name, i)
-			}
-			if &o.Out.Payload[0] != &burst[i].Payload[0] {
-				t.Fatalf("%s: packet %d: sanitized copy has its own payload bytes", name, i)
-			}
-			if got := burst[i].Header.Options; len(got) != 3 || got[0].Type != ipv4.OptNOP ||
-				got[2].Type != ipv4.OptNOP || !bytes.Equal(tagOf(burst[i]), wantTag) {
-				t.Fatalf("%s: packet %d: original's options damaged by the strip: %+v", name, i, got)
-			}
+		if _, tagged := o.Out.Header.FindOption(ipv4.OptSecurity); tagged {
+			t.Fatalf("packet %d left the gateway tagged", i)
 		}
-		if st := flowCounts(flows); st["live"] != 1 {
-			t.Fatalf("%s: mid-connection flow stats %+v", name, st)
+		if &o.Out.Payload[0] != &burst[i].Payload[0] {
+			t.Fatalf("packet %d: sanitized copy has its own payload bytes", i)
 		}
-		// The rest of the path: the FIN's teardown keys on the original's tag.
-		fin, err := gw.ProcessBatch(burst[4:])
-		if err != nil || fin[0].Out == nil || fin[0].Out.Header.HasOptions() != (name == "security option only") {
-			t.Fatalf("%s: FIN: out %+v err %v", name, fin[0].Out, err)
-		}
-		if st := flowCounts(flows); st["live"] != 0 {
-			t.Fatalf("%s: FIN did not tear the flow down: %+v", name, st)
+		if got := burst[i].Header.Options; len(got) != 3 || got[0].Type != ipv4.OptNOP ||
+			got[2].Type != ipv4.OptNOP || !bytes.Equal(tagOf(burst[i]), wantTag) {
+			t.Fatalf("packet %d: original's options damaged by the strip: %+v", i, got)
 		}
 	}
+	if st := flowCounts(flows); st["live"] != 1 {
+		t.Fatalf("mid-connection flow stats %+v", st)
+	}
+	// The rest of the path: the FIN's teardown keys on the original's tag.
+	fin, err := gw.ProcessBatch(burst[4:])
+	if err != nil || fin[0].Out == nil || !fin[0].Out.Header.HasOptions() {
+		t.Fatalf("FIN: out %+v err %v", fin[0].Out, err)
+	}
+	if st := flowCounts(flows); st["live"] != 0 {
+		t.Fatalf("FIN did not tear the flow down: %+v", st)
+	}
 
-	_, _, _, base := tailFixture(t, sanitizer.Config{})
 	if allocs := testing.AllocsPerRun(100, func() { egressCopy(base) }); allocs > 2 {
 		t.Fatalf("egressCopy: %.0f allocs, want <= 2", allocs)
 	}
@@ -140,7 +134,7 @@ func TestResponseSegmentRenderedInScratch(t *testing.T) {
 // entry behind, so connections that stayed open throughout are never
 // evicted and their responses keep passing the gateway's continuity check.
 func TestRespSeqTrimmedOnClose(t *testing.T) {
-	n, gw, _, base := tailFixture(t, sanitizer.Config{})
+	n, gw, _, base := tailFixture(t)
 	const longLived = 8
 	var open [][]*ipv4.Packet
 	for c := 0; c < longLived; c++ {
@@ -192,7 +186,7 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 // of new connections land in the same shard and stay open; the victim's
 // next response must still continue its sequence and pass the gateway.
 func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
-	n, _, _, base := tailFixture(t, sanitizer.Config{})
+	n, _, _, base := tailFixture(t)
 	victim := keepAliveBurst(t, base, 50000, 2)
 	for i, d := range n.DeliverBatch(victim[:2]) {
 		if !d.Delivered || (i == 1 && d.Response == nil) {
@@ -261,7 +255,7 @@ func respTracked(n *Network) int {
 // the response-direction check. Source ports cycle so that every burst is
 // a fresh connection whose predecessor on the tuple has left TIME_WAIT.
 func BenchmarkServeKeepAlive(b *testing.B) {
-	n, _, _, base := tailFixture(b, sanitizer.Config{})
+	n, _, _, base := tailFixture(b)
 	bursts := make([][]*ipv4.Packet, 1024)
 	for i := range bursts {
 		bursts[i] = keepAliveBurst(b, base, uint16(20000+i), 32)

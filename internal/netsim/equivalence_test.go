@@ -67,7 +67,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		}
 		enf := enforcer.New(enforcer.Config{Flows: flows}, db, eng)
 		return NewGateway(GatewayConfig{
-			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2,
+			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2,
 		}), enf
 	}
 	fast, fastEnf := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}))
@@ -224,7 +224,7 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 		}
 		enf := enforcer.New(enforcer.Config{Flows: flows, Context: devctx.NewSource(clock), Clock: clock}, db, eng)
 		return NewGateway(GatewayConfig{
-			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2, Clock: clock,
+			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock,
 		}), enf
 	}
 	fast, fastEnf := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}))

@@ -22,8 +22,8 @@ func fleetFixture(t *testing.T) (n *Network, gwA, gwB *Gateway, beacon func(src 
 		t.Fatal(err)
 	}
 	enfB := enforcer.New(enforcer.Config{}, db, engB)
-	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New(sanitizer.Config{})})
-	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New()})
+	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New()})
 	n = newStaticNetwork(ModeTAP, nil)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.1.0.0/16"), gwA)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.2.0.0/16"), gwB)

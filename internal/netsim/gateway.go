@@ -7,25 +7,23 @@ import (
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
-	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
 )
 
-// Gateway is the enterprise-perimeter appliance: a host whose netfilter
-// diverts every packet from BYOD devices into the user-space Policy
-// Enforcer (NFQUEUE 1) and, for surviving packets, the Packet Sanitizer
-// (NFQUEUE 2) — matching the paper's worker-host iptables layout (§VI-A).
+// Gateway is the enterprise-perimeter appliance: every packet from BYOD
+// devices goes to the user-space Policy Enforcer and, if it survives, to the
+// Packet Sanitizer. The paper's worker host diverts traffic to them over
+// NFQUEUE 1 and 2 (§VI-A); here the gateway calls the stages directly and
+// the queue hop is charged in virtual time (LatencyModel.NFQueueHopPerPacket).
 //
 // A burst (of one packet or of thousands) is split by flow over the
 // gateway's workers, the way NFQUEUE --queue-balance hashes flows to
-// readers: each worker runs its share through the kernel's batch
-// traversal and then the connection tracker, in burst order. The
-// enforcer's ProcessBatch amortizes resolve+decode across packets of the
-// same flow, and the lock-free enforcement path and the sharded tracker
-// let the workers proceed on every core without waiting on each other.
+// readers: each worker runs its share through the enforcer and sanitizer
+// and then the connection tracker, in burst order. The enforcer's
+// ProcessBatch amortizes resolve+decode across packets of the same flow,
+// and the lock-free enforcement path and the sharded tracker let the
+// workers proceed on every core without waiting on each other.
 type Gateway struct {
-	nf        *kernel.Netfilter
 	enforcer  *enforcer.Enforcer
 	sanitizer *sanitizer.Sanitizer
 	// ct tracks TCP connection state on accepted packets: SYN establishes,
@@ -47,8 +45,8 @@ type GatewayConfig struct {
 	Enforcer *enforcer.Enforcer
 	// Sanitizer enables the Packet Sanitizer stage (nil leaves it out).
 	Sanitizer *sanitizer.Sanitizer
-	// Passthrough installs a read-and-reinject queue consumer even with no
-	// enforcer/sanitizer, to measure the bare NFQUEUE cost.
+	// Passthrough makes the gateway active with no enforcer or sanitizer: it
+	// charges the bare NFQUEUE hop and reinjects packets unmodified.
 	Passthrough bool
 	// Workers caps how many workers a burst is split over, by flow, for
 	// its whole delivery path: enforcer, sanitizer, conntrack, serve and
@@ -61,56 +59,15 @@ type GatewayConfig struct {
 	Clock *Clock
 }
 
-// NewGateway wires the pipeline onto a fresh netfilter instance.
+// NewGateway assembles the pipeline from its stages.
 func NewGateway(cfg GatewayConfig) *Gateway {
-	g := &Gateway{
-		nf:          kernel.NewNetfilter(),
+	return &Gateway{
 		enforcer:    cfg.Enforcer,
 		sanitizer:   cfg.Sanitizer,
 		ct:          NewConntrack(cfg.Clock),
 		workers:     cfg.Workers,
 		passthrough: cfg.Passthrough,
 	}
-	switch {
-	case g.enforcer != nil:
-		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
-			// The results are the burst's own allocation, not scratch: Aux
-			// points into them, and Delivery.Enforcement after that.
-			results := g.enforcer.ProcessBatch(pkts, nil)
-			for i := range results {
-				out[i] = kernel.BatchVerdict{Verdict: kernel.VerdictAccept, Aux: &results[i]}
-				if results[i].Verdict == policy.VerdictDrop {
-					out[i].Verdict = kernel.VerdictDrop
-				}
-			}
-		})
-		g.nf.Append(kernel.ChainOutput, kernel.Rule{
-			Target: kernel.TargetQueue, QueueNum: 1, Comment: "BYOD traffic to Policy Enforcer",
-		})
-	case g.passthrough:
-		g.nf.RegisterBatchQueue(1, func(_ []*ipv4.Packet, out []kernel.BatchVerdict) {
-			for i := range out {
-				out[i].Verdict = kernel.VerdictAccept
-			}
-		})
-		g.nf.Append(kernel.ChainOutput, kernel.Rule{
-			Target: kernel.TargetQueue, QueueNum: 1, Comment: "passthrough reader",
-		})
-	}
-	if g.sanitizer != nil {
-		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
-			for i, pkt := range pkts {
-				out[i] = kernel.BatchVerdict{
-					Verdict:   kernel.VerdictAccept,
-					Rewritten: g.sanitizer.Process(egressCopy(pkt)),
-				}
-			}
-		})
-		g.nf.Append(kernel.ChainPostrouting, kernel.Rule{
-			Target: kernel.TargetQueue, QueueNum: 2, Comment: "outbound to Packet Sanitizer",
-		})
-	}
-	return g
 }
 
 // egressCopy is the packet handed to the sanitizer: a copy of the header
@@ -181,15 +138,15 @@ type BatchOutcome struct {
 
 // ProcessBatch runs a burst through this gateway alone: the first half of
 // DeliverBatch's path, on the same flow-affine workers (see
-// GatewayConfig.Workers), stopping before the serve. Each worker
-// traverses its packets (enforcer, sanitizer), then observes the accepted
-// ones' connection events in burst order, so a FIN at the end of a
-// keep-alive train tears the flow down only after its data packets were
-// answered from the cache. Outcomes align with pkts; the error is the
-// first a traversal met. It charges no virtual time. Calls are not
-// serialized against each other — the enforcement path is lock-free by
-// design — so callers needing a totally ordered audit trail should order
-// on the returned outcomes, not on side effects.
+// GatewayConfig.Workers), stopping before the serve. Each worker runs
+// its packets through the stages (enforcer, sanitizer), then observes the
+// accepted ones' connection events in burst order, so a FIN at the end of
+// a keep-alive train tears the flow down only after its data packets were
+// answered from the cache. Outcomes align with pkts; the error is always
+// nil. It charges no virtual time. Calls are not serialized against each
+// other — the enforcement path is lock-free by design — so callers
+// needing a totally ordered audit trail should order on the returned
+// outcomes, not on side effects.
 func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(pkts))
 	b := getBurst(pkts)
@@ -199,9 +156,8 @@ func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	}
 	b.split(g.workers)
 	b.run()
-	err := b.err()
 	b.release()
-	return out, err
+	return out, nil
 }
 
 // Restart models a gateway crash and reboot: all per-flow state — the
@@ -236,9 +192,6 @@ func (g *Gateway) GC(idle time.Duration) (conns, flows int) {
 	}
 	return conns, flows
 }
-
-// Netfilter exposes the gateway's filter table (extra rules and queues).
-func (g *Gateway) Netfilter() *kernel.Netfilter { return g.nf }
 
 // Enforcer returns the enforcement stage, if present.
 func (g *Gateway) Enforcer() *enforcer.Enforcer { return g.enforcer }

@@ -72,7 +72,7 @@ func flowCounts(x registrar) map[string]uint64 {
 func TestCountersNeverDecrease(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 	reg := metrics.NewRegistry()
 	n.RegisterMetrics(reg)

@@ -188,7 +188,7 @@ func taggedPacket(t testing.TB, apk *dex.APK, db *analyzer.Database, method stri
 
 func TestFullGatewayPipeline(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	// Benign tagged packet: enforced, sanitized, delivered past the border.
@@ -248,7 +248,7 @@ func TestGatewayPassthroughMode(t *testing.T) {
 }
 
 func TestSanitizerOnlyGateway(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 	pkt := plainPacket(getRequest())
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: []byte{5, 5}})

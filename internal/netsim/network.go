@@ -52,7 +52,7 @@ type DropStage int
 const (
 	// StageNone means the packet was delivered.
 	StageNone DropStage = iota
-	// StageGateway is a Policy Enforcer (or netfilter) drop.
+	// StageGateway is a Policy Enforcer drop.
 	StageGateway
 	// StageBorder is an RFC 7126 drop at the upstream router.
 	StageBorder
@@ -185,9 +185,10 @@ type Network struct {
 	// defeats.
 	captureOff atomic.Bool
 
-	// mu serializes AddServer and AddGatewayRoute and guards captures.
-	mu       sync.Mutex
-	captures map[CapturePoint]*Capture
+	// mu serializes AddServer and AddGatewayRoute.
+	mu sync.Mutex
+	// egress and postGateway are the capture logs (CaptureAt).
+	egress, postGateway Capture
 	// servers is copy-on-write: AddServer is rare, and every delivery
 	// worker reads the table with one atomic load.
 	servers atomic.Pointer[map[netip.Addr]*Server]
@@ -217,10 +218,6 @@ func NewNetwork(nic NICMode, model LatencyModel) *Network {
 		Model:               model,
 		NIC:                 nic,
 		BorderFilterEnabled: true,
-		captures: map[CapturePoint]*Capture{
-			CaptureDeviceEgress: {},
-			CapturePostGateway:  {},
-		},
 	}
 	n.servers.Store(&map[netip.Addr]*Server{})
 	for i := range n.respSeq {
@@ -284,11 +281,15 @@ func (n *Network) ServerAt(addr netip.Addr) (*Server, bool) {
 	return s, ok
 }
 
-// CaptureAt returns the capture log for a point.
+// CaptureAt returns the capture log for a point (nil for an unknown one).
 func (n *Network) CaptureAt(p CapturePoint) *Capture {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.captures[p]
+	switch p {
+	case CaptureDeviceEgress:
+		return &n.egress
+	case CapturePostGateway:
+		return &n.postGateway
+	}
+	return nil
 }
 
 // SetCapture enables or disables the packet-capture logs. Long-running
@@ -672,10 +673,7 @@ func (n *Network) captureAt(p CapturePoint, pkt *ipv4.Packet) {
 	if n.captureOff.Load() {
 		return
 	}
-	n.mu.Lock()
-	c := n.captures[p]
-	n.mu.Unlock()
-	if c != nil {
+	if c := n.CaptureAt(p); c != nil {
 		c.Append(pkt)
 	}
 }

@@ -8,32 +8,21 @@ import (
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
-	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
 )
 
-// TestDeliveryOutlivesKernelScratch: the kernel hands queue handlers
-// pooled packet and verdict slices. A third queue that keeps the slices it
-// was handed and scribbles on them after the burst — and the next bursts,
-// which reuse the same scratch — must change neither the deliveries'
-// enforcement results nor the audit trail of the first burst.
+// TestDeliveryOutlivesKernelScratch: a burst runs on pooled scratch (the
+// burst, its workers' index and packet slices), which the next bursts
+// reuse. The enforcement results a delivery points at and the audit trail
+// of a burst must stay as they were after later bursts — of other flows,
+// with other verdicts — went through the same scratch.
 func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	log := audit.New(nil, 64)
 	defer log.Close()
 	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 64}), Audit: log}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
-	var keptPkts [][]*ipv4.Packet
-	var keptOut [][]kernel.BatchVerdict
-	gw.Netfilter().RegisterBatchQueue(3, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
-		keptPkts, keptOut = append(keptPkts, pkts), append(keptOut, out)
-		for i := range out {
-			out[i].Verdict = kernel.VerdictAccept
-		}
-	})
-	gw.Netfilter().Append(kernel.ChainPostrouting, kernel.Rule{Target: kernel.TargetQueue, QueueNum: 3})
 
 	allowed := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 1)
 	denied := keepAliveBurst(t, taggedPacket(t, apk, db, "beacon"), 41001, 1)
@@ -50,17 +39,10 @@ func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 		}
 		results[i] = *d.Enforcement
 	}
-	if len(trail) != len(burst) || len(keptPkts) == 0 {
-		t.Fatalf("%d audit entries for %d packets, %d scratch slices kept", len(trail), len(burst), len(keptPkts))
+	if len(trail) != len(burst) {
+		t.Fatalf("%d audit entries for %d packets", len(trail), len(burst))
 	}
 
-	junk := plainPacket(getRequest())
-	for i := range keptPkts {
-		for j := range keptPkts[i] {
-			keptPkts[i][j] = junk
-			keptOut[i][j] = kernel.BatchVerdict{Verdict: kernel.VerdictDrop, Rewritten: junk, Aux: &enforcer.Result{Verdict: policy.VerdictAllow}}
-		}
-	}
 	for port := uint16(42000); port < 42008; port++ {
 		n.DeliverBatch(keepAliveBurst(t, taggedPacket(t, apk, db, "beacon"), port, 3))
 	}
@@ -84,7 +66,7 @@ func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 // response check. One op is one burst. Source ports cycle as in
 // BenchmarkServeKeepAlive.
 func BenchmarkDeliverBatchConnect(b *testing.B) {
-	n, _, _, base := tailFixture(b, sanitizer.Config{})
+	n, _, _, base := tailFixture(b)
 	bursts := make([][]*ipv4.Packet, 1024)
 	for i := range bursts {
 		bursts[i] = keepAliveBurst(b, base, uint16(20000+i), 1)

@@ -17,7 +17,7 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	pkt := taggedPacket(t, apk, db, "sync") // "Connection: close" in a data segment
@@ -43,7 +43,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 2})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, "sync"), 40900, 1)

@@ -5,57 +5,41 @@ import (
 	"maps"
 	"net/netip"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"borderpatrol/internal/dns"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
 	"borderpatrol/internal/transport"
 )
 
-// deviceBurst is one plain packet from each of n distinct devices.
-func deviceBurst(t testing.TB, n int) []*ipv4.Packet {
+// deviceBurst is one packet from each of n distinct devices: tmpl(i)
+// re-addressed to device i.
+func deviceBurst(t testing.TB, n int, tmpl func(i int) *ipv4.Packet) []*ipv4.Packet {
 	t.Helper()
 	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := []*ipv4.Packet{plainPacket(getRequest())}
 	pkts := make([]*ipv4.Packet, n)
 	for i := range pkts {
-		pkts[i] = pool.Rewrite(i, tmpl)[0]
+		pkts[i] = pool.Rewrite(i, []*ipv4.Packet{tmpl(i)})[0]
 	}
 	return pkts
 }
 
-// countTraversals adds a POSTROUTING queue to gw that accepts everything,
-// hands each batch it sees to seen (under a lock), and counts its calls:
-// one per worker traversal.
-func countTraversals(gw *Gateway, seen func(pkts []*ipv4.Packet)) *atomic.Int64 {
-	var calls atomic.Int64
-	var mu sync.Mutex
-	gw.Netfilter().RegisterBatchQueue(3, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
-		calls.Add(1)
-		mu.Lock()
-		seen(pkts)
-		mu.Unlock()
-		for i := range out {
-			out[i].Verdict = kernel.VerdictAccept
-		}
-	})
-	gw.Netfilter().Append(kernel.ChainPostrouting, kernel.Rule{Target: kernel.TargetQueue, QueueNum: 3})
-	return &calls
+// stageCalls counts enf's ProcessBatch calls: bp_enforcer_batch_packets
+// takes one sample per call, so one per worker that ran a share.
+func stageCalls(enf *enforcer.Enforcer) int {
+	return int(count(enf, "bp_enforcer_batch_packets"))
 }
 
 // TestFlowAffineShortBurstRunsInline pins the fan-out floor: a burst is
 // split only into parts of minWorkerBurst packets each on average, so a
-// connection-sized burst crosses into the queue once, on the caller's
+// connection-sized burst reaches the enforcer once, on the caller's
 // goroutine.
 func TestFlowAffineShortBurstRunsInline(t *testing.T) {
 	for _, tc := range []struct{ pkts, workers, wantCalls int }{
@@ -66,61 +50,57 @@ func TestFlowAffineShortBurstRunsInline(t *testing.T) {
 		{1024, 4, 4},
 		{1024, 1, 1},
 	} {
-		gw := NewGateway(GatewayConfig{Passthrough: true, Workers: tc.workers})
-		calls := countTraversals(gw, func([]*ipv4.Packet) {})
-		pkts := deviceBurst(t, tc.pkts)
+		enf, apk, db := buildEnforcerAndDB(t)
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: tc.workers})
+		sync := taggedPacket(t, apk, db, "sync")
+		pkts := deviceBurst(t, tc.pkts, func(int) *ipv4.Packet { return sync })
 		res, err := gw.ProcessBatch(pkts)
 		if err != nil || len(res) != tc.pkts {
 			t.Fatalf("%d packets: %d results, err %v", tc.pkts, len(res), err)
 		}
 		for i := range res {
-			if res[i].Out != pkts[i] {
-				t.Fatalf("%d packets: result %d misaligned", tc.pkts, i)
+			if res[i].Out != pkts[i] || res[i].Result == nil || res[i].Result.Verdict != policy.VerdictAllow {
+				t.Fatalf("%d packets: result %d misaligned: %+v", tc.pkts, i, res[i])
 			}
 		}
-		if got := int(calls.Load()); got != tc.wantCalls {
-			t.Errorf("%d packets over %d workers: %d traversals, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
+		if got := stageCalls(enf); got != tc.wantCalls {
+			t.Errorf("%d packets over %d workers: %d stage calls, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
 		}
 	}
 }
 
-// TestFlowAffineParallelWorkers pushes a burst from 1,024 devices through
-// four workers under -race: every worker takes a share, every packet gets
-// exactly one verdict, and outcomes align with the input.
+// TestFlowAffineParallelWorkers pushes a burst from 1,024 devices, every
+// seventh of them sending denied traffic, through four workers under
+// -race: every worker takes a share, every packet gets exactly one
+// verdict, and outcomes align with the input.
 func TestFlowAffineParallelWorkers(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Passthrough: true, Workers: 4})
-	evil := func(p *ipv4.Packet) bool { return p.Header.Src.As4()[3]%7 == 0 }
-	handled := map[*ipv4.Packet]bool{}
-	gw.Netfilter().RegisterBatchQueue(1, func(pkts []*ipv4.Packet, out []kernel.BatchVerdict) {
-		for i, p := range pkts {
-			out[i].Verdict = kernel.VerdictAccept
-			if evil(p) {
-				out[i].Verdict = kernel.VerdictDrop
-			}
+	enf, apk, db := buildEnforcerAndDB(t)
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: 4})
+	sync, beacon := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
+	evil := func(i int) bool { return i%7 == 0 }
+	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
+		if evil(i) {
+			return beacon
 		}
+		return sync
 	})
-	calls := countTraversals(gw, func(pkts []*ipv4.Packet) {
-		for _, p := range pkts {
-			if handled[p] {
-				panic("packet handled twice")
-			}
-			handled[p] = true
-		}
-	})
-	pkts := deviceBurst(t, 1024)
 	res, err := gw.ProcessBatch(pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("%d workers traversed, want all 4", got)
+	if got := stageCalls(enf); got != 4 {
+		t.Fatalf("%d workers ran the enforcer, want all 4", got)
 	}
-	for i := range res {
-		if evil(pkts[i]) != (res[i].Out == nil) || (res[i].Out != nil && res[i].Out != pkts[i]) {
-			t.Fatalf("packet %d: outcome %+v misaligned", i, res[i])
+	if got := count(enf, "bp_enforcer_verdicts_total"); got != uint64(len(pkts)) {
+		t.Fatalf("%d verdicts for %d packets", got, len(pkts))
+	}
+	for i, o := range res {
+		want, out := policy.VerdictAllow, pkts[i]
+		if evil(i) {
+			want, out = policy.VerdictDrop, nil
 		}
-		if !evil(pkts[i]) && !handled[pkts[i]] {
-			t.Fatalf("packet %d accepted without reaching POSTROUTING", i)
+		if o.Result == nil || o.Result.Verdict != want || o.Out != out {
+			t.Fatalf("packet %d: outcome %+v misaligned", i, o)
 		}
 	}
 }
@@ -132,9 +112,7 @@ func TestFlowAffineParallelWorkers(t *testing.T) {
 func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: 4})
-	var order []*ipv4.Packet
-	calls := countTraversals(gw, func(pkts []*ipv4.Packet) { order = append(order, pkts...) })
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4})
 	n := newStaticNetwork(ModeTAP, gw)
 	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)
 
@@ -143,17 +121,12 @@ func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 			t.Fatalf("packet %d: %+v", i, d)
 		}
 	}
-	if calls.Load() != 1 || len(order) != len(burst) {
-		t.Fatalf("%d traversals saw %d packets, want one of %d", calls.Load(), len(order), len(burst))
-	}
-	for i, p := range order {
-		if !bytes.Equal(p.Payload, burst[i].Payload) {
-			t.Fatalf("traversal order differs from burst order at %d", i)
-		}
+	if got := stageCalls(enf); got != 1 {
+		t.Fatalf("%d stage calls for one connection, want one worker's", got)
 	}
 	st := conntrack(gw.ct)
-	if st["established"] != 1 || st["closed"] != 1 || st["checked"] != 198 || st["late"] != 0 || st["seq_drop"] != 0 {
-		t.Fatalf("conntrack: %+v, want every response checked before the FIN", st)
+	if st["established"] != 1 || st["closed"] != 1 || st["checked"] != 198 || st["adopted"] != 0 || st["late"] != 0 || st["seq_drop"] != 0 {
+		t.Fatalf("conntrack: %+v, want every response checked after the SYN and before the FIN", st)
 	}
 }
 
@@ -161,8 +134,10 @@ func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 // addresses on one worker, keeps burst order within each worker, and
 // covers the burst exactly once.
 func TestSplitIsFlowAffine(t *testing.T) {
-	pkts := deviceBurst(t, 512)
-	pkts = append(pkts, deviceBurst(t, 512)...) // every device twice
+	plain := plainPacket(getRequest())
+	tmpl := func(int) *ipv4.Packet { return plain }
+	pkts := deviceBurst(t, 512, tmpl)
+	pkts = append(pkts, deviceBurst(t, 512, tmpl)...) // every device twice
 	b := getBurst(pkts)
 	defer b.release()
 	b.split(4)
@@ -252,7 +227,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}), Clock: clock,
 		}, db, eng)
 		gw := NewGateway(GatewayConfig{
-			Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{}), Workers: workers, Clock: clock,
+			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		})
 		n := newStaticNetwork(ModeTAP, gw)
 		n.Clock = clock
@@ -351,7 +326,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 // cycle so every connection's predecessor on its tuple has left
 // TIME_WAIT.
 func BenchmarkDeliverBatchFleet(b *testing.B) {
-	n, _, _, base := tailFixture(b, sanitizer.Config{})
+	n, _, _, base := tailFixture(b)
 	const devices, rounds = 1024, 16
 	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), devices)
 	if err != nil {

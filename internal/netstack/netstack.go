@@ -230,9 +230,8 @@ func (s *JavaSocket) liveFD() (int, error) {
 }
 
 // Send writes a payload to the connected socket; the kernel builds the
-// packet (wrapping the payload in the socket's transport header and
-// stamping the socket's IP options) and runs netfilter. The resulting
-// wire packet is returned (nil if a filter dropped it).
+// packet, wrapping the payload in the socket's transport header and
+// stamping the socket's IP options. The resulting wire packet is returned.
 func (s *JavaSocket) Send(payload []byte) (*ipv4.Packet, error) {
 	s.mu.Lock()
 	if s.closed {

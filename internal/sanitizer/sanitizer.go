@@ -13,41 +13,24 @@ import (
 	"borderpatrol/internal/metrics"
 )
 
-// Config selects sanitizer behaviour.
-type Config struct {
-	// StripAllOptions removes every IP option rather than only the
-	// BorderPatrol security option. RFC 7126 filtering at the border makes
-	// any surviving option fatal, so the paranoid default is true.
-	StripAllOptions bool
-}
-
 // Sanitizer removes context tags from outbound packets. It is safe for
 // concurrent use: its one counter is an atomic, so the gateway's delivery
 // workers share it without a lock.
 type Sanitizer struct {
-	cfg Config
 	// cleansed counts packets that had options removed.
 	cleansed atomic.Uint64
 }
 
 // New builds a sanitizer.
-func New(cfg Config) *Sanitizer {
-	return &Sanitizer{cfg: cfg}
+func New() *Sanitizer {
+	return &Sanitizer{}
 }
 
-// Process cleanses one packet in place and returns it. The packet the
-// caller passes is mutated (the gateway pipeline owns it at this stage).
+// Process strips the BorderPatrol security option from one packet in place
+// and returns it; any other option stays. The packet the caller passes is
+// mutated (the gateway pipeline owns it at this stage).
 func (s *Sanitizer) Process(pkt *ipv4.Packet) *ipv4.Packet {
-	removed := false
-	if s.cfg.StripAllOptions {
-		if pkt.Header.HasOptions() {
-			pkt.Header.Options = nil
-			removed = true
-		}
-	} else {
-		removed = pkt.Header.RemoveOption(ipv4.OptSecurity)
-	}
-	if removed {
+	if pkt.Header.RemoveOption(ipv4.OptSecurity) {
 		s.cleansed.Add(1)
 	}
 	return pkt

@@ -23,7 +23,7 @@ func taggedPacket() *ipv4.Packet {
 }
 
 func TestStripsBorderPatrolOption(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	pkt := s.Process(taggedPacket())
 	if pkt.Header.HasOptions() {
 		t.Fatalf("options survived: %+v", pkt.Header.Options)
@@ -38,7 +38,7 @@ func TestStripsBorderPatrolOption(t *testing.T) {
 }
 
 func TestCleanPacketUntouched(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	pkt := taggedPacket()
 	pkt.Header.Options = nil
 	payloadBefore := string(pkt.Payload)
@@ -52,10 +52,9 @@ func TestCleanPacketUntouched(t *testing.T) {
 }
 
 func TestSelectiveStripKeepsOtherOptions(t *testing.T) {
-	// With StripAllOptions=false only the BorderPatrol option goes; a
-	// timestamp option survives (and would then be dropped at the border —
-	// which is why the default strips everything).
-	s := New(Config{StripAllOptions: false})
+	// Only the BorderPatrol option goes; a timestamp option survives (and
+	// would then be dropped at the border).
+	s := New()
 	pkt := taggedPacket()
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptTimestamp, Data: []byte{9}})
 	out := s.Process(pkt)
@@ -70,18 +69,8 @@ func TestSelectiveStripKeepsOtherOptions(t *testing.T) {
 	}
 }
 
-func TestStripAllOptions(t *testing.T) {
-	s := New(Config{StripAllOptions: true})
-	pkt := taggedPacket()
-	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptTimestamp, Data: []byte{9}})
-	out := s.Process(pkt)
-	if out.Header.HasOptions() {
-		t.Fatal("options survived StripAllOptions")
-	}
-}
-
 func TestSanitizedPacketStillMarshals(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	out := s.Process(taggedPacket())
 	buf, err := out.Marshal()
 	if err != nil {
@@ -100,7 +89,7 @@ func TestSanitizedPacketStillMarshals(t *testing.T) {
 }
 
 func TestIdempotent(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	pkt := s.Process(taggedPacket())
 	again := s.Process(pkt)
 	if again.Header.HasOptions() {
