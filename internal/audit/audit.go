@@ -55,13 +55,14 @@ package audit
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -172,8 +173,11 @@ type Log struct {
 	batchSizes *metrics.Histogram
 
 	// Drainer-owned scratch: swapped-out stripe buffers are merged into
-	// batch, then cleared and handed back as spares.
+	// batch, then cleared and handed back as spares; order is batch sorted
+	// by sequence number, as pointers, so that the sort moves one word per
+	// swap instead of a whole entry.
 	batch  []rawEntry
+	order  []*rawEntry
 	spares [][]rawEntry
 	encBuf bytes.Buffer
 	enc    *json.Encoder
@@ -444,12 +448,15 @@ func (l *Log) drain() {
 		return
 	}
 	l.pendingCount.Add(-int64(len(batch)))
-	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
+	order := l.order[:0]
+	for i := range batch {
+		order = append(order, &batch[i])
+	}
+	slices.SortFunc(order, func(a, b *rawEntry) int { return cmp.Compare(a.seq, b.seq) })
 
 	l.encBuf.Reset()
 	l.mu.Lock()
-	for i := range batch {
-		raw := &batch[i]
+	for _, raw := range order {
 		if raw.verdict == policy.VerdictDrop && raw.app != (dex.TruncatedHash{}) {
 			l.dropsByApp[raw.app]++
 		}
@@ -460,11 +467,11 @@ func (l *Log) drain() {
 		}
 	}
 	// Only the last tailCap entries of a burst can survive in the tail.
-	for i := max(0, len(batch)-l.tailCap); i < len(batch); i++ {
+	for _, raw := range order[max(0, len(order)-l.tailCap):] {
 		if len(l.tail) < l.tailCap {
-			l.tail = append(l.tail, batch[i])
+			l.tail = append(l.tail, *raw)
 		} else {
-			l.tail[l.tailHead] = batch[i]
+			l.tail[l.tailHead] = *raw
 			l.tailHead = (l.tailHead + 1) % l.tailCap
 		}
 	}
@@ -483,7 +490,8 @@ func (l *Log) drain() {
 	l.flushes.Add(1)
 	l.batchSizes.Record(int64(len(batch)))
 	clear(batch)
-	l.batch = batch[:0]
+	clear(order)
+	l.batch, l.order = batch[:0], order[:0]
 }
 
 // buildEntry stringifies one raw capture into its JSON-facing form.

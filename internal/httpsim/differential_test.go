@@ -139,7 +139,19 @@ func corpus() [][]byte {
 		[]byte("GET / HTTP/1.1\n\n"),
 		[]byte("GET / HTTP/1.1\r\n\r"),
 	)
-	return out
+	return append(out, unicodeSpaceSeeds...)
+}
+
+// unicodeSpaceSeeds put non-ASCII whitespace everywhere the parse trims or
+// splits, so the fuzzer starts from the Unicode-aware rules the ASCII fast
+// path hands over to: NBSP and EM SPACE in the request line, NBSP padding a
+// header key and value, a NEL-only line as the terminator, and a non-space
+// multi-byte rune and an invalid byte at a trimmed edge.
+var unicodeSpaceSeeds = [][]byte{
+	[]byte("GET\u00a0/x\u2003HTTP/1.1\r\nHost: a\r\n\r\n"),
+	[]byte("GET /x HTTP/1.1\u00a0\r\n\u00a0Connection\u00a0:\u00a0keep-alive\u00a0\r\nContent-Length:\u20032\u2003\r\n\r\nhi"),
+	[]byte("GET /x HTTP/1.1\r\nHost: a\r\n\u0085\r\nbody"),
+	[]byte("GET /\u00e9 HTTP/1.1\r\nHost: \u00e9.example\u00e9\r\n\xff\r\n\r\n"),
 }
 
 func TestParseMatchesReference(t *testing.T) {
@@ -198,8 +210,10 @@ func benchRequest() []byte {
 	return (&Request{Method: "GET", Path: "/static/page.html", Host: "files.corp.example", KeepAlive: true}).Marshal()
 }
 
-// TestParseAllocs pins the copy-free contract: one string for the start
-// line and headers, one struct, nothing per header or per body byte.
+// TestParseAllocs pins the copy-free contract: ParseRequest and
+// ParseResponse allocate their struct and nothing else, and the in-place
+// parse allocates nothing on every form Request.Marshal emits — with and
+// without Host, keep-alive or close, empty or long body.
 func TestParseAllocs(t *testing.T) {
 	get := benchRequest()
 	put := (&Request{Method: "PUT", Path: "/up", Host: "h", Body: bytes.Repeat([]byte{7}, 64<<10)}).Marshal()
@@ -209,16 +223,32 @@ func TestParseAllocs(t *testing.T) {
 		"PUT 64K":  func() { _, _ = ParseRequest(put) },
 		"response": func() { _, _ = ParseResponse(resp) },
 	} {
-		if n := testing.AllocsPerRun(200, parse); n > 2 {
-			t.Errorf("%s: %.0f allocs per parse, want <= 2", name, n)
+		if n := testing.AllocsPerRun(200, parse); n > 1 {
+			t.Errorf("%s: %.0f allocs per parse, want <= 1", name, n)
+		}
+	}
+	var req Request
+	for _, seed := range marshalSeeds {
+		for _, keepAlive := range []bool{false, true} {
+			r := *seed
+			r.KeepAlive = keepAlive
+			data := r.Marshal()
+			if n := testing.AllocsPerRun(200, func() {
+				if err := req.Parse(data); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("Parse(%q): %.0f allocs, want 0", data, n)
+			}
 		}
 	}
 }
 
-// TestParseBodyAliasesInput pins the other half of the contract: the body
-// is the caller's bytes, not a copy, and cannot be grown into what follows.
+// TestParseBodyAliasesInput pins the other half of the contract: every
+// field is a view of the caller's bytes, not a copy, and the body cannot be
+// grown into what follows.
 func TestParseBodyAliasesInput(t *testing.T) {
-	data := append((&Request{Method: "PUT", Path: "/up", Body: []byte("payload")}).Marshal(), "trailing"...)
+	data := append((&Request{Method: "PUT", Path: "/up", Host: "h.example", Body: []byte("payload")}).Marshal(), "trailing"...)
 	req, err := ParseRequest(data)
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +259,31 @@ func TestParseBodyAliasesInput(t *testing.T) {
 	}
 	if cap(req.Body) != len(req.Body) {
 		t.Fatalf("Body has cap %d past its len %d: an append would write into the caller's trailing bytes", cap(req.Body), len(req.Body))
+	}
+	for name, field := range map[string]string{"Method": req.Method, "Path": req.Path, "Host": req.Host} {
+		if at := bytes.Index(data, []byte(field)); unsafe.StringData(field) != &data[at] {
+			t.Errorf("%s is a copy of the input, not a view of it", name)
+		}
+	}
+}
+
+// TestParseOverwritesRequest pins the reuse contract of the in-place parse:
+// a request parsed into a used Request keeps nothing of its predecessor,
+// and a failed parse leaves it zeroed.
+func TestParseOverwritesRequest(t *testing.T) {
+	req := Request{Method: "PUT", Path: "/old", Host: "old.example", KeepAlive: true, Body: []byte("old")}
+	if err := req.Parse([]byte("GET /new HTTP/1.1\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Request{Method: "GET", Path: "/new", Body: []byte{}}); req.Method != want.Method || req.Path != want.Path ||
+		req.Host != "" || req.KeepAlive || len(req.Body) != 0 {
+		t.Fatalf("reused request = %+v, want %+v", req, want)
+	}
+	if err := req.Parse([]byte("GARBAGE")); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Parse(GARBAGE) err = %v", err)
+	}
+	if req.Method != "" || req.Path != "" || req.Body != nil {
+		t.Fatalf("failed parse left %+v", req)
 	}
 }
 

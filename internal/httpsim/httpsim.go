@@ -14,6 +14,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Request is a parsed HTTP request.
@@ -67,24 +68,36 @@ func (r *Request) Marshal() []byte {
 	return append(b, r.Body...)
 }
 
-// ParseRequest parses a request from wire form. Method, Path and Host are
-// cut from one copy of the start line and headers, and Body aliases data —
-// two allocations per request, whatever the body size. Callers must
-// therefore leave data unmodified for as long as they hold the request,
-// which the network guarantees by never writing an emitted payload (see
-// ipv4.Packet).
+// ParseRequest parses a request from wire form into a new Request (see
+// Request.Parse): one allocation, the struct, whatever the message size.
 func ParseRequest(data []byte) (*Request, error) {
+	req := new(Request)
+	if err := req.Parse(data); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// Parse parses a request from wire form into r, overwriting every field,
+// and allocates nothing: Method, Path and Host are views of data's start
+// line and headers, and Body a view of its body. Callers must therefore
+// leave data unmodified for as long as they hold r's fields, which the
+// network guarantees by never writing an emitted payload (see ipv4.Packet).
+// On error r is left zeroed.
+func (r *Request) Parse(data []byte) error {
+	*r = Request{}
 	h, err := parseHead(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	method, rest := cutField(h.start)
 	path, rest := cutField(rest)
 	proto, rest := cutField(rest)
 	if extra, _ := cutField(rest); extra != "" || !strings.HasPrefix(proto, "HTTP/") {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, h.start)
+		return fmt.Errorf("%w: request line %q", ErrMalformed, h.start)
 	}
-	return &Request{Method: method, Path: path, Host: h.host, KeepAlive: h.keepAlive, Body: h.body}, nil
+	*r = Request{Method: method, Path: path, Host: h.host, KeepAlive: h.keepAlive, Body: h.body}
+	return nil
 }
 
 // Marshal renders the response in HTTP/1.1 wire form.
@@ -131,31 +144,34 @@ type head struct {
 	body      []byte
 }
 
-// parseHead scans a message front to back: lines end at '\n' (a preceding
-// '\r' is trimmed with the rest of the surrounding whitespace), the first
-// blank line after the start line ends the headers, the last
+// parseHead scans a message front to back, once: lines end at '\n' (a
+// preceding '\r' is trimmed with the rest of the surrounding whitespace),
+// the first blank line after the start line ends the headers, the last
 // Content-Length and Connection win, the first Host wins, and bytes past
-// the declared body are ignored.
+// the declared body are ignored. Every string it returns is a view of
+// data, not a copy.
 func parseHead(data []byte) (head, error) {
-	block, err := headerBlock(data)
-	if err != nil {
-		return head{}, err
-	}
-	body := data[len(block):]
+	s := unsafe.String(unsafe.SliceData(data), len(data))
 	var h head
-	h.start, block, _ = strings.Cut(block, "\n")
+	var rest string
+	var ok bool
+	if h.start, rest, ok = strings.Cut(s, "\n"); !ok {
+		return head{}, errUnterminated(len(data))
+	}
 	contentLen, haveHost := 0, false
 	for {
 		var line string
-		line, block, _ = strings.Cut(block, "\n")
-		if line = strings.TrimSpace(line); line == "" {
-			break // the terminator headerBlock stopped on
+		if line, rest, ok = strings.Cut(rest, "\n"); !ok {
+			return head{}, errUnterminated(len(data))
+		}
+		if line = trimSpace(line); line == "" {
+			break
 		}
 		key, val, ok := strings.Cut(line, ":")
 		if !ok {
 			return head{}, fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		key, val = trimSpace(key), trimSpace(val)
 		switch {
 		case keyIs(key, "content-length"):
 			n, err := strconv.Atoi(val)
@@ -169,6 +185,7 @@ func parseHead(data []byte) (head, error) {
 			h.host, haveHost = val, true
 		}
 	}
+	body := data[len(data)-len(rest):]
 	if contentLen > len(body) {
 		return head{}, fmt.Errorf("%w: body: %d of %d bytes", ErrMalformed, len(body), contentLen)
 	}
@@ -176,29 +193,57 @@ func parseHead(data []byte) (head, error) {
 	return h, nil
 }
 
-// headerBlock returns the start line and header lines of a message, blank
-// terminator included, as one string — the only copy parsing makes.
-func headerBlock(data []byte) (string, error) {
-	end := 0
-	for {
-		nl := bytes.IndexByte(data[end:], '\n')
-		if nl < 0 {
-			return "", fmt.Errorf("%w: headers end at byte %d without a blank line", ErrMalformed, len(data))
-		}
-		blank := end > 0 && len(bytes.TrimSpace(data[end:end+nl])) == 0
-		end += nl + 1
-		if blank {
-			return string(data[:end]), nil
-		}
+// errUnterminated reports n bytes of message with no blank line ending
+// its headers.
+func errUnterminated(n int) error {
+	return fmt.Errorf("%w: headers end at byte %d without a blank line", ErrMalformed, n)
+}
+
+// isSpace is unicode.IsSpace for an ASCII byte.
+func isSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
+// trimSpace is strings.TrimSpace with the ASCII case inline: ASCII
+// whitespace is trimmed byte by byte, and a string with a non-ASCII byte at
+// either trimmed edge goes to strings.TrimSpace, whose Unicode rules then
+// decide. The two agree on every input: a Unicode space is never ASCII, and
+// an ASCII byte is always a rune of its own.
+func trimSpace(s string) string {
+	i, j := 0, len(s)
+	for i < j && isSpace(s[i]) {
+		i++
 	}
+	for i < j && isSpace(s[j-1]) {
+		j--
+	}
+	if i < j && (s[i] >= utf8.RuneSelf || s[j-1] >= utf8.RuneSelf) {
+		return strings.TrimSpace(s[i:j])
+	}
+	return s[i:j]
 }
 
 // cutField returns the first whitespace-delimited field of s and what
-// follows it: strings.Fields one field at a time, without the slice.
+// follows it: strings.Fields one field at a time, without the slice. ASCII
+// is scanned byte by byte; from the first non-ASCII byte on, unicode.IsSpace
+// decides, as trimSpace does.
 func cutField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
+	i := 0
+	for i < len(s) && isSpace(s[i]) {
+		i++
+	}
+	if s = s[i:]; s != "" && s[0] >= utf8.RuneSelf {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	}
+	for i = 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			if j := strings.IndexFunc(s[i:], unicode.IsSpace); j >= 0 {
+				return s[:i+j], s[i+j:]
+			}
+			return s, ""
+		}
+		if isSpace(c) {
+			return s[:i], s[i:]
+		}
 	}
 	return s, ""
 }
@@ -258,13 +303,22 @@ func StaticPage() []byte {
 }
 
 // Handler produces a response for a request (server-side application
-// logic).
+// logic). The request is the server's to reuse once the handler returns,
+// and its fields alias the request packet's payload, so a handler must not
+// retain req. The returned Response may be shared between calls and
+// callers: every reader treats it as read-only.
 type Handler func(req *Request) *Response
 
 // StaticHandler always serves the given body with 200 OK, honouring the
-// request's keep-alive preference.
+// request's keep-alive preference. Its two responses are built once and
+// shared by every call.
 func StaticHandler(body []byte) Handler {
+	keepAlive := &Response{Status: 200, KeepAlive: true, Body: body}
+	closing := &Response{Status: 200, Body: body}
 	return func(req *Request) *Response {
-		return &Response{Status: 200, KeepAlive: req.KeepAlive, Body: body}
+		if req.KeepAlive {
+			return keepAlive
+		}
+		return closing
 	}
 }

@@ -108,6 +108,14 @@ func TestStaticHandler(t *testing.T) {
 	if resp.KeepAlive {
 		t.Fatal("handler must mirror keep-alive=false")
 	}
+	// The two responses are built once and shared: serving allocates nothing.
+	req := &Request{Method: "GET", Path: "/", KeepAlive: true}
+	if h(req) != h(&Request{KeepAlive: true}) || h(&Request{}) != resp {
+		t.Fatal("StaticHandler built a fresh response per call")
+	}
+	if n := testing.AllocsPerRun(100, func() { h(req) }); n != 0 {
+		t.Fatalf("StaticHandler: %.0f allocs per call, want 0", n)
+	}
 }
 
 func TestRequestRoundTripProperty(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 )
@@ -17,10 +18,11 @@ import (
 const minWorkerBurst = 64
 
 // burst is the working memory of one DeliverBatch or Gateway.ProcessBatch,
-// pooled: each packet's owning gateway and outcome, and the flow-affine
-// split of the burst over workers with each worker's scratch. It is
-// cleared before it goes back, so nothing outlives the burst that put it
-// there.
+// pooled: each packet's owning gateway and outcome, the sanitizer's egress
+// copies, and the flow-affine split of the burst over workers with each
+// worker's scratch. It is cleared before it goes back, so nothing outlives
+// the burst that put it there; ProcessBatch, whose caller keeps the egress
+// copies, detaches them first.
 type burst struct {
 	// n serves the survivors; nil for Gateway.ProcessBatch, which stops
 	// before serving.
@@ -39,6 +41,12 @@ type burst struct {
 	// crosses.
 	own    []BatchOutcome
 	active []*Gateway
+
+	// egress and opts back the sanitizer's egress copies: a packet and its
+	// options for each packet a sanitizing gateway owns. split carves them
+	// into one disjoint share per worker.
+	egress []ipv4.Packet
+	opts   []ipv4.Option
 }
 
 // burstWorker is one worker's share of a burst.
@@ -52,6 +60,18 @@ type burstWorker struct {
 	// packets.
 	todo, group []int
 	sub         []*ipv4.Packet
+	// egress and opts are the worker's share of the burst's egress-copy
+	// slabs, sized by split before the stages run — copies packets with
+	// optN options between them — so that no append moves a packet a
+	// BatchOutcome already points at.
+	egress       []ipv4.Packet
+	opts         []ipv4.Option
+	copies, optN int
+	// req is the request serveOne parses each HTTP payload into; it is
+	// zeroed once the handler returns. resp is the packet checkResponse
+	// renders each response segment into, its payload buffer reused.
+	req  httpsim.Request
+	resp ipv4.Packet
 }
 
 var burstPool = sync.Pool{New: func() any { return new(burst) }}
@@ -77,8 +97,20 @@ func (b *burst) release() {
 	clear(b.gws)
 	clear(b.own)
 	clear(b.active)
+	clear(b.egress)
+	clear(b.opts)
 	b.n, b.pkts, b.outcomes, b.out, b.active = nil, nil, nil, nil, b.active[:0]
 	burstPool.Put(b)
+}
+
+// detach hands the egress-copy slabs to the caller, who keeps the
+// outcomes pointing into them, so that release cannot clear them and the
+// next burst cannot reuse them.
+func (b *burst) detach() {
+	b.egress, b.opts = nil, nil
+	for w := range b.workers {
+		b.workers[w].egress, b.workers[w].opts = nil, nil
+	}
 }
 
 // split partitions the burst over at most workers workers (≤ 0 =
@@ -87,7 +119,8 @@ func (b *burst) release() {
 // lands on one worker, in burst order, the way NFQUEUE --queue-balance
 // hashes flows to readers. Workers get minWorkerBurst packets each on
 // average: a burst shorter than twice that is one part, which run executes
-// inline on the caller.
+// inline on the caller. It then sizes the egress-copy slabs for the
+// packets that sanitizing gateways own and gives each worker its share.
 func (b *burst) split(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -99,14 +132,32 @@ func (b *burst) split(workers int) {
 	b.workers = b.workers[:workers]
 	for w := range b.workers {
 		bw := &b.workers[w]
-		bw.idx, bw.charge = bw.idx[:0], 0
+		bw.idx, bw.charge, bw.copies, bw.optN = bw.idx[:0], 0, 0, 0
 	}
+	copies, opts := 0, 0
 	for i, p := range b.pkts {
 		w := 0
 		if workers > 1 {
 			w = int(affinity(&p.Header) * uint64(workers) >> 32)
 		}
-		b.workers[w].idx = append(b.workers[w].idx, i)
+		bw := &b.workers[w]
+		bw.idx = append(bw.idx, i)
+		if gw := b.gws[i]; gw != nil && gw.sanitizer != nil {
+			bw.copies++
+			bw.optN += len(p.Header.Options)
+			copies++
+			opts += len(p.Header.Options)
+		}
+	}
+	b.egress = resize(b.egress, copies)
+	b.opts = resize(b.opts, opts)
+	copies, opts = 0, 0
+	for w := range b.workers {
+		bw := &b.workers[w]
+		bw.egress = b.egress[copies : copies : copies+bw.copies]
+		bw.opts = b.opts[opts : opts : opts+bw.optN]
+		copies += bw.copies
+		opts += bw.optN
 	}
 }
 
@@ -162,13 +213,13 @@ func (b *burst) work(w int) {
 			d.Stage = StageGateway
 			continue
 		}
-		charge, sp, dp := b.n.serveOne(o.Out, d)
+		charge, sp, dp := b.n.serveOne(o.Out, d, &bw.req)
 		bw.charge += charge
 		// The response half of the connection's verdict state is enforced
 		// at the owning gateway, keyed off the still-tagged device-egress
 		// packet.
 		if gw != nil && d.Response != nil {
-			b.n.checkResponse(gw, b.pkts[i], sp, dp, d)
+			b.n.checkResponse(gw, b.pkts[i], sp, dp, d, &bw.resp)
 		}
 	}
 }
@@ -207,7 +258,7 @@ func (b *burst) runStages(bw *burstWorker) {
 				}
 			}
 			if o.Out != nil && gw != nil && gw.sanitizer != nil {
-				o.Out = gw.sanitizer.Process(egressCopy(o.Out))
+				o.Out = gw.sanitizer.Process(bw.egressCopy(o.Out))
 			}
 			b.outcomes[i] = o
 		}
@@ -215,4 +266,22 @@ func (b *burst) runStages(bw *burstWorker) {
 		bw.group, bw.sub = group[:0], sub[:0]
 	}
 	bw.todo = todo
+}
+
+// egressCopy is the packet handed to the sanitizer, written into the
+// worker's slabs: a copy of the header with its own options, so stripping
+// the tag leaves the original (which conntrack teardown and EndFlow still
+// key on) intact, sharing the option data and the payload under
+// ipv4.Packet's immutability invariant (the only writer, the fault
+// injector, clones first). The copy lives as long as the burst's slabs:
+// one DeliverBatch, or for as long as ProcessBatch's caller keeps it.
+func (bw *burstWorker) egressCopy(pkt *ipv4.Packet) *ipv4.Packet {
+	bw.egress = append(bw.egress, ipv4.Packet{Header: pkt.Header, Payload: pkt.Payload})
+	c := &bw.egress[len(bw.egress)-1]
+	if n := len(pkt.Header.Options); n > 0 {
+		k := len(bw.opts)
+		bw.opts = append(bw.opts, pkt.Header.Options...)
+		c.Header.Options = bw.opts[k : k+n : k+n]
+	}
+	return c
 }

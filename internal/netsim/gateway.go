@@ -70,17 +70,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 }
 
-// egressCopy is the packet handed to the sanitizer: a copy of the header
-// with its own options slice, so stripping the tag leaves the original
-// (which conntrack teardown and EndFlow still key on) intact, sharing the
-// option data and the payload under ipv4.Packet's immutability invariant
-// (the only writer, the fault injector, clones first).
-func egressCopy(pkt *ipv4.Packet) *ipv4.Packet {
-	c := &ipv4.Packet{Header: pkt.Header, Payload: pkt.Payload}
-	c.Header.Options = append([]ipv4.Option(nil), pkt.Header.Options...)
-	return c
-}
-
 // Active reports whether the gateway diverts packets to user space at all
 // (used for latency accounting).
 func (g *Gateway) Active() bool {
@@ -156,6 +145,7 @@ func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	}
 	b.split(g.workers)
 	b.run()
+	b.detach()
 	b.release()
 	return out, nil
 }

@@ -201,8 +201,6 @@ type Network struct {
 	// respUntracked counts responses rendered for a connection its full
 	// respSeq shard could not record (see maxRespTracked).
 	respUntracked atomic.Uint64
-	// respScratch recycles the packets response segments are rendered into.
-	respScratch sync.Pool
 }
 
 // respShard is one lock domain of Network.respSeq.
@@ -344,7 +342,7 @@ type Delivery struct {
 // server's address and is delivered, but serves nothing. It returns the
 // virtual time the wire and the server cost, for the caller to charge, and
 // the transport ports it parsed, for the response check.
-func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (charge time.Duration, sp, dp uint16) {
+func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery, req *httpsim.Request) (charge time.Duration, sp, dp uint16) {
 	srv, ok := (*n.servers.Load())[cur.Header.Dst]
 	if !ok {
 		d.Stage = StageNoRoute
@@ -364,18 +362,19 @@ func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery) (charge time.Duration,
 	// this model emits) that decides whether the payload is read as a
 	// transport segment at all; the views then validate it in full,
 	// checksum included, before the payload is trusted. A segment that
-	// fails either serves nothing. Request and datagram alias cur.Payload,
-	// which nothing writes once emitted (see ipv4.Packet).
+	// fails either serves nothing. The request is parsed in place into
+	// req, the worker's, and zeroed once the handler has answered; it and
+	// the datagram alias cur.Payload, which nothing writes once emitted
+	// (see ipv4.Packet).
 	h := &cur.Header
 	sp, dp, ok = transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload)
 	if ok {
 		switch h.Protocol {
 		case ipv4.ProtoTCP:
 			if seg, err := transport.ViewTCP(cur.Payload); err == nil {
-				if len(seg.Payload) > 0 {
-					if req, err := httpsim.ParseRequest(seg.Payload); err == nil {
-						charge += n.serveRequest(srv, req, d)
-					}
+				if len(seg.Payload) > 0 && req.Parse(seg.Payload) == nil {
+					charge += n.serveRequest(srv, req, d)
+					*req = httpsim.Request{}
 				}
 				// SYN/FIN/RST carry no request: delivered, nothing served.
 				if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
@@ -602,8 +601,9 @@ func respISN(k connKey) uint32 {
 // produce a Response); UDP replies pass unchecked, and so does a
 // connection whose endpoints are not IPv4. A response the gateway refuses
 // (sequence-continuity violation — in practice only when an injection is
-// simulated) is removed from the delivery.
-func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d *Delivery) {
+// simulated) is removed from the delivery. The segment is rendered into
+// scratch, the worker's.
+func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d *Delivery, scratch *ipv4.Packet) {
 	if d.Response == nil {
 		return
 	}
@@ -611,15 +611,10 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d 
 	if !ok {
 		return
 	}
-	scratch, _ := n.respScratch.Get().(*ipv4.Packet)
-	if scratch == nil {
-		scratch = new(ipv4.Packet)
-	}
 	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, k, d.Response.Body)) {
 		d.ResponseDropped = true
 		d.Response = nil
 	}
-	n.respScratch.Put(scratch)
 }
 
 // responsePacket renders the server→device segment carrying a response

@@ -20,7 +20,14 @@ import (
 var (
 	ErrClosed       = errors.New("netstack: socket closed")
 	ErrNotConnected = errors.New("netstack: socket not connected")
+	// ErrNoFreePort reports that every ephemeral port is bound by an open
+	// socket of the stack.
+	ErrNoFreePort = errors.New("netstack: no free ephemeral port")
 )
+
+// firstEphemeral is the lowest ephemeral port; the stack hands out
+// firstEphemeral..65535 in turn and wraps.
+const firstEphemeral = 40000
 
 // ConnectHook observes a completed connect: the paper's Xposed post-hooks
 // run after the OS socket exists and the connection is established, so the
@@ -34,7 +41,10 @@ type Stack struct {
 	kern      *kernel.Kernel
 	localAddr netip.Addr
 	nextPort  uint16
-	hooks     []ConnectHook
+	// bound marks the ephemeral ports open sockets hold, bit
+	// port-firstEphemeral, so that a wrapped counter skips them.
+	bound [(1<<16 - firstEphemeral) / 64]uint64
+	hooks []ConnectHook
 }
 
 // NewStack builds a stack for a device with the given local address.
@@ -42,7 +52,7 @@ func NewStack(k *kernel.Kernel, local netip.Addr) *Stack {
 	return &Stack{
 		kern:      k,
 		localAddr: local,
-		nextPort:  40000,
+		nextPort:  firstEphemeral,
 	}
 }
 
@@ -63,15 +73,33 @@ func (st *Stack) RegisterConnectHook(h ConnectHook) {
 	st.hooks = append(slices.Clip(st.hooks), h)
 }
 
-func (st *Stack) allocPort() uint16 {
+// allocPort binds the next ephemeral port in turn that no open socket of
+// the stack holds, wrapping from 65535 to firstEphemeral, and fails with
+// ErrNoFreePort when every one is held.
+func (st *Stack) allocPort() (uint16, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	p := st.nextPort
-	st.nextPort++
-	if st.nextPort == 0 {
-		st.nextPort = 40000
+	for range 1<<16 - firstEphemeral {
+		p := st.nextPort
+		st.nextPort++
+		if st.nextPort == 0 {
+			st.nextPort = firstEphemeral
+		}
+		i := p - firstEphemeral
+		if st.bound[i/64]&(1<<(i%64)) == 0 {
+			st.bound[i/64] |= 1 << (i % 64)
+			return p, nil
+		}
 	}
-	return p
+	return 0, ErrNoFreePort
+}
+
+// releasePort unbinds an ephemeral port allocPort handed out.
+func (st *Stack) releasePort(p uint16) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	i := p - firstEphemeral
+	st.bound[i/64] &^= 1 << (i % 64)
 }
 
 func (st *Stack) connectHooks() []ConnectHook {
@@ -178,8 +206,14 @@ func (s *JavaSocket) Connect(remote netip.AddrPort) error {
 	if s.fd < 0 {
 		s.fd = s.stack.kern.Socket(s.OwnerUID, s.proto)
 	}
-	local := netip.AddrPortFrom(s.stack.localAddr, s.stack.allocPort())
+	port, err := s.stack.allocPort()
+	if err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("netstack: connect: %w", err)
+	}
+	local := netip.AddrPortFrom(s.stack.localAddr, port)
 	if err := s.stack.kern.Connect(s.fd, local, remote); err != nil {
+		s.stack.releasePort(port)
 		s.mu.Unlock()
 		return fmt.Errorf("netstack: connect: %w", err)
 	}
@@ -255,6 +289,9 @@ func (s *JavaSocket) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
+	if s.connected {
+		s.stack.releasePort(s.local.Port())
+	}
 	if s.fd >= 0 {
 		return s.stack.kern.Close(s.fd)
 	}

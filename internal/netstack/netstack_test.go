@@ -157,6 +157,63 @@ func TestEphemeralPortsAdvance(t *testing.T) {
 	}
 }
 
+// TestEphemeralPortWrapSkipsBoundPorts pins the counter's wrap: one socket
+// holds the first ephemeral port open across 25,536 connect/close cycles,
+// one for every ephemeral port, so the counter wraps from 65535 and must
+// step over the held port instead of handing it out a second time. With
+// every port held, Connect fails instead.
+func TestEphemeralPortWrapSkipsBoundPorts(t *testing.T) {
+	st := newStack()
+	held := st.NewJavaSocket(10001)
+	if err := held.Connect(remoteAP()); err != nil {
+		t.Fatal(err)
+	}
+	heldPort := held.Local().Port()
+	seen := 0
+	for c := 0; c < 1<<16-firstEphemeral; c++ {
+		s := st.NewJavaSocket(10001)
+		if err := s.Connect(remoteAP()); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if p := s.Local().Port(); p == heldPort {
+			t.Fatalf("cycle %d: port %d handed out while an open socket holds it", c, p)
+		} else if p < firstEphemeral {
+			t.Fatalf("cycle %d: port %d below the ephemeral range", c, p)
+		} else if p == heldPort+1 {
+			seen++
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("port %d handed out %d times in one wrap, want 2 (before and after)", heldPort+1, seen)
+	}
+
+	// Every port held: the next connect has none left.
+	open := []*JavaSocket{held}
+	for c := 1; c < 1<<16-firstEphemeral; c++ {
+		s := st.NewJavaSocket(10001)
+		if err := s.Connect(remoteAP()); err != nil {
+			t.Fatalf("socket %d of %d: %v", c, 1<<16-firstEphemeral, err)
+		}
+		open = append(open, s)
+	}
+	last := st.NewJavaSocket(10001)
+	if err := last.Connect(remoteAP()); !errors.Is(err, ErrNoFreePort) {
+		t.Fatalf("connect with every port held: err %v, want ErrNoFreePort", err)
+	}
+	// Closing one frees exactly that port.
+	freed := open[100].Local().Port()
+	if err := open[100].Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := st.NewJavaSocket(10001)
+	if err := again.Connect(remoteAP()); err != nil || again.Local().Port() != freed {
+		t.Fatalf("after closing port %d: got port %d, err %v", freed, again.Local().Port(), err)
+	}
+}
+
 func TestSocketReuseKeepsOneContext(t *testing.T) {
 	// Paper §VII "Socket reuse": all packets on one socket carry the stack
 	// trace captured at connect time; reusing the socket for a different
