@@ -153,7 +153,10 @@ func (a *APK) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadAPK parses a binary apk container.
+// ReadAPK parses a binary apk container. Its counts come off the wire, so
+// they bound the loops but size nothing: every slice grows by append as
+// its records actually arrive, and a short input fails having allocated
+// about what it held. What follows the container in r is not read.
 func ReadAPK(r io.Reader) (*APK, error) {
 	br := bufio.NewReader(r)
 	var scratch [8]byte
@@ -233,11 +236,13 @@ func ReadAPK(r io.Reader) (*APK, error) {
 	if nDex > maxCount {
 		return nil, fmt.Errorf("dex: dex count %d exceeds limit", nDex)
 	}
-	a.Dexes = make([]*File, 0, nDex)
 	for di := uint32(0); di < nDex; di++ {
 		stripped, err := readU16()
 		if err != nil {
 			return fail(err)
+		}
+		if stripped > 1 {
+			return nil, fmt.Errorf("dex: debug-stripped flag %d is neither 0 nor 1", stripped)
 		}
 		d := &File{DebugStripped: stripped == 1}
 		nClasses, err := readU32()
@@ -247,7 +252,6 @@ func ReadAPK(r io.Reader) (*APK, error) {
 		if nClasses > maxCount {
 			return nil, fmt.Errorf("dex: class count %d exceeds limit", nClasses)
 		}
-		d.Classes = make([]ClassDef, 0, nClasses)
 		for ci := uint32(0); ci < nClasses; ci++ {
 			var c ClassDef
 			if c.Package, err = readStr(); err != nil {
@@ -266,7 +270,6 @@ func ReadAPK(r io.Reader) (*APK, error) {
 			if nMethods > maxCount {
 				return nil, fmt.Errorf("dex: method count %d exceeds limit", nMethods)
 			}
-			c.Methods = make([]MethodDef, 0, nMethods)
 			for mi := uint32(0); mi < nMethods; mi++ {
 				var m MethodDef
 				if m.Name, err = readStr(); err != nil {

@@ -368,30 +368,21 @@ func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext, now tim
 }
 
 // flowKey fills the cache key for a tagged packet without decoding the
-// tag: the full 5-tuple — endpoints and protocol from the IPv4 header,
-// real transport ports peeked (zero-alloc, structural checks only) out of
-// the TCP/UDP header — and the tag payload (which begins with the app's
-// truncated hash) pinned verbatim plus its digest. Real ports mean two
-// apps talking to the same host pair get distinct flow entries, and every
-// TCP connection is its own flow (so teardown on FIN cannot evict a
-// sibling connection's verdict). Ports stay zero for non-first fragments
-// and payloads that are not a TCP/UDP header this model emits — PeekPorts
-// refuses both, so garbage bytes can never be keyed as ports. ok is false
-// for oversized tag payloads and non-IPv4 endpoints, which must bypass the
-// cache. The key is filled through a pointer so the hot path never copies
-// the 64-byte Key across call frames.
+// tag: the flow's tuple, with the real transport ports peeked (zero-alloc,
+// structural checks only) out of the TCP/UDP header, so every connection
+// is its own flow and teardown on FIN cannot evict a sibling's verdict;
+// the protocol; and the raw tag bytes plus their digest. Ports stay zero
+// when the peek refuses the payload (non-first fragments, anything not a
+// header this model emits), so garbage bytes are never keyed as ports. ok
+// is false for oversized tags and non-IPv4 endpoints, which bypass the
+// cache. k is filled in place so the hot path never copies the 64-byte Key.
 func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
-	if !pkt.Header.Src.Is4() || !pkt.Header.Dst.Is4() {
+	var info transport.Info
+	transport.PeekPacket(pkt, &info)
+	if k.Tuple, ok = transport.TupleOf(&pkt.Header, info.SrcPort, info.DstPort); !ok {
 		return false
 	}
-	k.Src = pkt.Header.Src.As4()
-	k.Dst = pkt.Header.Dst.As4()
 	k.Proto = pkt.Header.Protocol
-	k.SrcPort, k.DstPort = 0, 0
-	if sp, dp, hasTransport := transport.PeekPorts(pkt.Header.Protocol, pkt.Header.FragOff, pkt.Payload); hasTransport {
-		k.SrcPort = sp
-		k.DstPort = dp
-	}
 	return k.SetTag(tagData)
 }
 

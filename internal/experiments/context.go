@@ -245,7 +245,8 @@ func (r *ContextBenchResult) Check() error {
 func withoutTeardown(pkts []*ipv4.Packet) []*ipv4.Packet {
 	out := make([]*ipv4.Packet, 0, len(pkts))
 	for _, pkt := range pkts {
-		if info, ok := transport.PeekPacket(pkt); ok && info.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
+		var info transport.Info
+		if transport.PeekPacket(pkt, &info) && info.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
 			continue
 		}
 		out = append(out, pkt)

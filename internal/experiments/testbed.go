@@ -76,9 +76,6 @@ type TestbedConfig struct {
 	EnforcementOn bool
 	// AllowUntagged admits untagged packets at the enforcer.
 	AllowUntagged bool
-	// NIC selects the emulator network mode (TAP for the paper's testbed).
-	// NewTestbed only: Assemble builds on the network it is given.
-	NIC netsim.NICMode
 	// DisableFlowCache turns off per-flow verdict caching (on by default
 	// when enforcement is on; baselines that measure the uncached pipeline
 	// set this).
@@ -135,11 +132,7 @@ type TestbedConfig struct {
 // enforcement point, installs every corpus app (with one server per
 // endpoint the corpus references), and starts the policy store.
 func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
-	nic := cfg.NIC
-	if nic == 0 {
-		nic = netsim.ModeTAP
-	}
-	network := netsim.NewNetwork(nic, netsim.DefaultLatencyModel())
+	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
 	if cfg.DisableCapture {
 		network.SetCapture(false)
 	}
@@ -345,8 +338,8 @@ func (tb *Testbed) DeliverAll(pkts []*ipv4.Packet) (delivered, dropped int) {
 // segment (every packet of a flow carries the same tag, so control
 // segments share their flow's verdict).
 func isDataPacket(pkt *ipv4.Packet) bool {
-	info, ok := transport.PeekPacket(pkt)
-	if !ok {
+	var info transport.Info
+	if !transport.PeekPacket(pkt, &info) {
 		return true // non-first fragment: all data
 	}
 	if info.Proto == ipv4.ProtoTCP {

@@ -58,6 +58,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"borderpatrol/internal/transport"
 )
 
 // Clock supplies virtual time for TTL expiry and LRU recency.
@@ -73,13 +75,11 @@ const MaxTagBytes = 38
 
 // Key identifies one flow at the enforcement point. It holds no pointer.
 type Key struct {
-	// Src and Dst are the packet's IPv4 endpoints (a packet with any other
-	// address family bypasses the cache).
-	Src, Dst [4]byte
-	// SrcPort and DstPort are the transport ports peeked from the packet's
-	// TCP/UDP header; zero when the payload carries no transport header
-	// (non-first fragments, malformed headers).
-	SrcPort, DstPort uint16
+	// Tuple is the packet's flow identity: IPv4 endpoints (a packet with
+	// any other address family bypasses the cache) and the transport ports
+	// peeked from its TCP/UDP header, zero when the payload carries no
+	// transport header (non-first fragments, malformed headers).
+	transport.Tuple
 	// Proto is the IPv4 protocol number.
 	Proto byte
 	// TagLen and Tag pin the exact raw tag bytes (app truncated hash,
@@ -144,8 +144,8 @@ func Digest(b []byte) uint64 {
 // endpoints and ports separate flows with identical tags.
 func (k Key) hash() uint64 {
 	h := k.Digest
-	h ^= uint64(binary.BigEndian.Uint32(k.Src[:]))
-	h ^= uint64(binary.BigEndian.Uint32(k.Dst[:])) << 32
+	h ^= uint64(k.Src)
+	h ^= uint64(k.Dst) << 32
 	h ^= uint64(k.SrcPort)<<16 | uint64(k.DstPort) | uint64(k.Proto)<<32
 	// Final avalanche (splitmix64 tail) so low bits depend on all input.
 	h ^= h >> 30

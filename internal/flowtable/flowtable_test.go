@@ -6,8 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"borderpatrol/internal/metrics"
+	"borderpatrol/internal/transport"
 )
 
 // count reads one of the table's bp_flowtable_* series by its name suffix
@@ -39,10 +41,20 @@ func (c *tickClock) advance(d time.Duration) {
 
 func key(i int) Key {
 	return Key{
-		Src:    [4]byte{10, 66, 0, 2},
-		Dst:    [4]byte{93, 184, byte(i >> 8), byte(i)},
+		Tuple:  transport.Tuple{Src: 0x0a420002, Dst: 0x5db80000 | uint32(i&0xffff)},
 		Proto:  6,
 		Digest: Digest([]byte(fmt.Sprintf("tag-%d", i))),
+	}
+}
+
+// TestKeyIs64Bytes pins the key's layout: the 12-byte flow tuple, the
+// protocol and the pinned tag fill one 64-byte cache line.
+func TestKeyIs64Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Key{}); size != 64 {
+		t.Fatalf("Key is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof(transport.Tuple{}); size != 12 {
+		t.Fatalf("transport.Tuple is %d bytes, want 12", size)
 	}
 }
 

@@ -11,8 +11,8 @@ func floodKey(i uint64) Key {
 	var tag [16]byte
 	binary.LittleEndian.PutUint64(tag[:8], i)
 	var k Key
-	k.Src = [4]byte{10, 66, 0, 2}
-	k.Dst = [4]byte{203, 0, 113, 9}
+	k.Src = 0x0a420002 // 10.66.0.2
+	k.Dst = 0xcb007109 // 203.0.113.9
 	k.SrcPort = uint16(40000 + i%20000)
 	k.DstPort = 443
 	k.Proto = 6

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
+	"borderpatrol/internal/transport"
 )
 
 // minWorkerBurst is the fewest packets worth a worker of their own: a
@@ -138,7 +138,10 @@ func (b *burst) split(workers int) {
 	for i, p := range b.pkts {
 		w := 0
 		if workers > 1 {
-			w = int(affinity(&p.Header) * uint64(workers) >> 32)
+			// The tuple without its ports: every connection between one
+			// device and one server shares a worker.
+			t, _ := transport.TupleOf(&p.Header, 0, 0)
+			w = int((t.Hash() >> 32) * uint64(workers) >> 32)
 		}
 		bw := &b.workers[w]
 		bw.idx = append(bw.idx, i)
@@ -161,20 +164,6 @@ func (b *burst) split(workers int) {
 	}
 }
 
-// affinity is a 32-bit hash of a packet's IPv4 source and destination
-// (zero for other address families).
-func affinity(h *ipv4.Header) uint64 {
-	if !h.Src.Is4() || !h.Dst.Is4() {
-		return 0
-	}
-	s, d := h.Src.As4(), h.Dst.As4()
-	x := uint64(binary.BigEndian.Uint32(s[:]))<<32 | uint64(binary.BigEndian.Uint32(d[:]))
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x >> 32
-}
-
 // run executes every worker's share and returns when all are done: worker
 // 0 on the calling goroutine, the others on goroutines of their own.
 func (b *burst) run() {
@@ -195,14 +184,25 @@ func (b *burst) spawned(w int) {
 // owning gateway (enforcer, sanitizer), then per accepted packet in burst
 // order its connection event and — on DeliverBatch — its serve and
 // response check. A flow's FIN is therefore observed after its data
-// segments were answered.
+// segments were answered. Each accepted packet's transport header is
+// peeked once, here, for all three.
+//
+// A FIN/RST the conntrack reports tears the flow's cached verdict down
+// through the enforcer, keyed on the original (still-tagged) packet, as
+// the cache is. Dropped packets never reach the conntrack, so a denied
+// flow's cached drop verdict deliberately survives its FIN: repeat
+// offenders stay cheap to block.
 func (b *burst) work(w int) {
 	bw := &b.workers[w]
 	b.runStages(bw)
 	for _, i := range bw.idx {
 		o, gw := b.outcomes[i], b.gws[i]
-		if o.Out != nil && gw != nil {
-			gw.observeConn(b.pkts[i])
+		var f flowID
+		if o.Out != nil {
+			f = peekFlow(b.pkts[i])
+			if gw != nil && gw.ct.observe(f) && gw.enforcer != nil {
+				gw.enforcer.EndFlow(b.pkts[i])
+			}
 		}
 		if b.n == nil {
 			continue
@@ -213,13 +213,12 @@ func (b *burst) work(w int) {
 			d.Stage = StageGateway
 			continue
 		}
-		charge, sp, dp := b.n.serveOne(o.Out, d, &bw.req)
-		bw.charge += charge
+		bw.charge += b.n.serveOne(o.Out, f, d, &bw.req)
 		// The response half of the connection's verdict state is enforced
 		// at the owning gateway, keyed off the still-tagged device-egress
 		// packet.
 		if gw != nil && d.Response != nil {
-			b.n.checkResponse(gw, b.pkts[i], sp, dp, d, &bw.resp)
+			b.n.checkResponse(gw, b.pkts[i], f, d, &bw.resp)
 		}
 	}
 }

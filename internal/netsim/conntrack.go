@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -19,26 +17,29 @@ import (
 //
 // Only connection events touch the table: data segments (no SYN/FIN/RST)
 // return without taking a lock, so the per-packet cost on the hot path
-// is one transport peek. UDP is connectionless and deliberately
-// untracked — its flow-cache entries age out via TTL, matching how real
-// conntrack expires UDP by timeout. So are endpoints that are not IPv4:
-// their FIN/RST still reports connClosed, so teardown fires.
+// is the caller's one transport peek. UDP is connectionless and
+// deliberately untracked — its flow-cache entries age out via TTL,
+// matching how real conntrack expires UDP by timeout. So are endpoints
+// that are not IPv4: their FIN/RST still reports connClosed, so teardown
+// fires.
 //
 // # Shards
 //
-// The table is ctShards shards, picked by a hash of the 5-tuple. Each has
-// its own lock, open map, TIME_WAIT map and ring, and bounds: maxTracked
-// and maxTimeWait divided evenly among the shards. Both directions of a
-// connection land on one shard, so there is no global lock; a scrape sums
-// the shards.
+// The table is ctShards shards, picked by the top bits of the forward
+// transport.Tuple's hash. Each shard holds one record per connection in
+// one map — open, or parked in TIME_WAIT — plus a ring of the parked
+// records' FIFO order, its own lock and its bounds: maxTracked open and
+// maxTimeWait parked records, each divided evenly among the shards. Both
+// directions of a connection land on one shard, so there is no global
+// lock; a scrape sums the shards.
 //
 // # A full shard
 //
 // Following nf_conntrack's early_drop, a new connection (a SYN, or a
 // response adopted mid-stream) that finds its shard at the bound evicts
-// an unreplied entry — one whose response direction has not been primed —
-// found among the first evictSample entries it looks at. If it finds
-// none, the newcomer is not tracked and counts as a table_full
+// an unreplied open record — one whose response direction has not been
+// primed — found among the first evictSample records it looks at. If it
+// finds none, the newcomer is not tracked and counts as a table_full
 // transition; a response for a connection that could not be adopted
 // passes unchecked and counts as an unchecked response. A connection whose
 // response stream is primed is therefore never evicted by a flood: a
@@ -48,14 +49,14 @@ import (
 //
 // A faulty network retransmits, duplicates, and reorders control
 // segments, so lifecycle transitions must be idempotent. A closed
-// connection parks in a TIME_WAIT analogue for timeWaitTTL of virtual
-// time: a duplicate FIN or an RST-after-FIN there still reports
-// connClosed (teardown is the safe direction and EndFlow is idempotent)
-// but counts as a duplicate close, not a second close; a SYN arriving
-// there — a delayed retransmission of the original handshake — is refused
-// rather than resurrecting the dead flow. Once TIME_WAIT expires the
-// 5-tuple is legitimately reusable and a SYN establishes a fresh
-// connection, as on a real host.
+// connection's record stays, parked in a TIME_WAIT analogue for
+// timeWaitTTL of virtual time: a duplicate FIN or an RST-after-FIN there
+// still reports connClosed (teardown is the safe direction and EndFlow is
+// idempotent) but counts as a duplicate close, not a second close; a SYN
+// arriving there — a delayed retransmission of the original handshake —
+// is refused rather than resurrecting the dead flow. Once TIME_WAIT
+// expires the 5-tuple is legitimately reusable and a SYN reopens the
+// record as a fresh connection, as on a real host.
 type Conntrack struct {
 	clock  *Clock
 	shards [ctShards]ctShard
@@ -63,45 +64,30 @@ type Conntrack struct {
 
 // ctShard is one lock domain of the tracker. Its counters share the lock.
 type ctShard struct {
-	mu   sync.Mutex
-	open map[connKey]connState
-
-	// timeWait parks recently closed connections; ring bounds it FIFO.
-	timeWait map[connKey]time.Duration // key → close time (virtual)
-	ring     []timeWaitRecord
-	ringPos  int
-	ringLen  int
+	mu    sync.Mutex
+	conns map[transport.Tuple]connState
+	// parked counts the records in TIME_WAIT; the rest of conns is open.
+	parked int
+	// ring holds the parked records' FIFO order and bounds them; next is
+	// the slot the next park overwrites, the oldest once the ring wrapped.
+	ring []parkedRecord
+	next int
 
 	n [ctCounts]uint64
 }
 
-// connState is one open connection's directional verdict state: last
-// activity for idle sweeps, plus the response half's expected sequence
-// number. revNext is primed by the first server→device segment observed
-// (the tracker cannot know the server's ISN in advance) and every later
-// response must continue it exactly — the continuity check that flags a
-// mid-stream injected segment.
+// connState is one connection's record. An open connection's carries its
+// directional verdict state: last activity for idle sweeps, plus the
+// response half's expected sequence number. revNext is primed by the
+// first server→device segment observed (the tracker cannot know the
+// server's ISN in advance) and every later response must continue it
+// exactly — the continuity check that flags a mid-stream injected
+// segment. A parked record's last is its close time.
 type connState struct {
 	last    time.Duration
 	revNext uint32
 	revSeen bool
-}
-
-// connKey identifies a TCP connection by its forward (device→server)
-// 5-tuple; the protocol is implicitly TCP. Twelve bytes and no pointers:
-// a map probe hashes and compares it without chasing netip.Addr's zone.
-type connKey struct {
-	src, dst         [4]byte
-	srcPort, dstPort uint16
-}
-
-// makeConnKey builds the key of a device→server segment; ok is false when
-// either endpoint is not IPv4 (such a connection is not tracked).
-func makeConnKey(src, dst netip.Addr, srcPort, dstPort uint16) (k connKey, ok bool) {
-	if !src.Is4() || !dst.Is4() {
-		return connKey{}, false
-	}
-	return connKey{src: src.As4(), dst: dst.As4(), srcPort: srcPort, dstPort: dstPort}, true
+	parked  bool
 }
 
 // ctShardBits sizes the conntrack and response-sequence tables: 64 shards.
@@ -109,21 +95,16 @@ const ctShardBits = 6
 
 const ctShards = 1 << ctShardBits
 
-// shard picks the key's shard from the top bits of a mixed 5-tuple hash.
-func (k connKey) shard() int {
-	h := uint64(binary.BigEndian.Uint32(k.src[:]))<<32 | uint64(binary.BigEndian.Uint32(k.dst[:]))
-	h ^= (uint64(k.srcPort)<<16 | uint64(k.dstPort)) * 0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h >> (64 - ctShardBits))
+// shardOf picks a tuple's shard from the top bits of its hash.
+func shardOf(t transport.Tuple) int {
+	return int(t.Hash() >> (64 - ctShardBits))
 }
 
-// timeWaitRecord is one ring slot: the parked key and the close time it
-// was parked with, so a slot overwritten by churn only deletes the map
-// entry it actually corresponds to.
-type timeWaitRecord struct {
-	key connKey
+// parkedRecord is one ring slot: the parked tuple and the close time it
+// was parked with, so a slot overtaken by churn only releases the record
+// it actually corresponds to.
+type parkedRecord struct {
+	key transport.Tuple
 	at  time.Duration
 }
 
@@ -180,13 +161,13 @@ const (
 // forever. What a full shard does is stated on Conntrack.
 const maxTracked = 65536
 
-// evictSample is how many entries a full shard looks at for an unreplied
-// one to evict before it refuses the newcomer.
+// evictSample is how many entries a full shard looks at for one to evict
+// before it refuses the newcomer.
 const evictSample = 16
 
-// maxTimeWait bounds the TIME_WAIT tables, maxTimeWait/ctShards per
-// shard; at the bound the shard's oldest parked connection is released
-// early (its 5-tuple becomes reusable), trading a sliver of late-segment
+// maxTimeWait bounds the parked records, maxTimeWait/ctShards per shard;
+// at the bound the shard's oldest parked connection is released early
+// (its 5-tuple becomes reusable), trading a sliver of late-segment
 // protection for a hard memory bound — real nf_conntrack does the same
 // under table pressure.
 const maxTimeWait = 16384
@@ -197,15 +178,14 @@ const maxTimeWait = 16384
 const timeWaitTTL = 30 * time.Second
 
 // NewConntrack builds an empty tracker. clock supplies virtual time for
-// TIME_WAIT expiry and idle sweeps; nil disables time-based expiry (the
-// TIME_WAIT tables are then bounded only by maxTimeWait).
+// TIME_WAIT expiry and idle sweeps; nil disables time-based expiry (parked
+// records are then bounded only by maxTimeWait).
 func NewConntrack(clock *Clock) *Conntrack {
 	ct := &Conntrack{clock: clock}
 	for i := range ct.shards {
 		s := &ct.shards[i]
-		s.open = make(map[connKey]connState)
-		s.timeWait = make(map[connKey]time.Duration)
-		s.ring = make([]timeWaitRecord, maxTimeWait/ctShards)
+		s.conns = make(map[transport.Tuple]connState)
+		s.ring = make([]parkedRecord, maxTimeWait/ctShards)
 	}
 	return ct
 }
@@ -224,36 +204,50 @@ func (ct *Conntrack) waiting(at, now time.Duration) bool {
 	return ct.clock == nil || now-at <= timeWaitTTL
 }
 
-// parkLocked moves a key into TIME_WAIT, evicting the shard's oldest
-// parked entry at capacity. Caller holds s.mu.
-func (s *ctShard) parkLocked(k connKey, now time.Duration) {
-	if s.ringLen == len(s.ring) {
-		old := s.ring[s.ringPos]
-		// Only delete the map entry this slot still owns: the key may have
-		// been re-parked since, with a newer close time in a newer slot.
-		if at, ok := s.timeWait[old.key]; ok && at == old.at {
-			delete(s.timeWait, old.key)
-		}
-		s.ringPos = (s.ringPos + 1) % len(s.ring)
-		s.ringLen--
+// parkLocked moves k's record into TIME_WAIT, releasing the shard's
+// oldest parked record at capacity. Caller holds s.mu.
+func (s *ctShard) parkLocked(k transport.Tuple, now time.Duration) {
+	// Only release the record the overwritten slot still owns: the tuple may
+	// have been reopened since, or re-parked with a newer close time in a
+	// newer slot. An unused slot's zero tuple is never tracked (Peek refuses
+	// port 0).
+	old := s.ring[s.next]
+	if st, ok := s.conns[old.key]; ok && st.parked && st.last == old.at {
+		delete(s.conns, old.key)
+		s.parked--
 	}
-	slot := (s.ringPos + s.ringLen) % len(s.ring)
-	s.ring[slot] = timeWaitRecord{key: k, at: now}
-	s.ringLen++
-	s.timeWait[k] = now
+	s.ring[s.next] = parkedRecord{key: k, at: now}
+	s.next = (s.next + 1) % len(s.ring)
+	if st, ok := s.conns[k]; !ok || !st.parked {
+		s.parked++
+	}
+	s.conns[k] = connState{last: now, parked: true}
 }
 
-// admitLocked makes room for one more open entry: below the bound there
-// is room; at it, an unreplied entry among the first evictSample looked
-// at is evicted. It reports false when none was found. Caller holds s.mu.
-func (s *ctShard) admitLocked() bool {
-	if len(s.open) < maxTracked/ctShards {
-		return true
+// openLocked records st as k's open record if the shard has room for it:
+// below the bound it does; at it, an unreplied open record is evicted if
+// evictSampled finds one. A parked record of k (its TIME_WAIT expired)
+// reopens in place. Caller holds s.mu.
+func (s *ctShard) openLocked(k transport.Tuple, parked bool, st connState) bool {
+	if len(s.conns)-s.parked >= maxTracked/ctShards &&
+		!evictSampled(s.conns, func(c connState) bool { return !c.parked && !c.revSeen }) {
+		return false
 	}
+	if parked {
+		s.parked--
+	}
+	s.conns[k] = st
+	return true
+}
+
+// evictSampled deletes from a full table the first entry victim accepts
+// among the first evictSample entries it looks at, and reports whether
+// it found one.
+func evictSampled[V any](m map[transport.Tuple]V, victim func(V) bool) bool {
 	looked := 0
-	for k, st := range s.open {
-		if !st.revSeen {
-			delete(s.open, k)
+	for k, v := range m {
+		if victim(v) {
+			delete(m, k)
 			return true
 		}
 		if looked++; looked == evictSample {
@@ -263,69 +257,85 @@ func (s *ctShard) admitLocked() bool {
 	return false
 }
 
+// flowID is what a burst worker's one peek of a forward packet yields for
+// its connection event, serve and response check: the tuple (valid when
+// v4) and the header's protocol and TCP flags (zero when the peek refused
+// the payload). Four fields, so it travels in registers.
+type flowID struct {
+	t            transport.Tuple
+	proto, flags byte
+	v4           bool
+}
+
+// peekFlow peeks pkt's transport header and builds its tuple.
+func peekFlow(pkt *ipv4.Packet) flowID {
+	var info transport.Info
+	transport.PeekPacket(pkt, &info)
+	t, v4 := transport.TupleOf(&pkt.Header, info.SrcPort, info.DstPort)
+	return flowID{t: t, proto: info.Proto, flags: info.Flags, v4: v4}
+}
+
 // Observe updates connection state for one accepted packet and reports
 // whether the packet ended its connection — the caller's cue to tear the
 // flow's cached verdict down. Packets without a transport header
 // (non-first fragments, malformed headers) and UDP datagrams are ignored.
 func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
-	info, ok := transport.PeekPacket(pkt)
-	if !ok || info.Proto != ipv4.ProtoTCP {
+	return ct.observe(peekFlow(pkt))
+}
+
+// observe is Observe on a packet its caller has already peeked.
+func (ct *Conntrack) observe(f flowID) (connClosed bool) {
+	if f.proto != ipv4.ProtoTCP {
 		return false
 	}
-	if info.Flags&(transport.FlagSYN|transport.FlagFIN|transport.FlagRST) == 0 {
+	if f.flags&(transport.FlagSYN|transport.FlagFIN|transport.FlagRST) == 0 {
 		return false // data segment: no lifecycle event, no lock
 	}
-	closing := info.Flags&(transport.FlagFIN|transport.FlagRST) != 0
-	k, ok := makeConnKey(pkt.Header.Src, pkt.Header.Dst, info.SrcPort, info.DstPort)
-	if !ok {
+	closing := f.flags&(transport.FlagFIN|transport.FlagRST) != 0
+	if !f.v4 {
 		return closing
 	}
 	now := ct.now()
-	s := &ct.shards[k.shard()]
+	s := &ct.shards[shardOf(f.t)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st, known := s.conns[f.t]
 	if closing {
-		if _, wasOpen := s.open[k]; wasOpen {
+		switch {
+		case known && !st.parked:
 			// First close of a tracked connection.
-			delete(s.open, k)
 			s.n[ctClosed]++
-			s.parkLocked(k, now)
-			return true
-		}
-		if at, parked := s.timeWait[k]; parked && ct.waiting(at, now) {
+		case known && ct.waiting(st.last, now):
 			// Retransmitted FIN or RST-after-FIN: the connection is already
 			// down. Teardown still fires — EndFlow is idempotent and closing
 			// is the fail-safe direction — but it is not a second close.
 			s.n[ctDupClose]++
 			return true
+		default:
+			// Connection picked up mid-stream (gateway restart, or the SYN
+			// predates the tracker): still counts as closed so teardown fires.
+			s.n[ctUntrackedClose]++
+			s.n[ctClosed]++
 		}
-		// Connection picked up mid-stream (gateway restart, or the SYN
-		// predates the tracker): still counts as closed so teardown fires.
-		s.n[ctUntrackedClose]++
-		s.n[ctClosed]++
-		s.parkLocked(k, now)
+		s.parkLocked(f.t, now)
 		return true
 	}
 	// SYN path.
-	if at, parked := s.timeWait[k]; parked {
-		if ct.waiting(at, now) {
-			// A delayed handshake retransmission for a dead connection must
-			// not resurrect it.
-			s.n[ctLateSYN]++
-			return false
-		}
-		delete(s.timeWait, k) // TIME_WAIT expired: the tuple is reusable
-	}
-	if st, dup := s.open[k]; dup {
+	if known && !st.parked {
 		st.last = now // SYN retransmission: refresh activity only
-		s.open[k] = st
+		s.conns[f.t] = st
 		return false
 	}
-	if !s.admitLocked() {
+	if known && ct.waiting(st.last, now) {
+		// A delayed handshake retransmission for a dead connection must
+		// not resurrect it.
+		s.n[ctLateSYN]++
+		return false
+	}
+	if !s.openLocked(f.t, known, connState{last: now}) {
 		s.n[ctTableFull]++
 		return false
 	}
-	s.open[k] = connState{last: now}
 	s.n[ctEstablished]++
 	return false
 }
@@ -345,22 +355,24 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 // TIME_WAIT are accepted as the server's reply racing the close.
 // Non-TCP, non-IPv4 and headerless packets pass untouched.
 func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
-	info, ok := transport.PeekPacket(pkt)
-	if !ok || info.Proto != ipv4.ProtoTCP {
+	var info transport.Info
+	if !transport.PeekPacket(pkt, &info) || info.Proto != ipv4.ProtoTCP {
 		return false
 	}
-	// The response's key is the forward connection's: swap the endpoints
-	// back so it lands on the entry the SYN established.
-	k, ok := makeConnKey(pkt.Header.Dst, pkt.Header.Src, info.DstPort, info.SrcPort)
+	t, ok := transport.TupleOf(&pkt.Header, info.SrcPort, info.DstPort)
 	if !ok {
 		return false
 	}
+	// The response's key is the forward connection's tuple, so it lands
+	// on the record the SYN established.
+	k := t.Reverse()
 	dataLen := uint32(len(pkt.Payload) - info.DataOff)
 	now := ct.now()
-	s := &ct.shards[k.shard()]
+	s := &ct.shards[shardOf(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, open := s.open[k]; open {
+	st, known := s.conns[k]
+	if known && !st.parked {
 		s.n[ctChecked]++
 		if st.revSeen && info.Seq != st.revNext {
 			s.n[ctSeqDrop]++
@@ -369,26 +381,25 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 		st.revNext = info.Seq + dataLen
 		st.revSeen = true
 		st.last = now
-		s.open[k] = st
+		s.conns[k] = st
 		return false
 	}
-	if at, parked := s.timeWait[k]; parked && ct.waiting(at, now) {
+	if known && ct.waiting(st.last, now) {
 		s.n[ctLate]++
 		return false
 	}
-	if !s.admitLocked() {
+	if !s.openLocked(k, known, connState{last: now, revNext: info.Seq + dataLen, revSeen: true}) {
 		s.n[ctUnchecked]++
 		return false
 	}
 	s.n[ctChecked]++
 	s.n[ctAdopted]++
-	s.open[k] = connState{last: now, revNext: info.Seq + dataLen, revSeen: true}
 	return false
 }
 
 // Sweep reclaims open connections idle longer than the given deadline —
-// half-open flows whose FIN was lost — and purges expired TIME_WAIT
-// entries. Returns how many open entries it reclaimed. A no-op without a
+// half-open flows whose FIN was lost — and releases expired TIME_WAIT
+// records. Returns how many open records it reclaimed. A no-op without a
 // clock or with idle <= 0.
 func (ct *Conntrack) Sweep(idle time.Duration) int {
 	if ct.clock == nil || idle <= 0 {
@@ -400,18 +411,17 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 		s := &ct.shards[i]
 		s.mu.Lock()
 		n := 0
-		for k, st := range s.open {
-			if now-st.last > idle {
-				delete(s.open, k)
+		for k, st := range s.conns {
+			switch {
+			case st.parked && now-st.last > timeWaitTTL:
+				delete(s.conns, k)
+				s.parked--
+			case !st.parked && now-st.last > idle:
+				delete(s.conns, k)
 				n++
 			}
 		}
 		s.n[ctIdleReclaimed] += uint64(n)
-		for k, at := range s.timeWait {
-			if now-at > timeWaitTTL {
-				delete(s.timeWait, k)
-			}
-		}
 		s.mu.Unlock()
 		reclaimed += n
 	}
@@ -426,9 +436,9 @@ func (ct *Conntrack) Reset() {
 	for i := range ct.shards {
 		s := &ct.shards[i]
 		s.mu.Lock()
-		clear(s.open)
-		clear(s.timeWait)
-		s.ringPos, s.ringLen = 0, 0
+		clear(s.conns)
+		clear(s.ring)
+		s.parked, s.next = 0, 0
 		s.mu.Unlock()
 	}
 }

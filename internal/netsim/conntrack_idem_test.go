@@ -168,29 +168,77 @@ func TestConntrackReset(t *testing.T) {
 }
 
 // TestConntrackTimeWaitBound: the TIME_WAIT ring caps parked connections
-// at maxTimeWait, releasing the oldest early.
+// at maxTimeWait, maxTimeWait/ctShards per shard, releasing the oldest
+// early — the first tuple parked in a shard is the first released — and
+// the time_wait gauge counts exactly the parked records, also after a
+// Sweep and after a Reset.
 func TestConntrackTimeWaitBound(t *testing.T) {
-	ct := NewConntrack(NewClock())
-	over := maxTimeWait + 100
-	for i := 0; i < over; i++ {
-		// Vary both ports to get distinct 5-tuples beyond the uint16 range.
-		seg := transport.TCPSegment{
-			SrcPort: uint16(i), DstPort: uint16(40000 + i/65536), Seq: 1,
-			Flags: transport.FlagFIN | transport.FlagACK, Window: 65535,
-		}
-		pkt := &ipv4.Packet{
-			Header: ipv4.Header{
-				Protocol: ipv4.ProtoTCP,
-				Src:      netip.MustParseAddr("10.66.0.2"),
-				Dst:      netip.MustParseAddr(fmt.Sprintf("192.0.2.%d", i%200+1)),
-			},
+	clk := NewClock()
+	ct := NewConntrack(clk)
+	per := maxTimeWait / ctShards
+	fin := func(src, dst netip.Addr, sp uint16) *ipv4.Packet {
+		seg := transport.TCPSegment{SrcPort: sp, DstPort: 443, Seq: 1, Flags: transport.FlagFIN | transport.FlagACK, Window: 65535}
+		return &ipv4.Packet{
+			Header:  ipv4.Header{Protocol: ipv4.ProtoTCP, Src: src, Dst: dst},
 			Payload: seg.Marshal(),
 		}
-		ct.Observe(pkt)
 	}
-	if st := conntrack(ct); st["time_wait"] > maxTimeWait {
-		t.Fatalf("TIME_WAIT table unbounded: %d > %d", st["time_wait"], maxTimeWait)
+	src := netip.MustParseAddr("10.66.0.2")
+	inShard := make([]int, ctShards)
+	for i := 0; i < maxTimeWait+100; i++ {
+		dst := netip.MustParseAddr(fmt.Sprintf("192.0.2.%d", i%200+1))
+		sp := uint16(1 + i) // Peek refuses port 0
+		ct.Observe(fin(src, dst, sp))
+		inShard[shardOf(tupleFor(src, dst, sp, 443))]++
 	}
+	want := 0
+	for _, n := range inShard {
+		want += min(n, per)
+	}
+	if st := conntrack(ct); st["time_wait"] != uint64(want) || st["time_wait"] > maxTimeWait {
+		t.Fatalf("time_wait gauge %d, want the %d parked records (bound %d)", st["time_wait"], want, maxTimeWait)
+	}
+
+	// Expired records leave with the sweep; ten fresh ones stay.
+	clk.Advance(timeWaitTTL + time.Second)
+	for sp := uint16(1); sp <= 10; sp++ {
+		ct.Observe(fin(src, netip.MustParseAddr("198.51.100.1"), sp))
+	}
+	ct.Sweep(time.Minute)
+	if st := conntrack(ct); st["time_wait"] != 10 || st["open"] != 0 {
+		t.Fatalf("after the sweep: %+v, want 10 parked records", st)
+	}
+	ct.Reset()
+	if st := conntrack(ct); st["time_wait"] != 0 || st["open"] != 0 {
+		t.Fatalf("after the reset: %+v, want no record", st)
+	}
+
+	// FIFO: one shard parks one more than its share. The first tuple parked
+	// was released, so its FIN closes anew; the second is still parked.
+	syns := sameShardSYNs(0, per+1)
+	finOf := func(syn *ipv4.Packet) *ipv4.Packet {
+		info, _ := transport.Peek(syn.Header.Protocol, syn.Payload)
+		return fin(syn.Header.Src, syn.Header.Dst, info.SrcPort)
+	}
+	for _, syn := range syns {
+		ct.Observe(finOf(syn))
+	}
+	before := conntrack(ct)
+	ct.Observe(finOf(syns[1]))
+	ct.Observe(finOf(syns[0]))
+	st := conntrack(ct)
+	if st["dup_close"] != before["dup_close"]+1 || st["untracked_close"] != before["untracked_close"]+1 {
+		t.Fatalf("FIFO release: %+v, before %+v; want the first tuple released and the second parked", st, before)
+	}
+	if st["time_wait"] != uint64(per) {
+		t.Fatalf("full shard holds %d parked records, want %d", st["time_wait"], per)
+	}
+}
+
+// tupleFor is the tuple of a device→server segment between src and dst.
+func tupleFor(src, dst netip.Addr, sp, dp uint16) transport.Tuple {
+	t, _ := transport.TupleOf(&ipv4.Header{Src: src, Dst: dst}, sp, dp)
+	return t
 }
 
 // sameShardSYNs returns n SYNs of distinct connections from 10.200.0.0/16
@@ -201,7 +249,7 @@ func sameShardSYNs(shard, n int) []*ipv4.Packet {
 	for i := 0; len(out) < n; i++ {
 		src := netip.AddrFrom4([4]byte{10, 200, byte(i >> 8), byte(i)})
 		port := uint16(1024 + i>>16)
-		if k, _ := makeConnKey(src, dst, port, 443); k.shard() != shard {
+		if shardOf(tupleFor(src, dst, port, 443)) != shard {
 			continue
 		}
 		seg := transport.TCPSegment{SrcPort: port, DstPort: 443, Seq: 1, Flags: transport.FlagSYN, Window: 65535}
@@ -215,7 +263,8 @@ func sameShardSYNs(shard, n int) []*ipv4.Packet {
 
 // replyTo is the server's segment answering a device→server segment.
 func replyTo(fwd *ipv4.Packet, seq uint32, body []byte) *ipv4.Packet {
-	info, _ := transport.PeekPacket(fwd)
+	var info transport.Info
+	transport.PeekPacket(fwd, &info)
 	seg := transport.TCPSegment{
 		SrcPort: info.DstPort, DstPort: info.SrcPort, Seq: seq,
 		Flags: transport.FlagPSH | transport.FlagACK, Window: 65535, Payload: body,
@@ -242,9 +291,8 @@ func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
 	}
 	next := 5000 + uint32(len(body))
 
-	vk, _ := makeConnKey(victim.Header.Src, victim.Header.Dst, 40900, 443)
 	perShard := maxTracked / ctShards
-	for _, syn := range sameShardSYNs(vk.shard(), perShard-1+8*perShard) {
+	for _, syn := range sameShardSYNs(shardOf(tupleFor(victim.Header.Src, victim.Header.Dst, 40900, 443)), perShard-1+8*perShard) {
 		ct.Observe(syn)
 	}
 	if st := conntrack(ct); st["open"] != uint64(perShard) || st["table_full"] != 0 || st["established"] != uint64(9*perShard) {

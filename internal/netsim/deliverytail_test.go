@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+	"time"
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
@@ -177,11 +178,11 @@ func TestProcessBatchOutcomesOutlivePool(t *testing.T) {
 func TestResponseSegmentRenderedInScratch(t *testing.T) {
 	n := newStaticNetwork(ModeTAP, nil)
 	fwd := fwdPkt(transport.FlagPSH|transport.FlagACK, 100, getRequest())
-	info, ok := transport.PeekPacket(fwd)
-	if !ok {
+	var info transport.Info
+	if !transport.PeekPacket(fwd, &info) {
 		t.Fatal("fixture does not peek")
 	}
-	k, ok := makeConnKey(fwd.Header.Src, fwd.Header.Dst, info.SrcPort, info.DstPort)
+	k, ok := transport.TupleOf(&fwd.Header, info.SrcPort, info.DstPort)
 	if !ok {
 		t.Fatal("fixture is not IPv4")
 	}
@@ -274,7 +275,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 			t.Fatalf("victim packet %d: %+v", i, d)
 		}
 	}
-	vk, _ := makeConnKey(victim[0].Header.Src, victim[0].Header.Dst, 50000, 443)
+	vs := shardOf(tupleFor(victim[0].Header.Src, victim[0].Header.Dst, 50000, 443))
 
 	// Flood connections: pooled sources × a few source ports, kept when they
 	// hash to the victim's shard; SYN and one request each, never closed.
@@ -298,7 +299,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 	}
 	for dev, flooded := 0, 0; flooded < 8*perShard; dev++ {
 		for p, tmpl := range templates {
-			if k, _ := makeConnKey(pool.Addr(dev), victim[0].Header.Dst, 40000+uint16(p), 443); k.shard() == vk.shard() {
+			if shardOf(tupleFor(pool.Addr(dev), victim[0].Header.Dst, 40000+uint16(p), 443)) == vs {
 				burst = append(burst, pool.Rewrite(dev, tmpl)...)
 				flooded++
 			}
@@ -315,6 +316,73 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 	d := n.DeliverBatch(victim[2:3])[0]
 	if !d.Delivered || d.ResponseDropped || d.Response == nil {
 		t.Fatalf("victim's response after the flood: %+v", d)
+	}
+}
+
+// TestRespSeqReclaimsIdleEntries: server-side sequence entries of
+// connections that lost their FIN do not outlive the connections. A
+// shard's share of connections lands in the shard of a later one, sends
+// SYN and one request each, and never closes; ten virtual minutes on, the
+// gateway's idle sweep reclaims their conntrack records. The later
+// keep-alive connection must then get an entry of its own — reclaimed
+// from an idle one — so that its second response continues its first
+// one's sequence instead of repeating it and being dropped as an
+// injection.
+func TestRespSeqReclaimsIdleEntries(t *testing.T) {
+	n, stages, _, base := tailFixture(t)
+	gw := NewGateway(GatewayConfig{Enforcer: stages.Enforcer(), Sanitizer: stages.Sanitizer(), Clock: n.Clock})
+	n.Gateway = gw
+	later := keepAliveBurst(t, base, 50000, 2)
+	shard := shardOf(tupleFor(later[0].Header.Src, later[0].Header.Dst, 50000, 443))
+
+	var templates [][]*ipv4.Packet
+	for p := uint16(0); p < 16; p++ {
+		templates = append(templates, keepAliveBurst(t, base, 40000+p, 1)[:2])
+	}
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/12"), 1<<20-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := maxRespTracked / ctShards
+	var burst []*ipv4.Packet
+	lost := func() {
+		for i, d := range n.DeliverBatch(burst) {
+			if !d.Delivered || (i%2 == 1 && d.Response == nil) {
+				t.Fatalf("FIN-less connection packet %d: %+v", i, d)
+			}
+		}
+		burst = burst[:0]
+	}
+	for dev, opened := 0, 0; opened < perShard; dev++ {
+		for p, tmpl := range templates {
+			if opened < perShard && shardOf(tupleFor(pool.Addr(dev), later[0].Header.Dst, 40000+uint16(p), 443)) == shard {
+				burst = append(burst, pool.Rewrite(dev, tmpl)...)
+				opened++
+			}
+		}
+		if len(burst) >= 1024 {
+			lost()
+		}
+	}
+	lost()
+	if tracked := respTracked(n); tracked != perShard {
+		t.Fatalf("%d response-sequence entries, want the shard's %d", tracked, perShard)
+	}
+
+	n.Clock.Advance(10 * time.Minute)
+	if conns, _ := gw.GC(time.Minute); conns != perShard {
+		t.Fatalf("GC reclaimed %d conntrack records, want %d", conns, perShard)
+	}
+	for i, d := range n.DeliverBatch(later[:3]) {
+		if !d.Delivered || d.ResponseDropped || (i > 0 && d.Response == nil) {
+			t.Fatalf("later connection packet %d: %+v", i, d)
+		}
+	}
+	if got := count(n, "bp_netsim_response_seq_reclaimed_total"); got != 1 {
+		t.Fatalf("%d idle entries reclaimed, want 1", got)
+	}
+	if got := n.respUntracked.Load(); got != 0 {
+		t.Fatalf("%d responses went unrecorded", got)
 	}
 }
 

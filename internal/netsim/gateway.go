@@ -90,20 +90,6 @@ func (g *Gateway) width() int {
 	return g.workers
 }
 
-// observeConn feeds one accepted packet to the conntrack; a FIN/RST tears
-// the flow's cached verdict down through the enforcer. The original
-// (still-tagged) packet is used, not the sanitized output — teardown keys
-// on the same (5-tuple, tag bytes) the cache does. Dropped packets never
-// reach it, so a denied flow's cached drop verdict deliberately survives
-// its FIN: repeat offenders stay cheap to block.
-func (g *Gateway) observeConn(pkt *ipv4.Packet) {
-	if g.ct.Observe(pkt) {
-		if g.enforcer != nil {
-			g.enforcer.EndFlow(pkt)
-		}
-	}
-}
-
 // ProcessResponse runs one server→device packet through the gateway's
 // response-direction verdict state and reports whether it may pass. The
 // return path carries no tag, so enforcement there is TCP sequence

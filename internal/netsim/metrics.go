@@ -30,10 +30,12 @@ func (ct *Conntrack) registerMetrics(r *metrics.Registry) {
 
 	const stateHelp = "Connections currently tracked, by state."
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,
-		func() float64 { return float64(ct.sum(func(s *ctShard) uint64 { return uint64(len(s.open)) })) },
+		func() float64 {
+			return float64(ct.sum(func(s *ctShard) uint64 { return uint64(len(s.conns) - s.parked) }))
+		},
 		metrics.L("state", "open"))
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,
-		func() float64 { return float64(ct.sum(func(s *ctShard) uint64 { return uint64(len(s.timeWait)) })) },
+		func() float64 { return float64(ct.sum(func(s *ctShard) uint64 { return uint64(s.parked) })) },
 		metrics.L("state", "time_wait"))
 
 	// Response-direction (server→device) enforcement: seq_drop is a
@@ -53,9 +55,9 @@ func (ct *Conntrack) registerMetrics(r *metrics.Registry) {
 }
 
 // RegisterMetrics attaches the network's fault-injection counters and the
-// response-sequence table's overflow count to a registry. The fault counts
-// belong to the network, not to a plan: they exist (at zero) on a clean
-// network and survive every InstallFaults and ClearFaults.
+// response-sequence table's overflow and reclaim counts to a registry. The
+// fault counts belong to the network, not to a plan: they exist (at zero)
+// on a clean network and survive every InstallFaults and ClearFaults.
 func (n *Network) RegisterMetrics(r *metrics.Registry) {
 	const faultHelp = "Wire faults injected on the device-to-gateway path, by stage."
 	for st := range n.faultN.n {
@@ -67,4 +69,7 @@ func (n *Network) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_netsim_response_seq_untracked_total",
 		"Server responses of connections a full response-sequence shard could not record.",
 		n.respUntracked.Load)
+	r.CounterFunc("bp_netsim_response_seq_reclaimed_total",
+		"Server response-sequence entries a full shard reclaimed after they idled past the keep-alive timeout.",
+		n.respReclaimed.Load)
 }

@@ -195,18 +195,26 @@ type Network struct {
 
 	// respSeq is the server-side TCP sequence position per connection:
 	// what the next synthesized response segment starts at. Keyed on the
-	// forward 5-tuple and sharded like the conntrack, each shard bounded at
-	// maxRespTracked/ctShards open connections.
+	// forward tuple and sharded like the conntrack, each shard bounded at
+	// maxRespTracked/ctShards connections.
 	respSeq [ctShards]respShard
 	// respUntracked counts responses rendered for a connection its full
-	// respSeq shard could not record (see maxRespTracked).
-	respUntracked atomic.Uint64
+	// respSeq shard could not record (see maxRespTracked); respReclaimed
+	// counts entries a full shard reclaimed after idling past respIdle.
+	respUntracked, respReclaimed atomic.Uint64
 }
 
 // respShard is one lock domain of Network.respSeq.
 type respShard struct {
 	mu   sync.Mutex
-	next map[connKey]uint32
+	next map[transport.Tuple]respEntry
+}
+
+// respEntry is the server's side of one connection: where its next
+// response segment starts, and the virtual second it last answered in
+// (whole seconds keep a table slot at 20 bytes, the tuple included).
+type respEntry struct {
+	seq, last uint32
 }
 
 // NewNetwork builds a testbed with the given NIC mode and latency model.
@@ -219,7 +227,7 @@ func NewNetwork(nic NICMode, model LatencyModel) *Network {
 	}
 	n.servers.Store(&map[netip.Addr]*Server{})
 	for i := range n.respSeq {
-		n.respSeq[i].next = make(map[connKey]uint32)
+		n.respSeq[i].next = make(map[transport.Tuple]respEntry)
 	}
 	return n
 }
@@ -337,61 +345,58 @@ type Delivery struct {
 // lookup, RFC 7126 border filtering, and the application response — HTTP
 // requests out of TCP data segments (control segments deliver with no
 // response), UDP datagrams through the server's UDPHandler. Flow
-// lifecycle is the gateway conntrack's job, not the server's. A payload
-// that is not a valid TCP segment or UDP datagram still reaches the
-// server's address and is delivered, but serves nothing. It returns the
-// virtual time the wire and the server cost, for the caller to charge, and
-// the transport ports it parsed, for the response check.
-func (n *Network) serveOne(cur *ipv4.Packet, d *Delivery, req *httpsim.Request) (charge time.Duration, sp, dp uint16) {
+// lifecycle is the gateway conntrack's job, not the server's; the server
+// only forgets a closing connection's sequence position. f is the
+// packet's transport identity as its worker peeked it: a payload the peek
+// refused still reaches the server's address and is delivered, but serves
+// nothing. It returns the virtual time the wire and the server cost, for
+// the caller to charge.
+func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim.Request) (charge time.Duration) {
 	srv, ok := (*n.servers.Load())[cur.Header.Dst]
 	if !ok {
 		d.Stage = StageNoRoute
-		return 0, 0, 0
+		return 0
 	}
 
 	// RFC 7126 filtering on the public path.
 	if n.BorderFilterEnabled && !srv.Internal {
 		if ipv4.BorderFilter(cur) == ipv4.BorderDrop {
 			d.Stage = StageBorder
-			return 0, 0, 0
+			return 0
 		}
 	}
 
 	charge = n.Model.WireRTT
-	// PeekPorts is the structural test (first fragment; ports and flags
-	// this model emits) that decides whether the payload is read as a
-	// transport segment at all; the views then validate it in full,
-	// checksum included, before the payload is trusted. A segment that
-	// fails either serves nothing. The request is parsed in place into
-	// req, the worker's, and zeroed once the handler has answered; it and
-	// the datagram alias cur.Payload, which nothing writes once emitted
-	// (see ipv4.Packet).
-	h := &cur.Header
-	sp, dp, ok = transport.PeekPorts(h.Protocol, h.FragOff, cur.Payload)
-	if ok {
-		switch h.Protocol {
-		case ipv4.ProtoTCP:
-			if seg, err := transport.ViewTCP(cur.Payload); err == nil {
-				if len(seg.Payload) > 0 && req.Parse(seg.Payload) == nil {
-					charge += n.serveRequest(srv, req, d)
-					*req = httpsim.Request{}
+	// The views validate the segment the peek accepted in full, checksum
+	// included, before the payload is trusted; one that fails serves
+	// nothing. The request is parsed in place into req, the worker's, and
+	// zeroed once the handler has answered; it and the datagram alias
+	// cur.Payload, which nothing writes once emitted (see ipv4.Packet).
+	switch f.proto {
+	case ipv4.ProtoTCP:
+		if seg, err := transport.ViewTCP(cur.Payload); err == nil {
+			if len(seg.Payload) > 0 && req.Parse(seg.Payload) == nil {
+				if srv.Handler != nil {
+					d.Response = srv.Handler(req)
 				}
-				// SYN/FIN/RST carry no request: delivered, nothing served.
-				if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 {
-					n.forgetResp(h, sp, dp)
-				}
+				charge += n.chargeServer(srv, len(req.Body))
+				*req = httpsim.Request{}
 			}
-		case ipv4.ProtoUDP:
-			if dg, err := transport.ViewUDP(cur.Payload); err == nil {
-				charge += n.chargeServer(srv, len(dg.Payload))
-				if srv.UDPHandler != nil {
-					d.Datagram = srv.UDPHandler(dg.Payload)
-				}
+			// SYN/FIN/RST carry no request: delivered, nothing served.
+			if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 && f.v4 {
+				n.forgetResp(f.t)
+			}
+		}
+	case ipv4.ProtoUDP:
+		if dg, err := transport.ViewUDP(cur.Payload); err == nil {
+			charge += n.chargeServer(srv, len(dg.Payload))
+			if srv.UDPHandler != nil {
+				d.Datagram = srv.UDPHandler(dg.Payload)
 			}
 		}
 	}
 	d.Delivered = true
-	return charge, sp, dp
+	return charge
 }
 
 // chargeServer counts one request of rxBytes received body bytes and
@@ -401,15 +406,6 @@ func (n *Network) chargeServer(srv *Server, rxBytes int) time.Duration {
 	srv.requests.Add(1)
 	srv.rxBytes.Add(uint64(rxBytes))
 	return n.Model.ServerProcessing
-}
-
-// serveRequest counts the request, produces the HTTP response, and returns
-// the server time it costs.
-func (n *Network) serveRequest(srv *Server, req *httpsim.Request, d *Delivery) time.Duration {
-	if srv.Handler != nil {
-		d.Response = srv.Handler(req)
-	}
-	return n.chargeServer(srv, len(req.Body))
 }
 
 // DeliverBatch pushes a burst of device-egress packets through the
@@ -570,48 +566,33 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 
 // maxRespTracked bounds the response-sequence table, matching the
 // conntrack's open-table bound: maxRespTracked/ctShards per shard. A
-// connection's entry leaves with its FIN/RST (serveOne), so only open
-// connections count against the bound. Overflow follows the conntrack's
-// policy: a full shard keeps every recorded connection and does not record
-// the newcomer, whose responses then all start at its ISN (counted in
-// bp_netsim_response_seq_untracked_total). Evicting instead would let a
-// connection flood restart a live connection's sequence, and the gateway's
-// continuity check would drop that connection's next response.
+// connection's entry leaves with its FIN/RST (serveOne), or from a full
+// shard once idle past respIdle. A full shard with no idle entry keeps
+// every connection it records and leaves the newcomer unrecorded, its
+// responses all starting at its ISN: evicting a live entry would let a
+// connection flood restart a live connection's sequence, and the
+// gateway's continuity check would drop that connection's next response.
 const maxRespTracked = 65536
 
-// respISN derives a deterministic initial sequence number for a
-// connection from its forward key — stable across the simulation run so
-// retransmissions of the first response carry the same number.
-func respISN(k connKey) uint32 {
-	h := uint64(0x243f6a8885a308d3)
-	for _, b := range k.src {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	for _, b := range k.dst {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	h = (h ^ uint64(k.srcPort)<<16 ^ uint64(k.dstPort)) * 0x100000001b3
-	return uint32(h>>32) ^ uint32(h)
-}
+// respIdle is a server's keep-alive timeout in virtual time. Without it a
+// shard full of connections that lost their FIN would stay full after the
+// gateway's idle sweep let them go, and every newcomer go unrecorded.
+const respIdle = 75 * time.Second
 
 // checkResponse synthesizes the server's reply as a wire segment on the
 // return path and runs it through the owning gateway's response-direction
-// verdict state. sp and dp are the forward segment's ports, as serveOne
-// parsed them. Only TCP requests have a modelled return path (only they
-// produce a Response); UDP replies pass unchecked, and so does a
-// connection whose endpoints are not IPv4. A response the gateway refuses
+// verdict state. f is the forward segment's identity as its worker peeked
+// it. Only TCP requests have a modelled return path (only they produce a
+// Response); UDP replies pass unchecked, and so does a connection whose
+// endpoints are not IPv4. A response the gateway refuses
 // (sequence-continuity violation — in practice only when an injection is
 // simulated) is removed from the delivery. The segment is rendered into
 // scratch, the worker's.
-func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d *Delivery, scratch *ipv4.Packet) {
-	if d.Response == nil {
+func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, f flowID, d *Delivery, scratch *ipv4.Packet) {
+	if d.Response == nil || !f.v4 {
 		return
 	}
-	k, ok := makeConnKey(fwd.Header.Src, fwd.Header.Dst, sp, dp)
-	if !ok {
-		return
-	}
-	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, k, d.Response.Body)) {
+	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, f.t, d.Response.Body)) {
 		d.ResponseDropped = true
 		d.Response = nil
 	}
@@ -619,26 +600,34 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, sp, dp uint16, d 
 
 // responsePacket renders the server→device segment carrying a response
 // body into scratch, reusing its payload buffer, and advances the
-// connection's server-side sequence position. The gateway only inspects
-// the segment, so it lives no longer than the check.
-func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, k connKey, body []byte) *ipv4.Packet {
-	s := &n.respSeq[k.shard()]
+// connection's server-side sequence position. A connection's first
+// response starts at an ISN derived from its tuple, stable across the run
+// so retransmissions of the first response carry the same number. The
+// gateway only inspects the segment, so it lives no longer than the check.
+func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, body []byte) *ipv4.Packet {
+	now := uint32(n.Clock.Now() / time.Second)
+	s := &n.respSeq[shardOf(t)]
 	s.mu.Lock()
-	seq, tracked := s.next[k]
+	e, tracked := s.next[t]
 	if !tracked {
-		seq = respISN(k)
+		e.seq = uint32(t.Hash())
 	}
-	if tracked || len(s.next) < maxRespTracked/ctShards {
-		s.next[k] = seq + uint32(len(body))
+	room := tracked || len(s.next) < maxRespTracked/ctShards
+	if !room && evictSampled(s.next, func(e respEntry) bool { return now-e.last > uint32(respIdle/time.Second) }) {
+		n.respReclaimed.Add(1)
+		room = true
+	}
+	if room {
+		s.next[t] = respEntry{seq: e.seq + uint32(len(body)), last: now}
 	} else {
 		n.respUntracked.Add(1)
 	}
 	s.mu.Unlock()
 
 	seg := transport.TCPSegment{
-		SrcPort: k.dstPort,
-		DstPort: k.srcPort,
-		Seq:     seq,
+		SrcPort: t.DstPort,
+		DstPort: t.SrcPort,
+		Seq:     e.seq,
 		Flags:   transport.FlagPSH | transport.FlagACK,
 		Payload: body,
 	}
@@ -653,14 +642,10 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, k connKey, body []by
 }
 
 // forgetResp drops a closing connection's server-side sequence position.
-func (n *Network) forgetResp(h *ipv4.Header, sp, dp uint16) {
-	k, ok := makeConnKey(h.Src, h.Dst, sp, dp)
-	if !ok {
-		return
-	}
-	s := &n.respSeq[k.shard()]
+func (n *Network) forgetResp(t transport.Tuple) {
+	s := &n.respSeq[shardOf(t)]
 	s.mu.Lock()
-	delete(s.next, k)
+	delete(s.next, t)
 	s.mu.Unlock()
 }
 

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"maps"
 	"net/netip"
 	"reflect"
@@ -350,6 +352,44 @@ func BenchmarkDeliverBatchFleet(b *testing.B) {
 			if !d.Delivered || d.ResponseDropped {
 				b.Fatalf("delivery: %+v", d)
 			}
+		}
+	}
+}
+
+// TestFlowAffineSplitGolden pins the flow-affine split itself: a fixed
+// 1,024-packet fleet burst — one packet per pooled device, spread over four
+// servers — lands packet for packet on the workers recorded here, at 2 and
+// at 4 workers. A change to the worker hash would move flows between
+// workers and fails this test.
+func TestFlowAffineSplitGolden(t *testing.T) {
+	servers := []netip.Addr{
+		netip.MustParseAddr("93.184.216.34"), netip.MustParseAddr("93.184.216.35"),
+		netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("203.0.113.80"),
+	}
+	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
+		p := fwdPkt(transport.FlagPSH|transport.FlagACK, 1, getRequest())
+		p.Header.Dst = servers[i%len(servers)]
+		return p
+	})
+	for _, tc := range []struct {
+		workers int
+		want    string
+	}{
+		{2, "cfec088db73e70c7"},
+		{4, "9948006025613c9a"},
+	} {
+		b := getBurst(pkts)
+		b.split(tc.workers)
+		of := make([]byte, len(pkts))
+		for w := range b.workers {
+			for _, i := range b.workers[w].idx {
+				of[i] = byte(w)
+			}
+		}
+		b.release()
+		sum := sha256.Sum256(of)
+		if got := hex.EncodeToString(sum[:8]); got != tc.want {
+			t.Errorf("%d workers: split digest %s, want %s", tc.workers, got, tc.want)
 		}
 	}
 }

@@ -83,13 +83,14 @@ func TestPeekPacketFragmentsStayPortless(t *testing.T) {
 		},
 		Payload: seg.Marshal(),
 	}
-	if _, ok := PeekPacket(pkt); ok {
+	var info Info
+	if PeekPacket(pkt, &info) {
 		t.Fatal("PeekPacket accepted a non-first fragment")
 	}
 	for _, raw := range faultShapes(pkt.Payload) {
 		dam := pkt.Clone()
 		dam.Payload = raw
-		if _, ok := PeekPacket(dam); ok {
+		if PeekPacket(dam, &info) {
 			t.Fatal("PeekPacket accepted a damaged non-first fragment")
 		}
 	}
@@ -97,7 +98,7 @@ func TestPeekPacketFragmentsStayPortless(t *testing.T) {
 	// the fragment flag, not the bytes.
 	whole := pkt.Clone()
 	whole.Header.FragOff = 0
-	if info, ok := PeekPacket(whole); !ok || info.SrcPort != 40000 {
-		t.Fatalf("unfragmented peek = %+v, %v", info, ok)
+	if !PeekPacket(whole, &info) || info.SrcPort != 40000 {
+		t.Fatalf("unfragmented peek = %+v", info)
 	}
 }

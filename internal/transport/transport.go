@@ -16,12 +16,14 @@
 //     application payload up the stack. ParseTCP/ParseUDP are the same
 //     validators for callers that keep the segment past the input's
 //     lifetime: they copy the payload out.
-//   - Peek/PeekPacket are the zero-allocation per-packet path: a handful
-//     of structural checks (header length, data offset, reserved bits,
-//     flag mask, UDP length consistency) that extract the ports and TCP
-//     flags without touching the payload bytes. The enforcer's flow-key
-//     construction and the gateway's conntrack run on every packet, so
-//     they must not pay a checksum walk over the payload.
+//   - Peek/PeekPacket are the one structural check, the zero-allocation
+//     per-packet path: header length, data offset, reserved bits, flag
+//     mask, UDP length consistency and nonzero ports, extracting ports
+//     and TCP flags without a checksum walk over the payload. The
+//     enforcer's flow key and each burst worker peek a packet once each.
+//
+// A flow's identity is its Tuple: the flow-table key embeds it, and the
+// conntrack and the server's sequence table are keyed and sharded on it.
 //
 // Checksums are the Internet checksum (RFC 1071) over the whole segment
 // or datagram with the checksum field zeroed. The IPv4 pseudo-header is
@@ -273,77 +275,87 @@ type Info struct {
 // so callers treat the payload as opaque — never as ports, never as a
 // request. Ports must be nonzero — the kernel never binds port
 // 0, and requiring it rejects further junk.
-func Peek(proto byte, b []byte) (Info, bool) {
-	switch proto {
-	case ipv4.ProtoTCP:
-		if len(b) < TCPHeaderLen || b[12] != (TCPHeaderLen/4)<<4 {
-			return Info{}, false
-		}
-		flags := b[13]
-		if flags == 0 || flags&^flagMask != 0 {
-			return Info{}, false
-		}
-		sp := binary.BigEndian.Uint16(b[0:2])
-		dp := binary.BigEndian.Uint16(b[2:4])
-		if sp == 0 || dp == 0 {
-			return Info{}, false
-		}
-		return Info{
-			Proto: proto, SrcPort: sp, DstPort: dp, Flags: flags,
-			Seq: binary.BigEndian.Uint32(b[4:8]), DataOff: TCPHeaderLen,
-		}, true
-	case ipv4.ProtoUDP:
-		if len(b) < UDPHeaderLen || int(binary.BigEndian.Uint16(b[4:6])) != len(b) {
-			return Info{}, false
-		}
-		sp := binary.BigEndian.Uint16(b[0:2])
-		dp := binary.BigEndian.Uint16(b[2:4])
-		if sp == 0 || dp == 0 {
-			return Info{}, false
-		}
-		return Info{Proto: proto, SrcPort: sp, DstPort: dp, DataOff: UDPHeaderLen}, true
-	default:
-		return Info{}, false
-	}
-}
-
-// PeekPorts is the hot-path subset of Peek: just the structural checks
-// needed to trust the two port fields, written tightly enough for the
-// compiler to inline into per-packet loops (the enforcer builds a flow
-// key for every packet, and a non-inlined call plus an Info copy costs
-// more than the whole lookup saves). fragOff must be the packet's
-// fragment offset — non-first fragments carry payload bytes where the
-// header would be and must never yield ports. Semantics match Peek: any
-// payload Peek rejects, PeekPorts rejects.
-func PeekPorts(proto byte, fragOff uint16, b []byte) (sp, dp uint16, ok bool) {
-	if fragOff != 0 || len(b) < UDPHeaderLen {
-		return 0, 0, false
-	}
-	sp = uint16(b[0])<<8 | uint16(b[1])
-	dp = uint16(b[2])<<8 | uint16(b[3])
-	if sp == 0 || dp == 0 {
-		return 0, 0, false
-	}
-	if proto == ipv4.ProtoTCP {
-		ok = len(b) >= TCPHeaderLen && b[12] == (TCPHeaderLen/4)<<4 &&
-			b[13] != 0 && b[13]&^flagMask == 0
-		return sp, dp, ok
-	}
-	if proto == ipv4.ProtoUDP {
-		ok = int(b[4])<<8|int(b[5]) == len(b)
-		return sp, dp, ok
-	}
-	return 0, 0, false
+func Peek(proto byte, b []byte) (info Info, ok bool) {
+	ok = info.peek(proto, b)
+	return info, ok
 }
 
 // PeekPacket is Peek over a whole packet, refusing non-first fragments:
 // a fragment with FragOff > 0 carries mid-stream payload bytes where the
 // header would be, and flow keying must not read ports out of them. The
 // first fragment (FragOff == 0, MF set) does carry the real header and
-// peeks normally.
-func PeekPacket(pkt *ipv4.Packet) (Info, bool) {
+// peeks normally. It fills info in place, zero when it reports false: the
+// packet path calls it, and an Info returned by value is written in parts
+// and then copied whole, which stalls store forwarding on every packet.
+func PeekPacket(pkt *ipv4.Packet, info *Info) bool {
 	if pkt.Header.FragOff != 0 {
-		return Info{}, false
+		*info = Info{}
+		return false
 	}
-	return Peek(pkt.Header.Protocol, pkt.Payload)
+	return info.peek(pkt.Header.Protocol, pkt.Payload)
+}
+
+// peek is the structural check Peek and PeekPacket share: it fills i from
+// b's header and reports true, or zeroes i and reports false.
+func (i *Info) peek(proto byte, b []byte) bool {
+	*i = Info{}
+	var off int
+	switch {
+	case proto == ipv4.ProtoTCP && len(b) >= TCPHeaderLen && b[12] == (TCPHeaderLen/4)<<4 &&
+		b[13] != 0 && b[13]&^flagMask == 0:
+		off = TCPHeaderLen
+	case proto == ipv4.ProtoUDP && len(b) >= UDPHeaderLen && int(binary.BigEndian.Uint16(b[4:6])) == len(b):
+		off = UDPHeaderLen
+	default:
+		return false
+	}
+	sp, dp := binary.BigEndian.Uint16(b[0:2]), binary.BigEndian.Uint16(b[2:4])
+	if sp == 0 || dp == 0 {
+		return false
+	}
+	i.Proto, i.SrcPort, i.DstPort, i.DataOff = proto, sp, dp, off
+	if proto == ipv4.ProtoTCP {
+		i.Flags, i.Seq = b[13], binary.BigEndian.Uint32(b[4:8])
+	}
+	return true
+}
+
+// Tuple is a flow's identity at the gateway: IPv4 endpoints and transport
+// ports (zero when the packet carries no header Peek accepts); the holder
+// keeps the protocol. Twelve bytes and no pointers. The addresses are
+// big-endian values, not byte arrays, so a Tuple travels in registers: a
+// copied array is written in parts and read whole, a store-forwarding
+// stall on every packet.
+type Tuple struct {
+	Src, Dst         uint32
+	SrcPort, DstPort uint16
+}
+
+// TupleOf builds the tuple of a packet with header h and ports sp, dp. It
+// reports false when either endpoint is not IPv4: such a flow has no
+// tuple, and every per-flow table passes it by.
+func TupleOf(h *ipv4.Header, sp, dp uint16) (Tuple, bool) {
+	if !h.Src.Is4() || !h.Dst.Is4() {
+		return Tuple{}, false
+	}
+	s, d := h.Src.As4(), h.Dst.As4()
+	return Tuple{Src: binary.BigEndian.Uint32(s[:]), Dst: binary.BigEndian.Uint32(d[:]), SrcPort: sp, DstPort: dp}, true
+}
+
+// Reverse is the tuple of the other direction: a response's reverse is
+// the forward connection's tuple.
+func (t Tuple) Reverse() Tuple {
+	return Tuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort}
+}
+
+// Hash mixes the whole tuple into 64 bits; its top bits pick a shard. With
+// zero ports it is a hash of the endpoint pair alone, which is how the
+// gateway splits a burst over its workers.
+func (t Tuple) Hash() uint64 {
+	h := uint64(t.Src)<<32 | uint64(t.Dst)
+	h ^= (uint64(t.SrcPort)<<16 | uint64(t.DstPort)) * 0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }

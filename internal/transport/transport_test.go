@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
@@ -183,11 +184,12 @@ func TestFragmentationInterplay(t *testing.T) {
 	}
 
 	// Only the first fragment carries the transport header.
-	if info, ok := PeekPacket(frags[0]); !ok || info.SrcPort != 40123 || info.DstPort != 443 {
-		t.Fatalf("first fragment peek: %+v ok=%v", info, ok)
+	var info Info
+	if !PeekPacket(frags[0], &info) || info.SrcPort != 40123 || info.DstPort != 443 {
+		t.Fatalf("first fragment peek: %+v", info)
 	}
 	for i, f := range frags[1:] {
-		if info, ok := PeekPacket(f); ok {
+		if PeekPacket(f, &info) || info != (Info{}) {
 			t.Fatalf("non-first fragment %d peeked garbage ports: %+v", i+1, info)
 		}
 	}
@@ -221,42 +223,31 @@ func TestPeekAllocFree(t *testing.T) {
 	}
 }
 
-// TestPeekPortsMatchesPeek pins the hot-path port extractor to the full
-// structural peek: on every input shape — valid segments/datagrams,
-// bare HTTP bytes, truncations, zero ports, wrong protocols — the two
-// must agree on acceptance and on the extracted ports.
-func TestPeekPortsMatchesPeek(t *testing.T) {
-	inputs := [][]byte{
-		(&TCPSegment{SrcPort: 40001, DstPort: 443, Flags: FlagPSH | FlagACK, Payload: []byte("data")}).Marshal(),
-		(&TCPSegment{SrcPort: 40001, DstPort: 443, Flags: FlagSYN}).Marshal(),
-		(&TCPSegment{SrcPort: 0, DstPort: 443, Flags: FlagSYN}).Marshal(),
-		(&UDPDatagram{SrcPort: 40002, DstPort: 53, Payload: []byte("q")}).Marshal(),
-		(&UDPDatagram{SrcPort: 40002, DstPort: 0}).Marshal(),
-		httpsimGET(), // no transport header
-		[]byte("POST /x HTTP/1.1\r\n\r\n"),
-		[]byte("short"),
-		nil,
+// TestTupleOf pins the flow identity: twelve pointer-free bytes, IPv4
+// endpoints only, and a reverse that lands a response on its forward
+// connection's tuple and hash.
+func TestTupleOf(t *testing.T) {
+	if size := unsafe.Sizeof(Tuple{}); size != 12 {
+		t.Fatalf("Tuple is %d bytes, want 12", size)
 	}
-	for _, proto := range []byte{ipv4.ProtoTCP, ipv4.ProtoUDP, 1 /* ICMP */} {
-		for i, b := range inputs {
-			info, wantOK := Peek(proto, b)
-			sp, dp, gotOK := PeekPorts(proto, 0, b)
-			if gotOK != wantOK {
-				t.Fatalf("proto %d input %d: PeekPorts ok=%v, Peek ok=%v", proto, i, gotOK, wantOK)
-			}
-			if gotOK && (sp != info.SrcPort || dp != info.DstPort) {
-				t.Fatalf("proto %d input %d: ports %d/%d vs %d/%d", proto, i, sp, dp, info.SrcPort, info.DstPort)
-			}
-			// Non-first fragments never yield ports.
-			if _, _, ok := PeekPorts(proto, 1, b); ok {
-				t.Fatalf("proto %d input %d: fragment yielded ports", proto, i)
-			}
-		}
+	fwd := ipv4.Header{Src: netip.MustParseAddr("10.66.0.2"), Dst: netip.MustParseAddr("93.184.216.34")}
+	tup, ok := TupleOf(&fwd, 40001, 443)
+	want := Tuple{Src: 0x0a420002, Dst: 0x5db8d822, SrcPort: 40001, DstPort: 443}
+	if !ok || tup != want {
+		t.Fatalf("TupleOf = %+v, %v; want %+v", tup, ok, want)
 	}
-}
-
-func httpsimGET() []byte {
-	return []byte("GET / HTTP/1.1\r\nHost: example\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
+	resp := ipv4.Header{Src: fwd.Dst, Dst: fwd.Src}
+	back, ok := TupleOf(&resp, 443, 40001)
+	if !ok || back.Reverse() != tup || back.Reverse().Hash() != tup.Hash() {
+		t.Fatalf("response tuple %+v does not reverse onto %+v", back, tup)
+	}
+	if other, _ := TupleOf(&fwd, 40002, 443); other.Hash() == tup.Hash() {
+		t.Fatal("ports do not reach the hash")
+	}
+	v6 := ipv4.Header{Src: netip.MustParseAddr("2001:db8::2"), Dst: fwd.Dst}
+	if _, ok := TupleOf(&v6, 40001, 443); ok {
+		t.Fatal("non-IPv4 endpoint got a tuple")
+	}
 }
 
 // refChecksumIgnoring is the 16-bit-at-a-time loop checksumIgnoring
