@@ -15,7 +15,14 @@ import (
 // Context Manager — the stack pushed, a socket connected and tagged from
 // the call-site table, SYN, request and FIN built through the kernel, the
 // socket closed.
-func BenchmarkInvokeConnect(b *testing.B) {
+func BenchmarkInvokeConnect(b *testing.B) { benchmarkInvoke(b, 1) }
+
+// BenchmarkInvokeKeepAlive is one keepalive-workload operation: the same
+// Invoke with 32 requests on the socket, so the 34 packets the kernel
+// builds outweigh the connect and the tagging.
+func BenchmarkInvokeKeepAlive(b *testing.B) { benchmarkInvoke(b, 32) }
+
+func benchmarkInvoke(b *testing.B, requests int) {
 	d := android.NewDevice(android.Config{
 		Addr:            netip.MustParseAddr("10.0.0.5"),
 		Kernel:          kernel.Config{AllowUnprivilegedIPOptions: true, SetOptionsOncePerSocket: true},
@@ -45,6 +52,7 @@ func BenchmarkInvokeConnect(b *testing.B) {
 		Op: android.NetOp{
 			Endpoint: netip.AddrPortFrom(netip.MustParseAddr("93.184.216.34"), 80),
 			Host:     "files.corp.example", Method: "GET", Path: "/static/page.html",
+			Requests: requests,
 		},
 	}}, android.ProfileWork)
 	if err != nil {
@@ -54,7 +62,7 @@ func BenchmarkInvokeConnect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := app.Invoke("download")
-		if err != nil || len(res.Packets) != 3 || !res.Tagged {
+		if err != nil || len(res.Packets) != requests+2 || !res.Tagged {
 			b.Fatalf("invoke: %v, %d packets", err, len(res.Packets))
 		}
 	}

@@ -74,8 +74,10 @@ func RunFlowSize(corpus []*apkgen.App, threshold int) (*FlowSizeResult, error) {
 	}
 
 	// Evasion demo: one app uploads `payload` bytes either monolithically
-	// or fragmented across sockets in chunks under the threshold.
-	const payload = 64 * 1024
+	// or fragmented across sockets in chunks under the threshold. The
+	// monolithic request still fits one IPv4 packet: the kernel refuses a
+	// send that would exceed 65,535 bytes.
+	const payload = 60 * 1024
 	chunks := payload/(threshold/2) + 1
 	uploader := scriptedApp("com.evil.exfil", "com/evil/exfil", []scriptedFn{
 		{name: "monolithic", desirable: false, class: "Exfil", method: "uploadAll",

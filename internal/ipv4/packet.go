@@ -39,6 +39,10 @@ const MaxOptionsLen = 40
 // MinHeaderLen is the length of an option-free IPv4 header.
 const MinHeaderLen = 20
 
+// MaxPacketLen is the largest IPv4 packet: the 16-bit total length field
+// covers the header, its options and the payload.
+const MaxPacketLen = 0xffff
+
 // Option is one IPv4 header option (type, then data; length byte covers
 // type+len+data per RFC 791).
 type Option struct {
@@ -78,6 +82,12 @@ type Header struct {
 // option bytes, the gateway's sanitizer copy shares them and the payload,
 // the server parses the payload in place. A stage that needs to change
 // either works on a Clone, which copies both.
+//
+// A packet the device kernel builds is a capacity-capped view into blocks
+// the kernel owns: the Packet itself, its option list, its payload and its
+// option bytes are cuts of a few shared slices. Appending to Payload or
+// Header.Options reallocates and leaves the neighbouring packets alone, and
+// holding the packet pins the blocks it was cut from.
 type Packet struct {
 	Header  Header
 	Payload []byte
@@ -170,8 +180,8 @@ func (p *Packet) Marshal() ([]byte, error) {
 		return nil, fmt.Errorf("%w: src=%v dst=%v", ErrNotIPv4Addr, p.Header.Src, p.Header.Dst)
 	}
 	total := hlen + len(p.Payload)
-	if total > 0xffff {
-		return nil, fmt.Errorf("ipv4: packet length %d exceeds 65535", total)
+	if total > MaxPacketLen {
+		return nil, fmt.Errorf("ipv4: packet length %d exceeds %d", total, MaxPacketLen)
 	}
 	buf := make([]byte, total)
 	buf[0] = 4<<4 | byte(hlen/4)

@@ -7,12 +7,21 @@
 // call builds leaves the device as built. The gateway's NFQUEUE (§V-C) is
 // modelled in virtual time by the netsim package, which calls its stages
 // directly.
+//
+// A kernel builds its packets into blocks it owns: each Packet, its option
+// list, its transport segment and each socket's option bytes are
+// capacity-capped cuts of a few shared slices, so a send allocates nothing
+// of its own. An append by a holder of a packet reallocates instead of
+// writing into a neighbour. Blocks are never reused, only dropped for the
+// next one: the garbage collector frees a block once nothing cut from it is
+// held, and holding a packet pins the blocks it was cut from.
 package kernel
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"borderpatrol/internal/ipv4"
@@ -65,11 +74,14 @@ const (
 
 // Socket is the kernel-side socket object.
 type Socket struct {
-	FD        int
-	State     SockState
-	Local     netip.AddrPort
-	Remote    netip.AddrPort
-	Protocol  byte
+	FD       int
+	State    SockState
+	Local    netip.AddrPort
+	Remote   netip.AddrPort
+	Protocol byte
+	// Options are the IP options every packet of the socket carries:
+	// setsockopt's list, an option type given twice kept once, at its
+	// first place, with its last value.
 	Options   []ipv4.Option
 	optSealed bool
 	// OwnerUID identifies the app owning the socket (Android gives each
@@ -92,6 +104,43 @@ type Kernel struct {
 	sockets map[int]*Socket
 	// ipidCounter assigns IPv4 identification values.
 	ipidCounter uint16
+	// pkts, opts and wire are the blocks packets are cut from (see take):
+	// the packets, their option lists and socket option lists, and the
+	// transport segments and socket option bytes.
+	pkts []ipv4.Packet
+	opts []ipv4.Option
+	wire []byte
+}
+
+// Block sizes, in elements: a block starts at its first size and each
+// replacement doubles, up to its cap (both rounded up as take says), so a
+// device that sends a handful of packets holds under a kilobyte of blocks
+// and a busy one allocates once per a few hundred packets. A segment
+// longer than a quarter of wireBlockCap gets its own buffer, so no block
+// is mostly one segment.
+const (
+	pktBlockFirst, pktBlockCap   = 4, 256
+	optBlockFirst, optBlockCap   = 4, 256
+	wireBlockFirst, wireBlockCap = 256, 32 << 10
+)
+
+// take cuts n zeroed elements from the block *blk, capacity-capped so that
+// an append by their holder reallocates instead of running into the next
+// cut. When the block lacks room it is replaced by a new one of about twice
+// its capacity, between first and limit but at least n; the old block lives
+// on for as long as anything cut from it does. slices.Grow rounds the new
+// block up to the whole allocation the runtime makes for it: a block of
+// pointerful elements carries an 8-byte malloc header, which would push a
+// block that fills a size class exactly into the next one, leaving up to
+// an eighth of that empty.
+func take[T any](blk *[]T, n, first, limit int) []T {
+	b := *blk
+	if cap(b)-len(b) < n {
+		b = slices.Grow([]T(nil), max(min(max(2*cap(b), first), limit), n))
+	}
+	at := len(b)
+	*blk = b[:at+n]
+	return b[at : at+n : at+n]
 }
 
 // New builds a kernel with the given configuration.
@@ -175,7 +224,16 @@ func (k *Kernel) SetIPOptions(fd int, caps Capability, opts []ipv4.Option) error
 	if total > ipv4.MaxOptionsLen {
 		return fmt.Errorf("%w: options %d bytes exceed %d", ErrInvalid, total, ipv4.MaxOptionsLen)
 	}
-	s.Options = cloneOptions(opts)
+	// Options and their bytes go into the blocks: every packet of the
+	// socket shares these bytes, and no caller can reach them to write.
+	h := ipv4.Header{Options: take(&k.opts, len(opts), optBlockFirst, optBlockCap)[:0]}
+	for _, o := range opts {
+		if len(o.Data) > 0 {
+			o.Data = append(take(&k.wire, len(o.Data), wireBlockFirst, wireBlockCap)[:0], o.Data...)
+		}
+		h.SetOption(o)
+	}
+	s.Options = h.Options
 	s.optSealed = true
 	return nil
 }
@@ -190,17 +248,11 @@ func (k *Kernel) GetSocket(fd int) (Socket, error) {
 		return Socket{}, ErrBadFD
 	}
 	cp := *s
-	cp.Options = cloneOptions(s.Options)
-	return cp, nil
-}
-
-// cloneOptions deep-copies an option list, data included.
-func cloneOptions(opts []ipv4.Option) []ipv4.Option {
-	out := make([]ipv4.Option, len(opts))
-	for i, o := range opts {
-		out[i] = ipv4.Option{Type: o.Type, Data: append([]byte(nil), o.Data...)}
+	cp.Options = make([]ipv4.Option, len(s.Options))
+	for i, o := range s.Options {
+		cp.Options[i] = ipv4.Option{Type: o.Type, Data: append([]byte(nil), o.Data...)}
 	}
-	return out
+	return cp, nil
 }
 
 // Close implements close(2) for sockets: the socket leaves the table, so a
@@ -221,7 +273,8 @@ func (k *Kernel) Close(fd int) error {
 // it wraps the payload in the socket's transport header (a TCP data segment
 // or a UDP datagram carrying the socket's real ports) and stamps the
 // socket's IP options into the IPv4 header. It returns the packet as it
-// enters the network.
+// enters the network. A payload that would make the packet longer than an
+// IPv4 packet can be fails with ErrInvalid, the EMSGSIZE of a real send(2).
 func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -232,19 +285,24 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 	if s.finSent {
 		return nil, ErrNotConnected
 	}
+	n := transport.TCPHeaderLen + len(payload)
 	if s.Protocol == ipv4.ProtoUDP {
-		if len(payload) > transport.MaxUDPPayload {
-			// EMSGSIZE: the 16-bit UDP length field cannot represent it,
-			// and Marshal would silently wrap the field.
-			return nil, fmt.Errorf("%w: UDP payload %d exceeds %d bytes",
-				ErrInvalid, len(payload), transport.MaxUDPPayload)
-		}
+		n = transport.UDPHeaderLen + len(payload)
+	}
+	// SetIPOptions kept the options within MaxOptionsLen, so HeaderLen
+	// cannot fail.
+	h := ipv4.Header{Options: s.Options}
+	if hlen, _ := h.HeaderLen(); hlen+n > ipv4.MaxPacketLen {
+		return nil, fmt.Errorf("%w: %d-byte packet exceeds %d bytes",
+			ErrInvalid, hlen+n, ipv4.MaxPacketLen)
+	}
+	if s.Protocol == ipv4.ProtoUDP {
 		dg := transport.UDPDatagram{
 			SrcPort: s.Local.Port(),
 			DstPort: s.Remote.Port(),
 			Payload: payload,
 		}
-		return k.buildPacketLocked(s, dg.Marshal()), nil
+		return k.buildPacketLocked(s, dg.AppendTo(k.segmentLocked(n))), nil
 	}
 	seg := transport.TCPSegment{
 		SrcPort: s.Local.Port(),
@@ -255,7 +313,17 @@ func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 		Payload: payload,
 	}
 	s.seq += uint32(len(payload))
-	return k.buildPacketLocked(s, seg.Marshal()), nil
+	return k.buildPacketLocked(s, seg.AppendTo(k.segmentLocked(n))), nil
+}
+
+// segmentLocked returns an empty buffer with room for exactly an n-byte
+// transport segment: a cut of the wire block, or a buffer of its own when
+// n is over a quarter of the block cap. Caller holds k.mu.
+func (k *Kernel) segmentLocked(n int) []byte {
+	if n > wireBlockCap/4 {
+		return make([]byte, 0, n)
+	}
+	return take(&k.wire, n, wireBlockFirst, wireBlockCap)[:0]
 }
 
 // connectedLocked returns fd's socket if it is connected. Caller holds
@@ -273,26 +341,23 @@ func (k *Kernel) connectedLocked(fd int) (*Socket, error) {
 
 // buildPacketLocked assembles the IPv4 packet for a socket's wire payload
 // (transport header included) and stamps the socket's IP options. The
-// packet gets its own option list but shares the option bytes, which
-// SetIPOptions copied in and nothing writes after (the invariant on
-// ipv4.Packet). Caller holds k.mu.
+// packet and its option list are cut from the kernel's blocks; the option
+// bytes are the socket's, which nothing writes after SetIPOptions (the
+// invariant on ipv4.Packet). Caller holds k.mu.
 func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) *ipv4.Packet {
 	k.ipidCounter++
-	pkt := &ipv4.Packet{
-		Header: ipv4.Header{
-			ID:       k.ipidCounter,
-			TTL:      64,
-			Protocol: s.Protocol,
-			Src:      s.Local.Addr(),
-			Dst:      s.Remote.Addr(),
-		},
-		Payload: wire,
+	pkt := &take(&k.pkts, 1, pktBlockFirst, pktBlockCap)[0]
+	pkt.Header = ipv4.Header{
+		ID:       k.ipidCounter,
+		TTL:      64,
+		Protocol: s.Protocol,
+		Src:      s.Local.Addr(),
+		Dst:      s.Remote.Addr(),
 	}
+	pkt.Payload = wire
 	if len(s.Options) > 0 {
-		pkt.Header.Options = make([]ipv4.Option, 0, len(s.Options))
-		for _, o := range s.Options {
-			pkt.Header.SetOption(o)
-		}
+		pkt.Header.Options = take(&k.opts, len(s.Options), optBlockFirst, optBlockCap)
+		copy(pkt.Header.Options, s.Options)
 	}
 	return pkt
 }
@@ -319,7 +384,7 @@ func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 	}
 	s.seq++ // the SYN consumes one sequence number
 	s.synSent = true
-	return k.buildPacketLocked(s, seg.Marshal()), nil
+	return k.buildPacketLocked(s, seg.AppendTo(k.segmentLocked(transport.TCPHeaderLen))), nil
 }
 
 // Shutdown emits the connection-closing FIN segment (FIN|ACK) for a
@@ -343,5 +408,5 @@ func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	}
 	s.seq++ // the FIN consumes one sequence number
 	s.finSent = true
-	return k.buildPacketLocked(s, seg.Marshal()), nil
+	return k.buildPacketLocked(s, seg.AppendTo(k.segmentLocked(transport.TCPHeaderLen))), nil
 }

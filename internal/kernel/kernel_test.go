@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"testing"
@@ -257,23 +258,56 @@ func TestUDPSocketsWrapDatagrams(t *testing.T) {
 }
 
 func TestUDPSendRejectsOversizedPayload(t *testing.T) {
-	k := New(Config{AllowUnprivilegedIPOptions: true})
-	fd := k.Socket(10001, ipv4.ProtoUDP)
-	if err := k.Connect(fd, addrPort("10.0.0.5", 40002), addrPort("10.66.0.53", 53)); err != nil {
-		t.Fatal(err)
-	}
-	// One byte over the 16-bit UDP length budget: EMSGSIZE, not a wrapped
-	// length field.
-	if _, err := k.Send(fd, make([]byte, transport.MaxUDPPayload+1)); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("oversized UDP payload: %v", err)
-	}
-	// Exactly at the budget still works.
-	pkt, err := k.Send(fd, make([]byte, transport.MaxUDPPayload))
-	if err != nil || pkt == nil {
-		t.Fatalf("max-size UDP payload: pkt=%v err=%v", pkt, err)
-	}
-	if _, err := transport.ParseUDP(pkt.Payload); err != nil {
-		t.Fatalf("max-size datagram does not parse: %v", err)
+	checkIPv4Budget(t, ipv4.ProtoUDP, transport.UDPHeaderLen)
+}
+
+func TestTCPSendRejectsOversizedPayload(t *testing.T) {
+	checkIPv4Budget(t, ipv4.ProtoTCP, transport.TCPHeaderLen)
+}
+
+// checkIPv4Budget pins EMSGSIZE at the 16-bit IPv4 total length, which
+// covers the IPv4 header, its options and the transport header: one byte
+// over fails without consuming a sequence number, and a payload exactly
+// at the budget makes a 65,535-byte packet that marshals and parses back.
+func checkIPv4Budget(t *testing.T, proto byte, thdr int) {
+	t.Helper()
+	for _, opts := range [][]ipv4.Option{nil, {{Type: ipv4.OptSecurity, Data: make([]byte, 11)}}} {
+		k := New(Config{AllowUnprivilegedIPOptions: true})
+		fd := k.Socket(10001, proto)
+		if err := k.Connect(fd, addrPort("10.0.0.5", 40002), addrPort("10.66.0.53", 53)); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.SetIPOptions(fd, 0, opts); err != nil {
+			t.Fatal(err)
+		}
+		h := ipv4.Header{Options: opts}
+		hlen, err := h.HeaderLen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := ipv4.MaxPacketLen - hlen - thdr
+		before, _ := k.GetSocket(fd)
+		if _, err := k.Send(fd, make([]byte, budget+1)); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%d options: payload one byte over the IPv4 budget: %v", len(opts), err)
+		}
+		if after, _ := k.GetSocket(fd); after.seq != before.seq {
+			t.Fatalf("%d options: refused send moved seq %d -> %d", len(opts), before.seq, after.seq)
+		}
+		pkt, err := k.Send(fd, make([]byte, budget))
+		if err != nil || pkt == nil {
+			t.Fatalf("%d options: payload at the budget: pkt=%v err=%v", len(opts), pkt, err)
+		}
+		wire, err := pkt.Marshal()
+		if err != nil || len(wire) != ipv4.MaxPacketLen {
+			t.Fatalf("%d options: marshal: %d bytes, %v", len(opts), len(wire), err)
+		}
+		back, err := ipv4.Unmarshal(wire)
+		if err != nil || !bytes.Equal(back.Payload, pkt.Payload) || len(back.Header.Options) != len(opts) {
+			t.Fatalf("%d options: packet does not parse back: %v", len(opts), err)
+		}
+		if info, ok := transport.Peek(proto, back.Payload); !ok || info.DataOff != thdr {
+			t.Fatalf("%d options: transport header lost: %+v", len(opts), info)
+		}
 	}
 }
 

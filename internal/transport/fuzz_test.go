@@ -18,6 +18,8 @@ import (
 //     bytes (marshal ∘ parse is the identity on wire form), and parsing
 //     the re-marshalled form yields the same header fields. Peek must
 //     agree with the full parser on ports and flags whenever both accept.
+//  3. AppendTo onto a non-empty prefix keeps the prefix and writes after
+//     it exactly what Marshal writes.
 //
 // Seeds cover each control-flag shape, data segments, and truncations;
 // the committed corpus lives in testdata/fuzz/.
@@ -66,6 +68,7 @@ func FuzzParseTCP(f *testing.F) {
 		if !bytes.Equal(wire, raw) {
 			t.Fatalf("marshal∘parse not identity:\n in  %x\n out %x", raw, wire)
 		}
+		checkAppendTo(t, raw, wire, seg.AppendTo)
 		again, err := ParseTCP(wire)
 		if err != nil {
 			t.Fatalf("re-parse of accepted segment failed: %v", err)
@@ -113,6 +116,7 @@ func FuzzParseUDP(f *testing.F) {
 		if !bytes.Equal(wire, raw) {
 			t.Fatalf("marshal∘parse not identity:\n in  %x\n out %x", raw, wire)
 		}
+		checkAppendTo(t, raw, wire, d.AppendTo)
 		again, err := ParseUDP(wire)
 		if err != nil {
 			t.Fatalf("re-parse of accepted datagram failed: %v", err)
@@ -126,4 +130,16 @@ func FuzzParseUDP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkAppendTo renders through appendTo onto a prefix of 1 to 7 bytes cut
+// from raw (odd lengths shift the checksum's word alignment) and checks
+// the prefix survives and the rest equals wire, Marshal's output.
+func checkAppendTo(t *testing.T, raw, wire []byte, appendTo func([]byte) []byte) {
+	t.Helper()
+	prefix := append([]byte{0xa5}, raw[:len(raw)%7]...)
+	out := appendTo(bytes.Clone(prefix))
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], wire) {
+		t.Fatalf("AppendTo onto %d-byte prefix:\n got  %x\n want %x%x", len(prefix), out, prefix, wire)
+	}
 }

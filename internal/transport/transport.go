@@ -75,8 +75,10 @@ const (
 	// MaxUDPPayload is the largest payload a UDP datagram can carry: the
 	// 16-bit length field covers header + payload. Marshal on a larger
 	// payload would wrap the field into a datagram its own parser
-	// rejects, so senders (kernel.Send) must refuse oversized payloads
-	// up front — the EMSGSIZE a real sendto(2) returns.
+	// rejects. Inside an IPv4 packet the bound is lower still, since the
+	// packet's own 16-bit length covers the IPv4 header too: kernel.Send
+	// refuses any payload over that, the EMSGSIZE a real sendto(2)
+	// returns.
 	MaxUDPPayload = 0xffff - UDPHeaderLen
 )
 
@@ -210,13 +212,20 @@ type UDPDatagram struct {
 // Marshal renders the datagram in wire form with a correct length field
 // and checksum.
 func (d *UDPDatagram) Marshal() []byte {
-	buf := make([]byte, UDPHeaderLen+len(d.Payload))
-	binary.BigEndian.PutUint16(buf[0:2], d.SrcPort)
-	binary.BigEndian.PutUint16(buf[2:4], d.DstPort)
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(buf)))
-	copy(buf[UDPHeaderLen:], d.Payload)
-	binary.BigEndian.PutUint16(buf[6:8], checksumIgnoring(buf, 6))
-	return buf
+	return d.AppendTo(make([]byte, 0, UDPHeaderLen+len(d.Payload)))
+}
+
+// AppendTo appends the datagram's wire form to dst and returns the extended
+// slice, as TCPSegment.AppendTo does.
+func (d *UDPDatagram) AppendTo(dst []byte) []byte {
+	var hdr [UDPHeaderLen]byte
+	binary.BigEndian.PutUint16(hdr[0:2], d.SrcPort)
+	binary.BigEndian.PutUint16(hdr[2:4], d.DstPort)
+	binary.BigEndian.PutUint16(hdr[4:6], uint16(UDPHeaderLen+len(d.Payload)))
+	at := len(dst)
+	dst = append(append(dst, hdr[:]...), d.Payload...)
+	binary.BigEndian.PutUint16(dst[at+6:], checksumIgnoring(dst[at:], 6))
+	return dst
 }
 
 // ViewUDP fully validates a wire-form UDP datagram and returns it by value
