@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Zone is an authoritative name→address map with reverse lookups.
@@ -23,7 +24,7 @@ type Zone struct {
 	forward map[string][]netip.Addr
 	// reverse maps addresses to the names pointing at them.
 	reverse map[netip.Addr][]string
-	queries uint64
+	queries atomic.Uint64
 }
 
 // ErrNXDomain reports an unknown name.
@@ -42,7 +43,8 @@ func canonical(name string) string {
 }
 
 // AddRecord binds a name to an address (A record). Repeated calls
-// accumulate round-robin address sets.
+// accumulate round-robin address sets of at most 255 addresses, the most
+// one answer carries.
 func (z *Zone) AddRecord(name string, addr netip.Addr) error {
 	name = canonical(name)
 	if name == "" {
@@ -58,22 +60,36 @@ func (z *Zone) AddRecord(name string, addr netip.Addr) error {
 			return nil
 		}
 	}
+	if len(z.forward[name]) == maxAnswers {
+		return fmt.Errorf("dns: %s already has %d addresses", name, maxAnswers)
+	}
+	// Address sets only ever grow by append, so a set read under the lock
+	// stays valid after it (see lookup).
 	z.forward[name] = append(z.forward[name], addr)
 	z.reverse[addr] = append(z.reverse[addr], name)
 	return nil
 }
 
-// Resolve returns the address set for a name.
+// Resolve returns a copy of the address set for a name.
 func (z *Zone) Resolve(name string) ([]netip.Addr, error) {
 	name = canonical(name)
-	z.mu.Lock()
-	z.queries++
-	addrs := append([]netip.Addr(nil), z.forward[name]...)
-	z.mu.Unlock()
+	addrs := append([]netip.Addr(nil), z.lookup([]byte(name))...)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNXDomain, name)
 	}
 	return addrs, nil
+}
+
+// lookup counts a query and returns the zone's own address set for a
+// canonical name, nil when there is none. AddRecord only appends past the
+// end of a set, so the caller may read the set without the lock but must
+// not write to it.
+func (z *Zone) lookup(name []byte) []netip.Addr {
+	z.queries.Add(1)
+	z.mu.RLock()
+	addrs := z.forward[string(name)]
+	z.mu.RUnlock()
+	return addrs
 }
 
 // NamesFor returns every name resolving to an address (reverse lookup).
@@ -85,11 +101,10 @@ func (z *Zone) NamesFor(addr netip.Addr) []string {
 	return names
 }
 
-// Queries returns the number of Resolve calls served.
+// Queries returns the number of queries served: Resolve calls and queries
+// ZoneHandler answered.
 func (z *Zone) Queries() uint64 {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.queries
+	return z.queries.Load()
 }
 
 // NameBlocklist is the DNS-level comparator: a set of blocked names (and

@@ -117,3 +117,33 @@ func TestUnlistedNameEscapes(t *testing.T) {
 		t.Fatal("unknown address blocked without any record")
 	}
 }
+
+// TestZoneAddressSetLimit: a name holds at most the 255 addresses one
+// answer can carry. The 256th is refused, so every name the zone holds is
+// answered.
+func TestZoneAddressSetLimit(t *testing.T) {
+	z := NewZone()
+	nth := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}) }
+	for i := 0; i < maxAnswers; i++ {
+		if err := z.AddRecord("big.example", nth(i)); err != nil {
+			t.Fatalf("address %d: %v", i+1, err)
+		}
+	}
+	if err := z.AddRecord("big.example", nth(0)); err != nil {
+		t.Fatalf("re-adding a held address at the limit: %v", err)
+	}
+	if err := z.AddRecord("big.example", nth(maxAnswers)); err == nil {
+		t.Fatal("address 256 accepted")
+	}
+	q, err := (&Query{ID: 9, Name: "big.example"}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := ParseAnswer(ZoneHandler(z)(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.RCode != RCodeOK || len(ans.Addrs) != maxAnswers || ans.Addrs[maxAnswers-1] != nth(maxAnswers-1) {
+		t.Fatalf("answer has rcode %d and %d addresses", ans.RCode, len(ans.Addrs))
+	}
+}

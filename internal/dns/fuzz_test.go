@@ -1,8 +1,8 @@
 package dns
 
 import (
+	"bytes"
 	"net/netip"
-	"slices"
 	"testing"
 )
 
@@ -19,13 +19,24 @@ func seedQueries(f *testing.F) {
 	f.Add([]byte{0, 1, 0x80, 1, 'x'}) // QR set
 	f.Add([]byte{0, 1, 0, 1, 'X'})    // upper case
 	f.Add([]byte{0, 1, 0, 2, 'x', '.'})
+	f.Add([]byte{0, 1, 0, 2, 0xc3, 0x89}) // É: upper case, not ASCII
+	f.Add([]byte{0, 1, 0, 1, 0xff})       // invalid UTF-8
+	f.Add([]byte{0, 1, 0, 3, 0xc3, 0xa9, '.'})
 }
 
-// FuzzParseQuery: no input panics the parser, and a query it accepts
-// marshals back to a message that parses to the same query.
+// FuzzParseQuery: no input panics the parser, the byte-level canonical
+// check agrees with the string expression it stands for, and a query the
+// parser accepts marshals back to a message that parses to the same query.
 func FuzzParseQuery(f *testing.F) {
 	seedQueries(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 4 {
+			name := b[4:]
+			s := string(name)
+			if got, ref := isCanonical(name), canonical(s) == s; got != ref {
+				t.Fatalf("isCanonical(%q) = %v, canonical(s) == s is %v", s, got, ref)
+			}
+		}
 		q, err := ParseQuery(b)
 		if err != nil {
 			return
@@ -42,13 +53,15 @@ func FuzzParseQuery(f *testing.F) {
 }
 
 // FuzzZoneHandler: the handler a DNS server runs on device-supplied bytes
-// never panics, answers exactly the queries ParseQuery accepts, echoes
-// their ID, and answers what the zone resolves.
+// never panics, answers exactly the queries ParseQuery accepts, and its
+// answer is byte for byte the Answer that Marshal renders from the query's
+// ID and what Resolve returns.
 func FuzzZoneHandler(f *testing.F) {
 	seedQueries(f)
 	z := NewZone()
 	for _, r := range []struct{ name, addr string }{
 		{"files.corp.example", "10.80.0.10"}, {"files.corp.example", "10.80.0.11"}, {"a", "10.80.0.12"},
+		{"é.corp.example", "10.80.0.13"},
 	} {
 		if err := z.AddRecord(r.name, netip.MustParseAddr(r.addr)); err != nil {
 			f.Fatal(err)
@@ -64,13 +77,16 @@ func FuzzZoneHandler(f *testing.F) {
 			}
 			return
 		}
-		ans, err := ParseAnswer(out)
-		if err != nil {
-			t.Fatalf("answer to %+v does not parse: %v", q, err)
+		ans := &Answer{ID: q.ID}
+		if ans.Addrs, err = z.Resolve(q.Name); err != nil {
+			ans.RCode = RCodeNXDomain
 		}
-		want, _ := z.Resolve(q.Name)
-		if ans.ID != q.ID || !slices.Equal(ans.Addrs, want) || (ans.RCode == RCodeNXDomain) != (want == nil) {
-			t.Fatalf("query %+v answered %+v, zone resolves %v", q, ans, want)
+		want, err := ans.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("query %+v answered %x, want %x", q, out, want)
 		}
 	})
 }

@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sync"
+	"unicode/utf8"
+
+	"borderpatrol/internal/block"
 )
 
 // Wire format for DNS-over-UDP through the simulated gateway: a compact
@@ -63,21 +67,49 @@ func (q *Query) Marshal() ([]byte, error) {
 // form Marshal writes (lower case, no trailing dot), so a parsed query
 // marshals back to itself.
 func ParseQuery(b []byte) (*Query, error) {
+	id, name, err := viewQuery(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{ID: id, Name: string(name)}, nil
+}
+
+// viewQuery validates a query payload in place, exactly as ParseQuery
+// does, and returns its ID and its name as a slice of b.
+func viewQuery(b []byte) (id uint16, name []byte, err error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrWireMalformed, len(b))
+		return 0, nil, fmt.Errorf("%w: %d bytes", ErrWireMalformed, len(b))
 	}
 	if b[2]&flagResponse != 0 {
-		return nil, fmt.Errorf("%w: QR set on query", ErrWireMalformed)
+		return 0, nil, fmt.Errorf("%w: QR set on query", ErrWireMalformed)
 	}
 	n := int(b[3])
 	if n == 0 || len(b) != 4+n {
-		return nil, fmt.Errorf("%w: name length %d in %d bytes", ErrWireMalformed, n, len(b))
+		return 0, nil, fmt.Errorf("%w: name length %d in %d bytes", ErrWireMalformed, n, len(b))
 	}
-	name := string(b[4:])
-	if canonical(name) != name {
-		return nil, fmt.Errorf("%w: name %q not canonical", ErrWireMalformed, name)
+	name = b[4:]
+	if !isCanonical(name) {
+		return 0, nil, fmt.Errorf("%w: name %q not canonical", ErrWireMalformed, name)
 	}
-	return &Query{ID: uint16(b[0])<<8 | uint16(b[1]), Name: name}, nil
+	return uint16(b[0])<<8 | uint16(b[1]), name, nil
+}
+
+// isCanonical reports whether canonical(s) == s for s = string(name),
+// byte by byte while the name is ASCII: no upper-case letter and no
+// trailing dot. A name with a byte of 0x80 or more is checked by that
+// expression itself, so non-ASCII and invalid UTF-8 names are judged as
+// strings.ToLower judges them.
+func isCanonical(name []byte) bool {
+	for _, c := range name {
+		if c >= utf8.RuneSelf {
+			s := string(name)
+			return canonical(s) == s
+		}
+		if 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return len(name) == 0 || name[len(name)-1] != '.'
 }
 
 // Answer is the response to a Query.
@@ -93,19 +125,28 @@ type Answer struct {
 
 // Marshal renders the answer.
 func (a *Answer) Marshal() ([]byte, error) {
+	return a.AppendTo(make([]byte, 0, a.wireLen()))
+}
+
+// wireLen is the length of the rendered answer.
+func (a *Answer) wireLen() int { return 4 + 4*len(a.Addrs) }
+
+// AppendTo appends the rendered answer to dst and returns the extended
+// slice. It refuses more than 255 addresses and any that is not IPv4; dst
+// may have been written to then.
+func (a *Answer) AppendTo(dst []byte) ([]byte, error) {
 	if len(a.Addrs) > maxAnswers {
 		return nil, fmt.Errorf("%w: %d answers", ErrWireMalformed, len(a.Addrs))
 	}
-	buf := make([]byte, 0, 4+4*len(a.Addrs))
-	buf = append(buf, byte(a.ID>>8), byte(a.ID), flagResponse|a.RCode&0x0f, byte(len(a.Addrs)))
+	dst = append(dst, byte(a.ID>>8), byte(a.ID), flagResponse|a.RCode&0x0f, byte(len(a.Addrs)))
 	for _, addr := range a.Addrs {
 		if !addr.Is4() {
 			return nil, fmt.Errorf("%w: %v is not IPv4", ErrWireMalformed, addr)
 		}
 		a4 := addr.As4()
-		buf = append(buf, a4[:]...)
+		dst = append(dst, a4[:]...)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // ParseAnswer parses an answer payload.
@@ -127,24 +168,41 @@ func ParseAnswer(b []byte) (*Answer, error) {
 	return out, nil
 }
 
-// ZoneHandler serves a zone over UDP: it parses each query datagram,
-// resolves it against the zone, and marshals the answer (NXDOMAIN for
-// unknown names, nil for undecodable payloads). Plug it into
-// netsim.Server.UDPHandler to stand up a DNS server behind the gateway.
+// Answer block sizes, in bytes: the first block holds 32 one-address
+// answers, and each replacement doubles up to 4,096 of them, so a busy
+// server allocates once per a few thousand answers. The largest answer
+// (255 addresses, 1,024 bytes) is a thirty-second of the cap.
+const answerBlockFirst, answerBlockCap = 256, 32 << 10
+
+// ZoneHandler serves a zone over UDP: it validates each query datagram in
+// place, resolves it against the zone, and renders the answer (NXDOMAIN
+// for unknown names, nil for a query it refuses as ParseQuery would). Plug
+// it into netsim.Server.UDPHandler to stand up a DNS server behind the
+// gateway.
+//
+// A query costs no allocation of its own and takes only the zone's read
+// lock. Each answer is a capacity-capped cut of a block the handler shares
+// across all its calls, guarded by its own mutex (see package block): an
+// append by its holder reallocates instead of writing into the next
+// answer, and holding an answer pins its block.
 func ZoneHandler(z *Zone) func(payload []byte) []byte {
+	var (
+		mu  sync.Mutex
+		blk []byte
+	)
 	return func(payload []byte) []byte {
-		q, err := ParseQuery(payload)
+		id, name, err := viewQuery(payload)
 		if err != nil {
 			return nil
 		}
-		addrs, err := z.Resolve(q.Name)
-		ans := &Answer{ID: q.ID}
-		if err != nil {
-			ans.RCode = RCodeNXDomain
-		} else {
-			ans.Addrs = addrs
+		a := Answer{ID: id, Addrs: z.lookup(name)}
+		if len(a.Addrs) == 0 {
+			a.RCode = RCodeNXDomain
 		}
-		out, err := ans.Marshal()
+		mu.Lock()
+		dst := block.Take(&blk, a.wireLen(), answerBlockFirst, answerBlockCap)
+		mu.Unlock()
+		out, err := a.AppendTo(dst[:0])
 		if err != nil {
 			return nil
 		}

@@ -8,22 +8,21 @@
 // modelled in virtual time by the netsim package, which calls its stages
 // directly.
 //
-// A kernel builds its packets into blocks it owns: each Packet, its option
-// list, its transport segment and each socket's option bytes are
-// capacity-capped cuts of a few shared slices, so a send allocates nothing
-// of its own. An append by a holder of a packet reallocates instead of
-// writing into a neighbour. Blocks are never reused, only dropped for the
-// next one: the garbage collector frees a block once nothing cut from it is
-// held, and holding a packet pins the blocks it was cut from.
+// A kernel builds its packets into blocks it owns (package block): each
+// Packet, its option list, its transport segment and each socket's option
+// bytes are capacity-capped cuts of a few shared slices, so a send
+// allocates nothing of its own. An append by a holder of a packet
+// reallocates instead of writing into a neighbour, and holding a packet
+// pins the blocks it was cut from.
 package kernel
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync"
 
+	"borderpatrol/internal/block"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/transport"
 )
@@ -104,18 +103,18 @@ type Kernel struct {
 	sockets map[int]*Socket
 	// ipidCounter assigns IPv4 identification values.
 	ipidCounter uint16
-	// pkts, opts and wire are the blocks packets are cut from (see take):
-	// the packets, their option lists and socket option lists, and the
-	// transport segments and socket option bytes.
+	// pkts, opts and wire are the blocks packets are cut from (see
+	// block.Take): the packets, their option lists and socket option
+	// lists, and the transport segments and socket option bytes.
 	pkts []ipv4.Packet
 	opts []ipv4.Option
 	wire []byte
 }
 
 // Block sizes, in elements: a block starts at its first size and each
-// replacement doubles, up to its cap (both rounded up as take says), so a
-// device that sends a handful of packets holds under a kilobyte of blocks
-// and a busy one allocates once per a few hundred packets. A segment
+// replacement doubles, up to its cap (both rounded up as block.Take says),
+// so a device that sends a handful of packets holds under a kilobyte of
+// blocks and a busy one allocates once per a few hundred packets. A segment
 // longer than a quarter of wireBlockCap gets its own buffer, so no block
 // is mostly one segment.
 const (
@@ -123,25 +122,6 @@ const (
 	optBlockFirst, optBlockCap   = 4, 256
 	wireBlockFirst, wireBlockCap = 256, 32 << 10
 )
-
-// take cuts n zeroed elements from the block *blk, capacity-capped so that
-// an append by their holder reallocates instead of running into the next
-// cut. When the block lacks room it is replaced by a new one of about twice
-// its capacity, between first and limit but at least n; the old block lives
-// on for as long as anything cut from it does. slices.Grow rounds the new
-// block up to the whole allocation the runtime makes for it: a block of
-// pointerful elements carries an 8-byte malloc header, which would push a
-// block that fills a size class exactly into the next one, leaving up to
-// an eighth of that empty.
-func take[T any](blk *[]T, n, first, limit int) []T {
-	b := *blk
-	if cap(b)-len(b) < n {
-		b = slices.Grow([]T(nil), max(min(max(2*cap(b), first), limit), n))
-	}
-	at := len(b)
-	*blk = b[:at+n]
-	return b[at : at+n : at+n]
-}
 
 // New builds a kernel with the given configuration.
 func New(cfg Config) *Kernel {
@@ -226,10 +206,10 @@ func (k *Kernel) SetIPOptions(fd int, caps Capability, opts []ipv4.Option) error
 	}
 	// Options and their bytes go into the blocks: every packet of the
 	// socket shares these bytes, and no caller can reach them to write.
-	h := ipv4.Header{Options: take(&k.opts, len(opts), optBlockFirst, optBlockCap)[:0]}
+	h := ipv4.Header{Options: block.Take(&k.opts, len(opts), optBlockFirst, optBlockCap)[:0]}
 	for _, o := range opts {
 		if len(o.Data) > 0 {
-			o.Data = append(take(&k.wire, len(o.Data), wireBlockFirst, wireBlockCap)[:0], o.Data...)
+			o.Data = append(block.Take(&k.wire, len(o.Data), wireBlockFirst, wireBlockCap)[:0], o.Data...)
 		}
 		h.SetOption(o)
 	}
@@ -323,7 +303,7 @@ func (k *Kernel) segmentLocked(n int) []byte {
 	if n > wireBlockCap/4 {
 		return make([]byte, 0, n)
 	}
-	return take(&k.wire, n, wireBlockFirst, wireBlockCap)[:0]
+	return block.Take(&k.wire, n, wireBlockFirst, wireBlockCap)[:0]
 }
 
 // connectedLocked returns fd's socket if it is connected. Caller holds
@@ -346,7 +326,7 @@ func (k *Kernel) connectedLocked(fd int) (*Socket, error) {
 // invariant on ipv4.Packet). Caller holds k.mu.
 func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) *ipv4.Packet {
 	k.ipidCounter++
-	pkt := &take(&k.pkts, 1, pktBlockFirst, pktBlockCap)[0]
+	pkt := &block.Take(&k.pkts, 1, pktBlockFirst, pktBlockCap)[0]
 	pkt.Header = ipv4.Header{
 		ID:       k.ipidCounter,
 		TTL:      64,
@@ -356,7 +336,7 @@ func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) *ipv4.Packet {
 	}
 	pkt.Payload = wire
 	if len(s.Options) > 0 {
-		pkt.Header.Options = take(&k.opts, len(s.Options), optBlockFirst, optBlockCap)
+		pkt.Header.Options = block.Take(&k.opts, len(s.Options), optBlockFirst, optBlockCap)
 		copy(pkt.Header.Options, s.Options)
 	}
 	return pkt

@@ -331,7 +331,10 @@ type Delivery struct {
 	// Response is the server's reply (nil when dropped or non-HTTP).
 	Response *httpsim.Response
 	// Datagram is the server's UDP reply (a DNS answer, typically); nil
-	// when the packet carried no datagram or the server has no UDPHandler.
+	// when the packet carried no datagram, the server has no UDPHandler or
+	// the handler refused the query. A dns.ZoneHandler answer is a
+	// capacity-capped cut of a block the handler shares across queries:
+	// appending to it reallocates, and holding it pins that block.
 	Datagram []byte
 	// ResponseDropped reports that the server produced a response but the
 	// gateway's response-direction verdict state dropped it on the way
