@@ -1,7 +1,10 @@
 package flowtable
 
 import (
+	"math/rand"
 	"testing"
+
+	"borderpatrol/internal/transport"
 )
 
 // BenchmarkFlowLookupHit measures the hit path: one shard probe plus an
@@ -15,6 +18,30 @@ func BenchmarkFlowLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := tb.Lookup(k, 1); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkFlowLookupFleet is the hit path on fleet's pattern: 32,768
+// live flows, one per pooled device, probed in shuffled order, so each
+// probe misses the CPU caches the way a burst of 1,024 devices does — the
+// access BenchmarkFlowLookupHit's single hot flow never makes.
+func BenchmarkFlowLookupFleet(b *testing.B) {
+	const flows = 32768
+	tb := New[uint64](Config{Capacity: 65536})
+	keys := make([]Key, flows)
+	for i := range keys {
+		k := Key{Tuple: transport.Tuple{Src: 0x0a800000 + uint32(i), Dst: 0x5db80001, SrcPort: 40000, DstPort: 443}, Proto: 6}
+		k.SetTag([]byte("\x1f\x8b\x08\x00\x41\x42\x43\x44\x01\x02"))
+		keys[i] = k
+		tb.Insert(k, 1, uint64(i))
+	}
+	rand.New(rand.NewSource(1)).Shuffle(flows, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tb.Lookup(keys[i%flows], 1); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -12,14 +12,16 @@
 // non-first fragments and malformed headers), the protocol — and the raw tag
 // bytes themselves — which begin with the app's truncated hash — pinned
 // verbatim in the key, with a 64-bit digest of them for indexing.
-// Internally each shard maps a 64-bit mix of the whole Key to its slot,
-// and every probe verifies the full stored Key — including the exact tag
-// bytes — so a digest or hash collision between different flows can only
-// cause an extra miss or an overwrite (cache churn), never a wrong
-// verdict. This is deliberate: tag bytes are attacker-influenced (the
-// paper's tag-replay discussion, §VII), and a cache keyed on a
+// Internally each shard's Index maps a 64-bit mix of the whole Key to the
+// flow's slot, and every probe verifies the full stored Key — including
+// the exact tag bytes — so a digest or hash collision between different
+// flows can only cause an extra miss or an overwrite (cache churn), never
+// a wrong verdict. This is deliberate: tag bytes are attacker-influenced
+// (the paper's tag-replay discussion, §VII), and a cache keyed on a
 // non-cryptographic digest alone would let a crafted collision borrow a
-// benign flow's cached verdict.
+// benign flow's cached verdict. Nor can crafted keys slow the probe: the
+// mix is unseeded, but each Index seeds its own probe start (see Index),
+// so keys aimed at one cell scatter.
 //
 // # Invalidation
 //
@@ -38,11 +40,13 @@
 // The table is bounded: Capacity is split evenly across Shards. A shard
 // keeps its entries by value in one slab with a free list, so a fill
 // allocates nothing and a slot released by invalidation, expiry or
-// teardown is the next one claimed. An insert into a full shard samples
-// evictSamples slots from a rotating hand, reclaims the expired ones, else
-// (when the admission guard lets the key in, see Config.MissRing) evicts the
-// least recently used of the sample (approximate LRU: O(1), and
-// deterministic — no random source, no map order). With a Clock, the TTL is
+// teardown is the next one claimed; its index and slab grow by doubling
+// up to the shard's capacity, so an idle table holds no cells. An insert
+// into a full shard samples evictSamples slots from a rotating hand over
+// the slab, reclaims the expired ones, else (when the admission guard
+// lets the key in, see Config.MissRing) evicts the least recently used of
+// the sample (approximate LRU: O(1), deterministic, and a hand that walks
+// the whole slab in turn). With a Clock, the TTL is
 // an idle timeout in virtual time counted from the entry's last use: a flow
 // that keeps sending stays cached, one whose teardown was lost ages out
 // without capacity pressure. A value that lapses for the caller's own
@@ -89,7 +93,7 @@ type Key struct {
 	TagLen uint8
 	Tag    [MaxTagBytes]byte
 	// Digest is a 64-bit digest of the raw tag bytes (see Digest); it
-	// only steers shard selection and map indexing.
+	// only steers shard selection and the shard index.
 	Digest uint64
 }
 
@@ -140,7 +144,7 @@ func Digest(b []byte) uint64 {
 }
 
 // hash mixes the whole key into the 64-bit value that selects the shard
-// and indexes the shard map. Digest carries most of the entropy; the
+// and keys the shard index. Digest carries most of the entropy; the
 // endpoints and ports separate flows with identical tags.
 func (k Key) hash() uint64 {
 	h := k.Digest
@@ -207,7 +211,7 @@ type shard[V any] struct {
 	// index maps the full 64-bit Key.hash() to the flow's slot; slot.key
 	// resolves collisions (verified on every probe). Pointer-free, so the
 	// garbage collector never scans it.
-	index map[uint64]uint32
+	index Index[uint64, uint32]
 	// slots holds the shard's entries by value; a released slot goes on the
 	// free list and is the next one claimed, so a fill allocates nothing.
 	slots []slot[V]
@@ -225,12 +229,15 @@ type shard[V any] struct {
 
 // refuse is the admission guard at a full shard. A key refused recently is
 // admitted — its ring slot is consumed, so each noted miss admits at most
-// one insert; a first-seen key is noted in the ring, overwriting the oldest
-// slot, and refused. A shard without a ring refuses nothing. Caller holds
-// the shard's write lock.
-func (s *shard[V]) refuse(h uint64) bool {
-	if len(s.missRing) == 0 {
+// one insert; a first-seen key is noted in the ring of size ring (allocated
+// by the shard's first refusal), overwriting the oldest slot, and refused.
+// A zero ring refuses nothing. Caller holds the shard's write lock.
+func (s *shard[V]) refuse(h uint64, ring int) bool {
+	if ring == 0 {
 		return false
+	}
+	if s.missRing == nil {
+		s.missRing = make([]uint64, ring)
 	}
 	for i, v := range s.missRing {
 		if v == h {
@@ -256,6 +263,7 @@ type Table[V any] struct {
 	ttl         time.Duration
 	clock       Clock
 	perShardCap int
+	missRing    int
 
 	tick atomic.Int64 // recency source when clock is nil
 	live atomic.Int64 // slots holding a flow, across all shards
@@ -291,15 +299,13 @@ func New[V any](cfg Config) *Table[V] {
 		ttl:         cfg.TTL,
 		clock:       cfg.Clock,
 		perShardCap: per,
+		missRing:    max(cfg.MissRing, 0),
 	}
 	if t.clock == nil {
 		t.ttl = 0 // TTL needs a time source
 	}
 	for i := range t.shards {
-		t.shards[i].index = make(map[uint64]uint32, per)
-		if cfg.MissRing > 0 {
-			t.shards[i].missRing = make([]uint64, cfg.MissRing)
-		}
+		t.shards[i].index = NewIndex[uint64, uint32](per)
 	}
 	return t
 }
@@ -347,7 +353,7 @@ func (t *Table[V]) claim(s *shard[V]) uint32 {
 // zeroed so a freed slot pins nothing. Caller holds s.mu.
 func (t *Table[V]) release(s *shard[V], i uint32) {
 	e := &s.slots[i]
-	delete(s.index, e.h)
+	s.index.Delete(e.h, e.h)
 	var zero V
 	e.val = zero
 	e.live = false
@@ -371,8 +377,11 @@ func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 	now := t.readNow()
 	stale := false
 	s.mu.RLock()
-	i, ok := s.index[h]
+	var i uint32
+	p := s.index.Get(h, h)
+	ok := p != nil
 	if ok {
+		i = *p
 		e := &s.slots[i]
 		if e.key != k {
 			ok = false
@@ -396,7 +405,7 @@ func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
 		// Dead entry: release it so the shard doesn't pin invalidated flows
 		// — unless the slot was rewritten between the two locks.
 		s.mu.Lock()
-		if j, still := s.index[h]; still && j == i {
+		if p := s.index.Get(h, h); p != nil && *p == i {
 			if e := &s.slots[i]; e.key == k && (e.gen != gen || t.idle(now, e.lastUsed.Load())) {
 				t.release(s, i)
 			}
@@ -423,18 +432,19 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	now := t.now()
 	s.mu.Lock()
 	// A key whose hash is already mapped (re-insert after invalidation, or
-	// a hash collision) overwrites that slot in place.
-	i, exists := s.index[h]
-	if !exists {
-		if len(s.index) >= t.perShardCap && !t.makeRoom(s, h, now) {
-			s.mu.Unlock()
-			t.admissionDrops.Add(1)
-			return
-		}
-		i = t.claim(s)
-		s.index[h] = i
+	// a hash collision) overwrites that slot in place. Below capacity that
+	// is one probe; a full shard looks before it makes room, since making
+	// room deletes from the index.
+	if s.index.Len() >= t.perShardCap && s.index.Get(h, h) == nil && !t.makeRoom(s, h, now) {
+		s.mu.Unlock()
+		t.admissionDrops.Add(1)
+		return
 	}
-	e := &s.slots[i]
+	p, added := s.index.Put(h, h)
+	if added {
+		*p = t.claim(s)
+	}
+	e := &s.slots[*p]
 	e.key, e.val, e.h, e.gen, e.live = k, v, h, gen, true
 	e.lastUsed.Store(int64(now))
 	s.mu.Unlock()
@@ -451,7 +461,7 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 // expired, so the guard decides before the sample is paid for. Caller
 // holds s.mu.
 func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration) bool {
-	if t.ttl == 0 && s.refuse(h) {
+	if t.ttl == 0 && s.refuse(h, t.missRing) {
 		return false
 	}
 	var (
@@ -476,7 +486,7 @@ func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration) bool {
 		t.expired.Add(uint64(freed))
 		return true
 	}
-	if t.ttl > 0 && s.refuse(h) {
+	if t.ttl > 0 && s.refuse(h, t.missRing) {
 		return false
 	}
 	t.release(s, lru)
@@ -490,10 +500,10 @@ func (t *Table[V]) Delete(k Key) bool {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	s.mu.Lock()
-	i, ok := s.index[h]
-	ok = ok && s.slots[i].key == k
+	p := s.index.Get(h, h)
+	ok := p != nil && s.slots[*p].key == k
 	if ok {
-		t.release(s, i)
+		t.release(s, *p)
 	}
 	s.mu.Unlock()
 	return ok
@@ -529,17 +539,17 @@ func (t *Table[V]) Sweep() int {
 	return freed
 }
 
-// Purge empties the table, slab and admission ring both, as a restart that
-// loses the gateway's RAM would (entries are not counted as evictions).
+// Purge empties the table — index, slab and admission ring — and releases
+// their memory, as a restart that loses the gateway's RAM would (entries
+// are not counted as evictions).
 func (t *Table[V]) Purge() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		t.live.Add(-int64(len(s.index)))
-		clear(s.index)
+		t.live.Add(-int64(s.index.Len()))
+		s.index.Clear()
 		s.slots, s.free, s.hand = nil, 0, 0
-		clear(s.missRing)
-		s.missPos = 0
+		s.missRing, s.missPos = nil, 0
 		s.mu.Unlock()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/transport"
 )
@@ -26,24 +27,33 @@ import (
 // # Shards
 //
 // The table is ctShards shards, picked by the top bits of the forward
-// transport.Tuple's hash. Each shard holds one record per connection in
-// one map — open, or parked in TIME_WAIT — plus a ring of the parked
-// records' FIFO order, its own lock and its bounds: maxTracked open and
-// maxTimeWait parked records, each divided evenly among the shards. Both
-// directions of a connection land on one shard, so there is no global
-// lock; a scrape sums the shards.
+// transport.Tuple's hash. Each shard holds one record per connection —
+// open, or parked in TIME_WAIT — in one flowtable.Index keyed on the
+// tuple, plus a ring of the parked records' FIFO order, its own lock and
+// its bounds: maxTracked open and maxTimeWait parked records, each divided
+// evenly among the shards. Both directions of a connection land on one
+// shard, so there is no global lock; a scrape sums the shards. A packet's
+// lookup is one probe, and an update writes through the record it found.
+// Collisions cost probes, never a wrong record: the index compares the
+// whole tuple, and seeds its probe start per shard, so a device that picks
+// its own ports cannot line its connections up in one probe cluster
+// (transport.Tuple.Hash is unseeded). Index and ring grow on use; an idle
+// tracker holds neither.
 //
 // # A full shard
 //
 // Following nf_conntrack's early_drop, a new connection (a SYN, or a
 // response adopted mid-stream) that finds its shard at the bound evicts
 // an unreplied open record — one whose response direction has not been
-// primed — found among the first evictSample records it looks at. If it
-// finds none, the newcomer is not tracked and counts as a table_full
-// transition; a response for a connection that could not be adopted
-// passes unchecked and counts as an unchecked response. A connection whose
-// response stream is primed is therefore never evicted by a flood: a
-// SYN flood cannot disarm the injection check of a live connection.
+// primed — found among the next evictSample cells of the shard's rotating
+// eviction hand. The hand moves on after every look, so repeated attempts
+// walk the whole shard: an unreplied record anywhere is found within
+// ⌈cells/evictSample⌉ attempts. If it finds none, the newcomer is not
+// tracked and counts as a table_full transition; a response for a
+// connection that could not be adopted passes unchecked and counts as an
+// unchecked response. A connection whose response stream is primed is
+// therefore never evicted by a flood: a SYN flood cannot disarm the
+// injection check of a live connection.
 //
 // # Idempotency under faults
 //
@@ -65,11 +75,12 @@ type Conntrack struct {
 // ctShard is one lock domain of the tracker. Its counters share the lock.
 type ctShard struct {
 	mu    sync.Mutex
-	conns map[transport.Tuple]connState
+	conns flowtable.Index[transport.Tuple, connState]
 	// parked counts the records in TIME_WAIT; the rest of conns is open.
 	parked int
 	// ring holds the parked records' FIFO order and bounds them; next is
 	// the slot the next park overwrites, the oldest once the ring wrapped.
+	// The first park allocates it.
 	ring []parkedRecord
 	next int
 
@@ -96,9 +107,10 @@ const ctShardBits = 6
 const ctShards = 1 << ctShardBits
 
 // shardOf picks a tuple's shard from the top bits of its hash.
-func shardOf(t transport.Tuple) int {
-	return int(t.Hash() >> (64 - ctShardBits))
-}
+func shardOf(t transport.Tuple) int { return shardOfHash(t.Hash()) }
+
+// shardOfHash is shardOf on a tuple hash the caller already holds.
+func shardOfHash(h uint64) int { return int(h >> (64 - ctShardBits)) }
 
 // parkedRecord is one ring slot: the parked tuple and the close time it
 // was parked with, so a slot overtaken by churn only releases the record
@@ -161,8 +173,8 @@ const (
 // forever. What a full shard does is stated on Conntrack.
 const maxTracked = 65536
 
-// evictSample is how many entries a full shard looks at for one to evict
-// before it refuses the newcomer.
+// evictSample is how many cells a full shard's eviction hand looks at for
+// a record to evict before it refuses the newcomer.
 const evictSample = 16
 
 // maxTimeWait bounds the parked records, maxTimeWait/ctShards per shard;
@@ -179,13 +191,12 @@ const timeWaitTTL = 30 * time.Second
 
 // NewConntrack builds an empty tracker. clock supplies virtual time for
 // TIME_WAIT expiry and idle sweeps; nil disables time-based expiry (parked
-// records are then bounded only by maxTimeWait).
+// records are then bounded only by maxTimeWait). It allocates no records:
+// each shard's index and ring grow on use.
 func NewConntrack(clock *Clock) *Conntrack {
 	ct := &Conntrack{clock: clock}
 	for i := range ct.shards {
-		s := &ct.shards[i]
-		s.conns = make(map[transport.Tuple]connState)
-		s.ring = make([]parkedRecord, maxTimeWait/ctShards)
+		ct.shards[i].conns = flowtable.NewIndex[transport.Tuple, connState]((maxTracked + maxTimeWait) / ctShards)
 	}
 	return ct
 }
@@ -204,57 +215,47 @@ func (ct *Conntrack) waiting(at, now time.Duration) bool {
 	return ct.clock == nil || now-at <= timeWaitTTL
 }
 
-// parkLocked moves k's record into TIME_WAIT, releasing the shard's
-// oldest parked record at capacity. Caller holds s.mu.
-func (s *ctShard) parkLocked(k transport.Tuple, now time.Duration) {
+// parkLocked moves k's record (k hashes to h) into TIME_WAIT, releasing
+// the shard's oldest parked record at capacity. Caller holds s.mu.
+func (s *ctShard) parkLocked(h uint64, k transport.Tuple, now time.Duration) {
+	if s.ring == nil {
+		s.ring = make([]parkedRecord, maxTimeWait/ctShards)
+	}
 	// Only release the record the overwritten slot still owns: the tuple may
 	// have been reopened since, or re-parked with a newer close time in a
 	// newer slot. An unused slot's zero tuple is never tracked (Peek refuses
 	// port 0).
 	old := s.ring[s.next]
-	if st, ok := s.conns[old.key]; ok && st.parked && st.last == old.at {
-		delete(s.conns, old.key)
+	oh := old.key.Hash()
+	if st := s.conns.Get(oh, old.key); st != nil && st.parked && st.last == old.at {
+		s.conns.Delete(oh, old.key)
 		s.parked--
 	}
 	s.ring[s.next] = parkedRecord{key: k, at: now}
 	s.next = (s.next + 1) % len(s.ring)
-	if st, ok := s.conns[k]; !ok || !st.parked {
+	st, added := s.conns.Put(h, k)
+	if added || !st.parked {
 		s.parked++
 	}
-	s.conns[k] = connState{last: now, parked: true}
+	*st = connState{last: now, parked: true}
 }
 
-// openLocked records st as k's open record if the shard has room for it:
-// below the bound it does; at it, an unreplied open record is evicted if
-// evictSampled finds one. A parked record of k (its TIME_WAIT expired)
-// reopens in place. Caller holds s.mu.
-func (s *ctShard) openLocked(k transport.Tuple, parked bool, st connState) bool {
-	if len(s.conns)-s.parked >= maxTracked/ctShards &&
-		!evictSampled(s.conns, func(c connState) bool { return !c.parked && !c.revSeen }) {
+// openLocked records st as k's open record (k hashes to h) if the shard
+// has room for it: below the bound it does; at it, an unreplied open
+// record is evicted if the shard's eviction hand finds one among the next
+// evictSample cells. A parked record of k (its TIME_WAIT expired) reopens
+// in place. Caller holds s.mu.
+func (s *ctShard) openLocked(h uint64, k transport.Tuple, parked bool, st connState) bool {
+	if s.conns.Len()-s.parked >= maxTracked/ctShards &&
+		!s.conns.Evict(evictSample, func(c *connState) bool { return !c.parked && !c.revSeen }) {
 		return false
 	}
 	if parked {
 		s.parked--
 	}
-	s.conns[k] = st
+	v, _ := s.conns.Put(h, k)
+	*v = st
 	return true
-}
-
-// evictSampled deletes from a full table the first entry victim accepts
-// among the first evictSample entries it looks at, and reports whether
-// it found one.
-func evictSampled[V any](m map[transport.Tuple]V, victim func(V) bool) bool {
-	looked := 0
-	for k, v := range m {
-		if victim(v) {
-			delete(m, k)
-			return true
-		}
-		if looked++; looked == evictSample {
-			break
-		}
-	}
-	return false
 }
 
 // flowID is what a burst worker's one peek of a forward packet yields for
@@ -296,10 +297,12 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 		return closing
 	}
 	now := ct.now()
-	s := &ct.shards[shardOf(f.t)]
+	h := f.t.Hash()
+	s := &ct.shards[shardOfHash(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, known := s.conns[f.t]
+	st := s.conns.Get(h, f.t)
+	known := st != nil
 	if closing {
 		switch {
 		case known && !st.parked:
@@ -317,13 +320,12 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 			s.n[ctUntrackedClose]++
 			s.n[ctClosed]++
 		}
-		s.parkLocked(f.t, now)
+		s.parkLocked(h, f.t, now)
 		return true
 	}
 	// SYN path.
 	if known && !st.parked {
 		st.last = now // SYN retransmission: refresh activity only
-		s.conns[f.t] = st
 		return false
 	}
 	if known && ct.waiting(st.last, now) {
@@ -332,7 +334,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 		s.n[ctLateSYN]++
 		return false
 	}
-	if !s.openLocked(f.t, known, connState{last: now}) {
+	if !s.openLocked(h, f.t, known, connState{last: now}) {
 		s.n[ctTableFull]++
 		return false
 	}
@@ -368,10 +370,12 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 	k := t.Reverse()
 	dataLen := uint32(len(pkt.Payload) - info.DataOff)
 	now := ct.now()
-	s := &ct.shards[shardOf(k)]
+	h := k.Hash()
+	s := &ct.shards[shardOfHash(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, known := s.conns[k]
+	st := s.conns.Get(h, k)
+	known := st != nil
 	if known && !st.parked {
 		s.n[ctChecked]++
 		if st.revSeen && info.Seq != st.revNext {
@@ -381,14 +385,13 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 		st.revNext = info.Seq + dataLen
 		st.revSeen = true
 		st.last = now
-		s.conns[k] = st
 		return false
 	}
 	if known && ct.waiting(st.last, now) {
 		s.n[ctLate]++
 		return false
 	}
-	if !s.openLocked(k, known, connState{last: now, revNext: info.Seq + dataLen, revSeen: true}) {
+	if !s.openLocked(h, k, known, connState{last: now, revNext: info.Seq + dataLen, revSeen: true}) {
 		s.n[ctUnchecked]++
 		return false
 	}
@@ -411,16 +414,17 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 		s := &ct.shards[i]
 		s.mu.Lock()
 		n := 0
-		for k, st := range s.conns {
+		s.conns.Sweep(func(_ transport.Tuple, st *connState) bool {
 			switch {
 			case st.parked && now-st.last > timeWaitTTL:
-				delete(s.conns, k)
 				s.parked--
+				return true
 			case !st.parked && now-st.last > idle:
-				delete(s.conns, k)
 				n++
+				return true
 			}
-		}
+			return false
+		})
 		s.n[ctIdleReclaimed] += uint64(n)
 		s.mu.Unlock()
 		reclaimed += n
@@ -428,16 +432,17 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 	return reclaimed
 }
 
-// Reset discards all connection state — the tracker's share of a gateway
-// restart. The counters survive: they count over the tracker's life, and
-// bp_gateway_restarts_total marks the reboot. The next packet of every live
-// connection is picked up mid-stream (an untracked close, an adoption).
+// Reset discards all connection state and releases its memory — the
+// tracker's share of a gateway restart. The counters survive: they count
+// over the tracker's life, and bp_gateway_restarts_total marks the reboot.
+// The next packet of every live connection is picked up mid-stream (an
+// untracked close, an adoption).
 func (ct *Conntrack) Reset() {
 	for i := range ct.shards {
 		s := &ct.shards[i]
 		s.mu.Lock()
-		clear(s.conns)
-		clear(s.ring)
+		s.conns.Clear()
+		s.ring = nil
 		s.parked, s.next = 0, 0
 		s.mu.Unlock()
 	}

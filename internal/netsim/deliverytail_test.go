@@ -392,7 +392,7 @@ func respTracked(n *Network) int {
 	for i := range n.respSeq {
 		s := &n.respSeq[i]
 		s.mu.Lock()
-		total += len(s.next)
+		total += s.next.Len()
 		s.mu.Unlock()
 	}
 	return total

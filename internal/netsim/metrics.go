@@ -31,7 +31,7 @@ func (ct *Conntrack) registerMetrics(r *metrics.Registry) {
 	const stateHelp = "Connections currently tracked, by state."
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,
 		func() float64 {
-			return float64(ct.sum(func(s *ctShard) uint64 { return uint64(len(s.conns) - s.parked) }))
+			return float64(ct.sum(func(s *ctShard) uint64 { return uint64(s.conns.Len() - s.parked) }))
 		},
 		metrics.L("state", "open"))
 	r.GaugeFunc("bp_conntrack_connections", stateHelp,

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/transport"
@@ -195,8 +196,13 @@ type Network struct {
 
 	// respSeq is the server-side TCP sequence position per connection:
 	// what the next synthesized response segment starts at. Keyed on the
-	// forward tuple and sharded like the conntrack, each shard bounded at
-	// maxRespTracked/ctShards connections.
+	// forward tuple and sharded like the conntrack: each shard is a
+	// seeded flowtable.Index that compares the whole tuple (collisions
+	// cost probes, never another connection's sequence), read and advanced
+	// in one probe, and bounded at maxRespTracked/ctShards connections.
+	// A full shard reclaims an entry idle past respIdle found by its
+	// rotating eviction hand, else leaves the newcomer unrecorded (see
+	// maxRespTracked).
 	respSeq [ctShards]respShard
 	// respUntracked counts responses rendered for a connection its full
 	// respSeq shard could not record (see maxRespTracked); respReclaimed
@@ -207,7 +213,7 @@ type Network struct {
 // respShard is one lock domain of Network.respSeq.
 type respShard struct {
 	mu   sync.Mutex
-	next map[transport.Tuple]respEntry
+	next flowtable.Index[transport.Tuple, respEntry]
 }
 
 // respEntry is the server's side of one connection: where its next
@@ -227,7 +233,7 @@ func NewNetwork(nic NICMode, model LatencyModel) *Network {
 	}
 	n.servers.Store(&map[netip.Addr]*Server{})
 	for i := range n.respSeq {
-		n.respSeq[i].next = make(map[transport.Tuple]respEntry)
+		n.respSeq[i].next = flowtable.NewIndex[transport.Tuple, respEntry](maxRespTracked / ctShards)
 	}
 	return n
 }
@@ -570,7 +576,10 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 // maxRespTracked bounds the response-sequence table, matching the
 // conntrack's open-table bound: maxRespTracked/ctShards per shard. A
 // connection's entry leaves with its FIN/RST (serveOne), or from a full
-// shard once idle past respIdle. A full shard with no idle entry keeps
+// shard once idle past respIdle: each newcomer to a full shard looks at
+// the next evictSample cells of the shard's eviction hand, so an idle
+// entry anywhere is reclaimed within ⌈cells/evictSample⌉ newcomers. A
+// full shard with no idle entry keeps
 // every connection it records and leaves the newcomer unrecorded, its
 // responses all starting at its ISN: evicting a live entry would let a
 // connection flood restart a live connection's sequence, and the
@@ -609,19 +618,25 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, f flowID, d *Deli
 // gateway only inspects the segment, so it lives no longer than the check.
 func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, body []byte) *ipv4.Packet {
 	now := uint32(n.Clock.Now() / time.Second)
-	s := &n.respSeq[shardOf(t)]
+	h := t.Hash()
+	s := &n.respSeq[shardOfHash(h)]
 	s.mu.Lock()
-	e, tracked := s.next[t]
-	if !tracked {
-		e.seq = uint32(t.Hash())
+	e := s.next.Get(h, t)
+	if e == nil {
+		if s.next.Len() >= maxRespTracked/ctShards &&
+			s.next.Evict(evictSample, func(e *respEntry) bool { return now-e.last > uint32(respIdle/time.Second) }) {
+			n.respReclaimed.Add(1)
+		}
+		if s.next.Len() < maxRespTracked/ctShards {
+			e, _ = s.next.Put(h, t)
+			e.seq = uint32(h)
+		}
 	}
-	room := tracked || len(s.next) < maxRespTracked/ctShards
-	if !room && evictSampled(s.next, func(e respEntry) bool { return now-e.last > uint32(respIdle/time.Second) }) {
-		n.respReclaimed.Add(1)
-		room = true
-	}
-	if room {
-		s.next[t] = respEntry{seq: e.seq + uint32(len(body)), last: now}
+	seq := uint32(h)
+	if e != nil {
+		seq = e.seq
+		e.seq += uint32(len(body))
+		e.last = now
 	} else {
 		n.respUntracked.Add(1)
 	}
@@ -630,7 +645,7 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, b
 	seg := transport.TCPSegment{
 		SrcPort: t.DstPort,
 		DstPort: t.SrcPort,
-		Seq:     e.seq,
+		Seq:     seq,
 		Flags:   transport.FlagPSH | transport.FlagACK,
 		Payload: body,
 	}
@@ -646,9 +661,10 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, b
 
 // forgetResp drops a closing connection's server-side sequence position.
 func (n *Network) forgetResp(t transport.Tuple) {
-	s := &n.respSeq[shardOf(t)]
+	h := t.Hash()
+	s := &n.respSeq[shardOfHash(h)]
 	s.mu.Lock()
-	delete(s.next, t)
+	s.next.Delete(h, t)
 	s.mu.Unlock()
 }
 
