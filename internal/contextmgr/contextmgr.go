@@ -8,17 +8,13 @@
 // socket's IP_OPTIONS through the JNI setsockopt shim.
 //
 // The tag is a pure function of the loaded app and the stack trace, so it
-// is built once per call site: resolve runs on a call site's first connect
-// and its result goes into the app's call-site table, tagCells
-// direct-mapped cells indexed by a hash of the whole trace. A cell answers
-// only when its stored trace equals the socket's verbatim; the hash only
-// picks the cell. A trace landing on an occupied cell replaces the
-// resident — the whole overflow policy: a miss costs what every connect
-// once did and never yields another stack's tag. Only successful encodes
-// are stored, and HandleLoadPackage starts an app over with an empty table.
-// Per socket remain the setsockopt (the kernel copies the option bytes at
-// that boundary), the context published on the socket, and the counters
-// updated exactly as a fresh resolve would update them.
+// is built once per call site and kept in the app's call-site table, a
+// flowtable.Intern keyed by a hash of the whole trace. A record answers
+// only when its trace equals the socket's verbatim, so a miss — a new call
+// site, or one replaced in a full window — costs what every connect once
+// did and never yields another stack's tag. HandleLoadPackage starts an app
+// over with an empty table. Per socket remain the setsockopt, the context
+// published on the socket, and the counters a fresh resolve would update.
 package contextmgr
 
 import (
@@ -28,11 +24,11 @@ import (
 	"hash/maphash"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/metrics"
@@ -66,13 +62,11 @@ type appState struct {
 	lineTab  *dex.LineTable
 	sigIndex map[string]uint32
 	// overloadIndex maps a merged signature's package/class/name key to
-	// the lowest index among its overloads, precomputed at load time so
-	// the per-socket hot path is a single map probe instead of a full
-	// sigIndex scan with a ParseSignature per key.
+	// the lowest index among its overloads: one map probe per frame.
 	overloadIndex map[string]uint32
 	stripped      bool
 	// tags is the call-site table (see the package comment).
-	tags [tagCells]atomic.Pointer[stackTag]
+	tags *flowtable.Intern[stackTag]
 }
 
 // tagCells is the size of each app's call-site table.
@@ -110,25 +104,26 @@ func traceHash(frames []dex.Frame) uint64 {
 	return h.Sum64()
 }
 
-// tag returns the call site's stackTag: the cell's if it holds exactly this
-// trace (hit), else a fresh resolve, published in the cell.
+// tag returns the call site's stackTag: the table's if it holds exactly
+// this trace (hit), else a fresh resolve, published in the table.
 func (st *appState) tag(frames []dex.Frame) (t *stackTag, hit bool, err error) {
-	cell := &st.tags[traceHash(frames)%tagCells]
-	if t = cell.Load(); t != nil && slices.Equal(t.frames, frames) {
+	h := traceHash(frames)
+	if t, _ = st.tags.Find(h, 0, func(t *stackTag) bool { return slices.Equal(t.frames, frames) }); t != nil {
 		return t, true, nil
 	}
-	if t, err = st.resolve(frames); err != nil {
+	fresh, err := st.resolve(frames)
+	if err != nil {
 		return nil, false, err
 	}
-	cell.Store(t)
+	t, _ = st.tags.Store(h, 0, fresh)
 	return t, false, nil
 }
 
 // resolve runs paper Fig. 2's steps 1-3 for one trace — map frames to
 // signature indexes (framework frames drop out), encode them with the apk
 // hash — and is the only builder of a stackTag; frames is kept, not copied.
-func (st *appState) resolve(frames []dex.Frame) (*stackTag, error) {
-	t := &stackTag{frames: frames}
+func (st *appState) resolve(frames []dex.Frame) (stackTag, error) {
+	t := stackTag{frames: frames}
 	indexes := make([]uint32, 0, len(frames))
 	resolved := make([]dex.Signature, 0, len(frames))
 	for _, f := range frames {
@@ -154,7 +149,7 @@ func (st *appState) resolve(frames []dex.Frame) (*stackTag, error) {
 	}
 	payload, err := (&tag.Tag{AppHash: st.hash, Indexes: indexes, DebugStripped: st.stripped}).Encode()
 	if err != nil {
-		return nil, err
+		return stackTag{}, err
 	}
 	t.opts = []ipv4.Option{{Type: ipv4.OptSecurity, Data: payload}}
 	// The context stays resident with the call site: keep only its length.
@@ -171,19 +166,9 @@ func overloadKey(pkg, class, name string) string {
 	return pkg + ";" + class + ";" + name
 }
 
-// counts is the Manager's activity, for the performance evaluation.
+// counts is the Manager's activity (see RegisterMetrics).
 type counts struct {
-	// tagged counts sockets that received a tag; failures the sockets that
-	// did not (setsockopt errors, e.g. an unpatched kernel).
-	tagged, failures uint64
-	// resolved counts stack frames mapped to signatures; dropped the
-	// framework frames not present in app dex files.
-	resolved, dropped uint64
-	// truncated counts stacks that exceeded the IP_OPTIONS budget.
-	truncated uint64
-	// hits counts connects whose tag came from the call-site table; misses
-	// those that resolved and encoded it afresh.
-	hits, misses uint64
+	tagged, failures, resolved, dropped, truncated, hits, misses uint64
 }
 
 // Manager is the Context Manager module.
@@ -230,6 +215,7 @@ func (m *Manager) HandleLoadPackage(app *android.App) error {
 		sigIndex:      make(map[string]uint32, len(entry.Signatures)),
 		overloadIndex: make(map[string]uint32, len(entry.Signatures)),
 		stripped:      entry.DebugStripped,
+		tags:          flowtable.NewIntern[stackTag](tagCells),
 	}
 	for i, raw := range entry.Signatures {
 		idx := uint32(i)

@@ -11,6 +11,7 @@ import (
 
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/netstack"
 )
@@ -231,54 +232,59 @@ func TestTagCacheDroppedOnReload(t *testing.T) {
 	}
 }
 
-// collidingStacks returns two traces that resolve to different tags but
-// share one cell of the table: the second differs from the first in its
-// call site and in the line of a framework frame, searched until the cells
-// agree.
-func collidingStacks(t testing.TB) (a, b []dex.Frame) {
+// collidingStacks returns flowtable.InternWindow+1 traces whose windows in
+// st's table start at one cell: the first is a download call site, the
+// others beacon call sites that differ from it, and from each other, in the
+// line of a framework frame, searched until the homes agree. Cycling
+// through them, each finds itself replaced.
+func collidingStacks(t testing.TB, st *appState) [][]dex.Frame {
 	t.Helper()
 	handler := func(line int) dex.Frame {
 		return dex.Frame{Class: "android/os/Handler", Method: "dispatchMessage", File: "Handler.java", Line: line}
 	}
-	a = []dex.Frame{{Class: "com/corp/files/SyncEngine", Method: "download", File: "SyncEngine.java", Line: 15}, handler(0)}
+	stacks := [][]dex.Frame{{{Class: "com/corp/files/SyncEngine", Method: "download", File: "SyncEngine.java", Line: 15}, handler(0)}}
+	home := st.tags.Home(traceHash(stacks[0]))
 	for line := 1; line < 1<<20; line++ {
-		b = []dex.Frame{{Class: "com/flurry/sdk/Agent", Method: "beacon", File: "Agent.java", Line: 10}, handler(line)}
-		if traceHash(a)%tagCells == traceHash(b)%tagCells {
-			return a, b
+		b := []dex.Frame{{Class: "com/flurry/sdk/Agent", Method: "beacon", File: "Agent.java", Line: 10}, handler(line)}
+		if st.tags.Home(traceHash(b)) != home {
+			continue
+		}
+		if stacks = append(stacks, b); len(stacks) > flowtable.InternWindow {
+			return stacks
 		}
 	}
-	t.Fatal("no colliding trace found")
-	return nil, nil
+	t.Fatal("no colliding traces found")
+	return nil
 }
 
-// TestTagCacheCollisionNeverCrossesStacks forces two call sites onto one
-// cell: they evict each other on every connect, and each is always given
-// its own tag — the verbatim trace compare, not the hash, decides a hit.
+// TestTagCacheCollisionNeverCrossesStacks forces one more call site than a
+// window holds onto one window: taking turns, each finds itself replaced
+// on every connect, and each is always given its own tag — the verbatim
+// trace compare, not the hash, decides a hit.
 func TestTagCacheCollisionNeverCrossesStacks(t *testing.T) {
 	d, m, app := provision(t, patched())
-	a, b := collidingStacks(t)
 	st := stateOf(m, app)
-	wantA, _ := st.resolve(a)
-	wantB, _ := st.resolve(b)
-	if bytes.Equal(wantA.opts[0].Data, wantB.opts[0].Data) {
-		t.Fatal("fixture: the two stacks resolve to one tag")
+	stacks := collidingStacks(t, st)
+	want := make([]stackTag, len(stacks))
+	for i := range stacks {
+		want[i], _ = st.resolve(stacks[i])
 	}
-	for i := 0; i < 6; i++ {
-		frames, want := a, wantA
-		if i%2 == 1 {
-			frames, want = b, wantB
-		}
-		sock := connectWith(t, d, app, frames)
-		if got := socketTag(t, d, sock); !bytes.Equal(got, want.opts[0].Data) {
-			t.Fatalf("connect %d got the other stack's tag %x", i, got)
+	if bytes.Equal(want[0].opts[0].Data, want[1].opts[0].Data) {
+		t.Fatal("fixture: two stacks resolve to one tag")
+	}
+	n := 2 * len(stacks)
+	for i := 0; i < n; i++ {
+		sock := connectWith(t, d, app, stacks[i%len(stacks)])
+		if got := socketTag(t, d, sock); !bytes.Equal(got, want[i%len(stacks)].opts[0].Data) {
+			t.Fatalf("connect %d got another stack's tag %x", i, got)
 		}
 		_ = sock.Close()
 	}
-	if c := counters(m); c["tag_table_hits"] != 0 || c["tag_table_misses"] != 6 {
-		t.Fatalf("counters %v: alternating colliding stacks must miss every time", c)
+	if c := counters(m); c["tag_table_hits"] != 0 || c["tag_table_misses"] != uint64(n) {
+		t.Fatalf("counters %v: colliding stacks taking turns must miss every time", c)
 	}
-	// Repeating one of them now hits.
-	_ = connectWith(t, d, app, b).Close()
+	// Repeating the last of them now hits.
+	_ = connectWith(t, d, app, stacks[len(stacks)-1]).Close()
 	if c := counters(m); c["tag_table_hits"] != 1 {
 		t.Fatalf("counters %v: a resident stack missed", c)
 	}
@@ -331,8 +337,8 @@ func TestTagCacheConcurrent(t *testing.T) {
 
 // BenchmarkSocketConnectTagged is one tagged connect (socket, connect and
 // the Context Manager's hook, close) from a call site already in the table
-// (hit) and from two call sites that evict each other (cold: every
-// connect resolves and encodes).
+// (hit) and from one more call site than a window holds, taking turns on
+// one window (cold: every connect resolves and encodes).
 func BenchmarkSocketConnectTagged(b *testing.B) {
 	for _, cold := range []bool{false, true} {
 		name := "hit"
@@ -340,17 +346,16 @@ func BenchmarkSocketConnectTagged(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
-			d, _, app := provision(b, patched())
-			x, y := collidingStacks(b)
-			stacks := [][]dex.Frame{x, x}
-			if cold {
-				stacks[1] = y
+			d, m, app := provision(b, patched())
+			stacks := collidingStacks(b, stateOf(m, app))
+			if !cold {
+				stacks = stacks[:1]
 			}
-			_ = connectWith(b, d, app, x).Close()
+			_ = connectWith(b, d, app, stacks[0]).Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := connectWith(b, d, app, stacks[i%2]).Close(); err != nil {
+				if err := connectWith(b, d, app, stacks[i%len(stacks)]).Close(); err != nil {
 					b.Fatal(err)
 				}
 			}

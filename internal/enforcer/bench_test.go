@@ -135,25 +135,27 @@ func BenchmarkProcessFlowHitContextual(b *testing.B) {
 }
 
 // BenchmarkProcessFlowMiss forces a distinct flow and a cold tag every
-// iteration — the destination address rotates, and two tags that share an
-// intern cell alternate, so each finds the other resident — and so pays the
-// full pipeline plus both fills (3 allocs: the interned record, its Stack
-// and the Decision): the worst case for the caches.
+// iteration — the destination address rotates, and one more tag than a
+// window of the tag table holds, all on one window, take turns, so each
+// finds itself replaced — and so pays the full pipeline plus the tag fill
+// (2 allocs: the interned record and its Stack; the decision is interned):
+// the worst case for the caches.
 func BenchmarkProcessFlowMiss(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	gen := genAPK()
 	if err := e.db.Add(gen); err != nil {
 		b.Fatal(err)
 	}
-	tags, _ := conflictingTags(b, e.db, gen)
-	pkts := [2]*ipv4.Packet{pkt.Clone(), pkt.Clone()}
-	for k, p := range pkts {
-		p.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: tags[k]})
+	tags, _ := conflictingTags(b, e, gen)
+	pkts := make([]*ipv4.Packet, len(tags))
+	for k := range pkts {
+		pkts[k] = pkt.Clone()
+		pkts[k].Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: tags[k]})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := pkts[i&1]
+		p := pkts[i%len(pkts)]
 		var a [4]byte
 		binary.BigEndian.PutUint32(a[:], uint32(i))
 		p.Header.Dst = netip.AddrFrom4(a)
@@ -165,8 +167,8 @@ func BenchmarkProcessFlowMiss(b *testing.B) {
 
 // BenchmarkProcessFlowMissInterned is a new flow of a known tag — what a
 // SYN costs once any device has run the functionality (the fleet and
-// connect shape): a table miss, an interned decode, one evaluation and the
-// fill (1 alloc: the Decision).
+// connect shape): a table miss, an interned decode, one evaluation, an
+// interned decision and the fill (0 allocs).
 func BenchmarkProcessFlowMissInterned(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	b.ReportAllocs()

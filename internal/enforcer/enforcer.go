@@ -16,21 +16,28 @@
 // the paper's §VI-D observation that every packet of a connection carries
 // the same contextual tag: the first packet of a flow pays the
 // extract–decode–evaluate pipeline, and every later packet is answered by
-// a single flow-table probe keyed on the raw tag bytes — no tag decode,
-// no stack decode, no policy evaluation. Stage 3 runs once per *flow* (the
-// verdict depends on the source device's context); stages 1–2 run once per
-// distinct *tag*, shared by every flow carrying it (see decodedTag). A cached
-// verdict self-invalidates when the policy engine, the signature database or
-// the source device's context changes (generation counters) and, when a
-// time-of-day predicate took part in it, at that predicate's next edge
-// (Result.until): the fast path never serves a stale decision.
+// a single flow-table probe keyed on the tuple and a digest of the raw tag
+// — no tag decode, no stack decode, no policy evaluation. Stage 3 runs once
+// per *flow* (the verdict depends on the source device's context); stages
+// 1–2 run once per distinct *tag*, shared by every flow carrying it.
+//
+// A flow's cache cell holds no pointer (see flowVal): its verdict, and
+// handles into two flowtable.Intern tables — the decoded tag (the verbatim
+// tag bytes, app and stack) and the Decision, each shared by value by every
+// flow that reached it. A hit is exact: the packet's tag bytes must equal
+// the interned tag's verbatim, and both handles must still resolve, or the
+// hit is a miss. A cached verdict self-invalidates when the policy engine,
+// the signature database or the source device's context changes
+// (generation counters) and, when a time-of-day predicate took part in it,
+// at that predicate's next edge (Result.until): the fast path never serves
+// a stale decision, and never another tag's stack or reason.
 package enforcer
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"borderpatrol/internal/analyzer"
@@ -44,20 +51,26 @@ import (
 	"borderpatrol/internal/transport"
 )
 
-// FlowCache caches one enforcement Result per flow. Cached Results share
-// their Decision pointer across packets of the flow and their Stack slice
-// across flows carrying the same tag; both are immutable once published.
-type FlowCache = flowtable.Table[Result]
+// FlowCache caches one verdict per flow (see flowVal).
+type FlowCache = flowtable.Table[flowVal]
 
 // NewFlowCache builds a verdict cache for the enforcer.
 func NewFlowCache(cfg flowtable.Config) *FlowCache {
-	return flowtable.New[Result](cfg)
+	return flowtable.New[flowVal](cfg)
 }
 
-// AuditSink receives enforcement decisions. Implementations must never
-// block: the enforcer calls Record on the per-packet path and RecordBatch
-// once per batched drain (audit.Log satisfies this with a bounded async
-// pipeline that sheds load instead of stalling enforcement).
+// flowVal is a cached flow's value: 16 bytes, no pointer. The Result it
+// stands for is its verdict, cause and time edge plus the records its
+// handles name in the enforcer's tag and decision tables.
+type flowVal struct {
+	until    uint32
+	tag, dec flowtable.Handle
+	verdict  uint8
+	cause    uint8
+}
+
+// AuditSink receives enforcement decisions, on the packet path: it must
+// never block (audit.Log sheds load instead).
 type AuditSink interface {
 	// Record captures one decision.
 	Record(pkt *ipv4.Packet, res Result)
@@ -75,24 +88,18 @@ type Config struct {
 	// database. The default (false) drops them: an unprovisioned or
 	// repackaged app must not exfiltrate just by being unknown.
 	AllowUnknownApps bool
-	// Flows enables per-flow verdict caching (nil disables it). The cache
-	// is consulted before tag decoding; see the package comment.
+	// Flows enables per-flow verdict caching (nil disables it).
 	Flows *FlowCache
-	// Audit receives every decision (nil disables auditing). Process
-	// records per packet; ProcessBatch records once per burst.
+	// Audit receives every decision (nil disables auditing).
 	Audit AuditSink
 	// Context supplies per-device context for the policy's risk program
-	// (nil disables the contextual dimension). It is consulted only on the
-	// SYN/cache-miss path — and only when the loaded rule set actually
-	// carries risk rules — so the per-packet cache-hit path never touches
-	// it beyond one atomic load: the version of the source device's stripe
-	// is folded into the flow-cache generation, so a device-context change
-	// invalidates that device's cached verdicts — the way a policy swap
-	// invalidates everyone's — and leaves the other devices' flows cached.
+	// (nil disables the contextual dimension), read only on the miss path
+	// when the rule set carries risk rules. A hit pays one atomic load: the
+	// source device's stripe version, folded into the flow-cache generation,
+	// so a device's context change invalidates its own cached verdicts.
 	Context *devctx.Source
-	// Clock supplies virtual time for the risk program's time-of-day and
-	// weekday predicates (nil pins them to Monday 00:00), read once per
-	// Process/ProcessBatch; it alone says when a verdict's time edge is reached.
+	// Clock supplies virtual time for the risk program's time predicates
+	// (nil pins them to Monday 00:00), read once per Process/ProcessBatch.
 	Clock devctx.Clock
 }
 
@@ -127,34 +134,22 @@ const (
 	dropCauseCount
 )
 
+var causeNames = [dropCauseCount]string{
+	"accepted", "untagged", "malformed-tag", "unknown-app", "bad-index", "policy", "risk", "seq-injection",
+}
+
 // String names the drop cause.
 func (c DropCause) String() string {
-	switch c {
-	case DropNone:
-		return "accepted"
-	case DropUntagged:
-		return "untagged"
-	case DropMalformedTag:
-		return "malformed-tag"
-	case DropUnknownApp:
-		return "unknown-app"
-	case DropBadIndex:
-		return "bad-index"
-	case DropPolicy:
-		return "policy"
-	case DropRisk:
-		return "risk"
-	case DropSeqInjection:
-		return "seq-injection"
-	default:
-		return fmt.Sprintf("cause(%d)", int(c))
+	if c >= 0 && c < dropCauseCount {
+		return causeNames[c]
 	}
+	return fmt.Sprintf("cause(%d)", int(c))
 }
 
 // Result reports the enforcer's decision for one packet, with the decoded
-// context for auditing and the Policy Extractor. Results served from the
-// flow cache share Decision across packets of the flow and Stack across
-// flows carrying the same tag; treat both as read-only.
+// context for auditing and the Policy Extractor. Results of the flow cache
+// share Stack across flows carrying the same tag and Decision across flows
+// that reached an equal decision; treat both as read-only.
 type Result struct {
 	Verdict policy.Verdict
 	Cause   DropCause
@@ -183,68 +178,51 @@ type scratch struct {
 }
 
 // decodedTag is one interned outcome of stages 1–2: the app and stack a tag
-// decoded to under one database generation, immutable once published, so
-// flows carrying the tag share one Stack. The table (Enforcer.decoded) is a
-// fixed direct-mapped array of internCells cells — its whole bound. A cell
-// answers only for a packet whose tag bytes equal the resident's verbatim,
-// under the database generation the resident was decoded in; any other
-// successful decode mapping to the cell replaces the resident. A flood of
-// crafted tags thus costs an uninterned miss plus one record each and is never
-// served another tag's stack. Failed decodes are not interned.
+// decoded to under one database generation (the record's generation in
+// Enforcer.tags), so flows carrying the tag share one Stack. It answers only
+// for a packet whose tag bytes equal its own verbatim. Failed decodes are
+// neither interned nor cached: such a packet pays the decode every time.
 type decodedTag struct {
 	tagLen uint8
 	tag    [flowtable.MaxTagBytes]byte
-	dbGen  uint64
 	app    dex.TruncatedHash
 	stack  []dex.Signature
 }
 
-const internBits, internCells = 12, 1 << 12
+func (d *decodedTag) is(data []byte) bool { return string(d.tag[:d.tagLen]) == string(data) }
 
-// internCell picks a tag's cell from the top bits of a multiplicative mix:
-// the digest's low bits depend only on the low bits of each eight tag bytes.
-func internCell(digest uint64) uint64 {
-	return (digest ^ digest>>29) * 0x9e3779b97f4a7c15 >> (64 - internBits)
+// internCells sizes the tag and decision tables: no workload's working set
+// comes near it, so neither replaces a live record.
+const internCells = 1 << 12
+
+// decisionSeed keys decisionHash.
+var decisionSeed = maphash.MakeSeed()
+
+// decisionHash hashes every field of a decision that differs between
+// evaluations of one rule set (the rule goes with its reason).
+func decisionHash(d *policy.Decision) uint64 {
+	h := maphash.String(decisionSeed, d.Reason)
+	h ^= uint64(d.RiskScore)*0x9e3779b97f4a7c15 ^ uint64(uint32(d.TimeEdgeIn))<<8 ^ uint64(d.Verdict)
+	if d.RiskWarn {
+		h ^= 1 << 62
+	}
+	return h
 }
 
-// Latency sampling masks. The hot paths cannot afford two time.Now calls
-// per packet (~40–50 ns against a ~100 ns cache-hit budget), so latency
-// histograms are fed from a uniform sample: a packet is timed when a
-// per-M fastrand word masks to zero. Sampling is unbiased (the decision
-// is taken before the timed work starts) and the untimed packets pay only
-// the ~2 ns rand draw and a branch.
-const (
-	// hitSampleMask times 1-in-64 cache-hit packets — the path runs
-	// millions of times a second, so the histogram stays dense anyway.
-	hitSampleMask = 63
-	// missSampleMask times 1-in-16 full-pipeline misses (one per flow in
-	// the steady state; floods still produce ample samples).
-	missSampleMask = 15
-	// evalSampleMask times 1-in-16 policy-engine evaluations.
-	evalSampleMask = 15
-)
+// Latency sampling masks. Two time.Now calls per packet would cost about
+// half a cache hit, so a packet is timed when a fastrand word masks to
+// zero, drawn before the timed work (unbiased): 1 in 64 flow-table hits,
+// 1 in 16 miss pipelines and 1 in 16 policy evaluations.
+const hitSampleMask, missSampleMask, evalSampleMask = 63, 15, 15
 
-// instruments is the enforcer's always-on latency telemetry. The
-// histograms are allocation-free fixed arrays (~1 KiB each) recorded with
-// two atomic adds, so they exist whether or not a registry ever scrapes
-// them — the gated benchmarks measure the instrumented path.
+// instruments is the enforcer's always-on telemetry: allocation-free
+// histograms recorded with two atomic adds, so the gated benchmarks measure
+// the instrumented path. They hold the sampled latency of a flow-table
+// probe that hit, of the whole miss pipeline and of Evaluate alone; each
+// ProcessBatch's wall time and burst size; and each evaluated flow's risk
+// score (negative scores clamp to the zero bucket).
 type instruments struct {
-	// hitLatency is the sampled latency of a flow-table probe that hit
-	// (memo hits never probe, so they are not in it).
-	hitLatency *metrics.Histogram
-	// missLatency is the sampled full extract–decode–evaluate pipeline
-	// latency (flow-cache misses and uncached configurations).
-	missLatency *metrics.Histogram
-	// evalLatency is the sampled policy-engine Evaluate latency (stage 3
-	// alone, a subset of missLatency).
-	evalLatency *metrics.Histogram
-	// batchLatency is the whole-ProcessBatch wall time; batchPackets the
-	// burst size, so ns/packet is derivable per quantile band.
-	batchLatency *metrics.Histogram
-	batchPackets *metrics.Histogram
-	// riskScore is the per-flow contextual risk score, recorded once per
-	// SYN-time evaluation (negative scores clamp to the zero bucket).
-	riskScore *metrics.Histogram
+	hitLatency, missLatency, evalLatency, batchLatency, batchPackets, riskScore *metrics.Histogram
 }
 
 func newInstruments() instruments {
@@ -259,10 +237,9 @@ func newInstruments() instruments {
 }
 
 // Enforcer evaluates packets against a policy using a signature database.
-// It is safe for concurrent use and scales across cores: counters are
-// atomic, the per-packet scratch is pooled, and the optional flow cache is
-// lock-striped, so parallel Process calls share no globally serialized
-// state beyond the database's single resolve RLock on cache misses.
+// It is safe for concurrent use: counters are striped, scratch is pooled
+// and the flow cache lock-striped, so parallel calls share no serialized
+// state beyond the database's resolve RLock on misses.
 type Enforcer struct {
 	cfg    Config
 	db     *analyzer.Database
@@ -273,8 +250,11 @@ type Enforcer struct {
 	clock  devctx.Clock
 
 	scratches sync.Pool // *scratch, reused across packets
-	// decoded interns stages 1–2 per tag; nil (decode every packet) uncached.
-	decoded *[internCells]atomic.Pointer[decodedTag]
+	// tags interns stages 1–2 per tag under a database generation, decisions
+	// stage 3's outcomes under an engine generation; only the flow cache's
+	// miss path fills them.
+	tags      *flowtable.Intern[decodedTag]
+	decisions *flowtable.Intern[policy.Decision]
 
 	// Outcome counters are striped metrics counters (one atomic add per
 	// packet, padded shards on multi-core), summed only at scrape time.
@@ -282,8 +262,8 @@ type Enforcer struct {
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
 	batchMemoHits  *metrics.Counter
-	// Miss path only: interned-decode hits and misses, time-edge re-evaluations.
-	decodedHits, decodedMisses, verdictExpiries *metrics.Counter
+	// verdictExpiries counts time-edge re-evaluations.
+	verdictExpiries *metrics.Counter
 
 	ins instruments
 }
@@ -304,12 +284,9 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 		batchMemoHits: metrics.NewCounter(),
 		ins:           newInstruments(),
 
-		decodedHits:     metrics.NewCounter(),
-		decodedMisses:   metrics.NewCounter(),
+		tags:            flowtable.NewIntern[decodedTag](internCells),
+		decisions:       flowtable.NewIntern[policy.Decision](internCells),
 		verdictExpiries: metrics.NewCounter(),
-	}
-	if e.flows != nil {
-		e.decoded = new([internCells]atomic.Pointer[decodedTag])
 	}
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
@@ -320,23 +297,13 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 // Engine exposes the policy engine (for central reconfiguration).
 func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 
-// FlowCacheEnabled reports whether per-flow verdict caching is active.
-func (e *Enforcer) FlowCacheEnabled() bool { return e.flows != nil }
-
-// generation combines the policy engine's, the signature database's and —
-// when configured — the packet's source device's context version into the
-// cache generation. A policy swap or a database mutation invalidates every
-// cached verdict; a device-context change invalidates the verdicts of the
-// devices on that device's stripe (devctx.Stripe) and nobody else's. The
-// layout is db<<42 | engine<<21 | context: the engine counter and the
-// stripe version keep their low 21 bits each, the database counter the 22
-// bits above them. A field aliases only when its counter advances by an
-// exact multiple of its wrap bound — 2²¹ (~2M) policy swaps, 2²¹ context
-// changes on one stripe or 2²² (~4M) database mutations — between two
-// packets of one cached flow while the other two fields stand still, which
-// cannot happen in a deployment's lifetime. Reading the stripe version is
-// an address hash and one atomic load on the per-packet path — no lock, no
-// map.
+// generation packs the database's, the policy engine's and — when
+// configured — the source device's stripe's (devctx.Stripe) counters into
+// the cache generation, db<<42 | engine<<21 | context: a policy swap or a
+// database mutation invalidates every cached verdict, a context change
+// those of its stripe. A field aliases only when its counter advances by a
+// multiple of 2²¹ (2²² for the database) between two packets of one cached
+// flow while the others stand still.
 func (e *Enforcer) generation(pkt *ipv4.Packet) uint64 {
 	g := e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21
 	if e.ctxSrc != nil {
@@ -354,10 +321,8 @@ func (e *Enforcer) now() time.Duration {
 }
 
 // flowContext fills fc with the packet's SYN-time context — the source
-// device's context snapshot plus the virtual wall-clock position — and
-// returns it, or returns nil when the contextual dimension is inactive
-// (no source configured, or no risk rules loaded). Runs only on the
-// cache-miss path.
+// device's snapshot and the virtual clock — and returns it, or nil when no
+// source is configured or no risk rule loaded.
 func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext, now time.Duration) *policy.FlowContext {
 	if e.ctxSrc == nil || !e.engine.ContextActive() {
 		return nil
@@ -368,14 +333,10 @@ func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext, now tim
 }
 
 // flowKey fills the cache key for a tagged packet without decoding the
-// tag: the flow's tuple, with the real transport ports peeked (zero-alloc,
-// structural checks only) out of the TCP/UDP header, so every connection
-// is its own flow and teardown on FIN cannot evict a sibling's verdict;
-// the protocol; and the raw tag bytes plus their digest. Ports stay zero
-// when the peek refuses the payload (non-first fragments, anything not a
-// header this model emits), so garbage bytes are never keyed as ports. ok
-// is false for oversized tags and non-IPv4 endpoints, which bypass the
-// cache. k is filled in place so the hot path never copies the 64-byte Key.
+// tag: the tuple, with the ports peeked out of the TCP/UDP header (zero when
+// the peek refuses the payload, as for non-first fragments), the protocol
+// and the tag's digest. ok is false for oversized tags and non-IPv4
+// endpoints, which bypass the cache.
 func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 	var info transport.Info
 	transport.PeekPacket(pkt, &info)
@@ -391,17 +352,15 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 // ProcessBatch runs per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
 	res := e.decide(pkt, nil, e.now())
-	e.count(res)
+	e.count(&res)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
 	}
 	return res
 }
 
-// count updates the outcome counters for one processed packet (the
-// processed total is derived as accepted+dropped, keeping the hot path at
-// one counter update per packet).
-func (e *Enforcer) count(res Result) {
+// count updates the outcome counters for one processed packet.
+func (e *Enforcer) count(res *Result) {
 	if res.Verdict == policy.VerdictAllow {
 		e.accepted.Inc()
 	} else {
@@ -413,11 +372,10 @@ func (e *Enforcer) count(res Result) {
 }
 
 // flowMemo is ProcessBatch's same-flow memo: the last cacheable packet's
-// key, the generation it was answered under, and its Result (which carries
-// its own time edge). Consecutive packets of one flow (a keep-alive train,
-// an upload burst) are answered from it without probing the flow table.
+// key and tag bytes, the generation it was answered under, and its Result.
 type flowMemo struct {
 	key   flowtable.Key
+	tag   []byte
 	gen   uint64
 	res   Result
 	valid bool
@@ -428,7 +386,7 @@ type flowMemo struct {
 // flow cache (when one is configured). It is the only place a verdict is
 // reached, so Process and ProcessBatch cannot disagree on a packet. now is
 // the caller's one clock reading: memo, table and evaluation share it.
-func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) Result {
+func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (res Result) {
 	// Stage 1: extraction.
 	opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
 	if !tagged {
@@ -437,16 +395,17 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) R
 	if e.flows == nil {
 		return e.timedEvaluate(pkt, opt.Data, nil, now)
 	}
-	// Fast path: probe the flow table on the raw tag bytes. The generation
-	// is read before the probe (and before any evaluation) so that a
-	// concurrent SetRules/AddEntry makes the inserted entry stale rather
-	// than letting a pre-update verdict survive under the new generation.
+	// Fast path: probe the flow table. The generation is read before the
+	// probe (and before any evaluation) so that a concurrent
+	// SetRules/AddEntry makes the inserted entry stale rather than letting
+	// a pre-update verdict survive under the new generation.
 	gen := e.generation(pkt)
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
 		return e.timedEvaluate(pkt, opt.Data, nil, now)
 	}
-	if memo != nil && memo.valid && key == memo.key && gen == memo.gen && !memo.res.lapsed(now) {
+	if memo != nil && memo.valid && key == memo.key && gen == memo.gen &&
+		string(opt.Data) == string(memo.tag) && !memo.res.lapsed(now) {
 		e.batchMemoHits.Inc()
 		return memo.res
 	}
@@ -457,9 +416,9 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) R
 	if timed {
 		hitStart = time.Now()
 	}
-	res, ok := e.flows.Lookup(key, gen)
+	_, ok := e.flows.Lookup(key, gen, func(v *flowVal) bool { return e.answer(v, opt.Data, &res) })
 	if ok && res.lapsed(now) {
-		// Past its time edge: re-evaluate, overwrite the slot in place.
+		// Past its time edge: re-evaluate, overwrite the cell in place.
 		ok = false
 		e.verdictExpiries.Inc()
 	}
@@ -468,23 +427,43 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) R
 			e.ins.hitLatency.Record(time.Since(hitStart).Nanoseconds())
 		}
 	} else {
-		res = e.timedEvaluate(pkt, opt.Data, &key, now)
-		e.flows.Insert(key, gen, res)
+		var v flowVal
+		res = e.timedEvaluate(pkt, opt.Data, &v, now)
+		if v.dec != 0 {
+			e.flows.Insert(key, gen, v)
+		}
 	}
 	if memo != nil {
-		memo.key, memo.gen, memo.res, memo.valid = key, gen, res, true
+		memo.key, memo.tag, memo.gen, memo.res, memo.valid = key, opt.Data, gen, res, true
 	}
 	return res
 }
 
+// answer completes res from a cached flow's value, or reports false — a
+// miss — when the packet's tag bytes are not the flow's interned tag (a
+// digest collision) or a record the value names has been replaced.
+func (e *Enforcer) answer(v *flowVal, data []byte, res *Result) bool {
+	t := e.tags.Get(v.tag)
+	if t == nil || !t.is(data) {
+		return false
+	}
+	d := e.decisions.Get(v.dec)
+	if d == nil {
+		return false
+	}
+	*res = Result{Verdict: policy.Verdict(v.verdict), Cause: DropCause(v.cause), until: v.until,
+		AppHash: t.app, Stack: t.stack, Decision: d}
+	return true
+}
+
 // timedEvaluate runs the full miss pipeline, recording its latency for a
 // sampled subset of calls.
-func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte, key *flowtable.Key, now time.Duration) Result {
+func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) Result {
 	if rand.Uint32()&missSampleMask != 0 {
-		return e.evaluateTag(pkt, data, key, now)
+		return e.evaluateTag(pkt, data, v, now)
 	}
 	start := time.Now()
-	res := e.evaluateTag(pkt, data, key, now)
+	res := e.evaluateTag(pkt, data, v, now)
 	e.ins.missLatency.Record(time.Since(start).Nanoseconds())
 	return res
 }
@@ -496,22 +475,19 @@ func (e *Enforcer) untagged() Result {
 	return Result{Verdict: policy.VerdictDrop, Cause: DropUntagged}
 }
 
-// decode runs stages 1–2 on a raw tag — through the intern table when key,
-// the packet's cache key, is non-nil. It fills in AppHash and Stack and
-// reports true, or the packet's final Result and false.
-func (e *Enforcer) decode(res *Result, key *flowtable.Key, data []byte) bool {
-	var cell *atomic.Pointer[decodedTag]
-	var dbGen uint64
-	if key != nil {
-		cell = &e.decoded[internCell(key.Digest)]
+// decode runs stages 1–2 on a raw tag — through the tag table when v, the
+// flow's cache value, is non-nil, whose tag handle it then sets. It fills in
+// AppHash and Stack and reports true, or the packet's final Result and
+// false.
+func (e *Enforcer) decode(res *Result, data []byte, v *flowVal) bool {
+	var h, dbGen uint64
+	if v != nil {
 		// Read before decoding: a record raced by a mutation is born stale.
-		dbGen = e.db.Generation()
-		if d := cell.Load(); d != nil && d.dbGen == dbGen && d.tagLen == key.TagLen && d.tag == key.Tag {
-			e.decodedHits.Inc()
-			res.AppHash, res.Stack = d.app, d.stack
+		h, dbGen = flowtable.Digest(data), e.db.Generation()
+		if d, hd := e.tags.Find(h, dbGen, func(d *decodedTag) bool { return d.is(data) }); d != nil {
+			res.AppHash, res.Stack, v.tag = d.app, d.stack, hd
 			return true
 		}
-		e.decodedMisses.Inc()
 	}
 	sc := e.scratches.Get().(*scratch)
 	defer e.scratches.Put(sc)
@@ -536,26 +512,31 @@ func (e *Enforcer) decode(res *Result, key *flowtable.Key, data []byte) bool {
 	sc.stack = stack // retain grown capacity for the next packet
 	// The scratch buffer goes back to the pool; what escapes needs a copy.
 	res.AppHash, res.Stack = sc.tag.AppHash, append(make([]dex.Signature, 0, len(stack)), stack...)
-	if cell != nil {
-		cell.Store(&decodedTag{tagLen: key.TagLen, tag: key.Tag, dbGen: dbGen, app: res.AppHash, stack: res.Stack})
+	if v != nil {
+		d := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack}
+		copy(d.tag[:], data)
+		_, v.tag = e.tags.Store(h, dbGen, d)
 	}
 	return true
 }
 
-// evaluateTag is the full miss path: decode the tag and the stack, evaluate
-// policy — including, when configured, the contextual risk program over the
-// source device's context (the paper's "evaluate once at SYN time" point:
-// whatever this returns is what the flow cache serves for the rest of the
-// flow, or until the time edge it reports). Per flow only the Decision is
-// freshly allocated, and the Stack when the tag was not interned.
-func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, key *flowtable.Key, now time.Duration) (res Result) {
-	if !e.decode(&res, key, data) {
+// evaluateTag is the full miss path: decode the tag and the stack, then
+// evaluate policy, with the risk program over the device's context when
+// configured (the paper's "evaluate once at SYN time"). With v non-nil (a
+// cacheable flow) the decision is interned and v filled, its decision
+// handle nonzero exactly when the flow may be cached; uncached, the
+// Decision is allocated per packet.
+func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) (res Result) {
+	if !e.decode(&res, data, v) {
 		return res
 	}
 
 	// Stage 3: enforcement (latency sampled; see instruments). The flow
 	// context — device posture, network class, velocity, virtual clock —
 	// is built here, once per flow, and folded into the cached decision.
+	// The engine generation is read before evaluating, as the database's
+	// is before decoding.
+	engGen := e.engine.Generation()
 	var fcBuf policy.FlowContext
 	fc := e.flowContext(pkt, &fcBuf, now)
 	var decision policy.Decision
@@ -569,7 +550,7 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, key *flowtable.Key
 	if decision.RiskApplied {
 		e.ins.riskScore.Record(int64(decision.RiskScore))
 	}
-	res.Verdict, res.Decision = decision.Verdict, &decision
+	res.Verdict = decision.Verdict
 	if decision.TimeEdgeIn > 0 {
 		// Whole minutes, as policy.TimeOfVirtual counts them.
 		res.until = uint32(now/time.Minute) + uint32(decision.TimeEdgeIn)
@@ -581,38 +562,41 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, key *flowtable.Key
 			res.Cause = DropPolicy
 		}
 	}
+	if v == nil {
+		d := decision
+		res.Decision = &d
+		return res
+	}
+	h := decisionHash(&decision)
+	d, hd := e.decisions.Find(h, engGen, func(d *policy.Decision) bool { return *d == decision })
+	if d == nil {
+		d, hd = e.decisions.Store(h, engGen, decision)
+	}
+	res.Decision = d
+	*v = flowVal{until: res.until, tag: v.tag, dec: hd, verdict: uint8(res.Verdict), cause: uint8(res.Cause)}
 	return res
 }
 
-// ProcessBatch enforces a batch of packets, amortizing work across packets
-// of the same flow when a flow cache is configured: consecutive packets
-// with identical flow keys (the common shape of a keep-alive train or an
-// upload burst) reuse the previous packet's Result without even probing
-// the flow table, and the flow table covers non-adjacent repeats. With
-// caching disabled every packet pays the full pipeline — the uncached
-// configuration is a true per-packet baseline. Results are appended to
-// out (reusing its backing array) and returned; out[i] corresponds to
-// pkts[i]. Safe for concurrent use — a per-core worker pool can split one
-// queue drain into independent ProcessBatch calls.
+// ProcessBatch enforces a batch of packets. With a flow cache, a packet of
+// the same flow and tag as the one before it (a keep-alive train, an upload
+// burst) reuses that packet's Result without probing the table; uncached,
+// every packet pays the full pipeline. Results are appended to out (reusing
+// its backing array) and returned; out[i] corresponds to pkts[i].
 func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	if cap(out) < len(pkts) {
 		out = make([]Result, 0, len(pkts))
 	} else {
 		out = out[:0]
 	}
-	// Per-burst timing: two clock reads and two histogram records for the
-	// whole batch (~1 ns/packet at the default burst size), not per packet.
 	batchStart := time.Now()
 	now := e.now()
 	var memo flowMemo
 	for _, pkt := range pkts {
 		res := e.decide(pkt, &memo, now)
-		e.count(res)
+		e.count(&res)
 		out = append(out, res)
 	}
 	if e.audit != nil {
-		// One audit charge for the whole burst (a single stripe lock in the
-		// async pipeline), not one per packet.
 		e.audit.RecordBatch(pkts, out)
 	}
 	if len(pkts) > 0 {
@@ -622,11 +606,8 @@ func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	return out
 }
 
-// EndFlow removes a packet's flow from the verdict cache — the explicit
-// teardown the gateway calls when it observes a connection close, so dead
-// flows free their slot immediately instead of waiting for TTL or
-// eviction pressure. The next packet on the same flow re-resolves through
-// the full pipeline. Reports whether a cached verdict was removed.
+// EndFlow removes a packet's flow from the verdict cache, as the gateway
+// does when it sees a connection close, and reports whether it was cached.
 func (e *Enforcer) EndFlow(pkt *ipv4.Packet) bool {
 	if e.flows == nil {
 		return false
@@ -642,10 +623,8 @@ func (e *Enforcer) EndFlow(pkt *ipv4.Packet) bool {
 	return e.flows.Delete(key)
 }
 
-// SweepFlows reclaims verdict-cache entries idle past the TTL (half-open flows
-// whose teardown the gateway never saw — a lost FIN, a silently dead
-// device). Returns how many entries it freed; zero when caching is off or
-// the cache has no TTL.
+// SweepFlows reclaims verdict-cache entries idle past the TTL (flows whose
+// teardown the gateway never saw) and returns how many.
 func (e *Enforcer) SweepFlows() int {
 	if e.flows == nil {
 		return 0
@@ -653,22 +632,17 @@ func (e *Enforcer) SweepFlows() int {
 	return e.flows.Sweep()
 }
 
-// PurgeFlows empties the verdict cache — the gateway calls this when it
-// restarts, modelling the total loss of its RAM tables: every live flow's
-// next packet re-resolves through the full extract–decode–evaluate
-// pipeline.
+// PurgeFlows empties the verdict cache, as a gateway restart that loses its
+// RAM would.
 func (e *Enforcer) PurgeFlows() {
 	if e.flows != nil {
 		e.flows.Purge()
 	}
 }
 
-// RegisterMetrics attaches the enforcer's instruments — verdict and
-// drop-cause counters, the sampled latency histograms, the flow-cache
-// counters, and the policy engine's evaluation counters — to a registry.
-// Everything except the histograms is exported through scrape-time
-// closures over counters the enforcer already maintains, so registration
-// adds zero hot-path cost.
+// RegisterMetrics attaches the enforcer's counters and histograms, its
+// tables', the policy engine's and the context source's to a registry, as
+// scrape-time closures that cost the packet path nothing.
 func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	const verdictHelp = "Enforcement verdicts by decision."
 	r.CounterFunc("bp_enforcer_verdicts_total", verdictHelp, e.accepted.Value, metrics.L("decision", "allow"))
@@ -680,10 +654,8 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_enforcer_batch_memo_hits_total",
 		"Packets answered by the batch drain's same-flow memo without a flow-table probe.",
 		e.batchMemoHits.Value)
-	r.CounterFunc("bp_enforcer_decoded_tag_hits_total",
-		"Flow misses whose tag and stack decode the per-tag intern table answered.", e.decodedHits.Value)
-	r.CounterFunc("bp_enforcer_decoded_tag_misses_total",
-		"Flow misses that decoded their tag and stack (new tag, replaced cell or database change).", e.decodedMisses.Value)
+	e.tags.RegisterMetrics(r, "bp_enforcer_decoded_tag", "decoded tag")
+	e.decisions.RegisterMetrics(r, "bp_enforcer_decision", "decision")
 	r.CounterFunc("bp_enforcer_verdict_expiries_total",
 		"Cached verdicts re-evaluated because a time-of-day predicate's edge was reached.", e.verdictExpiries.Value)
 
@@ -702,8 +674,6 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 		e.flows.RegisterMetrics(r)
 	}
 
-	// The policy engine's counters, the contextual-risk families among them,
-	// and (when a source is wired) the device-side context series.
 	e.engine.RegisterMetrics(r)
 	r.RegisterHistogram("bp_context_risk_score",
 		"Per-flow contextual risk score at SYN-time evaluation.", e.ins.riskScore)

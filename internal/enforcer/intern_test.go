@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
@@ -16,11 +15,12 @@ import (
 	"borderpatrol/internal/tag"
 )
 
-// This file covers the per-tag intern table behind the miss path (see
-// decodedTag): what it shares, what it refuses to share, and what it costs.
+// This file covers the tag and decision tables behind the miss path (see
+// decodedTag): what they share, what they refuse to share, and what they
+// cost.
 
-// genAPK is a second app with enough methods that two-frame tags collide in
-// the intern table's 4,096 cells.
+// genAPK is a second app with enough methods that its tags can fill one
+// window of the tag table.
 func genAPK() *dex.APK {
 	methods := make([]dex.MethodDef, 64)
 	for i := range methods {
@@ -33,42 +33,39 @@ func genAPK() *dex.APK {
 	}
 }
 
-// conflictingTags returns the payloads of two different two-frame tags of
-// apk (already in db) that share an intern cell, and the stack each decodes
-// to.
-func conflictingTags(tb testing.TB, db *analyzer.Database, apk *dex.APK) (tags [2][]byte, stacks [2][]dex.Signature) {
+// conflictingTags returns the payloads of flowtable.InternWindow+1
+// different three-frame tags of apk (already in db) whose windows in e's
+// tag table start at one cell, so cycling through them finds each one
+// replaced, and the stack each decodes to.
+func conflictingTags(tb testing.TB, e *Enforcer, apk *dex.APK) (tags [][]byte, stacks [][]dex.Signature) {
 	tb.Helper()
-	entry, ok := db.LookupTruncated(apk.Truncated())
+	entry, ok := e.db.LookupTruncated(apk.Truncated())
 	if !ok {
 		tb.Fatal("apk not in db")
 	}
-	type seen struct {
-		payload []byte
-		indexes []uint32
-	}
-	cells := make(map[uint64]seen)
-	for i := range entry.Signatures {
-		for j := range entry.Signatures {
-			tg := tag.Tag{AppHash: apk.Truncated(), Indexes: []uint32{uint32(i), uint32(j)}}
-			payload, err := tg.Encode()
+	n := uint32(len(entry.Signatures))
+	homes := make(map[int][][]uint32)
+	for i := uint32(0); i < n*n*n; i++ {
+		indexes := []uint32{i % n, i / n % n, i / n / n}
+		payload, err := (&tag.Tag{AppHash: apk.Truncated(), Indexes: indexes}).Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		home := e.tags.Home(flowtable.Digest(payload))
+		if homes[home] = append(homes[home], indexes); len(homes[home]) <= flowtable.InternWindow {
+			continue
+		}
+		for _, indexes := range homes[home] {
+			payload, _ := (&tag.Tag{AppHash: apk.Truncated(), Indexes: indexes}).Encode()
+			stack, err := e.db.DecodeStack(apk.Truncated(), indexes)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			cell := internCell(flowtable.Digest(payload))
-			first, taken := cells[cell]
-			if !taken {
-				cells[cell] = seen{payload, tg.Indexes}
-				continue
-			}
-			for k, indexes := range [][]uint32{first.indexes, tg.Indexes} {
-				if stacks[k], err = db.DecodeStack(apk.Truncated(), indexes); err != nil {
-					tb.Fatal(err)
-				}
-			}
-			return [2][]byte{first.payload, payload}, stacks
+			tags, stacks = append(tags, payload), append(stacks, stack)
 		}
+		return tags, stacks
 	}
-	tb.Fatal("no two tags share an intern cell")
+	tb.Fatal("no window of the tag table holds enough tags")
 	return
 }
 
@@ -88,13 +85,14 @@ func taggedPacket(payload []byte, n int) *ipv4.Packet {
 	return pkt
 }
 
-// internStats reads the intern table's counters.
+// internStats reads the tag table's counters.
 func internStats(e *Enforcer) (hits, misses uint64) {
-	return e.decodedHits.Value(), e.decodedMisses.Value()
+	return count(e, "bp_enforcer_decoded_tag_hits_total"), count(e, "bp_enforcer_decoded_tag_misses_total")
 }
 
 // TestInternedDecodeSharedPerTag: flows carrying one tag decode it once and
-// share one immutable Stack; the uncached enforcer has no table at all.
+// share one immutable Stack, and each flow is evaluated once; the uncached
+// enforcer never uses the table.
 func TestInternedDecodeSharedPerTag(t *testing.T) {
 	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
 	payload := mkPacket(t, apk, db, "beacon", "download").Header.Options[0].Data
@@ -107,9 +105,6 @@ func TestInternedDecodeSharedPerTag(t *testing.T) {
 		if &res.Stack[0] != &first.Stack[0] || len(res.Stack) != 2 {
 			t.Fatalf("flow %d decoded its own stack %v", n, res.Stack)
 		}
-		if res.Decision == first.Decision {
-			t.Fatalf("flow %d was not evaluated on its own", n)
-		}
 	}
 	if hits, misses := internStats(e); hits != 9 || misses != 1 {
 		t.Fatalf("intern hits/misses = %d/%d, want 9/1", hits, misses)
@@ -120,24 +115,26 @@ func TestInternedDecodeSharedPerTag(t *testing.T) {
 
 	ref, _, _ := newEnforcer(t, Config{}, nil, policy.VerdictAllow)
 	a, b := ref.Process(taggedPacket(payload, 1)), ref.Process(taggedPacket(payload, 1))
-	if ref.decoded != nil || &a.Stack[0] == &b.Stack[0] {
+	if hits, misses := internStats(ref); hits+misses != 0 || &a.Stack[0] == &b.Stack[0] {
 		t.Fatal("the uncached reference shares decodes between packets")
 	}
 }
 
-// TestInternCellConflictNeverBorrowsAStack: two tags forced onto one cell
-// each decode to their own stack, whichever is resident — the cell checks
-// the tag bytes verbatim and a conflicting tag replaces the resident.
+// TestInternCellConflictNeverBorrowsAStack: one more tag than a window
+// holds, all forced onto one window, each decode to their own stack,
+// whichever are resident — a cell checks the tag bytes verbatim, and a
+// newcomer to a full window replaces its oldest record.
 func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 	e, db, _ := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
 	gen := genAPK()
 	if err := db.Add(gen); err != nil {
 		t.Fatal(err)
 	}
-	tags, stacks := conflictingTags(t, db, gen)
+	tags, stacks := conflictingTags(t, e, gen)
 	if slices.Equal(stacks[0], stacks[1]) {
 		t.Fatalf("conflicting tags decode alike: %v", stacks[0])
 	}
+	w := len(tags)
 	flow := 0
 	process := func(k int) {
 		t.Helper()
@@ -147,17 +144,20 @@ func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 			t.Fatalf("flow %d, tag %d: decoded %v (%v), want %v", flow, k, res.Stack, res.Verdict, stacks[k])
 		}
 	}
-	for i := 0; i < 8; i++ {
-		process(i % 2) // every packet finds the other tag resident
+	for i := 0; i < 2*w; i++ {
+		process(i % w) // every packet finds its own tag replaced
 	}
-	if hits, misses := internStats(e); hits != 0 || misses != 8 {
-		t.Fatalf("alternating conflict: intern hits/misses = %d/%d, want 0/8", hits, misses)
+	if hits, misses := internStats(e); hits != 0 || misses != uint64(2*w) {
+		t.Fatalf("cycling conflict: intern hits/misses = %d/%d, want 0/%d", hits, misses, 2*w)
 	}
-	process(1) // tag 1 is resident now
+	if n := count(e, "bp_enforcer_decoded_tag_replacements_total"); n != uint64(w+1) {
+		t.Fatalf("replacements = %d, want %d", n, w+1)
+	}
+	process(w - 1) // the last w-1 tags are resident now
 	process(1)
 	process(0)
-	if hits, misses := internStats(e); hits != 2 || misses != 9 {
-		t.Fatalf("intern hits/misses = %d/%d, want 2/9", hits, misses)
+	if hits, misses := internStats(e); hits != 2 || misses != uint64(2*w+1) {
+		t.Fatalf("intern hits/misses = %d/%d, want 2/%d", hits, misses, 2*w+1)
 	}
 }
 
@@ -196,11 +196,6 @@ func TestInternFollowsDatabaseGeneration(t *testing.T) {
 	if hits, misses := internStats(e); hits != 0 || misses != 9 {
 		t.Fatalf("failed decodes: intern hits/misses = %d/%d, want 0/9", hits, misses)
 	}
-	for i := range e.decoded {
-		if e.decoded[i].Load() != nil {
-			t.Fatal("a failed decode was interned")
-		}
-	}
 
 	process(known)
 	process(known)
@@ -226,8 +221,8 @@ func TestInternFollowsDatabaseGeneration(t *testing.T) {
 	if hits, misses := internStats(e); hits != 1 || misses != 12 {
 		t.Fatalf("after the mutation: intern hits/misses = %d/%d, want 1/12", hits, misses)
 	}
-	if d := e.decoded[internCell(flowtable.Digest(known))].Load(); d == nil || d.dbGen != db.Generation() {
-		t.Fatalf("resident record %+v, want one of generation %d", d, db.Generation())
+	if d, _ := e.tags.Find(flowtable.Digest(known), db.Generation(), func(d *decodedTag) bool { return d.is(known) }); d == nil {
+		t.Fatalf("no record of generation %d for the known tag", db.Generation())
 	}
 }
 
@@ -240,8 +235,7 @@ func TestInternConcurrentMixedTags(t *testing.T) {
 	if err := db.Add(gen); err != nil {
 		t.Fatal(err)
 	}
-	tags, stacks := conflictingTags(t, db, gen)
-	payloads, want := tags[:], stacks[:]
+	payloads, want := conflictingTags(t, e, gen)
 	for _, names := range [][]string{{"download"}, {"upload"}, {"beacon", "download"}} {
 		pkt := mkPacket(t, apk, db, names...)
 		payloads = append(payloads, pkt.Header.Options[0].Data)
@@ -264,8 +258,8 @@ func TestInternConcurrentMixedTags(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if hits, misses := internStats(e); hits == 0 || hits+misses != goroutines*perG+3 {
-		t.Fatalf("intern hits/misses = %d/%d over %d flows", hits, misses, goroutines*perG+3)
+	if hits, misses := internStats(e); hits == 0 || hits+misses != count(e, "bp_flowtable_misses_total") {
+		t.Fatalf("intern hits/misses = %d/%d over %d flow misses", hits, misses, count(e, "bp_flowtable_misses_total"))
 	}
 }
 
@@ -299,9 +293,9 @@ func TestNonIPv4AddressBypassesTheCache(t *testing.T) {
 	}
 }
 
-// TestInternedMissAllocatesOnce pins the fill path's allocations: a new
-// flow of a known tag allocates its Decision and nothing else.
-func TestInternedMissAllocatesOnce(t *testing.T) {
+// TestInternedMissAllocatesNothing pins the fill path's allocations: a new
+// flow of a known tag reaching a known decision allocates nothing.
+func TestInternedMissAllocatesNothing(t *testing.T) {
 	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
 	payload := mkPacket(t, apk, db, "beacon", "download").Header.Options[0].Data
 	const runs = 500
@@ -315,8 +309,8 @@ func TestInternedMissAllocatesOnce(t *testing.T) {
 		e.Process(pkts[next])
 		next++
 	})
-	if allocs != 1 {
-		t.Fatalf("an interned miss allocates %v times, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("an interned miss allocates %v times, want 0", allocs)
 	}
 	if hits, misses := internStats(e); misses != 1 || hits != runs+1 {
 		t.Fatalf("intern hits/misses = %d/%d", hits, misses)

@@ -13,6 +13,7 @@ import (
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
+	"borderpatrol/internal/refmodel"
 	"borderpatrol/internal/trackers"
 )
 
@@ -176,27 +177,16 @@ func RunReloadUnderLoad(cfg ReloadConfig) (*ReloadResult, error) {
 	}
 
 	// Precompute each packet's expected verdict under both rule sets with
-	// uncached reference enforcers sharing the testbed's database.
-	refVerdicts := func(rules []policy.Rule) ([]enforcer.Result, error) {
-		eng, err := policy.NewEngine(rules, policy.VerdictAllow)
-		if err != nil {
-			return nil, err
-		}
-		ref := enforcer.New(enforcer.Config{}, tb.DB, eng)
-		out := make([]enforcer.Result, len(pool))
+	// the reference model.
+	refVerdicts := func(rules []policy.Rule) []refmodel.Verdict {
+		model := refmodel.Model{APKs: corpusAPKs(corpus), Rules: rules, Default: policy.VerdictAllow}
+		out := make([]refmodel.Verdict, len(pool))
 		for i, pkt := range pool {
-			out[i] = ref.Process(pkt)
+			out[i] = model.Decide(pkt)
 		}
-		return out, nil
+		return out
 	}
-	vA, err := refVerdicts(rulesA)
-	if err != nil {
-		return nil, fmt.Errorf("reload: %w", err)
-	}
-	vB, err := refVerdicts(rulesB)
-	if err != nil {
-		return nil, fmt.Errorf("reload: %w", err)
-	}
+	vA, vB := refVerdicts(rulesA), refVerdicts(rulesB)
 
 	res := &ReloadResult{Packets: len(pool)}
 	for i := range pool {

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"borderpatrol/internal/apkgen"
-	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
+	"borderpatrol/internal/refmodel"
 	"borderpatrol/internal/trackers"
 )
 
@@ -402,19 +403,14 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, fmt.Errorf("soak: corpus produced no packets")
 	}
 
-	// Reference verdicts under both rule sets from uncached enforcers
-	// sharing the testbed's database. refDeny[s][i] is whether rule set s
-	// denies pool packet i.
+	// Reference verdicts under both rule sets from the reference model.
+	// refDeny[s][i] is whether rule set s denies pool packet i.
 	var refDeny [2][]bool
 	for s, rules := range [2][]policy.Rule{rulesA, rulesB} {
-		eng, err := policy.NewEngine(rules, policy.VerdictAllow)
-		if err != nil {
-			return nil, fmt.Errorf("soak: %w", err)
-		}
-		ref := enforcer.New(enforcer.Config{}, tb.DB, eng)
+		model := refmodel.Model{APKs: corpusAPKs(corpus), Rules: rules, Default: policy.VerdictAllow}
 		refDeny[s] = make([]bool, len(pool))
 		for i, pkt := range pool {
-			refDeny[s][i] = ref.Process(pkt).Verdict == policy.VerdictDrop
+			refDeny[s][i] = model.Decide(pkt).Verdict == policy.VerdictDrop
 		}
 	}
 
@@ -659,4 +655,14 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 	res.HeapGrowth = heapInUse() - heapStart
 	return res, nil
+}
+
+// corpusAPKs lists a corpus's apps: what the reference model holds
+// provisioned for a testbed built from it.
+func corpusAPKs(corpus []*apkgen.App) []*dex.APK {
+	apks := make([]*dex.APK, len(corpus))
+	for i, ga := range corpus {
+		apks[i] = ga.APK
+	}
+	return apks
 }

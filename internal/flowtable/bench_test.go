@@ -17,7 +17,7 @@ func BenchmarkFlowLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tb.Lookup(k, 1); !ok {
+		if _, ok := tb.Lookup(k, 1, nil); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkFlowLookupFleet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tb.Lookup(keys[i%flows], 1); !ok {
+		if _, ok := tb.Lookup(keys[i%flows], 1, nil); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkFlowLookupHitParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, ok := tb.Lookup(k, 1); !ok {
+			if _, ok := tb.Lookup(k, 1, nil); !ok {
 				b.Error("miss")
 				return
 			}
@@ -97,11 +97,11 @@ func BenchmarkFlowDigest(b *testing.B) {
 
 // BenchmarkFlowInsertStaleChurn is the invalidation-heavy fill: the table
 // is full, the generation moves before every refill, and a refill is half
-// flows cached under the old generation coming back (stale probe, release,
-// re-insert into the freed slot) and half flows never seen before
-// (eviction). It must stay within 1.5x of BenchmarkFlowMissFlood: released
-// slots are reused at once, so invalidation leaves nothing behind for the
-// eviction sample to step over.
+// flows cached under the old generation coming back (stale probe, delete,
+// re-insert) and half flows never seen before (eviction). It must stay
+// within 1.5x of BenchmarkFlowMissFlood: a deleted cell is empty at once,
+// so invalidation leaves nothing behind for the eviction sample to step
+// over.
 func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 1024})
 	old := make([]Key, 1024)
@@ -120,7 +120,7 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 		if i%2 == 1 {
 			k = floodKey(uint64(1_000_000 + i))
 		}
-		if _, ok := tb.Lookup(k, gen); ok {
+		if _, ok := tb.Lookup(k, gen, nil); ok {
 			b.Fatal("verdict served across a generation move")
 		}
 		tb.Insert(k, gen, uint64(i))
@@ -129,7 +129,7 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 
 // BenchmarkFlowMissFlood is the unique-flow-flood worst case WITHOUT the
 // negative cache: every insert lands on a full shard and pays the
-// eviction sample and the slot write (the table's share of the fill path
+// eviction sample and the cell write (the table's share of the fill path
 // BenchmarkProcessFlowMiss measures end to end).
 func BenchmarkFlowMissFlood(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 1024})
@@ -140,7 +140,7 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := floodKey(uint64(1_000_000 + i)) // never repeats: pure flood
-		if _, ok := tb.Lookup(k, 1); ok {
+		if _, ok := tb.Lookup(k, 1, nil); ok {
 			b.Fatal("flood key hit")
 		}
 		tb.Insert(k, 1, uint64(i))
@@ -159,7 +159,7 @@ func BenchmarkFlowMissFloodNegCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := floodKey(uint64(1_000_000 + i))
-		if _, ok := tb.Lookup(k, 1); ok {
+		if _, ok := tb.Lookup(k, 1, nil); ok {
 			b.Fatal("flood key hit")
 		}
 		tb.Insert(k, 1, uint64(i))

@@ -1,64 +1,62 @@
 // Package flowtable implements the gateway's per-flow verdict cache: a
-// sharded, lock-striped table that remembers the enforcement outcome of a
-// flow so that every subsequent packet of the same connection skips tag
-// decoding, stack decoding, and policy evaluation entirely (the paper's
-// §VI-D keep-alive argument — every packet of a connection carries the
-// same contextual tag, so one evaluation answers for all of them).
+// sharded, lock-striped table that remembers a flow's enforcement outcome,
+// so every later packet of the connection skips tag decoding, stack
+// decoding and policy evaluation (the paper's §VI-D argument: every packet
+// of a connection carries the same tag).
 //
 // # Keying
 //
-// A flow is identified by Key: the full 5-tuple — IPv4 endpoints (src, dst),
-// the transport ports the enforcer peeks out of the TCP/UDP header (zero for
-// non-first fragments and malformed headers), the protocol — and the raw tag
-// bytes themselves — which begin with the app's truncated hash — pinned
-// verbatim in the key, with a 64-bit digest of them for indexing.
-// Internally each shard's Index maps a 64-bit mix of the whole Key to the
-// flow's slot, and every probe verifies the full stored Key — including
-// the exact tag bytes — so a digest or hash collision between different
-// flows can only cause an extra miss or an overwrite (cache churn), never
-// a wrong verdict. This is deliberate: tag bytes are attacker-influenced
-// (the paper's tag-replay discussion, §VII), and a cache keyed on a
-// non-cryptographic digest alone would let a crafted collision borrow a
-// benign flow's cached verdict. Nor can crafted keys slow the probe: the
-// mix is unseeded, but each Index seeds its own probe start (see Index),
-// so keys aimed at one cell scatter.
+// A flow's Key is its 5-tuple — IPv4 endpoints, the ports the enforcer
+// peeks from the TCP/UDP header (zero for non-first fragments), the
+// protocol — and a 64-bit digest of its raw tag bytes. The key selects a
+// cell; it proves nothing about the tag: Digest is a plain FNV fold of
+// bytes the device chooses (§VII), so two tags can be made to share a key.
+// Lookup therefore hands each candidate to the caller's accept function,
+// and the enforcer compares the packet's tag bytes verbatim with the tag
+// interned for the flow (see Intern): a crafted collision costs a miss and
+// an overwrite, never a borrowed verdict. Each shard's Index seeds its
+// probe start, so crafted keys cannot build long probes either.
+//
+// # Cell layout
+//
+// A flow is one cell of its shard's Index: the 24-byte Key, the 4-byte cell
+// hash, and an entry of generation, last use and the caller's value. The
+// enforcer's value is 16 bytes of handles and verdict, so one flow is one
+// 64-byte, pointer-free cell: the garbage collector never scans the table,
+// and a hit reads one cache line of it. An index is 3/8 to 3/4 full, so the
+// table holds 85 to 171 bytes per live flow.
 //
 // # Invalidation
 //
-// Entries never serve stale policy: every entry records the generation
-// number the caller observed when it evaluated the flow, and Lookup
-// requires an exact generation match. The enforcer derives its generation
-// from atomic counters bumped by policy.Engine.SetRules, analyzer.Database
-// mutations and, per stripe of device addresses, devctx.Source changes: a
-// reconfiguration or a newly provisioned app invalidates every cached
-// verdict, a device's context change that device's, at the cost of one
-// integer comparison per lookup — no callbacks, no sweeps, no locks.
-// Stale entries are released on discovery and re-evaluated as misses.
+// Every entry records the generation the caller observed when it evaluated
+// the flow, and Lookup requires an exact match. The enforcer derives it
+// from counters bumped by policy swaps, signature-database mutations and,
+// per stripe of device addresses, device-context changes: one integer
+// comparison per lookup, no callbacks, no sweeps. Stale entries are
+// deleted on discovery and re-evaluated as misses.
 //
 // # Eviction
 //
-// The table is bounded: Capacity is split evenly across Shards. A shard
-// keeps its entries by value in one slab with a free list, so a fill
-// allocates nothing and a slot released by invalidation, expiry or
-// teardown is the next one claimed; its index and slab grow by doubling
-// up to the shard's capacity, so an idle table holds no cells. An insert
-// into a full shard samples evictSamples slots from a rotating hand over
-// the slab, reclaims the expired ones, else (when the admission guard
-// lets the key in, see Config.MissRing) evicts the least recently used of
-// the sample (approximate LRU: O(1), deterministic, and a hand that walks
-// the whole slab in turn). With a Clock, the TTL is
-// an idle timeout in virtual time counted from the entry's last use: a flow
-// that keeps sending stays cached, one whose teardown was lost ages out
-// without capacity pressure. A value that lapses for the caller's own
-// reasons (the enforcer's time-of-day edges) is the caller's to check.
+// Capacity is split evenly across Shards; each shard's index doubles up to
+// its share, so an idle table holds no cells. An insert into a full shard
+// samples evictSamples live cells from a rotating hand and takes the least
+// recently used: idle past the TTL, it is reclaimed and admits the key;
+// otherwise the admission guard (Config.MissRing) may refuse the key, else
+// it is evicted. Every shard of every table shares one seed drawn per
+// process, so the cells a sample visits follow from the inserted keys
+// alone, and a run repeated in one process evicts the same flows. With a
+// Clock the TTL is an idle timeout in virtual time from the entry's last
+// use. A value that lapses for the caller's own reasons (the enforcer's
+// time-of-day edges) is the caller's to check.
 //
-// All counters are atomic; Lookup takes only one shard RLock, so parallel
-// readers on different flows share nothing but their shard stripe.
+// Counters are atomic; Lookup takes one shard RLock, so readers of
+// different flows share nothing but their shard stripe.
 package flowtable
 
 import (
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,58 +70,35 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// MaxTagBytes is the largest tag payload a Key can pin: the 40-byte
-// IP_OPTIONS budget minus the option's type and length octets. Tags that
-// somehow exceed it are uncacheable (see SetTag).
+// MaxTagBytes is the largest tag payload a flow can carry: the 40-byte
+// IP_OPTIONS budget minus the option's type and length octets.
 const MaxTagBytes = 38
 
-// Key identifies one flow at the enforcement point. It holds no pointer.
+// Key identifies one flow at the enforcement point: 24 bytes, no pointer.
 type Key struct {
-	// Tuple is the packet's flow identity: IPv4 endpoints (a packet with
-	// any other address family bypasses the cache) and the transport ports
-	// peeked from its TCP/UDP header, zero when the payload carries no
-	// transport header (non-first fragments, malformed headers).
+	// Tuple is the packet's IPv4 endpoints and peeked transport ports.
 	transport.Tuple
 	// Proto is the IPv4 protocol number.
 	Proto byte
-	// TagLen and Tag pin the exact raw tag bytes (app truncated hash,
-	// index sequence, flags): entry verification
-	// compares them verbatim, so no digest collision — accidental or
-	// crafted — can ever serve another flow's verdict.
-	TagLen uint8
-	Tag    [MaxTagBytes]byte
-	// Digest is a 64-bit digest of the raw tag bytes (see Digest); it
-	// only steers shard selection and the shard index.
+	// Digest is the raw tag bytes' Digest; it proves nothing (see Keying).
 	Digest uint64
 }
 
-// SetTag pins the raw tag bytes and their digest into the key. It
-// reports false when the payload exceeds MaxTagBytes (no legal IPv4
-// option can carry that; such a packet must bypass the cache). The
-// unused tail of Tag is zeroed, so a Key reused across packets compares
-// equal to a freshly built key for the same flow.
+// SetTag sets the key's digest of the raw tag bytes. It reports false when
+// the payload exceeds MaxTagBytes: such a packet must bypass the cache.
 func (k *Key) SetTag(b []byte) bool {
 	if len(b) > MaxTagBytes {
 		return false
 	}
-	k.TagLen = uint8(len(b))
-	n := copy(k.Tag[:], b)
-	clear(k.Tag[n:])
 	k.Digest = Digest(b)
 	return true
 }
 
-// fnvPrime64 and fnvOffset64 are the FNV-64 parameters.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// fnvOffset64 and fnvPrime64 are the FNV-64 parameters.
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
 
 // Digest computes a 64-bit digest of a raw tag payload, folding eight
-// bytes per FNV round (tags are ≤38 bytes, so this is a handful of
-// multiplies on the per-packet path). The tag bytes fully determine the
-// decoded (app, index sequence, flags) triple, so hashing them keys the
-// verdict without decoding anything.
+// bytes per FNV round: a handful of multiplies per packet.
 func Digest(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for len(b) >= 8 {
@@ -162,65 +137,35 @@ func (k Key) hash() uint64 {
 type Config struct {
 	// Capacity bounds the live flows across all shards (default 65536).
 	Capacity int
-	// Shards is the number of lock stripes, rounded up to a power of two
-	// (default 64).
+	// Shards is the number of lock stripes, a power of two (default 64).
 	Shards int
 	// TTL is the idle timeout: an entry expires this much virtual time after
 	// its last use (insert or hit). Zero (or a nil Clock) disables expiry.
 	TTL time.Duration
-	// Clock supplies virtual time for TTL and recency; nil falls back to a
-	// monotonic tick counter (recency only, no TTL).
+	// Clock supplies virtual time; nil falls back to a tick count (no TTL).
 	Clock Clock
 	// MissRing sizes the per-shard negative cache guarding admission under
-	// capacity pressure (0 disables it). A unique-flow flood — a SYN flood
-	// of crafted tags is the worst case — otherwise turns every insert
-	// into an eviction sample plus a slot write on a full shard (~0.25 µs
-	// of table work per miss, BenchmarkFlowMissFlood) and, worse, churns
-	// established flows out of the cache. The guard only decides when a
-	// full shard would have to evict a live flow: an insert that finds an
-	// idle-expired slot in its eviction sample reclaims it and is admitted
-	// (a table without a TTL has nothing to reclaim and consults the guard
-	// first, before paying for a sample). Otherwise the key must be one
-	// recently refused once: the first attempt only notes its hash in a
-	// small ring and returns, evicting nothing, so one-packet flood flows
-	// never allocate an entry, never evict a live flow, and pay a ring
-	// scan instead of the eviction path. Real flows pay the full pipeline
-	// for one extra packet and are admitted on their second miss. Shards
-	// below capacity admit immediately.
+	// capacity pressure (0 disables it), so that a unique-flow flood (a SYN
+	// flood of crafted tags) cannot churn established flows out of a full
+	// shard. The guard decides only when the insert would evict a live
+	// flow: a key must then have been refused once before, and the first
+	// attempt just notes its hash in a small ring. One-packet flood flows
+	// never take a cell; real flows are admitted on their second miss.
 	MissRing int
 }
 
-// slot is one cell of a shard's slab: a cached flow, or a link in the free
-// list. lastUsed (LRU recency and idle-TTL origin) is atomic so hits under the
-// shard RLock can refresh it without a write lock; the other fields change
-// only under the write lock.
-type slot[V any] struct {
-	key      Key
-	val      V
-	h        uint64
-	gen      uint64
-	lastUsed atomic.Int64
-	// live marks a slot that holds a flow. A free slot's next is the rest
-	// of the free list (slot index + 1; 0 ends it).
-	live bool
-	next uint32
+// entry is the table's part of a flow's cell. used (recency and TTL
+// origin) is atomic, so hits under the read lock can refresh it.
+type entry[V any] struct {
+	gen  uint64
+	used int64
+	val  V
 }
 
 type shard[V any] struct {
-	mu sync.RWMutex
-	// index maps the full 64-bit Key.hash() to the flow's slot; slot.key
-	// resolves collisions (verified on every probe). Pointer-free, so the
-	// garbage collector never scans it.
-	index Index[uint64, uint32]
-	// slots holds the shard's entries by value; a released slot goes on the
-	// free list and is the next one claimed, so a fill allocates nothing.
-	slots []slot[V]
-	free  uint32 // head of the free list: slot index + 1, 0 = empty
-	hand  uint32 // where the next eviction sample starts
-	// missRing is the shard's negative cache: hashes of keys recently
-	// refused admission under capacity pressure (0 = empty slot). A key
-	// found here on its next insert attempt is admitted — the doorkeeper
-	// pattern: one-packet flood flows never get past the ring.
+	mu    sync.RWMutex
+	flows Index[Key, entry[V]]
+	// missRing holds hashes of keys recently refused admission (0 = empty).
 	missRing []uint64
 	missPos  int
 	// pad keeps neighbouring shard locks off one cache line.
@@ -228,10 +173,9 @@ type shard[V any] struct {
 }
 
 // refuse is the admission guard at a full shard. A key refused recently is
-// admitted — its ring slot is consumed, so each noted miss admits at most
-// one insert; a first-seen key is noted in the ring of size ring (allocated
-// by the shard's first refusal), overwriting the oldest slot, and refused.
-// A zero ring refuses nothing. Caller holds the shard's write lock.
+// admitted, consuming its ring slot; a first-seen key is noted in the ring
+// (allocated by the shard's first refusal), overwriting the oldest slot,
+// and refused. A zero ring refuses nothing. Caller holds the write lock.
 func (s *shard[V]) refuse(h uint64, ring int) bool {
 	if ring == 0 {
 		return false
@@ -250,13 +194,15 @@ func (s *shard[V]) refuse(h uint64, ring int) bool {
 	return true
 }
 
-// evictSamples bounds the eviction scan: reclaim expired entries among a
-// sample of slots, else evict the least recently used of the sample
-// (approximate LRU).
+// evictSamples bounds the eviction scan: the least recently used of this
+// many live entries is reclaimed or evicted (approximate LRU).
 const evictSamples = 8
 
-// Table is a sharded per-flow cache of V (the enforcer caches its Result).
-// The zero value is not usable; call New.
+// tableSeed seeds the index of every shard of every table (see Eviction).
+var tableSeed = rand.Uint64()
+
+// Table is a sharded per-flow cache of V (the enforcer caches its verdict
+// and intern handles). The zero value is not usable; call New.
 type Table[V any] struct {
 	shards      []shard[V]
 	mask        uint64
@@ -266,7 +212,7 @@ type Table[V any] struct {
 	missRing    int
 
 	tick atomic.Int64 // recency source when clock is nil
-	live atomic.Int64 // slots holding a flow, across all shards
+	live atomic.Int64 // flows held, across all shards
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
@@ -305,13 +251,12 @@ func New[V any](cfg Config) *Table[V] {
 		t.ttl = 0 // TTL needs a time source
 	}
 	for i := range t.shards {
-		t.shards[i].index = NewIndex[uint64, uint32](per)
+		t.shards[i].flows = Index[Key, entry[V]]{seed: tableSeed, bound: uint32(per)}
 	}
 	return t
 }
 
-// now returns the insert-side recency/TTL timestamp: virtual time when a
-// clock is configured, otherwise the next monotonic tick.
+// now is the insert-side timestamp: virtual time, else the next tick.
 func (t *Table[V]) now() time.Duration {
 	if t.clock != nil {
 		return t.clock.Now()
@@ -319,47 +264,13 @@ func (t *Table[V]) now() time.Duration {
 	return time.Duration(t.tick.Add(1))
 }
 
-// readNow is the lookup-side timestamp: it never advances the tick, so
-// the hot hit path performs no shared read-modify-write (ticks move on
-// inserts; +1 orders hits after the insert that produced the entry).
+// readNow is the lookup-side timestamp. It never advances the tick, so a
+// hit does no shared read-modify-write; +1 orders it after its insert.
 func (t *Table[V]) readNow() time.Duration {
 	if t.clock != nil {
 		return t.clock.Now()
 	}
 	return time.Duration(t.tick.Load() + 1)
-}
-
-// claim returns a free slot of s and counts it live: the head of the free
-// list, else the next cell of the slab, which doubles until it spans the
-// shard's capacity. Caller holds s.mu with the shard below capacity.
-func (t *Table[V]) claim(s *shard[V]) uint32 {
-	t.live.Add(1)
-	if s.free != 0 {
-		i := s.free - 1
-		s.free = s.slots[i].next
-		return i
-	}
-	i := len(s.slots)
-	if i == cap(s.slots) {
-		grown := make([]slot[V], i, min(max(2*i, evictSamples), t.perShardCap))
-		copy(grown, s.slots)
-		s.slots = grown
-	}
-	s.slots = s.slots[:i+1]
-	return uint32(i)
-}
-
-// release unmaps slot i of s and puts it on the free list; the value is
-// zeroed so a freed slot pins nothing. Caller holds s.mu.
-func (t *Table[V]) release(s *shard[V], i uint32) {
-	e := &s.slots[i]
-	s.index.Delete(e.h, e.h)
-	var zero V
-	e.val = zero
-	e.live = false
-	e.next = s.free
-	s.free = i + 1
-	t.live.Add(-1)
 }
 
 // idle reports whether an entry last used at `used` has outlived the TTL.
@@ -368,130 +279,134 @@ func (t *Table[V]) idle(now time.Duration, used int64) bool {
 }
 
 // Lookup returns the cached value for k if it exists, carries the caller's
-// current generation, and has not sat idle past the TTL. A stale or expired
-// entry is released and reported as a miss, so the caller re-evaluates and
-// re-inserts under the current generation.
-func (t *Table[V]) Lookup(k Key, gen uint64) (V, bool) {
+// generation, has not sat idle past the TTL, and accept (nil accepts all;
+// run under the shard's read lock) takes it. A stale or expired entry is
+// deleted; an entry accept refuses stays for the caller's Insert to
+// overwrite. Either is a miss.
+func (t *Table[V]) Lookup(k Key, gen uint64, accept func(v *V) bool) (V, bool) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.readNow()
-	stale := false
+	dead := false
 	s.mu.RLock()
-	var i uint32
-	p := s.index.Get(h, h)
-	ok := p != nil
-	if ok {
-		i = *p
-		e := &s.slots[i]
-		if e.key != k {
-			ok = false
-		} else if used := e.lastUsed.Load(); e.gen == gen && !t.idle(now, used) {
-			// Refresh recency, but skip the store when the timestamp has not
-			// moved: repeated hits on a hot flow then leave the entry's cache
-			// line clean for the other cores.
-			if used != int64(now) {
-				e.lastUsed.Store(int64(now))
+	if e := s.flows.Get(h, k); e != nil {
+		used := atomic.LoadInt64(&e.used)
+		if e.gen == gen && !t.idle(now, used) {
+			if accept == nil || accept(&e.val) {
+				// Refresh recency, but skip the store when the timestamp has
+				// not moved: repeated hits on a hot flow then leave the cell's
+				// cache line clean for the other cores.
+				if used != int64(now) {
+					atomic.StoreInt64(&e.used, int64(now))
+				}
+				val := e.val
+				s.mu.RUnlock()
+				t.hits.Add(1)
+				return val, true
 			}
-			val := e.val
-			s.mu.RUnlock()
-			t.hits.Add(1)
-			return val, true
 		} else {
-			stale = e.gen != gen
+			dead = true
 		}
 	}
 	s.mu.RUnlock()
-	if ok {
-		// Dead entry: release it so the shard doesn't pin invalidated flows
-		// — unless the slot was rewritten between the two locks.
-		s.mu.Lock()
-		if p := s.index.Get(h, h); p != nil && *p == i {
-			if e := &s.slots[i]; e.key == k && (e.gen != gen || t.idle(now, e.lastUsed.Load())) {
-				t.release(s, i)
-			}
-		}
-		s.mu.Unlock()
-		if stale {
-			t.stale.Add(1)
-		} else {
-			t.expired.Add(1)
-		}
+	if dead {
+		t.dropDead(s, h, k, gen, now)
 	}
 	t.misses.Add(1)
 	var zero V
 	return zero, false
 }
 
-// Insert caches v for k under the given generation. When the stripe is
-// full, expired entries are reclaimed first; otherwise the admission guard
-// may refuse the key (see Config.MissRing), and else the least recently
-// used of a small sample is evicted.
+// dropDead deletes k's entry if it is still stale or expired under the
+// write lock (it may have been rewritten since the read lock was dropped),
+// and counts why.
+func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, gen uint64, now time.Duration) {
+	s.mu.Lock()
+	e := s.flows.Get(h, k)
+	stale := e != nil && e.gen != gen
+	if e != nil && (stale || t.idle(now, atomic.LoadInt64(&e.used))) {
+		s.flows.Delete(h, k)
+		t.live.Add(-1)
+		if stale {
+			t.stale.Add(1)
+		} else {
+			t.expired.Add(1)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// Insert caches v for k under the given generation, making room in a
+// full shard as the package comment's Eviction describes.
 func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.now()
 	s.mu.Lock()
-	// A key whose hash is already mapped (re-insert after invalidation, or
-	// a hash collision) overwrites that slot in place. Below capacity that
-	// is one probe; a full shard looks before it makes room, since making
-	// room deletes from the index.
-	if s.index.Len() >= t.perShardCap && s.index.Get(h, h) == nil && !t.makeRoom(s, h, now) {
+	// A key already held (re-insert after invalidation or a refused
+	// accept) is overwritten in place. Below capacity that is one probe; a
+	// full shard looks before it makes room, since making room deletes.
+	if s.flows.Len() >= t.perShardCap && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now) {
 		s.mu.Unlock()
 		t.admissionDrops.Add(1)
 		return
 	}
-	p, added := s.index.Put(h, h)
-	if added {
-		*p = t.claim(s)
-	}
-	e := &s.slots[*p]
-	e.key, e.val, e.h, e.gen, e.live = k, v, h, gen, true
-	e.lastUsed.Store(int64(now))
+	e, added := s.flows.Put(h, k)
+	e.gen, e.used, e.val = gen, int64(now), v
 	s.mu.Unlock()
+	if added {
+		t.live.Add(1)
+	}
 	t.inserts.Add(1)
 }
 
-// makeRoom frees a slot in a full shard — one with no free slot, so every
-// sampled slot is live — for the key hashed h, or reports false when the
-// admission guard refuses the key. It samples evictSamples slots from the
-// rotating hand and reclaims the idle-expired ones; a reclaimed slot admits
-// the key without consulting the guard. Only when the whole sample is live
-// does the guard decide, and a refusal evicts nothing; else the least
-// recently used of the sample is evicted. Without a TTL nothing can have
-// expired, so the guard decides before the sample is paid for. Caller
-// holds s.mu.
+// makeRoom deletes one entry of a full shard for the key hashed h, or
+// reports false when the admission guard refuses the key. Without a TTL
+// nothing can have expired, so the guard decides before the sample is paid
+// for. Caller holds s.mu.
 func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration) bool {
 	if t.ttl == 0 && s.refuse(h, t.missRing) {
 		return false
 	}
-	var (
-		lru     uint32
-		lruUsed int64 = math.MaxInt64
-		freed   int
-	)
-	n := uint32(len(s.slots))
-	for c := uint32(0); c < min(evictSamples, n); c++ {
-		i := s.hand
-		if s.hand++; s.hand == n {
-			s.hand = 0
-		}
-		if u := s.slots[i].lastUsed.Load(); t.idle(now, u) {
-			t.release(s, i)
-			freed++
-		} else if u < lruUsed {
-			lru, lruUsed = i, u
-		}
-	}
-	if freed > 0 {
-		t.expired.Add(uint64(freed))
-		return true
-	}
-	if t.ttl > 0 && s.refuse(h, t.missRing) {
+	i, lru := leastUsed(&s.flows)
+	expired := t.idle(now, lru)
+	if !expired && t.ttl > 0 && s.refuse(h, t.missRing) {
 		return false
 	}
-	t.release(s, lru)
-	t.evictions.Add(1)
+	s.flows.deleteAt(i)
+	t.live.Add(-1)
+	if expired {
+		t.expired.Add(1)
+	} else {
+		t.evictions.Add(1)
+	}
 	return true
+}
+
+// leastUsed samples evictSamples entries from x's rotating hand, skipping
+// empty cells (at most one lap), and returns the cell of the least recently
+// used of them and its last use. x holds an entry.
+func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32, used int64) {
+	cells, hand := x.cells, x.hand
+	mask := uint32(len(cells) - 1)
+	used = math.MaxInt64
+	for n, lap := 0, len(cells); n < evictSamples && lap > 0; lap-- {
+		// Branch-free on whether the cell is empty: at the index's load
+		// that test is a coin flip.
+		i := hand & mask
+		hand++
+		c := &cells[i]
+		u, live := c.val.used, int(c.h>>31)
+		if live == 0 {
+			u = math.MaxInt64
+		}
+		if u < used {
+			cell, used = i, u
+		}
+		n += live
+	}
+	x.hand = hand
+	return cell, used
 }
 
 // Delete removes one flow (e.g. on connection teardown) and reports
@@ -500,22 +415,18 @@ func (t *Table[V]) Delete(k Key) bool {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	s.mu.Lock()
-	p := s.index.Get(h, h)
-	ok := p != nil && s.slots[*p].key == k
-	if ok {
-		t.release(s, *p)
-	}
+	ok := s.flows.Delete(h, k)
 	s.mu.Unlock()
+	if ok {
+		t.live.Add(-1)
+	}
 	return ok
 }
 
-// Sweep walks every shard and releases entries idle past the TTL, returning
-// how many it reclaimed. Expiry is otherwise lazy (discovered on lookup or
-// under insert pressure), which lets a flow whose teardown packets were
-// lost pin its entry indefinitely if no traffic ever probes it again; a
-// periodic Sweep bounds that leak. A no-op without a TTL/Clock. Each shard
-// is locked independently, so concurrent traffic stalls for at most one
-// shard's walk.
+// Sweep deletes the entries idle past the TTL and returns how many. Expiry
+// is otherwise lazy, so a flow whose teardown was lost would pin its entry
+// until probed; a periodic Sweep bounds that leak. A no-op without a TTL.
+// Each shard is locked on its own, so traffic stalls for one shard's walk.
 func (t *Table[V]) Sweep() int {
 	if t.ttl <= 0 {
 		return 0
@@ -525,30 +436,30 @@ func (t *Table[V]) Sweep() int {
 	for si := range t.shards {
 		s := &t.shards[si]
 		s.mu.Lock()
-		for i := range s.slots {
-			if e := &s.slots[i]; e.live && t.idle(now, e.lastUsed.Load()) {
-				t.release(s, uint32(i))
+		s.flows.Sweep(func(_ Key, e *entry[V]) bool {
+			if t.idle(now, e.used) {
 				freed++
+				return true
 			}
-		}
+			return false
+		})
 		s.mu.Unlock()
 	}
 	if freed > 0 {
+		t.live.Add(-int64(freed))
 		t.expired.Add(uint64(freed))
 	}
 	return freed
 }
 
-// Purge empties the table — index, slab and admission ring — and releases
-// their memory, as a restart that loses the gateway's RAM would (entries
-// are not counted as evictions).
+// Purge empties the table and releases its memory, as a restart that
+// loses the gateway's RAM would (entries are not counted as evictions).
 func (t *Table[V]) Purge() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		t.live.Add(-int64(s.index.Len()))
-		s.index.Clear()
-		s.slots, s.free, s.hand = nil, 0, 0
+		t.live.Add(-int64(s.flows.Len()))
+		s.flows.Clear()
 		s.missRing, s.missPos = nil, 0
 		s.mu.Unlock()
 	}

@@ -47,11 +47,11 @@ func key(i int) Key {
 	}
 }
 
-// TestKeyIs64Bytes pins the key's layout: the 12-byte flow tuple, the
-// protocol and the pinned tag fill one 64-byte cache line.
-func TestKeyIs64Bytes(t *testing.T) {
-	if size := unsafe.Sizeof(Key{}); size != 64 {
-		t.Fatalf("Key is %d bytes, want 64", size)
+// TestKeyIs24Bytes pins the key's layout: the 12-byte flow tuple, the
+// protocol and the tag digest, so a flow's whole cell fits 64 bytes.
+func TestKeyIs24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Key{}); size != 24 {
+		t.Fatalf("Key is %d bytes, want 24", size)
 	}
 	if size := unsafe.Sizeof(transport.Tuple{}); size != 12 {
 		t.Fatalf("transport.Tuple is %d bytes, want 12", size)
@@ -61,11 +61,11 @@ func TestKeyIs64Bytes(t *testing.T) {
 func TestLookupInsertRoundTrip(t *testing.T) {
 	tb := New[string](Config{Capacity: 128, Shards: 4})
 	k := key(1)
-	if _, ok := tb.Lookup(k, 1); ok {
+	if _, ok := tb.Lookup(k, 1, nil); ok {
 		t.Fatal("empty table hit")
 	}
 	tb.Insert(k, 1, "allow")
-	v, ok := tb.Lookup(k, 1)
+	v, ok := tb.Lookup(k, 1, nil)
 	if !ok || v != "allow" {
 		t.Fatalf("lookup = %q, %v", v, ok)
 	}
@@ -81,7 +81,7 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	tb.Insert(k, 1, "allow")
 	// A rule or database update bumped the generation: the entry must not
 	// be served, and must be removed.
-	if _, ok := tb.Lookup(k, 2); ok {
+	if _, ok := tb.Lookup(k, 2, nil); ok {
 		t.Fatal("stale generation served")
 	}
 	if tb.Len() != 0 {
@@ -92,7 +92,7 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	}
 	// Re-inserting under the new generation works.
 	tb.Insert(k, 2, "drop")
-	if v, ok := tb.Lookup(k, 2); !ok || v != "drop" {
+	if v, ok := tb.Lookup(k, 2, nil); !ok || v != "drop" {
 		t.Fatalf("re-inserted lookup = %q, %v", v, ok)
 	}
 }
@@ -108,19 +108,19 @@ func TestTTLExpiry(t *testing.T) {
 	tb.Insert(k, 1, 42)
 	for i := 0; i < 20; i++ {
 		clk.advance(ttl / 2)
-		if _, ok := tb.Lookup(k, 1); !ok {
+		if _, ok := tb.Lookup(k, 1, nil); !ok {
 			t.Fatalf("flow in use expired %v after insertion", clk.Now())
 		}
 	}
 	clk.advance(ttl)
-	if _, ok := tb.Lookup(k, 1); !ok {
+	if _, ok := tb.Lookup(k, 1, nil); !ok {
 		t.Fatal("entry expired at exactly the TTL")
 	}
 	clk.advance(ttl + time.Nanosecond)
-	if _, ok := tb.Lookup(k, 1); ok {
+	if _, ok := tb.Lookup(k, 1, nil); ok {
 		t.Fatal("entry served after sitting idle past the TTL")
 	}
-	if _, ok := tb.Lookup(k, 1); ok {
+	if _, ok := tb.Lookup(k, 1, nil); ok {
 		t.Fatal("expired entry still mapped")
 	}
 	expired, hits, misses, live := count(tb, "expired_drops_total"), count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live")
@@ -129,7 +129,7 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	tb.Insert(k, 1, 43)
 	clk.advance(ttl)
-	if v, ok := tb.Lookup(k, 1); !ok || v != 43 {
+	if v, ok := tb.Lookup(k, 1, nil); !ok || v != 43 {
 		t.Fatalf("re-inserted flow = %d, %v", v, ok)
 	}
 }
@@ -138,7 +138,7 @@ func TestTTLWithoutClockDisabled(t *testing.T) {
 	tb := New[int](Config{Capacity: 8, TTL: time.Nanosecond})
 	k := key(4)
 	tb.Insert(k, 1, 1)
-	if _, ok := tb.Lookup(k, 1); !ok {
+	if _, ok := tb.Lookup(k, 1, nil); !ok {
 		t.Fatal("TTL applied without a clock")
 	}
 }
@@ -151,7 +151,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 	}
 	// Touch 0..2 so key(3) is least recently used.
 	for i := 0; i < 3; i++ {
-		if _, ok := tb.Lookup(key(i), 1); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
 			t.Fatalf("flow %d missing", i)
 		}
 	}
@@ -159,11 +159,11 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 	if tb.Len() != 4 {
 		t.Fatalf("live = %d, want 4", tb.Len())
 	}
-	if _, ok := tb.Lookup(key(3), 1); ok {
+	if _, ok := tb.Lookup(key(3), 1, nil); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
 	for _, i := range []int{0, 1, 2, 99} {
-		if _, ok := tb.Lookup(key(i), 1); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
 			t.Fatalf("recently used flow %d evicted", i)
 		}
 	}
@@ -183,7 +183,7 @@ func TestEvictionPrefersExpired(t *testing.T) {
 	tb.Insert(key(5), 1, 5)
 	// key(0) expired and must be the one reclaimed; the fresh flows stay.
 	for i := 1; i < 4; i++ {
-		if _, ok := tb.Lookup(key(i), 1); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
 			t.Fatalf("fresh flow %d reclaimed instead of the expired one", i)
 		}
 	}
@@ -220,30 +220,35 @@ func TestDigestDistinguishesTagBytes(t *testing.T) {
 	}
 }
 
-// TestDigestCollisionCannotBorrowVerdict: two keys engineered to share
-// Digest (and thus shard and map slot) must never serve each other's
-// value — the pinned tag bytes disambiguate. A crafted FNV collision is
-// exactly the tag-forgery attack the exact-match keying defends against.
+// TestDigestCollisionCannotBorrowVerdict: two flows engineered to share a
+// Key (same endpoints, same Digest) must never serve each other's value —
+// the accept function's verbatim tag compare disambiguates. A crafted FNV
+// collision is exactly the tag-forgery attack the exact hit defends
+// against. (The enforcer's test of the same name crafts a real collision.)
 func TestDigestCollisionCannotBorrowVerdict(t *testing.T) {
-	base := key(1)
-	var colliding Key
-	colliding = base // same endpoints, same digest...
-	colliding.Tag[0] = 0xff
-	colliding.TagLen = 1 // ...different actual tag bytes
+	type flow struct{ tag, verdict string }
+	k := key(1)
+	tagIs := func(tag string) func(*flow) bool { return func(f *flow) bool { return f.tag == tag } }
 
-	tb := New[string](Config{Capacity: 128})
-	tb.Insert(base, 1, "allow")
-	if v, ok := tb.Lookup(colliding, 1); ok {
-		t.Fatalf("colliding key served %q", v)
+	tb := New[flow](Config{Capacity: 128})
+	tb.Insert(k, 1, flow{"benign", "allow"})
+	if v, ok := tb.Lookup(k, 1, tagIs("forged")); ok {
+		t.Fatalf("colliding flow served %q", v.verdict)
 	}
 	// The forged flow's own insert then serves only the forged flow.
-	tb.Insert(colliding, 1, "drop")
-	if v, ok := tb.Lookup(colliding, 1); !ok || v != "drop" {
-		t.Fatalf("colliding key after insert = %q, %v", v, ok)
+	tb.Insert(k, 1, flow{"forged", "drop"})
+	if v, ok := tb.Lookup(k, 1, tagIs("forged")); !ok || v.verdict != "drop" {
+		t.Fatalf("colliding flow after insert = %q, %v", v.verdict, ok)
+	}
+	if v, ok := tb.Lookup(k, 1, tagIs("benign")); ok {
+		t.Fatalf("benign flow served the forged flow's %q", v.verdict)
+	}
+	if hits, misses, live := count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live"); hits != 1 || misses != 2 || live != 1 {
+		t.Fatalf("hits/misses/live = %d/%d/%d, want 1/2/1", hits, misses, live)
 	}
 }
 
-// TestSetTag pins payloads up to MaxTagBytes and rejects oversized ones.
+// TestSetTag digests payloads up to MaxTagBytes and rejects oversized ones.
 func TestSetTag(t *testing.T) {
 	var k Key
 	payload := make([]byte, MaxTagBytes)
@@ -253,14 +258,13 @@ func TestSetTag(t *testing.T) {
 	if !k.SetTag(payload) {
 		t.Fatal("max-size tag rejected")
 	}
-	if k.TagLen != MaxTagBytes || k.Digest != Digest(payload) {
-		t.Fatalf("key = len %d digest %x", k.TagLen, k.Digest)
+	if k.Digest != Digest(payload) {
+		t.Fatalf("key digest %x", k.Digest)
 	}
 	if k.SetTag(make([]byte, MaxTagBytes+1)) {
 		t.Fatal("oversized tag accepted")
 	}
-	// Reuse with a shorter payload must zero the stale tail, so the
-	// reused key equals a freshly built one for the same flow.
+	// A reused key equals a freshly built one for the same flow.
 	if !k.SetTag(payload[:4]) {
 		t.Fatal("short tag rejected")
 	}
@@ -291,7 +295,7 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				cur := gen.Load()
-				if v, ok := tb.Lookup(hot, cur); ok && v != cur {
+				if v, ok := tb.Lookup(hot, cur, nil); ok && v != cur {
 					t.Errorf("generation %d served value %d", cur, v)
 					return
 				} else if !ok {
@@ -299,7 +303,7 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 				}
 				cold := key(g*iters + i)
 				tb.Insert(cold, cur, cur)
-				tb.Lookup(cold, cur)
+				tb.Lookup(cold, cur, nil)
 			}
 		}(g)
 	}

@@ -20,7 +20,8 @@ import "math/rand/v2"
 // bytes). Each Index draws a random seed at construction and mixes it into
 // every probe start, so keys aimed at one home cell by inverting the
 // caller's hash scatter anyway: no one outside the process can build a
-// long probe cluster.
+// long probe cluster. (The flow table gives all its shards one seed drawn
+// per process instead, so that its eviction is repeatable; see Table.)
 //
 // # Locking and pointers
 //
@@ -60,16 +61,22 @@ func NewIndex[K comparable, V any](bound int) Index[K, V] {
 	return Index[K, V]{seed: rand.Uint64(), bound: uint32(bound)}
 }
 
-// mix turns a caller's hash into the cell hash: a murmur3 finalizer over
-// the hash xor the seed, top bit set so that no key hashes to empty.
+// mix turns a caller's hash into the cell hash: the seeded finalizer, top
+// bit set so that no key hashes to empty.
 func (x *Index[K, V]) mix(h uint64) uint32 {
-	h ^= x.seed
+	return uint32(fmix(h, x.seed)) | 1<<31
+}
+
+// fmix is a murmur3 finalizer over h xor seed: a bijection of h for each
+// seed, so without the seed a caller's hash is easy to aim.
+func fmix(h, seed uint64) uint64 {
+	h ^= seed
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return uint32(h) | 1<<31
+	return h
 }
 
 // Len returns the number of keys held.

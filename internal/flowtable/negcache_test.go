@@ -45,7 +45,7 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	}
 	// Every established flow still serves hits.
 	for i := uint64(0); i < 64; i++ {
-		if v, ok := tab.Lookup(floodKey(i), 1); !ok || v != int(i) {
+		if v, ok := tab.Lookup(floodKey(i), 1, nil); !ok || v != int(i) {
 			t.Fatalf("established flow %d lost under flood (ok=%v v=%d)", i, ok, v)
 		}
 	}
@@ -61,11 +61,11 @@ func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
 	}
 	newcomer := floodKey(77)
 	tab.Insert(newcomer, 1, 77) // first attempt: noted, rejected
-	if _, ok := tab.Lookup(newcomer, 1); ok {
+	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
 		t.Fatal("first-attempt insert was admitted")
 	}
 	tab.Insert(newcomer, 1, 77) // second attempt: admitted, evicting LRU
-	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
+	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
@@ -79,7 +79,7 @@ func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
 	tab := New[int](Config{Capacity: 64, Shards: 1, MissRing: 32})
 	for i := uint64(0); i < 32; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
-		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
+		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
 			t.Fatalf("insert %d not admitted below capacity", i)
 		}
 	}
@@ -114,11 +114,11 @@ func TestAdmissionGuardReinsertAfterInvalidation(t *testing.T) {
 	// Generation moves (policy reload): the hot flow misses, is deleted,
 	// and re-inserts under the new generation without tripping the guard.
 	hot := floodKey(3)
-	if _, ok := tab.Lookup(hot, 2); ok {
+	if _, ok := tab.Lookup(hot, 2, nil); ok {
 		t.Fatal("stale generation served")
 	}
 	tab.Insert(hot, 2, 3)
-	if v, ok := tab.Lookup(hot, 2); !ok || v != 3 {
+	if v, ok := tab.Lookup(hot, 2, nil); !ok || v != 3 {
 		t.Fatal("re-insert after invalidation rejected")
 	}
 	if n := count(tab, "admission_drops_total"); n != 0 {
@@ -139,7 +139,7 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 	// Every flow but 0 keeps sending; flow 0 goes idle past the TTL.
 	clock.advance(500 * time.Millisecond)
 	for i := uint64(1); i < 8; i++ {
-		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
+		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
 			t.Fatalf("flow %d lost before the flood", i)
 		}
 	}
@@ -147,7 +147,7 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 
 	newcomer := floodKey(77)
 	tab.Insert(newcomer, 1, 77)
-	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
+	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
 		t.Fatal("first-seen key refused although its sample held an expired slot")
 	}
 	ad, ev, ex := count(tab, "admission_drops_total"), count(tab, "evictions_total"), count(tab, "expired_drops_total")
@@ -158,7 +158,7 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 		t.Fatalf("admission ring touched: pos %d, ring %v", s.missPos, s.missRing)
 	}
 	for i := uint64(1); i < 8; i++ {
-		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
+		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
 			t.Fatalf("live flow %d lost to the newcomer", i)
 		}
 	}
@@ -176,14 +176,14 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 	clock.advance(time.Second)
 	newcomer := floodKey(77)
 	tab.Insert(newcomer, 1, 77)
-	if _, ok := tab.Lookup(newcomer, 1); ok {
+	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
 		t.Fatal("first-seen key admitted into a full shard of live flows")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || tab.Len() != 8 {
 		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, 8 live", ad, ev, tab.Len())
 	}
 	tab.Insert(newcomer, 1, 77)
-	if v, ok := tab.Lookup(newcomer, 1); !ok || v != 77 {
+	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
@@ -201,14 +201,14 @@ func TestAdmissionGuardWithoutTTLAsksRingFirst(t *testing.T) {
 	}
 	newcomer := floodKey(77)
 	tab.Insert(newcomer, 1, 77)
-	if hand := tab.shards[0].hand; hand != 0 {
-		t.Fatalf("refused insert sampled the slab: hand moved to %d", hand)
+	if hand := tab.shards[0].flows.hand; hand != 0 {
+		t.Fatalf("refused insert sampled the cells: hand moved to %d", hand)
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 {
 		t.Fatalf("admission drops/evictions = %d/%d, want 1 admission drop, no eviction", ad, ev)
 	}
 	tab.Insert(newcomer, 1, 77)
-	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 || tab.shards[0].hand == 0 {
-		t.Fatalf("second attempt: %d drops, %d evictions, hand %d; want it admitted over the sample's LRU", ad, ev, tab.shards[0].hand)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 || tab.shards[0].flows.hand == 0 {
+		t.Fatalf("second attempt: %d drops, %d evictions, hand %d; want it admitted over the sample's LRU", ad, ev, tab.shards[0].flows.hand)
 	}
 }

@@ -16,7 +16,7 @@ func TestSweepReclaimsExpired(t *testing.T) {
 	}
 	clk.advance(45 * time.Second)
 	for i := 0; i < 3; i++ { // three old flows still sending
-		if _, ok := tb.Lookup(key(i), 1); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
 			t.Fatalf("flow %d missing", i)
 		}
 	}
@@ -35,7 +35,7 @@ func TestSweepReclaimsExpired(t *testing.T) {
 		t.Fatalf("expired drops = %d, want 5", n)
 	}
 	for _, i := range []int{0, 1, 2, 8, 9, 10, 11} {
-		if _, ok := tb.Lookup(key(i), 1); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
 			t.Fatalf("entry %d in use was swept", i)
 		}
 	}

@@ -28,7 +28,7 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 	}
 	fill()
 	tab.Insert(newcomer, 1, 77) // first sighting since the restart
-	if _, ok := tab.Lookup(newcomer, 1); ok {
+	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
 		t.Fatal("key noted before the purge was admitted on its first attempt after it")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 2 || ev != 0 {
@@ -39,7 +39,7 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 // TestStaleChurnStaysBounded: with the shard full and the generation
 // moving under it, refills — stale flows coming back and flows never seen
 // before, half and half — must keep the shard at or below capacity and
-// must not allocate: a released slot is the next one claimed.
+// must not allocate: the index never grows past its bound.
 func TestStaleChurnStaysBounded(t *testing.T) {
 	const capacity = 64
 	tab := New[int](Config{Capacity: capacity, Shards: 1})
@@ -60,7 +60,7 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 			} else {
 				fresh++
 			}
-			if _, ok := tab.Lookup(k, gen); ok {
+			if _, ok := tab.Lookup(k, gen, nil); ok {
 				t.Fatalf("round %d: key %d served under generation %d", round, i, gen)
 			}
 			tab.Insert(k, gen, i)
@@ -97,7 +97,7 @@ func mixedScript(tab *Table[int], clk *tickClock) map[string]float64 {
 			n = 50 + i%650 // ...under a cold scan that does not
 		}
 		k := floodKey(uint64(n))
-		if _, ok := tab.Lookup(k, gen); !ok {
+		if _, ok := tab.Lookup(k, gen, nil); !ok {
 			tab.Insert(k, gen, i)
 		}
 		switch {

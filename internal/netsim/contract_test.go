@@ -110,7 +110,13 @@ func TestDeliverUnderFaultsNeverPassesADeny(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _, enf, _, traffic := contractFixture(t)
 			ref, _, _ := buildEnforcerAndDB(t) // same app, same rules, no flow cache
-			if ref.FlowCacheEnabled() || !enf.FlowCacheEnabled() {
+			cached := func(e *enforcer.Enforcer) bool {
+				r := metrics.NewRegistry()
+				e.RegisterMetrics(r)
+				_, ok := r.Value("bp_flowtable_live")
+				return ok
+			}
+			if cached(ref) || !cached(enf) {
 				t.Fatal("fixture: the reference must be uncached and the gateway cached")
 			}
 			n.InstallFaults(tc.plan)

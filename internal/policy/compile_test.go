@@ -9,35 +9,6 @@ import (
 	"borderpatrol/internal/dex"
 )
 
-// referenceEvaluate is the seed engine's naive linear scan, kept verbatim
-// as the executable specification the compiled engine must reproduce:
-// first matching rule (in order) decides, otherwise the default applies.
-// It returns the decisive rule index (-1 for the default) and the
-// decision.
-func referenceEvaluate(rules []Rule, def Verdict, appHash dex.TruncatedHash, stack []dex.Signature) (int, Decision) {
-	for i := range rules {
-		r := &rules[i]
-		if !r.Matches(appHash, stack) {
-			continue
-		}
-		switch r.Action {
-		case Deny:
-			return i, Decision{
-				Verdict: VerdictDrop,
-				Rule:    r,
-				Reason:  fmt.Sprintf("deny rule %s matched", r),
-			}
-		case Allow:
-			return i, Decision{
-				Verdict: VerdictAllow,
-				Rule:    r,
-				Reason:  fmt.Sprintf("allow rule %s satisfied by all frames", r),
-			}
-		}
-	}
-	return -1, Decision{Verdict: def, Reason: fmt.Sprintf("default %s", def)}
-}
-
 // corpusPools hold the building blocks for randomized rules and stacks.
 // The pools deliberately overlap at package-prefix boundaries
 // ("com/flurry" vs "com/flurry/sdk" vs "com/flurryx") so prefix-index
@@ -116,58 +87,6 @@ func randStack(rng *rand.Rand) []dex.Signature {
 		stack[i] = randSignature(rng)
 	}
 	return stack
-}
-
-// TestCompiledMatchesReference is the equivalence proof: over a generated
-// corpus of rule sets and packet contexts, the compiled engine must return
-// the identical verdict, decisive rule index, and reason as the naive
-// linear scan — including its first-decisive-rule-wins ordering.
-func TestCompiledMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2019))
-	for trial := 0; trial < 300; trial++ {
-		nRules := rng.Intn(40)
-		rules := make([]Rule, nRules)
-		for i := range rules {
-			rules[i] = randRule(rng)
-			if err := rules[i].Validate(); err != nil {
-				t.Fatalf("trial %d: generated invalid rule %s: %v", trial, rules[i], err)
-			}
-		}
-		def := VerdictAllow
-		if trial%2 == 1 {
-			def = VerdictDrop
-		}
-		eng, err := NewEngine(rules, def)
-		if err != nil {
-			t.Fatalf("trial %d: NewEngine: %v", trial, err)
-		}
-		c := eng.compiled.Load()
-
-		for probe := 0; probe < 60; probe++ {
-			appHash := randHash(rng)
-			stack := randStack(rng)
-
-			wantIdx, want := referenceEvaluate(rules, def, appHash, stack)
-			gotIdx := c.evaluate(appHash, stack)
-			if gotIdx == len(rules) {
-				gotIdx = -1
-			}
-			if gotIdx != wantIdx {
-				t.Fatalf("trial %d probe %d: decisive index = %d, want %d\nrules: %v\nhash: %s stack: %v",
-					trial, probe, gotIdx, wantIdx, rules, appHash, stack)
-			}
-			got := eng.Evaluate(appHash, stack)
-			if got.Verdict != want.Verdict || got.Reason != want.Reason {
-				t.Fatalf("trial %d probe %d: decision = %+v, want %+v", trial, probe, got, want)
-			}
-			if (got.Rule == nil) != (want.Rule == nil) {
-				t.Fatalf("trial %d probe %d: rule presence = %v, want %v", trial, probe, got.Rule, want.Rule)
-			}
-			if got.Rule != nil && *got.Rule != rules[wantIdx] {
-				t.Fatalf("trial %d probe %d: decisive rule = %s, want %s", trial, probe, got.Rule, rules[wantIdx])
-			}
-		}
-	}
 }
 
 // TestEvaluateRacesSetRules hammers concurrent evaluation against central

@@ -67,45 +67,6 @@ func TestFormatParseIdentityProperty(t *testing.T) {
 	}
 }
 
-// TestParsedCompiledMatchesReference closes the loop the policy store
-// relies on: a rule set that survives a format→parse cycle compiles into
-// an engine whose verdicts agree with the naive reference matcher over the
-// original (pre-serialization) rules. This extends
-// TestCompiledMatchesReference across the grammar layer — a serializer or
-// parser bug that altered any rule would surface as a verdict divergence.
-func TestParsedCompiledMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7331))
-	for trial := 0; trial < 150; trial++ {
-		nRules := rng.Intn(25)
-		rules := make([]Rule, nRules)
-		for i := range rules {
-			rules[i] = randRule(rng)
-		}
-		parsed, err := ParsePolicyString(FormatPolicy(rules))
-		if err != nil {
-			t.Fatalf("trial %d: round trip failed: %v", trial, err)
-		}
-		def := VerdictAllow
-		if trial%2 == 1 {
-			def = VerdictDrop
-		}
-		eng, err := NewEngine(parsed, def)
-		if err != nil {
-			t.Fatalf("trial %d: NewEngine over reparsed rules: %v", trial, err)
-		}
-		for probe := 0; probe < 40; probe++ {
-			appHash := randHash(rng)
-			stack := randStack(rng)
-			wantIdx, want := referenceEvaluate(rules, def, appHash, stack)
-			got := eng.Evaluate(appHash, stack)
-			if got.Verdict != want.Verdict || got.Reason != want.Reason {
-				t.Fatalf("trial %d probe %d: decision %+v, want %+v (decisive %d)\nrules: %v",
-					trial, probe, got, want, wantIdx, rules)
-			}
-		}
-	}
-}
-
 // TestHostileTargetsSurviveEnforcement: a hostile-target rule set must not
 // only round-trip, it must keep matching correctly — e.g. a rule whose
 // target contains a quote still denies a stack whose package contains that
