@@ -458,19 +458,24 @@ var (
 	RunFlowSize = experiments.RunFlowSize
 	// RunReplay reproduces the §VII tag-replay mitigation.
 	RunReplay = experiments.RunReplay
-	// RunReloadUnderLoad stress-tests central reconfiguration (§IV): policy
-	// swaps under saturating traffic, proving packets never observe a torn
-	// rule set and malformed candidates keep the last-good rules serving.
-	RunReloadUnderLoad = experiments.RunReloadUnderLoad
 	// RunDNSResolution pushes tagged DNS-over-UDP queries through the
 	// gateway end to end — the transport layer's first non-HTTP workload.
 	RunDNSResolution = experiments.RunDNSResolution
-	// RunSoak drives hours of virtual-time churn — wire faults, policy
-	// swaps with malformed candidates, fail-closed outages, gateway
-	// restarts, idle GC — and asserts bounded memory, zero leaks, and the
-	// fail-safe invariant (no fault sequence converts a deny into a
-	// delivery).
-	RunSoak = experiments.RunSoak
+	// RunScenario runs a scenario — a list of epochs, each a traffic mix
+	// plus policy swaps, malformed candidates, backend outages, restarts,
+	// context flips, clock advances or idle-GC sweeps — and checks every
+	// verdict against the reference model; ScenarioResult.Check holds the
+	// run to the named invariants.
+	RunScenario = experiments.RunScenario
+	// SoakScenario is the chaos soak: hours of virtual-time churn over a
+	// faulty wire (epochs, swaps).
+	SoakScenario = experiments.SoakScenario
+	// ReloadScenario is reload under load (§IV): policy swaps racing
+	// saturating traffic, malformed candidates among them.
+	ReloadScenario = experiments.ReloadScenario
+	// ContextScenario is the contextual-policy run over a pooled device
+	// population: risk groups, context flips and a time window.
+	ContextScenario = experiments.ContextScenario
 	// RunFleetBench drives the multi-gateway fleet workload: N sharded
 	// gateways, pooled devices, mixed HTTP+DNS traffic, a mid-run
 	// fleet-wide policy push, and leak accounting (machine-readable via
@@ -486,18 +491,13 @@ type (
 	ValidationConfig = experiments.ValidationConfig
 	// Fig4Options sizes the latency stress test.
 	Fig4Options = experiments.Fig4Options
-	// ReloadConfig parameterizes the reload-under-load experiment.
-	ReloadConfig = experiments.ReloadConfig
-	// ReloadResult reports the reload-under-load experiment.
-	ReloadResult = experiments.ReloadResult
 	// DNSResolutionResult reports the DNS-over-UDP workload.
 	DNSResolutionResult = experiments.DNSResolutionResult
-	// SoakConfig parameterizes the chaos soak harness.
-	SoakConfig = experiments.SoakConfig
-	// SoakResult reports a soak run (Check asserts its invariants).
-	SoakResult = experiments.SoakResult
-	// SoakSnapshot is one in-run resource reading of a soak run.
-	SoakSnapshot = experiments.SoakSnapshot
+	// Scenario is a world and a list of epochs (RunScenario).
+	Scenario = experiments.Scenario
+	// ScenarioResult reports a scenario run (Check asserts its named
+	// checks).
+	ScenarioResult = experiments.ScenarioResult
 	// FleetRunConfig sizes the fleet benchmark (RunFleetBench).
 	FleetRunConfig = experiments.FleetRunConfig
 	// FleetBenchResult reports the fleet benchmark (Check asserts zero
@@ -512,7 +512,5 @@ var (
 	DefaultFig3Config       = experiments.DefaultFig3Config
 	DefaultValidationConfig = experiments.DefaultValidationConfig
 	DefaultFig4Options      = experiments.DefaultFig4Options
-	DefaultReloadConfig     = experiments.DefaultReloadConfig
-	DefaultSoakConfig       = experiments.DefaultSoakConfig
 	DefaultFleetRunConfig   = experiments.DefaultFleetRunConfig
 )

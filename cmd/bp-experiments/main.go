@@ -11,6 +11,7 @@
 //	bp-experiments -run fig4
 //	bp-experiments -run fleet -paper-scale          # 8 gateways, 10k devices
 //	bp-experiments -run fleet -fleet-gateways 3 -fleet-devices 40
+//	bp-experiments -run soak,reload,context         # the three scenario tables
 //
 // The fleet run shares bp-gateway's audit and metrics flags: -audit
 // ships the fleet-wide enforcement trail, -metrics-addr serves the
@@ -37,7 +38,7 @@ func main() {
 }
 
 func run() error {
-	which := flag.String("run", "all", "experiment: fig3|validation|cloud|facebook|fig4|keepalive|flowsize|replay|whitelist|dns|soak|fleet|context|all")
+	which := flag.String("run", "all", "experiment: fig3|validation|cloud|facebook|fig4|keepalive|flowsize|replay|whitelist|dns|fleet|soak|reload|context|all")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's full workload sizes")
 	seed := flag.Int64("seed", 2019, "corpus seed")
 	fleetGateways := flag.Int("fleet-gateways", 0, "fleet experiment: gateway count (0 = 8, or 4 without -paper-scale)")
@@ -188,26 +189,6 @@ func run() error {
 		fmt.Print(res.Format())
 	}
 
-	if all || want["soak"] {
-		section("E13 — Chaos soak: faults, degradation, restarts (virtual time)")
-		cfg := experiments.DefaultSoakConfig()
-		cfg.Seed = *seed
-		if !*paperScale {
-			// The smoke scale still exercises every churn dimension.
-			cfg.Packets = 100_000
-			cfg.Swaps = 20
-		}
-		res, err := experiments.RunSoak(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if err := res.Check(); err != nil {
-			return err
-		}
-		fmt.Println("all soak invariants held")
-	}
-
 	if all || want["fleet"] {
 		section("E15 — Fleet: multi-gateway sharded enforcement")
 		fcfg := experiments.FleetRunConfig{
@@ -261,16 +242,32 @@ func run() error {
 		}
 	}
 
-	if all || want["context"] {
-		section("E16 — Contextual policy: risk-scored predicates over a device pool")
-		ccfg := experiments.ContextRunConfig{Devices: *contextDevices, Seed: *seed}
-		if !*paperScale {
-			if ccfg.Devices == 0 {
-				ccfg.Devices = 32
-			}
-			ccfg.HitIterations = 100_000
+	// The scenario tables. The reduced scales still exercise every event;
+	// -paper-scale runs the acceptance sizes (the soak pushes ≥1M packets).
+	soakEpochs, soakSwaps, hits := 1_450, 20, 100_000
+	if *paperScale {
+		soakEpochs, soakSwaps, hits = 15_300, 60, 200_000
+	}
+	devices := *contextDevices
+	if devices == 0 {
+		devices = 32
+		if *paperScale {
+			devices = 64
 		}
-		res, err := experiments.RunContext(ccfg)
+	}
+	for _, t := range []struct {
+		name, title string
+		sc          experiments.Scenario
+	}{
+		{"soak", "E13 — Chaos soak: faults, degradation, restarts (virtual time)", experiments.SoakScenario(*seed, soakEpochs, soakSwaps)},
+		{"reload", "E10 — Reload under load: policy swaps racing traffic (§IV)", experiments.ReloadScenario(150)},
+		{"context", "E16 — Contextual policy: risk-scored predicates over a device pool", experiments.ContextScenario(*seed, devices, hits)},
+	} {
+		if !all && !want[t.name] {
+			continue
+		}
+		section(t.title)
+		res, err := experiments.RunScenario(t.sc)
 		if err != nil {
 			return err
 		}
@@ -278,8 +275,8 @@ func run() error {
 		if err := res.Check(); err != nil {
 			return err
 		}
-		fmt.Println("all context invariants held")
-		if *contextJSON != "" {
+		fmt.Printf("all %s checks held\n", t.name)
+		if t.name == "context" && *contextJSON != "" {
 			if err := res.WriteJSON(*contextJSON); err != nil {
 				return err
 			}

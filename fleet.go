@@ -259,13 +259,6 @@ func (f *Fleet) PushPolicy(doc string) error {
 	return nil
 }
 
-// SetFleetFaults installs (or replaces) a wire-fault plan on the shared
-// network; ClearFleetFaults restores the perfect wire.
-func (f *Fleet) SetFleetFaults(plan FaultPlan) { f.network.InstallFaults(plan) }
-
-// ClearFleetFaults removes the fleet's fault plan.
-func (f *Fleet) ClearFleetFaults() { f.network.ClearFaults() }
-
 // Close stops every gateway's policy watcher and flushes every audit
 // pipeline, reporting the first sticky error from any of them.
 func (f *Fleet) Close() error {

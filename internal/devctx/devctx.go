@@ -226,7 +226,7 @@ func (s *Source) SetPatchAge(addr netip.Addr, days int32) {
 
 // ObserveLocation records a location fix and derives the apparent velocity
 // from the previous observation (great-circle distance over virtual time
-// elapsed). A velocity ≥ policy.ImpossibleTravelKmh is the
+// elapsed). A velocity > policy.ImpossibleTravelKmh is the
 // impossible-travel signal: the credential moved faster than the device
 // could have.
 func (s *Source) ObserveLocation(addr netip.Addr, lat, lon float64) {

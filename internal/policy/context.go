@@ -221,7 +221,7 @@ type DeviceContext struct {
 	// PatchAgeDays is the age of the device's security patch level.
 	PatchAgeDays int32
 	// VelocityKmh is the apparent velocity between the last two location
-	// observations; ≥ ImpossibleTravelKmh indicates impossible travel.
+	// observations; > ImpossibleTravelKmh indicates impossible travel.
 	VelocityKmh int32
 }
 
