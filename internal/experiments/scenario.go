@@ -84,11 +84,11 @@ type epoch struct {
 	cohort []int
 	last   bool
 	// senders > 0 sends the traffic straight to the enforcer from that many
-	// goroutines, each at least repeat times and until the events are
-	// applied: the events race the traffic, and a verdict may match the
-	// model from just before or just after them. repeat > 0 times the
-	// sends. Otherwise the traffic crosses the network once, after the
-	// events.
+	// goroutines while the events apply: the events race the traffic, and a
+	// verdict may match the model from just before or just after them.
+	// repeat > 0 sends it straight to the enforcer repeat times after the
+	// events, timed. Otherwise the traffic crosses the network once, after
+	// the events.
 	senders, repeat int
 
 	// The events, in the order they apply.
@@ -97,6 +97,7 @@ type epoch struct {
 	restart   bool // the gateway reboots: all per-flow state gone
 	flips     []flip
 	advance   time.Duration // virtual time passes, and the policy poller ticks
+	at        time.Duration // as advance, to this instant (0 is Monday 00:00)
 	sweep     bool          // the idle-GC sweep runs
 	// outage removes the policy file past the staleness deadline, so the
 	// traffic meets a store degraded fail-closed; the file returns after.
@@ -149,17 +150,14 @@ type ScenarioResult struct {
 	// flip epochs that re-evaluated more. A time edge is a clock advance
 	// that changed an answer for its epoch's traffic; TimeFlows are the
 	// flows sent across one.
-	RiskEvaluations, RiskWarns, RiskBlocks, TimeReevaluations     uint64
+	RiskWarns, RiskBlocks, TimeReevaluations, StaleDrops          uint64
 	ModelWarns, ModelBlocks, FlippedDevices, StaleAllows          int
 	PostFlipDrops, StripeMates, Bystanders, BystanderOverruns     int
 	TimeFlows, TimeEdges, StaleTimeAllows, HitPackets             int
 	HitNsPerPkt                                                   float64
-	Invalidations, ContextChanges                                 map[string]uint64
-	StaleDrops, FlowHits, FlowMisses                              uint64
-	Faults                                                        map[string]uint64
+	Invalidations, ContextChanges, Faults                         map[string]uint64
 	ResponsesChecked, ResponseAdopts, ResponseSeqDrops, DupCloses uint64
-	ConnsLeaked, FlowsLeaked, GoroutinesLeaked                    int
-	GCConnsReclaimed, GCFlowsReclaimed                            int
+	ConnsLeaked, FlowsLeaked, GoroutinesLeaked, GCConnsReclaimed  int
 	HeapGrowth                                                    int64
 	Snapshots                                                     []Snapshot
 }
@@ -309,7 +307,8 @@ type scenarioRun struct {
 	pkts       []*ipv4.Packet
 	src, first []int // each packet's source; source s sends pkts[first[s]:first[s+1]]
 	rules      [][]policy.Rule
-	active     int // the policy the file serves
+	active     int  // the policy the file serves
+	timed      bool // a policy scores the time of day: the clock is model state
 	model      refmodel.Model
 	state      modelState
 	expect     []refmodel.Verdict // the model's answer for every packet
@@ -323,8 +322,8 @@ type scenarioRun struct {
 }
 
 // modelState names what the model's answers depend on: the policy in force
-// (-1 while degraded), how many flips it has seen, and the clock when the
-// model reads it.
+// (-1 while degraded), how many flips it has seen, and the clock when a
+// policy reads it.
 type modelState struct {
 	policy, flips int
 	clock         time.Duration
@@ -347,6 +346,9 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 			return nil, err
 		}
 		r.rules = append(r.rules, rules)
+		r.timed = r.timed || slices.ContainsFunc(rules, func(rule policy.Rule) bool {
+			return rule.Kind == policy.KindRisk && rule.Pred == policy.PredTime
+		})
 	}
 	gen := apkgen.DefaultConfig()
 	gen.Apps, gen.Seed = sc.apps, sc.seed
@@ -522,9 +524,9 @@ func agrees(got *enforcer.Result, want refmodel.Verdict) bool {
 		(got.Decision == nil || got.Decision.RiskWarn == want.RiskWarn)
 }
 
-// next is the model after e's events and its state, and whether e moves
-// the clock of a model that reads it. The clock moves with virtual time.
-func (r *scenarioRun) next(e epoch) (m refmodel.Model, st modelState, timed bool) {
+// next is the model after e's events, and its state. The clock moves with
+// virtual time.
+func (r *scenarioRun) next(e epoch) (m refmodel.Model, st modelState) {
 	m, st = r.model, r.state
 	if e.swap {
 		st.policy = (r.active + 1) % len(r.rules)
@@ -547,27 +549,34 @@ func (r *scenarioRun) next(e epoch) (m refmodel.Model, st modelState, timed bool
 			now += scenarioMaxStale + time.Second
 		}
 		m.Clock = fixedClock(now)
-		if timed = m.Timed(); timed {
+		if r.timed {
 			st.clock = now
 		}
 	}
-	return m, st, timed
+	return m, st
 }
 
 func (r *scenarioRun) step(e epoch) error {
 	tb, res := r.tb, r.res
+	if e.at > 0 {
+		// An instant, not a step: the traffic before it moved the clock.
+		if e.advance = e.at - tb.Network.Clock.Now(); e.advance < 0 {
+			return fmt.Errorf("the clock reads %v, past the epoch's instant %v", tb.Network.Clock.Now(), e.at)
+		}
+	}
 	var traffic []int
+	var pkts []*ipv4.Packet
 	for s := 0; s+1 < len(r.first); s++ {
 		lo, hi := r.first[s], r.first[s+1]
 		if e.last {
 			lo = hi - 1
 		}
 		for i := lo; i < hi && (e.cohort == nil || slices.Contains(e.cohort, s)); i++ {
-			traffic = append(traffic, i)
+			traffic, pkts = append(traffic, i), append(pkts, r.pkts[i])
 		}
 	}
-	next, st, timed := r.next(e)
-	changed := st != r.state
+	next, st := r.next(e)
+	changed, timed := st != r.state, st.clock != r.state.clock
 	before, after := r.expect, r.answers(st, &next)
 	if timed {
 		// A time edge: the advance alone changes an answer.
@@ -586,7 +595,7 @@ func (r *scenarioRun) step(e epoch) error {
 	}
 	var err error
 	if e.senders > 0 {
-		err = r.race(e, traffic, before, after, changed)
+		err = r.race(e, traffic, pkts, before, after, changed)
 	} else {
 		err = r.events(e)
 	}
@@ -594,8 +603,11 @@ func (r *scenarioRun) step(e epoch) error {
 	if err != nil {
 		return err
 	}
-	if e.senders == 0 {
-		r.deliver(e, traffic, timed)
+	switch {
+	case e.repeat > 0:
+		r.repeat(e, traffic, pkts)
+	case e.senders == 0:
+		r.deliver(e, traffic, pkts, timed)
 	}
 	if e.outage {
 		// The file returns: the next cycle lifts the degradation.
@@ -607,9 +619,6 @@ func (r *scenarioRun) step(e epoch) error {
 		}
 		r.model.Rules, r.model.Default = r.rules[r.active], policy.VerdictAllow
 		r.state.policy = r.active
-		if r.model.Timed() {
-			r.state.clock = r.model.Clock.Now()
-		}
 		r.expect = r.answers(r.state, &r.model)
 	}
 	res.Epochs++
@@ -686,9 +695,8 @@ func (r *scenarioRun) events(e epoch) error {
 		}
 	}
 	if e.sweep {
-		conns, flows := tb.Network.Gateway.GC(scenarioConnIdle)
+		conns, _ := tb.Network.Gateway.GC(scenarioConnIdle)
 		r.res.GCConnsReclaimed += conns
-		r.res.GCFlowsReclaimed += flows
 	}
 	if e.outage {
 		if err := os.Remove(r.path); err != nil {
@@ -709,21 +717,17 @@ func (r *scenarioRun) events(e epoch) error {
 // deliver sends the traffic through the network in bursts and scores every
 // packet against the model. After a flip it also counts whose cached
 // verdicts the traffic re-evaluated.
-func (r *scenarioRun) deliver(e epoch, traffic []int, timed bool) {
+func (r *scenarioRun) deliver(e epoch, traffic []int, pkts []*ipv4.Packet, timed bool) {
 	res, tb := r.res, r.tb
 	flipped, stripes := map[int]bool{}, map[int]bool{}
 	for _, f := range e.flips {
 		flipped[f.device], stripes[devctx.Stripe(r.pool.Addr(f.device))] = true, true
 	}
 	mates, misses := 0, int(tb.count("bp_flowtable_misses_total"))
-	burst := make([]*ipv4.Packet, 0, scenarioBurst)
 	for lo := 0; lo < len(traffic); lo += scenarioBurst {
-		idx := traffic[lo:min(lo+scenarioBurst, len(traffic))]
-		burst = burst[:0]
-		for _, i := range idx {
-			burst = append(burst, r.pkts[i])
-		}
-		for j, d := range tb.Network.DeliverBatch(burst) {
+		hi := min(lo+scenarioBurst, len(traffic))
+		idx := traffic[lo:hi]
+		for j, d := range tb.Network.DeliverBatch(pkts[lo:hi]) {
 			want, s := r.expect[idx[j]], r.src[idx[j]]
 			res.Packets++
 			if d.Delivered {
@@ -765,15 +769,16 @@ func (r *scenarioRun) deliver(e epoch, traffic []int, timed bool) {
 }
 
 // race sends the traffic straight to the enforcer from e.senders goroutines
-// while the events apply: each sender's first send ends before the events
-// start, and its last starts after they end. The senders wait for each
-// other after their first send, so none is still queued behind the others
-// when the events begin.
-func (r *scenarioRun) race(e epoch, traffic []int, before, after []refmodel.Verdict, changed bool) error {
-	pkts := make([]*ipv4.Packet, len(traffic))
+// while the events apply. Each sender's first send ends before the events
+// start, and its last starts after they end. The sends between started
+// while the events ran, and only they count to the old/new split: a split
+// nonzero on both sides shows that the traffic raced the events. The
+// senders wait for each other after their first send, so none is still
+// queued behind the others when the events begin.
+func (r *scenarioRun) race(e epoch, traffic []int, pkts []*ipv4.Packet, before, after []refmodel.Verdict, changed bool) error {
 	diverge := make([]bool, len(traffic))
 	for j, i := range traffic {
-		pkts[j], diverge[j] = r.pkts[i], !sameVerdict(before[i], after[i])
+		diverge[j] = !sameVerdict(before[i], after[i])
 		r.res.Divergent += b2i(changed && diverge[j])
 	}
 	// A tally per sender: sent, torn, mismatched, old side, new side.
@@ -783,13 +788,13 @@ func (r *scenarioRun) race(e epoch, traffic []int, before, after []refmodel.Verd
 	gate := make(chan struct{}) // opens once every sender has sent once
 	ready.Add(e.senders)
 	done.Add(e.senders)
-	start := time.Now()
 	for s := range tallies {
 		go func(t *[5]int) {
 			defer done.Done()
 			var out []enforcer.Result
 			for n := 1; ; n++ {
 				last := applied.Load()
+				during := n > 1 && !last
 				out = r.tb.Enforcer.ProcessBatch(pkts, out)
 				t[0] += len(out)
 				for j := range out {
@@ -799,9 +804,9 @@ func (r *scenarioRun) race(e epoch, traffic []int, before, after []refmodel.Verd
 						t[1]++
 					case !b && !a:
 						t[2]++
-					case diverge[j] && b:
+					case diverge[j] && during && b:
 						t[3]++
-					case diverge[j]:
+					case diverge[j] && during:
 						t[4]++
 					}
 				}
@@ -809,7 +814,7 @@ func (r *scenarioRun) race(e epoch, traffic []int, before, after []refmodel.Verd
 					ready.Done()
 					<-gate
 				}
-				if last && n >= e.repeat {
+				if last {
 					return
 				}
 			}
@@ -824,16 +829,31 @@ func (r *scenarioRun) race(e epoch, traffic []int, before, after []refmodel.Verd
 	res.Raced += b2i(changed)
 	for _, t := range tallies {
 		res.Packets += t[0]
-		res.HitPackets += b2i(e.repeat > 0) * t[0]
 		res.TornVerdicts += t[1]
 		res.VerdictMismatches += t[2]
 		res.VerdictsOld += t[3]
 		res.VerdictsNew += t[4]
 	}
-	if e.repeat > 0 {
-		r.hitNs += time.Since(start).Nanoseconds() * int64(e.senders)
-	}
 	return err
+}
+
+// repeat sends the traffic straight to the enforcer e.repeat times, one
+// packet at a time from one goroutine, and times the sends: each is a
+// flow-cache hit once the traffic has crossed the network. The clock covers
+// the enforcer and the comparison of each verdict with the model.
+func (r *scenarioRun) repeat(e epoch, traffic []int, pkts []*ipv4.Packet) {
+	mismatches := 0
+	start := time.Now()
+	for n := 0; n < e.repeat; n++ {
+		for j, pkt := range pkts {
+			got := r.tb.Enforcer.Process(pkt)
+			mismatches += b2i(!agrees(&got, r.expect[traffic[j]]))
+		}
+	}
+	r.hitNs += time.Since(start).Nanoseconds()
+	r.res.HitPackets += e.repeat * len(pkts)
+	r.res.Packets += e.repeat * len(pkts)
+	r.res.VerdictMismatches += mismatches
 }
 
 // finish drains the run, reads its counters, shuts the testbed down and
@@ -843,9 +863,8 @@ func (r *scenarioRun) finish() (*ScenarioResult, error) {
 	// Everything idles out, then one sweep must leave both tables empty:
 	// any surviving entry is a leak.
 	tb.Network.Clock.Advance(scenarioFlowTTL + scenarioConnIdle + time.Second)
-	conns, flows := tb.Network.Gateway.GC(scenarioConnIdle)
+	conns, _ := tb.Network.Gateway.GC(scenarioConnIdle)
 	res.GCConnsReclaimed += conns
-	res.GCFlowsReclaimed += flows
 	res.ConnsLeaked = int(tb.count("bp_conntrack_connections", metrics.L("state", "open")))
 	res.FlowsLeaked = int(tb.count("bp_flowtable_live"))
 	res.VirtualTime = tb.Network.Clock.Now() - r.clockStart
@@ -858,7 +877,6 @@ func (r *scenarioRun) finish() (*ScenarioResult, error) {
 	res.PolicyVersion, res.PolicyRules = tb.Policy.Version(), tb.count("bp_policy_rules")
 	res.Restarts = tb.Network.Gateway.Restarts()
 
-	res.RiskEvaluations = tb.count("bp_context_evaluations_total")
 	res.RiskWarns = tb.count("bp_context_warns_total")
 	res.RiskBlocks = tb.count("bp_context_blocks_total")
 	res.Invalidations = tb.byLabel("bp_context_invalidations_total")
@@ -868,7 +886,6 @@ func (r *scenarioRun) finish() (*ScenarioResult, error) {
 		res.HitNsPerPkt = float64(r.hitNs) / float64(res.HitPackets)
 	}
 	res.StaleDrops = tb.count("bp_flowtable_stale_drops_total")
-	res.FlowHits, res.FlowMisses = tb.count("bp_flowtable_hits_total"), tb.count("bp_flowtable_misses_total")
 	res.Faults = tb.byLabel("bp_netsim_faults_total")
 	outcome := func(o string) uint64 { return tb.count("bp_conntrack_responses_total", metrics.L("outcome", o)) }
 	res.ResponsesChecked, res.ResponseAdopts, res.ResponseSeqDrops = outcome("checked"), outcome("adopted"), outcome("seq_drop")

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Test scales. The soak smoke pushes about 30,000 packets over hours of
@@ -113,7 +114,9 @@ func assertSoakShape(t *testing.T, res *ScenarioResult, packets int) {
 // swaps racing saturating batched traffic never produce a verdict the model
 // gives neither before nor after the swap, malformed candidates are
 // rejected with the last-good rules serving, and the engine generation
-// advances exactly once per applied swap (Check).
+// advances exactly once per applied swap (Check). Its split check counts
+// only sends that started while a swap was being applied, so it needs two
+// CPUs: on one, nothing runs beside the swap.
 func TestRunReloadUnderLoad(t *testing.T) {
 	swaps := 150
 	if testing.Short() {
@@ -278,6 +281,27 @@ func TestScenarioPolicyWriteFailureEndsRun(t *testing.T) {
 	}
 	if err := r.step(epoch{swap: true}); err == nil {
 		t.Error("an epoch over an unwritable policy file succeeded")
+	}
+}
+
+// TestScenarioPastInstantEndsRun: an epoch's instant is a time of day, not
+// a step, and a run whose traffic already carried the clock past it fails
+// rather than probing a later instant.
+func TestScenarioPastInstantEndsRun(t *testing.T) {
+	r, err := startScenario(ContextScenario(2019, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if err := r.step(epoch{}); err != nil {
+		t.Fatal(err)
+	}
+	now := r.tb.Network.Clock.Now()
+	if err := r.step(epoch{at: now + time.Second}); err != nil || r.tb.Network.Clock.Now() < now+time.Second {
+		t.Fatalf("step to %v: %v, clock reads %v", now+time.Second, err, r.tb.Network.Clock.Now())
+	}
+	if err := r.step(epoch{at: now}); err == nil || !strings.Contains(err.Error(), "past the epoch's instant") {
+		t.Fatalf("step back to %v returned %v, want the past-instant error", now, err)
 	}
 }
 

@@ -119,7 +119,7 @@ func ContextScenario(seed int64, devices, hitIterations int) Scenario {
 			{name: "impossible-travel", context: policy.DeviceContext{Network: policy.NetTrusted, VelocityKmh: devctx.MaxVelocityKmh},
 				fixes: [][2]float64{berlin, {40.71, -74.01}}},
 		},
-		epochs: []epoch{{}, {cohort: []int{0}, last: true, senders: 1, repeat: hitIterations}},
+		epochs: []epoch{{}, {cohort: []int{0}, last: true, repeat: hitIterations}},
 	}
 	roamed := group{name: "roamed", context: policy.DeviceContext{VelocityKmh: devctx.MaxVelocityKmh},
 		fixes: [][2]float64{berlin, {35.68, 139.69}}} // Berlin, then Tokyo
@@ -133,9 +133,9 @@ func ContextScenario(seed int64, devices, hitIterations int) Scenario {
 		}
 	}
 	// 11:59:59, 12:00 (edge), 12:30, 12:59:59, 13:00 (edge), 14:00.
-	for _, step := range []time.Duration{12*time.Hour - time.Second, time.Second, 30 * time.Minute,
-		30*time.Minute - time.Second, time.Second, time.Hour} {
-		sc.epochs = append(sc.epochs, epoch{cohort: lunch, last: true, advance: step})
+	for _, at := range []time.Duration{12*time.Hour - time.Second, 12 * time.Hour, 12*time.Hour + 30*time.Minute,
+		13*time.Hour - time.Second, 13 * time.Hour, 14 * time.Hour} {
+		sc.epochs = append(sc.epochs, epoch{cohort: lunch, last: true, at: at})
 	}
 	return sc
 }

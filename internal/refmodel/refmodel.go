@@ -155,21 +155,6 @@ func Evaluate(rules []policy.Rule, def policy.Verdict, appHash dex.TruncatedHash
 	return -1, policy.Decision{Verdict: def, Reason: fmt.Sprintf("default %s", def)}
 }
 
-// Timed reports whether Decide's answers depend on the clock: the gateway
-// is contextual and the policy scores a time-of-day predicate. Otherwise a
-// move of the clock changes no answer.
-func (m *Model) Timed() bool {
-	if !m.Contextual {
-		return false
-	}
-	for _, r := range m.Rules {
-		if r.Kind == policy.KindRisk && r.Pred == policy.PredTime {
-			return true
-		}
-	}
-	return false
-}
-
 func hasRisk(rules []policy.Rule) bool {
 	for _, r := range rules {
 		if r.Kind == policy.KindRisk {

@@ -58,27 +58,3 @@ func TestScoreMatchesEngine(t *testing.T) {
 		t.Fatalf("the sweep decided only one way: %v", seen)
 	}
 }
-
-// TestTimed: only a contextual model whose policy has a time predicate
-// reads the clock.
-func TestTimed(t *testing.T) {
-	for _, tc := range []struct {
-		doc        string
-		contextual bool
-		want       bool
-	}{
-		{`{[risk][time]["12:00-13:00"][130]}`, true, true},
-		{`{[risk][time]["12:00-13:00"][130]}`, false, false},
-		{`{[risk][network]["unknown"][60]}`, true, false},
-		{`{[deny][library]["com/flurry"]}`, true, false},
-	} {
-		rules, err := policy.ParsePolicyString(tc.doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := Model{Rules: rules, Contextual: tc.contextual}
-		if got := m.Timed(); got != tc.want {
-			t.Errorf("%s contextual=%v: Timed() = %v, want %v", tc.doc, tc.contextual, got, tc.want)
-		}
-	}
-}
