@@ -355,8 +355,9 @@ func (d *Deployment) RestartGateway() {
 
 // SweepIdle runs one garbage-collection sweep over the gateway's per-flow
 // tables: connections idle longer than idle leave the conntrack (their FIN
-// was lost), and flow-cache entries idle past the TTL are reclaimed. Returns
-// what each sweep freed.
+// was lost), and flow-cache entries that can never answer again — idle past
+// the TTL, or cached under a policy, database or device-context generation
+// that has since moved — are reclaimed. Returns what each sweep freed.
 func (d *Deployment) SweepIdle(idle time.Duration) (conns, flows int) {
 	return d.tb.Gateway.GC(idle)
 }

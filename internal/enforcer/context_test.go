@@ -406,3 +406,55 @@ func TestContextInactiveWithoutRiskRules(t *testing.T) {
 		t.Fatalf("risk evaluations = %d", got)
 	}
 }
+
+// TestSweepFlowsReclaimsInvalidated: SweepFlows frees exactly the cached
+// verdicts no packet can hit any more. With nothing changed it frees none,
+// since a flow's key yields the generation its packets carry; after a
+// context flip it frees the flows on the flipped device's stripe, and after
+// a policy swap all the rest.
+func TestSweepFlowsReclaimsInvalidated(t *testing.T) {
+	src := devctx.NewSource(nil)
+	rules := contextRules(t, `
+{[risk][network]["unknown"][100]}
+{[threshold][block][100]}
+`)
+	e, _, _ := newEnforcer(t, Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024}), Context: src}, rules, policy.VerdictAllow)
+	pkts := poolPackets(t, e, 64)
+	for _, p := range pkts {
+		src.SetNetwork(p.Header.Src, policy.NetTrusted)
+	}
+	for _, p := range pkts {
+		e.Process(p)
+	}
+	if freed := e.SweepFlows(); freed != 0 {
+		t.Fatalf("a sweep with nothing changed freed %d flows", freed)
+	}
+	hits := count(e, "bp_flowtable_hits_total")
+	for _, p := range pkts {
+		e.Process(p)
+	}
+	if h := count(e, "bp_flowtable_hits_total"); h != hits+uint64(len(pkts)) {
+		t.Fatalf("%d of %d flows hit after the sweep", h-hits, len(pkts))
+	}
+
+	flipped := devctx.Stripe(pkts[0].Header.Src)
+	onStripe := 0
+	for _, p := range pkts {
+		if devctx.Stripe(p.Header.Src) == flipped {
+			onStripe++
+		}
+	}
+	src.SetNetwork(pkts[0].Header.Src, policy.NetUnknown)
+	if freed := e.SweepFlows(); freed != onStripe {
+		t.Fatalf("a sweep after a context flip freed %d flows, want the %d on its stripe", freed, onStripe)
+	}
+	if err := e.Engine().SetRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	if freed := e.SweepFlows(); freed != len(pkts)-onStripe {
+		t.Fatalf("a sweep after a policy swap freed %d flows, want the other %d", freed, len(pkts)-onStripe)
+	}
+	if live := count(e, "bp_flowtable_live"); live != 0 {
+		t.Fatalf("%d flows live after both sweeps", live)
+	}
+}

@@ -34,9 +34,11 @@
 package enforcer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math/rand/v2"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -248,6 +250,9 @@ type Enforcer struct {
 	audit  AuditSink
 	ctxSrc *devctx.Source
 	clock  devctx.Clock
+	// current is keyGeneration as a func value, made once: the flow table
+	// takes it with every call to tell the cells that can never answer.
+	current func(flowtable.Key) uint64
 
 	scratches sync.Pool // *scratch, reused across packets
 	// tags interns stages 1–2 per tag under a database generation, decisions
@@ -291,6 +296,7 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
 	}
+	e.current = e.keyGeneration
 	return e
 }
 
@@ -304,12 +310,22 @@ func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 // those of its stripe. A field aliases only when its counter advances by a
 // multiple of 2²¹ (2²² for the database) between two packets of one cached
 // flow while the others stand still.
-func (e *Enforcer) generation(pkt *ipv4.Packet) uint64 {
+func (e *Enforcer) generation(src netip.Addr) uint64 {
 	g := e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21
 	if e.ctxSrc != nil {
-		g |= e.ctxSrc.GenerationFor(pkt.Header.Src) & 0x1fffff
+		g |= e.ctxSrc.GenerationFor(src) & 0x1fffff
 	}
 	return g
+}
+
+// keyGeneration is generation for a cached flow, from its key's source
+// address: the generation the flow's next packet will be looked up under.
+// A cell stamped with another can never answer again, and the flow table
+// reclaims it (see flowtable, Invalidation).
+func (e *Enforcer) keyGeneration(k flowtable.Key) uint64 {
+	var src [4]byte
+	binary.BigEndian.PutUint32(src[:], k.Src)
+	return e.generation(netip.AddrFrom4(src))
 }
 
 // now reads the enforcer's virtual clock (Monday 00:00 without one).
@@ -399,7 +415,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 	// probe (and before any evaluation) so that a concurrent
 	// SetRules/AddEntry makes the inserted entry stale rather than letting
 	// a pre-update verdict survive under the new generation.
-	gen := e.generation(pkt)
+	gen := e.generation(pkt.Header.Src)
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
 		return e.timedEvaluate(pkt, opt.Data, nil, now)
@@ -416,7 +432,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 	if timed {
 		hitStart = time.Now()
 	}
-	_, ok := e.flows.Lookup(key, gen, func(v *flowVal) bool { return e.answer(v, opt.Data, &res) })
+	_, ok := e.flows.Lookup(key, gen, e.current, func(v *flowVal) bool { return e.answer(v, opt.Data, &res) })
 	if ok && res.lapsed(now) {
 		// Past its time edge: re-evaluate, overwrite the cell in place.
 		ok = false
@@ -430,7 +446,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 		var v flowVal
 		res = e.timedEvaluate(pkt, opt.Data, &v, now)
 		if v.dec != 0 {
-			e.flows.Insert(key, gen, v)
+			e.flows.Insert(key, gen, e.current, v)
 		}
 	}
 	if memo != nil {
@@ -623,13 +639,17 @@ func (e *Enforcer) EndFlow(pkt *ipv4.Packet) bool {
 	return e.flows.Delete(key)
 }
 
-// SweepFlows reclaims verdict-cache entries idle past the TTL (flows whose
-// teardown the gateway never saw) and returns how many.
+// SweepFlows reclaims every verdict-cache entry that can never answer again
+// and returns how many: flows idle past the TTL (their teardown was never
+// seen), and flows cached under a generation that a policy swap, a database
+// mutation or a context flip on their device's stripe has since moved. A
+// shard already reclaims its own before its index doubles; the sweep frees
+// what no insert passes over.
 func (e *Enforcer) SweepFlows() int {
 	if e.flows == nil {
 		return 0
 	}
-	return e.flows.Sweep()
+	return e.flows.Sweep(e.current)
 }
 
 // PurgeFlows empties the verdict cache, as a gateway restart that loses its

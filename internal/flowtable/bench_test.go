@@ -13,11 +13,11 @@ import (
 func BenchmarkFlowLookupHit(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 65536})
 	k := key(1)
-	tb.Insert(k, 1, 42)
+	tb.Insert(k, 1, nil, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tb.Lookup(k, 1, nil); !ok {
+		if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -35,13 +35,13 @@ func BenchmarkFlowLookupFleet(b *testing.B) {
 		k := Key{Tuple: transport.Tuple{Src: 0x0a800000 + uint32(i), Dst: 0x5db80001, SrcPort: 40000, DstPort: 443}, Proto: 6}
 		k.SetTag([]byte("\x1f\x8b\x08\x00\x41\x42\x43\x44\x01\x02"))
 		keys[i] = k
-		tb.Insert(k, 1, uint64(i))
+		tb.Insert(k, 1, nil, uint64(i))
 	}
 	rand.New(rand.NewSource(1)).Shuffle(flows, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tb.Lookup(keys[i%flows], 1, nil); !ok {
+		if _, ok := tb.Lookup(keys[i%flows], 1, nil, nil); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -52,12 +52,12 @@ func BenchmarkFlowLookupFleet(b *testing.B) {
 func BenchmarkFlowLookupHitParallel(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 65536})
 	k := key(1)
-	tb.Insert(k, 1, 42)
+	tb.Insert(k, 1, nil, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, ok := tb.Lookup(k, 1, nil); !ok {
+			if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
 				b.Error("miss")
 				return
 			}
@@ -76,7 +76,7 @@ func BenchmarkFlowInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Insert(keys[i%len(keys)], 1, uint64(i))
+		tb.Insert(keys[i%len(keys)], 1, nil, uint64(i))
 	}
 }
 
@@ -107,7 +107,7 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 	old := make([]Key, 1024)
 	for i := range old {
 		old[i] = key(i)
-		tb.Insert(old[i], 1, uint64(i))
+		tb.Insert(old[i], 1, nil, uint64(i))
 	}
 	gen := uint64(1)
 	b.ReportAllocs()
@@ -120,10 +120,37 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 		if i%2 == 1 {
 			k = floodKey(uint64(1_000_000 + i))
 		}
-		if _, ok := tb.Lookup(k, gen, nil); ok {
+		if _, ok := tb.Lookup(k, gen, nil, nil); ok {
 			b.Fatal("verdict served across a generation move")
 		}
-		tb.Insert(k, gen, uint64(i))
+		tb.Insert(k, gen, nil, uint64(i))
+	}
+}
+
+// BenchmarkFlowInsertChurn is churn's fill: rounds of new flows, the
+// generation moving every round, so a round's flows are dead once the next
+// one starts. Each shard reclaims them before its index would double, so in
+// steady state the table holds about one round's cells and an insert
+// allocates nothing.
+func BenchmarkFlowInsertChurn(b *testing.B) {
+	const round = 4096
+	tb := New[uint64](Config{Capacity: 65536})
+	gen := uint64(0)
+	current := func(Key) uint64 { return gen }
+	insert := func(i int) {
+		if i%round == 0 {
+			gen++
+		}
+		tb.Insert(floodKey(uint64(i)), gen, current, uint64(i))
+	}
+	const warm = 16 * round // past the last doubling
+	for i := 0; i < warm; i++ {
+		insert(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := warm; i < warm+b.N; i++ {
+		insert(i)
 	}
 }
 
@@ -134,16 +161,16 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 func BenchmarkFlowMissFlood(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 1024})
 	for i := 0; i < 1024; i++ {
-		tb.Insert(key(i), 1, uint64(i))
+		tb.Insert(key(i), 1, nil, uint64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := floodKey(uint64(1_000_000 + i)) // never repeats: pure flood
-		if _, ok := tb.Lookup(k, 1, nil); ok {
+		if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 			b.Fatal("flood key hit")
 		}
-		tb.Insert(k, 1, uint64(i))
+		tb.Insert(k, 1, nil, uint64(i))
 	}
 }
 
@@ -153,15 +180,15 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 func BenchmarkFlowMissFloodNegCache(b *testing.B) {
 	tb := New[uint64](Config{Capacity: 1024, MissRing: 64})
 	for i := 0; i < 1024; i++ {
-		tb.Insert(key(i), 1, uint64(i))
+		tb.Insert(key(i), 1, nil, uint64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := floodKey(uint64(1_000_000 + i))
-		if _, ok := tb.Lookup(k, 1, nil); ok {
+		if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 			b.Fatal("flood key hit")
 		}
-		tb.Insert(k, 1, uint64(i))
+		tb.Insert(k, 1, nil, uint64(i))
 	}
 }

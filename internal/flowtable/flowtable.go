@@ -29,25 +29,35 @@
 // # Invalidation
 //
 // Every entry records the generation the caller observed when it evaluated
-// the flow, and Lookup requires an exact match. The enforcer derives it
-// from counters bumped by policy swaps, signature-database mutations and,
-// per stripe of device addresses, device-context changes: one integer
-// comparison per lookup, no callbacks, no sweeps. Stale entries are
-// deleted on discovery and re-evaluated as misses.
+// the flow, and Lookup requires an exact match. The enforcer derives it from
+// counters bumped by policy swaps, signature-database mutations and, per
+// stripe of device addresses, device-context changes: one integer comparison
+// per hit, no invalidation callbacks. A cell is dead when it has sat idle
+// past the TTL, or when its generation is no longer its key's current one:
+// it can never answer again. The caller passes its current-generation
+// function with each call, the way Lookup takes accept (both run under the
+// shard's lock, so neither may call the table), and one predicate (fateOf)
+// judges every reclaim: a lookup deletes the dead cell it finds — never a
+// newer one it merely misses — and the dead cells of a shard leave it in one
+// pass just before its index would double. A pass that frees less than ⅛ of
+// the cells lets the index double anyway, so a shard of live flows pays one
+// pass per doubling, and a workload whose flows die by generation holds
+// about one generation's flows, not its capacity.
 //
 // # Eviction
 //
 // Capacity is split evenly across Shards; each shard's index doubles up to
 // its share, so an idle table holds no cells. An insert into a full shard
 // samples evictSamples live cells from a rotating hand and takes the least
-// recently used: idle past the TTL, it is reclaimed and admits the key;
-// otherwise the admission guard (Config.MissRing) may refuse the key, else
-// it is evicted. Every shard of every table shares one seed drawn per
-// process, so the cells a sample visits follow from the inserted keys
-// alone, and a run repeated in one process evicts the same flows. With a
-// Clock the TTL is an idle timeout in virtual time from the entry's last
-// use. A value that lapses for the caller's own reasons (the enforcer's
-// time-of-day edges) is the caller's to check.
+// recently used: dead, it is reclaimed and admits the key; otherwise the
+// admission guard (Config.MissRing) may refuse the key, else it is
+// evicted. Every shard of every table shares one seed drawn per process,
+// so the cells a sample visits follow from the inserted keys alone, and a
+// run repeated in one process evicts the same flows. With a Clock the TTL
+// is an idle timeout in virtual time from the entry's last use. A value
+// that lapses for the caller's own reasons (the enforcer's time-of-day
+// edges) is the caller's to check. Sweep frees the dead cells no insert
+// passes over.
 //
 // Counters are atomic; Lookup takes one shard RLock, so readers of
 // different flows share nothing but their shard stripe.
@@ -278,12 +288,73 @@ func (t *Table[V]) idle(now time.Duration, used int64) bool {
 	return t.ttl > 0 && now-time.Duration(used) > t.ttl
 }
 
+// fate is what a cell can still do: answer, or nothing, and why not.
+type fate uint8
+
+const (
+	// alive: the cell may answer a lookup.
+	alive fate = iota
+	// stale: its generation is no longer its key's current one.
+	stale
+	// expired: it sat idle past the TTL.
+	expired
+)
+
+// fateOf is the table's one definition of a dead cell, the test behind
+// every reclaim: e, k's entry, is dead at now when it has sat idle past the
+// TTL, or when its generation is not current(k) — Lookup hits on equality
+// only, so it can never answer again. current nil judges the TTL alone.
+func (t *Table[V]) fateOf(now time.Duration, k Key, e *entry[V], current func(Key) uint64) fate {
+	switch {
+	case t.idle(now, atomic.LoadInt64(&e.used)):
+		return expired
+	case current != nil && e.gen != current(k):
+		return stale
+	}
+	return alive
+}
+
+// orGen resolves a Lookup's nil current: the lookup's own generation is
+// then its key's current one.
+func orGen(current func(Key) uint64, gen uint64) func(Key) uint64 {
+	if current != nil {
+		return current
+	}
+	return func(Key) uint64 { return gen }
+}
+
+// dropped counts one cell deleted for its fate: an alive one was evicted.
+func (t *Table[V]) dropped(f fate) {
+	t.live.Add(-1)
+	switch f {
+	case alive:
+		t.evictions.Add(1)
+	case stale:
+		t.stale.Add(1)
+	default:
+		t.expired.Add(1)
+	}
+}
+
+// reap judges k's cell e for a reclaim: it reports whether e is dead, and
+// counts it as dropped if so. The caller deletes it.
+func (t *Table[V]) reap(now time.Duration, k Key, e *entry[V], current func(Key) uint64) bool {
+	f := t.fateOf(now, k, e, current)
+	if f != alive {
+		t.dropped(f)
+	}
+	return f != alive
+}
+
 // Lookup returns the cached value for k if it exists, carries the caller's
 // generation, has not sat idle past the TTL, and accept (nil accepts all;
-// run under the shard's read lock) takes it. A stale or expired entry is
-// deleted; an entry accept refuses stays for the caller's Insert to
-// overwrite. Either is a miss.
-func (t *Table[V]) Lookup(k Key, gen uint64, accept func(v *V) bool) (V, bool) {
+// run under the shard's read lock) takes it. Anything else is a miss. A
+// cell that missed for its generation or its age is deleted if it is dead
+// (see fateOf): current reports k's current generation (nil: gen is), so a
+// caller holding an older generation than the cell's misses without
+// deleting it. A cell accept refuses stays for the caller's Insert to
+// overwrite.
+func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept func(v *V) bool) (V, bool) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.readNow()
@@ -310,35 +381,28 @@ func (t *Table[V]) Lookup(k Key, gen uint64, accept func(v *V) bool) (V, bool) {
 	}
 	s.mu.RUnlock()
 	if dead {
-		t.dropDead(s, h, k, gen, now)
+		t.dropDead(s, h, k, orGen(current, gen), now)
 	}
 	t.misses.Add(1)
 	var zero V
 	return zero, false
 }
 
-// dropDead deletes k's entry if it is still stale or expired under the
-// write lock (it may have been rewritten since the read lock was dropped),
-// and counts why.
-func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, gen uint64, now time.Duration) {
+// dropDead deletes k's cell if it is dead under the write lock (it may have
+// been rewritten since the read lock was dropped), and counts why.
+func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, current func(Key) uint64, now time.Duration) {
 	s.mu.Lock()
-	e := s.flows.Get(h, k)
-	stale := e != nil && e.gen != gen
-	if e != nil && (stale || t.idle(now, atomic.LoadInt64(&e.used))) {
+	if e := s.flows.Get(h, k); e != nil && t.reap(now, k, e, current) {
 		s.flows.Delete(h, k)
-		t.live.Add(-1)
-		if stale {
-			t.stale.Add(1)
-		} else {
-			t.expired.Add(1)
-		}
 	}
 	s.mu.Unlock()
 }
 
-// Insert caches v for k under the given generation, making room in a
-// full shard as the package comment's Eviction describes.
-func (t *Table[V]) Insert(k Key, gen uint64, v V) {
+// Insert caches v for k under generation gen, making room as the package
+// comment's Eviction describes. current reports each key's current
+// generation, so that cells stamped otherwise count as dead (see fateOf);
+// nil judges the TTL alone.
+func (t *Table[V]) Insert(k Key, gen uint64, current func(Key) uint64, v V) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
 	now := t.now()
@@ -346,12 +410,14 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	// A key already held (re-insert after invalidation or a refused
 	// accept) is overwritten in place. Below capacity that is one probe; a
 	// full shard looks before it makes room, since making room deletes.
-	if s.flows.Len() >= t.perShardCap && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now) {
+	if s.flows.Len() >= t.perShardCap && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now, current) {
 		s.mu.Unlock()
 		t.admissionDrops.Add(1)
 		return
 	}
-	e, added := s.flows.Put(h, k)
+	e, added := s.flows.PutReclaim(h, k, func(k Key, e *entry[V]) bool {
+		return t.reap(now, k, e, current)
+	})
 	e.gen, e.used, e.val = gen, int64(now), v
 	s.mu.Unlock()
 	if added {
@@ -360,36 +426,35 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 	t.inserts.Add(1)
 }
 
-// makeRoom deletes one entry of a full shard for the key hashed h, or
-// reports false when the admission guard refuses the key. Without a TTL
-// nothing can have expired, so the guard decides before the sample is paid
-// for. Caller holds s.mu.
-func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration) bool {
-	if t.ttl == 0 && s.refuse(h, t.missRing) {
+// makeRoom deletes one cell of a full shard for the key hashed h, or
+// reports false when the admission guard refuses the key. The least
+// recently used cell of the sample goes: if it is dead it admits the key at
+// once, and only evicting a live flow consults the guard. Without a TTL or a
+// current function no cell can be dead, so the guard decides before the
+// sample is paid for. Caller holds s.mu.
+func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration, current func(Key) uint64) bool {
+	undying := t.ttl == 0 && current == nil
+	if undying && s.refuse(h, t.missRing) {
 		return false
 	}
-	i, lru := leastUsed(&s.flows)
-	expired := t.idle(now, lru)
-	if !expired && t.ttl > 0 && s.refuse(h, t.missRing) {
+	i := leastUsed(&s.flows)
+	c := &s.flows.cells[i]
+	f := t.fateOf(now, c.key, &c.val, current)
+	if f == alive && !undying && s.refuse(h, t.missRing) {
 		return false
 	}
 	s.flows.deleteAt(i)
-	t.live.Add(-1)
-	if expired {
-		t.expired.Add(1)
-	} else {
-		t.evictions.Add(1)
-	}
+	t.dropped(f)
 	return true
 }
 
 // leastUsed samples evictSamples entries from x's rotating hand, skipping
 // empty cells (at most one lap), and returns the cell of the least recently
-// used of them and its last use. x holds an entry.
-func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32, used int64) {
+// used of them. x holds an entry.
+func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32) {
 	cells, hand := x.cells, x.hand
 	mask := uint32(len(cells) - 1)
-	used = math.MaxInt64
+	used := int64(math.MaxInt64)
 	for n, lap := 0, len(cells); n < evictSamples && lap > 0; lap-- {
 		// Branch-free on whether the cell is empty: at the index's load
 		// that test is a coin flip.
@@ -406,7 +471,7 @@ func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32, used int64) {
 		n += live
 	}
 	x.hand = hand
-	return cell, used
+	return cell
 }
 
 // Delete removes one flow (e.g. on connection teardown) and reports
@@ -423,12 +488,13 @@ func (t *Table[V]) Delete(k Key) bool {
 	return ok
 }
 
-// Sweep deletes the entries idle past the TTL and returns how many. Expiry
-// is otherwise lazy, so a flow whose teardown was lost would pin its entry
-// until probed; a periodic Sweep bounds that leak. A no-op without a TTL.
-// Each shard is locked on its own, so traffic stalls for one shard's walk.
-func (t *Table[V]) Sweep() int {
-	if t.ttl <= 0 {
+// Sweep deletes every dead cell (see fateOf; current nil judges the TTL
+// alone) and returns how many. Inserts already clear a shard's dead cells
+// before its index doubles; Sweep frees the rest, such as those of a shard
+// no insert reaches any more. Each shard is locked on its own, so traffic
+// stalls for one shard's walk.
+func (t *Table[V]) Sweep(current func(Key) uint64) int {
+	if t.ttl <= 0 && current == nil {
 		return 0
 	}
 	now := t.readNow()
@@ -436,18 +502,14 @@ func (t *Table[V]) Sweep() int {
 	for si := range t.shards {
 		s := &t.shards[si]
 		s.mu.Lock()
-		s.flows.Sweep(func(_ Key, e *entry[V]) bool {
-			if t.idle(now, e.used) {
+		s.flows.Sweep(func(k Key, e *entry[V]) bool {
+			if t.reap(now, k, e, current) {
 				freed++
 				return true
 			}
 			return false
 		})
 		s.mu.Unlock()
-	}
-	if freed > 0 {
-		t.live.Add(-int64(freed))
-		t.expired.Add(uint64(freed))
 	}
 	return freed
 }

@@ -61,11 +61,11 @@ func TestKeyIs24Bytes(t *testing.T) {
 func TestLookupInsertRoundTrip(t *testing.T) {
 	tb := New[string](Config{Capacity: 128, Shards: 4})
 	k := key(1)
-	if _, ok := tb.Lookup(k, 1, nil); ok {
+	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 		t.Fatal("empty table hit")
 	}
-	tb.Insert(k, 1, "allow")
-	v, ok := tb.Lookup(k, 1, nil)
+	tb.Insert(k, 1, nil, "allow")
+	v, ok := tb.Lookup(k, 1, nil, nil)
 	if !ok || v != "allow" {
 		t.Fatalf("lookup = %q, %v", v, ok)
 	}
@@ -78,10 +78,10 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 func TestGenerationMismatchInvalidates(t *testing.T) {
 	tb := New[string](Config{Capacity: 128})
 	k := key(7)
-	tb.Insert(k, 1, "allow")
+	tb.Insert(k, 1, nil, "allow")
 	// A rule or database update bumped the generation: the entry must not
 	// be served, and must be removed.
-	if _, ok := tb.Lookup(k, 2, nil); ok {
+	if _, ok := tb.Lookup(k, 2, nil, nil); ok {
 		t.Fatal("stale generation served")
 	}
 	if tb.Len() != 0 {
@@ -91,8 +91,8 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 		t.Fatalf("stale drops = %d, want 1", n)
 	}
 	// Re-inserting under the new generation works.
-	tb.Insert(k, 2, "drop")
-	if v, ok := tb.Lookup(k, 2, nil); !ok || v != "drop" {
+	tb.Insert(k, 2, nil, "drop")
+	if v, ok := tb.Lookup(k, 2, nil, nil); !ok || v != "drop" {
 		t.Fatalf("re-inserted lookup = %q, %v", v, ok)
 	}
 }
@@ -105,31 +105,31 @@ func TestTTLExpiry(t *testing.T) {
 	clk := &tickClock{}
 	tb := New[int](Config{Capacity: 128, TTL: ttl, Clock: clk})
 	k := key(3)
-	tb.Insert(k, 1, 42)
+	tb.Insert(k, 1, nil, 42)
 	for i := 0; i < 20; i++ {
 		clk.advance(ttl / 2)
-		if _, ok := tb.Lookup(k, 1, nil); !ok {
+		if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
 			t.Fatalf("flow in use expired %v after insertion", clk.Now())
 		}
 	}
 	clk.advance(ttl)
-	if _, ok := tb.Lookup(k, 1, nil); !ok {
+	if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
 		t.Fatal("entry expired at exactly the TTL")
 	}
 	clk.advance(ttl + time.Nanosecond)
-	if _, ok := tb.Lookup(k, 1, nil); ok {
+	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 		t.Fatal("entry served after sitting idle past the TTL")
 	}
-	if _, ok := tb.Lookup(k, 1, nil); ok {
+	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 		t.Fatal("expired entry still mapped")
 	}
 	expired, hits, misses, live := count(tb, "expired_drops_total"), count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live")
 	if expired != 1 || hits != 21 || misses != 2 || live != 0 {
 		t.Fatalf("expired/hits/misses/live = %d/%d/%d/%d, want 1 expiry, 21 hits, 2 misses, 0 live", expired, hits, misses, live)
 	}
-	tb.Insert(k, 1, 43)
+	tb.Insert(k, 1, nil, 43)
 	clk.advance(ttl)
-	if v, ok := tb.Lookup(k, 1, nil); !ok || v != 43 {
+	if v, ok := tb.Lookup(k, 1, nil, nil); !ok || v != 43 {
 		t.Fatalf("re-inserted flow = %d, %v", v, ok)
 	}
 }
@@ -137,8 +137,8 @@ func TestTTLExpiry(t *testing.T) {
 func TestTTLWithoutClockDisabled(t *testing.T) {
 	tb := New[int](Config{Capacity: 8, TTL: time.Nanosecond})
 	k := key(4)
-	tb.Insert(k, 1, 1)
-	if _, ok := tb.Lookup(k, 1, nil); !ok {
+	tb.Insert(k, 1, nil, 1)
+	if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
 		t.Fatal("TTL applied without a clock")
 	}
 }
@@ -147,23 +147,23 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 	// One shard, capacity 4: inserting a 5th flow evicts the LRU.
 	tb := New[int](Config{Capacity: 4, Shards: 1})
 	for i := 0; i < 4; i++ {
-		tb.Insert(key(i), 1, i)
+		tb.Insert(key(i), 1, nil, i)
 	}
 	// Touch 0..2 so key(3) is least recently used.
 	for i := 0; i < 3; i++ {
-		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
 			t.Fatalf("flow %d missing", i)
 		}
 	}
-	tb.Insert(key(99), 1, 99)
+	tb.Insert(key(99), 1, nil, 99)
 	if tb.Len() != 4 {
 		t.Fatalf("live = %d, want 4", tb.Len())
 	}
-	if _, ok := tb.Lookup(key(3), 1, nil); ok {
+	if _, ok := tb.Lookup(key(3), 1, nil, nil); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
 	for _, i := range []int{0, 1, 2, 99} {
-		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
 			t.Fatalf("recently used flow %d evicted", i)
 		}
 	}
@@ -175,15 +175,15 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 func TestEvictionPrefersExpired(t *testing.T) {
 	clk := &tickClock{}
 	tb := New[int](Config{Capacity: 4, Shards: 1, TTL: 10 * time.Millisecond, Clock: clk})
-	tb.Insert(key(0), 1, 0) // will be expired
+	tb.Insert(key(0), 1, nil, 0) // will be expired
 	clk.advance(11 * time.Millisecond)
 	for i := 1; i < 4; i++ {
-		tb.Insert(key(i), 1, i)
+		tb.Insert(key(i), 1, nil, i)
 	}
-	tb.Insert(key(5), 1, 5)
+	tb.Insert(key(5), 1, nil, 5)
 	// key(0) expired and must be the one reclaimed; the fresh flows stay.
 	for i := 1; i < 4; i++ {
-		if _, ok := tb.Lookup(key(i), 1, nil); !ok {
+		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
 			t.Fatalf("fresh flow %d reclaimed instead of the expired one", i)
 		}
 	}
@@ -194,8 +194,8 @@ func TestEvictionPrefersExpired(t *testing.T) {
 
 func TestDeleteAndPurge(t *testing.T) {
 	tb := New[int](Config{Capacity: 128})
-	tb.Insert(key(1), 1, 1)
-	tb.Insert(key(2), 1, 2)
+	tb.Insert(key(1), 1, nil, 1)
+	tb.Insert(key(2), 1, nil, 2)
 	if !tb.Delete(key(1)) {
 		t.Fatal("delete missed")
 	}
@@ -231,16 +231,16 @@ func TestDigestCollisionCannotBorrowVerdict(t *testing.T) {
 	tagIs := func(tag string) func(*flow) bool { return func(f *flow) bool { return f.tag == tag } }
 
 	tb := New[flow](Config{Capacity: 128})
-	tb.Insert(k, 1, flow{"benign", "allow"})
-	if v, ok := tb.Lookup(k, 1, tagIs("forged")); ok {
+	tb.Insert(k, 1, nil, flow{"benign", "allow"})
+	if v, ok := tb.Lookup(k, 1, nil, tagIs("forged")); ok {
 		t.Fatalf("colliding flow served %q", v.verdict)
 	}
 	// The forged flow's own insert then serves only the forged flow.
-	tb.Insert(k, 1, flow{"forged", "drop"})
-	if v, ok := tb.Lookup(k, 1, tagIs("forged")); !ok || v.verdict != "drop" {
+	tb.Insert(k, 1, nil, flow{"forged", "drop"})
+	if v, ok := tb.Lookup(k, 1, nil, tagIs("forged")); !ok || v.verdict != "drop" {
 		t.Fatalf("colliding flow after insert = %q, %v", v.verdict, ok)
 	}
-	if v, ok := tb.Lookup(k, 1, tagIs("benign")); ok {
+	if v, ok := tb.Lookup(k, 1, nil, tagIs("benign")); ok {
 		t.Fatalf("benign flow served the forged flow's %q", v.verdict)
 	}
 	if hits, misses, live := count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live"); hits != 1 || misses != 2 || live != 1 {
@@ -295,15 +295,15 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				cur := gen.Load()
-				if v, ok := tb.Lookup(hot, cur, nil); ok && v != cur {
+				if v, ok := tb.Lookup(hot, cur, nil, nil); ok && v != cur {
 					t.Errorf("generation %d served value %d", cur, v)
 					return
 				} else if !ok {
-					tb.Insert(hot, cur, cur)
+					tb.Insert(hot, cur, nil, cur)
 				}
 				cold := key(g*iters + i)
-				tb.Insert(cold, cur, cur)
-				tb.Lookup(cold, cur, nil)
+				tb.Insert(cold, cur, nil, cur)
+				tb.Lookup(cold, cur, nil, nil)
 			}
 		}(g)
 	}

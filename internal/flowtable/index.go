@@ -11,7 +11,9 @@ import "math/rand/v2"
 // compares the stored hash before the key. Delete shifts the rest of the
 // cluster back (no tombstones), so a probe ends at the first empty cell.
 // The array starts empty, is allocated on the first Put and doubles at ¾
-// load, never past the size that holds the bound at ¾ load.
+// load, never past the size that holds the bound at ¾ load. An owner whose
+// keys die in place (idle, or answered under an old generation) adds with
+// PutReclaim, which clears the dead out before it doubles.
 //
 // # Seeding
 //
@@ -25,12 +27,12 @@ import "math/rand/v2"
 //
 // # Locking and pointers
 //
-// An Index does no locking: its owner serializes Put, Delete, Evict,
-// Sweep and Clear against every other call. Get and Len write nothing, so
-// any number of them may run together under a read lock. A pointer Get or
-// Put returns stays valid until the next Put, Delete, Evict, Sweep or
-// Clear on the index — a read-modify-write is one probe that updates
-// through it.
+// An Index does no locking: its owner serializes Put, PutReclaim, Delete,
+// Evict, Sweep and Clear against every other call. Get and Len write
+// nothing, so any number of them may run together under a read lock. A
+// pointer Get or Put returns stays valid until the next Put, PutReclaim,
+// Delete, Evict, Sweep or Clear on the index — a read-modify-write is one
+// probe that updates through it.
 //
 // The zero value is not usable; call NewIndex.
 type Index[K comparable, V any] struct {
@@ -82,6 +84,10 @@ func fmix(h, seed uint64) uint64 {
 // Len returns the number of keys held.
 func (x *Index[K, V]) Len() int { return int(x.n) }
 
+// Cells returns the length of the cell array, which holds the index's
+// memory: Cells times the size of one key, value and hash.
+func (x *Index[K, V]) Cells() int { return len(x.cells) }
+
 // Get returns a pointer to k's value, or nil when k is absent. h must be
 // the hash the key was Put with. Get writes nothing.
 func (x *Index[K, V]) Get(h uint64, k K) *V {
@@ -106,6 +112,16 @@ func (x *Index[K, V]) Get(h uint64, k K) *V {
 // bug and panics: every owner checks Len against its bound (and evicts)
 // before it adds.
 func (x *Index[K, V]) Put(h uint64, k K) (v *V, added bool) {
+	return x.PutReclaim(h, k, nil)
+}
+
+// PutReclaim is Put for an owner whose keys can die in place. When adding k
+// would double the array, it first deletes every key dead accepts, in one
+// Sweep; the array doubles anyway if that freed fewer than ⅛ of its cells.
+// A pass therefore buys at least cells/8 adds before the next one, and an
+// index of live keys pays one pass per doubling. dead (nil: none dies) is
+// called as Sweep calls fn.
+func (x *Index[K, V]) PutReclaim(h uint64, k K, dead func(k K, v *V) bool) (v *V, added bool) {
 	m := x.mix(h)
 	i := uint32(0)
 	if len(x.cells) > 0 {
@@ -120,7 +136,15 @@ func (x *Index[K, V]) Put(h uint64, k K) (v *V, added bool) {
 		panic("flowtable: Index.Put past its bound")
 	}
 	if 4*(x.n+1) > 3*uint32(len(x.cells)) {
-		x.grow()
+		if dead != nil && x.n > 0 {
+			n := x.n
+			x.Sweep(dead)
+			if 8*(n-x.n) < uint32(len(x.cells)) {
+				x.grow()
+			}
+		} else {
+			x.grow()
+		}
 		i = x.vacancy(m)
 	}
 	c := &x.cells[i]

@@ -20,6 +20,9 @@ type indexModel struct {
 	// wrapped counts the checks that found a cluster running past the
 	// array's end, the case backward shift and Sweep must handle.
 	wrapped int
+	// grown and kept count the reclaim passes after which the array
+	// doubled, and those that freed enough for it not to.
+	grown, kept int
 }
 
 func newIndexModel(tb testing.TB, bound int) *indexModel {
@@ -46,7 +49,9 @@ const keySpace = 64
 func (m *indexModel) step(op, arg byte) {
 	k := uint16(arg % keySpace)
 	switch op % 8 {
-	case 0, 1, 2:
+	case 2:
+		m.putReclaim(k, arg)
+	case 0, 1:
 		_, in := m.ref[k]
 		if !in && len(m.ref) == m.bound {
 			return // owners never Put past the bound
@@ -116,6 +121,63 @@ func (m *indexModel) sweep(drop func(uint32) bool) {
 	}
 }
 
+// putReclaim is step's Put through PutReclaim, whose dead test takes the
+// values congruent to arg mod 3. It checks that a pass runs exactly when
+// the add would double the array, visits every key once, and deletes what
+// it accepts, and that the array then doubles only when the pass freed
+// fewer than ⅛ of its cells.
+func (m *indexModel) putReclaim(k uint16, arg byte) {
+	_, in := m.ref[k]
+	if !in && len(m.ref) == m.bound {
+		return // owners never Put past the bound
+	}
+	cells := len(m.x.cells)
+	pass := !in && len(m.ref) > 0 && 4*(len(m.ref)+1) > 3*cells
+	dead := func(v uint32) bool { return v%3 == uint32(arg)%3 }
+	seen := map[uint16]int{}
+	p, added := m.x.PutReclaim(idxHash(k), k, func(k uint16, v *uint32) bool {
+		seen[k]++
+		if want, in := m.ref[k]; !in || *v != want {
+			m.tb.Fatalf("reclaim visited %d = %#x; reference holds %#x present=%v", k, *v, want, in)
+		}
+		return dead(*v)
+	})
+	if !pass {
+		if len(seen) != 0 {
+			m.tb.Fatalf("PutReclaim(%d) ran a pass at %d keys in %d cells", k, len(m.ref), cells)
+		}
+	} else {
+		if len(seen) != len(m.ref) {
+			m.tb.Fatalf("reclaim visited %d of %d keys", len(seen), len(m.ref))
+		}
+		freed := 0
+		for k, n := range seen {
+			if n != 1 {
+				m.tb.Fatalf("reclaim visited %d %d times", k, n)
+			}
+			if dead(m.ref[k]) {
+				delete(m.ref, k)
+				freed++
+			}
+		}
+		grew := len(m.x.cells) != cells
+		if grew != (8*freed < cells) {
+			m.tb.Fatalf("reclaim freed %d of %d cells; array doubled = %v", freed, cells, grew)
+		}
+		if grew {
+			m.grown++
+		} else {
+			m.kept++
+		}
+	}
+	if added == in || (added && *p != 0) {
+		m.tb.Fatalf("PutReclaim(%d): added=%v with %d present=%v", k, added, *p, in)
+	}
+	m.stamp++
+	*p = uint32(k)<<16 | m.stamp&0xffff
+	m.ref[k] = *p
+}
+
 // check compares the whole key space and Len with the reference, and the
 // array with its bound.
 func (m *indexModel) check() {
@@ -136,10 +198,12 @@ func (m *indexModel) check() {
 	}
 }
 
-// TestIndexMatchesMap runs random Put, Get, Delete, hand eviction,
-// deleting sweeps and clears on indexes of 8 to 64 cells against a Go map.
+// TestIndexMatchesMap runs random Put, reclaiming Put, Get, Delete, hand
+// eviction, deleting sweeps and clears on indexes of 8 to 64 cells against
+// a Go map.
 func TestIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	grown, kept := 0, 0
 	for _, bound := range []int{6, 12, 24, 48} {
 		wrapped := 0
 		for run := 0; run < 12; run++ {
@@ -148,10 +212,15 @@ func TestIndexMatchesMap(t *testing.T) {
 				m.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
 			wrapped += m.wrapped
+			grown += m.grown
+			kept += m.kept
 		}
 		if wrapped == 0 {
 			t.Fatalf("bound %d: no cluster ever wrapped past the array's end", bound)
 		}
+	}
+	if grown == 0 || kept == 0 {
+		t.Fatalf("reclaim passes: %d doubled the array, %d did not; want both", grown, kept)
 	}
 }
 

@@ -26,7 +26,7 @@ func floodKey(i uint64) Key {
 func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	tab := New[int](Config{Capacity: 64, Shards: 1, MissRing: 128})
 	for i := uint64(0); i < 64; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	if live := tab.Len(); live != 64 {
 		t.Fatalf("live = %d, want 64", live)
@@ -35,7 +35,7 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	// Flood: 1000 unique keys against the full shard. Each is seen once,
 	// so none may displace an established flow.
 	for i := uint64(1000); i < 2000; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	if n := count(tab, "admission_drops_total"); n != 1000 {
 		t.Fatalf("admission drops = %d, want 1000", n)
@@ -45,7 +45,7 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	}
 	// Every established flow still serves hits.
 	for i := uint64(0); i < 64; i++ {
-		if v, ok := tab.Lookup(floodKey(i), 1, nil); !ok || v != int(i) {
+		if v, ok := tab.Lookup(floodKey(i), 1, nil, nil); !ok || v != int(i) {
 			t.Fatalf("established flow %d lost under flood (ok=%v v=%d)", i, ok, v)
 		}
 	}
@@ -57,15 +57,15 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
 	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32})
 	for i := uint64(0); i < 8; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	newcomer := floodKey(77)
-	tab.Insert(newcomer, 1, 77) // first attempt: noted, rejected
-	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
+	tab.Insert(newcomer, 1, nil, 77) // first attempt: noted, rejected
+	if _, ok := tab.Lookup(newcomer, 1, nil, nil); ok {
 		t.Fatal("first-attempt insert was admitted")
 	}
-	tab.Insert(newcomer, 1, 77) // second attempt: admitted, evicting LRU
-	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
+	tab.Insert(newcomer, 1, nil, 77) // second attempt: admitted, evicting LRU
+	if v, ok := tab.Lookup(newcomer, 1, nil, nil); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
@@ -78,8 +78,8 @@ func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
 func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
 	tab := New[int](Config{Capacity: 64, Shards: 1, MissRing: 32})
 	for i := uint64(0); i < 32; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
-		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
+		tab.Insert(floodKey(i), 1, nil, int(i))
+		if _, ok := tab.Lookup(floodKey(i), 1, nil, nil); !ok {
 			t.Fatalf("insert %d not admitted below capacity", i)
 		}
 	}
@@ -93,7 +93,7 @@ func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
 func TestAdmissionGuardDisabledByDefault(t *testing.T) {
 	tab := New[int](Config{Capacity: 8, Shards: 1})
 	for i := uint64(0); i < 16; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	if n := count(tab, "admission_drops_total"); n != 0 {
 		t.Fatalf("guard engaged while disabled: %d admission drops", n)
@@ -109,16 +109,16 @@ func TestAdmissionGuardDisabledByDefault(t *testing.T) {
 func TestAdmissionGuardReinsertAfterInvalidation(t *testing.T) {
 	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32})
 	for i := uint64(0); i < 8; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	// Generation moves (policy reload): the hot flow misses, is deleted,
 	// and re-inserts under the new generation without tripping the guard.
 	hot := floodKey(3)
-	if _, ok := tab.Lookup(hot, 2, nil); ok {
+	if _, ok := tab.Lookup(hot, 2, nil, nil); ok {
 		t.Fatal("stale generation served")
 	}
-	tab.Insert(hot, 2, 3)
-	if v, ok := tab.Lookup(hot, 2, nil); !ok || v != 3 {
+	tab.Insert(hot, 2, nil, 3)
+	if v, ok := tab.Lookup(hot, 2, nil, nil); !ok || v != 3 {
 		t.Fatal("re-insert after invalidation rejected")
 	}
 	if n := count(tab, "admission_drops_total"); n != 0 {
@@ -134,20 +134,20 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 	clock := &tickClock{}
 	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32, TTL: time.Second, Clock: clock})
 	for i := uint64(0); i < 8; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	// Every flow but 0 keeps sending; flow 0 goes idle past the TTL.
 	clock.advance(500 * time.Millisecond)
 	for i := uint64(1); i < 8; i++ {
-		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
+		if _, ok := tab.Lookup(floodKey(i), 1, nil, nil); !ok {
 			t.Fatalf("flow %d lost before the flood", i)
 		}
 	}
 	clock.advance(700 * time.Millisecond)
 
 	newcomer := floodKey(77)
-	tab.Insert(newcomer, 1, 77)
-	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
+	tab.Insert(newcomer, 1, nil, 77)
+	if v, ok := tab.Lookup(newcomer, 1, nil, nil); !ok || v != 77 {
 		t.Fatal("first-seen key refused although its sample held an expired slot")
 	}
 	ad, ev, ex := count(tab, "admission_drops_total"), count(tab, "evictions_total"), count(tab, "expired_drops_total")
@@ -158,7 +158,7 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 		t.Fatalf("admission ring touched: pos %d, ring %v", s.missPos, s.missRing)
 	}
 	for i := uint64(1); i < 8; i++ {
-		if _, ok := tab.Lookup(floodKey(i), 1, nil); !ok {
+		if _, ok := tab.Lookup(floodKey(i), 1, nil, nil); !ok {
 			t.Fatalf("live flow %d lost to the newcomer", i)
 		}
 	}
@@ -171,19 +171,19 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 	clock := &tickClock{}
 	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32, TTL: time.Minute, Clock: clock})
 	for i := uint64(0); i < 8; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	clock.advance(time.Second)
 	newcomer := floodKey(77)
-	tab.Insert(newcomer, 1, 77)
-	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
+	tab.Insert(newcomer, 1, nil, 77)
+	if _, ok := tab.Lookup(newcomer, 1, nil, nil); ok {
 		t.Fatal("first-seen key admitted into a full shard of live flows")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || tab.Len() != 8 {
 		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, 8 live", ad, ev, tab.Len())
 	}
-	tab.Insert(newcomer, 1, 77)
-	if v, ok := tab.Lookup(newcomer, 1, nil); !ok || v != 77 {
+	tab.Insert(newcomer, 1, nil, 77)
+	if v, ok := tab.Lookup(newcomer, 1, nil, nil); !ok || v != 77 {
 		t.Fatal("second-attempt insert not admitted")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 {
@@ -197,17 +197,17 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 func TestAdmissionGuardWithoutTTLAsksRingFirst(t *testing.T) {
 	tab := New[int](Config{Capacity: 16, Shards: 1, MissRing: 32})
 	for i := uint64(0); i < 16; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
+		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
 	newcomer := floodKey(77)
-	tab.Insert(newcomer, 1, 77)
+	tab.Insert(newcomer, 1, nil, 77)
 	if hand := tab.shards[0].flows.hand; hand != 0 {
 		t.Fatalf("refused insert sampled the cells: hand moved to %d", hand)
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 {
 		t.Fatalf("admission drops/evictions = %d/%d, want 1 admission drop, no eviction", ad, ev)
 	}
-	tab.Insert(newcomer, 1, 77)
+	tab.Insert(newcomer, 1, nil, 77)
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 1 || tab.shards[0].flows.hand == 0 {
 		t.Fatalf("second attempt: %d drops, %d evictions, hand %d; want it admitted over the sample's LRU", ad, ev, tab.shards[0].flows.hand)
 	}

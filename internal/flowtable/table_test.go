@@ -16,19 +16,19 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 	tab := New[int](Config{Capacity: 4, Shards: 1, MissRing: 8})
 	fill := func() {
 		for i := uint64(0); i < 4; i++ {
-			tab.Insert(floodKey(i), 1, int(i))
+			tab.Insert(floodKey(i), 1, nil, int(i))
 		}
 	}
 	fill()
 	newcomer := floodKey(77)
-	tab.Insert(newcomer, 1, 77) // noted, refused
+	tab.Insert(newcomer, 1, nil, 77) // noted, refused
 	tab.Purge()
 	if tab.Len() != 0 {
 		t.Fatalf("live after purge = %d", tab.Len())
 	}
 	fill()
-	tab.Insert(newcomer, 1, 77) // first sighting since the restart
-	if _, ok := tab.Lookup(newcomer, 1, nil); ok {
+	tab.Insert(newcomer, 1, nil, 77) // first sighting since the restart
+	if _, ok := tab.Lookup(newcomer, 1, nil, nil); ok {
 		t.Fatal("key noted before the purge was admitted on its first attempt after it")
 	}
 	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 2 || ev != 0 {
@@ -48,7 +48,7 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 		keys[i] = floodKey(uint64(i))
 	}
 	for i := 0; i < capacity; i++ {
-		tab.Insert(keys[i], 1, i)
+		tab.Insert(keys[i], 1, nil, i)
 	}
 	fresh := capacity
 	for round := 0; round < 8; round++ {
@@ -60,10 +60,10 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 			} else {
 				fresh++
 			}
-			if _, ok := tab.Lookup(k, gen, nil); ok {
+			if _, ok := tab.Lookup(k, gen, nil, nil); ok {
 				t.Fatalf("round %d: key %d served under generation %d", round, i, gen)
 			}
-			tab.Insert(k, gen, i)
+			tab.Insert(k, gen, nil, i)
 			if n := tab.Len(); n > capacity {
 				t.Fatalf("round %d insert %d: live = %d > capacity %d", round, i, n, capacity)
 			}
@@ -77,7 +77,7 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 	}
 	next := fresh
 	allocs := testing.AllocsPerRun(100, func() {
-		tab.Insert(keys[next%len(keys)], 99, next)
+		tab.Insert(keys[next%len(keys)], 99, nil, next)
 		next++
 	})
 	if allocs != 0 {
@@ -97,8 +97,8 @@ func mixedScript(tab *Table[int], clk *tickClock) map[string]float64 {
 			n = 50 + i%650 // ...under a cold scan that does not
 		}
 		k := floodKey(uint64(n))
-		if _, ok := tab.Lookup(k, gen, nil); !ok {
-			tab.Insert(k, gen, i)
+		if _, ok := tab.Lookup(k, gen, nil, nil); !ok {
+			tab.Insert(k, gen, nil, i)
 		}
 		switch {
 		case i%997 == 0:
@@ -108,7 +108,7 @@ func mixedScript(tab *Table[int], clk *tickClock) map[string]float64 {
 		case i%41 == 0:
 			tab.Delete(floodKey(uint64((i * 7) % 700)))
 		case i%1009 == 0:
-			tab.Sweep()
+			tab.Sweep(nil)
 		}
 	}
 	reg := metrics.NewRegistry()

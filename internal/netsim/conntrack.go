@@ -38,7 +38,10 @@ import (
 // whole tuple, and seeds its probe start per shard, so a device that picks
 // its own ports cannot line its connections up in one probe cluster
 // (transport.Tuple.Hash is unseeded). Index and ring grow on use; an idle
-// tracker holds neither.
+// tracker holds neither. Before a shard's index doubles, it frees the
+// records whose TIME_WAIT has run out, so a tracker of short connections
+// grows with the connections that close within timeWaitTTL, not with every
+// tuple it has seen since the last Sweep.
 //
 // # A full shard
 //
@@ -174,8 +177,11 @@ const (
 const maxTracked = 65536
 
 // evictSample is how many cells a full shard's eviction hand looks at for
-// a record to evict before it refuses the newcomer.
-const evictSample = 16
+// a record to evict before it refuses the newcomer. A full shard's index is
+// about half empty: at 16 cells a look now and then saw no record at all,
+// and a flood of 9,000 SYNs into a shard of unreplied connections refused
+// one in about one run of 13.
+const evictSample = 32
 
 // maxTimeWait bounds the parked records, maxTimeWait/ctShards per shard;
 // at the bound the shard's oldest parked connection is released early
@@ -210,9 +216,25 @@ func (ct *Conntrack) now() time.Duration {
 }
 
 // waiting reports whether a connection parked at virtual time at is
-// still in TIME_WAIT at now.
-func (ct *Conntrack) waiting(at, now time.Duration) bool {
-	return ct.clock == nil || now-at <= timeWaitTTL
+// still in TIME_WAIT at now. Without a clock both read zero, so a parked
+// record never leaves it.
+func waiting(at, now time.Duration) bool {
+	return now-at <= timeWaitTTL
+}
+
+// put finds or adds k's record (k hashes to h). An add that would double
+// the shard's index first frees the parked records whose TIME_WAIT has run
+// out (flowtable.Index.PutReclaim), keeping s.parked exact; open records
+// stay, since the tracker has no idle deadline of its own (Sweep takes one
+// from its caller). Caller holds s.mu.
+func (s *ctShard) put(h uint64, k transport.Tuple, now time.Duration) (*connState, bool) {
+	return s.conns.PutReclaim(h, k, func(_ transport.Tuple, st *connState) bool {
+		if st.parked && !waiting(st.last, now) {
+			s.parked--
+			return true
+		}
+		return false
+	})
 }
 
 // parkLocked moves k's record (k hashes to h) into TIME_WAIT, releasing
@@ -233,7 +255,7 @@ func (s *ctShard) parkLocked(h uint64, k transport.Tuple, now time.Duration) {
 	}
 	s.ring[s.next] = parkedRecord{key: k, at: now}
 	s.next = (s.next + 1) % len(s.ring)
-	st, added := s.conns.Put(h, k)
+	st, added := s.put(h, k, now)
 	if added || !st.parked {
 		s.parked++
 	}
@@ -253,7 +275,7 @@ func (s *ctShard) openLocked(h uint64, k transport.Tuple, parked bool, st connSt
 	if parked {
 		s.parked--
 	}
-	v, _ := s.conns.Put(h, k)
+	v, _ := s.put(h, k, st.last) // st.last is now
 	*v = st
 	return true
 }
@@ -308,7 +330,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 		case known && !st.parked:
 			// First close of a tracked connection.
 			s.n[ctClosed]++
-		case known && ct.waiting(st.last, now):
+		case known && waiting(st.last, now):
 			// Retransmitted FIN or RST-after-FIN: the connection is already
 			// down. Teardown still fires — EndFlow is idempotent and closing
 			// is the fail-safe direction — but it is not a second close.
@@ -328,7 +350,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 		st.last = now // SYN retransmission: refresh activity only
 		return false
 	}
-	if known && ct.waiting(st.last, now) {
+	if known && waiting(st.last, now) {
 		// A delayed handshake retransmission for a dead connection must
 		// not resurrect it.
 		s.n[ctLateSYN]++
@@ -387,7 +409,7 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 		st.last = now
 		return false
 	}
-	if known && ct.waiting(st.last, now) {
+	if known && waiting(st.last, now) {
 		s.n[ctLate]++
 		return false
 	}
@@ -416,7 +438,7 @@ func (ct *Conntrack) Sweep(idle time.Duration) int {
 		n := 0
 		s.conns.Sweep(func(_ transport.Tuple, st *connState) bool {
 			switch {
-			case st.parked && now-st.last > timeWaitTTL:
+			case st.parked && !waiting(st.last, now):
 				s.parked--
 				return true
 			case !st.parked && now-st.last > idle:

@@ -235,6 +235,83 @@ func TestConntrackTimeWaitBound(t *testing.T) {
 	}
 }
 
+// parkedRecords walks a shard's index and counts its parked records, the
+// number its parked field must hold.
+func parkedRecords(s *ctShard) int {
+	n := 0
+	s.conns.Sweep(func(_ transport.Tuple, st *connState) bool {
+		if st.parked {
+			n++
+		}
+		return false
+	})
+	return n
+}
+
+// TestConntrackReclaimsExpiredTimeWait: a shard parks a full ring of closed
+// connections, their TIME_WAIT runs out, and new connections arrive. The
+// add that would double the shard's index first frees the expired records:
+// the index keeps the cells the open connections need, the parked count
+// stays exact, and every open connection keeps its record.
+func TestConntrackReclaimsExpiredTimeWait(t *testing.T) {
+	const opened = 300
+	clk := NewClock()
+	ct := NewConntrack(clk)
+	per := maxTimeWait / ctShards
+	syns := sameShardSYNs(0, per+opened)
+	for _, syn := range syns[:per] {
+		ct.Observe(syn)
+		ct.Observe(withFlags(syn, transport.FlagFIN|transport.FlagACK))
+	}
+	clk.Advance(timeWaitTTL + time.Second)
+	for _, syn := range syns[per:] {
+		ct.Observe(syn)
+	}
+	s := &ct.shards[0]
+	if cells, want := s.conns.Cells(), shardCells(opened); cells != want {
+		t.Fatalf("%d cells for %d open and %d expired parked records, want the %d the open ones need", cells, opened, per, want)
+	}
+	if st := conntrack(ct); st["open"] != opened || st["time_wait"] != 0 || s.parked != parkedRecords(s) {
+		t.Fatalf("after the reclaim: %+v, parked field %d for %d parked records", st, s.parked, parkedRecords(s))
+	}
+	for _, syn := range syns[per:] {
+		if st := s.conns.Get(peekFlow(syn).t.Hash(), peekFlow(syn).t); st == nil || st.parked {
+			t.Fatalf("open connection lost its record: %+v", st)
+		}
+	}
+}
+
+// TestConntrackLateSYNAcrossGrowth: connections park, and before their
+// TIME_WAIT runs out enough new ones arrive to double the shard's index
+// twice. The reclaim passes on the way leave the parked records alone, so
+// a delayed SYN of a closed connection is still refused.
+func TestConntrackLateSYNAcrossGrowth(t *testing.T) {
+	const parked, opened = 100, 400
+	clk := NewClock()
+	ct := NewConntrack(clk)
+	syns := sameShardSYNs(0, parked+opened)
+	for _, syn := range syns[:parked] {
+		ct.Observe(syn)
+		ct.Observe(withFlags(syn, transport.FlagFIN|transport.FlagACK))
+	}
+	clk.Advance(time.Second)
+	cells := ct.shards[0].conns.Cells()
+	for _, syn := range syns[parked:] {
+		ct.Observe(syn)
+	}
+	if grown := ct.shards[0].conns.Cells(); grown < 4*cells {
+		t.Fatalf("index grew from %d to %d cells, want two doublings", cells, grown)
+	}
+	before := conntrack(ct)
+	for _, syn := range syns[:parked] {
+		ct.Observe(syn) // reordered duplicate of the original handshake
+	}
+	st := conntrack(ct)
+	if st["late_syn"] != before["late_syn"]+parked || st["established"] != before["established"] || st["time_wait"] != parked {
+		t.Fatalf("late SYNs after the index grew: %+v, before %+v; want all %d refused", st, before, parked)
+	}
+}
+
 // tupleFor is the tuple of a device→server segment between src and dst.
 func tupleFor(src, dst netip.Addr, sp, dp uint16) transport.Tuple {
 	t, _ := transport.TupleOf(&ipv4.Header{Src: src, Dst: dst}, sp, dp)

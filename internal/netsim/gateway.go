@@ -158,8 +158,9 @@ func (g *Gateway) Restarts() uint64 { return g.restarts.Load() }
 
 // GC runs one idle sweep: connections with no activity for longer than
 // idle leave the conntrack (their FIN was lost — the half-open leak), and
-// flow-cache entries idle past the TTL are reclaimed. Returns what each sweep
-// freed. Deployments call it periodically; the soak harness calls it
+// flow-cache entries that can never answer again (enforcer.SweepFlows: idle
+// past the TTL, or of a moved generation) are reclaimed. Returns what each
+// sweep freed. Deployments call it periodically; the soak harness calls it
 // between epochs and asserts the tables return to empty.
 func (g *Gateway) GC(idle time.Duration) (conns, flows int) {
 	conns = g.ct.Sweep(idle)
