@@ -167,8 +167,9 @@ func BenchmarkProcessFlowMiss(b *testing.B) {
 
 // BenchmarkProcessFlowMissInterned is a new flow of a known tag — what a
 // SYN costs once any device has run the functionality (the fleet and
-// connect shape): a table miss, an interned decode, one evaluation, an
-// interned decision and the fill (0 allocs).
+// connect shape): a table miss, the tag's record — whose context-free
+// verdict answers the flow, with no decode and no evaluation — and the fill
+// (0 allocs).
 func BenchmarkProcessFlowMissInterned(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	b.ReportAllocs()

@@ -129,7 +129,7 @@ func TestReplacedRecordIsAMiss(t *testing.T) {
 	replace := map[string]func(){
 		"tag": func() {
 			for i := 0; i < flowtable.InternWindow; i++ {
-				e.tags.Store(flowtable.Digest(payload), db.Generation(), decodedTag{})
+				e.tags.Store(flowtable.Digest(payload), e.engine.Generation(), decodedTag{})
 			}
 		},
 		"decision": func() {

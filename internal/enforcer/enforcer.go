@@ -17,16 +17,20 @@
 // the same contextual tag: the first packet of a flow pays the
 // extract–decode–evaluate pipeline, and every later packet is answered by
 // a single flow-table probe keyed on the tuple and a digest of the raw tag
-// — no tag decode, no stack decode, no policy evaluation. Stage 3 runs once
-// per *flow* (the verdict depends on the source device's context); stages
-// 1–2 run once per distinct *tag*, shared by every flow carrying it.
+// — no tag decode, no stack decode, no policy evaluation. Stages 1–2 run
+// once per distinct *tag* and database generation, shared by every flow
+// carrying it. Stage 3 runs once per tag and engine generation too when the
+// evaluation read no flow context (no risk program loaded, or no context
+// source): the tag's record carries its verdict, and a new flow of the tag
+// takes it without evaluating. When the rule set's risk program read the
+// source device's context, stage 3 runs once per *flow*.
 //
 // A flow's cache cell holds no pointer (see flowVal): its verdict, and
 // handles into two flowtable.Intern tables — the decoded tag (the verbatim
-// tag bytes, app and stack) and the Decision, each shared by value by every
-// flow that reached it. A hit is exact: the packet's tag bytes must equal
-// the interned tag's verbatim, and both handles must still resolve, or the
-// hit is a miss. A cached verdict self-invalidates when the policy engine,
+// tag bytes, app, stack and, when context-free, verdict) and the Decision,
+// each shared by value by every flow that reached it. A hit is exact: the
+// packet's tag bytes must equal the interned tag's verbatim, and both
+// handles must still resolve, or the hit is a miss. A cached verdict self-invalidates when the policy engine,
 // the signature database or the source device's context changes
 // (generation counters) and, when a time-of-day predicate took part in it,
 // at that predicate's next edge (Result.until): the fast path never serves
@@ -92,7 +96,10 @@ type Config struct {
 	AllowUnknownApps bool
 	// Flows enables per-flow verdict caching (nil disables it).
 	Flows *FlowCache
-	// Audit receives every decision (nil disables auditing).
+	// Audit is offered every decision, one per processed packet, on every
+	// path that answers one (nil disables auditing). The sink may shed
+	// under load: audit.Log keeps or drops each offer and counts both, so
+	// bp_audit_recorded_total + bp_audit_dropped_total == offered.
 	Audit AuditSink
 	// Context supplies per-device context for the policy's risk program
 	// (nil disables the contextual dimension), read only on the miss path
@@ -179,16 +186,25 @@ type scratch struct {
 	stack []dex.Signature
 }
 
-// decodedTag is one interned outcome of stages 1–2: the app and stack a tag
-// decoded to under one database generation (the record's generation in
-// Enforcer.tags), so flows carrying the tag share one Stack. It answers only
-// for a packet whose tag bytes equal its own verbatim. Failed decodes are
-// neither interned nor cached: such a packet pays the decode every time.
+// decodedTag is one interned tag: the app and stack it decoded to under the
+// database generation dbGen (stages 1–2) and, when stage 3 read no flow
+// context, that stage's outcome under the engine generation the record is
+// stored at in Enforcer.tags. Flows carrying the tag share its Stack and,
+// when shared is set, its verdict: a new flow of the tag is then answered
+// without evaluating policy. It answers only for a packet whose tag bytes
+// equal its own verbatim, under both generations compared in full. Failed
+// decodes are neither interned nor cached: such a packet pays the decode
+// every time.
 type decodedTag struct {
 	tagLen uint8
 	tag    [flowtable.MaxTagBytes]byte
 	app    dex.TruncatedHash
 	stack  []dex.Signature
+	dbGen  uint64
+	// shared marks a context-free verdict, cause and decision handle.
+	shared         bool
+	verdict, cause uint8
+	dec            flowtable.Handle
 }
 
 func (d *decodedTag) is(data []byte) bool { return string(d.tag[:d.tagLen]) == string(data) }
@@ -267,8 +283,9 @@ type Enforcer struct {
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
 	batchMemoHits  *metrics.Counter
-	// verdictExpiries counts time-edge re-evaluations.
-	verdictExpiries *metrics.Counter
+	// verdictExpiries counts time-edge re-evaluations, tagVerdicts flow
+	// misses answered from their tag's record without evaluating.
+	verdictExpiries, tagVerdicts *metrics.Counter
 
 	ins instruments
 }
@@ -292,6 +309,7 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 		tags:            flowtable.NewIntern[decodedTag](internCells),
 		decisions:       flowtable.NewIntern[policy.Decision](internCells),
 		verdictExpiries: metrics.NewCounter(),
+		tagVerdicts:     metrics.NewCounter(),
 	}
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
@@ -336,16 +354,17 @@ func (e *Enforcer) now() time.Duration {
 	return e.clock.Now()
 }
 
-// flowContext fills fc with the packet's SYN-time context — the source
-// device's snapshot and the virtual clock — and returns it, or nil when no
-// source is configured or no risk rule loaded.
-func (e *Enforcer) flowContext(pkt *ipv4.Packet, fc *policy.FlowContext, now time.Duration) *policy.FlowContext {
-	if e.ctxSrc == nil || !e.engine.ContextActive() {
-		return nil
+// flowContext returns the packet's SYN-time context — the source device's
+// snapshot and the virtual clock — or false when no source is configured.
+// The engine asks for it only for a rule set with risk rules
+// (policy.Engine.EvaluateWith).
+func (e *Enforcer) flowContext(pkt *ipv4.Packet, now time.Duration) (fc policy.FlowContext, ok bool) {
+	if e.ctxSrc == nil {
+		return fc, false
 	}
 	fc.Device, _ = e.ctxSrc.Lookup(pkt.Header.Src)
 	fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(now)
-	return fc
+	return fc, true
 }
 
 // flowKey fills the cache key for a tagged packet without decoding the
@@ -491,20 +510,9 @@ func (e *Enforcer) untagged() Result {
 	return Result{Verdict: policy.VerdictDrop, Cause: DropUntagged}
 }
 
-// decode runs stages 1–2 on a raw tag — through the tag table when v, the
-// flow's cache value, is non-nil, whose tag handle it then sets. It fills in
-// AppHash and Stack and reports true, or the packet's final Result and
-// false.
-func (e *Enforcer) decode(res *Result, data []byte, v *flowVal) bool {
-	var h, dbGen uint64
-	if v != nil {
-		// Read before decoding: a record raced by a mutation is born stale.
-		h, dbGen = flowtable.Digest(data), e.db.Generation()
-		if d, hd := e.tags.Find(h, dbGen, func(d *decodedTag) bool { return d.is(data) }); d != nil {
-			res.AppHash, res.Stack, v.tag = d.app, d.stack, hd
-			return true
-		}
-	}
+// decode runs stages 1–2 on a raw tag. It fills in AppHash and Stack and
+// reports true, or the packet's final Result and false.
+func (e *Enforcer) decode(res *Result, data []byte) bool {
 	sc := e.scratches.Get().(*scratch)
 	defer e.scratches.Put(sc)
 
@@ -528,40 +536,56 @@ func (e *Enforcer) decode(res *Result, data []byte, v *flowVal) bool {
 	sc.stack = stack // retain grown capacity for the next packet
 	// The scratch buffer goes back to the pool; what escapes needs a copy.
 	res.AppHash, res.Stack = sc.tag.AppHash, append(make([]dex.Signature, 0, len(stack)), stack...)
-	if v != nil {
-		d := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack}
-		copy(d.tag[:], data)
-		_, v.tag = e.tags.Store(h, dbGen, d)
-	}
 	return true
 }
 
 // evaluateTag is the full miss path: decode the tag and the stack, then
 // evaluate policy, with the risk program over the device's context when
-// configured (the paper's "evaluate once at SYN time"). With v non-nil (a
-// cacheable flow) the decision is interned and v filled, its decision
-// handle nonzero exactly when the flow may be cached; uncached, the
+// the rule set carries one (the paper's "evaluate once at SYN time"). With
+// v non-nil (a cacheable flow) it goes through the tag table, the decision
+// is interned and v filled, its decision handle nonzero exactly when the
+// flow may be cached; uncached, every packet pays all three stages and the
 // Decision is allocated per packet.
 func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) (res Result) {
-	if !e.decode(&res, data, v) {
+	var h, dbGen, engGen uint64
+	var rec *decodedTag
+	if v != nil {
+		// Both generations are read before the work they stamp: a record
+		// raced by a mutation or a swap is born stale.
+		h, dbGen, engGen = flowtable.Digest(data), e.db.Generation(), e.engine.Generation()
+		rec, v.tag = e.tags.Find(h, engGen, func(d *decodedTag) bool { return d.dbGen == dbGen && d.is(data) })
+		if rec != nil && rec.shared {
+			// A replaced decision record falls through to stage 3.
+			if d := e.decisions.Get(rec.dec); d != nil {
+				e.tagVerdicts.Inc()
+				*v = flowVal{tag: v.tag, dec: rec.dec, verdict: rec.verdict, cause: rec.cause}
+				return Result{Verdict: policy.Verdict(rec.verdict), Cause: DropCause(rec.cause),
+					AppHash: rec.app, Stack: rec.stack, Decision: d}
+			}
+		}
+		if rec != nil {
+			res.AppHash, res.Stack = rec.app, rec.stack
+		}
+	}
+	if rec == nil && !e.decode(&res, data) {
 		return res
 	}
 
 	// Stage 3: enforcement (latency sampled; see instruments). The flow
 	// context — device posture, network class, velocity, virtual clock —
-	// is built here, once per flow, and folded into the cached decision.
-	// The engine generation is read before evaluating, as the database's
-	// is before decoding.
-	engGen := e.engine.Generation()
-	var fcBuf policy.FlowContext
-	fc := e.flowContext(pkt, &fcBuf, now)
+	// is built only when the rule set the engine evaluates carries a risk
+	// program, and then folded into this flow's decision; a decision that
+	// read no context is every flow's of the tag, and the tag's record
+	// carries it until the next swap or mutation.
+	flow := func() (policy.FlowContext, bool) { return e.flowContext(pkt, now) }
 	var decision policy.Decision
+	var contextRead bool
 	if rand.Uint32()&evalSampleMask == 0 {
 		evalStart := time.Now()
-		decision = e.engine.EvaluateFlow(res.AppHash, res.Stack, fc)
+		decision, contextRead = e.engine.EvaluateWith(res.AppHash, res.Stack, flow)
 		e.ins.evalLatency.Record(time.Since(evalStart).Nanoseconds())
 	} else {
-		decision = e.engine.EvaluateFlow(res.AppHash, res.Stack, fc)
+		decision, contextRead = e.engine.EvaluateWith(res.AppHash, res.Stack, flow)
 	}
 	if decision.RiskApplied {
 		e.ins.riskScore.Record(int64(decision.RiskScore))
@@ -583,13 +607,22 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now ti
 		res.Decision = &d
 		return res
 	}
-	h := decisionHash(&decision)
-	d, hd := e.decisions.Find(h, engGen, func(d *policy.Decision) bool { return *d == decision })
+	dh := decisionHash(&decision)
+	d, hd := e.decisions.Find(dh, engGen, func(d *policy.Decision) bool { return *d == decision })
 	if d == nil {
-		d, hd = e.decisions.Store(h, engGen, decision)
+		d, hd = e.decisions.Store(dh, engGen, decision)
 	}
 	res.Decision = d
 	*v = flowVal{until: res.until, tag: v.tag, dec: hd, verdict: uint8(res.Verdict), cause: uint8(res.Cause)}
+	if rec == nil {
+		// Stored once, after stage 3, so the record is immutable.
+		r := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack, dbGen: dbGen}
+		copy(r.tag[:], data)
+		if !contextRead {
+			r.shared, r.verdict, r.cause, r.dec = true, v.verdict, v.cause, hd
+		}
+		_, v.tag = e.tags.Store(h, engGen, r)
+	}
 	return res
 }
 
@@ -678,6 +711,8 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	e.decisions.RegisterMetrics(r, "bp_enforcer_decision", "decision")
 	r.CounterFunc("bp_enforcer_verdict_expiries_total",
 		"Cached verdicts re-evaluated because a time-of-day predicate's edge was reached.", e.verdictExpiries.Value)
+	r.CounterFunc("bp_enforcer_tag_verdicts_total",
+		"Flow misses answered by their tag's interned context-free verdict, without a policy evaluation.", e.tagVerdicts.Value)
 
 	r.RegisterHistogram("bp_enforcer_cache_hit_latency_ns",
 		"Flow-table probe latency on a hit (sampled 1/64).", e.ins.hitLatency)

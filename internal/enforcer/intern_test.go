@@ -91,7 +91,8 @@ func internStats(e *Enforcer) (hits, misses uint64) {
 }
 
 // TestInternedDecodeSharedPerTag: flows carrying one tag decode it once and
-// share one immutable Stack, and each flow is evaluated once; the uncached
+// share one immutable Stack, and with no risk program loaded the tag is
+// evaluated once, its verdict answering the other nine flows; the uncached
 // enforcer never uses the table.
 func TestInternedDecodeSharedPerTag(t *testing.T) {
 	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
@@ -109,8 +110,9 @@ func TestInternedDecodeSharedPerTag(t *testing.T) {
 	if hits, misses := internStats(e); hits != 9 || misses != 1 {
 		t.Fatalf("intern hits/misses = %d/%d, want 9/1", hits, misses)
 	}
-	if misses, evals := count(e, "bp_flowtable_misses_total"), count(e, "bp_policy_evaluations_total"); misses != 10 || evals != 10 {
-		t.Fatalf("flow misses %d, evaluations %d, want 10 each", misses, evals)
+	misses, evals, shared := count(e, "bp_flowtable_misses_total"), count(e, "bp_policy_evaluations_total"), count(e, "bp_enforcer_tag_verdicts_total")
+	if misses != 10 || evals != 1 || shared != 9 {
+		t.Fatalf("flow misses %d, evaluations %d, tag verdicts %d, want 10, 1 and 9", misses, evals, shared)
 	}
 
 	ref, _, _ := newEnforcer(t, Config{}, nil, policy.VerdictAllow)
@@ -121,9 +123,10 @@ func TestInternedDecodeSharedPerTag(t *testing.T) {
 }
 
 // TestInternCellConflictNeverBorrowsAStack: one more tag than a window
-// holds, all forced onto one window, each decode to their own stack,
-// whichever are resident — a cell checks the tag bytes verbatim, and a
-// newcomer to a full window replaces its oldest record.
+// holds, all forced onto one window, each decode to their own stack and
+// get their own verdict — a rule denies one of them — whichever are
+// resident: a cell checks the tag bytes verbatim, and a newcomer to a full
+// window replaces its oldest record.
 func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 	e, db, _ := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
 	gen := genAPK()
@@ -135,13 +138,38 @@ func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 		t.Fatalf("conflicting tags decode alike: %v", stacks[0])
 	}
 	w := len(tags)
+	// Deny a frame that only one of the tags carries.
+	denied := -1
+	for k := 0; k < w && denied < 0; k++ {
+		for _, sig := range stacks[k] {
+			only := true
+			for j := range stacks {
+				only = only && (j == k || !slices.Contains(stacks[j], sig))
+			}
+			if only {
+				rule := policy.Rule{Action: policy.Deny, Level: policy.LevelMethod, Target: sig.String()}
+				if err := e.Engine().SetRules([]policy.Rule{rule}); err != nil {
+					t.Fatal(err)
+				}
+				denied = k
+				break
+			}
+		}
+	}
+	if denied < 0 {
+		t.Fatal("no frame is carried by one conflicting tag alone")
+	}
 	flow := 0
 	process := func(k int) {
 		t.Helper()
 		flow++
+		want := policy.VerdictAllow
+		if k == denied {
+			want = policy.VerdictDrop
+		}
 		res := e.Process(taggedPacket(tags[k], flow))
-		if res.Verdict != policy.VerdictAllow || !slices.Equal(res.Stack, stacks[k]) {
-			t.Fatalf("flow %d, tag %d: decoded %v (%v), want %v", flow, k, res.Stack, res.Verdict, stacks[k])
+		if res.Verdict != want || !slices.Equal(res.Stack, stacks[k]) {
+			t.Fatalf("flow %d, tag %d: decoded %v (%v), want %v (%v)", flow, k, res.Stack, res.Verdict, stacks[k], want)
 		}
 	}
 	for i := 0; i < 2*w; i++ {
@@ -158,6 +186,9 @@ func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 	process(0)
 	if hits, misses := internStats(e); hits != 2 || misses != uint64(2*w+1) {
 		t.Fatalf("intern hits/misses = %d/%d, want 2/%d", hits, misses, 2*w+1)
+	}
+	if n := count(e, "bp_enforcer_tag_verdicts_total"); n != 2 {
+		t.Fatalf("tag verdicts = %d, want the 2 resident tags'", n)
 	}
 }
 
@@ -221,8 +252,9 @@ func TestInternFollowsDatabaseGeneration(t *testing.T) {
 	if hits, misses := internStats(e); hits != 1 || misses != 12 {
 		t.Fatalf("after the mutation: intern hits/misses = %d/%d, want 1/12", hits, misses)
 	}
-	if d, _ := e.tags.Find(flowtable.Digest(known), db.Generation(), func(d *decodedTag) bool { return d.is(known) }); d == nil {
-		t.Fatalf("no record of generation %d for the known tag", db.Generation())
+	dbGen := db.Generation()
+	if d, _ := e.tags.Find(flowtable.Digest(known), e.engine.Generation(), func(d *decodedTag) bool { return d.dbGen == dbGen && d.is(known) }); d == nil {
+		t.Fatalf("no record of database generation %d for the known tag", dbGen)
 	}
 }
 

@@ -70,8 +70,9 @@ func sweepAPK() *dex.APK {
 // (wide enough to split across the gateway's flow-affine workers) and one
 // packet at a time, and requires identical verdicts and causes packet by
 // packet, pass by pass — and the reference model's verdict, cause, app and
-// stack. The ghost app's tag is an unknown app until the last passes
-// provision it.
+// stack. Policy swaps land between passes: one drops the upload method rule,
+// a later one restores it, and the last re-sets the same rules. The ghost
+// app's tag is an unknown app until the last passes provision it.
 func TestEquivalenceMixedTraffic(t *testing.T) {
 	apk := sweepAPK()
 	rules := []policy.Rule{
@@ -179,7 +180,16 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		ref, refEnf, refDB := build(nil, workers)
 		model := &refmodel.Model{APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow}
 		seen := map[enforcer.DropCause]int{}
+		swaps := map[int][]policy.Rule{1: slices.Clone(rules[:1]), 3: rules, 5: rules}
 		for pass := 0; pass < 6; pass++ {
+			if r, ok := swaps[pass]; ok { // swap the policy everywhere
+				for _, enf := range []*enforcer.Enforcer{fastEnf, refEnf} {
+					if err := enf.Engine().SetRules(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				model.Rules = r
+			}
 			if pass == 4 { // provision the ghost app everywhere
 				for _, db := range []*analyzer.Database{fastDB, refDB} {
 					if err := db.Add(ghost); err != nil {
@@ -220,6 +230,9 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		fastHits, fastMemo := count(fastEnf, "bp_flowtable_hits_total"), count(fastEnf, "bp_enforcer_batch_memo_hits_total")
 		if fastHits == 0 || fastMemo == 0 {
 			t.Fatalf("%d workers: equivalence ran entirely on the miss path: %d hits, %d memo hits", workers, fastHits, fastMemo)
+		}
+		if shared := count(fastEnf, "bp_enforcer_tag_verdicts_total"); shared == 0 {
+			t.Fatalf("%d workers: no flow miss was answered by its tag's verdict", workers)
 		}
 		refFlows := count(refEnf, "bp_flowtable_hits_total") + count(refEnf, "bp_flowtable_misses_total")
 		if refMemo := count(refEnf, "bp_enforcer_batch_memo_hits_total"); refFlows+refMemo != 0 {

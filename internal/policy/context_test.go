@@ -313,3 +313,64 @@ func TestSetRulesSwapsContextProgram(t *testing.T) {
 		t.Fatal("SetRules did not bump the generation")
 	}
 }
+
+// TestEvaluateWithDecidesFromOneSnapshot: the rule set EvaluateWith loads
+// is the one that decides, whatever the context callback does to the
+// engine. A risk set asks for the context, and a swap to a context-free
+// set made from inside the callback cannot take the risk score away; a
+// context-free set never calls the callback, so a swap to a risk set there
+// cannot happen mid-evaluation, and the decision reports no context read.
+func TestEvaluateWithDecidesFromOneSnapshot(t *testing.T) {
+	parse := func(doc string) []Rule {
+		t.Helper()
+		rules, err := ParsePolicyString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rules
+	}
+	risky := parse(`
+{[risk][network]["unknown"][100]}
+{[threshold][block][100]}
+`)
+	plain := parse(`{[deny][library]["com/flurry"]}`)
+	var h dex.TruncatedHash
+	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
+
+	e := mustEngine(t, "")
+	if err := e.SetRules(risky); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	swapTo := func(rules []Rule) func() (FlowContext, bool) {
+		return func() (FlowContext, bool) {
+			calls++
+			if err := e.SetRules(rules); err != nil {
+				t.Fatal(err)
+			}
+			return FlowContext{Device: DeviceContext{Network: NetUnknown}}, true
+		}
+	}
+	d, read := e.EvaluateWith(h, stack, swapTo(plain))
+	if calls != 1 || !read || d.Verdict != VerdictDrop || !d.RiskBlocked || d.RiskScore != 100 {
+		t.Fatalf("risk set swapped out from the callback: %d calls, context read %v, %+v; want the risk set's block", calls, read, d)
+	}
+	if e.ContextActive() {
+		t.Fatal("the callback's swap did not land")
+	}
+	d, read = e.EvaluateWith(h, stack, swapTo(risky))
+	if calls != 1 || read || d.Verdict != VerdictAllow || d.RiskApplied {
+		t.Fatalf("context-free set: %d calls, context read %v, %+v; want an allow without the callback", calls, read, d)
+	}
+	if d, read = e.EvaluateWith(h, stack, nil); read || d.Verdict != VerdictAllow {
+		t.Fatalf("no callback: context read %v, %+v", read, d)
+	}
+	// A risk set whose callback has no context to give reads none.
+	if err := e.SetRules(risky); err != nil {
+		t.Fatal(err)
+	}
+	none := func() (FlowContext, bool) { return FlowContext{}, false }
+	if d, read = e.EvaluateWith(h, stack, none); read || d.Verdict != VerdictAllow || d.RiskApplied {
+		t.Fatalf("risk set without a context: context read %v, %+v", read, d)
+	}
+}

@@ -192,30 +192,50 @@ func (e *Engine) Default() Verdict { return e.defaultV }
 // were compiled ahead of time, so evaluation is a few map and prefix
 // probes with no locking, parsing, or allocation.
 func (e *Engine) Evaluate(appHash dex.TruncatedHash, stack []dex.Signature) Decision {
-	return e.EvaluateFlow(appHash, stack, nil)
+	d, _ := e.EvaluateWith(appHash, stack, nil)
+	return d
 }
 
 // EvaluateFlow is Evaluate plus the contextual dimension: when fc is
 // non-nil and the rule set carries risk rules, the flow's risk score is
 // computed after — and only when — the access rules admit the flow, and
 // folded into the decision (drop at the block threshold, RiskWarn at the
-// warn threshold). This runs once per flow at SYN/cache-miss time — and
-// again when the flow outlives Decision.TimeEdgeIn; the resulting decision
-// is what the flow table caches, so the per-packet path never evaluates
-// context.
+// warn threshold).
 func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, fc *FlowContext) Decision {
+	d, _ := e.EvaluateWith(appHash, stack, func() (FlowContext, bool) {
+		if fc == nil {
+			return FlowContext{}, false
+		}
+		return *fc, true
+	})
+	return d
+}
+
+// EvaluateWith is EvaluateFlow with the flow context built on demand: flow
+// (nil: none) is called at most once, and only when the rule set this
+// evaluation loaded carries risk rules, so the rule set that decides is the
+// one that asked for the context, whatever SetRules runs meanwhile. flow
+// reports false when it has no context to give. contextRead reports that
+// the rule set received one: when false, the decision is a function of the
+// app, the stack and the engine's generation alone, and a caller may share
+// it between flows. The enforcer calls this once per flow miss while risk
+// rules read device context, and once per tag and generation otherwise.
+func (e *Engine) EvaluateWith(appHash dex.TruncatedHash, stack []dex.Signature, flow func() (FlowContext, bool)) (d Decision, contextRead bool) {
 	// Degraded-mode override: one pointer load on the (cache-miss) path,
 	// nil in normal operation.
-	if d := e.degraded.Load(); d != nil {
+	if dd := e.degraded.Load(); dd != nil {
 		e.evaluations.Add(1)
 		e.degradedHits.Add(1)
-		return *d
+		return *dd, false
 	}
 	c := e.compiled.Load()
+	var fc FlowContext
+	if c.ctx != nil && flow != nil {
+		fc, contextRead = flow()
+	}
 	decisive := c.evaluate(appHash, stack)
 
 	e.evaluations.Add(1)
-	var d Decision
 	if decisive < len(c.rules) {
 		r := &c.rules[decisive]
 		v := VerdictDrop
@@ -227,11 +247,11 @@ func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, 
 		e.defaultHits.Add(1)
 		d = Decision{Verdict: e.defaultV, Reason: e.defReason}
 	}
-	if fc != nil && c.ctx != nil && d.Verdict == VerdictAllow {
-		score := c.ctx.score(fc)
+	if contextRead && d.Verdict == VerdictAllow {
+		score := c.ctx.score(&fc)
 		d.RiskApplied = true
 		d.RiskScore = score
-		d.TimeEdgeIn = c.ctx.nextEdgeIn(fc)
+		d.TimeEdgeIn = c.ctx.nextEdgeIn(&fc)
 		e.riskEvaluations.Add(1)
 		switch {
 		case score >= c.ctx.blockAt:
@@ -245,12 +265,12 @@ func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, 
 			e.riskWarns.Add(1)
 		}
 	}
-	return d
+	return d, contextRead
 }
 
-// ContextActive reports whether the current rule set carries risk rules —
-// callers use it to skip building a FlowContext entirely for
-// call-stack-only policies.
+// ContextActive reports whether the current rule set carries risk rules. It
+// is a separate load from any evaluation's, so a SetRules may land between
+// the two: to build a context only when it is read, use EvaluateWith.
 func (e *Engine) ContextActive() bool { return e.compiled.Load().ctx != nil }
 
 // Thresholds returns the effective warn and block risk thresholds of the
