@@ -414,8 +414,8 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 			// for this flow and every other one carrying the tag — so the
 			// caller gets a copy of its own to sort or edit.
 			o.Stack = slices.Clone(del.Enforcement.Stack)
-			if del.Enforcement.Decision != nil {
-				o.Reason = del.Enforcement.Decision.Reason
+			if a := del.Enforcement.Access; a != nil {
+				o.Reason = a.Decide(del.Enforcement.Risk).Reason
 			} else {
 				o.Reason = del.Enforcement.Cause.String()
 			}

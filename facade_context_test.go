@@ -57,8 +57,8 @@ func TestDeploymentContextualPolicy(t *testing.T) {
 	for _, o := range out {
 		if !o.Delivered {
 			dropped++
-			if !strings.Contains(o.Reason, "risk score") {
-				t.Fatalf("drop reason = %q, want risk-score explanation", o.Reason)
+			if o.Reason != "risk score 100 >= block threshold 100" {
+				t.Fatalf("drop reason = %q, want the risk score and the block threshold", o.Reason)
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 // Record and RecordBatch are called from the per-packet enforcement path,
 // so they do no JSON encoding and take no global lock: each call appends a
 // compact struct capture of the decision (addresses, hash, verdict, and
-// references to the immutable Stack/Decision the flow cache already
+// references to the immutable Stack/Access the flow cache already
 // shares) to one of several producer stripes under that stripe's mutex. A
 // background drainer periodically swaps the stripe buffers out, orders the
 // captures by sequence number, builds the JSON entries, and writes them to
@@ -99,14 +99,15 @@ type Entry struct {
 
 // rawEntry is the compact hot-path capture of one decision: fixed-size
 // values plus references to the Result's immutable Stack slice and
-// Decision — nothing is stringified until the drainer builds the Entry.
+// Access — nothing is stringified until the drainer builds the Entry.
 type rawEntry struct {
 	seq      uint64
 	src, dst netip.Addr
 	app      dex.TruncatedHash
 	verdict  policy.Verdict
 	cause    enforcer.DropCause
-	decision *policy.Decision
+	access   *policy.Access
+	risk     policy.Risk
 	stack    []dex.Signature
 	payload  int
 }
@@ -269,7 +270,7 @@ func (l *Log) stripeFor(pkt *ipv4.Packet) uint32 {
 }
 
 // capture fills a rawEntry from one decision (no allocation: the Stack
-// slice and Decision pointer are shared with the immutable Result).
+// slice and Access pointer are shared with the immutable Result).
 func capture(e *rawEntry, seq uint64, pkt *ipv4.Packet, res enforcer.Result) {
 	e.seq = seq
 	e.src = pkt.Header.Src
@@ -277,7 +278,7 @@ func capture(e *rawEntry, seq uint64, pkt *ipv4.Packet, res enforcer.Result) {
 	e.app = res.AppHash
 	e.verdict = res.Verdict
 	e.cause = res.Cause
-	e.decision = res.Decision
+	e.access, e.risk = res.Access, res.Risk
 	e.stack = res.Stack
 	e.payload = len(pkt.Payload)
 }
@@ -438,7 +439,7 @@ func (l *Log) drain() {
 		s.buf = l.spares[i]
 		s.mu.Unlock()
 		batch = append(batch, taken...)
-		// Clear the swapped buffer so its Decision/Stack references do not
+		// Clear the swapped buffer so its Access/Stack references do not
 		// pin results past their drain, then hand it back as the spare.
 		clear(taken)
 		l.spares[i] = taken[:0]
@@ -510,8 +511,10 @@ func buildEntry(raw *rawEntry) Entry {
 	if raw.verdict == policy.VerdictDrop {
 		e.Cause = raw.cause.String()
 	}
-	if raw.decision != nil && raw.decision.Rule != nil {
-		e.Rule = raw.decision.Rule.String()
+	if raw.access != nil {
+		if rule := raw.access.Decide(raw.risk).Rule; rule != nil {
+			e.Rule = rule.String()
+		}
 	}
 	if len(raw.stack) > 0 {
 		e.Stack = make([]string, len(raw.stack))

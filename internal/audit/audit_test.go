@@ -48,7 +48,7 @@ func dropResult() enforcer.Result {
 		Cause:   enforcer.DropPolicy,
 		AppHash: h,
 		Stack:   []dex.Signature{sig},
-		Decision: &policy.Decision{
+		Access: &policy.Access{
 			Verdict: policy.VerdictDrop,
 			Rule:    &rule,
 			Reason:  "deny rule matched",

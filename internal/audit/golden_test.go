@@ -29,10 +29,10 @@ func goldenSequence(l *Log) goldenView {
 	other := dropResult()
 	other.AppHash[0] = 0x01
 	other.Cause = enforcer.DropUnknownApp
-	other.Decision, other.Stack = nil, nil
+	other.Access, other.Stack = nil, nil
 	allowCtx := dropResult()
 	allowCtx.Verdict = policy.VerdictAllow
-	allowCtx.Decision = &policy.Decision{Verdict: policy.VerdictAllow, Reason: "default"}
+	allowCtx.Access = &policy.Access{Verdict: policy.VerdictAllow, Reason: "default"}
 	mix := []enforcer.Result{
 		dropResult(),
 		{Verdict: policy.VerdictAllow},

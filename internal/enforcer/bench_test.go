@@ -138,8 +138,8 @@ func BenchmarkProcessFlowHitContextual(b *testing.B) {
 // iteration — the destination address rotates, and one more tag than a
 // window of the tag table holds, all on one window, take turns, so each
 // finds itself replaced — and so pays the full pipeline plus the tag fill
-// (2 allocs: the interned record and its Stack; the decision is interned):
-// the worst case for the caches.
+// (2 allocs: the interned record and its Stack): the worst case for the
+// caches.
 func BenchmarkProcessFlowMiss(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	gen := genAPK()
@@ -180,6 +180,37 @@ func BenchmarkProcessFlowMissInterned(b *testing.B) {
 		pkt.Header.Dst = netip.AddrFrom4(a)
 		if res := e.Process(pkt); res.Verdict != policy.VerdictAllow {
 			b.Fatal("benign packet dropped")
+		}
+	}
+}
+
+// BenchmarkProcessFlowMissRisk is a new flow of a known tag under a risk
+// program, blocked by its device's score: a table miss, the tag's record
+// (its Access: no decode, no evaluation), the risk program over the
+// device's context and the fill (0 allocs: the block's reason is rendered
+// from the Result's Access and Risk, off the packet path).
+func BenchmarkProcessFlowMissRisk(b *testing.B) {
+	e, pkt := benchEnforcer(b, true)
+	e.ctxSrc = devctx.NewSource(nil) // the device's network is unknown
+	risk, err := policy.ParsePolicyString(`
+{[risk][network]["unknown"][100]}
+{[threshold][block][100]}
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.engine.SetRules(append(e.engine.Rules(), risk...)); err != nil {
+		b.Fatal(err)
+	}
+	e.Process(pkt) // the tag is known
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], uint32(i))
+		pkt.Header.Dst = netip.AddrFrom4(a)
+		if res := e.Process(pkt); res.Cause != DropRisk {
+			b.Fatal("risky flow not blocked")
 		}
 	}
 }

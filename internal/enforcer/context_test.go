@@ -60,17 +60,17 @@ func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
 	// Unknown device on an unknown network: warn (60 ≥ 40, < 100).
 	pkt := mkPacket(t, apk, db, "download")
 	res := e.Process(pkt)
-	if res.Verdict != policy.VerdictAllow || res.Decision == nil || !res.Decision.RiskWarn {
+	if res.Verdict != policy.VerdictAllow || res.Access == nil || !res.Risk.Warn {
 		t.Fatalf("first packet: %+v", res)
 	}
-	if res.Decision.RiskScore != 60 {
-		t.Fatalf("risk score = %d", res.Decision.RiskScore)
+	if res.Risk.Score != 60 {
+		t.Fatalf("risk score = %d", res.Risk.Score)
 	}
 
-	// Second packet of the same flow: served from the cache, same decision
-	// pointer — context was evaluated exactly once.
+	// Second packet of the same flow: served from the cache, same Access
+	// pointer and Risk — context was evaluated exactly once.
 	res2 := e.Process(pkt)
-	if res2.Decision != res.Decision {
+	if res2.Access != res.Access || res2.Risk != res.Risk {
 		t.Fatal("cache hit rebuilt the decision (context re-evaluated)")
 	}
 	if hits, misses := count(e, "bp_flowtable_hits_total"), count(e, "bp_flowtable_misses_total"); hits != 1 || misses != 1 {
@@ -78,6 +78,37 @@ func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
 	}
 	if got := count(e, "bp_context_evaluations_total"); got != 1 {
 		t.Fatalf("risk evaluations = %d, want 1 (once per flow)", got)
+	}
+}
+
+// TestCellHitKeepsItsFlowsRisk: two devices in different contexts send
+// flows of one tag. The flows share the tag's Access, and each flow's
+// second packet, a cell hit, returns that flow's own risk score and warning.
+func TestCellHitKeepsItsFlowsRisk(t *testing.T) {
+	src := devctx.NewSource(nil)
+	e, db, apk := newCachedEnforcer(t, Config{Context: src}, contextRules(t, `
+{[risk][network]["unknown"][60]}
+{[risk][network]["trusted"][-30]}
+{[threshold][warn][40]}
+{[threshold][block][100]}
+`), policy.VerdictAllow)
+	trusted := mkPacket(t, apk, db, "download")
+	unknown := trusted.Clone()
+	unknown.Header.Src = netip.MustParseAddr("10.0.0.6")
+	src.SetNetwork(trusted.Header.Src, policy.NetTrusted)
+	want := map[*ipv4.Packet]policy.Risk{
+		trusted: {Score: -30, Applied: true},
+		unknown: {Score: 60, Applied: true, Warn: true},
+	}
+	for round := 0; round < 2; round++ {
+		for _, p := range []*ipv4.Packet{trusted, unknown} {
+			if res := e.Process(p); res.Verdict != policy.VerdictAllow || res.Risk != want[p] {
+				t.Fatalf("round %d, %v: %v %+v, want allow %+v", round, p.Header.Src, res.Verdict, res.Risk, want[p])
+			}
+		}
+	}
+	if hits, evals := count(e, "bp_flowtable_hits_total"), count(e, "bp_policy_evaluations_total"); hits != 2 || evals != 1 {
+		t.Fatalf("%d flow hits, %d evaluations; want 2, 1", hits, evals)
 	}
 }
 
@@ -109,8 +140,8 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 	if res.Verdict != policy.VerdictDrop || res.Cause != DropRisk {
 		t.Fatalf("post-flip packet: %+v", res)
 	}
-	if !res.Decision.RiskBlocked || res.Decision.RiskScore != 100 {
-		t.Fatalf("post-flip decision: %+v", res.Decision)
+	if !res.Risk.Blocked || res.Risk.Score != 100 {
+		t.Fatalf("post-flip risk: %+v", res.Risk)
 	}
 	if count(e, "bp_flowtable_stale_drops_total") == 0 {
 		t.Fatal("no stale drops after context flip")
@@ -399,7 +430,7 @@ func TestContextInactiveWithoutRiskRules(t *testing.T) {
 		[]policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}},
 		policy.VerdictAllow)
 	res := e.Process(mkPacket(t, apk, db, "download"))
-	if res.Verdict != policy.VerdictAllow || (res.Decision != nil && res.Decision.RiskApplied) {
+	if res.Verdict != policy.VerdictAllow || res.Risk.Applied {
 		t.Fatalf("risk applied without risk rules: %+v", res)
 	}
 	if got := count(e, "bp_context_evaluations_total"); got != 0 {

@@ -17,30 +17,28 @@
 // the same contextual tag: the first packet of a flow pays the
 // extract–decode–evaluate pipeline, and every later packet is answered by
 // a single flow-table probe keyed on the tuple and a digest of the raw tag
-// — no tag decode, no stack decode, no policy evaluation. Stages 1–2 run
-// once per distinct *tag* and database generation, shared by every flow
-// carrying it. Stage 3 runs once per tag and engine generation too when the
-// evaluation read no flow context (no risk program loaded, or no context
-// source): the tag's record carries its verdict, and a new flow of the tag
-// takes it without evaluating. When the rule set's risk program read the
-// source device's context, stage 3 runs once per *flow*.
+// — no tag decode, no stack decode, no policy evaluation. Stages 1–2 and
+// stage 3's access half (policy.Access) run once per distinct *tag*,
+// database generation and engine generation: the tag's interned record
+// carries the app, the stack and the Access, shared by every flow carrying
+// it. Only the risk half (policy.Access.Risk) runs once per *flow*, and
+// only when the Access admits under a rule set with a risk program and a
+// context source supplies the device's context.
 //
-// A flow's cache cell holds no pointer (see flowVal): its verdict, and
-// handles into two flowtable.Intern tables — the decoded tag (the verbatim
-// tag bytes, app, stack and, when context-free, verdict) and the Decision,
-// each shared by value by every flow that reached it. A hit is exact: the
-// packet's tag bytes must equal the interned tag's verbatim, and both
-// handles must still resolve, or the hit is a miss. A cached verdict self-invalidates when the policy engine,
-// the signature database or the source device's context changes
-// (generation counters) and, when a time-of-day predicate took part in it,
-// at that predicate's next edge (Result.until): the fast path never serves
-// a stale decision, and never another tag's stack or reason.
+// A flow's cache cell holds no pointer (see flowVal): its verdict, its risk
+// score and flags, and a handle into the tag table. A hit is exact: the
+// packet's tag bytes must equal the interned tag's verbatim, and the handle
+// must still resolve, or the hit is a miss. A cached verdict
+// self-invalidates when the policy engine, the signature database or the
+// source device's context changes (generation counters) and, when a
+// time-of-day predicate took part in it, at that predicate's next edge
+// (Result.until): the fast path never serves a stale decision, and never
+// another tag's stack or reason.
 package enforcer
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/rand/v2"
 	"net/netip"
 	"sync"
@@ -66,13 +64,14 @@ func NewFlowCache(cfg flowtable.Config) *FlowCache {
 }
 
 // flowVal is a cached flow's value: 16 bytes, no pointer. The Result it
-// stands for is its verdict, cause and time edge plus the records its
-// handles name in the enforcer's tag and decision tables.
+// stands for is its verdict, cause, time edge and risk score and flags plus
+// the record its handle names in the enforcer's tag table.
 type flowVal struct {
-	until    uint32
-	tag, dec flowtable.Handle
-	verdict  uint8
-	cause    uint8
+	until          uint32
+	tag            flowtable.Handle
+	score          int32
+	verdict, cause uint8
+	applied, warn  bool // the Risk's; Blocked is cause == DropRisk
 }
 
 // AuditSink receives enforcement decisions, on the packet path: it must
@@ -157,21 +156,26 @@ func (c DropCause) String() string {
 
 // Result reports the enforcer's decision for one packet, with the decoded
 // context for auditing and the Policy Extractor. Results of the flow cache
-// share Stack across flows carrying the same tag and Decision across flows
-// that reached an equal decision; treat both as read-only.
+// share Stack and Access across flows carrying the same tag; treat both as
+// read-only.
 type Result struct {
 	Verdict policy.Verdict
 	Cause   DropCause
 	// until is the virtual minute of the first time-predicate edge after this
 	// verdict's evaluation: table and memo serve it before, never from then on
-	// (zero: never lapses). It shares Cause's word, so a Result is no larger.
+	// (zero: never lapses).
 	until uint32
+	// Risk is the flow's risk half, zero when no risk program scored it. Its
+	// EdgeIn is zero: until holds the edge. The 4-byte fields come first,
+	// so a Result is 64 bytes.
+	Risk policy.Risk
 	// AppHash is the decoded app identity (zero when untagged).
 	AppHash dex.TruncatedHash
 	// Stack is the decoded stack trace (nil when undecodable).
 	Stack []dex.Signature
-	// Decision carries the policy engine's reasoning when it ran.
-	Decision *policy.Decision
+	// Access is stage 3's access half when the policy engine ran (nil
+	// otherwise): Access.Decide(Risk) renders the reason and decisive rule.
+	Access *policy.Access
 }
 
 func (r *Result) lapsed(now time.Duration) bool {
@@ -187,58 +191,40 @@ type scratch struct {
 }
 
 // decodedTag is one interned tag: the app and stack it decoded to under the
-// database generation dbGen (stages 1–2) and, when stage 3 read no flow
-// context, that stage's outcome under the engine generation the record is
-// stored at in Enforcer.tags. Flows carrying the tag share its Stack and,
-// when shared is set, its verdict: a new flow of the tag is then answered
-// without evaluating policy. It answers only for a packet whose tag bytes
-// equal its own verbatim, under both generations compared in full. Failed
-// decodes are neither interned nor cached: such a packet pays the decode
-// every time.
+// database generation dbGen (stages 1–2) and stage 3's access half under the
+// engine generation the record is stored at in Enforcer.tags. Flows
+// carrying the tag share its Stack and Access: a new flow of the tag runs
+// at most the risk half. It answers only for a packet whose tag bytes equal
+// its own verbatim, under both generations compared in full. Failed decodes
+// are neither interned nor cached: such a packet pays the decode every
+// time.
 type decodedTag struct {
 	tagLen uint8
 	tag    [flowtable.MaxTagBytes]byte
 	app    dex.TruncatedHash
 	stack  []dex.Signature
 	dbGen  uint64
-	// shared marks a context-free verdict, cause and decision handle.
-	shared         bool
-	verdict, cause uint8
-	dec            flowtable.Handle
+	access policy.Access
 }
 
 func (d *decodedTag) is(data []byte) bool { return string(d.tag[:d.tagLen]) == string(data) }
 
-// internCells sizes the tag and decision tables: no workload's working set
-// comes near it, so neither replaces a live record.
+// internCells sizes the tag table: no workload's working set comes near
+// it, so it replaces no live record.
 const internCells = 1 << 12
-
-// decisionSeed keys decisionHash.
-var decisionSeed = maphash.MakeSeed()
-
-// decisionHash hashes every field of a decision that differs between
-// evaluations of one rule set (the rule goes with its reason).
-func decisionHash(d *policy.Decision) uint64 {
-	h := maphash.String(decisionSeed, d.Reason)
-	h ^= uint64(d.RiskScore)*0x9e3779b97f4a7c15 ^ uint64(uint32(d.TimeEdgeIn))<<8 ^ uint64(d.Verdict)
-	if d.RiskWarn {
-		h ^= 1 << 62
-	}
-	return h
-}
 
 // Latency sampling masks. Two time.Now calls per packet would cost about
 // half a cache hit, so a packet is timed when a fastrand word masks to
 // zero, drawn before the timed work (unbiased): 1 in 64 flow-table hits,
-// 1 in 16 miss pipelines and 1 in 16 policy evaluations.
+// 1 in 16 miss pipelines and 1 in 16 access evaluations.
 const hitSampleMask, missSampleMask, evalSampleMask = 63, 15, 15
 
 // instruments is the enforcer's always-on telemetry: allocation-free
 // histograms recorded with two atomic adds, so the gated benchmarks measure
 // the instrumented path. They hold the sampled latency of a flow-table
-// probe that hit, of the whole miss pipeline and of Evaluate alone; each
-// ProcessBatch's wall time and burst size; and each evaluated flow's risk
-// score (negative scores clamp to the zero bucket).
+// probe that hit, of the whole miss pipeline and of the access evaluation
+// alone; each ProcessBatch's wall time and burst size; and each scored
+// flow's risk score (negative scores clamp to the zero bucket).
 type instruments struct {
 	hitLatency, missLatency, evalLatency, batchLatency, batchPackets, riskScore *metrics.Histogram
 }
@@ -271,11 +257,9 @@ type Enforcer struct {
 	current func(flowtable.Key) uint64
 
 	scratches sync.Pool // *scratch, reused across packets
-	// tags interns stages 1–2 per tag under a database generation, decisions
-	// stage 3's outcomes under an engine generation; only the flow cache's
-	// miss path fills them.
-	tags      *flowtable.Intern[decodedTag]
-	decisions *flowtable.Intern[policy.Decision]
+	// tags interns stages 1–2 and the access half per tag under a database
+	// and an engine generation; only the flow cache's miss path fills it.
+	tags *flowtable.Intern[decodedTag]
 
 	// Outcome counters are striped metrics counters (one atomic add per
 	// packet, padded shards on multi-core), summed only at scrape time.
@@ -283,9 +267,8 @@ type Enforcer struct {
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
 	batchMemoHits  *metrics.Counter
-	// verdictExpiries counts time-edge re-evaluations, tagVerdicts flow
-	// misses answered from their tag's record without evaluating.
-	verdictExpiries, tagVerdicts *metrics.Counter
+	// verdictExpiries counts time-edge re-evaluations.
+	verdictExpiries *metrics.Counter
 
 	ins instruments
 }
@@ -307,9 +290,7 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 		ins:           newInstruments(),
 
 		tags:            flowtable.NewIntern[decodedTag](internCells),
-		decisions:       flowtable.NewIntern[policy.Decision](internCells),
 		verdictExpiries: metrics.NewCounter(),
-		tagVerdicts:     metrics.NewCounter(),
 	}
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
@@ -354,17 +335,19 @@ func (e *Enforcer) now() time.Duration {
 	return e.clock.Now()
 }
 
-// flowContext returns the packet's SYN-time context — the source device's
-// snapshot and the virtual clock — or false when no source is configured.
-// The engine asks for it only for a rule set with risk rules
-// (policy.Engine.EvaluateWith).
-func (e *Enforcer) flowContext(pkt *ipv4.Packet, now time.Duration) (fc policy.FlowContext, ok bool) {
-	if e.ctxSrc == nil {
-		return fc, false
+// risk scores the packet's flow against a: the source device's snapshot and
+// the virtual clock, read only when a reads context and a source is
+// configured (the zero Risk otherwise).
+func (e *Enforcer) risk(a *policy.Access, pkt *ipv4.Packet, now time.Duration) policy.Risk {
+	if e.ctxSrc == nil || !a.ReadsContext() {
+		return policy.Risk{}
 	}
+	var fc policy.FlowContext
 	fc.Device, _ = e.ctxSrc.Lookup(pkt.Header.Src)
 	fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(now)
-	return fc, true
+	r := a.Risk(&fc)
+	e.ins.riskScore.Record(int64(r.Score))
+	return r
 }
 
 // flowKey fills the cache key for a tagged packet without decoding the
@@ -464,7 +447,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 	} else {
 		var v flowVal
 		res = e.timedEvaluate(pkt, opt.Data, &v, now)
-		if v.dec != 0 {
+		if v.tag != 0 {
 			e.flows.Insert(key, gen, e.current, v)
 		}
 	}
@@ -476,18 +459,15 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 
 // answer completes res from a cached flow's value, or reports false — a
 // miss — when the packet's tag bytes are not the flow's interned tag (a
-// digest collision) or a record the value names has been replaced.
+// digest collision) or the record the value names has been replaced.
 func (e *Enforcer) answer(v *flowVal, data []byte, res *Result) bool {
 	t := e.tags.Get(v.tag)
 	if t == nil || !t.is(data) {
 		return false
 	}
-	d := e.decisions.Get(v.dec)
-	if d == nil {
-		return false
-	}
 	*res = Result{Verdict: policy.Verdict(v.verdict), Cause: DropCause(v.cause), until: v.until,
-		AppHash: t.app, Stack: t.stack, Decision: d}
+		AppHash: t.app, Stack: t.stack, Access: &t.access, Risk: policy.Risk{Score: v.score,
+			Applied: v.applied, Warn: v.warn, Blocked: DropCause(v.cause) == DropRisk}}
 	return true
 }
 
@@ -539,13 +519,13 @@ func (e *Enforcer) decode(res *Result, data []byte) bool {
 	return true
 }
 
-// evaluateTag is the full miss path: decode the tag and the stack, then
-// evaluate policy, with the risk program over the device's context when
-// the rule set carries one (the paper's "evaluate once at SYN time"). With
-// v non-nil (a cacheable flow) it goes through the tag table, the decision
-// is interned and v filled, its decision handle nonzero exactly when the
-// flow may be cached; uncached, every packet pays all three stages and the
-// Decision is allocated per packet.
+// evaluateTag is the full miss path: decode the tag and the stack, and run
+// the access rules on them, then score the flow's device context when the
+// Access admits under a risk program (the paper's "evaluate once at SYN
+// time"). With v non-nil (a cacheable flow) the first three go through the
+// tag table, once per tag and generation, and v is filled, its tag handle
+// nonzero exactly when the flow may be cached; uncached, every packet pays
+// all three stages and its Access is allocated per packet.
 func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) (res Result) {
 	var h, dbGen, engGen uint64
 	var rec *decodedTag
@@ -554,74 +534,52 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now ti
 		// raced by a mutation or a swap is born stale.
 		h, dbGen, engGen = flowtable.Digest(data), e.db.Generation(), e.engine.Generation()
 		rec, v.tag = e.tags.Find(h, engGen, func(d *decodedTag) bool { return d.dbGen == dbGen && d.is(data) })
-		if rec != nil && rec.shared {
-			// A replaced decision record falls through to stage 3.
-			if d := e.decisions.Get(rec.dec); d != nil {
-				e.tagVerdicts.Inc()
-				*v = flowVal{tag: v.tag, dec: rec.dec, verdict: rec.verdict, cause: rec.cause}
-				return Result{Verdict: policy.Verdict(rec.verdict), Cause: DropCause(rec.cause),
-					AppHash: rec.app, Stack: rec.stack, Decision: d}
-			}
-		}
-		if rec != nil {
-			res.AppHash, res.Stack = rec.app, rec.stack
-		}
 	}
-	if rec == nil && !e.decode(&res, data) {
-		return res
+	if rec != nil {
+		res.AppHash, res.Stack, res.Access = rec.app, rec.stack, &rec.access
+	} else {
+		if !e.decode(&res, data) {
+			return res
+		}
+		// Stage 3's access half (latency sampled; see instruments).
+		var access policy.Access
+		if rand.Uint32()&evalSampleMask == 0 {
+			evalStart := time.Now()
+			access = e.engine.Access(res.AppHash, res.Stack)
+			e.ins.evalLatency.Record(time.Since(evalStart).Nanoseconds())
+		} else {
+			access = e.engine.Access(res.AppHash, res.Stack)
+		}
+		if v == nil {
+			a := access // only an uncached packet allocates its Access
+			res.Access = &a
+		} else {
+			// Stored once, after the access half, so the record is immutable.
+			r := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack, dbGen: dbGen, access: access}
+			copy(r.tag[:], data)
+			rec, v.tag = e.tags.Store(h, engGen, r)
+			res.Access = &rec.access
+		}
 	}
 
-	// Stage 3: enforcement (latency sampled; see instruments). The flow
-	// context — device posture, network class, velocity, virtual clock —
-	// is built only when the rule set the engine evaluates carries a risk
-	// program, and then folded into this flow's decision; a decision that
-	// read no context is every flow's of the tag, and the tag's record
-	// carries it until the next swap or mutation.
-	flow := func() (policy.FlowContext, bool) { return e.flowContext(pkt, now) }
-	var decision policy.Decision
-	var contextRead bool
-	if rand.Uint32()&evalSampleMask == 0 {
-		evalStart := time.Now()
-		decision, contextRead = e.engine.EvaluateWith(res.AppHash, res.Stack, flow)
-		e.ins.evalLatency.Record(time.Since(evalStart).Nanoseconds())
-	} else {
-		decision, contextRead = e.engine.EvaluateWith(res.AppHash, res.Stack, flow)
+	// Stage 3's risk half: the flow context — device posture, network
+	// class, velocity, virtual clock — under the Access's own rule set.
+	res.Risk = e.risk(res.Access, pkt, now)
+	res.Verdict = res.Access.Verdict
+	switch {
+	case res.Risk.Blocked:
+		res.Verdict, res.Cause = policy.VerdictDrop, DropRisk
+	case res.Verdict == policy.VerdictDrop:
+		res.Cause = DropPolicy
 	}
-	if decision.RiskApplied {
-		e.ins.riskScore.Record(int64(decision.RiskScore))
-	}
-	res.Verdict = decision.Verdict
-	if decision.TimeEdgeIn > 0 {
+	if res.Risk.EdgeIn > 0 {
 		// Whole minutes, as policy.TimeOfVirtual counts them.
-		res.until = uint32(now/time.Minute) + uint32(decision.TimeEdgeIn)
+		res.until = uint32(now/time.Minute) + uint32(res.Risk.EdgeIn)
+		res.Risk.EdgeIn = 0
 	}
-	if decision.Verdict == policy.VerdictDrop {
-		if decision.RiskBlocked {
-			res.Cause = DropRisk
-		} else {
-			res.Cause = DropPolicy
-		}
-	}
-	if v == nil {
-		d := decision
-		res.Decision = &d
-		return res
-	}
-	dh := decisionHash(&decision)
-	d, hd := e.decisions.Find(dh, engGen, func(d *policy.Decision) bool { return *d == decision })
-	if d == nil {
-		d, hd = e.decisions.Store(dh, engGen, decision)
-	}
-	res.Decision = d
-	*v = flowVal{until: res.until, tag: v.tag, dec: hd, verdict: uint8(res.Verdict), cause: uint8(res.Cause)}
-	if rec == nil {
-		// Stored once, after stage 3, so the record is immutable.
-		r := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack, dbGen: dbGen}
-		copy(r.tag[:], data)
-		if !contextRead {
-			r.shared, r.verdict, r.cause, r.dec = true, v.verdict, v.cause, hd
-		}
-		_, v.tag = e.tags.Store(h, engGen, r)
+	if v != nil {
+		*v = flowVal{until: res.until, tag: v.tag, score: res.Risk.Score, verdict: uint8(res.Verdict),
+			cause: uint8(res.Cause), applied: res.Risk.Applied, warn: res.Risk.Warn}
 	}
 	return res
 }
@@ -708,18 +666,15 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 		"Packets answered by the batch drain's same-flow memo without a flow-table probe.",
 		e.batchMemoHits.Value)
 	e.tags.RegisterMetrics(r, "bp_enforcer_decoded_tag", "decoded tag")
-	e.decisions.RegisterMetrics(r, "bp_enforcer_decision", "decision")
 	r.CounterFunc("bp_enforcer_verdict_expiries_total",
 		"Cached verdicts re-evaluated because a time-of-day predicate's edge was reached.", e.verdictExpiries.Value)
-	r.CounterFunc("bp_enforcer_tag_verdicts_total",
-		"Flow misses answered by their tag's interned context-free verdict, without a policy evaluation.", e.tagVerdicts.Value)
 
 	r.RegisterHistogram("bp_enforcer_cache_hit_latency_ns",
 		"Flow-table probe latency on a hit (sampled 1/64).", e.ins.hitLatency)
 	r.RegisterHistogram("bp_enforcer_cache_miss_latency_ns",
 		"Full extract-decode-evaluate pipeline latency (sampled 1/16).", e.ins.missLatency)
 	r.RegisterHistogram("bp_enforcer_evaluate_latency_ns",
-		"Policy-engine Evaluate latency (sampled 1/16).", e.ins.evalLatency)
+		"Policy-engine access evaluation latency (sampled 1/16).", e.ins.evalLatency)
 	r.RegisterHistogram("bp_enforcer_batch_latency_ns",
 		"ProcessBatch wall time per burst.", e.ins.batchLatency)
 	r.RegisterHistogram("bp_enforcer_batch_packets",
@@ -731,7 +686,7 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 
 	e.engine.RegisterMetrics(r)
 	r.RegisterHistogram("bp_context_risk_score",
-		"Per-flow contextual risk score at SYN-time evaluation.", e.ins.riskScore)
+		"Per-flow contextual risk score at SYN-time scoring.", e.ins.riskScore)
 	if e.ctxSrc != nil {
 		e.ctxSrc.RegisterMetrics(r)
 	}

@@ -125,7 +125,7 @@ func TestPolicyDenyDropsTrackerStack(t *testing.T) {
 	if res.Verdict != policy.VerdictDrop || res.Cause != DropPolicy {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.Decision == nil || res.Decision.Rule == nil {
+	if res.Access == nil || res.Access.Rule == nil {
 		t.Fatal("decision not attached")
 	}
 	// Clean stack: allow.

@@ -39,8 +39,8 @@ func TestFlowCacheHitSkipsPipeline(t *testing.T) {
 		if len(res.Stack) != 1 || res.Stack[0].Name != "download" {
 			t.Fatalf("cached stack = %v", res.Stack)
 		}
-		if res.Decision == nil {
-			t.Fatal("cached decision missing")
+		if res.Access == nil {
+			t.Fatal("cached access verdict missing")
 		}
 	}
 	if got := count(e, "bp_policy_evaluations_total"); got != evalsAfterFirst {

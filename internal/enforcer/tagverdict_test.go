@@ -11,19 +11,21 @@ import (
 	"borderpatrol/internal/tag"
 )
 
-// This file covers stage 3 once per tag: with no flow context read, a tag's
-// record carries its verdict, and new flows of the tag take it without an
+// This file covers stage 3's access half once per tag: a tag's record
+// carries its Access, and new flows of the tag take it without an
 // evaluation — under the generations it was reached in, and only those.
+// Only the risk half runs per flow.
 
 // stageCounts reads the miss path's ledger: flow misses and verdict
-// expiries on one side, evaluations and tag verdicts on the other.
+// expiries on one side, evaluations and tag-record hits (a miss that took
+// its tag's access verdict) on the other.
 func stageCounts(e *Enforcer) (misses, expiries, evals, shared uint64) {
 	return count(e, "bp_flowtable_misses_total"), count(e, "bp_enforcer_verdict_expiries_total"),
-		count(e, "bp_policy_evaluations_total"), count(e, "bp_enforcer_tag_verdicts_total")
+		count(e, "bp_policy_evaluations_total"), count(e, "bp_enforcer_decoded_tag_hits_total")
 }
 
 // balanced fails unless every flow miss (and expiry) was answered by
-// exactly one evaluation or one tag verdict.
+// exactly one evaluation or one tag-record hit.
 func balanced(t *testing.T, e *Enforcer) {
 	t.Helper()
 	if misses, expiries, evals, shared := stageCounts(e); evals+shared != misses+expiries {
@@ -86,8 +88,8 @@ func TestSwapReevaluatesEachTagOnce(t *testing.T) {
 }
 
 // TestRiskProgramEvaluatesEveryFlow: with a risk program loaded and a
-// context source wired, a decision reads its flow's device, so no tag
-// carries a verdict: every flow miss is an evaluation, and devices on
+// context source wired, the risk program scores every flow miss against its
+// device, while the tag's access half is evaluated once: devices on
 // different networks carrying one tag get their own verdicts.
 func TestRiskProgramEvaluatesEveryFlow(t *testing.T) {
 	src := devctx.NewSource(nil)
@@ -109,8 +111,11 @@ func TestRiskProgramEvaluatesEveryFlow(t *testing.T) {
 			t.Fatalf("device %v: %+v, want %v", p.Header.Src, res, want)
 		}
 	}
-	if misses, _, evals, shared := stageCounts(e); misses != flows || evals != flows || shared != 0 {
-		t.Fatalf("%d flow misses, %d evaluations, %d tag verdicts; want %d, %d, 0", misses, evals, shared, flows, flows)
+	if misses, _, evals, shared := stageCounts(e); misses != flows || evals != 1 || shared != flows-1 {
+		t.Fatalf("%d flow misses, %d evaluations, %d tag verdicts; want %d, 1, %d", misses, evals, shared, flows, flows-1)
+	}
+	if scored := count(e, "bp_context_evaluations_total"); scored != flows {
+		t.Fatalf("%d flows scored, want %d", scored, flows)
 	}
 	if n := drops(e, DropRisk); n != flows/2 {
 		t.Fatalf("risk drops = %d, want %d", n, flows/2)
@@ -191,8 +196,8 @@ func TestAuditOfferedOncePerPacketOnEveryPath(t *testing.T) {
 		{"miss", "bp_policy_evaluations_total", []*ipv4.Packet{hot, next(tracker)}, false},
 		{"flow hit", "bp_flowtable_hits_total", []*ipv4.Packet{hot}, false},
 		{"batch memo", "bp_enforcer_batch_memo_hits_total", []*ipv4.Packet{hot, hot, hot}, true},
-		{"tag verdict", "bp_enforcer_tag_verdicts_total", []*ipv4.Packet{next(clean), next(tracker)}, false},
-		{"tag verdict, batched", "bp_enforcer_tag_verdicts_total", []*ipv4.Packet{next(clean), next(tracker)}, true},
+		{"tag verdict", "bp_enforcer_decoded_tag_hits_total", []*ipv4.Packet{next(clean), next(tracker)}, false},
+		{"tag verdict, batched", "bp_enforcer_decoded_tag_hits_total", []*ipv4.Packet{next(clean), next(tracker)}, true},
 	} {
 		offered, before := len(sink.offers), count(e, step.counter)
 		var got []Result
@@ -215,7 +220,7 @@ func TestAuditOfferedOncePerPacketOnEveryPath(t *testing.T) {
 			t.Fatalf("%s: %d offers for %d packets", step.path, len(offers), len(got))
 		}
 		for i := range got {
-			if g, o := got[i], offers[i]; g.Verdict != o.Verdict || g.Cause != o.Cause || g.Decision != o.Decision {
+			if g, o := got[i], offers[i]; g.Verdict != o.Verdict || g.Cause != o.Cause || g.Access != o.Access || g.Risk != o.Risk {
 				t.Fatalf("%s, packet %d: caller got %v/%v, audit offered %v/%v", step.path, i, g.Verdict, g.Cause, o.Verdict, o.Cause)
 			}
 		}

@@ -518,10 +518,10 @@ func sameVerdict(a, b refmodel.Verdict) bool {
 }
 
 // agrees compares an enforced verdict with the model's, by verdict, cause
-// and, when the engine ran, the risk warning.
+// and the risk program's part: applied, score and warning.
 func agrees(got *enforcer.Result, want refmodel.Verdict) bool {
-	return got.Verdict == want.Verdict && got.Cause == want.Cause &&
-		(got.Decision == nil || got.Decision.RiskWarn == want.RiskWarn)
+	return got.Verdict == want.Verdict && got.Cause == want.Cause && got.Risk.Applied == want.RiskApplied &&
+		int(got.Risk.Score) == want.RiskScore && got.Risk.Warn == want.RiskWarn
 }
 
 // next is the model after e's events, and its state. The clock moves with

@@ -9,9 +9,9 @@ import (
 )
 
 // Intern is a bounded, seeded table of immutable records shared by value:
-// the enforcer's decoded tags and decisions, the Context Manager's call
-// sites. A record lives in one of InternWindow cells from its home cell,
-// picked by the caller's hash mixed with a seed drawn per table, so keys
+// the enforcer's decoded tags and the Context Manager's call sites. A
+// record lives in one of InternWindow cells from its home cell, picked by
+// the caller's hash mixed with a seed drawn per table, so keys
 // aimed at one home through an unseeded, device-chosen hash scatter, and
 // InternWindow hot records on one home coexist. Find asks the caller's
 // match function, which compares keys verbatim, and never answers across a

@@ -20,8 +20,8 @@ import (
 )
 
 // agree fails the test unless the gateway's enforcement result for a packet
-// is the reference model's: the verdict, the cause and, once a tag decoded,
-// the app and the stack.
+// is the reference model's: the verdict, the cause, the risk program's part
+// and, once a tag decoded, the app and the stack.
 func agree(t *testing.T, where string, got *enforcer.Result, want refmodel.Verdict) {
 	t.Helper()
 	if got.Verdict != want.Verdict || got.Cause != want.Cause {
@@ -30,8 +30,8 @@ func agree(t *testing.T, where string, got *enforcer.Result, want refmodel.Verdi
 	if got.AppHash != want.App || !slices.Equal(got.Stack, want.Stack) {
 		t.Fatalf("%s: gateway decoded %v %v, reference model %v %v", where, got.AppHash, got.Stack, want.App, want.Stack)
 	}
-	if d := got.Decision; d != nil && (d.RiskApplied != want.RiskApplied || d.RiskScore != want.RiskScore || d.RiskWarn != want.RiskWarn) {
-		t.Fatalf("%s: gateway risk = %+v, reference model = %+v", where, *d, want)
+	if r := got.Risk; r.Applied != want.RiskApplied || int(r.Score) != want.RiskScore || r.Warn != want.RiskWarn {
+		t.Fatalf("%s: gateway risk = %+v, reference model = %+v", where, r, want)
 	}
 }
 
@@ -231,8 +231,8 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		if fastHits == 0 || fastMemo == 0 {
 			t.Fatalf("%d workers: equivalence ran entirely on the miss path: %d hits, %d memo hits", workers, fastHits, fastMemo)
 		}
-		if shared := count(fastEnf, "bp_enforcer_tag_verdicts_total"); shared == 0 {
-			t.Fatalf("%d workers: no flow miss was answered by its tag's verdict", workers)
+		if shared := count(fastEnf, "bp_enforcer_decoded_tag_hits_total"); shared == 0 {
+			t.Fatalf("%d workers: no flow miss was answered by its tag's record", workers)
 		}
 		refFlows := count(refEnf, "bp_flowtable_hits_total") + count(refEnf, "bp_flowtable_misses_total")
 		if refMemo := count(refEnf, "bp_enforcer_batch_memo_hits_total"); refFlows+refMemo != 0 {
@@ -328,11 +328,11 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 			}
 			for i := range pkts {
 				g, w := got[i].Result, want[i].Result
-				if g.Verdict != w.Verdict || g.Cause != w.Cause || (g.Decision == nil) != (w.Decision == nil) {
+				if g.Verdict != w.Verdict || g.Cause != w.Cause || (g.Access == nil) != (w.Access == nil) {
 					t.Fatalf("%d workers, at %v pkt %d: flow-cached gateway = %v/%v, uncached = %v/%v", workers, when, i, g.Verdict, g.Cause, w.Verdict, w.Cause)
 				}
-				if d, r := g.Decision, w.Decision; d != nil && (d.RiskWarn != r.RiskWarn || d.RiskScore != r.RiskScore || d.RiskApplied != r.RiskApplied) {
-					t.Fatalf("%d workers, at %v pkt %d: flow-cached risk = %+v, uncached = %+v", workers, when, i, *d, *r)
+				if g.Risk != w.Risk {
+					t.Fatalf("%d workers, at %v pkt %d: flow-cached risk = %+v, uncached = %+v", workers, when, i, g.Risk, w.Risk)
 				}
 				m := model.Decide(pkts[i])
 				agree(t, fmt.Sprintf("%d workers, at %v pkt %d, flow-cached", workers, when, i), g, m)
@@ -343,7 +343,7 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 				switch {
 				case w.Cause != enforcer.DropNone:
 					seen[w.Cause.String()]++
-				case w.Decision.RiskWarn:
+				case w.Risk.Warn:
 					seen["warn"]++
 				default:
 					seen["allow"]++

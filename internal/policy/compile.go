@@ -99,7 +99,7 @@ func classPathPrefixMatch(prefix string, sig *dex.Signature) bool {
 // (the pre-compiler engine had the same semantics).
 type compiledRules struct {
 	rules   []Rule
-	reasons []string // reasons[i] is the Decision.Reason for rule i
+	reasons []string // reasons[i] is the Access.Reason for rule i
 
 	// byHash maps a truncated app hash to the smallest index of a
 	// hash-level rule (allow or deny) targeting it.
@@ -136,8 +136,9 @@ func keepMin[K comparable](m map[K]int, key K, idx int) {
 	}
 }
 
-// compileRules validates and indexes an ordered rule set.
-func compileRules(rules []Rule) (*compiledRules, error) {
+// compileRules validates and indexes an ordered rule set. Its risk
+// program, if any, counts its outcomes on counts.
+func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
 	c := &compiledRules{
 		rules:        append([]Rule(nil), rules...),
 		reasons:      make([]string, len(rules)),
@@ -236,8 +237,11 @@ func compileRules(rules []Rule) (*compiledRules, error) {
 			keepMin(c.methodMerged, methodKey{sig.Package, sig.Class, sig.Name}, i)
 		}
 	}
+	if err := checkRiskRules(len(preds)); err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
+	}
 	if len(preds) > 0 {
-		c.ctx = &contextProgram{preds: preds, warnAt: warnAt, blockAt: blockAt, edges: timeEdges(preds)}
+		c.ctx = &contextProgram{preds: preds, warnAt: warnAt, blockAt: blockAt, edges: timeEdges(preds), counts: counts}
 	}
 	return c, nil
 }

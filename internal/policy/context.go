@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -31,7 +32,7 @@ import (
 // matching risk predicate (weights may be negative — a trusted network can
 // subtract risk). If the score reaches the block threshold the flow is
 // dropped; if it reaches the warn threshold the flow is admitted with the
-// decision's RiskWarn flag set (surfaced to audit, never a third verdict).
+// Risk's Warn flag set (surfaced to audit, never a third verdict).
 // Thresholds default to DefaultWarnRisk/DefaultBlockRisk; the last explicit
 // {[threshold]...} rule of each kind wins. A warn threshold at or above the
 // block threshold is legal — block simply takes precedence and warn is
@@ -43,8 +44,8 @@ import (
 // × that device's context version × until the next time edge: the first
 // three make the caller's cache generation; the clock moves by itself, so
 // the program knows the minutes of the week at which a time predicate's
-// match can change and every scored Decision says how far off the next one
-// is (TimeEdgeIn; never, without a time predicate). Risk rules only ever
+// match can change and every scored Risk says how far off the next one
+// is (Risk.EdgeIn; never, without a time predicate). Risk rules only ever
 // tighten an allow (an access deny needs no second opinion), so the compiled
 // context program runs after — and only after — the access rules admit the
 // flow.
@@ -116,7 +117,7 @@ type ThresholdKind int
 
 // Threshold kinds.
 const (
-	// ThresholdWarn sets the warn threshold (admit, flag RiskWarn).
+	// ThresholdWarn sets the warn threshold (admit, flag Risk.Warn).
 	ThresholdWarn ThresholdKind = iota + 1
 	// ThresholdBlock sets the block threshold (drop the flow).
 	ThresholdBlock
@@ -440,6 +441,18 @@ type contextProgram struct {
 	// when no match depends on the clock); between two of them a device
 	// context's score is constant.
 	edges []int32
+	// counts are the outcome counters of the engine that compiled it.
+	counts *riskCounts
+}
+
+// checkRiskRules rejects a rule set with more risk rules than a score can
+// sum: |score| ≤ MaxRiskWeight × n must fit the int32 a flow's Risk and
+// its cache cell store.
+func checkRiskRules(n int) error {
+	if n > math.MaxInt32/MaxRiskWeight {
+		return fmt.Errorf("%w: %d risk rules; their score would overflow int32", ErrBadRule, n)
+	}
+	return nil
 }
 
 // timeEdges derives a program's edges from matches itself, probing every

@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"strings"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -158,11 +159,8 @@ func TestPredicateMatching(t *testing.T) {
 
 func TestRiskScoringThresholds(t *testing.T) {
 	e := mustEngine(t, contextDoc)
-	if !e.ContextActive() {
-		t.Fatal("ContextActive() = false with risk rules loaded")
-	}
-	if warn, block := e.Thresholds(); warn != 40 || block != 100 {
-		t.Fatalf("Thresholds() = (%d, %d), want (40, 100)", warn, block)
+	if ctx := e.compiled.Load().ctx; ctx == nil || ctx.warnAt != 40 || ctx.blockAt != 100 {
+		t.Fatalf("context program = %+v, want thresholds (40, 100)", ctx)
 	}
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
@@ -170,14 +168,14 @@ func TestRiskScoringThresholds(t *testing.T) {
 	// Trusted network on a weekday afternoon: negative weight, clean allow.
 	trusted := &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2}
 	d := e.EvaluateFlow(h, stack, trusted)
-	if d.Verdict != VerdictAllow || d.RiskWarn || !d.RiskApplied || d.RiskScore != -30 {
+	if d.Verdict != VerdictAllow || d.Risk.Warn || !d.Risk.Applied || d.Risk.Score != -30 {
 		t.Fatalf("trusted: %+v", d)
 	}
 
 	// Unknown network alone (60) reaches warn (40) but not block (100).
 	unknown := &FlowContext{MinuteOfDay: 14 * 60, Weekday: 2}
 	d = e.EvaluateFlow(h, stack, unknown)
-	if d.Verdict != VerdictAllow || !d.RiskWarn || d.RiskScore != 60 {
+	if d.Verdict != VerdictAllow || !d.Risk.Warn || d.Risk.Score != 60 {
 		t.Fatalf("unknown: %+v", d)
 	}
 
@@ -188,11 +186,11 @@ func TestRiskScoringThresholds(t *testing.T) {
 		Weekday:     2,
 	}
 	d = e.EvaluateFlow(h, stack, risky)
-	if d.Verdict != VerdictDrop || !d.RiskBlocked || d.RiskScore != 110 {
+	if d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 110 {
 		t.Fatalf("risky: %+v", d)
 	}
-	if !strings.Contains(d.Reason, "risk score 110") {
-		t.Fatalf("block reason %q does not cite the score", d.Reason)
+	if d.Reason != "risk score 110 >= block threshold 100" {
+		t.Fatalf("block reason %q does not cite the score and the threshold", d.Reason)
 	}
 
 	// Impossible travel alone blocks even on a trusted network at noon:
@@ -200,7 +198,7 @@ func TestRiskScoringThresholds(t *testing.T) {
 	// still short — use unknown network: 100+60 = 160.
 	traveling := &FlowContext{Device: DeviceContext{VelocityKmh: 1200}, MinuteOfDay: 12 * 60, Weekday: 2}
 	d = e.EvaluateFlow(h, stack, traveling)
-	if d.Verdict != VerdictDrop || !d.RiskBlocked || d.RiskScore != 160 {
+	if d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 160 {
 		t.Fatalf("traveling: %+v", d)
 	}
 
@@ -218,12 +216,12 @@ func TestRiskOnlyTightensAllows(t *testing.T) {
 	ad := []dex.Signature{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}}
 	risky := &FlowContext{Device: DeviceContext{VelocityKmh: 9000}}
 	d := e.EvaluateFlow(h, ad, risky)
-	if d.Verdict != VerdictDrop || d.RiskApplied || d.Rule == nil {
+	if d.Verdict != VerdictDrop || d.Risk.Applied || d.Rule == nil {
 		t.Fatalf("access deny should decide before risk: %+v", d)
 	}
 	clean := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
 	d = e.EvaluateFlow(h, clean, nil)
-	if d.Verdict != VerdictAllow || d.RiskApplied {
+	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("nil context must skip risk: %+v", d)
 	}
 	if n := count(e, "bp_context_evaluations_total"); n != 0 {
@@ -234,13 +232,13 @@ func TestRiskOnlyTightensAllows(t *testing.T) {
 func TestThresholdDefaultsAndLastWins(t *testing.T) {
 	// No explicit thresholds: defaults apply.
 	e := mustEngine(t, `{[risk][network]["unknown"][60]}`)
-	if warn, block := e.Thresholds(); warn != DefaultWarnRisk || block != DefaultBlockRisk {
-		t.Fatalf("default thresholds = (%d, %d)", warn, block)
+	if ctx := e.compiled.Load().ctx; ctx.warnAt != DefaultWarnRisk || ctx.blockAt != DefaultBlockRisk {
+		t.Fatalf("default thresholds = (%d, %d)", ctx.warnAt, ctx.blockAt)
 	}
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
 	d := e.EvaluateFlow(h, stack, &FlowContext{})
-	if d.Verdict != VerdictAllow || !d.RiskWarn { // 60 ≥ 50 default warn
+	if d.Verdict != VerdictAllow || !d.Risk.Warn { // 60 ≥ 50 default warn
 		t.Fatalf("default warn: %+v", d)
 	}
 
@@ -251,17 +249,17 @@ func TestThresholdDefaultsAndLastWins(t *testing.T) {
 {[threshold][block][55]}
 `)
 	d = e.EvaluateFlow(h, stack, &FlowContext{})
-	if d.Verdict != VerdictDrop || !d.RiskBlocked {
+	if d.Verdict != VerdictDrop || !d.Risk.Blocked {
 		t.Fatalf("last block threshold (55) should drop score 60: %+v", d)
 	}
 
 	// Threshold rules without risk rules leave the program inactive.
 	e = mustEngine(t, `{[threshold][block][1]}`)
-	if e.ContextActive() {
+	if e.compiled.Load().ctx != nil {
 		t.Fatal("thresholds alone must not activate the context program")
 	}
 	d = e.EvaluateFlow(h, stack, &FlowContext{})
-	if d.Verdict != VerdictAllow || d.RiskApplied {
+	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("inactive program: %+v", d)
 	}
 }
@@ -274,7 +272,7 @@ func TestDegradedOverridesRisk(t *testing.T) {
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
 	d := e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{VelocityKmh: 9000}})
-	if d.Verdict != VerdictAllow || d.RiskApplied {
+	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("degraded override must bypass risk: %+v", d)
 	}
 }
@@ -288,14 +286,14 @@ func TestRiskRuleContributesWeight(t *testing.T) {
 	d := e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2})
 	// {[risk][network]["trusted"][-30]} is the only contextDoc predicate that
 	// holds on a trusted network on a Wednesday afternoon.
-	if !d.RiskApplied || d.RiskScore != -30 || d.Rule != nil {
+	if !d.Risk.Applied || d.Risk.Score != -30 || d.Rule != nil {
 		t.Fatalf("trusted-network risk rule: %+v", d)
 	}
 }
 
 func TestSetRulesSwapsContextProgram(t *testing.T) {
 	e := mustEngine(t, `{[deny][library]["com/flurry"]}`)
-	if e.ContextActive() {
+	if e.compiled.Load().ctx != nil {
 		t.Fatal("context active without risk rules")
 	}
 	gen := e.Generation()
@@ -306,7 +304,7 @@ func TestSetRulesSwapsContextProgram(t *testing.T) {
 	if err := e.SetRules(rules); err != nil {
 		t.Fatal(err)
 	}
-	if !e.ContextActive() {
+	if e.compiled.Load().ctx == nil {
 		t.Fatal("context inactive after SetRules with risk rules")
 	}
 	if e.Generation() == gen {
@@ -314,13 +312,12 @@ func TestSetRulesSwapsContextProgram(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithDecidesFromOneSnapshot: the rule set EvaluateWith loads
-// is the one that decides, whatever the context callback does to the
-// engine. A risk set asks for the context, and a swap to a context-free
-// set made from inside the callback cannot take the risk score away; a
-// context-free set never calls the callback, so a swap to a risk set there
-// cannot happen mid-evaluation, and the decision reports no context read.
-func TestEvaluateWithDecidesFromOneSnapshot(t *testing.T) {
+// TestAccessAndRiskDecideFromOneSnapshot: the rule set Access loads is the
+// one that decides, whatever SetRules runs before the flow is scored. An
+// Access reached under a risk set reads the context, and a swap to a
+// context-free set cannot take the risk score away; an Access reached under
+// a context-free set reads none, and a swap to a risk set cannot add one.
+func TestAccessAndRiskDecideFromOneSnapshot(t *testing.T) {
 	parse := func(doc string) []Rule {
 		t.Helper()
 		rules, err := ParsePolicyString(doc)
@@ -336,41 +333,49 @@ func TestEvaluateWithDecidesFromOneSnapshot(t *testing.T) {
 	plain := parse(`{[deny][library]["com/flurry"]}`)
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
+	unknown := &FlowContext{Device: DeviceContext{Network: NetUnknown}}
 
 	e := mustEngine(t, "")
 	if err := e.SetRules(risky); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	swapTo := func(rules []Rule) func() (FlowContext, bool) {
-		return func() (FlowContext, bool) {
-			calls++
-			if err := e.SetRules(rules); err != nil {
-				t.Fatal(err)
-			}
-			return FlowContext{Device: DeviceContext{Network: NetUnknown}}, true
-		}
+	a := e.Access(h, stack)
+	if err := e.SetRules(plain); err != nil {
+		t.Fatal(err)
 	}
-	d, read := e.EvaluateWith(h, stack, swapTo(plain))
-	if calls != 1 || !read || d.Verdict != VerdictDrop || !d.RiskBlocked || d.RiskScore != 100 {
-		t.Fatalf("risk set swapped out from the callback: %d calls, context read %v, %+v; want the risk set's block", calls, read, d)
+	if e.compiled.Load().ctx != nil {
+		t.Fatal("the swap did not land")
 	}
-	if e.ContextActive() {
-		t.Fatal("the callback's swap did not land")
+	d := a.Decide(a.Risk(unknown))
+	if !a.ReadsContext() || d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 100 ||
+		d.Reason != "risk score 100 >= block threshold 100" {
+		t.Fatalf("risk set swapped out before scoring: reads context %v, %+v; want the risk set's block", a.ReadsContext(), d)
 	}
-	d, read = e.EvaluateWith(h, stack, swapTo(risky))
-	if calls != 1 || read || d.Verdict != VerdictAllow || d.RiskApplied {
-		t.Fatalf("context-free set: %d calls, context read %v, %+v; want an allow without the callback", calls, read, d)
-	}
-	if d, read = e.EvaluateWith(h, stack, nil); read || d.Verdict != VerdictAllow {
-		t.Fatalf("no callback: context read %v, %+v", read, d)
-	}
-	// A risk set whose callback has no context to give reads none.
+	a = e.Access(h, stack)
 	if err := e.SetRules(risky); err != nil {
 		t.Fatal(err)
 	}
-	none := func() (FlowContext, bool) { return FlowContext{}, false }
-	if d, read = e.EvaluateWith(h, stack, none); read || d.Verdict != VerdictAllow || d.RiskApplied {
-		t.Fatalf("risk set without a context: context read %v, %+v", read, d)
+	if d = a.Decide(a.Risk(unknown)); a.ReadsContext() || d.Verdict != VerdictAllow || d.Risk.Applied {
+		t.Fatalf("context-free set: reads context %v, %+v; want an allow without a score", a.ReadsContext(), d)
+	}
+	// A risk set's Access with no context to give scores none.
+	a = e.Access(h, stack)
+	if d = a.Decide(a.Risk(nil)); !a.ReadsContext() || d.Verdict != VerdictAllow || d.Risk.Applied {
+		t.Fatalf("risk set without a context: %+v", d)
+	}
+}
+
+// TestRiskRuleCountFitsScore: the compiler admits as many risk rules as an
+// int32 score can sum at MaxRiskWeight each, and not one more.
+func TestRiskRuleCountFitsScore(t *testing.T) {
+	most := math.MaxInt32 / MaxRiskWeight
+	if int64(most)*MaxRiskWeight > math.MaxInt32 || int64(most+1)*MaxRiskWeight <= math.MaxInt32 {
+		t.Fatalf("%d rules is not the int32 bound", most)
+	}
+	if err := checkRiskRules(most); err != nil {
+		t.Fatalf("%d risk rules rejected: %v", most, err)
+	}
+	if err := checkRiskRules(most + 1); !errors.Is(err, ErrBadRule) {
+		t.Fatalf("%d risk rules: err = %v, want ErrBadRule", most+1, err)
 	}
 }

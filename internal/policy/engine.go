@@ -10,7 +10,7 @@ import (
 )
 
 // Verdict is the engine's decision for one packet.
-type Verdict int
+type Verdict int32
 
 // Verdicts.
 const (
@@ -32,7 +32,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Decision is a verdict plus the rule that produced it (nil for defaults).
+// Decision is a flow's verdict plus the rule that produced it (nil for
+// defaults): the Access reached for its app and stack, combined with the
+// Risk its context scored (see Access.Decide).
 type Decision struct {
 	Verdict Verdict
 	// Rule is the decisive rule; nil when the default applied (or when a
@@ -40,24 +42,42 @@ type Decision struct {
 	Rule *Rule
 	// Reason is a human-readable explanation for audit logs.
 	Reason string
+	// Risk is the risk program's part, zero when it did not run.
+	Risk Risk
+}
 
-	// RiskApplied reports that the contextual risk program ran for this
-	// decision (risk rules loaded, flow context supplied, access rules
-	// admitted the flow). RiskScore is then the summed predicate weights.
-	RiskApplied bool
-	// RiskWarn flags an admitted flow whose score reached the warn
-	// threshold — allow-with-warning, never a third verdict.
-	RiskWarn bool
-	// RiskBlocked reports that the drop verdict came from the risk score
-	// reaching the block threshold rather than an access rule.
-	RiskBlocked bool
-	// TimeEdgeIn is, when RiskApplied, the whole minutes from the flow
-	// context's minute to the next one at which a time predicate can match
-	// differently: score and verdict hold for every minute before it. Zero:
-	// no time predicate, the decision does not depend on the clock.
-	TimeEdgeIn int32
-	// RiskScore is the flow's summed risk score when RiskApplied.
-	RiskScore int
+// Access is stage 3's context-free half: the access rules' verdict on one
+// app and stack under one rule set, with the decisive rule (nil for the
+// default) and its reason. It keeps that rule set's risk program when the
+// verdict admits, so Risk scores a flow against the rule set that reached
+// it, whatever SetRules runs meanwhile. An Access is immutable, and every
+// flow of the app and stack under the rule set may share it.
+type Access struct {
+	Verdict Verdict
+	Rule    *Rule
+	Reason  string
+	ctx     *contextProgram
+}
+
+// Risk is stage 3's context half: a flow's score under the risk program of
+// the Access that reached it. The zero Risk is "not applied": no risk
+// program, no flow context, or an access verdict that already drops.
+type Risk struct {
+	// Score is the summed weight of the matching risk predicates.
+	Score int32
+	// EdgeIn is the whole minutes from the flow context's minute to the
+	// next one at which a time predicate can match differently: score and
+	// verdict hold for every minute before it. Zero: no time predicate, the
+	// outcome does not depend on the clock.
+	EdgeIn int32
+	// Applied reports that the risk program scored the flow.
+	Applied bool
+	// Warn flags an admitted flow whose score reached the warn threshold —
+	// allow-with-warning, never a third verdict.
+	Warn bool
+	// Blocked reports that the score reached the block threshold: the flow
+	// drops although the access rules admitted it.
+	Blocked bool
 }
 
 // Engine evaluates ordered rules with a configurable default action. It is
@@ -78,20 +98,24 @@ type Engine struct {
 	// their entries on it so SetRules invalidates them without callbacks.
 	generation atomic.Uint64
 
-	// degraded, when non-nil, short-circuits every evaluation to a fixed
-	// verdict — the fail-open/fail-closed posture a policy store engages
+	// degraded, when non-nil, short-circuits every access evaluation to a
+	// fixed verdict — the fail-open/fail-closed posture a policy store engages
 	// when its backend has been unreachable past the staleness deadline.
 	// Entering and leaving degraded mode bumps the generation, so cached
 	// flow verdicts from the other mode can never be served.
-	degraded atomic.Pointer[Decision]
+	degraded atomic.Pointer[Access]
 
 	evaluations  atomic.Uint64
 	defaultHits  atomic.Uint64
 	degradedHits atomic.Uint64
 
-	riskEvaluations atomic.Uint64
-	riskWarns       atomic.Uint64
-	riskBlocks      atomic.Uint64
+	risk riskCounts
+}
+
+// riskCounts are an engine's risk-program outcomes, shared by every rule
+// set it compiles: each program points at its engine's.
+type riskCounts struct {
+	evaluations, warns, blocks atomic.Uint64
 }
 
 // NewEngine builds an engine with the given ordered rules, compiled for
@@ -100,13 +124,13 @@ func NewEngine(rules []Rule, defaultVerdict Verdict) (*Engine, error) {
 	if defaultVerdict != VerdictAllow && defaultVerdict != VerdictDrop {
 		return nil, fmt.Errorf("policy: invalid default verdict %d", defaultVerdict)
 	}
-	c, err := compileRules(rules)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		defaultV:  defaultVerdict,
 		defReason: fmt.Sprintf("default %s", defaultVerdict),
+	}
+	c, err := compileRules(rules, &e.risk)
+	if err != nil {
+		return nil, err
 	}
 	e.compiled.Store(c)
 	return e, nil
@@ -115,7 +139,7 @@ func NewEngine(rules []Rule, defaultVerdict Verdict) (*Engine, error) {
 // SetRules atomically replaces the rule set (central reconfiguration).
 // In-flight evaluations finish against the rule set they started with.
 func (e *Engine) SetRules(rules []Rule) error {
-	c, err := compileRules(rules)
+	c, err := compileRules(rules, &e.risk)
 	if err != nil {
 		return err
 	}
@@ -153,7 +177,7 @@ func (e *Engine) SetDegraded(v Verdict, reason string) error {
 	if cur := e.degraded.Load(); cur != nil && cur.Verdict == v && cur.Reason == reason {
 		return nil
 	}
-	e.degraded.Store(&Decision{Verdict: v, Reason: reason})
+	e.degraded.Store(&Access{Verdict: v, Reason: reason})
 	e.generation.Add(1)
 	return nil
 }
@@ -170,11 +194,11 @@ func (e *Engine) ClearDegraded() {
 }
 
 // Degraded reports the active degraded-mode override, if any.
-func (e *Engine) Degraded() (Decision, bool) {
+func (e *Engine) Degraded() (Access, bool) {
 	if d := e.degraded.Load(); d != nil {
 		return *d, true
 	}
-	return Decision{}, false
+	return Access{}, false
 }
 
 // Rules returns a copy of the current rule set.
@@ -185,101 +209,90 @@ func (e *Engine) Rules() []Rule {
 // Default returns the engine's default verdict.
 func (e *Engine) Default() Verdict { return e.defaultV }
 
-// Evaluate decides the fate of a packet given its decoded context: the
-// app's truncated hash and the stack-trace signatures. Rules are evaluated
-// in order; the first decisive rule wins (a matching deny drops, a
-// fully-matching allow admits); otherwise the default applies. The rules
-// were compiled ahead of time, so evaluation is a few map and prefix
-// probes with no locking, parsing, or allocation.
+// Evaluate decides the fate of a packet given its decoded context, the
+// app's truncated hash and the stack-trace signatures, with no flow
+// context: its Access, decided without a Risk.
 func (e *Engine) Evaluate(appHash dex.TruncatedHash, stack []dex.Signature) Decision {
-	d, _ := e.EvaluateWith(appHash, stack, nil)
-	return d
+	a := e.Access(appHash, stack)
+	return a.Decide(Risk{})
 }
 
-// EvaluateFlow is Evaluate plus the contextual dimension: when fc is
-// non-nil and the rule set carries risk rules, the flow's risk score is
-// computed after — and only when — the access rules admit the flow, and
-// folded into the decision (drop at the block threshold, RiskWarn at the
-// warn threshold).
+// EvaluateFlow is Evaluate plus the contextual dimension: the Access,
+// decided with its Risk for fc (nil: none).
 func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, fc *FlowContext) Decision {
-	d, _ := e.EvaluateWith(appHash, stack, func() (FlowContext, bool) {
-		if fc == nil {
-			return FlowContext{}, false
-		}
-		return *fc, true
-	})
-	return d
+	a := e.Access(appHash, stack)
+	return a.Decide(a.Risk(fc))
 }
 
-// EvaluateWith is EvaluateFlow with the flow context built on demand: flow
-// (nil: none) is called at most once, and only when the rule set this
-// evaluation loaded carries risk rules, so the rule set that decides is the
-// one that asked for the context, whatever SetRules runs meanwhile. flow
-// reports false when it has no context to give. contextRead reports that
-// the rule set received one: when false, the decision is a function of the
-// app, the stack and the engine's generation alone, and a caller may share
-// it between flows. The enforcer calls this once per flow miss while risk
-// rules read device context, and once per tag and generation otherwise.
-func (e *Engine) EvaluateWith(appHash dex.TruncatedHash, stack []dex.Signature, flow func() (FlowContext, bool)) (d Decision, contextRead bool) {
-	// Degraded-mode override: one pointer load on the (cache-miss) path,
-	// nil in normal operation.
+// Access runs the access rules on an app and stack under the current rule
+// set (or the degraded override). Rules are evaluated in order; the first
+// decisive rule wins (a matching deny drops, a fully-matching allow
+// admits); otherwise the default applies. The rules were compiled ahead of
+// time, so this is a few map and prefix probes with no locking, parsing,
+// or allocation. The result depends on nothing else: the enforcer reaches
+// it once per tag and engine generation, and shares it between the flows.
+func (e *Engine) Access(appHash dex.TruncatedHash, stack []dex.Signature) Access {
+	e.evaluations.Add(1)
+	// Degraded-mode override: one pointer load, nil in normal operation.
 	if dd := e.degraded.Load(); dd != nil {
-		e.evaluations.Add(1)
 		e.degradedHits.Add(1)
-		return *dd, false
+		return *dd
 	}
 	c := e.compiled.Load()
-	var fc FlowContext
-	if c.ctx != nil && flow != nil {
-		fc, contextRead = flow()
-	}
-	decisive := c.evaluate(appHash, stack)
-
-	e.evaluations.Add(1)
-	if decisive < len(c.rules) {
+	a := Access{Verdict: e.defaultV, Reason: e.defReason}
+	if decisive := c.evaluate(appHash, stack); decisive < len(c.rules) {
 		r := &c.rules[decisive]
-		v := VerdictDrop
+		a = Access{Verdict: VerdictDrop, Rule: r, Reason: c.reasons[decisive]}
 		if r.Action == Allow {
-			v = VerdictAllow
+			a.Verdict = VerdictAllow
 		}
-		d = Decision{Verdict: v, Rule: r, Reason: c.reasons[decisive]}
 	} else {
 		e.defaultHits.Add(1)
-		d = Decision{Verdict: e.defaultV, Reason: e.defReason}
 	}
-	if contextRead && d.Verdict == VerdictAllow {
-		score := c.ctx.score(&fc)
-		d.RiskApplied = true
-		d.RiskScore = score
-		d.TimeEdgeIn = c.ctx.nextEdgeIn(&fc)
-		e.riskEvaluations.Add(1)
-		switch {
-		case score >= c.ctx.blockAt:
-			d.Verdict = VerdictDrop
-			d.Rule = nil
-			d.RiskBlocked = true
-			d.Reason = fmt.Sprintf("risk score %d >= block threshold %d", score, c.ctx.blockAt)
-			e.riskBlocks.Add(1)
-		case score >= c.ctx.warnAt:
-			d.RiskWarn = true
-			e.riskWarns.Add(1)
-		}
+	if a.Verdict == VerdictAllow {
+		// Risk rules only ever tighten an allow.
+		a.ctx = c.ctx
 	}
-	return d, contextRead
+	return a
 }
 
-// ContextActive reports whether the current rule set carries risk rules. It
-// is a separate load from any evaluation's, so a SetRules may land between
-// the two: to build a context only when it is read, use EvaluateWith.
-func (e *Engine) ContextActive() bool { return e.compiled.Load().ctx != nil }
+// ReadsContext reports whether Risk scores a flow context: the access
+// rules admitted under a rule set with a risk program. When false, every
+// flow of the app and stack gets a's verdict and the zero Risk.
+func (a *Access) ReadsContext() bool { return a.ctx != nil }
 
-// Thresholds returns the effective warn and block risk thresholds of the
-// current rule set (defaults when no context program is active).
-func (e *Engine) Thresholds() (warn, block int) {
-	if ctx := e.compiled.Load().ctx; ctx != nil {
-		return ctx.warnAt, ctx.blockAt
+// Risk scores fc (nil: none) against the risk program of the rule set a
+// was reached under — once per flow, at SYN time. Allocation-free.
+func (a *Access) Risk(fc *FlowContext) Risk {
+	cp := a.ctx
+	if cp == nil || fc == nil {
+		return Risk{}
 	}
-	return DefaultWarnRisk, DefaultBlockRisk
+	score := cp.score(fc)
+	r := Risk{Score: int32(score), EdgeIn: cp.nextEdgeIn(fc), Applied: true}
+	cp.counts.evaluations.Add(1)
+	switch {
+	case score >= cp.blockAt:
+		r.Blocked = true
+		cp.counts.blocks.Add(1)
+	case score >= cp.warnAt:
+		r.Warn = true
+		cp.counts.warns.Add(1)
+	}
+	return r
+}
+
+// Decide combines a with r, the Risk a returned for one flow, into that
+// flow's Decision. A risk block drops the flow with no decisive rule, for
+// a reason that cites the score and the block threshold; it is formatted
+// here, off the packet path.
+func (a *Access) Decide(r Risk) Decision {
+	d := Decision{Verdict: a.Verdict, Rule: a.Rule, Reason: a.Reason, Risk: r}
+	if r.Blocked {
+		d.Verdict, d.Rule = VerdictDrop, nil
+		d.Reason = fmt.Sprintf("risk score %d >= block threshold %d", r.Score, a.ctx.blockAt)
+	}
+	return d
 }
 
 // RegisterMetrics attaches the engine's evaluation counters to a registry:
@@ -291,9 +304,9 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_policy_default_hits_total", "Evaluations decided by the default verdict.", e.defaultHits.Load)
 	r.CounterFunc("bp_policy_degraded_hits_total", "Packets decided by a degraded-posture override.", e.degradedHits.Load)
 	r.CounterFunc("bp_context_evaluations_total",
-		"Flows scored by the contextual risk program (once per flow, at SYN time).", e.riskEvaluations.Load)
+		"Flows scored by the contextual risk program (once per flow, at SYN time).", e.risk.evaluations.Load)
 	r.CounterFunc("bp_context_warns_total",
-		"Risk evaluations that reached the warn threshold (admitted, flagged).", e.riskWarns.Load)
+		"Risk evaluations that reached the warn threshold (admitted, flagged).", e.risk.warns.Load)
 	r.CounterFunc("bp_context_blocks_total",
-		"Risk evaluations that reached the block threshold (flow dropped).", e.riskBlocks.Load)
+		"Risk evaluations that reached the block threshold (flow dropped).", e.risk.blocks.Load)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file pins what a cached verdict leans on once it carries its own
-// expiry: Decision.TimeEdgeIn is exactly the distance to the first minute at
+// expiry: Risk.EdgeIn is exactly the distance to the first minute at
 // which some time predicate of the rule set matches differently. Served any
 // longer, a verdict would be stale; re-evaluated any sooner, a flow would be
 // scored more often than its context changes.
@@ -28,8 +28,8 @@ func minuteContext(m int) *FlowContext {
 // checkTimeEdges builds an engine from the time specs compilePredicate
 // accepts (the rest are skipped), scores minute now of the week, and holds
 // the decision to the contract: the score of every minute in
-// [now, now+TimeEdgeIn) equals the score at now, and the minute after is an
-// edge — it scores differently than the minute before it. TimeEdgeIn == 0
+// [now, now+EdgeIn) equals the score at now, and the minute after is an
+// edge — it scores differently than the minute before it. EdgeIn == 0
 // must mean the score is the same all week.
 func checkTimeEdges(t *testing.T, specs []string, now int) {
 	t.Helper()
@@ -49,27 +49,27 @@ func checkTimeEdges(t *testing.T, specs []string, now int) {
 	if err != nil {
 		t.Fatalf("compile %q: %v", specs, err)
 	}
-	score := func(m int) int {
+	score := func(m int) int32 {
 		d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(m))
-		if !d.RiskApplied {
+		if !d.Risk.Applied {
 			t.Fatalf("%q: risk program did not run", specs)
 		}
-		return d.RiskScore
+		return d.Risk.Score
 	}
 	now %= minutesPerWeek
 	d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(now))
-	in := int(d.TimeEdgeIn)
+	in := int(d.Risk.EdgeIn)
 	if in < 0 || in > minutesPerWeek {
-		t.Fatalf("%q at minute %d: TimeEdgeIn = %d", specs, now, in)
+		t.Fatalf("%q at minute %d: EdgeIn = %d", specs, now, in)
 	}
 	span := in
 	if in == 0 {
 		span = minutesPerWeek // no edge: the score may never change
 	}
 	for m := now + 1; m < now+span; m++ {
-		if got := score(m); got != d.RiskScore {
+		if got := score(m); got != d.Risk.Score {
 			t.Fatalf("%q at minute %d: score %d, but %d at minute %d — before the edge reported %d minutes out",
-				specs, now, d.RiskScore, got, m%minutesPerWeek, in)
+				specs, now, d.Risk.Score, got, m%minutesPerWeek, in)
 		}
 	}
 	if in > 0 && score(now+in) == score(now+in-1) {
@@ -148,7 +148,7 @@ func TestTimeEdgesOfKnownSpecs(t *testing.T) {
 		t.Errorf("contextDoc (nightly window and weekend): %d edges %v, want 16", len(got), got)
 	}
 	e := mustEngine(t, `{[risk][network]["unknown"][60]}`)
-	if d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(100)); !d.RiskApplied || d.TimeEdgeIn != 0 {
+	if d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(100)); !d.Risk.Applied || d.Risk.EdgeIn != 0 {
 		t.Errorf("no time predicate: %+v, want a risk decision that never lapses", d)
 	}
 }

@@ -48,7 +48,7 @@ func TestScoreMatchesEngine(t *testing.T) {
 			fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(now)
 			got := eng.EvaluateFlow(dex.TruncatedHash{}, nil, &fc)
 			want := Score(rules, dc, now)
-			if got.RiskScore != want || got.RiskWarn != (want >= warn && want < block) || (got.Verdict == policy.VerdictDrop) != (want >= block) {
+			if int(got.Risk.Score) != want || got.Risk.Warn != (want >= warn && want < block) || (got.Verdict == policy.VerdictDrop) != (want >= block) {
 				t.Fatalf("minute %d, device %+v: engine %+v, model score %d", m, dc, got, want)
 			}
 			seen[got.Verdict]++
