@@ -9,7 +9,6 @@
 //	bp-gateway -policy policy.bp -apps 20 -events 1000
 //	bp-gateway -apps 5            # empty policy: only untagged traffic drops
 //	bp-gateway -workers 8         # size the batched per-core queue drain
-//	bp-gateway -no-flow-cache     # force the uncached per-packet pipeline
 //	bp-gateway -audit trail.jsonl # ship the enforcement audit as JSON lines
 //
 // Hot reload (multi-backend policy store): -policy-file polls a policy
@@ -55,7 +54,6 @@ func run() error {
 	events := flag.Int("events", 1000, "monkey events per app")
 	seed := flag.Int64("seed", 2019, "corpus + monkey seed")
 	workers := flag.Int("workers", 0, "gateway batch-drain workers (0 = GOMAXPROCS)")
-	noFlowCache := flag.Bool("no-flow-cache", false, "disable per-flow verdict caching")
 	policyFlags := cliflags.RegisterPolicy(flag.CommandLine)
 	auditFlags := cliflags.RegisterAudit(flag.CommandLine)
 	metricsFlags := cliflags.RegisterMetrics(flag.CommandLine)
@@ -98,16 +96,15 @@ func run() error {
 		return err
 	}
 	tb, err := experiments.NewTestbed(corpus, experiments.TestbedConfig{
-		EnforcementOn:    true,
-		Rules:            rules,
-		DefaultVerdict:   policy.VerdictAllow,
-		DisableFlowCache: *noFlowCache,
-		GatewayWorkers:   *workers,
-		AuditWriter:      auditW,
-		PolicySource:     policySource,
-		PolicyPoll:       policyFlags.Poll,
-		PolicyMaxStale:   policyFlags.MaxStale,
-		PolicyFailMode:   failMode,
+		EnforcementOn:  true,
+		Rules:          rules,
+		DefaultVerdict: policy.VerdictAllow,
+		GatewayWorkers: *workers,
+		AuditWriter:    auditW,
+		PolicySource:   policySource,
+		PolicyPoll:     policyFlags.Poll,
+		PolicyMaxStale: policyFlags.MaxStale,
+		PolicyFailMode: failMode,
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package borderpatrol
 
 import (
 	"net/netip"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // it is built — New, a NewFleet member, and NewTestbed with the
 // benchmark's configuration — and checks that they are one gateway: the
 // same metric families (the network's own series, and a fleet member's
-// policy store, aside) and the same flow-table admission guard, which
+// policy store, aside), a network around them that keeps nothing per
+// packet it carries, and the same flow-table admission guard, which
 // turns a unique-flow flood away at full shards.
 func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
 	dep, err := New(Config{})
@@ -26,9 +28,8 @@ func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
 	}
 	defer dep.Close()
 	bench, err := experiments.NewTestbed(nil, experiments.TestbedConfig{
-		EnforcementOn:  true,
-		DisableCapture: true,
-		FlowTTL:        time.Minute,
+		EnforcementOn: true,
+		FlowTTL:       time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +60,9 @@ func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if per := retainedPerPacket(t, g.tb.Network, res.Packets, 60_000); per > 64 {
+			t.Errorf("%s: its network retains %.0f B of heap per packet delivered, want at most 64", g.name, per)
+		}
 		// 72k first-seen flows over 64 shards of 1,024: most shards fill.
 		syn := res.Packets[:1]
 		pool, err := netsim.NewDevicePool(netip.MustParsePrefix("10.128.0.0/15"), 72_000)
@@ -79,6 +83,41 @@ func TestShippedGatewayIsBenchmarkedGateway(t *testing.T) {
 			t.Errorf("%s: a unique-flow flood into full shards made no admission drop", g.name)
 		}
 	}
+}
+
+// retainedPerPacket delivers the connection conn, repeated in 1,024-packet
+// bursts, until at least total packets have crossed the network, and
+// returns the heap that stays live after GC, per packet delivered.
+func retainedPerPacket(t *testing.T, n *netsim.Network, conn []*ipv4.Packet, total int) float64 {
+	t.Helper()
+	burst := make([]*ipv4.Packet, 0, 1024)
+	for len(burst)+len(conn) <= cap(burst) {
+		burst = append(burst, conn...)
+	}
+	deliver := func() {
+		for _, d := range n.DeliverBatch(burst) {
+			if !d.Delivered {
+				t.Fatalf("the shipped gateway dropped a permitted packet: %+v", d)
+			}
+		}
+	}
+	deliver() // warm the flow's table entries and the burst pool
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before, sent := heap(), 0
+	for sent < total {
+		deliver()
+		sent += len(burst)
+	}
+	after := heap()
+	if after < before {
+		return 0
+	}
+	return float64(after-before) / float64(sent)
 }
 
 // gatewayFamilies lists the metric families a gateway registers, leaving

@@ -62,7 +62,8 @@ type FleetConfig struct {
 	// Gateways describes the fleet members (at least one).
 	Gateways []GatewaySpec
 	// Poll is each store's fallback poll interval for when its watch path
-	// is down (0 disables the fallback poller).
+	// is down (0 = 5s default). The stores' watchers, which carry every
+	// PushPolicy, run whatever its value.
 	Poll time.Duration
 	// WatchTimeout bounds one long-poll park per store (0 = 30s default).
 	WatchTimeout time.Duration
@@ -110,6 +111,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		network.InstallFaults(*cfg.Faults)
 	}
 	hub := policystore.NewHub(cfg.Policy)
+	if cfg.Poll <= 0 {
+		// A store with no poll interval starts no loop at all, watch
+		// included, and then no push would ever arrive.
+		cfg.Poll = defaultFleetPoll
+	}
 
 	f := &Fleet{
 		network: network,
@@ -199,6 +205,9 @@ func (f *Fleet) Metrics() *MetricsAggregate { return f.agg }
 
 // PolicyRev returns the hub's policy revision (1 is the seed document).
 func (f *Fleet) PolicyRev() uint64 { return f.hub.Rev() }
+
+// defaultFleetPoll is FleetConfig.Poll's zero-value fallback interval.
+const defaultFleetPoll = 5 * time.Second
 
 // pushTimeout bounds how long PushPolicy waits for every gateway's watch
 // round. Propagation is event-driven (the hub wakes all parked watchers),

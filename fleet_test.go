@@ -128,6 +128,47 @@ func TestFleetPushPolicyOneWatchRound(t *testing.T) {
 	}
 }
 
+// TestFleetPushWithoutPoll: a fleet built without a Poll interval still
+// watches its hub, so a push lands in one watch round, well inside
+// pushTimeout, and the pushed rule is enforced.
+func TestFleetPushWithoutPoll(t *testing.T) {
+	f, err := NewFleet(FleetConfig{
+		Policy:   fleetPolicyV1,
+		Gateways: []GatewaySpec{{Name: "gwA", Subnet: netip.MustParsePrefix("10.1.0.0/16"), Groups: []string{"eng"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dep := f.Deployment("gwA")
+	app, err := dep.InstallApp(demoAPK(), demoFuncs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := func() bool {
+		out, err := dep.Exercise(app, "download")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0].Delivered
+	}
+	if !delivered() {
+		t.Fatal("download dropped before the push")
+	}
+
+	v2 := fleetPolicyV1 + "//@group eng\n{[deny][method][\"Lcom/corp/files/SyncEngine;->download()V\"]}\n"
+	start := time.Now()
+	if err := f.PushPolicy(v2); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > pushTimeout/10 {
+		t.Fatalf("push took %v, want one watch round", took)
+	}
+	if delivered() {
+		t.Fatal("the pushed deny rule is not enforced")
+	}
+}
+
 // watchRounds reads the policy store's completed watch rounds.
 func watchRounds(dep *Deployment) float64 {
 	v, _ := dep.Metrics().Value("bp_policy_watch_rounds_total")

@@ -281,7 +281,6 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	}
 
 	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
-	network.SetCapture(false)
 	zone := dns.NewZone()
 	for name, addr := range map[string]string{
 		"files.corp.example": "10.80.0.10",

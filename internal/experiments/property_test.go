@@ -13,7 +13,6 @@ import (
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/tag"
 )
 
@@ -100,22 +99,33 @@ func TestSanitizedTrafficCarriesNoContextProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	observed := 0
 	for i, ga := range corpus {
 		for _, fn := range ga.Functionalities {
 			res, err := tb.Apps[i].Invoke(fn.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tb.DeliverAll(res.Packets)
+			outs, err := tb.Gateway.ProcessBatch(res.Packets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range outs {
+				if o.Out == nil {
+					continue
+				}
+				observed++
+				if o.Out.Header.HasOptions() {
+					t.Fatalf("post-gateway packet to %s still carries options", o.Out.Header.Dst)
+				}
+			}
 		}
 	}
-	post := tb.Network.CaptureAt(netsim.CapturePostGateway)
-	if post.Len() == 0 {
+	if observed == 0 {
 		t.Fatal("no post-gateway traffic observed")
 	}
-	for _, pkt := range post.Packets() {
-		if pkt.Header.HasOptions() {
-			t.Fatalf("post-gateway packet to %s still carries options", pkt.Header.Dst)
-		}
+	cleansed, _ := tb.Metrics.Value("bp_sanitizer_cleansed_total")
+	if cleansed != float64(observed) {
+		t.Fatalf("%d packets passed the gateway, %v cleansed: every one carried a tag", observed, cleansed)
 	}
 }

@@ -363,7 +363,7 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 	cfg := TestbedConfig{
 		EnforcementOn: true, PolicySource: policystore.NewFileSource(r.path),
 		PolicyMaxStale: scenarioMaxStale, PolicyFailMode: policystore.FailClosed, PolicyVirtualTime: true,
-		FlowTTL: scenarioFlowTTL, DisableCapture: true,
+		FlowTTL: scenarioFlowTTL,
 	}
 	if sc.faults != (netsim.FaultPlan{}) {
 		plan := sc.faults

@@ -77,8 +77,9 @@ type TestbedConfig struct {
 	// AllowUntagged admits untagged packets at the enforcer.
 	AllowUntagged bool
 	// DisableFlowCache turns off per-flow verdict caching (on by default
-	// when enforcement is on; baselines that measure the uncached pipeline
-	// set this).
+	// when enforcement is on). Its one user is the repository benchmark's
+	// oracle (benchmark/setup.go), an uncached gateway every packet's fate
+	// is checked against.
 	DisableFlowCache bool
 	// GatewayWorkers sizes the batched per-core queue drain (0 = GOMAXPROCS).
 	GatewayWorkers int
@@ -115,9 +116,9 @@ type TestbedConfig struct {
 	// virtual clock instead of wall time, so harnesses can age the policy
 	// by hours in microseconds.
 	PolicyVirtualTime bool
-	// DisableCapture turns the network's packet-capture logs off (they
-	// clone every packet — unbounded memory over a soak run). NewTestbed
-	// only.
+	// DisableCapture has no effect: the network keeps no packet-capture
+	// logs any more. It stays because the repository benchmark's testbed
+	// configuration (benchmark/setup.go) still sets it.
 	DisableCapture bool
 	// DeviceAddr is the provisioned device's address (zero selects
 	// 10.66.0.2).
@@ -133,9 +134,6 @@ type TestbedConfig struct {
 // endpoint the corpus references), and starts the policy store.
 func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
-	if cfg.DisableCapture {
-		network.SetCapture(false)
-	}
 	if cfg.Faults != nil {
 		network.InstallFaults(*cfg.Faults)
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestDeliverBatchMatchesDeliver pushes the same mixed traffic as one burst
 // and one packet at a time and compares fates, enforcement results,
-// captures and server accounting.
+// sanitizing and server accounting.
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	mk := func(workers int) (*Network, *ipv4.Packet, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
@@ -61,10 +61,19 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	if srvS.Requests() != srvB.Requests() {
 		t.Fatalf("server requests: scalar %d, batch %d", srvS.Requests(), srvB.Requests())
 	}
-	// Post-gateway capture holds only sanitized survivors.
-	for _, pkt := range nBatch.CaptureAt(CapturePostGateway).Packets() {
-		if pkt.Header.HasOptions() {
-			t.Fatal("post-gateway capture holds an unsanitized packet")
+	// Both sanitized the same survivors, and a drain of the burst hands
+	// out only sanitized copies.
+	cleansedS := count(nScalar.Gateway.Sanitizer(), "bp_sanitizer_cleansed_total")
+	if cleansedB := count(nBatch.Gateway.Sanitizer(), "bp_sanitizer_cleansed_total"); cleansedS != 3 || cleansedB != cleansedS {
+		t.Fatalf("cleansed: scalar %d, batch %d, want 3", cleansedS, cleansedB)
+	}
+	outs, err := nBatch.Gateway.ProcessBatch(batchBurst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Out != nil && o.Out.Header.HasOptions() {
+			t.Fatalf("pkt %d: the gateway passed an unsanitized packet", i)
 		}
 	}
 }

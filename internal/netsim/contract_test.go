@@ -28,7 +28,6 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 	}, db, enf0.Engine())
 	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n = newStaticNetwork(ModeTAP, gw)
-	n.SetCapture(false)
 	reg = metrics.NewRegistry()
 	enf.RegisterMetrics(reg)
 	gw.RegisterMetrics(reg)

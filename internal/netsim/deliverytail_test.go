@@ -16,7 +16,7 @@ import (
 	"borderpatrol/internal/transport"
 )
 
-// tailFixture is a gateway (flow-cached enforcer + sanitizer, capture off)
+// tailFixture is a gateway (flow-cached enforcer + sanitizer)
 // in front of the static server, and the tagged keep-alive request its
 // connections carry.
 func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.FlowCache, *ipv4.Packet) {
@@ -26,7 +26,6 @@ func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.FlowCache, *ipv4.
 	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
 	n := newStaticNetwork(ModeTAP, gw)
-	n.SetCapture(false)
 	base := taggedPacket(tb, apk, db, "sync")
 	base.Payload = plainPacket((&httpsim.Request{Method: "GET", Path: "/static/page.html", Host: "example", KeepAlive: true}).Marshal()).Payload
 	return n, gw, flows, base

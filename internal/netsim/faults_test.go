@@ -111,8 +111,8 @@ func TestFaultDropScalar(t *testing.T) {
 	if got := drops(); got != 3 {
 		t.Fatalf("drops = %d, want 3", got)
 	}
-	if got := n.CaptureAt(CapturePostGateway).Len(); got != 0 {
-		t.Fatalf("gateway passed %d wire-dropped packets", got)
+	if srv, _ := n.ServerAt(serverAddr()); srv.Requests() != 0 {
+		t.Fatalf("server answered %d wire-dropped packets", srv.Requests())
 	}
 
 	n.ClearFaults()
@@ -189,22 +189,5 @@ func TestFaultCorruptionFailSafe(t *testing.T) {
 		if d := n.Deliver(denied); d.Delivered {
 			t.Fatalf("iteration %d: corrupted denied packet was delivered", i)
 		}
-	}
-}
-
-// TestFaultCaptureToggle: SetCapture(false) stops the pcap logs growing
-// (the soak's bounded-memory prerequisite); re-enabling resumes capture.
-func TestFaultCaptureToggle(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New()})
-	n := newStaticNetwork(ModeTAP, gw)
-	n.SetCapture(false)
-	n.Deliver(plainPacket(getRequest()))
-	if got := n.CaptureAt(CaptureDeviceEgress).Len(); got != 0 {
-		t.Fatalf("captures with capture off: %d", got)
-	}
-	n.SetCapture(true)
-	n.Deliver(plainPacket(getRequest()))
-	if got := n.CaptureAt(CaptureDeviceEgress).Len(); got != 1 {
-		t.Fatalf("captures after re-enable: %d", got)
 	}
 }

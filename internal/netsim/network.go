@@ -2,8 +2,8 @@
 // evaluation (§VI-A, §VI-D): the emulator's NIC modes (QEMU SLIRP vs TAP),
 // the gateway host whose iptables rules divert BYOD traffic into the
 // user-space Policy Enforcer and Packet Sanitizer, local and external HTTP
-// servers, RFC 7126 border filtering, packet capture for the analysis
-// pipeline, and a virtual clock with a calibrated latency model.
+// servers, RFC 7126 border filtering, and a virtual clock with a
+// calibrated latency model.
 package netsim
 
 import (
@@ -108,52 +108,6 @@ func (s *Server) Requests() uint64 { return s.requests.Load() }
 // RxBytes returns the total request-body bytes received.
 func (s *Server) RxBytes() uint64 { return s.rxBytes.Load() }
 
-// CapturePoint identifies where a capture was taken.
-type CapturePoint int
-
-// Capture points, mirroring where the paper inspects traffic.
-const (
-	// CaptureDeviceEgress sees packets as they leave the device (tagged).
-	CaptureDeviceEgress CapturePoint = iota + 1
-	// CapturePostGateway sees packets after enforcement + sanitizing.
-	CapturePostGateway
-)
-
-// Capture is an append-only packet log (pcap stand-in).
-type Capture struct {
-	mu   sync.Mutex
-	pkts []*ipv4.Packet
-}
-
-// Append clones and stores a packet.
-func (c *Capture) Append(pkt *ipv4.Packet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pkts = append(c.pkts, pkt.Clone())
-}
-
-// Packets returns the captured packets (shared slice of clones; callers
-// must not mutate).
-func (c *Capture) Packets() []*ipv4.Packet {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*ipv4.Packet(nil), c.pkts...)
-}
-
-// Len returns the number of captured packets.
-func (c *Capture) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pkts)
-}
-
-// Reset clears the capture.
-func (c *Capture) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pkts = nil
-}
-
 // Network is the assembled testbed.
 type Network struct {
 	Clock *Clock
@@ -181,15 +135,9 @@ type Network struct {
 	// into faultN.
 	faults atomic.Pointer[Faults]
 	faultN faultCounts
-	// captureOff disables the packet-capture logs: soak runs push millions
-	// of packets and must stay memory-bounded, which an append-only pcap
-	// defeats.
-	captureOff atomic.Bool
 
 	// mu serializes AddServer and AddGatewayRoute.
 	mu sync.Mutex
-	// egress and postGateway are the capture logs (CaptureAt).
-	egress, postGateway Capture
 	// servers is copy-on-write: AddServer is rare, and every delivery
 	// worker reads the table with one atomic load.
 	servers atomic.Pointer[map[netip.Addr]*Server]
@@ -291,24 +239,6 @@ func (n *Network) AddServer(s *Server) {
 func (n *Network) ServerAt(addr netip.Addr) (*Server, bool) {
 	s, ok := (*n.servers.Load())[addr]
 	return s, ok
-}
-
-// CaptureAt returns the capture log for a point (nil for an unknown one).
-func (n *Network) CaptureAt(p CapturePoint) *Capture {
-	switch p {
-	case CaptureDeviceEgress:
-		return &n.egress
-	case CapturePostGateway:
-		return &n.postGateway
-	}
-	return nil
-}
-
-// SetCapture enables or disables the packet-capture logs. Long-running
-// soak harnesses disable them: each capture clones every packet, which is
-// unbounded memory over millions of deliveries.
-func (n *Network) SetCapture(enabled bool) {
-	n.captureOff.Store(!enabled)
 }
 
 // InstallFaults arms a fault plan on the device→gateway wire, replacing
@@ -506,9 +436,6 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 		return out
 	}
 	start := n.Clock.Now()
-	for _, pkt := range pkts {
-		n.captureAt(CaptureDeviceEgress, pkt)
-	}
 	perNIC := n.Model.TapPerPacket
 	if n.NIC == ModeSLIRP {
 		perNIC = n.Model.SlirpPerPacket
@@ -555,13 +482,6 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 		served += b.workers[w].charge
 	}
 	n.Clock.Advance(served)
-	if !n.captureOff.Load() {
-		for i := range pkts {
-			if o := b.outcomes[i].Out; o != nil {
-				n.captureAt(CapturePostGateway, o)
-			}
-		}
-	}
 	b.release()
 	// The responses traverse each involved gateway's queue on the way back
 	// in — one reinjection hop per gateway touched by the burst.
@@ -666,13 +586,4 @@ func (n *Network) forgetResp(t transport.Tuple) {
 	s.mu.Lock()
 	s.next.Delete(h, t)
 	s.mu.Unlock()
-}
-
-func (n *Network) captureAt(p CapturePoint, pkt *ipv4.Packet) {
-	if n.captureOff.Load() {
-		return
-	}
-	if c := n.CaptureAt(p); c != nil {
-		c.Append(pkt)
-	}
 }

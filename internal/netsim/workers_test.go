@@ -170,7 +170,10 @@ type diffRun struct {
 	clocks  []int64
 	ct      map[string]uint64
 	verdict map[string]uint64
-	capture []*ipv4.Packet
+	// cleansed is the sanitizer's count; egress is a last ProcessBatch
+	// drain of the data phase, its sanitized copies in burst order.
+	cleansed uint64
+	egress   []*ipv4.Packet
 }
 
 // TestWorkerCountChangesNothing is the differential check on the fan-out:
@@ -179,8 +182,8 @@ type diffRun struct {
 // with a policy swap and a swap back between bursts — through gateways
 // of 1, 2 and 4 workers must be indistinguishable: every delivery's fate,
 // stage, response and latency, the clock after each burst, the
-// connection tracker's counters, the enforcer's verdict counters and the
-// post-gateway capture, packet by packet.
+// connection tracker's counters, the enforcer's and sanitizer's counters,
+// and the sanitized egress copies of a last drain, packet by packet.
 func TestWorkerCountChangesNothing(t *testing.T) {
 	_, apk, db := buildEnforcerAndDB(t)
 	const devices = 256
@@ -266,7 +269,16 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 		}
 		r.ct = conntrack(gw.ct)
 		r.verdict = verdicts(enf)
-		r.capture = n.CaptureAt(CapturePostGateway).Packets()
+		r.cleansed = count(gw.Sanitizer(), "bp_sanitizer_cleansed_total")
+		outs, err := gw.ProcessBatch(phases[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			if o.Out != nil {
+				r.egress = append(r.egress, o.Out)
+			}
+		}
 		return r
 	}
 
@@ -282,8 +294,8 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			}
 		}
 	}
-	if answered == 0 || dropped == 0 || want.ct["adopted"] == 0 || want.ct["closed"] == 0 || want.verdict["decision=drop"] == 0 {
-		t.Fatalf("workload too narrow: answered %d, dropped %d, conntrack %+v, verdicts %+v", answered, dropped, want.ct, want.verdict)
+	if answered == 0 || dropped == 0 || want.ct["adopted"] == 0 || want.ct["closed"] == 0 || want.verdict["decision=drop"] == 0 || len(want.egress) == 0 {
+		t.Fatalf("workload too narrow: answered %d, dropped %d, conntrack %+v, verdicts %+v, egress %d", answered, dropped, want.ct, want.verdict, len(want.egress))
 	}
 	for _, workers := range []int{2, 4} {
 		got := run(workers)
@@ -306,13 +318,16 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 		if !reflect.DeepEqual(got.verdict, want.verdict) {
 			t.Fatalf("%d workers: verdicts %+v, with one worker %+v", workers, got.verdict, want.verdict)
 		}
-		if len(got.capture) != len(want.capture) {
-			t.Fatalf("%d workers: %d packets captured, with one worker %d", workers, len(got.capture), len(want.capture))
+		if got.cleansed != want.cleansed {
+			t.Fatalf("%d workers: %d packets cleansed, with one worker %d", workers, got.cleansed, want.cleansed)
 		}
-		for i := range want.capture {
-			g, w := got.capture[i], want.capture[i]
-			if g.Header.Src != w.Header.Src || g.Header.Dst != w.Header.Dst || !bytes.Equal(g.Payload, w.Payload) {
-				t.Fatalf("%d workers: capture %d is %v→%v, with one worker %v→%v", workers, i, g.Header.Src, g.Header.Dst, w.Header.Src, w.Header.Dst)
+		if len(got.egress) != len(want.egress) {
+			t.Fatalf("%d workers: %d packets egress, with one worker %d", workers, len(got.egress), len(want.egress))
+		}
+		for i := range want.egress {
+			g, w := got.egress[i], want.egress[i]
+			if g.Header.Src != w.Header.Src || g.Header.Dst != w.Header.Dst || g.Header.HasOptions() || !bytes.Equal(g.Payload, w.Payload) {
+				t.Fatalf("%d workers: egress %d is %v→%v, with one worker %v→%v", workers, i, g.Header.Src, g.Header.Dst, w.Header.Src, w.Header.Dst)
 			}
 		}
 	}
