@@ -135,24 +135,6 @@ func TestTailBoundedAcrossDrains(t *testing.T) {
 	}
 }
 
-func TestDropsByApp(t *testing.T) {
-	l := New(nil, 0)
-	defer l.Close()
-	res := dropResult()
-	l.Record(samplePacket(), res)
-	l.Record(samplePacket(), res)
-	l.Record(samplePacket(), enforcer.Result{Verdict: policy.VerdictAllow})
-	drops := l.DropsByApp()
-	if len(drops) != 1 {
-		t.Fatalf("drops = %v", drops)
-	}
-	for _, v := range drops {
-		if v != 2 {
-			t.Fatalf("count = %d", v)
-		}
-	}
-}
-
 func TestReadEntriesErrors(t *testing.T) {
 	if _, err := ReadEntries(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
@@ -242,19 +224,68 @@ func TestConcurrentRecord(t *testing.T) {
 	if len(entries) != workers*perWorker {
 		t.Fatalf("wrote %d entries, want %d", len(entries), workers*perWorker)
 	}
-	// Exactly-once delivery: every sequence number 1..N appears exactly
-	// once. Ordering across drain bursts is best-effort (see the package
-	// comment), so only uniqueness and completeness are asserted.
-	seen := make(map[uint64]bool, len(entries))
-	for _, e := range entries {
-		if seen[e.Seq] {
-			t.Fatalf("seq %d written twice", e.Seq)
+	// Exactly-once delivery in sequence order: with nothing shed, the
+	// stream is 1..N.
+	for i, e := range entries {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("entry %d has seq %d", i, e.Seq)
 		}
-		if e.Seq == 0 || e.Seq > uint64(workers*perWorker) {
-			t.Fatalf("seq %d out of range", e.Seq)
-		}
-		seen[e.Seq] = true
 	}
+}
+
+// TestSeqOrderAcrossDrains races bursts from several goroutines into a
+// small queue with a small batch size, so it drains many times and may
+// shed: the written stream must rise strictly across every drain, and
+// its gaps — before the first entry, between entries and after the last
+// — must add up to exactly the shed count.
+func TestSeqOrderAcrossDrains(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewWithConfig(Config{Writer: &buf, QueueCap: 64, BatchSize: 4})
+	const workers, bursts, burstLen = 4, 500, 5
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkts := make([]*ipv4.Packet, burstLen)
+			res := make([]enforcer.Result, burstLen)
+			for i := range pkts {
+				pkts[i] = samplePacket()
+				res[i] = enforcer.Result{Verdict: policy.VerdictAllow}
+			}
+			for i := 0; i < bursts; i++ {
+				l.RecordBatch(pkts, res)
+				if i%10 == 9 {
+					l.Flush() // a drain between bursts, beside the background ones
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := ReadEntries(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offered = workers * bursts * burstLen
+	var gaps, last uint64
+	for i, e := range entries {
+		if e.Seq <= last {
+			t.Fatalf("entry %d has seq %d after seq %d", i, e.Seq, last)
+		}
+		gaps += e.Seq - last - 1
+		last = e.Seq
+	}
+	gaps += offered - last
+	if drop := count(l, "dropped_total"); gaps != drop {
+		t.Fatalf("seq gaps add up to %d, dropped_total = %d", gaps, drop)
+	}
+	if flushes := count(l, "flushes_total"); flushes < 10 {
+		t.Fatalf("%d drains, want the stream to span many", flushes)
+	}
+	t.Logf("%d written, %d shed, %d drains", len(entries), gaps, count(l, "flushes_total"))
 }
 
 // stallWriter blocks the drainer inside its first Write until released,
@@ -303,7 +334,7 @@ func stallDrainer(t *testing.T, l *Log, w *stallWriter) {
 // capacity recovers once the drainer resumes.
 func TestBackpressureCountsDrops(t *testing.T) {
 	w := newStallWriter()
-	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1, Stripes: 1})
+	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1})
 	defer l.Close()
 	defer w.Release()     // never leave the drainer parked if an assert fails
 	stallDrainer(t, l, w) // 1 recorded + swept, drainer parked, queue empty
@@ -324,13 +355,13 @@ func TestBackpressureCountsDrops(t *testing.T) {
 	}
 }
 
-// TestRecordSpillsAcrossStripes: QueueCap bounds the whole queue, not one
-// stripe's share — a single flow (one home stripe of 16) must be able to
-// fill every stripe before anything is shed. The drainer is stalled so
-// the fill and the overflow are deterministic.
-func TestRecordSpillsAcrossStripes(t *testing.T) {
+// TestRecordFillsWholeQueueCap: QueueCap bounds the whole queue — a
+// single flow fills all of it before anything is shed, and nothing past
+// it is kept. The drainer is stalled so the fill and the overflow are
+// deterministic.
+func TestRecordFillsWholeQueueCap(t *testing.T) {
 	w := newStallWriter()
-	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1, Stripes: 4}) // 16 per stripe
+	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1})
 	defer l.Close()
 	defer w.Release()
 	stallDrainer(t, l, w)
@@ -355,12 +386,12 @@ func TestRecordSpillsAcrossStripes(t *testing.T) {
 	}
 }
 
-// TestRecordBatchSpillsAcrossStripes: a burst larger than one stripe's
-// share lands whole as long as total capacity allows.
-func TestRecordBatchSpillsAcrossStripes(t *testing.T) {
+// TestRecordBatchFillsWholeQueueCap: a burst lands whole as long as the
+// queue's capacity allows.
+func TestRecordBatchFillsWholeQueueCap(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewWithConfig(Config{Writer: &buf, QueueCap: 64, BatchSize: 1 << 30, Stripes: 4})
-	pkts := make([]*ipv4.Packet, 40) // 2.5 stripes' worth
+	l := NewWithConfig(Config{Writer: &buf, QueueCap: 64, BatchSize: 1 << 30})
+	pkts := make([]*ipv4.Packet, 40)
 	res := make([]enforcer.Result, 40)
 	for i := range pkts {
 		pkts[i] = samplePacket()
@@ -386,7 +417,7 @@ func TestRecordBatchSpillsAcrossStripes(t *testing.T) {
 
 // TestRecordRacingCloseNeverStrands: every record concurrent with Close
 // must end up either drained or counted as dropped — Pending must settle
-// at zero (the closed check runs under the stripe lock, ahead of the final
+// at zero (the closed check runs under the queue lock, ahead of the final
 // sweep).
 func TestRecordRacingCloseNeverStrands(t *testing.T) {
 	for round := 0; round < 20; round++ {
@@ -415,7 +446,7 @@ func TestRecordRacingCloseNeverStrands(t *testing.T) {
 }
 
 // TestBackgroundDrainerFlushesOnBatch verifies the drainer runs without
-// any explicit Flush once a stripe crosses the batch threshold — the
+// any explicit Flush once the queue crosses the batch threshold — the
 // "Record is off the JSON-encode critical path" half of the design.
 func TestBackgroundDrainerFlushesOnBatch(t *testing.T) {
 	var mu sync.Mutex
@@ -425,7 +456,7 @@ func TestBackgroundDrainerFlushesOnBatch(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	l := NewWithConfig(Config{Writer: w, BatchSize: 8, Stripes: 1})
+	l := NewWithConfig(Config{Writer: w, BatchSize: 8})
 	defer l.Close()
 	pkt := samplePacket()
 	for i := 0; i < 8; i++ {
@@ -517,7 +548,7 @@ func TestNilLogIsNoop(t *testing.T) {
 	var l *Log
 	l.Record(samplePacket(), enforcer.Result{Verdict: policy.VerdictAllow})
 	l.RecordBatch(nil, nil)
-	if l.Tail() != nil || l.DropsByApp() != nil || l.Err() != nil {
+	if l.Tail() != nil || l.Err() != nil {
 		t.Fatal("nil log returned data")
 	}
 	if err := l.Flush(); err != nil {
@@ -562,8 +593,8 @@ func TestRecordBatchNoShedSingleP(t *testing.T) {
 }
 
 // TestTailOnlyDrainAllocFree pins that a log with no writer renders
-// nothing: draining costs a fixed few allocations per burst (the sort, the
-// flush handshake), none per entry, whatever the entries carry.
+// nothing: draining costs a fixed few allocations per burst (the flush
+// handshake), none per entry, whatever the entries carry.
 func TestTailOnlyDrainAllocFree(t *testing.T) {
 	l := New(nil, 256)
 	defer l.Close()

@@ -139,7 +139,7 @@ func TestEnforcerBatchRecordsOnce(t *testing.T) {
 // per-packet enforcement on the cache-hit path must stay allocation-free,
 // with the JSON encode entirely off this path (the stats-only drain keeps
 // the background side allocation-free too, so the number isolates what
-// enforcement itself pays: one flow probe + one stripe append).
+// enforcement itself pays: one flow probe + one queue append).
 func BenchmarkProcessFlowHitAudited(b *testing.B) {
 	l := NewWithConfig(Config{})
 	defer l.Close()

@@ -89,10 +89,6 @@ type Config struct {
 	// dropping them (useful for staged rollouts; the paper's deployment
 	// drops them).
 	AllowUntagged bool
-	// AllowUnknownApps admits tagged packets whose app hash is not in the
-	// database. The default (false) drops them: an unprovisioned or
-	// repackaged app must not exfiltrate just by being unknown.
-	AllowUnknownApps bool
 	// Flows enables per-flow verdict caching (nil disables it).
 	Flows *FlowCache
 	// Audit is offered every decision, one per processed packet, on every
@@ -503,9 +499,6 @@ func (e *Enforcer) decode(res *Result, data []byte) bool {
 	resolver, known := e.db.Resolve(sc.tag.AppHash)
 	if !known {
 		*res = Result{Verdict: policy.VerdictDrop, Cause: DropUnknownApp, AppHash: sc.tag.AppHash}
-		if e.cfg.AllowUnknownApps {
-			*res = Result{Verdict: policy.VerdictAllow, AppHash: sc.tag.AppHash}
-		}
 		return false
 	}
 	stack, err := resolver.DecodeStackInto(sc.stack[:0], sc.tag.Indexes)

@@ -178,11 +178,6 @@ func TestUnknownAppDropped(t *testing.T) {
 	if res.Verdict != policy.VerdictDrop || res.Cause != DropUnknownApp {
 		t.Fatalf("res = %+v", res)
 	}
-	// Permissive mode.
-	e2, _, _ := newEnforcer(t, Config{AllowUnknownApps: true}, nil, policy.VerdictAllow)
-	if res := e2.Process(pkt); res.Verdict != policy.VerdictAllow {
-		t.Fatalf("AllowUnknownApps ignored: %+v", res)
-	}
 }
 
 func TestMalformedTagDropped(t *testing.T) {

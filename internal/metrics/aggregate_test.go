@@ -7,10 +7,11 @@ import (
 
 func TestAggregateMergesRegistries(t *testing.T) {
 	r0, r1 := NewRegistry(), NewRegistry()
-	r0.Counter("bp_pkts_total", "Packets.", Label{"stage", "in"}).Add(3)
-	r1.Counter("bp_pkts_total", "Packets.", Label{"stage", "in"}).Add(5)
-	r1.Gauge("bp_flows", "Open flows.").Set(2)
-	h := r0.Histogram("bp_latency_seconds", "Latency.")
+	r0.CounterFunc("bp_pkts_total", "Packets.", func() uint64 { return 3 }, Label{"stage", "in"})
+	r1.CounterFunc("bp_pkts_total", "Packets.", func() uint64 { return 5 }, Label{"stage", "in"})
+	r1.GaugeFunc("bp_flows", "Open flows.", func() float64 { return 2 })
+	h := NewHistogram()
+	r0.RegisterHistogram("bp_latency_seconds", "Latency.", h)
 	h.Record(2000)
 
 	a := NewAggregate("gateway")
@@ -48,9 +49,10 @@ func TestAggregateMergesRegistries(t *testing.T) {
 
 func TestAggregateSnapshotGroupsFamilies(t *testing.T) {
 	r0, r1 := NewRegistry(), NewRegistry()
-	r0.Counter("bp_a_total", "A.").Add(1)
-	r0.Counter("bp_b_total", "B.").Add(1)
-	r1.Counter("bp_a_total", "A.").Add(1)
+	one := func() uint64 { return 1 }
+	r0.CounterFunc("bp_a_total", "A.", one)
+	r0.CounterFunc("bp_b_total", "B.", one)
+	r1.CounterFunc("bp_a_total", "A.", one)
 
 	a := NewAggregate("gateway")
 	a.Attach("gw0", r0)

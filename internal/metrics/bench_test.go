@@ -64,9 +64,10 @@ func BenchmarkQuantile(b *testing.B) {
 func BenchmarkWritePrometheus(b *testing.B) {
 	r := NewRegistry()
 	for _, name := range []string{"bp_a_total", "bp_b_total", "bp_c_total"} {
-		r.Counter(name, "bench counter").Add(123456)
+		r.CounterFunc(name, "bench counter", func() uint64 { return 123456 })
 	}
-	h := r.Histogram("bp_lat_ns", "bench histogram")
+	h := NewHistogram()
+	r.RegisterHistogram("bp_lat_ns", "bench histogram", h)
 	for i := int64(0); i < 10_000; i++ {
 		h.Record(i * 131 % 2_000_000)
 	}

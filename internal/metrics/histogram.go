@@ -88,22 +88,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram: plain values,
-// mergeable and serializable.
+// HistogramSnapshot is a point-in-time copy of a histogram: plain,
+// serializable values.
 type HistogramSnapshot struct {
 	Counts [NumBuckets]uint64
 	Sum    uint64
-}
-
-// Merge folds o into s (bucket-wise addition). Merging snapshots of
-// per-core or per-stage histograms is exact: the layout is identical, so
-// merge is associative and commutative and quantiles of the merge equal
-// quantiles of the union stream within one bucket's width.
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
 }
 
 // Count is the total number of observations.

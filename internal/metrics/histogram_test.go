@@ -127,43 +127,6 @@ func TestHistogramBucketBoundsMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	parts := make([]*Histogram, 3)
-	var all []int64
-	for p := range parts {
-		parts[p] = NewHistogram()
-		for i := 0; i < 10_000; i++ {
-			v := rng.Int64N(1_000_000)
-			parts[p].Record(v)
-			all = append(all, v)
-		}
-	}
-	// (a+b)+c
-	ab := parts[0].Snapshot()
-	bs := parts[1].Snapshot()
-	ab.Merge(&bs)
-	cs := parts[2].Snapshot()
-	ab.Merge(&cs)
-	// a+(b+c)
-	bc := parts[1].Snapshot()
-	cs2 := parts[2].Snapshot()
-	bc.Merge(&cs2)
-	as := parts[0].Snapshot()
-	as.Merge(&bc)
-	if ab != as {
-		t.Fatal("merge is not associative: (a+b)+c != a+(b+c)")
-	}
-	// The merge equals one histogram fed the union stream.
-	union := NewHistogram()
-	for _, v := range all {
-		union.Record(v)
-	}
-	if us := union.Snapshot(); us != ab {
-		t.Fatal("merged snapshot differs from union-stream histogram")
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	const (
 		workers = 8

@@ -1,25 +1,25 @@
 // Package metrics is BorderPatrol's dependency-free observability core:
-// lock-free counters and gauges, log-bucketed latency histograms, and a
-// registry that renders the Prometheus text exposition format.
+// lock-free counters, log-bucketed latency histograms, and a registry that
+// renders the Prometheus text exposition format.
 //
 // The design constraint is the enforcement hot path: the cache-hit packet
 // path runs in ~100 ns and the batched drain in ~45 ns/packet, so an
 // instrument on those paths may cost at most one uncontended atomic
 // add. Counters are striped across padded per-core shards that are summed
 // only at scrape time (no CAS loops, no locks, no false sharing between
-// cores); gauges are a single atomic word; histograms record with two
-// atomic adds into a fixed bucket array and allocate nothing.
+// cores); histograms record with two atomic adds into a fixed bucket array
+// and allocate nothing.
 //
 // Components own their instruments and attach them to a *Registry via
-// their RegisterMetrics methods. Counters a component already keeps are
-// exported through CounterFunc/GaugeFunc closures, so the hot path pays
-// nothing for exposure — the closure runs at scrape time only. The
+// their RegisterMetrics methods, one way per kind: counters and gauges
+// through CounterFunc/GaugeFunc closures over what the component already
+// keeps, so the hot path pays nothing for exposure — the closure runs at
+// scrape time only — and histograms through RegisterHistogram. The
 // registry is the one place counts are read: Value reads one family.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -57,8 +57,8 @@ type Counter struct {
 	shards []counterShard
 }
 
-// NewCounter builds an unregistered counter (Registry.Counter registers
-// one in the same step).
+// NewCounter builds a counter; a component exposes it through
+// Registry.CounterFunc(name, help, c.Value).
 func NewCounter() *Counter {
 	return &Counter{shards: make([]counterShard, numShards)}
 }
@@ -85,32 +85,6 @@ func (c *Counter) Value() uint64 {
 	}
 	return total
 }
-
-// Gauge is a settable instantaneous value (queue depth, live entries,
-// staleness age). One atomic word; Set/Add/Value are lock-free.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// NewGauge builds an unregistered gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d (CAS loop; gauges live off the packet path).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+d)) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Kind classifies a metric family.
 type Kind uint8
@@ -148,9 +122,7 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // value sources is set, matching the family kind.
 type series struct {
 	labels    []Label
-	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -246,13 +218,6 @@ func sameLabels(a, b []Label) bool {
 	return true
 }
 
-// Counter creates and registers a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := NewCounter()
-	r.register(name, help, KindCounter, &series{labels: labels, counter: c})
-	return c
-}
-
 // CounterFunc registers a counter series whose value is computed at
 // scrape time — the zero-hot-path-cost bridge to counters a component
 // already maintains. fn must be monotone and safe for concurrent use.
@@ -260,23 +225,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 	r.register(name, help, KindCounter, &series{labels: labels, counterFn: fn})
 }
 
-// Gauge creates and registers a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := NewGauge()
-	r.register(name, help, KindGauge, &series{labels: labels, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge series computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, KindGauge, &series{labels: labels, gaugeFn: fn})
-}
-
-// Histogram creates and registers a latency histogram series.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	h := NewHistogram()
-	r.register(name, help, KindHistogram, &series{labels: labels, hist: h})
-	return h
 }
 
 // RegisterHistogram attaches a component-owned histogram to the registry.
@@ -323,12 +274,8 @@ func (r *Registry) Snapshot() []Sample {
 // observation count.
 func (s *series) value() float64 {
 	switch {
-	case s.counter != nil:
-		return float64(s.counter.Value())
 	case s.counterFn != nil:
 		return float64(s.counterFn())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	case s.gaugeFn != nil:
 		return s.gaugeFn()
 	case s.hist != nil:

@@ -30,15 +30,18 @@ func TestCounterConcurrentSum(t *testing.T) {
 	}
 }
 
+// TestGauge: a GaugeFunc series reads its closure at every scrape, so it
+// follows the component's value down as well as up.
 func TestGauge(t *testing.T) {
-	g := NewGauge()
-	g.Set(41)
-	g.Add(1.5)
-	if got := g.Value(); got != 42.5 {
+	r := NewRegistry()
+	depth := 41.0
+	r.GaugeFunc("bp_depth", "queue depth", func() float64 { return depth })
+	depth += 1.5
+	if got, _ := r.Value("bp_depth"); got != 42.5 {
 		t.Fatalf("gauge = %v, want 42.5", got)
 	}
-	g.Add(-42.5)
-	if got := g.Value(); got != 0 {
+	depth -= 42.5
+	if got, _ := r.Value("bp_depth"); got != 0 {
 		t.Fatalf("gauge = %v, want 0", got)
 	}
 }
@@ -54,14 +57,16 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("bp_ok_total", "fine")
-	expectPanic("duplicate", func() { r.Counter("bp_ok_total", "again") })
-	expectPanic("kind clash", func() { r.Gauge("bp_ok_total", "as gauge") })
-	expectPanic("bad name", func() { r.Counter("bad-name", "dashes") })
-	expectPanic("bad label", func() { r.Counter("bp_lbl_total", "l", L("bad-key", "v")) })
+	zero := func() uint64 { return 0 }
+	r.CounterFunc("bp_ok_total", "fine", zero)
+	expectPanic("duplicate", func() { r.CounterFunc("bp_ok_total", "again", zero) })
+	expectPanic("kind clash", func() { r.GaugeFunc("bp_ok_total", "as gauge", func() float64 { return 0 }) })
+	expectPanic("kind clash", func() { r.RegisterHistogram("bp_ok_total", "as histogram", NewHistogram()) })
+	expectPanic("bad name", func() { r.CounterFunc("bad-name", "dashes", zero) })
+	expectPanic("bad label", func() { r.CounterFunc("bp_lbl_total", "l", zero, L("bad-key", "v")) })
 	// Same name with distinct labels is one family, not a duplicate.
-	r.Counter("bp_labeled_total", "l", L("kind", "a"))
-	r.Counter("bp_labeled_total", "l", L("kind", "b"))
+	r.CounterFunc("bp_labeled_total", "l", zero, L("kind", "a"))
+	r.CounterFunc("bp_labeled_total", "l", zero, L("kind", "b"))
 }
 
 // sampleLine matches one Prometheus exposition sample line.
@@ -69,12 +74,13 @@ var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("bp_packets_total", "packets seen", L("decision", "allow"))
+	c := NewCounter()
+	r.CounterFunc("bp_packets_total", "packets seen", c.Value, L("decision", "allow"))
 	c.Add(7)
 	r.CounterFunc("bp_fn_total", "computed", func() uint64 { return 9 })
-	g := r.Gauge("bp_depth", "queue depth")
-	g.Set(3.5)
-	h := r.Histogram("bp_latency_ns", "latency")
+	r.GaugeFunc("bp_depth", "queue depth", func() float64 { return 3.5 })
+	h := NewHistogram()
+	r.RegisterHistogram("bp_latency_ns", "latency", h)
 	for _, v := range []int64{1, 100, 100, 5000, 1 << 40} {
 		h.Record(v)
 	}
@@ -142,9 +148,10 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestSnapshotFlattens(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bp_a_total", "a").Add(3)
+	r.CounterFunc("bp_a_total", "a", func() uint64 { return 3 })
 	r.GaugeFunc("bp_b", "b", func() float64 { return 1.25 })
-	h := r.Histogram("bp_c_ns", "c")
+	h := NewHistogram()
+	r.RegisterHistogram("bp_c_ns", "c", h)
 	h.Record(10)
 	samples := r.Snapshot()
 	if len(samples) != 3 {
@@ -163,10 +170,12 @@ func TestSnapshotFlattens(t *testing.T) {
 
 func TestRegistryValue(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bp_x_total", "x", L("kind", "a"), L("side", "in")).Add(2)
+	r.CounterFunc("bp_x_total", "x", func() uint64 { return 2 }, L("kind", "a"), L("side", "in"))
 	r.CounterFunc("bp_x_total", "x", func() uint64 { return 5 }, L("kind", "b"), L("side", "in"))
 	r.GaugeFunc("bp_g", "g", func() float64 { return 1.5 })
-	r.Histogram("bp_h_ns", "h").Record(7)
+	h := NewHistogram()
+	r.RegisterHistogram("bp_h_ns", "h", h)
+	h.Record(7)
 	for _, tc := range []struct {
 		name   string
 		labels []Label

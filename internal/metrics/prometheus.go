@@ -25,12 +25,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", fam.name, fam.kind)
 		for _, s := range fam.series {
 			switch {
-			case s.counter != nil:
-				writeLine(bw, fam.name, s.labels, "", "", strconv.FormatUint(s.counter.Value(), 10))
 			case s.counterFn != nil:
 				writeLine(bw, fam.name, s.labels, "", "", strconv.FormatUint(s.counterFn(), 10))
-			case s.gauge != nil:
-				writeLine(bw, fam.name, s.labels, "", "", formatFloat(s.gauge.Value()))
 			case s.gaugeFn != nil:
 				writeLine(bw, fam.name, s.labels, "", "", formatFloat(s.gaugeFn()))
 			case s.hist != nil:

@@ -44,8 +44,8 @@ type Model struct {
 	// Rules and Default are the policy.
 	Rules   []policy.Rule
 	Default policy.Verdict
-	// AllowUntagged and AllowUnknownApps mirror the enforcer's Config.
-	AllowUntagged, AllowUnknownApps bool
+	// AllowUntagged mirrors the enforcer's Config.
+	AllowUntagged bool
 	// Contextual says the gateway has a device-context source: risk rules
 	// are scored only then. Devices absent from Context have the zero
 	// (least trusted) context.
@@ -90,9 +90,6 @@ func (m *Model) Decide(pkt *ipv4.Packet) Verdict {
 		}
 	}
 	if !known {
-		if m.AllowUnknownApps {
-			return Verdict{Verdict: policy.VerdictAllow, App: tg.AppHash}
-		}
 		return Verdict{Verdict: policy.VerdictDrop, Cause: enforcer.DropUnknownApp, App: tg.AppHash}
 	}
 	v := Verdict{App: tg.AppHash}
