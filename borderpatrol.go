@@ -171,7 +171,7 @@ func FilePolicySource(path string) PolicySource {
 
 // HTTPPolicySource polls a policy endpoint with ETag conditional fetches.
 func HTTPPolicySource(url string) PolicySource {
-	return policystore.NewHTTPSource(url, nil)
+	return policystore.NewHTTPSource(url)
 }
 
 // StaticPolicySource wraps an inline policy document as a PolicySource.

@@ -22,13 +22,15 @@ type PolicyConfig struct {
 	Source PolicySource
 	// Poll is the hot-reload poll interval when Source is set; 0 disables
 	// background polling (ReloadPolicy still works). Successive polls are
-	// jittered ±20% so fleets don't thundering-herd the backend. For
-	// watch-capable sources Poll is the fallback interval used while the
-	// watch path is down.
+	// jittered ±20% so fleets don't thundering-herd the backend, and a
+	// failed poll doubles the wait (up to a minute). A fleet member's hub
+	// source parks a blocking watch instead, and uses Poll only as the
+	// backoff base after a failed round.
 	Poll time.Duration
-	// WatchTimeout bounds how long a watch-capable Source parks one
-	// long-poll round (0 selects the store default of 30s). A timeout
-	// counts as a healthy unchanged cycle, not staleness.
+	// WatchTimeout bounds how long a fleet member's hub source parks one
+	// watch round (0 selects the store default of 30s). A timeout counts
+	// as a healthy unchanged cycle, not staleness. The file, HTTP and
+	// static sources poll and ignore it.
 	WatchTimeout time.Duration
 	// MaxStale is the staleness deadline: when the store has not seen a
 	// healthy reload cycle for longer than this (in the network's virtual

@@ -37,7 +37,8 @@ type GatewaySpec struct {
 	Name string
 	// Subnet is the IPv4 prefix routed to this gateway (required). The
 	// gateway's provisioned device takes the subnet's first host address;
-	// pooled virtual devices start at the second.
+	// pooled virtual devices start at the second. Subnets must not overlap
+	// within a fleet.
 	Subnet netip.Prefix
 	// Groups are the policy groups this gateway's store compiles. Rules
 	// outside any group (the global section) always apply. A group absent
@@ -61,11 +62,11 @@ type FleetConfig struct {
 	Policy string
 	// Gateways describes the fleet members (at least one).
 	Gateways []GatewaySpec
-	// Poll is each store's fallback poll interval for when its watch path
-	// is down (0 = 5s default). The stores' watchers, which carry every
-	// PushPolicy, run whatever its value.
+	// Poll is each store's backoff base after a failed watch round (0 =
+	// 5s default). Healthy rounds re-park at once whatever its value, so
+	// every PushPolicy is carried by the in-process hub watch.
 	Poll time.Duration
-	// WatchTimeout bounds one long-poll park per store (0 = 30s default).
+	// WatchTimeout bounds one watch park per store (0 = 30s default).
 	WatchTimeout time.Duration
 	// MaxStale is each store's staleness deadline on the shared virtual
 	// clock (0 disables it); FailMode is the posture past the deadline.
@@ -83,9 +84,9 @@ type FleetConfig struct {
 // full Deployment — device, signature database, enforcer, sanitizer,
 // audit pipeline, policy store — sharing one virtual-time network that
 // routes each packet to its source subnet's gateway. Policy flows from a
-// single hub: each gateway's store long-polls the hub and compiles only
-// its groups' rules, so one PushPolicy reaches every gateway in one watch
-// round and no gateway ever holds another group's rules.
+// single in-process hub: each gateway's store watches the hub and compiles
+// only its groups' rules, so one PushPolicy reaches every gateway in one
+// watch round and no gateway ever holds another group's rules.
 type Fleet struct {
 	network     *netsim.Network
 	hub         *policystore.Hub
@@ -140,6 +141,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if !spec.Subnet.IsValid() || !spec.Subnet.Addr().Is4() {
 			closeBuilt()
 			return nil, fmt.Errorf("borderpatrol: gateway %q needs an IPv4 subnet, got %v", name, spec.Subnet)
+		}
+		// Overlapping subnets would provision two devices on one address and
+		// route the shared range to whichever gateway was added first.
+		for j, prev := range cfg.Gateways[:i] {
+			if prev.Subnet.Overlaps(spec.Subnet) {
+				closeBuilt()
+				return nil, fmt.Errorf("borderpatrol: gateway %q subnet %v overlaps gateway %q subnet %v",
+					name, spec.Subnet, f.deployments[j].name, prev.Subnet)
+			}
 		}
 		tcfg, err := testbedConfig(Config{
 			Policy: PolicyConfig{
@@ -206,7 +216,7 @@ func (f *Fleet) Metrics() *MetricsAggregate { return f.agg }
 // PolicyRev returns the hub's policy revision (1 is the seed document).
 func (f *Fleet) PolicyRev() uint64 { return f.hub.Rev() }
 
-// defaultFleetPoll is FleetConfig.Poll's zero-value fallback interval.
+// defaultFleetPoll is FleetConfig.Poll's zero-value default.
 const defaultFleetPoll = 5 * time.Second
 
 // pushTimeout bounds how long PushPolicy waits for every gateway's watch

@@ -207,3 +207,30 @@ func TestFleetAggregatedMetrics(t *testing.T) {
 		t.Errorf("TYPE emitted %d times", got)
 	}
 }
+
+// TestFleetRejectsOverlappingSubnets: two gateways on overlapping subnets
+// would provision their devices on one address and route the shared range
+// to the first gateway only, so NewFleet refuses them, identical or nested.
+func TestFleetRejectsOverlappingSubnets(t *testing.T) {
+	for name, second := range map[string]string{
+		"identical": "10.1.0.0/16",
+		"nested":    "10.1.2.0/24",
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := NewFleet(FleetConfig{
+				Policy: fleetPolicyV1,
+				Gateways: []GatewaySpec{
+					{Name: "gwA", Subnet: netip.MustParsePrefix("10.1.0.0/16"), Groups: []string{"eng"}},
+					{Name: "gwB", Subnet: netip.MustParsePrefix(second), Groups: []string{"sales"}},
+				},
+			})
+			if err == nil {
+				f.Close()
+				t.Fatalf("fleet with gwB on %s inside gwA's 10.1.0.0/16 built", second)
+			}
+			if !strings.Contains(err.Error(), "overlaps") {
+				t.Fatalf("error = %v, want a subnet overlap", err)
+			}
+		})
+	}
+}

@@ -32,7 +32,7 @@ type Policy struct {
 	// File and URL select the hot-reload backend (mutually exclusive).
 	File string
 	URL  string
-	// Poll is the store's fallback poll interval.
+	// Poll is the store's poll interval, doubled after each failed poll.
 	Poll time.Duration
 	// MaxStale arms the staleness deadline; FailModeName is the posture
 	// past it.
@@ -44,7 +44,7 @@ type Policy struct {
 func RegisterPolicy(fs *flag.FlagSet) *Policy {
 	p := &Policy{}
 	fs.StringVar(&p.File, "policy-file", "", "policy file with hot reload: edits apply without restart")
-	fs.StringVar(&p.URL, "policy-url", "", "policy HTTP endpoint with hot reload (ETag conditional fetches)")
+	fs.StringVar(&p.URL, "policy-url", "", "policy HTTP endpoint with hot reload: polled every -policy-poll with ETag conditional GETs")
 	fs.DurationVar(&p.Poll, "policy-poll", 2*time.Second, "hot-reload poll interval for -policy-file/-policy-url")
 	fs.DurationVar(&p.MaxStale, "policy-max-stale", 0, "staleness deadline before the store degrades per -fail-mode (0 = never)")
 	fs.StringVar(&p.FailModeName, "fail-mode", "static", "degraded posture past -policy-max-stale: static|open|closed")
@@ -75,7 +75,7 @@ func (p *Policy) Source(staticSet bool) (policystore.Source, policystore.FailMod
 	case p.File != "":
 		src = policystore.NewFileSource(p.File)
 	case p.URL != "":
-		src = policystore.NewHTTPSource(p.URL, nil)
+		src = policystore.NewHTTPSource(p.URL)
 	}
 	if p.MaxStale > 0 && src == nil {
 		return nil, failMode, errors.New("-policy-max-stale requires -policy-file or -policy-url")

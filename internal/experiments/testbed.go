@@ -94,10 +94,10 @@ type TestbedConfig struct {
 	PolicySource policystore.Source
 	// PolicyPoll starts background hot reload at this interval when > 0
 	// (manual Testbed.Policy.Reload() otherwise); for a watch-capable
-	// source it is the fallback interval while the watch is down. Requires
+	// source it is the backoff base after a failed watch round. Requires
 	// PolicySource.
 	PolicyPoll time.Duration
-	// PolicyWatchTimeout bounds one long-poll park of a watch-capable
+	// PolicyWatchTimeout bounds one watch park of a watch-capable
 	// PolicySource (0 selects the store default).
 	PolicyWatchTimeout time.Duration
 	// Faults arms the network with a deterministic fault plan at

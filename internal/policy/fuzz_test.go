@@ -18,7 +18,7 @@ import (
 // Seeds are the paper's §IV-B Snippet 1 examples plus grammar edge cases;
 // the committed corpus lives in testdata/fuzz/.
 
-// fuzzSeedRules are single-rule seed inputs shared by both targets.
+// fuzzSeedRules are single-rule seed inputs shared by the parser targets.
 var fuzzSeedRules = []string{
 	// The paper's Snippet 1 examples.
 	`{[deny][library]["com/flurry"]}`,
@@ -139,4 +139,58 @@ func FuzzParsePolicy(f *testing.F) {
 			t.Fatalf("parse-accepted rules failed to compile: %v\nrules: %+v", err, rules)
 		}
 	})
+}
+
+// FuzzParseGroupSet: a fleet's grouped document arrives by operator push,
+// so its splitter faces the wire too. A document ParseGroupSet accepts
+// must also be a flat document ParsePolicyString accepts with the same
+// rules (directives are comments to the flat parser), and Format must
+// render a document that reparses to the same rendering.
+func FuzzParseGroupSet(f *testing.F) {
+	f.Add("{[deny][library][\"com/global\"]}\n//@group a\n{[deny][library][\"com/a\"]}\n//@group b\n{[allow][class][\"com/b\"]}\n")
+	f.Add("//@group a\n{[deny][library]\n[\"com/split\"]}\n//@group a\n{[risk][network][\"unknown\"][60]}\n")
+	f.Add("{[deny][library][\"x\"]} //@group trailing\n")
+	f.Add("//@groups typo\n")
+	for _, s := range fuzzSeedRules {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		gs, err := ParseGroupSet(doc)
+		if err != nil {
+			return
+		}
+		flat, err := ParsePolicyString(doc)
+		if err != nil {
+			t.Fatalf("grouped document accepted, flat parse rejected: %v\ninput: %q", err, doc)
+		}
+		if grouped := gs.RulesFor(gs.Names()...); !sameRules(flat, grouped) {
+			t.Fatalf("grouped and flat rules differ:\n  flat:    %+v\n  grouped: %+v\ninput: %q", flat, grouped, doc)
+		}
+		formatted := gs.Format()
+		again, err := ParseGroupSet(formatted)
+		if err != nil {
+			t.Fatalf("formatted grouped document unparsable: %v\ninput: %q\nformatted: %q", err, doc, formatted)
+		}
+		if f2 := again.Format(); f2 != formatted {
+			t.Fatalf("Format not a fixpoint:\n  %q\n  %q", formatted, f2)
+		}
+	})
+}
+
+// sameRules reports whether two rule slices hold the same rules as a
+// multiset (order aside).
+func sameRules(a, b []Rule) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	n := make(map[Rule]int, len(a))
+	for _, r := range a {
+		n[r]++
+	}
+	for _, r := range b {
+		if n[r]--; n[r] < 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -11,7 +11,7 @@ import (
 // GroupScopedSource narrows a fleet-wide grouped policy document (see
 // policy.ParseGroupSet) to one gateway's shard: the global rules plus the
 // rules of the groups this gateway serves. The fleet controller publishes
-// ONE document; every gateway wraps the same backend in its own
+// ONE document on a Hub; every gateway wraps its own HubSource in a
 // GroupScopedSource and compiles only its slice, so a 100k-device fleet
 // never compiles a monolithic rule set per gateway.
 //
@@ -23,53 +23,35 @@ import (
 // version.
 //
 // Like every Source, an instance belongs to exactly one Store. It
-// forwards Watch to the inner backend when that backend supports it.
+// forwards Watch to the hub.
 type GroupScopedSource struct {
-	inner  Source
+	inner  *HubSource
 	groups []string
 
-	// lastInner memoizes the inner backend's version so conditional
-	// fetches (stat memos, ETags, hub revisions) keep working across the
-	// re-scoping: the store's prev token names the scoped version, not the
-	// backend's.
+	// lastInner memoizes the hub's version so a watch keeps parking across
+	// the re-scoping: the store's prev token names the scoped version, not
+	// the hub's.
 	lastInner     string
 	scopedDoc     string
 	scopedVersion string
 }
 
-// NewGroupScopedSource wraps inner, scoping it to the named groups.
-func NewGroupScopedSource(inner Source, groups ...string) *GroupScopedSource {
+// NewGroupScopedSource wraps a hub source, scoping it to the named groups.
+func NewGroupScopedSource(inner *HubSource, groups ...string) *GroupScopedSource {
 	return &GroupScopedSource{inner: inner, groups: append([]string(nil), groups...)}
 }
 
-// Fetch fetches the fleet document (conditionally, via the inner
-// backend's own memo) and returns this gateway's shard.
+// Fetch fetches the fleet document and returns this gateway's shard.
 func (s *GroupScopedSource) Fetch(prev string) (Candidate, bool, error) {
 	c, unchanged, err := s.inner.Fetch(s.lastInner)
 	return s.scope(prev, c, unchanged, err)
 }
 
-// Watch forwards a blocking watch to the inner backend and scopes the
-// result. A backend revision that does not touch this shard surfaces as
-// unchanged. Inner backends without watch support answer like Fetch;
-// the Store never takes the watch path for those (see watchCapable).
+// Watch parks a blocking watch on the hub and scopes the result. A hub
+// revision that does not touch this shard surfaces as unchanged.
 func (s *GroupScopedSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
-	w, ok := s.inner.(Watcher)
-	if !ok {
-		return s.Fetch(prev)
-	}
-	c, unchanged, err := w.Watch(s.lastInner, timeout, cancel)
+	c, unchanged, err := s.inner.Watch(s.lastInner, timeout, cancel)
 	return s.scope(prev, c, unchanged, err)
-}
-
-// watchCapable reports whether the inner backend really supports watch,
-// so a Store wrapping a poll-only backend stays on the poll loop.
-func (s *GroupScopedSource) watchCapable() bool {
-	if p, ok := s.inner.(watchProbe); ok {
-		return p.watchCapable()
-	}
-	_, ok := s.inner.(Watcher)
-	return ok
 }
 
 // scope turns an inner fetch result into this gateway's shard.
@@ -85,11 +67,6 @@ func (s *GroupScopedSource) scope(prev string, c Candidate, unchanged bool, err 
 		s.lastInner = c.Version
 		s.scopedDoc = gs.DocFor(s.groups...)
 		s.scopedVersion = "group:" + contentVersion([]byte(s.scopedDoc))
-	}
-	if s.scopedVersion == "" {
-		// Inner reported unchanged before our first full fetch — only
-		// possible with a misbehaving backend; force a refetch next cycle.
-		return Candidate{}, false, fmt.Errorf("policystore: %s: unchanged before first fetch", s.inner)
 	}
 	if prev != "" && prev == s.scopedVersion {
 		return Candidate{}, true, nil

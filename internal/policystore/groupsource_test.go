@@ -29,7 +29,7 @@ func assertNoForeignRules(t *testing.T, eng *policy.Engine, foreign string) {
 func TestGroupScopedSourceScopes(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(NewStaticSource(fleetDocV1), "alpha"),
+		Source: NewGroupScopedSource(NewHub(fleetDocV1).Source(), "alpha"),
 		Engine: eng,
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
 func TestGroupScopedSourceMultipleGroups(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(NewStaticSource(fleetDocV1), "alpha", "beta"),
+		Source: NewGroupScopedSource(NewHub(fleetDocV1).Source(), "alpha", "beta"),
 		Engine: eng,
 	})
 	if err != nil {

@@ -1,12 +1,14 @@
 // Package policystore feeds BorderPatrol's compiled policy engine from
 // pluggable backends, realizing the paper's central-reconfiguration design
 // goal (§IV): administrators update policies at the gateway — a file an
-// operator edits, an HTTP endpoint a fleet controller serves, or a static
-// inline document — and the running deployment picks the change up without
-// restarting or stalling traffic.
+// operator edits, an HTTP endpoint a fleet controller serves, a static
+// inline document, or an in-process fleet Hub — and the running
+// deployment picks the change up without restarting or stalling traffic.
 //
-// A Source produces candidate policy documents with a version token; the
-// Store polls its Source, parses and compiles each changed candidate off
+// A Source produces candidate policy documents with a version token. The
+// Store's one reload loop polls its Source (file stat memo, HTTP
+// conditional GET), or parks a blocking watch when the Source is a
+// Watcher (the Hub). It parses and compiles each changed candidate off
 // the enforcement hot path, and publishes it with policy.Engine.SetRules —
 // an atomic pointer swap whose generation bump self-invalidates every
 // cached flow verdict (see internal/flowtable). Packets therefore never
@@ -125,23 +127,16 @@ type Config struct {
 	Source Source
 	// Engine receives each compiled rule set via SetRules. Required.
 	Engine *policy.Engine
-	// Poll is the background reload interval; <= 0 disables the poller
-	// (Reload can still be called manually). For watch-capable Sources it
-	// is the fallback polling interval used while the watch path is
-	// broken.
+	// Poll is the background reload interval; <= 0 disables the reload
+	// loop (Reload can still be called manually). A Watcher source parks
+	// a blocking watch instead of polling, and uses Poll only as the
+	// backoff base after a failed round.
 	Poll time.Duration
 	// WatchTimeout bounds each blocking watch round for Sources that
 	// implement Watcher (default 30s). A round that times out counts as a
 	// healthy unchanged cycle — an idle fleet holds its staleness deadline
 	// open on watch timeouts alone.
 	WatchTimeout time.Duration
-	// MaxBackoff caps the poller's exponential error backoff (default 1m,
-	// never below Poll).
-	MaxBackoff time.Duration
-	// OnApply, when set, observes every applied rule set (logging hook).
-	// Called from the reloading goroutine; must not call back into the
-	// Store.
-	OnApply func(version string, rules []policy.Rule)
 	// MaxStale is the staleness deadline: when the last successful cycle
 	// (applied or unchanged) is older than this, the store degrades the
 	// engine per FailMode. Zero disables staleness tracking's degradation
@@ -163,7 +158,7 @@ type Config struct {
 type Store struct {
 	cfg Config
 
-	// reloadMu serializes reload cycles (manual Reload vs the poller), so
+	// reloadMu serializes reload cycles (manual Reload vs the loop), so
 	// two concurrent fetches can never apply out of order.
 	reloadMu sync.Mutex
 
@@ -184,9 +179,8 @@ type Store struct {
 	// degradedEnters counts trips of the staleness deadline into FailMode.
 	degradedEnters atomic.Uint64
 	// watchRounds counts completed watch rounds (applies, changes for other
-	// shards, and timeouts alike); watchFallbacks the watch errors that
-	// dropped the store back to plain polling for a round.
-	watchRounds, watchFallbacks atomic.Uint64
+	// shards, and timeouts alike).
+	watchRounds atomic.Uint64
 
 	// swapLatency times successful applies end to end: fetch through the
 	// engine's atomic swap. All on the reload goroutine, never on traffic.
@@ -208,12 +202,6 @@ func New(cfg Config) (*Store, error) {
 	}
 	if cfg.Engine == nil {
 		return nil, errors.New("policystore: Config.Engine is required")
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Minute
-	}
-	if cfg.MaxBackoff < cfg.Poll {
-		cfg.MaxBackoff = cfg.Poll
 	}
 	return &Store{
 		cfg:         cfg,
@@ -243,17 +231,16 @@ func (s *Store) Load() error {
 // Reload runs one reload cycle: fetch, and — if the document changed —
 // parse, compile, and atomically swap. Returns whether a new rule set was
 // applied. On error the last-good rules keep serving and the failure is
-// counted. Safe to call concurrently with the poller and with traffic.
+// counted. Safe to call concurrently with the reload loop and with traffic.
 func (s *Store) Reload() (applied bool, err error) {
 	return s.reloadWith(s.cfg.Source.Fetch, false)
 }
 
-// reloadWith is Reload with a pluggable fetch step: the poll loop passes
-// Source.Fetch, the watch loop passes a blocking Watcher.Watch round
-// (parked=true, so the hold time spent waiting for a change is excluded
-// from the swap-latency histogram). Everything downstream of the fetch —
-// parse, compile, swap, accounting, staleness — is identical on both
-// paths.
+// reloadWith is Reload with a pluggable fetch step: Source.Fetch, or a
+// blocking Watcher.Watch round (parked=true, so the hold time spent
+// waiting for a change is excluded from the swap-latency histogram).
+// Everything downstream of the fetch — parse, compile, swap, accounting,
+// staleness — is identical on both paths.
 func (s *Store) reloadWith(fetch func(prev string) (Candidate, bool, error), parked bool) (applied bool, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -300,9 +287,6 @@ func (s *Store) reloadWith(fetch func(prev string) (Candidate, bool, error), par
 	s.applied.Add(1)
 	s.swapLatency.Record(time.Since(cycleStart).Nanoseconds())
 	s.markGood()
-	if s.cfg.OnApply != nil {
-		s.cfg.OnApply(c.Version, rules)
-	}
 	return true, nil
 }
 
@@ -327,8 +311,8 @@ func (s *Store) markGood() {
 // the engine in or out of degraded mode per FailMode, reporting whether the
 // store is currently degraded. Reload calls it after every cycle; harnesses
 // with a virtual clock (or deployments that want staleness enforced even
-// when the poller is wedged) may also call it directly — it is cheap and
-// idempotent.
+// when the reload loop is wedged) may also call it directly — it is cheap
+// and idempotent.
 func (s *Store) CheckStale() bool {
 	if s.cfg.MaxStale <= 0 || s.cfg.FailMode == FailStatic {
 		return false
@@ -370,23 +354,15 @@ func (s *Store) Degraded() bool {
 	return s.degraded
 }
 
-// Start launches the background reloader (a no-op when Config.Poll <= 0).
-// Watch-capable Sources get the blocking watch loop — a fleet-wide change
-// wakes the store immediately, and idle rounds cost one held connection
-// per WatchTimeout instead of a poll per Poll. Everything else gets the
-// jittered poller. Poll errors back off exponentially up to MaxBackoff
-// and reset on the next clean cycle.
+// Start launches the background reload loop (a no-op when Config.Poll
+// <= 0).
 func (s *Store) Start() {
 	if s.cfg.Poll <= 0 {
 		return
 	}
 	s.startOne.Do(func() {
 		s.started.Store(true)
-		if w, ok := watchable(s.cfg.Source); ok {
-			go s.watchLoop(w)
-			return
-		}
-		go s.pollLoop()
+		go s.run()
 	})
 }
 
@@ -401,75 +377,65 @@ func jitter(d time.Duration) time.Duration {
 	return d*4/5 + time.Duration(rand.Int64N(int64(d)*2/5+1))
 }
 
-func (s *Store) pollLoop() {
-	defer close(s.done)
-	interval := s.cfg.Poll
-	timer := time.NewTimer(jitter(interval))
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-		}
-		if _, err := s.Reload(); err != nil {
-			interval = min(interval*2, s.cfg.MaxBackoff)
-		} else {
-			interval = s.cfg.Poll
-		}
-		timer.Reset(jitter(interval))
-	}
-}
+const (
+	// defaultWatchTimeout bounds a watch round when Config.WatchTimeout is
+	// unset.
+	defaultWatchTimeout = 30 * time.Second
+	// maxBackoff caps the wait after consecutive failed rounds (never
+	// below Poll).
+	maxBackoff = time.Minute
+)
 
-// defaultWatchTimeout bounds a watch round when Config.WatchTimeout is
-// unset.
-const defaultWatchTimeout = 30 * time.Second
-
-// watchLoop parks a blocking watch on the backend and applies whatever
-// each round returns. A round that errors drops the store back to one
-// plain jittered poll (with the poller's usual backoff on consecutive
-// errors), then retries the watch — so a dead long-poll path degrades to
-// exactly the polling behaviour, and staleness only trips if the plain
-// fetches fail too.
-func (s *Store) watchLoop(w Watcher) {
+// run is the store's reload loop. Each round is a blocking Watch when the
+// Source is a Watcher — a fleet-wide change wakes the store at once, and
+// an idle round costs one parked wait per WatchTimeout — and a plain
+// Fetch otherwise. A watch round that succeeded re-parks at once; a fetch
+// round, or any failed round, is followed by a jittered wait of Poll,
+// doubled after each consecutive failure up to maxBackoff and reset by
+// the next clean round.
+func (s *Store) run() {
 	defer close(s.done)
-	timeout := s.cfg.WatchTimeout
-	if timeout <= 0 {
-		timeout = defaultWatchTimeout
+	fetch := s.cfg.Source.Fetch
+	w, watch := s.cfg.Source.(Watcher)
+	if watch {
+		timeout := s.cfg.WatchTimeout
+		if timeout <= 0 {
+			timeout = defaultWatchTimeout
+		}
+		fetch = func(prev string) (Candidate, bool, error) { return w.Watch(prev, timeout, s.stop) }
 	}
-	interval := s.cfg.Poll
+	wait := s.cfg.Poll
+	rest := !watch // Load has just fetched; a poller waits before its first round
 	for {
+		if rest {
+			timer := time.NewTimer(jitter(wait))
+			select {
+			case <-s.stop:
+				timer.Stop()
+				return
+			case <-timer.C:
+			}
+		}
 		select {
 		case <-s.stop:
 			return
 		default:
 		}
-		_, err := s.reloadWith(func(prev string) (Candidate, bool, error) {
-			return w.Watch(prev, timeout, s.stop)
-		}, true)
-		if err == nil {
-			s.watchRounds.Add(1)
-			interval = s.cfg.Poll
-			continue
-		}
-		s.watchFallbacks.Add(1)
-		timer := time.NewTimer(jitter(interval))
-		select {
-		case <-s.stop:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		if _, err := s.Reload(); err != nil {
-			interval = min(interval*2, s.cfg.MaxBackoff)
+		_, err := s.reloadWith(fetch, watch)
+		if err != nil {
+			wait = min(wait*2, max(maxBackoff, s.cfg.Poll))
 		} else {
-			interval = s.cfg.Poll
+			wait = s.cfg.Poll
+			if watch {
+				s.watchRounds.Add(1)
+			}
 		}
+		rest = err != nil || !watch
 	}
 }
 
-// Close stops the poller and waits for it to exit. Idempotent; the engine
-// keeps serving the last applied rules.
+// Close stops the reload loop and waits for it to exit. Idempotent; the
+// engine keeps serving the last applied rules.
 func (s *Store) Close() {
 	s.stopOne.Do(func() { close(s.stop) })
 	if s.started.Load() {
@@ -492,9 +458,6 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_policy_watch_rounds_total",
 		"Completed blocking watch rounds (applies, other-shard revisions, and idle timeouts).",
 		s.watchRounds.Load)
-	r.CounterFunc("bp_policy_watch_fallbacks_total",
-		"Watch rounds that errored and fell back to a plain poll.",
-		s.watchFallbacks.Load)
 	r.GaugeFunc("bp_policy_staleness_age_seconds",
 		"Age of the last successful reload cycle.",
 		func() float64 { return s.LastGoodAge().Seconds() })

@@ -1,12 +1,10 @@
 package policystore
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -104,14 +102,13 @@ func (s *FileSource) Fetch(prev string) (Candidate, bool, error) {
 // String describes the backend.
 func (s *FileSource) String() string { return "file:" + s.path }
 
-// HTTPSource pulls a policy document from an HTTP(S) endpoint with
-// ETag/If-None-Match conditional fetches: a fleet controller serves the
+// HTTPSource polls a policy document from an HTTP(S) endpoint with
+// ETag/If-None-Match conditional GETs: a fleet controller serves the
 // policy once and every unchanged poll costs a 304 with no body. Transport
 // errors and non-200/304 statuses are reported to the Store, which keeps
 // the last-good rules and backs off.
 type HTTPSource struct {
-	url    string
-	client *http.Client
+	url string
 	// etag is the validator from the last 200 response, replayed as
 	// If-None-Match on later polls. Like FileSource's stat memo, it also
 	// covers a candidate the Store rejected: a broken push is fetched and
@@ -121,14 +118,12 @@ type HTTPSource struct {
 	etag string
 }
 
-// NewHTTPSource builds a Source over an URL. client may be nil (a default
-// client with a 10s timeout is used).
-func NewHTTPSource(url string, client *http.Client) *HTTPSource {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &HTTPSource{url: url, client: client}
-}
+// httpClient bounds every policy fetch, so a hung endpoint costs the
+// reload loop one failed round rather than wedging it.
+var httpClient = &http.Client{Timeout: 10 * time.Second}
+
+// NewHTTPSource builds a Source over an URL.
+func NewHTTPSource(url string) *HTTPSource { return &HTTPSource{url: url} }
 
 // Fetch issues a conditional GET.
 func (s *HTTPSource) Fetch(prev string) (Candidate, bool, error) {
@@ -136,62 +131,10 @@ func (s *HTTPSource) Fetch(prev string) (Candidate, bool, error) {
 	if err != nil {
 		return Candidate{}, false, fmt.Errorf("policystore: %w", err)
 	}
-	return s.roundTrip(s.client, req, prev)
-}
-
-// Watch issues a long-poll GET: ?watch=<timeout> asks the endpoint (see
-// Hub.Handler for the contract) to hold an If-None-Match match open until
-// a new revision lands or the hold expires, which then answers 304. The
-// request runs on a clone of the configured client with the overall
-// client timeout lifted — the context bounds the hold instead — so the
-// default 10s Fetch client does not kill a 30s watch mid-hold. Endpoints
-// that ignore the watch parameter just answer immediately, which the
-// Store's watch loop tolerates (each answer is a valid cycle).
-func (s *HTTPSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
-	// Grace covers response transfer after a full-length hold.
-	ctx, cancelCtx := context.WithTimeout(context.Background(), timeout+10*time.Second)
-	defer cancelCtx()
-	if cancel != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-cancel:
-				cancelCtx()
-			case <-done:
-			}
-		}()
-	}
-	sep := "?"
-	if strings.Contains(s.url, "?") {
-		sep = "&"
-	}
-	url := s.url + sep + "watch=" + timeout.String()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: %w", err)
-	}
-	watchClient := *s.client
-	watchClient.Timeout = 0
-	c, unchanged, err := s.roundTrip(&watchClient, req, prev)
-	if err != nil && cancel != nil {
-		select {
-		case <-cancel:
-			// Shutdown raced the request; report a quiet idle round.
-			return Candidate{}, true, nil
-		default:
-		}
-	}
-	return c, unchanged, err
-}
-
-// roundTrip sends the (possibly conditional) request and decodes the
-// fetch contract from the response.
-func (s *HTTPSource) roundTrip(client *http.Client, req *http.Request, prev string) (Candidate, bool, error) {
 	if s.etag != "" && prev != "" {
 		req.Header.Set("If-None-Match", s.etag)
 	}
-	resp, err := client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return Candidate{}, false, fmt.Errorf("policystore: fetch: %w", err)
 	}

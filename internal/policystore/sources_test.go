@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -161,7 +162,7 @@ func TestHTTPSourceETag(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	src := NewHTTPSource(srv.URL, srv.Client())
+	src := NewHTTPSource(srv.URL)
 	c, unchanged, err := src.Fetch("")
 	if err != nil || unchanged || c.Doc != docA {
 		t.Fatalf("first fetch: %+v unchanged=%v err=%v", c, unchanged, err)
@@ -198,7 +199,7 @@ func TestHTTPSourceNoETagFallsBackToContentHash(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	src := NewHTTPSource(srv.URL, srv.Client())
+	src := NewHTTPSource(srv.URL)
 	c, unchanged, err := src.Fetch("")
 	if err != nil || unchanged {
 		t.Fatalf("first fetch: unchanged=%v err=%v", unchanged, err)
@@ -218,7 +219,7 @@ func TestHTTPSourceErrorStatuses(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	src := NewHTTPSource(srv.URL, srv.Client())
+	src := NewHTTPSource(srv.URL)
 	if _, _, err := src.Fetch(""); err == nil {
 		t.Fatal("500 fetch succeeded")
 	}
@@ -226,5 +227,44 @@ func TestHTTPSourceErrorStatuses(t *testing.T) {
 	srv.Close()
 	if _, _, err := src.Fetch(""); err == nil {
 		t.Fatal("fetch against a dead server succeeded")
+	}
+}
+
+// TestHTTPStorePollsAtPollRate: a store over a plain HTTP endpoint — one
+// that answers conditional GETs with 304 and ignores any ?watch= query —
+// must poll at its Poll cadence, not re-request as fast as the server
+// answers.
+func TestHTTPStorePollsAtPollRate(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if r.Header.Get("If-None-Match") == `"v1"` {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Header().Set("ETag", `"v1"`)
+		w.Write([]byte(docA))
+	}))
+	defer srv.Close()
+
+	st, err := New(Config{Source: NewHTTPSource(srv.URL), Engine: newEngine(t), Poll: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Load(); err != nil {
+		t.Fatal(err)
+	}
+	before := requests.Load()
+	st.Start()
+	time.Sleep(500 * time.Millisecond)
+	st.Close()
+	// ~10 polls at 50ms ± 20% jitter; 20 leaves room for a slow runner.
+	n := requests.Load() - before
+	if n == 0 || n > 20 {
+		t.Fatalf("requests in 500ms at Poll 50ms = %d, want 1..20", n)
+	}
+	t.Logf("%d requests in 500ms at Poll 50ms", n)
+	if n := reloads(st, "failed"); n != 0 {
+		t.Fatalf("failed rounds = %d, want 0", n)
 	}
 }

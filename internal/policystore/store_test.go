@@ -203,10 +203,9 @@ func (f *failingSource) String() string { return "failing" }
 func TestStorePollerBacksOffOnErrors(t *testing.T) {
 	src := &failingSource{fetches: make(chan time.Time, 64)}
 	st, err := New(Config{
-		Source:     src,
-		Engine:     newEngine(t),
-		Poll:       time.Millisecond,
-		MaxBackoff: 250 * time.Millisecond,
+		Source: src,
+		Engine: newEngine(t),
+		Poll:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,22 +2,17 @@ package policystore
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 )
 
 // This file adds the push half of fleet policy distribution. Polling
 // alone makes a fleet-wide change cost N staggered rounds (jittered
-// deliberately — see jitter); a watch-capable backend lets every
-// gateway's store park a blocking long-poll and have ONE controller
-// revision wake them all, so the change propagates in a single round.
-//
-// The Store prefers the watch loop whenever its Source implements
-// Watcher, and degrades to plain polling the moment a watch round errors
-// (connection dropped, proxy killed the hold, backend restarting) —
-// watch is an optimization, never a new availability dependency.
+// deliberately — see jitter); the in-process Hub lets every gateway's
+// store park a blocking watch and have ONE revision wake them all, so the
+// change propagates in a single round. A Store takes the watch path
+// whenever its Source implements Watcher; a failed watch round backs off
+// like a failed poll (see Store.run).
 
 // Watcher is an optional Source extension for backends that can block
 // until the document changes. Watch has Fetch semantics — prev is the
@@ -30,33 +25,10 @@ type Watcher interface {
 	Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error)
 }
 
-// watchProbe lets a wrapping source report whether its backend actually
-// supports watch, so implementing Watcher structurally (as wrappers must)
-// does not force the Store onto the watch path over a poll-only backend.
-type watchProbe interface{ watchCapable() bool }
-
-// watchable reports the Source as a Watcher when the watch path is real.
-func watchable(src Source) (Watcher, bool) {
-	w, ok := src.(Watcher)
-	if !ok {
-		return nil, false
-	}
-	if p, ok := src.(watchProbe); ok && !p.watchCapable() {
-		return nil, false
-	}
-	return w, true
-}
-
-// maxWatchHold caps how long Hub.Handler will hold a long-poll open, so a
-// client asking for an absurd hold cannot pin a connection for hours.
-const maxWatchHold = 5 * time.Minute
-
 // Hub is an in-process fleet policy control plane: one authoritative
 // grouped document, revisioned on every Set, fanned out to any number of
-// gateways. Gateways consume it either directly (Source, zero-copy
-// in-process) or over HTTP (Handler, which HTTPSource polls and watches).
-// Both paths support blocking watch, so a fleet-wide Set wakes every
-// parked gateway at once.
+// gateways in the same process. Each gateway's store watches its own
+// Source, so a fleet-wide Set wakes every parked gateway at once.
 type Hub struct {
 	mu      sync.Mutex
 	doc     string
@@ -155,52 +127,3 @@ func (s *HubSource) Watch(prev string, timeout time.Duration, cancel <-chan stru
 
 // String describes the backend.
 func (s *HubSource) String() string { return "hub" }
-
-// Handler serves the hub over HTTP in the shape HTTPSource speaks:
-// ETag/If-None-Match conditional GETs, plus an optional ?watch=<duration>
-// long-poll — a request whose If-None-Match matches the current revision
-// is held (up to the requested duration, capped at 5m) until a new
-// revision lands, then answered; an expired hold answers 304 with an
-// empty body, exactly like an unchanged conditional poll.
-func (h *Hub) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var hold time.Duration
-		if v := r.URL.Query().Get("watch"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				http.Error(w, "bad watch duration", http.StatusBadRequest)
-				return
-			}
-			hold = min(d, maxWatchHold)
-		}
-		inm := r.Header.Get("If-None-Match")
-		doc, version, changed := h.state()
-		if hold > 0 && inm == etagFor(version) {
-			timer := time.NewTimer(hold)
-			select {
-			case <-changed:
-				doc, version, _ = h.state()
-			case <-timer.C:
-			case <-r.Context().Done():
-			}
-			timer.Stop()
-		}
-		if inm == etagFor(version) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("ETag", etagFor(version))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.Method == http.MethodHead {
-			return
-		}
-		io.WriteString(w, doc)
-	})
-}
-
-// etagFor renders a hub version as a strong ETag.
-func etagFor(version string) string { return `"` + version + `"` }

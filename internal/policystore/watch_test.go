@@ -2,9 +2,8 @@ package policystore
 
 import (
 	"errors"
-	"net/http/httptest"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,38 +75,6 @@ func TestHubSourceWatchWakesOnSet(t *testing.T) {
 	}
 }
 
-func TestHTTPSourceWatchLongPoll(t *testing.T) {
-	h := NewHub(docA)
-	srv := httptest.NewServer(h.Handler())
-	defer srv.Close()
-	src := NewHTTPSource(srv.URL, nil)
-
-	c, unchanged, err := src.Fetch("")
-	if err != nil || unchanged || c.Doc != docA {
-		t.Fatalf("initial fetch: %+v %v %v", c, unchanged, err)
-	}
-	// Idle long-poll expires into an unchanged 304.
-	if _, unchanged, err := src.Watch(c.Version, 50*time.Millisecond, nil); err != nil || !unchanged {
-		t.Fatalf("idle watch: unchanged=%v err=%v", unchanged, err)
-	}
-	// A Set during (or just before) the hold is delivered.
-	type res struct {
-		c         Candidate
-		unchanged bool
-		err       error
-	}
-	got := make(chan res, 1)
-	go func() {
-		c, u, err := src.Watch(c.Version, 30*time.Second, nil)
-		got <- res{c, u, err}
-	}()
-	h.Set(docB)
-	r := <-got
-	if r.err != nil || r.unchanged || r.c.Doc != docB {
-		t.Fatalf("watch after Set: %+v", r)
-	}
-}
-
 // TestStoreWatchPropagatesInOneRound is the push property the fleet
 // relies on: one hub Set reaches every watching store in exactly one
 // additional reload cycle — no polling rounds, no sleeps; asserted via
@@ -155,90 +122,59 @@ func TestStoreWatchPropagatesInOneRound(t *testing.T) {
 		if n, unchanged, failed := rounds(), reloads(st, "unchanged"), reloads(st, "failed"); n != 1 || unchanged != 0 || failed != 0 {
 			t.Errorf("store %d: change took more than one watch round: rounds/unchanged/failed = %d/%d/%d", i, n, unchanged, failed)
 		}
-		if n := count(st, "bp_policy_watch_fallbacks_total"); n != 0 {
-			t.Errorf("store %d: %d watch fallbacks", i, n)
-		}
 		if got := engines[i].Generation(); got != gens[i]+1 {
 			t.Errorf("store %d: generation = %d, want exactly %d+1", i, got, gens[i])
 		}
 	}
 }
 
-// brokenWatchSource serves a document fine over Fetch but errors every
-// Watch, modelling a proxy or LB that kills long-polls.
-type brokenWatchSource struct {
-	mu  sync.Mutex
-	doc string
+// downSource fails every Watch and every Fetch, modelling a control
+// plane that is down.
+type downSource struct{ watches, fetches atomic.Int64 }
+
+func (d *downSource) Fetch(prev string) (Candidate, bool, error) {
+	d.fetches.Add(1)
+	return Candidate{}, false, errors.New("connection refused")
 }
 
-func (b *brokenWatchSource) Fetch(prev string) (Candidate, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v := contentVersion([]byte(b.doc))
-	if prev == v {
-		return Candidate{}, true, nil
-	}
-	return Candidate{Doc: b.doc, Version: v}, false, nil
+func (d *downSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
+	d.watches.Add(1)
+	return Candidate{}, false, errors.New("connection refused")
 }
 
-func (b *brokenWatchSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
-	return Candidate{}, false, errors.New("long-poll connection reset")
-}
+func (d *downSource) String() string { return "down" }
 
-func (b *brokenWatchSource) String() string { return "broken-watch" }
-
-// TestWatchDisconnectFallsBackToPollingWithoutStaleness: when the watch
-// path is dead but plain fetches work, the store must keep itself fresh
-// through the poll fallback — the staleness deadline never trips and the
-// engine never degrades.
-func TestWatchDisconnectFallsBackToPollingWithoutStaleness(t *testing.T) {
-	eng := newEngine(t)
-	src := &brokenWatchSource{doc: docA}
-	now := new(time.Duration)
-	var mu sync.Mutex // guards *now against the poller's CheckStale reads
+// TestFailingWatchBacksOff: a watch round that fails is followed by the
+// same doubling backoff as a failed poll, so a dead control plane is not
+// hot-looped, and every failed round is counted.
+func TestFailingWatchBacksOff(t *testing.T) {
+	src := &downSource{}
 	st, err := New(Config{
 		Source:       src,
-		Engine:       eng,
+		Engine:       newEngine(t),
 		Poll:         time.Millisecond,
 		WatchTimeout: time.Millisecond,
-		MaxStale:     time.Minute,
-		FailMode:     FailClosed,
-		Now: func() time.Duration {
-			mu.Lock()
-			defer mu.Unlock()
-			return *now
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if err := st.Load(); err != nil {
-		t.Fatal(err)
-	}
 	st.Start()
-	// Walk virtual time well past MaxStale in sub-deadline steps, letting
-	// at least one fallback poll land in each step. Every successful poll
-	// re-arms the deadline, so the store must never degrade.
-	for step := 0; step < 10; step++ {
-		polls := reloads(st, "")
-		eventually(t, "fallback poll", func() bool { return reloads(st, "") >= polls+2 })
-		mu.Lock()
-		*now += 30 * time.Second
-		mu.Unlock()
+	time.Sleep(120 * time.Millisecond)
+	st.Close()
+
+	n := src.watches.Load()
+	// 120ms at a flat 1ms cadence would be ~100+ rounds; the backoff
+	// (2,4,8,16,32,64ms) keeps it near 6.
+	if n == 0 || n > 30 {
+		t.Fatalf("watch rounds in 120ms = %d, want backoff-limited (1..30)", n)
 	}
-	if count(st, "bp_policy_watch_fallbacks_total") == 0 {
-		t.Fatal("watch never fell back to polling")
+	if f := src.fetches.Load(); f != 0 {
+		t.Fatalf("%d plain fetches, want every round on the watch", f)
 	}
-	if n := count(st, "bp_policy_degraded_enters_total"); st.Degraded() || n != 0 {
-		t.Fatalf("staleness tripped during watch fallback: degraded %v, %d enters", st.Degraded(), n)
+	if failed := reloads(st, "failed"); failed != uint64(n) || st.LastError() == "" {
+		t.Fatalf("failed %d of %d rounds, last error %q", failed, n, st.LastError())
 	}
-	if _, degraded := eng.Degraded(); degraded {
-		t.Fatal("engine degraded during watch fallback")
+	if r := count(st, "bp_policy_watch_rounds_total"); r != 0 {
+		t.Fatalf("watch rounds completed = %d, want 0", r)
 	}
-	// The fallback path still applies real changes.
-	src.mu.Lock()
-	src.doc = docB
-	src.mu.Unlock()
-	eventually(t, "fallback apply", func() bool { return reloads(st, "applied") == 2 })
 }
