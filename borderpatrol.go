@@ -253,21 +253,20 @@ func testbedConfig(cfg Config) (experiments.TestbedConfig, error) {
 		}
 	}
 	return experiments.TestbedConfig{
-		Rules:              rules,
-		DefaultVerdict:     cfg.Policy.DefaultVerdict,
-		EnforcementOn:      true,
-		AllowUntagged:      cfg.Policy.AllowUntagged,
-		GatewayWorkers:     cfg.Flow.Workers,
-		AuditWriter:        cfg.Audit.Writer,
-		PolicySource:       cfg.Policy.Source,
-		PolicyPoll:         cfg.Policy.Poll,
-		PolicyWatchTimeout: cfg.Policy.WatchTimeout,
-		PolicyMaxStale:     cfg.Policy.MaxStale,
-		PolicyFailMode:     cfg.Policy.FailMode,
-		PolicyVirtualTime:  true,
-		Faults:             cfg.Net.Faults,
-		FlowTTL:            cfg.Flow.TTL,
-		DeviceAddr:         cfg.Net.DeviceAddr,
+		Rules:             rules,
+		DefaultVerdict:    cfg.Policy.DefaultVerdict,
+		EnforcementOn:     true,
+		AllowUntagged:     cfg.Policy.AllowUntagged,
+		GatewayWorkers:    cfg.Flow.Workers,
+		AuditWriter:       cfg.Audit.Writer,
+		PolicySource:      cfg.Policy.Source,
+		PolicyPoll:        cfg.Policy.Poll,
+		PolicyMaxStale:    cfg.Policy.MaxStale,
+		PolicyFailMode:    cfg.Policy.FailMode,
+		PolicyVirtualTime: true,
+		Faults:            cfg.Net.Faults,
+		FlowTTL:           cfg.Flow.TTL,
+		DeviceAddr:        cfg.Net.DeviceAddr,
 	}, nil
 }
 
@@ -335,6 +334,8 @@ func (d *Deployment) PolicyStatus() (version, lastError string) {
 // SetFaults installs (or replaces) a deterministic wire-fault plan on the
 // deployment's network. The plan applies to gateway-bound traffic; VPN and
 // mobile routes bypass it, like chaos injected on the corporate segment.
+// A fleet's gateways share one network, so on a fleet member it arms the
+// wire for every gateway of the fleet.
 func (d *Deployment) SetFaults(plan FaultPlan) {
 	d.tb.Network.InstallFaults(plan)
 }

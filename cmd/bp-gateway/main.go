@@ -60,7 +60,7 @@ func run() error {
 	contextFlags := cliflags.RegisterContext(flag.CommandLine)
 	flag.Parse()
 
-	policySource, failMode, err := policyFlags.Source(*policyPath != "")
+	policySource, poll, failMode, err := policyFlags.Source(*policyPath != "")
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func run() error {
 		GatewayWorkers: *workers,
 		AuditWriter:    auditW,
 		PolicySource:   policySource,
-		PolicyPoll:     policyFlags.Poll,
+		PolicyPoll:     poll,
 		PolicyMaxStale: policyFlags.MaxStale,
 		PolicyFailMode: failMode,
 	})
@@ -119,7 +119,7 @@ func run() error {
 	}
 	if tb.Policy != nil {
 		fmt.Printf("policy store: %d rules from %s (revision %s, hot reload every %s)\n",
-			count("bp_policy_rules"), policySource, tb.Policy.Version(), policyFlags.Poll)
+			count("bp_policy_rules"), policySource, tb.Policy.Version(), poll)
 		if policyFlags.MaxStale > 0 {
 			fmt.Printf("  staleness deadline %s, fail mode %s\n", policyFlags.MaxStale, failMode)
 		}

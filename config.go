@@ -20,27 +20,21 @@ type PolicyConfig struct {
 	// construction — and later revisions hot-swap atomically, keeping the
 	// last-good rules on any fetch or parse error.
 	Source PolicySource
-	// Poll is the hot-reload poll interval when Source is set; 0 disables
-	// background polling (ReloadPolicy still works). Successive polls are
-	// jittered ±20% so fleets don't thundering-herd the backend, and a
-	// failed poll doubles the wait (up to a minute). A fleet member's hub
-	// source parks a blocking watch instead, and uses Poll only as the
-	// backoff base after a failed round.
+	// Poll is the hot-reload poll interval; it requires Source. Zero
+	// disables background polling (ReloadPolicy still works). Successive
+	// polls are jittered ±20% so fleets don't thundering-herd the backend,
+	// and a failed poll doubles the wait (up to a minute). NewFleet
+	// rejects it: a fleet member's store watches the fleet's hub instead.
 	Poll time.Duration
-	// WatchTimeout bounds how long a fleet member's hub source parks one
-	// watch round (0 selects the store default of 30s). A timeout counts
-	// as a healthy unchanged cycle, not staleness. The file, HTTP and
-	// static sources poll and ignore it.
-	WatchTimeout time.Duration
-	// MaxStale is the staleness deadline: when the store has not seen a
-	// healthy reload cycle for longer than this (in the network's virtual
-	// time), it degrades the engine according to FailMode. Zero disables
-	// the deadline.
+	// MaxStale is the staleness deadline; it requires Source. When the
+	// store has not seen a healthy reload cycle for longer than this (in
+	// the network's virtual time), a failed cycle degrades the engine
+	// according to FailMode. Zero disables the deadline.
 	MaxStale time.Duration
 	// FailMode selects the degraded posture past MaxStale: FailStatic
 	// keeps the last-good rules serving (the default), FailOpen admits
 	// everything, FailClosed denies everything. Recovery is automatic on
-	// the next healthy reload.
+	// the next healthy reload. Any mode but FailStatic requires MaxStale.
 	FailMode FailMode
 	// DefaultVerdict applies when no rule is decisive; zero value means
 	// VerdictAllow.

@@ -150,6 +150,25 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 	}
 }
 
+// TestDeploymentRejectsInertStaleness: a poll interval or a staleness
+// deadline needs a policy source to act on, and a degraded posture needs a
+// deadline to degrade at. Each would otherwise be accepted and do nothing.
+func TestDeploymentRejectsInertStaleness(t *testing.T) {
+	doc := `{[deny][library]["com/flurry"]}`
+	for name, pc := range map[string]PolicyConfig{
+		"poll without source":      {Doc: doc, Poll: time.Millisecond},
+		"max-stale without source": {Doc: doc, MaxStale: time.Second},
+		"all three without source": {Doc: doc, MaxStale: time.Nanosecond, FailMode: FailClosed, Poll: time.Millisecond},
+		"fail mode without max":    {Source: StaticPolicySource(doc), FailMode: FailOpen},
+	} {
+		dep, err := New(Config{Policy: pc})
+		if err == nil {
+			dep.Close()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // policyVersion is the deployment's active policy revision.
 func policyVersion(dep *Deployment) string {
 	version, _ := dep.PolicyStatus()

@@ -19,13 +19,12 @@ const fleetPolicyV1 = `
 func newTestFleet(t *testing.T) *Fleet {
 	t.Helper()
 	f, err := NewFleet(FleetConfig{
-		Policy: fleetPolicyV1,
+		Policy: PolicyConfig{Doc: fleetPolicyV1},
 		Gateways: []GatewaySpec{
 			{Name: "gwA", Subnet: netip.MustParsePrefix("10.1.0.0/16"), Groups: []string{"eng"}},
 			{Name: "gwB", Subnet: netip.MustParsePrefix("10.2.0.0/16"), Groups: []string{"sales"}},
 		},
-		Poll:         time.Hour, // all progress must come from the watch
-		WatchTimeout: time.Hour,
+		WatchTimeout: time.Hour, // all progress must come from the push, not an idle round
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +127,12 @@ func TestFleetPushPolicyOneWatchRound(t *testing.T) {
 	}
 }
 
-// TestFleetPushWithoutPoll: a fleet built without a Poll interval still
-// watches its hub, so a push lands in one watch round, well inside
-// pushTimeout, and the pushed rule is enforced.
-func TestFleetPushWithoutPoll(t *testing.T) {
+// TestFleetPushWithDefaults: a fleet whose watch timeout and posture are
+// all left zero still watches its hub, so a push lands in one watch round,
+// a tenth of the push timeout at most, and the pushed rule is enforced.
+func TestFleetPushWithDefaults(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
-		Policy:   fleetPolicyV1,
+		Policy:   PolicyConfig{Doc: fleetPolicyV1},
 		Gateways: []GatewaySpec{{Name: "gwA", Subnet: netip.MustParsePrefix("10.1.0.0/16"), Groups: []string{"eng"}}},
 	})
 	if err != nil {
@@ -161,8 +160,11 @@ func TestFleetPushWithoutPoll(t *testing.T) {
 	if err := f.PushPolicy(v2); err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(start); took > pushTimeout/10 {
+	if took := time.Since(start); took > 3*time.Second {
 		t.Fatalf("push took %v, want one watch round", took)
+	}
+	if rounds := watchRounds(dep); rounds != 1 {
+		t.Fatalf("push took %v watch rounds, want 1", rounds)
 	}
 	if delivered() {
 		t.Fatal("the pushed deny rule is not enforced")
@@ -218,7 +220,7 @@ func TestFleetRejectsOverlappingSubnets(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f, err := NewFleet(FleetConfig{
-				Policy: fleetPolicyV1,
+				Policy: PolicyConfig{Doc: fleetPolicyV1},
 				Gateways: []GatewaySpec{
 					{Name: "gwA", Subnet: netip.MustParsePrefix("10.1.0.0/16"), Groups: []string{"eng"}},
 					{Name: "gwB", Subnet: netip.MustParsePrefix(second), Groups: []string{"sales"}},

@@ -58,8 +58,10 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
@@ -366,7 +368,12 @@ func buildEntry(raw *rawEntry) Entry {
 	if len(res.Stack) > 0 {
 		e.Stack = make([]string, len(res.Stack))
 		for i, s := range res.Stack {
-			e.Stack[i] = s.String()
+			// JSON would replace the bytes of a frame name that is not
+			// UTF-8; quoted, it keeps them, and no signature starts with
+			// a quote.
+			if e.Stack[i] = s.String(); !utf8.ValidString(e.Stack[i]) {
+				e.Stack[i] = strconv.Quote(e.Stack[i])
+			}
 		}
 	}
 	return e

@@ -1,8 +1,8 @@
 // Package cliflags centralizes the flag wiring the BorderPatrol
-// commands share. bp-gateway and bp-experiments both expose policy
-// hot-reload, audit-trail and metrics-endpoint options; declaring them
-// here once keeps names, defaults, help text and validation identical
-// across commands instead of drifting copy by copy.
+// commands share: bp-gateway registers all four groups here, and
+// bp-experiments the audit and metrics groups. Declaring them once keeps
+// names, defaults, help text and validation identical across commands
+// instead of drifting copy by copy.
 //
 // Each Register* function declares its flag group on a caller-supplied
 // *flag.FlagSet (pass flag.CommandLine from a main) and returns a holder
@@ -52,11 +52,11 @@ func RegisterPolicy(fs *flag.FlagSet) *Policy {
 }
 
 // Source validates the parsed flags and builds the hot-reload policy
-// source — nil when neither -policy-file nor -policy-url was given.
-// staticSet reports whether the command's own one-shot policy flag was
-// also set; the three sources are mutually exclusive.
-func (p *Policy) Source(staticSet bool) (policystore.Source, policystore.FailMode, error) {
-	var failMode policystore.FailMode
+// source and its poll interval — nil and 0 when neither -policy-file nor
+// -policy-url was given. staticSet reports whether the command's own
+// one-shot policy flag was also set; the three sources are mutually
+// exclusive.
+func (p *Policy) Source(staticSet bool) (src policystore.Source, poll time.Duration, failMode policystore.FailMode, err error) {
 	set := 0
 	for _, on := range []bool{staticSet, p.File != "", p.URL != ""} {
 		if on {
@@ -64,23 +64,22 @@ func (p *Policy) Source(staticSet bool) (policystore.Source, policystore.FailMod
 		}
 	}
 	if set > 1 {
-		return nil, failMode, errors.New("-policy, -policy-file and -policy-url are mutually exclusive")
+		return nil, 0, failMode, errors.New("-policy, -policy-file and -policy-url are mutually exclusive")
 	}
-	failMode, err := policystore.ParseFailMode(p.FailModeName)
-	if err != nil {
-		return nil, failMode, err
+	if failMode, err = policystore.ParseFailMode(p.FailModeName); err != nil {
+		return nil, 0, failMode, err
 	}
-	var src policystore.Source
 	switch {
+	case failMode != policystore.FailStatic && p.MaxStale <= 0:
+		return nil, 0, failMode, fmt.Errorf("-fail-mode %s requires -policy-max-stale", p.FailModeName)
 	case p.File != "":
-		src = policystore.NewFileSource(p.File)
+		return policystore.NewFileSource(p.File), p.Poll, failMode, nil
 	case p.URL != "":
-		src = policystore.NewHTTPSource(p.URL)
+		return policystore.NewHTTPSource(p.URL), p.Poll, failMode, nil
+	case p.MaxStale > 0:
+		return nil, 0, failMode, errors.New("-policy-max-stale requires -policy-file or -policy-url")
 	}
-	if p.MaxStale > 0 && src == nil {
-		return nil, failMode, errors.New("-policy-max-stale requires -policy-file or -policy-url")
-	}
-	return src, failMode, nil
+	return nil, 0, failMode, nil
 }
 
 // Context holds the device-context flags: -device-network and

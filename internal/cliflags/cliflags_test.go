@@ -25,42 +25,51 @@ func newSet(t *testing.T, args ...string) (*Policy, *Audit, *Metrics) {
 
 func TestPolicySourceSelection(t *testing.T) {
 	p, _, _ := newSet(t, "-policy-file", "rules.bp", "-fail-mode", "closed", "-policy-max-stale", "30s")
-	src, mode, err := p.Source(false)
+	src, poll, mode, err := p.Source(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src == nil {
 		t.Fatal("file flag produced no source")
 	}
+	if poll != 2*time.Second {
+		t.Fatalf("poll = %v, want the 2s default", poll)
+	}
 	if mode.String() != "fail-closed" {
 		t.Fatalf("fail mode = %v", mode)
 	}
 
+	// Without a source the poll interval has nothing to poll.
 	p, _, _ = newSet(t)
-	src, _, err = p.Source(false)
-	if err != nil || src != nil {
-		t.Fatalf("no flags: src=%v err=%v", src, err)
+	src, poll, _, err = p.Source(false)
+	if err != nil || src != nil || poll != 0 {
+		t.Fatalf("no flags: src=%v poll=%v err=%v", src, poll, err)
 	}
 }
 
 func TestPolicySourceValidation(t *testing.T) {
 	// The one-shot and hot-reload sources are mutually exclusive.
 	p, _, _ := newSet(t, "-policy-file", "a.bp", "-policy-url", "http://ctrl/b.bp")
-	if _, _, err := p.Source(false); err == nil {
+	if _, _, _, err := p.Source(false); err == nil {
 		t.Fatal("file+url accepted")
 	}
 	p, _, _ = newSet(t, "-policy-file", "a.bp")
-	if _, _, err := p.Source(true); err == nil {
+	if _, _, _, err := p.Source(true); err == nil {
 		t.Fatal("static+file accepted")
 	}
 	// A staleness deadline is meaningless without a reloadable source.
 	p, _, _ = newSet(t, "-policy-max-stale", "10s")
-	if _, _, err := p.Source(false); err == nil {
+	if _, _, _, err := p.Source(false); err == nil {
 		t.Fatal("max-stale without source accepted")
 	}
 	p, _, _ = newSet(t, "-policy-file", "a.bp", "-fail-mode", "sideways")
-	if _, _, err := p.Source(false); err == nil {
+	if _, _, _, err := p.Source(false); err == nil {
 		t.Fatal("bogus fail mode accepted")
+	}
+	// A degraded posture needs a deadline to degrade at.
+	p, _, _ = newSet(t, "-policy-file", "a.bp", "-fail-mode", "open")
+	if _, _, _, err := p.Source(false); err == nil {
+		t.Fatal("fail mode without max-stale accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package dns
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -87,6 +88,39 @@ func FuzzZoneHandler(f *testing.F) {
 		}
 		if !bytes.Equal(out, want) {
 			t.Fatalf("query %+v answered %x, want %x", q, out, want)
+		}
+	})
+}
+
+// FuzzParseAnswer: no input panics the answer parser, and an answer it
+// accepts marshals back to a message that parses to the same answer.
+func FuzzParseAnswer(f *testing.F) {
+	for _, a := range []*Answer{
+		{ID: 7},
+		{ID: 9, RCode: RCodeNXDomain},
+		{ID: 0xbeef, Addrs: []netip.Addr{netip.MustParseAddr("10.80.0.10"), netip.MustParseAddr("10.80.0.11")}},
+	} {
+		b, err := a.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1]) // cut short
+	}
+	f.Add([]byte{0, 1, 0, 0})                   // QR clear
+	f.Add([]byte{0, 1, 0xff, 1, 10, 80, 0, 10}) // every flag bit set
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := ParseAnswer(b)
+		if err != nil {
+			return
+		}
+		wire, err := a.Marshal()
+		if err != nil {
+			t.Fatalf("accepted answer %+v does not marshal: %v", a, err)
+		}
+		back, err := ParseAnswer(wire)
+		if err != nil || !reflect.DeepEqual(back, a) {
+			t.Fatalf("answer %+v came back as %+v, %v", a, back, err)
 		}
 	})
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -15,17 +17,183 @@ import (
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
+	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
 )
 
-// This file implements the fleet-scale experiment: N gateways on one
-// virtual-time network, each fronting a subnet of pooled virtual devices
+// This file builds fleets, for the facade and the fleet-scale experiment
+// alike: N gateways on one virtual-time network, each fronting a subnet
 // and enforcing its own policy-group shard fed from a shared hub over the
-// watch path. The run pushes a mixed HTTP+DNS workload through every
-// gateway, swaps the fleet policy mid-run (propagation must take exactly
-// one watch round per gateway, asserted by counters), accounts for
-// cross-group policy leaks, and reports aggregate throughput and
+// watch path. The experiment pushes a mixed HTTP+DNS workload through
+// every gateway, swaps the fleet policy mid-run (propagation must take
+// exactly one watch round per gateway, asserted by counters), accounts
+// for cross-group policy leaks, and reports aggregate throughput and
 // per-packet gateway latency quantiles (BENCH_fleet.json).
+
+// FleetGateway is one member of a fleet, as the facade's GatewaySpec
+// describes it (an empty Name selects "gw<index>"). NewFleet sets Config's
+// policy source, poll interval, watch timeout and device address.
+type FleetGateway struct {
+	Name   string
+	Subnet netip.Prefix
+	Groups []string
+	Config TestbedConfig
+}
+
+// Fleet is N assembled gateways sharing one network and one policy hub.
+// Testbeds[i] is Gateways[i]'s assembly; Metrics holds every gateway's
+// registry under its name and the network-wide series under "fleet".
+type Fleet struct {
+	Network  *netsim.Network
+	Hub      *policystore.Hub
+	Gateways []FleetGateway
+	Testbeds []*Testbed
+	Metrics  *metrics.Aggregate
+}
+
+const (
+	// fleetBackoff is a fleet store's wait after a failed watch round; a
+	// healthy round re-parks at once.
+	fleetBackoff = 5 * time.Second
+	// pushTimeout bounds Push's wait. The hub wakes every parked watcher,
+	// so it trips only when a watcher is wedged.
+	pushTimeout = 30 * time.Second
+)
+
+// NewFleet validates the grouped policy document and the gateways, builds
+// the shared network and the hub, assembles each gateway on a group-scoped
+// hub source, routes its subnet to it and attaches its registry to agg
+// (nil selects a new aggregate), and starts the stores' watches, each park
+// bounded by watchTimeout (0 selects the store default).
+func NewFleet(doc string, gateways []FleetGateway, watchTimeout time.Duration, agg *metrics.Aggregate) (*Fleet, error) {
+	if len(gateways) == 0 {
+		return nil, errors.New("fleet needs at least one gateway")
+	}
+	if _, err := policy.ParseGroupSet(doc); err != nil {
+		return nil, fmt.Errorf("fleet policy: %w", err)
+	}
+	if agg == nil {
+		agg = metrics.NewAggregate("gateway")
+	}
+	f := &Fleet{
+		Network:  netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel()),
+		Hub:      policystore.NewHub(doc),
+		Gateways: slices.Clone(gateways),
+		Metrics:  agg,
+	}
+	for i := range f.Gateways {
+		if err := f.addGateway(i, watchTimeout); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	// Network-wide series (wire faults) belong to the fleet, not to any
+	// one gateway; they join the aggregate under their own label value.
+	fleetReg := metrics.NewRegistry()
+	f.Network.RegisterMetrics(fleetReg)
+	agg.Attach("fleet", fleetReg)
+
+	// Stores start only once the whole fleet can no longer fail to build.
+	for _, tb := range f.Testbeds {
+		tb.Policy.Start()
+	}
+	return f, nil
+}
+
+// addGateway names, validates, assembles and routes gateway i.
+func (f *Fleet) addGateway(i int, watchTimeout time.Duration) error {
+	gw := &f.Gateways[i]
+	if gw.Name == "" {
+		gw.Name = fmt.Sprintf("gw%d", i)
+	}
+	if !gw.Subnet.IsValid() || !gw.Subnet.Addr().Is4() {
+		return fmt.Errorf("gateway %q needs an IPv4 subnet, got %v", gw.Name, gw.Subnet)
+	}
+	for _, prev := range f.Gateways[:i] {
+		switch {
+		case prev.Name == gw.Name:
+			return fmt.Errorf("duplicate gateway name %q", gw.Name)
+		// Overlapping subnets would provision two devices on one address
+		// and route the shared range to whichever gateway was added first.
+		case prev.Subnet.Overlaps(gw.Subnet):
+			return fmt.Errorf("gateway %q subnet %v overlaps gateway %q subnet %v",
+				gw.Name, gw.Subnet, prev.Name, prev.Subnet)
+		}
+	}
+	cfg := gw.Config
+	cfg.PolicySource = policystore.NewGroupScopedSource(f.Hub.Source(), gw.Groups...)
+	cfg.PolicyPoll = fleetBackoff
+	cfg.PolicyWatchTimeout = watchTimeout
+	cfg.DeviceAddr = gw.Subnet.Masked().Addr().Next()
+	tb, err := Assemble(f.Network, cfg)
+	if err != nil {
+		return fmt.Errorf("gateway %q: %w", gw.Name, err)
+	}
+	f.Network.AddGatewayRoute(gw.Subnet, tb.Gateway)
+	f.Testbeds = append(f.Testbeds, tb)
+	f.Metrics.Attach(gw.Name, tb.Metrics)
+	return nil
+}
+
+// Push replaces the fleet's policy document and returns once, on every
+// gateway, a changed shard has applied and the store's watch-round counter
+// has moved past the push; an unchanged shard keeps its compiled rules.
+// The store bumps that counter after the apply, so the counters a caller
+// reads next are settled. Pushing the current document is a no-op.
+func (f *Fleet) Push(doc string) error {
+	newGS, err := policy.ParseGroupSet(doc)
+	if err != nil {
+		return fmt.Errorf("push policy: %w", err)
+	}
+	oldDoc, _ := f.Hub.Get()
+	oldGS, err := policy.ParseGroupSet(oldDoc)
+	if err != nil { // the hub only ever holds validated documents
+		return fmt.Errorf("push policy: %w", err)
+	}
+	applied := metrics.L("outcome", "applied")
+	type mark struct {
+		changed         bool
+		rounds, applies uint64
+	}
+	marks := make([]mark, len(f.Testbeds))
+	for i, tb := range f.Testbeds {
+		groups := f.Gateways[i].Groups
+		marks[i] = mark{
+			changed: oldGS.DocFor(groups...) != newGS.DocFor(groups...),
+			rounds:  tb.count("bp_policy_watch_rounds_total"),
+			applies: tb.count("bp_policy_reloads_total", applied),
+		}
+	}
+	rev := f.Hub.Rev()
+	f.Hub.Set(doc)
+	if f.Hub.Rev() == rev {
+		return nil
+	}
+	deadline := time.Now().Add(pushTimeout)
+	for i, tb := range f.Testbeds {
+		m := marks[i]
+		for tb.count("bp_policy_watch_rounds_total") == m.rounds ||
+			m.changed && tb.count("bp_policy_reloads_total", applied) == m.applies {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("gateway %q did not complete a watch round within %v", f.Gateways[i].Name, pushTimeout)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	return nil
+}
+
+// Close stops every gateway's policy watcher and flushes every audit
+// pipeline, reporting the first sticky error from each. Idempotent.
+func (f *Fleet) Close() error {
+	var errs []error
+	for i, tb := range f.Testbeds {
+		if err := tb.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", f.Gateways[i].Name, err))
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // FleetRunConfig sizes the fleet experiment.
 type FleetRunConfig struct {
@@ -149,10 +317,9 @@ func (r *FleetBenchResult) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// fleetMember is one assembled gateway (its template device included),
-// its device pool, and the invocation template bursts.
+// fleetMember is one gateway's workload: its testbed, its device pool,
+// and the invocation template bursts.
 type fleetMember struct {
-	name string
 	tb   *Testbed
 	pool *netsim.DevicePool
 	// bursts maps workload kind to the template device's packet burst,
@@ -187,37 +354,10 @@ func fleetPolicyDoc(gateways int, quarantine bool) string {
 	return b.String()
 }
 
-// buildFleetMember assembles gateway i on the shared network, routes its
-// subnet to it, and records its template bursts. auditW may be nil (tail
-// only); every member writes its own audit log to it.
-func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *policystore.Hub, auditW io.Writer) (m *fleetMember, err error) {
-	name := fmt.Sprintf("gw%d", i)
-	if gateways > 200 {
-		return nil, fmt.Errorf("fleet sized for at most 200 gateways, got %d", gateways)
-	}
-	// One /16 per gateway: room for 65k pooled devices each.
-	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16).Masked()
-
-	tb, err := Assemble(network, TestbedConfig{
-		EnforcementOn:      true,
-		AuditWriter:        auditW,
-		PolicySource:       policystore.NewGroupScopedSource(hub.Source(), fmt.Sprintf("g%d", i)),
-		PolicyPoll:         time.Hour, // propagation must come from the watch
-		PolicyWatchTimeout: time.Hour,
-		// The template device takes the subnet's first host address; the
-		// pool numbers virtual devices from the second onward.
-		DeviceAddr: prefix.Addr().Next(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			tb.Close()
-		}
-	}()
-	network.AddGatewayRoute(prefix, tb.Gateway)
-
+// newFleetMember installs gateway i's template app on its testbed, records
+// the template bursts, and numbers a pool of virtual devices in the
+// gateway's subnet.
+func newFleetMember(i, gateways, devices int, gw FleetGateway, tb *Testbed) (*fleetMember, error) {
 	qResolve, err := dnsQuery(1, "files.corp.example")
 	if err != nil {
 		return nil, err
@@ -232,7 +372,7 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *po
 	}
 	other := (i + 1) % gateways
 	httpEP := netip.AddrPortFrom(netip.MustParseAddr("198.18.80.1"), 443)
-	ga := scriptedApp(fmt.Sprintf("com.fleet.%s", name), "com/fleet/app", []scriptedFn{
+	ga := scriptedApp(fmt.Sprintf("com.fleet.%s", gw.Name), "com/fleet/app", []scriptedFn{
 		{name: kindSync, desirable: true, class: "Work", method: "sync",
 			op: android.NetOp{Endpoint: httpEP, Host: "files.corp", Method: "GET", Requests: 2}},
 		{name: kindBeacon, class: "Beacon", method: "phoneHome",
@@ -249,7 +389,7 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *po
 		return nil, err
 	}
 
-	m = &fleetMember{name: name, tb: tb, bursts: make(map[string][]*ipv4.Packet, 5)}
+	m := &fleetMember{tb: tb, bursts: make(map[string][]*ipv4.Packet, 5)}
 	for _, kind := range []string{kindSync, kindBeacon, kindResolve, kindProbeOwn, kindProbeOther} {
 		res, err := app.Invoke(kind)
 		if err != nil {
@@ -257,7 +397,9 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *po
 		}
 		m.bursts[kind] = res.Packets
 	}
-	m.pool, err = netsim.NewDevicePool(prefix, devices)
+	// The template device took the subnet's first host address; the pool
+	// numbers virtual devices from the second onward.
+	m.pool, err = netsim.NewDevicePool(gw.Subnet, devices)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +422,27 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 		cfg.BatchSize = def.BatchSize
 	}
 
-	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
+	if cfg.Gateways > 200 {
+		return nil, fmt.Errorf("fleet sized for at most 200 gateways, got %d", cfg.Gateways)
+	}
+	gws := make([]FleetGateway, cfg.Gateways)
+	for i := range gws {
+		gws[i] = FleetGateway{
+			// One /16 per gateway: room for 65k pooled devices each.
+			Subnet: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16),
+			Groups: []string{fmt.Sprintf("g%d", i)},
+			Config: TestbedConfig{EnforcementOn: true, AuditWriter: cfg.AuditWriter},
+		}
+	}
+	// An hour-long watch park: every push must be carried by the watch, not
+	// by an idle round.
+	fl, err := NewFleet(fleetPolicyDoc(cfg.Gateways, false), gws, time.Hour, cfg.Metrics)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	defer fl.Close()
+	network := fl.Network
+
 	zone := dns.NewZone()
 	for name, addr := range map[string]string{
 		"files.corp.example": "10.80.0.10",
@@ -299,27 +461,13 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 		Handler: httpsim.StaticHandler(httpsim.StaticPage()),
 	})
 
-	hub := policystore.NewHub(fleetPolicyDoc(cfg.Gateways, false))
-	agg := cfg.Metrics
-	if agg == nil {
-		agg = metrics.NewAggregate("gateway")
-	}
 	members := make([]*fleetMember, cfg.Gateways)
 	for i := range members {
-		m, err := buildFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, network, hub, cfg.AuditWriter)
+		m, err := newFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, fl.Gateways[i], fl.Testbeds[i])
 		if err != nil {
 			return nil, fmt.Errorf("fleet: gateway %d: %w", i, err)
 		}
-		defer m.tb.Close()
 		members[i] = m
-		agg.Attach(m.name, m.tb.Metrics)
-	}
-	// Network-wide series belong to the fleet, not to any one gateway.
-	fleetReg := metrics.NewRegistry()
-	network.RegisterMetrics(fleetReg)
-	agg.Attach("fleet", fleetReg)
-	for _, m := range members {
-		m.tb.Policy.Start()
 	}
 
 	res := &FleetBenchResult{
@@ -333,7 +481,7 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	// deliver pushes the device range [lo, hi) of every gateway through
 	// the shared network, one workload kind at a time, scoring outcomes
 	// against the kind's expected fate.
-	deliver := func(lo, hi int) error {
+	deliver := func(lo, hi int) {
 		for gi, m := range members {
 			rep := &res.PerGateway[gi]
 			for _, kind := range []string{kindSync, kindBeacon, kindResolve, kindProbeOwn, kindProbeOther} {
@@ -356,13 +504,9 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 							rep.Blocked++
 						}
 						switch kind {
-						case kindSync, kindResolve:
+						case kindSync, kindResolve, kindProbeOther:
 							if !del.Delivered {
-								rep.CrossGroupLeaks++ // allowed traffic dropped: a foreign deny leaked in
-							}
-						case kindProbeOther:
-							if !del.Delivered {
-								rep.CrossGroupLeaks++ // another group's rule enforced here
+								rep.CrossGroupLeaks++ // allowed here: a foreign group's deny leaked in
 							}
 						case kindBeacon:
 							if del.Delivered {
@@ -391,13 +535,10 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 				flush()
 			}
 		}
-		return nil
 	}
 
 	half := cfg.DevicesPerGateway / 2
-	if err := deliver(0, half); err != nil {
-		return nil, err
-	}
+	deliver(0, half)
 
 	// Mid-run fleet-wide policy push: one hub revision must reach every
 	// gateway in exactly one watch round — counters and generations, not
@@ -408,26 +549,19 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	for i, m := range members {
 		b4[i] = before{m.tb.count("bp_policy_watch_rounds_total"), m.tb.count("bp_policy_reloads_total", applied), m.tb.Engine.Generation()}
 	}
-	hub.Set(fleetPolicyDoc(cfg.Gateways, true))
-	deadline := time.Now().Add(30 * time.Second)
+	if err := fl.Push(fleetPolicyDoc(cfg.Gateways, true)); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	for i, m := range members {
-		for m.tb.count("bp_policy_watch_rounds_total") == b4[i].rounds {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("fleet: %s: policy push did not complete a watch round", m.name)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
 		rep := &res.PerGateway[i]
-		rep.Name = m.name
+		rep.Name = fl.Gateways[i].Name
 		rep.Devices = cfg.DevicesPerGateway
 		rep.PushWatchRounds = m.tb.count("bp_policy_watch_rounds_total") - b4[i].rounds
 		rep.PushApplied = m.tb.count("bp_policy_reloads_total", applied) - b4[i].applied
 		rep.PushGenerations = m.tb.Engine.Generation() - b4[i].gen
 	}
 
-	if err := deliver(half, cfg.DevicesPerGateway); err != nil {
-		return nil, err
-	}
+	deliver(half, cfg.DevicesPerGateway)
 
 	for i := range res.PerGateway {
 		rep := &res.PerGateway[i]
@@ -446,11 +580,9 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	res.P99Ns = snap.Quantile(0.99)
 	res.P999Ns = snap.Quantile(0.999)
 	// Flush-on-close so every decision reaches cfg.AuditWriter before the
-	// result is reported (idempotent with the safety-net defers above).
-	for _, m := range members {
-		if err := m.tb.Close(); err != nil {
-			return nil, fmt.Errorf("fleet: %s: audit: %w", m.name, err)
-		}
+	// result is reported (idempotent with the safety-net defer above).
+	if err := fl.Close(); err != nil {
+		return nil, fmt.Errorf("fleet: audit: %w", err)
 	}
 	return res, nil
 }

@@ -95,7 +95,7 @@ type TestbedConfig struct {
 	// PolicyPoll starts background hot reload at this interval when > 0
 	// (manual Testbed.Policy.Reload() otherwise); for a watch-capable
 	// source it is the backoff base after a failed watch round. Requires
-	// PolicySource.
+	// PolicySource: Assemble rejects it without one.
 	PolicyPoll time.Duration
 	// PolicyWatchTimeout bounds one watch park of a watch-capable
 	// PolicySource (0 selects the store default).
@@ -108,8 +108,9 @@ type TestbedConfig struct {
 	// one minute.
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
-	// PolicyFailMode selects the degraded posture past it. Requires
-	// PolicySource.
+	// PolicyFailMode selects the degraded posture past it. Assemble
+	// rejects the deadline without PolicySource, and a mode other than
+	// FailStatic without the deadline.
 	PolicyMaxStale time.Duration
 	PolicyFailMode policystore.FailMode
 	// PolicyVirtualTime drives the staleness clock from the network's
@@ -165,6 +166,12 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 // route), registering the network-wide series where they belong, and
 // starting tb.Policy once construction can no longer fail.
 func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
+	if cfg.PolicySource == nil && (cfg.PolicyPoll != 0 || cfg.PolicyMaxStale != 0) {
+		return nil, errors.New("experiments: PolicyPoll and PolicyMaxStale require a PolicySource")
+	}
+	if cfg.PolicyFailMode != policystore.FailStatic && cfg.PolicyMaxStale <= 0 {
+		return nil, fmt.Errorf("experiments: PolicyFailMode %v requires a PolicyMaxStale", cfg.PolicyFailMode)
+	}
 	defV := cfg.DefaultVerdict
 	if defV == 0 {
 		defV = policy.VerdictAllow
