@@ -14,6 +14,7 @@ import (
 
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/apkgen"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/experiments"
@@ -292,9 +293,10 @@ func benchPipeline(b *testing.B, cached bool) (*enforcer.Enforcer, *ipv4.Packet)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := enforcer.Config{}
+	clock := netsim.NewClock()
+	cfg := enforcer.Config{Context: devctx.NewSource(clock)}
 	if cached {
-		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{})
+		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Clock: clock})
 	}
 	enf := enforcer.New(cfg, db, eng)
 
@@ -343,6 +345,7 @@ func BenchmarkGatewayBatchDrain(b *testing.B) {
 	gw := netsim.NewGateway(netsim.GatewayConfig{
 		Enforcer:  enf,
 		Sanitizer: sanitizer.New(),
+		Clock:     netsim.NewClock(),
 	})
 	burst := make([]*ipv4.Packet, 256)
 	for i := range burst {

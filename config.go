@@ -26,15 +26,17 @@ type PolicyConfig struct {
 	// and a failed poll doubles the wait (up to a minute). NewFleet
 	// rejects it: a fleet member's store watches the fleet's hub instead.
 	Poll time.Duration
-	// MaxStale is the staleness deadline; it requires Source. When the
-	// store has not seen a healthy reload cycle for longer than this (in
-	// the network's virtual time), a failed cycle degrades the engine
-	// according to FailMode. Zero disables the deadline.
+	// MaxStale is the staleness deadline; it requires Source and a
+	// FailMode other than FailStatic. When the store has not seen a healthy
+	// reload cycle for longer than this (in the network's virtual time), a
+	// failed cycle degrades the engine according to FailMode. Zero disables
+	// the deadline.
 	MaxStale time.Duration
-	// FailMode selects the degraded posture past MaxStale: FailStatic
-	// keeps the last-good rules serving (the default), FailOpen admits
-	// everything, FailClosed denies everything. Recovery is automatic on
-	// the next healthy reload. Any mode but FailStatic requires MaxStale.
+	// FailMode selects the degraded posture past MaxStale: FailOpen admits
+	// everything, FailClosed denies everything; either requires MaxStale.
+	// Recovery is automatic on the next healthy reload. FailStatic, the
+	// default, keeps the last-good rules serving however stale, and so
+	// takes no MaxStale.
 	FailMode FailMode
 	// DefaultVerdict applies when no rule is decisive; zero value means
 	// VerdictAllow.

@@ -151,8 +151,9 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 }
 
 // TestDeploymentRejectsInertStaleness: a poll interval or a staleness
-// deadline needs a policy source to act on, and a degraded posture needs a
-// deadline to degrade at. Each would otherwise be accepted and do nothing.
+// deadline needs a policy source to act on, a degraded posture needs a
+// deadline to degrade at, and a deadline a posture other than FailStatic
+// to degrade to. Each would otherwise be accepted and do nothing.
 func TestDeploymentRejectsInertStaleness(t *testing.T) {
 	doc := `{[deny][library]["com/flurry"]}`
 	for name, pc := range map[string]PolicyConfig{
@@ -160,6 +161,7 @@ func TestDeploymentRejectsInertStaleness(t *testing.T) {
 		"max-stale without source": {Doc: doc, MaxStale: time.Second},
 		"all three without source": {Doc: doc, MaxStale: time.Nanosecond, FailMode: FailClosed, Poll: time.Millisecond},
 		"fail mode without max":    {Source: StaticPolicySource(doc), FailMode: FailOpen},
+		"max-stale with static":    {Source: StaticPolicySource(doc), MaxStale: time.Second},
 	} {
 		dep, err := New(Config{Policy: pc})
 		if err == nil {

@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/tag"
 	"borderpatrol/internal/transport"
@@ -49,9 +51,10 @@ func buildAuditedEnforcer(tb testing.TB, l *Log, cached bool) (*enforcer.Enforce
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := enforcer.Config{Audit: l}
+	clock := netsim.NewClock()
+	cfg := enforcer.Config{Audit: l, Context: devctx.NewSource(clock)}
 	if cached {
-		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Capacity: 65536})
+		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Capacity: 65536, Clock: clock})
 	}
 	e := enforcer.New(cfg, db, eng)
 

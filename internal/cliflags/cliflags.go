@@ -35,7 +35,7 @@ type Policy struct {
 	// Poll is the store's poll interval, doubled after each failed poll.
 	Poll time.Duration
 	// MaxStale arms the staleness deadline; FailModeName is the posture
-	// past it.
+	// past it, open or closed whenever MaxStale is set.
 	MaxStale     time.Duration
 	FailModeName string
 }
@@ -46,7 +46,7 @@ func RegisterPolicy(fs *flag.FlagSet) *Policy {
 	fs.StringVar(&p.File, "policy-file", "", "policy file with hot reload: edits apply without restart")
 	fs.StringVar(&p.URL, "policy-url", "", "policy HTTP endpoint with hot reload: polled every -policy-poll with ETag conditional GETs")
 	fs.DurationVar(&p.Poll, "policy-poll", 2*time.Second, "hot-reload poll interval for -policy-file/-policy-url")
-	fs.DurationVar(&p.MaxStale, "policy-max-stale", 0, "staleness deadline before the store degrades per -fail-mode (0 = never)")
+	fs.DurationVar(&p.MaxStale, "policy-max-stale", 0, "staleness deadline past which the store degrades to -fail-mode, which must then be open or closed (0 = never)")
 	fs.StringVar(&p.FailModeName, "fail-mode", "static", "degraded posture past -policy-max-stale: static|open|closed")
 	return p
 }
@@ -72,6 +72,8 @@ func (p *Policy) Source(staticSet bool) (src policystore.Source, poll time.Durat
 	switch {
 	case failMode != policystore.FailStatic && p.MaxStale <= 0:
 		return nil, 0, failMode, fmt.Errorf("-fail-mode %s requires -policy-max-stale", p.FailModeName)
+	case failMode == policystore.FailStatic && p.MaxStale != 0:
+		return nil, 0, failMode, errors.New("-policy-max-stale requires -fail-mode open or closed")
 	case p.File != "":
 		return policystore.NewFileSource(p.File), p.Poll, failMode, nil
 	case p.URL != "":

@@ -71,6 +71,11 @@ func TestPolicySourceValidation(t *testing.T) {
 	if _, _, _, err := p.Source(false); err == nil {
 		t.Fatal("fail mode without max-stale accepted")
 	}
+	// A deadline needs a posture to degrade to: static never degrades.
+	p, _, _ = newSet(t, "-policy-file", "a.bp", "-policy-max-stale", "10s")
+	if _, _, _, err := p.Source(false); err == nil {
+		t.Fatal("max-stale under -fail-mode static accepted")
+	}
 }
 
 func TestAuditWriter(t *testing.T) {

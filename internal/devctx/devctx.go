@@ -33,8 +33,8 @@ import (
 	"borderpatrol/internal/policy"
 )
 
-// Clock supplies virtual time for velocity computation (netsim.Clock
-// satisfies it).
+// Clock supplies virtual time for velocity computation and for the
+// enforcer's time-of-day predicates (netsim.Clock satisfies it).
 type Clock interface {
 	Now() time.Duration
 }
@@ -127,11 +127,18 @@ type Source struct {
 	invalidations [causeCount]atomic.Uint64
 }
 
-// NewSource builds an empty device-context source. clock may be nil when
-// no caller uses location observations (velocity then stays zero).
-func NewSource(clock Clock) *Source {
-	return &Source{clock: clock, devices: make(map[netip.Addr]*deviceState)}
+// NewSource builds an empty device-context source on the clock c; it
+// panics without one.
+func NewSource(c Clock) *Source {
+	if c == nil {
+		panic("devctx: NewSource needs a clock")
+	}
+	return &Source{clock: c, devices: make(map[netip.Addr]*deviceState)}
 }
+
+// Now reads the source's virtual clock: the time at which the enforcer
+// scores a flow's context.
+func (s *Source) Now() time.Duration { return s.clock.Now() }
 
 // Generation returns the number of effective context changes so far,
 // across all devices. Nothing is invalidated on it; see GenerationFor.
@@ -230,10 +237,7 @@ func (s *Source) SetPatchAge(addr netip.Addr, days int32) {
 // impossible-travel signal: the credential moved faster than the device
 // could have.
 func (s *Source) ObserveLocation(addr netip.Addr, lat, lon float64) {
-	var now time.Duration
-	if s.clock != nil {
-		now = s.clock.Now()
-	}
+	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state(addr)

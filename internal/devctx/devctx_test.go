@@ -17,8 +17,23 @@ func (c *fakeClock) Now() time.Duration { return c.now }
 
 var dev = netip.MustParseAddr("10.0.0.5")
 
+// TestSourceReadsItsClock: a source has one time source, the clock it was
+// built on, which the enforcer reads through Now; there is no clockless mode.
+func TestSourceReadsItsClock(t *testing.T) {
+	clk := &fakeClock{now: 90 * time.Minute}
+	if got := NewSource(clk).Now(); got != clk.now {
+		t.Fatalf("Now = %v, want the clock's %v", got, clk.now)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSource built a source without a clock")
+		}
+	}()
+	NewSource(nil)
+}
+
 func TestUnknownDeviceDefaultsUntrusted(t *testing.T) {
-	s := NewSource(nil)
+	s := NewSource(&fakeClock{})
 	ctx, ok := s.Lookup(dev)
 	if ok {
 		t.Fatal("unknown device reported as known")
@@ -29,7 +44,7 @@ func TestUnknownDeviceDefaultsUntrusted(t *testing.T) {
 }
 
 func TestGenerationBumpsOnlyOnChange(t *testing.T) {
-	s := NewSource(nil)
+	s := NewSource(&fakeClock{})
 	s.SetNetwork(dev, policy.NetTrusted)
 	if g := s.Generation(); g != 1 {
 		t.Fatalf("generation = %d after first change, want 1", g)
@@ -101,7 +116,7 @@ func invalidations(s *Source, cause string) uint64 {
 }
 
 func TestProvisionAndForget(t *testing.T) {
-	s := NewSource(nil)
+	s := NewSource(&fakeClock{})
 	want := policy.DeviceContext{Network: policy.NetCellular, PatchAgeDays: 30}
 	s.Provision(dev, want)
 	if ctx, ok := s.Lookup(dev); !ok || ctx != want {
@@ -121,7 +136,7 @@ func TestProvisionAndForget(t *testing.T) {
 }
 
 func TestRegisterMetrics(t *testing.T) {
-	s := NewSource(nil)
+	s := NewSource(&fakeClock{})
 	s.SetNetwork(dev, policy.NetTrusted)
 	s.SetScreenLocked(dev, true)
 	reg := metrics.NewRegistry()
@@ -181,7 +196,7 @@ func otherStripe(t *testing.T, base netip.Addr) netip.Addr {
 }
 
 func TestChangeBumpsOnlyTheDevicesStripe(t *testing.T) {
-	s := NewSource(nil)
+	s := NewSource(&fakeClock{})
 	other := otherStripe(t, dev)
 	s.SetNetwork(dev, policy.NetTrusted)
 	s.SetNetwork(dev, policy.NetTrusted) // no-op

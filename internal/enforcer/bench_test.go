@@ -36,9 +36,12 @@ func benchEnforcer(b *testing.B, cached bool) (*Enforcer, *ipv4.Packet) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{}
+	// One clock for the table and the context source, as in the shipped
+	// assembly.
+	clk := &testClock{}
+	cfg := Config{Context: devctx.NewSource(clk)}
 	if cached {
-		cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 65536})
+		cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 65536, Clock: clk})
 	}
 	e := New(cfg, db, eng)
 
@@ -106,9 +109,7 @@ func BenchmarkProcessFlowHitParallel(b *testing.B) {
 // evaluated once, at flow admission, and lives in the cached verdict.
 func BenchmarkProcessFlowHitContextual(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
-	src := devctx.NewSource(nil)
-	src.SetNetwork(pkt.Header.Src, policy.NetTrusted)
-	e.ctxSrc = src
+	e.ctxSrc.SetNetwork(pkt.Header.Src, policy.NetTrusted)
 	rules := e.engine.Rules()
 	ctxRules, err := policy.ParsePolicyString(`
 {[risk][network]["unknown"][60]}
@@ -191,7 +192,6 @@ func BenchmarkProcessFlowMissInterned(b *testing.B) {
 // from the Result's Access and Risk, off the packet path).
 func BenchmarkProcessFlowMissRisk(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
-	e.ctxSrc = devctx.NewSource(nil) // the device's network is unknown
 	risk, err := policy.ParsePolicyString(`
 {[risk][network]["unknown"][100]}
 {[threshold][block][100]}

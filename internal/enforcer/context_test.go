@@ -13,24 +13,6 @@ import (
 	"borderpatrol/internal/policy"
 )
 
-// testClock is a settable virtual clock for time-of-day predicates.
-type testClock struct {
-	mu  sync.Mutex
-	now time.Duration
-}
-
-func (c *testClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) set(d time.Duration) {
-	c.mu.Lock()
-	c.now = d
-	c.mu.Unlock()
-}
-
 // contextRules parses a contextual policy document for enforcer tests.
 func contextRules(t *testing.T, doc string) []policy.Rule {
 	t.Helper()
@@ -44,12 +26,10 @@ func contextRules(t *testing.T, doc string) []policy.Rule {
 var deviceAddr = netip.MustParseAddr("10.0.0.5")
 
 func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
-	src := devctx.NewSource(nil)
-	clk := &testClock{}
+	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
 		Context: src,
-		Clock:   clk,
 	}
 	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
 {[risk][network]["unknown"][60]}
@@ -85,7 +65,7 @@ func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
 // flows of one tag. The flows share the tag's Access, and each flow's
 // second packet, a cell hit, returns that flow's own risk score and warning.
 func TestCellHitKeepsItsFlowsRisk(t *testing.T) {
-	src := devctx.NewSource(nil)
+	src := newSource()
 	e, db, apk := newCachedEnforcer(t, Config{Context: src}, contextRules(t, `
 {[risk][network]["unknown"][60]}
 {[risk][network]["trusted"][-30]}
@@ -113,10 +93,10 @@ func TestCellHitKeepsItsFlowsRisk(t *testing.T) {
 }
 
 func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
-	src := devctx.NewSource(nil)
+	src := newSource()
 	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
 		Context: src,
 	}
 	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
@@ -160,23 +140,22 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 // TestTimeWindowViaVirtualClock: a verdict a time predicate took part in is
 // served up to that predicate's next edge and not a second longer — by the
 // flow table and by the batch memo, flipping where the uncached path flips —
-// and is re-evaluated exactly once per edge. The table has no clock and no
-// TTL: the enforcer's own clock decides.
+// and is re-evaluated exactly once per edge. The table has no TTL: the
+// time edge alone decides.
 func TestTimeWindowViaVirtualClock(t *testing.T) {
-	src := devctx.NewSource(nil)
-	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	clk := &testClock{}
+	src := devctx.NewSource(clk)
+	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: clk}),
 		Context: src,
-		Clock:   clk,
 	}
 	rules := contextRules(t, `
 {[risk][time]["22:00-06:00"][100]}
 {[threshold][block][100]}
 `)
 	e, db, apk := newEnforcer(t, cfg, rules, policy.VerdictAllow)
-	ref, _, _ := newEnforcer(t, Config{Context: src, Clock: clk}, rules, policy.VerdictAllow)
+	ref, _, _ := newEnforcer(t, Config{Context: src}, rules, policy.VerdictAllow)
 	reg := metrics.NewRegistry()
 	e.RegisterMetrics(reg)
 
@@ -259,9 +238,9 @@ func flowCounter(t *testing.T, reg *metrics.Registry, name string) uint64 {
 // the stripe may be re-evaluated too — over-invalidation is the price of
 // striping — but is never served a verdict it should not get.
 func TestContextFlipInvalidatesOnlyThatDevice(t *testing.T) {
-	src := devctx.NewSource(nil)
+	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
 		Context: src,
 	}
 	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
@@ -336,9 +315,9 @@ func TestContextFlipInvalidatesOnlyThatDevice(t *testing.T) {
 // version). Run under -race this also pins the Source's synchronization.
 func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
 	const devices = 96
-	src := devctx.NewSource(nil)
+	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
 		Context: src,
 	}
 	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
@@ -421,9 +400,9 @@ func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
 
 func TestContextInactiveWithoutRiskRules(t *testing.T) {
 	// A wired source with a call-stack-only policy must not score flows.
-	src := devctx.NewSource(nil)
+	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
 		Context: src,
 	}
 	e, db, apk := newEnforcer(t, cfg,
@@ -444,12 +423,12 @@ func TestContextInactiveWithoutRiskRules(t *testing.T) {
 // context flip it frees the flows on the flipped device's stripe, and after
 // a policy swap all the rest.
 func TestSweepFlowsReclaimsInvalidated(t *testing.T) {
-	src := devctx.NewSource(nil)
+	src := newSource()
 	rules := contextRules(t, `
 {[risk][network]["unknown"][100]}
 {[threshold][block][100]}
 `)
-	e, _, _ := newEnforcer(t, Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024}), Context: src}, rules, policy.VerdictAllow)
+	e, _, _ := newEnforcer(t, Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}), Context: src}, rules, policy.VerdictAllow)
 	pkts := poolPackets(t, e, 64)
 	for _, p := range pkts {
 		src.SetNetwork(p.Header.Src, policy.NetTrusted)

@@ -22,8 +22,8 @@
 // database generation and engine generation: the tag's interned record
 // carries the app, the stack and the Access, shared by every flow carrying
 // it. Only the risk half (policy.Access.Risk) runs once per *flow*, and
-// only when the Access admits under a rule set with a risk program and a
-// context source supplies the device's context.
+// only when the Access admits under a rule set with a risk program: it
+// reads the device's context and the virtual time from the context source.
 //
 // A flow's cache cell holds no pointer (see flowVal): its verdict, its risk
 // score and flags, and a handle into the tag table. A hit is exact: the
@@ -96,15 +96,14 @@ type Config struct {
 	// under load: audit.Log keeps or drops each offer and counts both, so
 	// bp_audit_recorded_total + bp_audit_dropped_total == offered.
 	Audit AuditSink
-	// Context supplies per-device context for the policy's risk program
-	// (nil disables the contextual dimension), read only on the miss path
-	// when the rule set carries risk rules. A hit pays one atomic load: the
-	// source device's stripe version, folded into the flow-cache generation,
-	// so a device's context change invalidates its own cached verdicts.
+	// Context supplies per-device context and the virtual time for the
+	// policy's risk program. Required: New panics without one. The device's
+	// context is read only on the miss path when the rule set carries risk
+	// rules, the clock once per Process/ProcessBatch. A hit pays one atomic
+	// load: the source device's stripe version, folded into the flow-cache
+	// generation, so a device's context change invalidates its own cached
+	// verdicts.
 	Context *devctx.Source
-	// Clock supplies virtual time for the risk program's time predicates
-	// (nil pins them to Monday 00:00), read once per Process/ProcessBatch.
-	Clock devctx.Clock
 }
 
 // DropCause classifies why the enforcer dropped a packet.
@@ -247,7 +246,6 @@ type Enforcer struct {
 	flows  *FlowCache
 	audit  AuditSink
 	ctxSrc *devctx.Source
-	clock  devctx.Clock
 	// current is keyGeneration as a func value, made once: the flow table
 	// takes it with every call to tell the cells that can never answer.
 	current func(flowtable.Key) uint64
@@ -269,8 +267,11 @@ type Enforcer struct {
 	ins instruments
 }
 
-// New builds an enforcer.
+// New builds an enforcer. It panics when cfg has no Context.
 func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
+	if cfg.Context == nil {
+		panic("enforcer: Config.Context is required")
+	}
 	e := &Enforcer{
 		cfg:           cfg,
 		db:            db,
@@ -278,7 +279,6 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 		flows:         cfg.Flows,
 		audit:         cfg.Audit,
 		ctxSrc:        cfg.Context,
-		clock:         cfg.Clock,
 		scratches:     sync.Pool{New: func() any { return new(scratch) }},
 		accepted:      metrics.NewCounter(),
 		dropped:       metrics.NewCounter(),
@@ -298,19 +298,15 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 // Engine exposes the policy engine (for central reconfiguration).
 func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 
-// generation packs the database's, the policy engine's and — when
-// configured — the source device's stripe's (devctx.Stripe) counters into
-// the cache generation, db<<42 | engine<<21 | context: a policy swap or a
-// database mutation invalidates every cached verdict, a context change
-// those of its stripe. A field aliases only when its counter advances by a
-// multiple of 2²¹ (2²² for the database) between two packets of one cached
-// flow while the others stand still.
+// generation packs the database's, the policy engine's and the source
+// device's stripe's (devctx.Stripe) counters into the cache generation,
+// db<<42 | engine<<21 | context: a policy swap or a database mutation
+// invalidates every cached verdict, a context change those of its stripe.
+// A field aliases only when its counter advances by a multiple of 2²¹
+// (2²² for the database) between two packets of one cached flow while the
+// others stand still.
 func (e *Enforcer) generation(src netip.Addr) uint64 {
-	g := e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21
-	if e.ctxSrc != nil {
-		g |= e.ctxSrc.GenerationFor(src) & 0x1fffff
-	}
-	return g
+	return e.db.Generation()<<42 | (e.engine.Generation()&0x1fffff)<<21 | e.ctxSrc.GenerationFor(src)&0x1fffff
 }
 
 // keyGeneration is generation for a cached flow, from its key's source
@@ -323,19 +319,11 @@ func (e *Enforcer) keyGeneration(k flowtable.Key) uint64 {
 	return e.generation(netip.AddrFrom4(src))
 }
 
-// now reads the enforcer's virtual clock (Monday 00:00 without one).
-func (e *Enforcer) now() time.Duration {
-	if e.clock == nil {
-		return 0
-	}
-	return e.clock.Now()
-}
-
 // risk scores the packet's flow against a: the source device's snapshot and
-// the virtual clock, read only when a reads context and a source is
-// configured (the zero Risk otherwise).
+// the virtual clock, read only when a reads context (the zero Risk
+// otherwise).
 func (e *Enforcer) risk(a *policy.Access, pkt *ipv4.Packet, now time.Duration) policy.Risk {
-	if e.ctxSrc == nil || !a.ReadsContext() {
+	if !a.ReadsContext() {
 		return policy.Risk{}
 	}
 	var fc policy.FlowContext
@@ -365,7 +353,7 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 // of one without the memo. The verdict is decide's, the same function
 // ProcessBatch runs per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
-	res := e.decide(pkt, nil, e.now())
+	res := e.decide(pkt, nil, e.ctxSrc.Now())
 	e.count(&res)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
@@ -589,7 +577,7 @@ func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 		out = out[:0]
 	}
 	batchStart := time.Now()
-	now := e.now()
+	now := e.ctxSrc.Now()
 	var memo flowMemo
 	for _, pkt := range pkts {
 		res := e.decide(pkt, &memo, now)
@@ -680,7 +668,5 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	e.engine.RegisterMetrics(r)
 	r.RegisterHistogram("bp_context_risk_score",
 		"Per-flow contextual risk score at SYN-time scoring.", e.ins.riskScore)
-	if e.ctxSrc != nil {
-		e.ctxSrc.RegisterMetrics(r)
-	}
+	e.ctxSrc.RegisterMetrics(r)
 }

@@ -2,9 +2,12 @@ package enforcer
 
 import (
 	"net/netip"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
@@ -101,8 +104,25 @@ func mkPacket(t *testing.T, apk *dex.APK, db *analyzer.Database, sigNames ...str
 	return pkt
 }
 
+// testClock is a settable virtual clock: one atomic, like the netsim.Clock
+// the shipped assembly hands every enforcer.
+type testClock struct{ now atomic.Int64 }
+
+func (c *testClock) Now() time.Duration { return time.Duration(c.now.Load()) }
+
+func (c *testClock) set(d time.Duration) { c.now.Store(int64(d)) }
+
+// newSource is what the shipped assembly hands every enforcer: a
+// device-context source, here on a clock of its own that nothing moves.
+func newSource() *devctx.Source { return devctx.NewSource(&testClock{}) }
+
+// newEnforcer builds an enforcer on cfg, with a newSource when cfg has no
+// context source.
 func newEnforcer(t *testing.T, cfg Config, rules []policy.Rule, def policy.Verdict) (*Enforcer, *analyzer.Database, *dex.APK) {
 	t.Helper()
+	if cfg.Context == nil {
+		cfg.Context = newSource()
+	}
 	apk := testAPK()
 	db := analyzer.NewDatabase()
 	if err := db.Add(apk); err != nil {
@@ -139,6 +159,21 @@ func TestPolicyDenyDropsTrackerStack(t *testing.T) {
 	if acc, drop := verdicts(e); acc != 1 || drop != 1 || drops(e, DropPolicy) != 1 {
 		t.Fatalf("accepted/dropped = %d/%d, policy drops %d; want 1/1, 1", acc, drop, drops(e, DropPolicy))
 	}
+}
+
+// TestNewRequiresContext: every enforcer reads device context and time
+// from its context source; there is no contextless mode.
+func TestNewRequiresContext(t *testing.T) {
+	eng, err := policy.NewEngine(nil, policy.VerdictAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New built an enforcer without a context source")
+		}
+	}()
+	New(Config{}, analyzer.NewDatabase(), eng)
 }
 
 func TestUntaggedPacketsDroppedByDefault(t *testing.T) {

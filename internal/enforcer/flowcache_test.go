@@ -11,10 +11,14 @@ import (
 	"borderpatrol/internal/policy"
 )
 
-// newCachedEnforcer builds an enforcer with a flow cache attached.
+// newCachedEnforcer builds an enforcer with a flow cache attached, which
+// reads time through the enforcer's context source.
 func newCachedEnforcer(t *testing.T, cfg Config, rules []policy.Rule, def policy.Verdict) (*Enforcer, *analyzer.Database, *dex.APK) {
 	t.Helper()
-	cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 1024})
+	if cfg.Context == nil {
+		cfg.Context = newSource()
+	}
+	cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 1024, Clock: cfg.Context})
 	return newEnforcer(t, cfg, rules, def)
 }
 
@@ -101,7 +105,8 @@ func TestAddEntryFlipsCachedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024})}, db, eng)
+	src := newSource()
+	e := New(Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}), Context: src}, db, eng)
 
 	// Build the packet against a throwaway database (mkPacket needs the
 	// app's entry to find indexes; the enforcer's db deliberately lacks it).

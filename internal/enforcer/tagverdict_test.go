@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/tag"
@@ -92,7 +91,7 @@ func TestSwapReevaluatesEachTagOnce(t *testing.T) {
 // device, while the tag's access half is evaluated once: devices on
 // different networks carrying one tag get their own verdicts.
 func TestRiskProgramEvaluatesEveryFlow(t *testing.T) {
-	src := devctx.NewSource(nil)
+	src := newSource()
 	e, db, apk := newCachedEnforcer(t, Config{Context: src}, contextRules(t, `
 {[risk][network]["unknown"][100]}
 {[threshold][block][100]}

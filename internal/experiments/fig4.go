@@ -1,23 +1,19 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
 	"time"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
-	"borderpatrol/internal/contextmgr"
 	"borderpatrol/internal/dex"
-	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/netstack"
-	"borderpatrol/internal/policy"
-	"borderpatrol/internal/sanitizer"
 )
 
 // Fig4ConfigID enumerates the six measured configurations (paper §VI-D).
@@ -144,10 +140,18 @@ func stressAPK() (*dex.APK, []android.Functionality) {
 type fig4Testbed struct {
 	app     *android.App
 	network *netsim.Network
-	model   netsim.LatencyModel
-	id      Fig4ConfigID
+	// shipped is config (vi)'s deployment, built by Assemble like every
+	// enforcing gateway; nil for the other configurations.
+	shipped *Testbed
 	// perSocketCost is the device-side virtual cost charged per socket.
 	perSocketCost time.Duration
+}
+
+// close stops config (vi)'s audit pipeline.
+func (tb *fig4Testbed) close() {
+	if tb.shipped != nil {
+		_ = tb.shipped.Close()
+	}
 }
 
 // buildFig4Testbed assembles one of the six configurations.
@@ -155,10 +159,40 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 	model := netsim.DefaultLatencyModel()
 	apk, funcs := stressAPK()
 
+	nic := netsim.ModeTAP
+	if id == ConfigDefaultSLIRP {
+		nic = netsim.ModeSLIRP
+	}
+	tb := &fig4Testbed{network: netsim.NewNetwork(nic, model)}
+	tb.network.AddServer(&netsim.Server{
+		Addr:     stressServerAddr,
+		Name:     "stress-local",
+		Handler:  httpsim.StaticHandler(httpsim.StaticPage()),
+		Internal: true,
+	})
+
+	if id == ConfigDynamic {
+		// The full prototype is the shipped gateway: its device, Context
+		// Manager, enforcer, flow table, context source and audit log are
+		// Assemble's, on this network's clock.
+		shipped, err := Assemble(tb.network, TestbedConfig{EnforcementOn: true})
+		if err != nil {
+			return nil, err
+		}
+		tb.network.Gateway, tb.shipped = shipped.Gateway, shipped
+		if tb.app, err = shipped.InstallApp(apk, funcs); err != nil {
+			tb.close()
+			return nil, err
+		}
+		tb.perSocketCost = model.XposedHookPerSocket + model.GetStackTracePerSocket +
+			model.EncodePerSocket + model.SetsockoptPerSocket
+		return tb, nil
+	}
+
+	// Each configuration adds to the one before it.
 	var kernelCfg kernel.Config
 	xposed := false
-	switch id {
-	case ConfigStaticInject, ConfigStaticGetStack, ConfigDynamic:
+	if id >= ConfigStaticInject {
 		kernelCfg.AllowUnprivilegedIPOptions = true
 		xposed = true
 	}
@@ -167,54 +201,21 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 		Kernel:          kernelCfg,
 		XposedInstalled: xposed,
 	})
-
-	tb := &fig4Testbed{model: model, id: id}
-
-	nic := netsim.ModeTAP
-	if id == ConfigDefaultSLIRP {
-		nic = netsim.ModeSLIRP
-	}
-	tb.network = netsim.NewNetwork(nic, model)
-	tb.network.AddServer(&netsim.Server{
-		Addr:     stressServerAddr,
-		Name:     "stress-local",
-		Handler:  httpsim.StaticHandler(httpsim.StaticPage()),
-		Internal: true,
-	})
-
-	db := analyzer.NewDatabase()
-	if err := db.Add(apk); err != nil {
-		return nil, err
-	}
-
-	// Gateway per configuration.
-	switch id {
-	case ConfigTAPNFQueue, ConfigStaticInject, ConfigStaticGetStack:
-		tb.network.Gateway = netsim.NewGateway(netsim.GatewayConfig{Passthrough: true})
-	case ConfigDynamic:
-		engine, err := policy.NewEngine(nil, policy.VerdictAllow)
-		if err != nil {
-			return nil, err
-		}
-		enf := enforcer.New(enforcer.Config{}, db, engine)
-		tb.network.Gateway = netsim.NewGateway(netsim.GatewayConfig{
-			Enforcer:  enf,
-			Sanitizer: sanitizer.New(),
-		})
+	if id >= ConfigTAPNFQueue {
+		tb.network.Gateway = netsim.NewGateway(netsim.GatewayConfig{Passthrough: true, Clock: tb.network.Clock})
 	}
 
 	// Device-side instrumentation per configuration. The hooks do the real
-	// work (static option injection, stack walking, dynamic encoding) and
-	// the harness charges the calibrated virtual cost per socket.
+	// work (static option injection, stack walking) and the harness charges
+	// the calibrated virtual cost per socket.
+	static := []ipv4.Option{{Type: ipv4.OptSecurity, Data: []byte("BORDERPATROL-STATIC-OPTIONS-0001")}}
 	switch id {
 	case ConfigStaticInject:
-		static := []ipv4.Option{{Type: ipv4.OptSecurity, Data: []byte("BORDERPATROL-STATIC-OPTIONS-0001")}}
 		device.Stack().RegisterConnectHook(func(sock *netstack.JavaSocket) {
 			_ = device.Kernel().SetIPOptions(sock.FD(), 0, static)
 		})
 		tb.perSocketCost = model.XposedHookPerSocket + model.SetsockoptPerSocket
 	case ConfigStaticGetStack:
-		static := []ipv4.Option{{Type: ipv4.OptSecurity, Data: []byte("BORDERPATROL-STATIC-OPTIONS-0001")}}
 		device.Stack().RegisterConnectHook(func(sock *netstack.JavaSocket) {
 			if a, ok := device.AppByUID(sock.OwnerUID); ok {
 				_ = a.Thread().GetStackTrace() // real stack walk, result unused
@@ -222,13 +223,6 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 			_ = device.Kernel().SetIPOptions(sock.FD(), 0, static)
 		})
 		tb.perSocketCost = model.XposedHookPerSocket + model.GetStackTracePerSocket + model.SetsockoptPerSocket
-	case ConfigDynamic:
-		manager := contextmgr.New(device)
-		if err := device.LoadModule(manager); err != nil {
-			return nil, err
-		}
-		tb.perSocketCost = model.XposedHookPerSocket + model.GetStackTracePerSocket +
-			model.EncodePerSocket + model.SetsockoptPerSocket
 	}
 
 	app, err := device.InstallApp(apk, funcs, android.ProfileWork)
@@ -239,12 +233,38 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 	return tb, nil
 }
 
-// RunFig4Config measures one configuration: iterations × (socket + GET +
-// close) and returns the mean virtual latency per request. Each
-// connection's SYN + GET + FIN crosses the network as one burst, so the
-// NFQUEUE hop — the cost Fig. 4's ii→iii delta isolates — is charged once
-// per request each way, as the paper measured it; the NIC, wire and
-// enforcement costs are per segment.
+// measure runs n connections of k requests each (socket, k GETs, close)
+// and returns the virtual time they took. Each connection's packets cross
+// the network as one burst, so the NFQUEUE hop — the cost Fig. 4's ii→iii
+// delta isolates — is charged once per connection each way, as the paper
+// measured it; the NIC, wire and enforcement costs are per segment.
+func (tb *fig4Testbed) measure(n, k int) (time.Duration, error) {
+	fn, _ := tb.app.Functionality("get")
+	fn.Op.Requests = k
+	var total time.Duration
+	for it := 0; it < n; it++ {
+		start := tb.network.Clock.Now()
+		res, err := tb.app.Invoke("get")
+		if err != nil {
+			return 0, err
+		}
+		// Device-side per-socket cost (hooks ran during Invoke).
+		tb.network.Clock.Advance(tb.perSocketCost)
+		for i, d := range tb.network.DeliverBatch(res.Packets) {
+			if !d.Delivered {
+				return 0, fmt.Errorf("packet dropped at %s", d.Stage)
+			}
+			if isDataPacket(res.Packets[i]) && (d.Response == nil || d.Response.Status != 200) {
+				return 0, errors.New("bad response")
+			}
+		}
+		total += tb.network.Clock.Now() - start
+	}
+	return total, nil
+}
+
+// RunFig4Config measures one configuration: runs × iterations × (socket +
+// GET + close), and returns the mean virtual latency per request.
 func RunFig4Config(id Fig4ConfigID, opts Fig4Options) (Fig4Point, error) {
 	if opts.Iterations <= 0 || opts.Runs <= 0 {
 		return Fig4Point{}, fmt.Errorf("fig4: invalid options %+v", opts)
@@ -253,29 +273,12 @@ func RunFig4Config(id Fig4ConfigID, opts Fig4Options) (Fig4Point, error) {
 	if err != nil {
 		return Fig4Point{}, err
 	}
+	defer tb.close()
 	wallStart := time.Now()
-	var total time.Duration
-	requests := 0
-	for run := 0; run < opts.Runs; run++ {
-		for it := 0; it < opts.Iterations; it++ {
-			start := tb.network.Clock.Now()
-			res, err := tb.app.Invoke("get")
-			if err != nil {
-				return Fig4Point{}, fmt.Errorf("fig4 %s: %w", id, err)
-			}
-			// Device-side per-socket cost (hooks ran during Invoke).
-			tb.network.Clock.Advance(tb.perSocketCost)
-			for i, d := range tb.network.DeliverBatch(res.Packets) {
-				if !d.Delivered {
-					return Fig4Point{}, fmt.Errorf("fig4 %s: packet dropped at %s", id, d.Stage)
-				}
-				if isDataPacket(res.Packets[i]) && (d.Response == nil || d.Response.Status != 200) {
-					return Fig4Point{}, fmt.Errorf("fig4 %s: bad response", id)
-				}
-			}
-			total += tb.network.Clock.Now() - start
-			requests++
-		}
+	requests := opts.Runs * opts.Iterations
+	total, err := tb.measure(requests, 1)
+	if err != nil {
+		return Fig4Point{}, fmt.Errorf("fig4 %s: %w", id, err)
 	}
 	return Fig4Point{
 		Config:      id,
@@ -326,7 +329,7 @@ type KeepAlivePoint struct {
 }
 
 // RunKeepAliveAmortization sweeps requests-per-socket on the full
-// BorderPatrol configuration.
+// BorderPatrol configuration, a fresh one per row.
 func RunKeepAliveAmortization(requestsPerSocket []int, iterations int) ([]KeepAlivePoint, error) {
 	if iterations <= 0 {
 		return nil, fmt.Errorf("fig4: invalid iterations %d", iterations)
@@ -340,30 +343,12 @@ func RunKeepAliveAmortization(requestsPerSocket []int, iterations int) ([]KeepAl
 		if err != nil {
 			return nil, err
 		}
-		// Rewire the stress functionality for k keep-alive requests.
-		fn, _ := tb.app.Functionality("get")
-		fn.Op.Requests = k
-		var total time.Duration
-		requests := 0
-		for it := 0; it < iterations; it++ {
-			start := tb.network.Clock.Now()
-			res, err := tb.app.Invoke("get")
-			if err != nil {
-				return nil, err
-			}
-			tb.network.Clock.Advance(tb.perSocketCost) // once per socket
-			for _, d := range tb.network.DeliverBatch(res.Packets) {
-				if !d.Delivered {
-					return nil, fmt.Errorf("keep-alive: dropped at %s", d.Stage)
-				}
-			}
-			requests += k
-			total += tb.network.Clock.Now() - start
+		total, err := tb.measure(iterations, k)
+		tb.close()
+		if err != nil {
+			return nil, fmt.Errorf("keep-alive: %w", err)
 		}
-		out = append(out, KeepAlivePoint{
-			RequestsPerSocket: k,
-			MeanPerRequest:    total / time.Duration(requests),
-		})
+		out = append(out, KeepAlivePoint{RequestsPerSocket: k, MeanPerRequest: total / time.Duration(iterations*k)})
 	}
 	return out, nil
 }

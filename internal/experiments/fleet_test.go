@@ -11,7 +11,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/contextmgr"
 	"borderpatrol/internal/dex"
@@ -22,7 +21,6 @@ import (
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
-	"borderpatrol/internal/sanitizer"
 	"borderpatrol/internal/tag"
 )
 
@@ -77,19 +75,10 @@ func TestFleetSharedGatewayEnforcement(t *testing.T) {
 	ep := netip.AddrPortFrom(netip.MustParseAddr("198.18.70.1"), 443)
 
 	// One shared database + gateway for the whole fleet.
-	db := analyzer.NewDatabase()
-	engine, err := policy.NewEngine([]policy.Rule{
-		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
-	}, policy.VerdictAllow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enf := enforcer.New(enforcer.Config{}, db, engine)
 	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
-	network.Gateway = netsim.NewGateway(netsim.GatewayConfig{
-		Enforcer:  enf,
-		Sanitizer: sanitizer.New(),
-	})
+	tb := assembleDenyingFlurry(t, network)
+	db, enf := tb.DB, tb.Enforcer
+	network.Gateway = tb.Gateway
 	network.AddServer(&netsim.Server{Addr: ep.Addr(), Handler: httpsim.StaticHandler(nil)})
 
 	fleet := make([]*fleetDevice, devices)
@@ -157,17 +146,11 @@ func TestFragmentedTaggedPacketEnforcedPerFragment(t *testing.T) {
 	// (copied option), so the enforcer can drop each fragment of a denied
 	// flow independently — no reassembly state needed at the gateway.
 	apk := fleetAPK(9)
-	db := analyzer.NewDatabase()
+	tb := assembleDenyingFlurry(t, netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel()))
+	db, enf := tb.DB, tb.Enforcer
 	if err := db.Add(apk); err != nil {
 		t.Fatal(err)
 	}
-	engine, err := policy.NewEngine([]policy.Rule{
-		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
-	}, policy.VerdictAllow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enf := enforcer.New(enforcer.Config{}, db, engine)
 
 	// Build a tagged beacon packet with a large payload and fragment it.
 	entry, _ := db.LookupTruncated(apk.Truncated())
@@ -198,6 +181,21 @@ func TestFragmentedTaggedPacketEnforcedPerFragment(t *testing.T) {
 			t.Fatalf("fragment %d cause = %s", i, res.Cause)
 		}
 	}
+}
+
+// assembleDenyingFlurry assembles the shipped gateway on network with a
+// policy denying the com/flurry library.
+func assembleDenyingFlurry(t *testing.T, network *netsim.Network) *Testbed {
+	t.Helper()
+	tb, err := Assemble(network, TestbedConfig{
+		EnforcementOn: true,
+		Rules:         []policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tb.Close() })
+	return tb
 }
 
 func taggedPacketWithPayload(t *testing.T, hash dex.TruncatedHash, idx uint32, size int) *ipv4.Packet {

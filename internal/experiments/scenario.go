@@ -391,7 +391,7 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 // context, and sets up the model.
 func (r *scenarioRun) buildPool(corpus []*apkgen.App) error {
 	r.model = refmodel.Model{
-		APKs: corpusAPKs(corpus), Rules: r.rules[0], Default: policy.VerdictAllow, Contextual: true,
+		APKs: corpusAPKs(corpus), Rules: r.rules[0], Default: policy.VerdictAllow,
 		Context: map[netip.Addr]policy.DeviceContext{}, Clock: fixedClock(r.tb.Network.Clock.Now()),
 	}
 	var sources [][]*ipv4.Packet

@@ -109,8 +109,8 @@ type TestbedConfig struct {
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Assemble
-	// rejects the deadline without PolicySource, and a mode other than
-	// FailStatic without the deadline.
+	// rejects the deadline without PolicySource, and either one without the
+	// other: FailStatic is the posture of a store without a deadline.
 	PolicyMaxStale time.Duration
 	PolicyFailMode policystore.FailMode
 	// PolicyVirtualTime drives the staleness clock from the network's
@@ -171,6 +171,10 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	}
 	if cfg.PolicyFailMode != policystore.FailStatic && cfg.PolicyMaxStale <= 0 {
 		return nil, fmt.Errorf("experiments: PolicyFailMode %v requires a PolicyMaxStale", cfg.PolicyFailMode)
+	}
+	if cfg.PolicyFailMode == policystore.FailStatic && cfg.PolicyMaxStale != 0 {
+		// FailStatic serves the last-good rules past the deadline too.
+		return nil, errors.New("experiments: PolicyMaxStale requires a PolicyFailMode other than FailStatic")
 	}
 	defV := cfg.DefaultVerdict
 	if defV == 0 {
@@ -242,7 +246,6 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 			AllowUntagged: cfg.AllowUntagged,
 			Audit:         tb.Audit,
 			Context:       tb.Context,
-			Clock:         network.Clock,
 		}
 		if !cfg.DisableFlowCache {
 			ttl := cfg.FlowTTL

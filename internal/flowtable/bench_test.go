@@ -11,7 +11,7 @@ import (
 // atomic recency refresh. This is the whole per-packet cost of a cached
 // flow at the gateway.
 func BenchmarkFlowLookupHit(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 65536})
+	tb := newTable[uint64](Config{Capacity: 65536})
 	k := key(1)
 	tb.Insert(k, 1, nil, 42)
 	b.ReportAllocs()
@@ -29,7 +29,7 @@ func BenchmarkFlowLookupHit(b *testing.B) {
 // access BenchmarkFlowLookupHit's single hot flow never makes.
 func BenchmarkFlowLookupFleet(b *testing.B) {
 	const flows = 32768
-	tb := New[uint64](Config{Capacity: 65536})
+	tb := newTable[uint64](Config{Capacity: 65536})
 	keys := make([]Key, flows)
 	for i := range keys {
 		k := Key{Tuple: transport.Tuple{Src: 0x0a800000 + uint32(i), Dst: 0x5db80001, SrcPort: 40000, DstPort: 443}, Proto: 6}
@@ -50,7 +50,7 @@ func BenchmarkFlowLookupFleet(b *testing.B) {
 // BenchmarkFlowLookupHitParallel drives the same hot flow from every core:
 // readers share only the shard's RWMutex in read mode.
 func BenchmarkFlowLookupHitParallel(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 65536})
+	tb := newTable[uint64](Config{Capacity: 65536})
 	k := key(1)
 	tb.Insert(k, 1, nil, 42)
 	b.ReportAllocs()
@@ -68,7 +68,7 @@ func BenchmarkFlowLookupHitParallel(b *testing.B) {
 // BenchmarkFlowInsert measures the miss path's cache-fill cost with LRU
 // eviction pressure (table deliberately smaller than the flow population).
 func BenchmarkFlowInsert(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024})
+	tb := newTable[uint64](Config{Capacity: 1024})
 	keys := make([]Key, 4096)
 	for i := range keys {
 		keys[i] = key(i)
@@ -103,7 +103,7 @@ func BenchmarkFlowDigest(b *testing.B) {
 // so invalidation leaves nothing behind for the eviction sample to step
 // over.
 func BenchmarkFlowInsertStaleChurn(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024})
+	tb := newTable[uint64](Config{Capacity: 1024})
 	old := make([]Key, 1024)
 	for i := range old {
 		old[i] = key(i)
@@ -134,7 +134,7 @@ func BenchmarkFlowInsertStaleChurn(b *testing.B) {
 // allocates nothing.
 func BenchmarkFlowInsertChurn(b *testing.B) {
 	const round = 4096
-	tb := New[uint64](Config{Capacity: 65536})
+	tb := newTable[uint64](Config{Capacity: 65536})
 	gen := uint64(0)
 	current := func(Key) uint64 { return gen }
 	insert := func(i int) {
@@ -159,7 +159,7 @@ func BenchmarkFlowInsertChurn(b *testing.B) {
 // eviction sample and the cell write (the table's share of the fill path
 // BenchmarkProcessFlowMiss measures end to end).
 func BenchmarkFlowMissFlood(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024})
+	tb := newTable[uint64](Config{Capacity: 1024})
 	for i := 0; i < 1024; i++ {
 		tb.Insert(key(i), 1, nil, uint64(i))
 	}
@@ -178,7 +178,7 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 // guard on: the insert is a ring scan instead of an eviction, bounding
 // the per-packet cost of a SYN flood of unique crafted flows.
 func BenchmarkFlowMissFloodNegCache(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024, MissRing: 64})
+	tb := newTable[uint64](Config{Capacity: 1024, MissRing: 64})
 	for i := 0; i < 1024; i++ {
 		tb.Insert(key(i), 1, nil, uint64(i))
 	}

@@ -53,11 +53,10 @@
 // admission guard (Config.MissRing) may refuse the key, else it is
 // evicted. Every shard of every table shares one seed drawn per process,
 // so the cells a sample visits follow from the inserted keys alone, and a
-// run repeated in one process evicts the same flows. With a Clock the TTL
-// is an idle timeout in virtual time from the entry's last use. A value
-// that lapses for the caller's own reasons (the enforcer's time-of-day
-// edges) is the caller's to check. Sweep frees the dead cells no insert
-// passes over.
+// run repeated in one process evicts the same flows. The TTL is an idle
+// timeout in virtual time from the entry's last use. A value that lapses
+// for the caller's own reasons (the enforcer's time-of-day edges) is the
+// caller's to check. Sweep frees the dead cells no insert passes over.
 //
 // Counters are atomic; Lookup takes one shard RLock, so readers of
 // different flows share nothing but their shard stripe.
@@ -150,9 +149,10 @@ type Config struct {
 	// Shards is the number of lock stripes, a power of two (default 64).
 	Shards int
 	// TTL is the idle timeout: an entry expires this much virtual time after
-	// its last use (insert or hit). Zero (or a nil Clock) disables expiry.
+	// its last use (insert or hit). Zero disables expiry.
 	TTL time.Duration
-	// Clock supplies virtual time; nil falls back to a tick count (no TTL).
+	// Clock supplies virtual time for the TTL and LRU recency. Required:
+	// New panics without one.
 	Clock Clock
 	// MissRing sizes the per-shard negative cache guarding admission under
 	// capacity pressure (0 disables it), so that a unique-flow flood (a SYN
@@ -221,7 +221,6 @@ type Table[V any] struct {
 	perShardCap int
 	missRing    int
 
-	tick atomic.Int64 // recency source when clock is nil
 	live atomic.Int64 // flows held, across all shards
 
 	hits           atomic.Uint64
@@ -233,8 +232,11 @@ type Table[V any] struct {
 	admissionDrops atomic.Uint64
 }
 
-// New builds a table.
+// New builds a table. It panics when cfg has no Clock.
 func New[V any](cfg Config) *Table[V] {
+	if cfg.Clock == nil {
+		panic("flowtable: Config.Clock is required")
+	}
 	capacity := cfg.Capacity
 	if capacity <= 0 {
 		capacity = 65536
@@ -257,30 +259,10 @@ func New[V any](cfg Config) *Table[V] {
 		perShardCap: per,
 		missRing:    max(cfg.MissRing, 0),
 	}
-	if t.clock == nil {
-		t.ttl = 0 // TTL needs a time source
-	}
 	for i := range t.shards {
 		t.shards[i].flows = Index[Key, entry[V]]{seed: tableSeed, bound: uint32(per)}
 	}
 	return t
-}
-
-// now is the insert-side timestamp: virtual time, else the next tick.
-func (t *Table[V]) now() time.Duration {
-	if t.clock != nil {
-		return t.clock.Now()
-	}
-	return time.Duration(t.tick.Add(1))
-}
-
-// readNow is the lookup-side timestamp. It never advances the tick, so a
-// hit does no shared read-modify-write; +1 orders it after its insert.
-func (t *Table[V]) readNow() time.Duration {
-	if t.clock != nil {
-		return t.clock.Now()
-	}
-	return time.Duration(t.tick.Load() + 1)
 }
 
 // idle reports whether an entry last used at `used` has outlived the TTL.
@@ -357,7 +339,7 @@ func (t *Table[V]) reap(now time.Duration, k Key, e *entry[V], current func(Key)
 func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept func(v *V) bool) (V, bool) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
-	now := t.readNow()
+	now := t.clock.Now()
 	dead := false
 	s.mu.RLock()
 	if e := s.flows.Get(h, k); e != nil {
@@ -405,7 +387,7 @@ func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, current func(Key) uint
 func (t *Table[V]) Insert(k Key, gen uint64, current func(Key) uint64, v V) {
 	h := k.hash()
 	s := &t.shards[h&t.mask]
-	now := t.now()
+	now := t.clock.Now()
 	s.mu.Lock()
 	// A key already held (re-insert after invalidation or a refused
 	// accept) is overwritten in place. Below capacity that is one probe; a
@@ -497,7 +479,7 @@ func (t *Table[V]) Sweep(current func(Key) uint64) int {
 	if t.ttl <= 0 && current == nil {
 		return 0
 	}
-	now := t.readNow()
+	now := t.clock.Now()
 	freed := 0
 	for si := range t.shards {
 		s := &t.shards[si]

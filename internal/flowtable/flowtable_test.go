@@ -21,22 +21,19 @@ func count[V any](tb *Table[V], series string) uint64 {
 	return uint64(v)
 }
 
-// tickClock is a hand-cranked virtual clock for TTL tests.
-type tickClock struct {
-	mu  sync.Mutex
-	now time.Duration
-}
+// tickClock is a hand-cranked virtual clock: one atomic, like the
+// netsim.Clock the shipped gateway hands its table.
+type tickClock struct{ now atomic.Int64 }
 
-func (c *tickClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *tickClock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
-func (c *tickClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+func (c *tickClock) advance(d time.Duration) { c.now.Add(int64(d)) }
+
+// newTable builds a table on a clock of its own that nothing advances, for
+// tests and benchmarks that do not move time.
+func newTable[V any](cfg Config) *Table[V] {
+	cfg.Clock = &tickClock{}
+	return New[V](cfg)
 }
 
 func key(i int) Key {
@@ -59,7 +56,7 @@ func TestKeyIs24Bytes(t *testing.T) {
 }
 
 func TestLookupInsertRoundTrip(t *testing.T) {
-	tb := New[string](Config{Capacity: 128, Shards: 4})
+	tb := newTable[string](Config{Capacity: 128, Shards: 4})
 	k := key(1)
 	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
 		t.Fatal("empty table hit")
@@ -76,7 +73,7 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 }
 
 func TestGenerationMismatchInvalidates(t *testing.T) {
-	tb := New[string](Config{Capacity: 128})
+	tb := newTable[string](Config{Capacity: 128})
 	k := key(7)
 	tb.Insert(k, 1, nil, "allow")
 	// A rule or database update bumped the generation: the entry must not
@@ -134,22 +131,26 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestTTLWithoutClockDisabled(t *testing.T) {
-	tb := New[int](Config{Capacity: 8, TTL: time.Nanosecond})
-	k := key(4)
-	tb.Insert(k, 1, nil, 1)
-	if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
-		t.Fatal("TTL applied without a clock")
-	}
+// TestNewRequiresClock: a table has one time source, its Clock; there is
+// no clockless mode to fall back to.
+func TestNewRequiresClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New built a table without a clock")
+		}
+	}()
+	New[int](Config{Capacity: 8, TTL: time.Nanosecond})
 }
 
 func TestLRUEvictionUnderCapacity(t *testing.T) {
 	// One shard, capacity 4: inserting a 5th flow evicts the LRU.
-	tb := New[int](Config{Capacity: 4, Shards: 1})
+	clk := &tickClock{}
+	tb := New[int](Config{Capacity: 4, Shards: 1, Clock: clk})
 	for i := 0; i < 4; i++ {
 		tb.Insert(key(i), 1, nil, i)
 	}
-	// Touch 0..2 so key(3) is least recently used.
+	// Touch 0..2 later so key(3) is least recently used.
+	clk.advance(time.Millisecond)
 	for i := 0; i < 3; i++ {
 		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
 			t.Fatalf("flow %d missing", i)
@@ -193,7 +194,7 @@ func TestEvictionPrefersExpired(t *testing.T) {
 }
 
 func TestDeleteAndPurge(t *testing.T) {
-	tb := New[int](Config{Capacity: 128})
+	tb := newTable[int](Config{Capacity: 128})
 	tb.Insert(key(1), 1, nil, 1)
 	tb.Insert(key(2), 1, nil, 2)
 	if !tb.Delete(key(1)) {
@@ -230,7 +231,7 @@ func TestDigestCollisionCannotBorrowVerdict(t *testing.T) {
 	k := key(1)
 	tagIs := func(tag string) func(*flow) bool { return func(f *flow) bool { return f.tag == tag } }
 
-	tb := New[flow](Config{Capacity: 128})
+	tb := newTable[flow](Config{Capacity: 128})
 	tb.Insert(k, 1, nil, flow{"benign", "allow"})
 	if v, ok := tb.Lookup(k, 1, nil, tagIs("forged")); ok {
 		t.Fatalf("colliding flow served %q", v.verdict)
@@ -280,7 +281,7 @@ func TestSetTag(t *testing.T) {
 // -race: the striped locks and atomic recency must neither race nor serve
 // a value under the wrong generation.
 func TestConcurrentReadersAndInvalidation(t *testing.T) {
-	tb := New[uint64](Config{Capacity: 256, Shards: 8})
+	tb := newTable[uint64](Config{Capacity: 256, Shards: 8})
 	hot := key(1000)
 
 	var gen atomic.Uint64

@@ -47,7 +47,7 @@ func TestFullShardTakesStaleCell(t *testing.T) {
 // new one. It misses, but the cell is current for its key: it stays, and
 // no stale drop is counted.
 func TestOldGenerationLookupKeepsNewerCell(t *testing.T) {
-	tab := New[string](Config{Capacity: 128})
+	tab := newTable[string](Config{Capacity: 128})
 	g := &generations{now: 2}
 	k := key(3)
 	tab.Insert(k, 2, g.current, "new")
@@ -68,7 +68,7 @@ func TestOldGenerationLookupKeepsNewerCell(t *testing.T) {
 // N flows need, not 2N.
 func TestReclaimHoldsOneWave(t *testing.T) {
 	const n = 1000
-	tab := New[int](Config{Capacity: 4096, Shards: 1})
+	tab := newTable[int](Config{Capacity: 4096, Shards: 1})
 	g := &generations{now: 1}
 	for i := 0; i < n; i++ {
 		tab.Insert(floodKey(uint64(i)), 1, g.current, i)
@@ -100,7 +100,7 @@ func TestReclaimHoldsOneWave(t *testing.T) {
 // next pass: a pass that frees less lets the index grow.
 func TestReclaimOnePassPerDoubling(t *testing.T) {
 	for _, every := range []int{0, 16} {
-		tab := New[int](Config{Capacity: 1 << 16, Shards: 1})
+		tab := newTable[int](Config{Capacity: 1 << 16, Shards: 1})
 		g := &generations{now: 1}
 		passes, doublings := 0, 0
 		due := 0 // the first insert that may run a pass without doubling
@@ -136,7 +136,7 @@ func TestReclaimOnePassPerDoubling(t *testing.T) {
 // the cells no lookup can hit any more, without a TTL, and counts them as
 // stale drops; the current flows stay.
 func TestSweepReclaimsStale(t *testing.T) {
-	tab := New[int](Config{Capacity: 128})
+	tab := newTable[int](Config{Capacity: 128})
 	g := &generations{now: 1}
 	for i := 0; i < 8; i++ {
 		tab.Insert(key(i), 1, g.current, i)

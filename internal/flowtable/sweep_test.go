@@ -78,7 +78,7 @@ func TestReclaimAndSweepShareTheIdle(t *testing.T) {
 
 // TestSweepNoTTLNoOp: without a TTL the sweep has nothing to expire.
 func TestSweepNoTTLNoOp(t *testing.T) {
-	tb := New[string](Config{Capacity: 128})
+	tb := newTable[string](Config{Capacity: 128})
 	tb.Insert(key(1), 1, nil, "allow")
 	if got := tb.Sweep(nil); got != 0 {
 		t.Fatalf("TTL-less sweep reclaimed %d", got)

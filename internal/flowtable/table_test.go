@@ -13,7 +13,7 @@ import (
 // RAM table, the doorkeeper's memory included — a key turned away before
 // the purge must not count as "seen twice" after it.
 func TestPurgeClearsAdmissionRing(t *testing.T) {
-	tab := New[int](Config{Capacity: 4, Shards: 1, MissRing: 8})
+	tab := newTable[int](Config{Capacity: 4, Shards: 1, MissRing: 8})
 	fill := func() {
 		for i := uint64(0); i < 4; i++ {
 			tab.Insert(floodKey(i), 1, nil, int(i))
@@ -42,7 +42,7 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 // must not allocate: the index never grows past its bound.
 func TestStaleChurnStaysBounded(t *testing.T) {
 	const capacity = 64
-	tab := New[int](Config{Capacity: capacity, Shards: 1})
+	tab := newTable[int](Config{Capacity: capacity, Shards: 1})
 	keys := make([]Key, 9*capacity)
 	for i := range keys {
 		keys[i] = floodKey(uint64(i))

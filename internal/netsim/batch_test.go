@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -16,7 +15,7 @@ import (
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	mk := func(workers int) (*Network, *ipv4.Packet, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers})
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: NewClock()})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	}
@@ -83,7 +82,7 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 func TestDeliverBatchAmortizesQueueHop(t *testing.T) {
 	mk := func() (*Network, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync")
 	}
@@ -128,9 +127,9 @@ func TestDeliverBatchEmpty(t *testing.T) {
 // repeated batches of one flow drive the policy engine exactly once.
 func TestGatewayProcessBatchFlowCache(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 
 	pkt := taggedPacket(t, apk, db, "sync")
 	burst := make([]*ipv4.Packet, 32)
@@ -171,7 +170,7 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 func TestDeniedPacketNeverSanitized(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
 	san := sanitizer.New()
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: san})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: san, Clock: NewClock()})
 	allowed, denied := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	burst := []*ipv4.Packet{allowed, denied, denied, allowed, denied}
 	out, err := gw.ProcessBatch(burst)
@@ -199,8 +198,8 @@ func TestDeniedPacketNeverSanitized(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]GatewayConfig{
-		"passthrough":    {Passthrough: true},
-		"sanitizer only": {Sanitizer: sanitizer.New()},
+		"passthrough":    {Passthrough: true, Clock: NewClock()},
+		"sanitizer only": {Sanitizer: sanitizer.New(), Clock: NewClock()},
 	} {
 		out, err := NewGateway(cfg).ProcessBatch(burst)
 		if err != nil {

@@ -195,29 +195,22 @@ const maxTimeWait = 16384
 // shorter window so soak epochs can legitimately reuse tuples.
 const timeWaitTTL = 30 * time.Second
 
-// NewConntrack builds an empty tracker. clock supplies virtual time for
-// TIME_WAIT expiry and idle sweeps; nil disables time-based expiry (parked
-// records are then bounded only by maxTimeWait). It allocates no records:
-// each shard's index and ring grow on use.
-func NewConntrack(clock *Clock) *Conntrack {
-	ct := &Conntrack{clock: clock}
+// NewConntrack builds an empty tracker. c supplies virtual time for
+// TIME_WAIT expiry and idle sweeps; NewConntrack panics without one. It
+// allocates no records: each shard's index and ring grow on use.
+func NewConntrack(c *Clock) *Conntrack {
+	if c == nil {
+		panic("netsim: NewConntrack needs a clock")
+	}
+	ct := &Conntrack{clock: c}
 	for i := range ct.shards {
 		ct.shards[i].conns = flowtable.NewIndex[transport.Tuple, connState]((maxTracked + maxTimeWait) / ctShards)
 	}
 	return ct
 }
 
-// now reads virtual time (zero without a clock).
-func (ct *Conntrack) now() time.Duration {
-	if ct.clock == nil {
-		return 0
-	}
-	return ct.clock.Now()
-}
-
 // waiting reports whether a connection parked at virtual time at is
-// still in TIME_WAIT at now. Without a clock both read zero, so a parked
-// record never leaves it.
+// still in TIME_WAIT at now.
 func waiting(at, now time.Duration) bool {
 	return now-at <= timeWaitTTL
 }
@@ -318,7 +311,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 	if !f.v4 {
 		return closing
 	}
-	now := ct.now()
+	now := ct.clock.Now()
 	h := f.t.Hash()
 	s := &ct.shards[shardOfHash(h)]
 	s.mu.Lock()
@@ -391,7 +384,7 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 	// on the record the SYN established.
 	k := t.Reverse()
 	dataLen := uint32(len(pkt.Payload) - info.DataOff)
-	now := ct.now()
+	now := ct.clock.Now()
 	h := k.Hash()
 	s := &ct.shards[shardOfHash(h)]
 	s.mu.Lock()
@@ -424,13 +417,13 @@ func (ct *Conntrack) ObserveResponse(pkt *ipv4.Packet) (drop bool) {
 
 // Sweep reclaims open connections idle longer than the given deadline —
 // half-open flows whose FIN was lost — and releases expired TIME_WAIT
-// records. Returns how many open records it reclaimed. A no-op without a
-// clock or with idle <= 0.
+// records. Returns how many open records it reclaimed. A no-op with
+// idle <= 0.
 func (ct *Conntrack) Sweep(idle time.Duration) int {
-	if ct.clock == nil || idle <= 0 {
+	if idle <= 0 {
 		return 0
 	}
-	now := ct.now()
+	now := ct.clock.Now()
 	reclaimed := 0
 	for i := range ct.shards {
 		s := &ct.shards[i]

@@ -134,10 +134,7 @@ func TestConntrackSweep(t *testing.T) {
 		t.Fatalf("post-sweep: %+v", st)
 	}
 
-	// No clock or non-positive idle: the sweep is a no-op.
-	if got := (NewConntrack(nil)).Sweep(time.Minute); got != 0 {
-		t.Fatalf("clockless sweep reclaimed %d", got)
-	}
+	// A non-positive idle: the sweep is a no-op.
 	if got := ct.Sweep(0); got != 0 {
 		t.Fatalf("idle<=0 sweep reclaimed %d", got)
 	}
@@ -359,7 +356,7 @@ func replyTo(fwd *ipv4.Packet, seq uint32, body []byte) *ipv4.Packet {
 // passes. (Evicting an arbitrary entry, the victim's next response would
 // be adopted and re-prime the check: flood-then-inject.)
 func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
-	ct := NewConntrack(nil)
+	ct := NewConntrack(NewClock())
 	victim := fwdPkt(transport.FlagSYN, 1, nil)
 	ct.Observe(victim)
 	body := []byte("HTTP/1.1 200 OK\r\n\r\n")
@@ -391,7 +388,7 @@ func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
 // response for a connection the shard cannot adopt passes unchecked
 // (outcome="unchecked"); the tracked connections keep their checks.
 func TestFullShardRefusesNewcomers(t *testing.T) {
-	gw := NewGateway(GatewayConfig{})
+	gw := NewGateway(GatewayConfig{Clock: NewClock()})
 	ct := gw.ct
 	perShard := maxTracked / ctShards
 	syns := sameShardSYNs(0, perShard+1)

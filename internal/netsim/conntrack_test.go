@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -44,9 +43,9 @@ func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.
 // cache, and the FIN deletes the flow's cached verdict.
 func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -65,7 +64,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 			t.Fatalf("data %d: %+v", i, d)
 		}
 	}
-	st := flowCounts(flows)
+	st := flowCounts(enf)
 	if st["live"] != 1 || st["misses"] != 1 || st["hits"] != 3 {
 		t.Fatalf("mid-connection flow stats: %+v", st)
 	}
@@ -77,7 +76,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if ct["closed"] != 1 || ct["open"] != 0 {
 		t.Fatalf("conntrack after FIN: %+v", ct)
 	}
-	if st := flowCounts(flows); st["live"] != 0 {
+	if st := flowCounts(enf); st["live"] != 0 {
 		t.Fatalf("FIN did not tear the flow down: %+v", st)
 	}
 
@@ -88,7 +87,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if d := n.Deliver(syn2); !d.Delivered {
 		t.Fatalf("second SYN dropped: %+v", d)
 	}
-	st = flowCounts(flows)
+	st = flowCounts(enf)
 	if st["misses"] != 2 || st["hits"] != 4 {
 		t.Fatalf("re-resolve stats = %+v, want 2 misses / 4 hits", st)
 	}
@@ -97,9 +96,9 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 // TestRSTAbortsConnection: RST tears down like FIN.
 func TestRSTAbortsConnection(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -110,13 +109,13 @@ func TestRSTAbortsConnection(t *testing.T) {
 
 	n.Deliver(syn)
 	n.Deliver(data[0])
-	if st := flowCounts(flows); st["live"] != 1 {
+	if st := flowCounts(enf); st["live"] != 1 {
 		t.Fatalf("flow not cached: %+v", st)
 	}
 	if d := n.Deliver(rstPkt); !d.Delivered {
 		t.Fatalf("RST dropped: %+v", d)
 	}
-	if st := flowCounts(flows); st["live"] != 0 {
+	if st := flowCounts(enf); st["live"] != 0 {
 		t.Fatalf("RST did not tear the flow down: %+v", st)
 	}
 	if ct := conntrack(gw.ct); ct["closed"] != 1 {
@@ -129,9 +128,9 @@ func TestRSTAbortsConnection(t *testing.T) {
 // and the cached drop verdict survives — repeat offenders stay cheap.
 func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "beacon") // denied by the flurry rule
@@ -141,7 +140,7 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 			t.Fatalf("denied flow packet delivered: %+v", d)
 		}
 	}
-	st := flowCounts(flows)
+	st := flowCounts(enf)
 	if st["live"] != 1 {
 		t.Fatalf("cached drop verdict evicted by its own FIN: %+v", st)
 	}
@@ -158,9 +157,9 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 // hit the cache.
 func TestBatchConntrackTeardown(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -176,7 +175,7 @@ func TestBatchConntrackTeardown(t *testing.T) {
 			t.Fatalf("burst pkt %d enforcement: %+v", i, d.Enforcement)
 		}
 	}
-	st := flowCounts(flows)
+	st := flowCounts(enf)
 	if st["live"] != 0 {
 		t.Fatalf("batched FIN did not tear down: %+v", st)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
@@ -22,11 +21,9 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 	enf0, apk, db := buildEnforcerAndDB(t)
 	log := audit.New(nil, 64)
 	t.Cleanup(func() { _ = log.Close() })
-	enf = enforcer.New(enforcer.Config{
-		Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024}),
-		Audit: log,
-	}, db, enf0.Engine())
-	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf = shipped(clock, 1024, enforcer.Config{Audit: log}, db, enf0.Engine())
+	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n = newStaticNetwork(ModeTAP, gw)
 	reg = metrics.NewRegistry()
 	enf.RegisterMetrics(reg)

@@ -9,26 +9,25 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/sanitizer"
 	"borderpatrol/internal/transport"
 )
 
-// tailFixture is a gateway (flow-cached enforcer + sanitizer)
-// in front of the static server, and the tagged keep-alive request its
-// connections carry.
-func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.FlowCache, *ipv4.Packet) {
+// tailFixture is a gateway (flow-cached enforcer + sanitizer) on the
+// network's clock in front of the static server, and the tagged keep-alive
+// request its connections carry.
+func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.Enforcer, *ipv4.Packet) {
 	tb.Helper()
 	enf0, apk, db := buildEnforcerAndDB(tb)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 4096})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
-	n := newStaticNetwork(ModeTAP, gw)
+	n := newStaticNetwork(ModeTAP, nil)
+	enf := shipped(n.Clock, 4096, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: n.Clock})
+	n.Gateway = gw
 	base := taggedPacket(tb, apk, db, "sync")
 	base.Payload = plainPacket((&httpsim.Request{Method: "GET", Path: "/static/page.html", Host: "example", KeepAlive: true}).Marshal()).Payload
-	return n, gw, flows, base
+	return n, gw, enf, base
 }
 
 // keepAliveBurst is one connection as the device emits it: SYN, n
@@ -45,7 +44,7 @@ func keepAliveBurst(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) []*i
 // cached verdict down; and the copy lands in the worker's slabs, so it
 // allocates nothing.
 func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
-	_, gw, flows, base := tailFixture(t)
+	_, gw, enf, base := tailFixture(t)
 	base.Header.Options = append([]ipv4.Option{{Type: ipv4.OptNOP}}, base.Header.Options...)
 	base.Header.Options = append(base.Header.Options, ipv4.Option{Type: ipv4.OptNOP})
 	burst := keepAliveBurst(t, base, 41000, 3)
@@ -74,7 +73,7 @@ func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
 			t.Fatalf("packet %d: original's options damaged by the strip: %+v", i, got)
 		}
 	}
-	if st := flowCounts(flows); st["live"] != 1 {
+	if st := flowCounts(enf); st["live"] != 1 {
 		t.Fatalf("mid-connection flow stats %+v", st)
 	}
 	// The rest of the path: the FIN's teardown keys on the original's tag.
@@ -82,7 +81,7 @@ func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
 	if err != nil || fin[0].Out == nil || !fin[0].Out.Header.HasOptions() {
 		t.Fatalf("FIN: out %+v err %v", fin[0].Out, err)
 	}
-	if st := flowCounts(flows); st["live"] != 0 {
+	if st := flowCounts(enf); st["live"] != 0 {
 		t.Fatalf("FIN did not tear the flow down: %+v", st)
 	}
 
@@ -328,9 +327,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 // one's sequence instead of repeating it and being dropped as an
 // injection.
 func TestRespSeqReclaimsIdleEntries(t *testing.T) {
-	n, stages, _, base := tailFixture(t)
-	gw := NewGateway(GatewayConfig{Enforcer: stages.Enforcer(), Sanitizer: stages.Sanitizer(), Clock: n.Clock})
-	n.Gateway = gw
+	n, gw, _, base := tailFixture(t)
 	later := keepAliveBurst(t, base, 50000, 2)
 	shard := shardOf(tupleFor(later[0].Header.Src, later[0].Header.Dst, 50000, 443))
 

@@ -79,7 +79,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 		{Action: policy.Deny, Level: policy.LevelMethod, Target: "Lcom/corp/files/SyncEngine;->upload()V"},
 	}
-	build := func(flows *enforcer.FlowCache, workers int) (*Gateway, *enforcer.Enforcer, *analyzer.Database) {
+	build := func(flows, workers int) (*Gateway, *enforcer.Enforcer, *analyzer.Database) {
 		db := analyzer.NewDatabase()
 		if err := db.Add(apk); err != nil {
 			t.Fatal(err)
@@ -88,9 +88,10 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enf := enforcer.New(enforcer.Config{Flows: flows}, db, eng)
+		clock := NewClock()
+		enf := shipped(clock, flows, enforcer.Config{}, db, eng)
 		return NewGateway(GatewayConfig{
-			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers,
+			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		}), enf, db
 	}
 
@@ -176,8 +177,8 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		return out
 	}
 	for _, workers := range []int{1, 2, 4} {
-		fast, fastEnf, fastDB := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}), workers)
-		ref, refEnf, refDB := build(nil, workers)
+		fast, fastEnf, fastDB := build(4096, workers)
+		ref, refEnf, refDB := build(0, workers)
 		model := &refmodel.Model{APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow}
 		seen := map[enforcer.DropCause]int{}
 		swaps := map[int][]policy.Rule{1: slices.Clone(rules[:1]), 3: rules, 5: rules}
@@ -281,16 +282,16 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := devctx.NewSource(clock)
-			enf := enforcer.New(enforcer.Config{Flows: flows, Context: src, Clock: clock}, db, eng)
+			enf := enforcer.New(enforcer.Config{Flows: flows, Context: src}, db, eng)
 			return NewGateway(GatewayConfig{
 				Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 			}), enf, src
 		}
-		fast, fastEnf, fastSrc := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}))
+		fast, fastEnf, fastSrc := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096, Clock: clock}))
 		ref, _, refSrc := build(nil)
 		model := &refmodel.Model{
 			APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow,
-			Contextual: true, Context: map[netip.Addr]policy.DeviceContext{}, Clock: clock,
+			Context: map[netip.Addr]policy.DeviceContext{}, Clock: clock,
 		}
 		setNetwork := func(addr netip.Addr, class policy.NetworkClass) {
 			fastSrc.SetNetwork(addr, class)

@@ -21,9 +21,9 @@ func fleetFixture(t *testing.T) (n *Network, gwA, gwB *Gateway, beacon func(src 
 	if err != nil {
 		t.Fatal(err)
 	}
-	enfB := enforcer.New(enforcer.Config{}, db, engB)
-	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New()})
-	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New()})
+	enfB := shipped(NewClock(), 0, enforcer.Config{}, db, engB)
+	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n = newStaticNetwork(ModeTAP, nil)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.1.0.0/16"), gwA)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.2.0.0/16"), gwB)

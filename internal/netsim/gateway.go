@@ -20,9 +20,11 @@ import (
 // gateway's workers, the way NFQUEUE --queue-balance hashes flows to
 // readers: each worker runs its share through the enforcer and sanitizer
 // and then the connection tracker, in burst order. The enforcer's
-// ProcessBatch amortizes resolve+decode across packets of the same flow,
-// and the lock-free enforcement path and the sharded tracker let the
-// workers proceed on every core without waiting on each other.
+// ProcessBatch amortizes resolve+decode across packets of the same flow.
+// The workers share locks only per shard: a flow-table hit takes its
+// shard's read lock and a miss its write lock, and the tracker takes its
+// shard's mutex for every SYN, FIN or RST and every response it checks,
+// so workers wait on each other only where their flows share a shard.
 type Gateway struct {
 	enforcer  *enforcer.Enforcer
 	sanitizer *sanitizer.Sanitizer
@@ -55,11 +57,12 @@ type GatewayConfig struct {
 	// Where a burst crosses several gateways, the widest one sizes it.
 	Workers int
 	// Clock supplies virtual time to the connection tracker (TIME_WAIT
-	// expiry, idle sweeps); nil disables time-based conntrack expiry.
+	// expiry, idle sweeps). Required: NewGateway panics without one.
 	Clock *Clock
 }
 
-// NewGateway assembles the pipeline from its stages.
+// NewGateway assembles the pipeline from its stages. It panics without
+// cfg.Clock.
 func NewGateway(cfg GatewayConfig) *Gateway {
 	return &Gateway{
 		enforcer:    cfg.Enforcer,
@@ -119,9 +122,9 @@ type BatchOutcome struct {
 // a keep-alive train tears the flow down only after its data packets were
 // answered from the cache. Outcomes align with pkts; the error is always
 // nil. It charges no virtual time. Calls are not serialized against each
-// other — the enforcement path is lock-free by design — so callers
-// needing a totally ordered audit trail should order on the returned
-// outcomes, not on side effects.
+// other — the flow table and the tracker lock per shard, not per call —
+// so callers needing a totally ordered audit trail should order on the
+// returned outcomes, not on side effects.
 func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(pkts))
 	b := getBurst(pkts)

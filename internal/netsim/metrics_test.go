@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/sanitizer"
@@ -71,8 +70,9 @@ func flowCounts(x registrar) map[string]uint64 {
 // at least what it read before.
 func TestCountersNeverDecrease(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	reg := metrics.NewRegistry()
 	n.RegisterMetrics(reg)

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
@@ -123,6 +125,18 @@ func TestBorderDropsOptionedPacketWithoutSanitizer(t *testing.T) {
 	}
 }
 
+// shipped builds an enforcer on clock as experiments.Assemble builds every
+// enforcer on its network's: a device-context source reads clock, and so
+// does a flow cache of capacity flows (0: cfg.Flows as given). cfg supplies
+// the rest.
+func shipped(clock *Clock, flows int, cfg enforcer.Config, db *analyzer.Database, eng *policy.Engine) *enforcer.Enforcer {
+	cfg.Context = devctx.NewSource(clock)
+	if flows > 0 {
+		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Capacity: flows, Clock: clock})
+	}
+	return enforcer.New(cfg, db, eng)
+}
+
 func buildEnforcerAndDB(t testing.TB) (*enforcer.Enforcer, *dex.APK, *analyzer.Database) {
 	t.Helper()
 	apk := &dex.APK{
@@ -155,7 +169,7 @@ func buildEnforcerAndDB(t testing.TB) (*enforcer.Enforcer, *dex.APK, *analyzer.D
 	if err != nil {
 		t.Fatal(err)
 	}
-	return enforcer.New(enforcer.Config{}, db, eng), apk, db
+	return shipped(NewClock(), 0, enforcer.Config{}, db, eng), apk, db
 }
 
 func taggedPacket(t testing.TB, apk *dex.APK, db *analyzer.Database, method string) *ipv4.Packet {
@@ -188,7 +202,7 @@ func taggedPacket(t testing.TB, apk *dex.APK, db *analyzer.Database, method stri
 
 func TestFullGatewayPipeline(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	// Benign tagged packet: enforced, sanitized, delivered past the border.
@@ -233,7 +247,7 @@ func TestFullGatewayPipeline(t *testing.T) {
 }
 
 func TestGatewayPassthroughMode(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Passthrough: true})
+	gw := NewGateway(GatewayConfig{Passthrough: true, Clock: NewClock()})
 	if !gw.Active() || gw.HasEnforcer() || gw.HasSanitizer() {
 		t.Fatal("passthrough gateway misconfigured")
 	}
@@ -251,7 +265,7 @@ func TestGatewayPassthroughMode(t *testing.T) {
 }
 
 func TestSanitizerOnlyGateway(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New()})
+	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	pkt := plainPacket(getRequest())
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: []byte{5, 5}})
@@ -287,5 +301,23 @@ func TestServerByteAccounting(t *testing.T) {
 	srv, _ := n.ServerAt(serverAddr())
 	if srv.RxBytes() != 1234 {
 		t.Fatalf("rx bytes = %d", srv.RxBytes())
+	}
+}
+
+// TestGatewayNeedsClock: the connection tracker has one time source, the
+// clock it is built on; there is no clockless mode.
+func TestGatewayNeedsClock(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewConntrack": func() { NewConntrack(nil) },
+		"NewGateway":   func() { NewGateway(GatewayConfig{Passthrough: true}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built a tracker without a clock", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/sanitizer"
 )
@@ -20,8 +19,9 @@ func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
 	log := audit.New(nil, 64)
 	defer log.Close()
-	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 64}), Audit: log}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 64, enforcer.Config{Audit: log}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	allowed := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 1)

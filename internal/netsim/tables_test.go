@@ -202,8 +202,8 @@ func heapHeld() int64 {
 // Restart gives all of it back, as a reboot that loses the RAM would.
 func TestIdleTablesFootprint(t *testing.T) {
 	before := heapHeld()
-	ft := flowtable.New[uint64](flowtable.Config{})
-	ct := NewConntrack(nil)
+	ft := flowtable.New[uint64](flowtable.Config{Clock: NewClock()})
+	ct := NewConntrack(NewClock())
 	if idle := heapHeld() - before; idle > 32<<10 {
 		t.Fatalf("an idle flow table and conntrack hold %d B, want ≤ 32 KiB", idle)
 	}
@@ -211,8 +211,9 @@ func TestIdleTablesFootprint(t *testing.T) {
 	runtime.KeepAlive(ct)
 
 	enf0, apk, db := buildEnforcerAndDB(t)
-	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{MissRing: 64})}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf})
+	clock := NewClock()
+	enf := shipped(clock, 0, enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{MissRing: 64, Clock: clock})}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: clock})
 	base := taggedPacket(t, apk, db, "sync")
 	open := keepAliveBurst(t, base, 40000, 1)[:2] // SYN and a request, never closed
 	if _, err := gw.ProcessBatch(open); err != nil {

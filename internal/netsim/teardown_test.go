@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -15,22 +14,22 @@ import (
 // HTTP Connection header says, and later packets hit.
 func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New()})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	pkt := taggedPacket(t, apk, db, "sync") // "Connection: close" in a data segment
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("first delivery failed: %+v", d)
 	}
-	if st := flowCounts(flows); st["live"] != 1 {
+	if st := flowCounts(enf); st["live"] != 1 {
 		t.Fatalf("keep-alive flow not cached: %+v", st)
 	}
 	if d := n.Deliver(pkt); !d.Delivered {
 		t.Fatalf("second delivery failed: %+v", d)
 	}
-	st := flowCounts(flows)
+	st := flowCounts(enf)
 	if st["hits"] != 1 || st["misses"] != 1 {
 		t.Fatalf("keep-alive second packet must hit: %+v", st)
 	}
@@ -41,9 +40,9 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 // a fresh connection on the same tuple re-resolves.
 func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	flows := enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})
-	enf := enforcer.New(enforcer.Config{Flows: flows}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, "sync"), 40900, 1)
@@ -53,7 +52,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 			t.Fatalf("burst pkt %d dropped: %+v", i, d)
 		}
 	}
-	if st := flowCounts(flows); st["live"] != 0 {
+	if st := flowCounts(enf); st["live"] != 0 {
 		t.Fatalf("closed flow survived the batch drain: %+v", st)
 	}
 	for i, d := range n.DeliverBatch(burst) {
@@ -61,7 +60,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 			t.Fatalf("re-resolved burst pkt %d: %+v", i, d)
 		}
 	}
-	if st := flowCounts(flows); st["misses"] != 2 {
+	if st := flowCounts(enf); st["misses"] != 2 {
 		t.Fatalf("each burst must re-resolve its flow once: %+v", st)
 	}
 }

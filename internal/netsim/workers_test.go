@@ -11,7 +11,6 @@ import (
 
 	"borderpatrol/internal/dns"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -53,7 +52,7 @@ func TestFlowAffineShortBurstRunsInline(t *testing.T) {
 		{1024, 1, 1},
 	} {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: tc.workers})
+		gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: tc.workers, Clock: NewClock()})
 		sync := taggedPacket(t, apk, db, "sync")
 		pkts := deviceBurst(t, tc.pkts, func(int) *ipv4.Packet { return sync })
 		res, err := gw.ProcessBatch(pkts)
@@ -77,7 +76,7 @@ func TestFlowAffineShortBurstRunsInline(t *testing.T) {
 // verdict, and outcomes align with the input.
 func TestFlowAffineParallelWorkers(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: 4})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: 4, Clock: NewClock()})
 	sync, beacon := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	evil := func(i int) bool { return i%7 == 0 }
 	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
@@ -113,8 +112,9 @@ func TestFlowAffineParallelWorkers(t *testing.T) {
 // served and its response checked on the open connection.
 func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 	enf0, apk, db := buildEnforcerAndDB(t)
-	enf := enforcer.New(enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024})}, db, enf0.Engine())
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4})
+	clock := NewClock()
+	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)
 
@@ -228,9 +228,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		clock := NewClock()
-		enf := enforcer.New(enforcer.Config{
-			Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 4096}), Clock: clock,
-		}, db, eng)
+		enf := shipped(clock, 4096, enforcer.Config{}, db, eng)
 		gw := NewGateway(GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		})

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"borderpatrol/internal/analyzer"
+	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
+	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
 	"borderpatrol/internal/tag"
@@ -134,8 +136,10 @@ func TestReloadUnderLoadNoTornVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := netsim.NewClock()
 	enf := enforcer.New(enforcer.Config{
-		Flows: enforcer.NewFlowCache(flowtable.Config{Capacity: 1024}),
+		Flows:   enforcer.NewFlowCache(flowtable.Config{Capacity: 1024, Clock: clock}),
+		Context: devctx.NewSource(clock),
 	}, db, eng)
 
 	// Rule set A denies only the tracker; rule set B additionally denies

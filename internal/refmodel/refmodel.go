@@ -46,11 +46,9 @@ type Model struct {
 	Default policy.Verdict
 	// AllowUntagged mirrors the enforcer's Config.
 	AllowUntagged bool
-	// Contextual says the gateway has a device-context source: risk rules
-	// are scored only then. Devices absent from Context have the zero
-	// (least trusted) context.
-	Contextual bool
-	Context    map[netip.Addr]policy.DeviceContext
+	// Context is the device-context source's view. Devices absent from it
+	// have the zero (least trusted) context.
+	Context map[netip.Addr]policy.DeviceContext
 	// Clock is virtual time; nil reads Monday 00:00.
 	Clock Clock
 }
@@ -105,7 +103,7 @@ func (m *Model) Decide(pkt *ipv4.Packet) Verdict {
 		v.Cause = enforcer.DropPolicy
 		return v
 	}
-	if !m.Contextual || !hasRisk(m.Rules) {
+	if !hasRisk(m.Rules) {
 		return v
 	}
 	var now time.Duration

@@ -429,7 +429,7 @@ func liveCases() map[string]liveCase {
 		},
 		"Config.Policy.FailMode": func(t *testing.T, set bool) string {
 			path := policyFile(t, "")
-			cfg := Config{Policy: PolicyConfig{Source: FilePolicySource(path), MaxStale: time.Second}}
+			cfg := Config{Policy: PolicyConfig{Source: FilePolicySource(path), MaxStale: time.Second, FailMode: FailOpen}}
 			if set {
 				cfg.Policy.FailMode = FailClosed
 			}
@@ -701,7 +701,7 @@ func liveCases() map[string]liveCase {
 		"TestbedConfig.PolicyFailMode": func(t *testing.T, set bool) string {
 			path := policyFile(t, "")
 			cfg := experiments.TestbedConfig{EnforcementOn: true, PolicySource: FilePolicySource(path),
-				PolicyMaxStale: time.Second, PolicyVirtualTime: true}
+				PolicyMaxStale: time.Second, PolicyFailMode: FailOpen, PolicyVirtualTime: true}
 			if set {
 				cfg.PolicyFailMode = FailClosed
 			}
