@@ -73,13 +73,10 @@ type Database struct {
 }
 
 // entry is immutable once inserted: the Resolver hands out lock-free
-// references to it, so nothing may mutate sigs or index after AddEntry.
+// references to it, so nothing may mutate sigs after AddEntry.
 type entry struct {
 	meta AppEntry
 	sigs []dex.Signature
-	// index maps parsed signatures to their index for reverse lookups
-	// without re-stringifying the probe signature.
-	index map[dex.Signature]uint32
 }
 
 // Errors returned by database operations.
@@ -87,7 +84,6 @@ var (
 	ErrUnknownApp     = errors.New("analyzer: unknown app hash")
 	ErrUnknownIndex   = errors.New("analyzer: method index out of range")
 	ErrHashCollision  = errors.New("analyzer: truncated hash collision")
-	ErrUnknownMethod  = errors.New("analyzer: method signature not in app")
 	ErrDuplicateEntry = errors.New("analyzer: app already in database")
 )
 
@@ -143,18 +139,13 @@ func (db *Database) Add(apk *dex.APK) error {
 
 // AddEntry inserts a pre-built entry (used when loading a JSON database).
 func (db *Database) AddEntry(ae AppEntry) error {
-	e := &entry{
-		meta:  ae,
-		sigs:  make([]dex.Signature, len(ae.Signatures)),
-		index: make(map[dex.Signature]uint32, len(ae.Signatures)),
-	}
+	e := &entry{meta: ae, sigs: make([]dex.Signature, len(ae.Signatures))}
 	for i, raw := range ae.Signatures {
 		sig, err := dex.ParseSignature(raw)
 		if err != nil {
 			return fmt.Errorf("analyzer: entry %s signature %d: %w", ae.Hash, i, err)
 		}
 		e.sigs[i] = sig
-		e.index[sig] = uint32(i)
 	}
 	if len(ae.Hash) != 2*dex.HashSize {
 		return fmt.Errorf("analyzer: entry hash %q has %d hex digits, want %d", ae.Hash, len(ae.Hash), 2*dex.HashSize)
@@ -236,9 +227,6 @@ func (db *Database) Resolve(t dex.TruncatedHash) (Resolver, bool) {
 	return Resolver{hash: t, e: e}, ok
 }
 
-// App returns the app's database record.
-func (r Resolver) App() AppEntry { return r.e.meta }
-
 // Len returns the number of methods in the app's signature table.
 func (r Resolver) Len() int { return len(r.e.sigs) }
 
@@ -260,15 +248,6 @@ func (r Resolver) SignatureString(index uint32) (string, error) {
 	return r.e.meta.Signatures[index], nil
 }
 
-// Index maps a parsed signature to its method index.
-func (r Resolver) Index(sig dex.Signature) (uint32, error) {
-	idx, ok := r.e.index[sig]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownMethod, sig)
-	}
-	return idx, nil
-}
-
 // DecodeStackInto decodes an index sequence into dst (reusing its backing
 // array when capacity allows), preserving order. Steady-state per-packet
 // decoding through a retained buffer is allocation-free.
@@ -284,16 +263,6 @@ func (r Resolver) DecodeStackInto(dst []dex.Signature, indexes []uint32) ([]dex.
 	return dst, nil
 }
 
-// Decode maps one method index of an app (identified by truncated hash)
-// back to its signature — the enforcer's per-frame decoding step.
-func (db *Database) Decode(t dex.TruncatedHash, index uint32) (dex.Signature, error) {
-	r, ok := db.Resolve(t)
-	if !ok {
-		return dex.Signature{}, fmt.Errorf("%w: %s", ErrUnknownApp, t)
-	}
-	return r.Signature(index)
-}
-
 // DecodeStack decodes a full index sequence into the stack trace of method
 // signatures, preserving order (paper §IV-A3 decoding stage). The app is
 // resolved once and the whole stack decodes under that single lookup.
@@ -303,32 +272,6 @@ func (db *Database) DecodeStack(t dex.TruncatedHash, indexes []uint32) ([]dex.Si
 		return nil, fmt.Errorf("%w: %s", ErrUnknownApp, t)
 	}
 	return r.DecodeStackInto(make([]dex.Signature, 0, len(indexes)), indexes)
-}
-
-// Encode maps a signature to its index for an app — the Context Manager's
-// encoding step uses the identical table, so Encode(Decode(i)) == i.
-func (db *Database) Encode(t dex.TruncatedHash, sig dex.Signature) (uint32, error) {
-	r, ok := db.Resolve(t)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownApp, t)
-	}
-	return r.Index(sig)
-}
-
-// Hashes returns the full hashes of all apps, sorted, for deterministic
-// serialization.
-func (db *Database) Hashes() []string {
-	var out []string
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		for h := range s.byFull {
-			out = append(out, h)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // jsonDB is the serialized database document: the paper ships the mapping

@@ -68,25 +68,27 @@ func TestDatabaseEncodeDecodeBijective(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := apk.Truncated()
+	r, ok := db.Resolve(tr)
+	if !ok {
+		t.Fatal("known app did not resolve")
+	}
+	seen := map[dex.Signature]int{}
 	for i, raw := range mustEntry(t, db, tr).Signatures {
 		sig, err := dex.ParseSignature(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := db.Encode(tr, sig)
-		if err != nil {
-			t.Fatalf("Encode(%s): %v", sig, err)
-		}
-		if int(idx) != i {
-			t.Fatalf("Encode(%s) = %d, want %d", sig, idx, i)
-		}
-		back, err := db.Decode(tr, idx)
+		back, err := r.Signature(uint32(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if back != sig {
-			t.Fatalf("Decode(Encode(%s)) = %s", sig, back)
+			t.Fatalf("Signature(%d) = %s, want %s", i, back, sig)
 		}
+		if j, dup := seen[sig]; dup {
+			t.Fatalf("indexes %d and %d decode to %s", j, i, sig)
+		}
+		seen[sig] = i
 	}
 }
 
@@ -109,14 +111,12 @@ func TestDatabaseErrors(t *testing.T) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	var unknown dex.TruncatedHash
-	if _, err := db.Decode(unknown, 0); !errors.Is(err, ErrUnknownApp) {
+	if _, err := db.DecodeStack(unknown, []uint32{0}); !errors.Is(err, ErrUnknownApp) {
 		t.Fatalf("unknown app: %v", err)
 	}
-	if _, err := db.Decode(apk.Truncated(), 999); !errors.Is(err, ErrUnknownIndex) {
+	r, _ := db.Resolve(apk.Truncated())
+	if _, err := r.Signature(999); !errors.Is(err, ErrUnknownIndex) {
 		t.Fatalf("bad index: %v", err)
-	}
-	if _, err := db.Encode(apk.Truncated(), dex.Signature{Class: "Nope", Name: "x", Proto: "()V"}); !errors.Is(err, ErrUnknownMethod) {
-		t.Fatalf("unknown method: %v", err)
 	}
 	if _, err := db.DecodeStack(apk.Truncated(), []uint32{0, 999}); !errors.Is(err, ErrUnknownIndex) {
 		t.Fatalf("stack with bad index: %v", err)
@@ -143,10 +143,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
+	var buf, again bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := buf.String()
 	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -154,25 +155,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Len() != db.Len() {
 		t.Fatalf("loaded %d apps, want %d", loaded.Len(), db.Len())
 	}
-	for _, h := range db.Hashes() {
-		found := false
-		for _, lh := range loaded.Hashes() {
-			if lh == h {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("hash %s lost in round trip", h)
-		}
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != saved {
+		t.Fatal("an app's record changed in the round trip")
 	}
 	// Decoding still works after reload.
 	apk := buildAPK("com.example.app", 1)
-	sig, err := loaded.Decode(apk.Truncated(), 0)
+	stack, err := loaded.DecodeStack(apk.Truncated(), []uint32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sig.Package == "" {
+	if stack[0].Package == "" {
 		t.Fatal("decoded empty signature")
 	}
 }

@@ -192,21 +192,3 @@ func BenchmarkResolveParallelWithWriter(b *testing.B) {
 func BenchmarkResolveParallelWithHotWriter(b *testing.B) {
 	benchmarkResolveUnderWriter(b, 0)
 }
-
-// Context-Manager-path cost: signature → index lookup.
-func BenchmarkEncodeLookup(b *testing.B) {
-	apk := buildBenchAPK(5000)
-	db := NewDatabase()
-	if err := db.Add(apk); err != nil {
-		b.Fatal(err)
-	}
-	tr := apk.Truncated()
-	sig := apk.Signatures()[2400]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Encode(tr, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package analyzer
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -108,7 +109,10 @@ func TestConcurrentProvisioningAndResolve(t *testing.T) {
 				}
 				db.Len()
 				if i%100 == 0 {
-					db.Hashes()
+					if err := db.Save(io.Discard); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -162,10 +166,11 @@ func TestShardedSaveLoadDeterministic(t *testing.T) {
 	if loaded.Len() != db.Len() {
 		t.Fatalf("loaded Len = %d, want %d", loaded.Len(), db.Len())
 	}
-	lh, dh := loaded.Hashes(), db.Hashes()
-	for i := range dh {
-		if lh[i] != dh[i] {
-			t.Fatalf("hash %d: %s != %s", i, lh[i], dh[i])
-		}
+	var c bytes.Buffer
+	if err := loaded.Save(&c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.Bytes(), b.Bytes()) {
+		t.Fatal("the loaded database saves differently")
 	}
 }

@@ -73,7 +73,6 @@ const firstAppUID = 10001
 var (
 	ErrNoXposed     = errors.New("android: Xposed framework not installed")
 	ErrAppInstalled = errors.New("android: app already installed")
-	ErrAppNotFound  = errors.New("android: app not found")
 )
 
 // NewDevice provisions a device.

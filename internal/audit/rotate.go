@@ -113,9 +113,6 @@ func (w *RotatingWriter) Close() error {
 	return w.f.Close()
 }
 
-// Rotations counts completed rotations.
-func (w *RotatingWriter) Rotations() uint64 { return w.rotations.Load() }
-
 // RegisterMetrics attaches the sink's write and rotation counters to a
 // registry (called by Log.RegisterMetrics when the log writes to one).
 func (w *RotatingWriter) RegisterMetrics(r *metrics.Registry) {

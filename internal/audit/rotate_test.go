@@ -27,8 +27,10 @@ func TestRotatingWriterShiftsFiles(t *testing.T) {
 	// 5 writes at 60B with a 100B cap: rotation before writes 2..5 would
 	// overflow — every write after the first rotates, so 4 rotations and
 	// files audit.jsonl, .1, .2 exist (.3 would exceed maxFiles=2).
-	if got := w.Rotations(); got != 4 {
-		t.Fatalf("rotations = %d, want 4", got)
+	reg := metrics.NewRegistry()
+	w.RegisterMetrics(reg)
+	if got, _ := reg.Value("bp_audit_file_rotations_total"); got != 4 {
+		t.Fatalf("rotations = %v, want 4", got)
 	}
 	for _, p := range []string{path, path + ".1", path + ".2"} {
 		b, err := os.ReadFile(p)

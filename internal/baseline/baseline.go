@@ -1,10 +1,8 @@
-// Package baseline implements the comparator enforcement mechanisms the
-// paper evaluates BorderPatrol against (§VI-C, §VII, §VIII): traditional
-// on-network enforcement that sees only packet-level features
-// (IP/DNS blocklists, flow-size thresholds) and on-device frameworks that
-// enforce at whole-app granularity (ADM/KNOX-style). None of them can
-// separate two functionalities sharing one socket destination — that gap is
-// BorderPatrol's motivation.
+// Package baseline implements the on-network comparators the paper's case
+// studies run against BorderPatrol (§VI-C, §VII): an IP blocklist and a
+// flow-size threshold, enforcement that sees only packet-level features.
+// Neither can separate two functionalities sharing one socket destination —
+// that gap is BorderPatrol's motivation.
 package baseline
 
 import (
@@ -108,40 +106,4 @@ func (f *FlowSizeThreshold) DecideWithPort(pkt *ipv4.Packet, srcPort uint16) pol
 // port information is available.
 func (f *FlowSizeThreshold) Decide(pkt *ipv4.Packet) policy.Verdict {
 	return f.DecideWithPort(pkt, 0)
-}
-
-// AppLevel enforces at whole-app granularity like ADM or Samsung KNOX
-// Network Platform Analytics: it knows which app (by source address here,
-// standing in for the per-app attribution those frameworks provide) sent a
-// packet, and can only allow or block the app as a unit.
-type AppLevel struct {
-	mu      sync.RWMutex
-	blocked map[netip.Addr]struct{} // blocked device/app sources
-}
-
-var _ Mechanism = (*AppLevel)(nil)
-
-// NewAppLevel builds the mechanism.
-func NewAppLevel() *AppLevel {
-	return &AppLevel{blocked: make(map[netip.Addr]struct{})}
-}
-
-// Name implements Mechanism.
-func (a *AppLevel) Name() string { return "app-level" }
-
-// BlockSource blocks every packet from a source (the whole app/device).
-func (a *AppLevel) BlockSource(src netip.Addr) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.blocked[src] = struct{}{}
-}
-
-// Decide implements Mechanism.
-func (a *AppLevel) Decide(pkt *ipv4.Packet) policy.Verdict {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if _, hit := a.blocked[pkt.Header.Src]; hit {
-		return policy.VerdictDrop
-	}
-	return policy.VerdictAllow
 }

@@ -75,24 +75,3 @@ func TestFlowSizeThresholdEvadedByFragmentation(t *testing.T) {
 		}
 	}
 }
-
-func TestAppLevel(t *testing.T) {
-	a := NewAppLevel()
-	pkt := mkPkt("10.0.0.5", "198.18.0.1", 10)
-	if a.Decide(pkt) != policy.VerdictAllow {
-		t.Fatal("default must allow")
-	}
-	a.BlockSource(netip.MustParseAddr("10.0.0.5"))
-	if a.Decide(pkt) != policy.VerdictDrop {
-		t.Fatal("blocked app passed")
-	}
-	// Blocking the app kills desirable traffic too: app granularity cannot
-	// spare the login while dropping analytics.
-	login := mkPkt("10.0.0.5", "31.13.66.1", 10)
-	if a.Decide(login) != policy.VerdictDrop {
-		t.Fatal("app-level block must be all-or-nothing")
-	}
-	if a.Name() != "app-level" {
-		t.Fatal("name")
-	}
-}

@@ -19,7 +19,6 @@ package contextmgr
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"slices"
@@ -178,8 +177,6 @@ type Manager struct {
 	mu   sync.Mutex
 	apps map[int]*appState // by uid
 	n    counts
-	// lastErr remembers the most recent tagging failure for diagnostics.
-	lastErr error
 }
 
 var _ android.Module = (*Manager)(nil)
@@ -235,9 +232,6 @@ func (m *Manager) HandleLoadPackage(app *android.App) error {
 	return nil
 }
 
-// ErrUntracked reports a socket owned by an app the manager has not loaded.
-var ErrUntracked = errors.New("contextmgr: socket owner not tracked")
-
 // onSocketConnected is the Xposed post-hook body (paper Fig. 2): gather the
 // stack trace, resolve frames, encode, inject.
 func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaSocket) {
@@ -251,7 +245,8 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 	}
 	app, ok := device.AppByUID(sock.OwnerUID)
 	if !ok {
-		m.recordErr(fmt.Errorf("%w: uid %d", ErrUntracked, sock.OwnerUID))
+		// State desync: the manager tracks a uid the device does not know.
+		m.recordFailure()
 		return
 	}
 
@@ -259,7 +254,7 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 	// call site.
 	t, hit, err := st.tag(app.Thread().GetStackTrace())
 	if err != nil {
-		m.recordErr(fmt.Errorf("contextmgr: encode: %w", err))
+		m.recordFailure()
 		return
 	}
 
@@ -288,17 +283,16 @@ func (m *Manager) onSocketConnected(device *android.Device, sock *netstack.JavaS
 	}
 	if err != nil {
 		m.n.failures++
-		m.lastErr = err
 		return
 	}
 	m.n.tagged++
 }
 
-func (m *Manager) recordErr(err error) {
+// recordFailure counts a socket the manager could not tag.
+func (m *Manager) recordFailure() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.n.failures++
-	m.lastErr = err
 }
 
 // RegisterMetrics attaches the manager's counters to a registry as the
@@ -323,18 +317,4 @@ func (m *Manager) RegisterMetrics(r *metrics.Registry) {
 			return *c.v
 		})
 	}
-}
-
-// LastError returns the most recent tagging failure, if any.
-func (m *Manager) LastError() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastErr
-}
-
-// TrackedApps returns the number of apps the manager has state for.
-func (m *Manager) TrackedApps() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.apps)
 }

@@ -52,14 +52,11 @@ func TestUntrackedUIDHookIsNoop(t *testing.T) {
 	if c := counters(m); c["sockets_tagged"] != 0 || c["tag_failures"] != 0 {
 		t.Fatalf("untracked socket affected counters: %v", c)
 	}
-	if m.LastError() != nil {
-		t.Fatalf("untracked socket recorded error: %v", m.LastError())
-	}
 }
 
 func TestUntrackedAppRecordsError(t *testing.T) {
 	// The pathological case: the manager has state for a uid but the device
-	// cannot resolve the app (state desync). recordErr must capture it.
+	// cannot resolve the app (state desync). It counts as a tag failure.
 	d := android.NewDevice(android.Config{
 		Addr:            netip.MustParseAddr("10.0.0.5"),
 		Kernel:          patched(),
@@ -80,9 +77,6 @@ func TestUntrackedAppRecordsError(t *testing.T) {
 	sock := d.Stack().NewJavaSocket(55555)
 	if err := sock.Connect(netip.AddrPortFrom(netip.MustParseAddr("1.2.3.4"), 80)); err != nil {
 		t.Fatal(err)
-	}
-	if m.LastError() == nil {
-		t.Fatal("desynced uid not recorded as error")
 	}
 	if n := counters(m)["tag_failures"]; n != 1 {
 		t.Fatalf("tag failures = %d, want 1", n)

@@ -62,10 +62,6 @@ func NewLineTable(a *APK) *LineTable {
 	return lt
 }
 
-// Stripped reports whether the underlying apk lacks debug info, in which
-// case Resolve over-approximates overloads into a merged signature.
-func (lt *LineTable) Stripped() bool { return lt.stripped }
-
 // Resolve maps a stack frame to its method signature.
 //
 // With debug info present, the frame's line number selects the exact
@@ -91,17 +87,4 @@ func (lt *LineTable) Resolve(f Frame) (Signature, bool) {
 	}
 	// Over-approximate: merge all overloads into one identifier.
 	return es[0].sig.MergeOverloads(), true
-}
-
-// ResolveStack maps a full stack trace to signatures, dropping frames that
-// are not part of the app's dex (framework frames), preserving order from
-// innermost (socket call site) to outermost.
-func (lt *LineTable) ResolveStack(frames []Frame) []Signature {
-	sigs := make([]Signature, 0, len(frames))
-	for _, f := range frames {
-		if sig, ok := lt.Resolve(f); ok {
-			sigs = append(sigs, sig)
-		}
-	}
-	return sigs
 }

@@ -42,7 +42,7 @@ func TestLineTableStrippedOverApproximates(t *testing.T) {
 	apk := buildTestAPK()
 	apk.Dexes[0].DebugStripped = true
 	lt := NewLineTable(apk)
-	if !lt.Stripped() {
+	if !lt.stripped {
 		t.Fatal("stripped flag lost")
 	}
 	sig, ok := lt.Resolve(Frame{Class: "com/example/app/Main", Method: "upload", Line: 55})
@@ -64,24 +64,6 @@ func TestLineTableUnknownLineOverApproximates(t *testing.T) {
 	sig, ok := lt.Resolve(Frame{Class: "com/example/app/Main", Method: "upload", Line: 999})
 	if !ok || !sig.Merged() {
 		t.Fatalf("unknown line must merge overloads, got %v ok=%v", sig, ok)
-	}
-}
-
-func TestResolveStackOrderAndFiltering(t *testing.T) {
-	apk := buildTestAPK()
-	lt := NewLineTable(apk)
-	frames := []Frame{
-		{Class: "java/net/Socket", Method: "connect", Line: 1},          // framework, dropped
-		{Class: "com/flurry/sdk/Analytics", Method: "report", Line: 10}, // kept
-		{Class: "com/example/app/Main", Method: "onCreate", Line: 20},   // kept
-		{Class: "android/app/Activity", Method: "performCreate"},        // framework, dropped
-	}
-	sigs := lt.ResolveStack(frames)
-	if len(sigs) != 2 {
-		t.Fatalf("got %d signatures, want 2", len(sigs))
-	}
-	if sigs[0].Package != "com/flurry/sdk" || sigs[1].Name != "onCreate" {
-		t.Fatalf("stack order not preserved: %v", sigs)
 	}
 }
 

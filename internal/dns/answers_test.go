@@ -44,8 +44,8 @@ func want(tb testing.TB, z *Zone, query []byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a := &Answer{ID: q.ID}
-	if a.Addrs, err = z.Resolve(q.Name); err != nil {
+	a := &Answer{ID: q.ID, Addrs: resolve(z, q.Name)}
+	if a.Addrs == nil {
 		a.RCode = RCodeNXDomain
 	}
 	out, err := a.Marshal()
@@ -153,7 +153,7 @@ func TestZoneHandlerConcurrentWithAddRecord(t *testing.T) {
 			if err != nil {
 				t.Fatalf("answer %x for %s does not parse: %v", out, name(i), err)
 			}
-			final, _ := z.Resolve(name(i))
+			final := resolve(z, name(i))
 			if ans.ID != uint16(i) || (ans.RCode == RCodeNXDomain) != (len(ans.Addrs) == 0) ||
 				len(ans.Addrs) > len(final) || !slices.Equal(ans.Addrs, final[:len(ans.Addrs)]) {
 				t.Fatalf("%s (id %d) answered %+v; the zone ends with %v", name(i), i, ans, final)

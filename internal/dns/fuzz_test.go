@@ -56,7 +56,7 @@ func FuzzParseQuery(f *testing.F) {
 // FuzzZoneHandler: the handler a DNS server runs on device-supplied bytes
 // never panics, answers exactly the queries ParseQuery accepts, and its
 // answer is byte for byte the Answer that Marshal renders from the query's
-// ID and what Resolve returns.
+// ID and the zone's address set for the name.
 func FuzzZoneHandler(f *testing.F) {
 	seedQueries(f)
 	z := NewZone()
@@ -78,8 +78,8 @@ func FuzzZoneHandler(f *testing.F) {
 			}
 			return
 		}
-		ans := &Answer{ID: q.ID}
-		if ans.Addrs, err = z.Resolve(q.Name); err != nil {
+		ans := &Answer{ID: q.ID, Addrs: resolve(z, q.Name)}
+		if ans.Addrs == nil {
 			ans.RCode = RCodeNXDomain
 		}
 		want, err := ans.Marshal()

@@ -15,15 +15,9 @@ import (
 	"borderpatrol/internal/transport"
 )
 
-// benchEnforcer builds an enforcer against the §VI-B1 validation-scale
-// rule set (1,050 library deny rules), optionally with a flow cache.
-func benchEnforcer(b *testing.B, cached bool) (*Enforcer, *ipv4.Packet) {
-	b.Helper()
-	apk := testAPK()
-	db := analyzer.NewDatabase()
-	if err := db.Add(apk); err != nil {
-		b.Fatal(err)
-	}
+// benchRules is the paper's validation rule set: 1,050 library deny
+// rules, none of which the bench traffic matches.
+func benchRules() []policy.Rule {
 	rules := make([]policy.Rule, 0, 1050)
 	for i := 0; i < 1050; i++ {
 		rules = append(rules, policy.Rule{
@@ -32,7 +26,19 @@ func benchEnforcer(b *testing.B, cached bool) (*Enforcer, *ipv4.Packet) {
 			Target: fmt.Sprintf("com/blocked/lib%04d", i),
 		})
 	}
-	eng, err := policy.NewEngine(rules, policy.VerdictAllow)
+	return rules
+}
+
+// benchEnforcer builds an enforcer against the §VI-B1 validation-scale
+// rule set (benchRules), optionally with a flow cache.
+func benchEnforcer(b *testing.B, cached bool) (*Enforcer, *ipv4.Packet) {
+	b.Helper()
+	apk := testAPK()
+	db := analyzer.NewDatabase()
+	if err := db.Add(apk); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := policy.NewEngine(benchRules(), policy.VerdictAllow)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func BenchmarkProcessFlowHitParallel(b *testing.B) {
 func BenchmarkProcessFlowHitContextual(b *testing.B) {
 	e, pkt := benchEnforcer(b, true)
 	e.ctxSrc.SetNetwork(pkt.Header.Src, policy.NetTrusted)
-	rules := e.engine.Rules()
+	rules := benchRules()
 	ctxRules, err := policy.ParsePolicyString(`
 {[risk][network]["unknown"][60]}
 {[risk][network]["trusted"][-30]}
@@ -199,7 +205,7 @@ func BenchmarkProcessFlowMissRisk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.engine.SetRules(append(e.engine.Rules(), risk...)); err != nil {
+	if err := e.engine.SetRules(append(benchRules(), risk...)); err != nil {
 		b.Fatal(err)
 	}
 	e.Process(pkt) // the tag is known

@@ -126,11 +126,6 @@ const (
 	// DropRisk is a flow denied by its contextual risk score reaching the
 	// block threshold (access rules would have admitted it).
 	DropRisk
-	// DropSeqInjection is a response-direction TCP segment whose sequence
-	// number broke the connection's continuity — the mid-stream injection
-	// signature the gateway's conntrack checks for and counts as
-	// bp_conntrack_responses_total{outcome="seq_drop"}.
-	DropSeqInjection
 
 	// dropCauseCount sizes per-cause counters; keep it last so new causes
 	// automatically grow the counter array.
@@ -138,7 +133,7 @@ const (
 )
 
 var causeNames = [dropCauseCount]string{
-	"accepted", "untagged", "malformed-tag", "unknown-app", "bad-index", "policy", "risk", "seq-injection",
+	"accepted", "untagged", "malformed-tag", "unknown-app", "bad-index", "policy", "risk",
 }
 
 // String names the drop cause.
@@ -294,9 +289,6 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 	e.current = e.keyGeneration
 	return e
 }
-
-// Engine exposes the policy engine (for central reconfiguration).
-func (e *Enforcer) Engine() *policy.Engine { return e.engine }
 
 // generation packs the database's, the policy engine's and the source
 // device's stripe's (devctx.Stripe) counters into the cache generation,

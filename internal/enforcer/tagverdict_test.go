@@ -67,7 +67,7 @@ func TestSwapReevaluatesEachTagOnce(t *testing.T) {
 	run(func(k int) policy.Verdict { return before[k] }) // all hits
 	_, _, evals0, shared0 := stageCounts(e)
 
-	if err := e.Engine().SetRules([]policy.Rule{flurry, upload}); err != nil {
+	if err := e.engine.SetRules([]policy.Rule{flurry, upload}); err != nil {
 		t.Fatal(err)
 	}
 	run(func(k int) policy.Verdict {
@@ -145,11 +145,11 @@ func TestDegradedReachesSharedTagVerdicts(t *testing.T) {
 		}
 	}
 	run("normal", policy.VerdictAllow)
-	if err := e.Engine().SetDegraded(policy.VerdictDrop, "policy backend unreachable"); err != nil {
+	if err := e.engine.SetDegraded(policy.VerdictDrop, "policy backend unreachable"); err != nil {
 		t.Fatal(err)
 	}
 	run("degraded", policy.VerdictDrop)
-	e.Engine().ClearDegraded()
+	e.engine.ClearDegraded()
 	run("recovered", policy.VerdictAllow)
 	if n := count(e, "bp_policy_degraded_hits_total"); n != 1 {
 		t.Fatalf("degraded hits = %d, want 1 (one tag)", n)
@@ -241,7 +241,7 @@ func BenchmarkProcessFlowMissAfterSwap(b *testing.B) {
 	if err := e.db.Add(gen); err != nil {
 		b.Fatal(err)
 	}
-	rules := e.engine.Rules()
+	rules := benchRules()
 	pkts := make([]*ipv4.Packet, 16)
 	for k := range pkts {
 		payload, err := (&tag.Tag{AppHash: gen.Truncated(), Indexes: []uint32{uint32(k), uint32(k + 16), uint32(k + 32)}}).Encode()

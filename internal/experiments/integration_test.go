@@ -15,7 +15,6 @@ import (
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/dex"
-	"borderpatrol/internal/dns"
 	"borderpatrol/internal/ioi"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
@@ -180,34 +179,6 @@ func TestHashCollisionRefusedAtProvisioning(t *testing.T) {
 	}
 	if err := db.AddEntry(entryB); err == nil {
 		t.Fatal("colliding truncated hash accepted")
-	}
-}
-
-func TestDNSBaselineCollateralVsBorderPatrol(t *testing.T) {
-	// Wire the Facebook case-study endpoints into a DNS zone: graph and
-	// login share an IP. The name blocklist takes down login as collateral;
-	// BorderPatrol (from the case study) does not.
-	zone := dns.NewZone()
-	shared := netip.MustParseAddr("31.13.66.19")
-	if err := zone.AddRecord("graph.facebook.com", shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := zone.AddRecord("login.facebook.com", shared); err != nil {
-		t.Fatal(err)
-	}
-	bl := dns.NewNameBlocklist(zone)
-	bl.Block("graph.facebook.com")
-	blocked, collateral := bl.AddrBlocked(shared)
-	if !blocked || len(collateral) != 1 {
-		t.Fatalf("blocked=%v collateral=%v", blocked, collateral)
-	}
-
-	res, err := RunFacebookCaseStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Allowed[MechBorderPatrol]["net.daum.android.solcalendar/fb-login"] {
-		t.Fatal("BorderPatrol lost the login the DNS baseline cannot keep")
 	}
 }
 

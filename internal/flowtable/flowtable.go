@@ -508,6 +508,3 @@ func (t *Table[V]) Purge() {
 		s.mu.Unlock()
 	}
 }
-
-// Len returns the number of live entries: one atomic load, no shard lock.
-func (t *Table[V]) Len() int { return int(t.live.Load()) }

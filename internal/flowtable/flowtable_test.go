@@ -81,8 +81,8 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	if _, ok := tb.Lookup(k, 2, nil, nil); ok {
 		t.Fatal("stale generation served")
 	}
-	if tb.Len() != 0 {
-		t.Fatalf("stale entry retained, live=%d", tb.Len())
+	if int(tb.live.Load()) != 0 {
+		t.Fatalf("stale entry retained, live=%d", int(tb.live.Load()))
 	}
 	if n := count(tb, "stale_drops_total"); n != 1 {
 		t.Fatalf("stale drops = %d, want 1", n)
@@ -157,8 +157,8 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 		}
 	}
 	tb.Insert(key(99), 1, nil, 99)
-	if tb.Len() != 4 {
-		t.Fatalf("live = %d, want 4", tb.Len())
+	if int(tb.live.Load()) != 4 {
+		t.Fatalf("live = %d, want 4", int(tb.live.Load()))
 	}
 	if _, ok := tb.Lookup(key(3), 1, nil, nil); ok {
 		t.Fatal("LRU entry survived eviction")
@@ -204,8 +204,8 @@ func TestDeleteAndPurge(t *testing.T) {
 		t.Fatal("double delete reported present")
 	}
 	tb.Purge()
-	if tb.Len() != 0 {
-		t.Fatalf("live after purge = %d", tb.Len())
+	if int(tb.live.Load()) != 0 {
+		t.Fatalf("live after purge = %d", int(tb.live.Load()))
 	}
 }
 

@@ -84,10 +84,6 @@ func fmix(h, seed uint64) uint64 {
 // Len returns the number of keys held.
 func (x *Index[K, V]) Len() int { return int(x.n) }
 
-// Cells returns the length of the cell array, which holds the index's
-// memory: Cells times the size of one key, value and hash.
-func (x *Index[K, V]) Cells() int { return len(x.cells) }
-
 // Get returns a pointer to k's value, or nil when k is absent. h must be
 // the hash the key was Put with. Get writes nothing.
 func (x *Index[K, V]) Get(h uint64, k K) *V {

@@ -28,7 +28,7 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		tab.Insert(floodKey(i), 1, nil, int(i))
 	}
-	if live := tab.Len(); live != 64 {
+	if live := int(tab.live.Load()); live != 64 {
 		t.Fatalf("live = %d, want 64", live)
 	}
 
@@ -179,8 +179,8 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 	if _, ok := tab.Lookup(newcomer, 1, nil, nil); ok {
 		t.Fatal("first-seen key admitted into a full shard of live flows")
 	}
-	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || tab.Len() != 8 {
-		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, 8 live", ad, ev, tab.Len())
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || int(tab.live.Load()) != 8 {
+		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, 8 live", ad, ev, int(tab.live.Load()))
 	}
 	tab.Insert(newcomer, 1, nil, 77)
 	if v, ok := tab.Lookup(newcomer, 1, nil, nil); !ok || v != 77 {

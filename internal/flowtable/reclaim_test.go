@@ -37,8 +37,8 @@ func TestFullShardTakesStaleCell(t *testing.T) {
 	if ad, ev, st := count(tab, "admission_drops_total"), count(tab, "evictions_total"), count(tab, "stale_drops_total"); ad != 0 || ev != 0 || st != 1 {
 		t.Fatalf("admission drops/evictions/stale drops = %d/%d/%d, want 0/0/1", ad, ev, st)
 	}
-	if tab.Len() != 16 {
-		t.Fatalf("live = %d, want 16", tab.Len())
+	if int(tab.live.Load()) != 16 {
+		t.Fatalf("live = %d, want 16", int(tab.live.Load()))
 	}
 }
 
@@ -54,8 +54,8 @@ func TestOldGenerationLookupKeepsNewerCell(t *testing.T) {
 	if _, ok := tab.Lookup(k, 1, g.current, nil); ok {
 		t.Fatal("a cell of generation 2 answered a lookup under generation 1")
 	}
-	if tab.Len() != 1 || count(tab, "stale_drops_total") != 0 {
-		t.Fatalf("after the old-generation lookup: live %d, stale drops %d; want 1 and 0", tab.Len(), count(tab, "stale_drops_total"))
+	if int(tab.live.Load()) != 1 || count(tab, "stale_drops_total") != 0 {
+		t.Fatalf("after the old-generation lookup: live %d, stale drops %d; want 1 and 0", int(tab.live.Load()), count(tab, "stale_drops_total"))
 	}
 	if v, ok := tab.Lookup(k, 2, g.current, nil); !ok || v != "new" {
 		t.Fatalf("lookup under generation 2 = %q, %v", v, ok)
@@ -80,8 +80,8 @@ func TestReclaimHoldsOneWave(t *testing.T) {
 	if cells, want := len(tab.shards[0].flows.cells), cellLimit(n); cells != want {
 		t.Fatalf("%d cells after two waves of %d flows, want the %d one wave needs", cells, n, want)
 	}
-	if tab.Len() != n || count(tab, "live") != n || tab.shards[0].flows.Len() != n {
-		t.Fatalf("live = %d (gauge %d, index %d), want %d", tab.Len(), count(tab, "live"), tab.shards[0].flows.Len(), n)
+	if int(tab.live.Load()) != n || count(tab, "live") != n || tab.shards[0].flows.Len() != n {
+		t.Fatalf("live = %d (gauge %d, index %d), want %d", int(tab.live.Load()), count(tab, "live"), tab.shards[0].flows.Len(), n)
 	}
 	if st := count(tab, "stale_drops_total"); st != n {
 		t.Fatalf("stale drops = %d, want the first wave's %d", st, n)
@@ -148,8 +148,8 @@ func TestSweepReclaimsStale(t *testing.T) {
 	if got := tab.Sweep(g.current); got != 8 {
 		t.Fatalf("sweep freed %d, want the 8 stale flows", got)
 	}
-	if tab.Len() != 4 || count(tab, "stale_drops_total") != 8 {
-		t.Fatalf("live %d, stale drops %d; want 4 and 8", tab.Len(), count(tab, "stale_drops_total"))
+	if int(tab.live.Load()) != 4 || count(tab, "stale_drops_total") != 8 {
+		t.Fatalf("live %d, stale drops %d; want 4 and 8", int(tab.live.Load()), count(tab, "stale_drops_total"))
 	}
 	for i := 8; i < 12; i++ {
 		if _, ok := tab.Lookup(key(i), 2, g.current, nil); !ok {

@@ -23,8 +23,8 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 	newcomer := floodKey(77)
 	tab.Insert(newcomer, 1, nil, 77) // noted, refused
 	tab.Purge()
-	if tab.Len() != 0 {
-		t.Fatalf("live after purge = %d", tab.Len())
+	if int(tab.live.Load()) != 0 {
+		t.Fatalf("live after purge = %d", int(tab.live.Load()))
 	}
 	fill()
 	tab.Insert(newcomer, 1, nil, 77) // first sighting since the restart
@@ -64,12 +64,12 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 				t.Fatalf("round %d: key %d served under generation %d", round, i, gen)
 			}
 			tab.Insert(k, gen, nil, i)
-			if n := tab.Len(); n > capacity {
+			if n := int(tab.live.Load()); n > capacity {
 				t.Fatalf("round %d insert %d: live = %d > capacity %d", round, i, n, capacity)
 			}
 		}
 	}
-	if n := tab.Len(); n != capacity {
+	if n := int(tab.live.Load()); n != capacity {
 		t.Fatalf("live = %d, want the shard full (%d)", n, capacity)
 	}
 	if sd, ev := count(tab, "stale_drops_total"), count(tab, "evictions_total"); sd == 0 || ev == 0 {
@@ -157,7 +157,7 @@ func TestScrapeMatchesStats(t *testing.T) {
 			"bp_flowtable_stale_drops_total":     float64(tab.stale.Load()),
 			"bp_flowtable_expired_drops_total":   float64(tab.expired.Load()),
 			"bp_flowtable_admission_drops_total": float64(tab.admissionDrops.Load()),
-			"bp_flowtable_live":                  float64(tab.Len()),
+			"bp_flowtable_live":                  float64(int(tab.live.Load())),
 		}
 		for _, smp := range reg.Snapshot() {
 			if v, ok := want[smp.Name]; !ok {
@@ -178,7 +178,7 @@ func TestScrapeMatchesStats(t *testing.T) {
 	check("after the script")
 	tab.Purge()
 	check("after purge")
-	if tab.Len() != 0 {
-		t.Fatalf("live after purge = %d", tab.Len())
+	if int(tab.live.Load()) != 0 {
+		t.Fatalf("live after purge = %d", int(tab.live.Load()))
 	}
 }

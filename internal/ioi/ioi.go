@@ -8,7 +8,6 @@ package ioi
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/dex"
@@ -148,19 +147,4 @@ func (a *Analysis) CrossPackageShare() float64 {
 		return 0
 	}
 	return float64(a.CrossPackageIoIs) / float64(a.TotalIoIs)
-}
-
-// HistogramRows renders the Fig. 3 histogram as sorted (ioiCount, apps)
-// rows.
-func (a *Analysis) HistogramRows() [][2]int {
-	keys := make([]int, 0, len(a.Histogram))
-	for k := range a.Histogram {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	rows := make([][2]int, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, [2]int{k, a.Histogram[k]})
-	}
-	return rows
 }

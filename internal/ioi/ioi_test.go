@@ -187,17 +187,6 @@ func TestUntaggedExcluded(t *testing.T) {
 	}
 }
 
-func TestHistogramRowsSorted(t *testing.T) {
-	an := &Analysis{Histogram: map[int]int{3: 1, 1: 5, 2: 2}}
-	rows := an.HistogramRows()
-	if len(rows) != 3 || rows[0][0] != 1 || rows[1][0] != 2 || rows[2][0] != 3 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if rows[0][1] != 5 {
-		t.Fatalf("counts wrong: %v", rows)
-	}
-}
-
 func TestSharesZeroSafe(t *testing.T) {
 	an := &Analysis{}
 	if an.SamePackageShare() != 0 || an.CrossPackageShare() != 0 {

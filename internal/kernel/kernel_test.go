@@ -305,7 +305,8 @@ func checkIPv4Budget(t *testing.T, proto byte, thdr int) {
 		if err != nil || !bytes.Equal(back.Payload, pkt.Payload) || len(back.Header.Options) != len(opts) {
 			t.Fatalf("%d options: packet does not parse back: %v", len(opts), err)
 		}
-		if info, ok := transport.Peek(proto, back.Payload); !ok || info.DataOff != thdr {
+		var info transport.Info
+		if !transport.PeekPacket(back, &info) || info.DataOff != thdr {
 			t.Fatalf("%d options: transport header lost: %+v", len(opts), info)
 		}
 	}

@@ -26,11 +26,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's exerciser settings.
-func DefaultConfig(seed int64) Config {
-	return Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: seed}
-}
-
 // Report summarizes one run.
 type Report struct {
 	// EventsInjected counts all UI events.

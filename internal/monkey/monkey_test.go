@@ -53,7 +53,7 @@ func buildApp(t *testing.T) *android.App {
 
 func TestRunDeterministic(t *testing.T) {
 	app := buildApp(t)
-	cfg := DefaultConfig(42)
+	cfg := Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: 42}
 	r1, err := Run(app, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRunErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(empty, DefaultConfig(1)); !errors.Is(err, ErrNoFunctionality) {
+	if _, err := Run(empty, Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: 1}); !errors.Is(err, ErrNoFunctionality) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -22,6 +22,8 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 
 	nScalar, benignS, trackerS := mk(1)
 	nBatch, benignB, trackerB := mk(2)
+	requestsS, _ := countRequests(nScalar)
+	requestsB, _ := countRequests(nBatch)
 
 	scalarBurst := []*ipv4.Packet{benignS, trackerS, benignS, plainPacket(getRequest()), benignS}
 	batchBurst := []*ipv4.Packet{benignB, trackerB, benignB, plainPacket(getRequest()), benignB}
@@ -55,10 +57,8 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	}
 
 	// Server accounting matches.
-	srvS, _ := nScalar.ServerAt(serverAddr())
-	srvB, _ := nBatch.ServerAt(serverAddr())
-	if srvS.Requests() != srvB.Requests() {
-		t.Fatalf("server requests: scalar %d, batch %d", srvS.Requests(), srvB.Requests())
+	if requestsS.Load() != requestsB.Load() {
+		t.Fatalf("server requests: scalar %d, batch %d", requestsS.Load(), requestsB.Load())
 	}
 	// Both sanitized the same survivors, and a drain of the burst hands
 	// out only sanitized copies.
@@ -126,9 +126,9 @@ func TestDeliverBatchEmpty(t *testing.T) {
 // TestGatewayProcessBatchFlowCache: with a flow cache on the enforcer,
 // repeated batches of one flow drive the policy engine exactly once.
 func TestGatewayProcessBatchFlowCache(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 
 	pkt := taggedPacket(t, apk, db, "sync")

@@ -214,7 +214,8 @@ func TestConntrackTimeWaitBound(t *testing.T) {
 	// was released, so its FIN closes anew; the second is still parked.
 	syns := sameShardSYNs(0, per+1)
 	finOf := func(syn *ipv4.Packet) *ipv4.Packet {
-		info, _ := transport.Peek(syn.Header.Protocol, syn.Payload)
+		var info transport.Info
+		transport.PeekPacket(syn, &info)
 		return fin(syn.Header.Src, syn.Header.Dst, info.SrcPort)
 	}
 	for _, syn := range syns {
@@ -265,7 +266,7 @@ func TestConntrackReclaimsExpiredTimeWait(t *testing.T) {
 		ct.Observe(syn)
 	}
 	s := &ct.shards[0]
-	if cells, want := s.conns.Cells(), shardCells(opened); cells != want {
+	if cells, want := indexCells(&s.conns), shardCells(opened); cells != want {
 		t.Fatalf("%d cells for %d open and %d expired parked records, want the %d the open ones need", cells, opened, per, want)
 	}
 	if st := conntrack(ct); st["open"] != opened || st["time_wait"] != 0 || s.parked != parkedRecords(s) {
@@ -292,11 +293,11 @@ func TestConntrackLateSYNAcrossGrowth(t *testing.T) {
 		ct.Observe(withFlags(syn, transport.FlagFIN|transport.FlagACK))
 	}
 	clk.Advance(time.Second)
-	cells := ct.shards[0].conns.Cells()
+	cells := indexCells(&ct.shards[0].conns)
 	for _, syn := range syns[parked:] {
 		ct.Observe(syn)
 	}
-	if grown := ct.shards[0].conns.Cells(); grown < 4*cells {
+	if grown := indexCells(&ct.shards[0].conns); grown < 4*cells {
 		t.Fatalf("index grew from %d to %d cells, want two doublings", cells, grown)
 	}
 	before := conntrack(ct)

@@ -42,9 +42,9 @@ func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.
 // TestConntrackLifecycleTearsDownFlow: SYN establishes, data hits the
 // cache, and the FIN deletes the flow's cached verdict.
 func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -95,9 +95,9 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 
 // TestRSTAbortsConnection: RST tears down like FIN.
 func TestRSTAbortsConnection(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -127,9 +127,9 @@ func TestRSTAbortsConnection(t *testing.T) {
 // accepted packets, so a denied flow's FIN is dropped like the rest of it
 // and the cached drop verdict survives — repeat offenders stay cheap.
 func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -156,9 +156,9 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 // burst order — the FIN at the end of a train tears down after the data
 // hit the cache.
 func TestBatchConntrackTeardown(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

@@ -15,14 +15,15 @@ import (
 // contractFixture is a flow-cached, audited gateway in front of the static
 // server, with everything registered on one registry, plus the mixed
 // traffic the contract tests push: an allowed and a denied connection
-// (SYN, two requests, FIN each) and an untagged packet.
-func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enforcer, reg *metrics.Registry, traffic []*ipv4.Packet) {
+// (SYN, two requests, FIN each) and an untagged packet. eng is enf's
+// policy engine.
+func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enforcer, eng *policy.Engine, reg *metrics.Registry, traffic []*ipv4.Packet) {
 	t.Helper()
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	log := audit.New(nil, 64)
 	t.Cleanup(func() { _ = log.Close() })
 	clock := NewClock()
-	enf = shipped(clock, 1024, enforcer.Config{Audit: log}, db, enf0.Engine())
+	enf = shipped(clock, 1024, enforcer.Config{Audit: log}, db, eng)
 	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n = newStaticNetwork(ModeTAP, gw)
 	reg = metrics.NewRegistry()
@@ -37,7 +38,7 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 		traffic = append(traffic, fin)
 	}
 	traffic = append(traffic, plainPacket(getRequest()))
-	return n, gw, enf, reg, traffic
+	return n, gw, enf, eng, reg, traffic
 }
 
 // TestEveryOfferedPacketIsCountedAndAudited pins the contract one packet
@@ -46,7 +47,7 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 // restart — is counted once in bp_enforcer_verdicts_total and reaches the
 // audit sink once (recorded or, under backpressure, counted as shed).
 func TestEveryOfferedPacketIsCountedAndAudited(t *testing.T) {
-	n, gw, enf, reg, traffic := contractFixture(t)
+	n, gw, _, eng, reg, traffic := contractFixture(t)
 	offered := 0
 	offer := func(burst bool) {
 		if burst {
@@ -71,7 +72,7 @@ func TestEveryOfferedPacketIsCountedAndAudited(t *testing.T) {
 	offer(true)
 	check("steady state")
 
-	if err := enf.Engine().SetRules(nil); err != nil { // the tracker connection is now allowed
+	if err := eng.SetRules(nil); err != nil { // the tracker connection is now allowed
 		t.Fatal(err)
 	}
 	offer(true)
@@ -104,7 +105,7 @@ func TestDeliverUnderFaultsNeverPassesADeny(t *testing.T) {
 		{"delay", FaultPlan{Seed: 15, Delay: 0.3, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n, _, enf, _, traffic := contractFixture(t)
+			n, _, enf, _, _, traffic := contractFixture(t)
 			ref, _, _ := buildEnforcerAndDB(t) // same app, same rules, no flow cache
 			cached := func(e *enforcer.Enforcer) bool {
 				r := metrics.NewRegistry()

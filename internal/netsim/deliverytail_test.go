@@ -20,9 +20,9 @@ import (
 // request its connections carry.
 func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.Enforcer, *ipv4.Packet) {
 	tb.Helper()
-	enf0, apk, db := buildEnforcerAndDB(tb)
+	eng, apk, db := buildEngineAndDB(tb)
 	n := newStaticNetwork(ModeTAP, nil)
-	enf := shipped(n.Clock, 4096, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(n.Clock, 4096, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: n.Clock})
 	n.Gateway = gw
 	base := taggedPacket(tb, apk, db, "sync")

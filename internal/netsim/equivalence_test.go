@@ -79,7 +79,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 		{Action: policy.Deny, Level: policy.LevelMethod, Target: "Lcom/corp/files/SyncEngine;->upload()V"},
 	}
-	build := func(flows, workers int) (*Gateway, *enforcer.Enforcer, *analyzer.Database) {
+	build := func(flows, workers int) (*Gateway, *enforcer.Enforcer, *policy.Engine, *analyzer.Database) {
 		db := analyzer.NewDatabase()
 		if err := db.Add(apk); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		enf := shipped(clock, flows, enforcer.Config{}, db, eng)
 		return NewGateway(GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
-		}), enf, db
+		}), enf, eng, db
 	}
 
 	db := analyzer.NewDatabase() // for taggedPacket's index lookup only
@@ -177,15 +177,15 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		return out
 	}
 	for _, workers := range []int{1, 2, 4} {
-		fast, fastEnf, fastDB := build(4096, workers)
-		ref, refEnf, refDB := build(0, workers)
+		fast, fastEnf, fastEng, fastDB := build(4096, workers)
+		ref, refEnf, refEng, refDB := build(0, workers)
 		model := &refmodel.Model{APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow}
 		seen := map[enforcer.DropCause]int{}
 		swaps := map[int][]policy.Rule{1: slices.Clone(rules[:1]), 3: rules, 5: rules}
 		for pass := 0; pass < 6; pass++ {
 			if r, ok := swaps[pass]; ok { // swap the policy everywhere
-				for _, enf := range []*enforcer.Enforcer{fastEnf, refEnf} {
-					if err := enf.Engine().SetRules(r); err != nil {
+				for _, eng := range []*policy.Engine{fastEng, refEng} {
+					if err := eng.SetRules(r); err != nil {
 						t.Fatal(err)
 					}
 				}

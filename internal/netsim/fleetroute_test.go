@@ -119,9 +119,6 @@ func TestDevicePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Prefix(); got != netip.MustParsePrefix("10.1.0.0/24") {
-		t.Fatalf("Prefix = %v", got)
-	}
 	if got := big.Addr(300); got != netip.MustParseAddr("10.64.1.46") {
 		t.Fatalf("Addr(300) = %v (carry across octets broken)", got)
 	}

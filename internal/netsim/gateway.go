@@ -173,8 +173,5 @@ func (g *Gateway) GC(idle time.Duration) (conns, flows int) {
 	return conns, flows
 }
 
-// Enforcer returns the enforcement stage, if present.
-func (g *Gateway) Enforcer() *enforcer.Enforcer { return g.enforcer }
-
 // Sanitizer returns the sanitizing stage, if present.
 func (g *Gateway) Sanitizer() *sanitizer.Sanitizer { return g.sanitizer }

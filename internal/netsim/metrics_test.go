@@ -69,9 +69,9 @@ func flowCounts(x registrar) map[string]uint64 {
 // every counter series of the network, the gateway and its enforcer reads
 // at least what it read before.
 func TestCountersNeverDecrease(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	reg := metrics.NewRegistry()

@@ -7,7 +7,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"net/netip"
@@ -97,16 +96,7 @@ type Server struct {
 	// Internal servers sit inside the corporate perimeter: traffic to them
 	// passes the gateway but not the RFC 7126 border router.
 	Internal bool
-
-	requests atomic.Uint64
-	rxBytes  atomic.Uint64
 }
-
-// Requests returns the number of requests the server handled.
-func (s *Server) Requests() uint64 { return s.requests.Load() }
-
-// RxBytes returns the total request-body bytes received.
-func (s *Server) RxBytes() uint64 { return s.rxBytes.Load() }
 
 // Network is the assembled testbed.
 type Network struct {
@@ -253,9 +243,6 @@ func (n *Network) ClearFaults() {
 	n.faults.Store(nil)
 }
 
-// ErrNoRoute reports delivery to an unregistered address.
-var ErrNoRoute = errors.New("netsim: no route to host")
-
 // Delivery is the fate of one packet pushed through the network.
 type Delivery struct {
 	// Delivered reports whether the packet reached its server.
@@ -318,7 +305,7 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 				if srv.Handler != nil {
 					d.Response = srv.Handler(req)
 				}
-				charge += n.chargeServer(srv, len(req.Body))
+				charge += n.Model.ServerProcessing
 				*req = httpsim.Request{}
 			}
 			// SYN/FIN/RST carry no request: delivered, nothing served.
@@ -328,7 +315,7 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 		}
 	case ipv4.ProtoUDP:
 		if dg, err := transport.ViewUDP(cur.Payload); err == nil {
-			charge += n.chargeServer(srv, len(dg.Payload))
+			charge += n.Model.ServerProcessing
 			if srv.UDPHandler != nil {
 				d.Datagram = srv.UDPHandler(dg.Payload)
 			}
@@ -336,15 +323,6 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 	}
 	d.Delivered = true
 	return charge
-}
-
-// chargeServer counts one request of rxBytes received body bytes and
-// returns the server time it costs — shared by the HTTP and UDP serve
-// paths.
-func (n *Network) chargeServer(srv *Server, rxBytes int) time.Duration {
-	srv.requests.Add(1)
-	srv.rxBytes.Add(uint64(rxBytes))
-	return n.Model.ServerProcessing
 }
 
 // DeliverBatch pushes a burst of device-egress packets through the

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 
-	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/policy"
 )
 
 // DevicePool amortizes the android device model across a fleet-sized
@@ -22,12 +20,12 @@ import (
 // exclude the IPv4 pseudo-header (see internal/transport), and flow
 // identity is the 5-tuple — so each virtual device carries its own
 // distinct flows through enforcement, conntrack, and the flow cache,
-// exactly as a real per-device socket would.
+// exactly as a real per-device socket would. A virtual device's context is
+// the gateway's to keep, under Addr(i), like any other device's (see
+// devctx.Source); the pool only numbers the devices.
 type DevicePool struct {
-	prefix netip.Prefix
-	base   uint32 // first virtual device address, host byte order
-	n      int
-	ctx    *devctx.Source
+	base uint32 // first virtual device address, host byte order
+	n    int
 }
 
 // poolHostOffset skips the subnet address and the conventional .1 (the
@@ -54,17 +52,13 @@ func NewDevicePool(prefix netip.Prefix, n int) (*DevicePool, error) {
 	}
 	a4 := prefix.Addr().As4()
 	return &DevicePool{
-		prefix: prefix,
-		base:   binary.BigEndian.Uint32(a4[:]) + poolHostOffset,
-		n:      n,
+		base: binary.BigEndian.Uint32(a4[:]) + poolHostOffset,
+		n:    n,
 	}, nil
 }
 
 // Len returns the virtual device count.
 func (p *DevicePool) Len() int { return p.n }
-
-// Prefix returns the pool's subnet.
-func (p *DevicePool) Prefix() netip.Prefix { return p.prefix }
 
 // Addr returns virtual device i's address. i must be in [0, Len).
 func (p *DevicePool) Addr(i int) netip.Addr {
@@ -74,34 +68,6 @@ func (p *DevicePool) Addr(i int) netip.Addr {
 	var a4 [4]byte
 	binary.BigEndian.PutUint32(a4[:], p.base+uint32(i))
 	return netip.AddrFrom4(a4)
-}
-
-// BindContext connects the pool to a gateway-side device-context source:
-// SetContext/SetNetwork/ObserveLocation then provision the virtual devices
-// the same way a fleet of real agents would. A nil source unbinds.
-func (p *DevicePool) BindContext(src *devctx.Source) { p.ctx = src }
-
-// SetContext provisions virtual device i's whole context (enrollment or an
-// MDM sync). No-op while unbound.
-func (p *DevicePool) SetContext(i int, ctx policy.DeviceContext) {
-	if p.ctx != nil {
-		p.ctx.Provision(p.Addr(i), ctx)
-	}
-}
-
-// SetNetwork records virtual device i's network trust class.
-func (p *DevicePool) SetNetwork(i int, class policy.NetworkClass) {
-	if p.ctx != nil {
-		p.ctx.SetNetwork(p.Addr(i), class)
-	}
-}
-
-// ObserveLocation records a location fix for virtual device i; the source
-// derives apparent travel velocity from successive fixes.
-func (p *DevicePool) ObserveLocation(i int, lat, lon float64) {
-	if p.ctx != nil {
-		p.ctx.ObserveLocation(p.Addr(i), lat, lon)
-	}
 }
 
 // Rewrite clones a template device's egress burst for virtual device i:

@@ -16,11 +16,11 @@ import (
 // of a burst must stay as they were after later bursts — of other flows,
 // with other verdicts — went through the same scratch.
 func TestDeliveryOutlivesKernelScratch(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	log := audit.New(nil, 64)
 	defer log.Close()
 	clock := NewClock()
-	enf := shipped(clock, 64, enforcer.Config{Audit: log}, db, enf0.Engine())
+	enf := shipped(clock, 64, enforcer.Config{Audit: log}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

@@ -38,6 +38,25 @@ func handOrder[V any](ix *flowtable.Index[transport.Tuple, V], cells int, id fun
 	return at
 }
 
+// indexCells counts ix's cells by walking its eviction hand, which samples
+// one cell per Evict(1) and so comes back to a key after exactly that many
+// calls. ix must hold a key; the walk evicts nothing.
+func indexCells[V any](ix *flowtable.Index[transport.Tuple, V]) int {
+	var first *V
+	start := 0
+	for step := 1; ; step++ {
+		var at *V
+		ix.Evict(1, func(v *V) bool { at = v; return false })
+		switch {
+		case at == nil:
+		case first == nil:
+			first, start = at, step
+		case at == first:
+			return step - start
+		}
+	}
+}
+
 // withFlags is the segment of p's connection carrying flags alone.
 func withFlags(p *ipv4.Packet, flags byte) *ipv4.Packet {
 	var info transport.Info
@@ -210,9 +229,9 @@ func TestIdleTablesFootprint(t *testing.T) {
 	runtime.KeepAlive(ft)
 	runtime.KeepAlive(ct)
 
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 0, enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{MissRing: 64, Clock: clock})}, db, enf0.Engine())
+	enf := shipped(clock, 0, enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{MissRing: 64, Clock: clock})}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: clock})
 	base := taggedPacket(t, apk, db, "sync")
 	open := keepAliveBurst(t, base, 40000, 1)[:2] // SYN and a request, never closed

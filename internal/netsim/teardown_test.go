@@ -13,9 +13,9 @@ import (
 // connection actually ending — data segments stay cached, whatever their
 // HTTP Connection header says, and later packets hit.
 func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -39,9 +39,9 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 // single-request connection (SYN, request, FIN) leaves no live flow, and
 // a fresh connection on the same tuple re-resolves.
 func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

@@ -111,9 +111,9 @@ func TestFlowAffineParallelWorkers(t *testing.T) {
 // gateway has — so its FIN is observed only after each data segment was
 // served and its response checked on the open connection.
 func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
-	enf0, apk, db := buildEnforcerAndDB(t)
+	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, enf0.Engine())
+	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)

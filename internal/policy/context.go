@@ -255,9 +255,6 @@ func TimeOfVirtual(d time.Duration) (minute uint16, weekday uint8) {
 	return uint16(m), uint8(w)
 }
 
-// Weekend reports whether the context's weekday is Saturday or Sunday.
-func (fc *FlowContext) Weekend() bool { return fc.Weekday >= 5 }
-
 // Posture / travel sub-modes of a compiled predicate.
 const (
 	modeNone uint8 = iota

@@ -27,6 +27,13 @@ const contextDoc = `
 {[threshold][block][100]}
 `
 
+// evaluateFlow decides one flow as the enforcer does: the app and stack's
+// Access, decided with its Risk for fc (nil: none).
+func evaluateFlow(e *Engine, appHash dex.TruncatedHash, stack []dex.Signature, fc *FlowContext) Decision {
+	a := e.Access(appHash, stack)
+	return a.Decide(a.Risk(fc))
+}
+
 func mustEngine(t *testing.T, doc string) *Engine {
 	t.Helper()
 	rules, err := ParsePolicyString(doc)
@@ -167,14 +174,14 @@ func TestRiskScoringThresholds(t *testing.T) {
 
 	// Trusted network on a weekday afternoon: negative weight, clean allow.
 	trusted := &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2}
-	d := e.EvaluateFlow(h, stack, trusted)
+	d := evaluateFlow(e, h, stack, trusted)
 	if d.Verdict != VerdictAllow || d.Risk.Warn || !d.Risk.Applied || d.Risk.Score != -30 {
 		t.Fatalf("trusted: %+v", d)
 	}
 
 	// Unknown network alone (60) reaches warn (40) but not block (100).
 	unknown := &FlowContext{MinuteOfDay: 14 * 60, Weekday: 2}
-	d = e.EvaluateFlow(h, stack, unknown)
+	d = evaluateFlow(e, h, stack, unknown)
 	if d.Verdict != VerdictAllow || !d.Risk.Warn || d.Risk.Score != 60 {
 		t.Fatalf("unknown: %+v", d)
 	}
@@ -185,7 +192,7 @@ func TestRiskScoringThresholds(t *testing.T) {
 		MinuteOfDay: 23 * 60,
 		Weekday:     2,
 	}
-	d = e.EvaluateFlow(h, stack, risky)
+	d = evaluateFlow(e, h, stack, risky)
 	if d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 110 {
 		t.Fatalf("risky: %+v", d)
 	}
@@ -197,7 +204,7 @@ func TestRiskScoringThresholds(t *testing.T) {
 	// 100 - 30 = 70 < 100... so add the weekend weight: 100-30+20 = 90 < 100,
 	// still short — use unknown network: 100+60 = 160.
 	traveling := &FlowContext{Device: DeviceContext{VelocityKmh: 1200}, MinuteOfDay: 12 * 60, Weekday: 2}
-	d = e.EvaluateFlow(h, stack, traveling)
+	d = evaluateFlow(e, h, stack, traveling)
 	if d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 160 {
 		t.Fatalf("traveling: %+v", d)
 	}
@@ -215,12 +222,12 @@ func TestRiskOnlyTightensAllows(t *testing.T) {
 	var h dex.TruncatedHash
 	ad := []dex.Signature{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}}
 	risky := &FlowContext{Device: DeviceContext{VelocityKmh: 9000}}
-	d := e.EvaluateFlow(h, ad, risky)
+	d := evaluateFlow(e, h, ad, risky)
 	if d.Verdict != VerdictDrop || d.Risk.Applied || d.Rule == nil {
 		t.Fatalf("access deny should decide before risk: %+v", d)
 	}
 	clean := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
-	d = e.EvaluateFlow(h, clean, nil)
+	d = evaluateFlow(e, h, clean, nil)
 	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("nil context must skip risk: %+v", d)
 	}
@@ -237,7 +244,7 @@ func TestThresholdDefaultsAndLastWins(t *testing.T) {
 	}
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
-	d := e.EvaluateFlow(h, stack, &FlowContext{})
+	d := evaluateFlow(e, h, stack, &FlowContext{})
 	if d.Verdict != VerdictAllow || !d.Risk.Warn { // 60 ≥ 50 default warn
 		t.Fatalf("default warn: %+v", d)
 	}
@@ -248,7 +255,7 @@ func TestThresholdDefaultsAndLastWins(t *testing.T) {
 {[threshold][block][200]}
 {[threshold][block][55]}
 `)
-	d = e.EvaluateFlow(h, stack, &FlowContext{})
+	d = evaluateFlow(e, h, stack, &FlowContext{})
 	if d.Verdict != VerdictDrop || !d.Risk.Blocked {
 		t.Fatalf("last block threshold (55) should drop score 60: %+v", d)
 	}
@@ -258,7 +265,7 @@ func TestThresholdDefaultsAndLastWins(t *testing.T) {
 	if e.compiled.Load().ctx != nil {
 		t.Fatal("thresholds alone must not activate the context program")
 	}
-	d = e.EvaluateFlow(h, stack, &FlowContext{})
+	d = evaluateFlow(e, h, stack, &FlowContext{})
 	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("inactive program: %+v", d)
 	}
@@ -271,7 +278,7 @@ func TestDegradedOverridesRisk(t *testing.T) {
 	}
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
-	d := e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{VelocityKmh: 9000}})
+	d := evaluateFlow(e, h, stack, &FlowContext{Device: DeviceContext{VelocityKmh: 9000}})
 	if d.Verdict != VerdictAllow || d.Risk.Applied {
 		t.Fatalf("degraded override must bypass risk: %+v", d)
 	}
@@ -283,7 +290,7 @@ func TestRiskRuleContributesWeight(t *testing.T) {
 	e := mustEngine(t, contextDoc)
 	var h dex.TruncatedHash
 	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
-	d := e.EvaluateFlow(h, stack, &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2})
+	d := evaluateFlow(e, h, stack, &FlowContext{Device: DeviceContext{Network: NetTrusted}, MinuteOfDay: 14 * 60, Weekday: 2})
 	// {[risk][network]["trusted"][-30]} is the only contextDoc predicate that
 	// holds on a trusted network on a Wednesday afternoon.
 	if !d.Risk.Applied || d.Risk.Score != -30 || d.Rule != nil {

@@ -33,8 +33,8 @@ func TestDegradedOverride(t *testing.T) {
 	if d.Verdict != VerdictDrop || d.Reason != "policy stale" {
 		t.Fatalf("degraded verdict = %+v", d)
 	}
-	if got, ok := eng.Degraded(); !ok || got.Verdict != VerdictDrop {
-		t.Fatalf("Degraded() = %+v, %v", got, ok)
+	if dd := eng.degraded.Load(); dd == nil || dd.Verdict != VerdictDrop {
+		t.Fatalf("degraded override = %+v", dd)
 	}
 
 	// Idempotent per (verdict, reason): no extra generation burn.
@@ -53,7 +53,7 @@ func TestDegradedOverride(t *testing.T) {
 	}
 
 	eng.ClearDegraded()
-	if _, ok := eng.Degraded(); ok {
+	if eng.degraded.Load() != nil {
 		t.Fatal("ClearDegraded left the override")
 	}
 	if eng.Generation() != gen+3 {
@@ -81,7 +81,7 @@ func TestDegradedRejectsInvalidVerdict(t *testing.T) {
 	if err := eng.SetDegraded(Verdict(99), "bogus"); err == nil {
 		t.Fatal("invalid verdict accepted")
 	}
-	if _, ok := eng.Degraded(); ok {
+	if eng.degraded.Load() != nil {
 		t.Fatal("failed SetDegraded left an override")
 	}
 }

@@ -193,35 +193,12 @@ func (e *Engine) ClearDegraded() {
 	}
 }
 
-// Degraded reports the active degraded-mode override, if any.
-func (e *Engine) Degraded() (Access, bool) {
-	if d := e.degraded.Load(); d != nil {
-		return *d, true
-	}
-	return Access{}, false
-}
-
-// Rules returns a copy of the current rule set.
-func (e *Engine) Rules() []Rule {
-	return append([]Rule(nil), e.compiled.Load().rules...)
-}
-
-// Default returns the engine's default verdict.
-func (e *Engine) Default() Verdict { return e.defaultV }
-
 // Evaluate decides the fate of a packet given its decoded context, the
 // app's truncated hash and the stack-trace signatures, with no flow
 // context: its Access, decided without a Risk.
 func (e *Engine) Evaluate(appHash dex.TruncatedHash, stack []dex.Signature) Decision {
 	a := e.Access(appHash, stack)
 	return a.Decide(Risk{})
-}
-
-// EvaluateFlow is Evaluate plus the contextual dimension: the Access,
-// decided with its Risk for fc (nil: none).
-func (e *Engine) EvaluateFlow(appHash dex.TruncatedHash, stack []dex.Signature, fc *FlowContext) Decision {
-	a := e.Access(appHash, stack)
-	return a.Decide(a.Risk(fc))
 }
 
 // Access runs the access rules on an app and stack under the current rule

@@ -163,7 +163,11 @@ func FuzzParseGroupSet(f *testing.F) {
 		if err != nil {
 			t.Fatalf("grouped document accepted, flat parse rejected: %v\ninput: %q", err, doc)
 		}
-		if grouped := gs.RulesFor(gs.Names()...); !sameRules(flat, grouped) {
+		grouped := append([]Rule(nil), gs.Global...)
+		for _, g := range gs.Groups {
+			grouped = append(grouped, g.Rules...)
+		}
+		if !sameRules(flat, grouped) {
 			t.Fatalf("grouped and flat rules differ:\n  flat:    %+v\n  grouped: %+v\ninput: %q", flat, grouped, doc)
 		}
 		formatted := gs.Format()

@@ -177,25 +177,6 @@ func (g *GroupSet) group(name string) *Group {
 	return nil
 }
 
-// RulesFor returns the shard for the given groups: the global rules
-// followed by each named group's rules, in the order requested. Duplicate
-// and unknown group names are skipped.
-func (g *GroupSet) RulesFor(groups ...string) []Rule {
-	rules := make([]Rule, 0, len(g.Global))
-	rules = append(rules, g.Global...)
-	seen := map[string]bool{}
-	for _, name := range groups {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		if grp := g.group(name); grp != nil {
-			rules = append(rules, grp.Rules...)
-		}
-	}
-	return rules
-}
-
 // DocFor renders the shard for the given groups as a policy document:
 // the global rules, then a //@group directive and rules per named group.
 // The render is deterministic for a given document and group list, so a

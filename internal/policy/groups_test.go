@@ -58,12 +58,22 @@ func TestGroupedDocIsValidFlatPolicy(t *testing.T) {
 	}
 }
 
+// TestGroupSetRulesFor: the shard DocFor renders for some groups holds the
+// global rules and those groups' rules.
 func TestGroupSetRulesFor(t *testing.T) {
 	gs, err := ParseGroupSet(groupedDoc)
 	if err != nil {
 		t.Fatalf("ParseGroupSet: %v", err)
 	}
-	sales := gs.RulesFor("sales")
+	shard := func(groups ...string) []Rule {
+		t.Helper()
+		rules, err := ParsePolicyString(gs.DocFor(groups...))
+		if err != nil {
+			t.Fatalf("shard for %v: %v", groups, err)
+		}
+		return rules
+	}
+	sales := shard("sales")
 	if len(sales) != 3 { // 2 global + 1 sales
 		t.Fatalf("sales shard = %d rules, want 3", len(sales))
 	}
@@ -73,12 +83,12 @@ func TestGroupSetRulesFor(t *testing.T) {
 		}
 	}
 	// Duplicates and unknown names are skipped, not errors.
-	both := gs.RulesFor("sales", "sales", "nonexistent", "engineering")
+	both := shard("sales", "sales", "nonexistent", "engineering")
 	if len(both) != 6 {
 		t.Fatalf("combined shard = %d rules, want 6", len(both))
 	}
 	// A group absent from the document gets just the global rules.
-	if got := gs.RulesFor("nonexistent"); len(got) != 2 {
+	if got := shard("nonexistent"); len(got) != 2 {
 		t.Fatalf("unknown group shard = %d rules, want 2 global", len(got))
 	}
 }

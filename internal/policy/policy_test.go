@@ -221,7 +221,7 @@ func TestEngineSetRules(t *testing.T) {
 	if err := eng.SetRules([]Rule{{}}); err == nil {
 		t.Fatal("invalid rule accepted by SetRules")
 	}
-	if got := len(eng.Rules()); got != 1 {
+	if got := len(eng.compiled.Load().rules); got != 1 {
 		t.Fatalf("failed SetRules must not clobber rules, have %d", got)
 	}
 }

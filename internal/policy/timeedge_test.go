@@ -50,14 +50,14 @@ func checkTimeEdges(t *testing.T, specs []string, now int) {
 		t.Fatalf("compile %q: %v", specs, err)
 	}
 	score := func(m int) int32 {
-		d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(m))
+		d := evaluateFlow(e, dex.TruncatedHash{}, nil, minuteContext(m))
 		if !d.Risk.Applied {
 			t.Fatalf("%q: risk program did not run", specs)
 		}
 		return d.Risk.Score
 	}
 	now %= minutesPerWeek
-	d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(now))
+	d := evaluateFlow(e, dex.TruncatedHash{}, nil, minuteContext(now))
 	in := int(d.Risk.EdgeIn)
 	if in < 0 || in > minutesPerWeek {
 		t.Fatalf("%q at minute %d: EdgeIn = %d", specs, now, in)
@@ -148,7 +148,7 @@ func TestTimeEdgesOfKnownSpecs(t *testing.T) {
 		t.Errorf("contextDoc (nightly window and weekend): %d edges %v, want 16", len(got), got)
 	}
 	e := mustEngine(t, `{[risk][network]["unknown"][60]}`)
-	if d := e.EvaluateFlow(dex.TruncatedHash{}, nil, minuteContext(100)); !d.Risk.Applied || d.Risk.EdgeIn != 0 {
+	if d := evaluateFlow(e, dex.TruncatedHash{}, nil, minuteContext(100)); !d.Risk.Applied || d.Risk.EdgeIn != 0 {
 		t.Errorf("no time predicate: %+v, want a risk decision that never lapses", d)
 	}
 }

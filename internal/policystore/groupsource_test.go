@@ -15,14 +15,13 @@ const fleetDocV1 = `
 {[deny][library]["com/tracker/beta"]}
 `
 
-// assertNoForeignRules fails if the engine compiled any rule belonging to
-// another group's shard.
+// assertNoForeignRules fails if the engine enforces a rule of another
+// group's shard: it drops a frame in that group's tracker package (whose
+// /v2 revision matches both the rule and its revision).
 func assertNoForeignRules(t *testing.T, eng *policy.Engine, foreign string) {
 	t.Helper()
-	for _, r := range eng.Rules() {
-		if strings.Contains(r.Target, foreign) {
-			t.Fatalf("engine leaked foreign group rule %v", r)
-		}
+	if lib := "com/tracker/" + foreign + "/v2"; denies(eng, lib) {
+		t.Fatalf("engine enforces group %s's rule: it drops %s", foreign, lib)
 	}
 }
 
@@ -39,9 +38,8 @@ func TestGroupScopedSourceScopes(t *testing.T) {
 	if err := st.Load(); err != nil {
 		t.Fatal(err)
 	}
-	rules := eng.Rules()
-	if len(rules) != 2 {
-		t.Fatalf("alpha shard compiled %d rules, want 2 (global + alpha)", len(rules))
+	if n := count(st, "bp_policy_rules"); n != 2 || !denies(eng, "com/tracker/alpha") {
+		t.Fatalf("alpha shard compiled %d rules, want 2 (global + alpha)", n)
 	}
 	assertNoForeignRules(t, eng, "beta")
 	if s := st.cfg.Source.String(); !strings.Contains(s, "[groups:alpha]") {
@@ -99,11 +97,7 @@ func TestGroupScopedSourceNoLeakAfterHotSwap(t *testing.T) {
 	if eng.Generation() != gen+1 {
 		t.Fatalf("alpha swap: generation = %d, want %d", eng.Generation(), gen+1)
 	}
-	var sawNew bool
-	for _, r := range eng.Rules() {
-		sawNew = sawNew || r.Target == "com/tracker/alpha/v2"
-	}
-	if !sawNew {
+	if !denies(eng, "com/tracker/alpha/v2") || denies(eng, "com/tracker/alpha") {
 		t.Fatal("revised alpha rule not compiled")
 	}
 	assertNoForeignRules(t, eng, "beta")
@@ -167,7 +161,7 @@ func TestGroupScopedSourceMultipleGroups(t *testing.T) {
 	if err := st.Load(); err != nil {
 		t.Fatal(err)
 	}
-	if rules := eng.Rules(); len(rules) != 3 {
-		t.Fatalf("alpha+beta shard = %d rules, want 3", len(rules))
+	if n := count(st, "bp_policy_rules"); n != 3 {
+		t.Fatalf("alpha+beta shard = %d rules, want 3", n)
 	}
 }

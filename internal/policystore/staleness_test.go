@@ -84,9 +84,8 @@ func TestStalenessFailClosed(t *testing.T) {
 	if !st.Degraded() {
 		t.Fatal("not degraded past the deadline")
 	}
-	d, ok := eng.Degraded()
-	if !ok || d.Verdict != policy.VerdictDrop {
-		t.Fatalf("engine override = %+v, %v (want fail-closed drop)", d, ok)
+	if v, ok := override(eng); !ok || v != policy.VerdictDrop {
+		t.Fatalf("engine override = %v, %v (want fail-closed drop)", v, ok)
 	}
 	if n := count(st, "bp_policy_degraded_enters_total"); !st.Degraded() || n != 1 || st.cfg.FailMode.String() != "fail-closed" {
 		t.Fatalf("degraded %v, %d enters, mode %s", st.Degraded(), n, st.cfg.FailMode)
@@ -103,7 +102,7 @@ func TestStalenessFailClosed(t *testing.T) {
 	if st.Degraded() {
 		t.Fatal("still degraded after recovery")
 	}
-	if _, ok := eng.Degraded(); ok {
+	if _, ok := override(eng); ok {
 		t.Fatal("engine override survived recovery")
 	}
 	if n := count(st, "bp_policy_degraded_enters_total"); n != 1 {
@@ -121,8 +120,8 @@ func TestStalenessFailOpen(t *testing.T) {
 	if !st.Degraded() {
 		t.Fatal("not degraded past the deadline")
 	}
-	if d, ok := eng.Degraded(); !ok || d.Verdict != policy.VerdictAllow {
-		t.Fatalf("engine override = %+v, %v (want fail-open allow)", d, ok)
+	if v, ok := override(eng); !ok || v != policy.VerdictAllow {
+		t.Fatalf("engine override = %v, %v (want fail-open allow)", v, ok)
 	}
 }
 
@@ -136,7 +135,7 @@ func TestStalenessFailStatic(t *testing.T) {
 	if st.Degraded() || st.CheckStale() {
 		t.Fatal("fail-static store degraded")
 	}
-	if _, ok := eng.Degraded(); ok {
+	if _, ok := override(eng); ok {
 		t.Fatal("fail-static store set an engine override")
 	}
 }

@@ -8,9 +8,28 @@ import (
 	"testing"
 	"time"
 
+	"borderpatrol/internal/dex"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
 )
+
+// denies reports whether the engine drops a stack with one frame in
+// package lib: how these tests read which library rules are in force.
+func denies(eng *policy.Engine, lib string) bool {
+	stack := []dex.Signature{{Package: lib, Class: "C", Name: "m", Proto: "()V"}}
+	return eng.Evaluate(dex.TruncatedHash{}, stack).Verdict == policy.VerdictDrop
+}
+
+// override evaluates a stack no rule names and returns its verdict, and
+// whether the engine's degraded override gave it.
+func override(eng *policy.Engine) (policy.Verdict, bool) {
+	r := metrics.NewRegistry()
+	eng.RegisterMetrics(r)
+	before, _ := r.Value("bp_policy_degraded_hits_total")
+	v := eng.Evaluate(dex.TruncatedHash{}, nil).Verdict
+	after, _ := r.Value("bp_policy_degraded_hits_total")
+	return v, after > before
+}
 
 // count reads one of the store's series; labels narrow a family.
 func count(st *Store, family string, labels ...metrics.Label) uint64 {
@@ -48,9 +67,8 @@ func TestStoreLoadApplies(t *testing.T) {
 	if err := st.Load(); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	rules := eng.Rules()
-	if len(rules) != 1 || rules[0].Target != "com/flurry" {
-		t.Fatalf("engine rules = %+v", rules)
+	if !denies(eng, "com/flurry") {
+		t.Fatal("engine does not enforce the loaded rule")
 	}
 	if eng.Generation() != 1 {
 		t.Fatalf("generation = %d, want 1", eng.Generation())
@@ -115,8 +133,8 @@ func TestStoreLastGoodSurvivesBadCandidate(t *testing.T) {
 	if _, err := st.Reload(); err == nil {
 		t.Fatal("malformed candidate applied")
 	}
-	if rules := eng.Rules(); len(rules) != 1 || rules[0].Target != "com/flurry" {
-		t.Fatalf("last-good rules lost: %+v", rules)
+	if n := count(st, "bp_policy_rules"); n != 1 || !denies(eng, "com/flurry") || denies(eng, "com/ok") {
+		t.Fatalf("last-good rules lost: %d rules", n)
 	}
 	if eng.Generation() != 1 {
 		t.Fatalf("rejected candidate bumped generation to %d", eng.Generation())
@@ -136,8 +154,8 @@ func TestStoreLastGoodSurvivesBadCandidate(t *testing.T) {
 	if err != nil || !applied {
 		t.Fatalf("recovery reload: applied=%v err=%v", applied, err)
 	}
-	if rules := eng.Rules(); len(rules) != 2 {
-		t.Fatalf("recovered rules = %+v", rules)
+	if !denies(eng, "com/google/gms") {
+		t.Fatal("recovered rules not enforced")
 	}
 	if applied, rules := reloads(st, "applied"), count(st, "bp_policy_rules"); st.LastError() != "" || applied != 2 || rules != 2 {
 		t.Fatalf("after recovery: last error %q, applied %d, rules %d", st.LastError(), applied, rules)
@@ -172,13 +190,13 @@ func TestStorePollerHotReload(t *testing.T) {
 	writeFile(t, path, docB)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(eng.Rules()) == 2 {
+		if denies(eng, "com/google/gms") {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if rules := eng.Rules(); len(rules) != 2 {
-		t.Fatalf("poller never applied the edit: %+v", rules)
+	if n := count(st, "bp_policy_rules"); n != 2 || !denies(eng, "com/google/gms") {
+		t.Fatalf("poller never applied the edit: %d rules", n)
 	}
 	if n := reloads(st, "applied"); n != 2 {
 		t.Fatalf("applied = %d, want 2", n)
@@ -247,8 +265,8 @@ func TestStoreEmptyDocument(t *testing.T) {
 	if err := st.Load(); err != nil {
 		t.Fatalf("Load of empty document: %v", err)
 	}
-	if rules := eng.Rules(); len(rules) != 0 {
-		t.Fatalf("rules = %+v", rules)
+	if denies(eng, "com/flurry") {
+		t.Fatal("an empty document left a rule in force")
 	}
 	if applied, rules := reloads(st, "applied"), count(st, "bp_policy_rules"); applied != 1 || rules != 0 {
 		t.Fatalf("applied/rules = %d/%d, want 1/0", applied, rules)

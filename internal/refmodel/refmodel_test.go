@@ -46,7 +46,8 @@ func TestScoreMatchesEngine(t *testing.T) {
 		for _, dc := range devices {
 			fc := policy.FlowContext{Device: dc}
 			fc.MinuteOfDay, fc.Weekday = policy.TimeOfVirtual(now)
-			got := eng.EvaluateFlow(dex.TruncatedHash{}, nil, &fc)
+			a := eng.Access(dex.TruncatedHash{}, nil)
+			got := a.Decide(a.Risk(&fc))
 			want := Score(rules, dc, now)
 			if int(got.Risk.Score) != want || got.Risk.Warn != (want >= warn && want < block) || (got.Verdict == policy.VerdictDrop) != (want >= block) {
 				t.Fatalf("minute %d, device %+v: engine %+v, model score %d", m, dc, got, want)

@@ -125,59 +125,3 @@ func Catalog() []Library {
 	sort.SliceStable(libs, func(a, b int) bool { return libs[a].Popularity > libs[b].Popularity })
 	return libs
 }
-
-// TopN returns the n most popular libraries from the catalog.
-func TopN(n int) []Library {
-	libs := Catalog()
-	if n > len(libs) {
-		n = len(libs)
-	}
-	return libs[:n]
-}
-
-// Packages returns just the package prefixes of the given libraries.
-func Packages(libs []Library) []string {
-	out := make([]string, len(libs))
-	for i, l := range libs {
-		out[i] = l.Package
-	}
-	return out
-}
-
-// Index is a fast membership structure over the catalog for classifying
-// observed stack frames.
-type Index struct {
-	byPrefix map[string]Library
-}
-
-// NewIndex builds a lookup index over the given libraries.
-func NewIndex(libs []Library) *Index {
-	idx := &Index{byPrefix: make(map[string]Library, len(libs))}
-	for _, l := range libs {
-		idx.byPrefix[l.Package] = l
-	}
-	return idx
-}
-
-// Match finds the deny-listed library containing the given Java package
-// path, if any, by walking prefix segments.
-func (idx *Index) Match(pkgPath string) (Library, bool) {
-	for end := len(pkgPath); end > 0; {
-		if lib, ok := idx.byPrefix[pkgPath[:end]]; ok {
-			return lib, true
-		}
-		// Shrink to the previous path segment.
-		next := -1
-		for i := end - 1; i >= 0; i-- {
-			if pkgPath[i] == '/' {
-				next = i
-				break
-			}
-		}
-		if next < 0 {
-			break
-		}
-		end = next
-	}
-	return Library{}, false
-}

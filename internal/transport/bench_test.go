@@ -26,7 +26,7 @@ func BenchmarkPeekTCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := Peek(ipv4.ProtoTCP, wire); !ok {
+		if _, ok := peek(ipv4.ProtoTCP, wire); !ok {
 			b.Fatal("peek failed")
 		}
 	}

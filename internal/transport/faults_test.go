@@ -39,7 +39,7 @@ func TestParseTCPUnderFaultShapes(t *testing.T) {
 			if wire := seg.Marshal(); !bytes.Equal(wire, raw) {
 				t.Fatalf("accepted damaged segment broke identity:\n in  %x\n out %x", raw, wire)
 			}
-			if info, ok := Peek(ipv4.ProtoTCP, raw); ok {
+			if info, ok := peek(ipv4.ProtoTCP, raw); ok {
 				if info.SrcPort != seg.SrcPort || info.DstPort != seg.DstPort {
 					t.Fatalf("peek %+v disagrees with parse %+v", info, seg)
 				}

@@ -82,7 +82,7 @@ func FuzzParseTCP(f *testing.F) {
 		// Peek agrees with the full parser whenever it accepts (it may
 		// reject segments with zero ports or flags; it must never invent
 		// different ports).
-		if info, ok := Peek(ipv4.ProtoTCP, raw); ok {
+		if info, ok := peek(ipv4.ProtoTCP, raw); ok {
 			if info.SrcPort != seg.SrcPort || info.DstPort != seg.DstPort || info.Flags != seg.Flags {
 				t.Fatalf("peek %+v disagrees with parse %+v", info, seg)
 			}
@@ -124,7 +124,7 @@ func FuzzParseUDP(f *testing.F) {
 		if again.SrcPort != d.SrcPort || again.DstPort != d.DstPort || !bytes.Equal(again.Payload, d.Payload) {
 			t.Fatalf("re-parse diverged: %+v vs %+v", again, d)
 		}
-		if info, ok := Peek(ipv4.ProtoUDP, raw); ok {
+		if info, ok := peek(ipv4.ProtoUDP, raw); ok {
 			if info.SrcPort != d.SrcPort || info.DstPort != d.DstPort {
 				t.Fatalf("peek %+v disagrees with parse %+v", info, d)
 			}

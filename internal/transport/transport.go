@@ -16,7 +16,7 @@
 //     application payload up the stack. ParseTCP/ParseUDP are the same
 //     validators for callers that keep the segment past the input's
 //     lifetime: they copy the payload out.
-//   - Peek/PeekPacket are the one structural check, the zero-allocation
+//   - PeekPacket is the one structural check, the zero-allocation
 //     per-packet path: header length, data offset, reserved bits, flag
 //     mask, UDP length consistency and nonzero ports, extracting ports
 //     and TCP flags without a checksum walk over the payload. The
@@ -60,14 +60,14 @@ const (
 	// FlagACK acknowledges; set on every segment after the initial SYN.
 	FlagACK = 0x10
 
-	// flagMask is every flag this model emits. Peek rejects anything
+	// flagMask is every flag this model emits. PeekPacket rejects anything
 	// outside it, which is also what keeps bare application bytes (ASCII
 	// ≥ 0x20 in the flag position) from masquerading as segments.
 	flagMask = FlagFIN | FlagSYN | FlagRST | FlagPSH | FlagACK
 )
 
 // Header lengths. The TCP model always emits a 20-byte option-free header
-// (data offset 5), which is also what Peek requires.
+// (data offset 5), which is also what PeekPacket requires.
 const (
 	TCPHeaderLen = 20
 	UDPHeaderLen = 8
@@ -276,24 +276,17 @@ type Info struct {
 	DataOff int
 }
 
-// Peek extracts transport Info from an IPv4 payload using structural
-// checks only — no checksum walk, no allocation. It reports false for
-// anything that does not look like a header this model emits, which in
-// particular covers bare plain-HTTP bytes: they fail the
-// data-offset/reserved-bits check (TCP) or the length-field check (UDP),
-// so callers treat the payload as opaque — never as ports, never as a
-// request. Ports must be nonzero — the kernel never binds port
-// 0, and requiring it rejects further junk.
-func Peek(proto byte, b []byte) (info Info, ok bool) {
-	ok = info.peek(proto, b)
-	return info, ok
-}
-
-// PeekPacket is Peek over a whole packet, refusing non-first fragments:
-// a fragment with FragOff > 0 carries mid-stream payload bytes where the
-// header would be, and flow keying must not read ports out of them. The
-// first fragment (FragOff == 0, MF set) does carry the real header and
-// peeks normally. It fills info in place, zero when it reports false: the
+// PeekPacket extracts a packet's transport Info using structural checks
+// only — no checksum walk, no allocation. It reports false for anything
+// that does not look like a header this model emits, which in particular
+// covers bare plain-HTTP bytes: they fail the data-offset/reserved-bits
+// check (TCP) or the length-field check (UDP), so callers treat the payload
+// as opaque — never as ports, never as a request. Ports must be nonzero —
+// the kernel never binds port 0, and requiring it rejects further junk.
+// It refuses non-first fragments: a fragment with FragOff > 0 carries
+// mid-stream payload bytes where the header would be, and flow keying must
+// not read ports out of them. The first fragment (FragOff == 0, MF set)
+// does carry the real header and peeks normally. It fills info in place, zero when it reports false: the
 // packet path calls it, and an Info returned by value is written in parts
 // and then copied whole, which stalls store forwarding on every packet.
 func PeekPacket(pkt *ipv4.Packet, info *Info) bool {
@@ -304,8 +297,8 @@ func PeekPacket(pkt *ipv4.Packet, info *Info) bool {
 	return info.peek(pkt.Header.Protocol, pkt.Payload)
 }
 
-// peek is the structural check Peek and PeekPacket share: it fills i from
-// b's header and reports true, or zeroes i and reports false.
+// peek is PeekPacket's structural check of an IPv4 payload: it fills i
+// from b's header and reports true, or zeroes i and reports false.
 func (i *Info) peek(proto byte, b []byte) bool {
 	*i = Info{}
 	var off int
@@ -330,7 +323,7 @@ func (i *Info) peek(proto byte, b []byte) bool {
 }
 
 // Tuple is a flow's identity at the gateway: IPv4 endpoints and transport
-// ports (zero when the packet carries no header Peek accepts); the holder
+// ports (zero when the packet carries no header PeekPacket accepts); the holder
 // keeps the protocol. Twelve bytes and no pointers. The addresses are
 // big-endian values, not byte arrays, so a Tuple travels in registers: a
 // copied array is written in parts and read whole, a store-forwarding

@@ -12,6 +12,12 @@ import (
 	"borderpatrol/internal/ipv4"
 )
 
+// peek is PeekPacket's structural check on a bare IPv4 payload.
+func peek(proto byte, b []byte) (info Info, ok bool) {
+	ok = info.peek(proto, b)
+	return info, ok
+}
+
 func TestTCPRoundTrip(t *testing.T) {
 	seg := &TCPSegment{
 		SrcPort: 40001, DstPort: 443,
@@ -109,13 +115,13 @@ func TestUDPParseErrors(t *testing.T) {
 
 func TestPeekExtractsPortsAndFlags(t *testing.T) {
 	seg := &TCPSegment{SrcPort: 41000, DstPort: 8000, Seq: 3, Flags: FlagFIN | FlagACK, Window: 100}
-	info, ok := Peek(ipv4.ProtoTCP, seg.Marshal())
+	info, ok := peek(ipv4.ProtoTCP, seg.Marshal())
 	if !ok || info.SrcPort != 41000 || info.DstPort != 8000 ||
 		info.Flags != FlagFIN|FlagACK || info.DataOff != TCPHeaderLen {
 		t.Fatalf("tcp peek: %+v ok=%v", info, ok)
 	}
 	d := &UDPDatagram{SrcPort: 41001, DstPort: 53, Payload: []byte("q")}
-	info, ok = Peek(ipv4.ProtoUDP, d.Marshal())
+	info, ok = peek(ipv4.ProtoUDP, d.Marshal())
 	if !ok || info.SrcPort != 41001 || info.DstPort != 53 || info.DataOff != UDPHeaderLen {
 		t.Fatalf("udp peek: %+v ok=%v", info, ok)
 	}
@@ -134,10 +140,10 @@ func TestPeekRejectsBareHTTP(t *testing.T) {
 		nil,
 	}
 	for i, payload := range bare {
-		if info, ok := Peek(ipv4.ProtoTCP, payload); ok {
+		if info, ok := peek(ipv4.ProtoTCP, payload); ok {
 			t.Fatalf("bare payload %d peeked as TCP: %+v", i, info)
 		}
-		if info, ok := Peek(ipv4.ProtoUDP, payload); ok {
+		if info, ok := peek(ipv4.ProtoUDP, payload); ok {
 			t.Fatalf("bare payload %d peeked as UDP: %+v", i, info)
 		}
 	}
@@ -145,11 +151,11 @@ func TestPeekRejectsBareHTTP(t *testing.T) {
 
 func TestPeekRejectsZeroPorts(t *testing.T) {
 	seg := &TCPSegment{SrcPort: 0, DstPort: 80, Flags: FlagSYN}
-	if _, ok := Peek(ipv4.ProtoTCP, seg.Marshal()); ok {
+	if _, ok := peek(ipv4.ProtoTCP, seg.Marshal()); ok {
 		t.Fatal("zero source port accepted")
 	}
 	d := &UDPDatagram{SrcPort: 4000, DstPort: 0}
-	if _, ok := Peek(ipv4.ProtoUDP, d.Marshal()); ok {
+	if _, ok := peek(ipv4.ProtoUDP, d.Marshal()); ok {
 		t.Fatal("zero destination port accepted")
 	}
 }
@@ -214,7 +220,7 @@ func TestFragmentationInterplay(t *testing.T) {
 func TestPeekAllocFree(t *testing.T) {
 	seg := (&TCPSegment{SrcPort: 40001, DstPort: 443, Flags: FlagPSH | FlagACK, Payload: []byte("data")}).Marshal()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := Peek(ipv4.ProtoTCP, seg); !ok {
+		if _, ok := peek(ipv4.ProtoTCP, seg); !ok {
 			t.Fatal("peek failed")
 		}
 	})

@@ -2,10 +2,7 @@ package borderpatrol
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"regexp"
 	"strings"
 	"testing"
@@ -33,44 +30,32 @@ var parserAllowList = map[string]string{
 // package names or calls and no allow-list row covers, and for a stale
 // allow-list row.
 func TestEveryParserIsFuzzed(t *testing.T) {
-	parsers := map[string]bool{}  // "pkg.Func"
-	fuzzRefs := map[string]bool{} // what the fuzz targets name, as "pkg.Name"
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
+	m := loadModule(t)
+	parsers := map[string]bool{} // "pkg.Func"
+	for _, p := range m.pkgs {
+		pkg := p.internalName()
+		if pkg == "" {
+			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.Base(filepath.Dir(path))
-		test := strings.HasSuffix(path, "_test.go")
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil {
-				continue
-			}
-			name := fn.Name.Name
-			switch {
-			case !test && fn.Name.IsExported() && parserName.MatchString(name):
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if fn, ok := scope.Lookup(name).(*types.Func); ok && fn.Exported() && parserName.MatchString(name) {
 				parsers[pkg+"."+name] = true
-			case test && strings.HasPrefix(name, "Fuzz"):
-				// A target covers the parser it is named after and every
-				// function its body names.
-				fuzzRefs[pkg+"."+strings.TrimPrefix(name, "Fuzz")] = true
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						fuzzRefs[pkg+"."+id.Name] = true
-					}
-					return true
-				})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	fuzzRefs := map[string]bool{} // what the fuzz targets name, as "pkg.Name"
+	for _, target := range m.fuzzTargets() {
+		// A target covers the parser it is named after and every function
+		// its body names.
+		pkg := target.pkg.internalName()
+		fuzzRefs[pkg+"."+strings.TrimPrefix(target.decl.Name.Name, "Fuzz")] = true
+		ast.Inspect(target.decl.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				fuzzRefs[pkg+"."+id.Name] = true
+			}
+			return true
+		})
 	}
 	if len(parsers) == 0 {
 		t.Fatal("found no parsers under internal/")
