@@ -136,11 +136,7 @@ func run() error {
 
 	totalPackets, delivered := 0, 0
 	for i, app := range tb.Apps {
-		rep, err := monkey.Run(app, monkey.Config{
-			Events:             *events,
-			NetworkTriggerProb: 0.02,
-			Seed:               *seed + int64(i),
-		})
+		rep, err := monkey.Run(app, monkey.Config{Events: *events, Seed: *seed + int64(i)})
 		if err != nil {
 			return err
 		}

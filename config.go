@@ -53,7 +53,8 @@ type FlowConfig struct {
 	// TTL is the verdict cache's idle timeout: a cached flow verdict
 	// expires this much virtual time after the flow's last packet, so a
 	// flow that keeps sending stays cached and one whose FIN was lost ages
-	// out (0 selects the default of one minute). How long a verdict stays
+	// out (0 selects the default of one minute; New rejects a negative
+	// TTL, which would never expire one). How long a verdict stays
 	// valid is not this knob's business: policy, database and device-context
 	// changes and time-of-day edges invalidate it exactly when they happen.
 	TTL time.Duration

@@ -106,7 +106,7 @@ func TestEveryExportIsCalled(t *testing.T) {
 		}
 	}
 	implements := interfaceMethods(m)
-	public := publicMethods(m)
+	public, _ := publicAPI(m)
 
 	var dead []string
 	for key, fn := range declared {
@@ -195,12 +195,12 @@ func stdInterface(m *moduleSource, pkg, name string) *types.Interface {
 	panic(pkg + " is not imported by the module")
 }
 
-// publicMethods returns the methods callable through this package's
-// exported API: every method in the method set of a module type reached
-// from an exported object of the root package through aliases, exported
-// fields, parameters, results and methods.
-func publicMethods(m *moduleSource) map[string]bool {
-	out := map[string]bool{}
+// publicAPI returns what this package's exported API reaches: the module
+// types reached from an exported object of the root package through
+// aliases, exported fields, parameters, results and methods, and every
+// method in their method sets, the ones callable through it.
+func publicAPI(m *moduleSource) (methods map[string]bool, named map[*types.Named]bool) {
+	methods, named = map[string]bool{}, map[*types.Named]bool{}
 	seen := map[types.Type]bool{}
 	var visit func(t types.Type)
 	visit = func(t types.Type) {
@@ -214,6 +214,7 @@ func publicMethods(m *moduleSource) map[string]bool {
 			if t.Obj().Pkg() == nil || !strings.HasPrefix(t.Obj().Pkg().Path(), "borderpatrol") {
 				return
 			}
+			named[t.Origin()] = true
 			for i := range t.TypeArgs().Len() {
 				visit(t.TypeArgs().At(i))
 			}
@@ -221,7 +222,7 @@ func publicMethods(m *moduleSource) map[string]bool {
 			for i := range ms.Len() {
 				fn := ms.At(i).Obj().(*types.Func)
 				if fn.Exported() {
-					out[exportKey(fn)] = true
+					methods[exportKey(fn)] = true
 					visit(fn.Type())
 				}
 			}
@@ -261,5 +262,5 @@ func publicMethods(m *moduleSource) map[string]bool {
 			visit(obj.Type())
 		}
 	}
-	return out
+	return methods, named
 }

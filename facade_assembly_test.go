@@ -140,3 +140,17 @@ func gatewayFamilies(tb *experiments.Testbed) []string {
 	slices.Sort(names)
 	return slices.Compact(names)
 }
+
+// TestDeploymentRejectsNegativeFlowTTL: the verdict cache's idle timeout
+// ages out a flow whose FIN was lost. A negative one would be accepted and
+// leave such flows cached, so New rejects it.
+func TestDeploymentRejectsNegativeFlowTTL(t *testing.T) {
+	dep, err := New(Config{Flow: FlowConfig{TTL: -time.Second}})
+	if err == nil {
+		dep.Close()
+		t.Fatal("New accepted a negative flow TTL")
+	}
+	if !strings.Contains(err.Error(), "FlowTTL") {
+		t.Fatalf("error %q does not name the flow TTL", err)
+	}
+}

@@ -20,16 +20,16 @@
 //
 // # Backpressure
 //
-// The queue is bounded (Config.QueueCap). If the drainer falls behind — a
+// The queue is bounded (queueCap entries). If the drainer falls behind — a
 // slow disk, a stalled shipper — RecordBatch counts the entries that do
 // not fit in bp_audit_dropped_total and returns; enforcement never blocks
 // on the audit trail, and the gap is visible both in that count and as a
 // hole in the entry sequence numbers. The one concession a producer makes
 // is a yield, never a wait: a call that takes the queue past half of
-// QueueCap, and past each further eighth, wakes the drainer and
+// queueCap, and past each further eighth, wakes the drainer and
 // runtime.Gosched()s before it returns, because a producer that never
 // parks would otherwise keep the woken drainer in the run queue until the
-// scheduler preempts it (~10 ms — a whole QueueCap of packets at a few
+// scheduler preempts it (~10 ms — a whole queue of packets at a few
 // hundred thousand per second). One yield is not enough: Gosched is a
 // hint the scheduler may answer by resuming the caller or running a
 // collector worker instead.
@@ -37,7 +37,7 @@
 // # Delivery guarantees
 //
 // Entries become visible to the writer and Tail when a drain runs:
-// automatically once the queue holds Config.BatchSize entries, on Flush,
+// automatically once the queue holds batchSize entries, on Flush,
 // and on Close (flush-on-close). Tail flushes before reading, so
 // interactive inspection always sees every record accepted so far.
 // Sequence numbers are taken under the same lock that appends, so the
@@ -104,29 +104,20 @@ type rawEntry struct {
 	payload  int
 }
 
-// Config sizes an audit log.
-type Config struct {
-	// Writer receives JSON lines, one per entry, flushed per drain burst
-	// (nil disables file output).
-	Writer io.Writer
-	// TailCap bounds the in-memory tail (0 disables it).
-	TailCap int
-	// QueueCap bounds the queue of recorded entries awaiting a drain (the
-	// drainer holds at most one more QueueCap while it writes a burst);
-	// beyond it Record counts drops instead of blocking (default 4096).
-	QueueCap int
-	// BatchSize is the queue fill level that wakes the background drainer
-	// (default 256, clamped to QueueCap).
-	BatchSize int
-}
+// queueCap bounds the queue of recorded entries awaiting a drain (the
+// drainer holds at most one more queue while it writes a burst); beyond it
+// Record counts drops instead of blocking. batchSize is the queue fill
+// level that wakes the background drainer.
+const (
+	queueCap  = 4096
+	batchSize = 256
+)
 
 // Log records enforcement decisions asynchronously. A nil *Log is a valid
 // no-op sink. It implements enforcer.AuditSink.
 type Log struct {
-	w         io.Writer
-	tailCap   int
-	batchSize int
-	queueCap  int
+	w       io.Writer
+	tailCap int
 
 	// qmu guards queue, the captured entries awaiting a drain, in
 	// sequence order; sequence numbers are taken under it.
@@ -140,7 +131,7 @@ type Log struct {
 	closed   atomic.Bool
 
 	// recorded counts the entries accepted onto the queue (it moves under
-	// qmu only) and dropped the entries shed because QueueCap was full or
+	// qmu only) and dropped the entries shed because the queue was full or
 	// the log closed. An entry's sequence number is one more than the
 	// recorded and dropped entries before it, so each shed entry is a gap.
 	recorded atomic.Uint64
@@ -149,7 +140,7 @@ type Log struct {
 	flushes  atomic.Uint64 // drain bursts that did work
 
 	// batchSizes distributes drain-burst sizes: a healthy pipeline drains
-	// near BatchSize; a starved one drains dribbles, a backlogged one
+	// near batchSize; a starved one drains dribbles, a backlogged one
 	// drains the whole queue. Recorded on the drainer goroutine only.
 	batchSizes *metrics.Histogram
 
@@ -167,29 +158,15 @@ type Log struct {
 	writeErr error
 }
 
-// New builds a log writing JSON lines to w (nil w keeps only the tail),
-// with default queue sizing. See NewWithConfig for the full knobs.
+// New builds a log writing JSON lines to w, one per entry, flushed per
+// drain burst (nil w keeps only the tail), with an in-memory tail of
+// tailCap entries (0 keeps none), and starts its background drainer.
+// Callers that care about every entry reaching the writer must Close (or
+// Flush) before discarding the log.
 func New(w io.Writer, tailCap int) *Log {
-	return NewWithConfig(Config{Writer: w, TailCap: tailCap})
-}
-
-// NewWithConfig builds a log and starts its background drainer. Callers
-// that care about every entry reaching the writer must Close (or Flush)
-// before discarding the log.
-func NewWithConfig(cfg Config) *Log {
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = 4096
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
 	l := &Log{
-		w:          cfg.Writer,
-		tailCap:    cfg.TailCap,
-		batchSize:  min(batch, queueCap),
-		queueCap:   queueCap,
+		w:          w,
+		tailCap:    tailCap,
 		queue:      make([]rawEntry, 0, queueCap),
 		spare:      make([]rawEntry, 0, queueCap),
 		notify:     make(chan struct{}, 1),
@@ -221,7 +198,7 @@ func (l *Log) Record(pkt *ipv4.Packet, res enforcer.Result) {
 // so the audit cost of a batched gateway drain is charged once per burst
 // rather than once per packet. It never blocks and never encodes: the
 // burst takes a consecutive range of sequence numbers, the entries that
-// fit under QueueCap are appended to the queue, and the rest are counted
+// fit under queueCap are appended to the queue, and the rest are counted
 // as dropped. The most it does besides is yield to the drainer as the
 // queue fills past half (see Backpressure in the package comment).
 // res[i] must correspond to pkts[i]; extra packets without results are
@@ -241,7 +218,7 @@ func (l *Log) RecordBatch(pkts []*ipv4.Packet, res []enforcer.Result) {
 	before := len(l.queue)
 	kept := 0
 	if !l.closed.Load() {
-		kept = min(n, l.queueCap-before)
+		kept = min(n, queueCap-before)
 		l.queue = l.queue[:before+kept]
 		for i := range kept {
 			capture(&l.queue[before+i], base+uint64(i)+1, pkts[i], &res[i])
@@ -252,13 +229,14 @@ func (l *Log) RecordBatch(pkts []*ipv4.Packet, res []enforcer.Result) {
 		l.dropped.Add(uint64(n - kept))
 	}
 	l.qmu.Unlock()
-	// The call that takes the queue to BatchSize wakes the drainer (a full
+	// The call that takes the queue to batchSize wakes the drainer (a full
 	// queue got there since its last drain, so a shed needs no wake); each
 	// call that fills another eighth of the queue beyond half wakes it and
 	// yields to it (see the package comment on backpressure).
-	after, eighth := before+kept, l.queueCap/8
-	yield := eighth > 0 && after >= 4*eighth && after/eighth != before/eighth
-	if (after >= l.batchSize && before < l.batchSize) || yield {
+	const eighth = queueCap / 8
+	after := before + kept
+	yield := after >= 4*eighth && after/eighth != before/eighth
+	if (after >= batchSize && before < batchSize) || yield {
 		l.wake()
 	}
 	if yield {

@@ -191,8 +191,8 @@ func TestWriteErrorSticky(t *testing.T) {
 // after a flush, in sequence order, with no tearing.
 func TestConcurrentRecord(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewWithConfig(Config{Writer: &buf, QueueCap: 1 << 16})
-	const workers, perWorker = 8, 500
+	l := New(&buf, 0)
+	const workers, perWorker = 8, 500 // fewer entries than the queue holds
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -233,14 +233,14 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestSeqOrderAcrossDrains races bursts from several goroutines into a
-// small queue with a small batch size, so it drains many times and may
-// shed: the written stream must rise strictly across every drain, and
-// its gaps — before the first entry, between entries and after the last
-// — must add up to exactly the shed count.
+// TestSeqOrderAcrossDrains races bursts from several goroutines into the
+// queue, with flushes between them, so it drains many times and may shed:
+// the written stream must rise strictly across every drain, and its gaps —
+// before the first entry, between entries and after the last — must add up
+// to exactly the shed count.
 func TestSeqOrderAcrossDrains(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewWithConfig(Config{Writer: &buf, QueueCap: 64, BatchSize: 4})
+	l := New(&buf, 0)
 	const workers, bursts, burstLen = 4, 500, 5
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -317,11 +317,13 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 // Release unparks the drainer; safe to call more than once.
 func (w *stallWriter) Release() { w.releaseOnce.Do(func() { close(w.release) }) }
 
-// stallDrainer records one entry and waits until the drainer is parked in
-// the writer: from then on pending capacity can only shrink via drops.
+// stallDrainer records one entry, wakes the drainer, and waits until it is
+// parked in the writer: from then on pending capacity can only shrink via
+// drops.
 func stallDrainer(t *testing.T, l *Log, w *stallWriter) {
 	t.Helper()
 	l.Record(samplePacket(), enforcer.Result{Verdict: policy.VerdictAllow})
+	l.wake() // one entry is short of batchSize
 	select {
 	case <-w.started:
 	case <-time.After(5 * time.Second):
@@ -334,79 +336,87 @@ func stallDrainer(t *testing.T, l *Log, w *stallWriter) {
 // capacity recovers once the drainer resumes.
 func TestBackpressureCountsDrops(t *testing.T) {
 	w := newStallWriter()
-	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1})
+	l := New(w, 0)
 	defer l.Close()
 	defer w.Release()     // never leave the drainer parked if an assert fails
 	stallDrainer(t, l, w) // 1 recorded + swept, drainer parked, queue empty
 	pkt := samplePacket()
-	for i := 0; i < 74; i++ {
+	for i := 0; i < queueCap+10; i++ {
 		l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	}
-	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 65 || drop != 10 {
-		t.Fatalf("recorded/dropped = %d/%d, want 65/10", rec, drop)
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != queueCap+1 || drop != 10 {
+		t.Fatalf("recorded/dropped = %d/%d, want %d/10", rec, drop, queueCap+1)
 	}
 	w.Release()
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
-	if rec := count(l, "recorded_total"); rec != 66 {
+	if rec := count(l, "recorded_total"); rec != queueCap+2 {
 		t.Fatalf("queue did not recover after drain: %d recorded", rec)
 	}
 }
 
-// TestRecordFillsWholeQueueCap: QueueCap bounds the whole queue — a
+// TestRecordFillsWholeQueueCap: queueCap bounds the whole queue — a
 // single flow fills all of it before anything is shed, and nothing past
 // it is kept. The drainer is stalled so the fill and the overflow are
 // deterministic.
 func TestRecordFillsWholeQueueCap(t *testing.T) {
 	w := newStallWriter()
-	l := NewWithConfig(Config{Writer: w, QueueCap: 64, BatchSize: 1})
+	l := New(w, 0)
 	defer l.Close()
 	defer w.Release()
 	stallDrainer(t, l, w)
 	pkt := samplePacket()
-	for i := 0; i < 64; i++ {
+	for i := 0; i < queueCap; i++ {
 		l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	}
-	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 65 || drop != 0 {
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != queueCap+1 || drop != 0 {
 		t.Fatalf("single-flow fill shed early: recorded/dropped = %d/%d", rec, drop)
 	}
 	l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	if drop := count(l, "dropped_total"); drop != 1 {
-		t.Fatalf("overflow past QueueCap not counted: %d dropped", drop)
+		t.Fatalf("overflow past queueCap not counted: %d dropped", drop)
 	}
 	// Resume the drainer: every accepted entry surfaces.
 	w.Release()
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if drained, pending := count(l, "drained_total"), count(l, "queue_depth"); drained != 65 || pending != 0 {
-		t.Fatalf("post-release drained/pending = %d/%d, want 65/0", drained, pending)
+	if drained, pending := count(l, "drained_total"), count(l, "queue_depth"); drained != queueCap+1 || pending != 0 {
+		t.Fatalf("post-release drained/pending = %d/%d, want %d/0", drained, pending, queueCap+1)
 	}
 }
 
 // TestRecordBatchFillsWholeQueueCap: a burst lands whole as long as the
-// queue's capacity allows.
+// queue's capacity allows, and the part past it is shed. The drainer is
+// stalled so the fill is deterministic.
 func TestRecordBatchFillsWholeQueueCap(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWithConfig(Config{Writer: &buf, QueueCap: 64, BatchSize: 1 << 30})
-	pkts := make([]*ipv4.Packet, 40)
-	res := make([]enforcer.Result, 40)
+	w := newStallWriter()
+	l := New(w, 0)
+	defer w.Release()
+	stallDrainer(t, l, w) // seq 1, swept: the queue is empty
+	pkts := make([]*ipv4.Packet, queueCap-40)
+	res := make([]enforcer.Result, len(pkts))
 	for i := range pkts {
 		pkts[i] = samplePacket()
 		res[i] = enforcer.Result{Verdict: policy.VerdictAllow}
 	}
 	l.RecordBatch(pkts, res)
-	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != 40 || drop != 0 {
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != queueCap-39 || drop != 0 {
 		t.Fatalf("burst shed despite free capacity: recorded/dropped = %d/%d", rec, drop)
 	}
+	l.RecordBatch(pkts[:50], res[:50])
+	if rec, drop := count(l, "recorded_total"), count(l, "dropped_total"); rec != queueCap+1 || drop != 10 {
+		t.Fatalf("burst past capacity: recorded/dropped = %d/%d, want %d/10", rec, drop, queueCap+1)
+	}
+	w.Release()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadEntries(&buf)
-	if err != nil || len(entries) != 40 {
-		t.Fatalf("burst wrote %d entries (%v), want 40", len(entries), err)
+	entries, err := ReadEntries(&w.buf)
+	if err != nil || len(entries) != queueCap+1 {
+		t.Fatalf("bursts wrote %d entries (%v), want %d", len(entries), err, queueCap+1)
 	}
 	for i, e := range entries {
 		if e.Seq != uint64(i+1) {
@@ -421,7 +431,7 @@ func TestRecordBatchFillsWholeQueueCap(t *testing.T) {
 // sweep).
 func TestRecordRacingCloseNeverStrands(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		l := NewWithConfig(Config{QueueCap: 1 << 12})
+		l := New(nil, 0)
 		pkt := samplePacket()
 		start := make(chan struct{})
 		done := make(chan struct{})
@@ -456,10 +466,10 @@ func TestBackgroundDrainerFlushesOnBatch(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	l := NewWithConfig(Config{Writer: w, BatchSize: 8})
+	l := New(w, 0)
 	defer l.Close()
 	pkt := samplePacket()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < batchSize; i++ {
 		l.Record(pkt, enforcer.Result{Verdict: policy.VerdictAllow})
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -478,8 +488,8 @@ func TestBackgroundDrainerFlushesOnBatch(t *testing.T) {
 	mu.Lock()
 	entries, err := ReadEntries(bytes.NewReader(buf.Bytes()))
 	mu.Unlock()
-	if err != nil || len(entries) != 8 {
-		t.Fatalf("background drain wrote %d entries (%v), want 8", len(entries), err)
+	if err != nil || len(entries) != batchSize {
+		t.Fatalf("background drain wrote %d entries (%v), want %d", len(entries), err, batchSize)
 	}
 }
 
@@ -564,7 +574,7 @@ func TestNilLogIsNoop(t *testing.T) {
 	}
 }
 
-// TestRecordBatchNoShedSingleP pins the yields past half of QueueCap: on
+// TestRecordBatchNoShedSingleP pins the yields past half of queueCap: on
 // one P a producer that never parks would keep the woken drainer in the
 // run queue until the scheduler preempts it, a whole queue of entries
 // later. With them the drainer runs before the queue fills and nothing is

@@ -10,7 +10,7 @@ import (
 )
 
 // keptEvery is how many entries the kept-path benchmarks record between
-// off-the-clock flushes: a quarter of the default QueueCap, so the queue
+// off-the-clock flushes: a quarter of the queue, so the queue
 // never fills and never reaches the half-full yield.
 const keptEvery = 1024
 
@@ -22,7 +22,7 @@ const keptEvery = 1024
 // the number would mostly be the shed, and it would read better the
 // slower the drainer is.)
 func BenchmarkRecord(b *testing.B) {
-	l := NewWithConfig(Config{})
+	l := New(nil, 0)
 	defer l.Close()
 	pkt := samplePacket()
 	res := enforcer.Result{Verdict: policy.VerdictAllow}
@@ -46,7 +46,7 @@ func BenchmarkRecord(b *testing.B) {
 // drain charges the audit pipeline once per 64-packet burst, every entry
 // kept (see BenchmarkRecord).
 func BenchmarkRecordBatch(b *testing.B) {
-	l := NewWithConfig(Config{})
+	l := New(nil, 0)
 	defer l.Close()
 	pkts := make([]*ipv4.Packet, 64)
 	res := make([]enforcer.Result, 64)
@@ -75,7 +75,7 @@ func BenchmarkRecordBatch(b *testing.B) {
 // writer. This is the number to compare against the old synchronous
 // mutex+encode Record.
 func BenchmarkRecordDrainJSON(b *testing.B) {
-	l := NewWithConfig(Config{Writer: io.Discard})
+	l := New(io.Discard, 0)
 	defer l.Close()
 	pkt := samplePacket()
 	res := enforcer.Result{Verdict: policy.VerdictAllow}
@@ -96,7 +96,7 @@ func BenchmarkRecordDrainJSON(b *testing.B) {
 // BenchmarkRecordParallel drives Record from every core against one log —
 // the producers meet at the one queue lock.
 func BenchmarkRecordParallel(b *testing.B) {
-	l := NewWithConfig(Config{})
+	l := New(nil, 0)
 	defer l.Close()
 	res := enforcer.Result{Verdict: policy.VerdictAllow}
 	b.ReportAllocs()

@@ -54,7 +54,7 @@ func buildAuditedEnforcer(tb testing.TB, l *Log, cached bool) (*enforcer.Enforce
 	clock := netsim.NewClock()
 	cfg := enforcer.Config{Audit: l, Context: devctx.NewSource(clock)}
 	if cached {
-		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Capacity: 65536, Clock: clock})
+		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Clock: clock})
 	}
 	e := enforcer.New(cfg, db, eng)
 
@@ -144,7 +144,7 @@ func TestEnforcerBatchRecordsOnce(t *testing.T) {
 // the background side allocation-free too, so the number isolates what
 // enforcement itself pays: one flow probe + one queue append).
 func BenchmarkProcessFlowHitAudited(b *testing.B) {
-	l := NewWithConfig(Config{})
+	l := New(nil, 0)
 	defer l.Close()
 	e, pkt := buildAuditedEnforcer(b, l, true)
 	e.Process(pkt) // warm the flow
@@ -162,7 +162,7 @@ func BenchmarkProcessFlowHitAudited(b *testing.B) {
 // BenchmarkProcessBatchKeepAliveAudited: the batched equivalent — 64-pkt
 // same-flow bursts with the audit cost charged once per burst.
 func BenchmarkProcessBatchKeepAliveAudited(b *testing.B) {
-	l := NewWithConfig(Config{})
+	l := New(nil, 0)
 	defer l.Close()
 	e, pkt := buildAuditedEnforcer(b, l, true)
 	batch := make([]*ipv4.Packet, 64)

@@ -47,7 +47,7 @@ func benchEnforcer(b *testing.B, cached bool) (*Enforcer, *ipv4.Packet) {
 	clk := &testClock{}
 	cfg := Config{Context: devctx.NewSource(clk)}
 	if cached {
-		cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 65536, Clock: clk})
+		cfg.Flows = NewFlowCache(flowtable.Config{Clock: clk})
 	}
 	e := New(cfg, db, eng)
 

@@ -28,7 +28,7 @@ var deviceAddr = netip.MustParseAddr("10.0.0.5")
 func TestContextEvaluatedOncePerFlowAndCached(t *testing.T) {
 	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: src}),
 		Context: src,
 	}
 	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
@@ -96,7 +96,7 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 	src := newSource()
 	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: src}),
 		Context: src,
 	}
 	e, db, apk := newEnforcer(t, cfg, contextRules(t, `
@@ -140,14 +140,14 @@ func TestContextFlipInvalidatesCachedVerdict(t *testing.T) {
 // TestTimeWindowViaVirtualClock: a verdict a time predicate took part in is
 // served up to that predicate's next edge and not a second longer — by the
 // flow table and by the batch memo, flipping where the uncached path flips —
-// and is re-evaluated exactly once per edge. The table has no TTL: the
-// time edge alone decides.
+// and is re-evaluated exactly once per edge. The table's TTL outlasts the
+// test's three days: the time edge alone decides.
 func TestTimeWindowViaVirtualClock(t *testing.T) {
 	clk := &testClock{}
 	src := devctx.NewSource(clk)
 	src.SetNetwork(deviceAddr, policy.NetTrusted)
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: clk}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: clk, TTL: 72 * time.Hour}),
 		Context: src,
 	}
 	rules := contextRules(t, `
@@ -240,7 +240,7 @@ func flowCounter(t *testing.T, reg *metrics.Registry, name string) uint64 {
 func TestContextFlipInvalidatesOnlyThatDevice(t *testing.T) {
 	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: src}),
 		Context: src,
 	}
 	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
@@ -317,7 +317,7 @@ func TestRacedContextFlipNoStaleVerdicts(t *testing.T) {
 	const devices = 96
 	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: src}),
 		Context: src,
 	}
 	e, _, _ := newEnforcer(t, cfg, contextRules(t, `
@@ -402,7 +402,7 @@ func TestContextInactiveWithoutRiskRules(t *testing.T) {
 	// A wired source with a call-stack-only policy must not score flows.
 	src := newSource()
 	cfg := Config{
-		Flows:   NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}),
+		Flows:   NewFlowCache(flowtable.Config{Clock: src}),
 		Context: src,
 	}
 	e, db, apk := newEnforcer(t, cfg,
@@ -428,7 +428,7 @@ func TestSweepFlowsReclaimsInvalidated(t *testing.T) {
 {[risk][network]["unknown"][100]}
 {[threshold][block][100]}
 `)
-	e, _, _ := newEnforcer(t, Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}), Context: src}, rules, policy.VerdictAllow)
+	e, _, _ := newEnforcer(t, Config{Flows: NewFlowCache(flowtable.Config{Clock: src}), Context: src}, rules, policy.VerdictAllow)
 	pkts := poolPackets(t, e, 64)
 	for _, p := range pkts {
 		src.SetNetwork(p.Header.Src, policy.NetTrusted)

@@ -18,7 +18,7 @@ func newCachedEnforcer(t *testing.T, cfg Config, rules []policy.Rule, def policy
 	if cfg.Context == nil {
 		cfg.Context = newSource()
 	}
-	cfg.Flows = NewFlowCache(flowtable.Config{Capacity: 1024, Clock: cfg.Context})
+	cfg.Flows = NewFlowCache(flowtable.Config{Clock: cfg.Context})
 	return newEnforcer(t, cfg, rules, def)
 }
 
@@ -106,7 +106,7 @@ func TestAddEntryFlipsCachedVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := newSource()
-	e := New(Config{Flows: NewFlowCache(flowtable.Config{Capacity: 1024, Clock: src}), Context: src}, db, eng)
+	e := New(Config{Flows: NewFlowCache(flowtable.Config{Clock: src}), Context: src}, db, eng)
 
 	// Build the packet against a throwaway database (mkPacket needs the
 	// app's entry to find indexes; the enforcer's db deliberately lacks it).

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,32 @@ func TestValidationSmall(t *testing.T) {
 	out := res.Format()
 	if !strings.Contains(out, "tracker packets dropped") {
 		t.Error("Format() incomplete")
+	}
+}
+
+// TestValidationFormatOrdersTiesByName: the top-blocked list is by drops,
+// ties by library name, so one result prints the same report every time
+// whatever the map's iteration order.
+func TestValidationFormatOrdersTiesByName(t *testing.T) {
+	res := &ValidationResult{PerLibrary: map[string]int{"com/top": 9, "com/low": 1}}
+	for i := 0; i < 12; i++ {
+		res.PerLibrary[fmt.Sprintf("com/lib%02d", i)] = 5
+	}
+	want := []string{"com/top"}
+	for i := 0; i < 9; i++ {
+		want = append(want, fmt.Sprintf("com/lib%02d", i))
+	}
+	for run := 0; run < 20; run++ {
+		_, list, _ := strings.Cut(res.Format(), "top blocked libraries:\n")
+		var got []string
+		for _, line := range strings.Split(list, "\n") {
+			if name, ok := strings.CutPrefix(line, "  "); ok {
+				got = append(got, strings.Fields(name)[0])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: top blocked libraries %v, want %v", run, got, want)
+		}
 	}
 }
 

@@ -78,11 +78,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	var coverage float64
 	callSites := 0
 	for i, app := range tb.Apps {
-		rep, err := monkey.Run(app, monkey.Config{
-			Events:             cfg.MonkeyEvents,
-			NetworkTriggerProb: 0.02,
-			Seed:               cfg.MonkeySeed + int64(i),
-		})
+		rep, err := monkey.Run(app, monkey.Config{Events: cfg.MonkeyEvents, Seed: cfg.MonkeySeed + int64(i)})
 		if err != nil {
 			return nil, fmt.Errorf("fig3: app %s: %w", app.APK.PackageName, err)
 		}

@@ -156,14 +156,14 @@ func (tb *fig4Testbed) close() {
 
 // buildFig4Testbed assembles one of the six configurations.
 func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
-	model := netsim.DefaultLatencyModel()
 	apk, funcs := stressAPK()
 
 	nic := netsim.ModeTAP
 	if id == ConfigDefaultSLIRP {
 		nic = netsim.ModeSLIRP
 	}
-	tb := &fig4Testbed{network: netsim.NewNetwork(nic, model)}
+	tb := &fig4Testbed{network: netsim.NewNetwork(nic)}
+	model := tb.network.Model
 	tb.network.AddServer(&netsim.Server{
 		Addr:     stressServerAddr,
 		Name:     "stress-local",

@@ -76,7 +76,7 @@ func NewFleet(doc string, gateways []FleetGateway, watchTimeout time.Duration, a
 		agg = metrics.NewAggregate("gateway")
 	}
 	f := &Fleet{
-		Network:  netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel()),
+		Network:  netsim.NewNetwork(netsim.ModeTAP),
 		Hub:      policystore.NewHub(doc),
 		Gateways: slices.Clone(gateways),
 		Metrics:  agg,

@@ -75,7 +75,7 @@ func TestFleetSharedGatewayEnforcement(t *testing.T) {
 	ep := netip.AddrPortFrom(netip.MustParseAddr("198.18.70.1"), 443)
 
 	// One shared database + gateway for the whole fleet.
-	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
+	network := netsim.NewNetwork(netsim.ModeTAP)
 	tb := assembleDenyingFlurry(t, network)
 	db, enf := tb.DB, tb.Enforcer
 	network.Gateway = tb.Gateway
@@ -146,7 +146,7 @@ func TestFragmentedTaggedPacketEnforcedPerFragment(t *testing.T) {
 	// (copied option), so the enforcer can drop each fragment of a denied
 	// flow independently — no reassembly state needed at the gateway.
 	apk := fleetAPK(9)
-	tb := assembleDenyingFlurry(t, netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel()))
+	tb := assembleDenyingFlurry(t, netsim.NewNetwork(netsim.ModeTAP))
 	db, enf := tb.DB, tb.Enforcer
 	if err := db.Add(apk); err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ type TestbedConfig struct {
 	Faults *netsim.FaultPlan
 	// FlowTTL is the flow-verdict cache's idle timeout in virtual time (an
 	// entry expires that long after its flow's last packet); zero selects
-	// one minute.
+	// one minute. Assemble rejects a negative one.
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Assemble
@@ -134,7 +134,7 @@ type TestbedConfig struct {
 // enforcement point, installs every corpus app (with one server per
 // endpoint the corpus references), and starts the policy store.
 func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
-	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
+	network := netsim.NewNetwork(netsim.ModeTAP)
 	if cfg.Faults != nil {
 		network.InstallFaults(*cfg.Faults)
 	}
@@ -175,6 +175,9 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	if cfg.PolicyFailMode == policystore.FailStatic && cfg.PolicyMaxStale != 0 {
 		// FailStatic serves the last-good rules past the deadline too.
 		return nil, errors.New("experiments: PolicyMaxStale requires a PolicyFailMode other than FailStatic")
+	}
+	if cfg.FlowTTL < 0 {
+		return nil, fmt.Errorf("experiments: negative FlowTTL %v", cfg.FlowTTL)
 	}
 	defV := cfg.DefaultVerdict
 	if defV == 0 {
@@ -248,18 +251,7 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 			Context:       tb.Context,
 		}
 		if !cfg.DisableFlowCache {
-			ttl := cfg.FlowTTL
-			if ttl == 0 {
-				ttl = time.Minute // virtual idle time; keep-alive flows stay warm
-			}
-			enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{
-				Clock: network.Clock,
-				TTL:   ttl,
-				// Admission guard: a unique-flow flood into a full shard of
-				// live flows is refused at a ring of recent misses instead
-				// of evicting live flows.
-				MissRing: 64,
-			})
+			enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{Clock: network.Clock, TTL: cfg.FlowTTL})
 		}
 		tb.Enforcer = enforcer.New(enfCfg, tb.DB, engine)
 		gwCfg.Enforcer = tb.Enforcer

@@ -243,7 +243,11 @@ func (r *ValidationResult) Format() string {
 	for l := range r.PerLibrary {
 		libs = append(libs, l)
 	}
-	sort.Slice(libs, func(i, j int) bool { return r.PerLibrary[libs[i]] > r.PerLibrary[libs[j]] })
+	// Most drops first; ties by name, so the report is the same every run.
+	sort.Slice(libs, func(i, j int) bool {
+		ni, nj := r.PerLibrary[libs[i]], r.PerLibrary[libs[j]]
+		return ni > nj || ni == nj && libs[i] < libs[j]
+	})
 	max := 10
 	if len(libs) < max {
 		max = len(libs)

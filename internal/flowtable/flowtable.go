@@ -35,28 +35,29 @@
 // per hit, no invalidation callbacks. A cell is dead when it has sat idle
 // past the TTL, or when its generation is no longer its key's current one:
 // it can never answer again. The caller passes its current-generation
-// function with each call, the way Lookup takes accept (both run under the
-// shard's lock, so neither may call the table), and one predicate (fateOf)
-// judges every reclaim: a lookup deletes the dead cell it finds — never a
-// newer one it merely misses — and the dead cells of a shard leave it in one
-// pass just before its index would double. A pass that frees less than ⅛ of
-// the cells lets the index double anyway, so a shard of live flows pays one
-// pass per doubling, and a workload whose flows die by generation holds
-// about one generation's flows, not its capacity.
+// function with each call, the way Lookup takes accept (both are required
+// and run under the shard's lock, so neither may call the table), and one
+// predicate (fateOf) judges every reclaim: a lookup deletes the dead cell it
+// finds — never a newer one it merely misses — and the dead cells of a shard
+// leave it in one pass just before its index would double. A pass that
+// frees less than ⅛ of the cells lets the index double anyway, so a shard of
+// live flows pays one pass per doubling, and a workload whose flows die by
+// generation holds about one generation's flows, not its capacity.
 //
 // # Eviction
 //
-// Capacity is split evenly across Shards; each shard's index doubles up to
-// its share, so an idle table holds no cells. An insert into a full shard
-// samples evictSamples live cells from a rotating hand and takes the least
-// recently used: dead, it is reclaimed and admits the key; otherwise the
-// admission guard (Config.MissRing) may refuse the key, else it is
-// evicted. Every shard of every table shares one seed drawn per process,
-// so the cells a sample visits follow from the inserted keys alone, and a
-// run repeated in one process evicts the same flows. The TTL is an idle
-// timeout in virtual time from the entry's last use. A value that lapses
-// for the caller's own reasons (the enforcer's time-of-day edges) is the
-// caller's to check. Sweep frees the dead cells no insert passes over.
+// A table holds at most capacity flows, perShard in each of its shards;
+// each shard's index doubles up to the size that holds its share, so an
+// idle table holds no cells. An insert into a full shard samples
+// evictSamples live cells from a rotating hand and takes the least recently
+// used: dead, it is reclaimed and admits the key; otherwise the admission
+// guard (see shard.refuse) may refuse the key, else it is evicted. Every
+// shard of every table shares one seed drawn per process, so the cells a
+// sample visits follow from the inserted keys alone, and a run repeated in
+// one process evicts the same flows. The TTL is an idle timeout in virtual
+// time from the entry's last use. A value that lapses for the caller's own
+// reasons (the enforcer's time-of-day edges) is the caller's to check.
+// Sweep frees the dead cells no insert passes over.
 //
 // Counters are atomic; Lookup takes one shard RLock, so readers of
 // different flows share nothing but their shard stripe.
@@ -142,26 +143,28 @@ func (k Key) hash() uint64 {
 	return h
 }
 
-// Config sizes a table.
+// The table's shape, the gateway's one: at most capacity live flows in
+// shards lock stripes (a power of two), perShard flows to a stripe, and a
+// ring of missRing recent refusals per stripe for the admission guard.
+const (
+	capacity = 65536
+	shards   = 64
+	perShard = capacity / shards
+	missRing = 64
+)
+
+// defaultTTL is the idle timeout of a Config without one: keep-alive flows
+// stay warm.
+const defaultTTL = time.Minute
+
+// Config sets up a table.
 type Config struct {
-	// Capacity bounds the live flows across all shards (default 65536).
-	Capacity int
-	// Shards is the number of lock stripes, a power of two (default 64).
-	Shards int
-	// TTL is the idle timeout: an entry expires this much virtual time after
-	// its last use (insert or hit). Zero disables expiry.
-	TTL time.Duration
 	// Clock supplies virtual time for the TTL and LRU recency. Required:
 	// New panics without one.
 	Clock Clock
-	// MissRing sizes the per-shard negative cache guarding admission under
-	// capacity pressure (0 disables it), so that a unique-flow flood (a SYN
-	// flood of crafted tags) cannot churn established flows out of a full
-	// shard. The guard decides only when the insert would evict a live
-	// flow: a key must then have been refused once before, and the first
-	// attempt just notes its hash in a small ring. One-packet flood flows
-	// never take a cell; real flows are admitted on their second miss.
-	MissRing int
+	// TTL is the idle timeout: an entry expires this much virtual time after
+	// its last use (insert or hit). Zero or less selects one minute.
+	TTL time.Duration
 }
 
 // entry is the table's part of a flow's cell. used (recency and TTL
@@ -175,23 +178,24 @@ type entry[V any] struct {
 type shard[V any] struct {
 	mu    sync.RWMutex
 	flows Index[Key, entry[V]]
-	// missRing holds hashes of keys recently refused admission (0 = empty).
+	// missRing holds hashes of keys recently refused admission (0 = empty),
+	// allocated by the shard's first refusal.
 	missRing []uint64
 	missPos  int
 	// pad keeps neighbouring shard locks off one cache line.
 	_ [40]byte
 }
 
-// refuse is the admission guard at a full shard. A key refused recently is
-// admitted, consuming its ring slot; a first-seen key is noted in the ring
-// (allocated by the shard's first refusal), overwriting the oldest slot,
-// and refused. A zero ring refuses nothing. Caller holds the write lock.
-func (s *shard[V]) refuse(h uint64, ring int) bool {
-	if ring == 0 {
-		return false
-	}
+// refuse is the admission guard at a full shard, asked only when an
+// insert would evict a live flow, so that a unique-flow flood (a SYN flood
+// of crafted tags) cannot churn established flows out. A key refused
+// recently is admitted, consuming its ring slot; a first-seen key is noted
+// in the ring, overwriting the oldest slot, and refused. One-packet flood
+// flows never take a cell; real flows are admitted on their second miss.
+// Caller holds the write lock.
+func (s *shard[V]) refuse(h uint64) bool {
 	if s.missRing == nil {
-		s.missRing = make([]uint64, ring)
+		s.missRing = make([]uint64, missRing)
 	}
 	for i, v := range s.missRing {
 		if v == h {
@@ -214,12 +218,9 @@ var tableSeed = rand.Uint64()
 // Table is a sharded per-flow cache of V (the enforcer caches its verdict
 // and intern handles). The zero value is not usable; call New.
 type Table[V any] struct {
-	shards      []shard[V]
-	mask        uint64
-	ttl         time.Duration
-	clock       Clock
-	perShardCap int
-	missRing    int
+	shards [shards]shard[V]
+	ttl    time.Duration
+	clock  Clock
 
 	live atomic.Int64 // flows held, across all shards
 
@@ -237,37 +238,19 @@ func New[V any](cfg Config) *Table[V] {
 	if cfg.Clock == nil {
 		panic("flowtable: Config.Clock is required")
 	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 65536
-	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 64
-	}
-	// Round up to a power of two for mask indexing.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	per := max(capacity/p, 1)
-	t := &Table[V]{
-		shards:      make([]shard[V], p),
-		mask:        uint64(p - 1),
-		ttl:         cfg.TTL,
-		clock:       cfg.Clock,
-		perShardCap: per,
-		missRing:    max(cfg.MissRing, 0),
+	t := &Table[V]{ttl: cfg.TTL, clock: cfg.Clock}
+	if t.ttl <= 0 {
+		t.ttl = defaultTTL
 	}
 	for i := range t.shards {
-		t.shards[i].flows = Index[Key, entry[V]]{seed: tableSeed, bound: uint32(per)}
+		t.shards[i].flows = Index[Key, entry[V]]{seed: tableSeed, bound: perShard}
 	}
 	return t
 }
 
 // idle reports whether an entry last used at `used` has outlived the TTL.
 func (t *Table[V]) idle(now time.Duration, used int64) bool {
-	return t.ttl > 0 && now-time.Duration(used) > t.ttl
+	return now-time.Duration(used) > t.ttl
 }
 
 // fate is what a cell can still do: answer, or nothing, and why not.
@@ -285,24 +268,15 @@ const (
 // fateOf is the table's one definition of a dead cell, the test behind
 // every reclaim: e, k's entry, is dead at now when it has sat idle past the
 // TTL, or when its generation is not current(k) — Lookup hits on equality
-// only, so it can never answer again. current nil judges the TTL alone.
+// only, so it can never answer again.
 func (t *Table[V]) fateOf(now time.Duration, k Key, e *entry[V], current func(Key) uint64) fate {
 	switch {
 	case t.idle(now, atomic.LoadInt64(&e.used)):
 		return expired
-	case current != nil && e.gen != current(k):
+	case e.gen != current(k):
 		return stale
 	}
 	return alive
-}
-
-// orGen resolves a Lookup's nil current: the lookup's own generation is
-// then its key's current one.
-func orGen(current func(Key) uint64, gen uint64) func(Key) uint64 {
-	if current != nil {
-		return current
-	}
-	return func(Key) uint64 { return gen }
 }
 
 // dropped counts one cell deleted for its fate: an alive one was evicted.
@@ -329,23 +303,22 @@ func (t *Table[V]) reap(now time.Duration, k Key, e *entry[V], current func(Key)
 }
 
 // Lookup returns the cached value for k if it exists, carries the caller's
-// generation, has not sat idle past the TTL, and accept (nil accepts all;
-// run under the shard's read lock) takes it. Anything else is a miss. A
-// cell that missed for its generation or its age is deleted if it is dead
-// (see fateOf): current reports k's current generation (nil: gen is), so a
-// caller holding an older generation than the cell's misses without
-// deleting it. A cell accept refuses stays for the caller's Insert to
-// overwrite.
+// generation, has not sat idle past the TTL, and accept (run under the
+// shard's read lock) takes it. Anything else is a miss. A cell that missed
+// for its generation or its age is deleted if it is dead (see fateOf):
+// current reports k's current generation, so a caller holding an older
+// generation than the cell's misses without deleting it. A cell accept
+// refuses stays for the caller's Insert to overwrite.
 func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept func(v *V) bool) (V, bool) {
 	h := k.hash()
-	s := &t.shards[h&t.mask]
+	s := &t.shards[h%shards]
 	now := t.clock.Now()
 	dead := false
 	s.mu.RLock()
 	if e := s.flows.Get(h, k); e != nil {
 		used := atomic.LoadInt64(&e.used)
 		if e.gen == gen && !t.idle(now, used) {
-			if accept == nil || accept(&e.val) {
+			if accept(&e.val) {
 				// Refresh recency, but skip the store when the timestamp has
 				// not moved: repeated hits on a hot flow then leave the cell's
 				// cache line clean for the other cores.
@@ -363,7 +336,7 @@ func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept fu
 	}
 	s.mu.RUnlock()
 	if dead {
-		t.dropDead(s, h, k, orGen(current, gen), now)
+		t.dropDead(s, h, k, current, now)
 	}
 	t.misses.Add(1)
 	var zero V
@@ -382,17 +355,16 @@ func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, current func(Key) uint
 
 // Insert caches v for k under generation gen, making room as the package
 // comment's Eviction describes. current reports each key's current
-// generation, so that cells stamped otherwise count as dead (see fateOf);
-// nil judges the TTL alone.
+// generation, so that cells stamped otherwise count as dead (see fateOf).
 func (t *Table[V]) Insert(k Key, gen uint64, current func(Key) uint64, v V) {
 	h := k.hash()
-	s := &t.shards[h&t.mask]
+	s := &t.shards[h%shards]
 	now := t.clock.Now()
 	s.mu.Lock()
 	// A key already held (re-insert after invalidation or a refused
 	// accept) is overwritten in place. Below capacity that is one probe; a
 	// full shard looks before it makes room, since making room deletes.
-	if s.flows.Len() >= t.perShardCap && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now, current) {
+	if s.flows.Len() >= perShard && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now, current) {
 		s.mu.Unlock()
 		t.admissionDrops.Add(1)
 		return
@@ -411,18 +383,13 @@ func (t *Table[V]) Insert(k Key, gen uint64, current func(Key) uint64, v V) {
 // makeRoom deletes one cell of a full shard for the key hashed h, or
 // reports false when the admission guard refuses the key. The least
 // recently used cell of the sample goes: if it is dead it admits the key at
-// once, and only evicting a live flow consults the guard. Without a TTL or a
-// current function no cell can be dead, so the guard decides before the
-// sample is paid for. Caller holds s.mu.
+// once, and only evicting a live flow consults the guard. Caller holds
+// s.mu.
 func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration, current func(Key) uint64) bool {
-	undying := t.ttl == 0 && current == nil
-	if undying && s.refuse(h, t.missRing) {
-		return false
-	}
 	i := leastUsed(&s.flows)
 	c := &s.flows.cells[i]
 	f := t.fateOf(now, c.key, &c.val, current)
-	if f == alive && !undying && s.refuse(h, t.missRing) {
+	if f == alive && s.refuse(h) {
 		return false
 	}
 	s.flows.deleteAt(i)
@@ -460,7 +427,7 @@ func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32) {
 // whether it was present.
 func (t *Table[V]) Delete(k Key) bool {
 	h := k.hash()
-	s := &t.shards[h&t.mask]
+	s := &t.shards[h%shards]
 	s.mu.Lock()
 	ok := s.flows.Delete(h, k)
 	s.mu.Unlock()
@@ -470,15 +437,11 @@ func (t *Table[V]) Delete(k Key) bool {
 	return ok
 }
 
-// Sweep deletes every dead cell (see fateOf; current nil judges the TTL
-// alone) and returns how many. Inserts already clear a shard's dead cells
-// before its index doubles; Sweep frees the rest, such as those of a shard
-// no insert reaches any more. Each shard is locked on its own, so traffic
-// stalls for one shard's walk.
+// Sweep deletes every dead cell (see fateOf) and returns how many. Inserts
+// already clear a shard's dead cells before its index doubles; Sweep frees
+// the rest, such as those of a shard no insert reaches any more. Each shard
+// is locked on its own, so traffic stalls for one shard's walk.
 func (t *Table[V]) Sweep(current func(Key) uint64) int {
-	if t.ttl <= 0 && current == nil {
-		return 0
-	}
 	now := t.clock.Now()
 	freed := 0
 	for si := range t.shards {

@@ -31,9 +31,46 @@ func (c *tickClock) advance(d time.Duration) { c.now.Add(int64(d)) }
 
 // newTable builds a table on a clock of its own that nothing advances, for
 // tests and benchmarks that do not move time.
-func newTable[V any](cfg Config) *Table[V] {
-	cfg.Clock = &tickClock{}
-	return New[V](cfg)
+func newTable[V any]() *Table[V] {
+	return New[V](Config{Clock: &tickClock{}})
+}
+
+// gen1 is the current-generation function of a caller whose generation
+// stays 1.
+func gen1(Key) uint64 { return 1 }
+
+// acceptAll is the accept function of a caller that checks nothing but the
+// key.
+func acceptAll[V any](*V) bool { return true }
+
+// get and put are Lookup and Insert for a caller whose generation stays 1
+// and that checks nothing but the key.
+func (t *Table[V]) get(k Key) (V, bool) { return t.Lookup(k, 1, gen1, acceptAll[V]) }
+
+func (t *Table[V]) put(k Key, v V) { t.Insert(k, 1, gen1, v) }
+
+// shardKeys returns n distinct flood keys that all land in shard 0, so a
+// test can fill one shard's perShard cells.
+func shardKeys(n int) []Key {
+	keys := make([]Key, 0, n)
+	for i := uint64(0); len(keys) < n; i++ {
+		if k := floodKey(i); k.hash()%shards == 0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// fillShard inserts keys[:perShard] into shard 0, each key's value its
+// index, and checks the shard is full.
+func fillShard(t *testing.T, tb *Table[int], keys []Key) {
+	t.Helper()
+	for i, k := range keys[:perShard] {
+		tb.put(k, i)
+	}
+	if n := tb.shards[0].flows.Len(); n != perShard {
+		t.Fatalf("shard 0 holds %d flows, want %d", n, perShard)
+	}
 }
 
 func key(i int) Key {
@@ -56,13 +93,13 @@ func TestKeyIs24Bytes(t *testing.T) {
 }
 
 func TestLookupInsertRoundTrip(t *testing.T) {
-	tb := newTable[string](Config{Capacity: 128, Shards: 4})
+	tb := newTable[string]()
 	k := key(1)
-	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
+	if _, ok := tb.get(k); ok {
 		t.Fatal("empty table hit")
 	}
-	tb.Insert(k, 1, nil, "allow")
-	v, ok := tb.Lookup(k, 1, nil, nil)
+	tb.put(k, "allow")
+	v, ok := tb.get(k)
 	if !ok || v != "allow" {
 		t.Fatalf("lookup = %q, %v", v, ok)
 	}
@@ -73,12 +110,14 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 }
 
 func TestGenerationMismatchInvalidates(t *testing.T) {
-	tb := newTable[string](Config{Capacity: 128})
+	tb := newTable[string]()
+	g := &generations{now: 1}
 	k := key(7)
-	tb.Insert(k, 1, nil, "allow")
+	tb.Insert(k, 1, g.current, "allow")
 	// A rule or database update bumped the generation: the entry must not
 	// be served, and must be removed.
-	if _, ok := tb.Lookup(k, 2, nil, nil); ok {
+	g.now = 2
+	if _, ok := tb.Lookup(k, 2, g.current, acceptAll); ok {
 		t.Fatal("stale generation served")
 	}
 	if int(tb.live.Load()) != 0 {
@@ -88,8 +127,8 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 		t.Fatalf("stale drops = %d, want 1", n)
 	}
 	// Re-inserting under the new generation works.
-	tb.Insert(k, 2, nil, "drop")
-	if v, ok := tb.Lookup(k, 2, nil, nil); !ok || v != "drop" {
+	tb.Insert(k, 2, g.current, "drop")
+	if v, ok := tb.Lookup(k, 2, g.current, acceptAll); !ok || v != "drop" {
 		t.Fatalf("re-inserted lookup = %q, %v", v, ok)
 	}
 }
@@ -100,34 +139,53 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	const ttl = 10 * time.Millisecond
 	clk := &tickClock{}
-	tb := New[int](Config{Capacity: 128, TTL: ttl, Clock: clk})
+	tb := New[int](Config{TTL: ttl, Clock: clk})
 	k := key(3)
-	tb.Insert(k, 1, nil, 42)
+	tb.put(k, 42)
 	for i := 0; i < 20; i++ {
 		clk.advance(ttl / 2)
-		if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
+		if _, ok := tb.get(k); !ok {
 			t.Fatalf("flow in use expired %v after insertion", clk.Now())
 		}
 	}
 	clk.advance(ttl)
-	if _, ok := tb.Lookup(k, 1, nil, nil); !ok {
+	if _, ok := tb.get(k); !ok {
 		t.Fatal("entry expired at exactly the TTL")
 	}
 	clk.advance(ttl + time.Nanosecond)
-	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
+	if _, ok := tb.get(k); ok {
 		t.Fatal("entry served after sitting idle past the TTL")
 	}
-	if _, ok := tb.Lookup(k, 1, nil, nil); ok {
+	if _, ok := tb.get(k); ok {
 		t.Fatal("expired entry still mapped")
 	}
 	expired, hits, misses, live := count(tb, "expired_drops_total"), count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live")
 	if expired != 1 || hits != 21 || misses != 2 || live != 0 {
 		t.Fatalf("expired/hits/misses/live = %d/%d/%d/%d, want 1 expiry, 21 hits, 2 misses, 0 live", expired, hits, misses, live)
 	}
-	tb.Insert(k, 1, nil, 43)
+	tb.put(k, 43)
 	clk.advance(ttl)
-	if v, ok := tb.Lookup(k, 1, nil, nil); !ok || v != 43 {
+	if v, ok := tb.get(k); !ok || v != 43 {
 		t.Fatalf("re-inserted flow = %d, %v", v, ok)
+	}
+}
+
+// TestTTLDefaultsToOneMinute: a Config without a TTL, or with a negative
+// one, expires a flow one minute after its last use; no value turns expiry
+// off.
+func TestTTLDefaultsToOneMinute(t *testing.T) {
+	for _, ttl := range []time.Duration{0, -time.Second} {
+		clk := &tickClock{}
+		tb := New[int](Config{TTL: ttl, Clock: clk})
+		tb.put(key(1), 1)
+		clk.advance(time.Minute)
+		if _, ok := tb.get(key(1)); !ok {
+			t.Fatalf("TTL %v: flow expired at one minute", ttl)
+		}
+		clk.advance(time.Minute + time.Nanosecond)
+		if _, ok := tb.get(key(1)); ok {
+			t.Fatalf("TTL %v: flow served after sitting idle past one minute", ttl)
+		}
 	}
 }
 
@@ -139,64 +197,74 @@ func TestNewRequiresClock(t *testing.T) {
 			t.Fatal("New built a table without a clock")
 		}
 	}()
-	New[int](Config{Capacity: 8, TTL: time.Nanosecond})
+	New[int](Config{TTL: time.Nanosecond})
 }
 
+// TestLRUEvictionUnderCapacity: a full shard of live flows evicts the
+// least recently used flow of its sample, never one of the few flows that
+// keep sending (a sample of evictSamples cells holds an idle one).
 func TestLRUEvictionUnderCapacity(t *testing.T) {
-	// One shard, capacity 4: inserting a 5th flow evicts the LRU.
 	clk := &tickClock{}
-	tb := New[int](Config{Capacity: 4, Shards: 1, Clock: clk})
-	for i := 0; i < 4; i++ {
-		tb.Insert(key(i), 1, nil, i)
-	}
-	// Touch 0..2 later so key(3) is least recently used.
+	tb := New[int](Config{Clock: clk})
+	keys := shardKeys(perShard + 100)
+	fillShard(t, tb, keys)
+	hot := keys[:evictSamples]
 	clk.advance(time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
+	for i, k := range hot {
+		if _, ok := tb.get(k); !ok {
 			t.Fatalf("flow %d missing", i)
 		}
 	}
-	tb.Insert(key(99), 1, nil, 99)
-	if int(tb.live.Load()) != 4 {
-		t.Fatalf("live = %d, want 4", int(tb.live.Load()))
+	// Each newcomer is refused once by the admission guard, then evicts.
+	for _, k := range keys[perShard:] {
+		tb.put(k, 0)
+		tb.put(k, 0)
 	}
-	if _, ok := tb.Lookup(key(3), 1, nil, nil); ok {
-		t.Fatal("LRU entry survived eviction")
+	if n := int(tb.live.Load()); n != perShard {
+		t.Fatalf("live = %d, want %d", n, perShard)
 	}
-	for _, i := range []int{0, 1, 2, 99} {
-		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
+	if n := count(tb, "evictions_total"); n != 100 {
+		t.Fatalf("evictions = %d, want 100", n)
+	}
+	for i, k := range append(hot, keys[perShard:]...) {
+		if _, ok := tb.get(k); !ok {
 			t.Fatalf("recently used flow %d evicted", i)
 		}
 	}
-	if n := count(tb, "evictions_total"); n != 1 {
-		t.Fatalf("evictions = %d, want 1", n)
-	}
 }
 
+// TestEvictionPrefersExpired: a full shard whose flows went idle past the
+// TTL, but for the few that kept sending, takes newcomers into the idle
+// flows' cells at once: no eviction, no refusal, and the flows in use stay.
 func TestEvictionPrefersExpired(t *testing.T) {
 	clk := &tickClock{}
-	tb := New[int](Config{Capacity: 4, Shards: 1, TTL: 10 * time.Millisecond, Clock: clk})
-	tb.Insert(key(0), 1, nil, 0) // will be expired
-	clk.advance(11 * time.Millisecond)
-	for i := 1; i < 4; i++ {
-		tb.Insert(key(i), 1, nil, i)
+	tb := New[int](Config{TTL: 10 * time.Millisecond, Clock: clk})
+	keys := shardKeys(perShard + 100)
+	fillShard(t, tb, keys)
+	hot := keys[:evictSamples]
+	clk.advance(5 * time.Millisecond)
+	for _, k := range hot {
+		tb.get(k)
 	}
-	tb.Insert(key(5), 1, nil, 5)
-	// key(0) expired and must be the one reclaimed; the fresh flows stay.
-	for i := 1; i < 4; i++ {
-		if _, ok := tb.Lookup(key(i), 1, nil, nil); !ok {
-			t.Fatalf("fresh flow %d reclaimed instead of the expired one", i)
+	clk.advance(6 * time.Millisecond) // the rest are idle 11 ms
+	for _, k := range keys[perShard:] {
+		tb.put(k, 0)
+	}
+	for i, k := range append(hot, keys[perShard:]...) {
+		if _, ok := tb.get(k); !ok {
+			t.Fatalf("flow %d lost: an expired flow should have made room", i)
 		}
 	}
-	if ev, ex := count(tb, "evictions_total"), count(tb, "expired_drops_total"); ev != 0 || ex == 0 {
-		t.Fatalf("evictions/expired = %d/%d, want expired reclaim and no LRU eviction", ev, ex)
+	ev, ex, ad := count(tb, "evictions_total"), count(tb, "expired_drops_total"), count(tb, "admission_drops_total")
+	if ev != 0 || ex != 100 || ad != 0 {
+		t.Fatalf("evictions/expired/admission drops = %d/%d/%d, want 0/100/0", ev, ex, ad)
 	}
 }
 
 func TestDeleteAndPurge(t *testing.T) {
-	tb := newTable[int](Config{Capacity: 128})
-	tb.Insert(key(1), 1, nil, 1)
-	tb.Insert(key(2), 1, nil, 2)
+	tb := newTable[int]()
+	tb.put(key(1), 1)
+	tb.put(key(2), 2)
 	if !tb.Delete(key(1)) {
 		t.Fatal("delete missed")
 	}
@@ -231,17 +299,17 @@ func TestDigestCollisionCannotBorrowVerdict(t *testing.T) {
 	k := key(1)
 	tagIs := func(tag string) func(*flow) bool { return func(f *flow) bool { return f.tag == tag } }
 
-	tb := newTable[flow](Config{Capacity: 128})
-	tb.Insert(k, 1, nil, flow{"benign", "allow"})
-	if v, ok := tb.Lookup(k, 1, nil, tagIs("forged")); ok {
+	tb := newTable[flow]()
+	tb.put(k, flow{"benign", "allow"})
+	if v, ok := tb.Lookup(k, 1, gen1, tagIs("forged")); ok {
 		t.Fatalf("colliding flow served %q", v.verdict)
 	}
 	// The forged flow's own insert then serves only the forged flow.
-	tb.Insert(k, 1, nil, flow{"forged", "drop"})
-	if v, ok := tb.Lookup(k, 1, nil, tagIs("forged")); !ok || v.verdict != "drop" {
+	tb.put(k, flow{"forged", "drop"})
+	if v, ok := tb.Lookup(k, 1, gen1, tagIs("forged")); !ok || v.verdict != "drop" {
 		t.Fatalf("colliding flow after insert = %q, %v", v.verdict, ok)
 	}
-	if v, ok := tb.Lookup(k, 1, nil, tagIs("benign")); ok {
+	if v, ok := tb.Lookup(k, 1, gen1, tagIs("benign")); ok {
 		t.Fatalf("benign flow served the forged flow's %q", v.verdict)
 	}
 	if hits, misses, live := count(tb, "hits_total"), count(tb, "misses_total"), count(tb, "live"); hits != 1 || misses != 2 || live != 1 {
@@ -277,15 +345,19 @@ func TestSetTag(t *testing.T) {
 }
 
 // TestConcurrentReadersAndInvalidation hammers one hot flow and a churn of
-// cold flows from many goroutines while the generation keeps moving, under
-// -race: the striped locks and atomic recency must neither race nor serve
-// a value under the wrong generation.
+// cold flows through one full shard from many goroutines while the
+// generation keeps moving, under -race: the striped locks and atomic
+// recency must neither race nor serve a value under the wrong generation.
 func TestConcurrentReadersAndInvalidation(t *testing.T) {
-	tb := newTable[uint64](Config{Capacity: 256, Shards: 8})
+	tb := newTable[uint64]()
 	hot := key(1000)
 
 	var gen atomic.Uint64
 	gen.Store(1)
+	current := func(Key) uint64 { return gen.Load() }
+	// The cold flows overflow one shard, so inserts evict and refuse
+	// while the readers run.
+	cold := shardKeys(2 * perShard)
 
 	const goroutines = 8
 	const iters = 2000
@@ -296,15 +368,15 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				cur := gen.Load()
-				if v, ok := tb.Lookup(hot, cur, nil, nil); ok && v != cur {
+				if v, ok := tb.Lookup(hot, cur, current, acceptAll); ok && v != cur {
 					t.Errorf("generation %d served value %d", cur, v)
 					return
 				} else if !ok {
-					tb.Insert(hot, cur, nil, cur)
+					tb.Insert(hot, cur, current, cur)
 				}
-				cold := key(g*iters + i)
-				tb.Insert(cold, cur, nil, cur)
-				tb.Lookup(cold, cur, nil, nil)
+				cold := cold[(g*iters+i)%len(cold)]
+				tb.Insert(cold, cur, current, cur)
+				tb.Lookup(cold, cur, current, acceptAll)
 			}
 		}(g)
 	}
@@ -320,7 +392,7 @@ func TestConcurrentReadersAndInvalidation(t *testing.T) {
 	if hits, inserts := count(tb, "hits_total"), count(tb, "inserts_total"); hits == 0 || inserts == 0 {
 		t.Fatalf("no traffic recorded: hits=%d inserts=%d", hits, inserts)
 	}
-	if live := count(tb, "live"); live > 256 {
+	if live := count(tb, "live"); live > capacity {
 		t.Fatalf("capacity exceeded: live=%d", live)
 	}
 }

@@ -15,13 +15,14 @@ import (
 	"borderpatrol/internal/ipv4"
 )
 
+// networkTriggerProb is the probability that one event lands on a
+// network-wired widget.
+const networkTriggerProb = 0.02
+
 // Config controls an exerciser run.
 type Config struct {
 	// Events is the number of UI events to inject (the paper uses 5,000).
 	Events int
-	// NetworkTriggerProb is the probability that one event lands on a
-	// network-wired widget.
-	NetworkTriggerProb float64
 	// Seed drives the event stream.
 	Seed int64
 }
@@ -80,7 +81,7 @@ func Run(app *android.App, cfg Config) (*Report, error) {
 	rep := &Report{InvocationsByName: make(map[string]int, len(names))}
 	for ev := 0; ev < cfg.Events; ev++ {
 		rep.EventsInjected++
-		if r.Float64() >= cfg.NetworkTriggerProb {
+		if r.Float64() >= networkTriggerProb {
 			continue // touch/swipe/key event with no network effect
 		}
 		name := pickWeighted(r, names, weights, total)

@@ -53,7 +53,7 @@ func buildApp(t *testing.T) *android.App {
 
 func TestRunDeterministic(t *testing.T) {
 	app := buildApp(t)
-	cfg := Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: 42}
+	cfg := Config{Events: 5000, Seed: 42}
 	r1, err := Run(app, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunEventAccounting(t *testing.T) {
 	app := buildApp(t)
-	rep, err := Run(app, Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: 7})
+	rep, err := Run(app, Config{Events: 5000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunEventAccounting(t *testing.T) {
 
 func TestWeightBias(t *testing.T) {
 	app := buildApp(t)
-	rep, err := Run(app, Config{Events: 20000, NetworkTriggerProb: 0.05, Seed: 11})
+	rep, err := Run(app, Config{Events: 50000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWeightBias(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	app := buildApp(t)
-	if _, err := Run(app, Config{Events: 0, NetworkTriggerProb: 0.1}); err == nil {
+	if _, err := Run(app, Config{Events: 0}); err == nil {
 		t.Error("zero events accepted")
 	}
 	d := android.NewDevice(android.Config{Addr: netip.MustParseAddr("10.0.0.6"), XposedInstalled: true})
@@ -119,7 +119,7 @@ func TestRunErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(empty, Config{Events: 5000, NetworkTriggerProb: 0.02, Seed: 1}); !errors.Is(err, ErrNoFunctionality) {
+	if _, err := Run(empty, Config{Events: 5000, Seed: 1}); !errors.Is(err, ErrNoFunctionality) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -128,7 +128,7 @@ func TestDeliverBatchEmpty(t *testing.T) {
 func TestGatewayProcessBatchFlowCache(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 
 	pkt := taggedPacket(t, apk, db, "sync")

@@ -44,7 +44,7 @@ func tcpConn(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) (syn *ipv4.
 func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -97,7 +97,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 func TestRSTAbortsConnection(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -129,7 +129,7 @@ func TestRSTAbortsConnection(t *testing.T) {
 func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -158,7 +158,7 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 func TestBatchConntrackTeardown(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

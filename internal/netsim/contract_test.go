@@ -23,7 +23,7 @@ func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enfor
 	log := audit.New(nil, 64)
 	t.Cleanup(func() { _ = log.Close() })
 	clock := NewClock()
-	enf = shipped(clock, 1024, enforcer.Config{Audit: log}, db, eng)
+	enf = shipped(clock, true, enforcer.Config{Audit: log}, db, eng)
 	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n = newStaticNetwork(ModeTAP, gw)
 	reg = metrics.NewRegistry()

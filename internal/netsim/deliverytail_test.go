@@ -22,7 +22,7 @@ func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.Enforcer, *ipv4.P
 	tb.Helper()
 	eng, apk, db := buildEngineAndDB(tb)
 	n := newStaticNetwork(ModeTAP, nil)
-	enf := shipped(n.Clock, 4096, enforcer.Config{}, db, eng)
+	enf := shipped(n.Clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: n.Clock})
 	n.Gateway = gw
 	base := taggedPacket(tb, apk, db, "sync")

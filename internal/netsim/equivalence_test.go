@@ -79,7 +79,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 		{Action: policy.Deny, Level: policy.LevelMethod, Target: "Lcom/corp/files/SyncEngine;->upload()V"},
 	}
-	build := func(flows, workers int) (*Gateway, *enforcer.Enforcer, *policy.Engine, *analyzer.Database) {
+	build := func(cached bool, workers int) (*Gateway, *enforcer.Enforcer, *policy.Engine, *analyzer.Database) {
 		db := analyzer.NewDatabase()
 		if err := db.Add(apk); err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		clock := NewClock()
-		enf := shipped(clock, flows, enforcer.Config{}, db, eng)
+		enf := shipped(clock, cached, enforcer.Config{}, db, eng)
 		return NewGateway(GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		}), enf, eng, db
@@ -177,8 +177,8 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		return out
 	}
 	for _, workers := range []int{1, 2, 4} {
-		fast, fastEnf, fastEng, fastDB := build(4096, workers)
-		ref, refEnf, refEng, refDB := build(0, workers)
+		fast, fastEnf, fastEng, fastDB := build(true, workers)
+		ref, refEnf, refEng, refDB := build(false, workers)
 		model := &refmodel.Model{APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow}
 		seen := map[enforcer.DropCause]int{}
 		swaps := map[int][]policy.Rule{1: slices.Clone(rules[:1]), 3: rules, 5: rules}
@@ -249,8 +249,9 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 // and a new connection opens and closes at every step (the edge falls
 // between these); for three steps the device is on a cellular network,
 // which blocks it. At 1, 2 and 4 workers, the flow-cached gateway — whose
-// table has no TTL, so only the verdicts' own expiry and the context's
-// generation can end a stale one — must decide every packet as the uncached
+// table's TTL outlasts every gap between steps, so only the verdicts' own
+// expiry and the context's generation can end a stale one — must decide
+// every packet as the uncached
 // one and the reference model do: verdict, cause, risk score and the warn
 // flag.
 func TestEquivalenceAcrossTimeEdges(t *testing.T) {
@@ -287,7 +288,7 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 				Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 			}), enf, src
 		}
-		fast, fastEnf, fastSrc := build(enforcer.NewFlowCache(flowtable.Config{Capacity: 4096, Clock: clock}))
+		fast, fastEnf, fastSrc := build(enforcer.NewFlowCache(flowtable.Config{Clock: clock, TTL: 8 * 24 * time.Hour}))
 		ref, _, refSrc := build(nil)
 		model := &refmodel.Model{
 			APKs: []*dex.APK{apk}, Rules: rules, Default: policy.VerdictAllow,

@@ -21,7 +21,7 @@ func fleetFixture(t *testing.T) (n *Network, gwA, gwB *Gateway, beacon func(src 
 	if err != nil {
 		t.Fatal(err)
 	}
-	enfB := shipped(NewClock(), 0, enforcer.Config{}, db, engB)
+	enfB := shipped(NewClock(), false, enforcer.Config{}, db, engB)
 	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n = newStaticNetwork(ModeTAP, nil)

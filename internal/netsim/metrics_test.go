@@ -71,7 +71,7 @@ func flowCounts(x registrar) map[string]uint64 {
 func TestCountersNeverDecrease(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	reg := metrics.NewRegistry()

@@ -53,7 +53,7 @@ func getRequest() []byte {
 }
 
 func newStaticNetwork(nic NICMode, gw *Gateway) *Network {
-	n := NewNetwork(nic, DefaultLatencyModel())
+	n := NewNetwork(nic)
 	n.Gateway = gw
 	n.AddServer(&Server{Addr: serverAddr(), Name: "example", Handler: httpsim.StaticHandler(httpsim.StaticPage())})
 	return n
@@ -115,7 +115,7 @@ func TestSlirpSlowerThanTap(t *testing.T) {
 }
 
 func TestNoRoute(t *testing.T) {
-	n := NewNetwork(ModeTAP, DefaultLatencyModel())
+	n := NewNetwork(ModeTAP)
 	d := n.Deliver(plainPacket(getRequest()))
 	if d.Delivered || d.Stage != StageNoRoute {
 		t.Fatalf("delivery = %+v", d)
@@ -143,12 +143,12 @@ func TestBorderDropsOptionedPacketWithoutSanitizer(t *testing.T) {
 
 // shipped builds an enforcer on clock as experiments.Assemble builds every
 // enforcer on its network's: a device-context source reads clock, and so
-// does a flow cache of capacity flows (0: cfg.Flows as given). cfg supplies
-// the rest.
-func shipped(clock *Clock, flows int, cfg enforcer.Config, db *analyzer.Database, eng *policy.Engine) *enforcer.Enforcer {
+// does a flow cache when cached (otherwise cfg.Flows as given). cfg
+// supplies the rest.
+func shipped(clock *Clock, cached bool, cfg enforcer.Config, db *analyzer.Database, eng *policy.Engine) *enforcer.Enforcer {
 	cfg.Context = devctx.NewSource(clock)
-	if flows > 0 {
-		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Capacity: flows, Clock: clock})
+	if cached {
+		cfg.Flows = enforcer.NewFlowCache(flowtable.Config{Clock: clock})
 	}
 	return enforcer.New(cfg, db, eng)
 }
@@ -156,7 +156,7 @@ func shipped(clock *Clock, flows int, cfg enforcer.Config, db *analyzer.Database
 func buildEnforcerAndDB(t testing.TB) (*enforcer.Enforcer, *dex.APK, *analyzer.Database) {
 	t.Helper()
 	eng, apk, db := buildEngineAndDB(t)
-	return shipped(NewClock(), 0, enforcer.Config{}, db, eng), apk, db
+	return shipped(NewClock(), false, enforcer.Config{}, db, eng), apk, db
 }
 
 // buildEngineAndDB is buildEnforcerAndDB's app, database and engine, for a

@@ -109,9 +109,6 @@ type Network struct {
 	// default for sources no route covers — the N=1 topology is just the
 	// zero-route special case of the fleet.
 	Gateway *Gateway
-	// BorderFilterEnabled applies RFC 7126 at the upstream router for
-	// non-internal destinations.
-	BorderFilterEnabled bool
 
 	// gwRoutes, when non-nil, maps device source subnets to their owning
 	// gateways: the fleet topology, where each enforcement point fronts
@@ -161,13 +158,14 @@ type respEntry struct {
 	seq, last uint32
 }
 
-// NewNetwork builds a testbed with the given NIC mode and latency model.
-func NewNetwork(nic NICMode, model LatencyModel) *Network {
+// NewNetwork builds a testbed with the given NIC mode and the default
+// latency model. Its upstream router applies RFC 7126 to traffic for
+// non-internal destinations.
+func NewNetwork(nic NICMode) *Network {
 	n := &Network{
-		Clock:               NewClock(),
-		Model:               model,
-		NIC:                 nic,
-		BorderFilterEnabled: true,
+		Clock: NewClock(),
+		Model: DefaultLatencyModel(),
+		NIC:   nic,
 	}
 	n.servers.Store(&map[netip.Addr]*Server{})
 	for i := range n.respSeq {
@@ -285,7 +283,7 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 	}
 
 	// RFC 7126 filtering on the public path.
-	if n.BorderFilterEnabled && !srv.Internal {
+	if !srv.Internal {
 		if ipv4.BorderFilter(cur) == ipv4.BorderDrop {
 			d.Stage = StageBorder
 			return 0

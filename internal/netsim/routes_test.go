@@ -72,7 +72,7 @@ func TestDirectRouteEqualsDeliver(t *testing.T) {
 }
 
 func TestMobileLatencyExceedsDirect(t *testing.T) {
-	n := NewNetwork(ModeTAP, DefaultLatencyModel())
+	n := NewNetwork(ModeTAP)
 	n.AddServer(&Server{Addr: serverAddr(), Handler: httpsim.StaticHandler(nil)})
 	direct := n.DeliverRoute(plainPacket(getRequest()), RouteDirect)
 	mobile := n.DeliverRoute(plainPacket(getRequest()), RouteMobile)

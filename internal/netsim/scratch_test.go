@@ -20,7 +20,7 @@ func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 	log := audit.New(nil, 64)
 	defer log.Close()
 	clock := NewClock()
-	enf := shipped(clock, 64, enforcer.Config{Audit: log}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{Audit: log}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

@@ -145,7 +145,7 @@ func TestRespSeqHandFindsIdleEntry(t *testing.T) {
 	perShard := maxRespTracked / ctShards
 	cells := shardCells(perShard)
 	attempts := (cells + evictSample - 1) / evictSample
-	n := NewNetwork(ModeTAP, DefaultLatencyModel())
+	n := NewNetwork(ModeTAP)
 	fwd := &ipv4.Packet{Header: ipv4.Header{Src: netip.MustParseAddr("10.200.0.1"), Dst: serverAddr()}}
 	dst := tupleFor(fwd.Header.Src, fwd.Header.Dst, 1, 80).Dst
 	var tuples []transport.Tuple
@@ -231,7 +231,7 @@ func TestIdleTablesFootprint(t *testing.T) {
 
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 0, enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{MissRing: 64, Clock: clock})}, db, eng)
+	enf := shipped(clock, false, enforcer.Config{Flows: enforcer.NewFlowCache(flowtable.Config{Clock: clock})}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: clock})
 	base := taggedPacket(t, apk, db, "sync")
 	open := keepAliveBurst(t, base, 40000, 1)[:2] // SYN and a request, never closed

@@ -15,7 +15,7 @@ import (
 func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
@@ -41,7 +41,7 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 

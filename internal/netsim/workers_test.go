@@ -113,7 +113,7 @@ func TestFlowAffineParallelWorkers(t *testing.T) {
 func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
-	enf := shipped(clock, 1024, enforcer.Config{}, db, eng)
+	enf := shipped(clock, true, enforcer.Config{}, db, eng)
 	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)
@@ -228,7 +228,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		clock := NewClock()
-		enf := shipped(clock, 4096, enforcer.Config{}, db, eng)
+		enf := shipped(clock, true, enforcer.Config{}, db, eng)
 		gw := NewGateway(GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		})

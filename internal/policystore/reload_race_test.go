@@ -138,7 +138,7 @@ func TestReloadUnderLoadNoTornVerdicts(t *testing.T) {
 	}
 	clock := netsim.NewClock()
 	enf := enforcer.New(enforcer.Config{
-		Flows:   enforcer.NewFlowCache(flowtable.Config{Capacity: 1024, Clock: clock}),
+		Flows:   enforcer.NewFlowCache(flowtable.Config{Clock: clock}),
 		Context: devctx.NewSource(clock),
 	}, db, eng)
 

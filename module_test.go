@@ -136,7 +136,7 @@ func typeCheckModule() (*moduleSource, error) {
 		if p.tests, err = parse(rel, append(l.TestGoFiles, l.XTestGoFiles...)); err != nil {
 			return nil, err
 		}
-		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		if p.types, err = conf.Check(l.ImportPath, m.fset, p.files, p.info); err != nil {
 			return nil, fmt.Errorf("type-check %s: %w", l.ImportPath, err)
 		}
