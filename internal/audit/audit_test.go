@@ -234,58 +234,83 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 // TestSeqOrderAcrossDrains races bursts from several goroutines into the
-// queue, with flushes between them, so it drains many times and may shed:
-// the written stream must rise strictly across every drain, and its gaps —
+// queue while the drainer is parked in its writer, so the bursts run past
+// queueCap and the queue sheds; then it releases the drainer and keeps
+// bursting, with flushes between bursts, so the stream spans many drains.
+// The written stream must rise strictly across every drain, and its gaps —
 // before the first entry, between entries and after the last — must add up
-// to exactly the shed count.
+// to exactly the shed count, with the sheds falling between written entries.
 func TestSeqOrderAcrossDrains(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, 0)
-	const workers, bursts, burstLen = 4, 500, 5
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pkts := make([]*ipv4.Packet, burstLen)
-			res := make([]enforcer.Result, burstLen)
-			for i := range pkts {
-				pkts[i] = samplePacket()
-				res[i] = enforcer.Result{Verdict: policy.VerdictAllow}
-			}
-			for i := 0; i < bursts; i++ {
-				l.RecordBatch(pkts, res)
-				if i%10 == 9 {
-					l.Flush() // a drain between bursts, beside the background ones
+	w := newStallWriter()
+	l := New(w, 0)
+	defer w.Release()
+	stallDrainer(t, l, w) // seq 1, swept: the queue is empty
+	const workers, bursts, burstLen = 4, 250, 5
+	const offered = 1 + 2*workers*bursts*burstLen // the stall's entry, two rounds
+	round := func(flushEvery int) {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pkts := make([]*ipv4.Packet, burstLen)
+				res := make([]enforcer.Result, burstLen)
+				for i := range pkts {
+					pkts[i] = samplePacket()
+					res[i] = enforcer.Result{Verdict: policy.VerdictAllow}
 				}
-			}
-		}()
+				for i := 0; i < bursts; i++ {
+					l.RecordBatch(pkts, res)
+					if flushEvery > 0 && i%flushEvery == flushEvery-1 {
+						l.Flush() // a drain between bursts, beside the background ones
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	// Round one: the drainer is parked, so the queue fills to queueCap and
+	// every entry past it is shed.
+	round(0)
+	const shedParked = workers*bursts*burstLen - queueCap
+	if drop := count(l, "dropped_total"); shedParked <= 0 || drop != shedParked {
+		t.Fatalf("parked round shed %d, want %d", drop, shedParked)
+	}
+	// Round two: the drainer runs again and the bursts race its drains.
+	w.Release()
+	round(10)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadEntries(&buf)
+	entries, err := ReadEntries(&w.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const offered = workers * bursts * burstLen
-	var gaps, last uint64
+	var gaps, inner, last uint64
 	for i, e := range entries {
 		if e.Seq <= last {
 			t.Fatalf("entry %d has seq %d after seq %d", i, e.Seq, last)
+		}
+		if i > 0 {
+			inner += e.Seq - last - 1
 		}
 		gaps += e.Seq - last - 1
 		last = e.Seq
 	}
 	gaps += offered - last
-	if drop := count(l, "dropped_total"); gaps != drop {
+	drop := count(l, "dropped_total")
+	if gaps != drop {
 		t.Fatalf("seq gaps add up to %d, dropped_total = %d", gaps, drop)
+	}
+	// The parked round's sheds come before round two's written entries, so
+	// they are gaps between written entries, not a missing tail.
+	if inner < shedParked {
+		t.Fatalf("gaps between written entries add up to %d, want at least %d", inner, shedParked)
 	}
 	if flushes := count(l, "flushes_total"); flushes < 10 {
 		t.Fatalf("%d drains, want the stream to span many", flushes)
 	}
-	t.Logf("%d written, %d shed, %d drains", len(entries), gaps, count(l, "flushes_total"))
+	t.Logf("%d written, %d shed, %d drains", len(entries), drop, count(l, "flushes_total"))
 }
 
 // stallWriter blocks the drainer inside its first Write until released,
