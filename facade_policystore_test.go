@@ -159,6 +159,7 @@ func TestDeploymentRejectsInertStaleness(t *testing.T) {
 	for name, pc := range map[string]PolicyConfig{
 		"poll without source":      {Doc: doc, Poll: time.Millisecond},
 		"max-stale without source": {Doc: doc, MaxStale: time.Second},
+		"fail mode without source": {Doc: doc, FailMode: FailOpen},
 		"all three without source": {Doc: doc, MaxStale: time.Nanosecond, FailMode: FailClosed, Poll: time.Millisecond},
 		"fail mode without max":    {Source: StaticPolicySource(doc), FailMode: FailOpen},
 		"max-stale with static":    {Source: StaticPolicySource(doc), MaxStale: time.Second},

@@ -68,3 +68,45 @@ func TestExerciseViaRoutes(t *testing.T) {
 		t.Fatal("audit writer did not receive JSON lines")
 	}
 }
+
+// TestWireFaultsSpareOffPremisesRoutes: a fault plan arms the corporate
+// segment only. Under a plan that loses every packet, direct traffic dies
+// on the wire, the VPN route still crosses the gateway and its
+// enforcement, and the mobile route still meets the carrier border.
+func TestWireFaultsSpareOffPremisesRoutes(t *testing.T) {
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dep.Close() })
+	app, err := dep.InstallApp(demoAPK(), demoFuncs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.SetFaults(FaultPlan{Seed: 1, Drop: 1})
+	for _, c := range []struct {
+		fn        string
+		route     Route
+		delivered bool
+		stage     string
+	}{
+		{"download", RouteDirect, false, "wire-fault"},
+		{"download", RouteVPN, true, ""},
+		{"analytics", RouteVPN, false, "gateway"},
+		{"download", RouteMobile, false, "border-router"},
+	} {
+		out, err := dep.ExerciseVia(app, c.fn, c.route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 {
+			t.Fatalf("%s via %s emitted no packets", c.fn, c.route)
+		}
+		for i, o := range out {
+			if o.Delivered != c.delivered || o.DropStage != c.stage {
+				t.Errorf("%s via %s, packet %d: delivered=%v stage %q, want delivered=%v stage %q",
+					c.fn, c.route, i, o.Delivered, o.DropStage, c.delivered, c.stage)
+			}
+		}
+	}
+}

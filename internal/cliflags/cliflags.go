@@ -53,9 +53,10 @@ func RegisterPolicy(fs *flag.FlagSet) *Policy {
 
 // Source validates the parsed flags and builds the hot-reload policy
 // source and its poll interval — nil and 0 when neither -policy-file nor
-// -policy-url was given. staticSet reports whether the command's own
-// one-shot policy flag was also set; the three sources are mutually
-// exclusive.
+// -policy-url was given — and parses -fail-mode. staticSet reports
+// whether the command's own one-shot policy flag was also set; the three
+// sources are mutually exclusive. The testbed and the policy store judge
+// -policy-max-stale and -fail-mode.
 func (p *Policy) Source(staticSet bool) (src policystore.Source, poll time.Duration, failMode policystore.FailMode, err error) {
 	set := 0
 	for _, on := range []bool{staticSet, p.File != "", p.URL != ""} {
@@ -70,16 +71,10 @@ func (p *Policy) Source(staticSet bool) (src policystore.Source, poll time.Durat
 		return nil, 0, failMode, err
 	}
 	switch {
-	case failMode != policystore.FailStatic && p.MaxStale <= 0:
-		return nil, 0, failMode, fmt.Errorf("-fail-mode %s requires -policy-max-stale", p.FailModeName)
-	case failMode == policystore.FailStatic && p.MaxStale != 0:
-		return nil, 0, failMode, errors.New("-policy-max-stale requires -fail-mode open or closed")
 	case p.File != "":
 		return policystore.NewFileSource(p.File), p.Poll, failMode, nil
 	case p.URL != "":
 		return policystore.NewHTTPSource(p.URL), p.Poll, failMode, nil
-	case p.MaxStale > 0:
-		return nil, 0, failMode, errors.New("-policy-max-stale requires -policy-file or -policy-url")
 	}
 	return nil, 0, failMode, nil
 }

@@ -57,25 +57,12 @@ func TestPolicySourceValidation(t *testing.T) {
 	if _, _, _, err := p.Source(true); err == nil {
 		t.Fatal("static+file accepted")
 	}
-	// A staleness deadline is meaningless without a reloadable source.
-	p, _, _ = newSet(t, "-policy-max-stale", "10s")
-	if _, _, _, err := p.Source(false); err == nil {
-		t.Fatal("max-stale without source accepted")
-	}
 	p, _, _ = newSet(t, "-policy-file", "a.bp", "-fail-mode", "sideways")
 	if _, _, _, err := p.Source(false); err == nil {
 		t.Fatal("bogus fail mode accepted")
 	}
-	// A degraded posture needs a deadline to degrade at.
-	p, _, _ = newSet(t, "-policy-file", "a.bp", "-fail-mode", "open")
-	if _, _, _, err := p.Source(false); err == nil {
-		t.Fatal("fail mode without max-stale accepted")
-	}
-	// A deadline needs a posture to degrade to: static never degrades.
-	p, _, _ = newSet(t, "-policy-file", "a.bp", "-policy-max-stale", "10s")
-	if _, _, _, err := p.Source(false); err == nil {
-		t.Fatal("max-stale under -fail-mode static accepted")
-	}
+	// Whether -policy-max-stale and -fail-mode fit together is the policy
+	// store's call, and whether they have a source to act on the testbed's.
 }
 
 func TestAuditWriter(t *testing.T) {

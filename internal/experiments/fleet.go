@@ -121,7 +121,7 @@ func (f *Fleet) addGateway(i int, watchTimeout time.Duration) error {
 		}
 	}
 	cfg := gw.Config
-	cfg.PolicySource = policystore.NewGroupScopedSource(f.Hub.Source(), gw.Groups...)
+	cfg.PolicySource = f.Hub.Shard(gw.Groups...)
 	cfg.PolicyPoll = fleetBackoff
 	cfg.PolicyWatchTimeout = watchTimeout
 	cfg.DeviceAddr = gw.Subnet.Masked().Addr().Next()

@@ -109,8 +109,9 @@ type TestbedConfig struct {
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Assemble
-	// rejects the deadline without PolicySource, and either one without the
-	// other: FailStatic is the posture of a store without a deadline.
+	// rejects either without PolicySource, and the store either one
+	// without the other: FailStatic is the posture of a store without a
+	// deadline.
 	PolicyMaxStale time.Duration
 	PolicyFailMode policystore.FailMode
 	// PolicyVirtualTime drives the staleness clock from the network's
@@ -166,15 +167,8 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 // route), registering the network-wide series where they belong, and
 // starting tb.Policy once construction can no longer fail.
 func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
-	if cfg.PolicySource == nil && (cfg.PolicyPoll != 0 || cfg.PolicyMaxStale != 0) {
-		return nil, errors.New("experiments: PolicyPoll and PolicyMaxStale require a PolicySource")
-	}
-	if cfg.PolicyFailMode != policystore.FailStatic && cfg.PolicyMaxStale <= 0 {
-		return nil, fmt.Errorf("experiments: PolicyFailMode %v requires a PolicyMaxStale", cfg.PolicyFailMode)
-	}
-	if cfg.PolicyFailMode == policystore.FailStatic && cfg.PolicyMaxStale != 0 {
-		// FailStatic serves the last-good rules past the deadline too.
-		return nil, errors.New("experiments: PolicyMaxStale requires a PolicyFailMode other than FailStatic")
+	if cfg.PolicySource == nil && (cfg.PolicyPoll != 0 || cfg.PolicyMaxStale != 0 || cfg.PolicyFailMode != policystore.FailStatic) {
+		return nil, errors.New("experiments: PolicyPoll, PolicyMaxStale and PolicyFailMode require a PolicySource")
 	}
 	if cfg.FlowTTL < 0 {
 		return nil, fmt.Errorf("experiments: negative FlowTTL %v", cfg.FlowTTL)

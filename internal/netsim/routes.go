@@ -51,17 +51,19 @@ const VPNPerPacket = 12 * time.Millisecond
 const MobilePerPacket = 35 * time.Millisecond
 
 // DeliverRoute pushes one packet along the selected route. RouteDirect is
-// identical to Deliver. RouteVPN charges tunnel latency, then traverses
-// the gateway as usual. RouteMobile skips the gateway but keeps the
-// RFC 7126 border: the carrier drops optioned packets. The returned
-// latency includes the route's access cost.
+// identical to Deliver, installed wire faults included. The off-premises
+// routes never cross the corporate segment the faults model: RouteVPN
+// charges tunnel latency, then traverses the gateway as usual, and
+// RouteMobile skips the gateway but keeps the RFC 7126 border: the carrier
+// drops optioned packets. The returned latency includes the route's access
+// cost.
 func (n *Network) DeliverRoute(pkt *ipv4.Packet, route Route) Delivery {
 	start := n.Clock.Now()
 	var d Delivery
 	switch route {
 	case RouteVPN:
 		n.Clock.Advance(VPNPerPacket)
-		d = n.Deliver(pkt)
+		d = n.deliverBatchCore([]*ipv4.Packet{pkt}, false)[0]
 	case RouteMobile:
 		n.Clock.Advance(MobilePerPacket)
 		d = n.deliverBatchCore([]*ipv4.Packet{pkt}, true)[0]

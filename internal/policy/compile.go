@@ -136,8 +136,9 @@ func keepMin[K comparable](m map[K]int, key K, idx int) {
 	}
 }
 
-// compileRules validates and indexes an ordered rule set. Its risk
-// program, if any, counts its outcomes on counts.
+// compileRules validates and indexes an ordered rule set, parsing each
+// rule's target once (Rule.parse). Its risk program, if any, counts its
+// outcomes on counts.
 func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
 	c := &compiledRules{
 		rules:        append([]Rule(nil), rules...),
@@ -153,19 +154,14 @@ func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
 	warnAt, blockAt := DefaultWarnRisk, DefaultBlockRisk
 	for i := range c.rules {
 		r := &c.rules[i]
-		if err := r.Validate(); err != nil {
+		t, err := r.parse()
+		if err != nil {
 			return nil, fmt.Errorf("policy: rule %d: %w", i, err)
 		}
 		switch r.Kind {
 		case KindRisk:
-			p, err := compilePredicate(r.Pred, r.Target)
-			if err != nil {
-				// Validate accepted the spec, so this cannot happen.
-				return nil, fmt.Errorf("policy: rule %d: %w", i, err)
-			}
-			p.weight = r.Weight
 			c.reasons[i] = fmt.Sprintf("risk rule %s matched", r)
-			preds = append(preds, p)
+			preds = append(preds, t.pred)
 			continue
 		case KindThreshold:
 			// The last explicit threshold rule of each kind wins.
@@ -185,29 +181,12 @@ func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
 		}
 
 		if r.Level == LevelHash {
-			target := r.Target
-			if len(target) > 2*dex.TruncatedHashSize {
-				target = target[:2*dex.TruncatedHashSize]
-			}
-			h, err := dex.ParseTruncatedHash(target)
-			if err != nil {
-				// Validate accepted the target, so this cannot happen.
-				return nil, fmt.Errorf("policy: rule %d: %w", i, err)
-			}
-			keepMin(c.byHash, h, i)
+			keepMin(c.byHash, t.hash, i)
 			continue
 		}
 
 		if r.Action == Allow {
-			m := allowMatcher{idx: i, level: r.Level, target: r.Target}
-			if r.Level == LevelMethod {
-				sig, err := dex.ParseSignature(r.Target)
-				if err != nil {
-					return nil, fmt.Errorf("policy: rule %d: %w", i, err)
-				}
-				m.sig = sig
-			}
-			c.allows = append(c.allows, m)
+			c.allows = append(c.allows, allowMatcher{idx: i, level: r.Level, target: r.Target, sig: t.sig})
 			continue
 		}
 
@@ -227,14 +206,10 @@ func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
 			}
 			keepMin(sub, cls, i)
 		case LevelMethod:
-			sig, err := dex.ParseSignature(r.Target)
-			if err != nil {
-				return nil, fmt.Errorf("policy: rule %d: %w", i, err)
+			if !t.sig.Merged() {
+				keepMin(c.methodExact, t.sig, i)
 			}
-			if !sig.Merged() {
-				keepMin(c.methodExact, sig, i)
-			}
-			keepMin(c.methodMerged, methodKey{sig.Package, sig.Class, sig.Name}, i)
+			keepMin(c.methodMerged, methodKey{t.sig.Package, t.sig.Class, t.sig.Name}, i)
 		}
 	}
 	if err := checkRiskRules(len(preds)); err != nil {

@@ -318,9 +318,8 @@ func (p *compiledPredicate) matches(fc *FlowContext) bool {
 	}
 }
 
-// compilePredicate parses a risk rule's spec for its predicate. It is both
-// the Validate check and the compiler: a spec Validate accepts always
-// compiles.
+// compilePredicate parses a risk rule's spec for its predicate, for
+// Rule.parse: the one parse serves both Validate and the compiler.
 func compilePredicate(pred Predicate, spec string) (compiledPredicate, error) {
 	p := compiledPredicate{pred: pred, days: dayMaskAll}
 	switch pred {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -142,26 +144,40 @@ func FuzzParsePolicy(f *testing.F) {
 }
 
 // FuzzParseGroupSet: a fleet's grouped document arrives by operator push,
-// so its splitter faces the wire too. A document ParseGroupSet accepts
-// must also be a flat document ParsePolicyString accepts with the same
-// rules (directives are comments to the flat parser), and Format must
-// render a document that reparses to the same rendering.
+// so its splitter faces the wire too. The two parsers share one scanner,
+// so a document with no //@ line is one document to both: both refuse it
+// with the same error, or both accept it with the same rules, all global.
+// A document ParseGroupSet accepts must also be a flat document
+// ParsePolicyString accepts with the same rules (directives are comments
+// to the flat parser), and Format must render a document that reparses to
+// the same rendering.
 func FuzzParseGroupSet(f *testing.F) {
 	f.Add("{[deny][library][\"com/global\"]}\n//@group a\n{[deny][library][\"com/a\"]}\n//@group b\n{[allow][class][\"com/b\"]}\n")
 	f.Add("//@group a\n{[deny][library]\n[\"com/split\"]}\n//@group a\n{[risk][network][\"unknown\"][60]}\n")
 	f.Add("{[deny][library][\"x\"]} //@group trailing\n")
 	f.Add("//@groups typo\n")
+	f.Add("{[deny][library][\"x\"]}\n// a comment\n{[deny][nope][\"y\"]}\n")
 	for _, s := range fuzzSeedRules {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		gs, err := ParseGroupSet(doc)
+		flat, flatErr := ParsePolicyString(doc)
+		if !hasDirectiveLine(doc) {
+			switch {
+			case (err == nil) != (flatErr == nil):
+				t.Fatalf("grouped error %v, flat error %v\ninput: %q", err, flatErr, doc)
+			case err != nil && err.Error() != flatErr.Error():
+				t.Fatalf("refusals differ:\n  grouped: %v\n  flat:    %v\ninput: %q", err, flatErr, doc)
+			case err == nil && (len(gs.Groups) != 0 || !slices.Equal(gs.Global, flat)):
+				t.Fatalf("grouped and flat rules differ:\n  flat:    %+v\n  grouped: %+v\ninput: %q", flat, gs, doc)
+			}
+		}
 		if err != nil {
 			return
 		}
-		flat, err := ParsePolicyString(doc)
-		if err != nil {
-			t.Fatalf("grouped document accepted, flat parse rejected: %v\ninput: %q", err, doc)
+		if flatErr != nil {
+			t.Fatalf("grouped document accepted, flat parse rejected: %v\ninput: %q", flatErr, doc)
 		}
 		grouped := append([]Rule(nil), gs.Global...)
 		for _, g := range gs.Groups {
@@ -179,6 +195,17 @@ func FuzzParseGroupSet(f *testing.F) {
 			t.Fatalf("Format not a fixpoint:\n  %q\n  %q", formatted, f2)
 		}
 	})
+}
+
+// hasDirectiveLine reports whether a line of doc, trimmed, starts with the
+// //@ directive prefix.
+func hasDirectiveLine(doc string) bool {
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "//@") {
+			return true
+		}
+	}
+	return false
 }
 
 // sameRules reports whether two rule slices hold the same rules as a

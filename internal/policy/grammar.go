@@ -176,9 +176,22 @@ func bracketFields(s string) ([]string, error) {
 // and blank lines. A rule may span multiple physical lines; rules are
 // accumulated until braces balance outside quoted strings. A // comment is
 // recognized only outside quotes and outside a rule body, so targets
-// containing slashes (or even "//") never truncate a rule.
+// containing slashes (or even "//") never truncate a rule. One scanner
+// serves ParsePolicy and ParseGroupSet; to ParsePolicy a //@ line is a
+// comment.
 func ParsePolicy(r io.Reader) ([]Rule, error) {
 	var rules []Rule
+	if err := scanDocument(r, func(rule Rule) { rules = append(rules, rule) }, nil); err != nil {
+		return nil, err
+	}
+	return rules, nil
+}
+
+// scanDocument is the policy document scanner. It hands each rule to rule
+// in document order. When directive is non-nil, each //@ line that lies
+// outside a rule body goes to it — its line number and the text after
+// //@ — instead of being a comment; an error from directive ends the scan.
+func scanDocument(r io.Reader, rule func(Rule), directive func(lineNo int, text string) error) error {
 	var pending strings.Builder
 	depth := 0
 	inQuote := false
@@ -189,6 +202,16 @@ func ParsePolicy(r io.Reader) ([]Rule, error) {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
+		// Directive lines are only recognized between rules: at depth 0,
+		// outside quotes (pending is necessarily empty there).
+		if directive != nil && depth == 0 && !inQuote {
+			if text, ok := strings.CutPrefix(strings.TrimSpace(line), "//@"); ok {
+				if err := directive(lineNo, text); err != nil {
+					return err
+				}
+				continue
+			}
+		}
 		// One pass over the line: track quote state (with \-escapes) and
 		// brace depth, and cut a // comment when one appears outside quotes
 		// at depth 0 (before a rule or after one — never inside).
@@ -218,7 +241,7 @@ func ParsePolicy(r io.Reader) ([]Rule, error) {
 				if !inQuote {
 					depth--
 					if depth < 0 {
-						return nil, fmt.Errorf("%w: line %d: unbalanced '}'", ErrBadRule, lineNo)
+						return fmt.Errorf("%w: line %d: unbalanced '}'", ErrBadRule, lineNo)
 					}
 				}
 			}
@@ -232,24 +255,24 @@ func ParsePolicy(r io.Reader) ([]Rule, error) {
 		}
 		pending.WriteString(frag)
 		if depth == 0 && !inQuote {
-			rule, err := ParseRule(pending.String())
+			parsed, err := ParseRule(pending.String())
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", lineRef(startLine, lineNo), err)
+				return fmt.Errorf("%s: %w", lineRef(startLine, lineNo), err)
 			}
-			rules = append(rules, rule)
+			rule(parsed)
 			pending.Reset()
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("policy: read: %w", err)
+		return fmt.Errorf("policy: read: %w", err)
 	}
 	if pending.Len() > 0 {
 		if inQuote {
-			return nil, fmt.Errorf("%w: %s: unterminated quote at EOF", ErrBadRule, lineRef(startLine, lineNo))
+			return fmt.Errorf("%w: %s: unterminated quote at EOF", ErrBadRule, lineRef(startLine, lineNo))
 		}
-		return nil, fmt.Errorf("%w: %s: unterminated rule at EOF", ErrBadRule, lineRef(startLine, lineNo))
+		return fmt.Errorf("%w: %s: unterminated rule at EOF", ErrBadRule, lineRef(startLine, lineNo))
 	}
-	return rules, nil
+	return nil
 }
 
 // lineRef renders "line 7" or, for a rule spanning lines, "lines 7-9".

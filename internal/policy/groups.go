@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"bufio"
 	"fmt"
 	"strings"
 )
@@ -31,6 +30,9 @@ import (
 // Directives must sit on their own line, outside any rule body. A
 // //@group comment trailing a rule on the same line is an ordinary
 // comment to both parsers.
+//
+// One scanner (scanDocument) serves both parsers: ParseGroupSet adds only
+// the directives, so its rules and refusals are ParsePolicy's.
 
 // GroupSet is a grouped policy document split into its global section and
 // named per-group sections. It is the shared splitter fleet gateways use:
@@ -58,100 +60,33 @@ func ParseGroupSet(doc string) (*GroupSet, error) {
 	gs := &GroupSet{}
 	byName := map[string]int{} // name → index into gs.Groups
 	cur := -1                  // -1 = global section
-
-	var pending strings.Builder
-	depth := 0
-	inQuote := false
-	startLine := 0
-	lineNo := 0
-	sc := bufio.NewScanner(strings.NewReader(doc))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		// Directive lines are only recognized between rules: at depth 0,
-		// outside quotes (pending is necessarily empty there).
-		if trimmed := strings.TrimSpace(line); depth == 0 && !inQuote && strings.HasPrefix(trimmed, "//@") {
-			word, rest, _ := strings.Cut(strings.TrimPrefix(trimmed, "//@"), " ")
-			if word != groupDirective {
-				return nil, fmt.Errorf("%w: line %d: unknown directive //@%s", ErrBadRule, lineNo, word)
-			}
-			name := strings.TrimSpace(rest)
-			if name == "" || strings.ContainsAny(name, " \t") {
-				return nil, fmt.Errorf("%w: line %d: //@group wants exactly one group name", ErrBadRule, lineNo)
-			}
-			idx, ok := byName[name]
-			if !ok {
-				idx = len(gs.Groups)
-				byName[name] = idx
-				gs.Groups = append(gs.Groups, Group{Name: name})
-			}
-			cur = idx
-			continue
-		}
-		// From here this mirrors ParsePolicy's scan: track quote state and
-		// brace depth, cut // comments at depth 0, accumulate until the
-		// braces of a rule balance.
-		cut := len(line)
-		escaped := false
-	scan:
-		for i := 0; i < len(line); i++ {
-			if escaped {
-				escaped = false
-				continue
-			}
-			switch line[i] {
-			case '\\':
-				escaped = inQuote
-			case '"':
-				inQuote = !inQuote
-			case '/':
-				if !inQuote && depth == 0 && i+1 < len(line) && line[i+1] == '/' {
-					cut = i
-					break scan
-				}
-			case '{':
-				if !inQuote {
-					depth++
-				}
-			case '}':
-				if !inQuote {
-					depth--
-					if depth < 0 {
-						return nil, fmt.Errorf("%w: line %d: unbalanced '}'", ErrBadRule, lineNo)
-					}
-				}
-			}
-		}
-		frag := strings.TrimSpace(line[:cut])
-		if frag == "" {
-			continue
-		}
-		if pending.Len() == 0 {
-			startLine = lineNo
-		}
-		pending.WriteString(frag)
-		if depth == 0 && !inQuote {
-			rule, err := ParseRule(pending.String())
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", lineRef(startLine, lineNo), err)
-			}
-			if cur < 0 {
-				gs.Global = append(gs.Global, rule)
-			} else {
-				gs.Groups[cur].Rules = append(gs.Groups[cur].Rules, rule)
-			}
-			pending.Reset()
+	rule := func(r Rule) {
+		if cur < 0 {
+			gs.Global = append(gs.Global, r)
+		} else {
+			gs.Groups[cur].Rules = append(gs.Groups[cur].Rules, r)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("policy: read: %w", err)
-	}
-	if pending.Len() > 0 {
-		if inQuote {
-			return nil, fmt.Errorf("%w: %s: unterminated quote at EOF", ErrBadRule, lineRef(startLine, lineNo))
+	directive := func(lineNo int, text string) error {
+		word, rest, _ := strings.Cut(text, " ")
+		if word != groupDirective {
+			return fmt.Errorf("%w: line %d: unknown directive //@%s", ErrBadRule, lineNo, word)
 		}
-		return nil, fmt.Errorf("%w: %s: unterminated rule at EOF", ErrBadRule, lineRef(startLine, lineNo))
+		name := strings.TrimSpace(rest)
+		if name == "" || strings.ContainsAny(name, " \t") {
+			return fmt.Errorf("%w: line %d: //@group wants exactly one group name", ErrBadRule, lineNo)
+		}
+		idx, ok := byName[name]
+		if !ok {
+			idx = len(gs.Groups)
+			byName[name] = idx
+			gs.Groups = append(gs.Groups, Group{Name: name})
+		}
+		cur = idx
+		return nil
+	}
+	if err := scanDocument(strings.NewReader(doc), rule, directive); err != nil {
+		return nil, err
 	}
 	return gs, nil
 }

@@ -14,6 +14,7 @@
 package policy
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -141,62 +142,75 @@ func (r Rule) String() string {
 
 // Validate rejects incomplete or inconsistent rules.
 func (r Rule) Validate() error {
+	_, err := r.parse()
+	return err
+}
+
+// ruleTarget is a valid rule's parsed target: a risk rule's predicate, with
+// its weight, a hash rule's app hash, or a method rule's signature.
+type ruleTarget struct {
+	pred compiledPredicate
+	hash dex.TruncatedHash
+	sig  dex.Signature
+}
+
+// parse validates the rule and returns its parsed target, for Validate and
+// compileRules: a target is parsed in one place, once per compile.
+func (r *Rule) parse() (ruleTarget, error) {
+	var t ruleTarget
 	switch r.Kind {
 	case KindAccess:
 		// Validated below.
 	case KindRisk:
-		if _, err := compilePredicate(r.Pred, r.Target); err != nil {
-			return err
+		p, err := compilePredicate(r.Pred, r.Target)
+		if err != nil {
+			return t, err
 		}
 		if r.Weight < -MaxRiskWeight || r.Weight > MaxRiskWeight {
-			return fmt.Errorf("%w: risk weight %d outside ±%d", ErrBadRule, r.Weight, MaxRiskWeight)
+			return t, fmt.Errorf("%w: risk weight %d outside ±%d", ErrBadRule, r.Weight, MaxRiskWeight)
 		}
-		return nil
+		p.weight = r.Weight
+		t.pred = p
+		return t, nil
 	case KindThreshold:
 		if r.Thresh != ThresholdWarn && r.Thresh != ThresholdBlock {
-			return fmt.Errorf("%w: %s has no threshold kind", ErrBadRule, r)
+			return t, fmt.Errorf("%w: %s has no threshold kind", ErrBadRule, r)
 		}
 		if r.Weight < 1 || r.Weight > MaxRiskThreshold {
-			return fmt.Errorf("%w: threshold value %d outside 1..%d", ErrBadRule, r.Weight, MaxRiskThreshold)
+			return t, fmt.Errorf("%w: threshold value %d outside 1..%d", ErrBadRule, r.Weight, MaxRiskThreshold)
 		}
-		return nil
+		return t, nil
 	default:
-		return fmt.Errorf("%w: unknown rule kind %d", ErrBadRule, int(r.Kind))
+		return t, fmt.Errorf("%w: unknown rule kind %d", ErrBadRule, int(r.Kind))
 	}
 	if r.Action != Allow && r.Action != Deny {
-		return fmt.Errorf("%w: %s has no action", ErrBadRule, r)
+		return t, fmt.Errorf("%w: %s has no action", ErrBadRule, r)
 	}
 	if r.Level < LevelHash || r.Level > LevelMethod {
-		return fmt.Errorf("%w: %s has no level", ErrBadRule, r)
+		return t, fmt.Errorf("%w: %s has no level", ErrBadRule, r)
 	}
 	if r.Target == "" {
-		return fmt.Errorf("%w: %s has empty target", ErrBadRule, r)
+		return t, fmt.Errorf("%w: %s has empty target", ErrBadRule, r)
 	}
-	if r.Level == LevelHash {
-		if _, err := dex.ParseTruncatedHash(r.Target); err != nil {
-			// Full 32-hex-digit hashes are also accepted as targets.
-			if len(r.Target) != 2*dex.HashSize || !isHex(r.Target) {
-				return fmt.Errorf("%w: hash target %q is not a hash", ErrBadRule, r.Target)
-			}
+	switch r.Level {
+	case LevelHash:
+		target := r.Target
+		if _, err := hex.DecodeString(target); err == nil && len(target) == 2*dex.HashSize {
+			target = target[:2*dex.TruncatedHashSize] // a full hash matches on its prefix
 		}
-	}
-	if r.Level == LevelMethod {
-		if _, err := dex.ParseSignature(r.Target); err != nil {
-			return fmt.Errorf("%w: method target: %v", ErrBadRule, err)
+		h, err := dex.ParseTruncatedHash(target)
+		if err != nil {
+			return t, fmt.Errorf("%w: hash target %q is not a hash", ErrBadRule, r.Target)
 		}
-	}
-	return nil
-}
-
-func isHex(s string) bool {
-	for _, c := range s {
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'f', c >= 'A' && c <= 'F':
-		default:
-			return false
+		t.hash = h
+	case LevelMethod:
+		sig, err := dex.ParseSignature(r.Target)
+		if err != nil {
+			return t, fmt.Errorf("%w: method target: %v", ErrBadRule, err)
 		}
+		t.sig = sig
 	}
-	return len(s) > 0
+	return t, nil
 }
 
 // MatchLevel computes ℓθ: the highest level at which the rule's target

@@ -142,8 +142,9 @@ type Config struct {
 	// engine per FailMode. Zero disables staleness tracking's degradation
 	// (LastGoodAge is still reported).
 	MaxStale time.Duration
-	// FailMode selects the degraded posture past MaxStale (default
-	// FailStatic: keep serving last-good forever).
+	// FailMode selects the degraded posture past MaxStale. New requires
+	// open or closed with a MaxStale and the default FailStatic (keep
+	// serving last-good forever) without one.
 	FailMode FailMode
 	// Now supplies the staleness time source. Nil uses wall time since the
 	// store was built; virtual-time harnesses (the soak experiment) wire
@@ -202,6 +203,14 @@ func New(cfg Config) (*Store, error) {
 	}
 	if cfg.Engine == nil {
 		return nil, errors.New("policystore: Config.Engine is required")
+	}
+	// The fail posture: FailStatic is the posture of a store without a
+	// deadline, and open or closed need one to degrade at.
+	switch {
+	case cfg.FailMode == FailStatic && cfg.MaxStale != 0:
+		return nil, fmt.Errorf("policystore: staleness deadline %v needs fail mode open or closed: static never degrades", cfg.MaxStale)
+	case cfg.FailMode != FailStatic && cfg.MaxStale <= 0:
+		return nil, fmt.Errorf("policystore: fail mode %v needs a staleness deadline (MaxStale)", cfg.FailMode)
 	}
 	return &Store{
 		cfg:         cfg,
@@ -314,7 +323,7 @@ func (s *Store) markGood() {
 // when the reload loop is wedged) may also call it directly — it is cheap
 // and idempotent.
 func (s *Store) CheckStale() bool {
-	if s.cfg.MaxStale <= 0 || s.cfg.FailMode == FailStatic {
+	if s.cfg.MaxStale <= 0 {
 		return false
 	}
 	s.mu.Lock()

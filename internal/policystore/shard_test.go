@@ -28,7 +28,7 @@ func assertNoForeignRules(t *testing.T, eng *policy.Engine, foreign string) {
 func TestGroupScopedSourceScopes(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(NewHub(fleetDocV1).Source(), "alpha"),
+		Source: NewHub(fleetDocV1).Shard("alpha"),
 		Engine: eng,
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestGroupScopedSourceNoLeakAfterHotSwap(t *testing.T) {
 	h := NewHub(fleetDocV1)
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(h.Source(), "alpha"),
+		Source: h.Shard("alpha"),
 		Engine: eng,
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
 	h := NewHub(fleetDocV1)
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(h.Source(), "alpha"),
+		Source: h.Shard("alpha"),
 		Engine: eng,
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
 func TestGroupScopedSourceMultipleGroups(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
-		Source: NewGroupScopedSource(NewHub(fleetDocV1).Source(), "alpha", "beta"),
+		Source: NewHub(fleetDocV1).Shard("alpha", "beta"),
 		Engine: eng,
 	})
 	if err != nil {
@@ -163,5 +163,27 @@ func TestGroupScopedSourceMultipleGroups(t *testing.T) {
 	}
 	if n := count(st, "bp_policy_rules"); n != 3 {
 		t.Fatalf("alpha+beta shard = %d rules, want 3", n)
+	}
+}
+
+// TestHubShardWithoutGroups: a shard with no groups serves the global
+// rules alone, while the hub's own source serves the whole document.
+func TestHubShardWithoutGroups(t *testing.T) {
+	h := NewHub(fleetDocV1)
+	for _, c := range []struct {
+		src   *HubSource
+		rules uint64
+	}{{h.Shard(), 1}, {h.Source(), 3}} {
+		st, err := New(Config{Source: c.src, Engine: newEngine(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Load(); err != nil {
+			t.Fatal(err)
+		}
+		if n := count(st, "bp_policy_rules"); n != c.rules {
+			t.Errorf("%s compiled %d rules, want %d", c.src, n, c.rules)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package policystore
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,19 +36,17 @@ func (o *outageSource) setDown(down bool) {
 }
 
 // staleFixture builds a store on a manual virtual clock with a 1-minute
-// staleness deadline.
+// staleness deadline, or none under FailStatic.
 func staleFixture(t *testing.T, mode FailMode) (*Store, *policy.Engine, *outageSource, *time.Duration) {
 	t.Helper()
 	eng := newEngine(t)
 	src := &outageSource{doc: docA}
 	now := new(time.Duration)
-	st, err := New(Config{
-		Source:   src,
-		Engine:   eng,
-		MaxStale: time.Minute,
-		FailMode: mode,
-		Now:      func() time.Duration { return *now },
-	})
+	cfg := Config{Source: src, Engine: eng, FailMode: mode, Now: func() time.Duration { return *now }}
+	if mode != FailStatic {
+		cfg.MaxStale = time.Minute // a FailStatic store has no deadline
+	}
+	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +124,26 @@ func TestStalenessFailOpen(t *testing.T) {
 	}
 }
 
-// TestStalenessFailStatic: the default posture never degrades — the
-// last-good rules serve forever.
+// TestNewRejectsInertPosture: a deadline needs a posture other than
+// FailStatic to degrade to, and a degraded posture needs a deadline to
+// degrade at. Each would otherwise be accepted and do nothing.
+func TestNewRejectsInertPosture(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"deadline with static":      {MaxStale: time.Second},
+		"negative deadline":         {MaxStale: -time.Second},
+		"open without deadline":     {FailMode: FailOpen},
+		"closed without deadline":   {FailMode: FailClosed},
+		"closed, negative deadline": {FailMode: FailClosed, MaxStale: -time.Second},
+	} {
+		cfg.Source, cfg.Engine = NewStaticSource(docA), newEngine(t)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "staleness deadline") {
+			t.Errorf("%s: New returned %v, want a staleness-deadline refusal", name, err)
+		}
+	}
+}
+
+// TestStalenessFailStatic: a store without a deadline never degrades —
+// the last-good rules serve forever.
 func TestStalenessFailStatic(t *testing.T) {
 	st, eng, src, now := staleFixture(t, FailStatic)
 	src.setDown(true)

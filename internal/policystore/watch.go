@@ -2,8 +2,11 @@ package policystore
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
+
+	"borderpatrol/internal/policy"
 )
 
 // This file adds the push half of fleet policy distribution. Polling
@@ -93,27 +96,51 @@ func (h *Hub) state() (doc, version string, changed <-chan struct{}) {
 // share the hub's document.
 func (h *Hub) Source() *HubSource { return &HubSource{h: h} }
 
-// HubSource adapts a Hub to the Source and Watcher interfaces.
-type HubSource struct{ h *Hub }
-
-// Fetch returns the hub's current document when it differs from prev.
-func (s *HubSource) Fetch(prev string) (Candidate, bool, error) {
-	doc, version := s.h.Get()
-	if prev != "" && prev == version {
-		return Candidate{}, true, nil
-	}
-	return Candidate{Doc: doc, Version: version}, false, nil
+// Shard returns a hub source narrowed to one gateway's shard of the
+// grouped document (policy.ParseGroupSet): the global rules plus the named
+// groups' rules, or the global rules alone with no groups. The shard is
+// versioned on its content, so an edit to another group's section is an
+// unchanged round: no recompile, no generation bump, no cache
+// invalidation. It is re-parsed only when the hub revision moves, and its
+// watch parks on the hub revision.
+func (h *Hub) Shard(groups ...string) *HubSource {
+	return &HubSource{h: h, shard: &shard{groups: append([]string(nil), groups...)}}
 }
 
-// Watch blocks until the hub's version differs from prev, the timeout
-// elapses, or cancel closes.
+// HubSource adapts a Hub to the Source and Watcher interfaces.
+type HubSource struct {
+	h     *Hub
+	shard *shard // nil unless built by Hub.Shard
+}
+
+// shard is a Hub.Shard source's groups and its render of the hub version
+// it last parsed (a store's prev names the render's version).
+type shard struct {
+	groups                   []string
+	hubVersion, doc, version string
+}
+
+// Fetch returns the hub's current document, or the shard of it, when it
+// differs from prev.
+func (s *HubSource) Fetch(prev string) (Candidate, bool, error) {
+	doc, version := s.h.Get()
+	return s.serve(prev, doc, version)
+}
+
+// Watch blocks until the hub's version differs from the last one this
+// source served, the timeout elapses, or cancel closes. On a shard, a hub
+// revision that leaves the shard as it was surfaces as unchanged.
 func (s *HubSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
+	seen := prev
+	if s.shard != nil {
+		seen = s.shard.hubVersion
+	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		doc, version, changed := s.h.state()
-		if prev == "" || prev != version {
-			return Candidate{Doc: doc, Version: version}, false, nil
+		if seen == "" || seen != version {
+			return s.serve(prev, doc, version)
 		}
 		select {
 		case <-changed:
@@ -125,5 +152,31 @@ func (s *HubSource) Watch(prev string, timeout time.Duration, cancel <-chan stru
 	}
 }
 
-// String describes the backend.
-func (s *HubSource) String() string { return "hub" }
+// serve answers prev with the hub document at version, scoped to the
+// shard on a Hub.Shard source.
+func (s *HubSource) serve(prev, doc, version string) (Candidate, bool, error) {
+	if sh := s.shard; sh != nil {
+		if version != sh.hubVersion {
+			gs, err := policy.ParseGroupSet(doc)
+			if err != nil {
+				return Candidate{}, false, fmt.Errorf("policystore: hub: grouped document %s rejected: %w", version, err)
+			}
+			sh.hubVersion = version
+			sh.doc = gs.DocFor(sh.groups...)
+			sh.version = "group:" + contentVersion([]byte(sh.doc))
+		}
+		doc, version = sh.doc, sh.version
+	}
+	if prev != "" && prev == version {
+		return Candidate{}, true, nil
+	}
+	return Candidate{Doc: doc, Version: version}, false, nil
+}
+
+// String describes the backend, and a shard's groups.
+func (s *HubSource) String() string {
+	if s.shard != nil {
+		return fmt.Sprintf("hub[groups:%s]", strings.Join(s.shard.groups, ","))
+	}
+	return "hub"
+}

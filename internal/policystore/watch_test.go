@@ -94,7 +94,7 @@ func TestStoreWatchPropagatesInOneRound(t *testing.T) {
 	for i, grp := range []string{"a", "b"} {
 		eng := newEngine(t)
 		st, err := New(Config{
-			Source:       NewGroupScopedSource(h.Source(), grp),
+			Source:       h.Shard(grp),
 			Engine:       eng,
 			Poll:         time.Hour, // any progress must come from watch
 			WatchTimeout: time.Hour,

@@ -349,6 +349,18 @@ func policySource(t *testing.T, args ...string) string {
 	return fmt.Sprint(src, poll, mode, err)
 }
 
+// viaPolicyFlags builds a testbed on what the policy flags build, wired as
+// bp-gateway wires them (without the reload loop), and reads it.
+func viaPolicyFlags(t *testing.T, read probe, args ...string) string {
+	p := parseFlags(t, args...).policy
+	src, _, mode, err := p.Source(false)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return viaTestbed(t, experiments.TestbedConfig{EnforcementOn: true, PolicySource: src,
+		PolicyMaxStale: p.MaxStale, PolicyFailMode: mode, PolicyVirtualTime: true}, read)
+}
+
 // auditFiles writes six 6-byte lines through the audit flags' writer and
 // reports the files and bytes it left.
 func auditFiles(t *testing.T, args ...string) string {
@@ -736,10 +748,12 @@ func liveCases() map[string]liveCase {
 			return policySource(t, args(set, []string{"-policy-file", "rules.bp"}, "-policy-poll", "1h")...)
 		},
 		"-policy-max-stale": func(t *testing.T, set bool) string {
-			return policySource(t, args(set, nil, "-policy-max-stale", "1s")...)
+			path := policyFile(t, "")
+			base := []string{"-policy-file", path, "-fail-mode", "closed", "-policy-max-stale", "1h"}
+			return viaPolicyFlags(t, starved(path), args(set, base, "-policy-max-stale", "1s")...)
 		},
 		"-fail-mode": func(t *testing.T, set bool) string {
-			return policySource(t, args(set, []string{"-policy-file", "rules.bp", "-policy-max-stale", "1s"}, "-fail-mode", "closed")...)
+			return policySource(t, args(set, []string{"-policy-file", "rules.bp"}, "-fail-mode", "closed")...)
 		},
 		"-device-network": func(t *testing.T, set bool) string {
 			dc, err := parseFlags(t, args(set, nil, "-device-network", "trusted")...).context.DeviceContext()
