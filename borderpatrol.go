@@ -478,11 +478,11 @@ var (
 	// ContextScenario is the contextual-policy run over a pooled device
 	// population: risk groups, context flips and a time window.
 	ContextScenario = experiments.ContextScenario
-	// RunFleetBench drives the multi-gateway fleet workload: N sharded
-	// gateways, pooled devices, mixed HTTP+DNS traffic, a mid-run
-	// fleet-wide policy push, and leak accounting (machine-readable via
-	// WriteJSON — BENCH_fleet.json).
-	RunFleetBench = experiments.RunFleet
+	// FleetScenario is the multi-gateway run: N sharded gateways behind one
+	// policy hub, pooled devices sending mixed HTTP+DNS traffic, and two
+	// fleet-wide pushes, every verdict checked against its gateway's
+	// reference model and every push held to its watch-round cost.
+	FleetScenario = experiments.FleetScenario
 )
 
 // Experiment configuration re-exports.
@@ -500,13 +500,6 @@ type (
 	// ScenarioResult reports a scenario run (Check asserts its named
 	// checks).
 	ScenarioResult = experiments.ScenarioResult
-	// FleetRunConfig sizes the fleet benchmark (RunFleetBench).
-	FleetRunConfig = experiments.FleetRunConfig
-	// FleetBenchResult reports the fleet benchmark (Check asserts zero
-	// policy leaks and one-watch-round propagation).
-	FleetBenchResult = experiments.FleetBenchResult
-	// FleetGatewayReport is one gateway's slice of a fleet benchmark.
-	FleetGatewayReport = experiments.FleetGatewayReport
 )
 
 // Default experiment configurations.
@@ -514,5 +507,4 @@ var (
 	DefaultFig3Config       = experiments.DefaultFig3Config
 	DefaultValidationConfig = experiments.DefaultValidationConfig
 	DefaultFig4Options      = experiments.DefaultFig4Options
-	DefaultFleetRunConfig   = experiments.DefaultFleetRunConfig
 )

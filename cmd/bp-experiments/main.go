@@ -11,16 +11,19 @@
 //	bp-experiments -run fig4
 //	bp-experiments -run fleet -paper-scale          # 8 gateways, 10k devices
 //	bp-experiments -run fleet -fleet-gateways 3 -fleet-devices 40
-//	bp-experiments -run soak,reload,context         # the three scenario tables
+//	bp-experiments -run soak,reload,context,fleet   # the four scenario tables
 //
-// The fleet run shares bp-gateway's audit and metrics flags: -audit
-// ships the fleet-wide enforcement trail, -metrics-addr serves the
-// aggregated per-gateway scrape (add -linger to keep it up afterwards).
+// The fleet table (FleetScenario) shares bp-gateway's audit and metrics
+// flags: -audit ships the fleet-wide enforcement trail, -metrics-addr
+// serves the aggregated per-gateway scrape (add -linger to keep it up
+// afterwards).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,8 +46,7 @@ func run() error {
 	seed := flag.Int64("seed", 2019, "corpus seed")
 	fleetGateways := flag.Int("fleet-gateways", 0, "fleet experiment: gateway count (0 = 8, or 4 without -paper-scale)")
 	fleetDevices := flag.Int("fleet-devices", 0, "fleet experiment: pooled devices per gateway (0 = 1250, or 150 without -paper-scale)")
-	fleetBatch := flag.Int("fleet-batch", 0, "fleet experiment: gateway drain burst size (0 = 1024)")
-	fleetJSON := flag.String("fleet-json", "BENCH_fleet.json", "machine-readable output path for the fleet benchmark")
+	fleetJSON := flag.String("fleet-json", "BENCH_fleet.json", "machine-readable output path for the fleet experiment")
 	contextDevices := flag.Int("context-devices", 0, "context experiment: pooled devices (0 = 64, or 32 without -paper-scale)")
 	contextJSON := flag.String("context-json", "BENCH_context.json", "machine-readable output path for the context experiment")
 	auditFlags := cliflags.RegisterAudit(flag.CommandLine)
@@ -189,64 +191,13 @@ func run() error {
 		fmt.Print(res.Format())
 	}
 
-	if all || want["fleet"] {
-		section("E15 — Fleet: multi-gateway sharded enforcement")
-		fcfg := experiments.FleetRunConfig{
-			Gateways:          *fleetGateways,
-			DevicesPerGateway: *fleetDevices,
-			BatchSize:         *fleetBatch,
-		}
-		if !*paperScale {
-			// The reduced scale still spans several shards and thousands
-			// of packets; explicit -fleet-* flags override it.
-			if fcfg.Gateways == 0 {
-				fcfg.Gateways = 4
-			}
-			if fcfg.DevicesPerGateway == 0 {
-				fcfg.DevicesPerGateway = 150
-			}
-		}
-		auditW, closeAudit, err := auditFlags.Writer()
-		if err != nil {
-			return err
-		}
-		fcfg.AuditWriter = auditW
-		fcfg.Metrics = metrics.NewAggregate("gateway")
-		metricsAddr, stopMetrics, err := metricsFlags.Serve(fcfg.Metrics.Handler())
-		if err != nil {
-			return err
-		}
-		defer stopMetrics()
-		if metricsAddr != "" {
-			fmt.Printf("metrics: http://%s/metrics\n", metricsAddr)
-		}
-		res, err := experiments.RunFleet(fcfg)
-		// RunFleet flushed the audit pipeline on its way out; the file can
-		// close before the error check so it never leaks.
-		if cerr := closeAudit(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Format())
-		if err := res.Check(); err != nil {
-			return err
-		}
-		fmt.Println("all fleet invariants held")
-		if *fleetJSON != "" {
-			if err := res.WriteJSON(*fleetJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *fleetJSON)
-		}
-	}
-
 	// The scenario tables. The reduced scales still exercise every event;
 	// -paper-scale runs the acceptance sizes (the soak pushes ≥1M packets).
 	soakEpochs, soakSwaps, hits := 1_450, 20, 100_000
+	gateways, gatewayDevices := 4, 150
 	if *paperScale {
 		soakEpochs, soakSwaps, hits = 15_300, 60, 200_000
+		gateways, gatewayDevices = 8, 1250
 	}
 	devices := *contextDevices
 	if devices == 0 {
@@ -255,19 +206,50 @@ func run() error {
 			devices = 64
 		}
 	}
+	if *fleetGateways > 0 {
+		gateways = *fleetGateways
+	}
+	if *fleetDevices > 0 {
+		gatewayDevices = *fleetDevices
+	}
+	// The fleet's audit trail and scrape: every gateway's audit log writes
+	// to the one file, and its registry joins the served aggregate.
+	fleetAudit, closeAudit := io.Writer(nil), func() error { return nil }
+	fleetMetrics := metrics.NewAggregate("gateway")
+	if all || want["fleet"] {
+		var err error
+		if fleetAudit, closeAudit, err = auditFlags.Writer(); err != nil {
+			return err
+		}
+		metricsAddr, stopMetrics, err := metricsFlags.Serve(fleetMetrics.Handler())
+		if err != nil {
+			return err
+		}
+		defer stopMetrics()
+		if metricsAddr != "" {
+			fmt.Printf("metrics: http://%s/metrics\n", metricsAddr)
+		}
+	}
 	for _, t := range []struct {
-		name, title string
-		sc          experiments.Scenario
+		name, title, json string
+		sc                experiments.Scenario
 	}{
-		{"soak", "E13 — Chaos soak: faults, degradation, restarts (virtual time)", experiments.SoakScenario(*seed, soakEpochs, soakSwaps)},
-		{"reload", "E10 — Reload under load: policy swaps racing traffic (§IV)", experiments.ReloadScenario(150)},
-		{"context", "E16 — Contextual policy: risk-scored predicates over a device pool", experiments.ContextScenario(*seed, devices, hits)},
+		{"fleet", "E15 — Fleet: multi-gateway sharded enforcement", *fleetJSON,
+			experiments.FleetScenario(gateways, gatewayDevices, fleetAudit, fleetMetrics)},
+		{"soak", "E13 — Chaos soak: faults, degradation, restarts (virtual time)", "", experiments.SoakScenario(*seed, soakEpochs, soakSwaps)},
+		{"reload", "E10 — Reload under load: policy swaps racing traffic (§IV)", "", experiments.ReloadScenario(150)},
+		{"context", "E16 — Contextual policy: risk-scored predicates over a device pool", *contextJSON,
+			experiments.ContextScenario(*seed, devices, hits)},
 	} {
 		if !all && !want[t.name] {
 			continue
 		}
 		section(t.title)
 		res, err := experiments.RunScenario(t.sc)
+		if t.name == "fleet" {
+			// The fleet flushed every audit log on its way out.
+			err = errors.Join(err, closeAudit())
+		}
 		if err != nil {
 			return err
 		}
@@ -276,11 +258,11 @@ func run() error {
 			return err
 		}
 		fmt.Printf("all %s checks held\n", t.name)
-		if t.name == "context" && *contextJSON != "" {
-			if err := res.WriteJSON(*contextJSON); err != nil {
+		if t.json != "" {
+			if err := res.WriteJSON(t.json); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", *contextJSON)
+			fmt.Printf("wrote %s\n", t.json)
 		}
 	}
 

@@ -1,27 +1,28 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// TestRunFleetSmoke is the CI-scale fleet run: small N under the race
-// detector, same invariants as the full 8×1250 default.
+// TestRunFleetSmoke is the CI-scale fleet table: three gateways under the
+// race detector, held to every named check, each broken once.
 func TestRunFleetSmoke(t *testing.T) {
-	res, err := RunFleet(FleetRunConfig{Gateways: 3, DevicesPerGateway: 40, BatchSize: 128})
-	if err != nil {
-		t.Fatal(err)
+	res := runTable(t, FleetScenario(3, 40, nil, nil))
+	// The first push changes every shard, the second gateway 0's only.
+	if res.PushShards != 6 || res.PushChanged != 4 {
+		t.Fatalf("pushes reached %d shards and changed %d, want 6 and 4", res.PushShards, res.PushChanged)
 	}
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
+	if res.Delivered == 0 || res.Dropped == 0 {
+		t.Fatalf("degenerate run: %d delivered, %d dropped", res.Delivered, res.Dropped)
 	}
-	if res.Gateways != 3 || res.Devices != 120 {
-		t.Fatalf("scale: %+v", res)
-	}
-	if res.HTTPPackets == 0 || res.DNSPackets == 0 {
-		t.Fatalf("workload not mixed: http=%d dns=%d", res.HTTPPackets, res.DNSPackets)
-	}
-	if res.P50Ns == 0 || res.P99Ns < res.P50Ns {
-		t.Fatalf("latency quantiles degenerate: %+v", res)
-	}
-	if res.Format() == "" {
-		t.Fatal("empty format")
+}
+
+// TestFleetScenarioRefusesOversizedFleet: a fleet table past the subnet
+// plan fails before anything is built.
+func TestFleetScenarioRefusesOversizedFleet(t *testing.T) {
+	_, err := RunScenario(FleetScenario(maxFleetGateways+1, 1, nil, nil))
+	if err == nil || !strings.Contains(err.Error(), "at most 200 gateways") {
+		t.Fatalf("RunScenario returned %v, want the gateway-count refusal", err)
 	}
 }

@@ -15,9 +15,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/dns"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
@@ -31,14 +33,15 @@ import (
 // This file is the scenario runner: one harness for the paper's run-time
 // claims — a denied packet never passes, policy changes centrally at run
 // time (§IV), and context decides at flow admission. RunScenario builds one
-// corpus, testbed and traffic pool, then runs a list of epochs. Every
-// verdict is compared, by verdict and cause, with one refmodel.Model, and
-// each event updates that model's Rules, Context or Clock as it updates the
-// gateway. Check holds every run to the same named checks.
+// world — a testbed, or a fleet of gateways — and a traffic pool, then runs
+// a list of epochs. Every verdict is compared, by verdict and cause, with
+// the refmodel.Model of the gateway that decided it, and each event updates
+// the models' Rules, Context or Clock as it updates the gateways. Check
+// holds every run to the same named checks.
 
 // Scenario is a world and what happens in it. Its fields are the table:
-// callers get a Scenario from SoakScenario, ReloadScenario or
-// ContextScenario and set nothing.
+// callers get a Scenario from SoakScenario, ReloadScenario,
+// ContextScenario or FleetScenario and set nothing.
 type Scenario struct {
 	name string
 	// seed drives corpus generation and the fault PRNG; apps sizes the
@@ -57,7 +60,15 @@ type Scenario struct {
 	// groups[i%len(groups)].
 	devices int
 	groups  []group
-	epochs  []epoch
+	// gateways, when set, make the world a fleet (NewFleet) whose registries
+	// join agg: the policies are grouped documents on its hub, and gateway
+	// g's model holds the serving one's shard for its groups. Each gateway
+	// has devices pooled devices, each replaying every functionality of the
+	// gateway's fleetApp. A swap is a Fleet.Push; a fleet table has no other
+	// events.
+	gateways []FleetGateway
+	agg      *metrics.Aggregate
+	epochs   []epoch
 }
 
 // group is a named device context. The gateway learns it through its
@@ -136,8 +147,14 @@ type ScenarioResult struct {
 	FailSafeViolations, VerdictMismatches, TornVerdicts, SpuriousResponseDrops int
 	Raced, Divergent, VerdictsOld, VerdictsNew                                 int
 
-	// The store's applied swaps and rejected candidates; Malformed and
-	// Outages are the events run.
+	// A fleet push reached PushShards gateways' shards and changed
+	// PushChanged of them. PushOff counts those whose store did not take
+	// one watch round and, for a changed shard, one apply and one engine
+	// generation, or for an unchanged one neither.
+	PushShards, PushChanged, PushOff int
+
+	// The stores' applied swaps and rejected candidates; Malformed and
+	// Outages are the events run. PolicyVersion is the first gateway's.
 	Swaps, Rejected, DegradedEnters, Restarts, GenerationDelta, PolicyRules uint64
 	Malformed, Outages, DegradedDrops                                       int
 	PolicyVersion                                                           string
@@ -192,6 +209,7 @@ func (r *ScenarioResult) checks() []namedCheck {
 		{"torn", r.TornVerdicts != 0, fmt.Sprintf("%d raced verdicts match the model neither before nor after the event", r.TornVerdicts)},
 		{"divergent", r.Raced > 0 && r.Divergent == 0, fmt.Sprintf("%d raced events changed %d answers", r.Raced, r.Divergent)},
 		{"split", r.Raced > 0 && (r.VerdictsOld == 0 || r.VerdictsNew == 0), fmt.Sprintf("raced verdicts on changed answers: %d old side, %d new side", r.VerdictsOld, r.VerdictsNew)},
+		{"push", r.PushOff != 0, fmt.Sprintf("%d of %d shards pushed (%d changed) took other than one watch round with one apply and generation per change", r.PushOff, r.PushShards, r.PushChanged)},
 		{"generation", r.GenerationDelta != r.Swaps+2*r.DegradedEnters, fmt.Sprintf("generation moved %d for %d swaps and %d degradations", r.GenerationDelta, r.Swaps, r.DegradedEnters)},
 		{"rejected", r.Rejected != uint64(r.Malformed), fmt.Sprintf("%d candidates rejected, %d malformed pushed", r.Rejected, r.Malformed)},
 		{"degraded", r.DegradedEnters < uint64(r.Outages), fmt.Sprintf("%d degraded transitions for %d outages", r.DegradedEnters, r.Outages)},
@@ -299,20 +317,25 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 
 // scenarioRun is a run in progress.
 type scenarioRun struct {
-	sc         Scenario
-	tb         *Testbed
-	pool       *netsim.DevicePool
-	dir, path  string // the policy file's directory and path
-	res        *ScenarioResult
-	pkts       []*ipv4.Packet
-	src, first []int // each packet's source; source s sends pkts[first[s]:first[s+1]]
-	rules      [][]policy.Rule
-	active     int  // the policy the file serves
-	timed      bool // a policy scores the time of day: the clock is model state
-	model      refmodel.Model
-	state      modelState
-	expect     []refmodel.Verdict // the model's answer for every packet
-	answered   map[modelState][]refmodel.Verdict
+	sc Scenario
+	// tbs are the gateways, and tb the first: a testbed's events act on it.
+	tb    *Testbed
+	tbs   []*Testbed
+	fleet *Fleet
+	// pool is a testbed's pooled devices.
+	pool      *netsim.DevicePool
+	dir, path string // the policy file's directory and path
+	res       *ScenarioResult
+	pkts      []*ipv4.Packet
+	// Each packet's source and gateway; source s sends pkts[first[s]:first[s+1]].
+	src, gw, first []int
+	rules          [][][]policy.Rule // policy p's rules at gateway g: rules[p][g]
+	active         int               // the policy served
+	timed          bool              // a policy scores the time of day: the clock is model state
+	models         []refmodel.Model  // one per gateway
+	state          modelState
+	expect         []refmodel.Verdict // the models' answer for every packet
+	answered       map[modelState][]refmodel.Verdict
 
 	timeFlows                           map[int]bool
 	hitNs, heap                         int64
@@ -335,20 +358,45 @@ type fixedClock time.Duration
 func (c fixedClock) Now() time.Duration { return time.Duration(c) }
 
 func startScenario(sc Scenario) (*scenarioRun, error) {
+	if len(sc.gateways) > maxFleetGateways {
+		return nil, fmt.Errorf("fleet sized for at most %d gateways, got %d", maxFleetGateways, len(sc.gateways))
+	}
 	r := &scenarioRun{
 		sc: sc, timeFlows: map[int]bool{}, answered: map[modelState][]refmodel.Verdict{},
 		goroutines: runtime.NumGoroutine(), heap: heapInUse(),
 		res: &ScenarioResult{Name: sc.name, Groups: map[string]int{}, ContextChanges: map[string]uint64{}},
 	}
+	shards := [][]string{nil} // a testbed enforces the whole document
+	if len(sc.gateways) > 0 {
+		shards = make([][]string, len(sc.gateways))
+		for g, gw := range sc.gateways {
+			shards[g] = gw.Groups
+		}
+	}
 	for _, doc := range sc.policies {
-		rules, err := policy.ParsePolicyString(doc)
+		gs, err := policy.ParseGroupSet(doc)
 		if err != nil {
 			return nil, err
 		}
-		r.rules = append(r.rules, rules)
-		r.timed = r.timed || slices.ContainsFunc(rules, func(rule policy.Rule) bool {
-			return rule.Kind == policy.KindRisk && rule.Pred == policy.PredTime
-		})
+		var perGateway [][]policy.Rule
+		for _, groups := range shards {
+			rules, err := policy.ParsePolicyString(gs.DocFor(groups...))
+			if err != nil {
+				return nil, err
+			}
+			perGateway = append(perGateway, rules)
+			r.timed = r.timed || slices.ContainsFunc(rules, func(rule policy.Rule) bool {
+				return rule.Kind == policy.KindRisk && rule.Pred == policy.PredTime
+			})
+		}
+		r.rules = append(r.rules, perGateway)
+	}
+	if len(sc.gateways) > 0 {
+		if err := r.buildFleet(); err != nil {
+			r.close()
+			return nil, err
+		}
+		return r.mark(), nil
 	}
 	gen := apkgen.DefaultConfig()
 	gen.Apps, gen.Seed = sc.apps, sc.seed
@@ -372,6 +420,7 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 	}
 	if err = r.serve(sc.policies[0]); err == nil {
 		r.tb, err = NewTestbed(corpus, cfg)
+		r.tbs = []*Testbed{r.tb}
 	}
 	if err == nil {
 		err = r.buildPool(corpus)
@@ -380,35 +429,100 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 		r.close()
 		return nil, err
 	}
-	r.clockStart = r.tb.Network.Clock.Now()
-	r.genStart = r.tb.Engine.Generation()
-	r.appliedStart = r.tb.count("bp_policy_reloads_total", metrics.L("outcome", "applied"))
-	r.failedStart = r.tb.count("bp_policy_reloads_total", metrics.L("outcome", "failed"))
-	return r, nil
+	return r.mark(), nil
 }
 
-// buildPool makes the traffic sources, gives each pooled device its group's
-// context, and sets up the model.
-func (r *scenarioRun) buildPool(corpus []*apkgen.App) error {
-	r.model = refmodel.Model{
-		APKs: corpusAPKs(corpus), Rules: r.rules[0], Default: policy.VerdictAllow,
-		Context: map[netip.Addr]policy.DeviceContext{}, Clock: fixedClock(r.tb.Network.Clock.Now()),
+// mark reads the counters the result reports as deltas over the run.
+func (r *scenarioRun) mark() *scenarioRun {
+	r.clockStart = r.tb.Network.Clock.Now()
+	r.genStart = r.generation()
+	r.appliedStart = r.count("bp_policy_reloads_total", metrics.L("outcome", "applied"))
+	r.failedStart = r.count("bp_policy_reloads_total", metrics.L("outcome", "failed"))
+	return r
+}
+
+// buildFleet stands the fleet up on the first policy behind a corporate
+// resolver, installs each gateway's fleet app, and makes the gateways'
+// pooled devices the sources. Gateway g's model knows its app and its
+// shard.
+func (r *scenarioRun) buildFleet() error {
+	fl, err := NewFleet(r.sc.policies[0], r.sc.gateways, fleetWatchTimeout, r.sc.agg)
+	if err != nil {
+		return err
 	}
-	var sources [][]*ipv4.Packet
-	for i, ga := range corpus {
-		var pkts []*ipv4.Packet
-		for _, fn := range ga.Functionalities {
-			inv, err := r.tb.Apps[i].Invoke(fn.Name)
-			if err != nil {
-				return fmt.Errorf("invoke %s/%s: %w", ga.APK.PackageName, fn.Name, err)
-			}
-			pkts = append(pkts, inv.Packets...)
-			if r.sc.devices > 0 {
-				// Pooled devices replay the first functionality.
-				return r.buildDevices(withoutTeardown(pkts))
-			}
+	r.fleet, r.tbs, r.tb = fl, fl.Testbeds, fl.Testbeds[0]
+	zone := dns.NewZone()
+	for name, addr := range fleetRecords {
+		if err := zone.AddRecord(name, netip.MustParseAddr(addr)); err != nil {
+			return err
 		}
-		sources = append(sources, pkts)
+	}
+	fl.Network.AddServer(&netsim.Server{
+		Addr: dnsServerAddr.Addr(), Name: "corp-dns", UDPHandler: dns.ZoneHandler(zone), Internal: true,
+	})
+	sources := make([][][]*ipv4.Packet, len(r.tbs))
+	for g, tb := range r.tbs {
+		ga, err := fleetApp(g, len(r.tbs))
+		if err != nil {
+			return err
+		}
+		app, err := tb.InstallApp(ga.APK, ga.Functionalities)
+		if err != nil {
+			return err
+		}
+		template, err := invokeAll(app, ga)
+		if err != nil {
+			return err
+		}
+		pool, err := netsim.NewDevicePool(fl.Gateways[g].Subnet, r.sc.devices)
+		if err != nil {
+			return err
+		}
+		for d := range pool.Len() {
+			sources[g] = append(sources[g], pool.Rewrite(d, template))
+		}
+		r.models = append(r.models, refmodel.Model{
+			APKs: []*dex.APK{ga.APK}, Rules: r.rules[0][g], Default: policy.VerdictAllow,
+			Clock: fixedClock(fl.Network.Clock.Now()),
+		})
+	}
+	return r.index(sources...)
+}
+
+// invokeAll invokes every functionality of ga, installed as app, once.
+func invokeAll(app *android.App, ga *apkgen.App) ([]*ipv4.Packet, error) {
+	var pkts []*ipv4.Packet
+	for _, fn := range ga.Functionalities {
+		inv, err := app.Invoke(fn.Name)
+		if err != nil {
+			return nil, fmt.Errorf("invoke %s/%s: %w", ga.APK.PackageName, fn.Name, err)
+		}
+		pkts = append(pkts, inv.Packets...)
+	}
+	return pkts, nil
+}
+
+// buildPool makes a testbed's traffic sources, gives each pooled device its
+// group's context, and sets up the model.
+func (r *scenarioRun) buildPool(corpus []*apkgen.App) error {
+	r.models = []refmodel.Model{{
+		APKs: corpusAPKs(corpus), Rules: r.rules[0][0], Default: policy.VerdictAllow,
+		Context: map[netip.Addr]policy.DeviceContext{}, Clock: fixedClock(r.tb.Network.Clock.Now()),
+	}}
+	if r.sc.devices > 0 {
+		// Pooled devices replay the first functionality.
+		inv, err := r.tb.Apps[0].Invoke(corpus[0].Functionalities[0].Name)
+		if err != nil {
+			return err
+		}
+		return r.buildDevices(withoutTeardown(inv.Packets))
+	}
+	sources := make([][]*ipv4.Packet, len(corpus))
+	for i, ga := range corpus {
+		var err error
+		if sources[i], err = invokeAll(r.tb.Apps[i], ga); err != nil {
+			return err
+		}
 	}
 	return r.index(sources)
 }
@@ -425,27 +539,29 @@ func (r *scenarioRun) buildDevices(template []*ipv4.Packet) error {
 		g := r.sc.groups[i%len(r.sc.groups)]
 		r.res.Groups[g.name]++
 		r.observe(i, g)
-		r.model.Context[r.pool.Addr(i)] = g.context
+		r.models[0].Context[r.pool.Addr(i)] = g.context
 		sources[i] = r.pool.Rewrite(i, template)
 	}
 	return r.index(sources)
 }
 
-// index flattens the sources into the traffic pool and asks the model
-// about every packet.
-func (r *scenarioRun) index(sources [][]*ipv4.Packet) error {
-	for s, pkts := range sources {
-		r.first = append(r.first, len(r.pkts))
-		for range pkts {
-			r.src = append(r.src, s)
+// index flattens each gateway's sources into the traffic pool and asks the
+// models about every packet.
+func (r *scenarioRun) index(gateways ...[][]*ipv4.Packet) error {
+	for g, sources := range gateways {
+		for _, pkts := range sources {
+			r.first = append(r.first, len(r.pkts))
+			for range pkts {
+				r.src, r.gw = append(r.src, len(r.first)-1), append(r.gw, g)
+			}
+			r.pkts = append(r.pkts, pkts...)
 		}
-		r.pkts = append(r.pkts, pkts...)
 	}
 	r.first = append(r.first, len(r.pkts))
 	if len(r.pkts) == 0 {
 		return errors.New("corpus produced no packets")
 	}
-	r.expect = r.answers(r.state, &r.model)
+	r.expect = r.answers(r.state, r.models)
 	return nil
 }
 
@@ -468,7 +584,7 @@ func withoutTeardown(pkts []*ipv4.Packet) []*ipv4.Packet {
 // and counts the changes the model sees.
 func (r *scenarioRun) observe(i int, g group) {
 	addr, src := r.pool.Addr(i), r.tb.Context
-	old, ctx := r.model.Context[addr], g.context
+	old, ctx := r.models[0].Context[addr], g.context
 	for cause, changed := range map[string]int{
 		"network": b2i(old.Network != ctx.Network),
 		"posture": b2i(old.ScreenLocked != ctx.ScreenLocked) + b2i(old.PatchAgeDays != ctx.PatchAgeDays),
@@ -493,22 +609,23 @@ func b2i(b bool) int {
 	return 0
 }
 
-// answers is the model's answer for every packet in state st, decided once
+// answers is the models' answer for every packet in state st, decided once
 // per state: swaps and outages return to states already seen.
-func (r *scenarioRun) answers(st modelState, m *refmodel.Model) []refmodel.Verdict {
+func (r *scenarioRun) answers(st modelState, ms []refmodel.Model) []refmodel.Verdict {
 	if v, ok := r.answered[st]; ok {
 		return v
 	}
-	v := r.decide(m)
+	v := r.decide(ms)
 	r.answered[st] = v
 	return v
 }
 
-// decide is m's answer for every packet of the pool.
-func (r *scenarioRun) decide(m *refmodel.Model) []refmodel.Verdict {
+// decide is the answer for every packet of the pool of the model of the
+// gateway it crosses.
+func (r *scenarioRun) decide(ms []refmodel.Model) []refmodel.Verdict {
 	out := make([]refmodel.Verdict, len(r.pkts))
 	for i, pkt := range r.pkts {
-		out[i] = m.Decide(pkt)
+		out[i] = ms[r.gw[i]].Decide(pkt)
 	}
 	return out
 }
@@ -524,36 +641,47 @@ func agrees(got *enforcer.Result, want refmodel.Verdict) bool {
 		int(got.Risk.Score) == want.RiskScore && got.Risk.Warn == want.RiskWarn
 }
 
-// next is the model after e's events, and its state. The clock moves with
-// virtual time.
-func (r *scenarioRun) next(e epoch) (m refmodel.Model, st modelState) {
-	m, st = r.model, r.state
+// next is the models after e's events, and their state. The clock moves
+// with virtual time.
+func (r *scenarioRun) next(e epoch) (ms []refmodel.Model, st modelState) {
+	ms, st = slices.Clone(r.models), r.state
 	if e.swap {
 		st.policy = (r.active + 1) % len(r.rules)
-		m.Rules = r.rules[st.policy]
 	}
 	if e.outage {
 		st.policy = -1
-		m.Rules, m.Default = nil, policy.VerdictDrop // fail-closed
 	}
+	var context map[netip.Addr]policy.DeviceContext
 	if len(e.flips) > 0 {
 		st.flips += len(e.flips)
-		m.Context = maps.Clone(m.Context)
+		context = maps.Clone(ms[0].Context)
 		for _, f := range e.flips {
-			m.Context[r.pool.Addr(f.device)] = f.to.context
+			context[r.pool.Addr(f.device)] = f.to.context
 		}
 	}
-	if e.advance > 0 || e.outage {
-		now := r.tb.Network.Clock.Now() + e.advance
+	now := r.tb.Network.Clock.Now() + e.advance
+	if e.outage {
+		now += scenarioMaxStale + time.Second
+	}
+	if (e.advance > 0 || e.outage) && r.timed {
+		st.clock = now
+	}
+	for g := range ms {
+		m := &ms[g]
+		if e.swap {
+			m.Rules = r.rules[st.policy][g]
+		}
 		if e.outage {
-			now += scenarioMaxStale + time.Second
+			m.Rules, m.Default = nil, policy.VerdictDrop // fail-closed
 		}
-		m.Clock = fixedClock(now)
-		if r.timed {
-			st.clock = now
+		if context != nil {
+			m.Context = context
+		}
+		if e.advance > 0 || e.outage {
+			m.Clock = fixedClock(now)
 		}
 	}
-	return m, st
+	return ms, st
 }
 
 func (r *scenarioRun) step(e epoch) error {
@@ -577,12 +705,14 @@ func (r *scenarioRun) step(e epoch) error {
 	}
 	next, st := r.next(e)
 	changed, timed := st != r.state, st.clock != r.state.clock
-	before, after := r.expect, r.answers(st, &next)
+	before, after := r.expect, r.answers(st, next)
 	if timed {
 		// A time edge: the advance alone changes an answer.
-		pre := next
-		pre.Clock = r.model.Clock
-		was := r.decide(&pre)
+		pre := slices.Clone(next)
+		for g := range pre {
+			pre[g].Clock = r.models[g].Clock
+		}
+		was := r.decide(pre)
 		for _, i := range traffic {
 			if !sameVerdict(was[i], after[i]) {
 				res.TimeEdges++
@@ -599,7 +729,7 @@ func (r *scenarioRun) step(e epoch) error {
 	} else {
 		err = r.events(e)
 	}
-	r.model, r.state, r.expect = next, st, after
+	r.models, r.state, r.expect = next, st, after
 	if err != nil {
 		return err
 	}
@@ -617,17 +747,19 @@ func (r *scenarioRun) step(e epoch) error {
 		if tb.Policy.Degraded() {
 			return errors.New("store still degraded after recovery")
 		}
-		r.model.Rules, r.model.Default = r.rules[r.active], policy.VerdictAllow
+		for g := range r.models {
+			r.models[g].Rules, r.models[g].Default = r.rules[r.active][g], policy.VerdictAllow
+		}
 		r.state.policy = r.active
-		r.expect = r.answers(r.state, &r.model)
+		r.expect = r.answers(r.state, r.models)
 	}
 	res.Epochs++
 	if res.Epochs%max(1, len(r.sc.epochs)/16) == 0 {
 		res.Snapshots = append(res.Snapshots, Snapshot{
 			Epoch:       res.Epochs,
 			VirtualTime: tb.Network.Clock.Now() - r.clockStart,
-			ConnsOpen:   int(tb.count("bp_conntrack_connections", metrics.L("state", "open"))),
-			FlowsLive:   int(tb.count("bp_flowtable_live")),
+			ConnsOpen:   int(r.count("bp_conntrack_connections", metrics.L("state", "open"))),
+			FlowsLive:   int(r.count("bp_flowtable_live")),
 			HeapBytes:   heapInUse(),
 		})
 	}
@@ -658,12 +790,45 @@ func (r *scenarioRun) push(what, doc string, fail bool) error {
 	return r.reload(what, fail)
 }
 
-// events applies an epoch's events to the gateway and its world.
+// pushFleet pushes policy next to the fleet and holds each gateway's store
+// to what the push costs it by the models' shards: one watch round, and
+// one apply and one engine generation if the push changed the shard. A
+// push that stalls on a store is that store's push-check failure, not the
+// end of the run, so Check names it beside the verdicts it broke.
+func (r *scenarioRun) pushFleet(next int) error {
+	applied := metrics.L("outcome", "applied")
+	read := func(tb *Testbed) [3]uint64 {
+		return [3]uint64{tb.count("bp_policy_watch_rounds_total"), tb.count("bp_policy_reloads_total", applied), tb.Engine.Generation()}
+	}
+	before := make([][3]uint64, len(r.tbs))
+	for g, tb := range r.tbs {
+		before[g] = read(tb)
+	}
+	if err := r.fleet.Push(r.sc.policies[next]); err != nil && !errors.Is(err, errPushStalled) {
+		return err
+	}
+	for g, tb := range r.tbs {
+		changed := uint64(b2i(!slices.Equal(r.rules[r.active][g], r.rules[next][g])))
+		want := [3]uint64{before[g][0] + 1, before[g][1] + changed, before[g][2] + changed}
+		r.res.PushShards++
+		r.res.PushChanged += int(changed)
+		r.res.PushOff += b2i(read(tb) != want)
+	}
+	return nil
+}
+
+// events applies an epoch's events to the gateways and their world.
 func (r *scenarioRun) events(e epoch) error {
 	tb := r.tb
 	if e.swap {
 		next := (r.active + 1) % len(r.sc.policies)
-		if err := r.push("swap", r.sc.policies[next], false); err != nil {
+		var err error
+		if r.fleet != nil {
+			err = r.pushFleet(next)
+		} else {
+			err = r.push("swap", r.sc.policies[next], false)
+		}
+		if err != nil {
 			return err
 		}
 		r.active = next
@@ -681,7 +846,7 @@ func (r *scenarioRun) events(e epoch) error {
 		}
 	}
 	if e.restart {
-		tb.Network.Gateway.Restart()
+		tb.Gateway.Restart()
 	}
 	for _, f := range e.flips {
 		r.observe(f.device, f.to)
@@ -695,7 +860,7 @@ func (r *scenarioRun) events(e epoch) error {
 		}
 	}
 	if e.sweep {
-		conns, _ := tb.Network.Gateway.GC(scenarioConnIdle)
+		conns, _ := tb.Gateway.GC(scenarioConnIdle)
 		r.res.GCConnsReclaimed += conns
 	}
 	if e.outage {
@@ -723,7 +888,7 @@ func (r *scenarioRun) deliver(e epoch, traffic []int, pkts []*ipv4.Packet, timed
 	for _, f := range e.flips {
 		flipped[f.device], stripes[devctx.Stripe(r.pool.Addr(f.device))] = true, true
 	}
-	mates, misses := 0, int(tb.count("bp_flowtable_misses_total"))
+	mates, misses := 0, int(r.count("bp_flowtable_misses_total"))
 	for lo := 0; lo < len(traffic); lo += scenarioBurst {
 		hi := min(lo+scenarioBurst, len(traffic))
 		idx := traffic[lo:hi]
@@ -760,7 +925,7 @@ func (r *scenarioRun) deliver(e epoch, traffic []int, pkts []*ipv4.Packet, timed
 		}
 	}
 	if len(e.flips) > 0 {
-		bystanders := int(tb.count("bp_flowtable_misses_total")) - misses
+		bystanders := int(r.count("bp_flowtable_misses_total")) - misses
 		res.FlippedDevices += len(e.flips)
 		res.StripeMates += mates
 		res.Bystanders += bystanders
@@ -856,42 +1021,44 @@ func (r *scenarioRun) repeat(e epoch, traffic []int, pkts []*ipv4.Packet) {
 	r.res.VerdictMismatches += mismatches
 }
 
-// finish drains the run, reads its counters, shuts the testbed down and
-// measures what it left behind.
+// finish drains the run, reads its counters, shuts the gateways down and
+// measures what they left behind.
 func (r *scenarioRun) finish() (*ScenarioResult, error) {
-	tb, res := r.tb, r.res
-	// Everything idles out, then one sweep must leave both tables empty:
-	// any surviving entry is a leak.
-	tb.Network.Clock.Advance(scenarioFlowTTL + scenarioConnIdle + time.Second)
-	conns, _ := tb.Network.Gateway.GC(scenarioConnIdle)
-	res.GCConnsReclaimed += conns
-	res.ConnsLeaked = int(tb.count("bp_conntrack_connections", metrics.L("state", "open")))
-	res.FlowsLeaked = int(tb.count("bp_flowtable_live"))
-	res.VirtualTime = tb.Network.Clock.Now() - r.clockStart
+	res, clock := r.res, r.tb.Network.Clock
+	// Everything idles out, then one sweep must leave every table empty: any
+	// surviving entry is a leak.
+	clock.Advance(scenarioFlowTTL + scenarioConnIdle + time.Second)
+	for _, tb := range r.tbs {
+		conns, _ := tb.Gateway.GC(scenarioConnIdle)
+		res.GCConnsReclaimed += conns
+		res.Restarts += tb.Gateway.Restarts()
+	}
+	res.ConnsLeaked = int(r.count("bp_conntrack_connections", metrics.L("state", "open")))
+	res.FlowsLeaked = int(r.count("bp_flowtable_live"))
+	res.VirtualTime = clock.Now() - r.clockStart
 
-	res.Swaps = tb.count("bp_policy_reloads_total", metrics.L("outcome", "applied")) - r.appliedStart
+	res.Swaps = r.count("bp_policy_reloads_total", metrics.L("outcome", "applied")) - r.appliedStart
 	// Failures are the malformed candidates and one fetch per outage.
-	res.Rejected = tb.count("bp_policy_reloads_total", metrics.L("outcome", "failed")) - r.failedStart - uint64(res.Outages)
-	res.DegradedEnters = tb.count("bp_policy_degraded_enters_total")
-	res.GenerationDelta = tb.Engine.Generation() - r.genStart
-	res.PolicyVersion, res.PolicyRules = tb.Policy.Version(), tb.count("bp_policy_rules")
-	res.Restarts = tb.Network.Gateway.Restarts()
+	res.Rejected = r.count("bp_policy_reloads_total", metrics.L("outcome", "failed")) - r.failedStart - uint64(res.Outages)
+	res.DegradedEnters = r.count("bp_policy_degraded_enters_total")
+	res.GenerationDelta = r.generation() - r.genStart
+	res.PolicyVersion, res.PolicyRules = r.tb.Policy.Version(), r.count("bp_policy_rules")
 
-	res.RiskWarns = tb.count("bp_context_warns_total")
-	res.RiskBlocks = tb.count("bp_context_blocks_total")
-	res.Invalidations = tb.byLabel("bp_context_invalidations_total")
+	res.RiskWarns = r.count("bp_context_warns_total")
+	res.RiskBlocks = r.count("bp_context_blocks_total")
+	res.Invalidations = r.byLabel("bp_context_invalidations_total")
 	res.TimeFlows = len(r.timeFlows)
-	res.TimeReevaluations = tb.count("bp_enforcer_verdict_expiries_total")
+	res.TimeReevaluations = r.count("bp_enforcer_verdict_expiries_total")
 	if res.HitPackets > 0 {
 		res.HitNsPerPkt = float64(r.hitNs) / float64(res.HitPackets)
 	}
-	res.StaleDrops = tb.count("bp_flowtable_stale_drops_total")
-	res.Faults = tb.byLabel("bp_netsim_faults_total")
-	outcome := func(o string) uint64 { return tb.count("bp_conntrack_responses_total", metrics.L("outcome", o)) }
+	res.StaleDrops = r.count("bp_flowtable_stale_drops_total")
+	res.Faults = r.byLabel("bp_netsim_faults_total")
+	outcome := func(o string) uint64 { return r.count("bp_conntrack_responses_total", metrics.L("outcome", o)) }
 	res.ResponsesChecked, res.ResponseAdopts, res.ResponseSeqDrops = outcome("checked"), outcome("adopted"), outcome("seq_drop")
-	res.DupCloses = tb.count("bp_conntrack_transitions_total", metrics.L("kind", "dup_close"))
+	res.DupCloses = r.count("bp_conntrack_transitions_total", metrics.L("kind", "dup_close"))
 
-	// Shut down, then count goroutines: the audit pipeline and any poller
+	// Shut down, then count goroutines: the audit pipelines and any poller
 	// must be gone. A short settle loop absorbs runtime stragglers.
 	if err := r.close(); err != nil {
 		return nil, fmt.Errorf("%s: close: %w", r.sc.name, err)
@@ -906,14 +1073,51 @@ func (r *scenarioRun) finish() (*ScenarioResult, error) {
 	return res, nil
 }
 
-// close shuts the testbed down, once, and removes the policy directory.
+// count sums one series over every gateway's registry; labels narrow a
+// family (no labels sums it).
+func (r *scenarioRun) count(family string, labels ...metrics.Label) uint64 {
+	var n uint64
+	for _, tb := range r.tbs {
+		n += tb.count(family, labels...)
+	}
+	return n
+}
+
+// byLabel reads a family whose series carry one label over every gateway's
+// registry: the nonzero sums, keyed by that label's value.
+func (r *scenarioRun) byLabel(family string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, tb := range r.tbs {
+		for _, smp := range tb.Metrics.Snapshot() {
+			if smp.Name == family && smp.Value != 0 {
+				out[smp.Labels[0].Value] += uint64(smp.Value)
+			}
+		}
+	}
+	return out
+}
+
+// generation sums the gateways' engine generations.
+func (r *scenarioRun) generation() uint64 {
+	var n uint64
+	for _, tb := range r.tbs {
+		n += tb.Engine.Generation()
+	}
+	return n
+}
+
+// close shuts the gateways down, once, and removes the policy directory.
 func (r *scenarioRun) close() error {
 	defer os.RemoveAll(r.dir)
-	tb := r.tb
-	if r.tb = nil; tb == nil {
-		return nil
+	tb, fl := r.tb, r.fleet
+	r.tb, r.tbs, r.fleet = nil, nil, nil
+	switch {
+	case fl != nil:
+		return fl.Close()
+	case tb != nil:
+		return tb.Close()
 	}
-	return tb.Close()
+	return nil
 }
 
 // heapInUse reports post-GC live heap bytes.

@@ -189,6 +189,9 @@ var brokenChecks = []struct {
 	{"divergent", []string{"reload"}, func(r *ScenarioResult) { r.Divergent = 0 }},
 	{"split", []string{"reload"}, func(r *ScenarioResult) { r.VerdictsOld = 0 }},
 	{"split", []string{"reload"}, func(r *ScenarioResult) { r.VerdictsNew = 0 }},
+	// A store that took a push in other than one round, one apply and one
+	// generation per changed shard.
+	{"push", allTables, func(r *ScenarioResult) { r.PushOff = 1 }},
 	{"generation", allTables, func(r *ScenarioResult) { r.GenerationDelta++ }},
 	{"rejected", []string{"soak", "reload"}, func(r *ScenarioResult) { r.Rejected = 0 }},
 	{"rejected", allTables, func(r *ScenarioResult) { r.Rejected++ }},
@@ -223,7 +226,7 @@ var brokenChecks = []struct {
 	{"heap-trend", allTables, func(r *ScenarioResult) { climb(r, func(s *Snapshot, i int) { s.HeapBytes = int64(16+i*4) << 20 }) }},
 }
 
-var allTables = []string{"soak", "reload", "context"}
+var allTables = []string{"soak", "reload", "context", "fleet"}
 
 // climb replaces r's snapshots with a series that one resource climbs
 // across.

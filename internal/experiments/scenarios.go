@@ -1,15 +1,23 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
+	"net/netip"
+	"strings"
 	"time"
 
+	"borderpatrol/internal/android"
+	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/devctx"
+	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/trackers"
 )
 
-// The three scenario tables. Each is only data: the runner has no branch
+// The four scenario tables. Each is only data: the runner has no branch
 // for any of them.
 
 // Soak churn: gateway restarts and policy-backend outages spread over the
@@ -136,6 +144,90 @@ func ContextScenario(seed int64, devices, hitIterations int) Scenario {
 	for _, at := range []time.Duration{12*time.Hour - time.Second, 12 * time.Hour, 12*time.Hour + 30*time.Minute,
 		13*time.Hour - time.Second, 13 * time.Hour, 14 * time.Hour} {
 		sc.epochs = append(sc.epochs, epoch{cohort: lunch, last: true, at: at})
+	}
+	return sc
+}
+
+// The fleet's world: each gateway fronts one /16 of 10.0.0.0/8, so the
+// table is sized for at most maxFleetGateways. A store's watch parks for
+// an hour, so every push is carried by the watch, not by an idle round.
+const (
+	maxFleetGateways  = 200
+	fleetWatchTimeout = time.Hour
+)
+
+// fleetRecords is the corporate resolver's zone.
+var fleetRecords = map[string]string{
+	"files.corp.example": "10.80.0.10",
+	"c2.fleet.example":   "203.0.113.99",
+}
+
+// fleetPolicies are the fleet's grouped documents. One global rule denies
+// the beacon, and each gateway's group g<i> denies its own exfiltration
+// class. The first push denies the resolver fleet-wide, which changes a
+// verdict on every gateway; the second also denies the sync in group g0's
+// section, which changes gateway 0's shard and no other.
+func fleetPolicies(gateways int) []string {
+	docs := make([]string, 3)
+	for v := range docs {
+		var b strings.Builder
+		b.WriteString("{[deny][class][\"com/fleet/app/Beacon\"]}\n")
+		if v > 0 {
+			b.WriteString("{[deny][class][\"com/fleet/app/Resolver\"]}\n")
+		}
+		for i := 0; i < gateways; i++ {
+			fmt.Fprintf(&b, "//@group g%d\n{[deny][class][\"com/fleet/app/Exfil%d\"]}\n", i, i)
+			if v == 2 && i == 0 {
+				b.WriteString("{[deny][class][\"com/fleet/app/Work\"]}\n")
+			}
+		}
+		docs[v] = b.String()
+	}
+	return docs
+}
+
+// fleetApp is the app behind gateway i of a fleet of n: an HTTP sync, a
+// tracker beacon, a DNS lookup, a DNS probe its own group denies, and one
+// that only the next gateway's group denies.
+func fleetApp(i, n int) (*apkgen.App, error) {
+	qResolve, err := dnsQuery(1, "files.corp.example")
+	if err != nil {
+		return nil, err
+	}
+	qProbe, err := dnsQuery(2, "c2.fleet.example")
+	if err != nil {
+		return nil, err
+	}
+	httpEP := netip.AddrPortFrom(netip.MustParseAddr("198.18.80.1"), 443)
+	dnsOp := func(q []byte, requests int) android.NetOp {
+		return android.NetOp{Endpoint: dnsServerAddr, Proto: ipv4.ProtoUDP, Datagram: q, Requests: requests}
+	}
+	return scriptedApp(fmt.Sprintf("com.fleet.gw%d", i), "com/fleet/app", []scriptedFn{
+		{name: "sync", desirable: true, class: "Work", method: "sync",
+			op: android.NetOp{Endpoint: httpEP, Host: "files.corp", Method: "GET", Requests: 2}},
+		{name: "beacon", class: "Beacon", method: "phoneHome",
+			op: android.NetOp{Endpoint: httpEP, Host: "data.tracker", Method: "POST", PayloadBytes: 128}},
+		{name: "resolve", desirable: true, class: "Resolver", method: "lookup", op: dnsOp(qResolve, 2)},
+		{name: "probe-own", class: fmt.Sprintf("Exfil%d", i), method: "exfil", op: dnsOp(qProbe, 0)},
+		{name: "probe-other", desirable: true, class: fmt.Sprintf("Exfil%d", (i+1)%n), method: "exfil", op: dnsOp(qProbe, 0)},
+	}), nil
+}
+
+// FleetScenario is the fleet run: gateways gateways, each fronting a /16
+// with devices pooled devices behind it and enforcing its own group's
+// shard of one hub document. Every device runs its gateway's fleetApp
+// before the first push, between the two, and after the second. Each
+// gateway's audit trail goes to audit (nil keeps its in-memory tail), and
+// its registry joins agg under its name (nil: a private aggregate).
+func FleetScenario(gateways, devices int, audit io.Writer, agg *metrics.Aggregate) Scenario {
+	sc := Scenario{name: "fleet", devices: devices, policies: fleetPolicies(gateways), agg: agg,
+		epochs: []epoch{{}, {swap: true}, {swap: true}}}
+	for i := 0; i < gateways; i++ {
+		sc.gateways = append(sc.gateways, FleetGateway{
+			Subnet: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16),
+			Groups: []string{fmt.Sprintf("g%d", i)},
+			Config: TestbedConfig{EnforcementOn: true, AuditWriter: audit, FlowTTL: scenarioFlowTTL},
+		})
 	}
 	return sc
 }

@@ -274,18 +274,6 @@ func (tb *Testbed) count(family string, labels ...metrics.Label) uint64 {
 	return uint64(v)
 }
 
-// byLabel reads a family whose series carry one label: the nonzero series,
-// keyed by that label's value.
-func (tb *Testbed) byLabel(family string) map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, smp := range tb.Metrics.Snapshot() {
-		if smp.Name == family && smp.Value != 0 {
-			out[smp.Labels[0].Value] = uint64(smp.Value)
-		}
-	}
-	return out
-}
-
 // InstallApp analyzes apk into the signature database (the Offline
 // Analyzer step; an app already there keeps its entry), installs it in the
 // device's work profile, and stands up a static HTTP server at every

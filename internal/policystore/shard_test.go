@@ -25,7 +25,7 @@ func assertNoForeignRules(t *testing.T, eng *policy.Engine, foreign string) {
 	}
 }
 
-func TestGroupScopedSourceScopes(t *testing.T) {
+func TestHubShardScopes(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
 		Source: NewHub(fleetDocV1).Shard("alpha"),
@@ -50,12 +50,11 @@ func TestGroupScopedSourceScopes(t *testing.T) {
 	}
 }
 
-// TestGroupScopedSourceNoLeakAfterHotSwap is the satellite's first
-// coverage requirement: across a sequence of hot swaps — including swaps
-// that only touch another group — the scoped store must never compile
-// another group's rules, and must not even recompile (bump the engine
-// generation) for revisions outside its shard.
-func TestGroupScopedSourceNoLeakAfterHotSwap(t *testing.T) {
+// TestHubShardNoLeakAfterHotSwap: across a sequence of hot swaps —
+// including swaps that only touch another group — the scoped store must
+// never compile another group's rules, and must not even recompile (bump
+// the engine generation) for revisions outside its shard.
+func TestHubShardNoLeakAfterHotSwap(t *testing.T) {
 	h := NewHub(fleetDocV1)
 	eng := newEngine(t)
 	st, err := New(Config{
@@ -119,7 +118,7 @@ func TestGroupScopedSourceNoLeakAfterHotSwap(t *testing.T) {
 	assertNoForeignRules(t, eng, "gamma")
 }
 
-func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
+func TestHubShardRejectsBadGroupedDoc(t *testing.T) {
 	h := NewHub(fleetDocV1)
 	eng := newEngine(t)
 	st, err := New(Config{
@@ -148,7 +147,7 @@ func TestGroupScopedSourceRejectsBadGroupedDoc(t *testing.T) {
 	}
 }
 
-func TestGroupScopedSourceMultipleGroups(t *testing.T) {
+func TestHubShardMultipleGroups(t *testing.T) {
 	eng := newEngine(t)
 	st, err := New(Config{
 		Source: NewHub(fleetDocV1).Shard("alpha", "beta"),

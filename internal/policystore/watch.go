@@ -69,13 +69,6 @@ func (h *Hub) Set(doc string) string {
 	return h.version
 }
 
-// Get returns the current document and its version.
-func (h *Hub) Get() (doc, version string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.doc, h.version
-}
-
 // Rev returns the current revision number (1 after NewHub, +1 per Set).
 func (h *Hub) Rev() uint64 {
 	h.mu.Lock()
@@ -123,7 +116,7 @@ type shard struct {
 // Fetch returns the hub's current document, or the shard of it, when it
 // differs from prev.
 func (s *HubSource) Fetch(prev string) (Candidate, bool, error) {
-	doc, version := s.h.Get()
+	doc, version, _ := s.h.state()
 	return s.serve(prev, doc, version)
 }
 

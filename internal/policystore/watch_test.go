@@ -25,7 +25,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 func TestHubSetRevisionsAndNoOp(t *testing.T) {
 	h := NewHub(docA)
-	doc, v1 := h.Get()
+	doc, v1, _ := h.state()
 	if doc != docA || h.Rev() != 1 || !strings.HasPrefix(v1, "rev1-") {
 		t.Fatalf("initial state: doc=%q rev=%d v=%q", doc, h.Rev(), v1)
 	}
