@@ -393,8 +393,10 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 	if route == RouteDirect {
 		// On-premises bursts ride the batched per-core gateway drain: one
 		// queue transition for the invocation's packets, flow-cache hits
-		// for every packet after a flow's first.
-		deliveries = d.tb.Network.DeliverBatch(res.Packets)
+		// for every packet after a flow's first. Sibling fleet deployments
+		// share one network, so the burst is written into storage of this
+		// call's own.
+		deliveries = d.tb.Network.DeliverInto(new(netsim.Batch), res.Packets)
 	} else {
 		deliveries = make([]netsim.Delivery, 0, len(res.Packets))
 		for _, pkt := range res.Packets {

@@ -2,8 +2,10 @@
 // two Go benchmark outputs (the committed baseline and a fresh run of the
 // fast-path benchmarks), compares per-benchmark medians, and exits
 // non-zero when the new run regresses — more than the ns/op threshold on
-// time, or *any* increase in allocs/op (the fast paths are designed
-// allocation-free; a single new allocation per op is a defect, not noise).
+// time, *any* increase in allocs/op (the fast paths are designed
+// allocation-free; a single new allocation per op is a defect, not noise),
+// or B/op more than max(25 %, 16 B) over the baseline's (a per-burst slice
+// amortised over a burst's packets reads 0 allocs/op but not 0 B/op).
 //
 // Benchmarks are matched by name with the -cpu suffix stripped, so
 // baselines recorded on different core counts still line up. Benchmarks
@@ -11,18 +13,19 @@
 // (deleting a gated benchmark must be an explicit baseline update), while
 // extra new benchmarks only warn until they are added to the baseline.
 //
-// allocs/op is machine-independent, so it always gates against the
-// committed baseline. ns/op is NOT portable across heterogeneous CI
+// allocs/op and B/op are machine-independent, so they always gate against
+// the committed baseline. ns/op is NOT portable across heterogeneous CI
 // runners — compare it only against a run from the same machine (CI
 // re-benchmarks the merge-base on the same runner for that); use
-// -allocs-only when the reference numbers came from different hardware.
+// -allocs-only when the reference numbers came from different hardware
+// (it still gates B/op).
 //
 // Usage:
 //
 //	go test -run NONE -bench 'Flow|Batch' -benchmem -count 6 ./... | tee new.txt
 //	bp-benchgate -baseline bench/baseline.txt -current new.txt
 //	bp-benchgate -threshold 0.10 ...   # tighten the ns/op gate to 10%
-//	bp-benchgate -allocs-only ...      # cross-machine baseline: gate allocs only
+//	bp-benchgate -allocs-only ...      # cross-machine baseline: gate allocs and bytes only
 //	bp-benchgate -json gate.json ...   # machine-readable comparison for dashboards
 package main
 
@@ -43,7 +46,14 @@ type sample struct {
 	nsPerOp     float64
 	allocsPerOp float64
 	hasAllocs   bool
+	bytesPerOp  float64
+	hasBytes    bool
 }
+
+// bytesSlack is how far a median B/op may rise over the baseline's before
+// the gate fails: a quarter of the baseline, and never less than 16 B, the
+// smallest size class a growth can take.
+func bytesSlack(base float64) float64 { return max(0.25*base, 16) }
 
 // results maps a normalized benchmark name to its samples across -count
 // repetitions.
@@ -57,6 +67,8 @@ type reportRow struct {
 	DeltaPct    float64  `json:"delta_pct"`
 	BaseAllocs  *float64 `json:"base_allocs_per_op,omitempty"`
 	NewAllocs   *float64 `json:"new_allocs_per_op,omitempty"`
+	BaseBytes   *float64 `json:"base_bytes_per_op,omitempty"`
+	NewBytes    *float64 `json:"new_bytes_per_op,omitempty"`
 	Missing     bool     `json:"missing,omitempty"`
 	Pass        bool     `json:"pass"`
 }
@@ -77,7 +89,7 @@ func main() {
 	baselinePath := flag.String("baseline", "bench/baseline.txt", "committed baseline benchmark output")
 	currentPath := flag.String("current", "", "fresh benchmark output to gate (required)")
 	threshold := flag.Float64("threshold", 0.20, "maximum tolerated ns/op regression (fraction)")
-	allocsOnly := flag.Bool("allocs-only", false, "gate only allocs/op (baseline from different hardware)")
+	allocsOnly := flag.Bool("allocs-only", false, "gate only allocs/op and B/op (baseline from different hardware)")
 	jsonPath := flag.String("json", "", "also write the per-benchmark comparison as JSON to this path")
 	flag.Parse()
 	if *currentPath == "" {
@@ -114,7 +126,7 @@ func run(baselinePath, currentPath string, threshold float64, allocsOnly bool, j
 
 	rep := report{Threshold: threshold, AllocsOnly: allocsOnly}
 	var failures []string
-	fmt.Printf("%-44s %14s %14s %8s  %s\n", "benchmark", "base ns/op", "new ns/op", "Δ", "allocs/op")
+	fmt.Printf("%-44s %14s %14s %8s  %-12s %s\n", "benchmark", "base ns/op", "new ns/op", "Δ", "allocs/op", "B/op")
 	for _, name := range names {
 		bs, cs := base[name], cur[name]
 		if len(cs) == 0 {
@@ -126,12 +138,17 @@ func run(baselinePath, currentPath string, threshold float64, allocsOnly bool, j
 		delta := (cNs - bNs) / bNs
 		bAllocs, bHas := medianAllocs(bs)
 		cAllocs, cHas := medianAllocs(cs)
+		bBytes, bHasBytes := medianBytes(bs)
+		cBytes, cHasBytes := medianBytes(cs)
 
-		allocNote := "n/a"
+		allocNote, bytesNote := "n/a", "n/a"
 		if bHas && cHas {
 			allocNote = fmt.Sprintf("%.0f -> %.0f", bAllocs, cAllocs)
 		}
-		fmt.Printf("%-44s %14.2f %14.2f %+7.1f%%  %s\n", name, bNs, cNs, 100*delta, allocNote)
+		if bHasBytes && cHasBytes {
+			bytesNote = fmt.Sprintf("%.0f -> %.0f", bBytes, cBytes)
+		}
+		fmt.Printf("%-44s %14.2f %14.2f %+7.1f%%  %-12s %s\n", name, bNs, cNs, 100*delta, allocNote, bytesNote)
 
 		pass := true
 		if !allocsOnly && delta > threshold {
@@ -143,12 +160,23 @@ func run(baselinePath, currentPath string, threshold float64, allocsOnly bool, j
 			failures = append(failures, fmt.Sprintf("%s: allocs/op regressed (%.0f -> %.0f)", name, bAllocs, cAllocs))
 			pass = false
 		}
+		if bHasBytes && cHasBytes && cBytes-bBytes > bytesSlack(bBytes) {
+			failures = append(failures, fmt.Sprintf("%s: B/op regressed (%.0f -> %.0f, more than %.0f B over)",
+				name, bBytes, cBytes, bytesSlack(bBytes)))
+			pass = false
+		}
 		row := reportRow{Name: name, BaseNsPerOp: bNs, NewNsPerOp: cNs, DeltaPct: 100 * delta, Pass: pass}
 		if bHas {
 			row.BaseAllocs = &bAllocs
 		}
 		if cHas {
 			row.NewAllocs = &cAllocs
+		}
+		if bHasBytes {
+			row.BaseBytes = &bBytes
+		}
+		if cHasBytes {
+			row.NewBytes = &cBytes
 		}
 		rep.Benchmarks = append(rep.Benchmarks, row)
 	}
@@ -227,6 +255,9 @@ func parse(r io.Reader) (results, error) {
 			case "allocs/op":
 				s.allocsPerOp = val
 				s.hasAllocs = true
+			case "B/op":
+				s.bytesPerOp = val
+				s.hasBytes = true
 			}
 		}
 		if seenNs {
@@ -245,10 +276,20 @@ func medianNs(ss []sample) float64 {
 }
 
 func medianAllocs(ss []sample) (float64, bool) {
+	return medianOf(ss, func(s sample) (float64, bool) { return s.allocsPerOp, s.hasAllocs })
+}
+
+func medianBytes(ss []sample) (float64, bool) {
+	return medianOf(ss, func(s sample) (float64, bool) { return s.bytesPerOp, s.hasBytes })
+}
+
+// medianOf is the median of the values pick reads off the samples that
+// carry one; false when none does.
+func medianOf(ss []sample, pick func(sample) (float64, bool)) (float64, bool) {
 	var vals []float64
 	for _, s := range ss {
-		if s.hasAllocs {
-			vals = append(vals, s.allocsPerOp)
+		if v, ok := pick(s); ok {
+			vals = append(vals, v)
 		}
 	}
 	if len(vals) == 0 {

@@ -73,6 +73,46 @@ BenchmarkRecord-8          30000000   37.0 ns/op   0 B/op  0 allocs/op
 	}
 }
 
+// TestGateFailsOnByteRegression: B/op more than max(25 %, 16 B) over the
+// baseline fails even when allocs/op holds, as a per-burst slice amortised
+// over a burst's packets does; the check runs under -allocs-only too.
+func TestGateFailsOnByteRegression(t *testing.T) {
+	base := write(t, "base.txt", `
+BenchmarkDeliverBatchFleet-2  500000  1000.0 ns/op  0 B/op  0 allocs/op
+BenchmarkServeKeepAlive-2     800000   700.0 ns/op  200 B/op  0 allocs/op
+`)
+	for _, tc := range []struct{ fleet, serve string }{
+		{"17", "200"}, // 17 B over a 0 B/op baseline
+		{"0", "251"},  // 51 B over 200: more than a quarter
+	} {
+		cur := write(t, "cur.txt", `
+BenchmarkDeliverBatchFleet-2  500000  1000.0 ns/op  `+tc.fleet+` B/op  0 allocs/op
+BenchmarkServeKeepAlive-2     800000   700.0 ns/op  `+tc.serve+` B/op  0 allocs/op
+`)
+		if err := run(base, cur, 0.20, true, ""); err == nil || !strings.Contains(err.Error(), "1 benchmark regression") {
+			t.Fatalf("fleet %s B/op, serve %s B/op: gate returned %v, want one B/op regression", tc.fleet, tc.serve, err)
+		}
+	}
+}
+
+// TestGatePassesByteDeltaWithinSlack: B/op up to max(25 %, 16 B) over the
+// baseline, or any fall, passes.
+func TestGatePassesByteDeltaWithinSlack(t *testing.T) {
+	base := write(t, "base.txt", `
+BenchmarkDeliverBatchFleet-2  500000  1000.0 ns/op  0 B/op  0 allocs/op
+BenchmarkServeKeepAlive-2     800000   700.0 ns/op  200 B/op  0 allocs/op
+BenchmarkDeliverBatchConnect-2 250000  2200.0 ns/op  448 B/op  3 allocs/op
+`)
+	cur := write(t, "cur.txt", `
+BenchmarkDeliverBatchFleet-2  500000  1000.0 ns/op  16 B/op  0 allocs/op
+BenchmarkServeKeepAlive-2     800000   700.0 ns/op  250 B/op  0 allocs/op
+BenchmarkDeliverBatchConnect-2 250000  2200.0 ns/op  0 B/op  0 allocs/op
+`)
+	if err := run(base, cur, 0.20, false, ""); err != nil {
+		t.Fatalf("gate failed on B/op within its slack: %v", err)
+	}
+}
+
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	base := write(t, "base.txt", baseOut)
 	cur := write(t, "cur.txt", `

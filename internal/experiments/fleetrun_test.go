@@ -26,3 +26,15 @@ func TestFleetScenarioRefusesOversizedFleet(t *testing.T) {
 		t.Fatalf("RunScenario returned %v, want the gateway-count refusal", err)
 	}
 }
+
+// TestFleetScenarioRefusesEmptyFleet: a fleet table of fewer than one
+// gateway is still a fleet, and fails with NewFleet's refusal before
+// anything is built, not as a testbed table of no apps.
+func TestFleetScenarioRefusesEmptyFleet(t *testing.T) {
+	for _, gateways := range []int{0, -1} {
+		_, err := RunScenario(FleetScenario(gateways, 40, nil, nil))
+		if err == nil || !strings.Contains(err.Error(), "fleet needs at least one gateway") {
+			t.Fatalf("%d gateways: RunScenario returned %v, want NewFleet's refusal", gateways, err)
+		}
+	}
+}

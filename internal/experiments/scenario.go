@@ -60,12 +60,13 @@ type Scenario struct {
 	// groups[i%len(groups)].
 	devices int
 	groups  []group
-	// gateways, when set, make the world a fleet (NewFleet) whose registries
-	// join agg: the policies are grouped documents on its hub, and gateway
-	// g's model holds the serving one's shard for its groups. Each gateway
-	// has devices pooled devices, each replaying every functionality of the
-	// gateway's fleetApp. A swap is a Fleet.Push; a fleet table has no other
-	// events.
+	// fleet makes the world a fleet of gateways (NewFleet) whose
+	// registries join agg: the policies are grouped documents on its hub,
+	// and gateway g's model holds the serving one's shard for its groups.
+	// Each gateway has devices pooled devices, each replaying every
+	// functionality of the gateway's fleetApp. A swap is a Fleet.Push; a
+	// fleet table has no other events.
+	fleet    bool
 	gateways []FleetGateway
 	agg      *metrics.Aggregate
 	epochs   []epoch
@@ -367,7 +368,7 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 		res: &ScenarioResult{Name: sc.name, Groups: map[string]int{}, ContextChanges: map[string]uint64{}},
 	}
 	shards := [][]string{nil} // a testbed enforces the whole document
-	if len(sc.gateways) > 0 {
+	if sc.fleet {
 		shards = make([][]string, len(sc.gateways))
 		for g, gw := range sc.gateways {
 			shards[g] = gw.Groups
@@ -391,7 +392,7 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 		}
 		r.rules = append(r.rules, perGateway)
 	}
-	if len(sc.gateways) > 0 {
+	if sc.fleet {
 		if err := r.buildFleet(); err != nil {
 			r.close()
 			return nil, err

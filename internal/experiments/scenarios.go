@@ -220,7 +220,7 @@ func fleetApp(i, n int) (*apkgen.App, error) {
 // gateway's audit trail goes to audit (nil keeps its in-memory tail), and
 // its registry joins agg under its name (nil: a private aggregate).
 func FleetScenario(gateways, devices int, audit io.Writer, agg *metrics.Aggregate) Scenario {
-	sc := Scenario{name: "fleet", devices: devices, policies: fleetPolicies(gateways), agg: agg,
+	sc := Scenario{name: "fleet", fleet: true, devices: devices, policies: fleetPolicies(gateways), agg: agg,
 		epochs: []epoch{{}, {swap: true}, {swap: true}}}
 	for i := 0; i < gateways; i++ {
 		sc.gateways = append(sc.gateways, FleetGateway{

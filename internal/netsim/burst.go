@@ -22,7 +22,9 @@ const minWorkerBurst = 64
 // copies, and the flow-affine split of the burst over workers with each
 // worker's scratch. It is cleared before it goes back, so nothing outlives
 // the burst that put it there; ProcessBatch, whose caller keeps the egress
-// copies, detaches them first.
+// copies, detaches them first. The deliveries and the enforcement results
+// are not the burst's: they live in the caller's Batch, or for
+// ProcessBatch in a slab of the call's own.
 type burst struct {
 	// n serves the survivors; nil for Gateway.ProcessBatch, which stops
 	// before serving.
@@ -33,8 +35,12 @@ type burst struct {
 	gws      []*Gateway
 	outcomes []BatchOutcome
 	out      []Delivery // DeliverBatch's deliveries, aligned with pkts
-	workers  []burstWorker
-	wg       sync.WaitGroup
+	// results is the enforcement-result slab, one slot per packet an
+	// enforcing gateway owns; split sizes it and carves it into one
+	// disjoint share per worker.
+	results []enforcer.Result
+	workers []burstWorker
+	wg      sync.WaitGroup
 
 	// own backs outcomes for DeliverBatch (ProcessBatch returns its own);
 	// active lists the distinct active gateways DeliverBatch's burst
@@ -67,6 +73,11 @@ type burstWorker struct {
 	egress       []ipv4.Packet
 	opts         []ipv4.Option
 	copies, optN int
+	// results is the worker's share of the burst's result slab, sized by
+	// split for the enforced packets it owns; each enforcer batch appends
+	// into its free tail.
+	results  []enforcer.Result
+	enforced int
 	// req is the request serveOne parses each HTTP payload into; it is
 	// zeroed once the handler returns. resp is the packet checkResponse
 	// renders each response segment into, its payload buffer reused.
@@ -99,7 +110,10 @@ func (b *burst) release() {
 	clear(b.active)
 	clear(b.egress)
 	clear(b.opts)
-	b.n, b.pkts, b.outcomes, b.out, b.active = nil, nil, nil, nil, b.active[:0]
+	for w := range b.workers {
+		b.workers[w].results = nil
+	}
+	b.n, b.pkts, b.outcomes, b.out, b.results, b.active = nil, nil, nil, nil, nil, b.active[:0]
 	burstPool.Put(b)
 }
 
@@ -120,7 +134,8 @@ func (b *burst) detach() {
 // hashes flows to readers. Workers get minWorkerBurst packets each on
 // average: a burst shorter than twice that is one part, which run executes
 // inline on the caller. It then sizes the egress-copy slabs for the
-// packets that sanitizing gateways own and gives each worker its share.
+// packets that sanitizing gateways own, and the result slab for those that
+// enforcing gateways own, and gives each worker its share of each.
 func (b *burst) split(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -132,9 +147,9 @@ func (b *burst) split(workers int) {
 	b.workers = b.workers[:workers]
 	for w := range b.workers {
 		bw := &b.workers[w]
-		bw.idx, bw.charge, bw.copies, bw.optN = bw.idx[:0], 0, 0, 0
+		bw.idx, bw.charge, bw.copies, bw.optN, bw.enforced = bw.idx[:0], 0, 0, 0, 0
 	}
-	copies, opts := 0, 0
+	copies, opts, enforced := 0, 0, 0
 	for i, p := range b.pkts {
 		w := 0
 		if workers > 1 {
@@ -145,7 +160,15 @@ func (b *burst) split(workers int) {
 		}
 		bw := &b.workers[w]
 		bw.idx = append(bw.idx, i)
-		if gw := b.gws[i]; gw != nil && gw.sanitizer != nil {
+		gw := b.gws[i]
+		if gw == nil {
+			continue
+		}
+		if gw.enforcer != nil {
+			bw.enforced++
+			enforced++
+		}
+		if gw.sanitizer != nil {
 			bw.copies++
 			bw.optN += len(p.Header.Options)
 			copies++
@@ -154,13 +177,16 @@ func (b *burst) split(workers int) {
 	}
 	b.egress = resize(b.egress, copies)
 	b.opts = resize(b.opts, opts)
-	copies, opts = 0, 0
+	b.results = resize(b.results, enforced)
+	copies, opts, enforced = 0, 0, 0
 	for w := range b.workers {
 		bw := &b.workers[w]
 		bw.egress = b.egress[copies : copies : copies+bw.copies]
 		bw.opts = b.opts[opts : opts : opts+bw.optN]
+		bw.results = b.results[enforced : enforced : enforced+bw.enforced]
 		copies += bw.copies
 		opts += bw.optN
+		enforced += bw.enforced
 	}
 }
 
@@ -207,8 +233,9 @@ func (b *burst) work(w int) {
 		if b.n == nil {
 			continue
 		}
+		// The Batch's storage still holds an earlier burst's delivery.
 		d := &b.out[i]
-		d.Enforcement = o.Result
+		*d = Delivery{Enforcement: o.Result}
 		if o.Out == nil {
 			d.Stage = StageGateway
 			continue
@@ -244,9 +271,11 @@ func (b *burst) runStages(bw *burstWorker) {
 		todo = rest
 		var results []enforcer.Result
 		if gw != nil && gw.enforcer != nil {
-			// The results are the burst's own allocation, not scratch:
-			// Delivery.Enforcement points into them.
-			results = gw.enforcer.ProcessBatch(sub, nil)
+			// The results land in the free tail of the worker's share, which
+			// split sized for every enforced packet the worker owns, so
+			// nothing is allocated and no earlier group's results move.
+			results = gw.enforcer.ProcessBatch(sub, bw.results[len(bw.results):])
+			bw.results = bw.results[:len(bw.results)+len(results)]
 		}
 		for k, i := range group {
 			o := BatchOutcome{Out: b.pkts[i]}

@@ -120,8 +120,9 @@ type BatchOutcome struct {
 // its packets through the stages (enforcer, sanitizer), then observes the
 // accepted ones' connection events in burst order, so a FIN at the end of
 // a keep-alive train tears the flow down only after its data packets were
-// answered from the cache. Outcomes align with pkts; the error is always
-// nil. It charges no virtual time. Calls are not serialized against each
+// answered from the cache. Outcomes align with pkts; they, the Results
+// they point at and the egress copies are the caller's to keep. The error
+// is always nil. It charges no virtual time. Calls are not serialized against each
 // other — the flow table and the tracker lock per shard, not per call —
 // so callers needing a totally ordered audit trail should order on the
 // returned outcomes, not on side effects.

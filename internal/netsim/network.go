@@ -143,6 +143,10 @@ type Network struct {
 	// respSeq shard could not record (see maxRespTracked); respReclaimed
 	// counts entries a full shard reclaimed after idling past respIdle.
 	respUntracked, respReclaimed atomic.Uint64
+
+	// kept is the Batch DeliverBatch writes into, taken with a swap for the
+	// call's length: a call that finds it taken uses a Batch of its own.
+	kept atomic.Pointer[Batch]
 }
 
 // respShard is one lock domain of Network.respSeq.
@@ -241,13 +245,19 @@ func (n *Network) ClearFaults() {
 	n.faults.Store(nil)
 }
 
-// Delivery is the fate of one packet pushed through the network.
+// Delivery is the fate of one packet pushed through the network. A
+// delivery, and the enforcement Result it points at, live in the Batch the
+// burst was written into: DeliverBatch's stay valid until the next
+// DeliverBatch on the same Network, DeliverInto's until the next burst
+// written into the same Batch. Deliver and DeliverRoute return deliveries
+// the caller owns.
 type Delivery struct {
 	// Delivered reports whether the packet reached its server.
 	Delivered bool
 	// Stage is where the packet died when not delivered.
 	Stage DropStage
-	// Enforcement is the Policy Enforcer's result when that stage ran.
+	// Enforcement is the Policy Enforcer's result when that stage ran. It
+	// points into the burst's Batch.
 	Enforcement *enforcer.Result
 	// Response is the server's reply (nil when dropped or non-HTTP).
 	Response *httpsim.Response
@@ -263,6 +273,17 @@ type Delivery struct {
 	ResponseDropped bool
 	// Latency is the virtual one-way + response time charged.
 	Latency time.Duration
+}
+
+// Batch is the storage a delivery burst is written into: its deliveries
+// and the enforcement results they point at. Each burst written into a
+// Batch overwrites the one before, so a caller that keeps deliveries or
+// delivers from several goroutines holds a Batch of its own per burst in
+// flight. The zero Batch is ready to use; it grows to the largest burst it
+// carried and keeps that storage.
+type Batch struct {
+	dels    []Delivery
+	results []enforcer.Result
 }
 
 // serveOne is the post-gateway delivery tail of one packet: route
@@ -333,6 +354,13 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 // window, matching how a batched queue reader delays individual packets
 // until its drain completes.
 //
+// The deliveries, and the Results they point at, are written into a Batch
+// the Network keeps: they are valid until the next DeliverBatch on this
+// Network, which reuses that storage. A call that overlaps another uses
+// storage of its own, so two calls in flight never share memory; but a
+// caller that keeps deliveries past its next call, or that delivers while
+// another goroutine does, uses DeliverInto with a Batch of its own.
+//
 // With a fault plan armed, faults apply per packet on the wire view of the
 // burst before the gateway drain: drops remove packets (StageFault),
 // duplicates insert extra copies, corruption/truncation damage payload
@@ -341,9 +369,22 @@ func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim
 // a duplicate's extra outcome is discarded, a reordered packet reports
 // its own fate wherever it landed on the wire.
 func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
+	h := n.kept.Swap(nil)
+	if h == nil {
+		h = new(Batch)
+	}
+	out := n.DeliverInto(h, pkts)
+	n.kept.Store(h)
+	return out
+}
+
+// DeliverInto is DeliverBatch writing into h: the deliveries and the
+// Results they point at are valid until the next burst written into h.
+// Calls with distinct Batches may run concurrently.
+func (n *Network) DeliverInto(h *Batch, pkts []*ipv4.Packet) []Delivery {
 	f := n.faults.Load()
 	if f == nil || len(pkts) == 0 {
-		return n.deliverBatchCore(pkts, false)
+		return n.deliverBatchCore(h, pkts, false)
 	}
 	out := make([]Delivery, len(pkts))
 	// Build the wire view: what the gateway-side of the link actually
@@ -380,7 +421,7 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 		}
 	}
 	n.Clock.Advance(delay)
-	res := n.deliverBatchCore(wire, false)
+	res := n.deliverBatchCore(h, wire, false)
 	for j, d := range res {
 		if origIdx[j] >= 0 {
 			out[origIdx[j]] = d
@@ -391,13 +432,15 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 
 // Deliver pushes one device-egress packet through NIC → gateway → border →
 // server, charging virtual time for each stage, and returns what happened.
-// It is a burst of one through DeliverBatch, so a packet's fate and its
-// charges do not depend on which of the two the caller used.
+// It is a burst of one through DeliverInto, so a packet's fate and its
+// charges do not depend on which of the two the caller used; the delivery
+// is the caller's to keep.
 func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
-	return n.DeliverBatch([]*ipv4.Packet{pkt})[0]
+	return n.DeliverInto(new(Batch), []*ipv4.Packet{pkt})[0]
 }
 
-// deliverBatchCore is the fault-free pipeline; skipGateway models paths
+// deliverBatchCore is the fault-free pipeline, writing the burst's
+// deliveries and enforcement results into h; skipGateway models paths
 // (like the mobile carrier) that never touch the corporate perimeter.
 //
 // Virtual time does not depend on how the burst splits: the NIC, one
@@ -406,8 +449,9 @@ func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
 // inside the burst (conntrack activity, TIME_WAIT age, flow TTL) sees the
 // same post-gateway instant; the workers' wire and server charges are
 // summed and advanced after the join, then the return hop.
-func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Delivery {
-	out := make([]Delivery, len(pkts))
+func (n *Network) deliverBatchCore(h *Batch, pkts []*ipv4.Packet, skipGateway bool) []Delivery {
+	h.dels = resize(h.dels, len(pkts))
+	out := h.dels
 	if len(pkts) == 0 {
 		return out
 	}
@@ -419,7 +463,7 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	n.Clock.Advance(perNIC * time.Duration(len(pkts)))
 
 	b := getBurst(pkts)
-	b.n, b.out = n, out
+	b.n, b.out, b.results = n, out, h.results
 	b.own = resize(b.own, len(pkts))
 	b.outcomes = b.own
 	var stages time.Duration
@@ -451,6 +495,7 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Deli
 	n.Clock.Advance(hops + stages)
 
 	b.split(workers)
+	h.results = b.results
 	b.run()
 
 	var served time.Duration

@@ -56,17 +56,17 @@ const MobilePerPacket = 35 * time.Millisecond
 // charges tunnel latency, then traverses the gateway as usual, and
 // RouteMobile skips the gateway but keeps the RFC 7126 border: the carrier
 // drops optioned packets. The returned latency includes the route's access
-// cost.
+// cost, and the delivery is the caller's to keep, as Deliver's is.
 func (n *Network) DeliverRoute(pkt *ipv4.Packet, route Route) Delivery {
 	start := n.Clock.Now()
 	var d Delivery
 	switch route {
 	case RouteVPN:
 		n.Clock.Advance(VPNPerPacket)
-		d = n.deliverBatchCore([]*ipv4.Packet{pkt}, false)[0]
+		d = n.deliverBatchCore(new(Batch), []*ipv4.Packet{pkt}, false)[0]
 	case RouteMobile:
 		n.Clock.Advance(MobilePerPacket)
-		d = n.deliverBatchCore([]*ipv4.Packet{pkt}, true)[0]
+		d = n.deliverBatchCore(new(Batch), []*ipv4.Packet{pkt}, true)[0]
 	default:
 		d = n.Deliver(pkt)
 	}

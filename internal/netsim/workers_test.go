@@ -262,7 +262,9 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 				}
 				b.release()
 			}
-			r.dels = append(r.dels, n.DeliverBatch(burst))
+			// Each phase's deliveries are kept past the next burst, so they
+			// go into storage of their own.
+			r.dels = append(r.dels, n.DeliverInto(new(Batch), burst))
 			r.clocks = append(r.clocks, int64(n.Clock.Now()))
 		}
 		r.ct = conntrack(gw.ct)
@@ -342,22 +344,8 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 // TIME_WAIT.
 func BenchmarkDeliverBatchFleet(b *testing.B) {
 	n, _, _, base := tailFixture(b)
-	const devices, rounds = 1024, 16
-	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), devices)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bursts [][]*ipv4.Packet
-	for r := 0; r < rounds; r++ {
-		conn := keepAliveBurst(b, base, uint16(20000+r), 1)
-		phases := make([][]*ipv4.Packet, len(conn))
-		for i := 0; i < devices; i++ {
-			for ph, p := range pool.Rewrite(i, conn) {
-				phases[ph] = append(phases[ph], p)
-			}
-		}
-		bursts = append(bursts, phases...)
-	}
+	const devices = 1024
+	bursts := fleetBursts(b, base, devices, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i, k := 0, 0; i < b.N; i, k = i+devices, k+1 {
@@ -367,6 +355,30 @@ func BenchmarkDeliverBatchFleet(b *testing.B) {
 			}
 		}
 	}
+}
+
+// fleetBursts is the fleet workload's traffic: rounds connections (SYN,
+// one request, FIN) from each of devices pooled devices, phase-major, so
+// each burst holds one packet per device. Round r's connections leave from
+// source port 20000+r.
+func fleetBursts(tb testing.TB, base *ipv4.Packet, devices, rounds int) [][]*ipv4.Packet {
+	tb.Helper()
+	pool, err := NewDevicePool(netip.MustParsePrefix("10.128.0.0/16"), devices)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var bursts [][]*ipv4.Packet
+	for r := 0; r < rounds; r++ {
+		conn := keepAliveBurst(tb, base, uint16(20000+r), 1)
+		phases := make([][]*ipv4.Packet, len(conn))
+		for i := 0; i < devices; i++ {
+			for ph, p := range pool.Rewrite(i, conn) {
+				phases[ph] = append(phases[ph], p)
+			}
+		}
+		bursts = append(bursts, phases...)
+	}
+	return bursts
 }
 
 // TestFlowAffineSplitGolden pins the flow-affine split itself: a fixed
