@@ -231,9 +231,18 @@ func New(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
+	var set *policy.RuleSet
+	if strings.TrimSpace(cfg.Policy.Doc) != "" {
+		if set, err = policy.Compile(cfg.Policy.Doc); err != nil {
+			return nil, fmt.Errorf("borderpatrol: %w", err)
+		}
+	}
 	tb, err := experiments.NewTestbed(nil, tcfg)
 	if err != nil {
 		return nil, fmt.Errorf("borderpatrol: %w", err)
+	}
+	if set != nil {
+		tb.Engine.Publish(set)
 	}
 	return &Deployment{tb: tb}, nil
 }
@@ -245,15 +254,7 @@ func testbedConfig(cfg Config) (experiments.TestbedConfig, error) {
 	if cfg.Policy.Source != nil && strings.TrimSpace(cfg.Policy.Doc) != "" {
 		return experiments.TestbedConfig{}, errors.New("borderpatrol: PolicyConfig.Doc and PolicyConfig.Source are mutually exclusive")
 	}
-	var rules []Rule
-	if strings.TrimSpace(cfg.Policy.Doc) != "" {
-		var err error
-		if rules, err = policy.ParsePolicyString(cfg.Policy.Doc); err != nil {
-			return experiments.TestbedConfig{}, fmt.Errorf("borderpatrol: %w", err)
-		}
-	}
 	return experiments.TestbedConfig{
-		Rules:             rules,
 		DefaultVerdict:    cfg.Policy.DefaultVerdict,
 		EnforcementOn:     true,
 		AllowUntagged:     cfg.Policy.AllowUntagged,
@@ -300,11 +301,12 @@ func (d *Deployment) InstallGenerated(ga *GeneratedApp) (*App, error) {
 // a PolicySource configured, prefer updating the backend: the source's
 // next reload overrides anything set here.
 func (d *Deployment) SetPolicy(doc string) error {
-	rules, err := policy.ParsePolicyString(doc)
+	set, err := policy.Compile(doc)
 	if err != nil {
 		return fmt.Errorf("borderpatrol: %w", err)
 	}
-	return d.tb.Engine.SetRules(rules)
+	d.tb.Engine.Publish(set)
+	return nil
 }
 
 // ReloadPolicy runs one synchronous policy-store reload cycle: fetch the
@@ -418,7 +420,7 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 			// caller gets a copy of its own to sort or edit.
 			o.Stack = slices.Clone(del.Enforcement.Stack)
 			if a := del.Enforcement.Access; a != nil {
-				o.Reason = a.Decide(del.Enforcement.Risk).Reason
+				o.Reason = a.Decide(del.Enforcement.Risk).Reason()
 			} else {
 				o.Reason = del.Enforcement.Cause.String()
 			}

@@ -74,18 +74,16 @@ func run() error {
 	}
 	defer closeAudit()
 
-	var rules []policy.Rule
+	var rules *policy.RuleSet
 	if *policyPath != "" {
-		f, err := os.Open(*policyPath)
+		doc, err := os.ReadFile(*policyPath)
 		if err != nil {
 			return err
 		}
-		rules, err = policy.ParsePolicy(f)
-		f.Close()
-		if err != nil {
+		if rules, err = policy.Compile(string(doc)); err != nil {
 			return err
 		}
-		fmt.Printf("loaded %d policy rules from %s\n", len(rules), *policyPath)
+		fmt.Printf("loaded %d policy rules from %s\n", rules.Len(), *policyPath)
 	}
 
 	cfg := apkgen.DefaultConfig()
@@ -97,7 +95,6 @@ func run() error {
 	}
 	tb, err := experiments.NewTestbed(corpus, experiments.TestbedConfig{
 		EnforcementOn:  true,
-		Rules:          rules,
 		DefaultVerdict: policy.VerdictAllow,
 		GatewayWorkers: *workers,
 		AuditWriter:    auditW,
@@ -108,6 +105,9 @@ func run() error {
 	})
 	if err != nil {
 		return err
+	}
+	if rules != nil {
+		tb.Engine.Publish(rules)
 	}
 	if deviceCtx != nil {
 		tb.Context.Provision(tb.Device.Config().Addr, *deviceCtx)

@@ -2,8 +2,10 @@ package borderpatrol
 
 import (
 	"bytes"
+	"os"
 	"slices"
 	"testing"
+	"time"
 
 	"borderpatrol/internal/metrics"
 )
@@ -178,5 +180,68 @@ func TestOutcomeStackIsTheCallersCopy(t *testing.T) {
 	got := tail[len(tail)-1]
 	if got.Verdict != wantAudit.Verdict || got.Cause != wantAudit.Cause || got.Rule != wantAudit.Rule || !slices.Equal(got.Stack, wantAudit.Stack) {
 		t.Fatalf("audit entry after the edit = %+v, want it to read like %+v", got, wantAudit)
+	}
+}
+
+// TestOutcomeReasonTexts pins every reason text byte for byte as
+// Outcome.Reason reports it: deny, allow, default and risk block under a
+// static document, and the fail-open and fail-closed postures of a store
+// whose backend is gone past its staleness deadline.
+func TestOutcomeReasonTexts(t *testing.T) {
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `
+{[deny][library]["com/flurry"]}
+{[allow][method]["Lcom/corp/files/SyncEngine;->download()V"]}
+{[risk][network]["unknown"][100]}
+{[threshold][block][100]}
+`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	dep.Context().Provision(dep.Device().Config().Addr, DeviceContext{Network: NetTrusted})
+	app, err := dep.InstallApp(demoAPK(), demoFuncs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReasons(t, dep, app, "analytics", false, `deny rule {[deny][library]["com/flurry"]} matched`)
+	assertReasons(t, dep, app, "download", true, `allow rule {[allow][method]["Lcom/corp/files/SyncEngine;->download()V"]} satisfied by all frames`)
+	assertReasons(t, dep, app, "upload", true, "default allow")
+	dep.Device().ReportNetwork(NetUnknown)
+	assertReasons(t, dep, app, "download", false, "risk score 100 >= block threshold 100")
+
+	for mode, want := range map[FailMode]string{FailOpen: "fail-open", FailClosed: "fail-closed"} {
+		path := policyFile(t, `{[deny][library]["com/flurry"]}`)
+		dep, err := New(Config{Policy: PolicyConfig{Source: FilePolicySource(path), MaxStale: time.Second, FailMode: mode}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dep.Close()
+		app, err := dep.InstallApp(demoAPK(), demoFuncs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		dep.tb.Network.Clock.Advance(2 * time.Second)
+		if _, err := dep.ReloadPolicy(); err == nil {
+			t.Fatal("reload from a deleted policy file succeeded")
+		}
+		assertReasons(t, dep, app, "analytics", mode == FailOpen, want+": policy stale beyond 1s (backend file:"+path+")")
+	}
+}
+
+// assertReasons exercises fn and checks that every packet has the fate and
+// gives the reason.
+func assertReasons(t *testing.T, dep *Deployment, app *App, fn string, delivered bool, reason string) {
+	t.Helper()
+	out, err := dep.Exercise(app, fn)
+	if err != nil || len(out) == 0 {
+		t.Fatalf("%s: %d packets, err %v", fn, len(out), err)
+	}
+	for i, o := range out {
+		if o.Delivered != delivered || o.Reason != reason {
+			t.Fatalf("%s packet %d: delivered %v, reason %q; want %v, %q", fn, i, o.Delivered, o.Reason, delivered, reason)
+		}
 	}
 }

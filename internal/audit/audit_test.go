@@ -51,7 +51,6 @@ func dropResult() enforcer.Result {
 		Access: &policy.Access{
 			Verdict: policy.VerdictDrop,
 			Rule:    &rule,
-			Reason:  "deny rule matched",
 		},
 	}
 }

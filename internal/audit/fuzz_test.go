@@ -42,7 +42,7 @@ func FuzzReadEntries(f *testing.F) {
 		}
 		rule := *res.Access.Rule
 		rule.Target = string(b)
-		res.Access = &policy.Access{Verdict: res.Verdict, Rule: &rule, Reason: "fuzzed"}
+		res.Access = &policy.Access{Verdict: res.Verdict, Rule: &rule}
 		res.Stack = append(res.Stack, dex.Signature{Package: "com/app", Class: string(b), Name: "run", Proto: "()V"})
 
 		var out bytes.Buffer

@@ -31,7 +31,7 @@ func goldenSequence(l *Log) goldenView {
 	other.Access, other.Stack = nil, nil
 	allowCtx := dropResult()
 	allowCtx.Verdict = policy.VerdictAllow
-	allowCtx.Access = &policy.Access{Verdict: policy.VerdictAllow, Reason: "default"}
+	allowCtx.Access = &policy.Access{Verdict: policy.VerdictAllow}
 	mix := []enforcer.Result{
 		dropResult(),
 		{Verdict: policy.VerdictAllow},

@@ -128,7 +128,7 @@ func BenchmarkProcessFlowHitContextual(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.engine.SetRules(append(rules, ctxRules...)); err != nil {
+	if err := setRules(e.engine, append(rules, ctxRules...)); err != nil {
 		b.Fatal(err)
 	}
 	e.Process(pkt) // warm the flow (SYN-time context evaluation happens here)
@@ -205,7 +205,7 @@ func BenchmarkProcessFlowMissRisk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.engine.SetRules(append(benchRules(), risk...)); err != nil {
+	if err := setRules(e.engine, append(benchRules(), risk...)); err != nil {
 		b.Fatal(err)
 	}
 	e.Process(pkt) // the tag is known

@@ -137,7 +137,7 @@ func TestReplacedRecordIsAMiss(t *testing.T) {
 	if count(e, "bp_flowtable_hits_total") != hits || count(e, "bp_policy_evaluations_total") != evals+1 {
 		t.Fatal("replaced tag record: the next packet was a hit")
 	}
-	if res.Verdict != policy.VerdictAllow || res.Access.Reason != first.Access.Reason || len(res.Stack) != 1 || res.Stack[0] != first.Stack[0] {
+	if res.Verdict != policy.VerdictAllow || res.Access.Reason() != first.Access.Reason() || len(res.Stack) != 1 || res.Stack[0] != first.Stack[0] {
 		t.Fatalf("replaced tag record: re-evaluated to %+v", res)
 	}
 }

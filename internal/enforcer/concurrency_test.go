@@ -31,7 +31,7 @@ func TestConcurrentProcess(t *testing.T) {
 				return
 			default:
 			}
-			if err := e.engine.SetRules([]policy.Rule{
+			if err := setRules(e.engine, []policy.Rule{
 				{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 			}); err != nil {
 				t.Error(err)

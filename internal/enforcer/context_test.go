@@ -458,7 +458,7 @@ func TestSweepFlowsReclaimsInvalidated(t *testing.T) {
 	if freed := e.SweepFlows(); freed != onStripe {
 		t.Fatalf("a sweep after a context flip freed %d flows, want the %d on its stripe", freed, onStripe)
 	}
-	if err := e.engine.SetRules(rules); err != nil {
+	if err := setRules(e.engine, rules); err != nil {
 		t.Fatal(err)
 	}
 	if freed := e.SweepFlows(); freed != len(pkts)-onStripe {

@@ -280,3 +280,14 @@ func TestDropCauseStrings(t *testing.T) {
 		}
 	}
 }
+
+// setRules publishes rules on eng as a policy store would: the document
+// they render, compiled.
+func setRules(eng *policy.Engine, rules []policy.Rule) error {
+	set, err := policy.Compile(policy.FormatPolicy(rules))
+	if err != nil {
+		return err
+	}
+	eng.Publish(set)
+	return nil
+}

@@ -73,7 +73,7 @@ func TestSetRulesFlipsCachedVerdict(t *testing.T) {
 	}
 
 	// Central reconfiguration: deny the tracker library.
-	if err := e.engine.SetRules([]policy.Rule{
+	if err := setRules(e.engine, []policy.Rule{
 		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 	}); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSetRulesFlipsCachedVerdict(t *testing.T) {
 	}
 
 	// And back: removing the rule re-admits the flow.
-	if err := e.engine.SetRules(nil); err != nil {
+	if err := setRules(e.engine, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res := e.Process(tracker); res.Verdict != policy.VerdictAllow {
@@ -169,10 +169,10 @@ func TestCachedMatchesFresh(t *testing.T) {
 	_ = fdb
 
 	for round, rules := range ruleSets {
-		if err := cached.engine.SetRules(rules); err != nil {
+		if err := setRules(cached.engine, rules); err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.engine.SetRules(rules); err != nil {
+		if err := setRules(fresh.engine, rules); err != nil {
 			t.Fatal(err)
 		}
 		// Two passes per round so the second pass is all cache hits.
@@ -299,7 +299,7 @@ func TestConcurrentFlowCacheReadersVsRuleUpdates(t *testing.T) {
 				rules = append(rules, policy.Rule{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/never/used"})
 			}
 			flip = !flip
-			if err := e.engine.SetRules(rules); err != nil {
+			if err := setRules(e.engine, rules); err != nil {
 				t.Error(err)
 				return
 			}

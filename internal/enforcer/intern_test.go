@@ -147,7 +147,7 @@ func TestInternCellConflictNeverBorrowsAStack(t *testing.T) {
 			}
 			if only {
 				rule := policy.Rule{Action: policy.Deny, Level: policy.LevelMethod, Target: sig.String()}
-				if err := e.engine.SetRules([]policy.Rule{rule}); err != nil {
+				if err := setRules(e.engine, []policy.Rule{rule}); err != nil {
 					t.Fatal(err)
 				}
 				denied = k

@@ -67,7 +67,7 @@ func TestSwapReevaluatesEachTagOnce(t *testing.T) {
 	run(func(k int) policy.Verdict { return before[k] }) // all hits
 	_, _, evals0, shared0 := stageCounts(e)
 
-	if err := e.engine.SetRules([]policy.Rule{flurry, upload}); err != nil {
+	if err := setRules(e.engine, []policy.Rule{flurry, upload}); err != nil {
 		t.Fatal(err)
 	}
 	run(func(k int) policy.Verdict {
@@ -257,7 +257,7 @@ func BenchmarkProcessFlowMissAfterSwap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 0 {
 			b.StopTimer()
-			if err := e.engine.SetRules(rules); err != nil {
+			if err := setRules(e.engine, rules); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

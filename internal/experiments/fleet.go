@@ -9,7 +9,6 @@ import (
 
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
-	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
 )
 
@@ -37,9 +36,6 @@ type Fleet struct {
 	Gateways []FleetGateway
 	Testbeds []*Testbed
 	Metrics  *metrics.Aggregate
-	// groups is the hub's document, parsed. Push is the hub's only writer,
-	// so it stays the document the hub serves.
-	groups *policy.GroupSet
 }
 
 const (
@@ -56,17 +52,18 @@ const (
 // pushTimeout.
 var errPushStalled = errors.New("push stalled")
 
-// NewFleet validates the grouped policy document and the gateways, builds
-// the shared network and the hub, assembles each gateway on a group-scoped
-// hub source, routes its subnet to it and attaches its registry to agg
-// (nil selects a new aggregate), and starts the stores' watches, each park
-// bounded by watchTimeout (0 selects the store default).
+// NewFleet validates the grouped policy document (the hub's split of it)
+// and the gateways, builds the shared network and the hub, assembles each
+// gateway on a group-scoped hub source, routes its subnet to it and
+// attaches its registry to agg (nil selects a new aggregate), and starts
+// the stores' watches, each park bounded by watchTimeout (0 selects the
+// store default).
 func NewFleet(doc string, gateways []FleetGateway, watchTimeout time.Duration, agg *metrics.Aggregate) (*Fleet, error) {
 	if len(gateways) == 0 {
 		return nil, errors.New("fleet needs at least one gateway")
 	}
-	groups, err := policy.ParseGroupSet(doc)
-	if err != nil {
+	hub := policystore.NewHub(doc)
+	if _, err := hub.ShardVersion(); err != nil {
 		return nil, fmt.Errorf("fleet policy: %w", err)
 	}
 	if agg == nil {
@@ -74,10 +71,9 @@ func NewFleet(doc string, gateways []FleetGateway, watchTimeout time.Duration, a
 	}
 	f := &Fleet{
 		Network:  netsim.NewNetwork(netsim.ModeTAP),
-		Hub:      policystore.NewHub(doc),
+		Hub:      hub,
 		Gateways: slices.Clone(gateways),
 		Metrics:  agg,
-		groups:   groups,
 	}
 	for i := range f.Gateways {
 		if err := f.addGateway(i, watchTimeout); err != nil {
@@ -136,38 +132,39 @@ func (f *Fleet) addGateway(i int, watchTimeout time.Duration) error {
 // Push replaces the fleet's policy document and returns once, on every
 // gateway, a changed shard has applied and the store's watch-round counter
 // has moved past the push; an unchanged shard keeps its compiled rules.
-// The store bumps that counter after the apply, so the counters a caller
-// reads next are settled. Pushing the current document is a no-op.
+// The hub's split of each revision says which shards changed. The store
+// bumps that counter after the apply, so the counters a caller reads next
+// are settled. Pushing the current document is a no-op.
 func (f *Fleet) Push(doc string) error {
-	groups, err := policy.ParseGroupSet(doc)
-	if err != nil {
-		return fmt.Errorf("push policy: %w", err)
-	}
 	applied := metrics.L("outcome", "applied")
 	type mark struct {
-		changed         bool
+		shard           string // the shard's version before the push
 		rounds, applies uint64
 	}
 	marks := make([]mark, len(f.Testbeds))
 	for i, tb := range f.Testbeds {
-		gw := f.Gateways[i].Groups
+		// The hub serves a document NewFleet or a Push admitted: it splits.
+		shard, _ := f.Hub.ShardVersion(f.Gateways[i].Groups...)
 		marks[i] = mark{
-			changed: f.groups.DocFor(gw...) != groups.DocFor(gw...),
+			shard:   shard,
 			rounds:  tb.count("bp_policy_watch_rounds_total"),
 			applies: tb.count("bp_policy_reloads_total", applied),
 		}
 	}
 	rev := f.Hub.Rev()
-	f.Hub.Set(doc)
-	f.groups = groups
+	if _, err := f.Hub.SetGroups(doc); err != nil {
+		return fmt.Errorf("push policy: %w", err)
+	}
 	if f.Hub.Rev() == rev {
 		return nil
 	}
 	deadline := time.Now().Add(pushTimeout)
 	for i, tb := range f.Testbeds {
 		m := marks[i]
+		shard, _ := f.Hub.ShardVersion(f.Gateways[i].Groups...)
+		changed := shard != m.shard
 		for tb.count("bp_policy_watch_rounds_total") == m.rounds ||
-			m.changed && tb.count("bp_policy_reloads_total", applied) == m.applies {
+			changed && tb.count("bp_policy_reloads_total", applied) == m.applies {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("gateway %q did not complete a watch round within %v: %w", f.Gateways[i].Name, pushTimeout, errPushStalled)
 			}

@@ -72,7 +72,7 @@ func TestEveryOfferedPacketIsCountedAndAudited(t *testing.T) {
 	offer(true)
 	check("steady state")
 
-	if err := eng.SetRules(nil); err != nil { // the tracker connection is now allowed
+	if err := setRules(eng, nil); err != nil { // the tracker connection is now allowed
 		t.Fatal(err)
 	}
 	offer(true)

@@ -185,7 +185,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		for pass := 0; pass < 6; pass++ {
 			if r, ok := swaps[pass]; ok { // swap the policy everywhere
 				for _, eng := range []*policy.Engine{fastEng, refEng} {
-					if err := eng.SetRules(r); err != nil {
+					if err := setRules(eng, r); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -244,11 +244,11 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 		for ph, burst := range phases {
 			switch ph {
 			case 2: // allow everything: denied flows' data now passes, mid-stream
-				if err := eng.SetRules(nil); err != nil {
+				if err := setRules(eng, nil); err != nil {
 					t.Fatal(err)
 				}
 			case 3:
-				if err := eng.SetRules(strict); err != nil {
+				if err := setRules(eng, strict); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -93,7 +93,7 @@ func BenchmarkCompile1050Rules(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compileRules(rules, nil); err != nil {
+		if _, err := compileRules(rules); err != nil {
 			b.Fatal(err)
 		}
 	}

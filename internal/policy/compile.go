@@ -2,19 +2,20 @@ package policy
 
 import (
 	"fmt"
+	"strings"
 
 	"borderpatrol/internal/dex"
 )
 
 // This file implements the rule-set compiler: the engine's hot path no
-// longer scans rules linearly per packet. At NewEngine/SetRules time the
-// ordered rule list is compiled into exact-match maps (hash targets,
-// method targets) and package-prefix indexes (library and class targets),
-// with every rule's Reason string and parsed target precomputed. Evaluate
-// then runs a handful of map probes per frame — O(frames × path segments)
-// instead of O(rules × frames) — and reconstructs the paper's
-// first-decisive-rule-wins ordering by tracking the minimum original rule
-// index across all matching compiled entries.
+// longer scans rules linearly per packet. Compile (or NewEngine, for rules
+// a caller holds) compiles the ordered rule list into exact-match maps
+// (hash targets, method targets) and a package-prefix index (library and
+// class targets), with every rule's target parsed once. Evaluate then runs
+// a handful of map probes per frame — O(frames × path segments) instead of
+// O(rules × frames) — and reconstructs the paper's first-decisive-rule-wins
+// ordering by tracking the minimum original rule index across all matching
+// compiled entries.
 //
 // The same compilation-ahead-of-enforcement idea appears in the P4
 // follow-up work (Kang et al., "Programmable In-Network Security for
@@ -93,26 +94,26 @@ func classPathPrefixMatch(prefix string, sig *dex.Signature) bool {
 		prefix[len(sig.Package)+1:] == sig.Class
 }
 
-// compiledRules is one immutable compiled rule set. The engine swaps whole
-// compiledRules values atomically on SetRules, so Evaluate runs without
-// any lock. Per-rule hit counters live here because SetRules resets them
-// (the pre-compiler engine had the same semantics).
-type compiledRules struct {
-	rules   []Rule
-	reasons []string // reasons[i] is the Access.Reason for rule i
+// RuleSet is one compiled, immutable rule set: the ordered rules, each
+// with its target parsed once, indexed for evaluation. An engine publishes
+// whole RuleSets with an atomic pointer swap, so Evaluate runs without any
+// lock. A RuleSet's targets share one string of their own, so a set kept
+// alive by old verdicts never pins the document it was compiled from.
+type RuleSet struct {
+	rules []Rule
+	// reasons[i] is rule i's Access reason, rendered on first read.
+	reasons []reason
 
 	// byHash maps a truncated app hash to the smallest index of a
 	// hash-level rule (allow or deny) targeting it.
 	byHash map[dex.TruncatedHash]int
-	// libPrefix maps library-level deny targets to their smallest rule
-	// index; probed with every package-boundary prefix of a frame's package.
-	libPrefix map[string]int
-	// classPrefix holds class-level deny targets that can match inside a
-	// frame's package path (same probe as libPrefix).
-	classPrefix map[string]int
+	// prefix maps library- and class-level deny targets to their smallest
+	// rule index; probed with every package-boundary prefix of a frame's
+	// package (a class target can match inside a package path too).
+	prefix map[string]int
 	// classExact holds class-level deny targets split at their last slash,
 	// matching a frame's full package+class path without concatenation.
-	classExact map[string]map[string]int
+	classExact map[[2]string]int
 	// methodExact maps parsed method-level deny targets to their smallest
 	// rule index, probed with the frame signature itself.
 	methodExact map[dex.Signature]int
@@ -128,6 +129,9 @@ type compiledRules struct {
 	ctx *contextProgram
 }
 
+// Len returns the number of rules in the set.
+func (c *RuleSet) Len() int { return len(c.rules) }
+
 // keepMin records idx for key unless a smaller (earlier) rule index is
 // already present: the earliest matching rule is always the decisive one.
 func keepMin[K comparable](m map[K]int, key K, idx int) {
@@ -136,87 +140,143 @@ func keepMin[K comparable](m map[K]int, key K, idx int) {
 	}
 }
 
-// compileRules validates and indexes an ordered rule set, parsing each
-// rule's target once (Rule.parse). Its risk program, if any, counts its
-// outcomes on counts.
-func compileRules(rules []Rule, counts *riskCounts) (*compiledRules, error) {
-	c := &compiledRules{
-		rules:        append([]Rule(nil), rules...),
-		reasons:      make([]string, len(rules)),
-		byHash:       make(map[dex.TruncatedHash]int),
-		libPrefix:    make(map[string]int),
-		classPrefix:  make(map[string]int),
-		classExact:   make(map[string]map[string]int),
-		methodExact:  make(map[dex.Signature]int),
-		methodMerged: make(map[methodKey]int),
+// minRuleLen is the length of the shortest rule the grammar accepts
+// ({[deny][class][x]}): no document holds more rules than its length over
+// this.
+const minRuleLen = 18
+
+// Compile parses a policy document (ParsePolicyString's grammar, with its
+// refusals) and compiles it in one pass: each rule is cut from the
+// document in place and parsed once, and the indexes are built from the
+// targets just parsed, sized to the rules that land in each.
+func Compile(doc string) (*RuleSet, error) {
+	b := newSetBuilder(min(strings.Count(doc, "{"), len(doc)/minRuleLen))
+	if err := scanDocument(doc, b.add, nil); err != nil {
+		return nil, err
 	}
-	var preds []compiledPredicate
-	warnAt, blockAt := DefaultWarnRisk, DefaultBlockRisk
-	for i := range c.rules {
-		r := &c.rules[i]
-		t, err := r.parse()
+	return b.build()
+}
+
+// compileRules validates and compiles an ordered rule set a caller holds.
+func compileRules(rules []Rule) (*RuleSet, error) {
+	b := newSetBuilder(len(rules))
+	for i := range rules {
+		t, err := rules[i].parse()
 		if err != nil {
 			return nil, fmt.Errorf("policy: rule %d: %w", i, err)
 		}
-		switch r.Kind {
-		case KindRisk:
-			c.reasons[i] = fmt.Sprintf("risk rule %s matched", r)
-			preds = append(preds, t.pred)
-			continue
-		case KindThreshold:
-			// The last explicit threshold rule of each kind wins.
-			if r.Thresh == ThresholdWarn {
-				warnAt = r.Weight
-			} else {
-				blockAt = r.Weight
-			}
-			c.reasons[i] = fmt.Sprintf("threshold rule %s", r)
-			continue
-		}
-		switch r.Action {
-		case Deny:
-			c.reasons[i] = fmt.Sprintf("deny rule %s matched", r)
-		case Allow:
-			c.reasons[i] = fmt.Sprintf("allow rule %s satisfied by all frames", r)
-		}
+		b.add(rules[i], t)
+	}
+	return b.build()
+}
 
+// setBuilder collects a rule set's parsed rules, in order, and what build
+// needs to size its indexes.
+type setBuilder struct {
+	rules []Rule
+	// hashes are the hash-level rules' parsed targets, in rule order.
+	hashes []dex.TruncatedHash
+	// preds are the risk rules' compiled predicates, in rule order.
+	preds []compiledPredicate
+	// warnAt and blockAt are the last explicit thresholds, or the defaults.
+	warnAt, blockAt int
+	// targetBytes totals the rules' targets; deny counts the deny rules
+	// of each level and allow the non-hash allow rules.
+	targetBytes int
+	deny        [LevelMethod + 1]int
+	allow       int
+}
+
+// newSetBuilder starts a builder for about n rules.
+func newSetBuilder(n int) setBuilder {
+	return setBuilder{rules: make([]Rule, 0, n), warnAt: DefaultWarnRisk, blockAt: DefaultBlockRisk}
+}
+
+// add takes the next rule, with its target parsed by Rule.parse.
+func (b *setBuilder) add(r Rule, t ruleTarget) {
+	b.rules = append(b.rules, r)
+	b.targetBytes += len(r.Target)
+	switch {
+	case r.Kind == KindRisk:
+		b.preds = append(b.preds, t.pred)
+	case r.Kind == KindThreshold:
+		// The last explicit threshold rule of each kind wins.
+		if r.Thresh == ThresholdWarn {
+			b.warnAt = r.Weight
+		} else {
+			b.blockAt = r.Weight
+		}
+	case r.Level == LevelHash:
+		b.hashes = append(b.hashes, t.hash)
+	case r.Action == Allow:
+		b.allow++
+	default:
+		b.deny[r.Level]++
+	}
+}
+
+// build moves the rules' targets into one string of the set's own and
+// indexes the rules from it. A method target's signature is cut from that
+// string again (dex.ParseSignature, which Rule.parse already ran on it), so
+// the index keys point there too.
+func (b *setBuilder) build() (*RuleSet, error) {
+	if err := checkRiskRules(len(b.preds)); err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
+	}
+	c := &RuleSet{
+		rules:        b.rules,
+		reasons:      make([]reason, len(b.rules)),
+		byHash:       make(map[dex.TruncatedHash]int, len(b.hashes)),
+		prefix:       make(map[string]int, b.deny[LevelLibrary]+b.deny[LevelClass]),
+		classExact:   make(map[[2]string]int, b.deny[LevelClass]),
+		methodExact:  make(map[dex.Signature]int, b.deny[LevelMethod]),
+		methodMerged: make(map[methodKey]int, b.deny[LevelMethod]),
+		allows:       make([]allowMatcher, 0, b.allow),
+	}
+	var arena strings.Builder
+	arena.Grow(b.targetBytes)
+	for i := range c.rules {
+		arena.WriteString(c.rules[i].Target)
+	}
+	targets, hashes := arena.String(), b.hashes
+	for i := range c.rules {
+		r := &c.rules[i]
+		r.Target, targets = targets[:len(r.Target)], targets[len(r.Target):]
+		if r.Kind != KindAccess {
+			continue
+		}
 		if r.Level == LevelHash {
-			keepMin(c.byHash, t.hash, i)
+			keepMin(c.byHash, hashes[0], i)
+			hashes = hashes[1:]
 			continue
 		}
-
+		var sig dex.Signature
+		if r.Level == LevelMethod {
+			sig, _ = dex.ParseSignature(r.Target)
+		}
 		if r.Action == Allow {
-			c.allows = append(c.allows, allowMatcher{idx: i, level: r.Level, target: r.Target, sig: t.sig})
+			c.allows = append(c.allows, allowMatcher{idx: i, level: r.Level, target: r.Target, sig: sig})
 			continue
 		}
-
 		switch r.Level {
 		case LevelLibrary:
-			keepMin(c.libPrefix, r.Target, i)
+			keepMin(c.prefix, r.Target, i)
 		case LevelClass:
 			// A class target matches a frame either inside the frame's
 			// package path (boundary prefix) or as the frame's exact
 			// package+class path; index it for both probes.
-			keepMin(c.classPrefix, r.Target, i)
+			keepMin(c.prefix, r.Target, i)
 			pkg, cls := splitClassTarget(r.Target)
-			sub, ok := c.classExact[pkg]
-			if !ok {
-				sub = make(map[string]int)
-				c.classExact[pkg] = sub
-			}
-			keepMin(sub, cls, i)
+			keepMin(c.classExact, [2]string{pkg, cls}, i)
 		case LevelMethod:
-			if !t.sig.Merged() {
-				keepMin(c.methodExact, t.sig, i)
+			if !sig.Merged() {
+				keepMin(c.methodExact, sig, i)
 			}
-			keepMin(c.methodMerged, methodKey{t.sig.Package, t.sig.Class, t.sig.Name}, i)
+			keepMin(c.methodMerged, methodKey{sig.Package, sig.Class, sig.Name}, i)
 		}
 	}
-	if err := checkRiskRules(len(preds)); err != nil {
-		return nil, fmt.Errorf("policy: %w", err)
-	}
-	if len(preds) > 0 {
-		c.ctx = &contextProgram{preds: preds, warnAt: warnAt, blockAt: blockAt, edges: timeEdges(preds), counts: counts}
+	if len(b.preds) > 0 {
+		c.ctx = &contextProgram{preds: b.preds, warnAt: b.warnAt, blockAt: b.blockAt, edges: timeEdges(b.preds)}
 	}
 	return c, nil
 }
@@ -235,7 +295,7 @@ func splitClassTarget(target string) (pkg, class string) {
 // probeFrame returns the smallest deny-rule index matching one frame, or
 // best if none beats it. It probes the method maps once and the prefix
 // maps once per package segment — allocation-free.
-func (c *compiledRules) probeFrame(sig *dex.Signature, best int) int {
+func (c *RuleSet) probeFrame(sig *dex.Signature, best int) int {
 	if sig.Merged() {
 		if len(c.methodMerged) > 0 {
 			if idx, ok := c.methodMerged[methodKey{sig.Package, sig.Class, sig.Name}]; ok && idx < best {
@@ -250,8 +310,8 @@ func (c *compiledRules) probeFrame(sig *dex.Signature, best int) int {
 
 	// Library and class prefix targets both match at package-segment
 	// boundaries of the frame's package path; enumerate each boundary
-	// prefix once and probe both maps.
-	if len(c.libPrefix) > 0 || len(c.classPrefix) > 0 {
+	// prefix once.
+	if len(c.prefix) > 0 {
 		pkg := sig.Package
 		for i := 0; i <= len(pkg); i++ {
 			if i != len(pkg) && pkg[i] != '/' {
@@ -260,21 +320,15 @@ func (c *compiledRules) probeFrame(sig *dex.Signature, best int) int {
 			if i == 0 {
 				continue // empty prefix never matches
 			}
-			prefix := pkg[:i]
-			if idx, ok := c.libPrefix[prefix]; ok && idx < best {
-				best = idx
-			}
-			if idx, ok := c.classPrefix[prefix]; ok && idx < best {
+			if idx, ok := c.prefix[pkg[:i]]; ok && idx < best {
 				best = idx
 			}
 		}
 	}
 	// A class target can also name the frame's full package+class path.
 	if len(c.classExact) > 0 {
-		if sub, ok := c.classExact[sig.Package]; ok {
-			if idx, ok := sub[sig.Class]; ok && idx < best {
-				best = idx
-			}
+		if idx, ok := c.classExact[[2]string{sig.Package, sig.Class}]; ok && idx < best {
+			best = idx
 		}
 	}
 	return best
@@ -285,7 +339,7 @@ func (c *compiledRules) probeFrame(sig *dex.Signature, best int) int {
 // linear-scan ordering exactly: the result is the minimum index over all
 // matching rules, and per Rule.Matches semantics only hash-level rules can
 // match an empty stack.
-func (c *compiledRules) evaluate(appHash dex.TruncatedHash, stack []dex.Signature) int {
+func (c *RuleSet) evaluate(appHash dex.TruncatedHash, stack []dex.Signature) int {
 	best := len(c.rules)
 	if len(c.byHash) > 0 {
 		if idx, ok := c.byHash[appHash]; ok {

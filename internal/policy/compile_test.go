@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"borderpatrol/internal/dex"
 )
@@ -214,5 +215,101 @@ func TestDuplicateTargetsKeepEarliestIndex(t *testing.T) {
 	stack := []dex.Signature{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}}
 	if d := eng.Evaluate(dex.TruncatedHash{}, stack); d.Rule != &eng.compiled.Load().rules[0] {
 		t.Fatalf("duplicate target must credit the earliest rule: %+v", d.Rule)
+	}
+}
+
+// TestReasonRenderedOnFirstRead pins where reason text is made: compiling,
+// evaluating and deciding format nothing — a risk block included — and a
+// rule's reason is rendered the first time it is read, then kept for every
+// Access the rule decides, so a second read allocates nothing.
+func TestReasonRenderedOnFirstRead(t *testing.T) {
+	set, err := Compile("{[deny][library][\"com/flurry\"]}\n{[risk][network][\"unknown\"][100]}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mustEngine(t, "")
+	eng.Publish(set)
+	var h dex.TruncatedHash
+	flurry := []dex.Signature{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}}
+	clean := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
+
+	a := eng.Access(h, clean)
+	if avg := testing.AllocsPerRun(100, func() { a.Decide(a.Risk(&FlowContext{})) }); avg != 0 {
+		t.Errorf("deciding a risk block allocates %.1f per op", avg)
+	}
+	eng.Evaluate(h, flurry)
+	if set.reasons[0].text.Load() != nil {
+		t.Fatal("the deny rule's reason was rendered before anyone read it")
+	}
+	const want = `deny rule {[deny][library]["com/flurry"]} matched`
+	if got := eng.Evaluate(h, flurry).Reason(); got != want {
+		t.Fatalf("reason %q, want %q", got, want)
+	}
+	again := eng.Access(h, flurry)
+	if avg := testing.AllocsPerRun(100, func() { _ = again.Reason() }); avg != 0 {
+		t.Errorf("a second read of the rule's reason allocates %.1f per op", avg)
+	}
+	if got := again.Reason(); got != want {
+		t.Fatalf("second read %q, want %q", got, want)
+	}
+}
+
+// TestReasonFirstReadsAgree: goroutines that read a rule's reason for the
+// first time at once all get the one kept text (run it with -race).
+func TestReasonFirstReadsAgree(t *testing.T) {
+	eng := mustEngine(t, `{[allow][library]["com/corp"]}`)
+	stack := []dex.Signature{{Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}}
+	const want = `allow rule {[allow][library]["com/corp"]} satisfied by all frames`
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := eng.Access(dex.TruncatedHash{}, stack)
+			if got := a.Reason(); got != want {
+				t.Errorf("reason %q, want %q", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCompiledSetDoesNotPinDocument: a compiled set's rules and index keys
+// point into a string of the set's own, never into the document, so the
+// sets old verdicts keep alive do not keep their documents alive too.
+func TestCompiledSetDoesNotPinDocument(t *testing.T) {
+	doc := paperSnippet1 + "{[allow][library][\"com/corp\"]}\n{[deny][class][\"com/a/B\"]}\n{[allow][method][\"Lcom/a/B;->m()V\"]}\n"
+	set, err := Compile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	inDoc := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= start && p < start+uintptr(len(doc))
+	}
+	var strs []string
+	for _, r := range set.rules {
+		strs = append(strs, r.Target)
+	}
+	for k := range set.prefix {
+		strs = append(strs, k)
+	}
+	for k := range set.classExact {
+		strs = append(strs, k[0], k[1])
+	}
+	for k := range set.methodExact {
+		strs = append(strs, k.Package, k.Class, k.Name, k.Proto)
+	}
+	for k := range set.methodMerged {
+		strs = append(strs, k.pkg, k.class, k.name)
+	}
+	for _, a := range set.allows {
+		strs = append(strs, a.target, a.sig.Package, a.sig.Class, a.sig.Name, a.sig.Proto)
+	}
+	for _, s := range strs {
+		if inDoc(s) {
+			t.Fatalf("%q points into the compiled document", s)
+		}
 	}
 }

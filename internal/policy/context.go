@@ -81,35 +81,12 @@ const (
 )
 
 // String names the predicate in grammar syntax.
-func (p Predicate) String() string {
-	switch p {
-	case PredTime:
-		return "time"
-	case PredNetwork:
-		return "network"
-	case PredPosture:
-		return "posture"
-	case PredTravel:
-		return "travel"
-	default:
-		return fmt.Sprintf("predicate(%d)", int(p))
-	}
-}
+func (p Predicate) String() string { return predicateWords.name(int(p)) }
 
 // ParsePredicate parses a grammar predicate keyword.
 func ParsePredicate(s string) (Predicate, error) {
-	switch s {
-	case "time":
-		return PredTime, nil
-	case "network":
-		return PredNetwork, nil
-	case "posture":
-		return PredPosture, nil
-	case "travel":
-		return PredTravel, nil
-	default:
-		return 0, fmt.Errorf("%w: predicate %q", ErrBadRule, s)
-	}
+	v, err := predicateWords.parse(s)
+	return Predicate(v), err
 }
 
 // ThresholdKind selects which risk threshold a threshold rule sets.
@@ -124,27 +101,12 @@ const (
 )
 
 // String names the threshold kind in grammar syntax.
-func (t ThresholdKind) String() string {
-	switch t {
-	case ThresholdWarn:
-		return "warn"
-	case ThresholdBlock:
-		return "block"
-	default:
-		return fmt.Sprintf("threshold(%d)", int(t))
-	}
-}
+func (t ThresholdKind) String() string { return thresholdWords.name(int(t)) }
 
 // ParseThresholdKind parses a grammar threshold keyword.
 func ParseThresholdKind(s string) (ThresholdKind, error) {
-	switch s {
-	case "warn":
-		return ThresholdWarn, nil
-	case "block":
-		return ThresholdBlock, nil
-	default:
-		return 0, fmt.Errorf("%w: threshold kind %q", ErrBadRule, s)
-	}
+	v, err := thresholdWords.parse(s)
+	return ThresholdKind(v), err
 }
 
 // NetworkClass is the trust classification of the network a device is
@@ -164,31 +126,12 @@ const (
 )
 
 // String names the network class in grammar syntax.
-func (n NetworkClass) String() string {
-	switch n {
-	case NetUnknown:
-		return "unknown"
-	case NetTrusted:
-		return "trusted"
-	case NetCellular:
-		return "cellular"
-	default:
-		return fmt.Sprintf("network(%d)", int(n))
-	}
-}
+func (n NetworkClass) String() string { return networkWords.name(int(n)) }
 
 // ParseNetworkClass parses a network trust class keyword.
 func ParseNetworkClass(s string) (NetworkClass, error) {
-	switch s {
-	case "unknown":
-		return NetUnknown, nil
-	case "trusted":
-		return NetTrusted, nil
-	case "cellular":
-		return NetCellular, nil
-	default:
-		return 0, fmt.Errorf("%w: network class %q", ErrBadRule, s)
-	}
+	v, err := networkWords.parse(s)
+	return NetworkClass(v), err
 }
 
 // Contextual limits and defaults.

@@ -196,8 +196,8 @@ func TestRiskScoringThresholds(t *testing.T) {
 	if d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 110 {
 		t.Fatalf("risky: %+v", d)
 	}
-	if d.Reason != "risk score 110 >= block threshold 100" {
-		t.Fatalf("block reason %q does not cite the score and the threshold", d.Reason)
+	if d.Reason() != "risk score 110 >= block threshold 100" {
+		t.Fatalf("block reason %q does not cite the score and the threshold", d.Reason())
 	}
 
 	// Impossible travel alone blocks even on a trusted network at noon:
@@ -355,7 +355,7 @@ func TestAccessAndRiskDecideFromOneSnapshot(t *testing.T) {
 	}
 	d := a.Decide(a.Risk(unknown))
 	if !a.ReadsContext() || d.Verdict != VerdictDrop || !d.Risk.Blocked || d.Risk.Score != 100 ||
-		d.Reason != "risk score 100 >= block threshold 100" {
+		d.Reason() != "risk score 100 >= block threshold 100" {
 		t.Fatalf("risk set swapped out before scoring: reads context %v, %+v; want the risk set's block", a.ReadsContext(), d)
 	}
 	a = e.Access(h, stack)

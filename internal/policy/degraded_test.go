@@ -30,7 +30,7 @@ func TestDegradedOverride(t *testing.T) {
 		t.Fatalf("generation = %d, want %d", eng.Generation(), gen+1)
 	}
 	d := eng.Evaluate(dex.TruncatedHash{}, cleanStack)
-	if d.Verdict != VerdictDrop || d.Reason != "policy stale" {
+	if d.Verdict != VerdictDrop || d.Reason() != "policy stale" {
 		t.Fatalf("degraded verdict = %+v", d)
 	}
 	if dd := eng.degraded.Load(); dd == nil || dd.Verdict != VerdictDrop {

@@ -21,16 +21,7 @@ const (
 )
 
 // String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictAllow:
-		return "allow"
-	case VerdictDrop:
-		return "drop"
-	default:
-		return fmt.Sprintf("verdict(%d)", int(v))
-	}
-}
+func (v Verdict) String() string { return verdictWords.name(int(v)) }
 
 // Decision is a flow's verdict plus the rule that produced it (nil for
 // defaults): the Access reached for its app and stack, combined with the
@@ -40,23 +31,67 @@ type Decision struct {
 	// Rule is the decisive rule; nil when the default applied (or when a
 	// risk score, not one rule, decided).
 	Rule *Rule
-	// Reason is a human-readable explanation for audit logs.
-	Reason string
 	// Risk is the risk program's part, zero when it did not run.
 	Risk Risk
+	// why and ctx are the Access's, for Reason.
+	why *reason
+	ctx *contextProgram
+}
+
+// Reason explains the decision for audit logs. It is rendered on demand:
+// a risk block's from the score and the block threshold, an access
+// verdict's as Access.Reason.
+func (d Decision) Reason() string {
+	if d.Risk.Blocked {
+		return fmt.Sprintf("risk score %d >= block threshold %d", d.Risk.Score, d.ctx.blockAt)
+	}
+	return d.why.render(d.Rule)
 }
 
 // Access is stage 3's context-free half: the access rules' verdict on one
 // app and stack under one rule set, with the decisive rule (nil for the
 // default) and its reason. It keeps that rule set's risk program when the
 // verdict admits, so Risk scores a flow against the rule set that reached
-// it, whatever SetRules runs meanwhile. An Access is immutable, and every
+// it, whatever Publish runs meanwhile. An Access is immutable, and every
 // flow of the app and stack under the rule set may share it.
 type Access struct {
 	Verdict Verdict
 	Rule    *Rule
-	Reason  string
+	why     *reason
 	ctx     *contextProgram
+}
+
+// Reason explains the access verdict for audit logs: "default allow", a
+// degraded posture's text, or its decisive rule's, which is rendered from
+// the rule the first time it is read under its rule set and kept.
+func (a *Access) Reason() string { return a.why.render(a.Rule) }
+
+// reason is an Access's explanation: a fixed text, or its decisive rule's,
+// rendered on first read so that compiling and evaluating format nothing.
+type reason struct{ text atomic.Pointer[string] }
+
+// fixedReason is a reason with its text.
+func fixedReason(text string) *reason {
+	r := new(reason)
+	r.text.Store(&text)
+	return r
+}
+
+// render returns the reason's text, rendering it from rule, the decisive
+// rule it explains, on the first read ("" for no reason).
+func (r *reason) render(rule *Rule) string {
+	if r == nil {
+		return ""
+	}
+	if p := r.text.Load(); p != nil {
+		return *p
+	}
+	text := fmt.Sprintf("deny rule %s matched", rule)
+	if rule.Action == Allow {
+		text = fmt.Sprintf("allow rule %s satisfied by all frames", rule)
+	}
+	r.text.CompareAndSwap(nil, &text)
+	return *r.text.Load()
 }
 
 // Risk is stage 3's context half: a flow's score under the risk program of
@@ -81,21 +116,22 @@ type Risk struct {
 }
 
 // Engine evaluates ordered rules with a configurable default action. It is
-// safe for concurrent use and lock-free on the evaluation path: SetRules
-// compiles the rule set into index structures and publishes the compiled
-// form with an atomic pointer swap — matching the paper's
-// "reconfigurability" design goal (§IV), where administrators update
-// policies centrally while traffic flows, without ever stalling it.
+// safe for concurrent use and lock-free on the evaluation path: Publish
+// installs a compiled RuleSet with an atomic pointer swap — matching the
+// paper's "reconfigurability" design goal (§IV), where administrators
+// update policies centrally while traffic flows, without ever stalling it.
 type Engine struct {
-	// mu serializes writers (SetRules); readers never take it.
+	// mu serializes writers (Publish, degraded transitions); readers
+	// never take it.
 	mu       sync.Mutex
-	compiled atomic.Pointer[compiledRules]
+	compiled atomic.Pointer[RuleSet]
 
-	defaultV  Verdict
-	defReason string
+	defaultV Verdict
+	// defWhy is the default verdict's reason.
+	defWhy *reason
 
 	// generation counts rule-set replacements; flow-verdict caches key
-	// their entries on it so SetRules invalidates them without callbacks.
+	// their entries on it so Publish invalidates them without callbacks.
 	generation atomic.Uint64
 
 	// degraded, when non-nil, short-circuits every access evaluation to a
@@ -113,7 +149,7 @@ type Engine struct {
 }
 
 // riskCounts are an engine's risk-program outcomes, shared by every rule
-// set it compiles: each program points at its engine's.
+// set it publishes: each program points at its engine's.
 type riskCounts struct {
 	evaluations, warns, blocks atomic.Uint64
 }
@@ -124,34 +160,38 @@ func NewEngine(rules []Rule, defaultVerdict Verdict) (*Engine, error) {
 	if defaultVerdict != VerdictAllow && defaultVerdict != VerdictDrop {
 		return nil, fmt.Errorf("policy: invalid default verdict %d", defaultVerdict)
 	}
-	e := &Engine{
-		defaultV:  defaultVerdict,
-		defReason: fmt.Sprintf("default %s", defaultVerdict),
-	}
-	c, err := compileRules(rules, &e.risk)
+	c, err := compileRules(rules)
 	if err != nil {
 		return nil, err
 	}
+	e := &Engine{defaultV: defaultVerdict, defWhy: fixedReason("default " + defaultVerdict.String())}
+	e.bind(c)
 	e.compiled.Store(c)
 	return e, nil
 }
 
-// SetRules atomically replaces the rule set (central reconfiguration).
-// In-flight evaluations finish against the rule set they started with.
-func (e *Engine) SetRules(rules []Rule) error {
-	c, err := compileRules(rules, &e.risk)
-	if err != nil {
-		return err
+// bind points c's risk program, if any, at the engine's counters. A set
+// published again is left untouched, since readers may hold it.
+func (e *Engine) bind(c *RuleSet) {
+	if c.ctx != nil && c.ctx.counts != &e.risk {
+		c.ctx.counts = &e.risk
 	}
+}
+
+// Publish atomically replaces the rule set with c (central
+// reconfiguration). In-flight evaluations finish against the rule set they
+// started with. A RuleSet belongs to one engine, whose counters its risk
+// program counts on.
+func (e *Engine) Publish(c *RuleSet) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.bind(c)
 	e.compiled.Store(c)
 	// Bump the generation only after the new compiled set is visible: a
 	// reader that observes the new generation is then guaranteed to
 	// evaluate against (at least) the new rules, so a verdict cached under
 	// the new generation can never reflect the old policy.
 	e.generation.Add(1)
-	return nil
 }
 
 // Generation returns the number of rule-set replacements plus degraded-mode
@@ -163,7 +203,7 @@ func (e *Engine) Generation() uint64 { return e.generation.Load() }
 // ClearDegraded — the engine half of a policy store's fail-open
 // (VerdictAllow) or fail-closed (VerdictDrop) posture when the last good
 // policy is older than the staleness deadline. The override is published
-// before the generation bump, mirroring SetRules: any reader observing the
+// before the generation bump, mirroring Publish: any reader observing the
 // new generation evaluates under the override, so a pre-degradation cached
 // verdict can never be served once the transition is visible. Idempotent
 // per (verdict, reason): re-asserting the same degraded state does not
@@ -174,10 +214,10 @@ func (e *Engine) SetDegraded(v Verdict, reason string) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if cur := e.degraded.Load(); cur != nil && cur.Verdict == v && cur.Reason == reason {
+	if cur := e.degraded.Load(); cur != nil && cur.Verdict == v && cur.Reason() == reason {
 		return nil
 	}
-	e.degraded.Store(&Access{Verdict: v, Reason: reason})
+	e.degraded.Store(&Access{Verdict: v, why: fixedReason(reason)})
 	e.generation.Add(1)
 	return nil
 }
@@ -216,10 +256,10 @@ func (e *Engine) Access(appHash dex.TruncatedHash, stack []dex.Signature) Access
 		return *dd
 	}
 	c := e.compiled.Load()
-	a := Access{Verdict: e.defaultV, Reason: e.defReason}
+	a := Access{Verdict: e.defaultV, why: e.defWhy}
 	if decisive := c.evaluate(appHash, stack); decisive < len(c.rules) {
 		r := &c.rules[decisive]
-		a = Access{Verdict: VerdictDrop, Rule: r, Reason: c.reasons[decisive]}
+		a = Access{Verdict: VerdictDrop, Rule: r, why: &c.reasons[decisive]}
 		if r.Action == Allow {
 			a.Verdict = VerdictAllow
 		}
@@ -261,13 +301,12 @@ func (a *Access) Risk(fc *FlowContext) Risk {
 
 // Decide combines a with r, the Risk a returned for one flow, into that
 // flow's Decision. A risk block drops the flow with no decisive rule, for
-// a reason that cites the score and the block threshold; it is formatted
-// here, off the packet path.
+// a reason that cites the score and the block threshold. Deciding formats
+// nothing: Decision.Reason renders on demand.
 func (a *Access) Decide(r Risk) Decision {
-	d := Decision{Verdict: a.Verdict, Rule: a.Rule, Reason: a.Reason, Risk: r}
+	d := Decision{Verdict: a.Verdict, Rule: a.Rule, Risk: r, why: a.why, ctx: a.ctx}
 	if r.Blocked {
 		d.Verdict, d.Rule = VerdictDrop, nil
-		d.Reason = fmt.Sprintf("risk score %d >= block threshold %d", r.Score, a.ctx.blockAt)
 	}
 	return d
 }

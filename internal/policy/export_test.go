@@ -19,3 +19,25 @@ func DecisiveIndex(e *Engine, appHash dex.TruncatedHash, stack []dex.Signature) 
 	}
 	return -1
 }
+
+// ParseRule parses one rule, for the tests of the grammar.
+func ParseRule(raw string) (Rule, error) {
+	r, err := cutRule(raw)
+	if err == nil {
+		err = r.Validate()
+	}
+	if err != nil {
+		return Rule{}, err
+	}
+	return r, nil
+}
+
+// SetRules compiles rules the test holds and publishes them on e.
+func (e *Engine) SetRules(rules []Rule) error {
+	c, err := compileRules(rules)
+	if err != nil {
+		return err
+	}
+	e.Publish(c)
+	return nil
+}

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"borderpatrol/internal/dex"
 )
 
 // Native Go fuzz targets for the policy grammar (the gateway parses
@@ -119,7 +121,13 @@ func FuzzParsePolicy(f *testing.F) {
 	f.Add("// only comments\n\n// and blanks\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		rules, err := ParsePolicyString(doc)
-		if err != nil {
+		set, cerr := Compile(doc)
+		switch {
+		case (err == nil) != (cerr == nil):
+			t.Fatalf("ParsePolicyString error %v, Compile error %v\ninput: %q", err, cerr, doc)
+		case err != nil && err.Error() != cerr.Error():
+			t.Fatalf("refusals differ:\n  ParsePolicyString: %v\n  Compile:           %v\ninput: %q", err, cerr, doc)
+		case err != nil:
 			return
 		}
 		formatted := FormatPolicy(rules)
@@ -135,12 +143,80 @@ func FuzzParsePolicy(f *testing.F) {
 		if f2 := FormatPolicy(again); f2 != formatted {
 			t.Fatalf("FormatPolicy not a fixpoint:\n  %q\n  %q", formatted, f2)
 		}
-		// Accepted rule sets must also compile (the store applies them via
-		// SetRules, which must never fail for a parse-accepted document).
-		if _, err := NewEngine(rules, VerdictAllow); err != nil {
+		// The document compiled decides as its parsed rules do: the same
+		// verdict, decisive rule, reason and risk on fixed probes and on a
+		// frame each target of the document matches.
+		held, err := NewEngine(rules, VerdictAllow)
+		if err != nil {
 			t.Fatalf("parse-accepted rules failed to compile: %v\nrules: %+v", err, rules)
 		}
+		compiled, _ := NewEngine(nil, VerdictAllow)
+		compiled.Publish(set)
+		if set.Len() != len(rules) || !rulesEqual(set.rules, rules) {
+			t.Fatalf("Compile rules %+v, ParsePolicyString rules %+v\ninput: %q", set.rules, rules, doc)
+		}
+		for _, h := range fuzzProbeHashes {
+			for _, stack := range append(fuzzProbeStacks, targetFrames(rules)) {
+				want, got := held.Access(h, stack), compiled.Access(h, stack)
+				if want.Verdict != got.Verdict || (want.Rule == nil) != (got.Rule == nil) ||
+					want.Rule != nil && *want.Rule != *got.Rule || want.Reason() != got.Reason() {
+					t.Fatalf("decisions differ on %s %v: held %+v (%s), compiled %+v (%s)\ninput: %q",
+						h, stack, want, want.Reason(), got, got.Reason(), doc)
+				}
+				for _, fc := range fuzzProbeContexts {
+					if w, g := want.Risk(&fc), got.Risk(&fc); w != g {
+						t.Fatalf("risks differ on %s %v %+v: held %+v, compiled %+v\ninput: %q", h, stack, fc, w, g, doc)
+					}
+				}
+			}
+		}
 	})
+}
+
+// The fixed probes FuzzParsePolicy decides on: the seed documents' app
+// hashes and frames, a merged frame, an empty stack, and flow contexts that
+// risk predicates score differently.
+var (
+	fuzzProbeHashes = []dex.TruncatedHash{{}, mustHash("da6880ab1f991974"), mustHash("aabbccdd00112233")}
+	fuzzProbeStacks = [][]dex.Signature{
+		nil,
+		{{Package: "com/flurry/sdk", Class: "Agent", Name: "beacon", Proto: "()V"}},
+		{{Package: "com/google/gms/ads", Class: "Ad", Name: "load", Proto: "()V"}, {Package: "com/corp", Class: "Main", Name: "run", Proto: "()V"}},
+		{{Package: "com/dropbox/android/taskqueue", Class: "UploadTask", Name: "c", Proto: "()Lcom/dropbox/hairball/taskqueue/TaskResult;"}},
+		{{Package: "com/a", Class: "B", Name: "m", Proto: "*"}},
+	}
+	fuzzProbeContexts = []FlowContext{
+		{MinuteOfDay: 23 * 60, Weekday: 2},
+		{Device: DeviceContext{Network: NetTrusted, ScreenLocked: true, PatchAgeDays: 120, VelocityKmh: 2000}, MinuteOfDay: 10 * 60, Weekday: 6},
+	}
+)
+
+func mustHash(s string) dex.TruncatedHash {
+	h, err := dex.ParseTruncatedHash(s)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// targetFrames returns a stack with one frame that each library, class
+// and method target of rules matches.
+func targetFrames(rules []Rule) []dex.Signature {
+	var stack []dex.Signature
+	for _, r := range rules {
+		switch {
+		case r.Kind != KindAccess:
+		case r.Level == LevelLibrary:
+			stack = append(stack, dex.Signature{Package: r.Target, Class: "X", Name: "m", Proto: "()V"})
+		case r.Level == LevelClass:
+			pkg, class := splitClassTarget(r.Target)
+			stack = append(stack, dex.Signature{Package: pkg, Class: class, Name: "m", Proto: "()V"})
+		case r.Level == LevelMethod:
+			sig, _ := dex.ParseSignature(r.Target)
+			stack = append(stack, sig)
+		}
+	}
+	return stack
 }
 
 // FuzzParseGroupSet: a fleet's grouped document arrives by operator push,

@@ -3,7 +3,6 @@ package policy
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -36,30 +35,33 @@ import (
 // of the offending rule, so one bad rule in a thousand-line policy file is
 // locatable without bisecting the document.
 
-// ParseRule parses a single rule in any of the grammar's forms,
-// dispatching on the first bracketed field:
+// cutRule reads a single rule in any of the grammar's forms, dispatching
+// on the first bracketed field, for Rule.parse to validate:
 //
 //	{[allow|deny][level]["target"]}       access rule (paper §IV-B)
 //	{[risk][predicate]["spec"][weight]}   contextual risk predicate
 //	{[threshold][warn|block][value]}      risk threshold
-func ParseRule(raw string) (Rule, error) {
+//
+// The fields are cut from raw in place: the rule allocates nothing unless
+// its target carries escapes, and its Target may point into raw.
+func cutRule(raw string) (Rule, error) {
 	s := strings.TrimSpace(raw)
 	if !strings.HasPrefix(s, "{") || !strings.HasSuffix(s, "}") {
 		return Rule{}, fmt.Errorf("%w: rule %q must be enclosed in braces", ErrBadRule, raw)
 	}
-	s = s[1 : len(s)-1]
-	fields, err := bracketFields(s)
+	var fields [4]string
+	n, err := cutFields(s[1:len(s)-1], &fields)
 	if err != nil {
 		return Rule{}, err
 	}
-	if len(fields) == 0 {
+	if n == 0 {
 		return Rule{}, fmt.Errorf("%w: rule %q is empty", ErrBadRule, raw)
 	}
 	var rule Rule
 	switch strings.TrimSpace(fields[0]) {
 	case "risk":
-		if len(fields) != 4 {
-			return Rule{}, fmt.Errorf("%w: risk rule %q has %d fields, want 4", ErrBadRule, raw, len(fields))
+		if n != 4 {
+			return Rule{}, fmt.Errorf("%w: risk rule %q has %d fields, want 4", ErrBadRule, raw, n)
 		}
 		pred, err := ParsePredicate(strings.TrimSpace(fields[1]))
 		if err != nil {
@@ -76,8 +78,8 @@ func ParseRule(raw string) (Rule, error) {
 			Weight: weight,
 		}
 	case "threshold":
-		if len(fields) != 3 {
-			return Rule{}, fmt.Errorf("%w: threshold rule %q has %d fields, want 3", ErrBadRule, raw, len(fields))
+		if n != 3 {
+			return Rule{}, fmt.Errorf("%w: threshold rule %q has %d fields, want 3", ErrBadRule, raw, n)
 		}
 		kind, err := ParseThresholdKind(strings.TrimSpace(fields[1]))
 		if err != nil {
@@ -89,8 +91,8 @@ func ParseRule(raw string) (Rule, error) {
 		}
 		rule = Rule{Kind: KindThreshold, Thresh: kind, Weight: value}
 	default:
-		if len(fields) != 3 {
-			return Rule{}, fmt.Errorf("%w: rule %q has %d fields, want 3", ErrBadRule, raw, len(fields))
+		if n != 3 {
+			return Rule{}, fmt.Errorf("%w: rule %q has %d fields, want 3", ErrBadRule, raw, n)
 		}
 		action, err := ParseAction(strings.TrimSpace(fields[0]))
 		if err != nil {
@@ -101,9 +103,6 @@ func ParseRule(raw string) (Rule, error) {
 			return Rule{}, err
 		}
 		rule = Rule{Action: action, Level: level, Target: unquoteTarget(strings.TrimSpace(fields[2]))}
-	}
-	if err := rule.Validate(); err != nil {
-		return Rule{}, err
 	}
 	return rule, nil
 }
@@ -122,22 +121,23 @@ func unquoteTarget(target string) string {
 	return target[1 : len(target)-1]
 }
 
-// bracketFields splits "[a][b][c]" into its bracketed fields, tolerating
-// whitespace between brackets. Brackets inside quoted strings do not nest
+// cutFields cuts "[a][b][c]" into its bracketed fields, tolerating
+// whitespace between brackets, and returns how many there are; the first
+// len(fields) land in fields. Brackets inside quoted strings do not nest
 // or terminate fields, and backslash escapes inside quotes are honoured so
 // an escaped quote (\") does not flip the quote state.
-func bracketFields(s string) ([]string, error) {
-	var fields []string
+func cutFields(s string, fields *[4]string) (int, error) {
+	n := 0
 	rest := strings.TrimSpace(s)
 	for rest != "" {
 		if rest[0] != '[' {
-			return nil, fmt.Errorf("%w: expected '[' before field %d at %q", ErrBadRule, len(fields)+1, rest)
+			return 0, fmt.Errorf("%w: expected '[' before field %d at %q", ErrBadRule, n+1, rest)
 		}
 		depth := 0
 		end := -1
 		inQuote := false
 		escaped := false
-		for i := 0; i < len(rest); i++ {
+		for i := 0; i < len(rest) && end < 0; i++ {
 			if escaped {
 				escaped = false
 				continue
@@ -153,57 +153,55 @@ func bracketFields(s string) ([]string, error) {
 				}
 			case ']':
 				if !inQuote {
-					depth--
-					if depth == 0 {
+					if depth--; depth == 0 {
 						end = i
 					}
 				}
 			}
-			if end >= 0 {
-				break
-			}
 		}
 		if end < 0 {
-			return nil, fmt.Errorf("%w: unterminated '[' in field %d of %q", ErrBadRule, len(fields)+1, s)
+			return 0, fmt.Errorf("%w: unterminated '[' in field %d of %q", ErrBadRule, n+1, s)
 		}
-		fields = append(fields, rest[1:end])
+		if n < len(fields) {
+			fields[n] = rest[1:end]
+		}
+		n++
 		rest = strings.TrimSpace(rest[end+1:])
 	}
-	return fields, nil
+	return n, nil
 }
 
-// ParsePolicy reads a full policy document: one or more rules, //-comments,
-// and blank lines. A rule may span multiple physical lines; rules are
-// accumulated until braces balance outside quoted strings. A // comment is
-// recognized only outside quotes and outside a rule body, so targets
-// containing slashes (or even "//") never truncate a rule. One scanner
-// serves ParsePolicy and ParseGroupSet; to ParsePolicy a //@ line is a
-// comment.
-func ParsePolicy(r io.Reader) ([]Rule, error) {
-	var rules []Rule
-	if err := scanDocument(r, func(rule Rule) { rules = append(rules, rule) }, nil); err != nil {
-		return nil, err
-	}
-	return rules, nil
-}
+// maxLine bounds a document line: a longer one fails with the read error
+// of the bufio.Scanner the grammar used to read lines with.
+const maxLine = 1024 * 1024
 
-// scanDocument is the policy document scanner. It hands each rule to rule
-// in document order. When directive is non-nil, each //@ line that lies
-// outside a rule body goes to it — its line number and the text after
-// //@ — instead of being a comment; an error from directive ends the scan.
-func scanDocument(r io.Reader, rule func(Rule), directive func(lineNo int, text string) error) error {
-	var pending strings.Builder
-	depth := 0
-	inQuote := false
-	startLine := 0 // first line of the pending rule
-	lineNo := 0
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
+// scanDocument is the policy document scanner: one pass over doc, cutting
+// each rule's text in place and parsing it once. It hands each rule, with
+// its parsed target, to rule in document order. A rule may span multiple
+// lines; its trimmed fragments are accumulated until braces balance
+// outside quoted strings. A // comment is recognized only outside quotes
+// and outside a rule body, so targets containing slashes (or even "//")
+// never truncate a rule. When directive is non-nil, each //@ line that
+// lies outside a rule body goes to it — its line number and the text
+// after //@ — instead of being a comment; an error from directive ends
+// the scan. Lines end at \n, with one trailing \r dropped.
+func scanDocument(doc string, rule func(Rule, ruleTarget), directive func(lineNo int, text string) error) error {
+	var (
+		depth, lineNo int
+		inQuote       bool
+		startLine     int    // first line of the pending rule
+		pending       string // the pending rule's text: a cut of doc on one line
+	)
+	for rest := doc; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if len(line) >= maxLine {
+			return fmt.Errorf("policy: read: %w", bufio.ErrTooLong)
+		}
+		line = strings.TrimSuffix(line, "\r")
 		lineNo++
-		line := sc.Text()
 		// Directive lines are only recognized between rules: at depth 0,
-		// outside quotes (pending is necessarily empty there).
+		// outside quotes (no rule is pending there).
 		if directive != nil && depth == 0 && !inQuote {
 			if text, ok := strings.CutPrefix(strings.TrimSpace(line), "//@"); ok {
 				if err := directive(lineNo, text); err != nil {
@@ -239,34 +237,35 @@ func scanDocument(r io.Reader, rule func(Rule), directive func(lineNo int, text 
 				}
 			case '}':
 				if !inQuote {
-					depth--
-					if depth < 0 {
+					if depth--; depth < 0 {
 						return fmt.Errorf("%w: line %d: unbalanced '}'", ErrBadRule, lineNo)
 					}
 				}
 			}
 		}
 		frag := strings.TrimSpace(line[:cut])
-		if frag == "" {
+		switch {
+		case frag == "":
 			continue
+		case pending == "":
+			startLine, pending = lineNo, frag
+		default:
+			pending += frag // a rule spanning lines
 		}
-		if pending.Len() == 0 {
-			startLine = lineNo
-		}
-		pending.WriteString(frag)
 		if depth == 0 && !inQuote {
-			parsed, err := ParseRule(pending.String())
+			parsed, err := cutRule(pending)
+			var t ruleTarget
+			if err == nil {
+				t, err = parsed.parse()
+			}
 			if err != nil {
 				return fmt.Errorf("%s: %w", lineRef(startLine, lineNo), err)
 			}
-			rule(parsed)
-			pending.Reset()
+			rule(parsed, t)
+			pending = ""
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("policy: read: %w", err)
-	}
-	if pending.Len() > 0 {
+	if pending != "" {
 		if inQuote {
 			return fmt.Errorf("%w: %s: unterminated quote at EOF", ErrBadRule, lineRef(startLine, lineNo))
 		}
@@ -283,9 +282,16 @@ func lineRef(start, end int) string {
 	return fmt.Sprintf("lines %d-%d", start, end)
 }
 
-// ParsePolicyString is ParsePolicy over an in-memory document.
+// ParsePolicyString reads a full policy document — one or more rules,
+// //-comments, and blank lines — into its rules. One scanner serves
+// ParsePolicyString, ParseGroupSet and Compile; to ParsePolicyString a //@
+// line is a comment.
 func ParsePolicyString(s string) ([]Rule, error) {
-	return ParsePolicy(strings.NewReader(s))
+	var rules []Rule
+	if err := scanDocument(s, func(r Rule, _ ruleTarget) { rules = append(rules, r) }, nil); err != nil {
+		return nil, err
+	}
+	return rules, nil
 }
 
 // FormatPolicy renders rules back into a parseable policy document.

@@ -21,9 +21,9 @@ import (
 // sections merge in document order.
 //
 // Because // starts a comment in the base grammar, a grouped document is
-// also a valid flat document: ParsePolicy sees every rule and ignores the
-// directives, so a single gateway deployment can consume a fleet policy
-// unchanged (the N=1 case enforces the union). The //@ prefix is reserved
+// also a valid flat document: ParsePolicyString sees every rule and
+// ignores the directives, so a single gateway deployment can consume a
+// fleet policy unchanged (the N=1 case enforces the union). The //@ prefix is reserved
 // as the directive namespace: ParseGroupSet rejects unknown //@ words so a
 // typo'd directive fails loudly instead of silently widening a shard.
 //
@@ -31,8 +31,9 @@ import (
 // //@group comment trailing a rule on the same line is an ordinary
 // comment to both parsers.
 //
-// One scanner (scanDocument) serves both parsers: ParseGroupSet adds only
-// the directives, so its rules and refusals are ParsePolicy's.
+// One scanner (scanDocument) serves ParsePolicyString, Compile and
+// ParseGroupSet: ParseGroupSet adds only the directives, so its rules and
+// refusals are ParsePolicyString's.
 
 // GroupSet is a grouped policy document split into its global section and
 // named per-group sections. It is the shared splitter fleet gateways use:
@@ -60,7 +61,7 @@ func ParseGroupSet(doc string) (*GroupSet, error) {
 	gs := &GroupSet{}
 	byName := map[string]int{} // name → index into gs.Groups
 	cur := -1                  // -1 = global section
-	rule := func(r Rule) {
+	rule := func(r Rule, _ ruleTarget) {
 		if cur < 0 {
 			gs.Global = append(gs.Global, r)
 		} else {
@@ -85,7 +86,7 @@ func ParseGroupSet(doc string) (*GroupSet, error) {
 		cur = idx
 		return nil
 	}
-	if err := scanDocument(strings.NewReader(doc), rule, directive); err != nil {
+	if err := scanDocument(doc, rule, directive); err != nil {
 		return nil, err
 	}
 	return gs, nil

@@ -34,16 +34,7 @@ const (
 )
 
 // String names the action in grammar syntax.
-func (a Action) String() string {
-	switch a {
-	case Allow:
-		return "allow"
-	case Deny:
-		return "deny"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
+func (a Action) String() string { return actionWords.name(int(a)) }
 
 // Level is the enforcement granularity L. Higher values are finer.
 type Level int
@@ -61,47 +52,54 @@ const (
 )
 
 // String names the level in grammar syntax.
-func (l Level) String() string {
-	switch l {
-	case LevelHash:
-		return "hash"
-	case LevelLibrary:
-		return "library"
-	case LevelClass:
-		return "class"
-	case LevelMethod:
-		return "method"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
+func (l Level) String() string { return levelWords.name(int(l)) }
 
 // ParseLevel parses a grammar level keyword.
 func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "hash":
-		return LevelHash, nil
-	case "library":
-		return LevelLibrary, nil
-	case "class":
-		return LevelClass, nil
-	case "method":
-		return LevelMethod, nil
-	default:
-		return 0, fmt.Errorf("%w: level %q", ErrBadRule, s)
-	}
+	v, err := levelWords.parse(s)
+	return Level(v), err
 }
 
 // ParseAction parses a grammar action keyword.
 func ParseAction(s string) (Action, error) {
-	switch s {
-	case "allow":
-		return Allow, nil
-	case "deny":
-		return Deny, nil
-	default:
-		return 0, fmt.Errorf("%w: action %q", ErrBadRule, s)
+	v, err := actionWords.parse(s)
+	return Action(v), err
+}
+
+// keywords are the grammar's names for the values of one enum: names[v]
+// is v's keyword ("" for none). A value without one renders as kind(v),
+// and a parse error calls the enum what.
+type keywords struct {
+	kind, what string
+	names      []string
+}
+
+// The grammar's keyword enums.
+var (
+	actionWords    = keywords{"action", "action", []string{Allow: "allow", Deny: "deny"}}
+	levelWords     = keywords{"level", "level", []string{LevelHash: "hash", LevelLibrary: "library", LevelClass: "class", LevelMethod: "method"}}
+	predicateWords = keywords{"predicate", "predicate", []string{PredTime: "time", PredNetwork: "network", PredPosture: "posture", PredTravel: "travel"}}
+	thresholdWords = keywords{"threshold", "threshold kind", []string{ThresholdWarn: "warn", ThresholdBlock: "block"}}
+	networkWords   = keywords{"network", "network class", []string{NetUnknown: "unknown", NetTrusted: "trusted", NetCellular: "cellular"}}
+	verdictWords   = keywords{"verdict", "verdict", []string{VerdictAllow: "allow", VerdictDrop: "drop"}}
+)
+
+// name renders v: its keyword, or kind(v).
+func (k *keywords) name(v int) string {
+	if v >= 0 && v < len(k.names) && k.names[v] != "" {
+		return k.names[v]
 	}
+	return fmt.Sprintf("%s(%d)", k.kind, v)
+}
+
+// parse returns the value whose keyword is s.
+func (k *keywords) parse(s string) (int, error) {
+	for v, name := range k.names {
+		if name != "" && name == s {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %s %q", ErrBadRule, k.what, s)
 }
 
 // Rule is one policy rule. The paper's access form is (α, L, θ); the
@@ -154,9 +152,10 @@ type ruleTarget struct {
 	sig  dex.Signature
 }
 
-// parse validates the rule and returns its parsed target, for Validate and
-// compileRules: a target is parsed in one place, once per compile.
-func (r *Rule) parse() (ruleTarget, error) {
+// parse validates the rule and returns its parsed target, for Validate,
+// the document scanner and compileRules: a target is parsed in one place,
+// once per compile.
+func (r Rule) parse() (ruleTarget, error) {
 	var t ruleTarget
 	switch r.Kind {
 	case KindAccess:

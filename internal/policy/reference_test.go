@@ -45,7 +45,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 					trial, probe, gotIdx, wantIdx, rules, appHash, stack)
 			}
 			got := eng.Evaluate(appHash, stack)
-			if got.Verdict != want.Verdict || got.Reason != want.Reason {
+			if got.Verdict != want.Verdict || got.Reason() != want.Reason {
 				t.Fatalf("trial %d probe %d: decision = %+v, want %+v", trial, probe, got, want)
 			}
 			if (got.Rule == nil) != (want.Rule == nil) {
@@ -89,7 +89,7 @@ func TestParsedCompiledMatchesReference(t *testing.T) {
 			stack := policy.RandStack(rng)
 			wantIdx, want := refmodel.Evaluate(rules, def, appHash, stack)
 			got := eng.Evaluate(appHash, stack)
-			if got.Verdict != want.Verdict || got.Reason != want.Reason {
+			if got.Verdict != want.Verdict || got.Reason() != want.Reason {
 				t.Fatalf("trial %d probe %d: decision %+v, want %+v (decisive %d)\nrules: %v",
 					trial, probe, got, want, wantIdx, rules)
 			}

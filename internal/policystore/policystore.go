@@ -8,12 +8,12 @@
 // A Source produces candidate policy documents with a version token. The
 // Store's one reload loop polls its Source (file stat memo, HTTP
 // conditional GET), or parks a blocking watch when the Source is a
-// Watcher (the Hub). It parses and compiles each changed candidate off
-// the enforcement hot path, and publishes it with policy.Engine.SetRules —
-// an atomic pointer swap whose generation bump self-invalidates every
-// cached flow verdict (see internal/flowtable). Packets therefore never
-// observe a torn rule set: each evaluation sees exactly one compiled
-// snapshot, either wholly-old or wholly-new.
+// Watcher (the Hub). It compiles each changed candidate off the
+// enforcement hot path (policy.Compile), and publishes it with
+// policy.Engine.Publish — an atomic pointer swap whose generation bump
+// self-invalidates every cached flow verdict (see internal/flowtable).
+// Packets therefore never observe a torn rule set: each evaluation sees
+// exactly one compiled snapshot, either wholly-old or wholly-new.
 //
 // # Last-good semantics
 //
@@ -125,7 +125,7 @@ func contentVersion(b []byte) string {
 type Config struct {
 	// Source supplies candidate documents. Required.
 	Source Source
-	// Engine receives each compiled rule set via SetRules. Required.
+	// Engine receives each compiled rule set via Publish. Required.
 	Engine *policy.Engine
 	// Poll is the background reload interval; <= 0 disables the reload
 	// loop (Reload can still be called manually). A Watcher source parks
@@ -273,24 +273,19 @@ func (s *Store) reloadWith(fetch func(prev string) (Candidate, bool, error), par
 		s.markGood()
 		return false, nil
 	}
-	rules, err := policy.ParsePolicyString(c.Doc)
+	// The candidate compiles whole before anything is published, so a
+	// rejected one leaves the last-good compiled set serving.
+	set, err := policy.Compile(c.Doc)
 	if err != nil {
 		err = fmt.Errorf("policystore: %s: candidate %s rejected: %w", s.cfg.Source, c.Version, err)
 		s.fail(err)
 		s.CheckStale()
 		return false, err
 	}
-	// SetRules compiles the candidate before publishing anything, so a
-	// compile failure also leaves the last-good compiled set serving.
-	if err := s.cfg.Engine.SetRules(rules); err != nil {
-		err = fmt.Errorf("policystore: %s: candidate %s rejected: %w", s.cfg.Source, c.Version, err)
-		s.fail(err)
-		s.CheckStale()
-		return false, err
-	}
+	s.cfg.Engine.Publish(set)
 	s.mu.Lock()
 	s.version = c.Version
-	s.ruleCount = len(rules)
+	s.ruleCount = set.Len()
 	s.lastErr = ""
 	s.mu.Unlock()
 	s.applied.Add(1)

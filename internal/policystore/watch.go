@@ -32,27 +32,37 @@ type Watcher interface {
 // grouped document, revisioned on every Set, fanned out to any number of
 // gateways in the same process. Each gateway's store watches its own
 // Source, so a fleet-wide Set wakes every parked gateway at once.
+//
+// The hub scopes shards for every source: it splits a revision's grouped
+// document once (policy.ParseGroupSet), at the first shard read or at
+// SetGroups, and renders each shard from that split.
 type Hub struct {
 	mu      sync.Mutex
 	doc     string
 	version string
 	rev     uint64
 	changed chan struct{} // closed and replaced on every revision
+
+	// split is doc split into its groups (nil until a shard first reads
+	// the revision), or splitErr its refusal.
+	split    *policy.GroupSet
+	splitErr error
 }
 
 // NewHub builds a Hub serving the given document as revision 1.
 func NewHub(doc string) *Hub {
 	h := &Hub{changed: make(chan struct{})}
-	h.publish(doc)
+	h.publish(doc, nil)
 	return h
 }
 
-// publish installs doc as the next revision. Callers hold h.mu or have
-// exclusive access (NewHub).
-func (h *Hub) publish(doc string) {
+// publish installs doc, and its split when the caller made it, as the
+// next revision. Callers hold h.mu or have exclusive access (NewHub).
+func (h *Hub) publish(doc string, split *policy.GroupSet) {
 	h.rev++
 	h.doc = doc
 	h.version = fmt.Sprintf("rev%d-%s", h.rev, contentVersion([]byte(doc)))
+	h.split, h.splitErr = split, nil
 	close(h.changed)
 	h.changed = make(chan struct{})
 }
@@ -64,9 +74,48 @@ func (h *Hub) Set(doc string) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if doc != h.doc {
-		h.publish(doc)
+		h.publish(doc, nil)
 	}
 	return h.version
+}
+
+// SetGroups is Set for a grouped document: it splits doc first and
+// refuses one that does not split, publishing nothing. The split serves
+// every shard of the new revision.
+func (h *Hub) SetGroups(doc string) (string, error) {
+	split, err := policy.ParseGroupSet(doc)
+	if err != nil {
+		return "", err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if doc != h.doc {
+		h.publish(doc, split)
+	}
+	return h.version, nil
+}
+
+// ShardVersion returns the version a Shard(groups...) source serves at the
+// current revision, or the refusal of a document that does not split.
+func (h *Hub) ShardVersion(groups ...string) (string, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c, err := h.shard(groups)
+	return c.Version, err
+}
+
+// shard renders the current revision's shard for groups: the global rules
+// plus the named groups' rules, versioned on its content. Callers hold
+// h.mu.
+func (h *Hub) shard(groups []string) (Candidate, error) {
+	if h.split == nil && h.splitErr == nil {
+		h.split, h.splitErr = policy.ParseGroupSet(h.doc)
+	}
+	if h.splitErr != nil {
+		return Candidate{}, h.splitErr
+	}
+	doc := h.split.DocFor(groups...)
+	return Candidate{Doc: doc, Version: "group:" + contentVersion([]byte(doc))}, nil
 }
 
 // Rev returns the current revision number (1 after NewHub, +1 per Set).
@@ -94,30 +143,49 @@ func (h *Hub) Source() *HubSource { return &HubSource{h: h} }
 // groups' rules, or the global rules alone with no groups. The shard is
 // versioned on its content, so an edit to another group's section is an
 // unchanged round: no recompile, no generation bump, no cache
-// invalidation. It is re-parsed only when the hub revision moves, and its
-// watch parks on the hub revision.
+// invalidation. Its watch parks on the hub revision.
 func (h *Hub) Shard(groups ...string) *HubSource {
-	return &HubSource{h: h, shard: &shard{groups: append([]string(nil), groups...)}}
+	return &HubSource{h: h, sharded: true, groups: append([]string(nil), groups...)}
 }
 
 // HubSource adapts a Hub to the Source and Watcher interfaces.
 type HubSource struct {
-	h     *Hub
-	shard *shard // nil unless built by Hub.Shard
-}
-
-// shard is a Hub.Shard source's groups and its render of the hub version
-// it last parsed (a store's prev names the render's version).
-type shard struct {
-	groups                   []string
-	hubVersion, doc, version string
+	h *Hub
+	// sharded marks a Hub.Shard source, serving the shard for groups.
+	sharded bool
+	groups  []string
+	// seen is the hub version a shard source last served (a store's prev
+	// names the shard's own version).
+	seen string
 }
 
 // Fetch returns the hub's current document, or the shard of it, when it
 // differs from prev.
 func (s *HubSource) Fetch(prev string) (Candidate, bool, error) {
-	doc, version, _ := s.h.state()
-	return s.serve(prev, doc, version)
+	c, err := s.current()
+	if err != nil {
+		return Candidate{}, false, err
+	}
+	if prev != "" && prev == c.Version {
+		return Candidate{}, true, nil
+	}
+	return c, false, nil
+}
+
+// current reads the hub's current document, or the shard of it.
+func (s *HubSource) current() (Candidate, error) {
+	h := s.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !s.sharded {
+		return Candidate{Doc: h.doc, Version: h.version}, nil
+	}
+	c, err := h.shard(s.groups)
+	if err != nil {
+		return c, fmt.Errorf("policystore: hub: grouped document %s rejected: %w", h.version, err)
+	}
+	s.seen = h.version
+	return c, nil
 }
 
 // Watch blocks until the hub's version differs from the last one this
@@ -125,15 +193,15 @@ func (s *HubSource) Fetch(prev string) (Candidate, bool, error) {
 // revision that leaves the shard as it was surfaces as unchanged.
 func (s *HubSource) Watch(prev string, timeout time.Duration, cancel <-chan struct{}) (Candidate, bool, error) {
 	seen := prev
-	if s.shard != nil {
-		seen = s.shard.hubVersion
+	if s.sharded {
+		seen = s.seen
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		doc, version, changed := s.h.state()
+		_, version, changed := s.h.state()
 		if seen == "" || seen != version {
-			return s.serve(prev, doc, version)
+			return s.Fetch(prev)
 		}
 		select {
 		case <-changed:
@@ -145,31 +213,10 @@ func (s *HubSource) Watch(prev string, timeout time.Duration, cancel <-chan stru
 	}
 }
 
-// serve answers prev with the hub document at version, scoped to the
-// shard on a Hub.Shard source.
-func (s *HubSource) serve(prev, doc, version string) (Candidate, bool, error) {
-	if sh := s.shard; sh != nil {
-		if version != sh.hubVersion {
-			gs, err := policy.ParseGroupSet(doc)
-			if err != nil {
-				return Candidate{}, false, fmt.Errorf("policystore: hub: grouped document %s rejected: %w", version, err)
-			}
-			sh.hubVersion = version
-			sh.doc = gs.DocFor(sh.groups...)
-			sh.version = "group:" + contentVersion([]byte(sh.doc))
-		}
-		doc, version = sh.doc, sh.version
-	}
-	if prev != "" && prev == version {
-		return Candidate{}, true, nil
-	}
-	return Candidate{Doc: doc, Version: version}, false, nil
-}
-
 // String describes the backend, and a shard's groups.
 func (s *HubSource) String() string {
-	if s.shard != nil {
-		return fmt.Sprintf("hub[groups:%s]", strings.Join(s.shard.groups, ","))
+	if s.sharded {
+		return fmt.Sprintf("hub[groups:%s]", strings.Join(s.groups, ","))
 	}
 	return "hub"
 }

@@ -122,11 +122,19 @@ func (m *Model) Decide(pkt *ipv4.Packet) Verdict {
 	return v
 }
 
+// Decision is the reference scan's verdict, its decisive rule (nil for the
+// default) and the reason the engine must give for it.
+type Decision struct {
+	Verdict policy.Verdict
+	Rule    *policy.Rule
+	Reason  string
+}
+
 // Evaluate is the policy engine's original linear scan, the specification
 // the compiled engine must reproduce: the first access rule (in order) that
 // matches decides, otherwise the default applies. It returns the decisive
 // rule's index (-1 for the default) and the decision.
-func Evaluate(rules []policy.Rule, def policy.Verdict, appHash dex.TruncatedHash, stack []dex.Signature) (int, policy.Decision) {
+func Evaluate(rules []policy.Rule, def policy.Verdict, appHash dex.TruncatedHash, stack []dex.Signature) (int, Decision) {
 	for i := range rules {
 		r := &rules[i]
 		if r.Kind != policy.KindAccess || !r.Matches(appHash, stack) {
@@ -134,20 +142,12 @@ func Evaluate(rules []policy.Rule, def policy.Verdict, appHash dex.TruncatedHash
 		}
 		switch r.Action {
 		case policy.Deny:
-			return i, policy.Decision{
-				Verdict: policy.VerdictDrop,
-				Rule:    r,
-				Reason:  fmt.Sprintf("deny rule %s matched", r),
-			}
+			return i, Decision{Verdict: policy.VerdictDrop, Rule: r, Reason: fmt.Sprintf("deny rule %s matched", r)}
 		case policy.Allow:
-			return i, policy.Decision{
-				Verdict: policy.VerdictAllow,
-				Rule:    r,
-				Reason:  fmt.Sprintf("allow rule %s satisfied by all frames", r),
-			}
+			return i, Decision{Verdict: policy.VerdictAllow, Rule: r, Reason: fmt.Sprintf("allow rule %s satisfied by all frames", r)}
 		}
 	}
-	return -1, policy.Decision{Verdict: def, Reason: fmt.Sprintf("default %s", def)}
+	return -1, Decision{Verdict: def, Reason: fmt.Sprintf("default %s", def)}
 }
 
 func hasRisk(rules []policy.Rule) bool {

@@ -15,11 +15,11 @@ var parserName = regexp.MustCompile(`^(Parse|Read|Unmarshal|Decode)|^Load$`)
 // parserAllowList names the parsers under internal/ that have no fuzz
 // target of their own, each with what covers it instead.
 var parserAllowList = map[string]string{
-	"policy.ParseLevel":         "keyword switch; FuzzParseRule reaches it through every access rule",
-	"policy.ParseAction":        "keyword switch; FuzzParseRule reaches it through every access rule",
-	"policy.ParsePredicate":     "keyword switch; FuzzParseRule reaches it through every risk rule",
-	"policy.ParseThresholdKind": "keyword switch; FuzzParseRule reaches it through every threshold rule",
-	"policy.ParseNetworkClass":  "keyword switch; FuzzParseRule reaches it through every network risk rule",
+	"policy.ParseLevel":         "keyword table; FuzzParseRule reaches it through every access rule",
+	"policy.ParseAction":        "keyword table; FuzzParseRule reaches it through every access rule",
+	"policy.ParsePredicate":     "keyword table; FuzzParseRule reaches it through every risk rule",
+	"policy.ParseThresholdKind": "keyword table; FuzzParseRule reaches it through every threshold rule",
+	"policy.ParseNetworkClass":  "keyword table; FuzzParseRule reaches it through every network risk rule",
 	"dex.ParseTruncatedHash":    "FuzzParseRule reaches it: Rule.Validate checks every hash-level target with it",
 	"dex.ParseSignature":        "FuzzParseRule reaches it: Rule.Validate checks every method-level target with it",
 	"policystore.ParseFailMode": "keyword switch over three names, fed only by the -fail-mode flag",
