@@ -37,6 +37,7 @@ var exportAllowList = map[string]string{
 	"policy.GroupSet.Format":        "(a) the write half of ParseGroupSet: FuzzParseGroupSet pins that its rendering parses back and is a fixpoint",
 	"ipv4.Fragment":                 "(b) enforcer, transport and experiments tests cut the fragments the gateway receives with it",
 	"ipv4.Reassemble":               "(b) transport tests rebuild a fragmented segment with it to check the fragments the gateway receives",
+	"flowtable.Key.Shard":           "(c) TestBurstWorkersOwnDisjointShards reads each flow's shard with it, to check that burst workers own disjoint shards; the table itself picks shards through shardOf",
 }
 
 // exportKey names a function "pkg.Func" and a method "pkg.Type.Method",

@@ -114,7 +114,7 @@ func (st *appState) tag(frames []dex.Frame) (t *stackTag, hit bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	t, _ = st.tags.Store(h, 0, fresh)
+	t, _, _ = st.tags.Store(h, 0, fresh)
 	return t, false, nil
 }
 

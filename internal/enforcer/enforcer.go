@@ -233,7 +233,10 @@ func newInstruments() instruments {
 // Enforcer evaluates packets against a policy using a signature database.
 // It is safe for concurrent use: counters are striped, scratch is pooled
 // and the flow cache lock-striped, so parallel calls share no serialized
-// state beyond the database's resolve RLock on misses.
+// state beyond the database's resolve RLock on misses. A call tallies its
+// counts and adds each to its counter once, at its return: a
+// ProcessBatch's counts become visible to a scrape when it returns, and a
+// burst worker writes no counter line per packet.
 type Enforcer struct {
 	cfg    Config
 	db     *analyzer.Database
@@ -250,14 +253,17 @@ type Enforcer struct {
 	// and an engine generation; only the flow cache's miss path fills it.
 	tags *flowtable.Intern[decodedTag]
 
-	// Outcome counters are striped metrics counters (one atomic add per
-	// packet, padded shards on multi-core), summed only at scrape time.
+	// Outcome counters are striped metrics counters (padded shards on
+	// multi-core), summed only at scrape time; each call adds its tally.
 	accepted       *metrics.Counter
 	dropped        *metrics.Counter
 	droppedByCause [dropCauseCount]*metrics.Counter
 	batchMemoHits  *metrics.Counter
 	// verdictExpiries counts time-edge re-evaluations.
 	verdictExpiries *metrics.Counter
+	// tagHits, tagMisses and tagReplacements count the tag table's finds
+	// and the stores that replaced a record of the current generation.
+	tagHits, tagMisses, tagReplacements *metrics.Counter
 
 	ins instruments
 }
@@ -282,6 +288,9 @@ func New(cfg Config, db *analyzer.Database, engine *policy.Engine) *Enforcer {
 
 		tags:            flowtable.NewIntern[decodedTag](internCells),
 		verdictExpiries: metrics.NewCounter(),
+		tagHits:         metrics.NewCounter(),
+		tagMisses:       metrics.NewCounter(),
+		tagReplacements: metrics.NewCounter(),
 	}
 	for c := range e.droppedByCause {
 		e.droppedByCause[c] = metrics.NewCounter()
@@ -345,23 +354,52 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 // of one without the memo. The verdict is decide's, the same function
 // ProcessBatch runs per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
-	res := e.decide(pkt, nil, e.ctxSrc.Now())
-	e.count(&res)
+	var n tally
+	res := e.decide(pkt, nil, &n, e.ctxSrc.Now())
+	n.count(&res)
+	e.add(&n)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
 	}
 	return res
 }
 
-// count updates the outcome counters for one processed packet.
-func (e *Enforcer) count(res *Result) {
+// tally is one call's counts, kept in locals until e.add publishes them.
+type tally struct {
+	accepted, dropped, memoHits, expiries uint64
+	tagHits, tagMisses, tagReplacements   uint64
+	byCause                               [dropCauseCount]uint64
+}
+
+// count tallies one processed packet's outcome.
+func (n *tally) count(res *Result) {
 	if res.Verdict == policy.VerdictAllow {
-		e.accepted.Inc()
+		n.accepted++
 	} else {
-		e.dropped.Inc()
-		if res.Cause >= 0 && int(res.Cause) < len(e.droppedByCause) {
-			e.droppedByCause[res.Cause].Inc()
+		n.dropped++
+		if res.Cause >= 0 && int(res.Cause) < len(n.byCause) {
+			n.byCause[res.Cause]++
 		}
+	}
+}
+
+// add publishes a call's tally: one add per counter it moved.
+func (e *Enforcer) add(n *tally) {
+	addNonzero(e.accepted, n.accepted)
+	addNonzero(e.dropped, n.dropped)
+	addNonzero(e.batchMemoHits, n.memoHits)
+	addNonzero(e.verdictExpiries, n.expiries)
+	addNonzero(e.tagHits, n.tagHits)
+	addNonzero(e.tagMisses, n.tagMisses)
+	addNonzero(e.tagReplacements, n.tagReplacements)
+	for c, k := range n.byCause {
+		addNonzero(e.droppedByCause[c], k)
+	}
+}
+
+func addNonzero(c *metrics.Counter, n uint64) {
+	if n != 0 {
+		c.Add(n)
 	}
 }
 
@@ -379,15 +417,16 @@ type flowMemo struct {
 // by the memo (when the caller carries one across a burst) and then by the
 // flow cache (when one is configured). It is the only place a verdict is
 // reached, so Process and ProcessBatch cannot disagree on a packet. now is
-// the caller's one clock reading: memo, table and evaluation share it.
-func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (res Result) {
+// the caller's one clock reading: memo, table and evaluation share it. The
+// memo, expiry and tag-table counts go to the caller's tally n.
+func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, n *tally, now time.Duration) (res Result) {
 	// Stage 1: extraction.
 	opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
 	if !tagged {
 		return e.untagged()
 	}
 	if e.flows == nil {
-		return e.timedEvaluate(pkt, opt.Data, nil, now)
+		return e.timedEvaluate(pkt, opt.Data, nil, n, now)
 	}
 	// Fast path: probe the flow table. The generation is read before the
 	// probe (and before any evaluation) so that a concurrent
@@ -396,11 +435,11 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 	gen := e.generation(pkt.Header.Src)
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
-		return e.timedEvaluate(pkt, opt.Data, nil, now)
+		return e.timedEvaluate(pkt, opt.Data, nil, n, now)
 	}
 	if memo != nil && memo.valid && key == memo.key && gen == memo.gen &&
 		string(opt.Data) == string(memo.tag) && !memo.res.lapsed(now) {
-		e.batchMemoHits.Inc()
+		n.memoHits++
 		return memo.res
 	}
 	// The sampling decision precedes the probe so the timed subset is an
@@ -414,7 +453,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 	if ok && res.lapsed(now) {
 		// Past its time edge: re-evaluate, overwrite the cell in place.
 		ok = false
-		e.verdictExpiries.Inc()
+		n.expiries++
 	}
 	if ok {
 		if timed {
@@ -422,7 +461,7 @@ func (e *Enforcer) decide(pkt *ipv4.Packet, memo *flowMemo, now time.Duration) (
 		}
 	} else {
 		var v flowVal
-		res = e.timedEvaluate(pkt, opt.Data, &v, now)
+		res = e.timedEvaluate(pkt, opt.Data, &v, n, now)
 		if v.tag != 0 {
 			e.flows.Insert(key, gen, e.current, v)
 		}
@@ -449,12 +488,12 @@ func (e *Enforcer) answer(v *flowVal, data []byte, res *Result) bool {
 
 // timedEvaluate runs the full miss pipeline, recording its latency for a
 // sampled subset of calls.
-func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) Result {
+func (e *Enforcer) timedEvaluate(pkt *ipv4.Packet, data []byte, v *flowVal, n *tally, now time.Duration) Result {
 	if rand.Uint32()&missSampleMask != 0 {
-		return e.evaluateTag(pkt, data, v, now)
+		return e.evaluateTag(pkt, data, v, n, now)
 	}
 	start := time.Now()
-	res := e.evaluateTag(pkt, data, v, now)
+	res := e.evaluateTag(pkt, data, v, n, now)
 	e.ins.missLatency.Record(time.Since(start).Nanoseconds())
 	return res
 }
@@ -498,8 +537,9 @@ func (e *Enforcer) decode(res *Result, data []byte) bool {
 // time"). With v non-nil (a cacheable flow) the first three go through the
 // tag table, once per tag and generation, and v is filled, its tag handle
 // nonzero exactly when the flow may be cached; uncached, every packet pays
-// all three stages and its Access is allocated per packet.
-func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now time.Duration) (res Result) {
+// all three stages and its Access is allocated per packet. The tag table's
+// finds and replacements go to n.
+func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, n *tally, now time.Duration) (res Result) {
 	var h, dbGen, engGen uint64
 	var rec *decodedTag
 	if v != nil {
@@ -507,6 +547,11 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now ti
 		// raced by a mutation or a swap is born stale.
 		h, dbGen, engGen = flowtable.Digest(data), e.db.Generation(), e.engine.Generation()
 		rec, v.tag = e.tags.Find(h, engGen, func(d *decodedTag) bool { return d.dbGen == dbGen && d.is(data) })
+		if rec != nil {
+			n.tagHits++
+		} else {
+			n.tagMisses++
+		}
 	}
 	if rec != nil {
 		res.AppHash, res.Stack, res.Access = rec.app, rec.stack, &rec.access
@@ -530,7 +575,11 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now ti
 			// Stored once, after the access half, so the record is immutable.
 			r := decodedTag{tagLen: uint8(len(data)), app: res.AppHash, stack: res.Stack, dbGen: dbGen, access: access}
 			copy(r.tag[:], data)
-			rec, v.tag = e.tags.Store(h, engGen, r)
+			var replaced bool
+			rec, v.tag, replaced = e.tags.Store(h, engGen, r)
+			if replaced {
+				n.tagReplacements++
+			}
 			res.Access = &rec.access
 		}
 	}
@@ -561,7 +610,9 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte, v *flowVal, now ti
 // the same flow and tag as the one before it (a keep-alive train, an upload
 // burst) reuses that packet's Result without probing the table; uncached,
 // every packet pays the full pipeline. Results are appended to out (reusing
-// its backing array) and returned; out[i] corresponds to pkts[i].
+// its backing array) and returned; out[i] corresponds to pkts[i]. The
+// burst's counts are tallied in locals and reach the registry when it
+// returns, one add per counter.
 func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	if cap(out) < len(pkts) {
 		out = make([]Result, 0, len(pkts))
@@ -571,11 +622,13 @@ func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	batchStart := time.Now()
 	now := e.ctxSrc.Now()
 	var memo flowMemo
+	var n tally
 	for _, pkt := range pkts {
-		res := e.decide(pkt, &memo, now)
-		e.count(&res)
+		res := e.decide(pkt, &memo, &n, now)
+		n.count(&res)
 		out = append(out, res)
 	}
+	e.add(&n)
 	if e.audit != nil {
 		e.audit.RecordBatch(pkts, out)
 	}
@@ -638,7 +691,10 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_enforcer_batch_memo_hits_total",
 		"Packets answered by the batch drain's same-flow memo without a flow-table probe.",
 		e.batchMemoHits.Value)
-	e.tags.RegisterMetrics(r, "bp_enforcer_decoded_tag", "decoded tag")
+	r.CounterFunc("bp_enforcer_decoded_tag_hits_total", "Lookups answered by an interned decoded tag.", e.tagHits.Value)
+	r.CounterFunc("bp_enforcer_decoded_tag_misses_total", "Lookups that found no interned decoded tag and built one.", e.tagMisses.Value)
+	r.CounterFunc("bp_enforcer_decoded_tag_replacements_total",
+		"Interned decoded tags of the current generation replaced by a newcomer.", e.tagReplacements.Value)
 	r.CounterFunc("bp_enforcer_verdict_expiries_total",
 		"Cached verdicts re-evaluated because a time-of-day predicate's edge was reached.", e.verdictExpiries.Value)
 

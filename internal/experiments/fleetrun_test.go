@@ -38,3 +38,16 @@ func TestFleetScenarioRefusesEmptyFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFleetAtScale runs the fleet table at the smallest scale whose
+// run outlasts a fixed 90 s flow TTL: 8 gateways of 1,370 devices, 361,680
+// packets over minutes of virtual time. Every flow must still be cached
+// when each push lands, so the push's generation move shows as stale
+// drops, and the heap check must measure what the gateways grew, not the
+// traffic pool built before the run.
+func TestRunFleetAtScale(t *testing.T) {
+	res := runTable(t, FleetScenario(8, 1370, nil, nil))
+	if res.Packets != 8*1370*3*fleetDevicePackets {
+		t.Fatalf("%d packets, want %d", res.Packets, 8*1370*3*fleetDevicePackets)
+	}
+}

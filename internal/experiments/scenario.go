@@ -316,6 +316,15 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	return r.finish()
 }
 
+// flowTTL is the flow TTL of the scenario's gateways: a fleet table's is
+// sized to its run (fleetFlowTTL).
+func (sc *Scenario) flowTTL() time.Duration {
+	if sc.fleet {
+		return sc.gateways[0].Config.FlowTTL
+	}
+	return scenarioFlowTTL
+}
+
 // scenarioRun is a run in progress.
 type scenarioRun struct {
 	sc Scenario
@@ -364,8 +373,8 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 	}
 	r := &scenarioRun{
 		sc: sc, timeFlows: map[int]bool{}, answered: map[modelState][]refmodel.Verdict{},
-		goroutines: runtime.NumGoroutine(), heap: heapInUse(),
-		res: &ScenarioResult{Name: sc.name, Groups: map[string]int{}, ContextChanges: map[string]uint64{}},
+		goroutines: runtime.NumGoroutine(),
+		res:        &ScenarioResult{Name: sc.name, Groups: map[string]int{}, ContextChanges: map[string]uint64{}},
 	}
 	shards := [][]string{nil} // a testbed enforces the whole document
 	if sc.fleet {
@@ -433,8 +442,11 @@ func startScenario(sc Scenario) (*scenarioRun, error) {
 	return r.mark(), nil
 }
 
-// mark reads the counters the result reports as deltas over the run.
+// mark reads the counters the result reports as deltas over the run, and
+// the heap with the gateways and the traffic pool built, so HeapGrowth is
+// what running the gateways added.
 func (r *scenarioRun) mark() *scenarioRun {
+	r.heap = heapInUse()
 	r.clockStart = r.tb.Network.Clock.Now()
 	r.genStart = r.generation()
 	r.appliedStart = r.count("bp_policy_reloads_total", metrics.L("outcome", "applied"))
@@ -474,6 +486,9 @@ func (r *scenarioRun) buildFleet() error {
 		template, err := invokeAll(app, ga)
 		if err != nil {
 			return err
+		}
+		if len(template) != fleetDevicePackets {
+			return fmt.Errorf("fleet app %d sends %d packets, its flow TTL is sized for %d", g, len(template), fleetDevicePackets)
 		}
 		pool, err := netsim.NewDevicePool(fl.Gateways[g].Subnet, r.sc.devices)
 		if err != nil {
@@ -1028,7 +1043,7 @@ func (r *scenarioRun) finish() (*ScenarioResult, error) {
 	res, clock := r.res, r.tb.Network.Clock
 	// Everything idles out, then one sweep must leave every table empty: any
 	// surviving entry is a leak.
-	clock.Advance(scenarioFlowTTL + scenarioConnIdle + time.Second)
+	clock.Advance(r.sc.flowTTL() + scenarioConnIdle + time.Second)
 	for _, tb := range r.tbs {
 		conns, _ := tb.Gateway.GC(scenarioConnIdle)
 		res.GCConnsReclaimed += conns

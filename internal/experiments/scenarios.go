@@ -222,12 +222,32 @@ func fleetApp(i, n int) (*apkgen.App, error) {
 func FleetScenario(gateways, devices int, audit io.Writer, agg *metrics.Aggregate) Scenario {
 	sc := Scenario{name: "fleet", fleet: true, devices: devices, policies: fleetPolicies(gateways), agg: agg,
 		epochs: []epoch{{}, {swap: true}, {swap: true}}}
+	ttl := fleetFlowTTL(len(sc.epochs) * gateways * devices)
 	for i := 0; i < gateways; i++ {
 		sc.gateways = append(sc.gateways, FleetGateway{
 			Subnet: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16),
 			Groups: []string{fmt.Sprintf("g%d", i)},
-			Config: TestbedConfig{EnforcementOn: true, AuditWriter: audit, FlowTTL: scenarioFlowTTL},
+			Config: TestbedConfig{EnforcementOn: true, AuditWriter: audit, FlowTTL: ttl},
 		})
 	}
 	return sc
+}
+
+// fleetDevicePackets is what one pooled device of a fleet table sends per
+// epoch: one invocation of each of its fleetApp's functionalities
+// (buildFleet checks it).
+const fleetDevicePackets = 11
+
+// fleetFlowTTL is the flow TTL of a fleet table in which sends device
+// epochs send (devices × gateways × epochs): a bound on the run's virtual
+// length, so every flow stays cached from its first packet to the run's
+// last, and each push meets cached flows whose generation it moves (the
+// stale-drops check). Each packet is charged at most the default latency
+// model's whole delivered path, NIC to server and both queue hops. It is
+// never below scenarioFlowTTL.
+func fleetFlowTTL(sends int) time.Duration {
+	m := netsim.DefaultLatencyModel()
+	perPacket := m.TapPerPacket + 2*m.NFQueueHopPerPacket + m.EnforcerPerPacket + m.SanitizerPerPacket +
+		m.WireRTT + m.ServerProcessing
+	return max(scenarioFlowTTL, time.Duration(sends*fleetDevicePackets)*perPacket)
 }

@@ -159,7 +159,7 @@ func BenchmarkFlowInsertChurn(b *testing.B) {
 // every shard's admission ring allocated.
 func fullTable() *Table[uint64] {
 	tb := newTable[uint64]()
-	for i := uint64(0); tb.live.Load() < capacity; i++ {
+	for i := uint64(0); tb.live() < capacity; i++ {
 		tb.Insert(key(int(i)), 1, gen1, i)
 	}
 	for i := range tb.shards {
@@ -181,7 +181,7 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := floodKey(uint64(1_000_000 + i)) // never repeats: pure flood
 		h := k.hash()
-		s := &tb.shards[h%shards]
+		s := &tb.shards[k.Shard()]
 		s.missRing[s.missPos] = h
 		s.missPos = (s.missPos + 1) % missRing
 		if _, ok := tb.Lookup(k, 1, gen1, acceptAll); ok {
@@ -189,7 +189,7 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 		}
 		tb.Insert(k, 1, gen1, uint64(i))
 	}
-	if n := tb.evictions.Load(); n < uint64(b.N) {
+	if n := count(tb, "evictions_total"); n < uint64(b.N) {
 		b.Fatalf("%d evictions for %d second arrivals", n, b.N)
 	}
 }
@@ -201,7 +201,7 @@ func BenchmarkFlowMissFlood(b *testing.B) {
 // key.
 func BenchmarkFlowMissFloodNegCache(b *testing.B) {
 	tb := fullTable()
-	drops := tb.admissionDrops.Load()
+	drops := count(tb, "admission_drops_total")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -211,7 +211,7 @@ func BenchmarkFlowMissFloodNegCache(b *testing.B) {
 		}
 		tb.Insert(k, 1, gen1, uint64(i))
 	}
-	if n := tb.admissionDrops.Load() - drops; n != uint64(b.N) {
+	if n := count(tb, "admission_drops_total") - drops; n != uint64(b.N) {
 		b.Fatalf("%d refusals for %d first arrivals", n, b.N)
 	}
 }

@@ -59,8 +59,15 @@
 // reasons (the enforcer's time-of-day edges) is the caller's to check.
 // Sweep frees the dead cells no insert passes over.
 //
-// Counters are atomic; Lookup takes one shard RLock, so readers of
-// different flows share nothing but their shard stripe.
+// # Sharing
+//
+// A flow's shard follows the gateway's worker split (see Key.Shard): at
+// 1, 2, 4 or 8 burst workers, each worker's flows live in shards no other
+// worker touches. Each shard keeps its own counters beside its lock, and a
+// scrape sums them, so a hit writes the shard's lock word, its hit count
+// and the cell's recency, all lines its own worker owns; the table header
+// (clock, TTL) is only read on the packet path. Counters stay atomic:
+// Process, facade calls, Sweep and Purge may still reach any shard.
 package flowtable
 
 import (
@@ -143,12 +150,27 @@ func (k Key) hash() uint64 {
 	return h
 }
 
+// Shard returns the index of the shard that holds k's flow. Its top
+// pairBits bits are the top bits of the endpoint pair's hash
+// (transport.Tuple.PairHash), the bits the gateway splits a burst over its
+// workers by; its low bits come from the whole key's hash, so one
+// device–server pair still spreads over shards>>pairBits shards.
+func (k Key) Shard() int { return shardOf(k, k.hash()) }
+
+// shardOf is Shard for a key whose hash h the caller holds.
+func shardOf(k Key, h uint64) int {
+	return int(k.PairHash()>>(64-pairBits))*(shards>>pairBits) | int(h%(shards>>pairBits))
+}
+
 // The table's shape, the gateway's one: at most capacity live flows in
 // shards lock stripes (a power of two), perShard flows to a stripe, and a
-// ring of missRing recent refusals per stripe for the admission guard.
+// ring of missRing recent refusals per stripe for the admission guard. The
+// stripes fall into 1<<pairBits groups by endpoint pair, one per worker at
+// up to that many burst workers.
 const (
 	capacity = 65536
 	shards   = 64
+	pairBits = 3
 	perShard = capacity / shards
 	missRing = 64
 )
@@ -176,14 +198,33 @@ type entry[V any] struct {
 }
 
 type shard[V any] struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// n is the shard's share of the table's counts, beside its lock: a hit
+	// writes the lock word and its count in one cache line.
+	n     counters
 	flows Index[Key, entry[V]]
 	// missRing holds hashes of keys recently refused admission (0 = empty),
 	// allocated by the shard's first refusal.
 	missRing []uint64
 	missPos  int
-	// pad keeps neighbouring shard locks off one cache line.
-	_ [40]byte
+	// pad makes a shard whole cache lines, so neighbouring shards share
+	// none.
+	_ [24]byte
+}
+
+// counters are one shard's counts; RegisterMetrics sums them over the
+// shards. live changes under the shard's write lock, so at rest it is the
+// shard's length.
+type counters struct {
+	live atomic.Int64
+
+	hits           atomic.Uint64
+	misses         atomic.Uint64
+	inserts        atomic.Uint64
+	evictions      atomic.Uint64
+	stale          atomic.Uint64
+	expired        atomic.Uint64
+	admissionDrops atomic.Uint64
 }
 
 // refuse is the admission guard at a full shard, asked only when an
@@ -221,16 +262,6 @@ type Table[V any] struct {
 	shards [shards]shard[V]
 	ttl    time.Duration
 	clock  Clock
-
-	live atomic.Int64 // flows held, across all shards
-
-	hits           atomic.Uint64
-	misses         atomic.Uint64
-	inserts        atomic.Uint64
-	evictions      atomic.Uint64
-	stale          atomic.Uint64
-	expired        atomic.Uint64
-	admissionDrops atomic.Uint64
 }
 
 // New builds a table. It panics when cfg has no Clock.
@@ -280,24 +311,25 @@ func (t *Table[V]) fateOf(now time.Duration, k Key, e *entry[V], current func(Ke
 }
 
 // dropped counts one cell deleted for its fate: an alive one was evicted.
-func (t *Table[V]) dropped(f fate) {
-	t.live.Add(-1)
+// Caller holds s.mu.
+func (s *shard[V]) dropped(f fate) {
+	s.n.live.Add(-1)
 	switch f {
 	case alive:
-		t.evictions.Add(1)
+		s.n.evictions.Add(1)
 	case stale:
-		t.stale.Add(1)
+		s.n.stale.Add(1)
 	default:
-		t.expired.Add(1)
+		s.n.expired.Add(1)
 	}
 }
 
-// reap judges k's cell e for a reclaim: it reports whether e is dead, and
-// counts it as dropped if so. The caller deletes it.
-func (t *Table[V]) reap(now time.Duration, k Key, e *entry[V], current func(Key) uint64) bool {
+// reap judges k's cell e of shard s for a reclaim: it reports whether e is
+// dead, and counts it as dropped if so. The caller deletes it.
+func (t *Table[V]) reap(s *shard[V], now time.Duration, k Key, e *entry[V], current func(Key) uint64) bool {
 	f := t.fateOf(now, k, e, current)
 	if f != alive {
-		t.dropped(f)
+		s.dropped(f)
 	}
 	return f != alive
 }
@@ -311,7 +343,7 @@ func (t *Table[V]) reap(now time.Duration, k Key, e *entry[V], current func(Key)
 // refuses stays for the caller's Insert to overwrite.
 func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept func(v *V) bool) (V, bool) {
 	h := k.hash()
-	s := &t.shards[h%shards]
+	s := &t.shards[shardOf(k, h)]
 	now := t.clock.Now()
 	dead := false
 	s.mu.RLock()
@@ -326,19 +358,19 @@ func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept fu
 					atomic.StoreInt64(&e.used, int64(now))
 				}
 				val := e.val
+				s.n.hits.Add(1)
 				s.mu.RUnlock()
-				t.hits.Add(1)
 				return val, true
 			}
 		} else {
 			dead = true
 		}
 	}
+	s.n.misses.Add(1)
 	s.mu.RUnlock()
 	if dead {
 		t.dropDead(s, h, k, current, now)
 	}
-	t.misses.Add(1)
 	var zero V
 	return zero, false
 }
@@ -347,7 +379,7 @@ func (t *Table[V]) Lookup(k Key, gen uint64, current func(Key) uint64, accept fu
 // been rewritten since the read lock was dropped), and counts why.
 func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, current func(Key) uint64, now time.Duration) {
 	s.mu.Lock()
-	if e := s.flows.Get(h, k); e != nil && t.reap(now, k, e, current) {
+	if e := s.flows.Get(h, k); e != nil && t.reap(s, now, k, e, current) {
 		s.flows.Delete(h, k)
 	}
 	s.mu.Unlock()
@@ -358,26 +390,26 @@ func (t *Table[V]) dropDead(s *shard[V], h uint64, k Key, current func(Key) uint
 // generation, so that cells stamped otherwise count as dead (see fateOf).
 func (t *Table[V]) Insert(k Key, gen uint64, current func(Key) uint64, v V) {
 	h := k.hash()
-	s := &t.shards[h%shards]
+	s := &t.shards[shardOf(k, h)]
 	now := t.clock.Now()
 	s.mu.Lock()
 	// A key already held (re-insert after invalidation or a refused
 	// accept) is overwritten in place. Below capacity that is one probe; a
 	// full shard looks before it makes room, since making room deletes.
 	if s.flows.Len() >= perShard && s.flows.Get(h, k) == nil && !t.makeRoom(s, h, now, current) {
+		s.n.admissionDrops.Add(1)
 		s.mu.Unlock()
-		t.admissionDrops.Add(1)
 		return
 	}
 	e, added := s.flows.PutReclaim(h, k, func(k Key, e *entry[V]) bool {
-		return t.reap(now, k, e, current)
+		return t.reap(s, now, k, e, current)
 	})
 	e.gen, e.used, e.val = gen, int64(now), v
-	s.mu.Unlock()
 	if added {
-		t.live.Add(1)
+		s.n.live.Add(1)
 	}
-	t.inserts.Add(1)
+	s.n.inserts.Add(1)
+	s.mu.Unlock()
 }
 
 // makeRoom deletes one cell of a full shard for the key hashed h, or
@@ -393,7 +425,7 @@ func (t *Table[V]) makeRoom(s *shard[V], h uint64, now time.Duration, current fu
 		return false
 	}
 	s.flows.deleteAt(i)
-	t.dropped(f)
+	s.dropped(f)
 	return true
 }
 
@@ -427,13 +459,13 @@ func leastUsed[V any](x *Index[Key, entry[V]]) (cell uint32) {
 // whether it was present.
 func (t *Table[V]) Delete(k Key) bool {
 	h := k.hash()
-	s := &t.shards[h%shards]
+	s := &t.shards[shardOf(k, h)]
 	s.mu.Lock()
 	ok := s.flows.Delete(h, k)
-	s.mu.Unlock()
 	if ok {
-		t.live.Add(-1)
+		s.n.live.Add(-1)
 	}
+	s.mu.Unlock()
 	return ok
 }
 
@@ -448,7 +480,7 @@ func (t *Table[V]) Sweep(current func(Key) uint64) int {
 		s := &t.shards[si]
 		s.mu.Lock()
 		s.flows.Sweep(func(k Key, e *entry[V]) bool {
-			if t.reap(now, k, e, current) {
+			if t.reap(s, now, k, e, current) {
 				freed++
 				return true
 			}
@@ -465,7 +497,7 @@ func (t *Table[V]) Purge() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		t.live.Add(-int64(s.flows.Len()))
+		s.n.live.Add(-int64(s.flows.Len()))
 		s.flows.Clear()
 		s.missRing, s.missPos = nil, 0
 		s.mu.Unlock()

@@ -49,27 +49,31 @@ func (t *Table[V]) get(k Key) (V, bool) { return t.Lookup(k, 1, gen1, acceptAll[
 
 func (t *Table[V]) put(k Key, v V) { t.Insert(k, 1, gen1, v) }
 
-// shardKeys returns n distinct flood keys that all land in shard 0, so a
-// test can fill one shard's perShard cells.
+// floodShard is the shard shardKeys fills: the first of the shards that
+// floodKey's one endpoint pair reaches (see Key.Shard).
+var floodShard = floodKey(0).Shard() &^ (shards>>pairBits - 1)
+
+// shardKeys returns n distinct flood keys that all land in floodShard, so
+// a test can fill one shard's perShard cells.
 func shardKeys(n int) []Key {
 	keys := make([]Key, 0, n)
 	for i := uint64(0); len(keys) < n; i++ {
-		if k := floodKey(i); k.hash()%shards == 0 {
+		if k := floodKey(i); k.Shard() == floodShard {
 			keys = append(keys, k)
 		}
 	}
 	return keys
 }
 
-// fillShard inserts keys[:perShard] into shard 0, each key's value its
+// fillShard inserts keys[:perShard] into floodShard, each key's value its
 // index, and checks the shard is full.
 func fillShard(t *testing.T, tb *Table[int], keys []Key) {
 	t.Helper()
 	for i, k := range keys[:perShard] {
 		tb.put(k, i)
 	}
-	if n := tb.shards[0].flows.Len(); n != perShard {
-		t.Fatalf("shard 0 holds %d flows, want %d", n, perShard)
+	if n := tb.shards[floodShard].flows.Len(); n != perShard {
+		t.Fatalf("shard %d holds %d flows, want %d", floodShard, n, perShard)
 	}
 }
 
@@ -89,6 +93,15 @@ func TestKeyIs24Bytes(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(transport.Tuple{}); size != 12 {
 		t.Fatalf("transport.Tuple is %d bytes, want 12", size)
+	}
+}
+
+// TestShardIsWholeCacheLines pins the shard's padding: shards that
+// different burst workers write share no cache line, and the table header
+// after them starts on a line of its own.
+func TestShardIsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(shard[int]{}); size%64 != 0 {
+		t.Fatalf("a shard is %d bytes, not whole 64-byte lines", size)
 	}
 }
 
@@ -120,8 +133,8 @@ func TestGenerationMismatchInvalidates(t *testing.T) {
 	if _, ok := tb.Lookup(k, 2, g.current, acceptAll); ok {
 		t.Fatal("stale generation served")
 	}
-	if int(tb.live.Load()) != 0 {
-		t.Fatalf("stale entry retained, live=%d", int(tb.live.Load()))
+	if int(tb.live()) != 0 {
+		t.Fatalf("stale entry retained, live=%d", int(tb.live()))
 	}
 	if n := count(tb, "stale_drops_total"); n != 1 {
 		t.Fatalf("stale drops = %d, want 1", n)
@@ -220,7 +233,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 		tb.put(k, 0)
 		tb.put(k, 0)
 	}
-	if n := int(tb.live.Load()); n != perShard {
+	if n := int(tb.live()); n != perShard {
 		t.Fatalf("live = %d, want %d", n, perShard)
 	}
 	if n := count(tb, "evictions_total"); n != 100 {
@@ -272,8 +285,8 @@ func TestDeleteAndPurge(t *testing.T) {
 		t.Fatal("double delete reported present")
 	}
 	tb.Purge()
-	if int(tb.live.Load()) != 0 {
-		t.Fatalf("live after purge = %d", int(tb.live.Load()))
+	if int(tb.live()) != 0 {
+		t.Fatalf("live after purge = %d", int(tb.live()))
 	}
 }
 

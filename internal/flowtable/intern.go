@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"sync/atomic"
-
-	"borderpatrol/internal/metrics"
 )
 
 // Intern is a bounded, seeded table of immutable records shared by value:
@@ -24,13 +22,13 @@ import (
 // a million for 4,096 cells). All methods are safe for concurrent use:
 // cells are atomic pointers to records never written once published; two
 // racing Stores may overwrite each other, which costs the loser a miss.
+// The table counts nothing: Find's answer and Store's replaced report are
+// the caller's to count, so a caller that owns a burst counts it once.
 type Intern[R any] struct {
 	cells []atomic.Pointer[interned[R]]
 	seed  uint64
 	bits  uint8 // log2(len(cells))
 	fills atomic.Uint32
-
-	hits, misses, replaced atomic.Uint64
 }
 
 // Handle names one interned record; zero names none.
@@ -68,17 +66,17 @@ func (t *Intern[R]) Find(h, gen uint64, match func(r *R) bool) (*R, Handle) {
 	for i, home := 0, t.Home(h); i < InternWindow; i++ {
 		c := (home + i) & mask
 		if r := t.cells[c].Load(); r != nil && r.gen == gen && match(&r.val) {
-			t.hits.Add(1)
 			return &r.val, t.handle(c, r)
 		}
 	}
-	t.misses.Add(1)
 	return nil, 0
 }
 
 // Store publishes v as a record of generation gen in h's window and
-// returns it and its handle. The caller has just missed on it in Find.
-func (t *Intern[R]) Store(h, gen uint64, v R) (*R, Handle) {
+// returns it and its handle, and whether it replaced a record of gen (the
+// window held no empty cell and none of another generation). The caller
+// has just missed on it in Find.
+func (t *Intern[R]) Store(h, gen uint64, v R) (rec *R, hd Handle, replaced bool) {
 	epoch := t.fills.Add(1)
 	if epoch<<t.bits == 0 {
 		epoch = t.fills.Add(1) // keep every handle nonzero
@@ -97,12 +95,9 @@ func (t *Intern[R]) Store(h, gen uint64, v R) (*R, Handle) {
 			victim, oldest = c, age
 		}
 	}
-	if oldest >= 0 {
-		t.replaced.Add(1)
-	}
 	r := &interned[R]{val: v, gen: gen, epoch: epoch}
 	t.cells[victim].Store(r)
-	return &r.val, t.handle(victim, r)
+	return &r.val, t.handle(victim, r), oldest >= 0
 }
 
 // Get returns the record hd names, or nil once its cell has been refilled.
@@ -112,12 +107,4 @@ func (t *Intern[R]) Get(hd Handle) *R {
 		return &r.val
 	}
 	return nil
-}
-
-// RegisterMetrics exposes the table's counters as <family>_hits_total,
-// _misses_total and _replacements_total; what names the records in HELP.
-func (t *Intern[R]) RegisterMetrics(r *metrics.Registry, family, what string) {
-	r.CounterFunc(family+"_hits_total", "Lookups answered by an interned "+what+".", t.hits.Load)
-	r.CounterFunc(family+"_misses_total", "Lookups that found no interned "+what+" and built one.", t.misses.Load)
-	r.CounterFunc(family+"_replacements_total", "Interned "+what+"s of the current generation replaced by a newcomer.", t.replaced.Load)
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"borderpatrol/internal/metrics"
 )
 
 // rec is the record the intern tests store: the key it answers for, the
@@ -14,14 +12,6 @@ type rec struct {
 	key    byte
 	gen    uint64
 	serial int
-}
-
-// internCount reads one of an intern table's counters ("hits_total").
-func internCount(x *Intern[rec], series string) uint64 {
-	r := metrics.NewRegistry()
-	x.RegisterMetrics(r, "t", "record")
-	v, _ := r.Value("t_" + series)
-	return uint64(v)
 }
 
 // internModel runs one Intern against a reference: which handle each cell
@@ -33,6 +23,9 @@ type internModel struct {
 	latest map[int]Handle // cell → the handle its last Store issued
 	issued map[Handle]rec
 	serial int
+	// hits and replaced count the Finds that answered and the Stores that
+	// replaced a record of their generation.
+	hits, replaced int
 }
 
 func newInternModel(tb testing.TB, cells int, zeroSeed bool) *internModel {
@@ -55,11 +48,14 @@ func (m *internModel) step(op, arg byte) {
 			if r.key != k || r.gen != gen || m.issued[h] != *r {
 				m.tb.Fatalf("Find(%d, gen %d) answered %+v by handle %#x, issued as %+v", k, gen, *r, h, m.issued[h])
 			}
+			m.hits++
 			return
 		}
 		m.serial++
 		v := rec{key: k, gen: gen, serial: m.serial}
-		r, h = m.x.Store(idxHash(uint16(k)), gen, v)
+		var replaced bool
+		r, h, replaced = m.x.Store(idxHash(uint16(k)), gen, v)
+		m.replaced += b2i(replaced)
 		if *r != v || h == 0 || m.issued[h] != (rec{}) {
 			m.tb.Fatalf("Store(%d) returned %+v under handle %#x (issued before: %+v)", k, *r, h, m.issued[h])
 		}
@@ -100,7 +96,7 @@ func TestInternMatchesModel(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				m.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
-			if (cells < 64 && internCount(m.x, "replacements_total") == 0) || internCount(m.x, "hits_total") == 0 {
+			if (cells < 64 && m.replaced == 0) || m.hits == 0 {
 				t.Fatalf("%d cells: the run never replaced or never hit", cells)
 			}
 		}
@@ -134,27 +130,28 @@ func TestInternSeedSpreadsAimedKeys(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = unmix(rng.Uint64() >> 12) // home cell 0 of 4,096
 	}
-	fill := func(x *Intern[rec]) (found int) {
+	fill := func(x *Intern[rec]) (found, replaced int) {
 		for i, h := range hashes {
-			x.Store(h, 1, rec{key: byte(i)})
+			_, _, r := x.Store(h, 1, rec{key: byte(i)})
+			replaced += b2i(r)
 		}
 		for i, h := range hashes {
 			if r, _ := x.Find(h, 1, func(r *rec) bool { return r.key == byte(i) }); r != nil {
 				found++
 			}
 		}
-		return found
+		return found, replaced
 	}
 
 	zero := NewIntern[rec](4096)
 	zero.seed = 0
-	if found := fill(zero); found != InternWindow || internCount(zero, "replacements_total") != n-InternWindow {
+	if found, replaced := fill(zero); found != InternWindow || replaced != n-InternWindow {
 		t.Fatalf("unseeded: %d keys kept, %d replaced; want %d kept, %d replaced",
-			found, internCount(zero, "replacements_total"), InternWindow, n-InternWindow)
+			found, replaced, InternWindow, n-InternWindow)
 	}
 	seeded := NewIntern[rec](4096)
-	if found := fill(seeded); found != n || internCount(seeded, "replacements_total") != 0 {
-		t.Fatalf("seeded: %d of %d keys kept, %d replaced", found, n, internCount(seeded, "replacements_total"))
+	if found, replaced := fill(seeded); found != n || replaced != 0 {
+		t.Fatalf("seeded: %d of %d keys kept, %d replaced", found, n, replaced)
 	}
 }
 
@@ -174,7 +171,7 @@ func TestInternConcurrent(t *testing.T) {
 				k := byte(rng.Intn(keySpace))
 				r, h := x.Find(idxHash(uint16(k)), 0, func(r *rec) bool { return r.key == k })
 				if r == nil {
-					r, h = x.Store(idxHash(uint16(k)), 0, rec{key: k, serial: g})
+					r, h, _ = x.Store(idxHash(uint16(k)), 0, rec{key: k, serial: g})
 				}
 				if r.key != k {
 					t.Errorf("asked for %d, answered %+v", k, *r)
@@ -189,4 +186,11 @@ func TestInternConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

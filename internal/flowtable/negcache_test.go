@@ -138,7 +138,7 @@ func TestAdmissionGuardReclaimsExpiredFirst(t *testing.T) {
 	if ad != 0 || ev != 0 || ex != 1 {
 		t.Fatalf("admission drops/evictions/expired = %d/%d/%d, want the expired slot reclaimed and nothing refused or evicted", ad, ev, ex)
 	}
-	if s := &tab.shards[0]; s.missPos != 0 || slices.ContainsFunc(s.missRing, func(h uint64) bool { return h != 0 }) {
+	if s := &tab.shards[floodShard]; s.missPos != 0 || slices.ContainsFunc(s.missRing, func(h uint64) bool { return h != 0 }) {
 		t.Fatalf("admission ring touched: pos %d, ring %v", s.missPos, s.missRing)
 	}
 	for i, k := range hot {
@@ -162,8 +162,8 @@ func TestAdmissionGuardWithTTLRefusesWhenAllLive(t *testing.T) {
 	if _, ok := tab.get(newcomer); ok {
 		t.Fatal("first-seen key admitted into a full shard of live flows")
 	}
-	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || int(tab.live.Load()) != perShard {
-		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, %d live", ad, ev, int(tab.live.Load()), perShard)
+	if ad, ev := count(tab, "admission_drops_total"), count(tab, "evictions_total"); ad != 1 || ev != 0 || int(tab.live()) != perShard {
+		t.Fatalf("after the refusal: %d drops, %d evictions, live %d; want 1 drop, 0 evictions, %d live", ad, ev, int(tab.live()), perShard)
 	}
 	tab.put(newcomer, 77)
 	if v, ok := tab.get(newcomer); !ok || v != 77 {

@@ -38,8 +38,8 @@ func TestFullShardTakesStaleCell(t *testing.T) {
 	if ad, ev, st := count(tab, "admission_drops_total"), count(tab, "evictions_total"), count(tab, "stale_drops_total"); ad != 0 || ev != 0 || st != 1 {
 		t.Fatalf("admission drops/evictions/stale drops = %d/%d/%d, want 0/0/1", ad, ev, st)
 	}
-	if int(tab.live.Load()) != perShard {
-		t.Fatalf("live = %d, want %d", int(tab.live.Load()), perShard)
+	if int(tab.live()) != perShard {
+		t.Fatalf("live = %d, want %d", int(tab.live()), perShard)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestOldGenerationLookupKeepsNewerCell(t *testing.T) {
 	if _, ok := tab.Lookup(k, 1, g.current, acceptAll); ok {
 		t.Fatal("a cell of generation 2 answered a lookup under generation 1")
 	}
-	if int(tab.live.Load()) != 1 || count(tab, "stale_drops_total") != 0 {
-		t.Fatalf("after the old-generation lookup: live %d, stale drops %d; want 1 and 0", int(tab.live.Load()), count(tab, "stale_drops_total"))
+	if int(tab.live()) != 1 || count(tab, "stale_drops_total") != 0 {
+		t.Fatalf("after the old-generation lookup: live %d, stale drops %d; want 1 and 0", int(tab.live()), count(tab, "stale_drops_total"))
 	}
 	if v, ok := tab.Lookup(k, 2, g.current, acceptAll); !ok || v != "new" {
 		t.Fatalf("lookup under generation 2 = %q, %v", v, ok)
@@ -79,11 +79,11 @@ func TestReclaimHoldsOneWave(t *testing.T) {
 	for i := n; i < 2*n; i++ {
 		tab.Insert(keys[i], 2, g.current, i)
 	}
-	if cells, want := len(tab.shards[0].flows.cells), cellLimit(n); cells != want {
+	if cells, want := len(tab.shards[floodShard].flows.cells), cellLimit(n); cells != want {
 		t.Fatalf("%d cells after two waves of %d flows, want the %d one wave needs", cells, n, want)
 	}
-	if int(tab.live.Load()) != n || count(tab, "live") != n || tab.shards[0].flows.Len() != n {
-		t.Fatalf("live = %d (gauge %d, index %d), want %d", int(tab.live.Load()), count(tab, "live"), tab.shards[0].flows.Len(), n)
+	if int(tab.live()) != n || count(tab, "live") != n || tab.shards[floodShard].flows.Len() != n {
+		t.Fatalf("live = %d (gauge %d, index %d), want %d", int(tab.live()), count(tab, "live"), tab.shards[floodShard].flows.Len(), n)
 	}
 	if st := count(tab, "stale_drops_total"); st != n {
 		t.Fatalf("stale drops = %d, want the first wave's %d", st, n)
@@ -112,9 +112,9 @@ func TestReclaimOnePassPerDoubling(t *testing.T) {
 			if every > 0 && i%every == 0 {
 				gen = 0
 			}
-			cells, asked := len(tab.shards[0].flows.cells), g.asked
+			cells, asked := len(tab.shards[floodShard].flows.cells), g.asked
 			tab.Insert(k, gen, g.current, i)
-			grew := cells > 0 && len(tab.shards[0].flows.cells) != cells
+			grew := cells > 0 && len(tab.shards[floodShard].flows.cells) != cells
 			if grew {
 				doublings++
 			}
@@ -151,8 +151,8 @@ func TestSweepReclaimsStale(t *testing.T) {
 	if got := tab.Sweep(g.current); got != 8 {
 		t.Fatalf("sweep freed %d, want the 8 stale flows", got)
 	}
-	if int(tab.live.Load()) != 4 || count(tab, "stale_drops_total") != 8 {
-		t.Fatalf("live %d, stale drops %d; want 4 and 8", int(tab.live.Load()), count(tab, "stale_drops_total"))
+	if int(tab.live()) != 4 || count(tab, "stale_drops_total") != 8 {
+		t.Fatalf("live %d, stale drops %d; want 4 and 8", int(tab.live()), count(tab, "stale_drops_total"))
 	}
 	for i := 8; i < 12; i++ {
 		if _, ok := tab.Lookup(key(i), 2, g.current, acceptAll); !ok {

@@ -64,9 +64,9 @@ func TestSweepReclaimsExpired(t *testing.T) {
 // and counted as expired; the flows in use survive both.
 func TestReclaimAndSweepShareTheIdle(t *testing.T) {
 	first := shardKeys(10)
-	var other []Key // two keys of shard 1
+	var other []Key // two keys of the shard after floodShard
 	for i := uint64(0); len(other) < 2; i++ {
-		if k := floodKey(i); k.hash()%shards == 1 {
+		if k := floodKey(i); k.Shard() == floodShard+1 {
 			other = append(other, k)
 		}
 	}

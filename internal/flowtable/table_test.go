@@ -20,8 +20,8 @@ func TestPurgeClearsAdmissionRing(t *testing.T) {
 	fillShard(t, tab, keys)
 	tab.put(newcomer, 77) // noted, refused
 	tab.Purge()
-	if int(tab.live.Load()) != 0 {
-		t.Fatalf("live after purge = %d", int(tab.live.Load()))
+	if int(tab.live()) != 0 {
+		t.Fatalf("live after purge = %d", int(tab.live()))
 	}
 	fillShard(t, tab, keys)
 	tab.put(newcomer, 77) // first sighting since the restart
@@ -58,18 +58,18 @@ func TestStaleChurnStaysBounded(t *testing.T) {
 				t.Fatalf("round %d: key %d served under generation %d", round, i, g.now)
 			}
 			tab.Insert(k, g.now, g.current, i)
-			if n := int(tab.live.Load()); n > perShard {
+			if n := int(tab.live()); n > perShard {
 				t.Fatalf("round %d insert %d: live = %d > the shard's %d", round, i, n, perShard)
 			}
 		}
 	}
-	if n := int(tab.live.Load()); n != perShard {
+	if n := int(tab.live()); n != perShard {
 		t.Fatalf("live = %d, want the shard full (%d)", n, perShard)
 	}
 	if sd := count(tab, "stale_drops_total"); sd == 0 {
 		t.Fatal("no stale drops")
 	}
-	if cells := len(tab.shards[0].flows.cells); cells > cellLimit(perShard) {
+	if cells := len(tab.shards[floodShard].flows.cells); cells > cellLimit(perShard) {
 		t.Fatalf("%d cells for a share of %d", cells, perShard)
 	}
 	next := fresh
@@ -139,9 +139,18 @@ func TestIdenticalRunsIdenticalStats(t *testing.T) {
 	}
 }
 
+// shardSum adds up one counter of every shard.
+func shardSum(tab *Table[int], read func(*counters) uint64) float64 {
+	var n uint64
+	for i := range tab.shards {
+		n += read(&tab.shards[i].n)
+	}
+	return float64(n)
+}
+
 // TestScrapeMatchesStats: every bp_flowtable_* series reads the counter it
-// names, the live gauge included, across inserts, evictions, deletes and a
-// purge.
+// names, summed over the shards, the live gauge included, across inserts,
+// evictions, deletes and a purge.
 func TestScrapeMatchesStats(t *testing.T) {
 	clk := &tickClock{}
 	tab := New[int](Config{TTL: 10 * time.Millisecond, Clock: clk})
@@ -150,14 +159,14 @@ func TestScrapeMatchesStats(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		want := map[string]float64{
-			"bp_flowtable_hits_total":            float64(tab.hits.Load()),
-			"bp_flowtable_misses_total":          float64(tab.misses.Load()),
-			"bp_flowtable_inserts_total":         float64(tab.inserts.Load()),
-			"bp_flowtable_evictions_total":       float64(tab.evictions.Load()),
-			"bp_flowtable_stale_drops_total":     float64(tab.stale.Load()),
-			"bp_flowtable_expired_drops_total":   float64(tab.expired.Load()),
-			"bp_flowtable_admission_drops_total": float64(tab.admissionDrops.Load()),
-			"bp_flowtable_live":                  float64(int(tab.live.Load())),
+			"bp_flowtable_hits_total":            shardSum(tab, func(c *counters) uint64 { return c.hits.Load() }),
+			"bp_flowtable_misses_total":          shardSum(tab, func(c *counters) uint64 { return c.misses.Load() }),
+			"bp_flowtable_inserts_total":         shardSum(tab, func(c *counters) uint64 { return c.inserts.Load() }),
+			"bp_flowtable_evictions_total":       shardSum(tab, func(c *counters) uint64 { return c.evictions.Load() }),
+			"bp_flowtable_stale_drops_total":     shardSum(tab, func(c *counters) uint64 { return c.stale.Load() }),
+			"bp_flowtable_expired_drops_total":   shardSum(tab, func(c *counters) uint64 { return c.expired.Load() }),
+			"bp_flowtable_admission_drops_total": shardSum(tab, func(c *counters) uint64 { return c.admissionDrops.Load() }),
+			"bp_flowtable_live":                  shardSum(tab, func(c *counters) uint64 { return uint64(c.live.Load()) }),
 		}
 		for _, smp := range reg.Snapshot() {
 			if v, ok := want[smp.Name]; !ok {
@@ -178,8 +187,8 @@ func TestScrapeMatchesStats(t *testing.T) {
 	check("after the script")
 	tab.Purge()
 	check("after purge")
-	if int(tab.live.Load()) != 0 {
-		t.Fatalf("live after purge = %d", int(tab.live.Load()))
+	if int(tab.live()) != 0 {
+		t.Fatalf("live after purge = %d", int(tab.live()))
 	}
 }
 
@@ -204,7 +213,7 @@ type modelFlow struct {
 	used time.Duration
 }
 
-// modelKeys are the keys the model draws from, all in shard 0: point
+// modelKeys are the keys the model draws from, all in floodShard: point
 // operations use the first 256, fills (64 at a time) the next 1,024, so
 // the shard runs full.
 var modelKeys = sync.OnceValue(func() []Key { return shardKeys(256 + perShard) })
@@ -288,7 +297,7 @@ func (m *tableModel) step(op, arg byte) {
 }
 
 // check compares the live gauge with the shards and each shard with its
-// share.
+// share and its own live count.
 func (m *tableModel) check() {
 	held := 0
 	for i := range m.tab.shards {
@@ -296,9 +305,12 @@ func (m *tableModel) check() {
 		if n > perShard {
 			m.tb.Fatalf("shard %d holds %d flows, past its share of %d", i, n, perShard)
 		}
+		if live := m.tab.shards[i].n.live.Load(); live != int64(n) {
+			m.tb.Fatalf("shard %d counts %d live flows, it holds %d", i, live, n)
+		}
 		held += n
 	}
-	if live := int(m.tab.live.Load()); live != held {
+	if live := int(m.tab.live()); live != held {
 		m.tb.Fatalf("live gauge %d, the shards hold %d", live, held)
 	}
 }

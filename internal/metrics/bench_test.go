@@ -35,7 +35,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 	c := NewCounter()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 
@@ -44,7 +44,7 @@ func BenchmarkCounterAddParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c.Inc()
+			c.Add(1)
 		}
 	})
 }

@@ -73,9 +73,6 @@ func (c *Counter) Add(n uint64) {
 	s[rand.Uint32()&uint32(len(s)-1)].n.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value sums the shards. It is a snapshot: concurrent Adds may or may not
 // be included, but the value never decreases across calls.
 func (c *Counter) Value() uint64 {

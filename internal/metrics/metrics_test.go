@@ -20,7 +20,7 @@ func TestCounterConcurrentSum(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}

@@ -128,12 +128,12 @@ func (b *burst) detach() {
 }
 
 // split partitions the burst over at most workers workers (≤ 0 =
-// GOMAXPROCS) by a hash of each packet's IPv4 source and destination, so
-// every packet of a flow — all of one device's traffic to one server —
-// lands on one worker, in burst order, the way NFQUEUE --queue-balance
-// hashes flows to readers. Workers get minWorkerBurst packets each on
-// average: a burst shorter than twice that is one part, which run executes
-// inline on the caller. It then sizes the egress-copy slabs for the
+// GOMAXPROCS) by each packet's endpoint-pair hash
+// (transport.Tuple.PairHash), so every packet of a flow — all of one
+// device's traffic to one server — lands on one worker, in burst order,
+// the way NFQUEUE --queue-balance hashes flows to readers. Workers get
+// minWorkerBurst packets each on average: a burst shorter than twice that
+// is one part, which run executes inline on the caller. It then sizes the egress-copy slabs for the
 // packets that sanitizing gateways own, and the result slab for those that
 // enforcing gateways own, and gives each worker its share of each.
 func (b *burst) split(workers int) {
@@ -153,10 +153,11 @@ func (b *burst) split(workers int) {
 	for i, p := range b.pkts {
 		w := 0
 		if workers > 1 {
-			// The tuple without its ports: every connection between one
-			// device and one server shares a worker.
+			// Every connection between one device and one server shares a
+			// worker; at 2, 4 or 8 workers, the pair hash's top bits are
+			// also its flows' shard group in the flow table.
 			t, _ := transport.TupleOf(&p.Header, 0, 0)
-			w = int((t.Hash() >> 32) * uint64(workers) >> 32)
+			w = int((t.PairHash() >> 32) * uint64(workers) >> 32)
 		}
 		bw := &b.workers[w]
 		bw.idx = append(bw.idx, i)
@@ -277,6 +278,7 @@ func (b *burst) runStages(bw *burstWorker) {
 			results = gw.enforcer.ProcessBatch(sub, bw.results[len(bw.results):])
 			bw.results = bw.results[:len(bw.results)+len(results)]
 		}
+		var stripped uint64
 		for k, i := range group {
 			o := BatchOutcome{Out: b.pkts[i]}
 			if results != nil {
@@ -286,9 +288,17 @@ func (b *burst) runStages(bw *burstWorker) {
 				}
 			}
 			if o.Out != nil && gw != nil && gw.sanitizer != nil {
-				o.Out = gw.sanitizer.Process(bw.egressCopy(o.Out))
+				o.Out = bw.egressCopy(o.Out)
+				if gw.sanitizer.Strip(o.Out) {
+					stripped++
+				}
 			}
 			b.outcomes[i] = o
+		}
+		// The group's strips are counted once, as the enforcer counts its
+		// batch: no shared counter line is written per packet.
+		if stripped > 0 {
+			gw.sanitizer.Count(stripped)
 		}
 		clear(sub)
 		bw.group, bw.sub = group[:0], sub[:0]

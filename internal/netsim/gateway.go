@@ -21,10 +21,15 @@ import (
 // readers: each worker runs its share through the enforcer and sanitizer
 // and then the connection tracker, in burst order. The enforcer's
 // ProcessBatch amortizes resolve+decode across packets of the same flow.
-// The workers share locks only per shard: a flow-table hit takes its
-// shard's read lock and a miss its write lock, and the tracker takes its
-// shard's mutex for every SYN, FIN or RST and every response it checks,
-// so workers wait on each other only where their flows share a shard.
+// The flow table's shards follow the same split: at 1, 2, 4 or 8 workers
+// a worker's flows live in shards no other worker of the burst touches,
+// so a flow-table hit writes only the lock word, counter and cell lines of
+// its own worker's shard. The enforcer and the sanitizer tally their
+// counts per burst and add them once. The workers still meet at the
+// connection tracker, whose shards follow the whole tuple: its shard's
+// mutex is taken for every SYN, FIN or RST and every response it checks.
+// Concurrent bursts, or Process calls beside one, may still share any
+// shard: each keeps its lock.
 type Gateway struct {
 	enforcer  *enforcer.Enforcer
 	sanitizer *sanitizer.Sanitizer

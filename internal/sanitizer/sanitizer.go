@@ -14,8 +14,10 @@ import (
 )
 
 // Sanitizer removes context tags from outbound packets. It is safe for
-// concurrent use: its one counter is an atomic, so the gateway's delivery
-// workers share it without a lock.
+// concurrent use: its one counter is an atomic. Process counts each strip
+// on it; the gateway's burst workers strip with Strip, tally, and add
+// their tally with Count once per burst, so they write the shared counter
+// once per burst rather than once per packet.
 type Sanitizer struct {
 	// cleansed counts packets that had options removed.
 	cleansed atomic.Uint64
@@ -30,10 +32,21 @@ func New() *Sanitizer {
 // and returns it; any other option stays. The packet the caller passes is
 // mutated (the gateway pipeline owns it at this stage).
 func (s *Sanitizer) Process(pkt *ipv4.Packet) *ipv4.Packet {
-	if pkt.Header.RemoveOption(ipv4.OptSecurity) {
-		s.cleansed.Add(1)
+	if s.Strip(pkt) {
+		s.Count(1)
 	}
 	return pkt
+}
+
+// Strip is Process without the count: it strips the security option from
+// pkt in place and reports whether there was one to strip.
+func (s *Sanitizer) Strip(pkt *ipv4.Packet) bool {
+	return pkt.Header.RemoveOption(ipv4.OptSecurity)
+}
+
+// Count adds n strips that the caller tallied from Strip.
+func (s *Sanitizer) Count(n uint64) {
+	s.cleansed.Add(n)
 }
 
 // RegisterMetrics attaches the sanitizer's counter to a registry.

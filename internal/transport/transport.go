@@ -350,9 +350,7 @@ func (t Tuple) Reverse() Tuple {
 	return Tuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort}
 }
 
-// Hash mixes the whole tuple into 64 bits; its top bits pick a shard. With
-// zero ports it is a hash of the endpoint pair alone, which is how the
-// gateway splits a burst over its workers.
+// Hash mixes the whole tuple into 64 bits; its top bits pick a shard.
 func (t Tuple) Hash() uint64 {
 	h := uint64(t.Src)<<32 | uint64(t.Dst)
 	h ^= (uint64(t.SrcPort)<<16 | uint64(t.DstPort)) * 0x9e3779b97f4a7c15
@@ -361,3 +359,11 @@ func (t Tuple) Hash() uint64 {
 	h ^= h >> 33
 	return h
 }
+
+// PairHash hashes the tuple's endpoint pair alone, its ports left out, so
+// every connection between one device and one server shares it. The
+// gateway splits a burst over its workers by its top bits, and the flow
+// table takes a flow's shard group from the same bits: at a power-of-two
+// worker count up to the group count, a worker's flows live in shards no
+// other worker touches.
+func (t Tuple) PairHash() uint64 { return Tuple{Src: t.Src, Dst: t.Dst}.Hash() }
