@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"borderpatrol/internal/android"
@@ -227,34 +226,19 @@ type AuditEntry = audit.Entry
 // assembly the experiments and the benchmark run. It is the single-gateway
 // constructor; NewFleet assembles one gateway per spec on a shared network.
 func New(cfg Config) (*Deployment, error) {
-	tcfg, err := testbedConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var set *policy.RuleSet
-	if strings.TrimSpace(cfg.Policy.Doc) != "" {
-		if set, err = policy.Compile(cfg.Policy.Doc); err != nil {
-			return nil, fmt.Errorf("borderpatrol: %w", err)
-		}
-	}
-	tb, err := experiments.NewTestbed(nil, tcfg)
+	tb, err := experiments.NewTestbed(nil, testbedConfig(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("borderpatrol: %w", err)
-	}
-	if set != nil {
-		tb.Engine.Publish(set)
 	}
 	return &Deployment{tb: tb}, nil
 }
 
-// testbedConfig maps a facade Config onto the gateway assembly. The
-// staleness deadline runs on the network's virtual clock, like everything
-// else.
-func testbedConfig(cfg Config) (experiments.TestbedConfig, error) {
-	if cfg.Policy.Source != nil && strings.TrimSpace(cfg.Policy.Doc) != "" {
-		return experiments.TestbedConfig{}, errors.New("borderpatrol: PolicyConfig.Doc and PolicyConfig.Source are mutually exclusive")
-	}
+// testbedConfig maps a facade Config onto the gateway assembly, which
+// judges it. The staleness deadline runs on the network's virtual clock,
+// like everything else.
+func testbedConfig(cfg Config) experiments.TestbedConfig {
 	return experiments.TestbedConfig{
+		Doc:               cfg.Policy.Doc,
 		DefaultVerdict:    cfg.Policy.DefaultVerdict,
 		EnforcementOn:     true,
 		AllowUntagged:     cfg.Policy.AllowUntagged,
@@ -268,7 +252,7 @@ func testbedConfig(cfg Config) (experiments.TestbedConfig, error) {
 		Faults:            cfg.Net.Faults,
 		FlowTTL:           cfg.Flow.TTL,
 		DeviceAddr:        cfg.Net.DeviceAddr,
-	}, nil
+	}
 }
 
 // Metrics exposes the deployment's metrics registry: every component's
@@ -317,7 +301,7 @@ func (d *Deployment) SetPolicy(doc string) error {
 // when no PolicySource is configured.
 func (d *Deployment) ReloadPolicy() (applied bool, err error) {
 	if d.tb.Policy == nil {
-		return false, errors.New("borderpatrol: no PolicySource configured")
+		return false, errors.New("borderpatrol: no Policy.Source configured")
 	}
 	return d.tb.Policy.Reload()
 }

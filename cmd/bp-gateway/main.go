@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,25 +43,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bp-gateway:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	policyPath := flag.String("policy", "", "policy file in the paper's grammar, loaded once (empty = allow all)")
-	apps := flag.Int("apps", 20, "number of corpus apps to install")
-	events := flag.Int("events", 1000, "monkey events per app")
-	seed := flag.Int64("seed", 2019, "corpus + monkey seed")
-	workers := flag.Int("workers", 0, "gateway batch-drain workers (0 = GOMAXPROCS)")
-	policyFlags := cliflags.RegisterPolicy(flag.CommandLine)
-	auditFlags := cliflags.RegisterAudit(flag.CommandLine)
-	metricsFlags := cliflags.RegisterMetrics(flag.CommandLine)
-	contextFlags := cliflags.RegisterContext(flag.CommandLine)
-	flag.Parse()
+// run is one gateway session on args, printing to out; its errors name flags.
+func run(args []string, out io.Writer) (err error) {
+	defer func() {
+		if err != nil {
+			err = cliflags.InFlags(err)
+		}
+	}()
+	fs := flag.NewFlagSet("bp-gateway", flag.ExitOnError)
+	policyPath := fs.String("policy", "", "policy file in the paper's grammar, loaded once (empty = allow all)")
+	apps := fs.Int("apps", 20, "number of corpus apps to install")
+	events := fs.Int("events", 1000, "monkey events per app")
+	seed := fs.Int64("seed", 2019, "corpus + monkey seed")
+	workers := fs.Int("workers", 0, "gateway batch-drain workers (0 = GOMAXPROCS)")
+	policyFlags := cliflags.RegisterPolicy(fs)
+	auditFlags := cliflags.RegisterAudit(fs)
+	metricsFlags := cliflags.RegisterMetrics(fs)
+	contextFlags := cliflags.RegisterContext(fs)
+	fs.Parse(args)
 
-	policySource, poll, failMode, err := policyFlags.Source(*policyPath != "")
+	policySource, poll, failMode, err := policyFlags.Source()
 	if err != nil {
 		return err
 	}
@@ -74,16 +82,11 @@ func run() error {
 	}
 	defer closeAudit()
 
-	var rules *policy.RuleSet
+	var doc []byte
 	if *policyPath != "" {
-		doc, err := os.ReadFile(*policyPath)
-		if err != nil {
+		if doc, err = os.ReadFile(*policyPath); err != nil {
 			return err
 		}
-		if rules, err = policy.Compile(string(doc)); err != nil {
-			return err
-		}
-		fmt.Printf("loaded %d policy rules from %s\n", rules.Len(), *policyPath)
 	}
 
 	cfg := apkgen.DefaultConfig()
@@ -94,6 +97,7 @@ func run() error {
 		return err
 	}
 	tb, err := experiments.NewTestbed(corpus, experiments.TestbedConfig{
+		Doc:            string(doc),
 		EnforcementOn:  true,
 		DefaultVerdict: policy.VerdictAllow,
 		GatewayWorkers: *workers,
@@ -106,22 +110,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if rules != nil {
-		tb.Engine.Publish(rules)
+	if *policyPath != "" {
+		fmt.Fprintf(out, "loaded %d policy rules from %s\n", tb.Engine.RuleCount(), *policyPath)
 	}
 	if deviceCtx != nil {
 		tb.Context.Provision(tb.Device.Config().Addr, *deviceCtx)
-		fmt.Printf("device context: network %s, patch age %dd\n", deviceCtx.Network, deviceCtx.PatchAgeDays)
+		fmt.Fprintf(out, "device context: network %s, patch age %dd\n", deviceCtx.Network, deviceCtx.PatchAgeDays)
 	}
 	count := func(family string) uint64 {
 		v, _ := tb.Metrics.Value(family)
 		return uint64(v)
 	}
 	if tb.Policy != nil {
-		fmt.Printf("policy store: %d rules from %s (revision %s, hot reload every %s)\n",
+		fmt.Fprintf(out, "policy store: %d rules from %s (revision %s, hot reload every %s)\n",
 			count("bp_policy_rules"), policySource, tb.Policy.Version(), poll)
 		if policyFlags.MaxStale > 0 {
-			fmt.Printf("  staleness deadline %s, fail mode %s\n", policyFlags.MaxStale, failMode)
+			fmt.Fprintf(out, "  staleness deadline %s, fail mode %s\n", policyFlags.MaxStale, failMode)
 		}
 	}
 
@@ -131,7 +135,7 @@ func run() error {
 	}
 	defer stopMetrics()
 	if metricsAddr != "" {
-		fmt.Printf("metrics: http://%s/metrics\n", metricsAddr)
+		fmt.Fprintf(out, "metrics: http://%s/metrics\n", metricsAddr)
 	}
 
 	totalPackets, delivered := 0, 0
@@ -147,10 +151,10 @@ func run() error {
 		delivered += d
 	}
 
-	fmt.Printf("\ngateway session: %d apps, %d monkey events each\n", len(tb.Apps), *events)
-	fmt.Printf("packets seen: %d, delivered: %d, dropped: %d\n", totalPackets, delivered, totalPackets-delivered)
+	fmt.Fprintf(out, "\ngateway session: %d apps, %d monkey events each\n", len(tb.Apps), *events)
+	fmt.Fprintf(out, "packets seen: %d, delivered: %d, dropped: %d\n", totalPackets, delivered, totalPackets-delivered)
 	if tb.Policy != nil && tb.Policy.LastError() != "" {
-		fmt.Printf("last rejected policy candidate: %s\n", tb.Policy.LastError())
+		fmt.Fprintf(out, "last rejected policy candidate: %s\n", tb.Policy.LastError())
 	}
 	// Flush-on-close so every decision reaches the -audit file before the
 	// stats are printed.
@@ -160,20 +164,20 @@ func run() error {
 	// The stats printout walks the metrics registry: every instrument a
 	// component registered shows up here automatically — no hand-listed
 	// fields to fall out of date when a layer grows a counter.
-	printRegistry(tb.Metrics)
-	fmt.Printf("context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d, tag table hits=%d misses=%d\n",
+	printRegistry(out, tb.Metrics)
+	fmt.Fprintf(out, "context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d, tag table hits=%d misses=%d\n",
 		count("bp_contextmgr_sockets_tagged_total"), count("bp_contextmgr_frames_resolved_total"),
 		count("bp_contextmgr_frames_dropped_total"), count("bp_contextmgr_tag_table_hits_total"),
 		count("bp_contextmgr_tag_table_misses_total"))
 
-	metricsFlags.Wait(os.Stdout)
+	metricsFlags.Wait(out)
 	return nil
 }
 
 // printRegistry renders every registered series, one line per sample.
 // Histograms print count, mean and the tail quantiles instead of raw
 // buckets — the interactive rendering of what /metrics exposes in full.
-func printRegistry(r *metrics.Registry) {
+func printRegistry(out io.Writer, r *metrics.Registry) {
 	for _, s := range r.Snapshot() {
 		var lb strings.Builder
 		for i, l := range s.Labels {
@@ -189,13 +193,13 @@ func printRegistry(r *metrics.Registry) {
 		}
 		switch {
 		case s.Hist != nil:
-			fmt.Printf("%s%s count=%d mean=%.0f p50=%d p99=%d p999=%d\n",
+			fmt.Fprintf(out, "%s%s count=%d mean=%.0f p50=%d p99=%d p999=%d\n",
 				s.Name, lb.String(), s.Hist.Count(), s.Hist.Mean(),
 				s.Hist.Quantile(0.5), s.Hist.Quantile(0.99), s.Hist.Quantile(0.999))
 		case s.Kind == metrics.KindGauge:
-			fmt.Printf("%s%s %g\n", s.Name, lb.String(), s.Value)
+			fmt.Fprintf(out, "%s%s %g\n", s.Name, lb.String(), s.Value)
 		default:
-			fmt.Printf("%s%s %.0f\n", s.Name, lb.String(), s.Value)
+			fmt.Fprintf(out, "%s%s %.0f\n", s.Name, lb.String(), s.Value)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestDeploymentRejectsNegativeFlowTTL(t *testing.T) {
 		dep.Close()
 		t.Fatal("New accepted a negative flow TTL")
 	}
-	if !strings.Contains(err.Error(), "FlowTTL") {
+	if !strings.Contains(err.Error(), "Flow.TTL") {
 		t.Fatalf("error %q does not name the flow TTL", err)
 	}
 }

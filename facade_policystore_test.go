@@ -1,6 +1,7 @@
 package borderpatrol
 
 import (
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,24 +151,69 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 	}
 }
 
-// TestDeploymentRejectsInertStaleness: a poll interval or a staleness
-// deadline needs a policy source to act on, a degraded posture needs a
-// deadline to degrade at, and a deadline a posture other than FailStatic
-// to degrade to. Each would otherwise be accepted and do nothing.
+// TestDeploymentRejectsInertStaleness is the facade's refusal table. A
+// poll interval or a staleness deadline needs a policy source to act on,
+// a degraded posture needs a deadline to degrade at, and a deadline a
+// posture other than FailStatic to degrade to; a document and a source
+// are two policies; a negative flow TTL never expires a flow; and a
+// fleet's stores watch its hub. Each would otherwise be accepted and do
+// nothing, or do the wrong thing. Every refusal names the field paths the
+// caller set, in the facade's words and no Go field or package of its
+// own.
 func TestDeploymentRejectsInertStaleness(t *testing.T) {
 	doc := `{[deny][library]["com/flurry"]}`
-	for name, pc := range map[string]PolicyConfig{
-		"poll without source":      {Doc: doc, Poll: time.Millisecond},
-		"max-stale without source": {Doc: doc, MaxStale: time.Second},
-		"fail mode without source": {Doc: doc, FailMode: FailOpen},
-		"all three without source": {Doc: doc, MaxStale: time.Nanosecond, FailMode: FailClosed, Poll: time.Millisecond},
-		"fail mode without max":    {Source: StaticPolicySource(doc), FailMode: FailOpen},
-		"max-stale with static":    {Source: StaticPolicySource(doc), MaxStale: time.Second},
+	fleet := func(pc PolicyConfig) FleetConfig {
+		return FleetConfig{Policy: pc, Gateways: []GatewaySpec{{Subnet: netip.MustParsePrefix("10.1.0.0/16")}}}
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   any // Config for New, FleetConfig for NewFleet
+		paths []string
+	}{
+		{"poll without source", Config{Policy: PolicyConfig{Doc: doc, Poll: time.Millisecond}}, []string{"Policy.Poll", "Policy.Source"}},
+		{"max-stale without source", Config{Policy: PolicyConfig{Doc: doc, MaxStale: time.Second}}, []string{"Policy.MaxStale", "Policy.Source"}},
+		{"fail mode without source", Config{Policy: PolicyConfig{Doc: doc, FailMode: FailOpen}}, []string{"Policy.FailMode", "Policy.Source"}},
+		{"all three without source", Config{Policy: PolicyConfig{Doc: doc, MaxStale: time.Nanosecond, FailMode: FailClosed, Poll: time.Millisecond}},
+			[]string{"Policy.Poll", "Policy.MaxStale", "Policy.FailMode", "Policy.Source"}},
+		{"fail mode without max", Config{Policy: PolicyConfig{Source: StaticPolicySource(doc), FailMode: FailOpen}}, []string{"Policy.FailMode", "Policy.MaxStale"}},
+		{"max-stale with static", Config{Policy: PolicyConfig{Source: StaticPolicySource(doc), MaxStale: time.Second}}, []string{"Policy.MaxStale", "Policy.FailMode"}},
+		{"doc and source", Config{Policy: PolicyConfig{Doc: doc, Source: StaticPolicySource(doc)}}, []string{"Policy.Doc", "Policy.Source"}},
+		{"malformed doc", Config{Policy: PolicyConfig{Doc: `{[deny][library]`}}, []string{"Policy.Doc"}},
+		{"negative flow TTL", Config{Flow: FlowConfig{TTL: -time.Second}}, []string{"Flow.TTL"}},
+		{"fleet with source", fleet(PolicyConfig{Doc: doc, Source: StaticPolicySource(doc)}), []string{"Policy.Source"}},
+		{"fleet with poll", fleet(PolicyConfig{Doc: doc, Poll: time.Second}), []string{"Policy.Poll"}},
+		{"fleet with posture", fleet(PolicyConfig{Doc: doc, MaxStale: time.Second, FailMode: FailClosed}), []string{"Policy.MaxStale", "Policy.FailMode"}},
 	} {
-		dep, err := New(Config{Policy: pc})
+		var err error
+		switch cfg := c.cfg.(type) {
+		case Config:
+			var dep *Deployment
+			if dep, err = New(cfg); err == nil {
+				dep.Close()
+			}
+		case FleetConfig:
+			var f *Fleet
+			if f, err = NewFleet(cfg); err == nil {
+				f.Close()
+			}
+		}
 		if err == nil {
-			dep.Close()
-			t.Errorf("%s: accepted", name)
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		msg := err.Error()
+		for _, p := range c.paths {
+			if !strings.Contains(msg, p) {
+				t.Errorf("%s: refusal %q does not name %s", c.name, msg, p)
+			}
+		}
+		for _, word := range []string{"PolicyConfig", "PolicySource", "PolicyPoll", "PolicyMaxStale", "PolicyFailMode", "FlowTTL", "experiments:", "policystore:"} {
+			if strings.Contains(msg, word) {
+				t.Errorf("%s: refusal %q names %s, which the caller never typed", c.name, msg, word)
+			}
+		}
+		if !strings.HasPrefix(msg, "borderpatrol: ") {
+			t.Errorf("%s: refusal %q lacks the facade's prefix", c.name, msg)
 		}
 	}
 }

@@ -80,17 +80,14 @@ type Fleet struct {
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	pc := cfg.Policy
 	if pc.Source != nil || pc.Poll != 0 || pc.MaxStale != 0 || pc.FailMode != FailStatic {
-		return nil, errors.New("borderpatrol: a fleet's stores watch its hub, whose rounds never fail: PolicyConfig.Source, Poll, MaxStale and FailMode must be unset")
+		return nil, errors.New("borderpatrol: a fleet's stores watch its hub, whose rounds never fail: Policy.Source, Policy.Poll, Policy.MaxStale and Policy.FailMode must be unset")
 	}
 	doc := pc.Doc
 	pc.Doc = "" // the document seeds the hub; each store compiles its shard
 	gws := make([]experiments.FleetGateway, len(cfg.Gateways))
 	for i, spec := range cfg.Gateways {
-		tcfg, err := testbedConfig(Config{Policy: pc, Flow: spec.Flow, Audit: spec.Audit})
-		if err != nil {
-			return nil, err
-		}
-		gws[i] = experiments.FleetGateway{Name: spec.Name, Subnet: spec.Subnet, Groups: spec.Groups, Config: tcfg}
+		gws[i] = experiments.FleetGateway{Name: spec.Name, Subnet: spec.Subnet, Groups: spec.Groups,
+			Config: testbedConfig(Config{Policy: pc, Flow: spec.Flow, Audit: spec.Audit})}
 	}
 	ef, err := experiments.NewFleet(doc, gws, cfg.WatchTimeout, nil)
 	if err != nil {

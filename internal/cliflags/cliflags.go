@@ -8,7 +8,9 @@
 // *flag.FlagSet (pass flag.CommandLine from a main) and returns a holder
 // whose methods run after fs.Parse: validation, then construction of the
 // thing the flags describe — a policystore.Source, an audit io.Writer,
-// an HTTP scrape endpoint.
+// an HTTP scrape endpoint. A holder refuses only what its flags alone
+// decide; the gateway assembly and the policy store judge the rest in
+// field paths (Policy.FailMode), which InFlags renders as flags.
 package cliflags
 
 import (
@@ -19,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"borderpatrol/internal/audit"
@@ -26,55 +29,54 @@ import (
 	"borderpatrol/internal/policystore"
 )
 
+// flagOf is the one table from a refused field path to its flag.
+var flagOf = strings.NewReplacer(
+	"Policy.Doc", "-policy",
+	"Policy.Source", "-policy-file or -policy-url",
+	"Policy.Poll", "-policy-poll",
+	"Policy.MaxStale", "-policy-max-stale",
+	"Policy.FailMode", "-fail-mode",
+)
+
+// InFlags restates a non-nil err with each field path it names as its flag.
+func InFlags(err error) error { return errors.New(flagOf.Replace(err.Error())) }
+
 // Policy holds the hot-reload policy-source flags: -policy-file,
 // -policy-url, -policy-poll, -policy-max-stale and -fail-mode.
 type Policy struct {
-	// File and URL select the hot-reload backend (mutually exclusive).
-	File string
-	URL  string
-	// Poll is the store's poll interval, doubled after each failed poll.
-	Poll time.Duration
-	// MaxStale arms the staleness deadline; FailModeName is the posture
-	// past it, open or closed whenever MaxStale is set.
-	MaxStale     time.Duration
-	FailModeName string
+	file, url, failMode string
+	poll                time.Duration
+	// MaxStale arms the staleness deadline past which -fail-mode applies.
+	MaxStale time.Duration
 }
 
 // RegisterPolicy declares the shared policy-source flags on fs.
 func RegisterPolicy(fs *flag.FlagSet) *Policy {
 	p := &Policy{}
-	fs.StringVar(&p.File, "policy-file", "", "policy file with hot reload: edits apply without restart")
-	fs.StringVar(&p.URL, "policy-url", "", "policy HTTP endpoint with hot reload: polled every -policy-poll with ETag conditional GETs")
-	fs.DurationVar(&p.Poll, "policy-poll", 2*time.Second, "hot-reload poll interval for -policy-file/-policy-url")
+	fs.StringVar(&p.file, "policy-file", "", "policy file with hot reload: edits apply without restart")
+	fs.StringVar(&p.url, "policy-url", "", "policy HTTP endpoint with hot reload: polled every -policy-poll with ETag conditional GETs")
+	fs.DurationVar(&p.poll, "policy-poll", 2*time.Second, "hot-reload poll interval for -policy-file/-policy-url")
 	fs.DurationVar(&p.MaxStale, "policy-max-stale", 0, "staleness deadline past which the store degrades to -fail-mode, which must then be open or closed (0 = never)")
-	fs.StringVar(&p.FailModeName, "fail-mode", "static", "degraded posture past -policy-max-stale: static|open|closed")
+	fs.StringVar(&p.failMode, "fail-mode", "static", "degraded posture past -policy-max-stale: static|open|closed")
 	return p
 }
 
-// Source validates the parsed flags and builds the hot-reload policy
-// source and its poll interval — nil and 0 when neither -policy-file nor
-// -policy-url was given — and parses -fail-mode. staticSet reports
-// whether the command's own one-shot policy flag was also set; the three
-// sources are mutually exclusive. The testbed and the policy store judge
-// -policy-max-stale and -fail-mode.
-func (p *Policy) Source(staticSet bool) (src policystore.Source, poll time.Duration, failMode policystore.FailMode, err error) {
-	set := 0
-	for _, on := range []bool{staticSet, p.File != "", p.URL != ""} {
-		if on {
-			set++
-		}
+// Source builds the hot-reload policy source and its poll interval — nil
+// and 0 when neither -policy-file nor -policy-url was given — and parses
+// -fail-mode. It refuses -policy-file and -policy-url together; the
+// gateway assembly and the policy store judge the rest.
+func (p *Policy) Source() (src policystore.Source, poll time.Duration, failMode policystore.FailMode, err error) {
+	if p.file != "" && p.url != "" {
+		return nil, 0, failMode, errors.New("-policy-file and -policy-url are mutually exclusive")
 	}
-	if set > 1 {
-		return nil, 0, failMode, errors.New("-policy, -policy-file and -policy-url are mutually exclusive")
-	}
-	if failMode, err = policystore.ParseFailMode(p.FailModeName); err != nil {
+	if failMode, err = policystore.ParseFailMode(p.failMode); err != nil {
 		return nil, 0, failMode, err
 	}
 	switch {
-	case p.File != "":
-		return policystore.NewFileSource(p.File), p.Poll, failMode, nil
-	case p.URL != "":
-		return policystore.NewHTTPSource(p.URL), p.Poll, failMode, nil
+	case p.file != "":
+		return policystore.NewFileSource(p.file), p.poll, failMode, nil
+	case p.url != "":
+		return policystore.NewHTTPSource(p.url), p.poll, failMode, nil
 	}
 	return nil, 0, failMode, nil
 }

@@ -25,7 +25,7 @@ func newSet(t *testing.T, args ...string) (*Policy, *Audit, *Metrics) {
 
 func TestPolicySourceSelection(t *testing.T) {
 	p, _, _ := newSet(t, "-policy-file", "rules.bp", "-fail-mode", "closed", "-policy-max-stale", "30s")
-	src, poll, mode, err := p.Source(false)
+	src, poll, mode, err := p.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,28 +41,26 @@ func TestPolicySourceSelection(t *testing.T) {
 
 	// Without a source the poll interval has nothing to poll.
 	p, _, _ = newSet(t)
-	src, poll, _, err = p.Source(false)
+	src, poll, _, err = p.Source()
 	if err != nil || src != nil || poll != 0 {
 		t.Fatalf("no flags: src=%v poll=%v err=%v", src, poll, err)
 	}
 }
 
 func TestPolicySourceValidation(t *testing.T) {
-	// The one-shot and hot-reload sources are mutually exclusive.
+	// The two hot-reload sources are mutually exclusive.
 	p, _, _ := newSet(t, "-policy-file", "a.bp", "-policy-url", "http://ctrl/b.bp")
-	if _, _, _, err := p.Source(false); err == nil {
+	if _, _, _, err := p.Source(); err == nil {
 		t.Fatal("file+url accepted")
 	}
-	p, _, _ = newSet(t, "-policy-file", "a.bp")
-	if _, _, _, err := p.Source(true); err == nil {
-		t.Fatal("static+file accepted")
-	}
 	p, _, _ = newSet(t, "-policy-file", "a.bp", "-fail-mode", "sideways")
-	if _, _, _, err := p.Source(false); err == nil {
+	if _, _, _, err := p.Source(); err == nil {
 		t.Fatal("bogus fail mode accepted")
 	}
 	// Whether -policy-max-stale and -fail-mode fit together is the policy
-	// store's call, and whether they have a source to act on the testbed's.
+	// store's call, and whether -policy, -policy-file and -policy-url
+	// exclude each other and the rest have a source to act on the
+	// assembly's: bp-gateway's refusal table drives them.
 }
 
 func TestAuditWriter(t *testing.T) {

@@ -5,16 +5,23 @@ import (
 	"testing"
 )
 
-// TestRunFleetSmoke is the CI-scale fleet table: three gateways under the
-// race detector, held to every named check, each broken once.
+// TestRunFleetSmoke is the CI-scale fleet table: three gateways, and the
+// fleet of one, under the race detector, held to every named check, each
+// broken once. The first push changes every shard, the second gateway 0's
+// only.
 func TestRunFleetSmoke(t *testing.T) {
-	res := runTable(t, FleetScenario(3, 40, nil, nil))
-	// The first push changes every shard, the second gateway 0's only.
-	if res.PushShards != 6 || res.PushChanged != 4 {
-		t.Fatalf("pushes reached %d shards and changed %d, want 6 and 4", res.PushShards, res.PushChanged)
-	}
-	if res.Delivered == 0 || res.Dropped == 0 {
-		t.Fatalf("degenerate run: %d delivered, %d dropped", res.Delivered, res.Dropped)
+	for _, c := range []struct{ gateways, devices, shards, changed int }{
+		{3, 40, 6, 4},
+		{1, 20, 2, 2},
+	} {
+		res := runTable(t, FleetScenario(c.gateways, c.devices, nil, nil))
+		if res.PushShards != c.shards || res.PushChanged != c.changed {
+			t.Fatalf("%d gateways: pushes reached %d shards and changed %d, want %d and %d",
+				c.gateways, res.PushShards, res.PushChanged, c.shards, c.changed)
+		}
+		if res.Delivered == 0 || res.Dropped == 0 {
+			t.Fatalf("%d gateways: degenerate run: %d delivered, %d dropped", c.gateways, res.Delivered, res.Dropped)
+		}
 	}
 }
 

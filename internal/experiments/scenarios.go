@@ -188,7 +188,7 @@ func fleetPolicies(gateways int) []string {
 
 // fleetApp is the app behind gateway i of a fleet of n: an HTTP sync, a
 // tracker beacon, a DNS lookup, a DNS probe its own group denies, and one
-// that only the next gateway's group denies.
+// that only the next gateway's group denies (no group, in a fleet of one).
 func fleetApp(i, n int) (*apkgen.App, error) {
 	qResolve, err := dnsQuery(1, "files.corp.example")
 	if err != nil {
@@ -209,7 +209,7 @@ func fleetApp(i, n int) (*apkgen.App, error) {
 			op: android.NetOp{Endpoint: httpEP, Host: "data.tracker", Method: "POST", PayloadBytes: 128}},
 		{name: "resolve", desirable: true, class: "Resolver", method: "lookup", op: dnsOp(qResolve, 2)},
 		{name: "probe-own", class: fmt.Sprintf("Exfil%d", i), method: "exfil", op: dnsOp(qProbe, 0)},
-		{name: "probe-other", desirable: true, class: fmt.Sprintf("Exfil%d", (i+1)%n), method: "exfil", op: dnsOp(qProbe, 0)},
+		{name: "probe-other", desirable: true, class: fmt.Sprintf("Exfil%d", (i+1)%max(n, 2)), method: "exfil", op: dnsOp(qProbe, 0)},
 	}), nil
 }
 

@@ -66,7 +66,10 @@ type Testbed struct {
 
 // TestbedConfig assembles a deployment.
 type TestbedConfig struct {
-	// Rules is the initial policy (may be nil).
+	// Doc is the initial policy document, compiled and published by
+	// Assemble. Doc, Rules and PolicySource are mutually exclusive.
+	Doc string
+	// Rules is the initial policy as rules built in code (may be nil).
 	Rules []policy.Rule
 	// DefaultVerdict is the engine default (VerdictAllow for observation
 	// phases, VerdictDrop for whitelist postures).
@@ -88,7 +91,7 @@ type TestbedConfig struct {
 	// write to it concurrently.
 	AuditWriter io.Writer
 	// PolicySource feeds the engine from an external policy backend (file,
-	// HTTP, static) instead of Rules. The initial document loads
+	// HTTP, static) instead of Doc or Rules. The initial document loads
 	// synchronously — a broken initial policy fails the assembly — and later
 	// changes hot-swap atomically with last-good fallback.
 	PolicySource policystore.Source
@@ -108,10 +111,8 @@ type TestbedConfig struct {
 	// one minute. Assemble rejects a negative one.
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
-	// PolicyFailMode selects the degraded posture past it. Assemble
-	// rejects either without PolicySource, and the store either one
-	// without the other: FailStatic is the posture of a store without a
-	// deadline.
+	// PolicyFailMode selects the degraded posture past it. Each needs
+	// PolicySource and the other (FailStatic takes no deadline).
 	PolicyMaxStale time.Duration
 	PolicyFailMode policystore.FailMode
 	// PolicyVirtualTime drives the staleness clock from the network's
@@ -165,13 +166,16 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 // It builds on the network it is given and leaves three things to the
 // caller: routing traffic to tb.Gateway (Network.Gateway or a subnet
 // route), registering the network-wide series where they belong, and
-// starting tb.Policy once construction can no longer fail.
+// starting tb.Policy once construction can no longer fail. It judges the
+// configuration, but for the fail posture (the store's), in field paths.
 func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
-	if cfg.PolicySource == nil && (cfg.PolicyPoll != 0 || cfg.PolicyMaxStale != 0 || cfg.PolicyFailMode != policystore.FailStatic) {
-		return nil, errors.New("experiments: PolicyPoll, PolicyMaxStale and PolicyFailMode require a PolicySource")
-	}
-	if cfg.FlowTTL < 0 {
-		return nil, fmt.Errorf("experiments: negative FlowTTL %v", cfg.FlowTTL)
+	switch {
+	case cfg.PolicySource != nil && (cfg.Doc != "" || len(cfg.Rules) > 0), cfg.Doc != "" && len(cfg.Rules) > 0:
+		return nil, errors.New("Policy.Doc and Policy.Source are mutually exclusive")
+	case cfg.PolicySource == nil && (cfg.PolicyPoll != 0 || cfg.PolicyMaxStale != 0 || cfg.PolicyFailMode != policystore.FailStatic):
+		return nil, errors.New("Policy.Poll, Policy.MaxStale and Policy.FailMode require Policy.Source")
+	case cfg.FlowTTL < 0:
+		return nil, fmt.Errorf("Flow.TTL %v is negative", cfg.FlowTTL)
 	}
 	defV := cfg.DefaultVerdict
 	if defV == 0 {
@@ -179,14 +183,18 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	}
 	engine, err := policy.NewEngine(cfg.Rules, defV)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, err
+	}
+	if cfg.Doc != "" {
+		set, err := policy.Compile(cfg.Doc)
+		if err != nil {
+			return nil, fmt.Errorf("Policy.Doc: %w", err)
+		}
+		engine.Publish(set)
 	}
 	tb := &Testbed{Network: network, Engine: engine, DB: analyzer.NewDatabase()}
 
 	if cfg.PolicySource != nil {
-		if len(cfg.Rules) > 0 {
-			return nil, fmt.Errorf("experiments: TestbedConfig.Rules and PolicySource are mutually exclusive")
-		}
 		storeCfg := policystore.Config{
 			Source:       cfg.PolicySource,
 			Engine:       engine,
@@ -200,12 +208,12 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 		}
 		store, err := policystore.New(storeCfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+			return nil, err
 		}
 		// The initial load is fatal: there is no last-good rule set to fall
 		// back to yet, and enforcing an empty policy would fail open.
 		if err := store.Load(); err != nil {
-			return nil, fmt.Errorf("experiments: initial policy: %w", err)
+			return nil, fmt.Errorf("initial policy from Policy.Source: %w", err)
 		}
 		tb.Policy = store
 	}

@@ -194,6 +194,9 @@ func (e *Engine) Publish(c *RuleSet) {
 	e.generation.Add(1)
 }
 
+// RuleCount returns the number of rules in the published rule set.
+func (e *Engine) RuleCount() int { return e.compiled.Load().Len() }
+
 // Generation returns the number of rule-set replacements plus degraded-mode
 // transitions so far. Verdict caches store it with each entry and treat any
 // change as invalidation.

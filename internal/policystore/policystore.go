@@ -76,7 +76,7 @@ func (m FailMode) String() string {
 	}
 }
 
-// ParseFailMode parses a -fail-mode flag value.
+// ParseFailMode parses a fail-mode name (Policy.FailMode, -fail-mode).
 func ParseFailMode(s string) (FailMode, error) {
 	switch s {
 	case "", "static":
@@ -86,7 +86,7 @@ func ParseFailMode(s string) (FailMode, error) {
 	case "closed", "fail-closed":
 		return FailClosed, nil
 	}
-	return 0, fmt.Errorf("policystore: unknown fail mode %q (want static|open|closed)", s)
+	return 0, fmt.Errorf("Policy.FailMode %q is unknown (want static, open or closed)", s)
 }
 
 // Candidate is one policy document fetched from a backend.
@@ -198,19 +198,16 @@ type Store struct {
 // initial load (recommended — a deployment should fail fast on a broken
 // initial policy), then Start for background hot reload.
 func New(cfg Config) (*Store, error) {
-	if cfg.Source == nil {
-		return nil, errors.New("policystore: Config.Source is required")
+	if cfg.Source == nil || cfg.Engine == nil {
+		return nil, errors.New("a policy store needs Policy.Source and an engine to publish to")
 	}
-	if cfg.Engine == nil {
-		return nil, errors.New("policystore: Config.Engine is required")
-	}
-	// The fail posture: FailStatic is the posture of a store without a
-	// deadline, and open or closed need one to degrade at.
+	// The fail posture, judged here alone: FailStatic is the posture of a
+	// store without a deadline, and open or closed need one to degrade at.
 	switch {
 	case cfg.FailMode == FailStatic && cfg.MaxStale != 0:
-		return nil, fmt.Errorf("policystore: staleness deadline %v needs fail mode open or closed: static never degrades", cfg.MaxStale)
+		return nil, fmt.Errorf("Policy.MaxStale %v is a staleness deadline and needs Policy.FailMode open or closed: static never degrades", cfg.MaxStale)
 	case cfg.FailMode != FailStatic && cfg.MaxStale <= 0:
-		return nil, fmt.Errorf("policystore: fail mode %v needs a staleness deadline (MaxStale)", cfg.FailMode)
+		return nil, fmt.Errorf("Policy.FailMode %v needs a positive staleness deadline in Policy.MaxStale", cfg.FailMode)
 	}
 	return &Store{
 		cfg:         cfg,

@@ -345,7 +345,7 @@ func parseFlags(t *testing.T, args ...string) flagSet {
 
 // policySource reads what the policy flags build.
 func policySource(t *testing.T, args ...string) string {
-	src, poll, mode, err := parseFlags(t, args...).policy.Source(false)
+	src, poll, mode, err := parseFlags(t, args...).policy.Source()
 	return fmt.Sprint(src, poll, mode, err)
 }
 
@@ -353,7 +353,7 @@ func policySource(t *testing.T, args ...string) string {
 // bp-gateway wires them (without the reload loop), and reads it.
 func viaPolicyFlags(t *testing.T, read probe, args ...string) string {
 	p := parseFlags(t, args...).policy
-	src, _, mode, err := p.Source(false)
+	src, _, mode, err := p.Source()
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -615,6 +615,13 @@ func liveCases() map[string]liveCase {
 		},
 
 		// The assembly every gateway goes through.
+		"TestbedConfig.Doc": func(t *testing.T, set bool) string {
+			cfg := experiments.TestbedConfig{EnforcementOn: true}
+			if set {
+				cfg.Doc = denyFlurry
+			}
+			return viaTestbed(t, cfg, fates("analytics"))
+		},
 		"TestbedConfig.Rules": func(t *testing.T, set bool) string {
 			cfg := experiments.TestbedConfig{EnforcementOn: true}
 			if set {
