@@ -19,6 +19,7 @@ import (
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/experiments"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
@@ -342,7 +343,7 @@ func BenchmarkEnforcerFlowCacheHitParallel(b *testing.B) {
 // conntrack). Reported ns/op is per packet.
 func BenchmarkGatewayBatchDrain(b *testing.B) {
 	enf, pkt := benchPipeline(b, true)
-	gw := netsim.NewGateway(netsim.GatewayConfig{
+	gw := gateway.NewGateway(gateway.GatewayConfig{
 		Enforcer:  enf,
 		Sanitizer: sanitizer.New(),
 		Clock:     netsim.NewClock(),

@@ -16,6 +16,7 @@ func TestRefusalsNameFlags(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{[deny][library]["com/flurry"]}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	missing := filepath.Join(t.TempDir(), "missing.bp")
 	malformed := filepath.Join(t.TempDir(), "malformed.bp")
 	if err := os.WriteFile(malformed, []byte(`{[deny][library]`), 0o644); err != nil {
 		t.Fatal(err)
@@ -33,6 +34,8 @@ func TestRefusalsNameFlags(t *testing.T) {
 		{[]string{"-policy", path, "-policy-file", path}, []string{"-policy and", "-policy-file or -policy-url"}},
 		{[]string{"-policy-file", path, "-policy-url", "http://ctrl.invalid/p.bp"}, []string{"-policy-file", "-policy-url"}},
 		{[]string{"-policy", malformed}, []string{"-policy:"}},
+		{[]string{"-policy-poll", "1s"}, []string{"-policy-poll", "-policy-file or -policy-url"}},
+		{[]string{"-policy-file", missing}, []string{"-policy-file or -policy-url", missing}},
 		{nil, nil},
 	} {
 		var out bytes.Buffer
@@ -53,6 +56,9 @@ func TestRefusalsNameFlags(t *testing.T) {
 			if !strings.Contains(msg, f) {
 				t.Errorf("%q: refusal %q does not name %s", name, msg, f)
 			}
+		}
+		if strings.Count(msg, missing) > 1 {
+			t.Errorf("%q: refusal %q names %s more than once", name, msg, missing)
 		}
 		for _, word := range []string{"Policy.", "Flow.", "PolicySource", "PolicyPoll", "PolicyMaxStale", "PolicyFailMode", "experiments:", "policystore:"} {
 			if strings.Contains(msg, word) {

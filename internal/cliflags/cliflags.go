@@ -14,6 +14,7 @@
 package cliflags
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -55,16 +56,17 @@ func RegisterPolicy(fs *flag.FlagSet) *Policy {
 	p := &Policy{}
 	fs.StringVar(&p.file, "policy-file", "", "policy file with hot reload: edits apply without restart")
 	fs.StringVar(&p.url, "policy-url", "", "policy HTTP endpoint with hot reload: polled every -policy-poll with ETag conditional GETs")
-	fs.DurationVar(&p.poll, "policy-poll", 2*time.Second, "hot-reload poll interval for -policy-file/-policy-url")
+	fs.DurationVar(&p.poll, "policy-poll", 0, "hot-reload poll interval for -policy-file/-policy-url (0 = 2s)")
 	fs.DurationVar(&p.MaxStale, "policy-max-stale", 0, "staleness deadline past which the store degrades to -fail-mode, which must then be open or closed (0 = never)")
 	fs.StringVar(&p.failMode, "fail-mode", "static", "degraded posture past -policy-max-stale: static|open|closed")
 	return p
 }
 
-// Source builds the hot-reload policy source and its poll interval — nil
-// and 0 when neither -policy-file nor -policy-url was given — and parses
-// -fail-mode. It refuses -policy-file and -policy-url together; the
-// gateway assembly and the policy store judge the rest.
+// Source builds the hot-reload policy source and its poll interval (2 s
+// unless -policy-poll is set) and parses -fail-mode. With neither
+// -policy-file nor -policy-url the source is nil and -policy-poll passes
+// as given, for the gateway assembly to refuse. It refuses -policy-file
+// and -policy-url together; the assembly and the policy store judge the rest.
 func (p *Policy) Source() (src policystore.Source, poll time.Duration, failMode policystore.FailMode, err error) {
 	if p.file != "" && p.url != "" {
 		return nil, 0, failMode, errors.New("-policy-file and -policy-url are mutually exclusive")
@@ -72,13 +74,14 @@ func (p *Policy) Source() (src policystore.Source, poll time.Duration, failMode 
 	if failMode, err = policystore.ParseFailMode(p.failMode); err != nil {
 		return nil, 0, failMode, err
 	}
+	poll = cmp.Or(p.poll, 2*time.Second)
 	switch {
 	case p.file != "":
-		return policystore.NewFileSource(p.file), p.poll, failMode, nil
+		return policystore.NewFileSource(p.file), poll, failMode, nil
 	case p.url != "":
-		return policystore.NewHTTPSource(p.url), p.poll, failMode, nil
+		return policystore.NewHTTPSource(p.url), poll, failMode, nil
 	}
-	return nil, 0, failMode, nil
+	return nil, p.poll, failMode, nil
 }
 
 // Context holds the device-context flags: -device-network and

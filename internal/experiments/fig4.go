@@ -9,6 +9,7 @@ import (
 
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/dex"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
@@ -202,7 +203,7 @@ func buildFig4Testbed(id Fig4ConfigID) (*fig4Testbed, error) {
 		XposedInstalled: xposed,
 	})
 	if id >= ConfigTAPNFQueue {
-		tb.network.Gateway = netsim.NewGateway(netsim.GatewayConfig{Passthrough: true, Clock: tb.network.Clock})
+		tb.network.Gateway = gateway.NewGateway(gateway.GatewayConfig{Clock: tb.network.Clock})
 	}
 
 	// Device-side instrumentation per configuration. The hooks do the real

@@ -22,6 +22,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
@@ -44,7 +45,7 @@ type Testbed struct {
 	// Gateway is this deployment's enforcement point. NewTestbed also makes
 	// it Network.Gateway; on a shared fleet network it is reached through a
 	// subnet route instead.
-	Gateway *netsim.Gateway
+	Gateway *gateway.Gateway
 	// Context is the gateway's device-context source (always built, wired
 	// into the enforcer when enforcement is on). The provisioned device
 	// reports into it; device pools can bind to it too.
@@ -240,7 +241,7 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 	tb.Device.BindContext(tb.Context)
 
 	san := sanitizer.New()
-	gwCfg := netsim.GatewayConfig{
+	gwCfg := gateway.GatewayConfig{
 		Sanitizer: san,
 		Workers:   cfg.GatewayWorkers,
 		Clock:     network.Clock,
@@ -258,7 +259,7 @@ func Assemble(network *netsim.Network, cfg TestbedConfig) (*Testbed, error) {
 		tb.Enforcer = enforcer.New(enfCfg, tb.DB, engine)
 		gwCfg.Enforcer = tb.Enforcer
 	}
-	tb.Gateway = netsim.NewGateway(gwCfg)
+	tb.Gateway = gateway.NewGateway(gwCfg)
 
 	// Registration before Start: no poller goroutine races the registry.
 	tb.Metrics = metrics.NewRegistry()

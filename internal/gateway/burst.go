@@ -1,12 +1,10 @@
-package netsim
+package gateway
 
 import (
-	"runtime"
+	"slices"
 	"sync"
-	"time"
 
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/transport"
@@ -17,36 +15,28 @@ import (
 // packets on the calling goroutine does.
 const minWorkerBurst = 64
 
-// burst is the working memory of one DeliverBatch or Gateway.ProcessBatch,
-// pooled: each packet's owning gateway and outcome, the sanitizer's egress
-// copies, and the flow-affine split of the burst over workers with each
-// worker's scratch. It is cleared before it goes back, so nothing outlives
-// the burst that put it there; ProcessBatch, whose caller keeps the egress
-// copies, detaches them first. The deliveries and the enforcement results
-// are not the burst's: they live in the caller's Batch, or for
-// ProcessBatch in a slab of the call's own.
+// burst is the working memory of one Drain or ProcessBatch, pooled: each
+// packet's outcome, the sanitizer's egress copies, and the flow-affine
+// split of the burst over workers with each worker's scratch. It is
+// cleared before it goes back, so nothing outlives the burst that put it
+// there; ProcessBatch, whose caller keeps the egress copies, hands their
+// slabs over first. The enforcement results are not the burst's: they
+// live in the caller's slab, or for ProcessBatch in one of its own.
 type burst struct {
-	// n serves the survivors; nil for Gateway.ProcessBatch, which stops
-	// before serving.
-	n    *Network
 	pkts []*ipv4.Packet
 	// gws is each packet's owning gateway; nil passes the packet through
 	// unenforced and untracked.
 	gws      []*Gateway
 	outcomes []BatchOutcome
-	out      []Delivery // DeliverBatch's deliveries, aligned with pkts
+	// next continues each packet past the gateway; nil for ProcessBatch,
+	// which stops after the connection event.
+	next Continuation
 	// results is the enforcement-result slab, one slot per packet an
 	// enforcing gateway owns; split sizes it and carves it into one
 	// disjoint share per worker.
 	results []enforcer.Result
 	workers []burstWorker
 	wg      sync.WaitGroup
-
-	// own backs outcomes for DeliverBatch (ProcessBatch returns its own);
-	// active lists the distinct active gateways DeliverBatch's burst
-	// crosses.
-	own    []BatchOutcome
-	active []*Gateway
 
 	// egress and opts back the sanitizer's egress copies: a packet and its
 	// options for each packet a sanitizing gateway owns. split carves them
@@ -60,8 +50,6 @@ type burstWorker struct {
 	// idx holds the burst indices of the packets this worker owns, in
 	// burst order.
 	idx []int
-	// charge sums the virtual time this worker's serves cost.
-	charge time.Duration
 	// Stage scratch: indices not yet run, one gateway's group and its
 	// packets.
 	todo, group []int
@@ -78,76 +66,48 @@ type burstWorker struct {
 	// into its free tail.
 	results  []enforcer.Result
 	enforced int
-	// req is the request serveOne parses each HTTP payload into; it is
-	// zeroed once the handler returns. resp is the packet checkResponse
-	// renders each response segment into, its payload buffer reused.
-	req  httpsim.Request
-	resp ipv4.Packet
 }
 
 var burstPool = sync.Pool{New: func() any { return new(burst) }}
 
-// getBurst takes a burst from the pool, sized for pkts.
-func getBurst(pkts []*ipv4.Packet) *burst {
+// getBurst takes a burst from the pool for pkts, owned by gws.
+func getBurst(pkts []*ipv4.Packet, gws []*Gateway) *burst {
 	b := burstPool.Get().(*burst)
-	b.pkts = pkts
-	b.gws = resize(b.gws, len(pkts))
+	b.pkts, b.gws, b.outcomes = pkts, gws, slices.Grow(b.outcomes[:0], len(pkts))[:len(pkts)]
 	return b
-}
-
-// resize returns s with length n, reallocated only when too short.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // release clears the burst's references and returns it to the pool.
 func (b *burst) release() {
-	clear(b.gws)
-	clear(b.own)
-	clear(b.active)
+	clear(b.outcomes)
 	clear(b.egress)
 	clear(b.opts)
 	for w := range b.workers {
-		b.workers[w].results = nil
+		bw := &b.workers[w]
+		bw.results, bw.egress, bw.opts = nil, nil, nil
 	}
-	b.n, b.pkts, b.outcomes, b.out, b.results, b.active = nil, nil, nil, nil, nil, b.active[:0]
+	b.pkts, b.gws, b.next, b.results = nil, nil, nil, nil
 	burstPool.Put(b)
 }
 
-// detach hands the egress-copy slabs to the caller, who keeps the
-// outcomes pointing into them, so that release cannot clear them and the
-// next burst cannot reuse them.
-func (b *burst) detach() {
-	b.egress, b.opts = nil, nil
-	for w := range b.workers {
-		b.workers[w].egress, b.workers[w].opts = nil, nil
-	}
-}
-
-// split partitions the burst over at most workers workers (≤ 0 =
-// GOMAXPROCS) by each packet's endpoint-pair hash
-// (transport.Tuple.PairHash), so every packet of a flow — all of one
-// device's traffic to one server — lands on one worker, in burst order,
-// the way NFQUEUE --queue-balance hashes flows to readers. Workers get
-// minWorkerBurst packets each on average: a burst shorter than twice that
-// is one part, which run executes inline on the caller. It then sizes the egress-copy slabs for the
-// packets that sanitizing gateways own, and the result slab for those that
-// enforcing gateways own, and gives each worker its share of each.
-func (b *burst) split(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(b.pkts)/minWorkerBurst))
+// split partitions the burst over at most width(b.gws) workers by each
+// packet's endpoint-pair hash (transport.Tuple.PairHash), so every packet
+// of a flow — all of one device's traffic to one server — lands on one
+// worker, in burst order, the way NFQUEUE --queue-balance hashes flows to
+// readers. Workers get minWorkerBurst packets each on average: a burst
+// shorter than twice that is one part, which run executes inline on the
+// caller. It then sizes the egress-copy slabs for the packets that
+// sanitizing gateways own, and the result slab for those that enforcing
+// gateways own, and gives each worker its share of each.
+func (b *burst) split() {
+	workers := max(1, min(width(b.gws), len(b.pkts)/minWorkerBurst))
 	if cap(b.workers) < workers {
 		b.workers = append(b.workers[:cap(b.workers)], make([]burstWorker, workers-cap(b.workers))...)
 	}
 	b.workers = b.workers[:workers]
 	for w := range b.workers {
 		bw := &b.workers[w]
-		bw.idx, bw.charge, bw.copies, bw.optN, bw.enforced = bw.idx[:0], 0, 0, 0, 0
+		bw.idx, bw.copies, bw.optN, bw.enforced = bw.idx[:0], 0, 0, 0
 	}
 	copies, opts, enforced := 0, 0, 0
 	for i, p := range b.pkts {
@@ -176,9 +136,9 @@ func (b *burst) split(workers int) {
 			opts += len(p.Header.Options)
 		}
 	}
-	b.egress = resize(b.egress, copies)
-	b.opts = resize(b.opts, opts)
-	b.results = resize(b.results, enforced)
+	b.egress = slices.Grow(b.egress[:0], copies)[:copies]
+	b.opts = slices.Grow(b.opts[:0], opts)[:opts]
+	b.results = slices.Grow(b.results[:0], enforced)[:enforced]
 	copies, opts, enforced = 0, 0, 0
 	for w := range b.workers {
 		bw := &b.workers[w]
@@ -208,11 +168,10 @@ func (b *burst) spawned(w int) {
 }
 
 // work is one worker's whole path over its packets: the stages of each
-// owning gateway (enforcer, sanitizer), then per accepted packet in burst
-// order its connection event and — on DeliverBatch — its serve and
-// response check. A flow's FIN is therefore observed after its data
-// segments were answered. Each accepted packet's transport header is
-// peeked once, here, for all three.
+// owning gateway (enforcer, sanitizer), then per packet in burst order
+// its connection event and the continuation. A flow's FIN is therefore
+// observed after its data segments were answered. Each accepted packet's
+// transport header is peeked once, here, for both.
 //
 // A FIN/RST the conntrack reports tears the flow's cached verdict down
 // through the enforcer, keyed on the original (still-tagged) packet, as
@@ -224,29 +183,15 @@ func (b *burst) work(w int) {
 	b.runStages(bw)
 	for _, i := range bw.idx {
 		o, gw := b.outcomes[i], b.gws[i]
-		var f flowID
+		var f Flow
 		if o.Out != nil {
 			f = peekFlow(b.pkts[i])
 			if gw != nil && gw.ct.observe(f) && gw.enforcer != nil {
 				gw.enforcer.EndFlow(b.pkts[i])
 			}
 		}
-		if b.n == nil {
-			continue
-		}
-		// The Batch's storage still holds an earlier burst's delivery.
-		d := &b.out[i]
-		*d = Delivery{Enforcement: o.Result}
-		if o.Out == nil {
-			d.Stage = StageGateway
-			continue
-		}
-		bw.charge += b.n.serveOne(o.Out, f, d, &bw.req)
-		// The response half of the connection's verdict state is enforced
-		// at the owning gateway, keyed off the still-tagged device-egress
-		// packet.
-		if gw != nil && d.Response != nil {
-			b.n.checkResponse(gw, b.pkts[i], f, d, &bw.resp)
+		if b.next != nil {
+			b.next.Continue(w, i, o, f)
 		}
 	}
 }
@@ -312,7 +257,7 @@ func (b *burst) runStages(bw *burstWorker) {
 // key on) intact, sharing the option data and the payload under
 // ipv4.Packet's immutability invariant (the only writer, the fault
 // injector, clones first). The copy lives as long as the burst's slabs:
-// one DeliverBatch, or for as long as ProcessBatch's caller keeps it.
+// one Drain, or for as long as ProcessBatch's caller keeps it.
 func (bw *burstWorker) egressCopy(pkt *ipv4.Packet) *ipv4.Packet {
 	bw.egress = append(bw.egress, ipv4.Packet{Header: pkt.Header, Payload: pkt.Payload})
 	c := &bw.egress[len(bw.egress)-1]

@@ -1,4 +1,4 @@
-package netsim
+package gateway
 
 import (
 	"sync"
@@ -6,6 +6,7 @@ import (
 
 	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/transport"
 )
 
@@ -71,7 +72,7 @@ import (
 // expires the 5-tuple is legitimately reusable and a SYN reopens the
 // record as a fresh connection, as on a real host.
 type Conntrack struct {
-	clock  *Clock
+	clock  flowtable.Clock
 	shards [ctShards]ctShard
 }
 
@@ -104,15 +105,12 @@ type connState struct {
 	parked  bool
 }
 
-// ctShardBits sizes the conntrack and response-sequence tables: 64 shards.
+// ctShardBits sizes the tracker: 64 shards.
 const ctShardBits = 6
 
 const ctShards = 1 << ctShardBits
 
-// shardOf picks a tuple's shard from the top bits of its hash.
-func shardOf(t transport.Tuple) int { return shardOfHash(t.Hash()) }
-
-// shardOfHash is shardOf on a tuple hash the caller already holds.
+// shardOfHash picks a tuple's shard from the top bits of its hash.
 func shardOfHash(h uint64) int { return int(h >> (64 - ctShardBits)) }
 
 // parkedRecord is one ring slot: the parked tuple and the close time it
@@ -198,9 +196,9 @@ const timeWaitTTL = 30 * time.Second
 // NewConntrack builds an empty tracker. c supplies virtual time for
 // TIME_WAIT expiry and idle sweeps; NewConntrack panics without one. It
 // allocates no records: each shard's index and ring grow on use.
-func NewConntrack(c *Clock) *Conntrack {
+func NewConntrack(c flowtable.Clock) *Conntrack {
 	if c == nil {
-		panic("netsim: NewConntrack needs a clock")
+		panic("gateway: NewConntrack needs a clock")
 	}
 	ct := &Conntrack{clock: c}
 	for i := range ct.shards {
@@ -273,22 +271,12 @@ func (s *ctShard) openLocked(h uint64, k transport.Tuple, parked bool, st connSt
 	return true
 }
 
-// flowID is what a burst worker's one peek of a forward packet yields for
-// its connection event, serve and response check: the tuple (valid when
-// v4) and the header's protocol and TCP flags (zero when the peek refused
-// the payload). Four fields, so it travels in registers.
-type flowID struct {
-	t            transport.Tuple
-	proto, flags byte
-	v4           bool
-}
-
-// peekFlow peeks pkt's transport header and builds its tuple.
-func peekFlow(pkt *ipv4.Packet) flowID {
+// peekFlow peeks pkt's transport header and builds its Flow.
+func peekFlow(pkt *ipv4.Packet) Flow {
 	var info transport.Info
 	transport.PeekPacket(pkt, &info)
 	t, v4 := transport.TupleOf(&pkt.Header, info.SrcPort, info.DstPort)
-	return flowID{t: t, proto: info.Proto, flags: info.Flags, v4: v4}
+	return Flow{Tuple: t, Proto: info.Proto, Flags: info.Flags, V4: v4}
 }
 
 // Observe updates connection state for one accepted packet and reports
@@ -300,23 +288,23 @@ func (ct *Conntrack) Observe(pkt *ipv4.Packet) (connClosed bool) {
 }
 
 // observe is Observe on a packet its caller has already peeked.
-func (ct *Conntrack) observe(f flowID) (connClosed bool) {
-	if f.proto != ipv4.ProtoTCP {
+func (ct *Conntrack) observe(f Flow) (connClosed bool) {
+	if f.Proto != ipv4.ProtoTCP {
 		return false
 	}
-	if f.flags&(transport.FlagSYN|transport.FlagFIN|transport.FlagRST) == 0 {
+	if f.Flags&(transport.FlagSYN|transport.FlagFIN|transport.FlagRST) == 0 {
 		return false // data segment: no lifecycle event, no lock
 	}
-	closing := f.flags&(transport.FlagFIN|transport.FlagRST) != 0
-	if !f.v4 {
+	closing := f.Flags&(transport.FlagFIN|transport.FlagRST) != 0
+	if !f.V4 {
 		return closing
 	}
 	now := ct.clock.Now()
-	h := f.t.Hash()
+	h := f.Tuple.Hash()
 	s := &ct.shards[shardOfHash(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.conns.Get(h, f.t)
+	st := s.conns.Get(h, f.Tuple)
 	known := st != nil
 	if closing {
 		switch {
@@ -335,7 +323,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 			s.n[ctUntrackedClose]++
 			s.n[ctClosed]++
 		}
-		s.parkLocked(h, f.t, now)
+		s.parkLocked(h, f.Tuple, now)
 		return true
 	}
 	// SYN path.
@@ -349,7 +337,7 @@ func (ct *Conntrack) observe(f flowID) (connClosed bool) {
 		s.n[ctLateSYN]++
 		return false
 	}
-	if !s.openLocked(h, f.t, known, connState{last: now}) {
+	if !s.openLocked(h, f.Tuple, known, connState{last: now}) {
 		s.n[ctTableFull]++
 		return false
 	}
@@ -460,6 +448,48 @@ func (ct *Conntrack) Reset() {
 		s.ring = nil
 		s.parked, s.next = 0, 0
 		s.mu.Unlock()
+	}
+}
+
+func (ct *Conntrack) registerMetrics(r *metrics.Registry) {
+	count := func(c ctCount) func() uint64 {
+		return func() uint64 { return ct.sum(func(s *ctShard) uint64 { return s.n[c] }) }
+	}
+	const transHelp = "Connection-tracker state transitions by kind."
+	for _, t := range []struct {
+		c    ctCount
+		kind string
+	}{
+		{ctEstablished, "established"}, {ctClosed, "closed"}, {ctDupClose, "dup_close"},
+		{ctLateSYN, "late_syn"}, {ctUntrackedClose, "untracked_close"},
+		{ctIdleReclaimed, "idle_reclaimed"}, {ctTableFull, "table_full"},
+	} {
+		r.CounterFunc("bp_conntrack_transitions_total", transHelp, count(t.c), metrics.L("kind", t.kind))
+	}
+
+	const stateHelp = "Connections currently tracked, by state."
+	r.GaugeFunc("bp_conntrack_connections", stateHelp,
+		func() float64 {
+			return float64(ct.sum(func(s *ctShard) uint64 { return uint64(s.conns.Len() - s.parked) }))
+		},
+		metrics.L("state", "open"))
+	r.GaugeFunc("bp_conntrack_connections", stateHelp,
+		func() float64 { return float64(ct.sum(func(s *ctShard) uint64 { return uint64(s.parked) })) },
+		metrics.L("state", "time_wait"))
+
+	// Response-direction (server→device) enforcement: seq_drop is a
+	// segment refused for breaking TCP sequence continuity (mid-stream
+	// injection); unchecked is one passed because its full shard could not
+	// adopt its connection.
+	const respHelp = "Response-direction segments checked, by outcome."
+	for _, o := range []struct {
+		c       ctCount
+		outcome string
+	}{
+		{ctChecked, "checked"}, {ctAdopted, "adopted"}, {ctLate, "late"},
+		{ctSeqDrop, "seq_drop"}, {ctUnchecked, "unchecked"},
+	} {
+		r.CounterFunc("bp_conntrack_responses_total", respHelp, count(o.c), metrics.L("outcome", o.outcome))
 	}
 }
 

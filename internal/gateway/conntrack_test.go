@@ -1,4 +1,4 @@
-package netsim
+package gateway
 
 import (
 	"encoding/binary"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/transport"
@@ -32,7 +33,7 @@ func ctSeg(srcPort uint16, flags byte) *ipv4.Packet {
 // (EndFlow is idempotent, teardown is the safe direction) but must not
 // count a second close.
 func TestConntrackDuplicateFIN(t *testing.T) {
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	ct.Observe(ctSeg(40000, transport.FlagSYN))
 	if !ct.Observe(ctSeg(40000, transport.FlagFIN|transport.FlagACK)) {
@@ -53,7 +54,7 @@ func TestConntrackDuplicateFIN(t *testing.T) {
 // TestConntrackRSTAfterFIN: an RST landing after the FIN already closed
 // the connection is a duplicate close, not a second one.
 func TestConntrackRSTAfterFIN(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	ct.Observe(ctSeg(40001, transport.FlagSYN))
 	ct.Observe(ctSeg(40001, transport.FlagFIN|transport.FlagACK))
 	if !ct.Observe(ctSeg(40001, transport.FlagRST)) {
@@ -69,7 +70,7 @@ func TestConntrackRSTAfterFIN(t *testing.T) {
 // arriving while the tuple sits in TIME_WAIT must not re-establish the
 // dead connection; after TIME_WAIT expires the tuple is reusable.
 func TestConntrackLateSYNNoResurrection(t *testing.T) {
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	ct.Observe(ctSeg(40002, transport.FlagSYN))
 	ct.Observe(ctSeg(40002, transport.FlagFIN|transport.FlagACK))
@@ -92,7 +93,7 @@ func TestConntrackLateSYNNoResurrection(t *testing.T) {
 // TestConntrackDuplicateSYN: a SYN retransmission for a live connection
 // refreshes activity without counting a second establishment.
 func TestConntrackDuplicateSYN(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	ct.Observe(ctSeg(40003, transport.FlagSYN))
 	ct.Observe(ctSeg(40003, transport.FlagSYN))
 	st := conntrack(ct)
@@ -104,7 +105,7 @@ func TestConntrackDuplicateSYN(t *testing.T) {
 // TestConntrackUntrackedClose: a FIN for a connection the tracker never
 // saw open (gateway restarted mid-stream) still fires teardown.
 func TestConntrackUntrackedClose(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	if !ct.Observe(ctSeg(40004, transport.FlagFIN|transport.FlagACK)) {
 		t.Fatal("untracked FIN must still report closed")
 	}
@@ -117,7 +118,7 @@ func TestConntrackUntrackedClose(t *testing.T) {
 // TestConntrackSweep: idle open connections (lost FINs) are reclaimed by
 // the GC sweep; fresh ones survive; expired TIME_WAIT entries are purged.
 func TestConntrackSweep(t *testing.T) {
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	ct.Observe(ctSeg(40005, transport.FlagSYN)) // will go idle
 	ct.Observe(ctSeg(40006, transport.FlagSYN))
@@ -143,7 +144,7 @@ func TestConntrackSweep(t *testing.T) {
 // TestConntrackReset: a gateway restart discards all connection state but
 // no count; in-flight connections are then picked up mid-stream.
 func TestConntrackReset(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	ct.Observe(ctSeg(40008, transport.FlagSYN))
 	ct.Observe(ctSeg(40009, transport.FlagSYN))
 	ct.Observe(ctSeg(40009, transport.FlagFIN|transport.FlagACK))
@@ -170,7 +171,7 @@ func TestConntrackReset(t *testing.T) {
 // the time_wait gauge counts exactly the parked records, also after a
 // Sweep and after a Reset.
 func TestConntrackTimeWaitBound(t *testing.T) {
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	per := maxTimeWait / ctShards
 	fin := func(src, dst netip.Addr, sp uint16) *ipv4.Packet {
@@ -253,7 +254,7 @@ func parkedRecords(s *ctShard) int {
 // stays exact, and every open connection keeps its record.
 func TestConntrackReclaimsExpiredTimeWait(t *testing.T) {
 	const opened = 300
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	per := maxTimeWait / ctShards
 	syns := sameShardSYNs(0, per+opened)
@@ -273,7 +274,7 @@ func TestConntrackReclaimsExpiredTimeWait(t *testing.T) {
 		t.Fatalf("after the reclaim: %+v, parked field %d for %d parked records", st, s.parked, parkedRecords(s))
 	}
 	for _, syn := range syns[per:] {
-		if st := s.conns.Get(peekFlow(syn).t.Hash(), peekFlow(syn).t); st == nil || st.parked {
+		if st := s.conns.Get(peekFlow(syn).Tuple.Hash(), peekFlow(syn).Tuple); st == nil || st.parked {
 			t.Fatalf("open connection lost its record: %+v", st)
 		}
 	}
@@ -285,7 +286,7 @@ func TestConntrackReclaimsExpiredTimeWait(t *testing.T) {
 // a delayed SYN of a closed connection is still refused.
 func TestConntrackLateSYNAcrossGrowth(t *testing.T) {
 	const parked, opened = 100, 400
-	clk := NewClock()
+	clk := newClock()
 	ct := NewConntrack(clk)
 	syns := sameShardSYNs(0, parked+opened)
 	for _, syn := range syns[:parked] {
@@ -309,6 +310,9 @@ func TestConntrackLateSYNAcrossGrowth(t *testing.T) {
 		t.Fatalf("late SYNs after the index grew: %+v, before %+v; want all %d refused", st, before, parked)
 	}
 }
+
+// shardOf is the tracker's shard of t.
+func shardOf(t transport.Tuple) int { return shardOfHash(t.Hash()) }
 
 // tupleFor is the tuple of a device→server segment between src and dst.
 func tupleFor(src, dst netip.Addr, sp, dp uint16) transport.Tuple {
@@ -357,7 +361,7 @@ func replyTo(fwd *ipv4.Packet, seq uint32, body []byte) *ipv4.Packet {
 // passes. (Evicting an arbitrary entry, the victim's next response would
 // be adopted and re-prime the check: flood-then-inject.)
 func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	victim := fwdPkt(transport.FlagSYN, 1, nil)
 	ct.Observe(victim)
 	body := []byte("HTTP/1.1 200 OK\r\n\r\n")
@@ -389,7 +393,7 @@ func TestSYNFloodCannotDisarmInjectionCheck(t *testing.T) {
 // response for a connection the shard cannot adopt passes unchecked
 // (outcome="unchecked"); the tracked connections keep their checks.
 func TestFullShardRefusesNewcomers(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Clock: NewClock()})
+	gw := NewGateway(GatewayConfig{Clock: newClock()})
 	ct := gw.ct
 	perShard := maxTracked / ctShards
 	syns := sameShardSYNs(0, perShard+1)
@@ -425,7 +429,7 @@ func TestFullShardRefusesNewcomers(t *testing.T) {
 // TestNonIPv4ConnectionUntracked: a connection whose endpoints are not
 // IPv4 is not tracked, but its FIN still reports closed so teardown fires.
 func TestNonIPv4ConnectionUntracked(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	syn, fin := ctSeg(40010, transport.FlagSYN), ctSeg(40010, transport.FlagFIN|transport.FlagACK)
 	for _, p := range []*ipv4.Packet{syn, fin} {
 		p.Header.Src = netip.MustParseAddr("2001:db8::2")
@@ -443,7 +447,7 @@ func TestNonIPv4ConnectionUntracked(t *testing.T) {
 // BenchmarkConntrackObserveResponse is the response-direction check on an
 // established connection, every segment in sequence.
 func BenchmarkConntrackObserveResponse(b *testing.B) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	syn := fwdPkt(transport.FlagSYN, 1, nil)
 	ct.Observe(syn)
 	body := make([]byte, 512)
@@ -457,5 +461,129 @@ func BenchmarkConntrackObserveResponse(b *testing.B) {
 			b.Fatal("in-sequence response dropped")
 		}
 		seq += uint32(len(body))
+	}
+}
+
+// shardCells is the cell count of a per-shard index holding the given
+// records: doubling from 8 at ¾ load.
+func shardCells(records int) int {
+	c := 8
+	for 4*records > 3*c {
+		c *= 2
+	}
+	return c
+}
+
+// handOrder walks cells cells of ix one at a time from its eviction hand,
+// evicting nothing, and reports the walk position of every value seen by
+// the name id gives it. The walk ends where it began.
+func handOrder[V any](ix *flowtable.Index[transport.Tuple, V], cells int, id func(*V) (int, bool)) map[int]int {
+	at := map[int]int{}
+	for c := 0; c < cells; c++ {
+		ix.Evict(1, func(v *V) bool {
+			if name, ok := id(v); ok {
+				at[name] = c
+			}
+			return false
+		})
+	}
+	return at
+}
+
+// indexCells counts ix's cells by walking its eviction hand, which samples
+// one cell per Evict(1) and so comes back to a key after exactly that many
+// calls. ix must hold a key; the walk evicts nothing.
+func indexCells[V any](ix *flowtable.Index[transport.Tuple, V]) int {
+	var first *V
+	start := 0
+	for step := 1; ; step++ {
+		var at *V
+		ix.Evict(1, func(v *V) bool { at = v; return false })
+		switch {
+		case at == nil:
+		case first == nil:
+			first, start = at, step
+		case at == first:
+			return step - start
+		}
+	}
+}
+
+// withFlags is the segment of p's connection carrying flags alone.
+func withFlags(p *ipv4.Packet, flags byte) *ipv4.Packet {
+	var info transport.Info
+	transport.PeekPacket(p, &info)
+	seg := transport.TCPSegment{SrcPort: info.SrcPort, DstPort: info.DstPort, Seq: 2, Flags: flags, Window: 65535}
+	return &ipv4.Packet{Header: p.Header, Payload: seg.Marshal()}
+}
+
+// TestConntrackHandFindsUnrepliedRecord: the overflow sampler covers the
+// whole shard. A full shard holds 1,024 open records, all replied but
+// one, and 100 parked ones; the unreplied one sits at the far end of the
+// eviction hand's walk. Newcomer SYNs evict it within
+// ⌈cells/evictSample⌉ attempts, and evict nothing else on the way.
+func TestConntrackHandFindsUnrepliedRecord(t *testing.T) {
+	const parked = 100
+	perShard := maxTracked / ctShards
+	cells := shardCells(perShard + parked)
+	attempts := (cells + evictSample - 1) / evictSample
+	clk := newClock()
+	ct := NewConntrack(clk)
+	syns := sameShardSYNs(0, parked+perShard+attempts)
+	for _, syn := range syns[:parked] {
+		ct.Observe(syn)
+		ct.Observe(withFlags(syn, transport.FlagFIN|transport.FlagACK))
+	}
+	open := syns[parked : parked+perShard]
+	opened := map[time.Duration]int{} // open time → index into open
+	for i, syn := range open {
+		clk.Advance(time.Microsecond)
+		opened[clk.Now()] = i
+		ct.Observe(syn)
+	}
+	s := &ct.shards[0]
+	at := handOrder(&s.conns, cells, func(st *connState) (int, bool) {
+		i, ok := opened[st.last]
+		return i, ok && !st.parked
+	})
+	if len(at) != perShard {
+		t.Fatalf("the hand's walk saw %d open records, want %d", len(at), perShard)
+	}
+	victim := 0
+	for i, pos := range at {
+		if pos > at[victim] {
+			victim = i
+		}
+	}
+	if at[victim] < cells/2 {
+		t.Fatalf("the farthest open record sits at cell %d of the walk over %d", at[victim], cells)
+	}
+	for i, syn := range open {
+		if i != victim && ct.ObserveResponse(replyTo(syn, 100, []byte("ok"))) {
+			t.Fatal("priming response dropped")
+		}
+	}
+
+	newcomers := syns[parked+perShard:]
+	established := conntrack(ct)["established"]
+	for n := uint64(1); ; n++ {
+		if n > uint64(attempts) {
+			t.Fatalf("%d newcomers did not find the unreplied record (cells %d, sample %d)", attempts, cells, evictSample)
+		}
+		ct.Observe(newcomers[n-1])
+		st := conntrack(ct)
+		if st["open"] != uint64(perShard) || st["time_wait"] != parked || st["table_full"]+st["established"]-established != n {
+			t.Fatalf("attempt %d: %+v", n, st)
+		}
+		if st["established"] > established {
+			break
+		}
+	}
+	for i, syn := range open {
+		k := peekFlow(syn).Tuple
+		st := s.conns.Get(k.Hash(), k)
+		if (st != nil) != (i != victim) || st != nil && (st.parked || !st.revSeen) {
+			t.Fatalf("open record %d (victim %d) after the newcomers: %+v", i, victim, st)
+		}
 	}
 }

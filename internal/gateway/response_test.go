@@ -1,4 +1,4 @@
-package netsim
+package gateway
 
 import (
 	"net/netip"
@@ -48,7 +48,7 @@ func respPkt(flags byte, seq uint32, payload []byte) *ipv4.Packet {
 // bp_conntrack_responses_total{outcome="seq_drop"}). Retransmissions of
 // the next expected segment keep passing.
 func TestResponseSeqInjectionDropped(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	ct.Observe(fwdPkt(transport.FlagSYN, 1, nil))
 
 	body := []byte("HTTP/1.1 200 OK\r\n\r\n")
@@ -84,7 +84,7 @@ func TestResponseSeqInjectionDropped(t *testing.T) {
 // dropped — fail-open here is on continuity only, never on policy, and
 // adoption re-primes the check so the NEXT discontinuity is caught.
 func TestResponseUnknownConnAdopted(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	body := []byte("data")
 	if ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 700, body)) {
 		t.Fatal("mid-stream adoption dropped the response")
@@ -105,7 +105,7 @@ func TestResponseUnknownConnAdopted(t *testing.T) {
 // TIME_WAIT tuple and is accepted uncounted as a check — the teardown
 // already fired, so there is no stream left to protect.
 func TestResponseInTimeWaitAccepted(t *testing.T) {
-	ct := NewConntrack(NewClock())
+	ct := NewConntrack(newClock())
 	ct.Observe(fwdPkt(transport.FlagSYN, 1, nil))
 	ct.Observe(fwdPkt(transport.FlagFIN|transport.FlagACK, 2, nil))
 	if ct.ObserveResponse(respPkt(transport.FlagPSH|transport.FlagACK, 1234, []byte("bye"))) {
@@ -123,7 +123,7 @@ func TestResponseInTimeWaitAccepted(t *testing.T) {
 // the seq_drop outcome of the conntrack's response family.
 func TestGatewayProcessResponseDropsInjection(t *testing.T) {
 	enf, _, _ := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: NewClock()})
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: newClock()})
 	gw.ct.Observe(fwdPkt(transport.FlagSYN, 1, nil))
 
 	body := []byte("HTTP/1.1 200 OK\r\n\r\n")

@@ -8,7 +8,7 @@ import (
 
 	"borderpatrol/internal/dns"
 	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
@@ -16,76 +16,6 @@ import (
 	"borderpatrol/internal/tag"
 	"borderpatrol/internal/transport"
 )
-
-// flowKeyOf is the flow-table key the enforcer files a tagged packet
-// under: its tuple with the peeked ports, its protocol and its tag digest.
-func flowKeyOf(t testing.TB, pkt *ipv4.Packet) flowtable.Key {
-	t.Helper()
-	opt, ok := pkt.Header.FindOption(ipv4.OptSecurity)
-	if !ok {
-		t.Fatal("untagged packet has no flow key")
-	}
-	var info transport.Info
-	transport.PeekPacket(pkt, &info)
-	k := flowtable.Key{Proto: pkt.Header.Protocol}
-	if k.Tuple, ok = transport.TupleOf(&pkt.Header, info.SrcPort, info.DstPort); !ok || !k.SetTag(opt.Data) {
-		t.Fatal("packet bypasses the flow cache")
-	}
-	return k
-}
-
-// TestBurstWorkersOwnDisjointShards: at 1, 2, 4 and 8 workers, the flows
-// of a 1,024-device fleet-shaped burst (one connection per device, over
-// four servers) that different workers own live in different flow-table
-// shards, so no two workers write one shard's lock, counters or cells; and
-// the connections between one device and one server still spread over at
-// least 8 shards.
-func TestBurstWorkersOwnDisjointShards(t *testing.T) {
-	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Clock: NewClock()})
-	servers := []netip.Addr{
-		netip.MustParseAddr("93.184.216.34"), netip.MustParseAddr("93.184.216.35"),
-		netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("203.0.113.80"),
-	}
-	base := taggedPacket(t, apk, db, "sync")
-	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
-		_, data, _ := tcpConn(t, base, uint16(20000+i), 1)
-		data[0].Header.Dst = servers[i%len(servers)]
-		return data[0]
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b := getBurst(pkts)
-		for i := range b.gws {
-			b.gws[i] = gw
-		}
-		b.split(workers)
-		if len(b.workers) != workers {
-			t.Fatalf("a %d-packet burst split over %d workers, want %d", len(pkts), len(b.workers), workers)
-		}
-		owner := map[int]int{}
-		for w := range b.workers {
-			for _, i := range b.workers[w].idx {
-				s := flowKeyOf(t, pkts[i]).Shard()
-				if o, ok := owner[s]; ok && o != w {
-					t.Fatalf("%d workers: shard %d holds flows of workers %d and %d", workers, s, o, w)
-				}
-				owner[s] = w
-			}
-		}
-		b.release()
-		if workers > 1 && len(owner) < 2*workers {
-			t.Fatalf("%d workers: the burst reached only %d shards", workers, len(owner))
-		}
-	}
-	shards := map[int]bool{}
-	for port := uint16(0); port < 256; port++ {
-		_, data, _ := tcpConn(t, base, 30000+port, 1)
-		shards[flowKeyOf(t, data[0]).Shard()] = true
-	}
-	if len(shards) < 8 {
-		t.Fatalf("256 connections of one device–server pair reached %d shards, want at least 8", len(shards))
-	}
-}
 
 // TestCountersExactUnderConcurrentBursts: four goroutines deliver fleet
 // bursts (SYN, request and FIN phases of allowed and denied connections,
@@ -105,7 +35,7 @@ func TestCountersExactUnderConcurrentBursts(t *testing.T) {
 	}
 	n := newStaticNetwork(ModeTAP, nil)
 	enf := shipped(n.Clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: n.Clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: n.Clock})
 	n.Gateway = gw
 	dnsAddr := netip.MustParseAddr("10.53.0.53")
 	zone := dns.NewZone()

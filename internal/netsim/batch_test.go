@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -15,7 +16,7 @@ import (
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	mk := func(workers int) (*Network, *ipv4.Packet, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: NewClock()})
+		gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: NewClock()})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	}
@@ -82,7 +83,7 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 func TestDeliverBatchAmortizesQueueHop(t *testing.T) {
 	mk := func() (*Network, *ipv4.Packet) {
 		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
+		gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
 		n := newStaticNetwork(ModeTAP, gw)
 		return n, taggedPacket(t, apk, db, "sync")
 	}
@@ -129,7 +130,7 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 
 	pkt := taggedPacket(t, apk, db, "sync")
 	burst := make([]*ipv4.Packet, 32)
@@ -170,7 +171,7 @@ func TestGatewayProcessBatchFlowCache(t *testing.T) {
 func TestDeniedPacketNeverSanitized(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
 	san := sanitizer.New()
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: san, Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: san, Clock: NewClock()})
 	allowed, denied := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	burst := []*ipv4.Packet{allowed, denied, denied, allowed, denied}
 	out, err := gw.ProcessBatch(burst)
@@ -197,11 +198,11 @@ func TestDeniedPacketNeverSanitized(t *testing.T) {
 		t.Fatalf("sanitizer cleansed %d packets, want the %d accepted ones", got, accepted)
 	}
 
-	for name, cfg := range map[string]GatewayConfig{
-		"passthrough":    {Passthrough: true, Clock: NewClock()},
+	for name, cfg := range map[string]gateway.GatewayConfig{
+		"passthrough":    {Clock: NewClock()},
 		"sanitizer only": {Sanitizer: sanitizer.New(), Clock: NewClock()},
 	} {
-		out, err := NewGateway(cfg).ProcessBatch(burst)
+		out, err := gateway.NewGateway(cfg).ProcessBatch(burst)
 		if err != nil {
 			t.Fatal(err)
 		}

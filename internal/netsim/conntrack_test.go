@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -45,7 +46,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -54,7 +55,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if d := n.Deliver(syn); !d.Delivered {
 		t.Fatalf("SYN dropped: %+v", d)
 	}
-	ct := conntrack(gw.ct)
+	ct := conntrack(gw)
 	if ct["established"] != 1 || ct["open"] != 1 {
 		t.Fatalf("conntrack after SYN: %+v", ct)
 	}
@@ -72,7 +73,7 @@ func TestConntrackLifecycleTearsDownFlow(t *testing.T) {
 	if d := n.Deliver(fin); !d.Delivered {
 		t.Fatalf("FIN dropped: %+v", d)
 	}
-	ct = conntrack(gw.ct)
+	ct = conntrack(gw)
 	if ct["closed"] != 1 || ct["open"] != 0 {
 		t.Fatalf("conntrack after FIN: %+v", ct)
 	}
@@ -98,7 +99,7 @@ func TestRSTAbortsConnection(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -118,7 +119,7 @@ func TestRSTAbortsConnection(t *testing.T) {
 	if st := flowCounts(enf); st["live"] != 0 {
 		t.Fatalf("RST did not tear the flow down: %+v", st)
 	}
-	if ct := conntrack(gw.ct); ct["closed"] != 1 {
+	if ct := conntrack(gw); ct["closed"] != 1 {
 		t.Fatalf("conntrack: %+v", ct)
 	}
 }
@@ -130,7 +131,7 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "beacon") // denied by the flurry rule
@@ -147,7 +148,7 @@ func TestDeniedFlowKeepsCachedDropAcrossFIN(t *testing.T) {
 	if st["hits"] != 2 { // data + FIN answered from the cached drop
 		t.Fatalf("hits = %d, want 2", st["hits"])
 	}
-	if ct := conntrack(gw.ct); ct["established"] != 0 || ct["closed"] != 0 {
+	if ct := conntrack(gw); ct["established"] != 0 || ct["closed"] != 0 {
 		t.Fatalf("conntrack observed dropped packets: %+v", ct)
 	}
 }
@@ -159,7 +160,7 @@ func TestBatchConntrackTeardown(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	base := taggedPacket(t, apk, db, "sync")
@@ -182,7 +183,7 @@ func TestBatchConntrackTeardown(t *testing.T) {
 	if memo := count(enf, "bp_enforcer_batch_memo_hits_total"); st["misses"] != 1 || st["hits"]+memo != 5 {
 		t.Fatalf("train not amortized: %v memo=%d", st, memo)
 	}
-	ct := conntrack(gw.ct)
+	ct := conntrack(gw)
 	if ct["established"] != 1 || ct["closed"] != 1 || ct["open"] != 0 {
 		t.Fatalf("conntrack: %+v", ct)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/policy"
@@ -17,14 +18,14 @@ import (
 // traffic the contract tests push: an allowed and a denied connection
 // (SYN, two requests, FIN each) and an untagged packet. eng is enf's
 // policy engine.
-func contractFixture(t *testing.T) (n *Network, gw *Gateway, enf *enforcer.Enforcer, eng *policy.Engine, reg *metrics.Registry, traffic []*ipv4.Packet) {
+func contractFixture(t *testing.T) (n *Network, gw *gateway.Gateway, enf *enforcer.Enforcer, eng *policy.Engine, reg *metrics.Registry, traffic []*ipv4.Packet) {
 	t.Helper()
 	eng, apk, db := buildEngineAndDB(t)
 	log := audit.New(nil, 64)
 	t.Cleanup(func() { _ = log.Close() })
 	clock := NewClock()
 	enf = shipped(clock, true, enforcer.Config{Audit: log}, db, eng)
-	gw = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw = gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n = newStaticNetwork(ModeTAP, gw)
 	reg = metrics.NewRegistry()
 	enf.RegisterMetrics(reg)

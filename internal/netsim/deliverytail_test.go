@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/sanitizer"
@@ -18,12 +19,12 @@ import (
 // tailFixture is a gateway (flow-cached enforcer + sanitizer) on the
 // network's clock in front of the static server, and the tagged keep-alive
 // request its connections carry.
-func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.Enforcer, *ipv4.Packet) {
+func tailFixture(tb testing.TB) (*Network, *gateway.Gateway, *enforcer.Enforcer, *ipv4.Packet) {
 	tb.Helper()
 	eng, apk, db := buildEngineAndDB(tb)
 	n := newStaticNetwork(ModeTAP, nil)
 	enf := shipped(n.Clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: n.Clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: n.Clock})
 	n.Gateway = gw
 	base := taggedPacket(tb, apk, db, "sync")
 	base.Payload = plainPacket((&httpsim.Request{Method: "GET", Path: "/static/page.html", Host: "example", KeepAlive: true}).Marshal()).Payload
@@ -35,63 +36,6 @@ func tailFixture(tb testing.TB) (*Network, *Gateway, *enforcer.Enforcer, *ipv4.P
 func keepAliveBurst(t testing.TB, base *ipv4.Packet, srcPort uint16, n int) []*ipv4.Packet {
 	syn, data, fin := tcpConn(t, base, srcPort, n)
 	return append(append([]*ipv4.Packet{syn}, data...), fin)
-}
-
-// TestEgressCopySharesPayloadKeepsOriginalTag pins what replaced the deep
-// clone in front of the sanitizer: the copy loses the tag and shares the
-// payload bytes; the original keeps its tag — and its options slice, which
-// a selective strip compacts in place — so the FIN still tears the flow's
-// cached verdict down; and the copy lands in the worker's slabs, so it
-// allocates nothing.
-func TestEgressCopySharesPayloadKeepsOriginalTag(t *testing.T) {
-	_, gw, enf, base := tailFixture(t)
-	base.Header.Options = append([]ipv4.Option{{Type: ipv4.OptNOP}}, base.Header.Options...)
-	base.Header.Options = append(base.Header.Options, ipv4.Option{Type: ipv4.OptNOP})
-	burst := keepAliveBurst(t, base, 41000, 3)
-	tagOf := func(p *ipv4.Packet) []byte {
-		opt, _ := p.Header.FindOption(ipv4.OptSecurity)
-		return opt.Data
-	}
-	wantTag := append([]byte(nil), tagOf(burst[0])...)
-
-	outcomes, err := gw.ProcessBatch(burst[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range outcomes {
-		if o.Out == nil {
-			t.Fatalf("packet %d dropped", i)
-		}
-		if _, tagged := o.Out.Header.FindOption(ipv4.OptSecurity); tagged {
-			t.Fatalf("packet %d left the gateway tagged", i)
-		}
-		if &o.Out.Payload[0] != &burst[i].Payload[0] {
-			t.Fatalf("packet %d: sanitized copy has its own payload bytes", i)
-		}
-		if got := burst[i].Header.Options; len(got) != 3 || got[0].Type != ipv4.OptNOP ||
-			got[2].Type != ipv4.OptNOP || !bytes.Equal(tagOf(burst[i]), wantTag) {
-			t.Fatalf("packet %d: original's options damaged by the strip: %+v", i, got)
-		}
-	}
-	if st := flowCounts(enf); st["live"] != 1 {
-		t.Fatalf("mid-connection flow stats %+v", st)
-	}
-	// The rest of the path: the FIN's teardown keys on the original's tag.
-	fin, err := gw.ProcessBatch(burst[4:])
-	if err != nil || fin[0].Out == nil || !fin[0].Out.Header.HasOptions() {
-		t.Fatalf("FIN: out %+v err %v", fin[0].Out, err)
-	}
-	if st := flowCounts(enf); st["live"] != 0 {
-		t.Fatalf("FIN did not tear the flow down: %+v", st)
-	}
-
-	bw := &burstWorker{egress: make([]ipv4.Packet, 0, 1), opts: make([]ipv4.Option, 0, len(base.Header.Options))}
-	if allocs := testing.AllocsPerRun(100, func() {
-		bw.egress, bw.opts = bw.egress[:0], bw.opts[:0]
-		bw.egressCopy(base)
-	}); allocs != 0 {
-		t.Fatalf("egressCopy: %.0f allocs, want 0", allocs)
-	}
 }
 
 // TestDeliveryTailAllocatesNothingPerPacket pins the ownership of the
@@ -252,7 +196,7 @@ func TestRespSeqTrimmedOnClose(t *testing.T) {
 			}
 		}
 	}
-	if st := conntrack(gw.ct); st["seq_drop"] != 0 || st["open"] != 0 {
+	if st := conntrack(gw); st["seq_drop"] != 0 || st["open"] != 0 {
 		t.Fatalf("conntrack after every connection closed: %+v", st)
 	}
 	if tracked := respTracked(n); tracked != 0 {
@@ -273,7 +217,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 			t.Fatalf("victim packet %d: %+v", i, d)
 		}
 	}
-	vs := shardOf(tupleFor(victim[0].Header.Src, victim[0].Header.Dst, 50000, 443))
+	vs := respShardOf(tupleFor(victim[0].Header.Src, victim[0].Header.Dst, 50000, 443).Hash())
 
 	// Flood connections: pooled sources × a few source ports, kept when they
 	// hash to the victim's shard; SYN and one request each, never closed.
@@ -285,7 +229,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perShard := maxRespTracked / ctShards
+	perShard := maxRespTracked / respShards
 	var burst []*ipv4.Packet
 	flood := func() {
 		for _, d := range n.DeliverBatch(burst) {
@@ -297,7 +241,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 	}
 	for dev, flooded := 0, 0; flooded < 8*perShard; dev++ {
 		for p, tmpl := range templates {
-			if shardOf(tupleFor(pool.Addr(dev), victim[0].Header.Dst, 40000+uint16(p), 443)) == vs {
+			if respShardOf(tupleFor(pool.Addr(dev), victim[0].Header.Dst, 40000+uint16(p), 443).Hash()) == vs {
 				burst = append(burst, pool.Rewrite(dev, tmpl)...)
 				flooded++
 			}
@@ -329,7 +273,7 @@ func TestRespSeqFloodKeepsLiveConnection(t *testing.T) {
 func TestRespSeqReclaimsIdleEntries(t *testing.T) {
 	n, gw, _, base := tailFixture(t)
 	later := keepAliveBurst(t, base, 50000, 2)
-	shard := shardOf(tupleFor(later[0].Header.Src, later[0].Header.Dst, 50000, 443))
+	shard := respShardOf(tupleFor(later[0].Header.Src, later[0].Header.Dst, 50000, 443).Hash())
 
 	var templates [][]*ipv4.Packet
 	for p := uint16(0); p < 16; p++ {
@@ -339,7 +283,7 @@ func TestRespSeqReclaimsIdleEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perShard := maxRespTracked / ctShards
+	perShard := maxRespTracked / respShards
 	var burst []*ipv4.Packet
 	lost := func() {
 		for i, d := range n.DeliverBatch(burst) {
@@ -351,7 +295,7 @@ func TestRespSeqReclaimsIdleEntries(t *testing.T) {
 	}
 	for dev, opened := 0, 0; opened < perShard; dev++ {
 		for p, tmpl := range templates {
-			if opened < perShard && shardOf(tupleFor(pool.Addr(dev), later[0].Header.Dst, 40000+uint16(p), 443)) == shard {
+			if opened < perShard && respShardOf(tupleFor(pool.Addr(dev), later[0].Header.Dst, 40000+uint16(p), 443).Hash()) == shard {
 				burst = append(burst, pool.Rewrite(dev, tmpl)...)
 				opened++
 			}

@@ -12,6 +12,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/refmodel"
@@ -79,7 +80,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"},
 		{Action: policy.Deny, Level: policy.LevelMethod, Target: "Lcom/corp/files/SyncEngine;->upload()V"},
 	}
-	build := func(cached bool, workers int) (*Gateway, *enforcer.Enforcer, *policy.Engine, *analyzer.Database) {
+	build := func(cached bool, workers int) (*gateway.Gateway, *enforcer.Enforcer, *policy.Engine, *analyzer.Database) {
 		db := analyzer.NewDatabase()
 		if err := db.Add(apk); err != nil {
 			t.Fatal(err)
@@ -90,7 +91,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		}
 		clock := NewClock()
 		enf := shipped(clock, cached, enforcer.Config{}, db, eng)
-		return NewGateway(GatewayConfig{
+		return gateway.NewGateway(gateway.GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		}), enf, eng, db
 	}
@@ -148,17 +149,17 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 		data(41008, nil), // untagged
 	)
 
-	// The burst must really split: every worker owns part of it.
-	b := getBurst(corpus)
-	b.split(2)
-	for w := range b.workers {
-		if len(b.workers) != 2 || len(b.workers[w].idx) == 0 {
-			t.Fatalf("the corpus does not split across both workers: %d workers, worker %d owns %d packets", len(b.workers), w, len(b.workers[w].idx))
-		}
+	// The burst must really split: both workers own part of it, and run it
+	// through the enforcer in one batch each.
+	split, splitEnf, _, _ := build(true, 2)
+	if _, err := split.ProcessBatch(corpus); err != nil {
+		t.Fatal(err)
 	}
-	b.release()
+	if got := stageCalls(splitEnf); got != 2 {
+		t.Fatalf("the corpus does not split across both workers: %d of 2 ran a share", got)
+	}
 
-	drain := func(gw *Gateway, burst bool) []BatchOutcome {
+	drain := func(gw *gateway.Gateway, burst bool) []gateway.BatchOutcome {
 		if burst {
 			out, err := gw.ProcessBatch(corpus)
 			if err != nil {
@@ -166,7 +167,7 @@ func TestEquivalenceMixedTraffic(t *testing.T) {
 			}
 			return out
 		}
-		out := make([]BatchOutcome, 0, len(corpus))
+		out := make([]gateway.BatchOutcome, 0, len(corpus))
 		for i := range corpus {
 			one, err := gw.ProcessBatch(corpus[i : i+1])
 			if err != nil {
@@ -273,7 +274,7 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		clock := NewClock()
-		build := func(flows *enforcer.FlowCache) (*Gateway, *enforcer.Enforcer, *devctx.Source) {
+		build := func(flows *enforcer.FlowCache) (*gateway.Gateway, *enforcer.Enforcer, *devctx.Source) {
 			db := analyzer.NewDatabase()
 			if err := db.Add(apk); err != nil {
 				t.Fatal(err)
@@ -284,7 +285,7 @@ func TestEquivalenceAcrossTimeEdges(t *testing.T) {
 			}
 			src := devctx.NewSource(clock)
 			enf := enforcer.New(enforcer.Config{Flows: flows, Context: src}, db, eng)
-			return NewGateway(GatewayConfig{
+			return gateway.NewGateway(gateway.GatewayConfig{
 				Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 			}), enf, src
 		}

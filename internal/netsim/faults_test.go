@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/sanitizer"
@@ -96,7 +97,7 @@ func TestFaultMutatePreservesHeader(t *testing.T) {
 // wire fault before the gateway; ClearFaults restores perfect delivery and
 // keeps the count of what was injected.
 func TestFaultDropScalar(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	requests, _ := countRequests(n)
 	n.InstallFaults(FaultPlan{Seed: 1, Drop: 1})
@@ -128,7 +129,7 @@ func TestFaultDropScalar(t *testing.T) {
 // TestFaultBatchAlignment: with duplication and reordering armed, the
 // returned Deliveries still align one-to-one with the input burst.
 func TestFaultBatchAlignment(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	n.InstallFaults(FaultPlan{Seed: 5, Duplicate: 1, Reorder: 0.5})
 
@@ -160,7 +161,7 @@ func TestFaultBatchAlignment(t *testing.T) {
 // TestFaultDelayChargesVirtualTime: delays stretch the virtual clock, not
 // the wall clock.
 func TestFaultDelayChargesVirtualTime(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	n.InstallFaults(FaultPlan{Seed: 2, Delay: 1, DelayMin: 10 * time.Millisecond, DelayMax: 10 * time.Millisecond})
 
@@ -180,7 +181,7 @@ func TestFaultDelayChargesVirtualTime(t *testing.T) {
 // a deny into an allow, because verdicts derive from the untouched tag.
 func TestFaultCorruptionFailSafe(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	n.InstallFaults(FaultPlan{Seed: 11, Corrupt: 1, Truncate: 1})
 

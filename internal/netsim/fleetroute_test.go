@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -14,7 +15,7 @@ import (
 // denies com/flurry, subnet B's allows everything. Both sanitize, so
 // allowed tagged traffic survives the border filter. The returned beacon
 // builder mints a fresh tracker-tagged packet from the given source.
-func fleetFixture(t *testing.T) (n *Network, gwA, gwB *Gateway, beacon func(src string) *ipv4.Packet) {
+func fleetFixture(t *testing.T) (n *Network, gwA, gwB *gateway.Gateway, beacon func(src string) *ipv4.Packet) {
 	t.Helper()
 	enfA, apk, db := buildEnforcerAndDB(t)
 	engB, err := policy.NewEngine(nil, policy.VerdictAllow)
@@ -22,8 +23,8 @@ func fleetFixture(t *testing.T) (n *Network, gwA, gwB *Gateway, beacon func(src 
 		t.Fatal(err)
 	}
 	enfB := shipped(NewClock(), false, enforcer.Config{}, db, engB)
-	gwA = NewGateway(GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New(), Clock: NewClock()})
-	gwB = NewGateway(GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gwA = gateway.NewGateway(gateway.GatewayConfig{Enforcer: enfA, Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gwB = gateway.NewGateway(gateway.GatewayConfig{Enforcer: enfB, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n = newStaticNetwork(ModeTAP, nil)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.1.0.0/16"), gwA)
 	n.AddGatewayRoute(netip.MustParsePrefix("10.2.0.0/16"), gwB)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/sanitizer"
@@ -23,15 +24,17 @@ func count(x registrar, family string, labels ...metrics.Label) uint64 {
 	return uint64(v)
 }
 
-// conntrack reads every bp_conntrack_* series of ct keyed by its label
+// conntrack reads every bp_conntrack_* series of gw's keyed by its label
 // value: a transition kind ("closed"), a response outcome ("seq_drop") or a
 // connection state ("open"). The three label sets share no value.
-func conntrack(ct *Conntrack) map[string]uint64 {
+func conntrack(gw *gateway.Gateway) map[string]uint64 {
 	r := metrics.NewRegistry()
-	ct.registerMetrics(r)
+	gw.RegisterMetrics(r)
 	out := make(map[string]uint64)
 	for _, smp := range r.Snapshot() {
-		out[smp.Labels[0].Value] = uint64(smp.Value)
+		if strings.HasPrefix(smp.Name, "bp_conntrack_") {
+			out[smp.Labels[0].Value] = uint64(smp.Value)
+		}
 	}
 	return out
 }
@@ -72,7 +75,7 @@ func TestCountersNeverDecrease(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	reg := metrics.NewRegistry()
 	n.RegisterMetrics(reg)

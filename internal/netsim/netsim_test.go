@@ -11,6 +11,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/metrics"
@@ -47,12 +48,34 @@ func sumMetric(reg *metrics.Registry, name string, labels ...metrics.Label) floa
 	return v
 }
 
+// fwdPkt is a device→server segment on the canonical test tuple.
+func fwdPkt(flags byte, seq uint32, payload []byte) *ipv4.Packet {
+	seg := transport.TCPSegment{
+		SrcPort: 40900, DstPort: 443, Seq: seq,
+		Flags: flags, Window: 65535, Payload: payload,
+	}
+	return &ipv4.Packet{
+		Header: ipv4.Header{
+			TTL: 64, Protocol: ipv4.ProtoTCP,
+			Src: netip.MustParseAddr("10.66.0.2"),
+			Dst: netip.MustParseAddr("93.184.216.34"),
+		},
+		Payload: seg.Marshal(),
+	}
+}
+
+// tupleFor is the tuple of a device→server segment between src and dst.
+func tupleFor(src, dst netip.Addr, sp, dp uint16) transport.Tuple {
+	t, _ := transport.TupleOf(&ipv4.Header{Src: src, Dst: dst}, sp, dp)
+	return t
+}
+
 func getRequest() []byte {
 	req := &httpsim.Request{Method: "GET", Path: "/", Host: "example"}
 	return req.Marshal()
 }
 
-func newStaticNetwork(nic NICMode, gw *Gateway) *Network {
+func newStaticNetwork(nic NICMode, gw *gateway.Gateway) *Network {
 	n := NewNetwork(nic)
 	n.Gateway = gw
 	n.AddServer(&Server{Addr: serverAddr(), Name: "example", Handler: httpsim.StaticHandler(httpsim.StaticPage())})
@@ -226,7 +249,7 @@ func taggedPacket(t testing.TB, apk *dex.APK, db *analyzer.Database, method stri
 
 func TestFullGatewayPipeline(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	// Benign tagged packet: enforced, sanitized, delivered past the border.
@@ -271,8 +294,8 @@ func TestFullGatewayPipeline(t *testing.T) {
 }
 
 func TestGatewayPassthroughMode(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Passthrough: true, Clock: NewClock()})
-	if !gw.Active() || gw.HasEnforcer() || gw.HasSanitizer() {
+	gw := gateway.NewGateway(gateway.GatewayConfig{Clock: NewClock()})
+	if gw.HasEnforcer() || gw.HasSanitizer() {
 		t.Fatal("passthrough gateway misconfigured")
 	}
 	n := newStaticNetwork(ModeTAP, gw)
@@ -289,7 +312,7 @@ func TestGatewayPassthroughMode(t *testing.T) {
 }
 
 func TestSanitizerOnlyGateway(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	pkt := plainPacket(getRequest())
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: []byte{5, 5}})
@@ -332,8 +355,8 @@ func TestServerByteAccounting(t *testing.T) {
 // clock it is built on; there is no clockless mode.
 func TestGatewayNeedsClock(t *testing.T) {
 	for name, build := range map[string]func(){
-		"NewConntrack": func() { NewConntrack(nil) },
-		"NewGateway":   func() { NewGateway(GatewayConfig{Passthrough: true}) },
+		"NewConntrack": func() { gateway.NewConntrack(nil) },
+		"NewGateway":   func() { gateway.NewGateway(gateway.GatewayConfig{}) },
 	} {
 		func() {
 			defer func() {

@@ -1,9 +1,11 @@
-// Package netsim simulates the enterprise network testbed of the paper's
-// evaluation (§VI-A, §VI-D): the emulator's NIC modes (QEMU SLIRP vs TAP),
-// the gateway host whose iptables rules divert BYOD traffic into the
-// user-space Policy Enforcer and Packet Sanitizer, local and external HTTP
-// servers, RFC 7126 border filtering, and a virtual clock with a
-// calibrated latency model.
+// Package netsim simulates the world around the paper's enterprise testbed
+// (§VI-A, §VI-D): the emulator's NIC modes (QEMU SLIRP vs TAP), the wire to
+// the perimeter with its faults and off-premises routes, pooled device
+// addresses, HTTP and UDP servers, RFC 7126 border filtering, and a
+// virtual clock with a calibrated latency model. The gateway host is
+// internal/gateway: a Network charges each burst's costs in virtual time,
+// hands it to its packets' gateways (gateway.Drain) and serves the
+// survivors on the gateway's workers.
 package netsim
 
 import (
@@ -17,8 +19,10 @@ import (
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/transport"
 )
 
@@ -108,7 +112,7 @@ type Network struct {
 	// When subnet routes are installed (AddGatewayRoute) it becomes the
 	// default for sources no route covers — the N=1 topology is just the
 	// zero-route special case of the fleet.
-	Gateway *Gateway
+	Gateway *gateway.Gateway
 
 	// gwRoutes, when non-nil, maps device source subnets to their owning
 	// gateways: the fleet topology, where each enforcement point fronts
@@ -131,14 +135,11 @@ type Network struct {
 
 	// respSeq is the server-side TCP sequence position per connection:
 	// what the next synthesized response segment starts at. Keyed on the
-	// forward tuple and sharded like the conntrack: each shard is a
-	// seeded flowtable.Index that compares the whole tuple (collisions
+	// forward tuple and sharded by the top bits of its hash: each shard is
+	// a seeded flowtable.Index that compares the whole tuple (collisions
 	// cost probes, never another connection's sequence), read and advanced
-	// in one probe, and bounded at maxRespTracked/ctShards connections.
-	// A full shard reclaims an entry idle past respIdle found by its
-	// rotating eviction hand, else leaves the newcomer unrecorded (see
-	// maxRespTracked).
-	respSeq [ctShards]respShard
+	// in one probe, and bounded as maxRespTracked says.
+	respSeq [respShards]respShard
 	// respUntracked counts responses rendered for a connection its full
 	// respSeq shard could not record (see maxRespTracked); respReclaimed
 	// counts entries a full shard reclaimed after idling past respIdle.
@@ -162,6 +163,26 @@ type respEntry struct {
 	seq, last uint32
 }
 
+// RegisterMetrics attaches the network's fault-injection counters and the
+// response-sequence table's overflow and reclaim counts to a registry. The
+// fault counts belong to the network, not to a plan: they exist (at zero)
+// on a clean network and survive every InstallFaults and ClearFaults.
+func (n *Network) RegisterMetrics(r *metrics.Registry) {
+	const faultHelp = "Wire faults injected on the device-to-gateway path, by stage."
+	for st := range n.faultN.n {
+		r.CounterFunc("bp_netsim_faults_total", faultHelp, n.faultN.n[st].Load, metrics.L("stage", faultStageNames[st]))
+	}
+	r.CounterFunc("bp_netsim_fault_delay_virtual_ns_total",
+		"Total virtual wire time charged by the delay fault.",
+		func() uint64 { return uint64(n.faultN.delay.Load()) })
+	r.CounterFunc("bp_netsim_response_seq_untracked_total",
+		"Server responses of connections a full response-sequence shard could not record.",
+		n.respUntracked.Load)
+	r.CounterFunc("bp_netsim_response_seq_reclaimed_total",
+		"Server response-sequence entries a full shard reclaimed after they idled past the keep-alive timeout.",
+		n.respReclaimed.Load)
+}
+
 // NewNetwork builds a testbed with the given NIC mode and the default
 // latency model. Its upstream router applies RFC 7126 to traffic for
 // non-internal destinations.
@@ -173,7 +194,7 @@ func NewNetwork(nic NICMode) *Network {
 	}
 	n.servers.Store(&map[netip.Addr]*Server{})
 	for i := range n.respSeq {
-		n.respSeq[i].next = flowtable.NewIndex[transport.Tuple, respEntry](maxRespTracked / ctShards)
+		n.respSeq[i].next = flowtable.NewIndex[transport.Tuple, respEntry](maxRespTracked / respShards)
 	}
 	return n
 }
@@ -181,14 +202,14 @@ func NewNetwork(nic NICMode) *Network {
 // gatewayRoute binds a device source subnet to its enforcement point.
 type gatewayRoute struct {
 	prefix netip.Prefix
-	gw     *Gateway
+	gw     *gateway.Gateway
 }
 
 // AddGatewayRoute routes traffic whose source lies in prefix through gw —
 // the fleet's subnet topology. Routes are longest-prefix matched; sources
 // outside every route fall back to the legacy Gateway field. Installing a
 // route is copy-on-write, safe against concurrent deliveries.
-func (n *Network) AddGatewayRoute(prefix netip.Prefix, gw *Gateway) {
+func (n *Network) AddGatewayRoute(prefix netip.Prefix, gw *gateway.Gateway) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var routes []gatewayRoute
@@ -201,7 +222,7 @@ func (n *Network) AddGatewayRoute(prefix netip.Prefix, gw *Gateway) {
 
 // GatewayFor resolves the gateway that fronts a device source address:
 // the longest matching installed route, else the legacy Gateway field.
-func (n *Network) GatewayFor(src netip.Addr) *Gateway {
+func (n *Network) GatewayFor(src netip.Addr) *gateway.Gateway {
 	if rp := n.gwRoutes.Load(); rp != nil {
 		routes := *rp
 		best := -1
@@ -282,77 +303,102 @@ type Delivery struct {
 // flight. The zero Batch is ready to use; it grows to the largest burst it
 // carried and keeps that storage.
 type Batch struct {
-	dels    []Delivery
 	results []enforcer.Result
+	// active lists the distinct gateways the burst crosses.
+	active []*gateway.Gateway
+	serve  serve
 }
 
-// serveOne is the post-gateway delivery tail of one packet: route
-// lookup, RFC 7126 border filtering, and the application response — HTTP
-// requests out of TCP data segments (control segments deliver with no
-// response), UDP datagrams through the server's UDPHandler. Flow
-// lifecycle is the gateway conntrack's job, not the server's; the server
-// only forgets a closing connection's sequence position. f is the
-// packet's transport identity as its worker peeked it: a payload the peek
-// refused still reaches the server's address and is delivered, but serves
-// nothing. It returns the virtual time the wire and the server cost, for
-// the caller to charge.
-func (n *Network) serveOne(cur *ipv4.Packet, f flowID, d *Delivery, req *httpsim.Request) (charge time.Duration) {
+// serve is the world's half of a burst in the Batch, the Continuation
+// Drain calls on each packet's worker: the deliveries, each packet's
+// gateway, and per worker its serves' virtual time, the request each HTTP
+// payload is parsed into and the packet each response is rendered into.
+type serve struct {
+	n       *Network
+	dels    []Delivery
+	gws     []*gateway.Gateway
+	workers []struct {
+		charge time.Duration
+		req    httpsim.Request
+		resp   ipv4.Packet
+		_      [56]byte // to 256 B: no two workers write one cache line
+	}
+}
+
+// Workers sizes the per-worker scratch for the burst Drain is about to
+// run; deliverBatchCore zeroes the charges as it sums them.
+func (s *serve) Workers(n int) { s.workers = slices.Grow(s.workers[:0], n)[:n] }
+
+// Continue is packet i's tail past the gateway, on worker w: route lookup,
+// RFC 7126 border filtering and the server — HTTP out of TCP data
+// segments, datagrams through its UDPHandler. A payload the worker's peek
+// refused is delivered but serves nothing; the server only forgets a
+// closing connection's sequence position (lifecycle is the conntrack's).
+// An HTTP reply then crosses the owning gateway as a wire segment and is
+// removed if the gateway drops it for breaking sequence continuity. Every
+// field is written: the Batch still holds an earlier burst's delivery.
+func (s *serve) Continue(w, i int, o gateway.BatchOutcome, f gateway.Flow) {
+	d := &s.dels[i]
+	*d = Delivery{Enforcement: o.Result}
+	if o.Out == nil {
+		d.Stage = StageGateway
+		return
+	}
+	n, sw, cur := s.n, &s.workers[w], o.Out
 	srv, ok := (*n.servers.Load())[cur.Header.Dst]
 	if !ok {
 		d.Stage = StageNoRoute
-		return 0
+		return
 	}
-
 	// RFC 7126 filtering on the public path.
-	if !srv.Internal {
-		if ipv4.BorderFilter(cur) == ipv4.BorderDrop {
-			d.Stage = StageBorder
-			return 0
-		}
+	if !srv.Internal && ipv4.BorderFilter(cur) == ipv4.BorderDrop {
+		d.Stage = StageBorder
+		return
 	}
-
-	charge = n.Model.WireRTT
+	d.Delivered = true
+	sw.charge += n.Model.WireRTT
 	// The views validate the segment the peek accepted in full, checksum
 	// included, before the payload is trusted; one that fails serves
-	// nothing. The request is parsed in place into req, the worker's, and
+	// nothing. The request is parsed in place into the worker's, and
 	// zeroed once the handler has answered; it and the datagram alias
 	// cur.Payload, which nothing writes once emitted (see ipv4.Packet).
-	switch f.proto {
+	switch f.Proto {
 	case ipv4.ProtoTCP:
 		if seg, err := transport.ViewTCP(cur.Payload); err == nil {
-			if len(seg.Payload) > 0 && req.Parse(seg.Payload) == nil {
+			if len(seg.Payload) > 0 && sw.req.Parse(seg.Payload) == nil {
 				if srv.Handler != nil {
-					d.Response = srv.Handler(req)
+					d.Response = srv.Handler(&sw.req)
 				}
-				charge += n.Model.ServerProcessing
-				*req = httpsim.Request{}
+				sw.charge += n.Model.ServerProcessing
+				sw.req = httpsim.Request{}
 			}
 			// SYN/FIN/RST carry no request: delivered, nothing served.
-			if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 && f.v4 {
-				n.forgetResp(f.t)
+			if seg.Flags&(transport.FlagFIN|transport.FlagRST) != 0 && f.V4 {
+				n.forgetResp(f.Tuple)
 			}
 		}
 	case ipv4.ProtoUDP:
 		if dg, err := transport.ViewUDP(cur.Payload); err == nil {
-			charge += n.Model.ServerProcessing
+			sw.charge += n.Model.ServerProcessing
 			if srv.UDPHandler != nil {
 				d.Datagram = srv.UDPHandler(dg.Payload)
 			}
 		}
 	}
-	d.Delivered = true
-	return charge
+	if gw := s.gws[i]; gw != nil && d.Response != nil && f.V4 &&
+		!gw.ProcessResponse(n.responsePacket(&sw.resp, cur, f.Tuple, d.Response.Body)) {
+		d.ResponseDropped, d.Response = true, nil
+	}
 }
 
 // DeliverBatch pushes a burst of device-egress packets through the
 // network in one gateway drain: the per-packet NIC, queue-hop and stage
 // costs are charged for the whole burst up front (the batch crosses into
-// user space once), then the burst is split by flow over the gateway's
-// workers (GatewayConfig.Workers), each of which runs its packets' whole
-// path — enforcer, sanitizer, conntrack, serve, response check — in burst
-// order. Deliveries align with pkts; each Latency spans the whole burst
-// window, matching how a batched queue reader delays individual packets
-// until its drain completes.
+// user space once), then gateway.Drain runs each packet's whole path —
+// stages, conntrack, serve, response check — on its flow's worker.
+// Deliveries align with pkts; each Latency spans the whole burst window,
+// matching how a batched queue reader delays individual packets until its
+// drain completes.
 //
 // The deliveries, and the Results they point at, are written into a Batch
 // the Network keeps: they are valid until the next DeliverBatch on this
@@ -435,8 +481,30 @@ func (n *Network) DeliverInto(h *Batch, pkts []*ipv4.Packet) []Delivery {
 // It is a burst of one through DeliverInto, so a packet's fate and its
 // charges do not depend on which of the two the caller used; the delivery
 // is the caller's to keep.
-func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
-	return n.DeliverInto(new(Batch), []*ipv4.Packet{pkt})[0]
+func (n *Network) Deliver(pkt *ipv4.Packet) Delivery { return n.deliverOne(pkt, RouteDirect) }
+
+// singles are the Batches of bursts of one (deliverOne).
+var singles = sync.Pool{New: func() any { return new(Batch) }}
+
+// deliverOne is a burst of one along route, its access cost charged:
+// through DeliverInto on RouteDirect, faults included, else straight to
+// deliverBatchCore. Its enforcement result is copied out, so the delivery
+// is the caller's and the Batch goes back.
+func (n *Network) deliverOne(pkt *ipv4.Packet, route Route) Delivery {
+	h := singles.Get().(*Batch)
+	defer singles.Put(h)
+	pkts := []*ipv4.Packet{pkt}
+	var d Delivery
+	if route == RouteDirect {
+		d = n.DeliverInto(h, pkts)[0]
+	} else {
+		d = n.deliverBatchCore(h, pkts, route == RouteMobile)[0]
+	}
+	if d.Enforcement != nil {
+		r := *d.Enforcement
+		d.Enforcement = &r
+	}
+	return d
 }
 
 // deliverBatchCore is the fault-free pipeline, writing the burst's
@@ -450,8 +518,9 @@ func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
 // same post-gateway instant; the workers' wire and server charges are
 // summed and advanced after the join, then the return hop.
 func (n *Network) deliverBatchCore(h *Batch, pkts []*ipv4.Packet, skipGateway bool) []Delivery {
-	h.dels = resize(h.dels, len(pkts))
-	out := h.dels
+	s := &h.serve
+	s.dels = slices.Grow(s.dels[:0], len(pkts))[:len(pkts)]
+	out := s.dels
 	if len(pkts) == 0 {
 		return out
 	}
@@ -462,21 +531,16 @@ func (n *Network) deliverBatchCore(h *Batch, pkts []*ipv4.Packet, skipGateway bo
 	}
 	n.Clock.Advance(perNIC * time.Duration(len(pkts)))
 
-	b := getBurst(pkts)
-	b.n, b.out, b.results = n, out, h.results
-	b.own = resize(b.own, len(pkts))
-	b.outcomes = b.own
+	s.n = n
+	s.gws = slices.Grow(s.gws[:0], len(pkts))[:len(pkts)]
+	h.active = h.active[:0]
 	var stages time.Duration
-	workers := 0
 	for i, pkt := range pkts {
-		var gw *Gateway
+		var gw *gateway.Gateway
 		if !skipGateway {
 			gw = n.GatewayFor(pkt.Header.Src)
 		}
-		if gw != nil && !gw.Active() {
-			gw = nil
-		}
-		b.gws[i] = gw
+		s.gws[i] = gw
 		if gw == nil {
 			continue
 		}
@@ -486,24 +550,21 @@ func (n *Network) deliverBatchCore(h *Batch, pkts []*ipv4.Packet, skipGateway bo
 		if gw.HasSanitizer() {
 			stages += n.Model.SanitizerPerPacket
 		}
-		if !slices.Contains(b.active, gw) {
-			b.active = append(b.active, gw)
-			workers = max(workers, gw.width())
+		if !slices.Contains(h.active, gw) {
+			h.active = append(h.active, gw)
 		}
 	}
-	hops := n.Model.NFQueueHopPerPacket * time.Duration(len(b.active))
+	hops := n.Model.NFQueueHopPerPacket * time.Duration(len(h.active))
 	n.Clock.Advance(hops + stages)
 
-	b.split(workers)
-	h.results = b.results
-	b.run()
+	h.results = gateway.Drain(pkts, s.gws, h.results, s)
 
 	var served time.Duration
-	for w := range b.workers {
-		served += b.workers[w].charge
+	for w := range s.workers {
+		served += s.workers[w].charge
+		s.workers[w].charge = 0
 	}
 	n.Clock.Advance(served)
-	b.release()
 	// The responses traverse each involved gateway's queue on the way back
 	// in — one reinjection hop per gateway touched by the burst.
 	n.Clock.Advance(hops)
@@ -515,41 +576,30 @@ func (n *Network) deliverBatchCore(h *Batch, pkts []*ipv4.Packet, skipGateway bo
 }
 
 // maxRespTracked bounds the response-sequence table, matching the
-// conntrack's open-table bound: maxRespTracked/ctShards per shard. A
-// connection's entry leaves with its FIN/RST (serveOne), or from a full
-// shard once idle past respIdle: each newcomer to a full shard looks at
-// the next evictSample cells of the shard's eviction hand, so an idle
-// entry anywhere is reclaimed within ⌈cells/evictSample⌉ newcomers. A
-// full shard with no idle entry keeps
-// every connection it records and leaves the newcomer unrecorded, its
-// responses all starting at its ISN: evicting a live entry would let a
-// connection flood restart a live connection's sequence, and the
-// gateway's continuity check would drop that connection's next response.
-const maxRespTracked = 65536
+// conntrack's open-table bound: maxRespTracked/respShards per shard. A
+// connection's entry leaves with its FIN/RST (serve.Continue), or from a
+// full shard once idle past respIdle: each newcomer to a full shard looks
+// at the next respEvictSample cells of the shard's eviction hand, so an
+// idle entry anywhere is reclaimed within ⌈cells/respEvictSample⌉
+// newcomers. A full shard with no idle entry keeps every connection it
+// records and leaves the newcomer unrecorded, its responses all starting
+// at its ISN: evicting a live entry would let a connection flood restart a
+// live connection's sequence, and the gateway's continuity check would
+// drop that connection's next response.
+const (
+	maxRespTracked  = 65536
+	respShardBits   = 6
+	respShards      = 1 << respShardBits
+	respEvictSample = 32
+)
+
+// respShardOf picks a tuple's shard from the top bits of its hash.
+func respShardOf(h uint64) int { return int(h >> (64 - respShardBits)) }
 
 // respIdle is a server's keep-alive timeout in virtual time. Without it a
 // shard full of connections that lost their FIN would stay full after the
 // gateway's idle sweep let them go, and every newcomer go unrecorded.
 const respIdle = 75 * time.Second
-
-// checkResponse synthesizes the server's reply as a wire segment on the
-// return path and runs it through the owning gateway's response-direction
-// verdict state. f is the forward segment's identity as its worker peeked
-// it. Only TCP requests have a modelled return path (only they produce a
-// Response); UDP replies pass unchecked, and so does a connection whose
-// endpoints are not IPv4. A response the gateway refuses
-// (sequence-continuity violation — in practice only when an injection is
-// simulated) is removed from the delivery. The segment is rendered into
-// scratch, the worker's.
-func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, f flowID, d *Delivery, scratch *ipv4.Packet) {
-	if d.Response == nil || !f.v4 {
-		return
-	}
-	if !gw.ProcessResponse(n.responsePacket(scratch, fwd, f.t, d.Response.Body)) {
-		d.ResponseDropped = true
-		d.Response = nil
-	}
-}
 
 // responsePacket renders the server→device segment carrying a response
 // body into scratch, reusing its payload buffer, and advances the
@@ -560,15 +610,15 @@ func (n *Network) checkResponse(gw *Gateway, fwd *ipv4.Packet, f flowID, d *Deli
 func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, body []byte) *ipv4.Packet {
 	now := uint32(n.Clock.Now() / time.Second)
 	h := t.Hash()
-	s := &n.respSeq[shardOfHash(h)]
+	s := &n.respSeq[respShardOf(h)]
 	s.mu.Lock()
 	e := s.next.Get(h, t)
 	if e == nil {
-		if s.next.Len() >= maxRespTracked/ctShards &&
-			s.next.Evict(evictSample, func(e *respEntry) bool { return now-e.last > uint32(respIdle/time.Second) }) {
+		if s.next.Len() >= maxRespTracked/respShards &&
+			s.next.Evict(respEvictSample, func(e *respEntry) bool { return now-e.last > uint32(respIdle/time.Second) }) {
 			n.respReclaimed.Add(1)
 		}
-		if s.next.Len() < maxRespTracked/ctShards {
+		if s.next.Len() < maxRespTracked/respShards {
 			e, _ = s.next.Put(h, t)
 			e.seq = uint32(h)
 		}
@@ -603,8 +653,15 @@ func (n *Network) responsePacket(scratch, fwd *ipv4.Packet, t transport.Tuple, b
 // forgetResp drops a closing connection's server-side sequence position.
 func (n *Network) forgetResp(t transport.Tuple) {
 	h := t.Hash()
-	s := &n.respSeq[shardOfHash(h)]
+	s := &n.respSeq[respShardOf(h)]
 	s.mu.Lock()
 	s.next.Delete(h, t)
 	s.mu.Unlock()
 }
+
+// Conntrack and NewConntrack serve benchmark/trace.go's stand-alone
+// conntrack probe alone, and go with it (ROADMAP item 1(e)).
+type Conntrack = gateway.Conntrack
+
+// NewConntrack is gateway.NewConntrack on a Network's clock.
+func NewConntrack(c *Clock) *Conntrack { return gateway.NewConntrack(c) }

@@ -59,17 +59,15 @@ const MobilePerPacket = 35 * time.Millisecond
 // cost, and the delivery is the caller's to keep, as Deliver's is.
 func (n *Network) DeliverRoute(pkt *ipv4.Packet, route Route) Delivery {
 	start := n.Clock.Now()
-	var d Delivery
 	switch route {
 	case RouteVPN:
 		n.Clock.Advance(VPNPerPacket)
-		d = n.deliverBatchCore(new(Batch), []*ipv4.Packet{pkt}, false)[0]
 	case RouteMobile:
 		n.Clock.Advance(MobilePerPacket)
-		d = n.deliverBatchCore(new(Batch), []*ipv4.Packet{pkt}, true)[0]
 	default:
-		d = n.Deliver(pkt)
+		route = RouteDirect
 	}
+	d := n.deliverOne(pkt, route)
 	d.Latency = n.Clock.Now() - start
 	return d
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/sanitizer"
@@ -20,7 +21,7 @@ func TestRouteStrings(t *testing.T) {
 func TestVPNRouteStillEnforced(t *testing.T) {
 	// Off-premises work traffic tunnels back through the gateway: the
 	// sanitizer still cleanses, and the latency includes the tunnel cost.
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 	pkt := plainPacket(getRequest())
 	pkt.Header.SetOption(ipv4.Option{Type: ipv4.OptSecurity, Data: []byte{1, 2, 3}})
@@ -38,7 +39,7 @@ func TestVPNRouteStillEnforced(t *testing.T) {
 }
 
 func TestMobileRouteBypassesGatewayButNotBorder(t *testing.T) {
-	gw := NewGateway(GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Sanitizer: sanitizer.New(), Clock: NewClock()})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	// Personal traffic (untagged) flows over mobile without the gateway.

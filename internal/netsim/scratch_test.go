@@ -9,6 +9,7 @@ import (
 
 	"borderpatrol/internal/audit"
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -27,7 +28,7 @@ func TestDeliveryOutlivesKernelScratch(t *testing.T) {
 	defer log.Close()
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{Audit: log}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	allowed := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 1)
@@ -146,7 +147,7 @@ func TestConcurrentCallerOwnedDeliveries(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	n := newStaticNetwork(ModeTAP, nil)
 	enf := shipped(n.Clock, true, enforcer.Config{}, db, eng)
-	n.Gateway = NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: n.Clock})
+	n.Gateway = gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: n.Clock})
 	allow, deny := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 
 	const goroutines, rounds = 4, 24

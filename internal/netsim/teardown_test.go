@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -16,7 +17,7 @@ func TestKeepAliveFlowSurvivesDelivery(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	pkt := taggedPacket(t, apk, db, "sync") // "Connection: close" in a data segment
@@ -42,7 +43,7 @@ func TestBatchDeliveryTearsDownClosedFlows(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 2, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 
 	syn, data, fin := tcpConn(t, taggedPacket(t, apk, db, "sync"), 40900, 1)

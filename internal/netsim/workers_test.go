@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"maps"
 	"net/netip"
 	"reflect"
@@ -11,6 +9,7 @@ import (
 
 	"borderpatrol/internal/dns"
 	"borderpatrol/internal/enforcer"
+	"borderpatrol/internal/gateway"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/sanitizer"
@@ -38,45 +37,13 @@ func stageCalls(enf *enforcer.Enforcer) int {
 	return int(count(enf, "bp_enforcer_batch_packets"))
 }
 
-// TestFlowAffineShortBurstRunsInline pins the fan-out floor: a burst is
-// split only into parts of minWorkerBurst packets each on average, so a
-// connection-sized burst reaches the enforcer once, on the caller's
-// goroutine.
-func TestFlowAffineShortBurstRunsInline(t *testing.T) {
-	for _, tc := range []struct{ pkts, workers, wantCalls int }{
-		{3, 4, 1},
-		{34, 2, 1},
-		{2*minWorkerBurst - 1, 4, 1},
-		{2 * minWorkerBurst, 4, 2},
-		{1024, 4, 4},
-		{1024, 1, 1},
-	} {
-		enf, apk, db := buildEnforcerAndDB(t)
-		gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: tc.workers, Clock: NewClock()})
-		sync := taggedPacket(t, apk, db, "sync")
-		pkts := deviceBurst(t, tc.pkts, func(int) *ipv4.Packet { return sync })
-		res, err := gw.ProcessBatch(pkts)
-		if err != nil || len(res) != tc.pkts {
-			t.Fatalf("%d packets: %d results, err %v", tc.pkts, len(res), err)
-		}
-		for i := range res {
-			if res[i].Out != pkts[i] || res[i].Result == nil || res[i].Result.Verdict != policy.VerdictAllow {
-				t.Fatalf("%d packets: result %d misaligned: %+v", tc.pkts, i, res[i])
-			}
-		}
-		if got := stageCalls(enf); got != tc.wantCalls {
-			t.Errorf("%d packets over %d workers: %d stage calls, want %d", tc.pkts, tc.workers, got, tc.wantCalls)
-		}
-	}
-}
-
 // TestFlowAffineParallelWorkers pushes a burst from 1,024 devices, every
 // seventh of them sending denied traffic, through four workers under
 // -race: every worker takes a share, every packet gets exactly one
 // verdict, and outcomes align with the input.
 func TestFlowAffineParallelWorkers(t *testing.T) {
 	enf, apk, db := buildEnforcerAndDB(t)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Workers: 4, Clock: NewClock()})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Workers: 4, Clock: NewClock()})
 	sync, beacon := taggedPacket(t, apk, db, "sync"), taggedPacket(t, apk, db, "beacon")
 	evil := func(i int) bool { return i%7 == 0 }
 	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
@@ -114,7 +81,7 @@ func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 	eng, apk, db := buildEngineAndDB(t)
 	clock := NewClock()
 	enf := shipped(clock, true, enforcer.Config{}, db, eng)
-	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: clock})
+	gw := gateway.NewGateway(gateway.GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(), Workers: 4, Clock: clock})
 	n := newStaticNetwork(ModeTAP, gw)
 	burst := keepAliveBurst(t, taggedPacket(t, apk, db, "sync"), 41000, 198)
 
@@ -126,41 +93,9 @@ func TestFlowAffineOneDeviceOneWorker(t *testing.T) {
 	if got := stageCalls(enf); got != 1 {
 		t.Fatalf("%d stage calls for one connection, want one worker's", got)
 	}
-	st := conntrack(gw.ct)
+	st := conntrack(gw)
 	if st["established"] != 1 || st["closed"] != 1 || st["checked"] != 198 || st["adopted"] != 0 || st["late"] != 0 || st["seq_drop"] != 0 {
 		t.Fatalf("conntrack: %+v, want every response checked after the SYN and before the FIN", st)
-	}
-}
-
-// TestSplitIsFlowAffine: the split puts every packet between one pair of
-// addresses on one worker, keeps burst order within each worker, and
-// covers the burst exactly once.
-func TestSplitIsFlowAffine(t *testing.T) {
-	plain := plainPacket(getRequest())
-	tmpl := func(int) *ipv4.Packet { return plain }
-	pkts := deviceBurst(t, 512, tmpl)
-	pkts = append(pkts, deviceBurst(t, 512, tmpl)...) // every device twice
-	b := getBurst(pkts)
-	defer b.release()
-	b.split(4)
-	owner := map[netip.Addr]int{}
-	covered := 0
-	for w := range b.workers {
-		idx := b.workers[w].idx
-		for k, i := range idx {
-			if k > 0 && idx[k-1] >= i {
-				t.Fatalf("worker %d out of burst order", w)
-			}
-			src := pkts[i].Header.Src
-			if o, ok := owner[src]; ok && o != w {
-				t.Fatalf("device %v on workers %d and %d", src, o, w)
-			}
-			owner[src] = w
-		}
-		covered += len(idx)
-	}
-	if covered != len(pkts) {
-		t.Fatalf("split covers %d of %d packets", covered, len(pkts))
 	}
 }
 
@@ -229,7 +164,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 		}
 		clock := NewClock()
 		enf := shipped(clock, true, enforcer.Config{}, db, eng)
-		gw := NewGateway(GatewayConfig{
+		gw := gateway.NewGateway(gateway.GatewayConfig{
 			Enforcer: enf, Sanitizer: sanitizer.New(), Workers: workers, Clock: clock,
 		})
 		n := newStaticNetwork(ModeTAP, gw)
@@ -242,6 +177,7 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 
 		var r diffRun
 		for ph, burst := range phases {
+			calls := stageCalls(enf)
 			switch ph {
 			case 2: // allow everything: denied flows' data now passes, mid-stream
 				if err := setRules(eng, nil); err != nil {
@@ -252,22 +188,16 @@ func TestWorkerCountChangesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if workers > 1 {
-				b := getBurst(burst)
-				b.split(workers)
-				for w := range b.workers {
-					if len(b.workers[w].idx) == 0 {
-						t.Fatalf("%d workers: worker %d got none of a %d-packet burst", workers, w, len(burst))
-					}
-				}
-				b.release()
-			}
 			// Each phase's deliveries are kept past the next burst, so they
 			// go into storage of their own.
 			r.dels = append(r.dels, n.DeliverInto(new(Batch), burst))
+			// Every worker ran a share: one enforcer batch each.
+			if got := stageCalls(enf) - calls; workers > 1 && got != workers {
+				t.Fatalf("%d workers: %d of them got part of a %d-packet burst", workers, got, len(burst))
+			}
 			r.clocks = append(r.clocks, int64(n.Clock.Now()))
 		}
-		r.ct = conntrack(gw.ct)
+		r.ct = conntrack(gw)
 		r.verdict = verdicts(enf)
 		r.cleansed = count(gw.Sanitizer(), "bp_sanitizer_cleansed_total")
 		outs, err := gw.ProcessBatch(phases[1])
@@ -379,44 +309,6 @@ func fleetBursts(tb testing.TB, base *ipv4.Packet, devices, rounds int) [][]*ipv
 		bursts = append(bursts, phases...)
 	}
 	return bursts
-}
-
-// TestFlowAffineSplitGolden pins the flow-affine split itself: a fixed
-// 1,024-packet fleet burst — one packet per pooled device, spread over four
-// servers — lands packet for packet on the workers recorded here, at 2 and
-// at 4 workers. A change to the worker hash would move flows between
-// workers and fails this test.
-func TestFlowAffineSplitGolden(t *testing.T) {
-	servers := []netip.Addr{
-		netip.MustParseAddr("93.184.216.34"), netip.MustParseAddr("93.184.216.35"),
-		netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("203.0.113.80"),
-	}
-	pkts := deviceBurst(t, 1024, func(i int) *ipv4.Packet {
-		p := fwdPkt(transport.FlagPSH|transport.FlagACK, 1, getRequest())
-		p.Header.Dst = servers[i%len(servers)]
-		return p
-	})
-	for _, tc := range []struct {
-		workers int
-		want    string
-	}{
-		{2, "cfec088db73e70c7"},
-		{4, "9948006025613c9a"},
-	} {
-		b := getBurst(pkts)
-		b.split(tc.workers)
-		of := make([]byte, len(pkts))
-		for w := range b.workers {
-			for _, i := range b.workers[w].idx {
-				of[i] = byte(w)
-			}
-		}
-		b.release()
-		sum := sha256.Sum256(of)
-		if got := hex.EncodeToString(sum[:8]); got != tc.want {
-			t.Errorf("%d workers: split digest %s, want %s", tc.workers, got, tc.want)
-		}
-	}
 }
 
 // BenchmarkDeliverBatchDNS is the churn workload's burst shape through

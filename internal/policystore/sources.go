@@ -74,22 +74,22 @@ func NewFileSource(path string) *FileSource { return &FileSource{path: path} }
 func (s *FileSource) Fetch(prev string) (Candidate, bool, error) {
 	info, err := os.Stat(s.path)
 	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: stat: %w", err)
+		return Candidate{}, false, err
 	}
 	if prev != "" && info.ModTime().Equal(s.lastMod) && info.Size() == s.lastSize &&
 		s.lastRead.Sub(s.lastMod) > mtimeGranularity {
 		return Candidate{}, true, nil
 	}
 	if info.Size() > maxPolicyBytes {
-		return Candidate{}, false, fmt.Errorf("policystore: %s: document exceeds %d bytes", s.path, maxPolicyBytes)
+		return Candidate{}, false, fmt.Errorf("%s: document exceeds %d bytes", s.path, maxPolicyBytes)
 	}
 	data, err := os.ReadFile(s.path)
 	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: read: %w", err)
+		return Candidate{}, false, err
 	}
 	if len(data) > maxPolicyBytes {
 		// The file grew between Stat and ReadFile.
-		return Candidate{}, false, fmt.Errorf("policystore: %s: document exceeds %d bytes", s.path, maxPolicyBytes)
+		return Candidate{}, false, fmt.Errorf("%s: document exceeds %d bytes", s.path, maxPolicyBytes)
 	}
 	s.lastMod, s.lastSize, s.lastRead = info.ModTime(), info.Size(), time.Now()
 	v := contentVersion(data)
@@ -129,14 +129,14 @@ func NewHTTPSource(url string) *HTTPSource { return &HTTPSource{url: url} }
 func (s *HTTPSource) Fetch(prev string) (Candidate, bool, error) {
 	req, err := http.NewRequest(http.MethodGet, s.url, nil)
 	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: %w", err)
+		return Candidate{}, false, err
 	}
 	if s.etag != "" && prev != "" {
 		req.Header.Set("If-None-Match", s.etag)
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: fetch: %w", err)
+		return Candidate{}, false, err
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -147,14 +147,14 @@ func (s *HTTPSource) Fetch(prev string) (Candidate, bool, error) {
 		return Candidate{}, true, nil
 	case http.StatusOK:
 	default:
-		return Candidate{}, false, fmt.Errorf("policystore: fetch %s: unexpected status %s", s.url, resp.Status)
+		return Candidate{}, false, fmt.Errorf("fetch %s: unexpected status %s", s.url, resp.Status)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPolicyBytes+1))
 	if err != nil {
-		return Candidate{}, false, fmt.Errorf("policystore: fetch %s: %w", s.url, err)
+		return Candidate{}, false, fmt.Errorf("fetch %s: %w", s.url, err)
 	}
 	if len(data) > maxPolicyBytes {
-		return Candidate{}, false, fmt.Errorf("policystore: %s: document exceeds %d bytes", s.url, maxPolicyBytes)
+		return Candidate{}, false, fmt.Errorf("%s: document exceeds %d bytes", s.url, maxPolicyBytes)
 	}
 	s.etag = resp.Header.Get("ETag")
 	v := "etag:" + s.etag
